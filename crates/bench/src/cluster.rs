@@ -1,32 +1,33 @@
-//! `figures -- cluster`: scatter-gather scaling vs shard count.
+//! `figures -- cluster`: scatter-gather scaling vs slice count.
 //!
-//! Builds one corpus at 4× the configured scale (sharding only pays off
-//! past the single-engine comfort zone), then answers the same query
+//! Builds one corpus at 4× the configured scale (scattering only pays off
+//! past the single-thread comfort zone), then answers the same query
 //! stream through a fused `Engine` and through [`EngineCluster`]s of
-//! 1, 2, 4 and 8 shards. Answers are bit-identical across configurations
-//! (the differential suite pins that); this experiment measures what the
-//! user-table partitioning buys.
+//! 1, 2, 4 and 8 user-table slices over that one engine. Answers are
+//! bit-identical across configurations (the differential suite pins
+//! that); this experiment measures what slicing the user table buys.
 //!
 //! Two methods, two regimes:
 //!
 //! * **Baseline** (§4): the top-k phase is one IR-tree traversal *per
 //!   user* — wholly per-user work, the embarrassingly parallel case the
-//!   partition targets. The scatter critical path (the slowest shard's
-//!   slice) shrinks ≈ 1/N.
+//!   slices target. The scatter critical path (the slowest slice)
+//!   shrinks ≈ 1/N.
 //! * **JointGreedy** (§5/§6): the shared MIR traversal and the candidate
-//!   selection stay on the head, so Amdahl bounds the win to the
+//!   selection are not scattered, so Amdahl bounds the win to the
 //!   individual-top-k fraction.
 //!
 //! Besides measured wall-clock throughput, the table reports the **top-k
-//! critical path** — the slowest shard's accumulated scatter time, read
+//! critical path** — the slowest slice's accumulated scatter time, read
 //! from the `cluster_scatter_latency_us{shard=...}` histograms — and its
-//! speedup over the 1-shard configuration. Wall-clock throughput tracks
-//! the critical path when one core per shard is available; on fewer
-//! cores the scoped workers serialize and wall time stays flat while the
-//! critical path still contracts.
+//! speedup over the 1-slice configuration. Wall-clock throughput tracks
+//! the critical path when one core per slice is available; on fewer
+//! cores each scoped worker runs several slices back to back and wall
+//! time stays flat while the critical path still contracts (the dev box
+//! has 2 cores).
 //!
 //! The query stream cycles `k` through more distinct values than the
-//! head's 16-slot threshold-cache LRU holds, so every query pays the
+//! engine's 16-slot threshold-cache LRU holds, so every query pays the
 //! scattered top-k phase rather than a cache hit.
 
 use std::time::Instant;
@@ -104,7 +105,7 @@ fn sweep(sc: &Scenario, method: Method, n_queries: usize, k_cycle: usize) {
     for n in SHARD_COUNTS {
         let cluster = EngineCluster::from_engine(sc.engine.clone(), n);
         // The cloned head shares the fused engine's metrics registry, so
-        // the per-shard histograms accumulate across configurations —
+        // the per-slice histograms accumulate across configurations —
         // diff around the run to isolate this one's samples.
         let before = shard_scatter_us(&cluster, n);
         let m = run(&specs, |spec| {
@@ -129,10 +130,10 @@ fn sweep(sc: &Scenario, method: Method, n_queries: usize, k_cycle: usize) {
     table.print();
 }
 
-/// Per-shard accumulated scatter time (µs) from the head registry's
+/// Per-slice accumulated scatter time (µs) from the head registry's
 /// `cluster_scatter_latency_us{shard=...}` histograms. The slowest
-/// shard's delta over a panel is the **critical path**: the wall time
-/// the scattered top-k phase needs when every shard has a core of its
+/// slice's delta over a panel is the **critical path**: the wall time
+/// the scattered top-k phase needs when every slice has a core of its
 /// own.
 fn shard_scatter_us(cluster: &EngineCluster, nshards: usize) -> Vec<u64> {
     let snap = cluster.head().metrics().snapshot();

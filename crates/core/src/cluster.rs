@@ -2,32 +2,25 @@
 //!
 //! The MaxBRSTkNN objective is a *count* of qualifying users, and each
 //! user's qualification (their `RSk` threshold and rank test) depends on
-//! the object corpus and that user alone. Partitioning the **user table**
-//! across N shards therefore makes the expensive per-user top-k phase
-//! embarrassingly parallel: every shard holds the *full* object trees but
-//! only a slice of the users, computes its slice's thresholds, and the
-//! per-shard results merge back — the global candidate counts are exact
-//! sums of per-shard counts, so the cluster answer is the fused answer.
+//! the object corpus and that user alone. The per-user half of the top-k
+//! phase (Algorithm 2, or the §4 baseline's per-user traversals) reads the
+//! shared `LO`/`RO` outcome — or the shared IR-tree — and one user at a
+//! time, so a **shard is a contiguous slice of the engine's user table**:
+//! N slices over the *one* object index, fanned out on scoped threads and
+//! concatenated back in table order.
 //!
 //! # Bit-identity by construction
 //!
-//! The cluster never re-implements the selection pipeline. A fused
-//! **head** engine (all users, all objects) keeps answering queries; the
-//! shards only compute the scattered top-k phase, and the gathered
-//! per-user thresholds are installed into the head's [`ThresholdCache`]
-//! *before* the head runs its unmodified pipeline. Equality of the final
-//! answers thus reduces to equality of the top-k phase, which holds
-//! bitwise because:
-//!
-//! * the text scorer is built from **object** documents only, and every
-//!   shard carries the full object table → identical scorers;
-//! * the spatial context is a single `dmax`, **pinned** to the head's
-//!   dataspace at shard build (`Engine::build_with_fanout_codec_pinned`)
-//!   → identical distance normalization even though a user slice's own
-//!   hull would differ;
-//! * the per-user kernels (`individual_topk`, `all_users_topk_baseline`)
-//!   process users independently, so a slice computes exactly the fused
-//!   values for its users.
+//! The cluster never re-implements the selection pipeline. The one
+//! [`Engine`] (the **head**: all users, all objects) answers every query;
+//! the slices only compute the scattered top-k phase, and the per-user
+//! thresholds are installed into the head's [`ThresholdCache`] *before*
+//! the head runs its unmodified pipeline. Every slice scores with the
+//! head's own scorer, dataspace and trees, and the per-user kernels
+//! ([`individual_topk`], [`all_users_topk_baseline`]) process users
+//! independently — so the concatenation *is* the fused result, and a
+//! scattered baseline fill charges the head's I/O counter exactly what
+//! the fused fill would.
 //!
 //! If the cache slot is evicted (or was never filled because the method
 //! bypasses the scatter), the head simply recomputes the fused phase —
@@ -35,152 +28,69 @@
 //!
 //! # Mutations, epochs, refresh
 //!
-//! The head is authoritative: a mutation applies there first, and only on
-//! acceptance is it routed onward — object mutations broadcast to every
-//! shard (they all hold the object table), user mutations route to the
-//! **owning** shard (`id % N`). Each shard keeps its own epoch; the
-//! *cluster epoch* is the vector of shard epochs ([`EngineCluster::epochs`]).
-//! Refresh decisions stay independent per shard
-//! ([`EngineCluster::refresh_due_shards`]) — a busy shard can re-weigh
-//! while a quiet one keeps serving — with the caveat that an
-//! independently refreshed shard's scorer runs ahead of the head's until
-//! the next synchronized refresh ([`EngineCluster::refresh_synchronized`]),
-//! which refreshes the head, re-pins every shard to the new dataspace and
-//! rebuilds them, restoring exact bit-identity.
+//! There is nothing to keep in step: mutations, epochs and refreshes are
+//! the head's ([`EngineCluster::apply`], [`EngineCluster::epoch`],
+//! [`EngineCluster::refresh_synchronized`] delegate to it), and every
+//! scatter slices whatever user table the head holds at that moment. The
+//! only cluster state is the slice count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mbrstk_obs::{Counter, Histogram, MetricsRegistry};
+use mbrstk_obs::Histogram;
 
 use crate::cache::{JointThresholds, ThresholdCache};
 use crate::dynamic::{BatchReport, MaintenanceIo, Mutation};
-use crate::refresh::{RefreshConfig, RefreshReport, RefreshTier};
+use crate::refresh::RefreshReport;
 use crate::topk::baseline::all_users_topk_baseline;
+use crate::topk::fan_out_users;
 use crate::topk::individual::individual_topk;
 use crate::topk::joint::joint_topk;
-use crate::{Engine, Method, QueryResult, QuerySpec, UserTopk};
+use crate::{Engine, Method, QueryResult, QuerySpec, UserData, UserTopk};
 
-/// Which shard owns the user with `id` in an `nshards`-way partition.
-#[inline]
-pub fn owner(id: u32, nshards: usize) -> usize {
-    id as usize % nshards
-}
-
-/// Pre-resolved per-shard telemetry handles, registered in the **head**
-/// engine's registry (so the serving layer's metrics export carries them)
-/// with the shard index as a label.
-#[derive(Debug)]
-pub(crate) struct ClusterMetrics {
-    /// Wall time of one shard's slice of a scattered top-k phase.
-    scatter_latency_us: Vec<Arc<Histogram>>,
-    /// Mutations routed to each shard (broadcasts count every shard).
-    mutations_routed: Vec<Arc<Counter>>,
-    /// Completed per-shard refreshes (synchronized or independent).
-    refreshes: Vec<Arc<Counter>>,
-}
-
-impl ClusterMetrics {
-    fn new(reg: &MetricsRegistry, nshards: usize) -> ClusterMetrics {
-        ClusterMetrics {
-            scatter_latency_us: (0..nshards)
-                .map(|i| reg.histogram(&format!("cluster_scatter_latency_us{{shard=\"{i}\"}}")))
-                .collect(),
-            mutations_routed: (0..nshards)
-                .map(|i| reg.counter(&format!("cluster_mutations_routed_total{{shard=\"{i}\"}}")))
-                .collect(),
-            refreshes: (0..nshards)
-                .map(|i| reg.counter(&format!("cluster_refreshes_total{{shard=\"{i}\"}}")))
-                .collect(),
-        }
-    }
-}
-
-/// The shard engines plus their telemetry — split out of
-/// [`EngineCluster`] so the serving layer can hold the shards behind
-/// their own lock while the head lives in the published snapshot.
-#[derive(Debug)]
-pub(crate) struct ShardSet {
-    pub(crate) shards: Vec<Engine>,
-    pub(crate) metrics: ClusterMetrics,
-}
-
-impl ShardSet {
-    /// Every shard's epoch, in shard order (the cluster epoch vector).
-    pub(crate) fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.epoch()).collect()
-    }
-}
-
-/// A fused head engine plus N user shards answering as one engine.
-/// See the module docs for the partitioning and merge argument.
+/// One engine answering with its per-user top-k phase scattered over N
+/// contiguous slices of its user table. See the module docs for the
+/// merge argument.
 #[derive(Debug)]
 pub struct EngineCluster {
-    head: Engine,
-    set: ShardSet,
+    pub(crate) head: Engine,
+    /// One `cluster_scatter_latency_us{shard="i"}` histogram per slice
+    /// (wall time of that slice's share of a scattered top-k phase),
+    /// registered in the head's swap-stable registry so the serving
+    /// layer's metrics export carries them. The vector's length *is* the
+    /// slice count.
+    pub(crate) scatter_latency_us: Vec<Arc<Histogram>>,
 }
 
 impl EngineCluster {
-    /// Partitions `head`'s user table across `nshards` shards (each with
-    /// the full object tables, built with the head's model, α, fanout and
-    /// codec, and the head's dataspace pinned). The head keeps serving
-    /// fused answers; a threshold cache is attached to it if missing
-    /// (the scatter path installs gathered thresholds through it).
+    /// Serves `head` through `nshards` user slices. O(1): nothing is
+    /// copied or rebuilt — a threshold cache is attached to the head if
+    /// missing (the scatter path installs its thresholds through it) and
+    /// the per-slice histograms are registered.
     ///
     /// # Panics
-    /// Panics when `nshards == 0`, or when `head` has absorbed mutations
-    /// since its build/refresh (a drifted head's frozen scorer differs
-    /// from the cold scorer a shard build would compute — construct the
-    /// cluster from a freshly built or freshly refreshed engine).
+    /// Panics when `nshards == 0`.
     pub fn from_engine(mut head: Engine, nshards: usize) -> EngineCluster {
         assert!(nshards >= 1, "a cluster needs at least one shard");
-        assert!(
-            head.mutations_since_refresh() == 0 && !head.has_stale_weights(),
-            "build the cluster from a freshly built or refreshed engine: \
-             a drifted head's frozen scorer cannot be reproduced by a \
-             cold shard build"
-        );
         if head.thresholds.is_none() {
             head.thresholds = Some(ThresholdCache::new());
         }
-        let metrics = ClusterMetrics::new(head.metrics.registry(), nshards);
-        let model = head.ctx.text.model();
-        let alpha = head.ctx.alpha;
-        let fanout = head.mir.fanout();
-        let codec = head.codec();
-        let pinned = head.ctx.spatial;
-        let shards: Vec<Engine> = (0..nshards)
-            .map(|s| {
-                let slice: Vec<_> = head
-                    .users
-                    .iter()
-                    .filter(|u| owner(u.id, nshards) == s)
-                    .cloned()
-                    .collect();
-                Engine::build_with_fanout_codec_pinned(
-                    head.objects.clone(),
-                    slice,
-                    model,
-                    alpha,
-                    fanout,
-                    codec,
-                    Some(pinned),
-                )
-            })
+        let reg = head.metrics.registry();
+        let scatter_latency_us = (0..nshards)
+            .map(|i| reg.histogram(&format!("cluster_scatter_latency_us{{shard=\"{i}\"}}")))
             .collect();
         EngineCluster {
             head,
-            set: ShardSet { shards, metrics },
+            scatter_latency_us,
         }
     }
 
-    /// Number of user shards.
+    /// Number of user slices.
     pub fn shard_count(&self) -> usize {
-        self.set.shards.len()
+        self.scatter_latency_us.len()
     }
 
-    /// The fused head engine (full tables; answers are read from here).
+    /// The engine behind the cluster (answers are read from here).
     pub fn head(&self) -> &Engine {
         &self.head
     }
@@ -190,13 +100,8 @@ impl EngineCluster {
         self.head.epoch()
     }
 
-    /// The cluster epoch: every shard's epoch, in shard order.
-    pub fn epochs(&self) -> Vec<u64> {
-        self.set.epochs()
-    }
-
-    /// Answers one query: the top-k phase scatters across the shards
-    /// (for the methods it helps), the gathered thresholds land in the
+    /// Answers one query: the per-user top-k phase scatters across the
+    /// slices (for the methods it helps), the thresholds land in the
     /// head's cache, and the head's unmodified pipeline produces the
     /// answer — bit-identical to a fused [`Engine::query`].
     ///
@@ -204,151 +109,50 @@ impl EngineCluster {
     /// Panics when a user-index method is requested and the head was
     /// built without [`Engine::with_user_index`].
     pub fn query(&self, spec: &QuerySpec, method: Method) -> QueryResult {
-        scatter_query(&self.head, &self.set, spec, method)
+        scatter_query(&self.head, &self.scatter_latency_us, spec, method)
     }
 
-    /// Applies one mutation: the head decides (rejected mutations touch
-    /// no shard), then object changes broadcast to every shard and user
-    /// changes route to the owning shard. Returns the head's maintenance
-    /// I/O, like [`Engine`]'s mutation methods.
+    /// Applies one mutation to the head, like [`Engine`]'s mutation
+    /// methods (rejected mutations return `None`).
     pub fn apply(&mut self, mutation: Mutation) -> Option<MaintenanceIo> {
-        let io = match mutation.clone() {
-            Mutation::InsertObject(o) => self.head.insert_object(o),
-            Mutation::RemoveObject(id) => self.head.remove_object(id),
-            Mutation::InsertUser(u) => self.head.insert_user(u),
-            Mutation::RemoveUser(id) => self.head.remove_user(id),
-        };
-        if io.is_some() {
-            route_mutation(&mut self.set, &mutation);
-        }
-        io
+        self.head.apply(mutation)
     }
 
-    /// Applies a stream of mutations in order, aggregating what happened
-    /// (head-side I/O; rejected mutations are counted and skipped).
+    /// [`Engine::apply_batch`] on the head.
     pub fn apply_batch(&mut self, mutations: impl IntoIterator<Item = Mutation>) -> BatchReport {
-        let mut report = BatchReport::default();
-        for m in mutations {
-            match self.apply(m) {
-                Some(io) => {
-                    report.applied += 1;
-                    report.io += io;
-                }
-                None => report.rejected += 1,
-            }
-        }
-        report
+        self.head.apply_batch(mutations)
     }
 
-    /// Refreshes the head, then re-pins every shard to the head's fresh
-    /// dataspace and rebuilds it — after this, scattered and fused
-    /// answers are bit-identical again even if shards had drifted apart
-    /// through independent refreshes. Returns the head's report.
+    /// [`Engine::refresh`] on the head; the next scatter slices the
+    /// refreshed engine.
     pub fn refresh_synchronized(&mut self) -> RefreshReport {
-        let report = self.head.refresh();
-        refresh_shards_synchronized(&self.head, &mut self.set);
-        report
-    }
-
-    /// Per-shard independent refresh: each shard checks `cfg`'s
-    /// thresholds against its *own* mutation counters and drift and
-    /// re-weighs at its own tier when due. Returns how many shards
-    /// refreshed. A refreshed shard's scorer runs ahead of the head's
-    /// (drift-bounded divergence, not bit-identity) until the next
-    /// [`EngineCluster::refresh_synchronized`].
-    pub fn refresh_due_shards(&mut self, cfg: &RefreshConfig) -> usize {
-        refresh_due_shards(&mut self.set, cfg)
-    }
-
-    /// Splits the cluster into its head and shard set (the serving layer
-    /// publishes the head as its snapshot and locks the shards
-    /// separately).
-    pub(crate) fn into_parts(self) -> (Engine, ShardSet) {
-        (self.head, self.set)
+        self.head.refresh()
     }
 }
 
-/// Runs `f` once per shard on scoped worker threads claiming shards off a
-/// shared cursor (the same machinery as [`Engine::query_batch_with`]),
-/// recording each shard's wall time. Results come back in shard order.
-fn run_scattered<T: Send>(set: &ShardSet, f: &(dyn Fn(&Engine) -> T + Sync)) -> Vec<T> {
-    let shards = &set.shards;
-    if shards.len() == 1 {
+/// Runs `kernel` over one contiguous slice of `head.users` per histogram
+/// in `latency_us`, recording each slice's wall time, and returns the
+/// per-user results in table order.
+fn scatter(
+    head: &Engine,
+    latency_us: &[Arc<Histogram>],
+    kernel: impl Fn(&[UserData]) -> Vec<UserTopk> + Sync,
+) -> Vec<UserTopk> {
+    fan_out_users(&head.users, latency_us.len(), |i, slice| {
         let start = Instant::now();
-        let out = f(&shards[0]);
-        set.metrics.scatter_latency_us[0].record_duration_us(start.elapsed());
-        return vec![out];
-    }
-    let workers = shards.len().min(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    );
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = shards.get(i) else { break };
-                        let start = Instant::now();
-                        let out = f(shard);
-                        set.metrics.scatter_latency_us[i].record_duration_us(start.elapsed());
-                        local.push((i, out));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
-    });
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(shards.len(), || None);
-    for (i, value) in per_worker.into_iter().flatten() {
-        out[i] = Some(value);
-    }
-    out.into_iter()
-        .map(|o| o.expect("every shard index is claimed exactly once"))
-        .collect()
-}
-
-/// Stitches per-shard top-k slices back into the head's user order. The
-/// shard slices preserve the head table's relative order (partitioning
-/// filters, it never reorders), so one cursor per shard reconstructs the
-/// fused `Vec<UserTopk>` exactly.
-fn gather_in_head_order(head: &Engine, per_shard: Vec<Vec<UserTopk>>) -> Vec<UserTopk> {
-    let nshards = per_shard.len();
-    let mut iters: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
-    let mut tks = Vec::with_capacity(head.users.len());
-    for u in &head.users {
-        let tk = iters[owner(u.id, nshards)]
-            .next()
-            .expect("every head user is owned by exactly one shard");
-        debug_assert_eq!(tk.user, u.id, "shard slice order must mirror the head");
-        tks.push(tk);
-    }
-    debug_assert!(
-        iters.iter_mut().all(|it| it.next().is_none()),
-        "shards must not hold users the head does not"
-    );
-    tks
+        let tks = kernel(slice);
+        latency_us[i].record_duration_us(start.elapsed());
+        tks
+    })
 }
 
 /// One scattered query: fill the head's threshold cache for `spec.k`
-/// from per-shard top-k slices (joint and baseline methods; the §7
-/// user-index pipelines depend on the fused MIUR tree shape and run on
+/// from per-slice top-k results (joint and baseline methods; the §7
+/// user-index pipelines prune on the MIUR tree, not per user, and run on
 /// the head outright), then let the head's unmodified pipeline answer.
 pub(crate) fn scatter_query(
     head: &Engine,
-    set: &ShardSet,
+    latency_us: &[Arc<Histogram>],
     spec: &QuerySpec,
     method: Method,
 ) -> QueryResult {
@@ -365,138 +169,23 @@ pub(crate) fn scatter_query(
             let _ = tc.joint(k, head.epoch, || {
                 let su = head.super_user_shared();
                 let out = joint_topk(&head.mir, &su, k, &head.ctx, &head.io);
-                let per_shard = run_scattered(set, &|shard| {
-                    individual_topk(&shard.users, &out, k, &shard.ctx)
+                let tks = scatter(head, latency_us, |slice| {
+                    individual_topk(slice, &out, k, &head.ctx)
                 });
-                let tks = gather_in_head_order(head, per_shard);
                 let rsk = tks.iter().map(|t| t.rsk).collect();
                 JointThresholds { su, out, tks, rsk }
             });
         }
         Method::Baseline => {
             let _ = tc.baseline(k, head.epoch, || {
-                let per_shard = run_scattered(set, &|shard| {
-                    all_users_topk_baseline(&shard.ir, &shard.users, k, &shard.ctx, &shard.io)
-                });
-                gather_in_head_order(head, per_shard)
+                scatter(head, latency_us, |slice| {
+                    all_users_topk_baseline(&head.ir, slice, k, &head.ctx, &head.io)
+                })
             });
         }
-        // §7: the MIUR traversal's pruning depends on the *fused* user
-        // tree's node shape — per-shard trees would prune differently.
-        // The head answers alone (still bit-identical, by definition).
         Method::UserIndexGreedy | Method::UserIndexExact => {}
     }
     head.query(spec, method)
-}
-
-/// Routes one head-accepted mutation onward: object changes broadcast to
-/// every shard, user changes go to the owning shard. A shard with no
-/// MIUR tree can be drained to its last user (unlike a standalone
-/// engine), so removals bypass [`Engine::remove_user`]'s guard.
-pub(crate) fn route_mutation(set: &mut ShardSet, mutation: &Mutation) {
-    let ShardSet { shards, metrics } = set;
-    let nshards = shards.len();
-    match mutation {
-        Mutation::InsertObject(o) => {
-            for (i, shard) in shards.iter_mut().enumerate() {
-                let applied = shard.insert_object(o.clone());
-                debug_assert!(applied.is_some(), "head accepted ⇒ shards accept");
-                metrics.mutations_routed[i].inc();
-            }
-        }
-        Mutation::RemoveObject(id) => {
-            for (i, shard) in shards.iter_mut().enumerate() {
-                let applied = shard.remove_object(*id);
-                debug_assert!(applied.is_some(), "head accepted ⇒ shards accept");
-                metrics.mutations_routed[i].inc();
-            }
-        }
-        Mutation::InsertUser(u) => {
-            let s = owner(u.id, nshards);
-            let applied = shards[s].insert_user(u.clone());
-            debug_assert!(applied.is_some(), "head accepted ⇒ owner accepts");
-            metrics.mutations_routed[s].inc();
-        }
-        Mutation::RemoveUser(id) => {
-            let s = owner(*id, nshards);
-            let shard = &mut shards[s];
-            let pos = shard
-                .users
-                .iter()
-                .position(|u| u.id == *id)
-                .expect("head accepted ⇒ the owner holds the user");
-            debug_assert!(
-                shard.miur.is_none(),
-                "shards are built without a user index"
-            );
-            shard.users.remove(pos);
-            shard.finish_user_mutation();
-            metrics.mutations_routed[s].inc();
-        }
-    }
-}
-
-/// Re-pins every shard to the (already refreshed) head's dataspace and
-/// rebuilds it, restoring bit-identity between scattered and fused
-/// answers. Empty shards rebuild too — the pinned build path accepts an
-/// empty user slice.
-pub(crate) fn refresh_shards_synchronized(head: &Engine, set: &mut ShardSet) {
-    for (i, shard) in set.shards.iter_mut().enumerate() {
-        shard.pinned_spatial = Some(head.ctx.spatial);
-        *shard = shard.refreshed();
-        set.metrics.refreshes[i].inc();
-    }
-}
-
-/// Per-shard independent refresh (see
-/// [`EngineCluster::refresh_due_shards`]): mirrors the serving layer's
-/// tier decision — full past `full_refresh_drift` or with residual stale
-/// weights, incremental otherwise. Empty shards never refresh (nothing
-/// to re-weigh against their slice, and their pinned hull only moves at
-/// the next synchronized refresh).
-pub(crate) fn refresh_due_shards(set: &mut ShardSet, cfg: &RefreshConfig) -> usize {
-    let mut refreshed = 0;
-    for (i, shard) in set.shards.iter_mut().enumerate() {
-        if shard.users.is_empty() || !shard_refresh_due(shard, cfg) {
-            continue;
-        }
-        let incremental = if cfg.full_refresh_drift <= 0.0 || shard.has_stale_weights() {
-            None
-        } else {
-            let (live, ledger) = shard.drift_parts(cfg.term_drift_bound);
-            (ledger.drift.max_rel_error < cfg.full_refresh_drift).then_some((live, ledger))
-        };
-        let _report: RefreshReport = match incremental {
-            Some((live, ledger)) => {
-                let (fresh, report) = shard.refreshed_incremental_from(live, ledger);
-                debug_assert_eq!(report.tier, RefreshTier::Incremental);
-                *shard = fresh;
-                report
-            }
-            None => shard.refresh(),
-        };
-        set.metrics.refreshes[i].inc();
-        refreshed += 1;
-    }
-    refreshed
-}
-
-/// One shard's due test, against its own counters and drift — the same
-/// thresholds [`crate::ServingEngine::needs_refresh`] applies to a fused
-/// engine, minus the scan rate limiting (shard tables are a fraction of
-/// the fused size, and the caller already batches these checks).
-fn shard_refresh_due(shard: &Engine, cfg: &RefreshConfig) -> bool {
-    let mutations = shard.mutations_since_refresh();
-    if mutations == 0 {
-        return false;
-    }
-    if mutations >= cfg.max_mutations {
-        return true;
-    }
-    if !cfg.max_drift.is_finite() || mutations < cfg.drift_check_after.max(1) {
-        return false;
-    }
-    shard.drift().max_rel_error >= cfg.max_drift
 }
 
 #[cfg(test)]
@@ -526,11 +215,11 @@ mod tests {
         }
     }
 
-    fn fused() -> Engine {
+    fn fused_with(users: u32) -> Engine {
         let objects: Vec<ObjectData> = (0..60)
             .map(|i| obj(i, (i % 10) as f64, (i / 10) as f64, i % 5))
             .collect();
-        let users: Vec<UserData> = (0..17)
+        let users: Vec<UserData> = (0..users)
             .map(|i| user(i, (i % 8) as f64 + 0.4, (i % 5) as f64 + 0.7, i % 5))
             .collect();
         Engine::build_with_fanout(objects, users, WeightModel::lm(), 0.5, 4).with_user_index()
@@ -551,42 +240,34 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn cluster_matches_fused_for_every_method_and_shard_count() {
-        let reference = fused();
-        for nshards in [1, 2, 3, 5] {
-            let cluster = EngineCluster::from_engine(fused(), nshards);
-            assert_eq!(cluster.shard_count(), nshards);
-            for spec in &specs() {
-                for m in Method::ALL {
-                    assert_eq!(
-                        cluster.query(spec, m),
-                        reference.query(spec, m),
-                        "{m:?} × {nshards} shards"
-                    );
-                }
+    fn assert_matches(cluster: &EngineCluster, reference: &Engine, ctx: &str) {
+        for spec in &specs() {
+            for m in Method::ALL {
+                assert_eq!(
+                    cluster.query(spec, m),
+                    reference.query(spec, m),
+                    "{ctx}: {m:?} × {} slices",
+                    cluster.shard_count()
+                );
             }
         }
     }
 
+    /// Uneven slices, one slice, and more slices than users (2 × 8: six
+    /// of the eight are empty ranges).
     #[test]
-    fn shards_pin_the_head_dataspace_and_hold_user_slices() {
-        let cluster = EngineCluster::from_engine(fused(), 3);
-        let head = cluster.head();
-        let total: usize = cluster.set.shards.iter().map(|s| s.users.len()).sum();
-        assert_eq!(total, head.users.len());
-        for (s, shard) in cluster.set.shards.iter().enumerate() {
-            assert_eq!(shard.ctx.spatial, head.ctx.spatial, "shard {s} pinned");
-            assert_eq!(shard.objects.len(), head.objects.len());
-            assert!(shard.miur.is_none(), "shards carry no user index");
-            assert!(shard.users.iter().all(|u| owner(u.id, 3) == s));
+    fn cluster_matches_fused_for_every_method_and_shard_count() {
+        for (users, nshards) in [(17, 1), (17, 2), (17, 3), (17, 5), (2, 8), (2, 1)] {
+            let cluster = EngineCluster::from_engine(fused_with(users), nshards);
+            assert_eq!(cluster.shard_count(), nshards);
+            assert_matches(&cluster, &fused_with(users), &format!("{users} users"));
         }
     }
 
     #[test]
-    fn mutations_route_and_identity_survives_churn() {
-        let mut reference = fused();
-        let mut cluster = EngineCluster::from_engine(fused(), 4);
+    fn identity_survives_churn() {
+        let mut reference = fused_with(17);
+        let mut cluster = EngineCluster::from_engine(fused_with(17), 4);
         let stream = vec![
             Mutation::InsertObject(obj(100, 2.3, 1.1, 0)),
             Mutation::InsertUser(user(40, 3.1, 2.2, 1)),
@@ -602,60 +283,21 @@ mod tests {
             let cluster_applied = cluster.apply(m).is_some();
             assert_eq!(fused_applied, cluster_applied, "head and fused twin agree");
         }
-        for spec in &specs() {
-            for m in Method::ALL {
-                assert_eq!(cluster.query(spec, m), reference.query(spec, m), "{m:?}");
-            }
-        }
-        // The cluster epoch is the per-shard vector: only owners moved.
-        let epochs = cluster.epochs();
-        assert_eq!(epochs.len(), 4);
-        assert!(epochs.iter().any(|&e| e > 0));
-    }
+        assert_matches(&cluster, &reference, "post-churn");
+        assert_eq!(cluster.epoch(), reference.epoch());
 
-    #[test]
-    fn a_shard_can_drain_to_empty_and_keeps_answering() {
-        // Two users across two shards → one each; removing one drains its
-        // shard entirely (forbidden for a standalone engine).
-        let objects: Vec<ObjectData> = (0..30)
-            .map(|i| obj(i, (i % 6) as f64, (i / 6) as f64, i % 3))
-            .collect();
-        let users = vec![user(0, 1.2, 1.3, 0), user(1, 3.4, 2.1, 1)];
-        let mut reference =
-            Engine::build_with_fanout(objects.clone(), users.clone(), WeightModel::lm(), 0.5, 4);
-        let engine = Engine::build_with_fanout(objects, users, WeightModel::lm(), 0.5, 4);
-        let mut cluster = EngineCluster::from_engine(engine, 2);
-
-        assert!(cluster.apply(Mutation::RemoveUser(0)).is_some());
-        assert!(reference.remove_user(0).is_some());
-        assert!(cluster.set.shards[0].users.is_empty());
-
-        let spec = QuerySpec {
-            ox_doc: Document::from_terms([t(7)]),
-            locations: vec![Point::new(2.0, 1.0), Point::new(4.0, 3.0)],
-            keywords: vec![t(0), t(1), t(2)],
-            ws: 2,
-            k: 2,
-        };
-        for m in [Method::Baseline, Method::JointExact, Method::JointGreedy] {
-            assert_eq!(cluster.query(&spec, m), reference.query(&spec, m), "{m:?}");
-        }
-
-        // And the drained shard accepts its users back.
-        assert!(cluster
-            .apply(Mutation::InsertUser(user(2, 0.8, 0.9, 2)))
-            .is_some());
-        assert!(reference.insert_user(user(2, 0.8, 0.9, 2)).is_some());
-        assert_eq!(cluster.set.shards[0].users.len(), 1);
-        for m in [Method::Baseline, Method::JointExact] {
-            assert_eq!(cluster.query(&spec, m), reference.query(&spec, m), "{m:?}");
-        }
+        // A cluster built from the *drifted* engine (mutations since
+        // build, no refresh: a frozen scorer no cold build reproduces)
+        // slices that engine's own context, so it matches too.
+        assert!(reference.drift().max_rel_error > 0.0);
+        let rewrapped = EngineCluster::from_engine(reference.clone(), 3);
+        assert_matches(&rewrapped, &reference, "drifted head");
     }
 
     #[test]
     fn synchronized_refresh_restores_bit_identity() {
-        let mut reference = fused();
-        let mut cluster = EngineCluster::from_engine(fused(), 3);
+        let mut reference = fused_with(17);
+        let mut cluster = EngineCluster::from_engine(fused_with(17), 3);
         // One-sided churn so the LM scorer genuinely drifts.
         for i in 0..10u32 {
             let m = Mutation::InsertObject(ObjectData {
@@ -670,38 +312,24 @@ mod tests {
         assert_eq!(report.replayed, 0);
         reference.refresh();
         assert_eq!(cluster.head().drift().max_rel_error, 0.0);
-        for spec in &specs() {
-            for m in Method::ALL {
-                assert_eq!(cluster.query(spec, m), reference.query(spec, m), "{m:?}");
-            }
-        }
+        assert_matches(&cluster, &reference, "post-refresh");
     }
 
+    /// With no page cache every access is charged, so the scattered
+    /// baseline fill must cost the head's counter exactly the fused fill.
     #[test]
-    fn per_shard_refresh_decisions_are_independent() {
-        let mut cluster = EngineCluster::from_engine(fused(), 4);
-        // Route user churn at shard 1 only (ids ≡ 1 mod 4).
-        for i in 0..6u32 {
-            assert!(cluster
-                .apply(Mutation::InsertUser(user(101 + 4 * i, 2.0, 2.0, 1)))
-                .is_some());
+    fn scattered_baseline_fill_charges_the_head_io_like_the_fused_fill() {
+        let reference = fused_with(17).with_threshold_cache();
+        let cluster = EngineCluster::from_engine(fused_with(17), 4);
+        assert!(cluster.head().io.cache().is_none());
+        let spec = &specs()[0];
+        for pass in ["fill", "warm"] {
+            assert_eq!(
+                cluster.query(spec, Method::Baseline),
+                reference.query(spec, Method::Baseline)
+            );
+            assert!(reference.io.total() > 0);
+            assert_eq!(cluster.head().io.total(), reference.io.total(), "{pass}");
         }
-        let cfg = RefreshConfig {
-            max_mutations: 4,
-            max_drift: f64::INFINITY,
-            ..RefreshConfig::default()
-        };
-        assert_eq!(cluster.refresh_due_shards(&cfg), 1, "only shard 1 is due");
-        assert_eq!(cluster.set.shards[1].mutations_since_refresh(), 0);
-        assert_eq!(cluster.set.shards[0].mutations_since_refresh(), 0);
-        assert_eq!(cluster.set.shards[2].mutations_since_refresh(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "freshly built or refreshed")]
-    fn from_engine_rejects_a_drifted_head() {
-        let mut head = fused();
-        head.insert_object(obj(500, 1.0, 1.0, 0)).unwrap();
-        let _ = EngineCluster::from_engine(head, 2);
     }
 }

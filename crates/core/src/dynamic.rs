@@ -253,19 +253,24 @@ impl Engine {
         Some(io)
     }
 
+    /// Applies one mutation through the matching method above (`None`
+    /// when it is rejected).
+    pub(crate) fn apply(&mut self, mutation: Mutation) -> Option<MaintenanceIo> {
+        match mutation {
+            Mutation::InsertObject(o) => self.insert_object(o),
+            Mutation::RemoveObject(id) => self.remove_object(id),
+            Mutation::InsertUser(u) => self.insert_user(u),
+            Mutation::RemoveUser(id) => self.remove_user(id),
+        }
+    }
+
     /// Applies a stream of mutations in order, aggregating what happened.
     /// Rejected mutations (duplicate insert ids, unknown remove ids) are
     /// counted and skipped; the rest of the batch still applies.
     pub fn apply_batch(&mut self, mutations: impl IntoIterator<Item = Mutation>) -> BatchReport {
         let mut report = BatchReport::default();
         for m in mutations {
-            let outcome = match m {
-                Mutation::InsertObject(o) => self.insert_object(o),
-                Mutation::RemoveObject(id) => self.remove_object(id),
-                Mutation::InsertUser(u) => self.insert_user(u),
-                Mutation::RemoveUser(id) => self.remove_user(id),
-            };
-            match outcome {
+            match self.apply(m) {
                 Some(io) => {
                     report.applied += 1;
                     report.io += io;
@@ -309,10 +314,8 @@ impl Engine {
 
     /// Post-mutation bookkeeping for user changes: bump both generation
     /// counters and drop every threshold-cache entry including the
-    /// memoized super-user. Crate-visible so [`crate::cluster`] can drain
-    /// a user shard to empty (a path [`Engine::remove_user`] forbids for
-    /// standalone engines) while keeping the epochs honest.
-    pub(crate) fn finish_user_mutation(&mut self) {
+    /// memoized super-user.
+    fn finish_user_mutation(&mut self) {
         self.epoch += 1;
         self.user_epoch += 1;
         self.user_muts_since_refresh += 1;

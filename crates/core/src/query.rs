@@ -138,12 +138,6 @@ pub struct Engine {
     /// continuous across copy-on-write fallbacks and engine swaps. Read it
     /// through [`Engine::metrics`].
     pub(crate) metrics: Arc<EngineMetrics>,
-    /// When set, every (re)build of this engine scores distances against
-    /// this externally supplied dataspace instead of the hull of its own
-    /// records. [`crate::cluster`] pins each user shard to the fused
-    /// head's dataspace so per-shard scores are bitwise identical to the
-    /// fused engine's; `None` (the default) keeps the self-computed hull.
-    pub(crate) pinned_spatial: Option<SpatialContext>,
 }
 
 /// A deep copy: tables and disk-resident indexes are duplicated
@@ -176,7 +170,6 @@ impl Clone for Engine {
             user_muts_since_refresh: self.user_muts_since_refresh,
             stale_weights: self.stale_weights,
             metrics: Arc::clone(&self.metrics),
-            pinned_spatial: self.pinned_spatial,
         }
     }
 }
@@ -223,45 +216,17 @@ impl Engine {
         fanout: usize,
         codec: CodecId,
     ) -> Self {
-        Self::build_with_fanout_codec_pinned(objects, users, model, alpha, fanout, codec, None)
-    }
-
-    /// [`Engine::build_with_fanout_codec`] scoring against an externally
-    /// pinned [`SpatialContext`] instead of the records' own hull. The
-    /// cluster layer builds user shards this way: the scorer depends only
-    /// on the object documents, so with the head's dataspace pinned a
-    /// shard's scores are bitwise identical to the fused engine's. Only
-    /// this variant accepts an *empty* user slice (mutation routing can
-    /// legitimately drain a shard); the object set must still be
-    /// non-empty.
-    pub(crate) fn build_with_fanout_codec_pinned(
-        objects: Vec<ObjectData>,
-        users: Vec<UserData>,
-        model: WeightModel,
-        alpha: f64,
-        fanout: usize,
-        codec: CodecId,
-        pinned: Option<SpatialContext>,
-    ) -> Self {
         assert!(!objects.is_empty(), "object set must not be empty");
-        assert!(
-            pinned.is_some() || !users.is_empty(),
-            "user set must not be empty"
-        );
+        assert!(!users.is_empty(), "user set must not be empty");
 
-        let spatial = match pinned {
-            Some(spatial) => spatial,
-            None => {
-                let space = Rect::bounding(
-                    objects
-                        .iter()
-                        .map(|o| o.point)
-                        .chain(users.iter().map(|u| u.point)),
-                )
-                .expect("non-empty dataset");
-                SpatialContext::from_dataspace(&space)
-            }
-        };
+        let space = Rect::bounding(
+            objects
+                .iter()
+                .map(|o| o.point)
+                .chain(users.iter().map(|u| u.point)),
+        )
+        .expect("non-empty dataset");
+        let spatial = SpatialContext::from_dataspace(&space);
 
         let stats = CorpusStats::build(objects.iter().map(|o| &o.doc));
         let text = TextScorer::build(model, stats, objects.iter().map(|o| &o.doc));
@@ -292,7 +257,6 @@ impl Engine {
             user_muts_since_refresh: 0,
             stale_weights: false,
             metrics: EngineMetrics::new(),
-            pinned_spatial: pinned,
         }
     }
 

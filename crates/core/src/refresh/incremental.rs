@@ -360,22 +360,15 @@ impl Engine {
 
         // The dataspace hull ages with churn exactly like the scorer;
         // recompute it the way a cold build would (an O(|O|+|U|) scan —
-        // the hull is not disk-resident, so this charges nothing). A
-        // pinned engine (a cluster shard) keeps its externally supplied
-        // dataspace instead, mirroring the pinned build path.
-        let spatial = match self.pinned_spatial {
-            Some(spatial) => spatial,
-            None => {
-                let space = Rect::bounding(
-                    self.objects
-                        .iter()
-                        .map(|o| o.point)
-                        .chain(self.users.iter().map(|u| u.point)),
-                )
-                .expect("non-empty dataset");
-                SpatialContext::from_dataspace(&space)
-            }
-        };
+        // the hull is not disk-resident, so this charges nothing).
+        let space = Rect::bounding(
+            self.objects
+                .iter()
+                .map(|o| o.point)
+                .chain(self.users.iter().map(|u| u.point)),
+        )
+        .expect("non-empty dataset");
+        let spatial = SpatialContext::from_dataspace(&space);
 
         let fresh = Engine {
             ctx: ScoreContext::new(self.ctx.alpha, spatial, live),
@@ -409,7 +402,6 @@ impl Engine {
             // invisible (the frozen scorer advances to `live`): remember
             // it, so the next refresh escalates to a full re-weigh.
             stale_weights: term_drift_bound > 0.0 && ledger.within_bound_terms > 0,
-            pinned_spatial: self.pinned_spatial,
         };
 
         let report = RefreshReport {

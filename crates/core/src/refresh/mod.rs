@@ -75,10 +75,11 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use mbrstk_obs::Histogram;
 use text::WeightModel;
 
 use crate::cache::ThresholdCache;
-use crate::cluster::{self, EngineCluster, ShardSet};
+use crate::cluster::{self, EngineCluster};
 use crate::dynamic::{BatchReport, EpochGuard, MaintenanceIo, Mutation};
 use crate::metrics::{EngineMetrics, ServingMetrics};
 use crate::{Engine, Method, ObjectData, QueryResult, QuerySpec, UserData};
@@ -213,10 +214,6 @@ struct RefreshSeed {
     /// The captured engine's telemetry, carried into the rebuilt engine
     /// by `Arc` so metrics history is continuous across the swap.
     metrics: Arc<EngineMetrics>,
-    /// Externally pinned dataspace (cluster shards): the rebuild must
-    /// score against the same hull as the fused head, not re-derive one
-    /// from its own (partial, possibly empty) user slice.
-    pinned_spatial: Option<geo::SpatialContext>,
 }
 
 impl RefreshSeed {
@@ -237,7 +234,6 @@ impl RefreshSeed {
             epoch: engine.epoch,
             user_epoch: engine.user_epoch,
             metrics: Arc::clone(&engine.metrics),
-            pinned_spatial: engine.pinned_spatial,
         }
     }
 
@@ -248,14 +244,13 @@ impl RefreshSeed {
     /// serving configuration restored and the epoch carried strictly
     /// forward.
     fn build(self) -> Engine {
-        let mut fresh = Engine::build_with_fanout_codec_pinned(
+        let mut fresh = Engine::build_with_fanout_codec(
             self.objects,
             self.users,
             self.model,
             self.alpha,
             self.fanout,
             self.codec,
-            self.pinned_spatial,
         );
         if self.user_index {
             fresh = fresh.with_user_index();
@@ -398,12 +393,10 @@ pub struct ServingEngine {
     /// Serving-layer telemetry handles, drawn from the wrapped engine's
     /// (swap-stable) registry at construction.
     metrics: ServingMetrics,
-    /// Cluster backend ([`ServingEngine::new_cluster`]): the user shards
-    /// the query path scatters the top-k phase across, while the fused
-    /// head lives in `snap` as usual. Lock order: `shards` before `snap`
-    /// before `journal` — mutations and refreshes take the shard write
-    /// lock first, so routed shard state can never skew from the head.
-    shards: Option<RwLock<ShardSet>>,
+    /// Cluster backend ([`ServingEngine::new_cluster`]): one scatter
+    /// histogram per user slice the query path fans the top-k phase of
+    /// the snapshot out over. Empty for a plain fused engine.
+    scatter_latency_us: Vec<Arc<Histogram>>,
 }
 
 impl ServingEngine {
@@ -415,30 +408,27 @@ impl ServingEngine {
 
     /// [`ServingEngine::new`] with explicit refresh thresholds.
     pub fn with_config(engine: Engine, cfg: RefreshConfig) -> Arc<Self> {
-        Self::with_config_parts(engine, None, cfg)
+        Self::with_config_parts(engine, Vec::new(), cfg)
     }
 
-    /// Wraps an [`EngineCluster`] for concurrent serving: the fused head
-    /// becomes the published snapshot (so every fused code path — §7
-    /// methods, stats, metrics export — works unchanged) and queries
-    /// scatter their top-k phase across the cluster's user shards.
-    /// Mutations route to owning shards under the shard lock; refreshes
-    /// are synchronized (head first, then every shard re-pinned and
-    /// rebuilt) so cluster answers stay bit-identical to a fused engine
-    /// across swaps.
+    /// Wraps an [`EngineCluster`] for concurrent serving: its engine
+    /// becomes the published snapshot and every query scatters its top-k
+    /// phase across contiguous slices of *that snapshot's* user table.
+    /// Mutations and refreshes are exactly the fused paths — the slices
+    /// hold no state to keep in step — so cluster answers stay
+    /// bit-identical to a fused engine across swaps.
     pub fn new_cluster(cluster: EngineCluster) -> Arc<Self> {
         Self::with_config_cluster(cluster, RefreshConfig::default())
     }
 
     /// [`ServingEngine::new_cluster`] with explicit refresh thresholds.
     pub fn with_config_cluster(cluster: EngineCluster, cfg: RefreshConfig) -> Arc<Self> {
-        let (head, set) = cluster.into_parts();
-        Self::with_config_parts(head, Some(RwLock::new(set)), cfg)
+        Self::with_config_parts(cluster.head, cluster.scatter_latency_us, cfg)
     }
 
     fn with_config_parts(
         engine: Engine,
-        shards: Option<RwLock<ShardSet>>,
+        scatter_latency_us: Vec<Arc<Histogram>>,
         cfg: RefreshConfig,
     ) -> Arc<Self> {
         let metrics = ServingMetrics::new(engine.metrics.registry());
@@ -454,25 +444,14 @@ impl ServingEngine {
             signal: Mutex::new(Signal::default()),
             wake: Condvar::new(),
             metrics,
-            shards,
+            scatter_latency_us,
         })
     }
 
-    /// Number of user shards behind this serving engine (0 when it wraps
+    /// Number of user slices behind this serving engine (0 when it wraps
     /// a plain fused engine).
     pub fn shard_count(&self) -> usize {
-        self.shards
-            .as_ref()
-            .map_or(0, |lock| lock.read().unwrap().shards.len())
-    }
-
-    /// The cluster epoch: every shard's epoch in shard order (empty when
-    /// not cluster-backed). The head's own epoch is
-    /// [`ServingEngine::epoch`], as ever.
-    pub fn shard_epochs(&self) -> Vec<u64> {
-        self.shards
-            .as_ref()
-            .map_or_else(Vec::new, |lock| lock.read().unwrap().epochs())
+        self.scatter_latency_us.len()
     }
 
     /// The refresh thresholds in force.
@@ -515,41 +494,24 @@ impl ServingEngine {
 
     /// Answers one query on the current snapshot, returning the result
     /// with the guard that certifies which generation computed it. On a
-    /// cluster backend the top-k phase scatters across the user shards
-    /// (shard read lock held for the query; mutations and refreshes take
-    /// it exclusively, so the gathered thresholds always match the
-    /// snapshot they are installed into).
+    /// cluster backend the top-k phase scatters across slices of that
+    /// same snapshot's user table, so the thresholds always match the
+    /// engine they are installed into.
     pub fn query(&self, spec: &QuerySpec, method: Method) -> (QueryResult, EpochGuard) {
-        if let Some(lock) = &self.shards {
-            let set = lock.read().unwrap();
-            let snap = self.snapshot();
-            let guard = snap.epoch_guard();
-            return (cluster::scatter_query(&snap, &set, spec, method), guard);
-        }
         let snap = self.snapshot();
         let guard = snap.epoch_guard();
-        (snap.query(spec, method), guard)
+        let result = if self.scatter_latency_us.is_empty() {
+            snap.query(spec, method)
+        } else {
+            cluster::scatter_query(&snap, &self.scatter_latency_us, spec, method)
+        };
+        (result, guard)
     }
 
     /// Applies one mutation (see [`Engine::insert_object`] and friends for
     /// semantics); rejected mutations return `None`. Wakes the background
-    /// refresher, if one is running. On a cluster backend the mutation is
-    /// additionally routed under the shard write lock — to every shard
-    /// for object changes, to the owning shard for user changes — only
-    /// after the authoritative head accepted it.
+    /// refresher, if one is running.
     pub fn apply(&self, mutation: Mutation) -> Option<MaintenanceIo> {
-        if let Some(lock) = &self.shards {
-            let mut set = lock.write().unwrap();
-            let io = self.apply_fused(mutation.clone());
-            if io.is_some() {
-                cluster::route_mutation(&mut set, &mutation);
-            }
-            return io;
-        }
-        self.apply_fused(mutation)
-    }
-
-    fn apply_fused(&self, mutation: Mutation) -> Option<MaintenanceIo> {
         let io = {
             let mut published = self.snap.write().unwrap();
             let engine = self.exclusive(&mut published);
@@ -570,12 +532,7 @@ impl ServingEngine {
             // dropped by the swap.
             let journal = self.rebuilding.load(Ordering::SeqCst);
             let mutate_start = Instant::now();
-            let io = match mutation.clone() {
-                Mutation::InsertObject(o) => engine.insert_object(o),
-                Mutation::RemoveObject(id) => engine.remove_object(id),
-                Mutation::InsertUser(u) => engine.insert_user(u),
-                Mutation::RemoveUser(id) => engine.remove_user(id),
-            };
+            let io = engine.apply(mutation.clone());
             self.metrics
                 .mutation_latency_us
                 .record_duration_us(mutate_start.elapsed());
@@ -681,24 +638,6 @@ impl ServingEngine {
     /// (short) duration; the full tier clones the tables out first,
     /// exactly as before.
     pub fn refresh_now(&self) -> RefreshReport {
-        if let Some(lock) = &self.shards {
-            // Cluster refresh is synchronized: the shard write lock is
-            // held across the whole head refresh (mutations block, so
-            // the journal replay below is necessarily empty; snapshot
-            // reads keep flowing), then every shard is re-pinned to the
-            // fresh head's dataspace and rebuilt — scattered answers are
-            // bit-identical to the fused engine again on the other side.
-            let mut set = lock.write().unwrap();
-            let report = self.refresh_now_fused();
-            debug_assert_eq!(report.replayed, 0, "shard lock blocks mutations");
-            let head = self.snapshot();
-            cluster::refresh_shards_synchronized(&head, &mut set);
-            return report;
-        }
-        self.refresh_now_fused()
-    }
-
-    fn refresh_now_fused(&self) -> RefreshReport {
         let _gate = self.refresh_gate.lock().unwrap();
         let refresh_start = Instant::now();
 

@@ -11,7 +11,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::topk::{ByKey, TopkOutcome, UserTopk};
+use crate::topk::{fan_out_users, ByKey, TopkOutcome, UserTopk};
 use crate::{ScoreContext, UserData};
 
 /// The refinement core shared by the top-k listing and the `RSk`-only path
@@ -109,7 +109,8 @@ pub fn individual_topk(
         .collect()
 }
 
-/// Algorithm 2 over all users, fanned out over `threads` OS threads.
+/// Algorithm 2 over all users, fanned out over up to `threads` OS threads
+/// (never more than the machine has cores).
 ///
 /// Engineering extension: the per-user refinements are embarrassingly
 /// parallel once `LO`/`RO` are in memory, and this stage dominates joint
@@ -122,22 +123,9 @@ pub fn individual_topk_parallel(
     ctx: &ScoreContext,
     threads: usize,
 ) -> Vec<UserTopk> {
-    let threads = threads.max(1).min(users.len().max(1));
-    if threads <= 1 {
-        return individual_topk(users, out, k, ctx);
-    }
-    let chunk = users.len().div_ceil(threads);
-    let mut results: Vec<Vec<UserTopk>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = users
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || individual_topk(part, out, k, ctx)))
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
+    fan_out_users(users, threads.max(1), |_, part| {
+        individual_topk(part, out, k, ctx)
+    })
 }
 
 #[cfg(test)]

@@ -13,6 +13,8 @@ pub mod joint;
 use geo::Point;
 use text::WeightedDoc;
 
+use crate::UserData;
+
 /// An object retrieved from an MIR-tree leaf during joint processing, with
 /// its exact term weights (restricted to the query-term universe
 /// `us.dUni`) and its bounds w.r.t. the super-user.
@@ -54,6 +56,45 @@ pub struct UserTopk {
     /// `RSk(u)`: score of the k-th ranked object (−∞ when the user has
     /// fewer than `k` scored objects).
     pub rsk: f64,
+}
+
+/// Runs a per-user top-k kernel over `parts` contiguous slices of `users`
+/// — `f(i, slice_i)` — and concatenates the results in user order. The
+/// slices are dealt in contiguous runs to at most one scoped thread per
+/// core (a single run stays on the caller), so a slice's wall time never
+/// includes waiting for a core behind its siblings. The kernels
+/// (Algorithm 2, the §4 baseline) treat users independently, so the
+/// result equals `f(0, users)`. A worker's panic resumes on the caller
+/// with its own payload.
+///
+/// # Panics
+/// Panics when `parts == 0`.
+pub(crate) fn fan_out_users<F>(users: &[UserData], parts: usize, f: F) -> Vec<UserTopk>
+where
+    F: Fn(usize, &[UserData]) -> Vec<UserTopk> + Sync,
+{
+    assert!(parts > 0, "fan-out needs at least one slice");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = parts.min(cores);
+    let n = users.len();
+    let run = &|w: usize| -> Vec<UserTopk> {
+        (w * parts / workers..(w + 1) * parts / workers)
+            .flat_map(|i| f(i, &users[i * n / parts..(i + 1) * n / parts]))
+            .collect()
+    };
+    if workers == 1 {
+        return run(0);
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || run(w))).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// Max-heap adapter ordering payloads by an `f64` key.
@@ -104,6 +145,22 @@ mod tests {
         assert_eq!(h.pop().unwrap().item, "b");
         assert_eq!(h.pop().unwrap().item, "c");
         assert_eq!(h.pop().unwrap().item, "a");
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 1 failed")]
+    fn fan_out_resumes_a_worker_panic_with_its_own_payload() {
+        let users: Vec<UserData> = (0..4)
+            .map(|id| UserData {
+                id,
+                point: Point::new(0.0, 0.0),
+                doc: text::Document::new(),
+            })
+            .collect();
+        fan_out_users(&users, 2, |i, _| {
+            assert!(i != 1, "slice 1 failed");
+            Vec::new()
+        });
     }
 
     #[test]

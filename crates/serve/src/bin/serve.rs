@@ -11,10 +11,11 @@
 //! distribution of the paper's experiments. The engine is built with the
 //! user index (every built-in method is servable) and a background
 //! refresher absorbs journalled mutations. `--shards N` (or the
-//! `MBRSTK_SHARDS` environment variable; the flag wins) serves through an
-//! N-way [`EngineCluster`] instead of the single fused engine — answers
-//! are bit-identical, only the top-k phase parallelism changes. `0` or
-//! `1` means unsharded.
+//! `MBRSTK_SHARDS` environment variable; the flag wins, and either must
+//! be a number) serves through an [`EngineCluster`]: the one engine with
+//! its per-user top-k phase fanned out over N contiguous slices of the
+//! user table — answers are bit-identical, only that phase's parallelism
+//! changes. `0` or `1` means unsharded.
 
 use std::sync::Arc;
 
@@ -39,10 +40,8 @@ fn main() {
     let mut seed = 42u64;
     let mut model = WeightModel::LanguageModel { lambda: 0.2 };
     let mut cfg = ServeConfig::default();
-    let mut shards: usize = std::env::var("MBRSTK_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let mut shards: usize =
+        std::env::var_os("MBRSTK_SHARDS").map_or(0, |s| parse(&s.to_string_lossy()));
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -94,7 +93,7 @@ fn main() {
     eprintln!("building engine (model {model:?}, user index on)");
     let engine = Engine::build(object_data, workload.users, model, 0.5).with_user_index();
     let serving = if shards > 1 {
-        eprintln!("sharding the user table {shards} ways");
+        eprintln!("scattering the top-k phase over {shards} user-table slices");
         ServingEngine::new_cluster(EngineCluster::from_engine(engine, shards))
     } else {
         ServingEngine::new(engine)

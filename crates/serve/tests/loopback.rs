@@ -441,3 +441,26 @@ fn stats_and_metrics_expose_the_shared_registry() {
         Request::Stats
     ));
 }
+
+/// The `serve` binary rejects an unparsable shard count from the
+/// environment exactly like one from the flag (it used to fall back to
+/// unsharded serving without a word).
+#[test]
+fn serve_binary_rejects_an_unparsable_shard_count() {
+    let run = |shards_env: Option<&str>, args: &[&str]| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_serve"));
+        cmd.env_remove("MBRSTK_SHARDS").args(args);
+        if let Some(v) = shards_env {
+            cmd.env("MBRSTK_SHARDS", v);
+        }
+        let out = cmd.output().expect("run serve");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let from_env = run(Some("four"), &[]);
+    let from_flag = run(None, &["--shards", "four"]);
+    assert_eq!(from_env.0, Some(2));
+    assert_eq!(from_env, from_flag);
+}

@@ -80,7 +80,7 @@ fn main() {
     let par = individual_topk_parallel(&engine.users, &out, k, &engine.ctx, 8);
     let par_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(par.len(), joint_results.len());
-    println!("  refinement stage on 8 threads: {par_ms:.1} ms (identical results)");
+    println!("  refinement stage in 8 parallel slices: {par_ms:.1} ms (identical results)");
 
     // Show one user's feed.
     let u = &joint_results[0];

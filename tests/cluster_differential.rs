@@ -1,12 +1,9 @@
 //! Cluster differential harness: an [`EngineCluster`] over 1/2/4/8 user
-//! shards must answer **bit-identically** to the single fused engine it
+//! slices must answer **bit-identically** to the single fused engine it
 //! was built from — for every built-in method, under both record codecs,
 //! on cold and warm threshold caches, and throughout a seeded churn
-//! stream whose mutations route to the owning shards. The serving layer's
-//! cluster-backed constructor is held to the same bar.
-//!
-//! Set `MBRSTK_SHARDS=N` to add an extra shard count to the sweep (the CI
-//! sharded leg runs the workspace with `MBRSTK_SHARDS=4`).
+//! stream. The serving layer's cluster-backed constructor is held to the
+//! same bar.
 
 use datagen::{
     generate_churn, generate_objects, generate_workload, ChurnConfig, ChurnOp, CorpusConfig,
@@ -15,19 +12,8 @@ use datagen::{
 use maxbrstknn::mbrstk_core::{EngineCluster, Mutation, ServingEngine};
 use maxbrstknn::prelude::*;
 
-/// Shard counts under test; `MBRSTK_SHARDS` appends one more.
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4, 8];
-    if let Some(n) = std::env::var("MBRSTK_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        if n >= 1 && !counts.contains(&n) {
-            counts.push(n);
-        }
-    }
-    counts
-}
+/// Slice counts under test.
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 struct Fixture {
     engine: Engine,
@@ -42,7 +28,7 @@ fn fixture(codec: CodecId, seed: u64) -> Fixture {
     let wl = generate_workload(
         &objects,
         &UserGenConfig {
-            num_users: 37, // odd, so every shard count gets uneven slices
+            num_users: 37, // odd, so every slice count gets uneven slices
             area: 8.0,
             uw: 12,
             ul: 3,
@@ -100,7 +86,7 @@ fn assert_identical(reference: &Engine, cluster: &EngineCluster, specs: &[QueryS
 fn cluster_is_bit_identical_to_fused_for_both_codecs() {
     for codec in [CodecId::Verbatim, CodecId::Columnar] {
         let fx = fixture(codec, 2024);
-        for nshards in shard_counts() {
+        for nshards in SHARD_COUNTS {
             let cluster = EngineCluster::from_engine(fx.engine.clone(), nshards);
             assert_identical(&fx.engine, &cluster, &fx.specs, &format!("{codec:?}"));
         }
@@ -108,11 +94,10 @@ fn cluster_is_bit_identical_to_fused_for_both_codecs() {
 }
 
 /// A seeded churn stream (queries interleaved with object and user
-/// mutations) applied in lockstep: the head accepts or rejects exactly
-/// like the fused twin, accepted mutations route to owning shards, and
-/// every query op along the way answers bit-identically. A synchronized
-/// refresh mid-stream must preserve the identity on the re-weighed
-/// state.
+/// mutations) applied in lockstep: the cluster accepts or rejects exactly
+/// like the fused twin, and every query op along the way answers
+/// bit-identically. A refresh mid-stream must preserve the identity on
+/// the re-weighed state.
 #[test]
 fn churn_stream_preserves_bit_identity_with_routed_mutations() {
     for codec in [CodecId::Verbatim, CodecId::Columnar] {
@@ -123,7 +108,7 @@ fn churn_stream_preserves_bit_identity_with_routed_mutations() {
             &fx.keyword_pool,
             &ChurnConfig::new(90, 0.6).with_seed(31337),
         );
-        for nshards in shard_counts() {
+        for nshards in SHARD_COUNTS {
             let mut reference = fx.engine.clone();
             let mut cluster = EngineCluster::from_engine(fx.engine.clone(), nshards);
             let ctx = format!("{codec:?} churn");
@@ -170,14 +155,14 @@ fn churn_stream_preserves_bit_identity_with_routed_mutations() {
 
 /// The serving wrapper's cluster constructor serves the same answers as
 /// a fused serving engine — through churn applied via the serving `apply`
-/// path (journal + routing) and a serving-level refresh.
+/// path and a serving-level refresh.
 #[test]
 fn serving_engine_cluster_backend_matches_fused_serving() {
     let fx = fixture(CodecId::Verbatim, 909);
     let fused = ServingEngine::new(fx.engine.clone());
     let clustered = ServingEngine::new_cluster(EngineCluster::from_engine(fx.engine.clone(), 4));
     assert_eq!(clustered.shard_count(), 4);
-    assert_eq!(clustered.shard_epochs(), vec![0, 0, 0, 0]);
+    assert_eq!(clustered.epoch(), 0);
 
     let check = |ctx: &str| {
         for spec in &fx.specs {
@@ -207,23 +192,19 @@ fn serving_engine_cluster_backend_matches_fused_serving() {
 
     fused.refresh_now();
     let report = clustered.refresh_now();
-    assert_eq!(report.replayed, 0, "shard lock quiesces mutators");
-    assert!(clustered.shard_epochs().iter().all(|&e| e > 0));
+    assert_eq!(report.replayed, 0, "no mutator ran beside the refresh");
+    assert_eq!(clustered.epoch(), fused.epoch());
     check("post-refresh");
 
-    // Routed user mutations land on the owning shard only.
+    // A user inserted after the swap is scattered like any other.
     let probe = UserData {
-        id: 9_001, // owner = 9001 % 4 = 1
+        id: 9_001,
         point: fused.snapshot().users[0].point,
         doc: fused.snapshot().users[0].doc.clone(),
     };
-    let before = clustered.shard_epochs();
+    let before = clustered.epoch();
     assert!(fused.apply(Mutation::InsertUser(probe.clone())).is_some());
     assert!(clustered.apply(Mutation::InsertUser(probe)).is_some());
-    let after = clustered.shard_epochs();
-    assert!(after[1] > before[1], "owning shard must move");
-    assert_eq!(after[0], before[0]);
-    assert_eq!(after[2], before[2]);
-    assert_eq!(after[3], before[3]);
-    check("post-routed-insert");
+    assert_eq!(clustered.epoch(), before + 1);
+    check("post-insert");
 }

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use datagen::rng::{Rng, SeedableRng, StdRng};
-use maxbrstknn::mbrstk_core::{Mutation, RefreshConfig, RefreshTier, ServingEngine};
+use maxbrstknn::mbrstk_core::{EngineCluster, Mutation, RefreshConfig, RefreshTier, ServingEngine};
 use maxbrstknn::prelude::*;
 use text::Document;
 
@@ -90,6 +90,15 @@ fn seed_data(rng: &mut StdRng) -> (Vec<ObjectData>, Vec<UserData>) {
 
 fn build(objects: Vec<ObjectData>, users: Vec<UserData>) -> Engine {
     Engine::build_with_fanout(objects, users, WeightModel::lm(), ALPHA, FANOUT).with_user_index()
+}
+
+/// Serves `engine` fused (`shards == 0`) or scattered over `shards` user
+/// slices — the racing tests take both as inputs.
+fn serve(engine: Engine, shards: usize) -> std::sync::Arc<ServingEngine> {
+    match shards {
+        0 => ServingEngine::new(engine),
+        n => ServingEngine::new_cluster(EngineCluster::from_engine(engine, n)),
+    }
 }
 
 fn specs() -> Vec<QuerySpec> {
@@ -347,10 +356,10 @@ fn soak_churn_with_periodic_refresh_checkpoints() {
 #[test]
 fn queries_racing_the_swap_never_observe_torn_state() {
     let iters = env_usize("MBRSTK_RACE_ITERS", 40);
-    for seed in [3u64, 17, 91] {
+    for (seed, shards) in [(3u64, 0usize), (17, 0), (91, 0), (3, 4)] {
         let mut rng = StdRng::seed_from_u64(seed);
         let (objects, users) = seed_data(&mut rng);
-        let serving = ServingEngine::new(build(objects, users).with_threshold_cache());
+        let serving = serve(build(objects, users).with_threshold_cache(), shards);
         let done = AtomicBool::new(false);
 
         std::thread::scope(|s| {
@@ -373,6 +382,13 @@ fn queries_racing_the_swap_never_observe_torn_state() {
                             b.cardinality(),
                             "seed {seed}: torn snapshot at epoch {last_epoch}"
                         );
+                        // The serving path (scattered when `shards > 0`)
+                        // answers on whichever snapshot is published by
+                        // now; epochs name published states uniquely.
+                        let (served, guard) = serving.query(spec, Method::JointExact);
+                        if guard.epoch() == last_epoch {
+                            assert_eq!(served, e, "seed {seed} × {shards} slices");
+                        }
                     }
                 });
             }
@@ -800,10 +816,10 @@ fn drift_is_zero_fresh_monotone_under_churn_and_zero_after_refresh() {
 #[test]
 fn mutations_racing_the_rebuild_are_never_lost() {
     let per_worker = env_usize("MBRSTK_RACE_ITERS", 40).max(24);
-    for seed in [5u64, 23, 77] {
+    for (seed, shards) in [(5u64, 0usize), (23, 0), (77, 0), (5, 4)] {
         let mut rng = StdRng::seed_from_u64(seed);
         let (objects, users) = seed_data(&mut rng);
-        let serving = ServingEngine::new(build(objects, users));
+        let serving = serve(build(objects, users), shards);
         let stop = AtomicBool::new(false);
 
         let inserted: Vec<u32> = std::thread::scope(|s| {
@@ -813,12 +829,12 @@ fn mutations_racing_the_rebuild_are_never_lost() {
             let refresher = {
                 let (serving, stop) = (&serving, &stop);
                 s.spawn(move || {
-                    let mut rebuilds = 0u64;
+                    let (mut rebuilds, mut replayed) = (0u64, 0usize);
                     while !stop.load(Ordering::Relaxed) {
-                        serving.refresh_now();
+                        replayed += serving.refresh_now().replayed;
                         rebuilds += 1;
                     }
-                    rebuilds
+                    (rebuilds, replayed)
                 })
             };
 
@@ -846,8 +862,12 @@ fn mutations_racing_the_rebuild_are_never_lost() {
                 ids.extend(h.join().expect("mutator"));
             }
             stop.store(true, Ordering::Relaxed);
-            let rebuilds = refresher.join().expect("refresher");
+            let (rebuilds, replayed) = refresher.join().expect("refresher");
             assert!(rebuilds > 0, "seed {seed}: the race never rebuilt");
+            assert!(
+                replayed > 0,
+                "seed {seed} × {shards} slices: no write landed inside a rebuild"
+            );
             ids
         });
 
@@ -863,6 +883,10 @@ fn mutations_racing_the_rebuild_are_never_lost() {
             );
         }
         assert_eq!(serving.journal_depth(), 0, "quiesced journal is empty");
+        for spec in specs() {
+            let (served, _) = serving.query(&spec, Method::JointExact);
+            assert_eq!(served, snap.query(&spec, Method::JointExact));
+        }
     }
 }
 
