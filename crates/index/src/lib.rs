@@ -13,28 +13,46 @@
 //!   union and intersection of the keyword sets below plus the number of
 //!   users in each subtree.
 //!
-//! All three share the same R-tree skeleton, built here by Sort-Tile-
-//! Recursive bulk loading (with a classic quadratic-split insertion path
-//! for incremental updates). The trees are *disk resident*: nodes and
-//! inverted files are serialized into [`storage::BlockFile`]s at build
-//! time, and every query-time access deserializes a record and charges the
-//! paper's simulated I/O ([`storage::IoStats`]).
+//! All three are **one paged R-tree under two payloads**. The core
+//! (`tree.rs`, crate-private) owns everything that is about the R-tree:
+//! the two [`storage::BlockFile`]s (node records plus one *side* record
+//! of textual summary per node), serialization of a Sort-Tile-Recursive
+//! bulk load ([`BuildTree`]), Guttman insertion with quadratic splits,
+//! CondenseTree removal, compaction, the bulk re-weigh splice,
+//! persistence, the footprint accessors — and every maintenance-I/O
+//! charge ([`TreeEdit`], [`SpliceReport`]). A payload supplies the
+//! per-entry summary, the record codecs and a handful of hooks:
+//!
+//! * `st/` — [`StTree`], the inverted-file payload; [`PostingMode`]
+//!   selects IR-tree or MIR-tree posting width. `st/payload.rs` holds the
+//!   term aggregate and the node / inverted-file layouts, `st/read.rs` the
+//!   zero-copy query read path ([`NodeRef`], [`PostingsRef`]).
+//! * `miur/` — [`MiurTree`], the IntUni payload, split the same way
+//!   (`miur/payload.rs`, `miur/read.rs` with [`MiurNodeRef`]).
+//!
+//! A behaviour that must differ between the trees goes in as a hook on
+//! the core's `Payload` trait (see the list in `tree.rs`'s module doc),
+//! never as a branch inside the core or a second copy of an algorithm.
+//!
+//! The trees are *disk resident*: every query-time access deserializes a
+//! record and charges the paper's simulated I/O ([`storage::IoStats`]).
 
 // The read path is meant to be zero-copy: a clone that merely appeases the
 // borrow checker belongs in a scratch buffer instead.
 #![deny(clippy::redundant_clone)]
 
 mod edit;
-mod miurtree;
+mod miur;
 mod rtree;
-mod sttree;
+mod st;
+mod tree;
 
 pub use edit::{SpliceReport, TreeEdit};
-pub use miurtree::{
+pub use miur::{
     IndexedUser, MiurEntryView, MiurNodeRef, MiurNodeView, MiurScratch, MiurTree, UserRef,
 };
-pub use rtree::{BuildItem, BuildTree, RTreeBuilder, DEFAULT_MAX_ENTRIES};
-pub use sttree::{
+pub use rtree::{BuildItem, BuildTree, DEFAULT_MAX_ENTRIES};
+pub use st::{
     ChildRef, EntryView, IndexedObject, NodeRef, NodeScratch, NodeView, PostingMode, Postings,
     PostingsRef, PostingsScratch, StTree,
 };

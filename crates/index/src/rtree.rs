@@ -1,10 +1,11 @@
-//! The shared R-tree skeleton: STR bulk loading and quadratic-split insert.
+//! The in-memory R-tree skeleton: STR bulk loading and the quadratic
+//! split partition.
 //!
-//! This is the in-memory *build* structure. The disk layouts ([`crate::StTree`],
-//! [`crate::MiurTree`]) are produced by serializing a finished [`BuildTree`];
-//! queries never touch this module.
+//! This is the *build* structure. The disk layouts ([`crate::StTree`],
+//! [`crate::MiurTree`]) are produced by serializing a finished
+//! [`BuildTree`] ([`crate::tree`]); queries never touch this module.
 
-use geo::Rect;
+use geo::{Point, Rect};
 
 /// Default maximum entries per node.
 ///
@@ -20,6 +21,17 @@ pub struct BuildItem {
     pub id: u32,
     /// Bounding rectangle; a point for the paper's datasets.
     pub rect: Rect,
+}
+
+/// One degenerate-MBR item per point, ids in iteration order.
+pub(crate) fn point_items(points: impl Iterator<Item = Point>) -> Vec<BuildItem> {
+    points
+        .enumerate()
+        .map(|(pos, point)| BuildItem {
+            id: pos as u32,
+            rect: Rect::from_point(point),
+        })
+        .collect()
 }
 
 /// A node of the in-memory build tree.
@@ -196,11 +208,7 @@ impl BuildTree {
 
 /// Sort-Tile-Recursive grouping of `order` (indices) into runs of at most
 /// `cap`, tiling by x strips then y within each strip.
-fn str_tile<T: Copy>(
-    order: &mut [T],
-    cap: usize,
-    center: impl Fn(&T) -> geo::Point,
-) -> Vec<Vec<T>> {
+fn str_tile<T: Copy>(order: &mut [T], cap: usize, center: impl Fn(&T) -> Point) -> Vec<Vec<T>> {
     let n = order.len();
     let num_groups = n.div_ceil(cap);
     let num_strips = (num_groups as f64).sqrt().ceil() as usize;
@@ -219,9 +227,9 @@ fn str_tile<T: Copy>(
 
 /// Quadratic-split partition of entry indices (Guttman): seeds are the
 /// pair wasting the most area together; remaining entries go to the group
-/// needing less enlargement, with a minimum-fill force-assignment. Shared
-/// by the disk-resident trees' insertion paths ([`crate::StTree`],
-/// [`crate::MiurTree`]).
+/// needing less enlargement, with a minimum-fill force-assignment. The
+/// overflow split of the disk-resident trees' insertion path
+/// ([`crate::tree`]).
 pub(crate) fn quadratic_partition(rects: &[Rect], min_fill: usize) -> (Vec<usize>, Vec<usize>) {
     let n = rects.len();
     debug_assert!(n >= 2);
@@ -268,273 +276,9 @@ pub(crate) fn quadratic_partition(rects: &[Rect], min_fill: usize) -> (Vec<usize
     (g1, g2)
 }
 
-/// An incrementally-built R-tree using the classic Guttman insertion path
-/// with quadratic split.
-///
-/// The paper notes the MIR-tree "splitting and merging of the nodes are
-/// executed in the same manner as the IR-tree", i.e. plain R-tree updates;
-/// this builder provides that dynamic path. Finish with
-/// [`RTreeBuilder::finish`] to obtain the same [`BuildTree`] shape the bulk
-/// loader produces.
-#[derive(Debug)]
-pub struct RTreeBuilder {
-    items: Vec<BuildItem>,
-    nodes: Vec<DynNode>,
-    root: usize,
-    max_entries: usize,
-}
-
-#[derive(Debug, Clone)]
-struct DynNode {
-    rect: Rect,
-    /// Entry ids: node indices for inner, item indices for leaves.
-    entries: Vec<usize>,
-    level: u32,
-}
-
-impl RTreeBuilder {
-    /// An empty builder with the given node capacity.
-    ///
-    /// # Panics
-    /// Panics when `max_entries < 4` (quadratic split needs room to
-    /// distribute seeds).
-    pub fn new(max_entries: usize) -> Self {
-        assert!(max_entries >= 4, "max_entries must be at least 4");
-        RTreeBuilder {
-            items: Vec::new(),
-            nodes: vec![DynNode {
-                rect: Rect::from_point(geo::Point::new(0.0, 0.0)),
-                entries: Vec::new(),
-                level: 0,
-            }],
-            root: 0,
-            max_entries,
-        }
-    }
-
-    /// Number of items inserted so far.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when no item has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Inserts one item.
-    pub fn insert(&mut self, item: BuildItem) {
-        let item_idx = self.items.len();
-        self.items.push(item);
-        if item_idx == 0 {
-            self.nodes[self.root].rect = item.rect;
-        }
-        let leaf = self.choose_leaf(item.rect);
-        self.nodes[leaf].entries.push(item_idx);
-        self.nodes[leaf].rect = self.nodes[leaf].rect.union(&item.rect);
-        if self.nodes[leaf].entries.len() > self.max_entries {
-            self.split(leaf);
-        } else {
-            self.adjust_path(leaf);
-        }
-    }
-
-    /// Walks from the root picking the child needing least enlargement.
-    fn choose_leaf(&self, rect: Rect) -> usize {
-        let mut n = self.root;
-        loop {
-            let node = &self.nodes[n];
-            if node.level == 0 {
-                return n;
-            }
-            let target = Rect::from_point(rect.center()).union(&rect);
-            let best = node
-                .entries
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    let ea = self.nodes[a].rect.enlargement(&target);
-                    let eb = self.nodes[b].rect.enlargement(&target);
-                    ea.total_cmp(&eb).then_with(|| {
-                        self.nodes[a]
-                            .rect
-                            .area()
-                            .total_cmp(&self.nodes[b].rect.area())
-                    })
-                })
-                .expect("inner node with no children");
-            n = best;
-        }
-    }
-
-    fn entry_rect(&self, node_level: u32, entry: usize) -> Rect {
-        if node_level == 0 {
-            self.items[entry].rect
-        } else {
-            self.nodes[entry].rect
-        }
-    }
-
-    /// Quadratic split of an overfull node, propagating upward.
-    fn split(&mut self, n: usize) {
-        let level = self.nodes[n].level;
-        let entries = std::mem::take(&mut self.nodes[n].entries);
-        let rects: Vec<Rect> = entries.iter().map(|&e| self.entry_rect(level, e)).collect();
-
-        // Quadratic seed pick: the pair wasting the most area together.
-        let (mut s1, mut s2, mut worst) = (0, 1, f64::NEG_INFINITY);
-        for i in 0..entries.len() {
-            for j in (i + 1)..entries.len() {
-                let waste = rects[i].union(&rects[j]).area() - rects[i].area() - rects[j].area();
-                if waste > worst {
-                    worst = waste;
-                    s1 = i;
-                    s2 = j;
-                }
-            }
-        }
-
-        let min_fill = self.max_entries / 2;
-        let mut g1: Vec<usize> = vec![entries[s1]];
-        let mut g2: Vec<usize> = vec![entries[s2]];
-        let mut r1 = rects[s1];
-        let mut r2 = rects[s2];
-        let mut rest: Vec<usize> = (0..entries.len()).filter(|&i| i != s1 && i != s2).collect();
-
-        while let Some(pos) = rest.pop() {
-            let remaining = rest.len() + 1;
-            // Force assignment when one group must take everything left to
-            // reach minimum fill.
-            if g1.len() + remaining <= min_fill {
-                for &p in std::iter::once(&pos).chain(rest.iter()) {
-                    g1.push(entries[p]);
-                    r1 = r1.union(&rects[p]);
-                }
-                break;
-            }
-            if g2.len() + remaining <= min_fill {
-                for &p in std::iter::once(&pos).chain(rest.iter()) {
-                    g2.push(entries[p]);
-                    r2 = r2.union(&rects[p]);
-                }
-                break;
-            }
-            let e1 = r1.enlargement(&rects[pos]);
-            let e2 = r2.enlargement(&rects[pos]);
-            if e1 < e2 || (e1 == e2 && r1.area() <= r2.area()) {
-                g1.push(entries[pos]);
-                r1 = r1.union(&rects[pos]);
-            } else {
-                g2.push(entries[pos]);
-                r2 = r2.union(&rects[pos]);
-            }
-        }
-
-        self.nodes[n].entries = g1;
-        self.nodes[n].rect = r1;
-        let sibling = self.nodes.len();
-        self.nodes.push(DynNode {
-            rect: r2,
-            entries: g2,
-            level,
-        });
-
-        if n == self.root {
-            // Grow a new root.
-            let new_root = self.nodes.len();
-            self.nodes.push(DynNode {
-                rect: r1.union(&r2),
-                entries: vec![n, sibling],
-                level: level + 1,
-            });
-            self.root = new_root;
-        } else {
-            let parent = self.parent_of(n).expect("non-root node must have a parent");
-            self.nodes[parent].entries.push(sibling);
-            self.recompute_rect(parent);
-            if self.nodes[parent].entries.len() > self.max_entries {
-                self.split(parent);
-            } else {
-                self.adjust_path(parent);
-            }
-        }
-    }
-
-    /// Finds the parent by scanning (build-time only; trees are shallow and
-    /// splits rare, so the scan is not a hot path).
-    fn parent_of(&self, n: usize) -> Option<usize> {
-        let level = self.nodes[n].level;
-        self.nodes
-            .iter()
-            .position(|node| node.level == level + 1 && node.entries.contains(&n))
-    }
-
-    fn recompute_rect(&mut self, n: usize) {
-        let level = self.nodes[n].level;
-        let rect = Rect::bounding_rects(
-            self.nodes[n]
-                .entries
-                .iter()
-                .map(|&e| self.entry_rect(level, e)),
-        )
-        .expect("node with no entries");
-        self.nodes[n].rect = rect;
-    }
-
-    /// Re-tightens MBRs from `n` up to the root.
-    fn adjust_path(&mut self, mut n: usize) {
-        loop {
-            self.recompute_rect(n);
-            match self.parent_of(n) {
-                Some(p) => n = p,
-                None => break,
-            }
-        }
-    }
-
-    /// Finalizes into the canonical [`BuildTree`] shape (plus the item
-    /// vector in insertion order).
-    ///
-    /// # Panics
-    /// Panics when no item was inserted.
-    pub fn finish(self) -> (Vec<BuildItem>, BuildTree) {
-        assert!(!self.items.is_empty(), "cannot finish an empty builder");
-        let height = self.nodes[self.root].level + 1;
-        let max_entries = self.max_entries;
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|d| BuildNode {
-                rect: d.rect,
-                children: if d.level > 0 {
-                    d.entries.clone()
-                } else {
-                    Vec::new()
-                },
-                items: if d.level == 0 {
-                    d.entries.clone()
-                } else {
-                    Vec::new()
-                },
-                level: d.level,
-            })
-            .collect();
-        (
-            self.items,
-            BuildTree {
-                nodes,
-                root: self.root,
-                height,
-                max_entries,
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geo::Point;
 
     fn grid_items(n: usize) -> Vec<BuildItem> {
         (0..n)
@@ -584,31 +328,6 @@ mod tests {
     #[should_panic(expected = "empty item set")]
     fn bulk_load_empty_panics() {
         BuildTree::bulk_load(&[], 8);
-    }
-
-    #[test]
-    fn insert_builds_valid_tree() {
-        let mut b = RTreeBuilder::new(4);
-        for item in grid_items(100) {
-            b.insert(item);
-        }
-        let (items, t) = b.finish();
-        assert_eq!(t.num_items(), 100);
-        t.check_invariants(&items).unwrap();
-    }
-
-    #[test]
-    fn insert_duplicate_locations() {
-        let mut b = RTreeBuilder::new(4);
-        for i in 0..30 {
-            b.insert(BuildItem {
-                id: i,
-                rect: Rect::from_point(Point::new(1.0, 1.0)),
-            });
-        }
-        let (items, t) = b.finish();
-        t.check_invariants(&items).unwrap();
-        assert_eq!(t.num_items(), 30);
     }
 
     #[test]

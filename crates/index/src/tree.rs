@@ -1,0 +1,956 @@
+//! The paged R-tree core both disk-resident trees are built on.
+//!
+//! §5.1: MIR-tree "splitting and merging of the nodes are executed in the
+//! same manner as the IR-tree"; §7's MIUR-tree is the same R-tree again
+//! with a different per-entry summary. So there is one tree here —
+//! [`PagedTree`]: a `nodes` block file of node records, a *side* block
+//! file holding each node's textual summary (inverted file / IntUni
+//! vectors), and `root`/`height`/`len`/`fanout`/`codec` — and everything
+//! that is about the R-tree rather than about the summary lives in this
+//! module exactly once: bottom-up serialization of a bulk-loaded
+//! [`BuildTree`], Guttman insertion (least-enlargement descent, quadratic
+//! split, walk-up, root growth), CondenseTree removal (`find_leaf`,
+//! underflow dissolve + orphan reinsertion, root collapse), the
+//! compaction / re-weigh splice walk, persistence and the footprint
+//! accessors, together with every maintenance-I/O charge they make.
+//!
+//! What differs per tree is a [`Payload`]: the entry type with its
+//! summary, the two record codecs, how a leaf entry is made from an
+//! application item and re-weighed, and how summaries aggregate upwards.
+//! The two trees also differ in *when* the side record is read and in
+//! what an unchanged summary buys; both are hooks, not branches:
+//!
+//! * [`Payload::read`] may leave [`Node::summarized`] false (ST: the
+//!   inverted file is only fetched — and charged — by
+//!   [`Payload::load_summaries`] when a rewrite needs the aggregates) or
+//!   decode the side record at once (MIUR: IntUni vectors are part of
+//!   every node visit).
+//! * [`Payload::summary_before_edit`] opts into the *settled-ancestor
+//!   splice*: once a rewritten node's parent entry equals the one its
+//!   parent already stores, ancestors are repaired by [`PagedTree::repoint`]
+//!   (fresh child id, side record kept in place, never read).
+//!   [`Payload::side_write_is_free`] opts into the *payload splice*: an
+//!   ancestor whose re-encoded side bytes equal the retired record's is
+//!   re-put but charged no payload I/O.
+//!
+//! A new asymmetry between payloads belongs in that list as another hook
+//! with a default-free implementation on each side.
+
+use std::collections::HashMap;
+use std::io;
+use std::path::Path;
+
+use geo::{Point, Rect};
+use storage::codec::{Reader, Writer};
+use storage::{blocks_for, BlockFile, CodecId, RecordId};
+
+use crate::rtree::{quadratic_partition, BuildItem, BuildTree};
+use crate::{SpliceReport, TreeEdit};
+
+/// What the core needs to see of a node entry.
+pub(crate) trait Entry: Clone {
+    /// The entry's MBR (degenerate for leaf entries).
+    fn rect(&self) -> Rect;
+    /// The raw target as the node record stores it: a child record id in
+    /// an inner node, the application id in a leaf.
+    fn target(&self) -> u32;
+    /// Points an inner entry at a (rewritten) child record.
+    fn point_at(&mut self, child: RecordId);
+}
+
+/// One decoded node on a maintenance path.
+#[derive(Debug)]
+pub(crate) struct Node<E> {
+    pub id: RecordId,
+    /// The node's record in the side file.
+    pub side: RecordId,
+    pub is_leaf: bool,
+    pub entries: Vec<E>,
+    /// False while `entries` carry structure only (MBR + target) and the
+    /// side record has not been read.
+    pub summarized: bool,
+}
+
+/// The per-tree half: entry summary, record codecs, item conversions.
+pub(crate) trait Payload: Clone {
+    type Entry: Entry;
+    /// The application item a leaf entry indexes.
+    type Item;
+    /// What [`PagedTree::splice_reweighed`] replaces per leaf entry.
+    type Reweigh;
+    /// File name of the side block file.
+    const SIDE_FILE: &'static str;
+
+    /// Payload bytes leading `meta.mbrs`.
+    fn meta(&self) -> &'static [u8];
+    /// Inverse of [`Payload::meta`]; `None` for any other byte string.
+    fn from_meta(bytes: &[u8]) -> Option<Self>;
+    /// Page-cache key of a node record.
+    fn node_key(&self, id: RecordId) -> u64;
+    /// Page-cache key of a side record.
+    fn side_key(&self, id: RecordId) -> u64;
+
+    fn leaf_entry(&self, item: &Self::Item) -> Self::Entry;
+    /// Reconstructs the item of a leaf entry (orphan reinsertion).
+    fn leaf_item(entry: &Self::Entry) -> Self::Item;
+    fn reweigh(&self, entry: &mut Self::Entry, to: &Self::Reweigh);
+    /// The entry a parent stores for the node `rec` holding `entries`
+    /// (which must be non-empty).
+    fn summarize(entries: &[Self::Entry], rec: RecordId) -> Self::Entry;
+    /// True when two parent entries agree on everything but the child id.
+    fn same_summary(a: &Self::Entry, b: &Self::Entry) -> bool;
+    /// The parent entry of a node about to be edited, when an insert or
+    /// remove can leave it unchanged; `None` opts out of the
+    /// settled-ancestor splice (and of computing the aggregate).
+    fn summary_before_edit(entries: &[Self::Entry]) -> Option<Self::Entry>;
+    /// True when re-putting an ancestor's side record with `new` bytes
+    /// over `old` ones is an extent splice charged no payload I/O.
+    fn side_write_is_free(old: &[u8], new: &[u8]) -> bool;
+
+    fn encode_node(
+        is_leaf: bool,
+        side: RecordId,
+        entries: &[Self::Entry],
+        codec: CodecId,
+    ) -> Vec<u8>;
+    fn encode_side(&self, entries: &[Self::Entry], codec: CodecId) -> Vec<u8>;
+    /// Decodes node `id`, with or without its summaries.
+    fn read(tree: &PagedTree<Self>, id: RecordId) -> Node<Self::Entry>;
+    /// Decodes the side record into the entries of a node read without.
+    fn load_summaries(tree: &PagedTree<Self>, node: &mut Node<Self::Entry>);
+}
+
+/// Bytes of `meta.mbrs` after the payload's own: root, height, len, fanout.
+const META_TAIL: usize = 4 + 4 + 8 + 4;
+
+/// A disk-resident R-tree with per-node side records.
+#[derive(Debug, Clone)]
+pub(crate) struct PagedTree<P> {
+    pub payload: P,
+    pub codec: CodecId,
+    pub nodes: BlockFile,
+    pub side: BlockFile,
+    root: RecordId,
+    height: u32,
+    len: usize,
+    fanout: usize,
+}
+
+impl<P: Payload> PagedTree<P> {
+    /// An empty pair of block files around the given shape.
+    fn fresh(payload: P, codec: CodecId, fanout: usize, height: u32, len: usize) -> Self {
+        PagedTree {
+            payload,
+            codec,
+            nodes: BlockFile::with_codec(codec),
+            side: BlockFile::with_codec(codec),
+            root: RecordId(0),
+            height,
+            len,
+            fanout,
+        }
+    }
+
+    /// Serializes a finished [`BuildTree`] over `data` (`items[i].id`
+    /// indexes it) bottom-up, so child records exist before parents.
+    pub fn from_build_tree(
+        payload: P,
+        tree: &BuildTree,
+        items: &[BuildItem],
+        data: &[P::Item],
+        fanout: usize,
+        codec: CodecId,
+    ) -> Self {
+        let mut out = Self::fresh(payload, codec, fanout, tree.height, data.len());
+        let mut order: Vec<usize> = (0..tree.nodes.len()).collect();
+        order.sort_by_key(|&n| tree.nodes[n].level);
+        // build index -> the entry the parent stores for that node.
+        let mut done: Vec<Option<P::Entry>> = vec![None; tree.nodes.len()];
+        let mut unbilled = TreeEdit::default();
+        for n in order {
+            let node = &tree.nodes[n];
+            let entries: Vec<P::Entry> = if node.is_leaf() {
+                let item = |&pos: &usize| &data[items[pos].id as usize];
+                node.items
+                    .iter()
+                    .map(|pos| out.payload.leaf_entry(item(pos)))
+                    .collect()
+            } else {
+                let child = |&c: &usize| done[c].take().expect("children serialize first");
+                node.children.iter().map(child).collect()
+            };
+            let rec = out.write_node(node.is_leaf(), &entries, None, &mut unbilled);
+            done[n] = Some(P::summarize(&entries, rec));
+        }
+        out.root = RecordId(done[tree.root].take().expect("root serialized").target());
+        out
+    }
+
+    /// Inserts one item — the §5.1 update path: least-enlargement descent
+    /// with quadratic node splits. The affected root-to-leaf path is
+    /// re-serialized as fresh records (copy-on-write, like a disk page
+    /// allocator) and the superseded records are freed. The returned
+    /// [`TreeEdit`] carries the maintenance I/O and the page-cache keys
+    /// the caller must flush; the query-side [`storage::IoStats`] is
+    /// deliberately not charged.
+    pub fn insert(&mut self, item: &P::Item) -> TreeEdit {
+        let mut edit = TreeEdit::default();
+        let entry = self.payload.leaf_entry(item);
+        let rect = entry.rect();
+        let mut path: Vec<(Node<P::Entry>, usize)> = Vec::new(); // (node, chosen child)
+        let mut current = self.read_node(self.root, &mut edit);
+        while !current.is_leaf {
+            let best = current
+                .entries
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| {
+                    let (a, b) = (a.rect(), b.rect());
+                    a.enlargement(&rect)
+                        .total_cmp(&b.enlargement(&rect))
+                        .then(a.area().total_cmp(&b.area()))
+                })
+                .map(|(i, _)| i)
+                .expect("inner node with no entries");
+            let next = RecordId(current.entries[best].target());
+            path.push((current, best));
+            current = self.read_node(next, &mut edit);
+        }
+
+        let mut leaf = self.summarized(current, &mut edit);
+        let before = P::summary_before_edit(&leaf.entries);
+        leaf.entries.push(entry);
+        self.len += 1;
+
+        // Write the (possibly split) leaf, then walk back up. Once a
+        // rewritten node's summary matches what its parent already stores
+        // (the common case for a payload that opts in: a typical insert
+        // shifts no upper-level maxima), ancestors only need the fresh
+        // child id — which keeps incremental maintenance an order of
+        // magnitude below a rebuild.
+        let (mut carry, mut settled) = self.replace(leaf, before, &mut edit);
+        for (node, child_idx) in path.into_iter().rev() {
+            if settled {
+                let rec = self.repoint(node, child_idx, RecordId(carry[0].target()), &mut edit);
+                carry[0].point_at(rec);
+                continue;
+            }
+            let mut node = self.summarized(node, &mut edit);
+            let before = P::summary_before_edit(&node.entries);
+            // The descended child becomes the rewritten one (and its
+            // split sibling when present).
+            let mut rewritten = carry.into_iter();
+            node.entries[child_idx] = rewritten.next().expect("at least one child");
+            node.entries.extend(rewritten);
+            (carry, settled) = self.replace(node, before, &mut edit);
+        }
+
+        // Grow a new root when the old one split.
+        if carry.len() > 1 {
+            carry = self.write_level(false, carry, None, &mut edit);
+            assert_eq!(carry.len(), 1, "root split produces one new root");
+            self.height += 1;
+        }
+        self.root = RecordId(carry[0].target());
+        edit
+    }
+
+    /// Removes the item `id` stored at `point` — classic CondenseTree.
+    /// Returns `None` when no such entry exists, otherwise the mutation's
+    /// [`TreeEdit`].
+    ///
+    /// A node that underflows (below ⌈fanout/4⌉ entries — deliberately
+    /// below the split fill of ⌈fanout/2⌉, so a split followed by a delete
+    /// doesn't immediately dissolve the fresh node) is dissolved and its
+    /// surviving items are re-[`PagedTree::insert`]ed. A root with a
+    /// single inner child is collapsed (height shrinks). Superseded
+    /// records are freed, keeping the byte accounting live.
+    pub fn remove(&mut self, id: u32, point: Point) -> Option<TreeEdit> {
+        let mut edit = TreeEdit::default();
+        let rect = Rect::from_point(point);
+        let mut path: Vec<(Node<P::Entry>, usize)> = Vec::new();
+        let leaf = self.find_leaf(self.root, id, &rect, &mut path, &mut edit)?;
+
+        let mut leaf = self.summarized(leaf, &mut edit);
+        let before = P::summary_before_edit(&leaf.entries);
+        let pos = leaf.entries.iter().position(|e| e.target() == id);
+        leaf.entries
+            .remove(pos.expect("find_leaf verified membership"));
+        self.len -= 1;
+
+        let min_fill = (self.fanout / 4).max(1);
+        // Items of dissolved leaves, reinserted at the end.
+        let mut orphans: Vec<P::Item> = Vec::new();
+        // The rewritten child to splice into the parent (None = dissolved)
+        // and whether its summary is unchanged (see `insert`).
+        let (mut carry, mut settled) = (None, false);
+        if leaf.entries.len() >= min_fill || path.is_empty() {
+            if leaf.entries.is_empty() {
+                // The last item is gone — keep a valid empty leaf root.
+                self.retire(leaf.id, leaf.side, &mut edit);
+                self.install_empty_root(&mut edit);
+                return Some(edit);
+            }
+            let (written, unchanged) = self.replace(leaf, before, &mut edit);
+            (carry, settled) = (written.into_iter().next(), unchanged); // no split on delete
+        } else {
+            // Leaf entries carry the exact per-item summary, so the
+            // orphans reconstruct losslessly.
+            orphans.extend(leaf.entries.iter().map(P::leaf_item));
+            self.retire(leaf.id, leaf.side, &mut edit);
+        }
+
+        // Walk back up, splicing or dropping the rewritten child.
+        for (node, child_idx) in path.into_iter().rev() {
+            if settled {
+                let child = carry.as_mut().expect("settled implies a rewritten child");
+                let rec = self.repoint(node, child_idx, RecordId(child.target()), &mut edit);
+                child.point_at(rec);
+                continue;
+            }
+            let mut node = self.summarized(node, &mut edit);
+            let before = P::summary_before_edit(&node.entries);
+            match carry.take() {
+                Some(entry) => node.entries[child_idx] = entry,
+                None => drop(node.entries.remove(child_idx)),
+            }
+            if node.entries.is_empty() {
+                self.retire(node.id, node.side, &mut edit); // dissolve this node too
+                continue;
+            }
+            let (written, unchanged) = self.replace(node, before, &mut edit);
+            (carry, settled) = (written.into_iter().next(), unchanged);
+        }
+
+        match carry {
+            Some(entry) => {
+                self.root = RecordId(entry.target());
+                // Collapse a root with one inner child.
+                loop {
+                    let root = self.read_node(self.root, &mut edit);
+                    if root.is_leaf || root.entries.len() > 1 {
+                        break;
+                    }
+                    self.retire(root.id, root.side, &mut edit);
+                    self.root = RecordId(root.entries[0].target());
+                    self.height -= 1;
+                }
+            }
+            // Everything dissolved: start over from an empty leaf.
+            None => self.install_empty_root(&mut edit),
+        }
+
+        self.len -= orphans.len();
+        for item in &orphans {
+            edit.absorb(self.insert(item));
+        }
+        Some(edit)
+    }
+
+    /// Depth-first search for the leaf holding `(id, rect)`; on success
+    /// `path` holds the descent (nodes with the child index taken).
+    fn find_leaf(
+        &self,
+        rec: RecordId,
+        id: u32,
+        rect: &Rect,
+        path: &mut Vec<(Node<P::Entry>, usize)>,
+        edit: &mut TreeEdit,
+    ) -> Option<Node<P::Entry>> {
+        let node = self.read_node(rec, edit);
+        if node.is_leaf {
+            return node
+                .entries
+                .iter()
+                .any(|e| e.target() == id)
+                .then_some(node);
+        }
+        // The node is pushed once; backtracking only advances its index.
+        let depth = path.len();
+        path.push((node, 0));
+        loop {
+            let (node, from) = &path[depth];
+            let hit =
+                (*from..node.entries.len()).find(|&i| node.entries[i].rect().intersects(rect));
+            let Some(i) = hit else {
+                path.pop();
+                return None;
+            };
+            let child = RecordId(node.entries[i].target());
+            path[depth].1 = i;
+            if let Some(found) = self.find_leaf(child, id, rect, path, edit) {
+                return Some(found);
+            }
+            path[depth].1 = i + 1;
+        }
+    }
+
+    /// Writes `node`'s edited entries as its (possibly split) replacement
+    /// and retires the old records. Returns the parent entries of the
+    /// written node(s) and whether the summary the parent sees is
+    /// unchanged from `before`.
+    fn replace(
+        &mut self,
+        node: Node<P::Entry>,
+        before: Option<P::Entry>,
+        edit: &mut TreeEdit,
+    ) -> (Vec<P::Entry>, bool) {
+        // A leaf's entry set just changed, so only ancestors can splice
+        // their side payload (compared before the old record is freed).
+        let prior_side = (!node.is_leaf).then_some(node.side);
+        let written = self.write_level(node.is_leaf, node.entries, prior_side, edit);
+        self.retire(node.id, node.side, edit);
+        let settled =
+            written.len() == 1 && before.is_some_and(|b| P::same_summary(&b, &written[0]));
+        (written, settled)
+    }
+
+    /// Settled-ancestor repair: rewrites only the node record, with the
+    /// fresh child id at `child_idx`; every rect and the whole side record
+    /// stay untouched (the old side record is reused, not freed). Only
+    /// sound when the child's summary is unchanged.
+    fn repoint(
+        &mut self,
+        mut node: Node<P::Entry>,
+        child_idx: usize,
+        child: RecordId,
+        edit: &mut TreeEdit,
+    ) -> RecordId {
+        node.entries[child_idx].point_at(child);
+        edit.stale_keys.push(self.payload.node_key(node.id));
+        self.nodes.free(node.id);
+        edit.node_writes += 1;
+        let record = P::encode_node(false, node.side, &node.entries, self.codec);
+        self.nodes.put(&record)
+    }
+
+    /// Frees a superseded node and its side record, remembering their
+    /// page-cache keys.
+    fn retire(&mut self, id: RecordId, side: RecordId, edit: &mut TreeEdit) {
+        edit.stale_keys.push(self.payload.node_key(id));
+        edit.stale_keys.push(self.payload.side_key(side));
+        self.nodes.free(id);
+        self.side.free(side);
+    }
+
+    /// Installs an empty leaf root (the tree just lost its last item).
+    fn install_empty_root(&mut self, edit: &mut TreeEdit) {
+        self.root = self.write_node(true, &[], None, edit);
+        self.height = 1;
+    }
+
+    /// Serializes one (possibly overfull) node, splitting when needed.
+    /// Returns the parent entries of the written node(s). `prior_side`
+    /// (the side record being replaced) only applies when nothing splits.
+    fn write_level(
+        &mut self,
+        is_leaf: bool,
+        entries: Vec<P::Entry>,
+        prior_side: Option<RecordId>,
+        edit: &mut TreeEdit,
+    ) -> Vec<P::Entry> {
+        if entries.len() <= self.fanout {
+            let rec = self.write_node(is_leaf, &entries, prior_side, edit);
+            return vec![P::summarize(&entries, rec)];
+        }
+        let rects: Vec<Rect> = entries.iter().map(Entry::rect).collect();
+        let (a, b) = quadratic_partition(&rects, self.fanout / 2);
+        let mut write_half = |group: Vec<usize>| {
+            let half: Vec<P::Entry> = group.iter().map(|&i| entries[i].clone()).collect();
+            let rec = self.write_node(is_leaf, &half, None, edit);
+            P::summarize(&half, rec)
+        };
+        vec![write_half(a), write_half(b)]
+    }
+
+    /// Serializes one node: side record first, then the node record.
+    /// Charges one node write plus the side payload's blocks — unless the
+    /// payload declares the write a splice of `prior_side`'s bytes.
+    fn write_node(
+        &mut self,
+        is_leaf: bool,
+        entries: &[P::Entry],
+        prior_side: Option<RecordId>,
+        edit: &mut TreeEdit,
+    ) -> RecordId {
+        let payload = self.payload.encode_side(entries, self.codec);
+        let spliced =
+            prior_side.is_some_and(|old| P::side_write_is_free(self.side.get(old), &payload));
+        if !spliced {
+            edit.payload_blocks += blocks_for(payload.len());
+        }
+        let side = self.side.put(&payload);
+        edit.node_writes += 1;
+        let record = P::encode_node(is_leaf, side, entries, self.codec);
+        self.nodes.put(&record)
+    }
+
+    /// Reads a node on the maintenance path: the query-side
+    /// [`storage::IoStats`] is not charged, the cost lands in the edit's
+    /// counters — one I/O for the node record plus the side record's
+    /// blocks when the payload decoded it.
+    fn read_node(&self, id: RecordId, edit: &mut TreeEdit) -> Node<P::Entry> {
+        let node = P::read(self, id);
+        edit.read_ios += 1;
+        if node.summarized {
+            edit.read_ios += blocks_for(self.side.get(node.side).len());
+        }
+        node
+    }
+
+    /// Completes a node's summaries, charging the side record's blocks if
+    /// it had not been read yet.
+    fn summarized(&self, node: Node<P::Entry>, edit: &mut TreeEdit) -> Node<P::Entry> {
+        if !node.summarized {
+            edit.read_ios += blocks_for(self.side.get(node.side).len());
+        }
+        self.with_summaries(node)
+    }
+
+    /// Completes a node's summaries, uncharged.
+    fn with_summaries(&self, mut node: Node<P::Entry>) -> Node<P::Entry> {
+        if !node.summarized {
+            P::load_summaries(self, &mut node);
+            node.summarized = true;
+        }
+        node
+    }
+
+    /// Bulk re-weigh splice — the tree half of the two-tier incremental
+    /// corpus refresh.
+    ///
+    /// Produces a twin of this tree over fresh, densely packed block
+    /// files in which every leaf entry named in `reweighed` carries its
+    /// new payload. The tree *structure* (node grouping, MBRs, height) is
+    /// preserved exactly — a refresh never moves locations — so only the
+    /// side records along root-to-leaf paths that contain a re-weighed
+    /// entry are recomputed; every other subtree's records are copied
+    /// verbatim and charged no simulated I/O (see [`SpliceReport`] for the
+    /// extent-remap cost model). The settled-ancestor splice of
+    /// [`PagedTree::insert`] generalizes here to bulk form: once a
+    /// rewritten subtree's summary matches its old value, its ancestors
+    /// keep their side records verbatim.
+    ///
+    /// Exactness: a subtree containing no re-weighed entry has
+    /// bit-identical leaf payloads, hence bit-identical summaries, so the
+    /// verbatim copy *is* the recomputation. Callers are responsible for
+    /// `reweighed` covering every entry whose stored payload differs from
+    /// the target's. With an empty map this is pure compaction.
+    pub fn splice_reweighed(&self, reweighed: &HashMap<u32, P::Reweigh>) -> (Self, SpliceReport) {
+        let payload = self.payload.clone();
+        let mut out = Self::fresh(payload, self.codec, self.fanout, self.height, self.len);
+        let mut report = SpliceReport::default();
+        out.root = out.splice_sub(self, self.root, reweighed, &mut report).0;
+        (out, report)
+    }
+
+    /// Recursive worker of [`PagedTree::splice_reweighed`]: copies or
+    /// rewrites the subtree under `rec` (of `src`) into `self`, children
+    /// first so parents can point at the remapped record ids. Returns the
+    /// new record id and, when the subtree's parent-visible summary
+    /// changed, the new parent entry (`None` lets the parent keep its side
+    /// record verbatim).
+    fn splice_sub(
+        &mut self,
+        src: &Self,
+        rec: RecordId,
+        reweighed: &HashMap<u32, P::Reweigh>,
+        report: &mut SpliceReport,
+    ) -> (RecordId, Option<P::Entry>) {
+        let mut node = P::read(src, rec);
+        // Entry indexes to re-weigh (leaf) / replace (inner).
+        let mut touched: Vec<usize> = Vec::new();
+        let mut changed: Vec<(usize, P::Entry)> = Vec::new();
+        if node.is_leaf {
+            touched.extend(
+                (0..node.entries.len())
+                    .filter(|&i| reweighed.contains_key(&node.entries[i].target())),
+            );
+        } else {
+            for (i, e) in node.entries.iter_mut().enumerate() {
+                let (child, summary) =
+                    self.splice_sub(src, RecordId(e.target()), reweighed, report);
+                e.point_at(child);
+                changed.extend(summary.map(|s| (i, s)));
+            }
+        }
+
+        let old_side = src.side.get(node.side);
+        if touched.is_empty() && changed.is_empty() {
+            // Verbatim: the side payload is copied byte-for-byte (both
+            // trees share one codec) and the node record re-emitted with
+            // remapped ids only — an extent remap, charged nothing.
+            let side = self.side.put(old_side);
+            report.spliced_records += 2;
+            let record = P::encode_node(node.is_leaf, side, &node.entries, self.codec);
+            return (self.nodes.put(&record), None);
+        }
+
+        report.edit.read_ios += 1 + blocks_for(old_side.len());
+        let mut node = src.with_summaries(node);
+        let before = P::summarize(&node.entries, rec);
+        for i in touched {
+            let to = &reweighed[&node.entries[i].target()];
+            self.payload.reweigh(&mut node.entries[i], to);
+            report.reweighed_entries += 1;
+        }
+        for (i, summary) in changed {
+            node.entries[i] = summary;
+        }
+        let written = self.write_node(node.is_leaf, &node.entries, None, &mut report.edit);
+        let after = P::summarize(&node.entries, written);
+        let moved = !P::same_summary(&before, &after);
+        (written, moved.then_some(after))
+    }
+
+    /// Rewrites the live tree into fresh block files with densely packed
+    /// record ids: structure, payloads and query behaviour are identical,
+    /// but the freed placeholder slots accumulated by mutations are gone.
+    pub fn compacted(&self) -> Self {
+        self.splice_reweighed(&HashMap::new()).0
+    }
+
+    /// Persists the tree to `dir` (`nodes.mbrs`, the side file,
+    /// `meta.mbrs`), creating the directory when missing.
+    pub fn save(&self, dir: &Path) -> io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        storage::save_blockfile(&self.nodes, &dir.join("nodes.mbrs"))?;
+        storage::save_blockfile(&self.side, &dir.join(P::SIDE_FILE))?;
+        let mut w = Writer::new();
+        w.put_bytes(self.payload.meta());
+        w.put_u32(self.root.0);
+        w.put_u32(self.height);
+        w.put_u64(self.len as u64);
+        w.put_u32(self.fanout as u32);
+        std::fs::write(dir.join("meta.mbrs"), w.into_bytes())
+    }
+
+    /// Reopens a tree saved by [`PagedTree::save`]. A damaged `meta.mbrs`
+    /// is [`io::ErrorKind::InvalidData`], never a panic or a tree whose
+    /// first access would be one.
+    pub fn load(dir: &Path) -> io::Result<Self> {
+        let bad =
+            |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("meta.mbrs: {what}"));
+        let nodes = storage::load_blockfile(&dir.join("nodes.mbrs"))?;
+        let side = storage::load_blockfile(&dir.join(P::SIDE_FILE))?;
+        let meta = std::fs::read(dir.join("meta.mbrs"))?;
+        let split = meta
+            .len()
+            .checked_sub(META_TAIL)
+            .ok_or_else(|| bad("truncated"))?;
+        let payload = P::from_meta(&meta[..split]).ok_or_else(|| bad("unknown payload header"))?;
+        let mut r = Reader::new(&meta[split..]);
+        let root = RecordId(r.get_u32());
+        let height = r.get_u32();
+        let len = r.get_u64() as usize;
+        let fanout = r.get_u32() as usize;
+        if fanout < 2 {
+            return Err(bad("fanout below 2"));
+        }
+        if height == 0 {
+            return Err(bad("zero height"));
+        }
+        if root.0 as usize >= nodes.len() || nodes.is_freed(root) {
+            return Err(bad("root is not a live node record"));
+        }
+        // The record codec travels in the block-file headers.
+        let codec = nodes.codec();
+        if side.codec() != codec {
+            return Err(bad("node and side files disagree on the codec"));
+        }
+        Ok(PagedTree {
+            nodes,
+            side,
+            root,
+            ..Self::fresh(payload, codec, fanout, height, len)
+        })
+    }
+
+    pub fn root(&self) -> RecordId {
+        self.root
+    }
+
+    pub fn height(&self) -> u32 {
+        self.height
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn fanout(&self) -> usize {
+        self.fanout
+    }
+
+    pub fn node_bytes(&self) -> u64 {
+        self.nodes.bytes()
+    }
+
+    pub fn side_bytes(&self) -> u64 {
+        self.side.bytes()
+    }
+
+    /// Byte footprint the live tree would occupy under
+    /// [`CodecId::Verbatim`].
+    pub fn logical_bytes(&self) -> u64 {
+        if self.codec == CodecId::Verbatim {
+            return self.node_bytes() + self.side_bytes();
+        }
+        let mut total = 0u64;
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let node = self.with_summaries(P::read(self, id));
+            let verbatim = CodecId::Verbatim;
+            total += P::encode_node(node.is_leaf, node.side, &node.entries, verbatim).len() as u64;
+            total += self.payload.encode_side(&node.entries, verbatim).len() as u64;
+            if !node.is_leaf {
+                stack.extend(node.entries.iter().map(|e| RecordId(e.target())));
+            }
+        }
+        total
+    }
+
+    /// One I/O per live node record plus ⌈bytes / 4096⌉ per side record.
+    pub fn footprint_io(&self) -> u64 {
+        self.nodes.live_records() as u64 + self.side.live_payload_blocks()
+    }
+
+    pub fn freed_records(&self) -> u64 {
+        (self.nodes.freed_records() + self.side.freed_records()) as u64
+    }
+}
+
+/// The part of a tree's public surface that is the same under either
+/// payload, generated once so [`crate::StTree`] and [`crate::MiurTree`]
+/// cannot drift apart. `$tree` is a struct with a `core: PagedTree<_>`
+/// field.
+macro_rules! tree_api {
+    ($tree:ident) => {
+        impl $tree {
+            /// Persists the tree to `dir` (`nodes.mbrs`, the side block
+            /// file, `meta.mbrs`). The directory is created when missing.
+            /// Records freed by earlier mutations persist as empty
+            /// placeholders (record ids must stay stable); a reopened tree
+            /// therefore reports the same byte footprint but keeps the
+            /// placeholder slots until the next compaction or rebuild.
+            pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
+                self.core.save(dir)
+            }
+
+            /// Reopens a tree saved by [`Self::save`]. A truncated or
+            /// inconsistent `meta.mbrs` is reported as
+            /// [`std::io::ErrorKind::InvalidData`].
+            pub fn load(dir: &std::path::Path) -> std::io::Result<Self> {
+                $crate::tree::PagedTree::load(dir).map(|core| $tree { core })
+            }
+
+            /// Record id of the root node.
+            #[inline]
+            pub fn root(&self) -> storage::RecordId {
+                self.core.root()
+            }
+
+            /// Tree height (1 = the root is a leaf).
+            #[inline]
+            pub fn height(&self) -> u32 {
+                self.core.height()
+            }
+
+            /// Record codec in use. It is fixed at build time and travels
+            /// with the tree: every mutation, splice and compaction
+            /// re-encodes with the same codec.
+            #[inline]
+            pub fn codec(&self) -> storage::CodecId {
+                self.core.codec
+            }
+
+            /// Node capacity used during construction.
+            #[inline]
+            pub fn fanout(&self) -> usize {
+                self.core.fanout()
+            }
+
+            /// Total bytes of all *live* node records (index footprint
+            /// reporting; records superseded by [`Self::insert`] /
+            /// [`Self::remove`] are freed and no longer counted).
+            pub fn node_bytes(&self) -> u64 {
+                self.core.node_bytes()
+            }
+
+            /// Byte footprint the live tree would occupy under the
+            /// [`storage::CodecId::Verbatim`] codec — the logical
+            /// (uncompressed) size a compressing codec's ratio is measured
+            /// against. Equals the live node plus side bytes when the tree
+            /// already is Verbatim.
+            pub fn logical_bytes(&self) -> u64 {
+                self.core.logical_bytes()
+            }
+
+            /// Simulated I/O to write the whole live tree from scratch:
+            /// one I/O per node record plus ⌈bytes / 4096⌉ per side record
+            /// — the full rebuild cost an incremental update avoids.
+            pub fn footprint_io(&self) -> u64 {
+                self.core.footprint_io()
+            }
+
+            /// Freed placeholder record slots across both block files.
+            /// Mutations retire superseded records but must keep ids
+            /// stable, so the slots linger until a compacting rewrite
+            /// ([`Self::compacted`]) or a full rebuild reclaims them.
+            pub fn freed_records(&self) -> u64 {
+                self.core.freed_records()
+            }
+
+            /// Rewrites the live tree into fresh block files with densely
+            /// packed record ids: structure, payloads and query behaviour
+            /// are identical, but the freed placeholder slots accumulated
+            /// by [`Self::insert`] / [`Self::remove`] are gone. The
+            /// engine-level corpus refresh gets compaction for free by
+            /// rebuilding from the live tables; `compacted` covers the
+            /// other case — reclaiming space without re-weighing anything.
+            pub fn compacted(&self) -> Self {
+                $tree {
+                    core: self.core.compacted(),
+                }
+            }
+
+            /// [`Self::save`] of a [`Self::compacted`] copy: freed
+            /// placeholder records are reclaimed instead of persisting as
+            /// empty slots, so the on-disk files shrink to the live
+            /// footprint.
+            pub fn save_compacted(&self, dir: &std::path::Path) -> std::io::Result<()> {
+                self.compacted().save(dir)
+            }
+        }
+    };
+}
+pub(crate) use tree_api;
+
+#[cfg(test)]
+mod tests {
+    use std::io::ErrorKind;
+
+    use geo::Point;
+    use text::{Document, TermId, WeightedDoc};
+
+    use super::*;
+    use crate::{IndexedObject, IndexedUser, MiurTree, PostingMode, StTree};
+
+    /// What the damaged-image checks need from either tree.
+    struct Saved<T> {
+        /// Bytes of `meta.mbrs` before the shared tail.
+        header: usize,
+        side_file: &'static str,
+        load: fn(&Path) -> io::Result<T>,
+        /// Saves a churned tree under `codec`; returns a freed node id.
+        save: fn(&Path, CodecId) -> RecordId,
+    }
+
+    fn save_st(dir: &Path, codec: CodecId) -> RecordId {
+        let objects: Vec<IndexedObject> = (0..20)
+            .map(|i| IndexedObject {
+                id: i,
+                point: Point::new(f64::from(i), f64::from(i % 5)),
+                doc: WeightedDoc::from_pairs(vec![(TermId(i % 3), 0.5), (TermId(3), 1.0)]),
+            })
+            .collect();
+        let mut tree =
+            StTree::build_with_fanout_codec(&objects[1..], PostingMode::MaxMin, 4, codec);
+        let old_root = tree.root();
+        tree.insert(&objects[0]);
+        tree.save(dir).unwrap();
+        old_root
+    }
+
+    fn save_miur(dir: &Path, codec: CodecId) -> RecordId {
+        let users: Vec<IndexedUser> = (0..20)
+            .map(|i| IndexedUser {
+                id: i,
+                point: Point::new(f64::from(i), f64::from(i % 5)),
+                doc: Document::from_terms([TermId(0), TermId(1 + i % 3)]),
+                norm: 2.0,
+            })
+            .collect();
+        let mut tree = MiurTree::build_with_fanout_codec(&users[1..], 4, codec);
+        let old_root = tree.root();
+        tree.insert(&users[0]);
+        tree.save(dir).unwrap();
+        old_root
+    }
+
+    /// Every damaged `meta.mbrs` — truncated at any offset, a byte too
+    /// long, or with one checked field out of range — and a side file of
+    /// the other codec is `InvalidData`, never a panic or a loaded tree;
+    /// the untouched image still loads.
+    fn damaged_images_are_rejected<T>(name: &str, saved: Saved<T>) {
+        let base =
+            std::env::temp_dir().join(format!("mbrstk-damaged-{name}-{}", std::process::id()));
+        let (dir, other) = (base.join("verbatim"), base.join("columnar"));
+        let freed_root = (saved.save)(&dir, CodecId::Verbatim);
+        (saved.save)(&other, CodecId::Columnar);
+        let meta_path = dir.join("meta.mbrs");
+        let good = std::fs::read(&meta_path).unwrap();
+        assert_eq!(good.len(), saved.header + META_TAIL);
+
+        let rejected = |what: &str| match (saved.load)(&dir) {
+            Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{name}: {what}: {e}"),
+            Ok(_) => panic!("{name}: {what}: loaded"),
+        };
+        let with_meta = |bytes: &[u8], what: &str| {
+            std::fs::write(&meta_path, bytes).unwrap();
+            rejected(what);
+        };
+        for cut in 0..good.len() {
+            with_meta(&good[..cut], &format!("meta truncated at {cut}"));
+        }
+        with_meta(&[good.as_slice(), &[0]].concat(), "meta one byte long");
+        let patched = |offset: usize, field: &[u8], what: &str| {
+            let mut meta = good.clone();
+            meta[offset..offset + field.len()].copy_from_slice(field);
+            with_meta(&meta, what);
+        };
+        for mode in (2..=255u8).filter(|_| saved.header == 1) {
+            patched(0, &[mode], "unknown mode byte");
+        }
+        let h = saved.header;
+        patched(h, &u32::MAX.to_le_bytes(), "root past the file");
+        patched(h, &freed_root.0.to_le_bytes(), "freed root");
+        patched(h + 4, &0u32.to_le_bytes(), "zero height");
+        patched(h + 16, &0u32.to_le_bytes(), "fanout 0");
+        patched(h + 16, &1u32.to_le_bytes(), "fanout 1");
+
+        std::fs::write(&meta_path, &good).unwrap();
+        let side = dir.join(saved.side_file);
+        let good_side = std::fs::read(&side).unwrap();
+        std::fs::copy(other.join(saved.side_file), &side).unwrap();
+        rejected("side file of another codec");
+        std::fs::write(&side, good_side).unwrap();
+        assert!(
+            (saved.load)(&dir).is_ok(),
+            "{name}: the untouched image loads"
+        );
+        std::fs::remove_dir_all(base).ok();
+    }
+
+    #[test]
+    fn load_rejects_damaged_images() {
+        damaged_images_are_rejected(
+            "st",
+            Saved {
+                header: 1,
+                side_file: "invfiles.mbrs",
+                load: StTree::load,
+                save: save_st,
+            },
+        );
+        damaged_images_are_rejected(
+            "miur",
+            Saved {
+                header: 0,
+                side_file: "intuni.mbrs",
+                load: MiurTree::load,
+                save: save_miur,
+            },
+        );
+    }
+}

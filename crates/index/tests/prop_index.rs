@@ -6,8 +6,8 @@
 
 use geo::{Point, Rect};
 use index::{
-    BuildItem, BuildTree, ChildRef, IndexedObject, IndexedUser, MiurTree, PostingMode,
-    RTreeBuilder, StTree, UserRef,
+    BuildItem, BuildTree, ChildRef, IndexedObject, IndexedUser, MiurTree, PostingMode, StTree,
+    UserRef,
 };
 use storage::IoStats;
 use text::{Document, TermId, TextScorer, WeightModel, WeightedDoc};
@@ -164,29 +164,6 @@ fn sttree_bounds_dominate() {
         let io = IoStats::new();
         let all_terms: Vec<TermId> = (0..16).map(TermId).collect();
         check(&tree, tree.root(), &objs, &all_terms, &io);
-    }
-}
-
-/// Insertion-built trees hold the R-tree invariants and serialize to a
-/// queryable StTree containing every object.
-#[test]
-fn insertion_tree_roundtrips() {
-    let mut g = Gen(33);
-    for _ in 0..CASES {
-        let data = g.objects();
-        let (objs, _) = build_indexed(&data);
-        let mut b = RTreeBuilder::new(4);
-        for (pos, o) in objs.iter().enumerate() {
-            b.insert(BuildItem {
-                id: pos as u32,
-                rect: Rect::from_point(o.point),
-            });
-        }
-        let (items, tree) = b.finish();
-        tree.check_invariants(&items).unwrap();
-        let st = StTree::from_build_tree(&tree, &items, &objs, PostingMode::MaxMin, 4);
-        let io = IoStats::new();
-        assert_eq!(collect_all(&st, &io).len(), objs.len());
     }
 }
 
