@@ -21,7 +21,6 @@ use index::MiurScratch;
 use storage::RecordId;
 use text::{Document, TermId};
 
-use crate::data::UserData;
 use crate::group::UserGroup;
 use crate::select::exact::Combinations;
 use crate::select::DeltaScan;
@@ -37,11 +36,40 @@ use crate::trace::{Phase, PhaseBreakdown, Trace};
 #[derive(Debug, Default)]
 pub(crate) struct CcScratch {
     pub(crate) cand_w: HashMap<TermId, f64>,
+    pub(crate) ids: Vec<u32>,
+    pub(crate) points: Vec<Point>,
+    pub(crate) rsk: Vec<f64>,
     pub(crate) n_u: Vec<f64>,
     pub(crate) ubl_ts: Vec<f64>,
     pub(crate) ucand_flat: Vec<(TermId, f64)>,
     pub(crate) ucand_off: Vec<u32>,
     pub(crate) ws_buf: RefCell<Vec<f64>>,
+    pub(crate) hw: RefCell<HwTable>,
+}
+
+/// The location-independent half of the §6.2.1 `LUW_w` membership test:
+/// per user, one ⟨keyword position, optimistic `TS` of `HW_{w,u}`⟩ row for
+/// every candidate keyword the user holds. Filled lazily, a user at a time
+/// and in user order, by `CandidateContext::hw_table`.
+#[derive(Debug, Default)]
+pub(crate) struct HwTable {
+    /// User `u` owns `rows[off[u]..off[u + 1]]`; `off.len() - 1` users are
+    /// covered so far.
+    pub(crate) off: Vec<u32>,
+    pub(crate) rows: Vec<(u32, f64)>,
+    /// Build scratch: the `(weight, keyword position, term)` rows of the
+    /// user being filled, the `HW` set and the document `ox.d ∪ HW`.
+    pub(crate) others: Vec<(f64, u32, TermId)>,
+    pub(crate) set: Vec<TermId>,
+    pub(crate) hcand: Document,
+}
+
+impl HwTable {
+    /// User `u`'s ⟨keyword position, `TS`⟩ rows.
+    #[inline]
+    pub(crate) fn rows_of(&self, u: usize) -> &[(u32, f64)] {
+        &self.rows[self.off[u] as usize..self.off[u + 1] as usize]
+    }
 }
 
 /// Scratch for the coverage/realized greedy keyword selectors.
@@ -51,9 +79,7 @@ pub(crate) struct GreedyScratch {
     pub(crate) luw_terms: Vec<TermId>,
     /// Member-position rows; pooled, row `i` is live iff `i < luw_terms.len()`.
     pub(crate) luw_members: Vec<Vec<usize>>,
-    /// `(weight, keyword position, term)` rows for the `HW` construction.
-    pub(crate) others: Vec<(f64, u32, TermId)>,
-    pub(crate) hw: Vec<TermId>,
+    /// The realized-gain trial document `ox.d ∪ chosen ∪ {w}`.
     pub(crate) hcand: Document,
     pub(crate) covered: Vec<bool>,
     pub(crate) used: Vec<bool>,
@@ -84,6 +110,9 @@ pub(crate) struct SelectScratch {
     pub(crate) ql: BinaryHeap<ByKey<(usize, usize)>>,
     /// Pooled per-location candidate-user lists.
     pub(crate) lu_bufs: Vec<Vec<usize>>,
+    /// Spatial scores aligned with `lu_bufs`, slot for slot (Algorithm 3
+    /// computes them while filtering and keeps them for the evaluation).
+    pub(crate) ss_bufs: Vec<Vec<f64>>,
     /// Spatial scores aligned with the `lu` list under evaluation.
     pub(crate) ss: Vec<f64>,
     /// The candidate document `ox.d ∪ W'` under evaluation.
@@ -102,9 +131,10 @@ pub(crate) struct SelectScratch {
 }
 
 /// One pooled element of the §7 expansion frontier — the reusable twin of
-/// `user_index::Elem`, with the query-independent fields of the seed copied
-/// in and the per-query bound parts (`ubl_ts`, `reachable`) cached so the
-/// keep-test per ⟨location, element⟩ is a couple of float ops.
+/// `user_index::Elem`. A subtree keeps its summary here (with the
+/// location-independent `UBL` text cached, so the keep-test per ⟨location,
+/// element⟩ is a couple of float ops); a concrete user is just its index in
+/// the query's `CandidateContext`, which holds everything about it.
 #[derive(Debug)]
 pub(crate) struct ElemSlot {
     pub(crate) is_group: bool,
@@ -112,14 +142,10 @@ pub(crate) struct ElemSlot {
     pub(crate) node: RecordId,
     pub(crate) group: UserGroup,
     pub(crate) rsk_lb: f64,
-    // User fields (valid otherwise).
-    pub(crate) user: UserData,
-    pub(crate) rsk: f64,
-    pub(crate) n_u: f64,
-    /// Location-independent textual part of this element's `UBL`.
+    /// Location-independent textual part of the group's `UBL`.
     pub(crate) ubl_ts: f64,
-    /// Users only: shares a term with `ox.d ∪ W`.
-    pub(crate) reachable: bool,
+    /// User index in the candidate context (valid otherwise).
+    pub(crate) user: usize,
 }
 
 impl ElemSlot {
@@ -136,15 +162,8 @@ impl ElemSlot {
                 count: 0,
             },
             rsk_lb: 0.0,
-            user: UserData {
-                id: 0,
-                point: Point::new(0.0, 0.0),
-                doc: Document::new(),
-            },
-            rsk: 0.0,
-            n_u: 0.0,
             ubl_ts: 0.0,
-            reachable: false,
+            user: 0,
         }
     }
 
@@ -171,15 +190,16 @@ pub(crate) struct UserIndexScratch {
     /// Per-location frontier element-id lists (pooled rows).
     pub(crate) lu_lists: Vec<Vec<u32>>,
     pub(crate) ql: BinaryHeap<ByKey<usize>>,
-    /// `group_rsk_lb` lower-bound collection buffer.
-    pub(crate) lbs: Vec<f64>,
+    /// The `k` best lower bounds `group_rsk_lb` has seen (min-heap).
+    pub(crate) lbs: BinaryHeap<Reverse<ByKey<()>>>,
     /// Reused min-heap for per-user `RSk` refinement at materialization.
     pub(crate) ind_heap: BinaryHeap<Reverse<ByKey<u32>>>,
-    /// Pooled users/thresholds backing the per-location local context.
-    pub(crate) users_buf: Vec<UserData>,
-    pub(crate) rsk_buf: Vec<f64>,
-    /// `0..n` identity list the local selection kernels index with.
-    pub(crate) lu_seq: Vec<usize>,
+    /// Keyword set of the leaf entry being materialized.
+    pub(crate) leaf_doc: Document,
+    /// The dequeued location's list as candidate-context user indices,
+    /// and their spatial scores there.
+    pub(crate) lu: Vec<usize>,
+    pub(crate) ss: Vec<f64>,
     pub(crate) miur: MiurScratch,
 }
 
@@ -192,10 +212,8 @@ pub(crate) struct UserIndexScratch {
 /// shared across threads mid-query; batch serving keeps one per worker.
 #[derive(Debug, Default)]
 pub struct QueryArena {
-    /// Backing store for the outer candidate context.
+    /// Backing store for the query's candidate context.
     pub(crate) cc: CcScratch,
-    /// Backing store for the §7 per-location local contexts.
-    pub(crate) cc_local: CcScratch,
     /// Per-user thresholds for the baseline strategy.
     pub(crate) rsk: Vec<f64>,
     pub(crate) sel: SelectScratch,

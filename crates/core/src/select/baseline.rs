@@ -60,7 +60,7 @@ pub(crate) fn baseline_select_into(
     }
     let all_users = &mut lu_bufs[0];
     all_users.clear();
-    all_users.extend(0..cc.users.len());
+    all_users.extend(0..cc.num_users());
 
     // All combinations of exactly ws keywords (or all of W when smaller —
     // the baseline returns exactly ws keywords per the paper).

@@ -154,7 +154,7 @@ pub(crate) fn exact_keywords_into(
             .keywords
             .iter()
             .copied()
-            .filter(|&w| lu.iter().any(|&u| cc.users[u].doc.contains(w))),
+            .filter(|&w| lu.iter().any(|&u| cc.holds(u, w))),
     );
     wc.sort_unstable();
     wc.dedup();
@@ -171,8 +171,7 @@ pub(crate) fn exact_keywords_into(
     certain.clear();
     uncertain.clear();
     for (pos, &u) in lu.iter().enumerate() {
-        let sure = cc.users[u].doc.overlaps(&cc.spec.ox_doc)
-            && cc.sts_with_ss(ss_lu[pos], &cc.spec.ox_doc, u) >= cc.rsk[u];
+        let sure = cc.overlaps_ox(u) && cc.sts_with_ss(ss_lu[pos], &cc.spec.ox_doc, u) >= cc.rsk[u];
         if sure {
             certain.push(pos);
         } else {
@@ -306,42 +305,16 @@ mod tests {
     #[test]
     fn exact_matches_naive_rescan_on_random_instances() {
         use crate::select::test_fixture::random_fixture;
-        use text::TermId;
         for seed in 0..4 {
             let f = random_fixture(seed + 10, 48, 9);
             let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
             let lu: Vec<usize> = (0..f.users.len()).collect();
             for li in 0..f.spec.locations.len() {
-                let got = exact_keywords(&cc, li, &lu);
-
-                // Reference: Algorithm 4 without the holder rows — every
-                // combination of the pruned pool scores every user.
-                let loc = &f.spec.locations[li];
-                let mut wc: Vec<TermId> = f
-                    .spec
-                    .keywords
-                    .iter()
-                    .copied()
-                    .filter(|&w| lu.iter().any(|&u| cc.users[u].doc.contains(w)))
-                    .collect();
-                wc.sort_unstable();
-                wc.dedup();
-                let expect = if wc.len() <= f.spec.ws {
-                    wc
-                } else {
-                    let mut best: Option<(usize, Vec<TermId>)> = None;
-                    for ix in Combinations::new(wc.len(), f.spec.ws) {
-                        let kw: Vec<TermId> = ix.iter().map(|&i| wc[i]).collect();
-                        let cand = cc.with_keywords(&kw);
-                        let count = cc.brstknn(loc, &cand, &lu).len();
-                        match &best {
-                            Some((c, _)) if count <= *c => {}
-                            _ => best = Some((count, kw)),
-                        }
-                    }
-                    best.unwrap().1
-                };
-                assert_eq!(got, expect, "seed {seed}, loc {li}");
+                assert_eq!(
+                    exact_keywords(&cc, li, &lu),
+                    crate::select::reference::exact_keywords(&cc, li, &lu),
+                    "seed {seed}, loc {li}"
+                );
             }
         }
     }

@@ -11,7 +11,10 @@
 //! `LUW_w` when `w ∈ u.d` and the *optimistic* advertisement containing
 //! `w` plus the `ws−1` heaviest other candidates from `W ∩ u.d` reaches
 //! `RSk(u)` — an upper-bound membership test, which is why the final count
-//! is re-evaluated exactly afterwards (in Algorithm 3).
+//! is re-evaluated exactly afterwards (in Algorithm 3). Only the spatial
+//! half of that test depends on the location: the text score of each
+//! optimistic advertisement is tabulated once per query
+//! (`CandidateContext::hw_table`).
 
 use text::TermId;
 
@@ -38,7 +41,9 @@ pub fn build_luw(
 
 /// [`build_luw`] into arena scratch. Members are recorded as *positions*
 /// within `lu` (what the coverage step needs); `ss_lu` carries the
-/// location's spatial scores aligned with `lu`.
+/// location's spatial scores aligned with `lu`. The optimistic text scores
+/// come from the context's per-query table, so this is one `combine` and
+/// one comparison per ⟨user, held keyword⟩.
 pub(crate) fn build_luw_into(
     cc: &CandidateContext<'_>,
     lu: &[usize],
@@ -48,9 +53,6 @@ pub(crate) fn build_luw_into(
     let GreedyScratch {
         luw_terms,
         luw_members,
-        others,
-        hw,
-        hcand,
         ..
     } = gr;
     luw_terms.clear();
@@ -61,39 +63,10 @@ pub(crate) fn build_luw_into(
     for members in &mut luw_members[..luw_terms.len()] {
         members.clear();
     }
-    // One pass per user: sort the held candidate keywords once, then every
-    // held keyword's HW set is a prefix of that order. (The reference
-    // construction loops keywords-outer and re-sorts per holder; same
-    // (weight desc, keyword position asc) key, same members.)
+    let table = cc.hw_table();
     for (pos, &u) in lu.iter().enumerate() {
-        others.clear();
-        for &(t, cw) in cc.ucand(u) {
-            for (j, &w) in cc.spec.keywords.iter().enumerate() {
-                if w == t {
-                    others.push((cw, j as u32, t));
-                }
-            }
-        }
-        if others.is_empty() {
-            continue;
-        }
-        others.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        for &(_, j, w) in others.iter() {
-            // HW_{w,u}: w plus the heaviest remaining candidates from
-            // W ∩ u.d, at most ws total.
-            let cap = cc.spec.ws.saturating_sub(1);
-            hw.clear();
-            for &(_, _, t) in others.iter() {
-                if hw.len() == cap {
-                    break;
-                }
-                if t != w {
-                    hw.push(t);
-                }
-            }
-            hw.push(w);
-            hcand.assign_with_terms(&cc.spec.ox_doc, hw);
-            if cc.sts_with_ss(ss_lu[pos], hcand, u) >= cc.rsk[u] {
+        for &(j, ts) in table.rows_of(u) {
+            if cc.ctx.combine(ss_lu[pos], ts) >= cc.rsk[u] {
                 luw_members[j as usize].push(pos);
             }
         }
@@ -305,6 +278,7 @@ pub(crate) fn greedy_plus_keywords_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::reference;
     use crate::select::test_fixture::{fixture, t};
 
     #[test]
@@ -398,6 +372,46 @@ mod tests {
         }
     }
 
+    /// The table-driven kernel must reproduce the per-location
+    /// construction member for member — across keyword budgets, duplicate
+    /// keywords, keywords already in `ox.d`, users with `N(u) = 0` and
+    /// unreachable users — and so must the keywords chosen from it.
+    #[test]
+    fn luw_table_matches_per_location_construction() {
+        use crate::select::test_fixture::edge_fixture;
+        for ws in [1, 2, 3, 5] {
+            for seed in 0..3 {
+                let f = edge_fixture(seed + 40, ws);
+                let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
+                let n = f.users.len();
+                let zero_norm = (0..n).any(|u| cc.user_reachable(u) && cc.n_u[u] == 0.0);
+                assert_eq!(zero_norm, seed % 2 == 1, "TF-IDF seeds hold N(u) = 0 users");
+                assert!((0..n).any(|u| !cc.user_reachable(u)));
+                // Every user, then a sparse list: positions ≠ indices.
+                let all: Vec<usize> = (0..f.users.len()).collect();
+                let sparse: Vec<usize> = all.iter().copied().filter(|u| u % 3 != 1).collect();
+                let mut members = 0;
+                for li in 0..f.spec.locations.len() {
+                    for lu in [&all, &sparse] {
+                        let got = build_luw(&cc, li, lu);
+                        assert_eq!(
+                            got,
+                            reference::build_luw(&cc, li, lu),
+                            "ws {ws}, seed {seed}, loc {li}"
+                        );
+                        assert_eq!(
+                            greedy_keywords(&cc, li, lu),
+                            reference::greedy_keywords(&cc, li, lu),
+                            "ws {ws}, seed {seed}, loc {li}"
+                        );
+                        members += got.iter().map(|(_, m)| m.len()).sum::<usize>();
+                    }
+                }
+                assert!(members > 0, "ws {ws}, seed {seed}: every LUW empty");
+            }
+        }
+    }
+
     /// The holder-row trial scan must pick the same keyword sequence as a
     /// reference that rescans every user for every trial.
     #[test]
@@ -408,34 +422,11 @@ mod tests {
             let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
             let lu: Vec<usize> = (0..f.users.len()).collect();
             for li in 0..f.spec.locations.len() {
-                let got = greedy_plus_keywords(&cc, li, &lu);
-
-                let loc = &f.spec.locations[li];
-                let mut sel: Vec<TermId> = Vec::new();
-                for _ in 0..f.spec.ws {
-                    let best_count = cc.brstknn(loc, &cc.with_keywords(&sel), &lu).len();
-                    let mut round_best: Option<(TermId, usize)> = None;
-                    for &w in &f.spec.keywords {
-                        if sel.contains(&w) {
-                            continue;
-                        }
-                        let mut trial = sel.clone();
-                        trial.push(w);
-                        let count = cc.brstknn(loc, &cc.with_keywords(&trial), &lu).len();
-                        if count > best_count && round_best.is_none_or(|(_, c)| count > c) {
-                            round_best = Some((w, count));
-                        }
-                    }
-                    let Some((w, _)) = round_best else { break };
-                    sel.push(w);
-                }
-                let expect = if sel.is_empty() {
-                    greedy_keywords(&cc, li, &lu)
-                } else {
-                    sel.sort_unstable();
-                    sel
-                };
-                assert_eq!(got, expect, "seed {seed}, loc {li}");
+                assert_eq!(
+                    greedy_plus_keywords(&cc, li, &lu),
+                    reference::greedy_plus_keywords(&cc, li, &lu),
+                    "seed {seed}, loc {li}"
+                );
             }
         }
     }

@@ -67,43 +67,42 @@ pub(crate) fn select_candidate_into(
     );
     out.clear();
 
-    let SelectScratch {
-        ql,
-        lu_bufs,
-        ss,
-        cand,
-        users_out,
-        kw,
-        gr,
-        ex,
-        ..
-    } = sel;
-
     // The textual halves of the group bounds don't depend on the location;
     // hoist them so the per-location checks are two float ops each.
     let su_ubl_ts = cc.ubl_group_ts(su);
     let su_lbl_ts = cc.lbl_group_ts(su);
 
-    // Step 1: per-location candidate user lists from the UBL bounds. The
-    // lists live in pooled slots; the queue carries (location, slot).
-    ql.clear();
+    // Step 1: per-location candidate user lists from the UBL bounds, each
+    // beside the spatial scores the filter computed (step 2 needs them
+    // again). The lists live in pooled slots; the queue carries
+    // (location, slot).
+    sel.ql.clear();
     let mut slots = 0usize;
     for (li, loc) in cc.spec.locations.iter().enumerate() {
         if cc.ubl_group_with_ts(loc, su, su_ubl_ts) < rsk_us {
             continue; // no user can be a BRSTkNN here (Lemma 2/3)
         }
-        if slots == lu_bufs.len() {
-            lu_bufs.push(Vec::new());
+        if slots == sel.lu_bufs.len() {
+            sel.lu_bufs.push(Vec::new());
         }
-        let lu = &mut lu_bufs[slots];
+        if slots == sel.ss_bufs.len() {
+            sel.ss_bufs.push(Vec::new());
+        }
+        let (lu, ss) = (&mut sel.lu_bufs[slots], &mut sel.ss_bufs[slots]);
         lu.clear();
-        for u in 0..cc.users.len() {
-            if cc.user_reachable(u) && cc.ubl_user_with_ss(cc.ss_at(loc, u), u) >= cc.rsk[u] {
+        ss.clear();
+        for u in 0..cc.num_users() {
+            if !cc.user_reachable(u) {
+                continue;
+            }
+            let s = cc.ss_at(loc, u);
+            if cc.ubl_user_with_ss(s, u) >= cc.rsk[u] {
                 lu.push(u);
+                ss.push(s);
             }
         }
         if !lu.is_empty() {
-            ql.push(ByKey {
+            sel.ql.push(ByKey {
                 key: lu.len() as f64,
                 item: (li, slots),
             });
@@ -114,31 +113,57 @@ pub(crate) fn select_candidate_into(
     // Step 2: best-first over locations with early termination.
     while let Some(ByKey {
         item: (li, slot), ..
-    }) = ql.pop()
+    }) = sel.ql.pop()
     {
-        let lu = &lu_bufs[slot];
-        if lu.len() <= out.brstknn.len() && !out.brstknn.is_empty() {
+        if sel.lu_bufs[slot].len() <= out.brstknn.len() && !out.brstknn.is_empty() {
             break; // |LU| bounds the achievable count — nothing better left
         }
-        let loc = &cc.spec.locations[li];
-        cc.fill_ss(loc, lu, ss);
-
         // LBL shortcut: every LU user qualifies with ox.d alone.
-        if cc.lbl_group_with_ts(loc, su, su_lbl_ts) >= rsk_us && !cc.spec.ox_doc.is_empty() {
-            cc.brstknn_into(&cc.spec.ox_doc, lu, ss, users_out);
-            // The shortcut is only complete when it captures the whole
-            // list; otherwise keyword selection could still add users.
-            if users_out.len() == lu.len() {
-                if users_out.len() > out.brstknn.len() {
-                    out.location = li;
-                    out.keywords.clear();
-                    std::mem::swap(users_out, &mut out.brstknn);
-                }
-                continue;
-            }
-        }
+        let shortcut = cc.lbl_group_with_ts(&cc.spec.locations[li], su, su_lbl_ts) >= rsk_us;
+        let (lu, ss) = (
+            std::mem::take(&mut sel.lu_bufs[slot]),
+            std::mem::take(&mut sel.ss_bufs[slot]),
+        );
+        evaluate_location(cc, li, &lu, &ss, shortcut, selector, sel, out);
+        sel.lu_bufs[slot] = lu;
+        sel.ss_bufs[slot] = ss;
+    }
+}
 
-        // Full keyword selection for this location.
+/// Algorithm 3's work on one dequeued location, shared with the §7
+/// pipeline: `lu` indexes the context's users, `ss` holds their spatial
+/// scores at location `li`. With `shortcut` set, a location where all of
+/// `lu` already qualifies on `ox.d` alone is settled without keyword
+/// selection; otherwise `selector` picks the keywords and the realized
+/// BRSTkNN set is counted exactly. `out` is replaced on improvement.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn evaluate_location(
+    cc: &CandidateContext<'_>,
+    li: usize,
+    lu: &[usize],
+    ss: &[f64],
+    shortcut: bool,
+    selector: KeywordSelector,
+    sel: &mut SelectScratch,
+    out: &mut QueryResult,
+) {
+    let SelectScratch {
+        cand,
+        users_out,
+        kw,
+        gr,
+        ex,
+        ..
+    } = sel;
+    kw.clear();
+    let mut settled = false;
+    if shortcut && !cc.spec.ox_doc.is_empty() {
+        cc.brstknn_into(&cc.spec.ox_doc, lu, ss, users_out);
+        // The shortcut is only complete when it captures the whole list;
+        // otherwise keyword selection could still add users.
+        settled = users_out.len() == lu.len();
+    }
+    if !settled {
         match selector {
             KeywordSelector::Greedy => greedy::greedy_keywords_into(cc, lu, ss, gr, kw),
             KeywordSelector::GreedyPlus => greedy::greedy_plus_keywords_into(cc, lu, ss, gr, kw),
@@ -146,12 +171,12 @@ pub(crate) fn select_candidate_into(
         }
         cand.assign_with_terms(&cc.spec.ox_doc, kw);
         cc.brstknn_into(cand, lu, ss, users_out);
-        if users_out.len() > out.brstknn.len() {
-            out.location = li;
-            out.keywords.clear();
-            out.keywords.extend_from_slice(kw);
-            std::mem::swap(users_out, &mut out.brstknn);
-        }
+    }
+    if users_out.len() > out.brstknn.len() {
+        out.location = li;
+        out.keywords.clear();
+        out.keywords.extend_from_slice(kw);
+        std::mem::swap(users_out, &mut out.brstknn);
     }
 }
 
@@ -194,6 +219,42 @@ mod tests {
         assert_eq!(
             got.brstknn,
             cc.brstknn(&f.spec.locations[got.location], &cand, &all)
+        );
+    }
+
+    /// Algorithm 3 on the pooled kernels returns the reference's answer —
+    /// location, keywords and the `brstknn` order — for every selector,
+    /// with the group-level prune and `LBL` shortcut both live and off.
+    #[test]
+    fn select_candidate_matches_reference_for_every_selector() {
+        use crate::select::reference;
+        use crate::select::test_fixture::edge_fixture;
+        let mut nonempty = 0;
+        for ws in [1, 2, 3, 5] {
+            for seed in 0..3 {
+                let f = edge_fixture(seed + 50, ws);
+                let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
+                let su = UserGroup::from_users(&f.users, &f.ctx.text);
+                for rsk_us in [f64::NEG_INFINITY, 0.0, 0.35] {
+                    for selector in [
+                        KeywordSelector::Greedy,
+                        KeywordSelector::GreedyPlus,
+                        KeywordSelector::Exact,
+                    ] {
+                        let got = select_candidate(&cc, &su, rsk_us, selector);
+                        assert_eq!(
+                            got,
+                            reference::select_candidate(&cc, &su, rsk_us, selector),
+                            "ws {ws}, seed {seed}, rsk_us {rsk_us}, {selector:?}"
+                        );
+                        nonempty += usize::from(got.cardinality() > 1);
+                    }
+                }
+            }
+        }
+        assert!(
+            nonempty > 50,
+            "fixtures too barren: {nonempty} real answers"
         );
     }
 

@@ -5,27 +5,43 @@
 //! `u` with `STS(ox@ℓ, u) ≥ RSk(u)`. This module provides:
 //!
 //! * [`CandidateContext`] — shared query state: candidate term weights at
-//!   the reference length, per-user normalizers and thresholds,
+//!   the reference length, and one column per user-level quantity,
 //! * the candidate bounds `UBL`/`LBL` of §6.1 (with Lemma 3's top-`ws`
 //!   keyword upper bound),
 //! * [`location`] — Algorithm 3 (best-first location processing),
 //! * [`greedy`] — the (1−1/e) maximum-coverage approximation of §6.2.1,
 //! * [`exact`] — Algorithm 4 with its pruning rules,
 //! * [`baseline`] — the §4 exhaustive scan over every ⟨ℓ, combination⟩.
+//!
+//! # What is computed where
+//!
+//! The paper states §6 and §7 per candidate location; the code splits every
+//! quantity by what it depends on. Whatever depends only on ⟨user, keyword,
+//! `RSk`⟩ — `N(u)`, the candidate-term run `u.d ∩ (W ∪ ox.d)`, the text
+//! half of `UBL(·, u)`, the optimistic text score of each `HW_{w,u}` —
+//! lives in the query's one [`CandidateContext`] and is derived once, when
+//! the user enters it: at construction for an in-memory user table, at
+//! leaf materialization in the §7 pipeline. The per-location kernels
+//! (`LUW_w` construction, the three keyword selectors, the BRSTkNN count)
+//! take only `(lu, ss)` — indices into the context's user columns and the
+//! location's spatial scores aligned with them — and never see a user
+//! document or rebuild a context.
 
 pub mod baseline;
 pub mod exact;
 pub mod greedy;
 pub mod location;
+#[cfg(test)]
+pub(crate) mod reference;
 pub mod topl;
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
 
 use geo::Point;
 use text::{Document, TermId};
 
-use crate::arena::CcScratch;
+use crate::arena::{CcScratch, HwTable};
 use crate::{QuerySpec, ScoreContext, UserData, UserGroup};
 
 /// Shared state for one candidate-selection run.
@@ -35,17 +51,23 @@ pub struct CandidateContext<'a> {
     pub ctx: &'a ScoreContext,
     /// The query.
     pub spec: &'a QuerySpec,
-    /// All users.
+    /// The caller's user slice, which the reference paths (`ubl_user`,
+    /// `sts_candidate`, `qualifies`, `brstknn`) read documents from. Empty
+    /// in the §7 pipeline, whose users arrive one MIUR leaf at a time.
     pub users: &'a [UserData],
-    /// `RSk(u)` per user (aligned with `users`; −∞ for users with fewer
-    /// than `k` relevant objects).
-    pub rsk: &'a [f64],
+    /// `RSk(u)` per user (−∞ for users with fewer than `k` relevant
+    /// objects).
+    pub rsk: Vec<f64>,
     /// Per-user text normalizer `N(u)`.
     pub n_u: Vec<f64>,
     /// Candidate reference length (`|ox.d| + ws`).
     pub ref_len: u64,
     /// Candidate term weight `cw(t)` for every term of `W ∪ ox.d`.
     cand_w: HashMap<TermId, f64>,
+    /// Per-user id and location (what the kernels need of a `UserData`
+    /// besides its candidate terms).
+    ids: Vec<u32>,
+    points: Vec<Point>,
     /// Location-independent textual part of `UBL(·, u)` per user.
     ubl_ts: Vec<f64>,
     /// Per-user candidate terms `u.d ∩ (W ∪ ox.d)` with their weights,
@@ -56,6 +78,9 @@ pub struct CandidateContext<'a> {
     ucand_off: Vec<u32>,
     /// Scratch for [`CandidateContext::top_ws_weight_sum`].
     ws_buf: RefCell<Vec<f64>>,
+    /// Optimistic `TS` of `HW_{w,u}` per ⟨user, held keyword⟩; see
+    /// [`CandidateContext::hw_table`].
+    hw: RefCell<HwTable>,
 }
 
 impl<'a> CandidateContext<'a> {
@@ -64,7 +89,7 @@ impl<'a> CandidateContext<'a> {
         ctx: &'a ScoreContext,
         spec: &'a QuerySpec,
         users: &'a [UserData],
-        rsk: &'a [f64],
+        rsk: &[f64],
     ) -> Self {
         Self::new_reusing(ctx, spec, users, rsk, CcScratch::default())
     }
@@ -76,17 +101,21 @@ impl<'a> CandidateContext<'a> {
         ctx: &'a ScoreContext,
         spec: &'a QuerySpec,
         users: &'a [UserData],
-        rsk: &'a [f64],
+        rsk: &[f64],
         scratch: CcScratch,
     ) -> Self {
         assert_eq!(users.len(), rsk.len(), "users and thresholds must align");
         let CcScratch {
             mut cand_w,
+            mut ids,
+            mut points,
+            rsk: mut rsk_col,
             mut n_u,
-            ubl_ts,
+            mut ubl_ts,
             mut ucand_flat,
             mut ucand_off,
             ws_buf,
+            mut hw,
         } = scratch;
         let ref_len = spec.ref_len();
         cand_w.clear();
@@ -96,50 +125,80 @@ impl<'a> CandidateContext<'a> {
         for t in spec.ox_doc.terms() {
             cand_w.insert(t, ctx.text.candidate_weight(t, ref_len));
         }
+        ids.clear();
+        points.clear();
+        rsk_col.clear();
         n_u.clear();
-        n_u.extend(users.iter().map(|u| ctx.text.normalizer(&u.doc)));
+        ubl_ts.clear();
         ucand_flat.clear();
         ucand_off.clear();
         ucand_off.push(0);
-        for u in users {
-            for t in u.doc.terms() {
-                if let Some(&w) = cand_w.get(&t) {
-                    ucand_flat.push((t, w));
-                }
-            }
-            ucand_off.push(ucand_flat.len() as u32);
+        {
+            let hw = hw.get_mut();
+            hw.off.clear();
+            hw.off.push(0);
+            hw.rows.clear();
         }
         let mut cc = CandidateContext {
             ctx,
             spec,
             users,
-            rsk,
+            rsk: rsk_col,
             n_u,
             ref_len,
             cand_w,
+            ids,
+            points,
             ubl_ts,
             ucand_flat,
             ucand_off,
             ws_buf,
+            hw,
         };
-        let mut ubl = std::mem::take(&mut cc.ubl_ts);
-        ubl.clear();
-        for (u, user) in users.iter().enumerate() {
-            ubl.push(cc.ubl_ts_doc(&user.doc, cc.n_u[u]));
+        for (user, &r) in users.iter().zip(rsk) {
+            cc.push_user(user, ctx.text.normalizer(&user.doc), r);
         }
-        cc.ubl_ts = ubl;
         cc
+    }
+
+    /// Appends one user — its threshold, normalizer, candidate-term run and
+    /// `UBL` text — and returns its index. This is the only place per-user
+    /// state is derived: the constructor calls it for every user of its
+    /// slice, the §7 pipeline once per materialized MIUR leaf entry.
+    pub(crate) fn push_user(&mut self, user: &UserData, n_u: f64, rsk: f64) -> usize {
+        self.ids.push(user.id);
+        self.points.push(user.point);
+        self.rsk.push(rsk);
+        self.n_u.push(n_u);
+        for t in user.doc.terms() {
+            if let Some(&w) = self.cand_w.get(&t) {
+                self.ucand_flat.push((t, w));
+            }
+        }
+        self.ucand_off.push(self.ucand_flat.len() as u32);
+        self.ubl_ts.push(self.ubl_ts_doc(&user.doc, n_u));
+        self.n_u.len() - 1
+    }
+
+    /// Users held (the slice's, plus every [`CandidateContext::push_user`]).
+    #[inline]
+    pub(crate) fn num_users(&self) -> usize {
+        self.n_u.len()
     }
 
     /// Returns the pooled buffers to the arena.
     pub(crate) fn into_scratch(self) -> CcScratch {
         CcScratch {
             cand_w: self.cand_w,
+            ids: self.ids,
+            points: self.points,
+            rsk: self.rsk,
             n_u: self.n_u,
             ubl_ts: self.ubl_ts,
             ucand_flat: self.ucand_flat,
             ucand_off: self.ucand_off,
             ws_buf: self.ws_buf,
+            hw: self.hw,
         }
     }
 
@@ -196,9 +255,9 @@ impl<'a> CandidateContext<'a> {
         self.ctx.combine(ss, self.ubl_group_ts(group))
     }
 
-    /// The location-independent textual part of `UBL(·, u)` for an
-    /// arbitrary user document.
-    pub(crate) fn ubl_ts_doc(&self, doc: &Document, n_u: f64) -> f64 {
+    /// The location-independent textual part of `UBL(·, u)` for a user
+    /// document.
+    fn ubl_ts_doc(&self, doc: &Document, n_u: f64) -> f64 {
         let fixed: f64 = self
             .spec
             .ox_doc
@@ -224,14 +283,6 @@ impl<'a> CandidateContext<'a> {
     pub fn ubl_user(&self, loc: &Point, u: usize) -> f64 {
         let ss = self.ctx.spatial.ss_points(loc, &self.users[u].point);
         self.ctx.combine(ss, self.ubl_ts[u])
-    }
-
-    /// [`CandidateContext::ubl_user`] for a user outside the context's
-    /// slice (the §7 pipeline discovers users dynamically from the
-    /// MIUR-tree).
-    pub fn ubl_user_data(&self, loc: &Point, user: &UserData, n_u: f64) -> f64 {
-        let ss = self.ctx.spatial.ss_points(loc, &user.point);
-        self.ctx.combine(ss, self.ubl_ts_doc(&user.doc, n_u))
     }
 
     /// The location-independent textual part of `LBL(·, g)`.
@@ -262,17 +313,7 @@ impl<'a> CandidateContext<'a> {
     /// Exact `STS` of `ox` placed at `loc` with text `cand`, for user `u`,
     /// at the candidate reference length.
     pub fn sts_candidate(&self, loc: &Point, cand: &Document, u: usize) -> f64 {
-        self.sts_candidate_data(loc, cand, &self.users[u], self.n_u[u])
-    }
-
-    /// [`CandidateContext::sts_candidate`] for a user outside the slice.
-    pub fn sts_candidate_data(
-        &self,
-        loc: &Point,
-        cand: &Document,
-        user: &UserData,
-        n_u: f64,
-    ) -> f64 {
+        let (user, n_u) = (&self.users[u], self.n_u[u]);
         let ss = self.ctx.spatial.ss_points(loc, &user.point);
         let ts = if n_u > 0.0 {
             let sum: f64 = user
@@ -330,7 +371,7 @@ impl<'a> CandidateContext<'a> {
     /// Spatial score of `loc` for user `u`.
     #[inline]
     pub(crate) fn ss_at(&self, loc: &Point, u: usize) -> f64 {
-        self.ctx.spatial.ss_points(loc, &self.users[u].point)
+        self.ctx.spatial.ss_points(loc, &self.points[u])
     }
 
     /// `UBL(ℓ, u)` with the spatial part precomputed.
@@ -354,12 +395,25 @@ impl<'a> CandidateContext<'a> {
         self.ctx.combine(ss, ts)
     }
 
-    /// [`CandidateContext::sts_candidate`] with the spatial part
-    /// precomputed, for `cand ⊆ ox.d ∪ W`.
+    /// True when user `u` holds `t ∈ W ∪ ox.d`.
     #[inline]
-    pub(crate) fn sts_with_ss(&self, ss: f64, cand: &Document, u: usize) -> f64 {
+    pub(crate) fn holds(&self, u: usize, t: TermId) -> bool {
+        self.ucand(u).iter().any(|&(h, _)| h == t)
+    }
+
+    /// True when `u.d` shares a term with `ox.d`.
+    #[inline]
+    pub(crate) fn overlaps_ox(&self, u: usize) -> bool {
+        self.ucand(u)
+            .iter()
+            .any(|&(t, _)| self.spec.ox_doc.contains(t))
+    }
+
+    /// The textual half of [`CandidateContext::sts_with_ss`].
+    #[inline]
+    fn ts_cand(&self, cand: &Document, u: usize) -> f64 {
         let n_u = self.n_u[u];
-        let ts = if n_u > 0.0 {
+        if n_u > 0.0 {
             let sum: f64 = self
                 .ucand(u)
                 .iter()
@@ -369,8 +423,71 @@ impl<'a> CandidateContext<'a> {
             (sum / n_u).min(1.0)
         } else {
             0.0
-        };
-        self.ctx.combine(ss, ts)
+        }
+    }
+
+    /// [`CandidateContext::sts_candidate`] with the spatial part
+    /// precomputed, for `cand ⊆ ox.d ∪ W`.
+    #[inline]
+    pub(crate) fn sts_with_ss(&self, ss: f64, cand: &Document, u: usize) -> f64 {
+        self.ctx.combine(ss, self.ts_cand(cand, u))
+    }
+
+    /// The §6.2.1 preprocessing, minus the location: for every user `u`
+    /// and every candidate keyword `w ∈ W ∩ u.d` (by position in `W`), the
+    /// text score `u` gives the optimistic advertisement `ox.d ∪ HW_{w,u}`
+    /// — `w` plus the `ws−1` heaviest other candidates `u` holds. Neither
+    /// the `(weight desc, position asc)` order of a user's held keywords
+    /// nor that score depends on `ℓ`, so `LUW_w` at a location is one
+    /// `combine(ss, ts) ≥ RSk(u)` per row (see
+    /// [`greedy::build_luw_into`]).
+    ///
+    /// Rows are filled on demand, in user order, for the users appended
+    /// since the last call — a query whose locations all take the `LBL`
+    /// shortcut, or that selects keywords exactly, never pays for them.
+    pub(crate) fn hw_table(&self) -> Ref<'_, HwTable> {
+        if self.hw.borrow().off.len() <= self.num_users() {
+            let mut table = self.hw.borrow_mut();
+            let HwTable {
+                off,
+                rows,
+                others,
+                set,
+                hcand,
+            } = &mut *table;
+            let cap = self.spec.ws.saturating_sub(1);
+            for u in off.len() - 1..self.num_users() {
+                others.clear();
+                for &(t, cw) in self.ucand(u) {
+                    for (j, &w) in self.spec.keywords.iter().enumerate() {
+                        if w == t {
+                            others.push((cw, j as u32, t));
+                        }
+                    }
+                }
+                // One sort per user: every held keyword's HW set is a
+                // prefix of this order. (The reference construction loops
+                // keywords-outer and re-sorts per holder; same key, same
+                // members.)
+                others.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                for &(_, j, w) in others.iter() {
+                    set.clear();
+                    for &(_, _, t) in others.iter() {
+                        if set.len() == cap {
+                            break;
+                        }
+                        if t != w {
+                            set.push(t);
+                        }
+                    }
+                    set.push(w);
+                    hcand.assign_with_terms(&self.spec.ox_doc, set);
+                    rows.push((j, self.ts_cand(hcand, u)));
+                }
+                off.push(rows.len() as u32);
+            }
+        }
+        self.hw.borrow()
     }
 
     /// [`CandidateContext::qualifies`] with the spatial part precomputed,
@@ -412,7 +529,7 @@ impl<'a> CandidateContext<'a> {
         out.clear();
         for (i, &u) in candidates.iter().enumerate() {
             if self.qualifies_with_ss(ss[i], cand, u) {
-                out.push(self.users[u].id);
+                out.push(self.ids[u]);
             }
         }
     }
@@ -548,6 +665,10 @@ pub(crate) mod test_fixture {
     /// LM weights, duplicate-prone keyword pools, users holding 1–4
     /// terms, some users unreachable.
     pub(crate) fn random_fixture(seed: u64, n_users: usize, n_kws: usize) -> Fix {
+        random_fixture_with(WeightModel::lm(), seed, n_users, n_kws)
+    }
+
+    fn random_fixture_with(model: WeightModel, seed: u64, n_users: usize, n_kws: usize) -> Fix {
         let mut state = seed
             .wrapping_mul(0x9E3779B97F4A7C15)
             .wrapping_add(0x2545F4914F6CDD1D);
@@ -564,7 +685,7 @@ pub(crate) mod test_fixture {
                 Document::from_terms((0..n).map(|_| t(next(VOCAB) as u32)))
             })
             .collect();
-        let text = TextScorer::from_docs(WeightModel::lm(), &docs);
+        let text = TextScorer::from_docs(model, &docs);
         let users: Vec<UserData> = (0..n_users)
             .map(|i| {
                 let n = 1 + next(4);
@@ -595,6 +716,41 @@ pub(crate) mod test_fixture {
             spec,
             rsk,
         }
+    }
+
+    /// [`random_fixture`] with keyword budget `ws`, bent to hit the corners
+    /// of the `LUW` construction: a duplicated candidate keyword, a
+    /// candidate keyword already in `ox.d`, a candidate keyword no corpus
+    /// document holds (under TF-IDF — odd seeds — its sole holders have
+    /// `N(u) = 0`), and users sharing nothing with `W ∪ ox.d`.
+    pub(crate) fn edge_fixture(seed: u64, ws: usize) -> Fix {
+        let model = if seed % 2 == 1 {
+            WeightModel::TfIdf
+        } else {
+            WeightModel::lm()
+        };
+        let mut f = random_fixture_with(model, seed, 45, 8);
+        f.spec.ws = ws;
+        let off_corpus = t(40);
+        let dup = f.spec.keywords[0];
+        let in_ox = f.spec.ox_doc.terms().next().expect("ox.d is non-empty");
+        f.spec.keywords.extend([dup, in_ox, off_corpus]);
+        let at = f.spec.locations[0];
+        for (doc, rsk) in [
+            (Document::from_terms([off_corpus]), 0.2),
+            (Document::from_terms([off_corpus]), 0.9),
+            (Document::from_terms([off_corpus, dup]), 0.4),
+            (Document::from_terms([t(41)]), f64::NEG_INFINITY),
+            (Document::from_terms([t(41), t(42)]), 0.1),
+        ] {
+            f.users.push(UserData {
+                id: f.users.len() as u32,
+                point: at,
+                doc,
+            });
+            f.rsk.push(rsk);
+        }
+        f
     }
 
     /// A small, fully-deterministic selection scenario used across the

@@ -19,10 +19,10 @@ use index::{MiurTree, PostingMode, StTree, UserRef};
 use storage::{IoStats, RecordId};
 use text::Document;
 
-use crate::arena::{ElemSlot, QueryArena, SelectScratch, UserIndexScratch};
+use crate::arena::{ElemSlot, QueryArena, UserIndexScratch};
 use crate::bounds::lb_object;
-use crate::select::location::KeywordSelector;
-use crate::select::{exact, greedy, CandidateContext};
+use crate::select::location::{evaluate_location, KeywordSelector};
+use crate::select::CandidateContext;
 use crate::topk::individual::{individual_topk_user, refine_user_heap};
 use crate::topk::joint::joint_topk;
 use crate::topk::{ByKey, TopkOutcome};
@@ -74,31 +74,37 @@ pub(crate) enum Elem {
 }
 
 /// Lower bound on the `RSk` of every user in `group`: the k-th largest
-/// `LB(o, group)` over the retrieved objects `LO ∪ RO`.
-fn group_rsk_lb(out: &TopkOutcome, group: &UserGroup, k: usize, ctx: &ScoreContext) -> f64 {
-    group_rsk_lb_in(out, group, k, ctx, &mut Vec::new())
-}
-
-/// [`group_rsk_lb`] into a caller-provided collection buffer.
-fn group_rsk_lb_in(
+/// `LB(o, group)` over the retrieved objects `LO ∪ RO`, the `k` best held
+/// in the caller's heap. `LO` is scored in full; `RO` descends by
+/// `UB(o, us) ≥ LB(o, group)`, so — as in Algorithm 2 — the walk stops at
+/// the first object whose upper bound is below the k-th best lower bound.
+fn group_rsk_lb(
     out: &TopkOutcome,
     group: &UserGroup,
     k: usize,
     ctx: &ScoreContext,
-    lbs: &mut Vec<f64>,
+    lbs: &mut BinaryHeap<Reverse<ByKey<()>>>,
 ) -> f64 {
     lbs.clear();
-    lbs.extend(
-        out.lo
-            .iter()
-            .chain(out.ro.iter())
-            .map(|o| lb_object(ctx, group, &o.point, &o.weights)),
-    );
-    if lbs.len() < k {
-        return f64::NEG_INFINITY;
+    for (i, o) in out.lo.iter().chain(out.ro.iter()).enumerate() {
+        if lbs.len() < k {
+            let key = lb_object(ctx, group, &o.point, &o.weights);
+            lbs.push(Reverse(ByKey { key, item: () }));
+            continue;
+        }
+        let Some(mut kth) = lbs.peek_mut() else { break };
+        if i >= out.lo.len() && o.ub < kth.0.key {
+            break;
+        }
+        let key = lb_object(ctx, group, &o.point, &o.weights);
+        if key.total_cmp(&kth.0.key).is_gt() {
+            kth.0.key = key;
+        }
     }
-    lbs.sort_unstable_by(|a, b| b.total_cmp(a));
-    lbs[k - 1]
+    match lbs.peek() {
+        Some(kth) if lbs.len() == k => kth.0.key,
+        _ => f64::NEG_INFINITY,
+    }
 }
 
 /// Summarizes an already-read MIUR root node as the super-user group.
@@ -136,10 +142,10 @@ fn group_from_root(root: &index::MiurNodeView) -> UserGroup {
     UserGroup::from_node_entry(mbr, &uni, &int, count, n_min, n_max)
 }
 
-/// Materializes a node view's entries into the element arena: subtrees
-/// become [`Elem::Group`]s with their `RSk` lower bounds, concrete users
-/// get their exact thresholds via Algorithm 2. Location-independent —
-/// everything derives from `(node, out, k)`.
+/// Materializes a node view's entries into `elems`: subtrees become
+/// [`Elem::Group`]s with their `RSk` lower bounds, concrete users get their
+/// exact thresholds via Algorithm 2. Location-independent — everything
+/// derives from `(node, out, k)`.
 fn materialize_node(
     node: &index::MiurNodeView,
     out: &TopkOutcome,
@@ -147,47 +153,40 @@ fn materialize_node(
     ctx: &ScoreContext,
     elems: &mut Vec<Elem>,
     scored: &mut usize,
-) -> Vec<usize> {
-    node.entries
-        .iter()
-        .map(|e| {
-            let elem = match e.child {
-                UserRef::Node(rec) => {
-                    let g = UserGroup::from_node_entry(
-                        e.rect,
-                        &e.uni,
-                        &e.int,
-                        e.count as usize,
-                        e.norm_min,
-                        e.norm_max,
-                    );
-                    let rsk_lb = group_rsk_lb(out, &g, k, ctx);
-                    Elem::Group {
-                        node: rec,
-                        group: g,
-                        rsk_lb,
-                    }
+) {
+    for e in &node.entries {
+        elems.push(match e.child {
+            UserRef::Node(rec) => {
+                let group = UserGroup::from_node_entry(
+                    e.rect,
+                    &e.uni,
+                    &e.int,
+                    e.count as usize,
+                    e.norm_min,
+                    e.norm_max,
+                );
+                let rsk_lb = group_rsk_lb(out, &group, k, ctx, &mut BinaryHeap::new());
+                Elem::Group {
+                    node: rec,
+                    group,
+                    rsk_lb,
                 }
-                UserRef::User(uid) => {
-                    let data = UserData {
-                        id: uid,
-                        point: e.rect.min,
-                        doc: Document::from_terms(e.uni.iter().copied()),
-                    };
-                    let tk = individual_topk_user(&data, out, k, ctx);
-                    *scored += 1;
-                    let n_u = ctx.text.normalizer(&data.doc);
-                    Elem::User {
-                        data,
-                        rsk: tk.rsk,
-                        n_u,
-                    }
+            }
+            UserRef::User(uid) => {
+                let data = UserData {
+                    id: uid,
+                    point: e.rect.min,
+                    doc: Document::from_terms(e.uni.iter().copied()),
+                };
+                *scored += 1;
+                Elem::User {
+                    rsk: individual_topk_user(&data, out, k, ctx).rsk,
+                    n_u: ctx.text.normalizer(&data.doc),
+                    data,
                 }
-            };
-            elems.push(elem);
-            elems.len() - 1
-        })
-        .collect()
+            }
+        });
+    }
 }
 
 /// Computes the `(engine, k)`-dependent prefix of the §7 pipeline — the
@@ -238,26 +237,9 @@ pub fn select_with_user_index(
         "MaxBRSTkNN requires at least one candidate location"
     );
     // Cold path: build the seed inline (one root read, one traversal, one
-    // root materialization — the same work as before the seed existed)
-    // and move its parts into the selection.
+    // root materialization — the same work as before the seed existed).
     let seed = compute_user_index_seed(miur, mir, spec.k, ctx, io);
-    let mut arena = QueryArena::new();
-    let mut result = QueryResult::default();
-    let (users_scored, users_pruned) = run_selection(
-        miur,
-        spec,
-        ctx,
-        selector,
-        io,
-        &seed,
-        &mut arena,
-        &mut result,
-    );
-    UserIndexOutcome {
-        result,
-        users_scored,
-        users_pruned,
-    }
+    select_with_user_index_seeded(miur, spec, ctx, selector, io, &seed)
 }
 
 /// [`select_with_user_index`] with the top-k prefix supplied by a
@@ -300,16 +282,10 @@ fn alloc_slot<'a>(elems: &'a mut Vec<ElemSlot>, live: &mut usize) -> (u32, &'a m
     (id, &mut elems[id as usize])
 }
 
-/// The reachability precondition of Algorithm 3: the user shares a term
-/// with `ox.d ∪ W`.
-fn user_reachable_doc(doc: &Document, spec: &QuerySpec) -> bool {
-    doc.overlaps(&spec.ox_doc) || spec.keywords.iter().any(|&t| doc.contains(t))
-}
-
-/// Copies a seed element into a pooled slot and caches the per-query bound
-/// parts (location-independent `UBL` text, reachability) so the keep-test
-/// per ⟨location, element⟩ is a couple of float ops.
-fn fill_slot_from_elem(slot: &mut ElemSlot, e: &Elem, cc: &CandidateContext<'_>, spec: &QuerySpec) {
+/// Copies a seed element into a pooled slot: a subtree keeps its summary
+/// (with the location-independent `UBL` text cached), a user joins the
+/// query's candidate context.
+fn fill_slot_from_elem(slot: &mut ElemSlot, e: &Elem, cc: &mut CandidateContext<'_>) {
     match e {
         Elem::Group {
             node,
@@ -326,17 +302,10 @@ fn fill_slot_from_elem(slot: &mut ElemSlot, e: &Elem, cc: &CandidateContext<'_>,
             slot.group.count = group.count;
             slot.rsk_lb = *rsk_lb;
             slot.ubl_ts = cc.ubl_group_ts(&slot.group);
-            slot.reachable = true;
         }
         Elem::User { data, rsk, n_u } => {
             slot.is_group = false;
-            slot.user.id = data.id;
-            slot.user.point = data.point;
-            slot.user.doc.clone_from(&data.doc);
-            slot.rsk = *rsk;
-            slot.n_u = *n_u;
-            slot.ubl_ts = cc.ubl_ts_doc(&slot.user.doc, *n_u);
-            slot.reachable = user_reachable_doc(&slot.user.doc, spec);
+            slot.user = cc.push_user(data, *n_u, *rsk);
         }
     }
 }
@@ -350,13 +319,13 @@ fn fill_slot_from_entry(
     e: &index::MiurEntryView,
     out: &TopkOutcome,
     k: usize,
-    ctx: &ScoreContext,
-    cc: &CandidateContext<'_>,
-    spec: &QuerySpec,
-    lbs: &mut Vec<f64>,
+    cc: &mut CandidateContext<'_>,
+    lbs: &mut BinaryHeap<Reverse<ByKey<()>>>,
     ind_heap: &mut BinaryHeap<Reverse<ByKey<u32>>>,
+    leaf_doc: &mut Document,
     scored: &mut usize,
 ) {
+    let ctx = cc.ctx;
     match e.child {
         UserRef::Node(rec) => {
             slot.is_group = true;
@@ -367,30 +336,45 @@ fn fill_slot_from_entry(
             slot.group.n_min = e.norm_min;
             slot.group.n_max = e.norm_max;
             slot.group.count = e.count as usize;
-            slot.rsk_lb = group_rsk_lb_in(out, &slot.group, k, ctx, lbs);
+            slot.rsk_lb = group_rsk_lb(out, &slot.group, k, ctx, lbs);
             slot.ubl_ts = cc.ubl_group_ts(&slot.group);
-            slot.reachable = true;
         }
         UserRef::User(uid) => {
-            slot.is_group = false;
-            slot.user.id = uid;
-            slot.user.point = e.rect.min;
-            slot.user.doc.assign_unit_terms(&e.uni);
-            slot.rsk = refine_user_heap(&slot.user, out, k, ctx, ind_heap);
+            let mut user = UserData {
+                id: uid,
+                point: e.rect.min,
+                doc: std::mem::take(leaf_doc),
+            };
+            user.doc.assign_unit_terms(&e.uni);
+            let rsk = refine_user_heap(&user, out, k, ctx, ind_heap);
             *scored += 1;
-            slot.n_u = ctx.text.normalizer(&slot.user.doc);
-            slot.ubl_ts = cc.ubl_ts_doc(&slot.user.doc, slot.n_u);
-            slot.reachable = user_reachable_doc(&slot.user.doc, spec);
+            slot.is_group = false;
+            slot.user = cc.push_user(&user, ctx.text.normalizer(&user.doc), rsk);
+            *leaf_doc = user.doc;
         }
+    }
+}
+
+/// The `UBL` keep-test of one frontier element at one location.
+fn keep(cc: &CandidateContext<'_>, slot: &ElemSlot, loc: &Point) -> bool {
+    if slot.is_group {
+        cc.ubl_group_with_ts(loc, &slot.group, slot.ubl_ts) >= slot.rsk_lb
+    } else {
+        let u = slot.user;
+        cc.user_reachable(u) && cc.ubl_user_with_ss(cc.ss_at(loc, u), u) >= cc.rsk[u]
     }
 }
 
 /// The location-dependent remainder of the §7 pipeline: per-location
 /// candidate lists, best-first subtree expansion and keyword selection.
-/// Every buffer — the frontier element pool, the expansion memo, the
-/// per-location lists, and the keyword-selection scratch — comes from
-/// `arena`, so a warm arena runs this allocation-free. Returns
-/// `(users_scored, users_pruned)`; the winning tuple lands in `result`.
+/// One [`CandidateContext`] serves the whole query: a user enters it once,
+/// when its leaf entry is materialized, and every location's keyword
+/// selection then runs on index lists into it, exactly as Algorithm 3 does
+/// over an in-memory user table. Every buffer — the context's columns,
+/// the frontier element pool, the expansion memo, the per-location lists,
+/// and the keyword-selection scratch — comes from `arena`, so a warm arena
+/// runs this allocation-free. Returns `(users_scored, users_pruned)`; the
+/// winning tuple lands in `result`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_selection(
     miur: &MiurTree,
@@ -410,8 +394,8 @@ pub(crate) fn run_selection(
     let mut users_scored = seed.root_scored;
     result.clear();
 
-    // Bounds-only candidate context (no user slice).
-    let cc = CandidateContext::new_reusing(ctx, spec, &[], &[], std::mem::take(&mut arena.cc));
+    // Starts without users; they are appended as leaves materialize.
+    let mut cc = CandidateContext::new_reusing(ctx, spec, &[], &[], std::mem::take(&mut arena.cc));
 
     let UserIndexScratch {
         elems,
@@ -422,20 +406,11 @@ pub(crate) fn run_selection(
         ql,
         lbs,
         ind_heap,
-        users_buf,
-        rsk_buf,
-        lu_seq,
+        leaf_doc,
+        lu,
+        ss,
         miur: miur_scratch,
     } = &mut arena.ui;
-    let SelectScratch {
-        ss,
-        cand,
-        users_out,
-        kw,
-        gr,
-        ex,
-        ..
-    } = &mut arena.sel;
 
     // Seed the element pool with the root's materialized entries; the
     // root's child list occupies `children[0..root_len]`.
@@ -444,7 +419,7 @@ pub(crate) fn run_selection(
     expanded.clear();
     for e in &seed.root_elems {
         let (id, slot) = alloc_slot(elems, live);
-        fill_slot_from_elem(slot, e, &cc, spec);
+        fill_slot_from_elem(slot, e, &mut cc);
         children.push(id);
     }
     let root_len = seed.root_elems.len() as u32;
@@ -452,16 +427,6 @@ pub(crate) fn run_selection(
 
     // The root's UBL text part, hoisted across the location loop.
     let root_ts = cc.ubl_group_ts(&seed.root_group);
-
-    let keep = |slot: &ElemSlot, loc: &Point| -> bool {
-        if slot.is_group {
-            cc.ubl_group_with_ts(loc, &slot.group, slot.ubl_ts) >= slot.rsk_lb
-        } else {
-            slot.reachable
-                && ctx.combine(ctx.spatial.ss_points(loc, &slot.user.point), slot.ubl_ts)
-                    >= slot.rsk
-        }
-    };
 
     // --- Per-location lists, filtered by the UBL bounds. ---
     while lu_lists.len() < spec.locations.len() {
@@ -473,7 +438,7 @@ pub(crate) fn run_selection(
         list.clear();
         if cc.ubl_group_with_ts(loc, &seed.root_group, root_ts) >= rsk_us {
             for id in 0..root_len {
-                if keep(&elems[id as usize], loc) {
+                if keep(&cc, &elems[id as usize], loc) {
                     list.push(id);
                 }
             }
@@ -505,7 +470,6 @@ pub(crate) fn run_selection(
         if current <= result.brstknn.len() && !result.brstknn.is_empty() {
             break;
         }
-        let loc = spec.locations[li];
 
         // Find the largest unexpanded group in this list, if any.
         let group_pos = lu_lists[li]
@@ -531,11 +495,10 @@ pub(crate) fn run_selection(
                             entry,
                             out,
                             k,
-                            ctx,
-                            &cc,
-                            spec,
+                            &mut cc,
                             lbs,
                             ind_heap,
+                            leaf_doc,
                             &mut users_scored,
                         );
                         children.push(id);
@@ -550,7 +513,7 @@ pub(crate) fn run_selection(
                     let locj = spec.locations[lj];
                     for ci in start..start + len {
                         let c = children[ci as usize];
-                        if keep(&elems[c as usize], &locj) {
+                        if keep(&cc, &elems[c as usize], &locj) {
                             list.push(c);
                         }
                     }
@@ -569,61 +532,12 @@ pub(crate) fn run_selection(
             continue;
         }
 
-        // All elements are concrete users: run keyword selection against a
-        // pooled local context (slot-reused user column + thresholds).
-        let n = lu_lists[li].len();
-        while users_buf.len() < n {
-            users_buf.push(UserData {
-                id: 0,
-                point: Point::new(0.0, 0.0),
-                doc: Document::new(),
-            });
-        }
-        rsk_buf.clear();
-        for (i, &e) in lu_lists[li].iter().enumerate() {
-            let slot = &elems[e as usize];
-            let ub = &mut users_buf[i];
-            ub.id = slot.user.id;
-            ub.point = slot.user.point;
-            ub.doc.clone_from(&slot.user.doc);
-            rsk_buf.push(slot.rsk);
-        }
-        let local = CandidateContext::new_reusing(
-            ctx,
-            spec,
-            &users_buf[..n],
-            &rsk_buf[..n],
-            std::mem::take(&mut arena.cc_local),
-        );
-        lu_seq.clear();
-        lu_seq.extend(0..n);
-        local.fill_ss(&loc, lu_seq, ss);
-
-        // LBL shortcut, as in Algorithm 3.
-        let all_qualify = !spec.ox_doc.is_empty()
-            && lu_seq
-                .iter()
-                .all(|&u| local.qualifies_with_ss(ss[u], &spec.ox_doc, u));
-        if all_qualify {
-            kw.clear();
-        } else {
-            match selector {
-                KeywordSelector::Greedy => greedy::greedy_keywords_into(&local, lu_seq, ss, gr, kw),
-                KeywordSelector::GreedyPlus => {
-                    greedy::greedy_plus_keywords_into(&local, lu_seq, ss, gr, kw)
-                }
-                KeywordSelector::Exact => exact::exact_keywords_into(&local, lu_seq, ss, ex, kw),
-            }
-        }
-        cand.assign_with_terms(&spec.ox_doc, kw);
-        local.brstknn_into(cand, lu_seq, ss, users_out);
-        if users_out.len() > result.brstknn.len() {
-            result.location = li;
-            result.keywords.clear();
-            result.keywords.extend_from_slice(kw);
-            std::mem::swap(users_out, &mut result.brstknn);
-        }
-        arena.cc_local = local.into_scratch();
+        // All elements are concrete users: Algorithm 3's evaluation of the
+        // location, the `LBL` shortcut always worth trying.
+        lu.clear();
+        lu.extend(lu_lists[li].iter().map(|&e| elems[e as usize].user));
+        cc.fill_ss(&spec.locations[li], lu, ss);
+        evaluate_location(&cc, li, lu, ss, true, selector, &mut arena.sel, result);
     }
 
     arena.cc = cc.into_scratch();
@@ -652,10 +566,14 @@ mod tests {
     }
 
     fn fixture(num_users: u32) -> Fix {
+        fixture_with(WeightModel::KeywordOverlap, num_users)
+    }
+
+    fn fixture_with(model: WeightModel, num_users: u32) -> Fix {
         let docs: Vec<Document> = (0..50)
             .map(|i| Document::from_terms([t(i % 5), t(5)]))
             .collect();
-        let text = TextScorer::from_docs(WeightModel::KeywordOverlap, &docs);
+        let text = TextScorer::from_docs(model, &docs);
         let objects: Vec<IndexedObject> = docs
             .iter()
             .enumerate()
@@ -737,6 +655,80 @@ mod tests {
                 want.cardinality()
             );
         }
+    }
+
+    /// The early-breaking walk must return the bits of the
+    /// score-everything-and-sort definition: for every subtree of the MIUR
+    /// tree and every single-user group, under tied (KO, grid) and untied
+    /// (LM) bounds, and with fewer than `k` retrieved objects.
+    #[test]
+    fn group_rsk_lb_matches_sort_everything_reference() {
+        let reference = |out: &TopkOutcome, g: &UserGroup, k: usize, ctx: &ScoreContext| {
+            let mut lbs: Vec<f64> = out
+                .lo
+                .iter()
+                .chain(out.ro.iter())
+                .map(|o| lb_object(ctx, g, &o.point, &o.weights))
+                .collect();
+            if lbs.len() < k {
+                return f64::NEG_INFINITY;
+            }
+            lbs.sort_unstable_by(|a, b| b.total_cmp(a));
+            lbs[k - 1]
+        };
+        let (mut checked, mut broke_early, mut starved) = (0, 0, 0);
+        for model in [WeightModel::KeywordOverlap, WeightModel::lm()] {
+            let f = fixture_with(model, 40);
+            let io = IoStats::new();
+            // Every subtree summary, breadth first, then every user alone.
+            let root = f.miur.read_node(f.miur.root(), &io);
+            let mut groups = vec![group_from_root(&root)];
+            let mut frontier = vec![root];
+            while let Some(node) = frontier.pop() {
+                for e in &node.entries {
+                    if let UserRef::Node(rec) = e.child {
+                        groups.push(UserGroup::from_node_entry(
+                            e.rect,
+                            &e.uni,
+                            &e.int,
+                            e.count as usize,
+                            e.norm_min,
+                            e.norm_max,
+                        ));
+                        frontier.push(f.miur.read_node(rec, &io));
+                    }
+                }
+            }
+            groups.extend(
+                f.users
+                    .iter()
+                    .map(|u| UserGroup::from_users(std::slice::from_ref(u), &f.ctx.text)),
+            );
+            for k in [1, 3, 7, 60] {
+                let out = joint_topk(&f.mir, &groups[0], k, &f.ctx, &io);
+                let retrieved = out.lo.len() + out.ro.len();
+                let mut heap = BinaryHeap::new();
+                for g in &groups {
+                    let got = group_rsk_lb(&out, g, k, &f.ctx, &mut heap);
+                    let want = reference(&out, g, k, &f.ctx);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{model:?} k={k}: {got} vs {want}"
+                    );
+                    checked += 1;
+                    starved += usize::from(retrieved < k && got == f64::NEG_INFINITY);
+                    // The heap holds the k best of what was scored; an early
+                    // break shows as RO objects above the result left out.
+                    let last_ub = out.ro.last().map_or(f64::INFINITY, |o| o.ub);
+                    broke_early += usize::from(retrieved >= k && last_ub < got);
+                }
+            }
+        }
+        assert!(
+            checked > 400 && broke_early > 20 && starved > 100,
+            "coverage: {checked} checked, {broke_early} broke early, {starved} starved"
+        );
     }
 
     #[test]

@@ -136,139 +136,20 @@ fn fnv(values: impl IntoIterator<Item = u64>) -> u64 {
 /// `[users_scored, users_pruned, MIUR node visits and payload blocks of
 /// the seeded selection, location, |keywords|, hash(keywords), |brstknn|,
 /// hash(brstknn)]` per ⟨selector, spec⟩.
+#[rustfmt::skip]
 const GOLDEN: &[[u64; 9]] = &[
-    [
-        156,
-        84,
-        59,
-        59,
-        1,
-        1,
-        14394277620009763814,
-        6,
-        47713540940473212,
-    ],
-    [
-        188,
-        52,
-        66,
-        66,
-        0,
-        3,
-        2887088257561963687,
-        20,
-        7843554104743574372,
-    ],
-    [
-        164,
-        76,
-        60,
-        60,
-        2,
-        2,
-        9443098872864273226,
-        10,
-        5794423787633275893,
-    ],
-    [
-        136,
-        104,
-        52,
-        52,
-        4,
-        5,
-        8746470344590807787,
-        8,
-        15406459387050182229,
-    ],
-    [
-        156,
-        84,
-        59,
-        59,
-        1,
-        1,
-        14394277620009763814,
-        6,
-        47713540940473212,
-    ],
-    [
-        188,
-        52,
-        66,
-        66,
-        0,
-        3,
-        2887088257561963687,
-        20,
-        7843554104743574372,
-    ],
-    [
-        164,
-        76,
-        60,
-        60,
-        2,
-        2,
-        6650737815821409985,
-        14,
-        18084098823654063132,
-    ],
-    [
-        136,
-        104,
-        52,
-        52,
-        4,
-        5,
-        14796185636716517993,
-        9,
-        6051533609348104076,
-    ],
-    [
-        156,
-        84,
-        59,
-        59,
-        1,
-        1,
-        14394277620009763814,
-        6,
-        47713540940473212,
-    ],
-    [
-        188,
-        52,
-        66,
-        66,
-        0,
-        3,
-        2887088257561963687,
-        20,
-        7843554104743574372,
-    ],
-    [
-        164,
-        76,
-        60,
-        60,
-        2,
-        2,
-        3306198302036778831,
-        14,
-        18172733274354886757,
-    ],
-    [
-        136,
-        104,
-        52,
-        52,
-        4,
-        5,
-        7094304123011659236,
-        9,
-        17784105064934706068,
-    ],
+    [156, 84, 59, 59, 1, 1, 14394277620009763814, 6, 47713540940473212],
+    [188, 52, 66, 66, 0, 3, 2887088257561963687, 20, 7843554104743574372],
+    [164, 76, 60, 60, 2, 2, 9443098872864273226, 10, 5794423787633275893],
+    [136, 104, 52, 52, 4, 5, 8746470344590807787, 8, 15406459387050182229],
+    [156, 84, 59, 59, 1, 1, 14394277620009763814, 6, 47713540940473212],
+    [188, 52, 66, 66, 0, 3, 2887088257561963687, 20, 7843554104743574372],
+    [164, 76, 60, 60, 2, 2, 6650737815821409985, 14, 18084098823654063132],
+    [136, 104, 52, 52, 4, 5, 14796185636716517993, 9, 6051533609348104076],
+    [156, 84, 59, 59, 1, 1, 14394277620009763814, 6, 47713540940473212],
+    [188, 52, 66, 66, 0, 3, 2887088257561963687, 20, 7843554104743574372],
+    [164, 76, 60, 60, 2, 2, 3306198302036778831, 14, 18172733274354886757],
+    [136, 104, 52, 52, 4, 5, 7094304123011659236, 9, 17784105064934706068],
 ];
 
 #[test]
