@@ -192,9 +192,9 @@ impl Engine {
 
     /// [`Engine::build`] with an explicit index fanout. The record codec
     /// is resolved from the `MBRSTK_CODEC` environment variable
-    /// ([`CodecId::from_env`], default [`CodecId::Verbatim`]) — the engine
-    /// is the configuration boundary; the index crate's own constructors
-    /// stay deterministic.
+    /// ([`CodecId::from_env`], default [`CodecId::Verbatim`], a panic on
+    /// a value that names no codec) — the engine is the configuration
+    /// boundary; the index crate's own constructors stay deterministic.
     pub fn build_with_fanout(
         objects: Vec<ObjectData>,
         users: Vec<UserData>,

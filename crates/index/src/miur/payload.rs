@@ -216,7 +216,7 @@ fn serialize_miur_node(
 /// columns as one zigzag-delta run each (terms ascend within an entry, so
 /// only entry boundaries cost a sign flip), and the norm bracket as an
 /// XOR-prev column plus an XOR-vs-min column — leaf brackets have
-/// `norm_min == norm_max` and collapse to one byte per entry.
+/// `norm_min == norm_max` and collapse to one byte per node.
 fn serialize_intuni(entries: &[MiurEntryView], codec: CodecId) -> Vec<u8> {
     match codec {
         CodecId::Verbatim => {

@@ -242,7 +242,7 @@ impl TermAgg {
 //   clustered column: n child refs (zigzag'd deltas)
 //   f64 column: n × min.x (XOR previous)
 //   f64 column: n × min.y (XOR previous)
-//   f64 column vs min.x: n × max.x (degenerate leaf rects → 1 byte)
+//   f64 column vs min.x: n × max.x (degenerate leaf rects → 1 byte in all)
 //   f64 column vs min.y: n × max.y
 //
 // Columnar inverted-file record — directory plus a skip table of encoded

@@ -276,9 +276,12 @@ impl<'a> NodeRef<'a> {
 
 /// Reusable decode buffers for [`StTree::read_postings_ref`].
 ///
-/// Rows are cleared, never dropped, between reads; columnar list columns
-/// decode into the column buffers. After one read per distinct node shape
-/// the scratch stops allocating.
+/// Rows are cleared, never dropped, between reads; the columns of each
+/// *wanted* columnar list decode into the column buffers, and `touched`
+/// keeps the byte extents the read is charged for. The columnar directory
+/// itself is never materialised — it is walked in place, see
+/// `deserialize_postings_columnar_into`. After one read per distinct node
+/// shape the scratch stops allocating.
 #[derive(Debug, Default)]
 pub struct PostingsScratch {
     rows: Vec<Vec<(TermId, f64, f64)>>,
@@ -286,9 +289,6 @@ pub struct PostingsScratch {
     idxs: Vec<u32>,
     maxs: Vec<f64>,
     mins: Vec<f64>,
-    term_ids: Vec<u32>,
-    lens: Vec<u32>,
-    sizes: Vec<u32>,
 }
 
 impl PostingsScratch {
@@ -502,9 +502,18 @@ fn deserialize_postings_into(
 }
 
 /// Columnar twin of [`deserialize_postings_into`]: decodes only the
-/// directory and the wanted lists into `scratch`, recording the byte
-/// extents it touched in `scratch.touched` (ascending — the caller
-/// charges partial pages from them).
+/// wanted lists into `scratch`, recording the byte extents it touched —
+/// the directory, then each wanted list — in `scratch.touched` (ascending;
+/// the caller charges partial pages from them).
+///
+/// The directory is selected on as stored, never materialised. The term
+/// column is merge-walked against `wanted` (both ascend) and its decode
+/// stops once `wanted` is exhausted. The other two columns are delimited
+/// by skipping them, then passed over in lock step from hit to hit — list
+/// lengths skipped, list sizes summed into the byte offset of the next
+/// hit — and a value is decoded at a hit alone. `touched` doubles as the
+/// work list: a hit is pushed as `(directory slot, index into wanted)`
+/// and overwritten with its list's extent once that is known.
 fn deserialize_postings_columnar_into(
     payload: &[u8],
     mode: PostingMode,
@@ -519,41 +528,269 @@ fn deserialize_postings_columnar_into(
         idxs,
         maxs,
         mins,
-        term_ids,
-        lens,
-        sizes,
     } = scratch;
     touched.clear();
-    term_ids.clear();
-    lens.clear();
-    sizes.clear();
-    let c = storage::codec(CodecId::Columnar);
     let mut r = Reader::new(payload);
     let n_terms = r.get_varint_u32() as usize;
-    c.get_ascending_u32s(&mut r, n_terms, term_ids);
-    for _ in 0..n_terms {
-        lens.push(r.get_varint_u32());
-    }
-    for _ in 0..n_terms {
-        sizes.push(r.get_varint_u32());
-    }
-    let dir_end = r.position();
-    touched.push((0, dir_end));
-    let mut offset = dir_end;
-    let mut w = 0usize;
-    for j in 0..n_terms {
-        let t = TermId(term_ids[j]);
-        let len = lens[j] as usize;
-        let end = offset + sizes[j] as usize;
-        while w < wanted.len() && wanted[w] < t {
+    touched.push((0, 0)); // the directory; its end is patched in below
+    let (mut t, mut w, mut slot) = (0u32, 0usize, 0usize);
+    while slot < n_terms && w < wanted.len() {
+        t += r.get_varint_u32();
+        while w < wanted.len() && wanted[w].0 < t {
             w += 1;
         }
-        if w < wanted.len() && wanted[w] == t {
-            r.seek(offset);
-            decode_columnar_list_into(&mut r, t, len, mode, idxs, maxs, mins, rows);
-            debug_assert_eq!(r.position(), end);
-            touched.push((offset, end));
+        if w < wanted.len() && wanted[w].0 == t {
+            touched.push((slot, w));
+            w += 1;
         }
-        offset = end;
+        slot += 1;
+    }
+    r.skip_varints(n_terms - slot);
+    let mut lens = Reader::new(&payload[r.position()..]);
+    r.skip_varints(n_terms);
+    let mut sizes = Reader::new(&payload[r.position()..]);
+    r.skip_varints(n_terms);
+    let dir_end = r.position();
+    touched[0] = (0, dir_end);
+    // `passed` directory slots lie behind the two column cursors; their
+    // lists end at byte `offset`.
+    let (mut passed, mut offset) = (0usize, dir_end);
+    for hit in &mut touched[1..] {
+        let (slot, w) = *hit;
+        lens.skip_varints(slot - passed);
+        let len = lens.get_varint_u32() as usize;
+        offset += sizes.sum_varint_u32s(slot - passed) as usize;
+        let end = offset + sizes.get_varint_u32() as usize;
+        r.seek(offset);
+        decode_columnar_list_into(&mut r, wanted[w], len, mode, idxs, maxs, mins, rows);
+        debug_assert_eq!(r.position(), end);
+        *hit = (offset, end);
+        (passed, offset) = (slot + 1, end);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use splitmix::SplitMix64;
+    use text::WeightedDoc;
+
+    use super::super::payload::St;
+    use super::super::IndexedObject;
+    use super::*;
+    use crate::tree::Payload;
+
+    /// The full-decode directory loop the walker replaced, kept as its
+    /// reference: materialise all three directory columns, then pick the
+    /// wanted slots out of them.
+    fn reference_postings_columnar_into(
+        payload: &[u8],
+        mode: PostingMode,
+        wanted: &[TermId],
+        num_entries: usize,
+        scratch: &mut PostingsScratch,
+    ) {
+        scratch.reset_rows(num_entries);
+        let PostingsScratch {
+            rows,
+            touched,
+            idxs,
+            maxs,
+            mins,
+        } = scratch;
+        touched.clear();
+        let c = storage::codec(CodecId::Columnar);
+        let mut r = Reader::new(payload);
+        let n_terms = r.get_varint_u32() as usize;
+        let mut term_ids = Vec::new();
+        c.get_ascending_u32s(&mut r, n_terms, &mut term_ids);
+        let lens: Vec<u32> = (0..n_terms).map(|_| r.get_varint_u32()).collect();
+        let sizes: Vec<u32> = (0..n_terms).map(|_| r.get_varint_u32()).collect();
+        let dir_end = r.position();
+        touched.push((0, dir_end));
+        let mut offset = dir_end;
+        let mut w = 0usize;
+        for j in 0..n_terms {
+            let t = TermId(term_ids[j]);
+            let len = lens[j] as usize;
+            let end = offset + sizes[j] as usize;
+            while w < wanted.len() && wanted[w] < t {
+                w += 1;
+            }
+            if w < wanted.len() && wanted[w] == t {
+                r.seek(offset);
+                decode_columnar_list_into(&mut r, t, len, mode, idxs, maxs, mins, rows);
+                assert_eq!(r.position(), end);
+                touched.push((offset, end));
+            }
+            offset = end;
+        }
+    }
+
+    const ENTRIES: usize = 24;
+
+    /// The columnar inverted file of an inner node of [`ENTRIES`] entries
+    /// over a directory of exactly `n_terms` terms, and those terms.
+    ///
+    /// A quarter of the term gaps need a multi-byte delta; a quarter of
+    /// the terms sit in every entry, so their list needs a multi-byte
+    /// size. Each entry summarises two leaves, so minima differ from
+    /// maxima and drop to 0 outside the intersection.
+    fn seeded_invfile(
+        g: &mut SplitMix64,
+        mode: PostingMode,
+        n_terms: usize,
+    ) -> (Vec<u8>, Vec<TermId>) {
+        let mut terms = Vec::with_capacity(n_terms);
+        let mut next = g.below(300) as u32;
+        for _ in 0..n_terms {
+            terms.push(TermId(next));
+            next += 1 + match g.below(4) {
+                0 => 128 + g.below(40_000) as u32,
+                _ => g.below(100) as u32,
+            };
+        }
+        let mut docs: Vec<Vec<(TermId, f64)>> = vec![Vec::new(); 2 * ENTRIES];
+        for &t in &terms {
+            if g.below(4) == 0 {
+                for doc in &mut docs {
+                    doc.push((t, 1.0 - g.unit()));
+                }
+            } else {
+                let holders = 1 + g.below(2);
+                for _ in 0..holders {
+                    let doc = &mut docs[g.below(2 * ENTRIES as u64) as usize];
+                    if doc.last().is_none_or(|&(last, _)| last != t) {
+                        doc.push((t, 1.0 - g.unit()));
+                    }
+                }
+            }
+        }
+        let st = St { mode };
+        let leaves: Vec<_> = docs
+            .into_iter()
+            .enumerate()
+            .map(|(i, pairs)| {
+                st.leaf_entry(&IndexedObject {
+                    id: i as u32,
+                    point: Point::new(g.unit(), g.unit()),
+                    doc: WeightedDoc::from_pairs(pairs),
+                })
+            })
+            .collect();
+        let entries: Vec<_> = leaves
+            .chunks(2)
+            .enumerate()
+            .map(|(i, pair)| St::summarize(pair, RecordId(i as u32)))
+            .collect();
+        (st.encode_side(&entries, CodecId::Columnar), terms)
+    }
+
+    /// The `wanted` sets the walker must agree with the reference on.
+    fn wanted_sets(g: &mut SplitMix64, terms: &[TermId]) -> Vec<Vec<TermId>> {
+        let held: BTreeSet<TermId> = terms.iter().copied().collect();
+        let last = terms.last().map_or(7, |t| t.0);
+        let misses: BTreeSet<TermId> = std::iter::once(TermId(0))
+            .chain(terms.iter().map(|t| TermId(t.0 + 1)))
+            .filter(|t| !held.contains(t))
+            .collect();
+        let sorted = |set: BTreeSet<TermId>| set.into_iter().collect::<Vec<_>>();
+        let mut sets = vec![
+            Vec::new(),                                     // empty
+            sorted(misses.clone()),                         // disjoint
+            sorted(held.union(&misses).copied().collect()), // superset
+            sorted(held.clone()),                           // the directory itself
+            terms.first().copied().into_iter().collect(),   // first slot only
+            terms.last().copied().into_iter().collect(),    // last slot only
+            vec![TermId(last + 1_000)],                     // past the directory
+            // Ends before the last directory term, hits and misses mixed.
+            sorted(
+                held.union(&misses)
+                    .copied()
+                    .filter(|t| t.0 < last && t.0 % 3 != 0)
+                    .collect(),
+            ),
+            // Ends after it.
+            sorted(
+                held.iter()
+                    .copied()
+                    .filter(|t| t.0 % 2 == 0)
+                    .chain([TermId(last), TermId(last + 1), TermId(last + 1_000)])
+                    .collect(),
+            ),
+        ];
+        // Query-sized draws: a few held terms among as many misses.
+        for _ in 0..6 {
+            let pick = |g: &mut SplitMix64, from: &BTreeSet<TermId>| {
+                let odds = (from.len() as u64 / 8).max(1);
+                from.iter()
+                    .copied()
+                    .filter(|_| g.below(odds) == 0)
+                    .collect::<BTreeSet<_>>()
+            };
+            let (hits, miss) = (pick(g, &held), pick(g, &misses));
+            sets.push(sorted(hits.union(&miss).copied().collect()));
+        }
+        sets
+    }
+
+    /// Marks `offset mod 8` of every multi-byte varint of the term-delta
+    /// and list-size columns of a columnar directory.
+    fn multi_byte_offsets(payload: &[u8], terms: &mut [bool; 8], sizes: &mut [bool; 8]) {
+        let mut r = Reader::new(payload);
+        let n_terms = r.get_varint_u32() as usize;
+        for seen in [terms, &mut [false; 8], sizes] {
+            for _ in 0..n_terms {
+                let at = r.position();
+                r.get_varint_u32();
+                seen[at % 8] |= r.position() > at + 1;
+            }
+        }
+    }
+
+    #[test]
+    fn directory_walk_matches_full_decode_reference() {
+        let mut g = SplitMix64(0xD1EC_7041);
+        let (mut walked, mut reference) = (PostingsScratch::default(), PostingsScratch::default());
+        let (mut term_offsets, mut size_offsets) = ([false; 8], [false; 8]);
+        let mut hits = 0usize;
+        for mode in [PostingMode::MaxOnly, PostingMode::MaxMin] {
+            for n_terms in [0usize, 1, 7, 8, 9, 300, 300, 300] {
+                let (payload, terms) = seeded_invfile(&mut g, mode, n_terms);
+                assert_eq!(terms.len(), n_terms);
+                multi_byte_offsets(&payload, &mut term_offsets, &mut size_offsets);
+                for wanted in wanted_sets(&mut g, &terms) {
+                    let label = format!("{mode:?}, {n_terms} terms, wanted {wanted:?}");
+                    deserialize_postings_columnar_into(
+                        &payload,
+                        mode,
+                        &wanted,
+                        ENTRIES,
+                        &mut walked,
+                    );
+                    reference_postings_columnar_into(
+                        &payload,
+                        mode,
+                        &wanted,
+                        ENTRIES,
+                        &mut reference,
+                    );
+                    assert_eq!(walked.touched, reference.touched, "{label}");
+                    hits += walked.touched.len() - 1;
+                    for (got, want) in walked.rows[..ENTRIES].iter().zip(&reference.rows) {
+                        let bits = |row: &[(TermId, f64, f64)]| {
+                            row.iter()
+                                .map(|&(t, max, min)| (t, max.to_bits(), min.to_bits()))
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(got), bits(want), "{label}");
+                    }
+                }
+            }
+        }
+        assert!(hits > 1_000, "the wanted sets must hit lists: {hits}");
+        assert_eq!(term_offsets, [true; 8], "multi-byte term deltas");
+        assert_eq!(size_offsets, [true; 8], "multi-byte list sizes");
     }
 }

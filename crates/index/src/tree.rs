@@ -879,9 +879,10 @@ mod tests {
     }
 
     /// Every damaged `meta.mbrs` — truncated at any offset, a byte too
-    /// long, or with one checked field out of range — and a side file of
-    /// the other codec is `InvalidData`, never a panic or a loaded tree;
-    /// the untouched image still loads.
+    /// long, or with one checked field out of range — a side file of the
+    /// other codec and a block file stamped with the previous format
+    /// version are `InvalidData`, never a panic or a loaded tree; the
+    /// untouched image still loads.
     fn damaged_images_are_rejected<T>(name: &str, saved: Saved<T>) {
         let base =
             std::env::temp_dir().join(format!("mbrstk-damaged-{name}-{}", std::process::id()));
@@ -925,6 +926,13 @@ mod tests {
         std::fs::copy(other.join(saved.side_file), &side).unwrap();
         rejected("side file of another codec");
         std::fs::write(&side, good_side).unwrap();
+        let nodes = dir.join("nodes.mbrs");
+        let good_nodes = std::fs::read(&nodes).unwrap();
+        let mut v3 = good_nodes.clone();
+        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&nodes, v3).unwrap();
+        rejected("nodes file of format version 3");
+        std::fs::write(&nodes, good_nodes).unwrap();
         assert!(
             (saved.load)(&dir).is_ok(),
             "{name}: the untouched image loads"

@@ -8,14 +8,22 @@
 //! Two layers live here:
 //!
 //! * [`Writer`] / [`Reader`] — raw little-endian buffer access, plus the
-//!   compression kernels (LEB128 varints, zigzag, bit-packing, XOR'd
-//!   floats) that the columnar layouts are built from,
+//!   compression kernels (LEB128 varints, zigzag, bit-packing, fixed-width
+//!   XOR'd floats) that the columnar layouts are built from. A reader can
+//!   also pass over a varint column without materialising it
+//!   ([`Reader::skip_varints`], [`Reader::sum_varint_u32s`]): a query that
+//!   wants a few rows of a directory selects on the stored column and
+//!   decodes the survivors only,
 //! * [`Codec`] — the pluggable column-primitive layer. A [`BlockFile`]
 //!   carries a [`CodecId`] stamped into its persistent header; the index
 //!   crate asks [`codec`] for the matching implementation and routes every
 //!   column of a record through it. [`Verbatim`] writes fixed-width
 //!   little-endian fields (the paper-faithful baseline layout);
-//!   [`Columnar`] delta/varint/bit-pack/XOR-compresses each column.
+//!   [`Columnar`] delta/varint/bit-pack/XOR-compresses each column. Its
+//!   float columns are fixed-width, not varint: one width byte
+//!   `w ∈ 0..=8` per column, then `w` little-endian bytes per XOR residue,
+//!   so a value decodes with one load and a mask and an all-equal column
+//!   costs its width byte alone.
 //!
 //! [`BlockFile`]: crate::BlockFile
 
@@ -86,6 +94,22 @@ impl Writer {
     #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends `n` XOR residues as one fixed-width column: a width byte
+    /// `w ∈ 0..=8` (the bytes the widest residue needs), then the low `w`
+    /// bytes of each residue, little-endian. A column of no residues is
+    /// no bytes at all.
+    fn put_xor_residues(&mut self, n: usize, residue: impl Fn(usize) -> u64) {
+        if n == 0 {
+            return;
+        }
+        let any = (0..n).fold(0u64, |acc, i| acc | residue(i));
+        let width = (64 - any.leading_zeros() as usize).div_ceil(8);
+        self.put_u8(width as u8);
+        for i in 0..n {
+            self.put_bytes(&residue(i).to_le_bytes()[..width]);
+        }
     }
 
     /// Bytes written so far.
@@ -192,6 +216,102 @@ impl<'a> Reader<'a> {
         self.try_get_varint_u64().expect("corrupt varint u64")
     }
 
+    /// The eight bytes at the cursor as a little-endian word; `None`
+    /// within eight bytes of the end of the record.
+    #[inline]
+    fn peek_word(&self) -> Option<u64> {
+        let bytes = self.buf.get(self.pos..self.pos + 8)?;
+        Some(u64::from_le_bytes(bytes.try_into().unwrap()))
+    }
+
+    /// Advances past `n` LEB128 varints without decoding them.
+    ///
+    /// A varint ends at its one byte with the high bit clear, so a `u64`
+    /// word of the record holds as many varint ends as it has such bytes
+    /// — at most eight. While at least eight varints are still to go a
+    /// whole word is passed at once (it cannot overshoot the last one);
+    /// the rest, and the tail of the record, go a byte at a time.
+    ///
+    /// # Panics
+    /// Panics when the record ends before the `n`th varint does.
+    pub fn skip_varints(&mut self, mut n: usize) {
+        while n >= 8 {
+            let Some(word) = self.peek_word() else { break };
+            n -= 8 - (word & VARINT_CONT).count_ones() as usize;
+            self.pos += 8;
+        }
+        while n > 0 {
+            n -= usize::from(self.get_u8() < 0x80);
+        }
+    }
+
+    /// Reads `n` LEB128 `u32` varints and returns their sum.
+    ///
+    /// The one-byte varints at the head of the word at the cursor are
+    /// their own values, so they are added as bytes — up to eight per
+    /// step; a multi-byte value, and the tail of the record, decode
+    /// through [`Reader::get_varint_u32`].
+    ///
+    /// # Panics
+    /// Panics on truncated or malformed input, like
+    /// [`Reader::get_varint_u32`].
+    pub fn sum_varint_u32s(&mut self, mut n: usize) -> u64 {
+        let mut sum = 0u64;
+        while n > 0 {
+            if let Some(word) = self.peek_word() {
+                // Index of the first continuation byte (8 when none).
+                let one_byte = ((word & VARINT_CONT).trailing_zeros() / 8) as usize;
+                let k = one_byte.min(n);
+                if k > 0 {
+                    sum += byte_sum(word & (u64::MAX >> (64 - 8 * k)));
+                    self.pos += k;
+                    n -= k;
+                    continue;
+                }
+            }
+            sum += u64::from(self.get_varint_u32());
+            n -= 1;
+        }
+        sum
+    }
+
+    /// Twin of [`Writer::put_xor_residues`]: XORs the next `slots.len()`
+    /// residues into the bit patterns of `slots`, in order. A residue
+    /// whose eight-byte word lies inside the record decodes with one
+    /// unaligned load and a mask (the bytes past its width belong to its
+    /// successors); only the last few of a column that ends the record
+    /// are assembled byte-wise.
+    ///
+    /// # Panics
+    /// Panics on a width above 8 or a column running past the record.
+    fn xor_residues_into(&mut self, slots: &mut [f64]) {
+        if slots.is_empty() {
+            return;
+        }
+        let width = usize::from(self.get_u8());
+        assert!(width <= 8, "corrupt float column width");
+        assert!(
+            slots.len() * width <= self.remaining(),
+            "float column past end of record"
+        );
+        if width == 0 {
+            return;
+        }
+        let mask = u64::MAX >> (64 - 8 * width);
+        for slot in slots {
+            let residue = match self.peek_word() {
+                Some(word) => word & mask,
+                None => {
+                    let mut word = [0u8; 8];
+                    word[..width].copy_from_slice(&self.buf[self.pos..self.pos + width]);
+                    u64::from_le_bytes(word)
+                }
+            };
+            *slot = f64::from_bits(slot.to_bits() ^ residue);
+            self.pos += width;
+        }
+    }
+
     /// Current byte offset from the start of the payload.
     #[inline]
     pub fn position(&self) -> usize {
@@ -227,6 +347,20 @@ impl<'a> Reader<'a> {
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
+}
+
+/// The high bit of every byte of a word — set on the continuation bytes
+/// of a LEB128 varint, clear on the byte that ends one.
+const VARINT_CONT: u64 = 0x8080_8080_8080_8080;
+
+/// Sum of the eight bytes of `word`.
+#[inline]
+fn byte_sum(word: u64) -> u64 {
+    const EVEN: u64 = 0x00FF_00FF_00FF_00FF;
+    // Four 16-bit lanes of byte pairs, then the lanes summed into the top
+    // one (8 × 255 fits a lane, so nothing carries across).
+    let pairs = (word & EVEN) + ((word >> 8) & EVEN);
+    pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48
 }
 
 /// Zigzag-encodes a signed delta so small magnitudes of either sign get
@@ -288,14 +422,22 @@ impl CodecId {
     }
 
     /// The codec selected by the `MBRSTK_CODEC` environment variable
-    /// (`verbatim` | `columnar`), defaulting to [`CodecId::Verbatim`].
-    /// Unknown values fall back to the default rather than erroring so a
-    /// misspelt variable degrades to the baseline layout.
+    /// (`verbatim` | `columnar`); [`CodecId::Verbatim`] when it is unset.
+    ///
+    /// # Panics
+    /// Panics on any other value, naming the accepted ones: a misspelt
+    /// variable must not quietly run a Columnar test leg under Verbatim.
     pub fn from_env() -> CodecId {
-        std::env::var("MBRSTK_CODEC")
-            .ok()
-            .and_then(|v| CodecId::from_name(&v))
-            .unwrap_or_default()
+        Self::from_env_value(std::env::var("MBRSTK_CODEC").ok().as_deref())
+    }
+
+    fn from_env_value(value: Option<&str>) -> CodecId {
+        let Some(name) = value else {
+            return CodecId::default();
+        };
+        CodecId::from_name(name).unwrap_or_else(|| {
+            panic!("MBRSTK_CODEC={name:?} is not a codec: expected `verbatim` or `columnar`")
+        })
     }
 
     /// Lowercase display name.
@@ -348,15 +490,21 @@ pub trait Codec: std::fmt::Debug + Send + Sync {
     /// Twin of [`Codec::put_packed_u32s`].
     fn get_packed_u32s(&self, r: &mut Reader, n: usize, out: &mut Vec<u32>);
 
-    /// An f64 column; each value is XOR'd with its predecessor, so runs of
-    /// equal or similar-magnitude values shrink.
+    /// An f64 column. A compressing codec stores the first value raw and
+    /// every later one as its XOR with its predecessor, all residues at
+    /// the one byte width the widest needs (a width byte, then that many
+    /// little-endian bytes each): similar magnitudes drop their shared
+    /// high bytes, a run of equal values drops to the width byte, and a
+    /// column of one value carries no width byte at all.
     fn put_f64s(&self, w: &mut Writer, vals: &[f64]);
     /// Twin of [`Codec::put_f64s`].
     fn get_f64s(&self, r: &mut Reader, n: usize, out: &mut Vec<f64>);
 
     /// An f64 column XOR'd elementwise against a base column already
-    /// decoded (e.g. rectangle `max` against `min`: degenerate point
-    /// rectangles collapse to one byte per coordinate).
+    /// decoded, laid out like the residues of [`Codec::put_f64s`]: a width
+    /// byte, then that many bytes per value (e.g. rectangle `max` against
+    /// `min`: the degenerate point rectangles of a leaf collapse to one
+    /// byte per *column*).
     fn put_f64s_vs(&self, w: &mut Writer, vals: &[f64], base: &[f64]);
     /// Twin of [`Codec::put_f64s_vs`].
     fn get_f64s_vs(&self, r: &mut Reader, n: usize, base: &[f64], out: &mut Vec<f64>);
@@ -535,36 +683,42 @@ impl Codec for Columnar {
     }
 
     fn put_f64s(&self, w: &mut Writer, vals: &[f64]) {
-        let mut prev = 0u64;
-        for &v in vals {
-            let bits = v.to_bits();
-            w.put_varint_u64(bits ^ prev);
-            prev = bits;
-        }
+        let Some(first) = vals.first() else {
+            return;
+        };
+        w.put_u64(first.to_bits());
+        w.put_xor_residues(vals.len() - 1, |i| {
+            vals[i + 1].to_bits() ^ vals[i].to_bits()
+        });
     }
 
     fn get_f64s(&self, r: &mut Reader, n: usize, out: &mut Vec<f64>) {
-        out.reserve(n);
-        let mut prev = 0u64;
-        for _ in 0..n {
-            prev ^= r.get_varint_u64();
-            out.push(f64::from_bits(prev));
+        if n == 0 {
+            return;
+        }
+        let start = out.len();
+        out.push(r.get_f64());
+        out.resize(start + n, 0.0);
+        let slots = &mut out[start..];
+        r.xor_residues_into(&mut slots[1..]);
+        // Each slot holds its residue; a running XOR turns it into its value.
+        let mut prev = slots[0].to_bits();
+        for slot in &mut slots[1..] {
+            prev ^= slot.to_bits();
+            *slot = f64::from_bits(prev);
         }
     }
 
     fn put_f64s_vs(&self, w: &mut Writer, vals: &[f64], base: &[f64]) {
         debug_assert_eq!(vals.len(), base.len());
-        for (&v, &b) in vals.iter().zip(base) {
-            w.put_varint_u64(v.to_bits() ^ b.to_bits());
-        }
+        w.put_xor_residues(vals.len(), |i| vals[i].to_bits() ^ base[i].to_bits());
     }
 
     fn get_f64s_vs(&self, r: &mut Reader, n: usize, base: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(base.len(), n);
-        out.reserve(n);
-        for &b in &base[..n] {
-            out.push(f64::from_bits(b.to_bits() ^ r.get_varint_u64()));
-        }
+        let start = out.len();
+        out.extend_from_slice(&base[..n]);
+        r.xor_residues_into(&mut out[start..]);
     }
 }
 
@@ -639,6 +793,19 @@ mod tests {
         assert_eq!(CodecId::from_name("parquet"), None);
         assert_eq!(CodecId::from_name("COLUMNAR"), Some(CodecId::Columnar));
         assert_eq!(CodecId::default(), CodecId::Verbatim);
+    }
+
+    #[test]
+    fn env_value_selects_the_codec() {
+        assert_eq!(CodecId::from_env_value(None), CodecId::Verbatim);
+        assert_eq!(CodecId::from_env_value(Some("verbatim")), CodecId::Verbatim);
+        assert_eq!(CodecId::from_env_value(Some("Columnar")), CodecId::Columnar);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected `verbatim` or `columnar`")]
+    fn misspelt_env_value_panics_naming_the_accepted_ones() {
+        CodecId::from_env_value(Some("columnr"));
     }
 
     // ---- kernel boundary tests (deterministic, seeded) -----------------
@@ -870,11 +1037,169 @@ mod tests {
         let c = codec(CodecId::Columnar);
         let mut w = Writer::new();
         c.put_f64s(&mut w, &[3.25; 64]);
-        // First value pays full freight, the rest XOR to zero.
-        assert!(w.len() <= 10 + 63, "got {}", w.len());
+        assert_eq!(w.len(), 9, "first value raw, then the width byte alone");
         let mut w = Writer::new();
         c.put_f64s_vs(&mut w, &[1.5; 64], &[1.5; 64]);
-        assert_eq!(w.len(), 64, "degenerate column is one byte per value");
+        assert_eq!(w.len(), 1, "degenerate column is its width byte");
+    }
+
+    /// `n` values whose XOR residues (against the predecessor, and against
+    /// `base`) all need exactly `width` bytes.
+    fn f64s_of_width(width: usize, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let step = if width == 0 {
+            0
+        } else {
+            0xA5u64 << (8 * (width - 1))
+        };
+        let bits = |i: usize| 0x3FE0_0000_0000_0000 ^ if i % 2 == 1 { step } else { 0 };
+        let vals: Vec<f64> = (0..n).map(|i| f64::from_bits(bits(i))).collect();
+        let base: Vec<f64> = (0..n).map(|i| f64::from_bits(bits(i) ^ step)).collect();
+        (vals, base)
+    }
+
+    #[test]
+    fn f64_columns_hit_every_width_and_tiny_lengths() {
+        let c = codec(CodecId::Columnar);
+        for width in 0..=8usize {
+            for n in [0usize, 1, 2, 3, 9, 40] {
+                let (vals, base) = f64s_of_width(width, n);
+                f64_columns_roundtrip(c, &vals, &base);
+                let mut w = Writer::new();
+                c.put_f64s(&mut w, &vals);
+                let want = match n {
+                    0 => 0,
+                    1 => 8,
+                    _ => 8 + 1 + (n - 1) * width,
+                };
+                assert_eq!(w.len(), want, "put_f64s width {width} n {n}");
+                let mut w = Writer::new();
+                c.put_f64s_vs(&mut w, &vals, &base);
+                let want = if n == 0 { 0 } else { 1 + n * width };
+                assert_eq!(w.len(), want, "put_f64s_vs width {width} n {n}");
+            }
+        }
+    }
+
+    /// A column at the very end of a record has no word to over-read
+    /// into; one followed by other bytes does. Both decode the same.
+    #[test]
+    fn f64_columns_decode_the_same_at_the_record_tail() {
+        let c = codec(CodecId::Columnar);
+        for width in 0..=8usize {
+            let (vals, base) = f64s_of_width(width, 11);
+            for trailing in 0..10usize {
+                let mut w = Writer::new();
+                c.put_f64s_vs(&mut w, &vals, &base);
+                let column_len = w.len();
+                w.put_bytes(&vec![0xFF; trailing]);
+                let bytes = w.into_bytes();
+                let mut r = Reader::new(&bytes);
+                let mut out = Vec::new();
+                c.get_f64s_vs(&mut r, vals.len(), &base, &mut out);
+                assert_eq!(r.position(), column_len);
+                assert_eq!(out, vals, "width {width}, {trailing} bytes after");
+            }
+        }
+    }
+
+    #[test]
+    fn f64_columns_reject_every_truncation() {
+        for width in 0..=8usize {
+            for n in [1usize, 2, 9] {
+                let (vals, base) = f64s_of_width(width, n);
+                let c = Columnar;
+                let (mut prev, mut vs) = (Writer::new(), Writer::new());
+                c.put_f64s(&mut prev, &vals);
+                c.put_f64s_vs(&mut vs, &vals, &base);
+                let (prev, vs) = (prev.into_bytes(), vs.into_bytes());
+                for cut in 0..prev.len() {
+                    let res = std::panic::catch_unwind(|| {
+                        let mut out = Vec::new();
+                        c.get_f64s(&mut Reader::new(&prev[..cut]), n, &mut out);
+                    });
+                    assert!(res.is_err(), "get_f64s width {width} n {n} cut {cut}");
+                }
+                for cut in 0..vs.len() {
+                    let res = std::panic::catch_unwind(|| {
+                        let mut out = Vec::new();
+                        c.get_f64s_vs(&mut Reader::new(&vs[..cut]), n, &base, &mut out);
+                    });
+                    assert!(res.is_err(), "get_f64s_vs width {width} n {n} cut {cut}");
+                }
+            }
+        }
+        // A width byte no writer produces.
+        let res = std::panic::catch_unwind(|| {
+            let bytes = [9u8; 32];
+            let mut out = Vec::new();
+            Columnar.get_f64s_vs(&mut Reader::new(&bytes), 2, &[0.0; 2], &mut out);
+        });
+        assert!(res.is_err(), "width 9 must be rejected");
+    }
+
+    /// A varint column of `n` values drawn so that multi-byte values land
+    /// at every offset of a word, after `lead` bytes of padding (which
+    /// shifts the whole column through every alignment).
+    fn varint_column(mix: &mut Mix, n: usize, lead: usize, multi_byte_every: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_bytes(&vec![0x80; lead]);
+        for _ in 0..n {
+            let raw = mix.next();
+            let v = if raw % multi_byte_every == 0 {
+                (raw >> 32) as u32 >> (raw % 29)
+            } else {
+                (raw >> 32) as u32 % 128
+            };
+            w.put_varint_u32(v);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn varint_skip_and_sum_match_naive_loops_at_every_alignment() {
+        let mut mix = Mix(0x5EED);
+        // `u64::MAX`: one-byte values only; 1: every value from all of u32.
+        for multi_byte_every in [u64::MAX, 5, 2, 1] {
+            for n in [0usize, 1, 2, 7, 8, 9, 16, 17, 100] {
+                for lead in 0..9usize {
+                    let bytes = varint_column(&mut mix, n, lead, multi_byte_every);
+                    // Every split point: records shorter than a word, and
+                    // a take that stops mid-word or at the record's end.
+                    for take in 0..=n {
+                        let mut naive = Reader::new(&bytes);
+                        naive.skip(lead);
+                        let want_sum: u64 =
+                            (0..take).map(|_| u64::from(naive.get_varint_u32())).sum();
+
+                        let mut r = Reader::new(&bytes);
+                        r.skip(lead);
+                        r.skip_varints(take);
+                        assert_eq!(r.position(), naive.position(), "skip {take} of {n}");
+
+                        let mut r = Reader::new(&bytes);
+                        r.skip(lead);
+                        assert_eq!(r.sum_varint_u32s(take), want_sum, "sum {take} of {n}");
+                        assert_eq!(r.position(), naive.position(), "sum {take} of {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn varint_skip_and_sum_reject_truncated_columns() {
+        let mut mix = Mix(3);
+        for multi_byte_every in [u64::MAX, 3] {
+            let bytes = varint_column(&mut mix, 20, 0, multi_byte_every);
+            for cut in 0..bytes.len() {
+                let truncated = &bytes[..cut];
+                let skipped = std::panic::catch_unwind(|| Reader::new(truncated).skip_varints(20));
+                assert!(skipped.is_err(), "skip over cut {cut}");
+                let summed =
+                    std::panic::catch_unwind(|| Reader::new(truncated).sum_varint_u32s(20));
+                assert!(summed.is_err(), "sum over cut {cut}");
+            }
+        }
     }
 
     #[test]

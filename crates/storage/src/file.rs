@@ -26,6 +26,13 @@
 //! the zero-copy `NodeRef` readers decode in place). The container format
 //! itself is unchanged, but payloads written under the old interleaved
 //! layout would decode to garbage, so the version stamp fences them off.
+//!
+//! Version 4 marks the change of the Columnar float columns from one
+//! LEB128 varint per XOR'd value to fixed-width residues (first value raw,
+//! a width byte, then that many bytes per value — see
+//! [`Codec::put_f64s`](crate::Codec::put_f64s)). The container is again
+//! unchanged and Verbatim payloads are byte-identical to version 3, but a
+//! version-3 Columnar payload would decode to garbage, so both are fenced.
 
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
@@ -34,7 +41,7 @@ use crate::codec::CodecId;
 use crate::{BlockFile, RecordId};
 
 const MAGIC: &[u8; 4] = b"MBRS";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Writes a [`BlockFile`] to `path`, overwriting any previous content.
 pub fn save_blockfile(bf: &BlockFile, path: &Path) -> io::Result<()> {
@@ -162,6 +169,24 @@ mod tests {
         std::fs::write(&path, bytes).unwrap();
         assert!(load_blockfile(&path).is_err());
         std::fs::remove_file(path).ok();
+    }
+
+    /// A file written before the Columnar float columns changed must not
+    /// load: its records would decode to a wrong tree, or panic mid-query.
+    #[test]
+    fn previous_version_rejected_as_invalid_data() {
+        let mut bf = BlockFile::with_codec(CodecId::Columnar);
+        bf.put(b"payload");
+        let path = tmp("v3.bin");
+        save_blockfile(&bf, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[4..8], VERSION.to_le_bytes());
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let err = load_blockfile(&path).unwrap_err();
+        std::fs::remove_file(path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 3"), "{err}");
     }
 
     /// The regression this version of the format fixes: freed slots used
