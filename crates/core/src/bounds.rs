@@ -16,7 +16,7 @@
 //! group's `n_min`/`n_max` brackets — see [`crate::UserGroup`].
 
 use geo::Point;
-use text::{TermId, WeightedDoc};
+use text::TermId;
 
 use crate::{ScoreContext, UserGroup};
 
@@ -50,29 +50,28 @@ pub fn lb_entry(
     ctx.combine(ss, group.ts_lower(sum_min))
 }
 
-/// `UB(o, g)` for a retrieved object with exact weights.
+/// `UB(o, g)` for a retrieved object with exact `(term, weight)` pairs,
+/// ascending by term and restricted to the query-term universe (`d_uni`).
 pub fn ub_object(
     ctx: &ScoreContext,
     group: &UserGroup,
     point: &Point,
-    weights: &WeightedDoc,
+    weights: &[(TermId, f64)],
 ) -> f64 {
     let ss = ctx.spatial.min_ss_point(point, &group.mbr);
-    // Weights are already restricted to the query-term universe (d_uni).
-    let sum_max: f64 = weights.entries.iter().map(|&(_, w)| w).sum();
+    let sum_max: f64 = weights.iter().map(|&(_, w)| w).sum();
     ctx.combine(ss, group.ts_upper(sum_max))
 }
 
-/// `LB(o, g)` for a retrieved object with exact weights.
+/// `LB(o, g)` for a retrieved object with exact `(term, weight)` pairs.
 pub fn lb_object(
     ctx: &ScoreContext,
     group: &UserGroup,
     point: &Point,
-    weights: &WeightedDoc,
+    weights: &[(TermId, f64)],
 ) -> f64 {
     let ss = ctx.spatial.max_ss_point(point, &group.mbr);
     let sum_min: f64 = weights
-        .entries
         .iter()
         .filter(|&&(t, _)| group.d_int.contains(t))
         .map(|&(_, w)| w)
@@ -132,7 +131,7 @@ mod tests {
             Point::new(9.0, 1.0),
         ];
         for (d, p) in docs.iter().zip(&points) {
-            let w = ctx.text.weigh(d);
+            let w = ctx.text.weigh(d).entries;
             let ub = ub_object(&ctx, &group, p, &w);
             let lb = lb_object(&ctx, &group, p, &w);
             assert!(lb <= ub + 1e-12);
@@ -173,11 +172,11 @@ mod tests {
         let ub_e = ub_entry(&ctx, &group, &rect, &postings);
         let lb_e = lb_entry(&ctx, &group, &rect, &postings);
         for (p, w) in [(p0, &w0), (p1, &w1)] {
-            assert!(ub_object(&ctx, &group, &p, w) <= ub_e + 1e-9);
+            assert!(ub_object(&ctx, &group, &p, &w.entries) <= ub_e + 1e-9);
             // LB(entry) lower-bounds every contained object's true scores.
             for u in &users {
                 let n_u = ctx.text.normalizer(&u.doc);
-                assert!(ctx.sts(&p, w, u, n_u) >= lb_e - 1e-9);
+                assert!(ctx.sts(&p, &w.entries, u, n_u) >= lb_e - 1e-9);
             }
         }
         assert!(lb_e <= ub_e + 1e-12);

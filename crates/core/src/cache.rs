@@ -46,7 +46,10 @@ use crate::UserGroup;
 
 /// The joint top-k phase output shared by the §5+§6 strategies: the
 /// super-user, the Algorithm-1 traversal outcome and every user's
-/// Algorithm-2 refinement.
+/// Algorithm-2 threshold. The per-user listings are not kept: the
+/// pipeline reads `RSk(u)` alone, and
+/// [`Engine::joint_user_topk`](crate::Engine::joint_user_topk) rebuilds
+/// them from `out` on demand.
 #[derive(Debug)]
 pub struct JointThresholds {
     /// The super-user the traversal ran for (carried so consumers don't
@@ -54,9 +57,7 @@ pub struct JointThresholds {
     pub su: Arc<UserGroup>,
     /// `LO`, `RO` and `RSk(us)` from the Algorithm-1 traversal.
     pub out: TopkOutcome,
-    /// Per-user top-k results (Algorithm 2), in user-table order.
-    pub tks: Vec<UserTopk>,
-    /// `RSk(u)` per user, in user-table order (extracted from `tks`).
+    /// `RSk(u)` per user (Algorithm 2), in user-table order.
     pub rsk: Vec<f64>,
 }
 

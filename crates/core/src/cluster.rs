@@ -17,7 +17,7 @@
 //! thresholds are installed into the head's [`ThresholdCache`] *before*
 //! the head runs its unmodified pipeline. Every slice scores with the
 //! head's own scorer, dataspace and trees, and the per-user kernels
-//! ([`individual_topk`], [`all_users_topk_baseline`]) process users
+//! (`individual_rsk`, [`all_users_topk_baseline`]) process users
 //! independently — so the concatenation *is* the fused result, and a
 //! scattered baseline fill charges the head's I/O counter exactly what
 //! the fused fill would.
@@ -44,9 +44,9 @@ use crate::dynamic::{BatchReport, MaintenanceIo, Mutation};
 use crate::refresh::RefreshReport;
 use crate::topk::baseline::all_users_topk_baseline;
 use crate::topk::fan_out_users;
-use crate::topk::individual::individual_topk;
+use crate::topk::individual::individual_rsk;
 use crate::topk::joint::joint_topk;
-use crate::{Engine, Method, QueryResult, QuerySpec, UserData, UserTopk};
+use crate::{Engine, Method, QueryResult, QuerySpec, UserData};
 
 /// One engine answering with its per-user top-k phase scattered over N
 /// contiguous slices of its user table. See the module docs for the
@@ -133,11 +133,11 @@ impl EngineCluster {
 /// Runs `kernel` over one contiguous slice of `head.users` per histogram
 /// in `latency_us`, recording each slice's wall time, and returns the
 /// per-user results in table order.
-fn scatter(
+fn scatter<T: Send>(
     head: &Engine,
     latency_us: &[Arc<Histogram>],
-    kernel: impl Fn(&[UserData]) -> Vec<UserTopk> + Sync,
-) -> Vec<UserTopk> {
+    kernel: impl Fn(&[UserData]) -> Vec<T> + Sync,
+) -> Vec<T> {
     fan_out_users(&head.users, latency_us.len(), |i, slice| {
         let start = Instant::now();
         let tks = kernel(slice);
@@ -169,11 +169,10 @@ pub(crate) fn scatter_query(
             let _ = tc.joint(k, head.epoch, || {
                 let su = head.super_user_shared();
                 let out = joint_topk(&head.mir, &su, k, &head.ctx, &head.io);
-                let tks = scatter(head, latency_us, |slice| {
-                    individual_topk(slice, &out, k, &head.ctx)
+                let rsk = scatter(head, latency_us, |slice| {
+                    individual_rsk(slice, &out, k, &head.ctx)
                 });
-                let rsk = tks.iter().map(|t| t.rsk).collect();
-                JointThresholds { su, out, tks, rsk }
+                JointThresholds { su, out, rsk }
             });
         }
         Method::Baseline => {

@@ -24,7 +24,7 @@ use crate::pipeline::{
 use crate::select::location::KeywordSelector;
 use crate::select::CandidateContext;
 use crate::topk::baseline::all_users_topk_baseline;
-use crate::topk::individual::individual_topk;
+use crate::topk::individual::{individual_rsk, individual_topk};
 use crate::topk::joint::joint_topk;
 use crate::user_index::{compute_user_index_seed, UserIndexSeed};
 use crate::{ObjectData, QueryResult, QuerySpec, ScoreContext, UserData, UserGroup, UserTopk};
@@ -375,9 +375,8 @@ impl Engine {
         let compute = || {
             let su = self.super_user_shared();
             let out = joint_topk(&self.mir, &su, k, &self.ctx, &self.io);
-            let tks = individual_topk(&self.users, &out, k, &self.ctx);
-            let rsk = tks.iter().map(|t| t.rsk).collect();
-            JointThresholds { su, out, tks, rsk }
+            let rsk = individual_rsk(&self.users, &out, k, &self.ctx);
+            JointThresholds { su, out, rsk }
         };
         match &self.thresholds {
             Some(tc) => tc.joint(k, self.epoch, compute),
@@ -423,19 +422,9 @@ impl Engine {
     /// Computes every user's top-k with the joint algorithm (§5),
     /// returning the per-user results (including each `RSk(u)`).
     pub fn joint_user_topk(&self, k: usize) -> (Vec<UserTopk>, f64) {
-        match &self.thresholds {
-            Some(_) => {
-                let jt = self.joint_thresholds(k);
-                (jt.tks.clone(), jt.out.rsk_us)
-            }
-            // Uncached: compute by move, no Arc round trip or deep clone.
-            None => {
-                let su = self.super_user();
-                let out = joint_topk(&self.mir, &su, k, &self.ctx, &self.io);
-                let tks = individual_topk(&self.users, &out, k, &self.ctx);
-                (tks, out.rsk_us)
-            }
-        }
+        let jt = self.joint_thresholds(k);
+        let tks = individual_topk(&self.users, &jt.out, k, &self.ctx);
+        (tks, jt.out.rsk_us)
     }
 
     /// Computes every user's top-k with the §4 baseline.

@@ -1,7 +1,7 @@
 //! The combined spatial-textual score `STS` (Eq. 1).
 
 use geo::{Point, SpatialContext};
-use text::{Document, TextScorer, WeightedDoc};
+use text::{Document, TermId, TextScorer, WeightedDoc};
 
 use crate::UserData;
 
@@ -30,9 +30,9 @@ impl ScoreContext {
         }
     }
 
-    /// Exact `STS` between an object (point + precomputed weights) and a
-    /// user, given the user's normalizer `n_u` (see
-    /// [`text::TextScorer::normalizer`]).
+    /// Exact `STS` between an object (point + precomputed weights,
+    /// ascending by term as [`WeightedDoc::entries`]) and a user, given the
+    /// user's normalizer `n_u` (see [`text::TextScorer::normalizer`]).
     ///
     /// Callers that score one user against many objects should compute
     /// `n_u` once; that is why it is a parameter rather than derived here.
@@ -40,13 +40,13 @@ impl ScoreContext {
     pub fn sts(
         &self,
         obj_point: &Point,
-        obj_weights: &WeightedDoc,
+        obj_weights: &[(TermId, f64)],
         user: &UserData,
         n_u: f64,
     ) -> f64 {
         let ss = self.spatial.ss_points(obj_point, &user.point);
         let ts = if n_u > 0.0 {
-            obj_weights.dot_terms(&user.doc) / n_u
+            WeightedDoc::dot_terms(obj_weights, &user.doc) / n_u
         } else {
             0.0
         };
@@ -79,7 +79,7 @@ impl ScoreContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use text::{TermId, WeightModel};
+    use text::WeightModel;
 
     fn t(i: u32) -> TermId {
         TermId(i)
@@ -106,7 +106,7 @@ mod tests {
         let n_u = ctx.text.normalizer(&user.doc);
         let w = ctx.text.weigh(&docs[0]);
         // TS = 2/2 = 1.0; STS = 0.5·0.5 + 0.5·1.0 = 0.75.
-        let sts = ctx.sts(&Point::new(0.0, 0.0), &w, &user, n_u);
+        let sts = ctx.sts(&Point::new(0.0, 0.0), &w.entries, &user, n_u);
         assert!((sts - 0.75).abs() < 1e-12);
     }
 
@@ -121,7 +121,7 @@ mod tests {
         };
         let n_u = ctx.text.normalizer(&user.doc);
         let w = ctx.text.weigh(&docs[1]); // no overlap with user
-        let sts = ctx.sts(&Point::new(0.0, 0.0), &w, &user, n_u);
+        let sts = ctx.sts(&Point::new(0.0, 0.0), &w.entries, &user, n_u);
         assert_eq!(sts, 1.0);
     }
 
@@ -136,7 +136,7 @@ mod tests {
         };
         let n_u = ctx.text.normalizer(&user.doc);
         let w = ctx.text.weigh(&docs[1]);
-        assert_eq!(ctx.sts(&Point::new(0.0, 0.0), &w, &user, n_u), 1.0);
+        assert_eq!(ctx.sts(&Point::new(0.0, 0.0), &w.entries, &user, n_u), 1.0);
     }
 
     #[test]
@@ -148,7 +148,7 @@ mod tests {
             doc: Document::new(),
         };
         let w = ctx.text.weigh(&docs[0]);
-        let sts = ctx.sts(&Point::new(0.0, 0.0), &w, &user, 0.0);
+        let sts = ctx.sts(&Point::new(0.0, 0.0), &w.entries, &user, 0.0);
         assert_eq!(sts, 0.5); // α·1 + (1−α)·0
     }
 

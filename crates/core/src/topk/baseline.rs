@@ -74,7 +74,8 @@ fn user_topk_baseline_with(
         item: Item::Node(tree.root()),
     });
 
-    let mut topk: Vec<(u32, f64)> = Vec::with_capacity(k);
+    // A capacity hint only: `k` comes off the wire, the tree bounds it.
+    let mut topk: Vec<(u32, f64)> = Vec::with_capacity(k.min(tree.num_objects()));
     while let Some(ByKey { key, item }) = pq.pop() {
         match item {
             Item::Obj(oid) => {
@@ -199,7 +200,7 @@ mod tests {
         let mut all: Vec<(u32, f64)> = fix
             .objects
             .iter()
-            .map(|o| (o.id, fix.ctx.sts(&o.point, &o.doc, user, n_u)))
+            .map(|o| (o.id, fix.ctx.sts(&o.point, &o.doc.entries, user, n_u)))
             .collect();
         all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(k);

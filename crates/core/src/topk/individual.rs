@@ -33,8 +33,8 @@ pub(crate) fn refine_user_heap(
     hu.clear();
     let mut rsk = f64::NEG_INFINITY;
 
-    for obj in &out.lo {
-        let s = ctx.sts(&obj.point, &obj.weights, user, n_u);
+    for obj in out.lo() {
+        let s = ctx.sts(&obj.point, obj.weights, user, n_u);
         hu.push(Reverse(ByKey {
             key: s,
             item: obj.id,
@@ -47,11 +47,11 @@ pub(crate) fn refine_user_heap(
         rsk = hu.peek().unwrap().0.key;
     }
 
-    for obj in &out.ro {
+    for obj in out.ro() {
         if hu.len() == k && obj.ub < rsk {
             break; // RO descends by UB: nothing further can qualify.
         }
-        let s = ctx.sts(&obj.point, &obj.weights, user, n_u);
+        let s = ctx.sts(&obj.point, obj.weights, user, n_u);
         if hu.len() < k || s >= rsk {
             hu.push(Reverse(ByKey {
                 key: s,
@@ -106,6 +106,21 @@ pub fn individual_topk(
     users
         .iter()
         .map(|u| individual_topk_user_with(u, out, k, ctx, &mut hu))
+        .collect()
+}
+
+/// `RSk(u)` of every user, in order — Algorithm 2 without the listings,
+/// which is all the selection phase reads of it.
+pub(crate) fn individual_rsk(
+    users: &[UserData],
+    out: &TopkOutcome,
+    k: usize,
+    ctx: &ScoreContext,
+) -> Vec<f64> {
+    let mut hu: BinaryHeap<Reverse<ByKey<u32>>> = BinaryHeap::new();
+    users
+        .iter()
+        .map(|u| refine_user_heap(u, out, k, ctx, &mut hu))
         .collect()
 }
 
@@ -186,7 +201,7 @@ mod tests {
         let mut all: Vec<(u32, f64)> = fix
             .objects
             .iter()
-            .map(|o| (o.id, fix.ctx.sts(&o.point, &o.doc, user, n_u)))
+            .map(|o| (o.id, fix.ctx.sts(&o.point, &o.doc.entries, user, n_u)))
             .collect();
         all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(k);
@@ -239,6 +254,25 @@ mod tests {
         for res in individual_topk(&fix.users, &out, 4, &fix.ctx) {
             assert!(res.topk.windows(2).all(|w| w[0].1 >= w[1].1));
             assert_eq!(res.topk.len(), 4);
+        }
+    }
+
+    #[test]
+    fn rsk_only_refinement_equals_the_listings() {
+        let fix = fixture(WeightModel::lm(), 0.5);
+        let io = IoStats::new();
+        let group = UserGroup::from_users(&fix.users, &fix.ctx.text);
+        for k in [1, 4, 50] {
+            let out = joint_topk(&fix.tree, &group, k, &fix.ctx, &io);
+            let listed: Vec<u64> = individual_topk(&fix.users, &out, k, &fix.ctx)
+                .iter()
+                .map(|t| t.rsk.to_bits())
+                .collect();
+            let rsk: Vec<u64> = individual_rsk(&fix.users, &out, k, &fix.ctx)
+                .iter()
+                .map(|r| r.to_bits())
+                .collect();
+            assert_eq!(rsk, listed, "k={k}");
         }
     }
 

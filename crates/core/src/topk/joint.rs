@@ -8,24 +8,53 @@
 //! user's top-k can then involve anything below it. Every node and
 //! inverted file is read at most once, which is the source of the joint
 //! method's I/O savings over the per-user baseline.
+//!
+//! How the traversal bounds first and materialises survivors only is in
+//! the [module docs](crate::topk); the paper-literal form it is tested
+//! against lives in `topk/reference.rs`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use index::{ChildRef, NodeScratch, PostingMode, PostingsScratch, StTree};
 use storage::{IoStats, RecordId};
-use text::WeightedDoc;
 
 use crate::bounds::{lb_entry, lb_object, ub_entry, ub_object};
-use crate::topk::{ByKey, ScoredObject, TopkOutcome};
+use crate::topk::{Row, TopkOutcome};
 use crate::{ScoreContext, UserGroup};
 
-/// Work items on the traversal queue `PQ` (keyed by lower bound).
-enum Item {
-    /// An unexpanded node with its parent-derived upper bound.
-    Node { rec: RecordId, ub: f64 },
-    /// A retrieved object.
-    Obj(ScoredObject),
+/// Work items on the traversal queue `PQ`: indexes, so a queue slot is 16
+/// bytes whatever it stands for. The derived order settles tied lower
+/// bounds (an object before a node, the later arrival first).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Item {
+    /// An unexpanded node: its `(record, parent-derived upper bound)` is
+    /// at this index of the node side table.
+    Node(u32),
+    /// A retrieved object: this row of the table.
+    Obj(u32),
+}
+
+/// A bound as an integer with the same order ([`f64::total_cmp`]'s), so
+/// that `(bound, item)` tuples order totally under the derived `Ord`: what
+/// a heap pops next then depends on what it holds, not on how it got there
+/// — which is what lets objects skip the queue without disturbing it.
+fn ordered(bound: f64) -> u64 {
+    let bits = bound.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// What the traversal just did — observed by the test that holds it to
+/// the reference; [`joint_topk`] itself ignores the steps.
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) enum Step {
+    /// Read this node (and its inverted file).
+    Visited(RecordId),
+    /// Put a retrieved object on the queue.
+    Queued,
+    /// Kept a retrieved object off the queue: `LO` was full and its lower
+    /// bound below `RSk(us)`.
+    Bypassed,
 }
 
 /// Runs the Algorithm-1 traversal and returns `LO`, `RO` and `RSk(us)`.
@@ -42,6 +71,18 @@ pub fn joint_topk(
     ctx: &ScoreContext,
     io: &IoStats,
 ) -> TopkOutcome {
+    traverse(tree, group, k, ctx, io, |_| {})
+}
+
+/// [`joint_topk`] reporting each [`Step`] to `observe`.
+pub(crate) fn traverse(
+    tree: &StTree,
+    group: &UserGroup,
+    k: usize,
+    ctx: &ScoreContext,
+    io: &IoStats,
+    mut observe: impl FnMut(Step),
+) -> TopkOutcome {
     assert!(k > 0, "k must be positive");
     assert_eq!(
         tree.mode(),
@@ -52,85 +93,89 @@ pub fn joint_topk(
     let uni = group.uni_terms();
     let mut node_scratch = NodeScratch::default();
     let mut postings_scratch = PostingsScratch::default();
-    let mut pq: BinaryHeap<ByKey<Item>> = BinaryHeap::new();
-    // LO: min-heap by LB holding the k best lower-bounded objects.
-    let mut lo: BinaryHeap<Reverse<ByKey<ScoredObject>>> = BinaryHeap::new();
-    let mut ro: Vec<ScoredObject> = Vec::new();
+    let mut pq: BinaryHeap<(u64, Item)> = BinaryHeap::new();
+    let mut nodes: Vec<(RecordId, f64)> = vec![(tree.root(), f64::INFINITY)];
+    // Every object that passed its upper-bound test, in discovery order.
+    let mut rows: Vec<Row> = Vec::new();
+    let mut weights = Vec::new();
+    // LO: min-heap by LB over the rows of the k best lower-bounded objects.
+    let mut lo: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
     let mut rsk_us = f64::NEG_INFINITY;
 
-    pq.push(ByKey {
-        key: f64::INFINITY,
-        item: Item::Node {
-            rec: tree.root(),
-            ub: f64::INFINITY,
-        },
-    });
+    pq.push((ordered(f64::INFINITY), Item::Node(0)));
 
-    while let Some(ByKey { item, .. }) = pq.pop() {
+    while let Some((key, item)) = pq.pop() {
         match item {
-            Item::Obj(obj) => {
-                if lo.len() < k {
-                    let lb = obj.lb;
-                    lo.push(Reverse(ByKey { key: lb, item: obj }));
-                    if lo.len() == k {
-                        rsk_us = lo.peek().unwrap().0.key;
-                    }
-                } else if obj.ub >= rsk_us {
-                    let lb = obj.lb;
-                    lo.push(Reverse(ByKey { key: lb, item: obj }));
-                    let evicted = lo.pop().unwrap().0.item;
-                    rsk_us = lo.peek().unwrap().0.key;
-                    if evicted.ub >= rsk_us {
-                        ro.push(evicted);
-                    }
+            Item::Obj(row) => {
+                if lo.len() >= k && rows[row as usize].ub < rsk_us {
+                    continue; // pruned (RSk grew since this object was queued)
                 }
-                // Otherwise the object is pruned outright: its UB cannot
-                // beat the k-th best LB for any user.
+                lo.push(Reverse((key, row)));
+                if lo.len() > k {
+                    lo.pop();
+                }
+                if lo.len() == k {
+                    let Reverse((_, kth)) = lo.peek().expect("k > 0");
+                    rsk_us = rows[*kth as usize].lb;
+                }
+                // Whatever is not in LO at the end is an RO candidate;
+                // the final RSk(us) decides below.
             }
-            Item::Node { rec, ub } => {
+            Item::Node(n) => {
+                let (rec, ub) = nodes[n as usize];
                 if lo.len() >= k && ub < rsk_us {
                     continue; // pruned (RSk grew since this node was queued)
                 }
+                observe(Step::Visited(rec));
                 let node = tree.read_node_ref(rec, io, &mut node_scratch);
                 let postings = tree.read_postings_ref(&node, &uni, io, &mut postings_scratch);
+                let full = lo.len() >= k;
                 for i in 0..node.len() {
                     let row = postings.entry(i);
                     match node.child(i) {
-                        ChildRef::Object(oid) => {
+                        ChildRef::Object(id) => {
+                            // Leaf postings are exact weights. Bound on
+                            // them where they stand in the run; only a
+                            // survivor keeps its extent.
                             let point = node.point(i);
-                            let weights = WeightedDoc::from_pairs(
-                                row.iter().map(|&(t, mx, _)| (t, mx)).collect(),
+                            let start = weights.len();
+                            weights.extend(
+                                row.iter()
+                                    .filter(|&&(_, w, _)| w > 0.0)
+                                    .map(|&(t, w, _)| (t, w)),
                             );
-                            let obj_ub = ub_object(ctx, group, &point, &weights);
-                            if lo.len() >= k && obj_ub < rsk_us {
+                            let ub = ub_object(ctx, group, &point, &weights[start..]);
+                            if full && ub < rsk_us {
+                                weights.truncate(start);
                                 continue;
                             }
-                            let obj_lb = lb_object(ctx, group, &point, &weights);
-                            pq.push(ByKey {
-                                key: obj_lb,
-                                item: Item::Obj(ScoredObject {
-                                    id: oid,
-                                    point,
-                                    weights,
-                                    lb: obj_lb,
-                                    ub: obj_ub,
-                                }),
+                            let lb = lb_object(ctx, group, &point, &weights[start..]);
+                            rows.push(Row {
+                                id,
+                                point,
+                                lb,
+                                ub,
+                                weights: (start as u32, (weights.len() - start) as u32),
                             });
+                            if full && lb < rsk_us {
+                                // Popped, it would enter LO as its minimum
+                                // and leave again at once: RSk(us) only
+                                // grows.
+                                observe(Step::Bypassed);
+                                continue;
+                            }
+                            observe(Step::Queued);
+                            pq.push((ordered(lb), Item::Obj(rows.len() as u32 - 1)));
                         }
                         ChildRef::Node(child) => {
                             let rect = node.rect(i);
                             let child_ub = ub_entry(ctx, group, &rect, row);
-                            if lo.len() >= k && child_ub < rsk_us {
+                            if full && child_ub < rsk_us {
                                 continue;
                             }
+                            nodes.push((child, child_ub));
                             let child_lb = lb_entry(ctx, group, &rect, row);
-                            pq.push(ByKey {
-                                key: child_lb,
-                                item: Item::Node {
-                                    rec: child,
-                                    ub: child_ub,
-                                },
-                            });
+                            pq.push((ordered(child_lb), Item::Node(nodes.len() as u32 - 1)));
                         }
                     }
                 }
@@ -138,15 +183,30 @@ pub fn joint_topk(
         }
     }
 
-    // RO must descend by UB for Algorithm 2's early break.
-    ro.sort_by(|a, b| b.ub.total_cmp(&a.ub));
-    let lo: Vec<ScoredObject> = lo.into_iter().map(|r| r.0.item).collect();
-    let rsk_us = if lo.len() == k {
-        rsk_us
-    } else {
-        f64::NEG_INFINITY
-    };
-    TopkOutcome { lo, ro, rsk_us }
+    // Scan order: the LO rows to the front (ascending row index keeps each
+    // swap's target behind the rows already placed) ...
+    let mut lo: Vec<u32> = lo.into_iter().map(|Reverse((_, row))| row).collect();
+    lo.sort_unstable();
+    for (at, &row) in lo.iter().enumerate() {
+        rows.swap(at, row as usize);
+    }
+    let lo_len = lo.len();
+    // ... then RO: what the final RSk(us) (still −∞ if LO never filled)
+    // leaves reachable, descending by UB for Algorithm 2's early break; ids
+    // settle ties, so the order does not depend on when an object was
+    // discovered.
+    let mut at = 0;
+    rows.retain(|row| {
+        at += 1;
+        at <= lo_len || row.ub >= rsk_us
+    });
+    rows[lo_len..].sort_unstable_by(|a, b| b.ub.total_cmp(&a.ub).then(a.id.cmp(&b.id)));
+    TopkOutcome {
+        rows,
+        lo_len,
+        weights,
+        rsk_us,
+    }
 }
 
 #[cfg(test)]
@@ -206,7 +266,7 @@ mod tests {
         let mut scored: Vec<(u32, f64)> = docs
             .iter()
             .zip(objects)
-            .map(|(_, o)| (o.id, ctx.sts(&o.point, &o.doc, user, n_u)))
+            .map(|(_, o)| (o.id, ctx.sts(&o.point, &o.doc.entries, user, n_u)))
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);
@@ -221,9 +281,9 @@ mod tests {
         for k in [1, 3, 5] {
             let group = UserGroup::from_users(&users, &ctx.text);
             let out = joint_topk(&tree, &group, k, &ctx, &io);
-            assert_eq!(out.lo.len(), k);
+            assert_eq!(out.lo().len(), k);
             let kept: std::collections::HashSet<u32> =
-                out.lo.iter().chain(out.ro.iter()).map(|o| o.id).collect();
+                out.lo().chain(out.ro()).map(|o| o.id).collect();
             for u in &users {
                 for (oid, _) in brute_topk(&docs, &objects, u, k, &ctx) {
                     assert!(
@@ -258,13 +318,16 @@ mod tests {
     }
 
     #[test]
-    fn ro_is_sorted_descending_by_ub() {
+    fn ro_is_sorted_descending_by_ub_and_reachable() {
         let (_, objects, users, ctx) = fixture();
         let tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
         let io = IoStats::new();
         let group = UserGroup::from_users(&users, &ctx.text);
         let out = joint_topk(&tree, &group, 2, &ctx, &io);
-        assert!(out.ro.windows(2).all(|w| w[0].ub >= w[1].ub));
+        let ubs: Vec<f64> = out.ro().map(|o| o.ub).collect();
+        assert!(!ubs.is_empty());
+        assert!(ubs.windows(2).all(|w| w[0] >= w[1]));
+        assert!(ubs.iter().all(|&ub| ub >= out.rsk_us));
     }
 
     #[test]
@@ -288,7 +351,8 @@ mod tests {
         let io = IoStats::new();
         let group = UserGroup::from_users(&users, &ctx.text);
         let out = joint_topk(&tree, &group, 10, &ctx, &io);
-        assert_eq!(out.lo.len(), 3);
+        assert_eq!(out.lo().len(), 3);
+        assert_eq!(out.ro().len(), 0);
         assert_eq!(out.rsk_us, f64::NEG_INFINITY);
     }
 

@@ -5,45 +5,130 @@
 //! user's top-k independently on the IR-tree; the joint algorithm traverses
 //! the MIR-tree once for a super-user and shares every node and inverted
 //! file access across all users.
+//!
+//! # Bound first, materialise survivors only
+//!
+//! An uncached request spends most of its time here, and most of what the
+//! traversal touches is thrown away: on the benchmark's corpus, of the
+//! leaf entries it bounds about one in five passes its upper-bound test,
+//! and of those fewer than one in a hundred ever competes for `LO`. So
+//! nothing is built for an entry before it has survived the test that
+//! could discard it:
+//!
+//! * **Bound first.** A leaf entry's weights are appended to the
+//!   outcome's one shared run and bounded where they stand
+//!   (`bounds::ub_object` takes the slice); an entry that fails
+//!   takes its pairs off the run again. Only a survivor gets its lower
+//!   bound and a row. No allocation is made per retrieved object.
+//! * **Who may skip the queue.** The queue holds 16-byte `(bound, index)`
+//!   pairs — nodes index a side table of `(record, upper bound)`, objects
+//!   index their row. An object that arrives while `LO` is full with
+//!   `LB < RSk(us)` never enters it: `RSk(us)` only grows, so popping the
+//!   object later would push it into `LO` as the new minimum and evict it
+//!   at once, leaving `LO`, `RSk(us)` and everything queued as they were.
+//!   That argument needs the queue's order to be independent of what else
+//!   is queued, so ties between equal bounds are settled by the item, not
+//!   left to the heap's internals. `topk/reference.rs` keeps the
+//!   everything-through-the-queue traversal under `#[cfg(test)]`, and a
+//!   test holds this one to it record for record.
+//! * **`RO` by the final threshold.** Every survivor not in `LO` at the end
+//!   is an `RO` candidate, and `RO` keeps those with
+//!   `UB(o, us) ≥ RSk(us)` for the *final* `RSk(us)` — fewer than a filter
+//!   applied at each eviction would keep, and none of the difference is
+//!   reachable: both readers (Algorithm 2 and the §7 group bound) score
+//!   `LO` in full first, so their running k-th value is at least the final
+//!   `RSk(us)` — every `STS(o, u)` and every sub-group `LB` is at least
+//!   `LB(o, us)` — and both stop at the first `RO` object whose upper
+//!   bound is below that value.
+//! * **Rows lie in scan order.** [`TopkOutcome`] stores the `LO` rows,
+//!   then the `RO` rows descending by upper bound: the order in which
+//!   Algorithm 2 walks them once per user and the §7 pipeline once per
+//!   subtree. Keeping rows in discovery order behind index lists was
+//!   measured and costs those walks more than the traversal saves.
 
 pub mod baseline;
 pub mod individual;
 pub mod joint;
+#[cfg(test)]
+mod reference;
 
 use geo::Point;
-use text::WeightedDoc;
+use text::TermId;
 
 use crate::UserData;
 
 /// An object retrieved from an MIR-tree leaf during joint processing, with
 /// its exact term weights (restricted to the query-term universe
-/// `us.dUni`) and its bounds w.r.t. the super-user.
-#[derive(Debug, Clone)]
-pub struct ScoredObject {
+/// `us.dUni`) and its bounds w.r.t. the super-user. A borrowed view of one
+/// row of [`TopkOutcome`]: it owns nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct ScoredObject<'a> {
     /// Object id.
     pub id: u32,
     /// Object location.
     pub point: Point,
-    /// Exact model weights for the union keywords.
-    pub weights: WeightedDoc,
+    /// Exact model weights for the union keywords, ascending by term.
+    pub weights: &'a [(TermId, f64)],
     /// `LB(o, us)` — lower bound on `STS(o, u)` for every user.
     pub lb: f64,
     /// `UB(o, us)` — upper bound on `STS(o, u)` for every user.
     pub ub: f64,
 }
 
-/// Result of the Algorithm-1 tree traversal.
+/// One retrieved object as stored: everything but the weights, which lie
+/// at `weights` in the outcome's shared run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    pub id: u32,
+    pub point: Point,
+    pub lb: f64,
+    pub ub: f64,
+    /// `(start, len)` of the object's pairs in [`TopkOutcome::weights`].
+    pub weights: (u32, u32),
+}
+
+/// Result of the Algorithm-1 tree traversal: one table of `Copy` rows over
+/// one shared weight run, laid out in the order its readers scan it (see
+/// the module docs).
 #[derive(Debug, Clone)]
 pub struct TopkOutcome {
-    /// `LO`: the k objects with the best lower bounds (any order).
-    pub lo: Vec<ScoredObject>,
-    /// `RO`: evicted objects that may still reach some user's top-k,
-    /// descending by `UB(o, us)` — the order Algorithm 2's early break
-    /// requires.
-    pub ro: Vec<ScoredObject>,
+    /// The `LO` rows (any order), then the `RO` rows descending by
+    /// `UB(o, us)`.
+    pub(crate) rows: Vec<Row>,
+    /// Number of leading `LO` rows.
+    pub(crate) lo_len: usize,
+    /// Every row's `(term, weight)` pairs, addressed by [`Row::weights`].
+    pub(crate) weights: Vec<(TermId, f64)>,
     /// `RSk(us)`: the k-th best lower bound seen (−∞ when fewer than `k`
     /// objects exist).
     pub rsk_us: f64,
+}
+
+impl TopkOutcome {
+    /// `LO`: the k objects with the best lower bounds (any order).
+    pub fn lo(&self) -> impl ExactSizeIterator<Item = ScoredObject<'_>> + Clone {
+        self.views(&self.rows[..self.lo_len])
+    }
+
+    /// `RO`: the other retrieved objects that may still reach some user's
+    /// top-k (`UB(o, us) ≥ RSk(us)`), descending by `UB(o, us)` — the order
+    /// Algorithm 2's early break requires.
+    pub fn ro(&self) -> impl ExactSizeIterator<Item = ScoredObject<'_>> + Clone {
+        self.views(&self.rows[self.lo_len..])
+    }
+
+    fn views<'a>(
+        &'a self,
+        rows: &'a [Row],
+    ) -> impl ExactSizeIterator<Item = ScoredObject<'a>> + Clone {
+        rows.iter().map(|r| ScoredObject {
+            id: r.id,
+            point: r.point,
+            weights: &self.weights[r.weights.0 as usize..][..r.weights.1 as usize],
+            lb: r.lb,
+            ub: r.ub,
+        })
+    }
 }
 
 /// One user's top-k result.
@@ -69,15 +154,16 @@ pub struct UserTopk {
 ///
 /// # Panics
 /// Panics when `parts == 0`.
-pub(crate) fn fan_out_users<F>(users: &[UserData], parts: usize, f: F) -> Vec<UserTopk>
+pub(crate) fn fan_out_users<T, F>(users: &[UserData], parts: usize, f: F) -> Vec<T>
 where
-    F: Fn(usize, &[UserData]) -> Vec<UserTopk> + Sync,
+    T: Send,
+    F: Fn(usize, &[UserData]) -> Vec<T> + Sync,
 {
     assert!(parts > 0, "fan-out needs at least one slice");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = parts.min(cores);
     let n = users.len();
-    let run = &|w: usize| -> Vec<UserTopk> {
+    let run = &|w: usize| -> Vec<T> {
         (w * parts / workers..(w + 1) * parts / workers)
             .flat_map(|i| f(i, &users[i * n / parts..(i + 1) * n / parts]))
             .collect()
@@ -159,7 +245,7 @@ mod tests {
             .collect();
         fan_out_users(&users, 2, |i, _| {
             assert!(i != 1, "slice 1 failed");
-            Vec::new()
+            Vec::<f64>::new()
         });
     }
 

@@ -1,0 +1,353 @@
+//! The paper-literal Algorithm 1, kept as the reference the production
+//! traversal ([`crate::topk::joint`]) is tested against — the way
+//! `select/reference.rs` keeps the naive selection kernels.
+//!
+//! This is the traversal as it ran before the table layout: every
+//! retrieved object is weighed into an owned document *before* its
+//! upper-bound test, every survivor travels through the queue, and an
+//! evicted object is kept in `RO` when its upper bound reaches the
+//! `RSk(us)` *of that moment*. Two additions: the log of visited records,
+//! and a stated rule for tied lower bounds — the production one, see
+//! [`Item`] — where the order used to be whatever `BinaryHeap` made of
+//! its contents, which no traversal holding other contents can reproduce.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use geo::Point;
+use index::{ChildRef, NodeScratch, PostingMode, PostingsScratch, StTree};
+use storage::{IoStats, RecordId};
+use text::WeightedDoc;
+
+use crate::bounds::{lb_entry, lb_object, ub_entry, ub_object};
+use crate::topk::joint::Item as Arrival;
+use crate::{ScoreContext, UserGroup};
+
+/// A retrieved object owning its weights.
+#[derive(Debug, Clone)]
+pub(super) struct ScoredObject {
+    pub id: u32,
+    pub point: Point,
+    pub weights: WeightedDoc,
+    pub lb: f64,
+    pub ub: f64,
+}
+
+/// `LO` (any order), `RO` (descending by `UB`, ties in eviction order),
+/// `RSk(us)` and the records read, in order.
+pub(super) struct Outcome {
+    pub lo: Vec<ScoredObject>,
+    pub ro: Vec<ScoredObject>,
+    pub rsk_us: f64,
+    pub visited: Vec<RecordId>,
+}
+
+/// Max-heap adapter: by lower bound, ties by arrival (the n-th node or
+/// the n-th object queued).
+struct ByKey<T> {
+    key: f64,
+    arrival: Arrival,
+    item: T,
+}
+
+impl<T> PartialEq for ByKey<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl<T> Eq for ByKey<T> {}
+impl<T> PartialOrd for ByKey<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for ByKey<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key
+            .total_cmp(&other.key)
+            .then(self.arrival.cmp(&other.arrival))
+    }
+}
+
+/// Work items on the traversal queue `PQ` (keyed by lower bound).
+enum Item {
+    /// An unexpanded node with its parent-derived upper bound.
+    Node { rec: RecordId, ub: f64 },
+    /// A retrieved object.
+    Obj(ScoredObject),
+}
+
+/// Runs the Algorithm-1 traversal with everything through the queue.
+pub(super) fn joint_topk(
+    tree: &StTree,
+    group: &UserGroup,
+    k: usize,
+    ctx: &ScoreContext,
+    io: &IoStats,
+) -> Outcome {
+    assert!(k > 0, "k must be positive");
+    assert_eq!(
+        tree.mode(),
+        PostingMode::MaxMin,
+        "joint top-k requires the MIR-tree (max+min postings)"
+    );
+
+    let uni = group.uni_terms();
+    let mut node_scratch = NodeScratch::default();
+    let mut postings_scratch = PostingsScratch::default();
+    let mut pq: BinaryHeap<ByKey<Item>> = BinaryHeap::new();
+    // LO: min-heap by LB holding the k best lower-bounded objects.
+    let mut lo: BinaryHeap<Reverse<ByKey<ScoredObject>>> = BinaryHeap::new();
+    let mut ro: Vec<ScoredObject> = Vec::new();
+    let mut rsk_us = f64::NEG_INFINITY;
+    let mut visited = Vec::new();
+    let (mut nodes_queued, mut objects_queued) = (1, 0);
+
+    pq.push(ByKey {
+        key: f64::INFINITY,
+        arrival: Arrival::Node(0),
+        item: Item::Node {
+            rec: tree.root(),
+            ub: f64::INFINITY,
+        },
+    });
+
+    while let Some(ByKey { item, arrival, .. }) = pq.pop() {
+        match item {
+            Item::Obj(obj) => {
+                let entry = |obj: ScoredObject| {
+                    Reverse(ByKey {
+                        key: obj.lb,
+                        arrival,
+                        item: obj,
+                    })
+                };
+                if lo.len() < k {
+                    lo.push(entry(obj));
+                    if lo.len() == k {
+                        rsk_us = lo.peek().unwrap().0.key;
+                    }
+                } else if obj.ub >= rsk_us {
+                    lo.push(entry(obj));
+                    let evicted = lo.pop().unwrap().0.item;
+                    rsk_us = lo.peek().unwrap().0.key;
+                    if evicted.ub >= rsk_us {
+                        ro.push(evicted);
+                    }
+                }
+                // Otherwise the object is pruned outright: its UB cannot
+                // beat the k-th best LB for any user.
+            }
+            Item::Node { rec, ub } => {
+                if lo.len() >= k && ub < rsk_us {
+                    continue; // pruned (RSk grew since this node was queued)
+                }
+                visited.push(rec);
+                let node = tree.read_node_ref(rec, io, &mut node_scratch);
+                let postings = tree.read_postings_ref(&node, &uni, io, &mut postings_scratch);
+                for i in 0..node.len() {
+                    let row = postings.entry(i);
+                    match node.child(i) {
+                        ChildRef::Object(oid) => {
+                            let point = node.point(i);
+                            let weights = WeightedDoc::from_pairs(
+                                row.iter().map(|&(t, mx, _)| (t, mx)).collect(),
+                            );
+                            let obj_ub = ub_object(ctx, group, &point, &weights.entries);
+                            if lo.len() >= k && obj_ub < rsk_us {
+                                continue;
+                            }
+                            let obj_lb = lb_object(ctx, group, &point, &weights.entries);
+                            objects_queued += 1;
+                            pq.push(ByKey {
+                                key: obj_lb,
+                                arrival: Arrival::Obj(objects_queued - 1),
+                                item: Item::Obj(ScoredObject {
+                                    id: oid,
+                                    point,
+                                    weights,
+                                    lb: obj_lb,
+                                    ub: obj_ub,
+                                }),
+                            });
+                        }
+                        ChildRef::Node(child) => {
+                            let rect = node.rect(i);
+                            let child_ub = ub_entry(ctx, group, &rect, row);
+                            if lo.len() >= k && child_ub < rsk_us {
+                                continue;
+                            }
+                            let child_lb = lb_entry(ctx, group, &rect, row);
+                            nodes_queued += 1;
+                            pq.push(ByKey {
+                                key: child_lb,
+                                arrival: Arrival::Node(nodes_queued - 1),
+                                item: Item::Node {
+                                    rec: child,
+                                    ub: child_ub,
+                                },
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // RO must descend by UB for Algorithm 2's early break.
+    ro.sort_by(|a, b| b.ub.total_cmp(&a.ub));
+    let lo: Vec<ScoredObject> = lo.into_iter().map(|r| r.0.item).collect();
+    let rsk_us = if lo.len() == k {
+        rsk_us
+    } else {
+        f64::NEG_INFINITY
+    };
+    Outcome {
+        lo,
+        ro,
+        rsk_us,
+        visited,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topk::joint::{traverse, Step};
+    use crate::user_index::subtree_groups;
+    use crate::UserData;
+    use geo::{Rect, SpatialContext};
+    use index::{IndexedObject, IndexedUser, MiurTree};
+    use text::{Document, TermId, TextScorer, WeightModel};
+
+    fn t(i: u32) -> TermId {
+        TermId(i)
+    }
+
+    /// 120 objects on a 12×10 grid with five rotating terms plus a common
+    /// one (under KO every bound ties with its mirror images), and 40
+    /// users; with `shared` every user holds the common term, so every
+    /// group has a non-empty `dInt`.
+    fn fixture(model: WeightModel, shared: bool) -> (ScoreContext, StTree, Vec<UserGroup>) {
+        let docs: Vec<Document> = (0..120)
+            .map(|i| Document::from_terms([t(i % 5), t(5)]))
+            .collect();
+        let text = TextScorer::from_docs(model, &docs);
+        let objects: Vec<IndexedObject> = docs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| IndexedObject {
+                id: i as u32,
+                point: Point::new((i % 12) as f64, (i / 12) as f64),
+                doc: text.weigh(d),
+            })
+            .collect();
+        let users: Vec<UserData> = (0..40)
+            .map(|i| UserData {
+                id: i,
+                point: Point::new((i % 9) as f64 + 0.5, (i % 4) as f64 + 0.25),
+                doc: if shared || i % 2 == 0 {
+                    Document::from_terms([t(i % 5), t(5)])
+                } else {
+                    Document::from_terms([t(i % 5)])
+                },
+            })
+            .collect();
+        let iu: Vec<IndexedUser> = users
+            .iter()
+            .map(|u| IndexedUser {
+                id: u.id,
+                point: u.point,
+                doc: u.doc.clone(),
+                norm: text.normalizer(&u.doc),
+            })
+            .collect();
+        let miur = MiurTree::build_with_fanout(&iu, 4);
+
+        // The super-user, every MIUR subtree summary, every user alone.
+        let mut groups = vec![UserGroup::from_users(&users, &text)];
+        groups.extend(subtree_groups(&miur));
+        groups.extend(
+            users
+                .iter()
+                .map(|u| UserGroup::from_users(std::slice::from_ref(u), &text)),
+        );
+
+        let space = Rect::new(Point::new(0.0, 0.0), Point::new(12.0, 10.0));
+        let ctx = ScoreContext::new(0.5, SpatialContext::from_dataspace(&space), text);
+        let mir = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
+        (ctx, mir, groups)
+    }
+
+    /// The production traversal reads the same records in the same order,
+    /// settles on the same `RSk(us)` and `LO`, and keeps exactly the part
+    /// of the reference `RO` the final `RSk(us)` leaves reachable — under
+    /// tied (KO, grid) and untied (LM) bounds, `k = 1`, `k ≥ |O|`, empty
+    /// and non-empty `dInt`, single-user groups and every MIUR subtree.
+    #[test]
+    fn table_traversal_matches_the_paper_literal_one() {
+        let (mut runs, mut bypassing, mut queued_past_k, mut tails, mut with_int) = (0, 0, 0, 0, 0);
+        for model in [WeightModel::KeywordOverlap, WeightModel::lm()] {
+            for shared in [true, false] {
+                let (ctx, mir, groups) = fixture(model, shared);
+                for group in &groups {
+                    for k in [1, 3, 7, 200] {
+                        let what = format!("{model:?} shared={shared} k={k} group={:?}", group.mbr);
+                        let want = joint_topk(&mir, group, k, &ctx, &IoStats::new());
+
+                        let (mut visited, mut queued, mut bypassed) = (Vec::new(), 0, 0);
+                        let io = IoStats::new();
+                        let got = traverse(&mir, group, k, &ctx, &io, |step| match step {
+                            Step::Visited(rec) => visited.push(rec),
+                            Step::Queued => queued += 1,
+                            Step::Bypassed => bypassed += 1,
+                        });
+
+                        assert_eq!(visited, want.visited, "{what}: visit order");
+                        assert_eq!(io.snapshot().node_visits, visited.len() as u64, "{what}");
+                        assert_eq!(got.rsk_us.to_bits(), want.rsk_us.to_bits(), "{what}");
+
+                        let ids = |mut v: Vec<u32>| {
+                            v.sort_unstable();
+                            v
+                        };
+                        assert_eq!(
+                            ids(got.lo().map(|o| o.id).collect()),
+                            ids(want.lo.iter().map(|o| o.id).collect()),
+                            "{what}: LO"
+                        );
+
+                        let mut reachable: Vec<&ScoredObject> =
+                            want.ro.iter().filter(|o| o.ub >= want.rsk_us).collect();
+                        reachable.sort_by(|a, b| b.ub.total_cmp(&a.ub).then(a.id.cmp(&b.id)));
+                        assert_eq!(got.ro().len(), reachable.len(), "{what}: |RO|");
+                        for (g, w) in got.ro().zip(&reachable) {
+                            assert_eq!(g.id, w.id, "{what}: RO order");
+                            assert_eq!(g.point, w.point, "{what}");
+                            assert_eq!(g.weights, &w.weights.entries[..], "{what}");
+                            assert_eq!(g.lb.to_bits(), w.lb.to_bits(), "{what}");
+                            assert_eq!(g.ub.to_bits(), w.ub.to_bits(), "{what}");
+                        }
+                        for g in got.lo() {
+                            let w = want.lo.iter().find(|o| o.id == g.id).unwrap();
+                            assert_eq!(g.weights, &w.weights.entries[..], "{what}");
+                            assert_eq!(g.lb.to_bits(), w.lb.to_bits(), "{what}");
+                        }
+
+                        runs += 1;
+                        bypassing += usize::from(bypassed > 0);
+                        queued_past_k += usize::from(queued > k);
+                        tails += usize::from(reachable.len() < want.ro.len());
+                        with_int += usize::from(group.d_int.num_terms() > 0);
+                    }
+                }
+            }
+        }
+        assert!(
+            runs > 800 && bypassing > 100 && queued_past_k > 100 && tails > 100 && with_int > 100,
+            "coverage: {runs} runs, {bypassing} bypassed the queue, {queued_past_k} queued \
+             more than k objects, {tails} reference ROs had a tail below the final RSk(us), \
+             {with_int} groups shared a keyword"
+        );
+    }
+}

@@ -86,17 +86,18 @@ fn group_rsk_lb(
     lbs: &mut BinaryHeap<Reverse<ByKey<()>>>,
 ) -> f64 {
     lbs.clear();
-    for (i, o) in out.lo.iter().chain(out.ro.iter()).enumerate() {
+    let lo_len = out.lo().len();
+    for (i, o) in out.lo().chain(out.ro()).enumerate() {
         if lbs.len() < k {
-            let key = lb_object(ctx, group, &o.point, &o.weights);
+            let key = lb_object(ctx, group, &o.point, o.weights);
             lbs.push(Reverse(ByKey { key, item: () }));
             continue;
         }
         let Some(mut kth) = lbs.peek_mut() else { break };
-        if i >= out.lo.len() && o.ub < kth.0.key {
+        if i >= lo_len && o.ub < kth.0.key {
             break;
         }
-        let key = lb_object(ctx, group, &o.point, &o.weights);
+        let key = lb_object(ctx, group, &o.point, o.weights);
         if key.total_cmp(&kth.0.key).is_gt() {
             kth.0.key = key;
         }
@@ -544,6 +545,31 @@ pub(crate) fn run_selection(
     (users_scored, total_users - users_scored.min(total_users))
 }
 
+/// The summary of every subtree below the MIUR root, as the §7 pipeline
+/// would materialize it on expansion.
+#[cfg(test)]
+pub(crate) fn subtree_groups(miur: &MiurTree) -> Vec<UserGroup> {
+    let io = IoStats::new();
+    let mut groups = Vec::new();
+    let mut frontier = vec![miur.read_node(miur.root(), &io)];
+    while let Some(node) = frontier.pop() {
+        for e in &node.entries {
+            if let UserRef::Node(rec) = e.child {
+                groups.push(UserGroup::from_node_entry(
+                    e.rect,
+                    &e.uni,
+                    &e.int,
+                    e.count as usize,
+                    e.norm_min,
+                    e.norm_max,
+                ));
+                frontier.push(miur.read_node(rec, &io));
+            }
+        }
+    }
+    groups
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,10 +691,9 @@ mod tests {
     fn group_rsk_lb_matches_sort_everything_reference() {
         let reference = |out: &TopkOutcome, g: &UserGroup, k: usize, ctx: &ScoreContext| {
             let mut lbs: Vec<f64> = out
-                .lo
-                .iter()
-                .chain(out.ro.iter())
-                .map(|o| lb_object(ctx, g, &o.point, &o.weights))
+                .lo()
+                .chain(out.ro())
+                .map(|o| lb_object(ctx, g, &o.point, o.weights))
                 .collect();
             if lbs.len() < k {
                 return f64::NEG_INFINITY;
@@ -680,25 +705,9 @@ mod tests {
         for model in [WeightModel::KeywordOverlap, WeightModel::lm()] {
             let f = fixture_with(model, 40);
             let io = IoStats::new();
-            // Every subtree summary, breadth first, then every user alone.
-            let root = f.miur.read_node(f.miur.root(), &io);
-            let mut groups = vec![group_from_root(&root)];
-            let mut frontier = vec![root];
-            while let Some(node) = frontier.pop() {
-                for e in &node.entries {
-                    if let UserRef::Node(rec) = e.child {
-                        groups.push(UserGroup::from_node_entry(
-                            e.rect,
-                            &e.uni,
-                            &e.int,
-                            e.count as usize,
-                            e.norm_min,
-                            e.norm_max,
-                        ));
-                        frontier.push(f.miur.read_node(rec, &io));
-                    }
-                }
-            }
+            // The root, every subtree summary, then every user alone.
+            let mut groups = vec![group_from_root(&f.miur.read_node(f.miur.root(), &io))];
+            groups.extend(subtree_groups(&f.miur));
             groups.extend(
                 f.users
                     .iter()
@@ -706,7 +715,7 @@ mod tests {
             );
             for k in [1, 3, 7, 60] {
                 let out = joint_topk(&f.mir, &groups[0], k, &f.ctx, &io);
-                let retrieved = out.lo.len() + out.ro.len();
+                let retrieved = out.lo().len() + out.ro().len();
                 let mut heap = BinaryHeap::new();
                 for g in &groups {
                     let got = group_rsk_lb(&out, g, k, &f.ctx, &mut heap);
@@ -720,7 +729,7 @@ mod tests {
                     starved += usize::from(retrieved < k && got == f64::NEG_INFINITY);
                     // The heap holds the k best of what was scored; an early
                     // break shows as RO objects above the result left out.
-                    let last_ub = out.ro.last().map_or(f64::INFINITY, |o| o.ub);
+                    let last_ub = out.ro().last().map_or(f64::INFINITY, |o| o.ub);
                     broke_early += usize::from(retrieved >= k && last_ub < got);
                 }
             }

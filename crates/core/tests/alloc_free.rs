@@ -10,6 +10,9 @@
 //! recycle their backing buffers, and every selection kernel writes into
 //! pooled output vectors.
 //!
+//! The cold path is bounded too: what an uncached query allocates may not
+//! scale with the number of objects its traversal retrieves.
+//!
 //! Everything runs inside a single `#[test]` so no concurrently running
 //! test can perturb the global counter.
 
@@ -59,6 +62,16 @@ fn t(i: u32) -> TermId {
     TermId(i)
 }
 
+fn users() -> Vec<UserData> {
+    (0..20)
+        .map(|i| UserData {
+            id: i,
+            point: Point::new((i % 9) as f64 + 0.4, (i % 5) as f64 + 0.6),
+            doc: Document::from_terms([t(i % 6), t(6)]),
+        })
+        .collect()
+}
+
 fn engine(codec: CodecId) -> Engine {
     let objects: Vec<ObjectData> = (0..100)
         .map(|i| ObjectData {
@@ -67,14 +80,7 @@ fn engine(codec: CodecId) -> Engine {
             doc: Document::from_pairs([(t(i % 6), 1 + i % 3), (t(6), 1)]),
         })
         .collect();
-    let users: Vec<UserData> = (0..20)
-        .map(|i| UserData {
-            id: i,
-            point: Point::new((i % 9) as f64 + 0.4, (i % 5) as f64 + 0.6),
-            doc: Document::from_terms([t(i % 6), t(6)]),
-        })
-        .collect();
-    Engine::build_with_fanout_codec(objects, users, WeightModel::lm(), 0.5, 4, codec)
+    Engine::build_with_fanout_codec(objects, users(), WeightModel::lm(), 0.5, 4, codec)
         .with_user_index()
         .with_threshold_cache()
 }
@@ -94,8 +100,62 @@ fn spec() -> QuerySpec {
     }
 }
 
+/// `n` objects scattered by a multiplicative hash, four of 24 terms each;
+/// the same 20 users. No threshold cache: every query is cold.
+fn cold_engine(n: u32) -> Engine {
+    let objects: Vec<ObjectData> = (0..n)
+        .map(|i| {
+            let h = i.wrapping_mul(0x9E37_79B9);
+            ObjectData {
+                id: i,
+                point: Point::new(
+                    f64::from(h >> 22) / 102.4,
+                    f64::from(h >> 12 & 0x3ff) / 102.4,
+                ),
+                doc: Document::from_pairs([
+                    (t(h % 24), 1 + i % 3),
+                    (t(h / 24 % 24), 1),
+                    (t(h / 576 % 24), 2),
+                    (t(i % 6), 1),
+                ]),
+            }
+        })
+        .collect();
+    Engine::build_with_fanout_codec(
+        objects,
+        users(),
+        WeightModel::lm(),
+        0.5,
+        16,
+        CodecId::Verbatim,
+    )
+}
+
+/// The cold path's allocations grow with buffer doublings, not with the
+/// number of objects the traversal retrieves: ten times the objects may at
+/// most double the count of an uncached `JointGreedy` query. When every
+/// retrieved object owned its weights the counts were 555 and 4,146; with
+/// the shared run they are 147 and 145.
+fn cold_query_allocations_do_not_scale_with_retrieved_objects() {
+    let count = |n: u32| {
+        let eng = cold_engine(n);
+        let spec = spec();
+        let before = allocs();
+        let result = eng.query(&spec, Method::JointGreedy);
+        let delta = allocs() - before;
+        assert!(!result.brstknn.is_empty(), "{n} objects: trivial answer");
+        delta
+    };
+    let (small, large) = (count(400), count(4_000));
+    assert!(
+        large <= 2 * small,
+        "cold JointGreedy allocated {large} times on 4,000 objects, {small} on 400"
+    );
+}
+
 #[test]
 fn steady_state_queries_allocate_nothing() {
+    cold_query_allocations_do_not_scale_with_retrieved_objects();
     for codec in [CodecId::Verbatim, CodecId::Columnar] {
         let eng = engine(codec);
         let spec = spec();

@@ -438,16 +438,27 @@ impl Worker {
             Request::Query { method, spec } => {
                 self.metrics.req_query.inc();
                 let start = Instant::now();
-                if method.requires_user_index() && self.engine.snapshot().miur.is_none() {
+                // What the engine would panic on is refused here: a panic
+                // under this call ends the worker thread for good.
+                let refused = if spec.k == 0 {
+                    Some("k must be positive".to_string())
+                } else if spec.locations.is_empty() {
+                    Some("a query needs at least one candidate location".to_string())
+                } else if method.requires_user_index() && self.engine.snapshot().miur.is_none() {
+                    Some(format!(
+                        "method {} requires the user index, but the served engine \
+                         was built without one",
+                        method.name()
+                    ))
+                } else {
+                    None
+                };
+                if let Some(why) = refused {
                     // Counted, not latency-sampled: `req_query` always
                     // equals `lat_query.count + query_errors`, so the
                     // counter and histogram reconcile.
                     self.metrics.query_errors.inc();
-                    return Reply::Error(format!(
-                        "method {} requires the user index, but the served engine \
-                         was built without one",
-                        method.name()
-                    ));
+                    return Reply::Error(why);
                 }
                 let (result, _guard) = self.engine.query(&spec, method);
                 self.metrics.lat_query.record_duration_us(start.elapsed());

@@ -19,6 +19,9 @@
 //! (d) **Malformed input** — a bad frame gets a [`Reply::Error`] and the
 //!     connection is closed; an oversize length prefix never reaches the
 //!     allocator.
+//!     A well-formed frame the engine would panic on (`k = 0`, no
+//!     candidate location) or over-allocate for (a huge `k`) costs one
+//!     reply, not the worker.
 //! (e) **Introspection** — `stats` returns the engine's counters as JSON
 //!     and `metrics` returns a Prometheus page that includes the serve
 //!     counters next to the engine's own.
@@ -395,6 +398,79 @@ fn malformed_frames_get_error_replies() {
     // clients above poisoned nothing shared.
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.stats_json().unwrap();
+}
+
+/// Three well-formed frames that used to end the worker thread — `k = 0`
+/// and an empty location list tripped engine assertions, a huge `k` made
+/// the baseline reserve `k` slots — sent to a single-worker server, the
+/// refused ones each on a connection of its own so that a dead worker
+/// would leave the next one unanswered. The first two are refused as
+/// counted errors; the third is a legitimate query ("every object") and
+/// is answered; the server then still answers correctly, and the request
+/// counter reconciles.
+#[test]
+fn hostile_query_specs_cost_a_reply_not_the_worker() {
+    let serving = serving_engine(29);
+    let server = bind(
+        &serving,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let good = specs().remove(1);
+
+    let zero_k = QuerySpec {
+        k: 0,
+        ..good.clone()
+    };
+    let nowhere = QuerySpec {
+        locations: Vec::new(),
+        ..good.clone()
+    };
+    for (spec, needle) in [(zero_k, "k must be positive"), (nowhere, "location")] {
+        for method in [
+            Method::JointGreedy,
+            Method::Baseline,
+            Method::UserIndexGreedy,
+        ] {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            match client
+                .request(&Request::Query {
+                    method,
+                    spec: spec.clone(),
+                })
+                .unwrap()
+            {
+                Reply::Error(msg) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected Error for {}, got {other:?}", method.name()),
+            }
+        }
+    }
+
+    let everything = QuerySpec {
+        k: usize::MAX >> 1,
+        ..good.clone()
+    };
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let net = client.query(Method::Baseline, &everything).unwrap();
+    assert_eq!(net, serving.query(&everything, Method::Baseline).0);
+
+    for method in Method::ALL {
+        let net = client.query(method, &good).expect("the worker is alive");
+        assert_eq!(net, serving.query(&good, method).0, "{}", method.name());
+    }
+
+    let snap = serving.snapshot().metrics().snapshot();
+    let count = |name: &str| snap.counter(name).expect(name);
+    assert_eq!(count("serve_request_errors_total{kind=\"query\"}"), 6);
+    assert_eq!(
+        count("serve_requests_total{kind=\"query\"}"),
+        snap.histogram("serve_request_latency_us{kind=\"query\"}")
+            .expect("latency histogram")
+            .count()
+            + 6
+    );
 }
 
 /// `stats` carries the serving counters as JSON; `metrics` renders the

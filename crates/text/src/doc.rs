@@ -241,17 +241,20 @@ impl WeightedDoc {
         self.entries.is_empty()
     }
 
-    /// Sum over the terms of `user` of this document's weights —
-    /// the numerator `Σ_{t∈u.d} w(t, o.d)` of the uniform `TS` form.
-    pub fn dot_terms(&self, user: &Document) -> f64 {
+    /// Sum over the terms of `user` of the weights in `entries` (ascending
+    /// by term, as [`WeightedDoc::entries`]) — the numerator
+    /// `Σ_{t∈u.d} w(t, o.d)` of the uniform `TS` form. Takes the slice, not
+    /// the document, so weights stored in a shared run score without being
+    /// copied out.
+    pub fn dot_terms(entries: &[(TermId, f64)], user: &Document) -> f64 {
         let (mut i, mut j, mut acc) = (0, 0, 0.0);
         let u = user.entries();
-        while i < self.entries.len() && j < u.len() {
-            match self.entries[i].0.cmp(&u[j].0) {
+        while i < entries.len() && j < u.len() {
+            match entries[i].0.cmp(&u[j].0) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    acc += self.entries[i].1;
+                    acc += entries[i].1;
                     i += 1;
                     j += 1;
                 }
@@ -354,7 +357,7 @@ mod tests {
     fn weighted_doc_dot_terms() {
         let w = WeightedDoc::from_pairs(vec![(t(1), 0.5), (t(3), 0.25), (t(6), 0.1)]);
         let u = Document::from_terms([t(0), t(3), t(6), t(9)]);
-        assert!((w.dot_terms(&u) - 0.35).abs() < 1e-12);
+        assert!((WeightedDoc::dot_terms(&w.entries, &u) - 0.35).abs() < 1e-12);
     }
 
     #[test]

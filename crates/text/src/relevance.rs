@@ -218,7 +218,7 @@ impl TextScorer {
         if n == 0.0 {
             return 0.0;
         }
-        let score = obj.dot_terms(user) / n;
+        let score = WeightedDoc::dot_terms(&obj.entries, user) / n;
         debug_assert!((-1e-9..=1.0 + 1e-9).contains(&score));
         score
     }

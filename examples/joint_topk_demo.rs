@@ -69,8 +69,8 @@ fn main() {
     );
     println!(
         "  retrieved object pool: |LO| = {}, |RO| = {}, RSk(us) = {:.4}",
-        out.lo.len(),
-        out.ro.len(),
+        out.lo().len(),
+        out.ro().len(),
         out.rsk_us
     );
 

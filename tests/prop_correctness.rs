@@ -78,7 +78,7 @@ fn brute_rsk(engine: &Engine, k: usize) -> Vec<f64> {
                 .iter()
                 .map(|o| {
                     let w = engine.ctx.text.weigh(&o.doc);
-                    engine.ctx.sts(&o.point, &w, u, n_u)
+                    engine.ctx.sts(&o.point, &w.entries, u, n_u)
                 })
                 .collect();
             scores.sort_by(|a, b| b.total_cmp(a));
