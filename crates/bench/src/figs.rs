@@ -1,34 +1,91 @@
-//! One function per table/figure of §8.
+//! The tables and figures of §8.
 //!
-//! Every function sweeps the figure's parameter, averages over
-//! `Params::trials` independently generated user sets, and prints the same
-//! series the paper plots. Paper-expected shapes are noted in each doc
-//! comment so EXPERIMENTS.md can record paper-vs-measured side by side.
+//! Figs 6–14 are one measurement swept over one parameter: `Row` holds the
+//! §8.1 numbers of a single setting, `sweep` averages it over
+//! `Params::trials` independently generated user sets at every value, and
+//! a panel is a pick of its columns. `SWEEPS` is that table, with the
+//! paper's expected shape beside each entry. Fig 5 runs the same sweep
+//! once per relevance model; Fig 15 (the user index) and the ablation
+//! measure something else and are plain functions.
+//!
+//! Nothing here prints: every experiment returns its panels and the
+//! `figures` binary prints them.
 
-use mbrstk_core::{Method, QuerySpec};
+use mbrstk_core::QuerySpec;
 use text::WeightModel;
 
 use crate::measure::{
-    measure_query_batch, measure_select, measure_topk_baseline, measure_topk_joint,
+    measure_select, measure_topk_baseline, measure_topk_joint, measure_topk_joint_on,
     measure_user_index, SelectMethod,
 };
 use crate::report::{fmt, Table};
 use crate::{Params, Scenario};
 
-const KS: [usize; 5] = [1, 5, 10, 20, 50];
-const ALPHAS: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
-const ULS: [usize; 6] = [1, 2, 3, 4, 5, 6];
-const UWS: [usize; 5] = [5, 10, 20, 30, 40];
-const AREAS: [f64; 5] = [1.0, 2.0, 5.0, 10.0, 20.0];
-const LS: [usize; 5] = [1, 20, 50, 100, 300];
-const WSS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
-const US: [usize; 5] = [100, 250, 500, 1_000, 2_000];
-const OS_SCALE: [usize; 4] = [10_000, 20_000, 40_000, 80_000];
-const U15: [usize; 5] = [250, 500, 1_000, 2_000, 4_000];
+/// The experiments `figures` accepts, in the order `all` runs them.
+pub const NAMES: [&str; 14] = [
+    "table4", "table5", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+    "fig14", "fig15", "ablation",
+];
+
+/// Runs one experiment; `None` when `name` is not one of [`NAMES`].
+pub fn run(name: &str, p: &Params) -> Option<Vec<Table>> {
+    Some(match name {
+        "table4" => vec![table4(p)],
+        "table5" => vec![table5()],
+        "fig5" => fig5(p),
+        "fig15" => fig15(p),
+        "ablation" => ablation(p),
+        _ => SWEEPS.iter().find(|s| s.name == name)?.run(p),
+    })
+}
+
+/// One column of a [`Row`]. `B` is the §4 baseline, `J` the §5 joint top-k.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Col {
+    /// Top-k stage: mean runtime per user (ms).
+    BMrpu,
+    JMrpu,
+    /// Top-k stage: mean simulated I/O per user.
+    BMiocpu,
+    JMiocpu,
+    /// Top-k stage totals, which Fig 12 plots: runtime (ms) and I/O.
+    BTotalMs,
+    JTotalMs,
+    BTotalIo,
+    JTotalIo,
+    /// Candidate-selection runtime (ms): §4 enumeration, Algorithm 3 with
+    /// Algorithm 4, Algorithm 3 with the greedy.
+    SelBaseline,
+    SelExact,
+    SelApprox,
+    /// Greedy cardinality over exact cardinality.
+    Ratio,
+}
+use Col::*;
+
+const NUM_COLS: usize = 12;
+
+impl Col {
+    /// Column header in a single-model panel.
+    fn label(self) -> &'static str {
+        match self {
+            BMrpu | BMiocpu | BTotalMs | BTotalIo | SelBaseline => "Baseline",
+            JMrpu | JMiocpu | JTotalMs | JTotalIo => "Joint top-k",
+            SelExact => "Exact",
+            SelApprox => "Approx",
+            Ratio => "ratio",
+        }
+    }
+}
+
+/// What one parameter setting measures, indexed by [`Col`]; a figure shows
+/// the columns its panels pick.
+#[derive(Debug, Clone, Copy)]
+struct Row([f64; NUM_COLS]);
 
 /// Baseline-selection guardrail: `C(|W|, ws) × |L| × |U|` beyond this is
-/// skipped and reported as `-` (the paper ran those points for hours; the
-/// shape is already clear from the in-budget points).
+/// skipped and reported as `NaN` (the paper ran those points for hours;
+/// the shape is already clear from the in-budget points).
 const BASELINE_OP_BUDGET: f64 = 3e9;
 
 fn choose(n: usize, k: usize) -> f64 {
@@ -42,29 +99,8 @@ fn choose(n: usize, k: usize) -> f64 {
     acc
 }
 
-fn baseline_feasible(p: &Params, spec: &QuerySpec) -> bool {
-    choose(spec.keywords.len(), spec.ws) * spec.locations.len() as f64 * p.num_users as f64
-        <= BASELINE_OP_BUDGET
-}
-
-/// Averages rows of floats produced per trial.
-fn avg_over_trials(p: &Params, f: impl Fn(&Scenario) -> Vec<f64>) -> Vec<f64> {
-    let mut acc: Vec<f64> = Vec::new();
-    for trial in 0..p.trials {
-        let sc = Scenario::build(p, trial);
-        let row = f(&sc);
-        if acc.is_empty() {
-            acc = row;
-        } else {
-            for (a, b) in acc.iter_mut().zip(row) {
-                *a += b;
-            }
-        }
-    }
-    for a in &mut acc {
-        *a /= p.trials as f64;
-    }
-    acc
+fn baseline_feasible(spec: &QuerySpec, users: f64) -> bool {
+    choose(spec.keywords.len(), spec.ws) * spec.locations.len() as f64 * users <= BASELINE_OP_BUDGET
 }
 
 fn ratio(approx: usize, exact: usize) -> f64 {
@@ -75,8 +111,275 @@ fn ratio(approx: usize, exact: usize) -> f64 {
     }
 }
 
+impl Row {
+    /// Measures one scenario. Every strategy selects on the joint stage's
+    /// thresholds.
+    fn measure(sc: &Scenario) -> Row {
+        let (spec, users) = (&sc.spec, sc.engine.users.len() as f64);
+        let mut row = [f64::NAN; NUM_COLS];
+        let mut set = |col: Col, v: f64| row[col as usize] = v;
+        let b = measure_topk_baseline(sc, spec.k);
+        set(BMrpu, b.mrpu_ms);
+        set(BMiocpu, b.miocpu);
+        set(BTotalMs, b.total_ms);
+        set(BTotalIo, b.total_io as f64);
+        let j = measure_topk_joint(sc, spec.k);
+        set(JMrpu, j.mrpu_ms);
+        set(JMiocpu, j.miocpu);
+        set(JTotalMs, j.total_ms);
+        set(JTotalIo, j.total_io as f64);
+        if baseline_feasible(spec, users) {
+            let b = measure_select(sc, spec, &j, SelectMethod::Baseline);
+            set(SelBaseline, b.runtime_ms);
+        }
+        let e = measure_select(sc, spec, &j, SelectMethod::Exact);
+        let a = measure_select(sc, spec, &j, SelectMethod::Approx);
+        set(SelExact, e.runtime_ms);
+        set(SelApprox, a.runtime_ms);
+        set(Ratio, ratio(a.cardinality, e.cardinality));
+        Row(row)
+    }
+}
+
+/// Mean of `f` over `p.trials` independently generated user sets.
+fn mean_over_trials<const N: usize>(p: &Params, f: impl Fn(&Scenario) -> [f64; N]) -> [f64; N] {
+    let mut sum = [0.0; N];
+    for trial in 0..p.trials {
+        for (s, x) in sum.iter_mut().zip(f(&Scenario::build(p, trial))) {
+            *s += x;
+        }
+    }
+    sum.map(|s| s / p.trials as f64)
+}
+
+/// One [`Row`] per value of the parameter `set` writes into `p`.
+fn sweep(p: &Params, values: &[f64], set: fn(&mut Params, f64)) -> Vec<Row> {
+    values
+        .iter()
+        .map(|&v| {
+            let mut pv = p.clone();
+            set(&mut pv, v);
+            Row(mean_over_trials(&pv, |sc| Row::measure(sc).0))
+        })
+        .collect()
+}
+
+/// One panel of a figure: what it plots and the columns it plots it from.
+struct Panel {
+    what: &'static str,
+    cols: &'static [Col],
+}
+
+const fn panel(what: &'static str, cols: &'static [Col]) -> Panel {
+    Panel { what, cols }
+}
+
+const MRPU: Panel = panel("top-k MRPU (ms)", &[BMrpu, JMrpu]);
+const MIOCPU: Panel = panel("top-k MIOCPU", &[BMiocpu, JMiocpu]);
+const TOTAL_MS: Panel = panel("total top-k runtime (ms)", &[BTotalMs, JTotalMs]);
+const TOTAL_IO: Panel = panel("total top-k I/O", &[BTotalIo, JTotalIo]);
+const SELECT: Panel = panel(
+    "candidate-selection runtime (ms)",
+    &[SelBaseline, SelExact, SelApprox],
+);
+/// [`SELECT`] where the paper does not plot the baseline either.
+const SELECT_NO_BASELINE: Panel = panel("candidate-selection runtime (ms)", &[SelExact, SelApprox]);
+const RATIO: Panel = panel("approximation ratio", &[Ratio]);
+
+/// Title of the `i`-th panel of figure `name` (`figN`).
+fn panel_title(name: &str, i: usize, panel: &Panel, param: &str, suffix: &str) -> String {
+    let (n, letter) = (&name["fig".len()..], (b'a' + i as u8) as char);
+    format!("Fig {n}{letter} — {} vs {param}{suffix}", panel.what)
+}
+
+/// A panel as a table: one line per swept value, one column per
+/// `(header, rows of its series, column)` pick.
+fn panel_table(
+    title: String,
+    param: &str,
+    values: &[f64],
+    picks: &[(String, &[Row], Col)],
+) -> Table {
+    let mut header = vec![param];
+    header.extend(picks.iter().map(|(label, ..)| label.as_str()));
+    let mut t = Table::new(&title, &header);
+    for (i, v) in values.iter().enumerate() {
+        let mut cells = vec![v.to_string()];
+        cells.extend(picks.iter().map(|(_, rows, c)| fmt(rows[i].0[*c as usize])));
+        t.row(cells);
+    }
+    t
+}
+
+/// A figure that sweeps one parameter under the run's relevance model.
+struct Sweep {
+    /// The name `figures` takes, `figN`.
+    name: &'static str,
+    /// Axis label of the swept parameter.
+    param: &'static str,
+    values: &'static [f64],
+    set: fn(&mut Params, f64),
+    /// On the Yelp-like collection instead of the Flickr-like one.
+    yelp: bool,
+    panels: &'static [Panel],
+}
+
+const KS: [f64; 5] = [1.0, 5.0, 10.0, 20.0, 50.0];
+const SET_K: fn(&mut Params, f64) = |p, v| p.k = v as usize;
+
+static SWEEPS: [Sweep; 9] = [
+    // Effect of α. Paper shape: baseline drops as α grows (the IR-tree is
+    // spatially clustered); joint stays flat; ratio rises with α.
+    Sweep {
+        name: "fig6",
+        param: "alpha",
+        values: &[0.1, 0.3, 0.5, 0.7, 0.9],
+        set: |p, v| p.alpha = v,
+        yelp: false,
+        panels: &[MRPU, MIOCPU, SELECT, RATIO],
+    },
+    // Effect of UL (keywords per user). Paper shape: baseline grows with
+    // UL, joint I/O ~flat; approximation dips mid-range.
+    Sweep {
+        name: "fig7",
+        param: "UL",
+        values: &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        set: |p, v| p.ul = v as usize,
+        yelp: false,
+        panels: &[MRPU, MIOCPU, SELECT, RATIO],
+    },
+    // Effect of UW (unique user keywords = |W|). Paper shape: joint
+    // benefits most at high keyword overlap (low UW); selection runtimes
+    // grow with UW; ratio decreases then recovers.
+    Sweep {
+        name: "fig8",
+        param: "UW",
+        values: &[5.0, 10.0, 20.0, 30.0, 40.0],
+        set: |p, v| p.uw = v as usize,
+        yelp: false,
+        panels: &[MRPU, MIOCPU, SELECT, RATIO],
+    },
+    // Effect of Area (user sparsity). Paper shape: joint keeps its
+    // advantage even for sparse users (shared keywords still share I/O).
+    Sweep {
+        name: "fig9",
+        param: "Area",
+        values: &[1.0, 2.0, 5.0, 10.0, 20.0],
+        set: |p, v| p.area = v,
+        yelp: false,
+        panels: &[MRPU, MIOCPU],
+    },
+    // Effect of |L|. Paper shape: selection runtimes grow roughly
+    // linearly with |L|; ratio improves slightly.
+    Sweep {
+        name: "fig10",
+        param: "|L|",
+        values: &[1.0, 20.0, 50.0, 100.0, 300.0],
+        set: |p, v| p.num_locations = v as usize,
+        yelp: false,
+        panels: &[SELECT, RATIO],
+    },
+    // Effect of ws. Paper shape: baseline and exact blow up
+    // combinatorially; approx stays low; ratio dips then recovers past
+    // the coverage knee.
+    Sweep {
+        name: "fig11",
+        param: "ws",
+        values: &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+        set: |p, v| p.ws = v as usize,
+        yelp: false,
+        panels: &[SELECT, RATIO],
+    },
+    // Effect of |U|. Paper shape: baseline totals grow rapidly with |U|;
+    // joint totals barely move (shared traversal).
+    Sweep {
+        name: "fig12",
+        param: "|U|",
+        values: &[100.0, 250.0, 500.0, 1_000.0, 2_000.0],
+        set: |p, v| p.num_users = v as usize,
+        yelp: false,
+        panels: &[TOTAL_MS, TOTAL_IO, SELECT, RATIO],
+    },
+    // Effect of |O| (scaled sweep). Paper shape: both top-k methods grow
+    // with |O|; joint keeps a large constant-factor advantage; selection
+    // gets *cheaper* as |O| grows (higher RSk prunes more candidates).
+    Sweep {
+        name: "fig13",
+        param: "|O|",
+        values: &[10_000.0, 20_000.0, 40_000.0, 80_000.0],
+        set: |p, v| p.num_objects = v as usize,
+        yelp: false,
+        panels: &[MRPU, MIOCPU, SELECT_NO_BASELINE, RATIO],
+    },
+    // Effect of k on the Yelp-like collection. Paper: "all results were
+    // consistent across both datasets".
+    Sweep {
+        name: "fig14",
+        param: "k",
+        values: &KS,
+        set: SET_K,
+        yelp: true,
+        panels: &[MRPU, MIOCPU, SELECT_NO_BASELINE, RATIO],
+    },
+];
+
+impl Sweep {
+    fn run(&self, p: &Params) -> Vec<Table> {
+        let (base, suffix) = if self.yelp {
+            (p.clone().yelp(), " (Yelp-like)")
+        } else {
+            (p.clone(), "")
+        };
+        let rows = sweep(&base, self.values, self.set);
+        let tables = self.panels.iter().enumerate().map(|(i, panel)| {
+            let picks: Vec<_> = panel
+                .cols
+                .iter()
+                .map(|&c| (c.label().to_string(), &rows[..], c))
+                .collect();
+            let title = panel_title(self.name, i, panel, self.param, suffix);
+            panel_table(title, self.param, self.values, &picks)
+        });
+        tables.collect()
+    }
+}
+
+/// Fig. 5: effect of k under each relevance model. Paper shape: joint ≪
+/// baseline for every measure; KO costs the most; approx 2–3 orders faster
+/// than exact; ratio rises with k. The baseline selection is plotted for
+/// LM only.
+fn fig5(p: &Params) -> Vec<Table> {
+    const PANELS: [Panel; 4] = [MRPU, MIOCPU, SELECT, RATIO];
+    let models = [
+        WeightModel::lm(),
+        WeightModel::TfIdf,
+        WeightModel::KeywordOverlap,
+    ];
+    let shown = |model: &WeightModel, col: Col| {
+        col != SelBaseline || matches!(model, WeightModel::LanguageModel { .. })
+    };
+    let rows: Vec<Vec<Row>> = models
+        .iter()
+        .map(|&model| sweep(&Params { model, ..p.clone() }, &KS, SET_K))
+        .collect();
+    let tables = PANELS.iter().enumerate().map(|(i, panel)| {
+        let mut picks = Vec::new();
+        for (model, rows) in models.iter().zip(&rows) {
+            for &col in panel.cols.iter().filter(|&&c| shown(model, c)) {
+                let label = match col {
+                    Ratio => model.short_name().to_string(),
+                    _ => format!("{}({})", &col.label()[..1], model.short_name()),
+                };
+                picks.push((label, &rows[..], col));
+            }
+        }
+        panel_table(panel_title("fig5", i, panel, "k", ""), "k", &KS, &picks)
+    });
+    tables.collect()
+}
+
 /// Table 4: dataset statistics of the generated stand-ins.
-pub fn table4(p: &Params) {
+fn table4(p: &Params) -> Table {
     let mut t = Table::new(
         "Table 4 — Description of datasets (synthetic stand-ins)",
         &["Property", "Flickr-like", "Yelp-like"],
@@ -85,7 +388,7 @@ pub fn table4(p: &Params) {
         &datagen::CorpusConfig::flickr_like(p.num_objects),
     ));
     let yp = datagen::dataset_stats(&datagen::generate_objects(
-        &datagen::CorpusConfig::yelp_like((p.num_objects / 16).max(500)),
+        &datagen::CorpusConfig::yelp_like(p.clone().yelp().num_objects),
     ));
     t.row(vec![
         "Total objects".into(),
@@ -107,480 +410,29 @@ pub fn table4(p: &Params) {
         fl.total_terms.to_string(),
         yp.total_terms.to_string(),
     ]);
-    t.print();
+    t
 }
 
 /// Table 5: parameter ranges (defaults in brackets).
-pub fn table5(_p: &Params) {
+fn table5() -> Table {
     let mut t = Table::new(
         "Table 5 — Parameters (defaults bracketed)",
         &["Parameter", "Range"],
     );
-    t.row(vec!["k".into(), "1, 5, [10], 20, 50".into()]);
-    t.row(vec!["alpha".into(), "0.1, 0.3, [0.5], 0.7, 0.9".into()]);
-    t.row(vec!["UL".into(), "1, 2, [3], 4, 5, 6".into()]);
-    t.row(vec!["UW".into(), "5, 10, [20], 30, 40".into()]);
-    t.row(vec!["Area".into(), "1, 2, [5], 10, 20".into()]);
-    t.row(vec!["|L|".into(), "1, 20, [50], 100, 300".into()]);
-    t.row(vec!["ws".into(), "1, 2, [3], 4, 5, 6, 7, 8".into()]);
-    t.row(vec![
-        "|U| (scaled)".into(),
-        "100, 250, [500], 1000, 2000".into(),
-    ]);
-    t.row(vec!["|O| (scaled)".into(), "10K, [20K], 40K, 80K".into()]);
-    t.print();
-}
-
-/// Fig. 5: effect of k. Paper shape: joint ≪ baseline for every measure;
-/// KO costs the most; approx 2–3 orders faster than exact; ratio rises
-/// with k.
-pub fn fig5(p: &Params) {
-    let models = [
-        WeightModel::lm(),
-        WeightModel::TfIdf,
-        WeightModel::KeywordOverlap,
-    ];
-    // per model → per k → [B.mrpu, J.mrpu, B.io, J.io, selB, selE, selA, ratio]
-    let mut data = vec![vec![vec![0.0f64; 8]; KS.len()]; models.len()];
-    for (mi, model) in models.iter().enumerate() {
-        let pm = Params {
-            model: *model,
-            ..p.clone()
-        };
-        let rows = avg_over_trials(&pm, |sc| {
-            let mut out = Vec::new();
-            for &k in &KS {
-                let b = measure_topk_baseline(sc, k);
-                let j = measure_topk_joint(sc, k);
-                let spec = QuerySpec {
-                    k,
-                    ..sc.spec.clone()
-                };
-                let run_baseline = model.short_name() == "LM" && baseline_feasible(&pm, &spec);
-                let sb = if run_baseline {
-                    measure_select(sc, &spec, &j, SelectMethod::Baseline).runtime_ms
-                } else {
-                    f64::NAN
-                };
-                let e = measure_select(sc, &spec, &j, SelectMethod::Exact);
-                let a = measure_select(sc, &spec, &j, SelectMethod::Approx);
-                out.extend([
-                    b.mrpu_ms,
-                    j.mrpu_ms,
-                    b.miocpu,
-                    j.miocpu,
-                    sb,
-                    e.runtime_ms,
-                    a.runtime_ms,
-                    ratio(a.cardinality, e.cardinality),
-                ]);
-            }
-            out
-        });
-        for (ki, chunk) in rows.chunks(8).enumerate() {
-            data[mi][ki].copy_from_slice(chunk);
-        }
+    for (parameter, range) in [
+        ("k", "1, 5, [10], 20, 50"),
+        ("alpha", "0.1, 0.3, [0.5], 0.7, 0.9"),
+        ("UL", "1, 2, [3], 4, 5, 6"),
+        ("UW", "5, 10, [20], 30, 40"),
+        ("Area", "1, 2, [5], 10, 20"),
+        ("|L|", "1, 20, [50], 100, 300"),
+        ("ws", "1, 2, [3], 4, 5, 6, 7, 8"),
+        ("|U| (scaled)", "100, 250, [500], 1000, 2000"),
+        ("|O| (scaled)", "10K, [20K], 40K, 80K"),
+    ] {
+        t.row(vec![parameter.into(), range.into()]);
     }
-
-    let mut a = Table::new(
-        "Fig 5a — top-k MRPU (ms) vs k",
-        &["k", "B(LM)", "J(LM)", "B(TF)", "J(TF)", "B(KO)", "J(KO)"],
-    );
-    let mut b = Table::new(
-        "Fig 5b — top-k MIOCPU vs k",
-        &["k", "B(LM)", "J(LM)", "B(TF)", "J(TF)", "B(KO)", "J(KO)"],
-    );
-    let mut c = Table::new(
-        "Fig 5c — candidate-selection runtime (ms) vs k",
-        &[
-            "k", "B(LM)", "E(LM)", "A(LM)", "E(TF)", "A(TF)", "E(KO)", "A(KO)",
-        ],
-    );
-    let mut d = Table::new(
-        "Fig 5d — approximation ratio vs k",
-        &["k", "LM", "TF", "KO"],
-    );
-    for (ki, &k) in KS.iter().enumerate() {
-        a.row(vec![
-            k.to_string(),
-            fmt(data[0][ki][0]),
-            fmt(data[0][ki][1]),
-            fmt(data[1][ki][0]),
-            fmt(data[1][ki][1]),
-            fmt(data[2][ki][0]),
-            fmt(data[2][ki][1]),
-        ]);
-        b.row(vec![
-            k.to_string(),
-            fmt(data[0][ki][2]),
-            fmt(data[0][ki][3]),
-            fmt(data[1][ki][2]),
-            fmt(data[1][ki][3]),
-            fmt(data[2][ki][2]),
-            fmt(data[2][ki][3]),
-        ]);
-        c.row(vec![
-            k.to_string(),
-            fmt(data[0][ki][4]),
-            fmt(data[0][ki][5]),
-            fmt(data[0][ki][6]),
-            fmt(data[1][ki][5]),
-            fmt(data[1][ki][6]),
-            fmt(data[2][ki][5]),
-            fmt(data[2][ki][6]),
-        ]);
-        d.row(vec![
-            k.to_string(),
-            fmt(data[0][ki][7]),
-            fmt(data[1][ki][7]),
-            fmt(data[2][ki][7]),
-        ]);
-    }
-    a.print();
-    b.print();
-    c.print();
-    d.print();
-}
-
-/// Shared shape for the single-model four-panel sweeps (Figs 6, 7, 8).
-fn four_panel_sweep<T: std::fmt::Display + Copy>(
-    name: &str,
-    param_label: &str,
-    values: &[T],
-    p: &Params,
-    build: impl Fn(&Params, T) -> Params,
-) {
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    for &v in values {
-        let pv = build(p, v);
-        let row = avg_over_trials(&pv, |sc| {
-            let b = measure_topk_baseline(sc, pv.k);
-            let j = measure_topk_joint(sc, pv.k);
-            let sb = if baseline_feasible(&pv, &sc.spec) {
-                measure_select(sc, &sc.spec, &j, SelectMethod::Baseline).runtime_ms
-            } else {
-                f64::NAN
-            };
-            let e = measure_select(sc, &sc.spec, &j, SelectMethod::Exact);
-            let a = measure_select(sc, &sc.spec, &j, SelectMethod::Approx);
-            vec![
-                b.mrpu_ms,
-                j.mrpu_ms,
-                b.miocpu,
-                j.miocpu,
-                sb,
-                e.runtime_ms,
-                a.runtime_ms,
-                ratio(a.cardinality, e.cardinality),
-            ]
-        });
-        rows.push(row);
-    }
-
-    let mut a = Table::new(
-        &format!("{name}a — top-k MRPU (ms) vs {param_label}"),
-        &[param_label, "Baseline", "Joint top-k"],
-    );
-    let mut b = Table::new(
-        &format!("{name}b — top-k MIOCPU vs {param_label}"),
-        &[param_label, "Baseline", "Joint top-k"],
-    );
-    let mut c = Table::new(
-        &format!("{name}c — candidate-selection runtime (ms) vs {param_label}"),
-        &[param_label, "Baseline", "Exact", "Approx"],
-    );
-    let mut d = Table::new(
-        &format!("{name}d — approximation ratio vs {param_label}"),
-        &[param_label, "ratio"],
-    );
-    for (&v, row) in values.iter().zip(&rows) {
-        a.row(vec![v.to_string(), fmt(row[0]), fmt(row[1])]);
-        b.row(vec![v.to_string(), fmt(row[2]), fmt(row[3])]);
-        c.row(vec![v.to_string(), fmt(row[4]), fmt(row[5]), fmt(row[6])]);
-        d.row(vec![v.to_string(), fmt(row[7])]);
-    }
-    a.print();
-    b.print();
-    c.print();
-    d.print();
-}
-
-/// Fig. 6: effect of α. Paper shape: baseline drops as α grows (IR-tree is
-/// spatially clustered); joint stays flat; ratio rises with α.
-pub fn fig6(p: &Params) {
-    four_panel_sweep("Fig 6", "alpha", &ALPHAS, p, |p, v| Params {
-        alpha: v,
-        ..p.clone()
-    });
-}
-
-/// Fig. 7: effect of UL (keywords per user). Paper shape: baseline grows
-/// with UL, joint I/O ~flat; approximation dips mid-range.
-pub fn fig7(p: &Params) {
-    four_panel_sweep("Fig 7", "UL", &ULS, p, |p, v| Params { ul: v, ..p.clone() });
-}
-
-/// Fig. 8: effect of UW (unique user keywords = |W|). Paper shape: joint
-/// benefits most at high keyword overlap (low UW); selection runtimes grow
-/// with UW; ratio decreases then recovers.
-pub fn fig8(p: &Params) {
-    four_panel_sweep("Fig 8", "UW", &UWS, p, |p, v| Params { uw: v, ..p.clone() });
-}
-
-/// Fig. 9: effect of Area (user sparsity). Paper shape: joint keeps its
-/// advantage even for sparse users (shared keywords still share I/O).
-pub fn fig9(p: &Params) {
-    let mut a = Table::new(
-        "Fig 9a — top-k MRPU (ms) vs Area",
-        &["Area", "Baseline", "Joint top-k"],
-    );
-    let mut b = Table::new(
-        "Fig 9b — top-k MIOCPU vs Area",
-        &["Area", "Baseline", "Joint top-k"],
-    );
-    for &area in &AREAS {
-        let pv = Params { area, ..p.clone() };
-        let row = avg_over_trials(&pv, |sc| {
-            let bm = measure_topk_baseline(sc, pv.k);
-            let jm = measure_topk_joint(sc, pv.k);
-            vec![bm.mrpu_ms, jm.mrpu_ms, bm.miocpu, jm.miocpu]
-        });
-        a.row(vec![area.to_string(), fmt(row[0]), fmt(row[1])]);
-        b.row(vec![area.to_string(), fmt(row[2]), fmt(row[3])]);
-    }
-    a.print();
-    b.print();
-}
-
-/// Fig. 10: effect of |L|. Paper shape: selection runtimes grow roughly
-/// linearly with |L|; ratio improves slightly.
-pub fn fig10(p: &Params) {
-    let mut a = Table::new(
-        "Fig 10a — candidate-selection runtime (ms) vs |L|",
-        &["|L|", "Baseline", "Exact", "Approx"],
-    );
-    let mut d = Table::new("Fig 10b — approximation ratio vs |L|", &["|L|", "ratio"]);
-    for &l in &LS {
-        let pv = Params {
-            num_locations: l,
-            ..p.clone()
-        };
-        let row = avg_over_trials(&pv, |sc| {
-            let j = measure_topk_joint(sc, pv.k);
-            let sb = if baseline_feasible(&pv, &sc.spec) {
-                measure_select(sc, &sc.spec, &j, SelectMethod::Baseline).runtime_ms
-            } else {
-                f64::NAN
-            };
-            let e = measure_select(sc, &sc.spec, &j, SelectMethod::Exact);
-            let ap = measure_select(sc, &sc.spec, &j, SelectMethod::Approx);
-            vec![
-                sb,
-                e.runtime_ms,
-                ap.runtime_ms,
-                ratio(ap.cardinality, e.cardinality),
-            ]
-        });
-        a.row(vec![l.to_string(), fmt(row[0]), fmt(row[1]), fmt(row[2])]);
-        d.row(vec![l.to_string(), fmt(row[3])]);
-    }
-    a.print();
-    d.print();
-}
-
-/// Fig. 11: effect of ws. Paper shape: baseline and exact blow up
-/// combinatorially; approx stays low; ratio dips then recovers past the
-/// coverage knee.
-pub fn fig11(p: &Params) {
-    let mut a = Table::new(
-        "Fig 11a — candidate-selection runtime (ms) vs ws",
-        &["ws", "Baseline", "Exact", "Approx"],
-    );
-    let mut d = Table::new("Fig 11b — approximation ratio vs ws", &["ws", "ratio"]);
-    for &ws in &WSS {
-        let pv = Params { ws, ..p.clone() };
-        let row = avg_over_trials(&pv, |sc| {
-            let j = measure_topk_joint(sc, pv.k);
-            let sb = if baseline_feasible(&pv, &sc.spec) {
-                measure_select(sc, &sc.spec, &j, SelectMethod::Baseline).runtime_ms
-            } else {
-                f64::NAN
-            };
-            let e = measure_select(sc, &sc.spec, &j, SelectMethod::Exact);
-            let ap = measure_select(sc, &sc.spec, &j, SelectMethod::Approx);
-            vec![
-                sb,
-                e.runtime_ms,
-                ap.runtime_ms,
-                ratio(ap.cardinality, e.cardinality),
-            ]
-        });
-        a.row(vec![ws.to_string(), fmt(row[0]), fmt(row[1]), fmt(row[2])]);
-        d.row(vec![ws.to_string(), fmt(row[3])]);
-    }
-    a.print();
-    d.print();
-}
-
-/// Fig. 12: effect of |U|. Paper shape: baseline totals grow rapidly with
-/// |U|; joint totals barely move (shared traversal).
-pub fn fig12(p: &Params) {
-    let mut a = Table::new(
-        "Fig 12a — total top-k runtime (ms) vs |U|",
-        &["|U|", "Baseline", "Joint top-k"],
-    );
-    let mut b = Table::new(
-        "Fig 12b — total top-k I/O vs |U|",
-        &["|U|", "Baseline", "Joint top-k"],
-    );
-    let mut c = Table::new(
-        "Fig 12c — candidate-selection runtime (ms) vs |U|",
-        &["|U|", "Baseline", "Exact", "Approx"],
-    );
-    let mut d = Table::new("Fig 12d — approximation ratio vs |U|", &["|U|", "ratio"]);
-    for &u in &US {
-        let pv = Params {
-            num_users: u,
-            ..p.clone()
-        };
-        let row = avg_over_trials(&pv, |sc| {
-            let bm = measure_topk_baseline(sc, pv.k);
-            let jm = measure_topk_joint(sc, pv.k);
-            let sb = if baseline_feasible(&pv, &sc.spec) {
-                measure_select(sc, &sc.spec, &jm, SelectMethod::Baseline).runtime_ms
-            } else {
-                f64::NAN
-            };
-            let e = measure_select(sc, &sc.spec, &jm, SelectMethod::Exact);
-            let ap = measure_select(sc, &sc.spec, &jm, SelectMethod::Approx);
-            vec![
-                bm.total_ms,
-                jm.total_ms,
-                bm.total_io as f64,
-                jm.total_io as f64,
-                sb,
-                e.runtime_ms,
-                ap.runtime_ms,
-                ratio(ap.cardinality, e.cardinality),
-            ]
-        });
-        a.row(vec![u.to_string(), fmt(row[0]), fmt(row[1])]);
-        b.row(vec![u.to_string(), fmt(row[2]), fmt(row[3])]);
-        c.row(vec![u.to_string(), fmt(row[4]), fmt(row[5]), fmt(row[6])]);
-        d.row(vec![u.to_string(), fmt(row[7])]);
-    }
-    a.print();
-    b.print();
-    c.print();
-    d.print();
-}
-
-/// Fig. 13: effect of |O| (scaled sweep). Paper shape: both top-k methods
-/// grow with |O|; joint keeps a large constant factor advantage; selection
-/// gets *cheaper* as |O| grows (higher RSk prunes more candidates).
-pub fn fig13(p: &Params) {
-    let mut a = Table::new(
-        "Fig 13a — top-k MRPU (ms) vs |O|",
-        &["|O|", "Baseline", "Joint top-k"],
-    );
-    let mut b = Table::new(
-        "Fig 13b — top-k MIOCPU vs |O|",
-        &["|O|", "Baseline", "Joint top-k"],
-    );
-    let mut c = Table::new(
-        "Fig 13c — candidate-selection runtime (ms) vs |O|",
-        &["|O|", "Exact", "Approx"],
-    );
-    let mut d = Table::new("Fig 13d — approximation ratio vs |O|", &["|O|", "ratio"]);
-    for &o in &OS_SCALE {
-        let pv = Params {
-            num_objects: o,
-            ..p.clone()
-        };
-        let row = avg_over_trials(&pv, |sc| {
-            let bm = measure_topk_baseline(sc, pv.k);
-            let jm = measure_topk_joint(sc, pv.k);
-            let e = measure_select(sc, &sc.spec, &jm, SelectMethod::Exact);
-            let ap = measure_select(sc, &sc.spec, &jm, SelectMethod::Approx);
-            vec![
-                bm.mrpu_ms,
-                jm.mrpu_ms,
-                bm.miocpu,
-                jm.miocpu,
-                e.runtime_ms,
-                ap.runtime_ms,
-                ratio(ap.cardinality, e.cardinality),
-            ]
-        });
-        a.row(vec![o.to_string(), fmt(row[0]), fmt(row[1])]);
-        b.row(vec![o.to_string(), fmt(row[2]), fmt(row[3])]);
-        c.row(vec![o.to_string(), fmt(row[4]), fmt(row[5])]);
-        d.row(vec![o.to_string(), fmt(row[6])]);
-    }
-    a.print();
-    b.print();
-    c.print();
-    d.print();
-}
-
-/// Fig. 14: effect of k on the Yelp-like collection. Paper: "all results
-/// were consistent across both datasets".
-pub fn fig14(p: &Params) {
-    let py = p.clone().yelp();
-    let mut a = Table::new(
-        "Fig 14a — top-k MRPU (ms) vs k (Yelp-like)",
-        &["k", "Baseline", "Joint top-k"],
-    );
-    let mut b = Table::new(
-        "Fig 14b — top-k MIOCPU vs k (Yelp-like)",
-        &["k", "Baseline", "Joint top-k"],
-    );
-    let mut c = Table::new(
-        "Fig 14c — candidate-selection runtime (ms) vs k (Yelp-like)",
-        &["k", "Exact", "Approx"],
-    );
-    let mut d = Table::new(
-        "Fig 14d — approximation ratio vs k (Yelp-like)",
-        &["k", "ratio"],
-    );
-    // One scenario per trial serves every k.
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let all = avg_over_trials(&py, |sc| {
-        let mut out = Vec::new();
-        for &k in &KS {
-            let bm = measure_topk_baseline(sc, k);
-            let jm = measure_topk_joint(sc, k);
-            let spec = QuerySpec {
-                k,
-                ..sc.spec.clone()
-            };
-            let e = measure_select(sc, &spec, &jm, SelectMethod::Exact);
-            let ap = measure_select(sc, &spec, &jm, SelectMethod::Approx);
-            out.extend([
-                bm.mrpu_ms,
-                jm.mrpu_ms,
-                bm.miocpu,
-                jm.miocpu,
-                e.runtime_ms,
-                ap.runtime_ms,
-                ratio(ap.cardinality, e.cardinality),
-            ]);
-        }
-        out
-    });
-    for chunk in all.chunks(7) {
-        rows.push(chunk.to_vec());
-    }
-    for (&k, row) in KS.iter().zip(&rows) {
-        a.row(vec![k.to_string(), fmt(row[0]), fmt(row[1])]);
-        b.row(vec![k.to_string(), fmt(row[2]), fmt(row[3])]);
-        c.row(vec![k.to_string(), fmt(row[4]), fmt(row[5])]);
-        d.row(vec![k.to_string(), fmt(row[6])]);
-    }
-    a.print();
-    b.print();
-    c.print();
-    d.print();
+    t
 }
 
 /// Fig. 15: the user index (§7). Paper shape: indexed users cost less
@@ -589,12 +441,12 @@ pub fn fig14(p: &Params) {
 /// §7 targets *disk-resident, sparse* users, so this experiment widens the
 /// user window (Area = 30) and limits the siting options (|L| = 8) — with
 /// the default dense window every user genuinely is a BRSTkNN somewhere
-/// and nothing is prunable at our object density (we verified exactly
-/// that; see EXPERIMENTS.md). The un-indexed competitor must still read
-/// the user table from disk: its I/O is the joint traversal plus a
-/// sequential scan of the serialized user records; the indexed pipeline
-/// reads MIUR nodes instead, skipping unexpanded subtrees.
-pub fn fig15(p: &Params) {
+/// and nothing is prunable at our object density. The un-indexed
+/// competitor must still read the user table from disk: its I/O is the
+/// joint traversal plus a sequential scan of the serialized user records;
+/// the indexed pipeline reads MIUR nodes instead, skipping unexpanded
+/// subtrees.
+fn fig15(p: &Params) -> Vec<Table> {
     let mut a = Table::new(
         "Fig 15a — total I/O and runtime vs |U| (user index, Area=30, |L|=8)",
         &["|U|", "Un-idx I/O", "Idx I/O", "Un-idx ms", "Idx ms"],
@@ -603,14 +455,14 @@ pub fn fig15(p: &Params) {
         "Fig 15b — users pruned (%) vs |U| (Area=30, |L|=8)",
         &["|U|", "pruned %"],
     );
-    for &u in &U15 {
+    for u in [250, 500, 1_000, 2_000, 4_000] {
         let pv = Params {
             num_users: u,
             area: 30.0,
             num_locations: 8,
             ..p.clone()
         };
-        let row = avg_over_trials(&pv, |sc| {
+        let row = mean_over_trials(&pv, |sc| {
             // Constrained siting: candidate locations confined to one
             // corner quarter of the window, so distant user subtrees are
             // genuinely unreachable (the situation §7's subtree pruning
@@ -643,7 +495,7 @@ pub fn fig15(p: &Params) {
             // Un-indexed runtime: the full §5–§6 pipeline on in-memory
             // users (joint top-k + Algorithm 3 greedy).
             let sel = measure_select(sc, &spec, &jm, SelectMethod::Approx);
-            vec![
+            [
                 unindexed_io,
                 ui.total_io as f64,
                 jm.total_ms + sel.runtime_ms,
@@ -651,561 +503,54 @@ pub fn fig15(p: &Params) {
                 ui.users_pruned_pct,
             ]
         });
-        a.row(vec![
-            u.to_string(),
-            fmt(row[0]),
-            fmt(row[1]),
-            fmt(row[2]),
-            fmt(row[3]),
-        ]);
+        let mut cells = vec![u.to_string()];
+        cells.extend(row[..4].iter().map(|&v| fmt(v)));
+        a.row(cells);
         b.row(vec![u.to_string(), fmt(row[4])]);
     }
-    a.print();
-    b.print();
+    vec![a, b]
 }
 
-/// Batch-serving experiment (beyond the paper): throughput of
-/// `Engine::query_batch` as worker threads grow, per method.
-///
-/// Expected shape: wall-clock drops and QPS climbs until thread count
-/// reaches the hardware's parallelism, while per-query simulated I/O stays
-/// *exactly* constant — batching parallelizes the work without changing
-/// the algorithms' access paths (the paper's cost model is preserved).
-pub fn batch(p: &Params) {
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-    const BATCH: usize = 24;
-
-    let sc = Scenario::build(p, 0);
-    let specs = sc.batch_specs(BATCH);
-    for method in [
-        Method::JointGreedy,
-        Method::JointExact,
-        Method::UserIndexGreedy,
-    ] {
-        let mut t = Table::new(
-            &format!(
-                "Batch — {} × {BATCH} queries vs worker threads",
-                method.name()
-            ),
-            &[
-                "threads",
-                "wall ms",
-                "QPS",
-                "mean q ms",
-                "p99 q ms",
-                "mean q I/O",
-            ],
-        );
-        // The serial run doubles as the THREADS[0] == 1 row, so the most
-        // expensive configuration is measured exactly once.
-        let baseline = measure_query_batch(&sc, &specs, method, 1);
-        for &threads in &THREADS {
-            let m = if threads == 1 {
-                baseline.clone()
-            } else {
-                measure_query_batch(&sc, &specs, method, threads)
-            };
-            assert_eq!(
-                m.cardinalities, baseline.cardinalities,
-                "batch answers must not depend on thread count"
-            );
-            assert_eq!(
-                m.total_io, baseline.total_io,
-                "per-query I/O must not depend on thread count"
-            );
-            t.row(vec![
-                threads.to_string(),
-                fmt(m.wall_ms),
-                fmt(m.qps),
-                fmt(m.mean_query_ms),
-                fmt(m.p99_query_ms),
-                fmt(m.mean_query_io),
-            ]);
-        }
-        t.print();
-    }
+/// Ablations beyond the paper's figures: design-choice experiments, in
+/// the order printed (A, B, C, E, D).
+fn ablation(p: &Params) -> Vec<Table> {
+    vec![
+        ablation_cache(p),
+        ablation_fanout(p),
+        ablation_selector(p),
+        ablation_clustering(p),
+        ablation_footprint(p),
+    ]
 }
 
-/// Serving-cache experiment (beyond the paper): batch throughput of
-/// same-`k` queries under the four cache configurations —
-///
-/// * **cold** — the paper's model, every access charged;
-/// * **warm-sharded** — an OS-page-cache stand-in: the lock-striped
-///   [`ShardedLru`](storage::ShardedLru) attached to the engine's
-///   [`IoStats`](storage::IoStats);
-/// * **threshold** — the cross-query top-k
-///   [`ThresholdCache`](mbrstk_core::ThresholdCache): the batch pays the
-///   `(engine, k)`-dependent top-k phase once;
-/// * **both** — the two combined.
-///
-/// Expected shape: answers are identical in all four rows; warm-sharded
-/// cuts batch I/O (reported hit rate grows with capacity); the threshold
-/// cache collapses joint-strategy batch I/O to a single query's worth and
-/// wins the most wall-clock, since it skips the top-k *computation*, not
-/// just its charges.
-pub fn cache(p: &Params) {
-    use mbrstk_core::ThresholdCache;
-    use storage::IoStats;
-
-    const BATCH: usize = 24;
-    const THREADS: usize = 4;
-    const WARM_BLOCKS: u64 = 1 << 15;
-
-    let mut sc = Scenario::build(p, 0);
-    let specs = sc.batch_specs(BATCH);
-    for method in [
-        Method::JointGreedy,
-        Method::JointExact,
-        Method::UserIndexGreedy,
-    ] {
-        let mut t = Table::new(
-            &format!(
-                "Cache — {} × {BATCH} same-k queries, {THREADS} threads",
-                method.name()
-            ),
-            &[
-                "config",
-                "wall ms",
-                "QPS",
-                "batch I/O",
-                "page hit %",
-                "tc hit %",
-            ],
-        );
-        let mut reference: Option<Vec<usize>> = None;
-        for config in ["cold", "warm-sharded", "threshold", "both"] {
-            let warm = config == "warm-sharded" || config == "both";
-            let thresh = config == "threshold" || config == "both";
-            sc.engine.io = if warm {
-                IoStats::with_cache(WARM_BLOCKS)
-            } else {
-                IoStats::new()
-            };
-            sc.engine.thresholds = thresh.then(ThresholdCache::new);
-            let m = measure_query_batch(&sc, &specs, method, THREADS);
-            let cards = m.cardinalities.clone();
-            match &reference {
-                None => reference = Some(cards),
-                Some(want) => assert_eq!(
-                    &cards, want,
-                    "cache configuration must not change any answer"
-                ),
-            }
-            // Hit *ratios* come off the engine's telemetry gauges (the
-            // query path refreshes them after every query), not from the
-            // raw counters — the surface a scraper would read.
-            let ms = sc.engine.metrics().snapshot();
-            let pct = |g: Option<f64>| fmt(g.map_or(f64::NAN, |v| 100.0 * v));
-            t.row(vec![
-                config.into(),
-                fmt(m.wall_ms),
-                fmt(m.qps),
-                m.total_io.to_string(),
-                pct(warm.then(|| ms.gauge("page_cache_hit_ratio")).flatten()),
-                pct(thresh
-                    .then(|| ms.gauge("threshold_cache_hit_ratio"))
-                    .flatten()),
-            ]);
-        }
-        t.print();
-    }
-}
-
-/// Churn experiment (beyond the paper): serving under dynamic updates.
-///
-/// Two questions, two tables per method:
-///
-/// 1. **Throughput vs update rate.** A mixed stream of queries and
-///    mutations ([`datagen::generate_churn`]) runs against one live
-///    engine with both caches attached. Expected shape: every mutation
-///    invalidates the `(engine, k)` threshold slots, so query I/O climbs
-///    with the update ratio (each mutated window re-pays the top-k
-///    phase) while answers stay exact — the cost of correctness under
-///    churn, quantified.
-/// 2. **Incremental maintenance vs rebuild.** Mean maintenance I/O per
-///    mutation against [`Engine::rebuild_io_cost`]. Expected shape: a
-///    root-to-leaf repair touches `O(height)` nodes, so the incremental
-///    path wins by orders of magnitude — the reason the subsystem exists.
-///
-/// [`Engine::rebuild_io_cost`]: mbrstk_core::Engine::rebuild_io_cost
-pub fn churn(p: &Params) {
-    use datagen::{generate_churn, ChurnConfig, ChurnOp};
-    use mbrstk_core::ThresholdCache;
-    use storage::IoStats;
-
-    const RATIOS: [f64; 4] = [0.0, 0.05, 0.2, 0.5];
-    const OPS: usize = 160;
-    const WARM_BLOCKS: u64 = 1 << 15;
-
-    for method in [Method::JointGreedy, Method::UserIndexGreedy] {
-        let mut t = Table::new(
-            &format!(
-                "Churn A — {} × {OPS} mixed ops vs update ratio",
-                method.name()
-            ),
-            &[
-                "upd %",
-                "queries",
-                "muts",
-                "wall ms",
-                "ops/s",
-                "query I/O",
-                "maint I/O",
-                "tc hit %",
-            ],
-        );
-        for ratio in RATIOS {
-            let mut sc = Scenario::build(p, 0);
-            sc.engine.io = IoStats::with_cache(WARM_BLOCKS);
-            sc.engine.thresholds = Some(ThresholdCache::new());
-            let stream = generate_churn(
-                &sc.engine.objects,
-                &sc.engine.users,
-                &sc.spec.keywords,
-                &ChurnConfig::new(OPS, ratio).with_seed(p.seed),
-            );
-            let specs = sc.batch_specs(8);
-            let guard = sc.engine.epoch_guard();
-            let (mut queries, mut mutations) = (0usize, 0usize);
-            let mut query_io = 0u64;
-            let mut maint = mbrstk_core::MaintenanceIo::default();
-            let start = std::time::Instant::now();
-            for op in stream {
-                match op {
-                    ChurnOp::Query => {
-                        let spec = &specs[queries % specs.len()];
-                        let ((), io) = sc.engine.io.scoped(|| {
-                            let _ = sc.engine.query(spec, method);
-                        });
-                        query_io += io.total();
-                        queries += 1;
-                    }
-                    ChurnOp::Mutate(m) => {
-                        let report = sc.engine.apply_batch([m]);
-                        maint += report.io;
-                        mutations += report.applied;
-                    }
-                }
-            }
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(
-                sc.engine.epoch(),
-                guard.epoch() + mutations as u64,
-                "every applied mutation bumps the epoch exactly once"
-            );
-            let tc = sc.engine.thresholds.as_ref().unwrap();
-            let probes = tc.hits() + tc.misses();
-            let hit_pct = if probes > 0 {
-                100.0 * tc.hits() as f64 / probes as f64
-            } else {
-                f64::NAN
-            };
-            t.row(vec![
-                fmt(ratio * 100.0),
-                queries.to_string(),
-                mutations.to_string(),
-                fmt(wall_ms),
-                fmt((queries + mutations) as f64 / (wall_ms / 1e3).max(1e-9)),
-                query_io.to_string(),
-                maint.total().to_string(),
-                fmt(hit_pct),
-            ]);
-        }
-        t.print();
-    }
-
-    // --- B: incremental maintenance vs full rebuild. ---
-    let mut t = Table::new(
-        "Churn B — incremental maintenance I/O vs full rebuild",
-        &[
-            "|O|",
-            "rebuild I/O",
-            "mean maint I/O per op",
-            "rebuild / maint",
-        ],
-    );
-    let sc = Scenario::build(p, 0);
-    let mut eng = sc.engine;
-    let stream = generate_churn(
-        &eng.objects,
-        &eng.users,
-        &sc.spec.keywords,
-        &ChurnConfig::new(60, 1.0).with_seed(p.seed + 1),
-    );
-    let report = eng.apply_batch(stream.into_iter().filter_map(|op| match op {
-        ChurnOp::Mutate(m) => Some(m),
-        ChurnOp::Query => None,
-    }));
-    let mean_maint = report.io.total() as f64 / report.applied.max(1) as f64;
-    let rebuild = eng.rebuild_io_cost() as f64;
-    t.row(vec![
-        eng.objects.len().to_string(),
-        fmt(rebuild),
-        fmt(mean_maint),
-        fmt(rebuild / mean_maint.max(1e-9)),
-    ]);
-    t.print();
-}
-
-/// Refresh experiment (beyond the paper): scorer drift and answer quality
-/// vs re-weigh cadence.
-///
-/// A drift-heavy churn stream ([`datagen::ChurnConfig::drift_heavy`]:
-/// insert-dominant, one term flooded with repeated occurrences) runs
-/// against one engine; every `cadence` mutations the engine re-weighs
-/// ([`Engine::refresh`]). At the end we measure [`Engine::drift`] and
-/// replay a probe batch, counting how many answers are bit-identical to a
-/// cold rebuild of the churned corpus. Expected shape: with no refresh
-/// (cadence 0) the frozen scorer drifts and probe answers diverge from
-/// the cold twin; any finite cadence ends drift-free right after a
-/// re-weigh, and tighter cadences bound the drift *between* re-weighs —
-/// the cost being one full rebuild (plus reclaimed placeholder records)
-/// per refresh.
-///
-/// [`Engine::refresh`]: mbrstk_core::Engine::refresh
-/// [`Engine::drift`]: mbrstk_core::Engine::drift
-pub fn refresh(p: &Params) {
-    use datagen::{generate_churn, ChurnConfig, ChurnOp};
-    use mbrstk_core::Engine;
-
-    const OPS: usize = 200;
-    /// Mutations between re-weighs; 0 = never refresh.
-    const CADENCES: [u64; 4] = [0, 200, 100, 50];
-
-    let mut t = Table::new(
-        "Refresh — drift & answer quality vs re-weigh cadence (drift-heavy churn)",
-        &[
-            "cadence",
-            "muts",
-            "refreshes",
-            "reclaimed",
-            "max drift",
-            "mean drift",
-            "probe match %",
-            "wall ms",
-        ],
-    );
-    for cadence in CADENCES {
-        let sc = Scenario::build(p, 0);
-        let probes = sc.batch_specs(6);
-        let mut eng = sc.engine;
-        let stream = generate_churn(
-            &eng.objects,
-            &eng.users,
-            &sc.spec.keywords,
-            &ChurnConfig::drift_heavy(OPS).with_seed(p.seed),
-        );
-        let start = std::time::Instant::now();
-        let (mut muts, mut refreshes, mut reclaimed) = (0u64, 0u64, 0u64);
-        for op in stream {
-            let ChurnOp::Mutate(m) = op else { continue };
-            muts += eng.apply_batch([m]).applied as u64;
-            if cadence > 0 && muts % cadence == 0 {
-                let r = eng.refresh();
-                refreshes += 1;
-                reclaimed += r.reclaimed_records;
-            }
-        }
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        let drift = eng.drift();
-        // Answer quality: bit-identity against a cold rebuild over the
-        // churned corpus (the ground truth a drift-free engine matches).
-        let cold = Engine::build_with_fanout(
-            eng.objects.clone(),
-            eng.users.clone(),
-            p.model,
-            p.alpha,
-            p.fanout,
-        );
-        let matched = probes
-            .iter()
-            .filter(|ps| eng.query(ps, Method::JointExact) == cold.query(ps, Method::JointExact))
-            .count();
-        t.row(vec![
-            if cadence == 0 {
-                "never".into()
-            } else {
-                cadence.to_string()
-            },
-            muts.to_string(),
-            refreshes.to_string(),
-            reclaimed.to_string(),
-            fmt(drift.max_rel_error),
-            fmt(drift.mean_rel_error),
-            fmt(100.0 * matched as f64 / probes.len() as f64),
-            fmt(wall_ms),
-        ]);
-    }
-    t.print();
-}
-
-/// Incremental-refresh experiment (beyond the paper): refresh I/O vs the
-/// fraction of drifted terms.
-///
-/// Term-local replacement churn ([`datagen::ChurnConfig::term_local`])
-/// confined to a growing slice of the vocabulary runs against a
-/// controlled corpus (one rotating term per document, so the pool slice
-/// directly controls how many documents the churn can touch — the
-/// paper-style zipf corpus puts its head terms in nearly every document,
-/// which is exactly the *broad*-drift regime the full tier exists for).
-/// At the end the drift ledger measures which fraction of the vocabulary
-/// actually drifted, and both refresh tiers are costed: the full tier's
-/// I/O is the rebuilt index footprint, the incremental tier's
-/// ([`Engine::refreshed_incremental`]) is the rewritten paths' reads +
-/// writes (spliced records are free — the extent-remap model).
-///
-/// Expected shape: incremental I/O and the incremental/full ratio grow
-/// with the drifted fraction, not with |O| — far below 1 for term-local
-/// drift, climbing toward (and past) 1 as churn touches most of the
-/// vocabulary, which is exactly why the serving engine falls back to the
-/// full tier above `RefreshConfig.full_refresh_drift`.
-///
-/// [`Engine::refreshed_incremental`]: mbrstk_core::Engine::refreshed_incremental
-pub fn refresh_incremental(p: &Params) {
-    use datagen::{generate_churn, ChurnConfig, ChurnOp};
-    use geo::Point;
-    use mbrstk_core::{Engine, ObjectData, UserData};
-    use text::{Document, TermId};
-
-    const OPS: usize = 40;
-    const VOCAB: u32 = 200;
-    /// Fixed modest fanout: the experiment needs enough leaves for
-    /// "fraction of leaves touched" to be meaningful at |O| ≈ thousands.
-    const FANOUT: usize = 16;
-    const POOL_FRACTIONS: [f64; 5] = [0.02, 0.05, 0.1, 0.25, 0.5];
-
-    let n = p.num_objects.min(20_000) as u32;
-    // Same-term documents are contiguous in id and therefore spatially
-    // clustered (a hot category is a hot region): term-local churn then
-    // touches few leaves, the regime the incremental tier targets.
-    let objects: Vec<ObjectData> = (0..n)
-        .map(|i| ObjectData {
-            id: i,
-            point: Point::new(
-                (i % 64) as f64 + 0.31 * (i % 5) as f64,
-                (i / 64) as f64 + 0.27 * (i % 7) as f64,
-            ),
-            doc: Document::from_pairs([(TermId(i / (n / VOCAB).max(1)), 1 + i % 3)]),
-        })
-        .collect();
-    let users: Vec<UserData> = (0..64u32)
-        .map(|i| UserData {
-            id: i,
-            point: Point::new((i % 32) as f64 + 0.4, (i % 16) as f64 + 0.6),
-            doc: Document::from_terms([TermId(i % VOCAB), TermId((i * 7) % VOCAB)]),
-        })
-        .collect();
-
-    let mut t = Table::new(
-        &format!("Refresh-incremental — refresh I/O vs fraction of drifted terms (|O|={n})"),
-        &[
-            "pool %",
-            "drifted %",
-            "reweighed docs",
-            "spliced recs",
-            "incr I/O",
-            "full I/O",
-            "incr/full",
-        ],
-    );
-    for frac in POOL_FRACTIONS {
-        let mut eng =
-            Engine::build_with_fanout(objects.clone(), users.clone(), p.model, p.alpha, FANOUT)
-                .with_user_index();
-        let pool_len = ((f64::from(VOCAB) * frac) as u32).clamp(1, VOCAB);
-        let pool: Vec<TermId> = (0..pool_len).map(TermId).collect();
-        let stream = generate_churn(
-            &eng.objects,
-            &eng.users,
-            &pool,
-            &ChurnConfig::term_local(OPS).with_seed(p.seed),
-        );
-        eng.apply_batch(stream.into_iter().filter_map(|op| match op {
-            ChurnOp::Mutate(m) => Some(m),
-            ChurnOp::Query => None,
-        }));
-
-        let ledger = eng.drift_ledger(0.0);
-        let full_io = eng.refreshed().rebuild_io_cost();
-        let (_, report) = eng.refreshed_incremental();
-        t.row(vec![
-            fmt(100.0 * f64::from(pool_len) / f64::from(VOCAB)),
-            fmt(100.0 * ledger.drifted_fraction()),
-            report.reweighed_docs.to_string(),
-            report.spliced_records.to_string(),
-            report.refresh_io.to_string(),
-            full_io.to_string(),
-            fmt(report.refresh_io as f64 / full_io.max(1) as f64),
-        ]);
-    }
-    t.print();
-}
-
-/// Ablations beyond the paper's figures: design-choice experiments listed
-/// in DESIGN.md.
-///
-/// * **Cache** — the paper measures *cold* simulated I/O because real
-///   deployments sit behind OS caches; this sweep shows how an LRU page
-///   cache of growing capacity erodes the baseline's I/O penalty while the
-///   joint method (which never re-reads a page) is unaffected.
-/// * **Fanout** — node capacity vs I/O and runtime.
-/// * **Selector** — the paper's coverage greedy vs the realized-gain
-///   greedy extension vs exact: quality and cost.
-/// * **Index sizes** — §5.1 cost analysis: the MIR-tree's extra minimum
-///   weight per posting.
-pub fn ablation(p: &Params) {
-    use storage::IoStats;
-
-    // --- (a) Warm-cache sweep. ---
+/// The paper measures *cold* simulated I/O because real deployments sit
+/// behind OS caches; this sweep shows how an LRU page cache of growing
+/// capacity erodes the baseline's I/O penalty while the joint method
+/// (which never re-reads a page) is unaffected.
+fn ablation_cache(p: &Params) -> Table {
     let mut t = Table::new(
         "Ablation A — MIOCPU vs LRU cache capacity (4 KB blocks)",
         &["cache", "Baseline", "Joint top-k"],
     );
-    let sc = Scenario::build(p, 0);
+    let mut sc = Scenario::build(p, 0);
     for blocks in [0u64, 1024, 8192, 65536] {
-        sc.engine.io.reset();
         // Single shard: this ablation is single-threaded and sweeps the
         // behavior of *one* global LRU of the stated capacity; striping
         // would change what the row measures (per-shard eviction,
         // per-shard oversize bypass).
-        let io = if blocks == 0 {
-            IoStats::new()
-        } else {
-            IoStats::with_cache_sharded(blocks, 1)
+        sc.engine.io = match blocks {
+            0 => storage::IoStats::new(),
+            _ => storage::IoStats::with_cache_sharded(blocks, 1),
         };
-        // Baseline with the cache: replay every user's traversal.
-        let b_io = {
-            io.reset();
-            for u in &sc.engine.users {
-                mbrstk_core::topk::baseline::user_topk_baseline(
-                    &sc.engine.ir,
-                    u,
-                    p.k,
-                    &sc.engine.ctx,
-                    &io,
-                );
-            }
-            io.total() as f64 / sc.engine.users.len() as f64
-        };
-        let j_io = {
-            io.reset();
-            let su = sc.engine.super_user();
-            let out =
-                mbrstk_core::topk::joint::joint_topk(&sc.engine.mir, &su, p.k, &sc.engine.ctx, &io);
-            mbrstk_core::topk::individual::individual_topk(
-                &sc.engine.users,
-                &out,
-                p.k,
-                &sc.engine.ctx,
-            );
-            io.total() as f64 / sc.engine.users.len() as f64
-        };
-        t.row(vec![blocks.to_string(), fmt(b_io), fmt(j_io)]);
+        let b = measure_topk_baseline(&sc, p.k);
+        let j = measure_topk_joint(&sc, p.k);
+        t.row(vec![blocks.to_string(), fmt(b.miocpu), fmt(j.miocpu)]);
     }
-    t.print();
+    t
+}
 
-    // --- (b) Fanout sweep. ---
+/// Node capacity vs top-k I/O and runtime.
+fn ablation_fanout(p: &Params) -> Table {
     let mut t = Table::new(
         "Ablation B — fanout vs top-k cost",
         &["fanout", "B MIOCPU", "J MIOCPU", "B MRPU(ms)", "J MRPU(ms)"],
@@ -1226,9 +571,12 @@ pub fn ablation(p: &Params) {
             fmt(j.mrpu_ms),
         ]);
     }
-    t.print();
+    t
+}
 
-    // --- (c) Keyword selector quality. ---
+/// The paper's coverage greedy vs the realized-gain greedy extension vs
+/// exact: quality and cost, one line per trial.
+fn ablation_selector(p: &Params) -> Table {
     let mut t = Table::new(
         "Ablation C — keyword selector: runtime (ms) and ratio to exact",
         &[
@@ -1255,276 +603,69 @@ pub fn ablation(p: &Params) {
             fmt(ratio(gp.cardinality, e.cardinality)),
         ]);
     }
-    t.print();
+    t
+}
 
-    // --- (e) Leaf clustering: STR (spatial) vs text-first (CIR-like). ---
+/// Leaf clustering: STR (spatial) vs text-first (CIR-like), under the
+/// joint top-k.
+fn ablation_clustering(p: &Params) -> Table {
+    use index::{IndexedObject, PostingMode, StTree};
+
     let mut t = Table::new(
         "Ablation E — leaf clustering: STR vs text-first (joint top-k)",
         &["clustering", "MIOCPU", "MRPU(ms)", "invfile bytes"],
     );
-    {
-        use index::{IndexedObject, PostingMode, StTree};
-        use mbrstk_core::topk::individual::individual_topk;
-        use mbrstk_core::topk::joint::joint_topk;
-        let sc = Scenario::build(p, 0);
-        let objs: Vec<IndexedObject> = sc
-            .engine
-            .objects
-            .iter()
-            .map(|o| IndexedObject {
-                id: o.id,
-                point: o.point,
-                doc: sc.engine.ctx.text.weigh(&o.doc),
-            })
-            .collect();
-        let trees = [
-            (
-                "STR",
-                StTree::build_with_fanout(&objs, PostingMode::MaxMin, p.fanout),
-            ),
-            (
-                "text-first",
-                StTree::build_text_first(&objs, PostingMode::MaxMin, p.fanout),
-            ),
-        ];
-        for (name, tree) in &trees {
-            let io = storage::IoStats::new();
-            let su = sc.engine.super_user();
-            let start = std::time::Instant::now();
-            let out = joint_topk(tree, &su, p.k, &sc.engine.ctx, &io);
-            individual_topk(&sc.engine.users, &out, p.k, &sc.engine.ctx);
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            let n = sc.engine.users.len() as f64;
-            t.row(vec![
-                (*name).to_string(),
-                fmt(io.total() as f64 / n),
-                fmt(ms / n),
-                tree.invfile_bytes().to_string(),
-            ]);
-        }
-    }
-    t.print();
-
-    // --- (d) Index footprint (§5.1 cost analysis). ---
     let sc = Scenario::build(p, 0);
+    let objs: Vec<IndexedObject> = sc
+        .engine
+        .objects
+        .iter()
+        .map(|o| IndexedObject {
+            id: o.id,
+            point: o.point,
+            doc: sc.engine.ctx.text.weigh(&o.doc),
+        })
+        .collect();
+    for (name, tree) in [
+        (
+            "STR",
+            StTree::build_with_fanout(&objs, PostingMode::MaxMin, p.fanout),
+        ),
+        (
+            "text-first",
+            StTree::build_text_first(&objs, PostingMode::MaxMin, p.fanout),
+        ),
+    ] {
+        let m = measure_topk_joint_on(&sc, &tree, p.k);
+        t.row(vec![
+            name.into(),
+            fmt(m.miocpu),
+            fmt(m.mrpu_ms),
+            tree.invfile_bytes().to_string(),
+        ]);
+    }
+    t
+}
+
+/// Index footprint (§5.1 cost analysis): the MIR-tree's extra minimum
+/// weight per posting.
+fn ablation_footprint(p: &Params) -> Table {
     let mut t = Table::new(
         "Ablation D — index footprint (bytes)",
         &["index", "node records", "inverted files"],
     );
-    t.row(vec![
-        "IR-tree".into(),
-        sc.engine.ir.node_bytes().to_string(),
-        sc.engine.ir.invfile_bytes().to_string(),
-    ]);
-    t.row(vec![
-        "MIR-tree".into(),
-        sc.engine.mir.node_bytes().to_string(),
-        sc.engine.mir.invfile_bytes().to_string(),
-    ]);
-    if let Some(miur) = &sc.engine.miur {
-        t.row(vec![
-            "MIUR-tree".into(),
-            miur.node_bytes().to_string(),
-            miur.intuni_bytes().to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// Percentage saved by the columnar figure relative to the verbatim one.
-fn saved(verbatim: u64, columnar: u64) -> String {
-    if verbatim == 0 {
-        return "-".into();
-    }
-    format!("{:.1}%", 100.0 * (1.0 - columnar as f64 / verbatim as f64))
-}
-
-/// The pluggable block-file codec: Verbatim vs Columnar twins of the same
-/// scenario, compared on (A) simulated I/O per method, (B) index bytes on
-/// disk (physical vs logical), and (C) the joint-pipeline I/O reduction
-/// across corpus sizes under LM — the inverted-file-heavy configuration
-/// the columnar layout targets. Every row asserts the two codecs answer
-/// identically before reporting the saving.
-pub fn codec(p: &Params) {
-    use storage::CodecId;
-
-    let pl = Params {
-        model: WeightModel::lm(),
-        ..p.clone()
-    };
-    let verb = Scenario::build_with_codec(&pl, 0, CodecId::Verbatim);
-    let col = Scenario::build_with_codec(&pl, 0, CodecId::Columnar);
-
-    let mut t = Table::new(
-        "Codec A — simulated I/O per method (LM)",
-        &["method", "Verbatim", "Columnar", "saved"],
-    );
-    for m in Method::ALL {
-        verb.engine.io.reset();
-        let rv = verb.engine.query(&verb.spec, m);
-        let v_io = verb.engine.io.total();
-        col.engine.io.reset();
-        let rc = col.engine.query(&col.spec, m);
-        let c_io = col.engine.io.total();
-        assert_eq!(
-            (rv.location, &rv.keywords, rv.cardinality()),
-            (rc.location, &rc.keywords, rc.cardinality()),
-            "{m:?}: codecs must answer identically"
-        );
-        t.row(vec![
-            format!("{m:?}"),
-            v_io.to_string(),
-            c_io.to_string(),
-            saved(v_io, c_io),
-        ]);
-    }
-    t.print();
-
-    let mut t = Table::new(
-        "Codec B — index bytes on disk",
-        &["codec", "physical", "logical", "saved"],
-    );
-    for (name, sc) in [("Verbatim", &verb), ("Columnar", &col)] {
-        let phys = sc.engine.physical_index_bytes();
-        let logical = sc.engine.logical_index_bytes();
+    let eng = Scenario::build(p, 0).engine;
+    let miur = eng.miur.as_ref().expect("scenario builds the user index");
+    for (name, node_bytes, payload_bytes) in [
+        ("IR-tree", eng.ir.node_bytes(), eng.ir.invfile_bytes()),
+        ("MIR-tree", eng.mir.node_bytes(), eng.mir.invfile_bytes()),
+        ("MIUR-tree", miur.node_bytes(), miur.intuni_bytes()),
+    ] {
         t.row(vec![
             name.into(),
-            phys.to_string(),
-            logical.to_string(),
-            saved(logical, phys),
+            node_bytes.to_string(),
+            payload_bytes.to_string(),
         ]);
     }
-    t.print();
-
-    let sizes: &[usize] = if p.num_objects <= 5_000 {
-        &[2_000, 4_000]
-    } else {
-        &[5_000, 10_000, 20_000]
-    };
-    let mut t = Table::new(
-        "Codec C — joint top-k I/O vs |O| (LM)",
-        &["|O|", "Verbatim", "Columnar", "saved"],
-    );
-    for &n in sizes {
-        let pn = Params {
-            num_objects: n,
-            model: WeightModel::lm(),
-            ..p.clone()
-        };
-        let v = Scenario::build_with_codec(&pn, 0, CodecId::Verbatim);
-        let c = Scenario::build_with_codec(&pn, 0, CodecId::Columnar);
-        v.engine.io.reset();
-        let (tv, thv) = v.engine.joint_user_topk(pn.k);
-        let v_io = v.engine.io.total();
-        c.engine.io.reset();
-        let (tc, thc) = c.engine.joint_user_topk(pn.k);
-        let c_io = c.engine.io.total();
-        assert_eq!((tv.len(), thv), (tc.len(), thc), "|O|={n}: codecs diverged");
-        t.row(vec![
-            n.to_string(),
-            v_io.to_string(),
-            c_io.to_string(),
-            saved(v_io, c_io),
-        ]);
-    }
-    t.print();
-}
-
-/// Observability experiment (beyond the paper): the always-on telemetry
-/// surface, read back the way a scraper would.
-///
-/// One batch per built-in method runs through the instrumented engine;
-/// then everything printed below comes from
-/// [`Engine::metrics`](mbrstk_core::Engine::metrics)`().snapshot()` — no
-/// side-channel timers. Three views:
-///
-/// * **A** — end-to-end query latency percentiles per method (p50 / p90 /
-///   p99 / p999 off the log-bucketed histograms, ≤1/32 relative error);
-/// * **B** — the same latency split by [`Phase`](mbrstk_core::Phase)
-///   (top-k vs selection), the paper's two-stage cost decomposition
-///   recovered from live telemetry rather than a bespoke stopwatch;
-/// * **C** — per-phase simulated I/O means, which reconcile exactly with
-///   the batch's summed `QueryStats` (pinned by `tests/obs_telemetry.rs`).
-///
-/// A trailing excerpt of the Prometheus exposition shows the same numbers
-/// on the wire format.
-pub fn obs(p: &Params) {
-    const BATCH: usize = 12;
-    const THREADS: usize = 2;
-
-    // No caches: each method pays its own top-k, so the phase split is the
-    // genuine algorithmic cost (the `cache` experiment shows the cached
-    // shape and its hit-ratio gauges).
-    let sc = Scenario::build(p, 0);
-    let specs = sc.batch_specs(BATCH);
-    for method in Method::ALL {
-        measure_query_batch(&sc, &specs, method, THREADS);
-    }
-    let snap = sc.engine.metrics().snapshot();
-
-    let us = |v: u64| fmt(v as f64);
-    let mut a = Table::new(
-        &format!("Obs A — query latency (µs) per method, {BATCH} queries each"),
-        &["method", "count", "p50", "p90", "p99", "p999", "max"],
-    );
-    let mut b = Table::new(
-        "Obs B — phase latency (µs): top-k vs selection",
-        &["method", "topk p50", "topk p99", "select p50", "select p99"],
-    );
-    let mut c = Table::new(
-        "Obs C — phase I/O (simulated ops, mean per query)",
-        &["method", "topk", "select", "total"],
-    );
-    for method in Method::ALL {
-        let name = method.name();
-        let lat = snap
-            .histogram(&format!("engine_query_latency_us{{method=\"{name}\"}}"))
-            .expect("per-method latency histogram exists");
-        a.row(vec![
-            name.to_string(),
-            lat.count().to_string(),
-            us(lat.p50()),
-            us(lat.p90()),
-            us(lat.p99()),
-            us(lat.p999()),
-            us(lat.max()),
-        ]);
-        let phase_lat = |phase: &str| {
-            snap.histogram(&format!(
-                "engine_query_phase_latency_us{{method=\"{name}\",phase=\"{phase}\"}}"
-            ))
-            .expect("per-phase latency histogram exists")
-        };
-        let (tk, sel) = (phase_lat("topk"), phase_lat("select"));
-        b.row(vec![
-            name.to_string(),
-            us(tk.p50()),
-            us(tk.p99()),
-            us(sel.p50()),
-            us(sel.p99()),
-        ]);
-        let phase_io = |phase: &str| {
-            snap.histogram(&format!(
-                "engine_query_phase_io_ops{{method=\"{name}\",phase=\"{phase}\"}}"
-            ))
-            .expect("per-phase I/O histogram exists")
-        };
-        let (tki, seli) = (phase_io("topk"), phase_io("select"));
-        c.row(vec![
-            name.to_string(),
-            fmt(tki.mean()),
-            fmt(seli.mean()),
-            fmt(tki.mean() + seli.mean()),
-        ]);
-    }
-    a.print();
-    b.print();
-    c.print();
-
-    println!("\nPrometheus exposition (engine_query_latency_us family):");
-    for line in snap.render_prometheus().lines() {
-        if line.contains("engine_query_latency_us") {
-            println!("  {line}");
-        }
-    }
+    t
 }

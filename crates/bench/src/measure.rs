@@ -1,17 +1,16 @@
-//! Timed measurements of each pipeline stage, plus whole-query batch
-//! throughput on top of [`Engine::query_batch`].
-//!
-//! [`Engine::query_batch`]: mbrstk_core::Engine::query_batch
+//! Timed measurements of each pipeline stage.
 
 use std::time::Instant;
 
+use index::StTree;
 use mbrstk_core::select::baseline::baseline_select;
 use mbrstk_core::select::location::{select_candidate, KeywordSelector};
 use mbrstk_core::select::CandidateContext;
 use mbrstk_core::topk::individual::individual_topk;
 use mbrstk_core::topk::joint::joint_topk;
+use mbrstk_core::topk::UserTopk;
 use mbrstk_core::user_index::select_with_user_index;
-use mbrstk_core::{Method, QuerySpec};
+use mbrstk_core::QuerySpec;
 
 use crate::Scenario;
 
@@ -33,12 +32,13 @@ pub struct TopkMeasure {
     pub rsk_us: f64,
 }
 
-/// Runs the §4 per-user baseline top-k and measures it.
-pub fn measure_topk_baseline(sc: &Scenario, k: usize) -> TopkMeasure {
+/// Times `run` — a top-k stage returning every user's top-k and `RSk(us)`
+/// — against the engine's I/O counters, reset first.
+fn timed_topk(sc: &Scenario, run: impl FnOnce() -> (Vec<UserTopk>, f64)) -> TopkMeasure {
     let eng = &sc.engine;
     eng.io.reset();
     let start = Instant::now();
-    let tks = eng.baseline_user_topk(k);
+    let (tks, rsk_us) = run();
     let total_ms = start.elapsed().as_secs_f64() * 1e3;
     let total_io = eng.io.total();
     let n = eng.users.len() as f64;
@@ -48,29 +48,27 @@ pub fn measure_topk_baseline(sc: &Scenario, k: usize) -> TopkMeasure {
         total_ms,
         total_io,
         rsk: tks.iter().map(|t| t.rsk).collect(),
-        rsk_us: f64::NEG_INFINITY,
+        rsk_us,
     }
+}
+
+/// Runs the §4 per-user baseline top-k and measures it.
+pub fn measure_topk_baseline(sc: &Scenario, k: usize) -> TopkMeasure {
+    timed_topk(sc, || (sc.engine.baseline_user_topk(k), f64::NEG_INFINITY))
 }
 
 /// Runs the §5 joint top-k (Algorithms 1+2) and measures it.
 pub fn measure_topk_joint(sc: &Scenario, k: usize) -> TopkMeasure {
+    measure_topk_joint_on(sc, &sc.engine.mir, k)
+}
+
+/// [`measure_topk_joint`] over `tree` in place of the engine's MIR-tree.
+pub fn measure_topk_joint_on(sc: &Scenario, tree: &StTree, k: usize) -> TopkMeasure {
     let eng = &sc.engine;
-    eng.io.reset();
-    let start = Instant::now();
-    let su = eng.super_user();
-    let out = joint_topk(&eng.mir, &su, k, &eng.ctx, &eng.io);
-    let tks = individual_topk(&eng.users, &out, k, &eng.ctx);
-    let total_ms = start.elapsed().as_secs_f64() * 1e3;
-    let total_io = eng.io.total();
-    let n = eng.users.len() as f64;
-    TopkMeasure {
-        mrpu_ms: total_ms / n,
-        miocpu: total_io as f64 / n,
-        total_ms,
-        total_io,
-        rsk: tks.iter().map(|t| t.rsk).collect(),
-        rsk_us: out.rsk_us,
-    }
+    timed_topk(sc, || {
+        let out = joint_topk(tree, &eng.super_user(), k, &eng.ctx, &eng.io);
+        (individual_topk(&eng.users, &out, k, &eng.ctx), out.rsk_us)
+    })
 }
 
 /// Candidate-selection strategies under measurement.
@@ -98,27 +96,19 @@ pub struct SelectMeasure {
 /// Runs one candidate-selection strategy on precomputed thresholds.
 pub fn measure_select(
     sc: &Scenario,
-    spec: &mbrstk_core::QuerySpec,
+    spec: &QuerySpec,
     topk: &TopkMeasure,
     method: SelectMethod,
 ) -> SelectMeasure {
     let eng = &sc.engine;
     let start = Instant::now();
     let cc = CandidateContext::new(&eng.ctx, spec, &eng.users, &topk.rsk);
+    let algorithm3 = |keywords| select_candidate(&cc, &eng.super_user(), topk.rsk_us, keywords);
     let result = match method {
         SelectMethod::Baseline => baseline_select(&cc),
-        SelectMethod::Exact => {
-            let su = eng.super_user();
-            select_candidate(&cc, &su, topk.rsk_us, KeywordSelector::Exact)
-        }
-        SelectMethod::Approx => {
-            let su = eng.super_user();
-            select_candidate(&cc, &su, topk.rsk_us, KeywordSelector::Greedy)
-        }
-        SelectMethod::ApproxPlus => {
-            let su = eng.super_user();
-            select_candidate(&cc, &su, topk.rsk_us, KeywordSelector::GreedyPlus)
-        }
+        SelectMethod::Exact => algorithm3(KeywordSelector::Exact),
+        SelectMethod::Approx => algorithm3(KeywordSelector::Greedy),
+        SelectMethod::ApproxPlus => algorithm3(KeywordSelector::GreedyPlus),
     };
     SelectMeasure {
         runtime_ms: start.elapsed().as_secs_f64() * 1e3,
@@ -135,12 +125,10 @@ pub struct UserIndexMeasure {
     pub runtime_ms: f64,
     /// Percentage of users whose top-k was never computed.
     pub users_pruned_pct: f64,
-    /// `|BRSTkNN|` of the returned tuple.
-    pub cardinality: usize,
 }
 
 /// Runs the MIUR-tree pipeline end to end and measures it.
-pub fn measure_user_index(sc: &Scenario, spec: &mbrstk_core::QuerySpec) -> UserIndexMeasure {
+pub fn measure_user_index(sc: &Scenario, spec: &QuerySpec) -> UserIndexMeasure {
     let eng = &sc.engine;
     let miur = eng.miur.as_ref().expect("scenario builds the user index");
     eng.io.reset();
@@ -163,68 +151,6 @@ pub fn measure_user_index(sc: &Scenario, spec: &mbrstk_core::QuerySpec) -> UserI
         } else {
             0.0
         },
-        cardinality: out.result.cardinality(),
-    }
-}
-
-/// Whole-batch execution result (the serving-oriented metric set).
-#[derive(Debug, Clone)]
-pub struct BatchMeasure {
-    /// Wall-clock time for the whole batch, ms.
-    pub wall_ms: f64,
-    /// Mean per-query latency as measured on the worker threads, ms.
-    pub mean_query_ms: f64,
-    /// 99th-percentile per-query latency, ms (log-bucketed
-    /// [`mbrstk_obs::Histogram`], ≤1/32 relative error).
-    pub p99_query_ms: f64,
-    /// Mean simulated I/O per query (from the per-thread deltas).
-    pub mean_query_io: f64,
-    /// Total simulated I/O of the batch (sum of per-query deltas).
-    pub total_io: u64,
-    /// Queries per second over the wall-clock time.
-    pub qps: f64,
-    /// Per-query result cardinalities, in spec order (for cross-checking
-    /// against sequential execution).
-    pub cardinalities: Vec<usize>,
-}
-
-/// Runs a whole batch of queries through [`Engine::query_batch_threads`]
-/// and aggregates the per-query [`QueryStats`] the engine reports.
-///
-/// [`Engine::query_batch_threads`]: mbrstk_core::Engine::query_batch_threads
-/// [`QueryStats`]: mbrstk_core::QueryStats
-pub fn measure_query_batch(
-    sc: &Scenario,
-    specs: &[QuerySpec],
-    method: Method,
-    threads: usize,
-) -> BatchMeasure {
-    let eng = &sc.engine;
-    let start = Instant::now();
-    let outcomes = eng.query_batch_threads(specs, method, threads);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let n = outcomes.len().max(1) as f64;
-    let total_io: u64 = outcomes.iter().map(|o| o.stats.io.total()).sum();
-    let total_query_ms: f64 = outcomes
-        .iter()
-        .map(|o| o.stats.elapsed.as_secs_f64() * 1e3)
-        .sum();
-    let latency = mbrstk_obs::Histogram::new();
-    for o in &outcomes {
-        latency.record_duration_us(o.stats.elapsed);
-    }
-    BatchMeasure {
-        wall_ms,
-        mean_query_ms: total_query_ms / n,
-        p99_query_ms: latency.snapshot().p99() as f64 / 1e3,
-        mean_query_io: total_io as f64 / n,
-        total_io,
-        qps: if wall_ms > 0.0 {
-            outcomes.len() as f64 / (wall_ms / 1e3)
-        } else {
-            f64::INFINITY
-        },
-        cardinalities: outcomes.iter().map(|o| o.result.cardinality()).collect(),
     }
 }
 
@@ -286,22 +212,5 @@ mod tests {
         let m = measure_user_index(&sc, &sc.spec);
         assert!(m.total_io > 0);
         assert!((0.0..=100.0).contains(&m.users_pruned_pct));
-    }
-
-    /// The serving metric set: parallel batches return the same answers as
-    /// single-threaded ones, with identical per-query I/O.
-    #[test]
-    fn batch_measure_is_thread_invariant() {
-        let sc = quick_scenario();
-        let specs = sc.batch_specs(8);
-        let seq = measure_query_batch(&sc, &specs, Method::JointGreedy, 1);
-        let par = measure_query_batch(&sc, &specs, Method::JointGreedy, 4);
-        assert_eq!(seq.cardinalities, par.cardinalities);
-        assert_eq!(seq.total_io, par.total_io);
-        assert!(par.qps > 0.0);
-        assert!(par.mean_query_io > 0.0);
-        // p99 comes off the obs histogram; it must bracket the observed mean.
-        assert!(par.p99_query_ms > 0.0);
-        assert!(par.p99_query_ms * 1.1 >= par.mean_query_ms.min(seq.mean_query_ms));
     }
 }

@@ -1,4 +1,28 @@
 //! Experiment parameters (the paper's Table 5, with scaled defaults).
+//!
+//! # Scale reductions
+//!
+//! The sweeps keep Table 5's values for `k`, `α`, `UL`, `UW`, `Area`,
+//! `|L|` and `ws`. What is reduced, so that every figure runs on one
+//! machine in minutes, is the size of the collections:
+//!
+//! * `|O|` — the paper's 1M-object Flickr collection becomes a 20K-object
+//!   Flickr-like one, and Fig. 13 sweeps 10K–80K. The Yelp-like one
+//!   ([`Params::yelp`]) is a sixteenth of that, at least 500 objects of
+//!   ~400 distinct terms against ~7; the paper's Yelp is ~60× smaller
+//!   than its Flickr.
+//! * `|U|` — 500 users by default, 100–2,000 in Fig. 12 and 250–4,000 in
+//!   Fig. 15.
+//! * trials — 3 independently generated user sets per point, where the
+//!   paper averages 100.
+//! * the exhaustive baseline selection is skipped (printed as `NaN`)
+//!   where `C(|W|, ws) × |L| × |U|` exceeds 3 × 10⁹ scorings; the paper
+//!   ran those points for hours.
+//!
+//! `figures --quick` ([`Params::quick`]) shrinks further, to 4,000
+//! objects, 120 users, 20 locations and one trial. Absolute costs are
+//! therefore not comparable with §8: the reproduction target is the
+//! *shape* of each series.
 
 use text::WeightModel;
 

@@ -19,8 +19,18 @@ impl Table {
     }
 
     /// Appends one data row (first cell is the swept parameter value).
+    ///
+    /// Panics on a row that does not match the header: `figures` only runs
+    /// optimised, where a short row would print misaligned and a long one
+    /// index past `widths` in [`Table::render`].
     pub fn row(&mut self, cells: Vec<String>) {
-        debug_assert_eq!(cells.len(), self.header.len());
+        assert_eq!(
+            cells.len(),
+            self.header.len(),
+            "{}: row {cells:?} does not match header {:?}",
+            self.title,
+            self.header
+        );
         self.rows.push(cells);
     }
 
@@ -51,11 +61,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Renders and prints.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 
@@ -88,6 +93,12 @@ mod tests {
         let lines: Vec<&str> = s.lines().filter(|l| !l.is_empty()).collect();
         // header + separator + 2 rows + title
         assert_eq!(lines.len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "Demo: row")]
+    fn row_of_the_wrong_width_panics_naming_the_panel() {
+        Table::new("Demo", &["k", "B", "J"]).row(vec!["1".into(), "2".into()]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Materializing an experiment: data, workload, indexes, query.
 
 use datagen::{generate_objects, generate_workload, CorpusConfig, UserGenConfig};
-use geo::Point;
 use mbrstk_core::{Engine, QuerySpec};
 use text::Document;
 
@@ -24,13 +23,8 @@ impl Scenario {
     ///
     /// `trial` shifts the workload seed, reproducing the paper's averaging
     /// over independently generated user sets (object collection fixed).
+    /// The block-file codec is `MBRSTK_CODEC`'s, Verbatim when unset.
     pub fn build(p: &Params, trial: usize) -> Scenario {
-        Scenario::build_with_codec(p, trial, storage::CodecId::from_env())
-    }
-
-    /// [`Scenario::build`] under an explicit block-file codec (the codec
-    /// experiment builds Verbatim/Columnar twins of the same trial).
-    pub fn build_with_codec(p: &Params, trial: usize, codec: storage::CodecId) -> Scenario {
         let corpus_cfg = match p.dataset {
             DatasetKind::FlickrLike => CorpusConfig::flickr_like(p.num_objects),
             DatasetKind::YelpLike => CorpusConfig::yelp_like(p.num_objects),
@@ -49,9 +43,8 @@ impl Scenario {
             },
         );
 
-        let engine =
-            Engine::build_with_fanout_codec(objects, wl.users, p.model, p.alpha, p.fanout, codec)
-                .with_user_index();
+        let engine = Engine::build_with_fanout(objects, wl.users, p.model, p.alpha, p.fanout)
+            .with_user_index();
 
         let spec = QuerySpec {
             ox_doc: Document::new(),
@@ -66,37 +59,6 @@ impl Scenario {
             spec,
             window: wl.window,
         }
-    }
-
-    /// Convenience: candidate locations of the query.
-    pub fn locations(&self) -> &[Point] {
-        &self.spec.locations
-    }
-
-    /// Derives a deterministic batch of `n` query variants for the
-    /// batch-execution experiments ([`Engine::query_batch`]): variant `i`
-    /// rotates the candidate-location pool by `i` and keeps a half-pool
-    /// window, modelling concurrent tenants siting against the same engine
-    /// with different shortlists.
-    ///
-    /// [`Engine::query_batch`]: mbrstk_core::Engine::query_batch
-    pub fn batch_specs(&self, n: usize) -> Vec<QuerySpec> {
-        let pool = &self.spec.locations;
-        let take = (pool.len() / 2).max(1);
-        (0..n)
-            .map(|i| {
-                let mut locs = pool.clone();
-                if !locs.is_empty() {
-                    let shift = i % locs.len();
-                    locs.rotate_left(shift);
-                }
-                locs.truncate(take);
-                QuerySpec {
-                    locations: locs,
-                    ..self.spec.clone()
-                }
-            })
-            .collect()
     }
 }
 
@@ -117,28 +79,6 @@ mod tests {
         assert!(!sc.spec.keywords.is_empty());
         assert_eq!(sc.spec.k, p.k);
         assert!(sc.engine.miur.is_some());
-    }
-
-    #[test]
-    fn batch_specs_are_distinct_and_bounded() {
-        let p = Params {
-            num_objects: 1_000,
-            num_users: 30,
-            ..Params::quick()
-        };
-        let sc = Scenario::build(&p, 0);
-        let specs = sc.batch_specs(8);
-        assert_eq!(specs.len(), 8);
-        for s in &specs {
-            assert!(!s.locations.is_empty());
-            assert!(s.locations.len() <= sc.spec.locations.len());
-            assert_eq!(s.k, sc.spec.k);
-        }
-        // Rotation makes consecutive variants start at different anchors.
-        assert_ne!(
-            specs[0].locations[0].x.to_bits(),
-            specs[1].locations[0].x.to_bits()
-        );
     }
 
     #[test]

@@ -235,7 +235,7 @@ impl TextScorer {
     /// keyword budget `|ox.d| + ws` — so that adding a candidate keyword
     /// never lowers the weight of the keywords already present. That
     /// monotonicity is what Lemma 3 and the greedy (1−1/e) guarantee of
-    /// §6.2.1 require; see DESIGN.md §3 for discussion.
+    /// §6.2.1 require; `mbrstk_core::QuerySpec::ref_len` is that length.
     pub fn candidate_weight(&self, t: TermId, ref_len: u64) -> f64 {
         debug_assert!(ref_len > 0);
         self.model.weight(t, 1, ref_len, &self.stats)
