@@ -3,14 +3,14 @@
 //! Steady-state serving answers the same shape of query over and over;
 //! allocating fresh heaps, candidate buffers, and decode scratch for each
 //! one costs more than the arithmetic it feeds. A [`QueryArena`] owns every
-//! buffer the six query strategies need, is *reset* (cleared, never freed)
+//! buffer the six query methods need, is *reset* (cleared, never freed)
 //! between queries, and is pooled per worker thread by
 //! [`crate::Engine::query_batch`]. After one query of a given shape, a
 //! warm-cache repeat allocates nothing (see `tests/alloc_free.rs`).
 //!
-//! The arena is deliberately opaque: strategies reach its fields inside the
-//! crate, while external [`crate::QueryStrategy`] implementations just
-//! thread it through to the built-in strategies they delegate to.
+//! The arena is deliberately opaque: callers create one and thread it
+//! through [`crate::Engine::query_reusing`]; only this crate's kernels
+//! reach its fields.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -203,7 +203,7 @@ pub(crate) struct UserIndexScratch {
     pub(crate) miur: MiurScratch,
 }
 
-/// Reusable per-query scratch memory for every built-in query strategy.
+/// Reusable per-query scratch memory for every query method.
 ///
 /// Create one with [`QueryArena::new`] (or [`Default`]), then pass it to
 /// [`crate::Engine::query_reusing`] across queries: buffers are cleared,
@@ -214,11 +214,11 @@ pub(crate) struct UserIndexScratch {
 pub struct QueryArena {
     /// Backing store for the query's candidate context.
     pub(crate) cc: CcScratch,
-    /// Per-user thresholds for the baseline strategy.
+    /// Per-user thresholds for the baseline method.
     pub(crate) rsk: Vec<f64>,
     pub(crate) sel: SelectScratch,
     pub(crate) ui: UserIndexScratch,
-    /// Phase-trace scratch the strategies stamp (see [`crate::trace`]).
+    /// Phase-trace scratch `pipeline::execute` stamps (see [`crate::trace`]).
     trace: Trace,
 }
 
@@ -229,11 +229,9 @@ impl QueryArena {
     }
 
     /// Re-arms the phase trace: zeroes the breakdown and baselines the
-    /// clock and this thread's I/O mirror. Built-in strategies call this
-    /// on entry to `execute`; a custom strategy that delegates needs no
-    /// call of its own (the delegate re-arms).
+    /// clock and this thread's I/O mirror.
     #[inline]
-    pub fn trace_arm(&mut self) {
+    pub(crate) fn trace_arm(&mut self) {
         self.trace.arm();
     }
 
@@ -241,7 +239,7 @@ impl QueryArena {
     /// [`QueryArena::trace_arm`]) to `phase`. Stamping a phase twice
     /// accumulates.
     #[inline]
-    pub fn trace_stamp(&mut self, phase: Phase) {
+    pub(crate) fn trace_stamp(&mut self, phase: Phase) {
         self.trace.stamp(phase);
     }
 

@@ -1,9 +1,9 @@
 //! Cross-query top-k threshold cache — the serving-side complement of the
 //! paper's per-query algorithms.
 //!
-//! Every built-in [`QueryStrategy`](crate::pipeline::QueryStrategy) starts
-//! by computing per-user `RSk` thresholds (the top-k phase: `joint_topk` +
-//! `individual_topk`, or the §4 baseline, or the §7 root traversal). Those
+//! Every [`Method`](crate::Method) starts by computing per-user `RSk`
+//! thresholds (the top-k phase: `joint_topk` + `individual_topk`, or the
+//! §4 baseline, or the §7 root traversal). Those
 //! thresholds depend only on the engine and `k` — not on the query's
 //! candidate locations or keywords — yet a naive server recomputes them
 //! for every query. [`ThresholdCache`] memoizes them per `k` so a batch of
@@ -44,7 +44,7 @@ use crate::topk::{TopkOutcome, UserTopk};
 use crate::user_index::UserIndexSeed;
 use crate::UserGroup;
 
-/// The joint top-k phase output shared by the §5+§6 strategies: the
+/// The joint top-k phase output shared by the §5+§6 methods: the
 /// super-user, the Algorithm-1 traversal outcome and every user's
 /// Algorithm-2 threshold. The per-user listings are not kept: the
 /// pipeline reads `RSk(u)` alone, and

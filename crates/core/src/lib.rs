@@ -49,7 +49,7 @@ pub use cluster::EngineCluster;
 pub use data::{ObjectData, QueryResult, QuerySpec, UserData};
 pub use dynamic::{BatchReport, EpochGuard, MaintenanceIo, Mutation};
 pub use group::UserGroup;
-pub use pipeline::{BatchOutcome, QueryStats, QueryStrategy};
+pub use pipeline::{BatchOutcome, QueryStats};
 pub use query::{Engine, Method};
 pub use refresh::incremental::DriftLedger;
 pub use refresh::{

@@ -11,8 +11,8 @@
 //! Metric families (label sets in Prometheus notation):
 //!
 //! * `engine_query_latency_us{method}` / `engine_query_io_ops{method}` —
-//!   per-query wall time and simulated I/O, one histogram per built-in
-//!   strategy.
+//!   per-query wall time and simulated I/O, one histogram per
+//!   [`Method`].
 //! * `engine_query_phase_latency_us{method,phase}` /
 //!   `engine_query_phase_io_ops{method,phase}` — the [`Phase`] split of
 //!   the same queries; phase I/O sums reconcile exactly with the query
@@ -33,20 +33,11 @@ use storage::IoStats;
 
 use crate::cache::ThresholdCache;
 use crate::pipeline::QueryStats;
+use crate::query::Method;
 use crate::refresh::RefreshTier;
 use crate::trace::{Phase, PHASE_COUNT};
 
-/// The six built-in strategy names, in [`crate::Method::ALL`] order.
-const METHOD_NAMES: [&str; 6] = [
-    "baseline",
-    "joint-greedy",
-    "joint-greedy-plus",
-    "joint-exact",
-    "user-index-greedy",
-    "user-index-exact",
-];
-
-/// Pre-resolved handles for one built-in strategy.
+/// Pre-resolved handles for one [`Method`].
 #[derive(Debug)]
 struct MethodMetrics {
     latency_us: Arc<Histogram>,
@@ -106,7 +97,7 @@ pub(crate) struct EngineMetrics {
 impl EngineMetrics {
     pub(crate) fn new() -> Arc<EngineMetrics> {
         let registry = Arc::new(MetricsRegistry::new());
-        let methods = std::array::from_fn(|i| MethodMetrics::new(&registry, METHOD_NAMES[i]));
+        let methods = Method::ALL.map(|m| MethodMetrics::new(&registry, m.name()));
         let page_hit_ratio = registry.gauge("page_cache_hit_ratio");
         let threshold_hit_ratio = registry.gauge("threshold_cache_hit_ratio");
         Arc::new(EngineMetrics {
@@ -121,20 +112,16 @@ impl EngineMetrics {
         &self.registry
     }
 
-    /// Records one finished query. The method resolves by a linear scan
-    /// over six static names (no allocation); custom strategies outside
-    /// the built-in table skip the per-method histograms but still move
-    /// the cache-ratio gauges.
+    /// Records one finished query (`methods` is in [`Method::ALL`] order,
+    /// which is the enum's declaration order).
     pub(crate) fn record_query(
         &self,
-        method: &str,
+        method: Method,
         stats: &QueryStats,
         io: &IoStats,
         thresholds: Option<&ThresholdCache>,
     ) {
-        if let Some(i) = METHOD_NAMES.iter().position(|&n| n == method) {
-            self.methods[i].record(stats);
-        }
+        self.methods[method as usize].record(stats);
         // Hit-ratio gauges over the engine-lifetime counters: the page
         // cache's keyed accesses (ShardedLru hits are counted by IoStats)
         // and the threshold cache's lookups. Atomic loads + one store.

@@ -1,44 +1,19 @@
-//! Strategy-based query pipeline and batch-parallel execution.
+//! The one execution point of the six query methods, and batch-parallel
+//! execution on top of it.
 //!
-//! The paper evaluates six end-to-end ways of answering a `MaxBRSTkNN`
-//! query. Each one is a [`QueryStrategy`]: a stateless, thread-safe plan
-//! that takes the [`Engine`] and a [`QuerySpec`] and produces a
-//! [`QueryResult`]. [`Method`] stays the convenient public
-//! handle — it is now a thin resolver into the strategy table below — and
-//! callers that want behaviour outside the built-in six (custom pruning,
-//! different selection, instrumentation) can implement the trait themselves
-//! and run through [`Engine::query_with`] / [`Engine::query_batch_with`]
-//! without touching the engine.
+//! The paper evaluates a closed set of six end-to-end ways of answering a
+//! `MaxBRSTkNN` query; [`Method`] names them and `execute` is the `match`
+//! that runs them. Every public entry point ([`Engine::query`],
+//! [`Engine::query_reusing`], [`Engine::query_batch`]) reaches it through
+//! one instrumented call, so telemetry sees every query exactly once.
 //!
 //! Batching is the scaling primitive this layer adds: a production service
 //! answers many queries against one (read-only) engine, so
 //! [`Engine::query_batch`] fans a slice of specs out across threads. All
-//! strategies are deterministic and take `&Engine`, so batched results are
+//! methods are deterministic and take `&Engine`, so batched results are
 //! bit-identical to sequential ones; per-query cost comes back as
 //! [`QueryStats`] via the storage layer's per-thread I/O accounting
 //! ([`IoStats::scoped`](storage::IoStats::scoped)).
-//!
-//! # Implementing a custom strategy
-//!
-//! ```ignore
-//! struct FirstLocationOnly;
-//!
-//! impl QueryStrategy for FirstLocationOnly {
-//!     fn name(&self) -> &'static str { "first-location-only" }
-//!     fn execute(
-//!         &self,
-//!         engine: &Engine,
-//!         spec: &QuerySpec,
-//!         arena: &mut QueryArena,
-//!         out: &mut QueryResult,
-//!     ) {
-//!         let narrowed = QuerySpec { locations: spec.locations[..1].to_vec(), ..spec.clone() };
-//!         JOINT_GREEDY.execute(engine, &narrowed, arena, out);
-//!     }
-//! }
-//!
-//! let outcomes = engine.query_batch_with(&specs, &FirstLocationOnly, 4);
-//! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -50,220 +25,105 @@ use crate::select::baseline::baseline_select_into;
 use crate::select::location::{select_candidate_into, KeywordSelector};
 use crate::select::CandidateContext;
 use crate::trace::{Phase, PhaseBreakdown};
-use crate::user_index::{compute_user_index_seed, run_selection};
+use crate::user_index::run_selection;
 use crate::{Engine, Method, QueryResult, QuerySpec};
 
-/// One end-to-end way of answering a `MaxBRSTkNN` query.
-///
-/// Implementations must be stateless with respect to the engine (they get
-/// `&Engine`) and are required to be `Send + Sync` so batches can share
-/// them across worker threads.
-pub trait QueryStrategy: Send + Sync {
-    /// Stable, kebab-case identifier (used in logs, benches and reports).
-    fn name(&self) -> &'static str;
-
-    /// Whether the strategy needs [`Engine::with_user_index`] to have been
-    /// called (the §7 MIUR-tree pipelines do).
-    fn requires_user_index(&self) -> bool {
-        false
+/// Answers `spec` with `method` into `out` (overwritten, not appended —
+/// buffer capacity is the only state that survives from its previous
+/// value), stamping the arena's phase trace at the top-k / selection
+/// boundary. Deterministic whatever the arena's history, and all work
+/// happens on the calling thread: per-query I/O accounting measures the
+/// calling thread's charges.
+fn execute(
+    engine: &Engine,
+    method: Method,
+    spec: &QuerySpec,
+    arena: &mut QueryArena,
+    out: &mut QueryResult,
+) {
+    use KeywordSelector::{Exact, Greedy, GreedyPlus};
+    arena.trace_arm();
+    match method {
+        Method::Baseline => baseline(engine, spec, arena, out),
+        Method::JointGreedy => joint(engine, Greedy, spec, arena, out),
+        Method::JointGreedyPlus => joint(engine, GreedyPlus, spec, arena, out),
+        Method::JointExact => joint(engine, Exact, spec, arena, out),
+        Method::UserIndexGreedy => user_index(engine, Greedy, spec, arena, out),
+        Method::UserIndexExact => user_index(engine, Exact, spec, arena, out),
     }
-
-    /// Answers the query into `out` (overwritten, not appended — buffer
-    /// capacity is the only state that survives from its previous value).
-    /// `arena` supplies every scratch buffer the built-in kernels use;
-    /// passing the same arena across calls makes warm queries
-    /// allocation-free, and a fresh [`QueryArena`] is always valid. Custom
-    /// strategies just thread both through to the built-in strategies they
-    /// delegate to.
-    ///
-    /// Must be deterministic (the same engine and spec give the same
-    /// result, on any thread, whatever the arena's history) and must do
-    /// all its work on the calling thread: per-query I/O accounting in
-    /// [`Engine::query_batch`] measures the calling thread's charges, so
-    /// an implementation that spawns threads of its own would silently
-    /// under-report its I/O.
-    fn execute(
-        &self,
-        engine: &Engine,
-        spec: &QuerySpec,
-        arena: &mut QueryArena,
-        out: &mut QueryResult,
-    );
+    arena.trace_stamp(Phase::Select);
 }
 
 /// §4: per-user top-k on the IR-tree + exhaustive candidate scan.
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineScan;
-
-impl QueryStrategy for BaselineScan {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
-    fn execute(
-        &self,
-        engine: &Engine,
-        spec: &QuerySpec,
-        arena: &mut QueryArena,
-        out: &mut QueryResult,
-    ) {
-        arena.trace_arm();
-        let tks = engine.baseline_thresholds(spec.k);
-        arena.trace_stamp(Phase::TopK);
-        arena.rsk.clear();
-        arena.rsk.extend(tks.iter().map(|t| t.rsk));
-        let cc = CandidateContext::new_reusing(
-            &engine.ctx,
-            spec,
-            &engine.users,
-            &arena.rsk,
-            std::mem::take(&mut arena.cc),
-        );
-        baseline_select_into(&cc, &mut arena.sel, out);
-        arena.cc = cc.into_scratch();
-        arena.trace_stamp(Phase::Select);
-    }
+fn baseline(engine: &Engine, spec: &QuerySpec, arena: &mut QueryArena, out: &mut QueryResult) {
+    let tks = engine.baseline_thresholds(spec.k);
+    arena.trace_stamp(Phase::TopK);
+    arena.rsk.clear();
+    arena.rsk.extend(tks.iter().map(|t| t.rsk));
+    let cc = CandidateContext::new_reusing(
+        &engine.ctx,
+        spec,
+        &engine.users,
+        &arena.rsk,
+        std::mem::take(&mut arena.cc),
+    );
+    baseline_select_into(&cc, &mut arena.sel, out);
+    arena.cc = cc.into_scratch();
 }
 
-/// §5+§6: joint top-k (Algorithms 1+2) + Algorithm 3 with the configured
-/// keyword selector.
-#[derive(Debug, Clone, Copy)]
-pub struct JointPipeline {
-    /// Keyword-selection subroutine for Algorithm 3.
-    pub selector: KeywordSelector,
+/// §5+§6: joint top-k (Algorithms 1+2) + Algorithm 3 with `selector`.
+fn joint(
+    engine: &Engine,
+    selector: KeywordSelector,
+    spec: &QuerySpec,
+    arena: &mut QueryArena,
+    out: &mut QueryResult,
+) {
+    let jt = engine.joint_thresholds(spec.k);
+    arena.trace_stamp(Phase::TopK);
+    let cc = CandidateContext::new_reusing(
+        &engine.ctx,
+        spec,
+        &engine.users,
+        &jt.rsk,
+        std::mem::take(&mut arena.cc),
+    );
+    select_candidate_into(&cc, &jt.su, jt.out.rsk_us, selector, &mut arena.sel, out);
+    arena.cc = cc.into_scratch();
 }
 
-impl QueryStrategy for JointPipeline {
-    fn name(&self) -> &'static str {
-        match self.selector {
-            KeywordSelector::Greedy => "joint-greedy",
-            KeywordSelector::GreedyPlus => "joint-greedy-plus",
-            KeywordSelector::Exact => "joint-exact",
-        }
-    }
-
-    fn execute(
-        &self,
-        engine: &Engine,
-        spec: &QuerySpec,
-        arena: &mut QueryArena,
-        out: &mut QueryResult,
-    ) {
-        arena.trace_arm();
-        let jt = engine.joint_thresholds(spec.k);
-        arena.trace_stamp(Phase::TopK);
-        let cc = CandidateContext::new_reusing(
-            &engine.ctx,
-            spec,
-            &engine.users,
-            &jt.rsk,
-            std::mem::take(&mut arena.cc),
-        );
-        select_candidate_into(
-            &cc,
-            &jt.su,
-            jt.out.rsk_us,
-            self.selector,
-            &mut arena.sel,
-            out,
-        );
-        arena.cc = cc.into_scratch();
-        arena.trace_stamp(Phase::Select);
-    }
+/// §7: MIUR-tree user-index pipeline with `selector`. The `k`-dependent
+/// prefix (root super-user + joint MIR traversal) comes from the threshold
+/// cache when one is attached; only the location-dependent MIUR expansion
+/// runs per query.
+fn user_index(
+    engine: &Engine,
+    selector: KeywordSelector,
+    spec: &QuerySpec,
+    arena: &mut QueryArena,
+    out: &mut QueryResult,
+) {
+    assert!(
+        !spec.locations.is_empty(),
+        "MaxBRSTkNN requires at least one candidate location"
+    );
+    let miur = engine
+        .miur
+        .as_ref()
+        .expect("call with_user_index() before querying with a user-index method");
+    let seed = engine.user_index_seed(spec.k);
+    arena.trace_stamp(Phase::TopK);
+    run_selection(
+        miur,
+        spec,
+        &engine.ctx,
+        selector,
+        &engine.io,
+        &seed,
+        arena,
+        out,
+    );
 }
-
-/// §7: MIUR-tree user-index pipeline with the configured keyword selector.
-#[derive(Debug, Clone, Copy)]
-pub struct UserIndexPipeline {
-    /// Keyword-selection subroutine for the per-location refinement.
-    pub selector: KeywordSelector,
-}
-
-impl QueryStrategy for UserIndexPipeline {
-    fn name(&self) -> &'static str {
-        match self.selector {
-            KeywordSelector::Greedy => "user-index-greedy",
-            KeywordSelector::GreedyPlus => "user-index-greedy-plus",
-            KeywordSelector::Exact => "user-index-exact",
-        }
-    }
-
-    fn requires_user_index(&self) -> bool {
-        true
-    }
-
-    fn execute(
-        &self,
-        engine: &Engine,
-        spec: &QuerySpec,
-        arena: &mut QueryArena,
-        out: &mut QueryResult,
-    ) {
-        assert!(
-            !spec.locations.is_empty(),
-            "MaxBRSTkNN requires at least one candidate location"
-        );
-        let miur = engine
-            .miur
-            .as_ref()
-            .expect("call with_user_index() before querying with a user-index method");
-        arena.trace_arm();
-        if engine.thresholds.is_some() {
-            // Cached mode: the k-dependent prefix (root super-user + joint
-            // MIR traversal) comes from the threshold cache; only the
-            // location-dependent MIUR expansion runs per query.
-            let seed = engine.user_index_seed(spec.k);
-            arena.trace_stamp(Phase::TopK);
-            run_selection(
-                miur,
-                spec,
-                &engine.ctx,
-                self.selector,
-                &engine.io,
-                &seed,
-                arena,
-                out,
-            );
-        } else {
-            let seed = compute_user_index_seed(miur, &engine.mir, spec.k, &engine.ctx, &engine.io);
-            arena.trace_stamp(Phase::TopK);
-            run_selection(
-                miur,
-                spec,
-                &engine.ctx,
-                self.selector,
-                &engine.io,
-                &seed,
-                arena,
-                out,
-            );
-        }
-        arena.trace_stamp(Phase::Select);
-    }
-}
-
-/// The built-in strategy table [`Method`] resolves into.
-pub static BASELINE: BaselineScan = BaselineScan;
-/// §5+§6 with greedy keyword selection.
-pub static JOINT_GREEDY: JointPipeline = JointPipeline {
-    selector: KeywordSelector::Greedy,
-};
-/// §5+§6 with realized-gain greedy keyword selection.
-pub static JOINT_GREEDY_PLUS: JointPipeline = JointPipeline {
-    selector: KeywordSelector::GreedyPlus,
-};
-/// §5+§6 with exact keyword selection.
-pub static JOINT_EXACT: JointPipeline = JointPipeline {
-    selector: KeywordSelector::Exact,
-};
-/// §7 with greedy keyword selection.
-pub static USER_INDEX_GREEDY: UserIndexPipeline = UserIndexPipeline {
-    selector: KeywordSelector::Greedy,
-};
-/// §7 with exact keyword selection.
-pub static USER_INDEX_EXACT: UserIndexPipeline = UserIndexPipeline {
-    selector: KeywordSelector::Exact,
-};
 
 /// Per-query cost measured by the batch executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,21 +132,16 @@ pub struct QueryStats {
     pub elapsed: Duration,
     /// Simulated I/O charged by this query alone — exact under concurrency
     /// because the delta comes from the per-thread mirror (see
-    /// [`storage::IoStats::scoped`]). The mirror is process-wide, so a
-    /// custom strategy that charges a *different* `IoStats` instance during
-    /// `execute` would fold those charges in too; the built-in strategies
-    /// only ever touch their engine's counter.
+    /// [`storage::IoStats::scoped`]).
     ///
     /// With a page cache attached the snapshot also carries this query's
     /// cache hits and misses. Note that *which* query of a batch gets the
     /// miss (and its charge) is interleaving-dependent — see the warm-cache
     /// note on [`Engine::query_batch`].
     pub io: IoSnapshot,
-    /// Per-phase split of `elapsed`/`io` (top-k vs. selection), stamped by
-    /// the strategy through the arena's [`crate::trace::Trace`]. For
-    /// built-in strategies the phase I/O *partitions* `io` exactly:
-    /// `phases.total_io() == io`. A custom strategy that never stamps
-    /// reports an all-zero breakdown.
+    /// Per-phase split of `elapsed`/`io` (top-k vs. selection), stamped
+    /// through the arena's [`crate::trace::Trace`]. The phase I/O
+    /// *partitions* `io` exactly: `phases.total_io() == io`.
     pub phases: PhaseBreakdown,
 }
 
@@ -301,24 +156,12 @@ pub struct BatchOutcome {
 }
 
 impl Engine {
-    /// Single-sourced precondition check for every strategy entry point.
-    fn assert_strategy_ready(&self, strategy: &dyn QueryStrategy) {
+    /// Single-sourced precondition check for every query entry point.
+    fn assert_method_ready(&self, method: Method) {
         assert!(
-            !strategy.requires_user_index() || self.miur.is_some(),
+            !method.requires_user_index() || self.miur.is_some(),
             "call with_user_index() before querying with a user-index method"
         );
-    }
-
-    /// Answers a query with an arbitrary [`QueryStrategy`].
-    ///
-    /// # Panics
-    /// Panics when the strategy requires the user index and
-    /// [`Engine::with_user_index`] was not called.
-    pub fn query_with(&self, spec: &QuerySpec, strategy: &dyn QueryStrategy) -> QueryResult {
-        let mut arena = QueryArena::new();
-        let mut out = QueryResult::default();
-        self.query_with_reusing(spec, strategy, &mut arena, &mut out);
-        out
     }
 
     /// [`Engine::query`] into caller-owned scratch: the answer lands in
@@ -337,28 +180,12 @@ impl Engine {
         arena: &mut QueryArena,
         out: &mut QueryResult,
     ) {
-        self.query_with_reusing(spec, method.strategy(), arena, out);
-    }
-
-    /// [`Engine::query_with`] into caller-owned scratch (the strategy
-    /// counterpart of [`Engine::query_reusing`]).
-    ///
-    /// # Panics
-    /// Panics when the strategy requires the user index and
-    /// [`Engine::with_user_index`] was not called.
-    pub fn query_with_reusing(
-        &self,
-        spec: &QuerySpec,
-        strategy: &dyn QueryStrategy,
-        arena: &mut QueryArena,
-        out: &mut QueryResult,
-    ) {
-        self.assert_strategy_ready(strategy);
-        let _ = self.run_instrumented(spec, strategy, arena, out);
+        self.assert_method_ready(method);
+        let _ = self.run_instrumented(spec, method, arena, out);
     }
 
     /// The one execution point every query funnels through: runs the
-    /// strategy under wall-clock + per-thread I/O measurement and records
+    /// method under wall-clock + per-thread I/O measurement and records
     /// the outcome into the engine's always-on telemetry
     /// ([`Engine::metrics`]). Recording is relaxed atomics through handles
     /// resolved at engine build, so a warm call stays allocation-free
@@ -366,23 +193,19 @@ impl Engine {
     fn run_instrumented(
         &self,
         spec: &QuerySpec,
-        strategy: &dyn QueryStrategy,
+        method: Method,
         arena: &mut QueryArena,
         out: &mut QueryResult,
     ) -> QueryStats {
-        // Arm before executing so a custom strategy that never stamps
-        // reports an all-zero breakdown instead of the previous query's.
-        // Built-in strategies re-arm on entry (harmless).
-        arena.trace_arm();
         let start = Instant::now();
-        let ((), io) = self.io.scoped(|| strategy.execute(self, spec, arena, out));
+        let ((), io) = self.io.scoped(|| execute(self, method, spec, arena, out));
         let stats = QueryStats {
             elapsed: start.elapsed(),
             io,
             phases: arena.phases(),
         };
         self.metrics
-            .record_query(strategy.name(), &stats, &self.io, self.thresholds.as_ref());
+            .record_query(method, &stats, &self.io, self.thresholds.as_ref());
         stats
     }
 
@@ -391,7 +214,7 @@ impl Engine {
     /// (work-stealing), so uneven query costs don't leave threads idle.
     ///
     /// Results are in spec order and bit-identical to calling
-    /// [`Engine::query`] sequentially: every strategy is deterministic and
+    /// [`Engine::query`] sequentially: every method is deterministic and
     /// only reads the engine. Per-query [`QueryStats`] come from the
     /// storage layer's per-thread accounting, so each query's I/O delta is
     /// exact even though all workers share one
@@ -415,29 +238,19 @@ impl Engine {
         self.query_batch_threads(specs, method, threads)
     }
 
-    /// [`Engine::query_batch`] with an explicit worker-thread budget.
+    /// [`Engine::query_batch`] with an explicit worker-thread budget
+    /// (clamped to `1..=specs.len()`).
+    ///
+    /// # Panics
+    /// Panics when a user-index method is requested without
+    /// [`Engine::with_user_index`].
     pub fn query_batch_threads(
         &self,
         specs: &[QuerySpec],
         method: Method,
         threads: usize,
     ) -> Vec<BatchOutcome> {
-        self.query_batch_with(specs, method.strategy(), threads)
-    }
-
-    /// Batch execution of an arbitrary [`QueryStrategy`] across `threads`
-    /// workers (clamped to `1..=specs.len()`).
-    ///
-    /// # Panics
-    /// Panics when the strategy requires the user index and
-    /// [`Engine::with_user_index`] was not called.
-    pub fn query_batch_with(
-        &self,
-        specs: &[QuerySpec],
-        strategy: &dyn QueryStrategy,
-        threads: usize,
-    ) -> Vec<BatchOutcome> {
-        self.assert_strategy_ready(strategy);
+        self.assert_method_ready(method);
         if specs.is_empty() {
             return Vec::new();
         }
@@ -464,7 +277,7 @@ impl Engine {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(spec) = specs.get(i) else { break };
                             let stats =
-                                self.run_instrumented(spec, strategy, &mut arena, &mut result);
+                                self.run_instrumented(spec, method, &mut arena, &mut result);
                             local.push((
                                 i,
                                 BatchOutcome {
@@ -542,28 +355,22 @@ mod tests {
             .collect()
     }
 
+    /// The benchmark's `core.query_us.<name>` rows and the
+    /// `engine_query_*{method=…}` metric families key on these strings.
     #[test]
-    fn method_resolves_to_matching_strategy_names() {
-        let names: Vec<&str> = Method::ALL.iter().map(|m| m.strategy().name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "baseline",
-                "joint-greedy",
-                "joint-greedy-plus",
-                "joint-exact",
-                "user-index-greedy",
-                "user-index-exact",
-            ]
-        );
-    }
-
-    #[test]
-    fn only_user_index_strategies_require_the_index() {
-        for m in Method::ALL {
-            let wants = matches!(m, Method::UserIndexGreedy | Method::UserIndexExact);
-            assert_eq!(m.strategy().requires_user_index(), wants, "{m:?}");
-        }
+    fn method_names_and_user_index_requirement_are_pinned() {
+        let pinned = [
+            ("baseline", false),
+            ("joint-greedy", false),
+            ("joint-greedy-plus", false),
+            ("joint-exact", false),
+            ("user-index-greedy", true),
+            ("user-index-exact", true),
+        ];
+        let got = Method::ALL.map(|m| (m.name(), m.requires_user_index()));
+        assert_eq!(got, pinned);
+        // `EngineMetrics` indexes its per-method handles by discriminant.
+        assert_eq!(Method::ALL.map(|m| m as usize), [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -644,7 +451,7 @@ mod tests {
     }
 
     /// Same-`k` queries after the first charge zero top-k I/O; the joint
-    /// strategies' selection stage is in-memory, so their second query
+    /// methods' selection stage is in-memory, so their second query
     /// charges nothing at all.
     #[test]
     fn threshold_cache_eliminates_repeat_topk_io() {
@@ -656,37 +463,6 @@ mod tests {
             let _ = eng.query(spec, m);
             let delta = eng.io.snapshot() - before;
             assert_eq!(delta.total(), 0, "{m:?} second query charged I/O");
-        }
-    }
-
-    /// A caller-defined strategy runs through the same batch machinery.
-    #[test]
-    fn custom_strategy_via_batch() {
-        struct FirstLocationOnly;
-        impl QueryStrategy for FirstLocationOnly {
-            fn name(&self) -> &'static str {
-                "first-location-only"
-            }
-            fn execute(
-                &self,
-                engine: &Engine,
-                spec: &QuerySpec,
-                arena: &mut QueryArena,
-                out: &mut QueryResult,
-            ) {
-                let narrowed = QuerySpec {
-                    locations: spec.locations[..1].to_vec(),
-                    ..spec.clone()
-                };
-                JOINT_EXACT.execute(engine, &narrowed, arena, out);
-            }
-        }
-
-        let eng = engine();
-        let specs = specs();
-        let batch = eng.query_batch_with(&specs, &FirstLocationOnly, 4);
-        for out in &batch {
-            assert_eq!(out.result.location, 0, "restricted to the first location");
         }
     }
 }

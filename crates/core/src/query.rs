@@ -15,12 +15,9 @@ use text::{CorpusStats, TextScorer, WeightModel};
 
 use mbrstk_obs::MetricsRegistry;
 
+use crate::arena::QueryArena;
 use crate::cache::{JointThresholds, ThresholdCache};
 use crate::metrics::EngineMetrics;
-use crate::pipeline::{
-    QueryStrategy, BASELINE, JOINT_EXACT, JOINT_GREEDY, JOINT_GREEDY_PLUS, USER_INDEX_EXACT,
-    USER_INDEX_GREEDY,
-};
 use crate::select::location::KeywordSelector;
 use crate::select::CandidateContext;
 use crate::topk::baseline::all_users_topk_baseline;
@@ -29,12 +26,9 @@ use crate::topk::joint::joint_topk;
 use crate::user_index::{compute_user_index_seed, UserIndexSeed};
 use crate::{ObjectData, QueryResult, QuerySpec, ScoreContext, UserData, UserGroup, UserTopk};
 
-/// Which end-to-end strategy answers the query.
-///
-/// Each variant is a thin handle resolving into a
-/// [`QueryStrategy`](crate::pipeline::QueryStrategy) implementation via
-/// [`Method::strategy`]; custom strategies bypass this enum entirely
-/// through [`Engine::query_with`].
+/// Which of the paper's six end-to-end methods answers the query (a closed
+/// set: §4 baseline, §5+§6 joint × three keyword selectors, §7 user index ×
+/// two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// §4: per-user top-k on the IR-tree + exhaustive candidate scan.
@@ -63,26 +57,22 @@ impl Method {
         Method::UserIndexExact,
     ];
 
-    /// Resolves the method into its strategy implementation.
-    pub fn strategy(self) -> &'static dyn QueryStrategy {
+    /// Stable kebab-case name (used in logs, metric labels and reports).
+    pub fn name(self) -> &'static str {
         match self {
-            Method::Baseline => &BASELINE,
-            Method::JointGreedy => &JOINT_GREEDY,
-            Method::JointGreedyPlus => &JOINT_GREEDY_PLUS,
-            Method::JointExact => &JOINT_EXACT,
-            Method::UserIndexGreedy => &USER_INDEX_GREEDY,
-            Method::UserIndexExact => &USER_INDEX_EXACT,
+            Method::Baseline => "baseline",
+            Method::JointGreedy => "joint-greedy",
+            Method::JointGreedyPlus => "joint-greedy-plus",
+            Method::JointExact => "joint-exact",
+            Method::UserIndexGreedy => "user-index-greedy",
+            Method::UserIndexExact => "user-index-exact",
         }
     }
 
-    /// Stable kebab-case name (delegates to the strategy).
-    pub fn name(self) -> &'static str {
-        self.strategy().name()
-    }
-
-    /// Whether this method needs [`Engine::with_user_index`].
+    /// Whether this method needs [`Engine::with_user_index`] (the §7
+    /// MIUR-tree pipelines do).
     pub fn requires_user_index(self) -> bool {
-        self.strategy().requires_user_index()
+        matches!(self, Method::UserIndexGreedy | Method::UserIndexExact)
     }
 }
 
@@ -126,11 +116,6 @@ pub struct Engine {
     /// [`crate::refresh::ScorerDrift`]; user churn never moves the corpus
     /// statistics but still ages the dataspace hull).
     pub(crate) user_muts_since_refresh: u64,
-    /// True when a *bounded* incremental refresh left within-bound stale
-    /// weights in the index that the (advanced) frozen scorer can no
-    /// longer see — the next refresh must escalate to a full re-weigh.
-    /// See [`Engine::has_stale_weights`](crate::refresh::incremental).
-    pub(crate) stale_weights: bool,
     /// Always-on telemetry: per-method latency/I-O histograms plus cache
     /// hit-ratio gauges, with every handle resolved at build so the warm
     /// query path records through relaxed atomics only. Unlike the caches,
@@ -168,7 +153,6 @@ impl Clone for Engine {
             user_epoch: self.user_epoch,
             obj_muts_since_refresh: self.obj_muts_since_refresh,
             user_muts_since_refresh: self.user_muts_since_refresh,
-            stale_weights: self.stale_weights,
             metrics: Arc::clone(&self.metrics),
         }
     }
@@ -255,7 +239,6 @@ impl Engine {
             user_epoch: 0,
             obj_muts_since_refresh: 0,
             user_muts_since_refresh: 0,
-            stale_weights: false,
             metrics: EngineMetrics::new(),
         }
     }
@@ -333,14 +316,6 @@ impl Engine {
         self
     }
 
-    /// [`Engine::with_threshold_cache`] with an explicit bound on the
-    /// distinct `k` values retained per map (adversarial-`k` protection;
-    /// see [`ThresholdCache::with_capacity`]).
-    pub fn with_threshold_cache_capacity(mut self, k_capacity: usize) -> Self {
-        self.thresholds = Some(ThresholdCache::with_capacity(k_capacity));
-        self
-    }
-
     /// Attaches a sharded LRU page cache of `capacity_blocks` 4 KB blocks
     /// to the simulated I/O counter (warm-cache serving model; keyed index
     /// accesses that hit it are free). Replaces the engine's counter, so
@@ -387,17 +362,10 @@ impl Engine {
     /// The §4 baseline top-k phase for `k`, served from the threshold
     /// cache when one is attached and computed fresh otherwise.
     pub fn baseline_thresholds(&self, k: usize) -> Arc<Vec<UserTopk>> {
+        let compute = || all_users_topk_baseline(&self.ir, &self.users, k, &self.ctx, &self.io);
         match &self.thresholds {
-            Some(tc) => tc.baseline(k, self.epoch, || {
-                all_users_topk_baseline(&self.ir, &self.users, k, &self.ctx, &self.io)
-            }),
-            None => Arc::new(all_users_topk_baseline(
-                &self.ir,
-                &self.users,
-                k,
-                &self.ctx,
-                &self.io,
-            )),
+            Some(tc) => tc.baseline(k, self.epoch, compute),
+            None => Arc::new(compute()),
         }
     }
 
@@ -429,10 +397,7 @@ impl Engine {
 
     /// Computes every user's top-k with the §4 baseline.
     pub fn baseline_user_topk(&self, k: usize) -> Vec<UserTopk> {
-        match &self.thresholds {
-            Some(_) => (*self.baseline_thresholds(k)).clone(),
-            None => all_users_topk_baseline(&self.ir, &self.users, k, &self.ctx, &self.io),
-        }
+        Arc::unwrap_or_clone(self.baseline_thresholds(k))
     }
 
     /// ℓ-MaxBRSTkNN: the `l` best ⟨location, keyword-set⟩ tuples (see
@@ -450,15 +415,16 @@ impl Engine {
 
     /// Answers a `MaxBRSTkNN` query with the chosen method.
     ///
-    /// Resolves `method` into its [`QueryStrategy`] and executes it; batch
-    /// workloads should prefer [`Engine::query_batch`], which fans specs
-    /// out across threads and reports per-query costs.
+    /// Batch workloads should prefer [`Engine::query_batch`], which fans
+    /// specs out across threads and reports per-query costs.
     ///
     /// # Panics
     /// Panics when a user-index method is requested without
     /// [`Engine::with_user_index`].
     pub fn query(&self, spec: &QuerySpec, method: Method) -> QueryResult {
-        self.query_with(spec, method.strategy())
+        let mut out = QueryResult::default();
+        self.query_reusing(spec, method, &mut QueryArena::new(), &mut out);
+        out
     }
 }
 
@@ -504,7 +470,7 @@ mod tests {
         }
     }
 
-    /// All exact strategies must agree on the optimum cardinality.
+    /// All exact methods must agree on the optimum cardinality.
     #[test]
     fn exact_methods_agree() {
         for model in [

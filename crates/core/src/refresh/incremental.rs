@@ -12,11 +12,11 @@
 //! 1. **Drift ledger** — [`Engine::drift_ledger`] compares the frozen
 //!    scorer against a freshly computed live one *per term*: the basis
 //!    (`idf` / `cf/|C|`) that feeds document weights and the maximum
-//!    `wmax(t)` that feeds user normalizers. Terms whose relative error
-//!    exceeds [`RefreshConfig::term_drift_bound`] are *drifted*; a
-//!    reverse walk over the live tables collects the documents and users
-//!    touching them (plus any document whose insert-time clamp fired —
-//!    its stored weights are stale regardless of drift).
+//!    `wmax(t)` that feeds user normalizers. Terms on which either
+//!    changed at all are *drifted*; a reverse walk over the live tables
+//!    collects the documents and users touching them (plus any document
+//!    whose insert-time clamp fired — its stored weights are stale
+//!    regardless of drift).
 //! 2. **Partial re-weigh** — [`Engine::refreshed_incremental`] re-weighs
 //!    exactly the affected documents under the live statistics, re-norms
 //!    the affected users, and splices the new values into twins of the
@@ -25,21 +25,16 @@
 //!    an affected entry are rewritten; every untouched subtree's records
 //!    are copied verbatim at zero simulated I/O. Freed placeholder slots
 //!    are reclaimed on the way, exactly as the full tier does.
-//! 3. **Exactness** — with the default bound `0.0`, "drifted" means
-//!    *changed at all*, so every stored weight left in place is bitwise
-//!    equal to what a full re-weigh would compute: the incremental
-//!    engine is bit-identical to [`Engine::refreshed`] (pinned for all
-//!    six query methods by `tests/incremental_refresh.rs`). Positive
-//!    bounds tolerate within-bound stale weights for even less I/O; the
-//!    refreshed `wmax` is floored at the frozen values
-//!    ([`text::TextScorer::raise_max_weight`]) so every pruning bound
-//!    keeps dominating every weight left in the index.
+//! 3. **Exactness** — "drifted" means *changed at all*, so every stored
+//!    weight left in place is bitwise equal to what a full re-weigh would
+//!    compute: the incremental engine is bit-identical to
+//!    [`Engine::refreshed`] (pinned for all six query methods by
+//!    `tests/incremental_refresh.rs`).
 //!
 //! The cost model is the point: refresh I/O is proportional to the
 //! number of affected root-to-leaf paths — sublinear in |O| whenever
 //! drift is term-local — instead of the full index footprint.
 //!
-//! [`RefreshConfig::term_drift_bound`]: super::RefreshConfig::term_drift_bound
 //! [`WeightModel::corpus_basis`]: text::WeightModel::corpus_basis
 //! [`StTree::splice_reweighed`]: index::StTree::splice_reweighed
 
@@ -57,18 +52,14 @@ use crate::{Engine, ScoreContext};
 /// The per-term drift ledger: which terms moved, and what they touch.
 ///
 /// Produced by [`Engine::drift_ledger`]; consumed by
-/// [`Engine::refreshed_incremental`] and the bench layer (which charts
-/// refresh I/O against the drifted fraction of the vocabulary).
+/// [`Engine::refreshed_incremental`].
 #[derive(Debug, Clone)]
 pub struct DriftLedger {
     /// The aggregate drift metric (identical to [`Engine::drift`]).
     pub drift: ScorerDrift,
-    /// The relative bound a term had to exceed to enter
-    /// [`DriftLedger::drifted_terms`].
-    pub term_drift_bound: f64,
-    /// Terms whose statistics moved past the bound: the relative error
-    /// of the weight basis ([`text::WeightModel::corpus_basis`]) *or* of
-    /// the per-term maximum `wmax(t)`, whichever is larger.
+    /// Terms whose statistics changed at all: the weight basis
+    /// ([`text::WeightModel::corpus_basis`]) *or* the per-term maximum
+    /// `wmax(t)`.
     pub drifted_terms: Vec<TermId>,
     /// Objects whose stored weights may be stale: every object touching
     /// a drifted term, plus every object whose insert-time clamp to the
@@ -78,11 +69,6 @@ pub struct DriftLedger {
     /// Users touching a drifted term (their normalizer `N(u)` sums the
     /// per-term maxima, so only `wmax` movement can age it).
     pub reweigh_users: Vec<u32>,
-    /// Terms that moved but stayed *within* the bound (`0 < rel ≤
-    /// bound`; always 0 at the exact bound). Documents touching only
-    /// these terms are spliced without re-weighing — the tolerated
-    /// staleness a bounded refresh leaves in the index.
-    pub within_bound_terms: usize,
 }
 
 impl DriftLedger {
@@ -98,7 +84,7 @@ impl DriftLedger {
 
 /// A freshly computed scorer over the live object documents — the target
 /// model both refresh tiers converge to.
-fn live_scorer(engine: &Engine) -> TextScorer {
+pub(super) fn live_scorer(engine: &Engine) -> TextScorer {
     let stats = CorpusStats::build(engine.objects.iter().map(|o| &o.doc));
     TextScorer::build(
         engine.ctx.text.model(),
@@ -122,202 +108,136 @@ fn stored_weights(frozen: &TextScorer, doc: &text::Document) -> WeightedDoc {
     )
 }
 
-/// One pass over the vocabulary and the live tables: the drift metric,
-/// the drifted-term set, and the touched documents/users.
-fn ledger_scan(engine: &Engine, live: &TextScorer, bound: f64) -> DriftLedger {
+/// Relative error of a frozen value against its live twin, in `[0, 1]`.
+fn rel_error(f: f64, l: f64) -> f64 {
+    let denom = f.max(l);
+    if denom <= 0.0 {
+        0.0
+    } else {
+        (f - l).abs() / denom
+    }
+}
+
+fn vocab_len(frozen: &TextScorer, live: &TextScorer) -> usize {
+    frozen.stats().vocab_len().max(live.stats().vocab_len())
+}
+
+/// The aggregate drift metric: one pass over the vocabulary comparing the
+/// per-term maxima (every pruning bound consumes `wmax`), counting only
+/// terms with weight mass on either side. No table walk — this is what
+/// [`Engine::drift`] runs beside live traffic.
+pub(super) fn wmax_drift(engine: &Engine, live: &TextScorer) -> ScorerDrift {
     let frozen = &engine.ctx.text;
-    let model = frozen.model();
-    let vocab = frozen.stats().vocab_len().max(live.stats().vocab_len());
-
-    let rel = |f: f64, l: f64| -> f64 {
-        let denom = f.max(l);
-        if denom <= 0.0 {
-            0.0
-        } else {
-            (f - l).abs() / denom
-        }
-    };
-
-    let mut drifted: HashSet<TermId> = HashSet::new();
     let (mut max_rel, mut sum, mut compared) = (0.0f64, 0.0f64, 0usize);
-    let mut within_bound_terms = 0usize;
-    for i in 0..vocab {
+    for i in 0..vocab_len(frozen, live) {
         let t = TermId(i as u32);
-        let f_max = frozen.max_weight(t);
-        let l_max = live.max_weight(t);
-        // The aggregate metric stays the wmax comparison of
-        // `Engine::drift` (every pruning bound consumes wmax), counting
-        // only terms with weight mass on either side.
+        let (f_max, l_max) = (frozen.max_weight(t), live.max_weight(t));
         if f_max.max(l_max) > 0.0 {
-            let r = rel(f_max, l_max);
+            let r = rel_error(f_max, l_max);
             max_rel = max_rel.max(r);
             sum += r;
             compared += 1;
         }
-        // A term is *drifted* when either channel moved past the bound:
-        // the weight basis ages stored document weights, the maximum
-        // ages user normalizers.
-        let basis_rel = rel(
-            model.corpus_basis(t, frozen.stats()),
-            model.corpus_basis(t, live.stats()),
-        );
-        let combined = rel(f_max, l_max).max(basis_rel);
-        if combined > bound {
-            drifted.insert(t);
-        } else if combined > 0.0 {
-            within_bound_terms += 1;
-        }
     }
+    ScorerDrift {
+        object_mutations: engine.obj_muts_since_refresh,
+        user_mutations: engine.user_muts_since_refresh,
+        max_rel_error: max_rel,
+        mean_rel_error: if compared > 0 {
+            sum / compared as f64
+        } else {
+            0.0
+        },
+        terms_compared: compared,
+    }
+}
 
-    // The table walks only matter for a finite bound — with `bound =
-    // ∞` (the plain `Engine::drift` metric) nothing can drift, so the
-    // candidate sets are empty by construction.
+/// The drift metric, the drifted-term set, and one walk over each live
+/// table for the documents/users touching it.
+fn ledger_scan(engine: &Engine, live: &TextScorer) -> DriftLedger {
+    let frozen = &engine.ctx.text;
+    let model = frozen.model();
+
+    // A term is *drifted* when either channel moved: the weight basis
+    // ages stored document weights, the maximum ages user normalizers.
+    let drifted: HashSet<TermId> = (0..vocab_len(frozen, live))
+        .map(|i| TermId(i as u32))
+        .filter(|&t| {
+            let basis = |s: &TextScorer| model.corpus_basis(t, s.stats());
+            rel_error(frozen.max_weight(t), live.max_weight(t)) > 0.0
+                || rel_error(basis(frozen), basis(live)) > 0.0
+        })
+        .collect();
+
     let mut reweigh_objects = Vec::new();
-    let mut reweigh_users = Vec::new();
-    if bound.is_finite() {
-        for o in &engine.objects {
-            let touches = o.doc.terms().any(|t| drifted.contains(&t));
-            // The clamp check catches inserted outliers whose stored
-            // weight is the frozen cap, not the frozen model — stale
-            // even when none of their terms drifted.
-            let clamped = || {
-                o.doc.entries().iter().any(|&(t, tf)| {
-                    model.weight(t, tf, o.doc.len(), frozen.stats()) > frozen.max_weight(t)
-                })
-            };
-            if touches || clamped() {
-                reweigh_objects.push(o.id);
-            }
+    for o in &engine.objects {
+        let touches = o.doc.terms().any(|t| drifted.contains(&t));
+        // The clamp check catches inserted outliers whose stored
+        // weight is the frozen cap, not the frozen model — stale
+        // even when none of their terms drifted.
+        let clamped = || {
+            o.doc.entries().iter().any(|&(t, tf)| {
+                model.weight(t, tf, o.doc.len(), frozen.stats()) > frozen.max_weight(t)
+            })
+        };
+        if touches || clamped() {
+            reweigh_objects.push(o.id);
         }
-        reweigh_users = engine
-            .users
-            .iter()
-            .filter(|u| u.doc.terms().any(|t| drifted.contains(&t)))
-            .map(|u| u.id)
-            .collect();
     }
+    let reweigh_users = engine
+        .users
+        .iter()
+        .filter(|u| u.doc.terms().any(|t| drifted.contains(&t)))
+        .map(|u| u.id)
+        .collect();
 
     let mut drifted_terms: Vec<TermId> = drifted.into_iter().collect();
     drifted_terms.sort_unstable();
 
     DriftLedger {
-        drift: ScorerDrift {
-            object_mutations: engine.obj_muts_since_refresh,
-            user_mutations: engine.user_muts_since_refresh,
-            max_rel_error: max_rel,
-            mean_rel_error: if compared > 0 {
-                sum / compared as f64
-            } else {
-                0.0
-            },
-            terms_compared: compared,
-        },
-        term_drift_bound: bound,
+        drift: wmax_drift(engine, live),
         drifted_terms,
         reweigh_objects,
         reweigh_users,
-        within_bound_terms,
     }
 }
 
 impl Engine {
     /// [`Engine::drift`] extended into the per-term ledger the
     /// incremental refresh consumes: the set of terms whose statistics
-    /// moved past `term_drift_bound` (relative, in `[0, 1]`; `0.0` means
-    /// "changed at all") and the documents/users touching them. One
-    /// O(|O| + vocab) scan, no tree work, no simulated I/O. An infinite
-    /// bound degenerates to the plain [`Engine::drift`] metric (empty
-    /// term and candidate sets).
-    pub fn drift_ledger(&self, term_drift_bound: f64) -> DriftLedger {
-        self.drift_parts(term_drift_bound).1
+    /// changed at all and the documents/users touching them. One
+    /// O(|O| + vocab) scan, no tree work, no simulated I/O.
+    pub fn drift_ledger(&self) -> DriftLedger {
+        self.drift_parts().1
     }
 
     /// The live scorer and its ledger in one scan (the serving layer's
     /// tier decision reuses both, so the O(|O|) work is paid once).
-    pub(crate) fn drift_parts(&self, term_drift_bound: f64) -> (TextScorer, DriftLedger) {
+    pub(crate) fn drift_parts(&self) -> (TextScorer, DriftLedger) {
         let live = live_scorer(self);
-        let ledger = ledger_scan(self, &live, term_drift_bound);
+        let ledger = ledger_scan(self, &live);
         (live, ledger)
     }
 
-    /// True when a previous *bounded* incremental refresh left
-    /// within-bound stale weights in the index. The refresh that spliced
-    /// them also advanced the frozen scorer past them, so no later drift
-    /// ledger can see them — the next refresh must be a full re-weigh to
-    /// certify again, and both [`Engine::refreshed_incremental`] and the
-    /// serving tier selection escalate accordingly.
-    pub fn has_stale_weights(&self) -> bool {
-        self.stale_weights
-    }
-
-    /// The incremental twin of [`Engine::refreshed`] at the exact bound
-    /// (`term_drift_bound = 0.0`): answers are bit-identical to a full
-    /// refresh — and to a cold build over the live tables — but the
-    /// refresh I/O is proportional to the drifted part of the corpus.
-    /// Returns the re-weighed engine together with its
+    /// The incremental twin of [`Engine::refreshed`]: answers are
+    /// bit-identical to a full refresh — and to a cold build over the live
+    /// tables — but the refresh I/O is proportional to the drifted part of
+    /// the corpus. Returns the re-weighed engine together with its
     /// [`RefreshReport`].
     pub fn refreshed_incremental(&self) -> (Engine, RefreshReport) {
-        self.refreshed_incremental_bounded(0.0)
-    }
-
-    /// [`Engine::refreshed_incremental`] with an explicit per-term drift
-    /// bound. Positive bounds splice documents whose terms drifted by at
-    /// most the bound *without* re-weighing them: cheaper still, exact
-    /// under a blended model whose `wmax` is floored at the frozen
-    /// values so pruning stays sound over the retained weights. The
-    /// tolerated staleness is remembered ([`Engine::has_stale_weights`])
-    /// and the *next* refresh escalates to the full tier — the ledger
-    /// compares against the frozen scorer, which a bounded refresh
-    /// advances past the weights it spliced, so only a full re-weigh can
-    /// repair them.
-    pub fn refreshed_incremental_bounded(&self, term_drift_bound: f64) -> (Engine, RefreshReport) {
-        let (live, ledger) = self.drift_parts(term_drift_bound);
+        let (live, ledger) = self.drift_parts();
         self.refreshed_incremental_from(live, ledger)
     }
 
-    /// The splice half of [`Engine::refreshed_incremental_bounded`],
-    /// taking an already-computed live scorer and ledger (so the serving
-    /// layer's tier decision and the refresh share one scan).
+    /// The splice half of [`Engine::refreshed_incremental`], taking an
+    /// already-computed live scorer and ledger (so the serving layer's
+    /// tier decision and the refresh share one scan).
     pub(crate) fn refreshed_incremental_from(
         &self,
-        mut live: TextScorer,
+        live: TextScorer,
         ledger: DriftLedger,
     ) -> (Engine, RefreshReport) {
-        if self.stale_weights {
-            // Residual staleness from an earlier bounded refresh is
-            // invisible to the ledger: escalate to the full tier.
-            let fresh = self.refreshed();
-            let report = RefreshReport {
-                epoch: fresh.epoch,
-                reclaimed_records: self.freed_record_slots(),
-                replayed: 0,
-                tier: RefreshTier::Full,
-                reweighed_docs: fresh.objects.len() as u64,
-                reweighed_users: fresh.users.len() as u64,
-                spliced_records: 0,
-                refresh_io: fresh.rebuild_io_cost(),
-            };
-            return (fresh, report);
-        }
         let frozen = &self.ctx.text;
-        let term_drift_bound = ledger.term_drift_bound;
-
-        // Soundness floor for spliced stale weights: a non-drifted term
-        // keeps (within the bound) its old stored weights, which were
-        // bounded by the *frozen* wmax — the refreshed scorer must not
-        // report a smaller maximum. Exact mode never fires this (a
-        // non-drifted term's maxima are bitwise equal).
-        let drifted: HashSet<TermId> = ledger.drifted_terms.iter().copied().collect();
-        let vocab = frozen.stats().vocab_len().max(live.stats().vocab_len());
-        for i in 0..vocab {
-            let t = TermId(i as u32);
-            if !drifted.contains(&t) {
-                let floor = frozen.max_weight(t);
-                if floor > live.max_weight(t) {
-                    live.raise_max_weight(t, floor);
-                }
-            }
-        }
 
         // Re-weigh exactly the affected entries, skipping no-op rewrites
         // (a candidate whose recomputed values are bitwise unchanged
@@ -397,11 +317,6 @@ impl Engine {
             // Telemetry is swap-stable: the spliced engine keeps recording
             // into the same registry (see `Engine::metrics`).
             metrics: std::sync::Arc::clone(&self.metrics),
-            // A bounded refresh that tolerated any within-bound movement
-            // leaves stale weights behind that this very refresh makes
-            // invisible (the frozen scorer advances to `live`): remember
-            // it, so the next refresh escalates to a full re-weigh.
-            stale_weights: term_drift_bound > 0.0 && ledger.within_bound_terms > 0,
         };
 
         let report = RefreshReport {
@@ -485,7 +400,7 @@ mod tests {
             WeightModel::KeywordOverlap,
         ] {
             let eng = engine(model);
-            let ledger = eng.drift_ledger(0.0);
+            let ledger = eng.drift_ledger();
             assert!(ledger.drifted_terms.is_empty(), "{model:?}");
             assert!(ledger.reweigh_objects.is_empty(), "{model:?}");
             assert!(ledger.reweigh_users.is_empty(), "{model:?}");
@@ -508,7 +423,7 @@ mod tests {
             })
             .unwrap();
         }
-        let ledger = eng.drift_ledger(0.0);
+        let ledger = eng.drift_ledger();
         assert!(ledger.drifted_terms.contains(&t(0)));
         assert!(!ledger.drifted_terms.is_empty());
         // Every inserted flooder touches t0 and must be re-weighed.
@@ -601,74 +516,6 @@ mod tests {
         assert_eq!(
             inc.query(&s, Method::JointExact),
             full.query(&s, Method::JointExact)
-        );
-    }
-
-    /// A positive bound splices within-bound drift: less I/O than the
-    /// exact mode, internally consistent answers (the floored wmax keeps
-    /// every exact method agreeing on the optimum).
-    #[test]
-    fn bounded_mode_trades_exactness_for_io() {
-        let mut eng = engine(WeightModel::lm());
-        for i in 0..6 {
-            eng.insert_object(ObjectData {
-                id: 500 + i,
-                point: Point::new((i % 5) as f64 + 0.15, 1.9),
-                doc: Document::from_pairs([(t(0), 5), (t(9), 1)]),
-            })
-            .unwrap();
-        }
-        let (exact, exact_report) = eng.refreshed_incremental();
-        assert!(
-            !exact.has_stale_weights(),
-            "the exact bound leaves nothing stale"
-        );
-        let (loose, loose_report) = eng.refreshed_incremental_bounded(0.9);
-        assert!(
-            loose_report.reweighed_docs <= exact_report.reweighed_docs,
-            "a loose bound cannot re-weigh more"
-        );
-        assert!(loose_report.refresh_io <= exact_report.refresh_io);
-        let s = spec();
-        let b = loose.query(&s, Method::Baseline);
-        let e = loose.query(&s, Method::JointExact);
-        let u = loose.query(&s, Method::UserIndexExact);
-        assert_eq!(b.cardinality(), e.cardinality());
-        assert_eq!(e.cardinality(), u.cardinality());
-
-        // The bounded refresh advanced the frozen scorer past the stale
-        // weights it spliced: the engine remembers, because measured
-        // drift alone can no longer identify them (what remains visible
-        // is only the within-bound wmax floor, far below any plausible
-        // full-refresh threshold), and the next incremental refresh
-        // escalates to a full re-weigh that certifies again.
-        assert!(
-            loose.has_stale_weights(),
-            "within-bound splices must be remembered"
-        );
-        assert!(
-            loose.drift().max_rel_error <= 0.9,
-            "residual drift stays within the tolerated bound"
-        );
-        let (repaired, repair_report) = loose.refreshed_incremental();
-        assert_eq!(
-            repair_report.tier,
-            RefreshTier::Full,
-            "stale engines must escalate"
-        );
-        assert!(!repaired.has_stale_weights());
-        let cold = Engine::build_with_fanout(
-            repaired.objects.clone(),
-            repaired.users.clone(),
-            WeightModel::lm(),
-            0.5,
-            4,
-        )
-        .with_user_index();
-        assert_eq!(
-            repaired.query(&s, Method::JointExact),
-            cold.query(&s, Method::JointExact),
-            "the escalated full tier restores cold-build equivalence"
         );
     }
 

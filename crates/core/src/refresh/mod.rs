@@ -46,10 +46,9 @@
 //!   documents/users those terms touch; only the affected root-to-leaf
 //!   paths of MIR/IR/MIUR are rewritten with recomputed aggregates, and
 //!   every untouched subtree's records are spliced verbatim into the
-//!   fresh block files at zero simulated I/O. With the default exact
-//!   bound (`term_drift_bound = 0`) the result is bit-identical to a
-//!   full refresh, at I/O proportional to the drifted fraction of the
-//!   corpus rather than to its size.
+//!   fresh block files at zero simulated I/O. The result is
+//!   bit-identical to a full refresh, at I/O proportional to the drifted
+//!   fraction of the corpus rather than to its size.
 //!
 //! [`ServingEngine::refresh_now`] (and therefore the background worker)
 //! picks the tier from measured drift: past
@@ -128,15 +127,6 @@ pub struct RefreshConfig {
     /// (a handful of mutations cannot move the statistics of a large
     /// corpus far enough to matter).
     pub drift_check_after: u64,
-    /// Per-term relative drift a term must exceed to be *re-weighed* by
-    /// the incremental tier (see
-    /// [`incremental::DriftLedger`]). `0.0` (the default) is the exact
-    /// mode: any term whose statistics moved at all is re-weighed, and
-    /// the incremental refresh is bit-identical to a full one. Positive
-    /// bounds trade exactness for even less refresh I/O — within-bound
-    /// stale weights stay in the index (pruning soundness is preserved
-    /// by flooring the refreshed `wmax` at the frozen values).
-    pub term_drift_bound: f64,
     /// Measured [`ScorerDrift::max_rel_error`] at or above which
     /// [`ServingEngine::refresh_now`] picks the full tier: broad drift
     /// means most paths would be rewritten anyway, so the cold rebuild
@@ -151,7 +141,6 @@ impl Default for RefreshConfig {
             max_mutations: 4096,
             max_drift: 0.05,
             drift_check_after: 64,
-            term_drift_bound: 0.0,
             full_refresh_drift: 0.35,
         }
     }
@@ -190,8 +179,7 @@ pub struct RefreshReport {
     pub spliced_records: u64,
     /// Simulated I/O the refresh write path cost: the full index
     /// footprint for the full tier, the rewritten paths' reads + writes
-    /// for the incremental tier. This is the number the bench layer
-    /// charts against the fraction of drifted terms.
+    /// for the incremental tier.
     pub refresh_io: u64,
 }
 
@@ -292,7 +280,7 @@ impl Engine {
     /// grows under one-sided churn; corpus-independent models
     /// (`WeightModel::KeywordOverlap`) only drift on vocabulary changes.
     pub fn drift(&self) -> ScorerDrift {
-        self.drift_ledger(f64::INFINITY).drift
+        incremental::wmax_drift(self, &incremental::live_scorer(self))
     }
 
     /// Freed placeholder record slots across the MIR, IR and (when built)
@@ -666,13 +654,11 @@ impl ServingEngine {
         // Phase 2: the expensive rebuild — no locks held. The tier
         // decision pays one O(|O|) drift scan unless the config forces
         // the full tier; the incremental path reuses the same scan for
-        // its ledger. An engine carrying within-bound stale weights from
-        // an earlier bounded refresh always escalates to the full tier
-        // (the ledger cannot see that staleness).
-        let incremental = if self.cfg.full_refresh_drift <= 0.0 || snapshot.has_stale_weights() {
+        // its ledger.
+        let incremental = if self.cfg.full_refresh_drift <= 0.0 {
             None
         } else {
-            let (live, ledger) = snapshot.drift_parts(self.cfg.term_drift_bound);
+            let (live, ledger) = snapshot.drift_parts();
             (ledger.drift.max_rel_error < self.cfg.full_refresh_drift).then_some((live, ledger))
         };
         let (mut fresh, mut report) = match incremental {

@@ -11,7 +11,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::topk::{fan_out_users, ByKey, TopkOutcome, UserTopk};
+use crate::topk::{ByKey, TopkOutcome, UserTopk};
 use crate::{ScoreContext, UserData};
 
 /// The refinement core shared by the top-k listing and the `RSk`-only path
@@ -122,25 +122,6 @@ pub(crate) fn individual_rsk(
         .iter()
         .map(|u| refine_user_heap(u, out, k, ctx, &mut hu))
         .collect()
-}
-
-/// Algorithm 2 over all users, fanned out over up to `threads` OS threads
-/// (never more than the machine has cores).
-///
-/// Engineering extension: the per-user refinements are embarrassingly
-/// parallel once `LO`/`RO` are in memory, and this stage dominates joint
-/// top-k runtime at large `|U|`. The paper's (and this crate's default)
-/// measurement path stays single-threaded; results are identical.
-pub fn individual_topk_parallel(
-    users: &[UserData],
-    out: &TopkOutcome,
-    k: usize,
-    ctx: &ScoreContext,
-    threads: usize,
-) -> Vec<UserTopk> {
-    fan_out_users(users, threads.max(1), |_, part| {
-        individual_topk(part, out, k, ctx)
-    })
 }
 
 #[cfg(test)]
@@ -273,23 +254,6 @@ mod tests {
                 .map(|r| r.to_bits())
                 .collect();
             assert_eq!(rsk, listed, "k={k}");
-        }
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let fix = fixture(WeightModel::lm(), 0.5);
-        let io = IoStats::new();
-        let group = UserGroup::from_users(&fix.users, &fix.ctx.text);
-        let out = joint_topk(&fix.tree, &group, 3, &fix.ctx, &io);
-        let seq = individual_topk(&fix.users, &out, 3, &fix.ctx);
-        for threads in [1, 2, 4, 16] {
-            let par = individual_topk_parallel(&fix.users, &out, 3, &fix.ctx, threads);
-            assert_eq!(par.len(), seq.len());
-            for (a, b) in par.iter().zip(&seq) {
-                assert_eq!(a.user, b.user);
-                assert_eq!(a.topk, b.topk);
-            }
         }
     }
 

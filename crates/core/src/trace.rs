@@ -1,20 +1,20 @@
 //! Phase-level query tracing ([`Trace`], [`PhaseBreakdown`]).
 //!
-//! Every built-in [`crate::QueryStrategy`] splits into the same two
-//! phases: a **top-k** phase (per-user `RSk` thresholds — Algorithms 1+2,
+//! Every [`crate::Method`] splits into the same two phases: a **top-k**
+//! phase (per-user `RSk` thresholds — Algorithms 1+2,
 //! the §4 baseline scan, or the §7 seed) and a **selection** phase
 //! (everything after: candidate locations, keyword selection, result
 //! materialization). The [`Trace`] scratch lives in the
-//! [`crate::QueryArena`]; a strategy re-arms it when execution starts and
+//! [`crate::QueryArena`]; the pipeline re-arms it when execution starts and
 //! stamps each phase boundary, and the engine surfaces the result as
 //! [`crate::QueryStats`]`::phases`.
 //!
 //! Stamping takes *consecutive deltas* of the wall clock and of the
 //! calling thread's I/O mirror ([`IoStats::thread_snapshot`]) — so the
-//! per-phase I/O numbers **partition** the query's total exactly: for a
-//! built-in strategy, `phases[TopK].io + phases[Select].io` equals the
-//! query's `QueryStats.io` charge for charge. Everything is `Copy` and
-//! fixed-size; tracing allocates nothing (see `tests/alloc_free.rs`).
+//! per-phase I/O numbers **partition** the query's total exactly:
+//! `phases[TopK].io + phases[Select].io` equals the query's
+//! `QueryStats.io` charge for charge. Everything is `Copy` and fixed-size;
+//! tracing allocates nothing (see `tests/alloc_free.rs`).
 
 use std::time::Instant;
 
@@ -56,7 +56,7 @@ pub struct PhaseStat {
 }
 
 /// Per-phase cost of one query; `phases[TopK] + phases[Select]`
-/// partitions the query's total I/O exactly for built-in strategies.
+/// partitions the query's total I/O exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     stats: [PhaseStat; PHASE_COUNT],
@@ -80,7 +80,7 @@ impl PhaseBreakdown {
     }
 
     /// Total traced I/O (sum over phases); equals the query's
-    /// `QueryStats.io` for built-in strategies.
+    /// `QueryStats.io`.
     pub fn total_io(&self) -> IoSnapshot {
         self.stats.iter().map(|s| s.io).sum()
     }
@@ -94,13 +94,12 @@ impl PhaseBreakdown {
     }
 }
 
-/// The arena-owned tracing scratch each strategy stamps.
+/// The arena-owned tracing scratch the pipeline stamps.
 ///
 /// `arm()` zeroes the breakdown and baselines the clock and the thread's
 /// I/O mirror; each `stamp(phase)` charges the delta since the previous
 /// stamp (or the arming) to `phase` and re-baselines. Stamping the same
-/// phase twice accumulates — a custom strategy that delegates to two
-/// built-in strategies reports the union of their phases.
+/// phase twice accumulates.
 #[derive(Debug)]
 pub struct Trace {
     mark: Instant,
@@ -119,8 +118,7 @@ impl Default for Trace {
 }
 
 impl Trace {
-    /// Zeroes the breakdown and baselines time + thread I/O. Built-in
-    /// strategies call this on entry to `execute`.
+    /// Zeroes the breakdown and baselines time + thread I/O.
     #[inline]
     pub fn arm(&mut self) {
         self.breakdown = PhaseBreakdown::default();

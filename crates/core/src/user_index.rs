@@ -109,7 +109,7 @@ fn group_rsk_lb(
 }
 
 /// Summarizes an already-read MIUR root node as the super-user group.
-fn group_from_root(root: &index::MiurNodeView) -> UserGroup {
+fn group_from_root(root: &index::MiurNodeRef<'_>) -> UserGroup {
     let mbr = geo::Rect::bounding_rects(root.entries.iter().map(|e| e.rect))
         .expect("MIUR root with no entries");
     let uni: Vec<text::TermId> = {
@@ -148,14 +148,14 @@ fn group_from_root(root: &index::MiurNodeView) -> UserGroup {
 /// exact thresholds via Algorithm 2. Location-independent — everything
 /// derives from `(node, out, k)`.
 fn materialize_node(
-    node: &index::MiurNodeView,
+    node: &index::MiurNodeRef<'_>,
     out: &TopkOutcome,
     k: usize,
     ctx: &ScoreContext,
     elems: &mut Vec<Elem>,
     scored: &mut usize,
 ) {
-    for e in &node.entries {
+    for e in node.entries {
         elems.push(match e.child {
             UserRef::Node(rec) => {
                 let group = UserGroup::from_node_entry(
@@ -206,7 +206,8 @@ pub fn compute_user_index_seed(
         PostingMode::MaxMin,
         "object index must be a MIR-tree"
     );
-    let root = miur.read_node(miur.root(), io);
+    let mut scratch = index::MiurScratch::default();
+    let root = miur.read_node_ref(miur.root(), io, &mut scratch);
     let root_group = group_from_root(&root);
     let out = joint_topk(mir, &root_group, k, ctx, io);
     let mut root_elems = Vec::new();
@@ -551,9 +552,10 @@ pub(crate) fn run_selection(
 pub(crate) fn subtree_groups(miur: &MiurTree) -> Vec<UserGroup> {
     let io = IoStats::new();
     let mut groups = Vec::new();
-    let mut frontier = vec![miur.read_node(miur.root(), &io)];
-    while let Some(node) = frontier.pop() {
-        for e in &node.entries {
+    let mut scratch = index::MiurScratch::default();
+    let mut frontier = vec![miur.root()];
+    while let Some(id) = frontier.pop() {
+        for e in miur.read_node_ref(id, &io, &mut scratch).entries {
             if let UserRef::Node(rec) = e.child {
                 groups.push(UserGroup::from_node_entry(
                     e.rect,
@@ -563,7 +565,7 @@ pub(crate) fn subtree_groups(miur: &MiurTree) -> Vec<UserGroup> {
                     e.norm_min,
                     e.norm_max,
                 ));
-                frontier.push(miur.read_node(rec, &io));
+                frontier.push(rec);
             }
         }
     }
@@ -706,7 +708,9 @@ mod tests {
             let f = fixture_with(model, 40);
             let io = IoStats::new();
             // The root, every subtree summary, then every user alone.
-            let mut groups = vec![group_from_root(&f.miur.read_node(f.miur.root(), &io))];
+            let mut scratch = index::MiurScratch::default();
+            let root = f.miur.read_node_ref(f.miur.root(), &io, &mut scratch);
+            let mut groups = vec![group_from_root(&root)];
             groups.extend(subtree_groups(&f.miur));
             groups.extend(
                 f.users

@@ -6,8 +6,8 @@
 //! dynamic-update subsystem ([`mbrstk_core::dynamic`]): a configurable
 //! fraction of operations are mutations (split between inserts and
 //! removes, objects and users), the rest are queries the driver answers
-//! against the live engine. The `figures -- churn` experiment measures
-//! query throughput and maintenance cost as the update ratio grows.
+//! against the live engine. The benchmark's `core.dynamic.*` rows record
+//! what the mutations cost.
 
 use crate::rng::{Rng, SeedableRng, StdRng};
 use geo::Rect;

@@ -7,8 +7,8 @@
 //! engine flushes them from any attached [`storage::ShardedLru`]) and how
 //! much maintenance I/O the paper's cost model assigns to it (1 simulated
 //! I/O per node record touched, ⌈bytes / 4096⌉ per textual payload). That
-//! is the number the `figures -- churn` experiment compares against a full
-//! rebuild.
+//! is the number the benchmark's `core.dynamic.maint_io_per_mutation` row
+//! records.
 
 /// What one tree mutation did to the disk-resident structure.
 #[derive(Debug, Clone, Default)]

@@ -48,11 +48,9 @@ mod st;
 mod tree;
 
 pub use edit::{SpliceReport, TreeEdit};
-pub use miur::{
-    IndexedUser, MiurEntryView, MiurNodeRef, MiurNodeView, MiurScratch, MiurTree, UserRef,
-};
+pub use miur::{IndexedUser, MiurEntryView, MiurNodeRef, MiurScratch, MiurTree, UserRef};
 pub use rtree::{BuildItem, BuildTree, DEFAULT_MAX_ENTRIES};
 pub use st::{
-    ChildRef, EntryView, IndexedObject, NodeRef, NodeScratch, NodeView, PostingMode, Postings,
-    PostingsRef, PostingsScratch, StTree,
+    ChildRef, IndexedObject, NodeRef, NodeScratch, PostingMode, PostingsRef, PostingsScratch,
+    StTree,
 };

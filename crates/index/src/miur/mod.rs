@@ -21,7 +21,7 @@ mod payload;
 mod read;
 
 use payload::Miur;
-pub use read::{MiurNodeRef, MiurNodeView, MiurScratch};
+pub use read::{MiurNodeRef, MiurScratch};
 
 /// A user ready for indexing.
 #[derive(Debug, Clone)]
@@ -169,19 +169,46 @@ mod tests {
             .collect()
     }
 
-    fn gather_users(tree: &MiurTree, io: &IoStats) -> Vec<u32> {
-        let mut out = Vec::new();
+    /// Depth-first walk over every node of `tree`, charging `io`.
+    fn walk(tree: &MiurTree, io: &IoStats, mut visit: impl FnMut(&MiurNodeRef<'_>)) {
+        let mut scratch = MiurScratch::default();
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, io);
-            for e in &node.entries {
-                match e.child {
-                    UserRef::Node(c) => stack.push(c),
-                    UserRef::User(u) => out.push(u),
+            let node = tree.read_node_ref(id, io, &mut scratch);
+            for e in node.entries {
+                if let UserRef::Node(c) = e.child {
+                    stack.push(c);
                 }
             }
+            visit(&node);
         }
+    }
+
+    fn gather_users(tree: &MiurTree, io: &IoStats) -> Vec<u32> {
+        let mut out = Vec::new();
+        walk(tree, io, |node| {
+            for e in node.entries {
+                if let UserRef::User(u) = e.child {
+                    out.push(u);
+                }
+            }
+        });
         out.sort_unstable();
+        out
+    }
+
+    /// User ids below node `id` (a scratch per level: the parent's view
+    /// stays borrowed while its children are read).
+    fn descendants(tree: &MiurTree, id: RecordId, io: &IoStats) -> Vec<u32> {
+        let mut scratch = MiurScratch::default();
+        let node = tree.read_node_ref(id, io, &mut scratch);
+        let mut out = Vec::new();
+        for e in node.entries {
+            match e.child {
+                UserRef::User(u) => out.push(u),
+                UserRef::Node(c) => out.extend(descendants(tree, c, io)),
+            }
+        }
         out
     }
 
@@ -218,9 +245,10 @@ mod tests {
         let io = IoStats::new();
         assert_eq!(gather_users(&compact, &io), gather_users(&tree, &io));
         // Root summaries (counts, IntUni, norm bracket) survive verbatim.
-        let a = tree.read_node(tree.root(), &io);
-        let b = compact.read_node(compact.root(), &io);
-        let summarize = |n: &MiurNodeView| {
+        let (mut sa, mut sb) = (MiurScratch::default(), MiurScratch::default());
+        let a = tree.read_node_ref(tree.root(), &io, &mut sa);
+        let b = compact.read_node_ref(compact.root(), &io, &mut sb);
+        let summarize = |n: &MiurNodeRef<'_>| {
             let mut rows: Vec<_> = n
                 .entries
                 .iter()
@@ -254,7 +282,8 @@ mod tests {
         let us = users();
         let tree = MiurTree::build_with_fanout(&us, 4);
         let io = IoStats::new();
-        let root = tree.read_node(tree.root(), &io);
+        let mut scratch = MiurScratch::default();
+        let root = tree.read_node_ref(tree.root(), &io, &mut scratch);
         let total: u32 = root.entries.iter().map(|e| e.count).sum();
         assert_eq!(total, 12);
     }
@@ -266,29 +295,11 @@ mod tests {
         let us = users();
         let tree = MiurTree::build_with_fanout(&us, 4);
         let io = IoStats::new();
-
-        fn descendants(tree: &MiurTree, id: RecordId, io: &IoStats) -> Vec<u32> {
-            let node = tree.read_node(id, io);
-            let mut out = Vec::new();
-            for e in &node.entries {
-                match e.child {
-                    UserRef::User(u) => out.push(u),
-                    UserRef::Node(c) => out.extend(descendants(tree, c, io)),
-                }
-            }
-            out
-        }
-
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, &io);
-            for e in &node.entries {
+        walk(&tree, &io, |node| {
+            for e in node.entries {
                 let descs = match e.child {
                     UserRef::User(u) => vec![u],
-                    UserRef::Node(c) => {
-                        stack.push(c);
-                        descendants(&tree, c, &io)
-                    }
+                    UserRef::Node(c) => descendants(&tree, c, &io),
                 };
                 assert_eq!(descs.len(), e.count as usize);
                 for d in descs {
@@ -301,7 +312,7 @@ mod tests {
                     }
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -310,8 +321,9 @@ mod tests {
         let tree = MiurTree::build_with_fanout(&us, 4);
         let io = IoStats::new();
         // Everyone has t0, so every entry's intersection contains it.
-        let root = tree.read_node(tree.root(), &io);
-        for e in &root.entries {
+        let mut scratch = MiurScratch::default();
+        let root = tree.read_node_ref(tree.root(), &io, &mut scratch);
+        for e in root.entries {
             assert!(e.int.contains(&t(0)));
         }
     }
@@ -335,7 +347,7 @@ mod tests {
         let us = users();
         let tree = MiurTree::build_with_fanout(&us, 4);
         let io = IoStats::new();
-        tree.read_node(tree.root(), &io);
+        tree.read_node_ref(tree.root(), &io, &mut MiurScratch::default());
         let snap = io.snapshot();
         assert_eq!(snap.node_visits, 1);
         assert!(snap.invfile_blocks >= 1);
@@ -345,28 +357,12 @@ mod tests {
     /// normalizer bracket must bound its descendants.
     fn check_intuni_invariants(tree: &MiurTree, us: &[IndexedUser]) {
         let io = IoStats::new();
-        fn descendants(tree: &MiurTree, id: RecordId, io: &IoStats) -> Vec<u32> {
-            let node = tree.read_node(id, io);
-            let mut out = Vec::new();
-            for e in &node.entries {
-                match e.child {
-                    UserRef::User(u) => out.push(u),
-                    UserRef::Node(c) => out.extend(descendants(tree, c, io)),
-                }
-            }
-            out
-        }
         let by_id = |id: u32| us.iter().find(|u| u.id == id).expect("known user");
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, &io);
-            for e in &node.entries {
+        walk(tree, &io, |node| {
+            for e in node.entries {
                 let descs = match e.child {
                     UserRef::User(u) => vec![u],
-                    UserRef::Node(c) => {
-                        stack.push(c);
-                        descendants(tree, c, &io)
-                    }
+                    UserRef::Node(c) => descendants(tree, c, &io),
                 };
                 assert_eq!(descs.len(), e.count as usize, "count repair failed");
                 for d in descs {
@@ -381,7 +377,7 @@ mod tests {
                     assert!(e.norm_min <= u.norm + 1e-12 && u.norm <= e.norm_max + 1e-12);
                 }
             }
-        }
+        });
     }
 
     /// Incremental insertion repairs counts, IntUni vectors and norm
@@ -481,20 +477,15 @@ mod tests {
         check_intuni_invariants(&spliced, &renormed_users);
         // And the brackets are *tight*: the repaired leaf entries carry
         // exactly the new norms.
-        let mut stack = vec![spliced.root()];
-        while let Some(id) = stack.pop() {
-            let node = spliced.read_node(id, &io);
-            for e in &node.entries {
-                match e.child {
-                    UserRef::Node(c) => stack.push(c),
-                    UserRef::User(u) => {
-                        let want = renormed.get(&u).copied().unwrap_or(2.0);
-                        assert_eq!(e.norm_min, want, "user {u}");
-                        assert_eq!(e.norm_max, want, "user {u}");
-                    }
+        walk(&spliced, &io, |node| {
+            for e in node.entries {
+                if let UserRef::User(u) = e.child {
+                    let want = renormed.get(&u).copied().unwrap_or(2.0);
+                    assert_eq!(e.norm_min, want, "user {u}");
+                    assert_eq!(e.norm_max, want, "user {u}");
                 }
             }
-        }
+        });
     }
 
     /// An empty re-norm map splices every record verbatim at zero
@@ -542,19 +533,10 @@ mod tests {
         // 3.0. Derived from the built tree, so the choice is layout-proof.
         let io = IoStats::new();
         let mut eligible = None;
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, &io);
-            if !node.is_leaf {
-                for e in &node.entries {
-                    let UserRef::Node(c) = e.child else { panic!() };
-                    stack.push(c);
-                }
-                continue;
-            }
+        walk(&tree, &io, |node| {
             let mins = node.entries.iter().filter(|e| e.norm_min == 1.0).count();
             let maxs = node.entries.iter().filter(|e| e.norm_max == 3.0).count();
-            if mins >= 2 && maxs >= 1 {
+            if node.is_leaf && mins >= 2 && maxs >= 1 {
                 let UserRef::User(u) = node
                     .entries
                     .iter()
@@ -566,7 +548,7 @@ mod tests {
                 };
                 eligible = Some(u);
             }
-        }
+        });
         let user = eligible.expect("some leaf holds a redundant bracket witness");
         let renormed: std::collections::HashMap<u32, f64> = [(user, 2.0f64)].into_iter().collect();
         let (spliced, report) = tree.splice_reweighed(&renormed);
@@ -606,16 +588,11 @@ mod tests {
     fn rows(tree: &MiurTree) -> Vec<(bool, Vec<EntryRow>)> {
         let io = IoStats::new();
         let mut out = Vec::new();
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, &io);
+        walk(tree, &io, |node| {
             let summary = node
                 .entries
                 .iter()
                 .map(|e| {
-                    if let UserRef::Node(c) = e.child {
-                        stack.push(c);
-                    }
                     (
                         e.rect,
                         e.count,
@@ -627,7 +604,7 @@ mod tests {
                 })
                 .collect();
             out.push((node.is_leaf, summary));
-        }
+        });
         out
     }
 

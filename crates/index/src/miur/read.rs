@@ -1,6 +1,6 @@
 //! The query-side read path of [`MiurTree`]: node decoding into reusable
-//! scratch slots, the zero-copy view over them and the owned convenience
-//! view. [`PagedTree::parse_node_into`] also backs the core's maintenance
+//! scratch slots and the zero-copy view over them.
+//! [`PagedTree::parse_node_into`] also backs the core's maintenance
 //! reads ([`crate::tree::Payload::read`]).
 
 use geo::{Point, Rect};
@@ -22,17 +22,6 @@ pub(super) fn miur_node_key(id: RecordId) -> u64 {
 /// Page-cache key of an MIUR IntUni record.
 pub(super) fn miur_intuni_key(id: RecordId) -> u64 {
     (3 << 33) | u64::from(id.0)
-}
-
-/// A deserialized MIUR node.
-#[derive(Debug, Clone)]
-pub struct MiurNodeView {
-    /// Record id of the node.
-    pub id: RecordId,
-    /// True when entries are users.
-    pub is_leaf: bool,
-    /// The node's entries with their `IntUni` vectors.
-    pub entries: Vec<MiurEntryView>,
 }
 
 /// Reusable decode buffers for [`MiurTree::read_node_ref`].
@@ -95,8 +84,7 @@ impl MiurScratch {
 }
 
 /// A zero-copy view of one MIUR node, borrowing the entries decoded into
-/// a [`MiurScratch`]. The owned escape hatch is
-/// [`MiurNodeRef::to_owned_view`].
+/// a [`MiurScratch`].
 #[derive(Debug, Clone, Copy)]
 pub struct MiurNodeRef<'a> {
     /// Record id of the node.
@@ -107,30 +95,12 @@ pub struct MiurNodeRef<'a> {
     pub entries: &'a [MiurEntryView],
 }
 
-impl MiurNodeRef<'_> {
-    /// Materializes an owned [`MiurNodeView`].
-    pub fn to_owned_view(&self) -> MiurNodeView {
-        MiurNodeView {
-            id: self.id,
-            is_leaf: self.is_leaf,
-            entries: self.entries.to_vec(),
-        }
-    }
-}
-
 impl MiurTree {
-    /// Reads a node with its IntUni vectors, charging one node visit plus
-    /// the IntUni file's blocks (the paper's inverted-file rule applies to
-    /// the textual payload of the node). Owned convenience over
-    /// [`MiurTree::read_node_ref`].
-    pub fn read_node(&self, id: RecordId, io: &IoStats) -> MiurNodeView {
-        let mut scratch = MiurScratch::default();
-        self.read_node_ref(id, io, &mut scratch).to_owned_view()
-    }
-
-    /// Reads a node into `scratch`, charging exactly like
-    /// [`MiurTree::read_node`]. The returned view borrows the scratch
-    /// entries; slots are cleared, not freed, between reads.
+    /// Reads a node with its IntUni vectors into `scratch`, charging one
+    /// node visit plus the IntUni file's blocks (the paper's inverted-file
+    /// rule applies to the textual payload of the node). The returned view
+    /// borrows the scratch entries; slots are cleared, not freed, between
+    /// reads.
     pub fn read_node_ref<'a>(
         &self,
         id: RecordId,

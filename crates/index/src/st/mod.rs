@@ -28,7 +28,7 @@ mod payload;
 mod read;
 
 use payload::St;
-pub use read::{EntryView, NodeRef, NodeScratch, NodeView, Postings, PostingsRef, PostingsScratch};
+pub use read::{NodeRef, NodeScratch, PostingsRef, PostingsScratch};
 
 /// Whether postings carry only maxima (IR-tree) or maxima and minima
 /// (MIR-tree).
@@ -299,20 +299,73 @@ mod tests {
         (objects, scorer, docs)
     }
 
-    fn collect_objects(tree: &StTree, io: &IoStats) -> Vec<(u32, Point)> {
-        let mut out = Vec::new();
+    /// Depth-first walk over every node of `tree`, charging `io`.
+    fn walk(tree: &StTree, io: &IoStats, mut visit: impl FnMut(&NodeRef<'_>)) {
+        let mut scratch = NodeScratch::default();
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, io);
-            for e in &node.entries {
-                match e.child {
-                    ChildRef::Node(c) => stack.push(c),
-                    ChildRef::Object(o) => out.push((o, e.rect.min)),
+            let node = tree.read_node_ref(id, io, &mut scratch);
+            for i in 0..node.len() {
+                if let ChildRef::Node(c) = node.child(i) {
+                    stack.push(c);
+                }
+            }
+            visit(&node);
+        }
+    }
+
+    fn collect_objects(tree: &StTree, io: &IoStats) -> Vec<(u32, Point)> {
+        let mut out = Vec::new();
+        walk(tree, io, |node| {
+            for i in 0..node.len() {
+                if let ChildRef::Object(o) = node.child(i) {
+                    out.push((o, node.point(i)));
+                }
+            }
+        });
+        out.sort_by_key(|&(o, _)| o);
+        out
+    }
+
+    /// Object ids below node `id` (a scratch per level: the parent's view
+    /// stays borrowed while its children are read).
+    fn descendants(tree: &StTree, id: RecordId, io: &IoStats) -> Vec<u32> {
+        let mut scratch = NodeScratch::default();
+        let node = tree.read_node_ref(id, io, &mut scratch);
+        let mut out = Vec::new();
+        for i in 0..node.len() {
+            match node.child(i) {
+                ChildRef::Object(o) => out.push(o),
+                ChildRef::Node(c) => out.extend(descendants(tree, c, io)),
+            }
+        }
+        out
+    }
+
+    /// Walks two trees in lockstep and asserts they decode to the same
+    /// content: structure, rectangles (bit-exact), targets and the postings
+    /// of `terms`.
+    fn assert_same_content(a: &StTree, b: &StTree, terms: &[TermId]) {
+        let io = IoStats::new();
+        let (mut sa, mut sb) = (NodeScratch::default(), NodeScratch::default());
+        let (mut pa, mut pb) = (PostingsScratch::default(), PostingsScratch::default());
+        let mut stack = vec![(a.root(), b.root())];
+        while let Some((ia, ib)) = stack.pop() {
+            let na = a.read_node_ref(ia, &io, &mut sa);
+            let nb = b.read_node_ref(ib, &io, &mut sb);
+            assert_eq!(na.is_leaf(), nb.is_leaf(), "node {ia:?}");
+            assert_eq!(na.len(), nb.len(), "node {ia:?}");
+            let ra = a.read_postings_ref(&na, terms, &io, &mut pa);
+            let rb = b.read_postings_ref(&nb, terms, &io, &mut pb);
+            for i in 0..na.len() {
+                assert_eq!(na.rect(i), nb.rect(i), "node {ia:?} entry {i}: MBR");
+                assert_eq!(na.child(i), nb.child(i), "node {ia:?} entry {i}: target");
+                assert_eq!(ra.entry(i), rb.entry(i), "node {ia:?} entry {i}: postings");
+                if let (ChildRef::Node(x), ChildRef::Node(y)) = (na.child(i), nb.child(i)) {
+                    stack.push((x, y));
                 }
             }
         }
-        out.sort_by_key(|&(o, _)| o);
-        out
     }
 
     #[test]
@@ -335,33 +388,27 @@ mod tests {
         let (objects, _, _) = corpus();
         let tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
         let io = IoStats::new();
-        let mut stack = vec![tree.root()];
         let all_terms: Vec<TermId> = (0..4).map(t).collect();
-        while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, &io);
-            if node.is_leaf {
-                let p = tree.read_postings(&node, &all_terms, &io);
-                for (i, e) in node.entries.iter().enumerate() {
-                    let ChildRef::Object(oid) = e.child else {
-                        panic!()
-                    };
-                    let doc = &objects[oid as usize].doc;
-                    let got: Vec<(TermId, f64)> =
-                        p.per_entry[i].iter().map(|&(t, mx, _)| (t, mx)).collect();
-                    assert_eq!(got, doc.entries);
-                    // Leaf min == max.
-                    for &(_, mx, mn) in &p.per_entry[i] {
-                        assert_eq!(mx, mn);
-                    }
-                }
-            } else {
-                for e in &node.entries {
-                    if let ChildRef::Node(c) = e.child {
-                        stack.push(c);
-                    }
+        let mut ps = PostingsScratch::default();
+        walk(&tree, &io, |node| {
+            if !node.is_leaf() {
+                return;
+            }
+            let p = tree.read_postings_ref(node, &all_terms, &io, &mut ps);
+            for i in 0..node.len() {
+                let ChildRef::Object(oid) = node.child(i) else {
+                    panic!()
+                };
+                let doc = &objects[oid as usize].doc;
+                let got: Vec<(TermId, f64)> =
+                    p.entry(i).iter().map(|&(t, mx, _)| (t, mx)).collect();
+                assert_eq!(got, doc.entries);
+                // Leaf min == max.
+                for &(_, mx, mn) in p.entry(i) {
+                    assert_eq!(mx, mn);
                 }
             }
-        }
+        });
     }
 
     /// The core MIR-tree invariant: for every node entry and term, max is
@@ -373,32 +420,18 @@ mod tests {
         let tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
         let io = IoStats::new();
         let all_terms: Vec<TermId> = (0..4).map(t).collect();
-
-        // Recursively gather descendant object ids per node record.
-        fn descendants(tree: &StTree, id: RecordId, io: &IoStats) -> Vec<u32> {
-            let node = tree.read_node(id, io);
-            let mut out = Vec::new();
-            for e in &node.entries {
-                match e.child {
-                    ChildRef::Object(o) => out.push(o),
-                    ChildRef::Node(c) => out.extend(descendants(tree, c, io)),
-                }
+        let mut ps = PostingsScratch::default();
+        walk(&tree, &io, |node| {
+            if node.is_leaf() {
+                return;
             }
-            out
-        }
-
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, &io);
-            if node.is_leaf {
-                continue;
-            }
-            let p = tree.read_postings(&node, &all_terms, &io);
-            for (i, e) in node.entries.iter().enumerate() {
-                let ChildRef::Node(c) = e.child else { panic!() };
-                stack.push(c);
+            let p = tree.read_postings_ref(node, &all_terms, &io, &mut ps);
+            for i in 0..node.len() {
+                let ChildRef::Node(c) = node.child(i) else {
+                    panic!()
+                };
                 let descs = descendants(&tree, c, &io);
-                for &(term, mx, mn) in &p.per_entry[i] {
+                for &(term, mx, mn) in p.entry(i) {
                     let weights: Vec<f64> = descs
                         .iter()
                         .map(|&o| objects[o as usize].doc.weight(term))
@@ -416,7 +449,7 @@ mod tests {
                     }
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -426,29 +459,6 @@ mod tests {
         let mir = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
         assert!(ir.invfile_bytes() < mir.invfile_bytes());
         assert_eq!(ir.node_bytes(), mir.node_bytes());
-    }
-
-    /// A node's decoded view plus its full per-entry postings.
-    type NodeFingerprint = (NodeView, Vec<Vec<(TermId, f64, f64)>>);
-
-    /// Walks `tree` depth-first and returns every node's decoded view plus
-    /// its full postings, in a stable order — the equivalence fingerprint
-    /// for cross-codec comparison.
-    fn fingerprint(tree: &StTree, terms: &[TermId]) -> Vec<NodeFingerprint> {
-        let io = IoStats::new();
-        let mut out = Vec::new();
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, &io);
-            let p = tree.read_postings(&node, terms, &io);
-            for e in &node.entries {
-                if let ChildRef::Node(c) = e.child {
-                    stack.push(c);
-                }
-            }
-            out.push((node, p.per_entry));
-        }
-        out
     }
 
     /// The tentpole contract: both codecs decode to identical trees — same
@@ -464,14 +474,8 @@ mod tests {
             assert_eq!(v.codec(), CodecId::Verbatim);
             assert_eq!(c.codec(), CodecId::Columnar);
 
-            let (fv, fc) = (fingerprint(&v, &all_terms), fingerprint(&c, &all_terms));
-            assert_eq!(fv.len(), fc.len(), "{mode:?}: node count");
-            for ((nv, pv), (nc, pc)) in fv.iter().zip(&fc) {
-                assert_eq!(nv.id, nc.id);
-                assert_eq!(nv.is_leaf, nc.is_leaf);
-                assert_eq!(nv.entries, nc.entries, "{mode:?}: node {:?}", nv.id);
-                assert_eq!(pv, pc, "{mode:?}: postings of node {:?}", nv.id);
-            }
+            assert_eq!(v.root(), c.root(), "{mode:?}");
+            assert_same_content(&v, &c, &all_terms);
 
             assert!(
                 c.node_bytes() < v.node_bytes(),
@@ -513,12 +517,7 @@ mod tests {
             assert!(v.remove(obj.id, obj.point).is_some());
             assert!(c.remove(obj.id, obj.point).is_some());
         }
-        let (fv, fc) = (fingerprint(&v, &all_terms), fingerprint(&c, &all_terms));
-        assert_eq!(fv.len(), fc.len());
-        for ((nv, pv), (nc, pc)) in fv.iter().zip(&fc) {
-            assert_eq!(nv.entries, nc.entries);
-            assert_eq!(pv, pc);
-        }
+        assert_same_content(&v, &c, &all_terms);
         assert_eq!(c.codec(), CodecId::Columnar, "codec survives mutations");
     }
 
@@ -527,10 +526,11 @@ mod tests {
         let (objects, _, _) = corpus();
         let tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
         let io = IoStats::new();
-        let root = tree.read_node(tree.root(), &io);
+        let mut ns = NodeScratch::default();
+        let root = tree.read_node_ref(tree.root(), &io, &mut ns);
         assert_eq!(io.snapshot().node_visits, 1);
         let before = io.snapshot();
-        tree.read_postings(&root, &[t(0)], &io);
+        tree.read_postings_ref(&root, &[t(0)], &io, &mut PostingsScratch::default());
         let delta = io.snapshot() - before;
         assert_eq!(delta.node_visits, 0);
         assert!(delta.invfile_blocks >= 1);
@@ -541,10 +541,11 @@ mod tests {
         let (objects, _, _) = corpus();
         let tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
         let io = IoStats::new();
-        let root = tree.read_node(tree.root(), &io);
-        let p = tree.read_postings(&root, &[t(1)], &io);
-        for entry in &p.per_entry {
-            for &(term, _, _) in entry {
+        let (mut ns, mut ps) = (NodeScratch::default(), PostingsScratch::default());
+        let root = tree.read_node_ref(tree.root(), &io, &mut ns);
+        let p = tree.read_postings_ref(&root, &[t(1)], &io, &mut ps);
+        for i in 0..p.len() {
+            for &(term, _, _) in p.entry(i) {
                 assert_eq!(term, t(1));
             }
         }
@@ -573,26 +574,20 @@ mod tests {
             let io = IoStats::new();
             let all_terms: Vec<TermId> = (0..4).map(t).collect();
             let mut total = 0;
-            let mut stack = vec![tree.root()];
-            while let Some(id) = stack.pop() {
-                let node = tree.read_node(id, &io);
-                if node.is_leaf {
-                    let p = tree.read_postings(&node, &all_terms, &io);
-                    let mut terms = std::collections::HashSet::new();
-                    for row in &p.per_entry {
-                        for &(term, _, _) in row {
-                            terms.insert(term);
-                        }
-                    }
-                    total += terms.len();
-                } else {
-                    for e in &node.entries {
-                        if let ChildRef::Node(c) = e.child {
-                            stack.push(c);
-                        }
+            let mut ps = PostingsScratch::default();
+            walk(tree, &io, |node| {
+                if !node.is_leaf() {
+                    return;
+                }
+                let p = tree.read_postings_ref(node, &all_terms, &io, &mut ps);
+                let mut terms = std::collections::HashSet::new();
+                for i in 0..p.len() {
+                    for &(term, _, _) in p.entry(i) {
+                        terms.insert(term);
                     }
                 }
-            }
+                total += terms.len();
+            });
             total
         };
         let str_tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
@@ -626,33 +621,23 @@ mod tests {
         // Bound invariant: every node entry's max posting dominates every
         // descendant weight (same check as the bulk-built tree).
         let all_terms: Vec<TermId> = (0..4).map(t).collect();
-        fn descendants(tree: &StTree, id: RecordId, io: &IoStats) -> Vec<u32> {
-            let node = tree.read_node(id, io);
-            let mut out = Vec::new();
-            for e in &node.entries {
-                match e.child {
-                    ChildRef::Object(o) => out.push(o),
-                    ChildRef::Node(c) => out.extend(descendants(tree, c, io)),
-                }
+        let mut ps = PostingsScratch::default();
+        walk(&tree, &io, |node| {
+            assert!(node.len() <= tree.fanout());
+            if node.is_leaf() {
+                return;
             }
-            out
-        }
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, &io);
-            assert!(node.entries.len() <= tree.fanout());
-            if node.is_leaf {
-                continue;
-            }
-            let p = tree.read_postings(&node, &all_terms, &io);
-            for (i, e) in node.entries.iter().enumerate() {
-                let ChildRef::Node(c) = e.child else { panic!() };
-                stack.push(c);
+            let p = tree.read_postings_ref(node, &all_terms, &io, &mut ps);
+            for i in 0..node.len() {
+                let ChildRef::Node(c) = node.child(i) else {
+                    panic!()
+                };
                 for oid in descendants(&tree, c, &io) {
                     let obj = &objects[oid as usize];
-                    assert!(e.rect.contains_point(&obj.point), "MBR containment");
+                    assert!(node.rect(i).contains_point(&obj.point), "MBR containment");
                     for &(term, w) in &obj.doc.entries {
-                        let posted = p.per_entry[i]
+                        let posted = p
+                            .entry(i)
                             .iter()
                             .find(|&&(pt2, _, _)| pt2 == term)
                             .map(|&(_, mx, _)| mx)
@@ -661,7 +646,7 @@ mod tests {
                     }
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -878,24 +863,7 @@ mod tests {
         let all: HashMap<u32, WeightedDoc> = full.iter().map(|o| (o.id, o.doc.clone())).collect();
         let (reference, _) = tree.splice_reweighed(&all);
         let all_terms: Vec<TermId> = (0..4).map(t).collect();
-        let mut stack = vec![(spliced.root(), reference.root())];
-        while let Some((a, b)) = stack.pop() {
-            let na = spliced.read_node(a, &io);
-            let nb = reference.read_node(b, &io);
-            assert_eq!(na.is_leaf, nb.is_leaf);
-            assert_eq!(na.entries.len(), nb.entries.len());
-            let pa = spliced.read_postings(&na, &all_terms, &io);
-            let pb = reference.read_postings(&nb, &all_terms, &io);
-            assert_eq!(pa.per_entry, pb.per_entry, "aggregates diverged");
-            for (ea, eb) in na.entries.iter().zip(&nb.entries) {
-                assert_eq!(ea.rect, eb.rect, "splice never moves MBRs");
-                match (ea.child, eb.child) {
-                    (ChildRef::Object(x), ChildRef::Object(y)) => assert_eq!(x, y),
-                    (ChildRef::Node(x), ChildRef::Node(y)) => stack.push((x, y)),
-                    _ => panic!("structure diverged"),
-                }
-            }
-        }
+        assert_same_content(&spliced, &reference, &all_terms);
     }
 
     /// An empty re-weigh map splices everything: zero simulated I/O, and
@@ -990,8 +958,9 @@ mod tests {
         assert_eq!(tree.height(), 1);
         assert_eq!(tree.num_objects(), 1);
         let io = IoStats::new();
-        let root = tree.read_node(tree.root(), &io);
-        assert!(root.is_leaf);
-        assert_eq!(root.entries.len(), 1);
+        let mut scratch = NodeScratch::default();
+        let root = tree.read_node_ref(tree.root(), &io, &mut scratch);
+        assert!(root.is_leaf());
+        assert_eq!(root.len(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! The query-side read path of [`StTree`]: zero-copy node and postings
-//! views over the record payloads, their reusable scratch buffers, and
-//! the owned convenience views beside them. Every access here charges
+//! views over the record payloads and their reusable scratch buffers.
+//! Every access here charges
 //! the paper's simulated I/O ([`IoStats`]); maintenance reads go through
 //! the core instead ([`crate::tree`]).
 
@@ -26,46 +26,6 @@ pub(super) fn invfile_cache_key(mode: PostingMode, id: RecordId) -> u64 {
     node_cache_key(mode, id) | (1 << 32)
 }
 
-/// One deserialized entry of a node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EntryView {
-    /// The entry's MBR (degenerate for leaf entries — the object location).
-    pub rect: Rect,
-    /// Target of the entry.
-    pub child: ChildRef,
-}
-
-/// A deserialized tree node.
-#[derive(Debug, Clone)]
-pub struct NodeView {
-    /// Record id of this node.
-    pub id: RecordId,
-    /// True for leaves (entries are objects).
-    pub is_leaf: bool,
-    /// The node's entries.
-    pub entries: Vec<EntryView>,
-    invfile: RecordId,
-}
-
-impl NodeView {
-    /// Location of leaf entry `i` (its degenerate MBR corner).
-    pub fn entry_point(&self, i: usize) -> Point {
-        self.entries[i].rect.min
-    }
-}
-
-/// Postings of one node restricted to a set of query terms.
-///
-/// `per_entry[i]` lists `(term, maxw, minw)` ascending by term for entry
-/// `i`; in [`PostingMode::MaxOnly`] the minimum mirrors the maximum at the
-/// leaf level and is unavailable above it (the IR-tree stores no minima),
-/// so it is reported as 0.
-#[derive(Debug, Clone)]
-pub struct Postings {
-    /// Per-entry `(term, maxw, minw)` triples, ascending by term.
-    pub per_entry: Vec<Vec<(TermId, f64, f64)>>,
-}
-
 /// Reusable decode buffers for [`StTree::read_node_ref`].
 ///
 /// Verbatim records are read in place and leave the scratch untouched;
@@ -87,8 +47,7 @@ pub struct NodeScratch {
 /// directly (the v2 structure-of-arrays layout makes every column
 /// addressable by offset); under [`CodecId::Columnar`] it borrows the
 /// columns decoded into the caller's [`NodeScratch`]. Either way no
-/// per-entry allocation happens on the read path. Callers that need an
-/// owned node use [`NodeRef::to_owned_view`].
+/// per-entry allocation happens on the read path.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeRef<'a> {
     id: RecordId,
@@ -252,26 +211,6 @@ impl<'a> NodeRef<'a> {
     pub fn point(&self, i: usize) -> Point {
         self.rect(i).min
     }
-
-    /// Entry `i` as an owned [`EntryView`].
-    #[inline]
-    pub fn entry(&self, i: usize) -> EntryView {
-        EntryView {
-            rect: self.rect(i),
-            child: self.child(i),
-        }
-    }
-
-    /// Materializes an owned [`NodeView`] — the escape hatch for callers
-    /// that outlive the borrow.
-    pub fn to_owned_view(&self) -> NodeView {
-        NodeView {
-            id: self.id,
-            is_leaf: self.is_leaf,
-            entries: (0..self.n).map(|i| self.entry(i)).collect(),
-            invfile: self.invfile,
-        }
-    }
 }
 
 /// Reusable decode buffers for [`StTree::read_postings_ref`].
@@ -303,8 +242,13 @@ impl PostingsScratch {
     }
 }
 
-/// Borrowed postings of one node restricted to a set of query terms —
-/// the zero-copy twin of [`Postings`], living in a [`PostingsScratch`].
+/// Borrowed postings of one node restricted to a set of query terms,
+/// living in a [`PostingsScratch`].
+///
+/// Row `i` lists `(term, maxw, minw)` ascending by term for entry `i`; in
+/// [`PostingMode::MaxOnly`] the minimum mirrors the maximum at the leaf
+/// level and is unavailable above it (the IR-tree stores no minima), so it
+/// is reported as 0.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingsRef<'a> {
     rows: &'a [Vec<(TermId, f64, f64)>],
@@ -328,28 +272,13 @@ impl PostingsRef<'_> {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Materializes owned [`Postings`].
-    pub fn to_owned_postings(&self) -> Postings {
-        Postings {
-            per_entry: self.rows.to_vec(),
-        }
-    }
 }
 
 impl StTree {
-    /// Reads (visits) a node, charging one simulated I/O (free on a warm
-    /// cache hit when the counter carries one). Owned-view convenience
-    /// over [`StTree::read_node_ref`] for tooling and tests.
-    pub fn read_node(&self, id: RecordId, io: &IoStats) -> NodeView {
-        let mut scratch = NodeScratch::default();
-        self.read_node_ref(id, io, &mut scratch).to_owned_view()
-    }
-
     /// Reads (visits) a node zero-copy: Verbatim payloads are viewed in
-    /// place, Columnar payloads decode into `scratch`. Charges exactly
-    /// like [`StTree::read_node`] (one node visit, free on warm cache
-    /// hit).
+    /// place, Columnar payloads decode into `scratch`. Charges one
+    /// simulated I/O (free on a warm cache hit when the counter carries
+    /// one).
     pub fn read_node_ref<'a>(
         &'a self,
         id: RecordId,
@@ -366,15 +295,7 @@ impl StTree {
     }
 
     /// Loads the node's inverted file and extracts postings for `terms`
-    /// (which must be sorted ascending). Owned convenience over
-    /// [`StTree::read_postings_ref`] — identical I/O charges.
-    pub fn read_postings(&self, node: &NodeView, terms: &[TermId], io: &IoStats) -> Postings {
-        let mut scratch = PostingsScratch::default();
-        self.postings_impl(node.invfile, node.entries.len(), terms, io, &mut scratch)
-            .to_owned_postings()
-    }
-
-    /// Zero-copy postings read for a [`NodeRef`].
+    /// (which must be sorted ascending), zero-copy.
     ///
     /// Under [`CodecId::Verbatim`] the whole file is loaded and charged
     /// ⌈file bytes / 4096⌉ simulated I/Os — the paper's inverted-file
@@ -391,17 +312,7 @@ impl StTree {
         io: &IoStats,
         scratch: &'a mut PostingsScratch,
     ) -> PostingsRef<'a> {
-        self.postings_impl(node.invfile, node.len(), terms, io, scratch)
-    }
-
-    fn postings_impl<'a>(
-        &self,
-        invfile: RecordId,
-        num_entries: usize,
-        terms: &[TermId],
-        io: &IoStats,
-        scratch: &'a mut PostingsScratch,
-    ) -> PostingsRef<'a> {
+        let (invfile, num_entries) = (node.invfile, node.len());
         debug_assert!(
             terms.windows(2).all(|w| w[0] < w[1]),
             "terms must be sorted"

@@ -6,8 +6,8 @@
 
 use geo::{Point, Rect};
 use index::{
-    BuildItem, BuildTree, ChildRef, IndexedObject, IndexedUser, MiurTree, PostingMode, StTree,
-    UserRef,
+    BuildItem, BuildTree, ChildRef, IndexedObject, IndexedUser, MiurScratch, MiurTree, NodeScratch,
+    PostingMode, PostingsScratch, StTree, UserRef,
 };
 use storage::IoStats;
 use text::{Document, TermId, TextScorer, WeightModel, WeightedDoc};
@@ -64,21 +64,23 @@ fn build_indexed(data: &[(Point, Vec<TermId>)]) -> (Vec<IndexedObject>, TextScor
 fn collect_all(tree: &StTree, io: &IoStats) -> Vec<(u32, Point, WeightedDoc)> {
     let all_terms: Vec<TermId> = (0..16).map(TermId).collect();
     let mut out = Vec::new();
+    let (mut ns, mut ps) = (NodeScratch::default(), PostingsScratch::default());
     let mut stack = vec![tree.root()];
     while let Some(id) = stack.pop() {
-        let node = tree.read_node(id, io);
-        let postings = tree.read_postings(&node, &all_terms, io);
-        for (i, e) in node.entries.iter().enumerate() {
-            match e.child {
+        let node = tree.read_node_ref(id, io, &mut ns);
+        let postings = tree.read_postings_ref(&node, &all_terms, io, &mut ps);
+        for i in 0..node.len() {
+            match node.child(i) {
                 ChildRef::Node(c) => stack.push(c),
                 ChildRef::Object(oid) => {
                     let w = WeightedDoc::from_pairs(
-                        postings.per_entry[i]
+                        postings
+                            .entry(i)
                             .iter()
                             .map(|&(t, mx, _)| (t, mx))
                             .collect(),
                     );
-                    out.push((oid, node.entry_point(i), w));
+                    out.push((oid, node.point(i), w));
                 }
             }
         }
@@ -118,17 +120,21 @@ fn sttree_bounds_dominate() {
         all_terms: &[TermId],
         io: &IoStats,
     ) {
-        let node = tree.read_node(node_rec, io);
-        let postings = tree.read_postings(&node, all_terms, io);
-        for (i, e) in node.entries.iter().enumerate() {
-            if let ChildRef::Node(c) = e.child {
+        // One scratch pair per level of the recursion: this node's views
+        // stay borrowed while its descendants are read.
+        let (mut ns, mut ps) = (NodeScratch::default(), PostingsScratch::default());
+        let mut below = NodeScratch::default();
+        let node = tree.read_node_ref(node_rec, io, &mut ns);
+        let postings = tree.read_postings_ref(&node, all_terms, io, &mut ps);
+        for i in 0..node.len() {
+            if let ChildRef::Node(c) = node.child(i) {
                 // Gather descendant objects of c.
                 let mut descs = Vec::new();
                 let mut stack = vec![c];
                 while let Some(id) = stack.pop() {
-                    let nv = tree.read_node(id, io);
-                    for ee in &nv.entries {
-                        match ee.child {
+                    let nv = tree.read_node_ref(id, io, &mut below);
+                    for j in 0..nv.len() {
+                        match nv.child(j) {
                             ChildRef::Node(cc) => stack.push(cc),
                             ChildRef::Object(o) => descs.push(o),
                         }
@@ -136,10 +142,10 @@ fn sttree_bounds_dominate() {
                 }
                 for &oid in &descs {
                     let obj = &objs[oid as usize];
-                    assert!(e.rect.contains_point(&obj.point));
+                    assert!(node.rect(i).contains_point(&obj.point));
                     for &(t, w) in &obj.doc.entries {
-                        let row = &postings.per_entry[i];
-                        let posted = row
+                        let posted = postings
+                            .entry(i)
                             .iter()
                             .find(|&&(pt, _, _)| pt == t)
                             .map(|&(_, mx, _)| mx)
@@ -258,10 +264,11 @@ fn miur_intuni_sound() {
         let tree = MiurTree::build_with_fanout(&users, fanout);
         let io = IoStats::new();
 
+        let (mut scratch, mut below) = (MiurScratch::default(), MiurScratch::default());
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
-            let node = tree.read_node(id, &io);
-            for e in &node.entries {
+            let node = tree.read_node_ref(id, &io, &mut scratch);
+            for e in node.entries {
                 let descs: Vec<u32> = match e.child {
                     UserRef::User(u) => vec![u],
                     UserRef::Node(c) => {
@@ -269,8 +276,8 @@ fn miur_intuni_sound() {
                         let mut out = Vec::new();
                         let mut s2 = vec![c];
                         while let Some(x) = s2.pop() {
-                            let nv = tree.read_node(x, &io);
-                            for ee in &nv.entries {
+                            let nv = tree.read_node_ref(x, &io, &mut below);
+                            for ee in nv.entries {
                                 match ee.child {
                                     UserRef::Node(cc) => s2.push(cc),
                                     UserRef::User(u) => out.push(u),

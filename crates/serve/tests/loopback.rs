@@ -21,7 +21,7 @@
 //!     allocator.
 //!     A well-formed frame the engine would panic on (`k = 0`, no
 //!     candidate location) or over-allocate for (a huge `k`) costs one
-//!     reply, not the worker.
+//!     reply, not the worker; removing the last user is a rejection.
 //! (e) **Introspection** — `stats` returns the engine's counters as JSON
 //!     and `metrics` returns a Prometheus page that includes the serve
 //!     counters next to the engine's own.
@@ -471,6 +471,50 @@ fn hostile_query_specs_cost_a_reply_not_the_worker() {
             .count()
             + 6
     );
+}
+
+/// Removing the last user is a rejected mutation, not a panic under the
+/// publish lock: every user of a 2-user engine is removed over the wire on
+/// a single-worker server, which then still answers a query and a stats
+/// request.
+#[test]
+fn removing_every_user_is_rejected_at_the_last_one() {
+    let objects: Vec<ObjectData> = (0..6u32)
+        .map(|i| ObjectData {
+            id: i,
+            point: Point::new(f64::from(i), f64::from(i % 3)),
+            doc: Document::from_terms([t(i % 2), t(6)]),
+        })
+        .collect();
+    let users: Vec<UserData> = (0..2u32)
+        .map(|i| UserData {
+            id: i,
+            point: Point::new(1.5 + f64::from(i), 1.0),
+            doc: Document::from_terms([t(i), t(6)]),
+        })
+        .collect();
+    let serving = ServingEngine::new(
+        Engine::build_with_fanout(objects, users, WeightModel::lm(), 0.5, 4).with_user_index(),
+    );
+    let server = bind(
+        &serving,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    assert!(client.mutate(Mutation::RemoveUser(0)).unwrap().is_some());
+    let last = client.mutate(Mutation::RemoveUser(1)).unwrap();
+    assert!(last.is_none(), "the last user stays");
+
+    let spec = specs().remove(0);
+    let net = client
+        .query(Method::UserIndexExact, &spec)
+        .expect("the worker is alive");
+    assert_eq!(net, serving.query(&spec, Method::UserIndexExact).0);
+    assert!(client.stats_json().unwrap().contains("\"users\":1"));
 }
 
 /// `stats` carries the serving counters as JSON; `metrics` renders the

@@ -467,11 +467,6 @@ pub trait Codec: std::fmt::Debug + Send + Sync {
     /// This codec's id.
     fn id(&self) -> CodecId;
 
-    /// A length or other small standalone scalar.
-    fn put_len(&self, w: &mut Writer, v: u32);
-    /// Twin of [`Codec::put_len`].
-    fn get_len(&self, r: &mut Reader) -> u32;
-
     /// A non-decreasing u32 column (sorted term ids, posting entry
     /// indexes): first value plus deltas.
     fn put_ascending_u32s(&self, w: &mut Writer, vals: &[u32]);
@@ -517,14 +512,6 @@ pub struct Verbatim;
 impl Codec for Verbatim {
     fn id(&self) -> CodecId {
         CodecId::Verbatim
-    }
-
-    fn put_len(&self, w: &mut Writer, v: u32) {
-        w.put_u32(v);
-    }
-
-    fn get_len(&self, r: &mut Reader) -> u32 {
-        r.get_u32()
     }
 
     fn put_ascending_u32s(&self, w: &mut Writer, vals: &[u32]) {
@@ -585,14 +572,6 @@ pub struct Columnar;
 impl Codec for Columnar {
     fn id(&self) -> CodecId {
         CodecId::Columnar
-    }
-
-    fn put_len(&self, w: &mut Writer, v: u32) {
-        w.put_varint_u32(v);
-    }
-
-    fn get_len(&self, r: &mut Reader) -> u32 {
-        r.get_varint_u32()
     }
 
     fn put_ascending_u32s(&self, w: &mut Writer, vals: &[u32]) {

@@ -108,8 +108,8 @@ impl IoStats {
     }
 
     /// A counter backed by a sharded LRU page cache of `capacity_blocks`
-    /// 4 KB blocks with the default shard count (warm-cache serving and
-    /// the `figures -- cache` experiment).
+    /// 4 KB blocks with the default shard count (warm-cache serving; the
+    /// benchmark's `storage.page_cache_hit_ratio` row).
     pub fn with_cache(capacity_blocks: u64) -> Self {
         IoStats {
             cache: Some(ShardedLru::new(capacity_blocks)),

@@ -168,32 +168,6 @@ impl TextScorer {
         }
     }
 
-    /// Raises the per-term maximum for `t` to at least `floor`.
-    ///
-    /// The approximate tier of the incremental corpus refresh keeps
-    /// within-bound stale document weights in the index; those weights
-    /// were clamped against the *previous* scorer's `wmax`, so the new
-    /// scorer's maxima must be floored at the old values for every pruning
-    /// bound to keep dominating every indexed weight. Slots between the
-    /// current vocabulary extent and `t` are materialized with their
-    /// keyword-unit ceiling (the value [`TextScorer::max_weight`] would
-    /// have reported for them), so the growth never *lowers* any maximum.
-    pub fn raise_max_weight(&mut self, t: TermId, floor: f64) {
-        if t.idx() >= self.wmax.len() {
-            let old_len = self.wmax.len();
-            self.wmax.resize(t.idx() + 1, 0.0);
-            for i in old_len..self.wmax.len() {
-                self.wmax[i] = self
-                    .model
-                    .keyword_unit_weight(TermId(i as u32), &self.stats);
-            }
-        }
-        let slot = &mut self.wmax[t.idx()];
-        if floor > *slot {
-            *slot = floor;
-        }
-    }
-
     /// Precomputes the model weights of an object document.
     pub fn weigh(&self, doc: &Document) -> WeightedDoc {
         WeightedDoc::from_pairs(
@@ -462,25 +436,6 @@ mod tests {
         let ko = WeightModel::KeywordOverlap;
         assert_eq!(ko.corpus_basis(t(0), &frozen), 0.0);
         assert_eq!(ko.corpus_basis(t(0), &live), 0.0);
-    }
-
-    #[test]
-    fn raise_max_weight_floors_and_materializes_gaps() {
-        let docs = corpus();
-        let mut s = TextScorer::from_docs(WeightModel::lm(), &docs);
-        let before = s.max_weight(t(0));
-        // Raising below the current maximum is a no-op.
-        s.raise_max_weight(t(0), before / 2.0);
-        assert_eq!(s.max_weight(t(0)), before);
-        // Raising above sticks.
-        s.raise_max_weight(t(0), before * 2.0);
-        assert_eq!(s.max_weight(t(0)), before * 2.0);
-        // Raising a term beyond the vocabulary extent materializes the
-        // gap slots at their unit ceiling, not at zero.
-        let unit_t5 = WeightModel::lm().keyword_unit_weight(t(5), s.stats());
-        s.raise_max_weight(t(7), 9.0);
-        assert_eq!(s.max_weight(t(7)), 9.0);
-        assert_eq!(s.max_weight(t(5)), unit_t5);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use datagen::{generate_objects, generate_workload, CorpusConfig, UserGenConfig};
-use maxbrstknn::mbrstk_core::topk::individual::{individual_topk, individual_topk_parallel};
+use maxbrstknn::mbrstk_core::topk::individual::individual_topk;
 use maxbrstknn::mbrstk_core::topk::joint::joint_topk;
 use maxbrstknn::prelude::*;
 
@@ -73,14 +73,6 @@ fn main() {
         out.ro().len(),
         out.rsk_us
     );
-
-    // The per-user refinement stage parallelizes trivially (extension;
-    // the measured pipeline stays single-threaded like the paper's).
-    let t0 = Instant::now();
-    let par = individual_topk_parallel(&engine.users, &out, k, &engine.ctx, 8);
-    let par_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(par.len(), joint_results.len());
-    println!("  refinement stage in 8 parallel slices: {par_ms:.1} ms (identical results)");
 
     // Show one user's feed.
     let u = &joint_results[0];

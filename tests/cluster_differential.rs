@@ -61,24 +61,49 @@ fn fixture(codec: CodecId, seed: u64) -> Fixture {
     }
 }
 
-/// Every method × spec must agree between the fused reference and the
-/// cluster — twice in a row, so both the cold (scatter) and warm
+/// The fused reference's answer to every spec × method, computed once per
+/// engine state: it does not depend on the slice count or the pass.
+fn reference_answers(reference: &Engine, specs: &[QuerySpec]) -> Vec<QueryResult> {
+    specs
+        .iter()
+        .flat_map(|spec| Method::ALL.map(|method| reference.query(spec, method)))
+        .collect()
+}
+
+/// Every method × spec must agree between the fused reference's answers
+/// and each cluster — twice in a row, so both the cold (scatter) and warm
 /// (threshold-cache hit) paths are exercised.
-fn assert_identical(reference: &Engine, cluster: &EngineCluster, specs: &[QuerySpec], ctx: &str) {
-    for pass in ["cold", "warm"] {
-        for spec in specs {
-            for method in Method::ALL {
-                assert_eq!(
-                    cluster.query(spec, method),
-                    reference.query(spec, method),
-                    "{ctx}: {pass} {} k={} diverged at {} shards",
-                    method.name(),
-                    spec.k,
-                    cluster.shard_count()
-                );
+fn assert_identical(
+    reference: &Engine,
+    clusters: &[EngineCluster],
+    specs: &[QuerySpec],
+    ctx: &str,
+) {
+    let want = reference_answers(reference, specs);
+    for cluster in clusters {
+        for pass in ["cold", "warm"] {
+            let mut want = want.iter();
+            for spec in specs {
+                for method in Method::ALL {
+                    assert_eq!(
+                        Some(&cluster.query(spec, method)),
+                        want.next(),
+                        "{ctx}: {pass} {} k={} diverged at {} shards",
+                        method.name(),
+                        spec.k,
+                        cluster.shard_count()
+                    );
+                }
             }
         }
     }
+}
+
+fn clusters_of(engine: &Engine) -> Vec<EngineCluster> {
+    SHARD_COUNTS
+        .iter()
+        .map(|&n| EngineCluster::from_engine(engine.clone(), n))
+        .collect()
 }
 
 /// Cold + warm bit-identity for every shard count and both codecs.
@@ -86,20 +111,22 @@ fn assert_identical(reference: &Engine, cluster: &EngineCluster, specs: &[QueryS
 fn cluster_is_bit_identical_to_fused_for_both_codecs() {
     for codec in [CodecId::Verbatim, CodecId::Columnar] {
         let fx = fixture(codec, 2024);
-        for nshards in SHARD_COUNTS {
-            let cluster = EngineCluster::from_engine(fx.engine.clone(), nshards);
-            assert_identical(&fx.engine, &cluster, &fx.specs, &format!("{codec:?}"));
-        }
+        assert_identical(
+            &fx.engine,
+            &clusters_of(&fx.engine),
+            &fx.specs,
+            &format!("{codec:?}"),
+        );
     }
 }
 
 /// A seeded churn stream (queries interleaved with object and user
-/// mutations) applied in lockstep: the cluster accepts or rejects exactly
-/// like the fused twin, and every query op along the way answers
-/// bit-identically. A refresh mid-stream must preserve the identity on
-/// the re-weighed state.
+/// mutations) applied in lockstep to one fused reference and a cluster per
+/// slice count: every cluster accepts or rejects exactly like the fused
+/// twin, and every query op along the way answers bit-identically. A
+/// refresh mid-stream must preserve the identity on the re-weighed state.
 #[test]
-fn churn_stream_preserves_bit_identity_with_routed_mutations() {
+fn churn_stream_preserves_bit_identity_in_lockstep() {
     for codec in [CodecId::Verbatim, CodecId::Columnar] {
         let fx = fixture(codec, 7070);
         let ops = generate_churn(
@@ -108,48 +135,51 @@ fn churn_stream_preserves_bit_identity_with_routed_mutations() {
             &fx.keyword_pool,
             &ChurnConfig::new(90, 0.6).with_seed(31337),
         );
-        for nshards in SHARD_COUNTS {
-            let mut reference = fx.engine.clone();
-            let mut cluster = EngineCluster::from_engine(fx.engine.clone(), nshards);
-            let ctx = format!("{codec:?} churn");
-            let mut qi = 0usize;
-            for (op_no, op) in ops.iter().enumerate() {
-                match op {
-                    ChurnOp::Query => {
-                        // Rotate through the spec/method grid rather than
-                        // running the full product at every step.
-                        let spec = &fx.specs[qi % fx.specs.len()];
-                        let method = Method::ALL[qi % Method::ALL.len()];
-                        qi += 1;
+        let mut reference = fx.engine.clone();
+        let mut clusters = clusters_of(&fx.engine);
+        let ctx = format!("{codec:?} churn");
+        let mut qi = 0usize;
+        for (op_no, op) in ops.iter().enumerate() {
+            match op {
+                ChurnOp::Query => {
+                    // Rotate through the spec/method grid rather than
+                    // running the full product at every step.
+                    let spec = &fx.specs[qi % fx.specs.len()];
+                    let method = Method::ALL[qi % Method::ALL.len()];
+                    qi += 1;
+                    let want = reference.query(spec, method);
+                    for cluster in &clusters {
                         assert_eq!(
                             cluster.query(spec, method),
-                            reference.query(spec, method),
-                            "{ctx}: op {op_no} {} diverged at {nshards} shards",
-                            method.name()
-                        );
-                    }
-                    ChurnOp::Mutate(m) => {
-                        let fused_applied = reference.apply_batch([m.clone()]).applied == 1;
-                        let cluster_applied = cluster.apply(m.clone()).is_some();
-                        assert_eq!(
-                            fused_applied, cluster_applied,
-                            "{ctx}: op {op_no} acceptance diverged"
+                            want,
+                            "{ctx}: op {op_no} {} diverged at {} shards",
+                            method.name(),
+                            cluster.shard_count()
                         );
                     }
                 }
-                if op_no == ops.len() / 2 {
-                    reference.refresh();
-                    cluster.refresh_synchronized();
-                    assert_identical(
-                        &reference,
-                        &cluster,
-                        &fx.specs,
-                        &(ctx.clone() + " post-refresh"),
-                    );
+                ChurnOp::Mutate(m) => {
+                    let fused_applied = reference.apply_batch([m.clone()]).applied == 1;
+                    for cluster in &mut clusters {
+                        assert_eq!(
+                            cluster.apply(m.clone()).is_some(),
+                            fused_applied,
+                            "{ctx}: op {op_no} acceptance diverged at {} shards",
+                            cluster.shard_count()
+                        );
+                    }
                 }
             }
-            assert_identical(&reference, &cluster, &fx.specs, &(ctx + " post-churn"));
+            if op_no == ops.len() / 2 {
+                reference.refresh();
+                for cluster in &mut clusters {
+                    cluster.refresh_synchronized();
+                }
+                let ctx = ctx.clone() + " post-refresh";
+                assert_identical(&reference, &clusters, &fx.specs, &ctx);
+            }
         }
+        assert_identical(&reference, &clusters, &fx.specs, &(ctx + " post-churn"));
     }
 }
 

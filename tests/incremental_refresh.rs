@@ -325,7 +325,7 @@ fn term_local_round(n_objects: u32, vocab: u32, ops: usize) -> (f64, u64, u64, u
     );
     apply_stream(&mut eng, stream);
 
-    let ledger = eng.drift_ledger(0.0);
+    let ledger = eng.drift_ledger();
     assert!(
         !ledger.drifted_terms.is_empty(),
         "replacement churn must register drift"

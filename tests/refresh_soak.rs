@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use datagen::rng::{Rng, SeedableRng, StdRng};
+use index::{NodeScratch, PostingsScratch};
 use maxbrstknn::mbrstk_core::{EngineCluster, Mutation, RefreshConfig, RefreshTier, ServingEngine};
 use maxbrstknn::prelude::*;
 use text::Document;
@@ -528,12 +529,11 @@ fn clamped_outlier_weight_is_restored_after_refresh() {
     })
     .unwrap();
     let posted_max = |eng: &Engine| -> f64 {
-        let root = eng.mir.read_node(eng.mir.root(), &eng.io);
-        let postings = eng.mir.read_postings(&root, &[t(0)], &eng.io);
-        postings
-            .per_entry
-            .iter()
-            .flatten()
+        let (mut ns, mut ps) = (NodeScratch::default(), PostingsScratch::default());
+        let root = eng.mir.read_node_ref(eng.mir.root(), &eng.io, &mut ns);
+        let postings = eng.mir.read_postings_ref(&root, &[t(0)], &eng.io, &mut ps);
+        (0..postings.len())
+            .flat_map(|i| postings.entry(i))
             .map(|&(_, mx, _)| mx)
             .fold(0.0, f64::max)
     };
@@ -590,7 +590,6 @@ fn soak_alternates_refresh_tiers_by_drift_threshold() {
         // Flooded rounds overshoot this comfortably; user-only rounds
         // measure exactly 0.
         full_refresh_drift: 0.02,
-        term_drift_bound: 0.0,
         ..RefreshConfig::default()
     };
     let serving = ServingEngine::with_config(
