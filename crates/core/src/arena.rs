@@ -177,30 +177,31 @@ impl ElemSlot {
     }
 }
 
+/// Scratch for materializing one MIUR node on its first expansion.
+#[derive(Debug, Default)]
+pub(crate) struct NodeScratch {
+    pub(crate) miur: MiurScratch,
+    /// The `k` best lower bounds `group_rsk_lb` has seen (min-heap).
+    pub(crate) lbs: BinaryHeap<Reverse<ByKey<()>>>,
+    /// Per-user `RSk` refinement heap (Algorithm 2).
+    pub(crate) hu: BinaryHeap<Reverse<ByKey<u32>>>,
+}
+
 /// Scratch for the §7 user-index pipeline.
 #[derive(Debug, Default)]
 pub(crate) struct UserIndexScratch {
-    /// Pooled frontier elements; slot `i` is live iff `i < live`.
+    /// Pooled frontier elements; slot `i` is live iff `i < live`. A node's
+    /// children occupy consecutive slots.
     pub(crate) elems: Vec<ElemSlot>,
     pub(crate) live: usize,
-    /// Flat child element-id lists, addressed by `expanded`.
-    pub(crate) children: Vec<u32>,
-    /// Node → `(start, len)` into `children`.
-    pub(crate) expanded: HashMap<RecordId, (u32, u32)>,
     /// Per-location frontier element-id lists (pooled rows).
     pub(crate) lu_lists: Vec<Vec<u32>>,
     pub(crate) ql: BinaryHeap<ByKey<usize>>,
-    /// The `k` best lower bounds `group_rsk_lb` has seen (min-heap).
-    pub(crate) lbs: BinaryHeap<Reverse<ByKey<()>>>,
-    /// Reused min-heap for per-user `RSk` refinement at materialization.
-    pub(crate) ind_heap: BinaryHeap<Reverse<ByKey<u32>>>,
-    /// Keyword set of the leaf entry being materialized.
-    pub(crate) leaf_doc: Document,
     /// The dequeued location's list as candidate-context user indices,
     /// and their spatial scores there.
     pub(crate) lu: Vec<usize>,
     pub(crate) ss: Vec<f64>,
-    pub(crate) miur: MiurScratch,
+    pub(crate) node: NodeScratch,
 }
 
 /// Reusable per-query scratch memory for every query method.

@@ -8,7 +8,12 @@
 //! candidate locations or keywords — yet a naive server recomputes them
 //! for every query. [`ThresholdCache`] memoizes them per `k` so a batch of
 //! same-`k` queries pays the top-k phase (and its simulated I/O) exactly
-//! once.
+//! once. The §7 slot, a [`UserIndexSeed`], also keeps every MIUR node a
+//! query has materialized (its subtrees' `RSk` lower bounds, its users'
+//! exact `RSk(u)`): the §7 pipeline computes `RSk(u)` per user only when a
+//! location's expansion reaches the user's leaf, so the slot fills node by
+//! node, and a node is read and materialized once per `(k, epoch)` — a
+//! query whose expansions are all memoized charges no I/O.
 //!
 //! The cache is opt-in ([`Engine::with_threshold_cache`]) because it
 //! changes what the paper's *cold* experiments measure: with it enabled,

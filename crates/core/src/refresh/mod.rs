@@ -51,11 +51,11 @@
 //!   fraction of the corpus rather than to its size.
 //!
 //! [`ServingEngine::refresh_now`] (and therefore the background worker)
-//! picks the tier from measured drift: past
+//! picks the tier from the fraction of the vocabulary that drifted: past
 //! [`RefreshConfig::full_refresh_drift`] the corpus has churned so
 //! broadly that a cold rebuild is cheaper than path-by-path repair;
-//! below it the incremental tier keeps background refresh cheap enough
-//! to run continuously on a serving box.
+//! below it — term-local churn — the incremental tier keeps background
+//! refresh cheap enough to run continuously on a serving box.
 //!
 //! # Epoch discipline
 //!
@@ -127,11 +127,16 @@ pub struct RefreshConfig {
     /// (a handful of mutations cannot move the statistics of a large
     /// corpus far enough to matter).
     pub drift_check_after: u64,
-    /// Measured [`ScorerDrift::max_rel_error`] at or above which
-    /// [`ServingEngine::refresh_now`] picks the full tier: broad drift
-    /// means most paths would be rewritten anyway, so the cold rebuild
-    /// is the cheaper certification. Set to `0.0` to force the full tier
-    /// always, or `f64::INFINITY` to always refresh incrementally.
+    /// Drifted fraction of the vocabulary
+    /// ([`DriftLedger::drifted_fraction`](incremental::DriftLedger::drifted_fraction))
+    /// at or above which [`ServingEngine::refresh_now`] picks the full
+    /// tier: the incremental tier re-weighs every document and user that
+    /// touches a drifted term, so broad drift rewrites most paths anyway
+    /// and the cold rebuild is the cheaper one. How *far* a term drifted
+    /// does not matter, only *whether*: under LM or TF-IDF a single
+    /// object insert moves `|C|` or `|O|`, and with it every term. Set to
+    /// `0.0` to force the full tier always, or `f64::INFINITY` to always
+    /// refresh incrementally.
     pub full_refresh_drift: f64,
 }
 
@@ -617,7 +622,7 @@ impl ServingEngine {
     /// running on the old snapshot throughout and only the final swap
     /// takes the (briefly held) write lock.
     ///
-    /// The tier is chosen from measured drift (see
+    /// The tier is chosen from the drifted fraction of the vocabulary (see
     /// [`RefreshConfig::full_refresh_drift`]): broad drift certifies with
     /// a full cold rebuild, term-local drift disseminates with the
     /// incremental splice ([`Engine::refreshed_incremental`]). The
@@ -659,7 +664,7 @@ impl ServingEngine {
             None
         } else {
             let (live, ledger) = snapshot.drift_parts();
-            (ledger.drift.max_rel_error < self.cfg.full_refresh_drift).then_some((live, ledger))
+            (ledger.drifted_fraction() < self.cfg.full_refresh_drift).then_some((live, ledger))
         };
         let (mut fresh, mut report) = match incremental {
             Some((live, ledger)) => {

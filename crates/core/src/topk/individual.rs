@@ -68,16 +68,7 @@ pub(crate) fn refine_user_heap(
     rsk
 }
 
-/// Computes the top-k of a single user from a joint-traversal outcome.
-pub fn individual_topk_user(
-    user: &UserData,
-    out: &TopkOutcome,
-    k: usize,
-    ctx: &ScoreContext,
-) -> UserTopk {
-    individual_topk_user_with(user, out, k, ctx, &mut BinaryHeap::new())
-}
-
+/// The top-k listing of a single user, through a pooled heap.
 fn individual_topk_user_with(
     user: &UserData,
     out: &TopkOutcome,

@@ -11,19 +11,19 @@
 //! paper's "Users pruned (%)" metric (Fig. 15b).
 
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use geo::Point;
 use index::{MiurTree, PostingMode, StTree, UserRef};
 use storage::{IoStats, RecordId};
 use text::Document;
 
-use crate::arena::{ElemSlot, QueryArena, UserIndexScratch};
+use crate::arena::{ElemSlot, NodeScratch, QueryArena, UserIndexScratch};
 use crate::bounds::lb_object;
 use crate::select::location::{evaluate_location, KeywordSelector};
 use crate::select::CandidateContext;
-use crate::topk::individual::{individual_topk_user, refine_user_heap};
+use crate::topk::individual::refine_user_heap;
 use crate::topk::joint::joint_topk;
 use crate::topk::{ByKey, TopkOutcome};
 use crate::{QueryResult, QuerySpec, ScoreContext, UserData, UserGroup};
@@ -40,26 +40,57 @@ pub struct UserIndexOutcome {
     pub users_pruned: usize,
 }
 
-/// The `k`-dependent, location-independent prefix of the §7 pipeline: the
+/// The `k`-dependent, location-independent part of the §7 pipeline: the
 /// MIUR root treated as super-user, the joint object traversal run for
-/// it, and the root's materialized elements. Memoized per `k` by
-/// [`crate::ThresholdCache`]; built by [`compute_user_index_seed`].
-#[derive(Debug, Clone)]
+/// it, and every MIUR node materialized so far. Memoized per `(k, epoch)`
+/// by [`crate::ThresholdCache`]; built by [`compute_user_index_seed`].
+#[derive(Debug)]
 pub struct UserIndexSeed {
     /// Super-user summary of the whole MIUR root.
     pub root_group: UserGroup,
     /// Joint traversal outcome for `root_group`.
     pub out: TopkOutcome,
-    /// Materialized root entries (subtree groups with `RSk` lower bounds,
-    /// concrete users with exact thresholds).
-    pub(crate) root_elems: Vec<Elem>,
-    /// Users scored while materializing the root (folded into every
-    /// query's `users_scored`).
-    pub(crate) root_scored: usize,
+    /// Materialized MIUR nodes by record (subtree groups with `RSk` lower
+    /// bounds, concrete users with exact thresholds) — everything an
+    /// expansion derives from `(node, out, k)`. The root is materialized
+    /// with the seed, any other node on its first expansion under this
+    /// seed; every later expansion copies it from here without reading
+    /// the node.
+    nodes: RwLock<HashMap<RecordId, Arc<[Elem]>>>,
+}
+
+impl UserIndexSeed {
+    /// `node`'s materialized entries: from the memo, or read (charging its
+    /// I/O) and materialized on the node's first expansion under this seed.
+    /// Racing first expansions materialize the same entries; one is kept.
+    fn node_elems(
+        &self,
+        miur: &MiurTree,
+        node: RecordId,
+        k: usize,
+        ctx: &ScoreContext,
+        io: &IoStats,
+        scratch: &mut NodeScratch,
+    ) -> Arc<[Elem]> {
+        // A poisoned lock still guards a whole map: an insert is one step.
+        let hit = self
+            .nodes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&node)
+            .cloned();
+        if let Some(elems) = hit {
+            return elems;
+        }
+        let view = miur.read_node_ref(node, io, &mut scratch.miur);
+        let elems = materialize_node(&view, &self.out, k, ctx, &mut scratch.lbs, &mut scratch.hu);
+        let mut nodes = self.nodes.write().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(nodes.entry(node).or_insert(elems))
+    }
 }
 
 /// One element of a location's candidate list `LU_ℓ`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Elem {
     /// An unexpanded user subtree.
     Group {
@@ -143,20 +174,22 @@ fn group_from_root(root: &index::MiurNodeRef<'_>) -> UserGroup {
     UserGroup::from_node_entry(mbr, &uni, &int, count, n_min, n_max)
 }
 
-/// Materializes a node view's entries into `elems`: subtrees become
-/// [`Elem::Group`]s with their `RSk` lower bounds, concrete users get their
-/// exact thresholds via Algorithm 2. Location-independent — everything
-/// derives from `(node, out, k)`.
+/// Materializes a node view's entries: subtrees become [`Elem::Group`]s
+/// with their `RSk` lower bounds, concrete users get their exact thresholds
+/// via Algorithm 2, both through the caller's pooled heaps, so the entries
+/// returned are all it allocates. Location-independent: everything derives
+/// from `(node, out, k)`.
 fn materialize_node(
     node: &index::MiurNodeRef<'_>,
     out: &TopkOutcome,
     k: usize,
     ctx: &ScoreContext,
-    elems: &mut Vec<Elem>,
-    scored: &mut usize,
-) {
-    for e in node.entries {
-        elems.push(match e.child {
+    lbs: &mut BinaryHeap<Reverse<ByKey<()>>>,
+    hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
+) -> Arc<[Elem]> {
+    node.entries
+        .iter()
+        .map(|e| match e.child {
             UserRef::Node(rec) => {
                 let group = UserGroup::from_node_entry(
                     e.rect,
@@ -166,11 +199,10 @@ fn materialize_node(
                     e.norm_min,
                     e.norm_max,
                 );
-                let rsk_lb = group_rsk_lb(out, &group, k, ctx, &mut BinaryHeap::new());
                 Elem::Group {
                     node: rec,
+                    rsk_lb: group_rsk_lb(out, &group, k, ctx, lbs),
                     group,
-                    rsk_lb,
                 }
             }
             UserRef::User(uid) => {
@@ -179,21 +211,20 @@ fn materialize_node(
                     point: e.rect.min,
                     doc: Document::from_terms(e.uni.iter().copied()),
                 };
-                *scored += 1;
                 Elem::User {
-                    rsk: individual_topk_user(&data, out, k, ctx).rsk,
+                    rsk: refine_user_heap(&data, out, k, ctx, hu),
                     n_u: ctx.text.normalizer(&data.doc),
                     data,
                 }
             }
-        });
-    }
+        })
+        .collect()
 }
 
-/// Computes the `(engine, k)`-dependent prefix of the §7 pipeline — the
+/// Computes the `(engine, k)`-dependent part of the §7 pipeline — the
 /// MIUR root as super-user, the joint object traversal for it, and the
-/// materialized root elements — which
-/// [`crate::ThresholdCache`] memoizes across queries.
+/// materialized root — which [`crate::ThresholdCache`] memoizes across
+/// queries, together with every node later expansions materialize.
 pub fn compute_user_index_seed(
     miur: &MiurTree,
     mir: &StTree,
@@ -206,18 +237,15 @@ pub fn compute_user_index_seed(
         PostingMode::MaxMin,
         "object index must be a MIR-tree"
     );
-    let mut scratch = index::MiurScratch::default();
-    let root = miur.read_node_ref(miur.root(), io, &mut scratch);
+    let mut scratch = NodeScratch::default();
+    let root = miur.read_node_ref(miur.root(), io, &mut scratch.miur);
     let root_group = group_from_root(&root);
     let out = joint_topk(mir, &root_group, k, ctx, io);
-    let mut root_elems = Vec::new();
-    let mut root_scored = 0usize;
-    materialize_node(&root, &out, k, ctx, &mut root_elems, &mut root_scored);
+    let root_elems = materialize_node(&root, &out, k, ctx, &mut scratch.lbs, &mut scratch.hu);
     UserIndexSeed {
         root_group,
         out,
-        root_elems,
-        root_scored,
+        nodes: RwLock::new(HashMap::from([(miur.root(), root_elems)])),
     }
 }
 
@@ -239,17 +267,17 @@ pub fn select_with_user_index(
         "MaxBRSTkNN requires at least one candidate location"
     );
     // Cold path: build the seed inline (one root read, one traversal, one
-    // root materialization — the same work as before the seed existed).
+    // root materialization); its node memo lives for this query alone.
     let seed = compute_user_index_seed(miur, mir, spec.k, ctx, io);
     select_with_user_index_seeded(miur, spec, ctx, selector, io, &seed)
 }
 
-/// [`select_with_user_index`] with the top-k prefix supplied by a
+/// [`select_with_user_index`] with the `k`-dependent part supplied by a
 /// [`UserIndexSeed`] (typically from the engine's threshold cache): the
 /// MIUR root read, the joint MIR traversal and the root materialization
-/// are all skipped — only the location-dependent subtree expansion and
-/// keyword selection run, so a seeded query charges I/O solely for the
-/// nodes it expands.
+/// are all skipped, and so is every node an earlier query materialized
+/// under the same seed. A seeded query charges I/O only for the nodes it
+/// is the first to expand — nothing at all once its expansions are memoized.
 pub fn select_with_user_index_seeded(
     miur: &MiurTree,
     spec: &QuerySpec,
@@ -273,15 +301,28 @@ pub fn select_with_user_index_seeded(
     }
 }
 
-/// Hands out the next pooled frontier slot (the slot's `Document`s keep
-/// their buffers across queries).
-fn alloc_slot<'a>(elems: &'a mut Vec<ElemSlot>, live: &mut usize) -> (u32, &'a mut ElemSlot) {
-    if *live == elems.len() {
-        elems.push(ElemSlot::blank());
+/// Copies a node's materialized entries into the next pooled frontier
+/// slots (whose `Document`s keep their buffers across queries) and returns
+/// the `(start, len)` range of their ids. Every user copied counts as
+/// scored.
+fn push_children(
+    elems: &mut Vec<ElemSlot>,
+    live: &mut usize,
+    kids: &[Elem],
+    cc: &mut CandidateContext<'_>,
+    users_scored: &mut usize,
+) -> (u32, u32) {
+    let start = *live as u32;
+    for e in kids {
+        if *live == elems.len() {
+            elems.push(ElemSlot::blank());
+        }
+        let slot = &mut elems[*live];
+        fill_slot_from_elem(slot, e, cc);
+        *users_scored += usize::from(!slot.is_group);
+        *live += 1;
     }
-    let id = *live as u32;
-    *live += 1;
-    (id, &mut elems[id as usize])
+    (start, kids.len() as u32)
 }
 
 /// Copies a seed element into a pooled slot: a subtree keeps its summary
@@ -312,51 +353,6 @@ fn fill_slot_from_elem(slot: &mut ElemSlot, e: &Elem, cc: &mut CandidateContext<
     }
 }
 
-/// The pooled twin of [`materialize_node`]'s per-entry step: fills one
-/// slot from a zero-copy MIUR entry view, scoring concrete users via the
-/// reusable refinement heap.
-#[allow(clippy::too_many_arguments)]
-fn fill_slot_from_entry(
-    slot: &mut ElemSlot,
-    e: &index::MiurEntryView,
-    out: &TopkOutcome,
-    k: usize,
-    cc: &mut CandidateContext<'_>,
-    lbs: &mut BinaryHeap<Reverse<ByKey<()>>>,
-    ind_heap: &mut BinaryHeap<Reverse<ByKey<u32>>>,
-    leaf_doc: &mut Document,
-    scored: &mut usize,
-) {
-    let ctx = cc.ctx;
-    match e.child {
-        UserRef::Node(rec) => {
-            slot.is_group = true;
-            slot.node = rec;
-            slot.group.mbr = e.rect;
-            slot.group.d_uni.assign_unit_terms(&e.uni);
-            slot.group.d_int.assign_unit_terms(&e.int);
-            slot.group.n_min = e.norm_min;
-            slot.group.n_max = e.norm_max;
-            slot.group.count = e.count as usize;
-            slot.rsk_lb = group_rsk_lb(out, &slot.group, k, ctx, lbs);
-            slot.ubl_ts = cc.ubl_group_ts(&slot.group);
-        }
-        UserRef::User(uid) => {
-            let mut user = UserData {
-                id: uid,
-                point: e.rect.min,
-                doc: std::mem::take(leaf_doc),
-            };
-            user.doc.assign_unit_terms(&e.uni);
-            let rsk = refine_user_heap(&user, out, k, ctx, ind_heap);
-            *scored += 1;
-            slot.is_group = false;
-            slot.user = cc.push_user(&user, ctx.text.normalizer(&user.doc), rsk);
-            *leaf_doc = user.doc;
-        }
-    }
-}
-
 /// The `UBL` keep-test of one frontier element at one location.
 fn keep(cc: &CandidateContext<'_>, slot: &ElemSlot, loc: &Point) -> bool {
     if slot.is_group {
@@ -372,11 +368,12 @@ fn keep(cc: &CandidateContext<'_>, slot: &ElemSlot, loc: &Point) -> bool {
 /// One [`CandidateContext`] serves the whole query: a user enters it once,
 /// when its leaf entry is materialized, and every location's keyword
 /// selection then runs on index lists into it, exactly as Algorithm 3 does
-/// over an in-memory user table. Every buffer — the context's columns,
-/// the frontier element pool, the expansion memo, the per-location lists,
-/// and the keyword-selection scratch — comes from `arena`, so a warm arena
-/// runs this allocation-free. Returns `(users_scored, users_pruned)`; the
-/// winning tuple lands in `result`.
+/// over an in-memory user table. A node's entries come materialized from
+/// `seed` (see [`UserIndexSeed`]); every buffer — the context's columns,
+/// the frontier element pool, the per-location lists, and the node and
+/// keyword-selection scratch — comes from `arena`, so a warm arena over
+/// memoized nodes runs this allocation-free. Returns
+/// `(users_scored, users_pruned)`; the winning tuple lands in `result`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_selection(
     miur: &MiurTree,
@@ -389,11 +386,10 @@ pub(crate) fn run_selection(
     result: &mut QueryResult,
 ) -> (usize, usize) {
     debug_assert!(!spec.locations.is_empty(), "checked at both entry points");
-    let out = &seed.out;
     let total_users = seed.root_group.count;
-    let rsk_us = out.rsk_us;
+    let rsk_us = seed.out.rsk_us;
     let k = spec.k;
-    let mut users_scored = seed.root_scored;
+    let mut users_scored = 0;
     result.clear();
 
     // Starts without users; they are appended as leaves materialize.
@@ -402,30 +398,18 @@ pub(crate) fn run_selection(
     let UserIndexScratch {
         elems,
         live,
-        children,
-        expanded,
         lu_lists,
         ql,
-        lbs,
-        ind_heap,
-        leaf_doc,
         lu,
         ss,
-        miur: miur_scratch,
+        node: node_scratch,
     } = &mut arena.ui;
 
-    // Seed the element pool with the root's materialized entries; the
-    // root's child list occupies `children[0..root_len]`.
+    // Seed the element pool with the root's materialized entries: slots
+    // `0..root_len`.
     *live = 0;
-    children.clear();
-    expanded.clear();
-    for e in &seed.root_elems {
-        let (id, slot) = alloc_slot(elems, live);
-        fill_slot_from_elem(slot, e, &mut cc);
-        children.push(id);
-    }
-    let root_len = seed.root_elems.len() as u32;
-    expanded.insert(miur.root(), (0, root_len));
+    let root = seed.node_elems(miur, miur.root(), k, ctx, io, node_scratch);
+    let (_, root_len) = push_children(elems, live, &root, &mut cc, &mut users_scored);
 
     // The root's UBL text part, hoisted across the location loop.
     let root_ts = cc.ubl_group_ts(&seed.root_group);
@@ -483,38 +467,16 @@ pub(crate) fn run_selection(
 
         if let Some(pos) = group_pos {
             let eid = lu_lists[li][pos];
-            let node = elems[eid as usize].node;
-            // Expand once globally (at most one disk access per node).
-            let (start, len) = match expanded.entry(node) {
-                Entry::Occupied(o) => *o.get(),
-                Entry::Vacant(v) => {
-                    let view = miur.read_node_ref(node, io, miur_scratch);
-                    let start = children.len() as u32;
-                    for entry in view.entries {
-                        let (id, slot) = alloc_slot(elems, live);
-                        fill_slot_from_entry(
-                            slot,
-                            entry,
-                            out,
-                            k,
-                            &mut cc,
-                            lbs,
-                            ind_heap,
-                            leaf_doc,
-                            &mut users_scored,
-                        );
-                        children.push(id);
-                    }
-                    *v.insert((start, children.len() as u32 - start))
-                }
-            };
+            // A group slot leaves every list when it is expanded and no
+            // list ever takes it back, so each node expands once a query.
+            let kids = seed.node_elems(miur, elems[eid as usize].node, k, ctx, io, node_scratch);
+            let (start, len) = push_children(elems, live, &kids, &mut cc, &mut users_scored);
             // Replace the group in every list that holds it.
             for (lj, list) in lu_lists.iter_mut().enumerate() {
                 if let Some(p) = list.iter().position(|&e| e == eid) {
                     list.swap_remove(p);
                     let locj = spec.locations[lj];
-                    for ci in start..start + len {
-                        let c = children[ci as usize];
+                    for c in start..start + len {
                         if keep(&cc, &elems[c as usize], &locj) {
                             list.push(c);
                         }

@@ -24,7 +24,7 @@
 //! operations per differential round (default 120).
 
 use maxbrstknn::datagen::{generate_churn, ChurnConfig, ChurnOp};
-use maxbrstknn::mbrstk_core::RefreshTier;
+use maxbrstknn::mbrstk_core::{Mutation, RefreshConfig, RefreshTier, ServingEngine};
 use maxbrstknn::prelude::*;
 use text::Document;
 
@@ -419,4 +419,47 @@ fn term_local_drift_makes_incremental_io_sublinear() {
         ratio_big < ratio_small,
         "sublinearity: ratio must shrink with |O| ({ratio_small:.3} -> {ratio_big:.3})"
     );
+}
+
+/// `refresh_now` picks the tier on the drifted *fraction* of the
+/// vocabulary. One LM object insert moves `|C|` and with it every term's
+/// basis, so the incremental tier would re-weigh the whole corpus: the full
+/// tier runs, although the largest relative `wmax` error — what the tier
+/// was once chosen on — stays far below the threshold. Term-local
+/// replacement churn keeps the incremental tier.
+#[test]
+fn refresh_now_picks_the_tier_on_the_drifted_fraction() {
+    let threshold = RefreshConfig::default().full_refresh_drift;
+
+    let (objects, users) = seed_data(160, 24, 6);
+    let serving = ServingEngine::new(build(objects, users, WeightModel::lm()));
+    let insert = Mutation::InsertObject(ObjectData {
+        id: 10_000,
+        point: Point::new(3.3, 2.2),
+        doc: Document::from_pairs([(t(0), 2), (t(6), 1)]),
+    });
+    assert!(serving.apply(insert).is_some());
+    let ledger = serving.snapshot().drift_ledger();
+    assert!(
+        ledger.drifted_fraction() > 0.9 && ledger.drift.max_rel_error < threshold,
+        "one LM insert: drifted fraction {}, max relative error {}",
+        ledger.drifted_fraction(),
+        ledger.drift.max_rel_error
+    );
+    assert_eq!(serving.refresh_now().tier, RefreshTier::Full);
+
+    let (objects, users) = single_term_data(960, 40);
+    let pool: Vec<TermId> = (0..3).map(t).collect();
+    let stream = generate_churn(
+        &objects,
+        &users,
+        &pool,
+        &ChurnConfig::term_local(60).with_seed(77),
+    );
+    let mut eng =
+        Engine::build_with_fanout(objects, users, WeightModel::TfIdf, ALPHA, 8).with_user_index();
+    apply_stream(&mut eng, stream);
+    let serving = ServingEngine::new(eng);
+    assert!(serving.snapshot().drift_ledger().drifted_fraction() < threshold);
+    assert_eq!(serving.refresh_now().tier, RefreshTier::Incremental);
 }

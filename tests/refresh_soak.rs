@@ -636,9 +636,9 @@ fn soak_alternates_refresh_tiers_by_drift_threshold() {
             });
         });
 
-        // Quiesced checkpoint: the tier must match the measured drift.
+        // Quiesced checkpoint: the tier must match the drifted fraction.
         let pre = serving.snapshot();
-        let measured = pre.drift().max_rel_error;
+        let measured = pre.drift_ledger().drifted_fraction();
         let expected = if measured >= serving.config().full_refresh_drift {
             RefreshTier::Full
         } else {
@@ -646,7 +646,8 @@ fn soak_alternates_refresh_tiers_by_drift_threshold() {
         };
         if round % 2 == 1 {
             assert_eq!(
-                measured, 0.0,
+                (measured, pre.drift().max_rel_error),
+                (0.0, 0.0),
                 "user churn must never move the corpus statistics"
             );
         }
