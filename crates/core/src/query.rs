@@ -223,8 +223,12 @@ impl Engine {
                 doc: text.weigh(&o.doc),
             })
             .collect();
-        let mir = StTree::build_with_fanout_codec(&indexed, PostingMode::MaxMin, fanout, codec);
-        let ir = StTree::build_with_fanout_codec(&indexed, PostingMode::MaxOnly, fanout, codec);
+        let [mir, ir] = StTree::build_modes(
+            &indexed,
+            [PostingMode::MaxMin, PostingMode::MaxOnly],
+            fanout,
+            codec,
+        );
 
         Engine {
             ctx: ScoreContext::new(alpha, spatial, text),

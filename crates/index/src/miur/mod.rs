@@ -94,7 +94,7 @@ impl MiurTree {
     pub fn build_with_fanout_codec(users: &[IndexedUser], fanout: usize, codec: CodecId) -> Self {
         let items = point_items(users.iter().map(|u| u.point));
         let tree = BuildTree::bulk_load(&items, fanout);
-        let core = PagedTree::from_build_tree(Miur, &tree, &items, users, fanout, codec);
+        let [core] = PagedTree::from_build_tree([Miur], &tree, &items, users, fanout, codec);
         MiurTree { core }
     }
 
@@ -269,7 +269,7 @@ mod tests {
 
         let base = std::env::temp_dir().join(format!("mbrstk-miur-compact-{}", std::process::id()));
         tree.save(&base.join("plain")).unwrap();
-        tree.save_compacted(&base.join("compact")).unwrap();
+        tree.compacted().save(&base.join("compact")).unwrap();
         let plain = MiurTree::load(&base.join("plain")).unwrap();
         let reopened = MiurTree::load(&base.join("compact")).unwrap();
         assert!(reopened.core.nodes.len() < plain.core.nodes.len());

@@ -9,7 +9,7 @@ use text::{Document, TermId};
 
 use super::read::{miur_intuni_key, miur_node_key, MiurScratch};
 use super::{IndexedUser, MiurEntryView, UserRef};
-use crate::tree::{Entry, Node, PagedTree, Payload};
+use crate::tree::{Entry, Node, Op, PagedTree, Payload};
 
 /// The MIUR payload; it carries no per-tree state.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +36,15 @@ impl Payload for Miur {
     type Entry = MiurEntryView;
     type Item = IndexedUser;
     type Reweigh = f64;
+    type Pool = ();
     const SIDE_FILE: &'static str = "intuni.mbrs";
+    /// Every insert or remove moves the user count of every ancestor, so
+    /// no ancestor's parent entry can settle.
+    const SETTLES: bool = false;
+    /// User counts live in the *node* record, so a pure count/child repair
+    /// leaves an ancestor's IntUni bytes identical: the payload write is
+    /// an extent splice.
+    const SIDE_SPLICE: bool = true;
 
     fn meta(&self) -> &'static [u8] {
         &[]
@@ -54,7 +62,7 @@ impl Payload for Miur {
         miur_intuni_key(id)
     }
 
-    fn leaf_entry(&self, user: &IndexedUser) -> MiurEntryView {
+    fn leaf_entry(&self, user: &IndexedUser, _: &mut ()) -> MiurEntryView {
         let terms: Vec<TermId> = user.doc.terms().collect();
         MiurEntryView {
             rect: Rect::from_point(user.point),
@@ -69,7 +77,7 @@ impl Payload for Miur {
 
     /// Leaf entries carry the exact per-user summary (uni == the user's
     /// keyword set, norm_min == norm_max == N(u)).
-    fn leaf_item(entry: &MiurEntryView) -> IndexedUser {
+    fn leaf_item(entry: &MiurEntryView, _: &()) -> IndexedUser {
         IndexedUser {
             id: entry.target(),
             point: entry.rect.min,
@@ -78,7 +86,7 @@ impl Payload for Miur {
         }
     }
 
-    fn reweigh(&self, entry: &mut MiurEntryView, norm: &f64) {
+    fn reweigh(&self, entry: &mut MiurEntryView, norm: &f64, _: &mut ()) {
         entry.norm_min = *norm;
         entry.norm_max = *norm;
     }
@@ -86,11 +94,10 @@ impl Payload for Miur {
     /// Bounding MBR, union/intersection of the IntUni vectors, user count
     /// and the normalizer bracket — the §7 summary repair that must run
     /// along the whole affected root-to-leaf path on every mutation.
-    fn summarize(entries: &[MiurEntryView], rec: RecordId) -> MiurEntryView {
-        debug_assert!(!entries.is_empty());
+    fn summarize(entries: &[MiurEntryView], _: &mut ()) -> MiurEntryView {
         MiurEntryView {
             rect: Rect::bounding_rects(entries.iter().map(|e| e.rect)).expect("non-empty"),
-            child: UserRef::Node(rec),
+            child: UserRef::Node(RecordId(0)),
             count: entries.iter().map(|e| e.count).sum(),
             uni: union_sorted(entries.iter().map(|e| e.uni.as_slice())),
             int: intersect_sorted(entries.iter().map(|e| e.int.as_slice())),
@@ -105,7 +112,7 @@ impl Payload for Miur {
     /// Everything a parent stores *about* the child (MBR, count, IntUni
     /// vectors, norm bracket) — the child record id is expected to differ
     /// across a splice and is deliberately not compared.
-    fn same_summary(a: &MiurEntryView, b: &MiurEntryView) -> bool {
+    fn same_summary(a: &MiurEntryView, b: &MiurEntryView, _: &()) -> bool {
         a.rect == b.rect
             && a.count == b.count
             && a.uni == b.uni
@@ -114,36 +121,17 @@ impl Payload for Miur {
             && a.norm_max == b.norm_max
     }
 
-    /// Every insert or remove moves the user count of every ancestor, so
-    /// no ancestor's parent entry can settle; the aggregate is not worth
-    /// computing.
-    fn summary_before_edit(_entries: &[MiurEntryView]) -> Option<MiurEntryView> {
-        None
+    fn encode_node(is_leaf: bool, side: RecordId, entries: &[MiurEntryView], op: &mut Op<Miur>) {
+        serialize_miur_node(is_leaf, side, entries, op.codec, &mut op.out);
     }
 
-    /// User counts live in the *node* record, so a pure count/child repair
-    /// leaves an ancestor's IntUni bytes identical: the payload write is
-    /// an extent splice.
-    fn side_write_is_free(old: &[u8], new: &[u8]) -> bool {
-        old == new
-    }
-
-    fn encode_node(
-        is_leaf: bool,
-        side: RecordId,
-        entries: &[MiurEntryView],
-        codec: CodecId,
-    ) -> Vec<u8> {
-        serialize_miur_node(is_leaf, side, entries, codec)
-    }
-
-    fn encode_side(&self, entries: &[MiurEntryView], codec: CodecId) -> Vec<u8> {
-        serialize_intuni(entries, codec)
+    fn encode_side(&self, entries: &[MiurEntryView], op: &mut Op<Miur>) {
+        serialize_intuni(entries, op.codec, &mut op.out);
     }
 
     /// IntUni vectors are part of every node visit, so the side record is
     /// decoded (and charged by the core) at once.
-    fn read(tree: &PagedTree<Miur>, id: RecordId) -> Node<MiurEntryView> {
+    fn read(tree: &PagedTree<Miur>, id: RecordId, _: &mut ()) -> Node<MiurEntryView> {
         let mut scratch = MiurScratch::default();
         let (side, _) = tree.parse_node_into(id, &mut scratch);
         let (is_leaf, entries) = scratch.into_entries();
@@ -156,7 +144,7 @@ impl Payload for Miur {
         }
     }
 
-    fn load_summaries(_tree: &PagedTree<Miur>, _node: &mut Node<MiurEntryView>) {}
+    fn load_summaries(_: &PagedTree<Miur>, _: &mut Node<MiurEntryView>, _: &mut ()) {}
 }
 
 /// Serializes the node half of one node record (the spatial/count columns;
@@ -166,14 +154,14 @@ fn serialize_miur_node(
     iu_rec: RecordId,
     entries: &[MiurEntryView],
     codec: CodecId,
-) -> Vec<u8> {
+    w: &mut Writer,
+) {
     let ref_id = |e: &MiurEntryView| match e.child {
         UserRef::Node(rid) => rid.0,
         UserRef::User(uid) => uid,
     };
     match codec {
         CodecId::Verbatim => {
-            let mut w = Writer::new();
             w.put_u8(u8::from(is_leaf));
             w.put_u32(iu_rec.0);
             w.put_u32(entries.len() as u32);
@@ -185,26 +173,23 @@ fn serialize_miur_node(
                 w.put_f64(e.rect.max.y);
                 w.put_u32(e.count);
             }
-            w.into_bytes()
         }
         CodecId::Columnar => {
             let c = storage::codec(codec);
-            let mut w = Writer::new();
             w.put_u8(u8::from(is_leaf));
             w.put_varint_u32(iu_rec.0);
             w.put_varint_u32(entries.len() as u32);
             let ids: Vec<u32> = entries.iter().map(ref_id).collect();
-            c.put_clustered_u32s(&mut w, &ids);
+            c.put_clustered_u32s(w, &ids);
             let col =
                 |f: fn(&Rect) -> f64| entries.iter().map(|e| f(&e.rect)).collect::<Vec<f64>>();
             let (min_x, min_y) = (col(|r| r.min.x), col(|r| r.min.y));
-            c.put_f64s(&mut w, &min_x);
-            c.put_f64s(&mut w, &min_y);
-            c.put_f64s_vs(&mut w, &col(|r| r.max.x), &min_x);
-            c.put_f64s_vs(&mut w, &col(|r| r.max.y), &min_y);
+            c.put_f64s(w, &min_x);
+            c.put_f64s(w, &min_y);
+            c.put_f64s_vs(w, &col(|r| r.max.x), &min_x);
+            c.put_f64s_vs(w, &col(|r| r.max.y), &min_y);
             let counts: Vec<u32> = entries.iter().map(|e| e.count).collect();
-            c.put_packed_u32s(&mut w, &counts);
-            w.into_bytes()
+            c.put_packed_u32s(w, &counts);
         }
     }
 }
@@ -217,10 +202,9 @@ fn serialize_miur_node(
 /// only entry boundaries cost a sign flip), and the norm bracket as an
 /// XOR-prev column plus an XOR-vs-min column — leaf brackets have
 /// `norm_min == norm_max` and collapse to one byte per node.
-fn serialize_intuni(entries: &[MiurEntryView], codec: CodecId) -> Vec<u8> {
+fn serialize_intuni(entries: &[MiurEntryView], codec: CodecId, w: &mut Writer) {
     match codec {
         CodecId::Verbatim => {
-            let mut w = Writer::new();
             for e in entries {
                 w.put_u32(e.uni.len() as u32);
                 for &t in &e.uni {
@@ -233,30 +217,27 @@ fn serialize_intuni(entries: &[MiurEntryView], codec: CodecId) -> Vec<u8> {
                 w.put_f64(e.norm_min);
                 w.put_f64(e.norm_max);
             }
-            w.into_bytes()
         }
         CodecId::Columnar => {
             let c = storage::codec(codec);
-            let mut w = Writer::new();
             let uni_lens: Vec<u32> = entries.iter().map(|e| e.uni.len() as u32).collect();
             let int_lens: Vec<u32> = entries.iter().map(|e| e.int.len() as u32).collect();
-            c.put_packed_u32s(&mut w, &uni_lens);
-            c.put_packed_u32s(&mut w, &int_lens);
+            c.put_packed_u32s(w, &uni_lens);
+            c.put_packed_u32s(w, &int_lens);
             let uni_terms: Vec<u32> = entries
                 .iter()
                 .flat_map(|e| e.uni.iter().map(|t| t.0))
                 .collect();
-            c.put_clustered_u32s(&mut w, &uni_terms);
+            c.put_clustered_u32s(w, &uni_terms);
             let int_terms: Vec<u32> = entries
                 .iter()
                 .flat_map(|e| e.int.iter().map(|t| t.0))
                 .collect();
-            c.put_clustered_u32s(&mut w, &int_terms);
+            c.put_clustered_u32s(w, &int_terms);
             let norm_min: Vec<f64> = entries.iter().map(|e| e.norm_min).collect();
-            c.put_f64s(&mut w, &norm_min);
+            c.put_f64s(w, &norm_min);
             let norm_max: Vec<f64> = entries.iter().map(|e| e.norm_max).collect();
-            c.put_f64s_vs(&mut w, &norm_max, &norm_min);
-            w.into_bytes()
+            c.put_f64s_vs(w, &norm_max, &norm_min);
         }
     }
 }

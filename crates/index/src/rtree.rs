@@ -95,14 +95,21 @@ impl BuildTree {
     pub fn bulk_load(items: &[BuildItem], max_entries: usize) -> Self {
         assert!(!items.is_empty(), "cannot bulk load an empty item set");
         assert!(max_entries >= 2, "max_entries must be at least 2");
-
-        let mut nodes: Vec<BuildNode> = Vec::new();
-
-        // --- Leaf level: tile the items. ---
         let mut order: Vec<usize> = (0..items.len()).collect();
-        let leaf_groups = str_tile(&mut order, max_entries, |&i| items[i].rect.center());
-        let mut level_nodes: Vec<usize> = Vec::with_capacity(leaf_groups.len());
-        for group in leaf_groups {
+        let leaves = str_tile(&mut order, max_entries, |&i| items[i].rect.center());
+        Self::from_leaves(items, leaves, max_entries)
+    }
+
+    /// Makes a leaf of every group of `leaves` (indices into `items`) and
+    /// tiles the levels above them with STR.
+    pub(crate) fn from_leaves(
+        items: &[BuildItem],
+        leaves: Vec<Vec<usize>>,
+        max_entries: usize,
+    ) -> Self {
+        let mut nodes: Vec<BuildNode> = Vec::new();
+        let mut level_nodes: Vec<usize> = Vec::with_capacity(leaves.len());
+        for group in leaves {
             let rect = Rect::bounding_rects(group.iter().map(|&i| items[i].rect))
                 .expect("non-empty group");
             nodes.push(BuildNode {
@@ -195,15 +202,6 @@ impl BuildTree {
         }
         Ok(())
     }
-
-    /// Total number of leaf-level item slots (for sanity checks).
-    pub fn num_items(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_leaf())
-            .map(|n| n.items.len())
-            .sum()
-    }
 }
 
 /// Sort-Tile-Recursive grouping of `order` (indices) into runs of at most
@@ -280,6 +278,12 @@ pub(crate) fn quadratic_partition(rects: &[Rect], min_fill: usize) -> (Vec<usize
 mod tests {
     use super::*;
 
+    /// Leaf-level item slots.
+    fn num_items(t: &BuildTree) -> usize {
+        let leaves = t.nodes.iter().filter(|n| n.is_leaf());
+        leaves.map(|n| n.items.len()).sum()
+    }
+
     fn grid_items(n: usize) -> Vec<BuildItem> {
         (0..n)
             .map(|i| BuildItem {
@@ -294,7 +298,7 @@ mod tests {
         let items = grid_items(1);
         let t = BuildTree::bulk_load(&items, 8);
         assert_eq!(t.height, 1);
-        assert_eq!(t.num_items(), 1);
+        assert_eq!(num_items(&t), 1);
         t.check_invariants(&items).unwrap();
     }
 
@@ -311,7 +315,7 @@ mod tests {
         let items = grid_items(50);
         let t = BuildTree::bulk_load(&items, 8);
         assert!(t.height >= 2);
-        assert_eq!(t.num_items(), 50);
+        assert_eq!(num_items(&t), 50);
         t.check_invariants(&items).unwrap();
     }
 

@@ -16,11 +16,11 @@
 
 use std::collections::HashMap;
 
-use geo::{Point, Rect};
+use geo::Point;
 use storage::{CodecId, RecordId};
 use text::WeightedDoc;
 
-use crate::rtree::{point_items, BuildItem, BuildNode, BuildTree};
+use crate::rtree::{point_items, BuildTree};
 use crate::tree::{tree_api, PagedTree};
 use crate::{SpliceReport, TreeEdit};
 
@@ -92,10 +92,29 @@ impl StTree {
         fanout: usize,
         codec: CodecId,
     ) -> Self {
+        let [tree] = Self::build_modes(objects, [mode], fanout, codec);
+        tree
+    }
+
+    /// Bulk loads one tree per posting mode from a single STR pass: §5.1
+    /// builds the MIR-tree "in the same manner" as the IR-tree, so the
+    /// trees share their layout, node records and aggregates, and an
+    /// IR-tree's inverted files are the MIR-tree's without minima. Each
+    /// node is aggregated once and written once per mode.
+    ///
+    /// # Panics
+    /// Panics when `objects` is empty.
+    pub fn build_modes<const N: usize>(
+        objects: &[IndexedObject],
+        modes: [PostingMode; N],
+        fanout: usize,
+        codec: CodecId,
+    ) -> [Self; N] {
         let items = point_items(objects.iter().map(|o| o.point));
         let tree = BuildTree::bulk_load(&items, fanout);
-        let core = PagedTree::from_build_tree(St { mode }, &tree, &items, objects, fanout, codec);
-        StTree { core }
+        let payloads = modes.map(|mode| St { mode });
+        PagedTree::from_build_tree(payloads, &tree, &items, objects, fanout, codec)
+            .map(|core| StTree { core })
     }
 
     /// Bulk loads with *text-first* leaf clustering (CIR/DIR-inspired).
@@ -130,57 +149,12 @@ impl StTree {
                 .then(objects[a].point.y.total_cmp(&objects[b].point.y))
         });
 
-        // Sequential leaf packing in that order.
-        let mut nodes: Vec<BuildNode> = Vec::new();
-        let mut leaf_ids: Vec<usize> = Vec::new();
-        for run in order.chunks(fanout) {
-            let rect = Rect::bounding_rects(run.iter().map(|&i| items[i].rect)).unwrap();
-            nodes.push(BuildNode {
-                rect,
-                children: Vec::new(),
-                items: run.to_vec(),
-                level: 0,
-            });
-            leaf_ids.push(nodes.len() - 1);
-        }
-
-        // Upper levels: plain spatial STR over the level below.
-        let mut level_nodes = leaf_ids;
-        let mut height = 1;
-        while level_nodes.len() > 1 {
-            let leaf_items: Vec<BuildItem> = level_nodes
-                .iter()
-                .map(|&n| BuildItem {
-                    id: n as u32,
-                    rect: nodes[n].rect,
-                })
-                .collect();
-            let grouped = BuildTree::bulk_load(&leaf_items, fanout);
-            // Take only the first level above the pseudo-leaves.
-            let mut next = Vec::new();
-            for bn in grouped.nodes.iter().filter(|bn| bn.is_leaf()) {
-                let children: Vec<usize> = bn.items.iter().map(|&i| level_nodes[i]).collect();
-                let rect = Rect::bounding_rects(children.iter().map(|&c| nodes[c].rect)).unwrap();
-                nodes.push(BuildNode {
-                    rect,
-                    children,
-                    items: Vec::new(),
-                    level: height,
-                });
-                next.push(nodes.len() - 1);
-            }
-            level_nodes = next;
-            height += 1;
-        }
-
-        let tree = BuildTree {
-            root: level_nodes[0],
-            nodes,
-            height,
-            max_entries: fanout,
-        };
+        // Sequential leaf packing in that order, plain spatial STR above.
+        let leaves = order.chunks(fanout).map(<[usize]>::to_vec).collect();
+        let tree = BuildTree::from_leaves(&items, leaves, fanout);
         let codec = CodecId::default();
-        let core = PagedTree::from_build_tree(St { mode }, &tree, &items, objects, fanout, codec);
+        let [core] =
+            PagedTree::from_build_tree([St { mode }], &tree, &items, objects, fanout, codec);
         StTree { core }
     }
 
@@ -800,7 +774,7 @@ mod tests {
         let plain_dir = base.join("plain");
         let compact_dir = base.join("compact");
         tree.save(&plain_dir).unwrap();
-        tree.save_compacted(&compact_dir).unwrap();
+        tree.compacted().save(&compact_dir).unwrap();
         let plain = StTree::load(&plain_dir).unwrap();
         let reopened = StTree::load(&compact_dir).unwrap();
         assert!(

@@ -1,19 +1,31 @@
-//! The inverted-file payload of the paged R-tree core: the entry summary
-//! ([`TermAgg`]), the node and inverted-file record codecs, and the
-//! [`Payload`] hooks that make [`crate::StTree`] an IR-tree / MIR-tree.
-
-use std::collections::HashMap;
+//! The inverted-file payload of the paged R-tree core: the entry summary,
+//! the node and inverted-file record codecs, and the [`Payload`] hooks
+//! that make [`crate::StTree`] an IR-tree / MIR-tree.
+//!
+//! How a node is aggregated. An entry's summary is a span of `(term, max,
+//! min)` rows, ascending by term, in the [`Pool`] of the build or edit that
+//! holds it (a leaf entry's rows are its object's weights with `min ==
+//! max`). [`Payload::summarize`] collects the node's entries' rows, entry
+//! by entry, as postings and sorts them by term — a stable sort, which
+//! finds each entry's rows as a sorted run and merges the runs, so within
+//! a term the entries stay ascending. Each run of one term is then that
+//! term's posting list, in the order the inverted file stores it, and
+//! folds into one summary row: the max of the maxima, and the min of the
+//! minima when every entry holds the term with a positive minimum (0
+//! otherwise). [`Payload::encode_side`] writes the same runs, so a node
+//! is aggregated once however many trees it is written to. Reading a
+//! node's inverted file back decodes the runs and scatters them into one
+//! span per entry (an O(postings) counting pass). No step keeps a map or a
+//! collection per term.
 
 use geo::Rect;
 use storage::codec::{Reader, Writer};
 use storage::{CodecId, RecordId};
 use text::{TermId, WeightedDoc};
 
-use super::read::{
-    decode_columnar_list_into, invfile_cache_key, node_cache_key, NodeRef, NodeScratch,
-};
+use super::read::{invfile_cache_key, node_cache_key, NodeRef, NodeScratch};
 use super::{ChildRef, IndexedObject, PostingMode};
-use crate::tree::{Entry, Node, PagedTree, Payload};
+use crate::tree::{Entry, Node, Op, PagedTree, Payload};
 
 /// The ST payload: all that distinguishes an IR-tree from a MIR-tree is
 /// the posting width.
@@ -22,13 +34,70 @@ pub(crate) struct St {
     pub mode: PostingMode,
 }
 
-/// One node entry on a maintenance path. `agg` stays empty until the
-/// node's inverted file is read ([`Payload::load_summaries`]).
-#[derive(Debug, Clone)]
+/// One node entry on a maintenance path. `rows` is empty until the node's
+/// inverted file is read ([`Payload::load_summaries`]).
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct StEntry {
     child: ChildRef,
     rect: Rect,
-    agg: TermAgg,
+    /// The entry's summary: `pool.rows[rows.0..rows.1]`.
+    rows: (u32, u32),
+}
+
+/// `(term, max, min)`: a term's max weight below an entry, and its min
+/// weight when the term is in the entry's subtree intersection (0
+/// otherwise).
+type Row = (TermId, f64, f64);
+
+/// One posting of the node being aggregated, encoded or decoded: the
+/// `row` of one term under the node's entry `entry`.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    entry: u32,
+    row: Row,
+}
+
+/// The scratch of one build or edit: every entry summary it holds, the
+/// postings of the node last aggregated, and the buffers the codecs fill.
+#[derive(Debug, Default)]
+pub(crate) struct Pool {
+    rows: Vec<Row>,
+    /// Ascending by term, then by entry.
+    runs: Vec<Posting>,
+    node: NodeScratch,
+    u32s: [Vec<u32>; 2],
+    f64s: [Vec<f64>; 3],
+    /// Columnar list blocks, encoded ahead of the directory that sizes
+    /// them.
+    blocks: Writer,
+}
+
+impl Pool {
+    /// Appends a summary and returns its span.
+    fn push(&mut self, rows: impl Iterator<Item = Row>) -> (u32, u32) {
+        let start = self.rows.len() as u32;
+        self.rows.extend(rows);
+        (start, self.rows.len() as u32)
+    }
+}
+
+impl StEntry {
+    fn span(&self) -> std::ops::Range<usize> {
+        self.rows.0 as usize..self.rows.1 as usize
+    }
+}
+
+impl Posting {
+    fn term(&self) -> TermId {
+        self.row.0
+    }
+}
+
+/// `vals` collected into `buf`, which is cleared first.
+fn column<T: Copy>(buf: &mut Vec<T>, vals: impl Iterator<Item = T>) -> &[T] {
+    buf.clear();
+    buf.extend(vals);
+    buf
 }
 
 impl Entry for StEntry {
@@ -52,7 +121,14 @@ impl Payload for St {
     type Entry = StEntry;
     type Item = IndexedObject;
     type Reweigh = WeightedDoc;
+    type Pool = Pool;
     const SIDE_FILE: &'static str = "invfiles.mbrs";
+    /// A typical insert shifts no upper-level maxima (and minima are
+    /// already poisoned to 0 up there), so the settled-ancestor splice
+    /// pays for the aggregate many times over.
+    const SETTLES: bool = true;
+    /// Ancestors that do get rewritten pay their inverted file in full.
+    const SIDE_SPLICE: bool = false;
 
     fn meta(&self) -> &'static [u8] {
         match self.mode {
@@ -78,16 +154,16 @@ impl Payload for St {
         invfile_cache_key(self.mode, id)
     }
 
-    fn leaf_entry(&self, obj: &IndexedObject) -> StEntry {
+    fn leaf_entry(&self, obj: &IndexedObject, pool: &mut Pool) -> StEntry {
         StEntry {
             child: ChildRef::Object(obj.id),
             rect: Rect::from_point(obj.point),
-            agg: TermAgg::from_doc(&obj.doc),
+            rows: pool.push(obj.doc.entries.iter().map(|&(t, w)| (t, w, w))),
         }
     }
 
-    fn leaf_item(entry: &StEntry) -> IndexedObject {
-        let weights = entry.agg.terms.iter().map(|&(t, mx, _)| (t, mx));
+    fn leaf_item(entry: &StEntry, pool: &Pool) -> IndexedObject {
+        let weights = pool.rows[entry.span()].iter().map(|&(t, mx, _)| (t, mx));
         IndexedObject {
             id: entry.target(),
             point: entry.rect.min,
@@ -95,60 +171,65 @@ impl Payload for St {
         }
     }
 
-    fn reweigh(&self, entry: &mut StEntry, to: &WeightedDoc) {
-        entry.agg = TermAgg::from_doc(to);
-        if self.mode == PostingMode::MaxOnly {
-            // The IR-tree stores no minima; deserialized rows report 0, so
-            // recomputed rows must too for the changed-summary comparison
-            // to stay meaningful.
-            for row in &mut entry.agg.terms {
-                row.2 = 0.0;
-            }
-        }
+    fn reweigh(&self, entry: &mut StEntry, to: &WeightedDoc, pool: &mut Pool) {
+        // The IR-tree stores no minima; deserialized rows report 0, so
+        // recomputed rows must too for the changed-summary comparison to
+        // stay meaningful.
+        let with_min = self.mode == PostingMode::MaxMin;
+        let rows = to
+            .entries
+            .iter()
+            .map(|&(t, w)| (t, w, if with_min { w } else { 0.0 }));
+        entry.rows = pool.push(rows);
     }
 
-    fn summarize(entries: &[StEntry], rec: RecordId) -> StEntry {
+    fn summarize(entries: &[StEntry], pool: &mut Pool) -> StEntry {
+        let Pool { rows, runs, .. } = pool;
+        runs.clear();
+        for (i, e) in entries.iter().enumerate() {
+            let entry = i as u32;
+            runs.extend(rows[e.span()].iter().map(|&row| Posting { entry, row }));
+        }
+        runs.sort_by_key(|p| p.term());
+        let start = rows.len() as u32;
+        for run in runs.chunk_by(|a, b| a.term() == b.term()) {
+            let max = run.iter().fold(0.0, |m: f64, p| m.max(p.row.1));
+            // A min of 0 means "not in this entry's intersection"; it
+            // poisons the parent's intersection, as a missing entry does.
+            let min = run.iter().fold(f64::INFINITY, |m, p| m.min(p.row.2));
+            let shared = run.len() == entries.len() && min > 0.0;
+            rows.push((run[0].term(), max, if shared { min } else { 0.0 }));
+        }
         StEntry {
-            child: ChildRef::Node(rec),
+            child: ChildRef::Node(RecordId(0)),
             rect: Rect::bounding_rects(entries.iter().map(|e| e.rect)).expect("non-empty"),
-            agg: TermAgg::merge_entries(entries),
+            rows: (start, rows.len() as u32),
         }
     }
 
-    fn same_summary(a: &StEntry, b: &StEntry) -> bool {
-        a.rect == b.rect && a.agg == b.agg
+    fn same_summary(a: &StEntry, b: &StEntry, pool: &Pool) -> bool {
+        a.rect == b.rect && pool.rows[a.span()] == pool.rows[b.span()]
     }
 
-    /// A typical insert shifts no upper-level maxima (and minima are
-    /// already poisoned to 0 up there), so the settled-ancestor splice
-    /// pays for the aggregate many times over. An empty node (the empty
-    /// leaf root) has no summary to keep.
-    fn summary_before_edit(entries: &[StEntry]) -> Option<StEntry> {
-        (!entries.is_empty()).then(|| Self::summarize(entries, RecordId(0)))
+    fn encode_node(is_leaf: bool, side: RecordId, entries: &[StEntry], op: &mut Op<St>) {
+        serialize_node(is_leaf, side, entries, op.codec, &mut op.pool, &mut op.out);
     }
 
-    /// Ancestors that do get rewritten pay their inverted file in full.
-    fn side_write_is_free(_old: &[u8], _new: &[u8]) -> bool {
-        false
-    }
-
-    fn encode_node(is_leaf: bool, side: RecordId, entries: &[StEntry], codec: CodecId) -> Vec<u8> {
-        serialize_node(is_leaf, side, entries, codec)
-    }
-
-    fn encode_side(&self, entries: &[StEntry], codec: CodecId) -> Vec<u8> {
-        serialize_invfile(entries, self.mode, codec)
+    fn encode_side(&self, entries: &[StEntry], op: &mut Op<St>) {
+        if entries.is_empty() {
+            op.pool.runs.clear();
+        }
+        serialize_invfile(self.mode, op.codec, &mut op.pool, &mut op.out);
     }
 
     /// Structure only: the inverted file is fetched when a rewrite needs
     /// the aggregates, which descent-only and settled ancestors never do.
-    fn read(tree: &PagedTree<St>, id: RecordId) -> Node<StEntry> {
-        let mut scratch = NodeScratch::default();
-        let view = NodeRef::decode(id, tree.nodes.get(id), tree.codec, &mut scratch);
+    fn read(tree: &PagedTree<St>, id: RecordId, pool: &mut Pool) -> Node<StEntry> {
+        let view = NodeRef::decode(id, tree.nodes.get(id), tree.codec, &mut pool.node);
         let entry = |i| StEntry {
             child: view.child(i),
             rect: view.rect(i),
-            agg: TermAgg::default(),
+            rows: (0, 0),
         };
         Node {
             id,
@@ -159,64 +240,33 @@ impl Payload for St {
         }
     }
 
-    fn load_summaries(tree: &PagedTree<St>, node: &mut Node<StEntry>) {
-        let payload = tree.side.get(node.side);
-        let rows =
-            deserialize_all_postings(payload, tree.payload.mode, node.entries.len(), tree.codec);
-        for (entry, terms) in node.entries.iter_mut().zip(rows) {
-            entry.agg = TermAgg { terms };
+    fn load_summaries(tree: &PagedTree<St>, node: &mut Node<StEntry>, pool: &mut Pool) {
+        deserialize_runs(tree, node.side, pool);
+        // Count each entry's postings, give it a span of that many rows,
+        // then scatter the term-major runs into the spans: each comes out
+        // ascending by term.
+        let (rows, runs, [at, _]) = (&mut pool.rows, &pool.runs, &mut pool.u32s);
+        column(at, std::iter::repeat_n(0, node.entries.len()));
+        for p in runs.iter() {
+            at[p.entry as usize] += 1;
         }
-    }
-}
-
-/// Subtree term aggregate carried during construction: per term, the max
-/// weight anywhere below, and the min weight when the term is in the
-/// subtree intersection (0 otherwise).
-///
-/// `PartialEq` compares the sorted term rows exactly; mutation paths use
-/// it to detect that a rewritten child's summary is unchanged and switch
-/// to the settled-ancestor splice (see [`crate::StTree::insert`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-struct TermAgg {
-    /// `(term, max, min)` sorted by term; `min == 0` ⇔ not in intersection.
-    terms: Vec<(TermId, f64, f64)>,
-}
-
-impl TermAgg {
-    fn from_doc(doc: &WeightedDoc) -> Self {
-        TermAgg {
-            terms: doc.entries.iter().map(|&(t, w)| (t, w, w)).collect(),
+        let mut end = rows.len() as u32;
+        for (e, at) in node.entries.iter_mut().zip(at.iter_mut()) {
+            e.rows = (end, end + *at);
+            (*at, end) = (end, end + *at);
         }
-    }
-
-    /// Merges sibling aggregates into the parent-entry aggregate.
-    fn merge_entries(entries: &[StEntry]) -> Self {
-        let mut map: HashMap<TermId, (f64, f64, usize)> = HashMap::new();
-        for entry in entries {
-            for &(t, max, min) in &entry.agg.terms {
-                let slot = map.entry(t).or_insert((0.0, f64::INFINITY, 0));
-                slot.0 = slot.0.max(max);
-                // min == 0 means "not in this entry's intersection"; it
-                // poisons the parent's intersection too.
-                slot.1 = slot.1.min(if min > 0.0 { min } else { 0.0 });
-                slot.2 += 1;
-            }
+        rows.resize(end as usize, (TermId(0), 0.0, 0.0));
+        for p in runs.iter() {
+            let at = &mut at[p.entry as usize];
+            rows[*at as usize] = p.row;
+            *at += 1;
         }
-        let total = entries.len();
-        let mut terms: Vec<(TermId, f64, f64)> = map
-            .into_iter()
-            .map(|(t, (max, min, seen))| {
-                let min = if seen == total && min > 0.0 { min } else { 0.0 };
-                (t, max, min)
-            })
-            .collect();
-        terms.sort_unstable_by_key(|&(t, _, _)| t);
-        TermAgg { terms }
     }
 }
 
 // ---------------------------------------------------------------------
-// On-disk layouts.
+// On-disk layouts. Both codecs write a node's postings term by term, in
+// the order `summarize` leaves them in `pool.runs`.
 //
 // Verbatim node record, v2 (fixed-stride structure-of-arrays; same byte
 // count as the interleaved v1 — 9 + 36·n — so every block/byte accounting
@@ -247,7 +297,8 @@ impl TermAgg {
 //
 // Columnar inverted-file record — directory plus a skip table of encoded
 // list sizes (varint lists have no fixed stride, so partial reads need
-// explicit extents):
+// explicit extents). The list blocks are encoded first, into one pooled
+// buffer, so the skip table can be written ahead of them:
 //   varint n_terms
 //   ascending column: n_terms term ids
 //   n_terms × varint list_len
@@ -258,210 +309,156 @@ impl TermAgg {
 //     [f64 column vs maxima: list_len minima]   (MaxMin only)
 // ---------------------------------------------------------------------
 
+/// The MBR columns of a node record, in record order.
+const MBR: [fn(&Rect) -> f64; 4] = [|r| r.min.x, |r| r.min.y, |r| r.max.x, |r| r.max.y];
+
 fn serialize_node(
     is_leaf: bool,
     invfile: RecordId,
     entries: &[StEntry],
     codec: CodecId,
-) -> Vec<u8> {
+    pool: &mut Pool,
+    w: &mut Writer,
+) {
     match codec {
         CodecId::Verbatim => {
-            let mut w = Writer::with_capacity(9 + entries.len() * 36);
             w.put_u8(u8::from(is_leaf));
             w.put_u32(invfile.0);
             w.put_u32(entries.len() as u32);
             for e in entries {
                 w.put_u32(e.target());
             }
-            for e in entries {
-                w.put_f64(e.rect.min.x);
+            for coord in MBR {
+                for e in entries {
+                    w.put_f64(coord(&e.rect));
+                }
             }
-            for e in entries {
-                w.put_f64(e.rect.min.y);
-            }
-            for e in entries {
-                w.put_f64(e.rect.max.x);
-            }
-            for e in entries {
-                w.put_f64(e.rect.max.y);
-            }
-            w.into_bytes()
         }
         CodecId::Columnar => {
             let c = storage::codec(codec);
-            let mut w = Writer::with_capacity(3 + entries.len() * 12);
             w.put_u8(u8::from(is_leaf));
             w.put_varint_u32(invfile.0);
             w.put_varint_u32(entries.len() as u32);
-            let ids: Vec<u32> = entries.iter().map(Entry::target).collect();
-            c.put_clustered_u32s(&mut w, &ids);
-            let col =
-                |f: fn(&Rect) -> f64| entries.iter().map(|e| f(&e.rect)).collect::<Vec<f64>>();
-            let (min_x, min_y) = (col(|r| r.min.x), col(|r| r.min.y));
-            c.put_f64s(&mut w, &min_x);
-            c.put_f64s(&mut w, &min_y);
-            c.put_f64s_vs(&mut w, &col(|r| r.max.x), &min_x);
-            c.put_f64s_vs(&mut w, &col(|r| r.max.y), &min_y);
-            w.into_bytes()
+            let ([ids, _], [min_x, min_y, max]) = (&mut pool.u32s, &mut pool.f64s);
+            c.put_clustered_u32s(w, column(ids, entries.iter().map(Entry::target)));
+            let coord = |i: usize| entries.iter().map(move |e| MBR[i](&e.rect));
+            c.put_f64s(w, column(min_x, coord(0)));
+            c.put_f64s(w, column(min_y, coord(1)));
+            c.put_f64s_vs(w, column(max, coord(2)), min_x);
+            c.put_f64s_vs(w, column(max, coord(3)), min_y);
         }
     }
 }
 
-/// `term -> [(entry_idx, max, min)]` lists plus the ascending term order.
-type TermLists = (Vec<TermId>, HashMap<TermId, Vec<(u32, f64, f64)>>);
-
-/// Gathers per-entry aggregates into `term -> [(entry_idx, max, min)]`
-/// lists, ascending by term (entry indexes ascend within each list by
-/// construction).
-fn gather_lists(entries: &[StEntry]) -> TermLists {
-    let mut lists: HashMap<TermId, Vec<(u32, f64, f64)>> = HashMap::new();
-    for (i, entry) in entries.iter().enumerate() {
-        for &(t, max, min) in &entry.agg.terms {
-            lists.entry(t).or_default().push((i as u32, max, min));
-        }
-    }
-    let mut terms: Vec<TermId> = lists.keys().copied().collect();
-    terms.sort_unstable();
-    (terms, lists)
-}
-
-fn serialize_invfile(entries: &[StEntry], mode: PostingMode, codec: CodecId) -> Vec<u8> {
-    let (terms, lists) = gather_lists(entries);
+/// Writes the inverted file of the runs in `pool`.
+fn serialize_invfile(mode: PostingMode, codec: CodecId, pool: &mut Pool, w: &mut Writer) {
+    let (runs, blocks) = (&pool.runs, &mut pool.blocks);
+    let ([ids, sizes], [maxs, mins, _]) = (&mut pool.u32s, &mut pool.f64s);
+    let lists = || runs.chunk_by(|a, b| a.term() == b.term());
+    let with_min = mode == PostingMode::MaxMin;
     match codec {
         CodecId::Verbatim => {
-            let mut w = Writer::new();
-            w.put_u32(terms.len() as u32);
-            for &t in &terms {
-                w.put_u32(t.0);
-                w.put_u32(lists[&t].len() as u32);
+            w.put_u32(lists().count() as u32);
+            for list in lists() {
+                w.put_u32(list[0].term().0);
+                w.put_u32(list.len() as u32);
             }
-            for &t in &terms {
-                let list = &lists[&t];
-                for &(idx, _, _) in list {
-                    w.put_u32(idx);
+            for list in lists() {
+                for p in list {
+                    w.put_u32(p.entry);
                 }
-                for &(_, max, _) in list {
-                    w.put_f64(max);
+                for p in list {
+                    w.put_f64(p.row.1);
                 }
-                if mode == PostingMode::MaxMin {
-                    for &(_, _, min) in list {
-                        w.put_f64(min);
-                    }
+                for p in list.iter().filter(|_| with_min) {
+                    w.put_f64(p.row.2);
                 }
             }
-            w.into_bytes()
         }
         CodecId::Columnar => {
             let c = storage::codec(codec);
-            // Encode each term's list block first so the directory can
-            // carry the skip table of encoded sizes.
-            let blocks: Vec<Vec<u8>> = terms
-                .iter()
-                .map(|t| {
-                    let list = &lists[t];
-                    let mut b = Writer::new();
-                    let idxs: Vec<u32> = list.iter().map(|&(i, _, _)| i).collect();
-                    c.put_ascending_u32s(&mut b, &idxs);
-                    let maxs: Vec<f64> = list.iter().map(|&(_, m, _)| m).collect();
-                    c.put_f64s(&mut b, &maxs);
-                    if mode == PostingMode::MaxMin {
-                        let mins: Vec<f64> = list.iter().map(|&(_, _, m)| m).collect();
-                        c.put_f64s_vs(&mut b, &mins, &maxs);
-                    }
-                    b.into_bytes()
-                })
-                .collect();
-            let mut w = Writer::new();
-            w.put_varint_u32(terms.len() as u32);
-            let term_ids: Vec<u32> = terms.iter().map(|t| t.0).collect();
-            c.put_ascending_u32s(&mut w, &term_ids);
-            for &t in &terms {
-                w.put_varint_u32(lists[&t].len() as u32);
+            blocks.clear();
+            sizes.clear();
+            for list in lists() {
+                let start = blocks.len();
+                c.put_ascending_u32s(blocks, column(ids, list.iter().map(|p| p.entry)));
+                c.put_f64s(blocks, column(maxs, list.iter().map(|p| p.row.1)));
+                if with_min {
+                    c.put_f64s_vs(blocks, column(mins, list.iter().map(|p| p.row.2)), maxs);
+                }
+                sizes.push((blocks.len() - start) as u32);
             }
-            for b in &blocks {
-                w.put_varint_u32(b.len() as u32);
+            w.put_varint_u32(sizes.len() as u32);
+            c.put_ascending_u32s(w, column(ids, lists().map(|list| list[0].term().0)));
+            for list in lists() {
+                w.put_varint_u32(list.len() as u32);
             }
-            for b in &blocks {
-                w.put_bytes(b);
+            for &size in sizes.iter() {
+                w.put_varint_u32(size);
             }
-            w.into_bytes()
+            w.put_bytes(blocks.as_bytes());
         }
     }
 }
 
-/// Decoded columnar inverted-file directory: per term, `(term, list_len,
-/// block_start, block_end)` absolute byte extents, plus the directory's
-/// own end offset.
-fn columnar_directory(r: &mut Reader) -> (Vec<(TermId, usize, usize, usize)>, usize) {
-    let c = storage::codec(CodecId::Columnar);
-    let n_terms = r.get_varint_u32() as usize;
-    let mut term_ids = Vec::new();
-    c.get_ascending_u32s(r, n_terms, &mut term_ids);
-    let lens: Vec<usize> = (0..n_terms).map(|_| r.get_varint_u32() as usize).collect();
-    let bytes: Vec<usize> = (0..n_terms).map(|_| r.get_varint_u32() as usize).collect();
-    let dir_end = r.position();
-    let mut dir = Vec::with_capacity(n_terms);
-    let mut offset = dir_end;
-    for i in 0..n_terms {
-        dir.push((TermId(term_ids[i]), lens[i], offset, offset + bytes[i]));
-        offset += bytes[i];
-    }
-    (dir, dir_end)
-}
-
-/// Decodes the entire inverted file into per-entry `(term, max, min)`
-/// rows (maintenance path — query reads decode only the wanted lists,
-/// see `read.rs`).
-fn deserialize_all_postings(
-    payload: &[u8],
-    mode: PostingMode,
-    num_entries: usize,
-    codec: CodecId,
-) -> Vec<Vec<(TermId, f64, f64)>> {
+/// Decodes a whole inverted file into `pool.runs`, term by term (the
+/// maintenance read; queries decode the wanted lists only, see
+/// `read.rs`).
+fn deserialize_runs(tree: &PagedTree<St>, side: RecordId, pool: &mut Pool) {
+    let runs = &mut pool.runs;
+    let ([terms, idxs], [maxs, mins, _]) = (&mut pool.u32s, &mut pool.f64s);
+    runs.clear();
+    let payload = tree.side.get(side);
     let mut r = Reader::new(payload);
-    let mut per_entry: Vec<Vec<(TermId, f64, f64)>> = vec![Vec::new(); num_entries];
-    match codec {
+    let with_min = tree.payload.mode == PostingMode::MaxMin;
+    match tree.codec {
         CodecId::Verbatim => {
             let n_terms = r.get_u32() as usize;
-            let mut dir = Vec::with_capacity(n_terms);
+            let mut dir = Reader::new(&payload[4..]);
+            r.skip(8 * n_terms);
             for _ in 0..n_terms {
-                let t = TermId(r.get_u32());
-                let len = r.get_u32() as usize;
-                dir.push((t, len));
-            }
-            let mut idxs = Vec::new();
-            let mut maxs = Vec::new();
-            for (t, len) in dir {
+                let (term, len) = (TermId(dir.get_u32()), dir.get_u32() as usize);
                 // SoA block: indexes, then maxima, then minima.
-                idxs.clear();
-                maxs.clear();
-                for _ in 0..len {
-                    idxs.push(r.get_u32() as usize);
+                let (list, row) = (runs.len(), (term, 0.0, 0.0));
+                runs.extend((0..len).map(|_| Posting {
+                    entry: r.get_u32(),
+                    row,
+                }));
+                for p in &mut runs[list..] {
+                    p.row.1 = r.get_f64();
                 }
-                for _ in 0..len {
-                    maxs.push(r.get_f64());
-                }
-                for i in 0..len {
-                    let min = if mode == PostingMode::MaxMin {
-                        r.get_f64()
-                    } else {
-                        0.0
-                    };
-                    per_entry[idxs[i]].push((t, maxs[i], min));
+                for p in runs[list..].iter_mut().filter(|_| with_min) {
+                    p.row.2 = r.get_f64();
                 }
             }
         }
         CodecId::Columnar => {
-            let (dir, _) = columnar_directory(&mut r);
-            let (mut idxs, mut maxs, mut mins) = (Vec::new(), Vec::new(), Vec::new());
-            for (t, len, start, _) in dir {
-                debug_assert_eq!(r.position(), start);
-                let (i, mx, mn) = (&mut idxs, &mut maxs, &mut mins);
-                decode_columnar_list_into(&mut r, t, len, mode, i, mx, mn, &mut per_entry);
+            let c = storage::codec(CodecId::Columnar);
+            let n_terms = r.get_varint_u32() as usize;
+            terms.clear();
+            c.get_ascending_u32s(&mut r, n_terms, terms);
+            let mut lens = Reader::new(&payload[r.position()..]);
+            r.skip_varints(2 * n_terms);
+            for &term in terms.iter() {
+                let len = lens.get_varint_u32() as usize;
+                idxs.clear();
+                maxs.clear();
+                mins.clear();
+                c.get_ascending_u32s(&mut r, len, idxs);
+                c.get_f64s(&mut r, len, maxs);
+                if with_min {
+                    c.get_f64s_vs(&mut r, len, maxs, mins);
+                } else {
+                    mins.resize(len, 0.0);
+                }
+                for ((&entry, &max), &min) in idxs.iter().zip(maxs.iter()).zip(mins.iter()) {
+                    runs.push(Posting {
+                        entry,
+                        row: (TermId(term), max, min),
+                    });
+                }
             }
         }
     }
     debug_assert!(r.is_exhausted());
-    // Directory ascends by term, so each row is already sorted.
-    per_entry
 }

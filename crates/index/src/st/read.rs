@@ -340,7 +340,7 @@ impl StTree {
 /// decode into the caller's reusable buffers before scattering into
 /// `per_entry` rows.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn decode_columnar_list_into(
+fn decode_columnar_list_into(
     r: &mut Reader,
     t: TermId,
     len: usize,
@@ -490,7 +490,7 @@ mod tests {
     use super::super::payload::St;
     use super::super::IndexedObject;
     use super::*;
-    use crate::tree::Payload;
+    use crate::tree::{Op, Payload};
 
     /// The full-decode directory loop the walker replaced, kept as its
     /// reference: materialise all three directory columns, then pick the
@@ -578,24 +578,24 @@ mod tests {
                 }
             }
         }
-        let st = St { mode };
+        let (st, mut op) = (St { mode }, Op::new(CodecId::Columnar));
         let leaves: Vec<_> = docs
             .into_iter()
             .enumerate()
             .map(|(i, pairs)| {
-                st.leaf_entry(&IndexedObject {
-                    id: i as u32,
-                    point: Point::new(g.unit(), g.unit()),
-                    doc: WeightedDoc::from_pairs(pairs),
-                })
+                let doc = WeightedDoc::from_pairs(pairs);
+                let point = Point::new(g.unit(), g.unit());
+                let id = i as u32;
+                st.leaf_entry(&IndexedObject { id, point, doc }, &mut op.pool)
             })
             .collect();
         let entries: Vec<_> = leaves
             .chunks(2)
-            .enumerate()
-            .map(|(i, pair)| St::summarize(pair, RecordId(i as u32)))
+            .map(|pair| St::summarize(pair, &mut op.pool))
             .collect();
-        (st.encode_side(&entries, CodecId::Columnar), terms)
+        St::summarize(&entries, &mut op.pool);
+        st.encode_side(&entries, &mut op);
+        (op.out.into_bytes(), terms)
     }
 
     /// The `wanted` sets the walker must agree with the reference on.

@@ -25,16 +25,22 @@
 //!   [`Payload::load_summaries`] when a rewrite needs the aggregates) or
 //!   decode the side record at once (MIUR: IntUni vectors are part of
 //!   every node visit).
-//! * [`Payload::summary_before_edit`] opts into the *settled-ancestor
-//!   splice*: once a rewritten node's parent entry equals the one its
-//!   parent already stores, ancestors are repaired by [`PagedTree::repoint`]
-//!   (fresh child id, side record kept in place, never read).
-//!   [`Payload::side_write_is_free`] opts into the *payload splice*: an
-//!   ancestor whose re-encoded side bytes equal the retired record's is
-//!   re-put but charged no payload I/O.
+//! * [`Payload::SETTLES`] opts into the *settled-ancestor splice*: once a
+//!   rewritten node's parent entry equals the one its parent already
+//!   stores, ancestors are repaired by [`PagedTree::repoint`] (fresh child
+//!   id, side record kept in place, never read). [`Payload::SIDE_SPLICE`]
+//!   opts into the *payload splice*: an ancestor whose re-encoded side
+//!   bytes equal the retired record's is re-put but charged no payload
+//!   I/O.
 //!
 //! A new asymmetry between payloads belongs in that list as another hook
 //! with a default-free implementation on each side.
+//!
+//! Every build and edit runs in an [`Op`] it owns and drops: the payload's
+//! pool (where entries may keep their summaries) and one record buffer.
+//! A node is aggregated once per write ([`Payload::summarize`]), and a bulk
+//! build writes the same nodes to several trees at once
+//! ([`PagedTree::from_build_tree`]).
 
 use std::collections::HashMap;
 use std::io;
@@ -72,14 +78,27 @@ pub(crate) struct Node<E> {
 }
 
 /// The per-tree half: entry summary, record codecs, item conversions.
+///
+/// Entries may keep their summaries in the [`Payload::Pool`] of the build
+/// or edit that made them, so every hook that reads or makes a summary
+/// is handed that pool.
 pub(crate) trait Payload: Clone {
     type Entry: Entry;
     /// The application item a leaf entry indexes.
     type Item;
     /// What [`PagedTree::splice_reweighed`] replaces per leaf entry.
     type Reweigh;
+    /// Scratch one build or edit owns and drops (see [`Op`]).
+    type Pool: Default;
     /// File name of the side block file.
     const SIDE_FILE: &'static str;
+    /// True when an insert or remove can leave a node's parent entry
+    /// unchanged: opts into the settled-ancestor splice (and into
+    /// aggregating each edited node before its edit).
+    const SETTLES: bool;
+    /// True when re-putting an ancestor's side record with the bytes of
+    /// the retired one is an extent splice charged no payload I/O.
+    const SIDE_SPLICE: bool;
 
     /// Payload bytes leading `meta.mbrs`.
     fn meta(&self) -> &'static [u8];
@@ -90,34 +109,67 @@ pub(crate) trait Payload: Clone {
     /// Page-cache key of a side record.
     fn side_key(&self, id: RecordId) -> u64;
 
-    fn leaf_entry(&self, item: &Self::Item) -> Self::Entry;
+    /// The leaf entry of `item`; payloads built side by side by
+    /// [`PagedTree::from_build_tree`] must agree on it.
+    fn leaf_entry(&self, item: &Self::Item, pool: &mut Self::Pool) -> Self::Entry;
     /// Reconstructs the item of a leaf entry (orphan reinsertion).
-    fn leaf_item(entry: &Self::Entry) -> Self::Item;
-    fn reweigh(&self, entry: &mut Self::Entry, to: &Self::Reweigh);
-    /// The entry a parent stores for the node `rec` holding `entries`
-    /// (which must be non-empty).
-    fn summarize(entries: &[Self::Entry], rec: RecordId) -> Self::Entry;
+    fn leaf_item(entry: &Self::Entry, pool: &Self::Pool) -> Self::Item;
+    fn reweigh(&self, entry: &mut Self::Entry, to: &Self::Reweigh, pool: &mut Self::Pool);
+    /// The entry a parent stores for a node holding `entries` (which must
+    /// be non-empty); the caller points it at the node. Aggregates the
+    /// entries once: [`Payload::encode_side`] of the same entries reads
+    /// what this leaves in the pool.
+    fn summarize(entries: &[Self::Entry], pool: &mut Self::Pool) -> Self::Entry;
     /// True when two parent entries agree on everything but the child id.
-    fn same_summary(a: &Self::Entry, b: &Self::Entry) -> bool;
-    /// The parent entry of a node about to be edited, when an insert or
-    /// remove can leave it unchanged; `None` opts out of the
-    /// settled-ancestor splice (and of computing the aggregate).
-    fn summary_before_edit(entries: &[Self::Entry]) -> Option<Self::Entry>;
-    /// True when re-putting an ancestor's side record with `new` bytes
-    /// over `old` ones is an extent splice charged no payload I/O.
-    fn side_write_is_free(old: &[u8], new: &[u8]) -> bool;
+    fn same_summary(a: &Self::Entry, b: &Self::Entry, pool: &Self::Pool) -> bool;
 
-    fn encode_node(
-        is_leaf: bool,
-        side: RecordId,
-        entries: &[Self::Entry],
-        codec: CodecId,
-    ) -> Vec<u8>;
-    fn encode_side(&self, entries: &[Self::Entry], codec: CodecId) -> Vec<u8>;
+    /// Appends the node record of `entries` to `op.out`.
+    fn encode_node(is_leaf: bool, side: RecordId, entries: &[Self::Entry], op: &mut Op<Self>);
+    /// Appends the side record of `entries` to `op.out`; they are empty or
+    /// the ones [`Payload::summarize`] aggregated last.
+    fn encode_side(&self, entries: &[Self::Entry], op: &mut Op<Self>);
     /// Decodes node `id`, with or without its summaries.
-    fn read(tree: &PagedTree<Self>, id: RecordId) -> Node<Self::Entry>;
+    fn read(tree: &PagedTree<Self>, id: RecordId, pool: &mut Self::Pool) -> Node<Self::Entry>;
     /// Decodes the side record into the entries of a node read without.
-    fn load_summaries(tree: &PagedTree<Self>, node: &mut Node<Self::Entry>);
+    fn load_summaries(tree: &PagedTree<Self>, node: &mut Node<Self::Entry>, pool: &mut Self::Pool);
+}
+
+/// One build or edit in progress — what it owns and drops: the
+/// maintenance I/O it charges, the payload's pool, and the buffer every
+/// record is encoded into before [`BlockFile::put`] copies it out.
+pub(crate) struct Op<P: Payload> {
+    pub edit: TreeEdit,
+    pub pool: P::Pool,
+    pub codec: CodecId,
+    pub out: Writer,
+}
+
+impl<P: Payload> Op<P> {
+    pub fn new(codec: CodecId) -> Self {
+        let (edit, pool) = Default::default();
+        // Most records fit in a page.
+        let out = Writer::with_capacity(storage::PAGE_SIZE);
+        Op {
+            edit,
+            pool,
+            codec,
+            out,
+        }
+    }
+
+    /// The node record of `entries`.
+    fn node_record(&mut self, leaf: bool, side: RecordId, entries: &[P::Entry]) -> &[u8] {
+        self.out.clear();
+        P::encode_node(leaf, side, entries, self);
+        self.out.as_bytes()
+    }
+
+    /// The side record of `entries` (see [`Payload::encode_side`]).
+    fn side_record(&mut self, payload: &P, entries: &[P::Entry]) -> &[u8] {
+        self.out.clear();
+        payload.encode_side(entries, self);
+        self.out.as_bytes()
+    }
 }
 
 /// Bytes of `meta.mbrs` after the payload's own: root, height, len, fanout.
@@ -152,53 +204,55 @@ impl<P: Payload> PagedTree<P> {
     }
 
     /// Serializes a finished [`BuildTree`] over `data` (`items[i].id`
-    /// indexes it) bottom-up, so child records exist before parents.
-    pub fn from_build_tree(
-        payload: P,
+    /// indexes it) bottom-up, so child records exist before parents —
+    /// once for every payload, from one aggregation per node: the trees
+    /// share the layout, the node records and the summaries, and differ
+    /// in the side records their payloads encode.
+    pub fn from_build_tree<const N: usize>(
+        payloads: [P; N],
         tree: &BuildTree,
         items: &[BuildItem],
         data: &[P::Item],
         fanout: usize,
         codec: CodecId,
-    ) -> Self {
-        let mut out = Self::fresh(payload, codec, fanout, tree.height, data.len());
+    ) -> [Self; N] {
+        let mut outs = payloads.map(|p| Self::fresh(p, codec, fanout, tree.height, data.len()));
         let mut order: Vec<usize> = (0..tree.nodes.len()).collect();
         order.sort_by_key(|&n| tree.nodes[n].level);
         // build index -> the entry the parent stores for that node.
         let mut done: Vec<Option<P::Entry>> = vec![None; tree.nodes.len()];
-        let mut unbilled = TreeEdit::default();
+        let (mut op, mut entries) = (Op::new(codec), Vec::new());
         for n in order {
             let node = &tree.nodes[n];
-            let entries: Vec<P::Entry> = if node.is_leaf() {
+            entries.clear();
+            if node.is_leaf() {
                 let item = |&pos: &usize| &data[items[pos].id as usize];
-                node.items
-                    .iter()
-                    .map(|pos| out.payload.leaf_entry(item(pos)))
-                    .collect()
+                let leaf = |pos| outs[0].payload.leaf_entry(item(pos), &mut op.pool);
+                entries.extend(node.items.iter().map(leaf));
             } else {
                 let child = |&c: &usize| done[c].take().expect("children serialize first");
-                node.children.iter().map(child).collect()
-            };
-            let rec = out.write_node(node.is_leaf(), &entries, None, &mut unbilled);
-            done[n] = Some(P::summarize(&entries, rec));
+                entries.extend(node.children.iter().map(child));
+            }
+            let mut summary = P::summarize(&entries, &mut op.pool);
+            for out in &mut outs {
+                summary.point_at(out.put_node(node.is_leaf(), &entries, None, &mut op));
+            }
+            done[n] = Some(summary);
         }
-        out.root = RecordId(done[tree.root].take().expect("root serialized").target());
-        out
+        let root = RecordId(done[tree.root].take().expect("root serialized").target());
+        for out in &mut outs {
+            out.root = root;
+        }
+        outs
     }
 
-    /// Inserts one item — the §5.1 update path: least-enlargement descent
-    /// with quadratic node splits. The affected root-to-leaf path is
-    /// re-serialized as fresh records (copy-on-write, like a disk page
-    /// allocator) and the superseded records are freed. The returned
-    /// [`TreeEdit`] carries the maintenance I/O and the page-cache keys
-    /// the caller must flush; the query-side [`storage::IoStats`] is
-    /// deliberately not charged.
+    /// Inserts one item (see [`crate::StTree::insert`]).
     pub fn insert(&mut self, item: &P::Item) -> TreeEdit {
-        let mut edit = TreeEdit::default();
-        let entry = self.payload.leaf_entry(item);
+        let mut op = Op::new(self.codec);
+        let entry = self.payload.leaf_entry(item, &mut op.pool);
         let rect = entry.rect();
         let mut path: Vec<(Node<P::Entry>, usize)> = Vec::new(); // (node, chosen child)
-        let mut current = self.read_node(self.root, &mut edit);
+        let mut current = self.read_node(self.root, &mut op);
         while !current.is_leaf {
             let best = current
                 .entries
@@ -214,11 +268,11 @@ impl<P: Payload> PagedTree<P> {
                 .expect("inner node with no entries");
             let next = RecordId(current.entries[best].target());
             path.push((current, best));
-            current = self.read_node(next, &mut edit);
+            current = self.read_node(next, &mut op);
         }
 
-        let mut leaf = self.summarized(current, &mut edit);
-        let before = P::summary_before_edit(&leaf.entries);
+        let mut leaf = self.summarized(current, &mut op);
+        let before = Self::before_edit(&leaf.entries, &mut op);
         leaf.entries.push(entry);
         self.len += 1;
 
@@ -228,51 +282,43 @@ impl<P: Payload> PagedTree<P> {
         // shifts no upper-level maxima), ancestors only need the fresh
         // child id — which keeps incremental maintenance an order of
         // magnitude below a rebuild.
-        let (mut carry, mut settled) = self.replace(leaf, before, &mut edit);
+        let (mut carry, mut settled) = self.replace(leaf, before, &mut op);
         for (node, child_idx) in path.into_iter().rev() {
             if settled {
-                let rec = self.repoint(node, child_idx, RecordId(carry[0].target()), &mut edit);
-                carry[0].point_at(rec);
+                let child = RecordId(carry[0].target());
+                carry[0].point_at(self.repoint(node, child_idx, child, &mut op));
                 continue;
             }
-            let mut node = self.summarized(node, &mut edit);
-            let before = P::summary_before_edit(&node.entries);
+            let mut node = self.summarized(node, &mut op);
+            let before = Self::before_edit(&node.entries, &mut op);
             // The descended child becomes the rewritten one (and its
             // split sibling when present).
             let mut rewritten = carry.into_iter();
             node.entries[child_idx] = rewritten.next().expect("at least one child");
             node.entries.extend(rewritten);
-            (carry, settled) = self.replace(node, before, &mut edit);
+            (carry, settled) = self.replace(node, before, &mut op);
         }
 
         // Grow a new root when the old one split.
         if carry.len() > 1 {
-            carry = self.write_level(false, carry, None, &mut edit);
+            carry = self.write_level(false, carry, None, &mut op);
             assert_eq!(carry.len(), 1, "root split produces one new root");
             self.height += 1;
         }
         self.root = RecordId(carry[0].target());
-        edit
+        op.edit
     }
 
-    /// Removes the item `id` stored at `point` — classic CondenseTree.
-    /// Returns `None` when no such entry exists, otherwise the mutation's
-    /// [`TreeEdit`].
-    ///
-    /// A node that underflows (below ⌈fanout/4⌉ entries — deliberately
-    /// below the split fill of ⌈fanout/2⌉, so a split followed by a delete
-    /// doesn't immediately dissolve the fresh node) is dissolved and its
-    /// surviving items are re-[`PagedTree::insert`]ed. A root with a
-    /// single inner child is collapsed (height shrinks). Superseded
-    /// records are freed, keeping the byte accounting live.
+    /// Removes the item `id` stored at `point` (see
+    /// [`crate::StTree::remove`]); `None` when there is no such entry.
     pub fn remove(&mut self, id: u32, point: Point) -> Option<TreeEdit> {
-        let mut edit = TreeEdit::default();
+        let mut op = Op::new(self.codec);
         let rect = Rect::from_point(point);
         let mut path: Vec<(Node<P::Entry>, usize)> = Vec::new();
-        let leaf = self.find_leaf(self.root, id, &rect, &mut path, &mut edit)?;
+        let leaf = self.find_leaf(self.root, id, &rect, &mut path, &mut op)?;
 
-        let mut leaf = self.summarized(leaf, &mut edit);
-        let before = P::summary_before_edit(&leaf.entries);
+        let mut leaf = self.summarized(leaf, &mut op);
+        let before = Self::before_edit(&leaf.entries, &mut op);
         let pos = leaf.entries.iter().position(|e| e.target() == id);
         leaf.entries
             .remove(pos.expect("find_leaf verified membership"));
@@ -287,38 +333,38 @@ impl<P: Payload> PagedTree<P> {
         if leaf.entries.len() >= min_fill || path.is_empty() {
             if leaf.entries.is_empty() {
                 // The last item is gone — keep a valid empty leaf root.
-                self.retire(leaf.id, leaf.side, &mut edit);
-                self.install_empty_root(&mut edit);
-                return Some(edit);
+                self.retire(leaf.id, leaf.side, &mut op.edit);
+                self.install_empty_root(&mut op);
+                return Some(op.edit);
             }
-            let (written, unchanged) = self.replace(leaf, before, &mut edit);
+            let (written, unchanged) = self.replace(leaf, before, &mut op);
             (carry, settled) = (written.into_iter().next(), unchanged); // no split on delete
         } else {
             // Leaf entries carry the exact per-item summary, so the
             // orphans reconstruct losslessly.
-            orphans.extend(leaf.entries.iter().map(P::leaf_item));
-            self.retire(leaf.id, leaf.side, &mut edit);
+            orphans.extend(leaf.entries.iter().map(|e| P::leaf_item(e, &op.pool)));
+            self.retire(leaf.id, leaf.side, &mut op.edit);
         }
 
         // Walk back up, splicing or dropping the rewritten child.
         for (node, child_idx) in path.into_iter().rev() {
             if settled {
                 let child = carry.as_mut().expect("settled implies a rewritten child");
-                let rec = self.repoint(node, child_idx, RecordId(child.target()), &mut edit);
-                child.point_at(rec);
+                let target = RecordId(child.target());
+                child.point_at(self.repoint(node, child_idx, target, &mut op));
                 continue;
             }
-            let mut node = self.summarized(node, &mut edit);
-            let before = P::summary_before_edit(&node.entries);
+            let mut node = self.summarized(node, &mut op);
+            let before = Self::before_edit(&node.entries, &mut op);
             match carry.take() {
                 Some(entry) => node.entries[child_idx] = entry,
                 None => drop(node.entries.remove(child_idx)),
             }
             if node.entries.is_empty() {
-                self.retire(node.id, node.side, &mut edit); // dissolve this node too
+                self.retire(node.id, node.side, &mut op.edit); // dissolve this node too
                 continue;
             }
-            let (written, unchanged) = self.replace(node, before, &mut edit);
+            let (written, unchanged) = self.replace(node, before, &mut op);
             (carry, settled) = (written.into_iter().next(), unchanged);
         }
 
@@ -327,24 +373,24 @@ impl<P: Payload> PagedTree<P> {
                 self.root = RecordId(entry.target());
                 // Collapse a root with one inner child.
                 loop {
-                    let root = self.read_node(self.root, &mut edit);
+                    let root = self.read_node(self.root, &mut op);
                     if root.is_leaf || root.entries.len() > 1 {
                         break;
                     }
-                    self.retire(root.id, root.side, &mut edit);
+                    self.retire(root.id, root.side, &mut op.edit);
                     self.root = RecordId(root.entries[0].target());
                     self.height -= 1;
                 }
             }
             // Everything dissolved: start over from an empty leaf.
-            None => self.install_empty_root(&mut edit),
+            None => self.install_empty_root(&mut op),
         }
 
         self.len -= orphans.len();
         for item in &orphans {
-            edit.absorb(self.insert(item));
+            op.edit.absorb(self.insert(item));
         }
-        Some(edit)
+        Some(op.edit)
     }
 
     /// Depth-first search for the leaf holding `(id, rect)`; on success
@@ -355,9 +401,9 @@ impl<P: Payload> PagedTree<P> {
         id: u32,
         rect: &Rect,
         path: &mut Vec<(Node<P::Entry>, usize)>,
-        edit: &mut TreeEdit,
+        op: &mut Op<P>,
     ) -> Option<Node<P::Entry>> {
-        let node = self.read_node(rec, edit);
+        let node = self.read_node(rec, op);
         if node.is_leaf {
             return node
                 .entries
@@ -378,11 +424,17 @@ impl<P: Payload> PagedTree<P> {
             };
             let child = RecordId(node.entries[i].target());
             path[depth].1 = i;
-            if let Some(found) = self.find_leaf(child, id, rect, path, edit) {
+            if let Some(found) = self.find_leaf(child, id, rect, path, op) {
                 return Some(found);
             }
             path[depth].1 = i + 1;
         }
+    }
+
+    /// The parent entry of a node about to be edited, when the payload
+    /// [settles](Payload::SETTLES) (an empty node has none).
+    fn before_edit(entries: &[P::Entry], op: &mut Op<P>) -> Option<P::Entry> {
+        (P::SETTLES && !entries.is_empty()).then(|| P::summarize(entries, &mut op.pool))
     }
 
     /// Writes `node`'s edited entries as its (possibly split) replacement
@@ -393,15 +445,15 @@ impl<P: Payload> PagedTree<P> {
         &mut self,
         node: Node<P::Entry>,
         before: Option<P::Entry>,
-        edit: &mut TreeEdit,
+        op: &mut Op<P>,
     ) -> (Vec<P::Entry>, bool) {
         // A leaf's entry set just changed, so only ancestors can splice
         // their side payload (compared before the old record is freed).
         let prior_side = (!node.is_leaf).then_some(node.side);
-        let written = self.write_level(node.is_leaf, node.entries, prior_side, edit);
-        self.retire(node.id, node.side, edit);
-        let settled =
-            written.len() == 1 && before.is_some_and(|b| P::same_summary(&b, &written[0]));
+        let written = self.write_level(node.is_leaf, node.entries, prior_side, op);
+        self.retire(node.id, node.side, &mut op.edit);
+        let same = |b: P::Entry| P::same_summary(&b, &written[0], &op.pool);
+        let settled = written.len() == 1 && before.is_some_and(same);
         (written, settled)
     }
 
@@ -414,14 +466,14 @@ impl<P: Payload> PagedTree<P> {
         mut node: Node<P::Entry>,
         child_idx: usize,
         child: RecordId,
-        edit: &mut TreeEdit,
+        op: &mut Op<P>,
     ) -> RecordId {
         node.entries[child_idx].point_at(child);
-        edit.stale_keys.push(self.payload.node_key(node.id));
+        op.edit.stale_keys.push(self.payload.node_key(node.id));
         self.nodes.free(node.id);
-        edit.node_writes += 1;
-        let record = P::encode_node(false, node.side, &node.entries, self.codec);
-        self.nodes.put(&record)
+        op.edit.node_writes += 1;
+        self.nodes
+            .put(op.node_record(false, node.side, &node.entries))
     }
 
     /// Frees a superseded node and its side record, remembering their
@@ -434,8 +486,8 @@ impl<P: Payload> PagedTree<P> {
     }
 
     /// Installs an empty leaf root (the tree just lost its last item).
-    fn install_empty_root(&mut self, edit: &mut TreeEdit) {
-        self.root = self.write_node(true, &[], None, edit);
+    fn install_empty_root(&mut self, op: &mut Op<P>) {
+        self.root = self.put_node(true, &[], None, op);
         self.height = 1;
     }
 
@@ -447,100 +499,96 @@ impl<P: Payload> PagedTree<P> {
         is_leaf: bool,
         entries: Vec<P::Entry>,
         prior_side: Option<RecordId>,
-        edit: &mut TreeEdit,
+        op: &mut Op<P>,
     ) -> Vec<P::Entry> {
         if entries.len() <= self.fanout {
-            let rec = self.write_node(is_leaf, &entries, prior_side, edit);
-            return vec![P::summarize(&entries, rec)];
+            return vec![self.write_node(is_leaf, &entries, prior_side, op)];
         }
         let rects: Vec<Rect> = entries.iter().map(Entry::rect).collect();
         let (a, b) = quadratic_partition(&rects, self.fanout / 2);
         let mut write_half = |group: Vec<usize>| {
             let half: Vec<P::Entry> = group.iter().map(|&i| entries[i].clone()).collect();
-            let rec = self.write_node(is_leaf, &half, None, edit);
-            P::summarize(&half, rec)
+            self.write_node(is_leaf, &half, None, op)
         };
         vec![write_half(a), write_half(b)]
     }
 
-    /// Serializes one node: side record first, then the node record.
-    /// Charges one node write plus the side payload's blocks — unless the
-    /// payload declares the write a splice of `prior_side`'s bytes.
+    /// Aggregates and serializes one node; returns the entry its parent
+    /// stores.
     fn write_node(
         &mut self,
         is_leaf: bool,
         entries: &[P::Entry],
         prior_side: Option<RecordId>,
-        edit: &mut TreeEdit,
+        op: &mut Op<P>,
+    ) -> P::Entry {
+        let mut summary = P::summarize(entries, &mut op.pool);
+        summary.point_at(self.put_node(is_leaf, entries, prior_side, op));
+        summary
+    }
+
+    /// Serializes a node [`Payload::summarize`] just aggregated (or an
+    /// empty one): side record first, then the node record. Charges one
+    /// node write plus the side payload's blocks — unless the payload
+    /// declares the write a splice of `prior_side`'s bytes.
+    fn put_node(
+        &mut self,
+        is_leaf: bool,
+        entries: &[P::Entry],
+        prior_side: Option<RecordId>,
+        op: &mut Op<P>,
     ) -> RecordId {
-        let payload = self.payload.encode_side(entries, self.codec);
-        let spliced =
-            prior_side.is_some_and(|old| P::side_write_is_free(self.side.get(old), &payload));
+        let payload = op.side_record(&self.payload, entries);
+        let spliced = P::SIDE_SPLICE && prior_side.is_some_and(|old| self.side.get(old) == payload);
+        let (blocks, side) = (blocks_for(payload.len()), self.side.put(payload));
         if !spliced {
-            edit.payload_blocks += blocks_for(payload.len());
+            op.edit.payload_blocks += blocks;
         }
-        let side = self.side.put(&payload);
-        edit.node_writes += 1;
-        let record = P::encode_node(is_leaf, side, entries, self.codec);
-        self.nodes.put(&record)
+        op.edit.node_writes += 1;
+        self.nodes.put(op.node_record(is_leaf, side, entries))
     }
 
     /// Reads a node on the maintenance path: the query-side
     /// [`storage::IoStats`] is not charged, the cost lands in the edit's
     /// counters — one I/O for the node record plus the side record's
     /// blocks when the payload decoded it.
-    fn read_node(&self, id: RecordId, edit: &mut TreeEdit) -> Node<P::Entry> {
-        let node = P::read(self, id);
-        edit.read_ios += 1;
+    fn read_node(&self, id: RecordId, op: &mut Op<P>) -> Node<P::Entry> {
+        let node = P::read(self, id, &mut op.pool);
+        op.edit.read_ios += 1;
         if node.summarized {
-            edit.read_ios += blocks_for(self.side.get(node.side).len());
+            op.edit.read_ios += blocks_for(self.side.get(node.side).len());
         }
         node
     }
 
     /// Completes a node's summaries, charging the side record's blocks if
     /// it had not been read yet.
-    fn summarized(&self, node: Node<P::Entry>, edit: &mut TreeEdit) -> Node<P::Entry> {
+    fn summarized(&self, node: Node<P::Entry>, op: &mut Op<P>) -> Node<P::Entry> {
         if !node.summarized {
-            edit.read_ios += blocks_for(self.side.get(node.side).len());
+            op.edit.read_ios += blocks_for(self.side.get(node.side).len());
         }
-        self.with_summaries(node)
+        self.with_summaries(node, &mut op.pool)
     }
 
     /// Completes a node's summaries, uncharged.
-    fn with_summaries(&self, mut node: Node<P::Entry>) -> Node<P::Entry> {
+    fn with_summaries(&self, mut node: Node<P::Entry>, pool: &mut P::Pool) -> Node<P::Entry> {
         if !node.summarized {
-            P::load_summaries(self, &mut node);
+            P::load_summaries(self, &mut node, pool);
             node.summarized = true;
         }
         node
     }
 
-    /// Bulk re-weigh splice — the tree half of the two-tier incremental
-    /// corpus refresh.
-    ///
-    /// Produces a twin of this tree over fresh, densely packed block
-    /// files in which every leaf entry named in `reweighed` carries its
-    /// new payload. The tree *structure* (node grouping, MBRs, height) is
-    /// preserved exactly — a refresh never moves locations — so only the
-    /// side records along root-to-leaf paths that contain a re-weighed
-    /// entry are recomputed; every other subtree's records are copied
-    /// verbatim and charged no simulated I/O (see [`SpliceReport`] for the
-    /// extent-remap cost model). The settled-ancestor splice of
-    /// [`PagedTree::insert`] generalizes here to bulk form: once a
-    /// rewritten subtree's summary matches its old value, its ancestors
-    /// keep their side records verbatim.
-    ///
-    /// Exactness: a subtree containing no re-weighed entry has
-    /// bit-identical leaf payloads, hence bit-identical summaries, so the
-    /// verbatim copy *is* the recomputation. Callers are responsible for
-    /// `reweighed` covering every entry whose stored payload differs from
-    /// the target's. With an empty map this is pure compaction.
+    /// Bulk re-weigh splice (see [`crate::StTree::splice_reweighed`]);
+    /// with an empty map this is pure compaction.
     pub fn splice_reweighed(&self, reweighed: &HashMap<u32, P::Reweigh>) -> (Self, SpliceReport) {
         let payload = self.payload.clone();
         let mut out = Self::fresh(payload, self.codec, self.fanout, self.height, self.len);
-        let mut report = SpliceReport::default();
-        out.root = out.splice_sub(self, self.root, reweighed, &mut report).0;
+        let (mut report, mut op) = (SpliceReport::default(), Op::new(self.codec));
+        out.root = out
+            .splice_sub(self, self.root, reweighed, &mut report, &mut op)
+            .0;
+        report.edit = op.edit;
         (out, report)
     }
 
@@ -556,8 +604,9 @@ impl<P: Payload> PagedTree<P> {
         rec: RecordId,
         reweighed: &HashMap<u32, P::Reweigh>,
         report: &mut SpliceReport,
+        op: &mut Op<P>,
     ) -> (RecordId, Option<P::Entry>) {
-        let mut node = P::read(src, rec);
+        let mut node = P::read(src, rec, &mut op.pool);
         // Entry indexes to re-weigh (leaf) / replace (inner).
         let mut touched: Vec<usize> = Vec::new();
         let mut changed: Vec<(usize, P::Entry)> = Vec::new();
@@ -569,7 +618,7 @@ impl<P: Payload> PagedTree<P> {
         } else {
             for (i, e) in node.entries.iter_mut().enumerate() {
                 let (child, summary) =
-                    self.splice_sub(src, RecordId(e.target()), reweighed, report);
+                    self.splice_sub(src, RecordId(e.target()), reweighed, report, op);
                 e.point_at(child);
                 changed.extend(summary.map(|s| (i, s)));
             }
@@ -582,25 +631,24 @@ impl<P: Payload> PagedTree<P> {
             // remapped ids only — an extent remap, charged nothing.
             let side = self.side.put(old_side);
             report.spliced_records += 2;
-            let record = P::encode_node(node.is_leaf, side, &node.entries, self.codec);
-            return (self.nodes.put(&record), None);
+            let record = op.node_record(node.is_leaf, side, &node.entries);
+            return (self.nodes.put(record), None);
         }
 
-        report.edit.read_ios += 1 + blocks_for(old_side.len());
-        let mut node = src.with_summaries(node);
-        let before = P::summarize(&node.entries, rec);
+        op.edit.read_ios += 1 + blocks_for(old_side.len());
+        let mut node = src.with_summaries(node, &mut op.pool);
+        let before = P::summarize(&node.entries, &mut op.pool);
         for i in touched {
             let to = &reweighed[&node.entries[i].target()];
-            self.payload.reweigh(&mut node.entries[i], to);
+            self.payload.reweigh(&mut node.entries[i], to, &mut op.pool);
             report.reweighed_entries += 1;
         }
         for (i, summary) in changed {
             node.entries[i] = summary;
         }
-        let written = self.write_node(node.is_leaf, &node.entries, None, &mut report.edit);
-        let after = P::summarize(&node.entries, written);
-        let moved = !P::same_summary(&before, &after);
-        (written, moved.then_some(after))
+        let after = self.write_node(node.is_leaf, &node.entries, None, op);
+        let moved = !P::same_summary(&before, &after, &op.pool);
+        (RecordId(after.target()), moved.then_some(after))
     }
 
     /// Rewrites the live tree into fresh block files with densely packed
@@ -699,10 +747,14 @@ impl<P: Payload> PagedTree<P> {
         let mut total = 0u64;
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
-            let node = self.with_summaries(P::read(self, id));
-            let verbatim = CodecId::Verbatim;
-            total += P::encode_node(node.is_leaf, node.side, &node.entries, verbatim).len() as u64;
-            total += self.payload.encode_side(&node.entries, verbatim).len() as u64;
+            // An op per node: nothing read here outlives its node.
+            let op = &mut Op::new(CodecId::Verbatim);
+            let node = self.with_summaries(P::read(self, id, &mut op.pool), &mut op.pool);
+            if !node.entries.is_empty() {
+                P::summarize(&node.entries, &mut op.pool);
+            }
+            total += op.node_record(node.is_leaf, node.side, &node.entries).len() as u64;
+            total += op.side_record(&self.payload, &node.entries).len() as u64;
             if !node.is_leaf {
                 stack.extend(node.entries.iter().map(|e| RecordId(e.target())));
             }
@@ -812,14 +864,6 @@ macro_rules! tree_api {
                 $tree {
                     core: self.core.compacted(),
                 }
-            }
-
-            /// [`Self::save`] of a [`Self::compacted`] copy: freed
-            /// placeholder records are reclaimed instead of persisting as
-            /// empty slots, so the on-disk files shrink to the live
-            /// footprint.
-            pub fn save_compacted(&self, dir: &std::path::Path) -> std::io::Result<()> {
-                self.compacted().save(dir)
             }
         }
     };

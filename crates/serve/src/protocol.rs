@@ -13,8 +13,9 @@
 //! little-endian (bit-exact round trips — the differential tests compare
 //! network answers against in-process calls by `==`); documents are
 //! `(term, tf)` pair lists. Frames above the negotiated cap
-//! ([`MAX_FRAME_LEN`] by default) are rejected before allocation, so a
-//! hostile length prefix cannot balloon memory.
+//! ([`MAX_FRAME_LEN`] by default) are rejected before allocation, and a
+//! body buffer grows only as its bytes arrive, so a hostile length prefix
+//! cannot balloon memory.
 //!
 //! Request opcodes: `0x01` query, `0x02` mutate, `0x03` stats (JSON),
 //! `0x04` metrics (Prometheus text). Reply opcodes mirror them at
@@ -35,6 +36,11 @@ use text::{Document, TermId};
 
 /// Default cap on one frame's body (opcode + payload), in bytes.
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
+
+/// The most a frame read commits to body bytes that have not arrived: the
+/// buffer grows in steps of this size, so a length prefix alone cannot pin
+/// [`MAX_FRAME_LEN`] bytes.
+const READ_CHUNK: usize = 64 << 10;
 
 /// A parse failure on a received frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -485,7 +491,8 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 
 /// Reads one frame body. `Ok(None)` on clean EOF *between* frames; EOF
 /// mid-frame is an error. Frames longer than `max_len` are rejected
-/// without allocating.
+/// without allocating, and the body buffer grows by at most 64 KiB ahead
+/// of the bytes received.
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
     match read_exact_or_eof(r, &mut header)? {
@@ -499,9 +506,35 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Option<Vec<u8>>
             format!("frame length {len} outside (0, {max_len}]"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
+    read_body(len as usize, |buf| r.read(buf)).map(Some)
+}
+
+/// Reads a `len`-byte frame body through `read` (which returns `Ok(0)` at
+/// EOF), growing the buffer by at most [`READ_CHUNK`] bytes ahead of the
+/// bytes received. EOF before `len` bytes is `UnexpectedEof`; an
+/// `Interrupted` read is retried.
+pub(crate) fn read_body(
+    len: usize,
+    mut read: impl FnMut(&mut [u8]) -> io::Result<usize>,
+) -> io::Result<Vec<u8>> {
+    let (mut body, mut got) = (Vec::new(), 0);
+    while got < len {
+        if got == body.len() {
+            body.resize(len.min(got + READ_CHUNK), 0);
+        }
+        match read(&mut body[got..]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "eof mid-frame",
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(body)
 }
 
 enum ReadOutcome {
@@ -685,5 +718,34 @@ mod tests {
         write_frame(&mut cut, &[1, 2, 3, 4]).unwrap();
         cut.truncate(6);
         assert!(read_frame(&mut &cut[..], 16).is_err());
+    }
+
+    /// Hands out at most one byte per `read`.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_body_arriving_a_byte_at_a_time_decodes() {
+        // Longer than one read chunk, so the buffer grows mid-body.
+        let body: Vec<u8> = (0..READ_CHUNK as u32 + 1_000).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &body).unwrap();
+        let got = read_frame(&mut Trickle(&wire), MAX_FRAME_LEN).unwrap();
+        assert_eq!(got, Some(body));
+    }
+
+    #[test]
+    fn a_header_without_its_body_is_unexpected_eof() {
+        let header = MAX_FRAME_LEN.to_le_bytes();
+        let err = read_frame(&mut &header[..], MAX_FRAME_LEN).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

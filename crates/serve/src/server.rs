@@ -38,7 +38,7 @@ use mbrstk_core::ServingEngine;
 use mbrstk_obs::{Counter, Histogram, MetricsRegistry};
 
 use crate::protocol::{
-    decode_request, encode_reply, write_frame, Reply, Request, ShedReason, MAX_FRAME_LEN,
+    decode_request, encode_reply, read_body, write_frame, Reply, Request, ShedReason, MAX_FRAME_LEN,
 };
 
 /// How long a worker blocks in `read` before re-checking the stop flag on
@@ -400,21 +400,9 @@ impl Worker {
         }
         // The header arrived, so the body is in flight; a bounded number
         // of idle polls is enough for any live client.
-        let mut body = vec![0u8; len as usize];
-        let mut got = 0usize;
         let mut idle_polls = 0u32;
-        while got < body.len() {
-            match stream.read(&mut body[got..]) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof mid-frame",
-                    ))
-                }
-                Ok(n) => {
-                    got += n;
-                    idle_polls = 0;
-                }
+        let body = read_body(len as usize, |buf| loop {
+            match stream.read(buf) {
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -426,10 +414,13 @@ impl Worker {
                         return Err(io::Error::new(io::ErrorKind::TimedOut, "stalled mid-frame"));
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Ok(n) => {
+                    idle_polls = 0;
+                    return Ok(n);
+                }
+                other => return other,
             }
-        }
+        })?;
         Ok(Some(body))
     }
 

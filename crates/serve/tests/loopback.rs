@@ -18,7 +18,8 @@
 //!     explicit refusal — never a wrong or partial answer.
 //! (d) **Malformed input** — a bad frame gets a [`Reply::Error`] and the
 //!     connection is closed; an oversize length prefix never reaches the
-//!     allocator.
+//!     allocator, and a length prefix whose body never comes costs one
+//!     read chunk.
 //!     A well-formed frame the engine would panic on (`k = 0`, no
 //!     candidate location) or over-allocate for (a huge `k`) costs one
 //!     reply, not the worker; removing the last user is a rejection.
@@ -398,6 +399,29 @@ fn malformed_frames_get_error_replies() {
     // clients above poisoned nothing shared.
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.stats_json().unwrap();
+}
+
+/// A peer that sends a header claiming the largest frame and then closes
+/// costs the single worker an `UnexpectedEof` after one read chunk — not a
+/// 16 MiB buffer, and not the worker: the next client is answered.
+#[test]
+fn a_header_without_its_body_does_not_cost_the_worker() {
+    let serving = serving_engine(37);
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = bind(&serving, cfg);
+    let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+    peer.write_all(&serve::MAX_FRAME_LEN.to_le_bytes()).unwrap();
+    peer.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut rest = Vec::new();
+    let _ = peer.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "no reply to a frame that never arrived");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .stats_json()
+        .expect("the worker serves the next client");
 }
 
 /// Three well-formed frames that used to end the worker thread — `k = 0`

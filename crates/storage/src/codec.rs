@@ -117,6 +117,17 @@ impl Writer {
         self.buf.len()
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Empties the writer and keeps its capacity, so one writer can encode
+    /// record after record without allocating.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// True when nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
