@@ -61,7 +61,7 @@ const OBJECTS: usize = 3_000;
 const INSERTS: usize = 20;
 
 /// Allocations a bulk build may make per record it writes: 1.6-2.5 here,
-/// 116-558 when every node was aggregated through a hash map.
+/// 39-558 when every node was aggregated through a hash map.
 const PER_RECORD: u64 = 3;
 /// Allocations an insert may make per tree level: 10-42 here (buffer
 /// growth of the insert's own pool and the merge's sort buffer included),
