@@ -14,7 +14,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use geo::{Point, Rect};
 use index::MiurScratch;
@@ -31,20 +31,26 @@ use crate::trace::{Phase, PhaseBreakdown, Trace};
 ///
 /// The context takes the buffers by value ([`std::mem::take`] from the
 /// arena), fills them for the query at hand, and hands them back through
-/// `CandidateContext::into_scratch` when it drops — so the maps and the
-/// per-user columns keep their capacity across queries.
+/// `CandidateContext::into_scratch` when it drops — so the slot columns and
+/// the per-user columns keep their capacity across queries.
 #[derive(Debug, Default)]
 pub(crate) struct CcScratch {
-    pub(crate) cand_w: HashMap<TermId, f64>,
+    pub(crate) slot_terms: Vec<TermId>,
+    pub(crate) slot_w: Vec<f64>,
+    pub(crate) slot_kw_off: Vec<u32>,
+    pub(crate) slot_kw: Vec<u32>,
+    pub(crate) kw_slots: Vec<usize>,
+    pub(crate) ox_bits: Vec<u64>,
     pub(crate) ids: Vec<u32>,
     pub(crate) points: Vec<Point>,
     pub(crate) rsk: Vec<f64>,
     pub(crate) n_u: Vec<f64>,
     pub(crate) ubl_ts: Vec<f64>,
-    pub(crate) ucand_flat: Vec<(TermId, f64)>,
+    pub(crate) ucand_flat: Vec<(usize, f64)>,
     pub(crate) ucand_off: Vec<u32>,
     pub(crate) ws_buf: RefCell<Vec<f64>>,
     pub(crate) hw: RefCell<HwTable>,
+    pub(crate) memo: RefCell<[TextMemo; 2]>,
 }
 
 /// The location-independent half of the §6.2.1 `LUW_w` membership test:
@@ -57,11 +63,10 @@ pub(crate) struct HwTable {
     /// covered so far.
     pub(crate) off: Vec<u32>,
     pub(crate) rows: Vec<(u32, f64)>,
-    /// Build scratch: the `(weight, keyword position, term)` rows of the
-    /// user being filled, the `HW` set and the document `ox.d ∪ HW`.
-    pub(crate) others: Vec<(f64, u32, TermId)>,
-    pub(crate) set: Vec<TermId>,
-    pub(crate) hcand: Document,
+    /// Build scratch: the `(weight, keyword position, slot)` rows of the
+    /// user being filled, and the slot set `ox.d ∪ HW`.
+    pub(crate) others: Vec<(f64, u32, usize)>,
+    pub(crate) bits: Vec<u64>,
 }
 
 impl HwTable {
@@ -72,18 +77,34 @@ impl HwTable {
     }
 }
 
+/// The textual half of every user's BRSTkNN verdict for one candidate slot
+/// set (`CandidateContext::for_each_verdict`).
+#[derive(Debug, Default)]
+pub(crate) struct TextMemo {
+    /// The slot set the column holds.
+    pub(crate) key: Vec<u64>,
+    /// Per user index: `TS` against `key`, NaN when the user shares no
+    /// term with it, `+∞` until computed.
+    pub(crate) ts: Vec<f64>,
+}
+
 /// Scratch for the coverage/realized greedy keyword selectors.
 #[derive(Debug, Default)]
 pub(crate) struct GreedyScratch {
-    /// `LUW_w` terms, parallel to `luw_members[..luw_terms.len()]`.
-    pub(crate) luw_terms: Vec<TermId>,
-    /// Member-position rows; pooled, row `i` is live iff `i < luw_terms.len()`.
-    pub(crate) luw_members: Vec<Vec<usize>>,
-    /// The realized-gain trial document `ox.d ∪ chosen ∪ {w}`.
-    pub(crate) hcand: Document,
-    pub(crate) covered: Vec<bool>,
+    /// `LUW_w` per keyword position `j` of `W`, as a bitset over positions
+    /// in `lu`: row `j` is `luw[j * words..(j + 1) * words]` with
+    /// `words = ⌈|lu| / 64⌉`.
+    pub(crate) luw: Vec<u64>,
+    /// `|LUW_w|` per keyword position.
+    pub(crate) luw_len: Vec<u32>,
+    /// Positions covered so far (a bitset like a `luw` row), and the
+    /// keyword positions already picked.
+    pub(crate) covered: Vec<u64>,
     pub(crate) used: Vec<bool>,
-    pub(crate) trial: Vec<TermId>,
+    /// The realized-gain greedy's slot sets: `ox.d ∪ chosen`, and that
+    /// plus one trial keyword.
+    pub(crate) sel: Vec<u64>,
+    pub(crate) trial: Vec<u64>,
     /// Keyword-holder rows for the realized-gain trial scan.
     pub(crate) delta: DeltaScan,
 }
@@ -91,13 +112,15 @@ pub(crate) struct GreedyScratch {
 /// Scratch for Algorithm 4 (exact keyword selection).
 #[derive(Debug, Default)]
 pub(crate) struct ExactScratch {
-    pub(crate) wc: Vec<TermId>,
+    /// Slots of the candidate keywords some `LU` user holds, ascending.
+    pub(crate) wc: Vec<usize>,
+    /// Slot set of every candidate term an `LU` user holds.
+    pub(crate) held: Vec<u64>,
     /// Positions into the current `lu` list.
-    pub(crate) certain: Vec<usize>,
     pub(crate) uncertain: Vec<usize>,
     pub(crate) combos: Combinations,
-    pub(crate) chosen: Vec<TermId>,
-    pub(crate) cand: Document,
+    /// The slot set `ox.d ∪ combination` under evaluation.
+    pub(crate) cand: Vec<u64>,
     /// Keyword-holder rows over the uncertain users.
     pub(crate) delta: DeltaScan,
 }
@@ -115,15 +138,14 @@ pub(crate) struct SelectScratch {
     pub(crate) ss_bufs: Vec<Vec<f64>>,
     /// Spatial scores aligned with the `lu` list under evaluation.
     pub(crate) ss: Vec<f64>,
-    /// The candidate document `ox.d ∪ W'` under evaluation.
-    pub(crate) cand: Document,
+    /// The slot set `ox.d ∪ W'` under evaluation.
+    pub(crate) cand: Vec<u64>,
     /// BRSTkNN user-id output buffer (swapped into the result on improvement).
     pub(crate) users_out: Vec<u32>,
     /// Chosen-keyword buffer.
     pub(crate) kw: Vec<TermId>,
     /// Keyword combination enumerator for the baseline scan.
     pub(crate) combos: Combinations,
-    pub(crate) combo_kw: Vec<TermId>,
     /// Keyword-holder rows for the baseline scan.
     pub(crate) delta: DeltaScan,
     pub(crate) gr: GreedyScratch,

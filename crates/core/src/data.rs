@@ -42,9 +42,11 @@ pub struct QuerySpec {
 
 impl QuerySpec {
     /// Reference keyword-set length used when weighing candidate documents:
-    /// the final ad can hold `|ox.d| + ws` distinct keywords.
+    /// the final ad can hold `|ox.d| + ws` distinct keywords. Saturates, so
+    /// a `ws` off the wire near `usize::MAX` weighs candidates as the
+    /// longest ad rather than wrapping to a one-keyword one.
     pub fn ref_len(&self) -> u64 {
-        (self.ox_doc.num_terms() + self.ws).max(1) as u64
+        self.ox_doc.num_terms().saturating_add(self.ws).max(1) as u64
     }
 }
 
@@ -100,5 +102,17 @@ mod tests {
             k: 1,
         };
         assert_eq!(spec.ref_len(), 1);
+    }
+
+    #[test]
+    fn ref_len_saturates_on_a_huge_budget() {
+        let spec = QuerySpec {
+            ox_doc: Document::from_terms([TermId(1), TermId(2)]),
+            locations: vec![Point::new(0.0, 0.0)],
+            keywords: vec![TermId(3)],
+            ws: usize::MAX - 1,
+            k: 1,
+        };
+        assert_eq!(spec.ref_len(), usize::MAX as u64);
     }
 }

@@ -51,7 +51,6 @@ pub(crate) fn baseline_select_into(
         users_out,
         kw,
         combos,
-        combo_kw,
         delta,
         ..
     } = sel;
@@ -70,8 +69,7 @@ pub(crate) fn baseline_select_into(
         // The single (empty) combination per location.
         for (li, loc) in cc.spec.locations.iter().enumerate() {
             cc.fill_ss(loc, all_users, ss);
-            cand.assign_with_terms(&cc.spec.ox_doc, &[]);
-            cc.brstknn_into(cand, all_users, ss, users_out);
+            cc.brstknn_into(&cc.ox_bits, all_users, ss, users_out);
             if users_out.len() > out.brstknn.len() {
                 out.location = li;
                 out.keywords.clear();
@@ -82,7 +80,7 @@ pub(crate) fn baseline_select_into(
     }
 
     // The holder rows are location-independent; build them once.
-    delta.build(cc, &cc.spec.keywords, all_users, 0..all_users.len());
+    delta.build(cc, &cc.kw_slots, all_users, 0..all_users.len());
     kw.clear();
     let mut best_count = 0usize;
     let mut best_li = 0usize;
@@ -92,11 +90,10 @@ pub(crate) fn baseline_select_into(
         // baseline plus a delta over the holders of its keywords.
         delta.q0.clear();
         let mut count0 = 0usize;
-        for (pos, &u) in all_users.iter().enumerate() {
-            let q = cc.qualifies_with_ss(ss[pos], &cc.spec.ox_doc, u);
+        cc.for_each_verdict(&cc.ox_bits, all_users, ss, |_, q| {
             delta.q0.push(q);
-            count0 += q as usize;
-        }
+            count0 += usize::from(q);
+        });
         combos.reset(cc.spec.keywords.len(), k);
         while let Some(ix) = combos.next_ref() {
             // A combination can move at most its holders' verdicts.
@@ -107,9 +104,7 @@ pub(crate) fn baseline_select_into(
             if count0 + touched <= best_count {
                 continue;
             }
-            combo_kw.clear();
-            combo_kw.extend(ix.iter().map(|&i| cc.spec.keywords[i]));
-            cand.assign_with_terms(&cc.spec.ox_doc, combo_kw);
+            cc.cand_set_slots(ix.iter().map(|&i| cc.kw_slots[i]), cand);
             let mut count = count0;
             for &p in delta.touched() {
                 let p = p as usize;
@@ -124,7 +119,7 @@ pub(crate) fn baseline_select_into(
                 best_count = count;
                 best_li = li;
                 kw.clear();
-                kw.extend_from_slice(combo_kw);
+                kw.extend(ix.iter().map(|&i| cc.spec.keywords[i]));
             }
         }
     }
@@ -134,7 +129,7 @@ pub(crate) fn baseline_select_into(
         out.location = best_li;
         out.keywords.extend_from_slice(kw);
         cc.fill_ss(&cc.spec.locations[best_li], all_users, ss);
-        cand.assign_with_terms(&cc.spec.ox_doc, kw);
+        cc.cand_set(kw, cand);
         cc.brstknn_into(cand, all_users, ss, users_out);
         std::mem::swap(users_out, &mut out.brstknn);
     }

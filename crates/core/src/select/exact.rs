@@ -13,7 +13,7 @@
 use text::TermId;
 
 use crate::arena::ExactScratch;
-use crate::select::CandidateContext;
+use crate::select::{bit, set_bit, CandidateContext};
 
 /// Iterator over `k`-combinations of `0..n` (lexicographic index tuples).
 ///
@@ -138,46 +138,45 @@ pub(crate) fn exact_keywords_into(
 ) {
     let ExactScratch {
         wc,
-        certain,
+        held,
         uncertain,
         combos,
-        chosen,
         cand,
         delta,
     } = ex;
     out.clear();
 
-    // Pruning 2: candidate keywords present in at least one LU user.
+    // Pruning 2: candidate keywords present in at least one LU user, as
+    // ascending slots (ascending terms).
+    held.clear();
+    held.resize(cc.ox_bits.len(), 0);
+    for &u in lu {
+        for &(s, _) in cc.ucand(u) {
+            set_bit(held, s);
+        }
+    }
     wc.clear();
-    wc.extend(
-        cc.spec
-            .keywords
-            .iter()
-            .copied()
-            .filter(|&w| lu.iter().any(|&u| cc.holds(u, w))),
-    );
+    wc.extend(cc.kw_slots.iter().copied().filter(|&s| bit(held, s)));
     wc.sort_unstable();
     wc.dedup();
 
     // Early termination (pruning 3): only one sensible choice.
     if wc.len() <= cc.spec.ws {
-        out.extend_from_slice(wc);
+        out.extend(wc.iter().map(|&s| cc.slot_terms[s]));
         return;
     }
 
-    // Pruning 4: users certain regardless of the keyword choice. They need
-    // textual overlap with ox.d for the no-keyword score to mean
-    // qualification.
-    certain.clear();
+    // Pruning 4: users certain regardless of the keyword choice — those
+    // qualifying with ox.d alone (textual overlap included).
+    let mut certain = 0usize;
     uncertain.clear();
-    for (pos, &u) in lu.iter().enumerate() {
-        let sure = cc.overlaps_ox(u) && cc.sts_with_ss(ss_lu[pos], &cc.spec.ox_doc, u) >= cc.rsk[u];
+    cc.for_each_verdict(&cc.ox_bits, lu, ss_lu, |pos, sure| {
         if sure {
-            certain.push(pos);
+            certain += 1;
         } else {
             uncertain.push(pos);
         }
-    }
+    });
 
     // Uncertain users fail with `ox.d` alone by construction, and an
     // uncertain user holding none of a combination's keywords computes the
@@ -190,17 +189,15 @@ pub(crate) fn exact_keywords_into(
     combos.reset(wc.len(), cc.spec.ws);
     while let Some(combo) = combos.next_ref() {
         // A combination qualifies at most `certain + holders` users.
-        if best_set && certain.len() + delta.potential(combo.iter().copied()) <= best_count {
+        if best_set && certain + delta.potential(combo.iter().copied()) <= best_count {
             continue;
         }
         let touched = delta.gather(combo.iter().copied());
-        if best_set && certain.len() + touched <= best_count {
+        if best_set && certain + touched <= best_count {
             continue;
         }
-        chosen.clear();
-        chosen.extend(combo.iter().map(|&i| wc[i]));
-        cand.assign_with_terms(&cc.spec.ox_doc, chosen);
-        let mut count = certain.len();
+        cc.cand_set_slots(combo.iter().map(|&i| wc[i]), cand);
+        let mut count = certain;
         for &pos in delta.touched() {
             let pos = pos as usize;
             if cc.qualifies_with_ss(ss_lu[pos], cand, lu[pos]) {
@@ -211,7 +208,7 @@ pub(crate) fn exact_keywords_into(
             best_count = count;
             best_set = true;
             out.clear();
-            out.extend_from_slice(chosen);
+            out.extend(combo.iter().map(|&i| cc.slot_terms[wc[i]]));
         }
     }
 }

@@ -19,7 +19,7 @@
 use text::TermId;
 
 use crate::arena::GreedyScratch;
-use crate::select::CandidateContext;
+use crate::select::{bit, set_bit, CandidateContext};
 
 /// Builds `LUW_w` for every candidate keyword, restricted to the users of
 /// `lu` (indices into `cc.users`).
@@ -32,15 +32,27 @@ pub fn build_luw(
     cc.fill_ss(&cc.spec.locations[loc_idx], lu, &mut ss);
     let mut gr = GreedyScratch::default();
     build_luw_into(cc, lu, &ss, &mut gr);
-    gr.luw_terms
+    let words = lu.len().div_ceil(64);
+    cc.spec
+        .keywords
         .iter()
         .enumerate()
-        .map(|(i, &w)| (w, gr.luw_members[i].iter().map(|&pos| lu[pos]).collect()))
+        .map(|(j, &w)| {
+            let row = &gr.luw[j * words..(j + 1) * words];
+            (
+                w,
+                (0..lu.len())
+                    .filter(|&p| bit(row, p))
+                    .map(|p| lu[p])
+                    .collect(),
+            )
+        })
         .collect()
 }
 
-/// [`build_luw`] into arena scratch. Members are recorded as *positions*
-/// within `lu` (what the coverage step needs); `ss_lu` carries the
+/// [`build_luw`] into arena scratch: row `j` of `gr.luw` is the bitset of
+/// the *positions* within `lu` whose user joins `LUW_w` for the keyword at
+/// position `j` of `W` (what the coverage step needs); `ss_lu` carries the
 /// location's spatial scores aligned with `lu`. The optimistic text scores
 /// come from the context's per-query table, so this is one `combine` and
 /// one comparison per ⟨user, held keyword⟩.
@@ -50,30 +62,32 @@ pub(crate) fn build_luw_into(
     ss_lu: &[f64],
     gr: &mut GreedyScratch,
 ) {
-    let GreedyScratch {
-        luw_terms,
-        luw_members,
-        ..
-    } = gr;
-    luw_terms.clear();
-    luw_terms.extend_from_slice(&cc.spec.keywords);
-    while luw_members.len() < luw_terms.len() {
-        luw_members.push(Vec::new());
-    }
-    for members in &mut luw_members[..luw_terms.len()] {
-        members.clear();
-    }
+    let words = lu.len().div_ceil(64);
+    let n = cc.spec.keywords.len();
+    gr.luw.clear();
+    gr.luw.resize(n * words, 0);
+    gr.luw_len.clear();
+    gr.luw_len.resize(n, 0);
     let table = cc.hw_table();
-    for (pos, &u) in lu.iter().enumerate() {
+    for (pos, (&u, &ss)) in lu.iter().zip(ss_lu).enumerate() {
+        let rsk = cc.rsk[u];
         for &(j, ts) in table.rows_of(u) {
-            if cc.ctx.combine(ss_lu[pos], ts) >= cc.rsk[u] {
-                luw_members[j as usize].push(pos);
+            if cc.ctx.combine(ss, ts) >= rsk {
+                set_bit(&mut gr.luw[j as usize * words..], pos);
             }
         }
     }
+    for (j, len) in gr.luw_len.iter_mut().enumerate() {
+        *len = gr.luw[j * words..(j + 1) * words]
+            .iter()
+            .map(|m| m.count_ones())
+            .sum();
+    }
 }
 
-/// Greedy maximum coverage over the `LUW_w` sets.
+/// Greedy maximum coverage over the `LUW_w` rows of `gr` (over `words`
+/// words each; `terms` names the keyword of each row); the picks land in
+/// `chosen`, ascending.
 ///
 /// Matches the paper's MC greedy, which "chooses a set in each step which
 /// contains the largest number of uncovered elements **until exactly p
@@ -83,63 +97,49 @@ pub(crate) fn build_luw_into(
 /// the realized selection, so spending the whole `ws` budget recovers
 /// realized count the early-stopping variant leaves behind (clearly
 /// visible at large `ws`, Fig. 11b).
-pub fn greedy_cover(luw: &[(TermId, Vec<usize>)], ws: usize, num_users: usize) -> Vec<TermId> {
-    let terms: Vec<TermId> = luw.iter().map(|(w, _)| *w).collect();
-    let members: Vec<&[usize]> = luw.iter().map(|(_, m)| m.as_slice()).collect();
-    let mut covered = Vec::new();
-    let mut used = Vec::new();
-    let mut chosen = Vec::new();
-    greedy_cover_core(
-        &terms,
-        &members,
-        ws,
-        num_users,
-        &mut covered,
-        &mut used,
-        &mut chosen,
-    );
-    chosen
-}
-
-/// [`greedy_cover`] over split term/member columns and caller scratch.
-fn greedy_cover_core<M: AsRef<[usize]>>(
+fn cover_into(
+    gr: &mut GreedyScratch,
     terms: &[TermId],
-    members: &[M],
+    words: usize,
     ws: usize,
-    num_users: usize,
-    covered: &mut Vec<bool>,
-    used: &mut Vec<bool>,
     chosen: &mut Vec<TermId>,
 ) {
+    let GreedyScratch {
+        luw,
+        luw_len,
+        covered,
+        used,
+        ..
+    } = gr;
     covered.clear();
-    covered.resize(num_users, false);
+    covered.resize(words, 0);
     used.clear();
     used.resize(terms.len(), false);
     chosen.clear();
 
     for _ in 0..ws {
-        // (idx, uncovered gain, total size) — gain first, size as the
-        // tiebreak that also drives the zero-gain picks.
-        let mut best: Option<(usize, usize, usize)> = None;
-        for (i, m) in members.iter().enumerate() {
-            let m = m.as_ref();
-            if used[i] || m.is_empty() {
+        // (row, uncovered gain, set size) — gain first, size as the
+        // tiebreak that also drives the zero-gain picks; a full tie keeps
+        // the first row.
+        let mut best: Option<(usize, u32, u32)> = None;
+        for (j, &size) in luw_len.iter().enumerate() {
+            if used[j] || size == 0 {
                 continue;
             }
-            let gain = m.iter().filter(|&&u| !covered[u]).count();
-            let better = match best {
-                None => true,
-                Some((_, g, s)) => gain > g || (gain == g && m.len() > s),
-            };
-            if better {
-                best = Some((i, gain, m.len()));
+            let gain = luw[j * words..(j + 1) * words]
+                .iter()
+                .zip(covered.iter())
+                .map(|(m, c)| (m & !c).count_ones())
+                .sum();
+            if best.is_none_or(|(_, g, s)| gain > g || (gain == g && size > s)) {
+                best = Some((j, gain, size));
             }
         }
-        let Some((i, _, _)) = best else { break };
-        used[i] = true;
-        chosen.push(terms[i]);
-        for &u in members[i].as_ref() {
-            covered[u] = true;
+        let Some((j, _, _)) = best else { break };
+        used[j] = true;
+        chosen.push(terms[j]);
+        for (c, m) in covered.iter_mut().zip(&luw[j * words..(j + 1) * words]) {
+            *c |= m;
         }
     }
     chosen.sort_unstable();
@@ -165,20 +165,11 @@ pub(crate) fn greedy_keywords_into(
     out: &mut Vec<TermId>,
 ) {
     build_luw_into(cc, lu, ss_lu, gr);
-    let GreedyScratch {
-        luw_terms,
-        luw_members,
-        covered,
-        used,
-        ..
-    } = gr;
-    greedy_cover_core(
-        luw_terms,
-        &luw_members[..luw_terms.len()],
+    cover_into(
+        gr,
+        &cc.spec.keywords,
+        lu.len().div_ceil(64),
         cc.spec.ws,
-        lu.len(),
-        covered,
-        used,
         out,
     );
 }
@@ -220,19 +211,18 @@ pub(crate) fn greedy_plus_keywords_into(
     out: &mut Vec<TermId>,
 ) {
     out.clear();
-    gr.delta.build(cc, &cc.spec.keywords, lu, 0..lu.len());
+    gr.delta.build(cc, &cc.kw_slots, lu, 0..lu.len());
     for _ in 0..cc.spec.ws {
         // Realized verdict per user under the current selection. On the
         // first round this is the `ox.d`-only count; afterwards it equals
         // the picked trial's count (same evaluations).
-        gr.hcand.assign_with_terms(&cc.spec.ox_doc, out);
+        cc.cand_set(out, &mut gr.sel);
         gr.delta.q0.clear();
         let mut count0 = 0usize;
-        for (pos, &u) in lu.iter().enumerate() {
-            let q = cc.qualifies_with_ss(ss_lu[pos], &gr.hcand, u);
+        cc.for_each_verdict(&gr.sel, lu, ss_lu, |_, q| {
             gr.delta.q0.push(q);
-            count0 += q as usize;
-        }
+            count0 += usize::from(q);
+        });
         let best_count = count0;
         let mut round_best: Option<(TermId, usize)> = None;
         for (j, &w) in cc.spec.keywords.iter().enumerate() {
@@ -245,14 +235,12 @@ pub(crate) fn greedy_plus_keywords_into(
             if count0 + row.len() <= bar {
                 continue;
             }
-            gr.trial.clear();
-            gr.trial.extend_from_slice(out);
-            gr.trial.push(w);
-            gr.hcand.assign_with_terms(&cc.spec.ox_doc, &gr.trial);
+            gr.trial.clone_from(&gr.sel);
+            set_bit(&mut gr.trial, cc.kw_slots[j]);
             let mut count = count0;
             for &p in gr.delta.row(j) {
                 let p = p as usize;
-                let q1 = cc.qualifies_with_ss(ss_lu[p], &gr.hcand, lu[p]);
+                let q1 = cc.qualifies_with_ss(ss_lu[p], &gr.trial, lu[p]);
                 if q1 && !gr.delta.q0[p] {
                     count += 1;
                 } else if !q1 && gr.delta.q0[p] {
@@ -343,14 +331,14 @@ mod tests {
                     assert_eq!(got[j].0, w, "seed {seed}");
                     let mut expect = Vec::new();
                     for &u in &lu {
-                        let held = cc.ucand(u);
-                        if !held.iter().any(|&(t, _)| t == w) {
+                        let held = &f.users[u].doc;
+                        if !held.contains(w) {
                             continue;
                         }
                         let mut others: Vec<(f64, u32, TermId)> = Vec::new();
                         for (i, &t) in f.spec.keywords.iter().enumerate() {
-                            if let Some(&(_, cw)) = held.iter().find(|&&(h, _)| h == t) {
-                                others.push((cw, i as u32, t));
+                            if held.contains(t) {
+                                others.push((cc.cw(t), i as u32, t));
                             }
                         }
                         others.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -374,41 +362,55 @@ mod tests {
 
     /// The table-driven kernel must reproduce the per-location
     /// construction member for member — across keyword budgets, duplicate
-    /// keywords, keywords already in `ox.d`, users with `N(u) = 0` and
-    /// unreachable users — and so must the keywords chosen from it.
+    /// keywords, keywords already in `ox.d`, users with `N(u) = 0`,
+    /// unreachable users, `|W ∪ ox.d|` on both sides of one and two
+    /// 64-bit words and `|LU|` on both sides of one — and so must the
+    /// keywords chosen from it.
     #[test]
     fn luw_table_matches_per_location_construction() {
-        use crate::select::test_fixture::edge_fixture;
+        use crate::select::test_fixture::{edge_fixture, wide_fixture, Fix};
+        fn check<'a>(f: &'a Fix, lists: &[Vec<usize>], what: &str) -> CandidateContext<'a> {
+            let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
+            let mut members = 0;
+            for li in 0..f.spec.locations.len() {
+                for lu in lists {
+                    let got = build_luw(&cc, li, lu);
+                    let at = format!("{what}, loc {li}, |lu| {}", lu.len());
+                    assert_eq!(got, reference::build_luw(&cc, li, lu), "{at}");
+                    assert_eq!(
+                        greedy_keywords(&cc, li, lu),
+                        reference::greedy_keywords(&cc, li, lu),
+                        "{at}"
+                    );
+                    members += got.iter().map(|(_, m)| m.len()).sum::<usize>();
+                }
+            }
+            assert!(members > 0, "{what}: every LUW empty");
+            cc
+        }
         for ws in [1, 2, 3, 5] {
             for seed in 0..3 {
                 let f = edge_fixture(seed + 40, ws);
-                let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
+                // Every user, then a sparse list: positions ≠ indices.
+                let all: Vec<usize> = (0..f.users.len()).collect();
+                let sparse: Vec<usize> = all.iter().copied().filter(|u| u % 3 != 1).collect();
+                let cc = check(&f, &[all, sparse], &format!("ws {ws}, seed {seed}"));
                 let n = f.users.len();
                 let zero_norm = (0..n).any(|u| cc.user_reachable(u) && cc.n_u[u] == 0.0);
                 assert_eq!(zero_norm, seed % 2 == 1, "TF-IDF seeds hold N(u) = 0 users");
                 assert!((0..n).any(|u| !cc.user_reachable(u)));
-                // Every user, then a sparse list: positions ≠ indices.
-                let all: Vec<usize> = (0..f.users.len()).collect();
-                let sparse: Vec<usize> = all.iter().copied().filter(|u| u % 3 != 1).collect();
-                let mut members = 0;
-                for li in 0..f.spec.locations.len() {
-                    for lu in [&all, &sparse] {
-                        let got = build_luw(&cc, li, lu);
-                        assert_eq!(
-                            got,
-                            reference::build_luw(&cc, li, lu),
-                            "ws {ws}, seed {seed}, loc {li}"
-                        );
-                        assert_eq!(
-                            greedy_keywords(&cc, li, lu),
-                            reference::greedy_keywords(&cc, li, lu),
-                            "ws {ws}, seed {seed}, loc {li}"
-                        );
-                        members += got.iter().map(|(_, m)| m.len()).sum::<usize>();
-                    }
-                }
-                assert!(members > 0, "ws {ws}, seed {seed}: every LUW empty");
             }
+        }
+        for (seed, slots) in [(0, 63), (1, 64), (2, 65), (3, 130), (5, 64)] {
+            let f = wide_fixture(seed, slots, 90);
+            // |LU| around one word; the last list skips users, so its
+            // positions are not indices.
+            let lists: Vec<Vec<usize>> = [63, 64, 65]
+                .map(|n| (0..n).collect::<Vec<usize>>())
+                .into_iter()
+                .chain([(0..90).filter(|u| u % 7 != 3).take(65).collect()])
+                .collect();
+            check(&f, &lists, &format!("|W ∪ ox.d| {slots}, seed {seed}"));
         }
     }
 
@@ -431,6 +433,25 @@ mod tests {
         }
     }
 
+    /// The bitset cover over position lists loaded into `LUW` rows,
+    /// checked against the position-list reference on the way.
+    fn cover(luw: &[(TermId, Vec<usize>)], ws: usize, num_users: usize) -> Vec<TermId> {
+        let words = num_users.div_ceil(64);
+        let mut gr = GreedyScratch::default();
+        gr.luw.resize(luw.len() * words, 0);
+        for (j, (_, members)) in luw.iter().enumerate() {
+            for &p in members {
+                set_bit(&mut gr.luw[j * words..], p);
+            }
+            gr.luw_len.push(members.len() as u32);
+        }
+        let terms: Vec<TermId> = luw.iter().map(|&(w, _)| w).collect();
+        let mut chosen = Vec::new();
+        cover_into(&mut gr, &terms, words, ws, &mut chosen);
+        assert_eq!(chosen, reference::greedy_cover(luw, ws, num_users));
+        chosen
+    }
+
     #[test]
     fn greedy_cover_picks_largest_first() {
         let luw = vec![
@@ -438,7 +459,7 @@ mod tests {
             (t(1), vec![2, 3, 4]),
             (t(2), vec![0, 5]),
         ];
-        let chosen = greedy_cover(&luw, 2, 6);
+        let chosen = cover(&luw, 2, 6);
         assert!(chosen.contains(&t(1)));
         assert_eq!(chosen.len(), 2);
     }
@@ -452,7 +473,7 @@ mod tests {
             (t(1), vec![0, 1, 2]),
             (t(2), vec![3]),
         ];
-        let chosen = greedy_cover(&luw, 2, 4);
+        let chosen = cover(&luw, 2, 4);
         assert_eq!(chosen, vec![t(0), t(2)]);
     }
 
@@ -461,8 +482,37 @@ mod tests {
         // Zero-gain sets are still picked (the paper selects exactly p
         // sets), but empty LUWs never are.
         let luw = vec![(t(0), vec![0]), (t(1), vec![0]), (t(2), vec![])];
-        let chosen = greedy_cover(&luw, 3, 1);
+        let chosen = cover(&luw, 3, 1);
         assert_eq!(chosen, vec![t(0), t(1)]);
+    }
+
+    /// Ties on gain, then on size too, across three words of positions:
+    /// the larger set wins a gain tie, the first position a full tie, and
+    /// a later set needs a strictly larger gain to displace an earlier one.
+    #[test]
+    fn bitset_cover_breaks_ties_like_the_reference() {
+        let luw = vec![
+            // Gain 3, size 3.
+            (t(9), vec![0, 64, 128]),
+            // Gain 3, size 4 (one member shared with the first): wins the
+            // first round on size.
+            (t(4), vec![1, 65, 129, 0]),
+            // The same set as t4 at a later position: never beats it.
+            (t(7), vec![1, 65, 129, 0]),
+            // Gain 3, size 3, disjoint from everything.
+            (t(2), vec![63, 127, 150]),
+            // A duplicate keyword at a later position.
+            (t(9), vec![63, 127, 150]),
+            (t(5), vec![]),
+        ];
+        assert_eq!(cover(&luw, 1, 151), vec![t(4)]);
+        // Round 2: t9 gains 2, t7 0, t2 and the second t9 gain 3 at size
+        // 3 — the first of them (t2) wins.
+        assert_eq!(cover(&luw, 2, 151), vec![t(2), t(4)]);
+        // Round 3: t9 (gain 2) before the zero-gain sets; then the size-4
+        // duplicate set before the size-3 one.
+        assert_eq!(cover(&luw, 4, 151), vec![t(2), t(4), t(7), t(9)]);
+        assert_eq!(cover(&luw, 9, 151), vec![t(2), t(4), t(7), t(9), t(9)]);
     }
 
     #[test]

@@ -158,7 +158,7 @@ pub(crate) fn evaluate_location(
     kw.clear();
     let mut settled = false;
     if shortcut && !cc.spec.ox_doc.is_empty() {
-        cc.brstknn_into(&cc.spec.ox_doc, lu, ss, users_out);
+        cc.brstknn_into(&cc.ox_bits, lu, ss, users_out);
         // The shortcut is only complete when it captures the whole list;
         // otherwise keyword selection could still add users.
         settled = users_out.len() == lu.len();
@@ -169,7 +169,7 @@ pub(crate) fn evaluate_location(
             KeywordSelector::GreedyPlus => greedy::greedy_plus_keywords_into(cc, lu, ss, gr, kw),
             KeywordSelector::Exact => exact::exact_keywords_into(cc, lu, ss, ex, kw),
         }
-        cand.assign_with_terms(&cc.spec.ox_doc, kw);
+        cc.cand_set(kw, cand);
         cc.brstknn_into(cand, lu, ss, users_out);
     }
     if users_out.len() > out.brstknn.len() {

@@ -4,8 +4,9 @@
 //! picking `ℓ ∈ L` and `W' ⊆ W, |W'| ≤ ws` maximizing the number of users
 //! `u` with `STS(ox@ℓ, u) ≥ RSk(u)`. This module provides:
 //!
-//! * [`CandidateContext`] — shared query state: candidate term weights at
-//!   the reference length, and one column per user-level quantity,
+//! * [`CandidateContext`] — shared query state: the candidate terms as
+//!   slots with their weights at the reference length, and one column per
+//!   user-level quantity,
 //! * the candidate bounds `UBL`/`LBL` of §6.1 (with Lemma 3's top-`ws`
 //!   keyword upper bound),
 //! * [`location`] — Algorithm 3 (best-first location processing),
@@ -26,6 +27,21 @@
 //! take only `(lu, ss)` — indices into the context's user columns and the
 //! location's spatial scores aligned with them — and never see a user
 //! document or rebuild a context.
+//!
+//! Inside the kernels a keyword is a small integer. The context's *slot
+//! view* numbers the distinct terms of `W ∪ ox.d` in ascending term order
+//! and keeps per slot the candidate weight and the multiplicity in `W`;
+//! every entry of a user's run carries its slot, and every position of `W`
+//! maps to one. A candidate document `ox.d ∪ W'` is then a *slot set*, a
+//! bitset of ⌈slots / 64⌉ words, and testing a user is one pass over the
+//! run with a bit test per term. Ascending slots are ascending terms, so
+//! the pass adds weights in exactly the order a merge of the documents
+//! would, and every score is bit-identical to the `Document` reference
+//! paths. Per location, `LUW_w` is a bitset over positions in `lu` (the
+//! greedy cover's gain is a popcount of `member & !covered`), and the
+//! BRSTkNN count reads each user's text verdict from a per-user column
+//! kept for the last candidate set counted — the next location choosing
+//! the same keywords pays one `combine` per user.
 
 pub mod baseline;
 pub mod exact;
@@ -36,13 +52,24 @@ pub(crate) mod reference;
 pub mod topl;
 
 use std::cell::{Ref, RefCell};
-use std::collections::HashMap;
 
 use geo::Point;
 use text::{Document, TermId};
 
-use crate::arena::{CcScratch, HwTable};
+use crate::arena::{CcScratch, HwTable, TextMemo};
 use crate::{QuerySpec, ScoreContext, UserData, UserGroup};
+
+/// True when bit `i` of the bitset `bits` is set.
+#[inline]
+pub(crate) fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i >> 6] >> (i & 63) & 1 != 0
+}
+
+/// Sets bit `i` of the bitset `bits`.
+#[inline]
+pub(crate) fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i >> 6] |= 1 << (i & 63);
+}
 
 /// Shared state for one candidate-selection run.
 #[derive(Debug)]
@@ -62,25 +89,42 @@ pub struct CandidateContext<'a> {
     pub n_u: Vec<f64>,
     /// Candidate reference length (`|ox.d| + ws`).
     pub ref_len: u64,
-    /// Candidate term weight `cw(t)` for every term of `W ∪ ox.d`.
-    cand_w: HashMap<TermId, f64>,
+    /// The slot view of `W ∪ ox.d`: its distinct terms ascending (a term's
+    /// index here is its *slot*), each slot's candidate weight `cw(t)`, and
+    /// the positions of `W` holding it, ascending:
+    /// `slot_kw[slot_kw_off[s]..slot_kw_off[s + 1]]` (as many as the
+    /// slot's multiplicity in `W`).
+    slot_terms: Vec<TermId>,
+    slot_w: Vec<f64>,
+    slot_kw_off: Vec<u32>,
+    slot_kw: Vec<u32>,
+    /// The slot of each position of `W`.
+    kw_slots: Vec<usize>,
+    /// `ox.d` as a slot set: ⌈slots / 64⌉ words, the base of every
+    /// candidate set.
+    ox_bits: Vec<u64>,
     /// Per-user id and location (what the kernels need of a `UserData`
     /// besides its candidate terms).
     ids: Vec<u32>,
     points: Vec<Point>,
     /// Location-independent textual part of `UBL(·, u)` per user.
     ubl_ts: Vec<f64>,
-    /// Per-user candidate terms `u.d ∩ (W ∪ ox.d)` with their weights,
+    /// Per-user candidate terms `u.d ∩ (W ∪ ox.d)` as `(slot, cw)`,
     /// flattened; user `u` owns `ucand_flat[ucand_off[u]..ucand_off[u+1]]`.
-    /// The query kernels sum these tiny ascending runs instead of merging
-    /// full documents against the weight map.
-    ucand_flat: Vec<(TermId, f64)>,
+    /// Runs ascend by slot, which is ascending term order, so a kernel
+    /// summing a run adds the weights in the order a merge of the user's
+    /// document would.
+    ucand_flat: Vec<(usize, f64)>,
     ucand_off: Vec<u32>,
     /// Scratch for [`CandidateContext::top_ws_weight_sum`].
     ws_buf: RefCell<Vec<f64>>,
     /// Optimistic `TS` of `HW_{w,u}` per ⟨user, held keyword⟩; see
     /// [`CandidateContext::hw_table`].
     hw: RefCell<HwTable>,
+    /// Per-user text verdicts for `ox.d` alone (`[0]`) and for the last
+    /// other candidate set counted (`[1]`); see
+    /// [`CandidateContext::for_each_verdict`].
+    memo: RefCell<[TextMemo; 2]>,
 }
 
 impl<'a> CandidateContext<'a> {
@@ -106,7 +150,12 @@ impl<'a> CandidateContext<'a> {
     ) -> Self {
         assert_eq!(users.len(), rsk.len(), "users and thresholds must align");
         let CcScratch {
-            mut cand_w,
+            mut slot_terms,
+            mut slot_w,
+            mut slot_kw_off,
+            mut slot_kw,
+            mut kw_slots,
+            mut ox_bits,
             mut ids,
             mut points,
             rsk: mut rsk_col,
@@ -116,14 +165,44 @@ impl<'a> CandidateContext<'a> {
             mut ucand_off,
             ws_buf,
             mut hw,
+            mut memo,
         } = scratch;
         let ref_len = spec.ref_len();
-        cand_w.clear();
-        for &t in spec.keywords.iter() {
-            cand_w.insert(t, ctx.text.candidate_weight(t, ref_len));
+        slot_terms.clear();
+        slot_terms.extend(spec.keywords.iter().copied().chain(spec.ox_doc.terms()));
+        slot_terms.sort_unstable();
+        slot_terms.dedup();
+        slot_w.clear();
+        slot_w.extend(
+            slot_terms
+                .iter()
+                .map(|&t| ctx.text.candidate_weight(t, ref_len)),
+        );
+        kw_slots.clear();
+        kw_slots.extend(
+            spec.keywords
+                .iter()
+                .map(|t| slot_terms.binary_search(t).expect("W is in the slot view")),
+        );
+        // W's positions grouped by slot, ascending within a slot.
+        slot_kw.clear();
+        slot_kw.extend(0..kw_slots.len() as u32);
+        slot_kw.sort_unstable_by_key(|&j| (kw_slots[j as usize], j));
+        slot_kw_off.clear();
+        slot_kw_off.resize(slot_terms.len() + 1, 0);
+        for &s in &kw_slots {
+            slot_kw_off[s + 1] += 1;
         }
+        for s in 0..slot_terms.len() {
+            slot_kw_off[s + 1] += slot_kw_off[s];
+        }
+        ox_bits.clear();
+        ox_bits.resize(slot_terms.len().div_ceil(64), 0);
         for t in spec.ox_doc.terms() {
-            cand_w.insert(t, ctx.text.candidate_weight(t, ref_len));
+            let s = slot_terms
+                .binary_search(&t)
+                .expect("ox.d is in the slot view");
+            set_bit(&mut ox_bits, s);
         }
         ids.clear();
         points.clear();
@@ -139,6 +218,10 @@ impl<'a> CandidateContext<'a> {
             hw.off.push(0);
             hw.rows.clear();
         }
+        for m in memo.get_mut() {
+            m.key.clear();
+            m.ts.clear();
+        }
         let mut cc = CandidateContext {
             ctx,
             spec,
@@ -146,7 +229,12 @@ impl<'a> CandidateContext<'a> {
             rsk: rsk_col,
             n_u,
             ref_len,
-            cand_w,
+            slot_terms,
+            slot_w,
+            slot_kw_off,
+            slot_kw,
+            kw_slots,
+            ox_bits,
             ids,
             points,
             ubl_ts,
@@ -154,6 +242,7 @@ impl<'a> CandidateContext<'a> {
             ucand_off,
             ws_buf,
             hw,
+            memo,
         };
         for (user, &r) in users.iter().zip(rsk) {
             cc.push_user(user, ctx.text.normalizer(&user.doc), r);
@@ -170,13 +259,33 @@ impl<'a> CandidateContext<'a> {
         self.points.push(user.point);
         self.rsk.push(rsk);
         self.n_u.push(n_u);
+        let start = self.ucand_flat.len();
         for t in user.doc.terms() {
-            if let Some(&w) = self.cand_w.get(&t) {
-                self.ucand_flat.push((t, w));
+            if let Ok(s) = self.slot_terms.binary_search(&t) {
+                self.ucand_flat.push((s, self.slot_w[s]));
             }
         }
         self.ucand_off.push(self.ucand_flat.len() as u32);
-        self.ubl_ts.push(self.ubl_ts_doc(&user.doc, n_u));
+        // `UBL`'s text: the run's `ox.d` terms in slot order, plus Lemma
+        // 3's `ws` heaviest of its other terms, each once per position it
+        // holds in `W`.
+        let run = &self.ucand_flat[start..];
+        let fixed: f64 = run
+            .iter()
+            .filter(|&&(s, _)| self.in_ox(s))
+            .map(|&(_, w)| w)
+            .sum();
+        let added = self.top_ws_sum(
+            run.iter()
+                .filter(|&&(s, _)| !self.in_ox(s))
+                .flat_map(|&(s, w)| std::iter::repeat_n(w, self.kw_positions(s).len())),
+        );
+        let ts = if n_u > 0.0 {
+            ((fixed + added) / n_u).min(1.0)
+        } else {
+            0.0
+        };
+        self.ubl_ts.push(ts);
         self.n_u.len() - 1
     }
 
@@ -189,7 +298,12 @@ impl<'a> CandidateContext<'a> {
     /// Returns the pooled buffers to the arena.
     pub(crate) fn into_scratch(self) -> CcScratch {
         CcScratch {
-            cand_w: self.cand_w,
+            slot_terms: self.slot_terms,
+            slot_w: self.slot_w,
+            slot_kw_off: self.slot_kw_off,
+            slot_kw: self.slot_kw,
+            kw_slots: self.kw_slots,
+            ox_bits: self.ox_bits,
             ids: self.ids,
             points: self.points,
             rsk: self.rsk,
@@ -199,13 +313,28 @@ impl<'a> CandidateContext<'a> {
             ucand_off: self.ucand_off,
             ws_buf: self.ws_buf,
             hw: self.hw,
+            memo: self.memo,
         }
     }
 
     /// Candidate weight of `t` (0 for terms outside `W ∪ ox.d`).
     #[inline]
     pub fn cw(&self, t: TermId) -> f64 {
-        self.cand_w.get(&t).copied().unwrap_or(0.0)
+        self.slot_terms
+            .binary_search(&t)
+            .map_or(0.0, |s| self.slot_w[s])
+    }
+
+    /// The positions of `W` holding the term of slot `s`, ascending.
+    #[inline]
+    fn kw_positions(&self, s: usize) -> &[u32] {
+        &self.slot_kw[self.slot_kw_off[s] as usize..self.slot_kw_off[s + 1] as usize]
+    }
+
+    /// True when slot `s` holds a term of `ox.d`.
+    #[inline]
+    fn in_ox(&self, s: usize) -> bool {
+        bit(&self.ox_bits, s)
     }
 
     /// True when user `u` could ever find `ox` relevant: `u.d` shares a
@@ -219,9 +348,15 @@ impl<'a> CandidateContext<'a> {
     /// Sum of the `ws` largest candidate weights among `terms` (Lemma 3's
     /// `Wh` / `Wu` construction).
     pub fn top_ws_weight_sum(&self, terms: impl Iterator<Item = TermId>) -> f64 {
+        self.top_ws_sum(terms.map(|t| self.cw(t)))
+    }
+
+    /// Sum of the `ws` largest positive `weights`, added in descending
+    /// order.
+    fn top_ws_sum(&self, weights: impl Iterator<Item = f64>) -> f64 {
         let mut buf = self.ws_buf.borrow_mut();
         buf.clear();
-        buf.extend(terms.map(|t| self.cw(t)).filter(|&w| w > 0.0));
+        buf.extend(weights.filter(|&w| w > 0.0));
         buf.sort_unstable_by(|a, b| b.total_cmp(a));
         buf.truncate(self.spec.ws);
         buf.iter().sum()
@@ -238,12 +373,11 @@ impl<'a> CandidateContext<'a> {
             .map(|t| self.cw(t))
             .sum();
         // Lemma 3: at best the ws highest-weight candidates from W∩dUni.
-        let added = self.top_ws_weight_sum(
-            self.spec
-                .keywords
+        let added = self.top_ws_sum(
+            self.kw_slots
                 .iter()
-                .copied()
-                .filter(|&t| group.d_uni.contains(t) && !self.spec.ox_doc.contains(t)),
+                .filter(|&&s| !self.in_ox(s) && group.d_uni.contains(self.slot_terms[s]))
+                .map(|&s| self.slot_w[s]),
         );
         group.ts_upper(fixed + added)
     }
@@ -253,30 +387,6 @@ impl<'a> CandidateContext<'a> {
     pub fn ubl_group(&self, loc: &Point, group: &UserGroup) -> f64 {
         let ss = self.ctx.spatial.min_ss_point(loc, &group.mbr);
         self.ctx.combine(ss, self.ubl_group_ts(group))
-    }
-
-    /// The location-independent textual part of `UBL(·, u)` for a user
-    /// document.
-    fn ubl_ts_doc(&self, doc: &Document, n_u: f64) -> f64 {
-        let fixed: f64 = self
-            .spec
-            .ox_doc
-            .terms()
-            .filter(|&t| doc.contains(t))
-            .map(|t| self.cw(t))
-            .sum();
-        let added = self.top_ws_weight_sum(
-            self.spec
-                .keywords
-                .iter()
-                .copied()
-                .filter(|&t| doc.contains(t) && !self.spec.ox_doc.contains(t)),
-        );
-        if n_u > 0.0 {
-            ((fixed + added) / n_u).min(1.0)
-        } else {
-            0.0
-        }
     }
 
     /// `UBL(ℓ, u)` (§6.1): per-user upper bound (textual part cached).
@@ -355,17 +465,40 @@ impl<'a> CandidateContext<'a> {
     //
     // The kernels below are the steady-state inner loops. They are exact
     // twins of the public methods above, restricted to candidate documents
-    // `cand ⊆ ox.d ∪ W` (every internal selection kernel builds them that
-    // way), with the spatial score hoisted out by the caller and the
-    // per-user term merge replaced by the precomputed `ucand` runs. The
-    // public slow paths stay as the reference implementations the
-    // brute-force tests compare against.
+    // `cand ⊆ ox.d ∪ W`, which they take as *slot sets* — bitsets of
+    // ⌈slots / 64⌉ words over the slot view — with the spatial score
+    // hoisted out by the caller and the per-user term merge replaced by
+    // the precomputed `ucand` runs. The public slow paths stay as the
+    // reference implementations the brute-force tests compare against.
 
-    /// User `u`'s candidate terms `u.d ∩ (W ∪ ox.d)` with weights,
-    /// ascending by term.
+    /// User `u`'s candidate terms `u.d ∩ (W ∪ ox.d)` as `(slot, cw)`,
+    /// ascending.
     #[inline]
-    pub(crate) fn ucand(&self, u: usize) -> &[(TermId, f64)] {
+    pub(crate) fn ucand(&self, u: usize) -> &[(usize, f64)] {
         &self.ucand_flat[self.ucand_off[u] as usize..self.ucand_off[u + 1] as usize]
+    }
+
+    /// Fills `out` with the slot set `ox.d ∪ {slots}`.
+    pub(crate) fn cand_set_slots(
+        &self,
+        slots: impl IntoIterator<Item = usize>,
+        out: &mut Vec<u64>,
+    ) {
+        out.clear();
+        out.extend_from_slice(&self.ox_bits);
+        for s in slots {
+            set_bit(out, s);
+        }
+    }
+
+    /// Fills `out` with the slot set of `ox.d ∪ kw`, for keywords drawn
+    /// from `W` (a term outside `W ∪ ox.d` has no slot and is skipped).
+    pub(crate) fn cand_set(&self, kw: &[TermId], out: &mut Vec<u64>) {
+        self.cand_set_slots(
+            kw.iter()
+                .filter_map(|t| self.slot_terms.binary_search(t).ok()),
+            out,
+        );
     }
 
     /// Spatial score of `loc` for user `u`.
@@ -395,31 +528,24 @@ impl<'a> CandidateContext<'a> {
         self.ctx.combine(ss, ts)
     }
 
-    /// True when user `u` holds `t ∈ W ∪ ox.d`.
+    /// The textual half of `STS` for the slot set `cand`, or NaN when user
+    /// `u` shares no term with it: NaN fails every `≥ RSk(u)` test, which
+    /// is the relevance precondition. One pass over the user's run, in
+    /// slot order.
     #[inline]
-    pub(crate) fn holds(&self, u: usize, t: TermId) -> bool {
-        self.ucand(u).iter().any(|&(h, _)| h == t)
-    }
-
-    /// True when `u.d` shares a term with `ox.d`.
-    #[inline]
-    pub(crate) fn overlaps_ox(&self, u: usize) -> bool {
-        self.ucand(u)
-            .iter()
-            .any(|&(t, _)| self.spec.ox_doc.contains(t))
-    }
-
-    /// The textual half of [`CandidateContext::sts_with_ss`].
-    #[inline]
-    fn ts_cand(&self, cand: &Document, u: usize) -> f64 {
+    fn ts_cand(&self, cand: &[u64], u: usize) -> f64 {
+        let mut any = false;
+        let mut sum = 0.0;
+        for &(s, w) in self.ucand(u) {
+            if bit(cand, s) {
+                any = true;
+                sum += w;
+            }
+        }
         let n_u = self.n_u[u];
-        if n_u > 0.0 {
-            let sum: f64 = self
-                .ucand(u)
-                .iter()
-                .filter(|&&(t, _)| cand.contains(t))
-                .map(|&(_, w)| w)
-                .sum();
+        if !any {
+            f64::NAN
+        } else if n_u > 0.0 {
             (sum / n_u).min(1.0)
         } else {
             0.0
@@ -427,10 +553,11 @@ impl<'a> CandidateContext<'a> {
     }
 
     /// [`CandidateContext::sts_candidate`] with the spatial part
-    /// precomputed, for `cand ⊆ ox.d ∪ W`.
-    #[inline]
-    pub(crate) fn sts_with_ss(&self, ss: f64, cand: &Document, u: usize) -> f64 {
-        self.ctx.combine(ss, self.ts_cand(cand, u))
+    /// precomputed, for the slot set `cand`.
+    #[cfg(test)]
+    pub(crate) fn sts_with_ss(&self, ss: f64, cand: &[u64], u: usize) -> f64 {
+        let ts = self.ts_cand(cand, u);
+        self.ctx.combine(ss, if ts.is_nan() { 0.0 } else { ts })
     }
 
     /// The §6.2.1 preprocessing, minus the location: for every user `u`
@@ -452,37 +579,35 @@ impl<'a> CandidateContext<'a> {
                 off,
                 rows,
                 others,
-                set,
-                hcand,
+                bits,
             } = &mut *table;
             let cap = self.spec.ws.saturating_sub(1);
             for u in off.len() - 1..self.num_users() {
                 others.clear();
-                for &(t, cw) in self.ucand(u) {
-                    for (j, &w) in self.spec.keywords.iter().enumerate() {
-                        if w == t {
-                            others.push((cw, j as u32, t));
-                        }
-                    }
+                for &(s, cw) in self.ucand(u) {
+                    others.extend(self.kw_positions(s).iter().map(|&j| (cw, j, s)));
                 }
                 // One sort per user: every held keyword's HW set is a
                 // prefix of this order. (The reference construction loops
                 // keywords-outer and re-sorts per holder; same key, same
-                // members.)
+                // members.) A keyword held at several positions of `W`
+                // fills as many places of the `ws − 1` cap.
                 others.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
                 for &(_, j, w) in others.iter() {
-                    set.clear();
-                    for &(_, _, t) in others.iter() {
-                        if set.len() == cap {
+                    bits.clear();
+                    bits.extend_from_slice(&self.ox_bits);
+                    let mut placed = 0;
+                    for &(_, _, s) in others.iter() {
+                        if placed == cap {
                             break;
                         }
-                        if t != w {
-                            set.push(t);
+                        if s != w {
+                            set_bit(bits, s);
+                            placed += 1;
                         }
                     }
-                    set.push(w);
-                    hcand.assign_with_terms(&self.spec.ox_doc, set);
-                    rows.push((j, self.ts_cand(hcand, u)));
+                    set_bit(bits, w);
+                    rows.push((j, self.ts_cand(bits, u)));
                 }
                 off.push(rows.len() as u32);
             }
@@ -491,24 +616,44 @@ impl<'a> CandidateContext<'a> {
     }
 
     /// [`CandidateContext::qualifies`] with the spatial part precomputed,
-    /// for `cand ⊆ ox.d ∪ W`. Overlap and weight sum come from one pass
-    /// over the user's candidate-term run.
+    /// for the slot set `cand`.
     #[inline]
-    pub(crate) fn qualifies_with_ss(&self, ss: f64, cand: &Document, u: usize) -> bool {
-        let mut any = false;
-        let mut sum = 0.0;
-        for &(t, w) in self.ucand(u) {
-            if cand.contains(t) {
-                any = true;
-                sum += w;
+    pub(crate) fn qualifies_with_ss(&self, ss: f64, cand: &[u64], u: usize) -> bool {
+        self.ctx.combine(ss, self.ts_cand(cand, u)) >= self.rsk[u]
+    }
+
+    /// Calls `f(pos, verdict)` for every position of `lu`, in order: does
+    /// user `lu[pos]` qualify for the slot set `cand` at spatial score
+    /// `ss[pos]`?
+    ///
+    /// The textual half of a verdict depends on `(cand, u)` alone, so it
+    /// is kept per user — one column for `ox.d` alone, one for the last
+    /// other set seen — and a location counting the same set as the one
+    /// before it pays one `combine` per user. A column is keyed by its set
+    /// and by the users it has seen: a new set starts it afresh, a user
+    /// the §7 pipeline appended since is computed on first use.
+    pub(crate) fn for_each_verdict(
+        &self,
+        cand: &[u64],
+        lu: &[usize],
+        ss: &[f64],
+        mut f: impl FnMut(usize, bool),
+    ) {
+        let mut memos = self.memo.borrow_mut();
+        let memo = &mut memos[usize::from(cand != self.ox_bits.as_slice())];
+        if memo.key != cand {
+            memo.key.clear();
+            memo.key.extend_from_slice(cand);
+            memo.ts.clear();
+        }
+        memo.ts.resize(self.num_users(), f64::INFINITY);
+        for (pos, (&u, &s)) in lu.iter().zip(ss).enumerate() {
+            let ts = &mut memo.ts[u];
+            if *ts == f64::INFINITY {
+                *ts = self.ts_cand(cand, u);
             }
+            f(pos, self.ctx.combine(s, *ts) >= self.rsk[u]);
         }
-        if !any {
-            return false;
-        }
-        let n_u = self.n_u[u];
-        let ts = if n_u > 0.0 { (sum / n_u).min(1.0) } else { 0.0 };
-        self.ctx.combine(ss, ts) >= self.rsk[u]
     }
 
     /// Fills `out` with the spatial scores of `loc` for `candidates`.
@@ -517,31 +662,21 @@ impl<'a> CandidateContext<'a> {
         out.extend(candidates.iter().map(|&u| self.ss_at(loc, u)));
     }
 
-    /// [`CandidateContext::brstknn`] into a reusable buffer; `ss` holds the
-    /// spatial scores aligned with `candidates`.
+    /// [`CandidateContext::brstknn`] into a reusable buffer, for the slot
+    /// set `cand`; `ss` holds the spatial scores aligned with `candidates`.
     pub(crate) fn brstknn_into(
         &self,
-        cand: &Document,
+        cand: &[u64],
         candidates: &[usize],
         ss: &[f64],
         out: &mut Vec<u32>,
     ) {
         out.clear();
-        for (i, &u) in candidates.iter().enumerate() {
-            if self.qualifies_with_ss(ss[i], cand, u) {
-                out.push(self.ids[u]);
+        self.for_each_verdict(cand, candidates, ss, |pos, q| {
+            if q {
+                out.push(self.ids[candidates[pos]]);
             }
-        }
-    }
-
-    /// BRSTkNN cardinality without materializing the user ids.
-    #[cfg(test)]
-    pub(crate) fn brstknn_count(&self, cand: &Document, candidates: &[usize], ss: &[f64]) -> usize {
-        candidates
-            .iter()
-            .enumerate()
-            .filter(|&(i, &u)| self.qualifies_with_ss(ss[i], cand, u))
-            .count()
+        });
     }
 }
 
@@ -558,8 +693,8 @@ impl<'a> CandidateContext<'a> {
 /// that turns `C(20,3) · |U|` scoring calls into `C(20,3) · ~|touched|`.
 #[derive(Debug, Default)]
 pub(crate) struct DeltaScan {
-    /// Holder-position rows, parallel to the `terms` column of the last
-    /// [`DeltaScan::build`] (pooled; rows past `terms.len()` are stale).
+    /// Holder-position rows, parallel to the `slots` column of the last
+    /// [`DeltaScan::build`] (pooled; rows past `slots.len()` are stale).
     inv: Vec<Vec<u32>>,
     /// Positions gathered for the current combination.
     touched: Vec<u32>,
@@ -573,35 +708,35 @@ pub(crate) struct DeltaScan {
 
 impl DeltaScan {
     /// Rebuilds the holder rows: `inv[j]` lists the positions `p` (into
-    /// `lu` and its aligned `ss` column) whose user holds `terms[j]`,
-    /// restricted to `positions`. Terms of `ox.d` get empty rows — adding
-    /// them to a candidate never changes a score, because they already
-    /// count through `ox.d` itself.
+    /// `lu` and its aligned `ss` column) whose user holds the term of slot
+    /// `slots[j]`, restricted to `positions`. Terms of `ox.d` get empty
+    /// rows — adding them to a candidate never changes a score, because
+    /// they already count through `ox.d` itself.
     pub(crate) fn build(
         &mut self,
         cc: &CandidateContext<'_>,
-        terms: &[TermId],
+        slots: &[usize],
         lu: &[usize],
         positions: impl IntoIterator<Item = usize>,
     ) {
-        while self.inv.len() < terms.len() {
+        while self.inv.len() < slots.len() {
             self.inv.push(Vec::new());
         }
-        for row in &mut self.inv[..terms.len()] {
+        for row in &mut self.inv[..slots.len()] {
             row.clear();
         }
         self.stamp.clear();
         self.stamp.resize(lu.len(), 0);
         self.epoch = 0;
         for pos in positions {
-            for &(t, _) in cc.ucand(lu[pos]) {
-                if cc.spec.ox_doc.contains(t) {
+            for &(s, _) in cc.ucand(lu[pos]) {
+                if cc.in_ox(s) {
                     continue;
                 }
-                // Duplicate terms each get the holder — combinations
-                // address terms by position, not value.
-                for (j, &w) in terms.iter().enumerate() {
-                    if w == t {
+                // Duplicate keywords each get the holder — combinations
+                // address keywords by position, not value.
+                for (j, &k) in slots.iter().enumerate() {
+                    if k == s {
                         self.inv[j].push(pos as u32);
                     }
                 }
@@ -615,7 +750,7 @@ impl DeltaScan {
         combo.into_iter().map(|j| self.inv[j].len()).sum()
     }
 
-    /// Holder row of a single term position.
+    /// Holder row of a single keyword position.
     pub(crate) fn row(&self, j: usize) -> &[u32] {
         &self.inv[j]
     }
@@ -668,16 +803,21 @@ pub(crate) mod test_fixture {
         random_fixture_with(WeightModel::lm(), seed, n_users, n_kws)
     }
 
-    fn random_fixture_with(model: WeightModel, seed: u64, n_users: usize, n_kws: usize) -> Fix {
+    /// Xorshift stream: `next(m)` draws from `0..m`.
+    fn stream(seed: u64) -> impl FnMut(u64) -> u64 {
         let mut state = seed
             .wrapping_mul(0x9E3779B97F4A7C15)
             .wrapping_add(0x2545F4914F6CDD1D);
-        let mut next = move |m: u64| {
+        move |m: u64| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state % m
-        };
+        }
+    }
+
+    fn random_fixture_with(model: WeightModel, seed: u64, n_users: usize, n_kws: usize) -> Fix {
+        let mut next = stream(seed);
         const VOCAB: u64 = 25;
         let docs: Vec<Document> = (0..40)
             .map(|_| {
@@ -709,6 +849,76 @@ pub(crate) mod test_fixture {
         };
         let rsk = (0..n_users)
             .map(|_| 0.3 + next(60) as f64 / 100.0)
+            .collect();
+        Fix {
+            ctx,
+            users,
+            spec,
+            rsk,
+        }
+    }
+
+    /// An instance whose `W ∪ ox.d` has exactly `slots` terms — term `i`
+    /// has slot `i` — so slot sets span one, two or three words. Even
+    /// seeds: `W` is every candidate term and `ox.d` is empty; odd seeds:
+    /// `W` holds the terms `i ≢ 0 (mod 3)`, `ox.d` the rest plus one of
+    /// `W`'s. `W` comes in a drawn order with its first keyword repeated.
+    /// User `i` holds term `37·i mod slots` (so holders spread over every
+    /// word) and up to three drawn terms, some beyond the candidates. LM
+    /// weights, `ws = 3`.
+    pub(crate) fn wide_fixture(seed: u64, slots: u32, n_users: usize) -> Fix {
+        let mut next = stream(seed);
+        let vocab = u64::from(slots) + 8;
+        let docs: Vec<Document> = (0..60)
+            .map(|_| {
+                let n = 1 + next(4);
+                Document::from_terms((0..n).map(|_| t(next(vocab) as u32)))
+            })
+            .collect();
+        let text = TextScorer::from_docs(WeightModel::lm(), &docs);
+        let users: Vec<UserData> = (0..n_users as u32)
+            .map(|i| {
+                let n = next(4);
+                UserData {
+                    id: i,
+                    point: Point::new(next(1000) as f64 / 100.0, next(1000) as f64 / 100.0),
+                    doc: Document::from_terms(
+                        std::iter::once(t(i * 37 % slots))
+                            .chain((0..n).map(|_| t(next(vocab) as u32))),
+                    ),
+                }
+            })
+            .collect();
+        let split = seed % 2 == 1;
+        let mut keywords: Vec<TermId> =
+            (0..slots).filter(|i| !split || i % 3 != 0).map(t).collect();
+        for i in (1..keywords.len()).rev() {
+            keywords.swap(i, next(i as u64 + 1) as usize);
+        }
+        keywords.push(keywords[0]);
+        let ox_doc = if split {
+            Document::from_terms(
+                (0..slots)
+                    .filter(|i| i % 3 == 0)
+                    .map(t)
+                    .chain([keywords[1]]),
+            )
+        } else {
+            Document::new()
+        };
+        let space = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
+        let ctx = ScoreContext::new(0.5, SpatialContext::from_dataspace(&space), text);
+        let spec = QuerySpec {
+            ox_doc,
+            locations: (0..3)
+                .map(|_| Point::new(next(1000) as f64 / 100.0, next(1000) as f64 / 100.0))
+                .collect(),
+            keywords,
+            ws: 3,
+            k: 2,
+        };
+        let rsk = (0..n_users)
+            .map(|_| 0.15 + next(50) as f64 / 100.0)
             .collect();
         Fix {
             ctx,
@@ -791,6 +1001,7 @@ pub(crate) mod test_fixture {
 mod tests {
     use super::test_fixture::{fixture, t};
     use super::*;
+    use crate::select::reference;
 
     #[test]
     fn ubl_user_dominates_every_keyword_choice() {
@@ -868,48 +1079,91 @@ mod tests {
         }
     }
 
-    /// The allocation-free kernels must be bit-identical to the public
-    /// reference paths for every candidate document `⊆ ox.d ∪ W`.
+    /// The slot-set kernels must be bit-identical to the public reference
+    /// paths for every candidate document `⊆ ox.d ∪ W` — on the small
+    /// fixture and with `|W ∪ ox.d|` on both sides of one and two 64-bit
+    /// words — and so must `UBL`'s text from the user's run. A count
+    /// repeated with the same set, on a sparser list, after a count with
+    /// `ox.d` alone, reads its text verdicts back from the memo.
     #[test]
     fn fast_kernels_match_reference_paths() {
-        let f = fixture();
-        let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
-        let kws = &f.spec.keywords;
-        let mut cands = vec![cc.with_keywords(&[])];
-        for i in 0..kws.len() {
-            cands.push(cc.with_keywords(&[kws[i]]));
-            for j in (i + 1)..kws.len() {
-                cands.push(cc.with_keywords(&[kws[i], kws[j]]));
-            }
+        use super::test_fixture::wide_fixture;
+        let mut fixtures = vec![fixture()];
+        for (seed, slots) in [(0, 63), (1, 64), (2, 65), (3, 130), (4, 130), (5, 63)] {
+            fixtures.push(wide_fixture(seed, slots, 70));
         }
-        for loc in &f.spec.locations {
-            for u in 0..f.users.len() {
-                let ss = cc.ss_at(loc, u);
-                assert_eq!(
-                    cc.ubl_user_with_ss(ss, u).to_bits(),
-                    cc.ubl_user(loc, u).to_bits()
-                );
-                for cand in &cands {
-                    assert_eq!(
-                        cc.sts_with_ss(ss, cand, u).to_bits(),
-                        cc.sts_candidate(loc, cand, u).to_bits()
-                    );
-                    assert_eq!(
-                        cc.qualifies_with_ss(ss, cand, u),
-                        cc.qualifies(loc, cand, u)
-                    );
-                }
+        let mut high = 0;
+        for f in &fixtures {
+            let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
+            let kws = &f.spec.keywords;
+            // Nothing, every keyword alone, and pairs and triples of
+            // keywords far apart in `W`.
+            let mut sets: Vec<Vec<TermId>> = vec![Vec::new()];
+            sets.extend(kws.iter().map(|&w| vec![w]));
+            for i in 0..kws.len() {
+                sets.push(vec![kws[i], kws[(i * 7 + 3) % kws.len()]]);
+                sets.push(vec![
+                    kws[i],
+                    kws[(i * 5 + 1) % kws.len()],
+                    kws[kws.len() - 1 - i],
+                ]);
             }
             let all: Vec<usize> = (0..f.users.len()).collect();
-            let mut ss = Vec::new();
-            cc.fill_ss(loc, &all, &mut ss);
-            for cand in &cands {
+            let sparse: Vec<usize> = all.iter().copied().filter(|u| u % 3 != 1).collect();
+            let mut bits = Vec::new();
+            for loc in &f.spec.locations {
+                for u in 0..f.users.len() {
+                    let ss = cc.ss_at(loc, u);
+                    let ubl_ts = reference::ubl_ts(&cc, u);
+                    assert_eq!(
+                        cc.ubl_user_with_ss(ss, u).to_bits(),
+                        cc.ctx.combine(ss, ubl_ts).to_bits()
+                    );
+                    for kw in &sets {
+                        let doc = cc.with_keywords(kw);
+                        cc.cand_set(kw, &mut bits);
+                        assert_eq!(
+                            cc.sts_with_ss(ss, &bits, u).to_bits(),
+                            cc.sts_candidate(loc, &doc, u).to_bits()
+                        );
+                        let q = cc.qualifies(loc, &doc, u);
+                        assert_eq!(cc.qualifies_with_ss(ss, &bits, u), q);
+                        high += usize::from(q && cc.ucand(u).iter().any(|&(s, _)| s >= 64));
+                    }
+                }
+                let mut ss = Vec::new();
                 let mut got = Vec::new();
-                cc.brstknn_into(cand, &all, &ss, &mut got);
-                assert_eq!(got, cc.brstknn(loc, cand, &all));
-                assert_eq!(cc.brstknn_count(cand, &all, &ss), got.len());
+                for kw in &sets {
+                    let doc = cc.with_keywords(kw);
+                    cc.cand_set(kw, &mut bits);
+                    for lu in [&all, &sparse] {
+                        cc.fill_ss(loc, lu, &mut ss);
+                        cc.brstknn_into(&bits, lu, &ss, &mut got);
+                        assert_eq!(got, cc.brstknn(loc, &doc, lu));
+                        cc.brstknn_into(&cc.ox_bits, lu, &ss, &mut got);
+                        assert_eq!(got, cc.brstknn(loc, &cc.spec.ox_doc, lu));
+                    }
+                }
             }
+            // As in §7: a context that gains users between two counts of
+            // the same set counts like one built with all of them.
+            let half = f.users.len() / 2;
+            let mut grown =
+                CandidateContext::new(&f.ctx, &f.spec, &f.users[..half], &f.rsk[..half]);
+            let (loc, kw) = (&f.spec.locations[0], &sets[sets.len() / 2]);
+            cc.cand_set(kw, &mut bits);
+            let (mut ss, mut got, mut want) = (Vec::new(), Vec::new(), Vec::new());
+            grown.fill_ss(loc, &all[..half], &mut ss);
+            grown.brstknn_into(&bits, &all[..half], &ss, &mut got);
+            for (u, &r) in f.users.iter().zip(&f.rsk).skip(half) {
+                grown.push_user(u, f.ctx.text.normalizer(&u.doc), r);
+            }
+            grown.fill_ss(loc, &all, &mut ss);
+            grown.brstknn_into(&bits, &all, &ss, &mut got);
+            cc.brstknn_into(&bits, &all, &ss, &mut want);
+            assert_eq!(got, want);
         }
+        assert!(high > 100, "{high} verdicts on users past slot 63");
     }
 
     #[test]

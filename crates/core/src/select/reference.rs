@@ -2,15 +2,15 @@
 //!
 //! Each is the construction the paper states, per candidate location and
 //! on the public slow paths of [`CandidateContext`] (full user documents,
-//! fresh buffers, no tables): the differential tests hold the pooled,
-//! table-driven kernels to them member for member.
+//! `Document` candidates, position lists, fresh buffers, no tables): the
+//! differential tests hold the pooled, slot- and bitset-driven kernels to
+//! them member for member.
 
 use std::collections::BinaryHeap;
 
-use text::{Document, TermId};
+use text::TermId;
 
 use super::exact::Combinations;
-use super::greedy::greedy_cover;
 use super::location::KeywordSelector;
 use super::CandidateContext;
 use crate::topk::ByKey;
@@ -31,10 +31,10 @@ pub(crate) fn build_luw(
         cc.spec.keywords.iter().map(|&w| (w, Vec::new())).collect();
     for &u in lu {
         let mut others: Vec<(f64, usize, TermId)> = Vec::new();
-        for &(t, cw) in cc.ucand(u) {
+        for t in cc.users[u].doc.terms() {
             for (j, &w) in cc.spec.keywords.iter().enumerate() {
                 if w == t {
-                    others.push((cw, j, t));
+                    others.push((cc.cw(t), j, t));
                 }
             }
         }
@@ -47,14 +47,75 @@ pub(crate) fn build_luw(
                 .take(cc.spec.ws.saturating_sub(1))
                 .collect();
             hw.push(w);
-            let mut hcand = Document::new();
-            hcand.assign_with_terms(&cc.spec.ox_doc, &hw);
-            if cc.sts_with_ss(cc.ss_at(loc, u), &hcand, u) >= cc.rsk[u] {
+            if cc.sts_candidate(loc, &cc.with_keywords(&hw), u) >= cc.rsk[u] {
                 luw[j].1.push(u);
             }
         }
     }
     luw
+}
+
+/// The location-independent text of `UBL(·, u)` from the user's document:
+/// the weights of `ox.d`'s terms `u` holds, plus the `ws` heaviest of the
+/// keywords of `W` it holds outside `ox.d`, once per position in `W`.
+pub(crate) fn ubl_ts(cc: &CandidateContext<'_>, u: usize) -> f64 {
+    let (doc, ox) = (&cc.users[u].doc, &cc.spec.ox_doc);
+    let fixed: f64 = ox
+        .terms()
+        .filter(|&t| doc.contains(t))
+        .map(|t| cc.cw(t))
+        .sum();
+    let added = cc.top_ws_weight_sum(
+        cc.spec
+            .keywords
+            .iter()
+            .copied()
+            .filter(|&t| doc.contains(t) && !ox.contains(t)),
+    );
+    if cc.n_u[u] > 0.0 {
+        ((fixed + added) / cc.n_u[u]).min(1.0)
+    } else {
+        0.0
+    }
+}
+
+/// Greedy maximum coverage over position lists: each round takes the set
+/// with the most uncovered members, ties to the larger set, then to the
+/// first; empty sets are never taken. The bitset cover of
+/// [`super::greedy`] is held to it.
+pub(crate) fn greedy_cover(
+    luw: &[(TermId, Vec<usize>)],
+    ws: usize,
+    num_users: usize,
+) -> Vec<TermId> {
+    let mut covered = vec![false; num_users];
+    let mut used = vec![false; luw.len()];
+    let mut chosen = Vec::new();
+    for _ in 0..ws {
+        // (idx, uncovered gain, total size).
+        let mut best: Option<(usize, usize, usize)> = None;
+        for (i, (_, m)) in luw.iter().enumerate() {
+            if used[i] || m.is_empty() {
+                continue;
+            }
+            let gain = m.iter().filter(|&&u| !covered[u]).count();
+            let better = match best {
+                None => true,
+                Some((_, g, s)) => gain > g || (gain == g && m.len() > s),
+            };
+            if better {
+                best = Some((i, gain, m.len()));
+            }
+        }
+        let Some((i, _, _)) = best else { break };
+        used[i] = true;
+        chosen.push(luw[i].0);
+        for &u in &luw[i].1 {
+            covered[u] = true;
+        }
+    }
+    chosen.sort_unstable();
+    chosen
 }
 
 /// §6.2.1 on the reference `LUW` sets.

@@ -22,7 +22,8 @@
 //!     read chunk.
 //!     A well-formed frame the engine would panic on (`k = 0`, no
 //!     candidate location) or over-allocate for (a huge `k`) costs one
-//!     reply, not the worker; removing the last user is a rejection.
+//!     reply, not the worker; a huge `ws` is answered; removing the last
+//!     user is a rejection.
 //! (e) **Introspection** — `stats` returns the engine's counters as JSON
 //!     and `metrics` returns a Prometheus page that includes the serve
 //!     counters next to the engine's own.
@@ -495,6 +496,43 @@ fn hostile_query_specs_cost_a_reply_not_the_worker() {
             .count()
             + 6
     );
+}
+
+/// A keyword budget near `usize::MAX` beside a non-empty `ox.d` used to
+/// overflow `|ox.d| + ws`: a panic that ended the worker in a debug build,
+/// a reference length of 1 that reweighed every candidate keyword in a
+/// release one. A single-worker server answers that frame for every method
+/// as the in-process engine does, then answers the next client.
+#[test]
+fn a_huge_keyword_budget_is_answered() {
+    let serving = serving_engine(41);
+    let server = bind(
+        &serving,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let good = specs().remove(0);
+    let huge = QuerySpec {
+        ws: usize::MAX,
+        ..good.clone()
+    };
+    assert!(!huge.ox_doc.is_empty());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for method in Method::ALL {
+        let net = client
+            .query(method, &huge)
+            .unwrap_or_else(|e| panic!("{}: no answer: {e}", method.name()));
+        assert_eq!(net, serving.query(&huge, method).0, "{}", method.name());
+    }
+    // A worker serves one connection at a time: close this one first.
+    drop(client);
+    let mut next = Client::connect(server.local_addr()).unwrap();
+    let net = next
+        .query(Method::JointGreedy, &good)
+        .expect("the worker is alive");
+    assert_eq!(net, serving.query(&good, Method::JointGreedy).0);
 }
 
 /// Removing the last user is a rejected mutation, not a panic under the
