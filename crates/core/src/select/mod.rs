@@ -116,7 +116,7 @@ pub struct CandidateContext<'a> {
     /// document would.
     ucand_flat: Vec<(usize, f64)>,
     ucand_off: Vec<u32>,
-    /// Scratch for [`CandidateContext::top_ws_weight_sum`].
+    /// Scratch for `CandidateContext::top_ws_sum`.
     ws_buf: RefCell<Vec<f64>>,
     /// Optimistic `TS` of `HW_{w,u}` per ⟨user, held keyword⟩; see
     /// [`CandidateContext::hw_table`].
@@ -345,14 +345,8 @@ impl<'a> CandidateContext<'a> {
         self.ucand_off[u] != self.ucand_off[u + 1]
     }
 
-    /// Sum of the `ws` largest candidate weights among `terms` (Lemma 3's
-    /// `Wh` / `Wu` construction).
-    pub fn top_ws_weight_sum(&self, terms: impl Iterator<Item = TermId>) -> f64 {
-        self.top_ws_sum(terms.map(|t| self.cw(t)))
-    }
-
-    /// Sum of the `ws` largest positive `weights`, added in descending
-    /// order.
+    /// Sum of the `ws` largest positive candidate `weights`, added in
+    /// descending order (Lemma 3's `Wh` / `Wu` construction).
     fn top_ws_sum(&self, weights: impl Iterator<Item = f64>) -> f64 {
         let mut buf = self.ws_buf.borrow_mut();
         buf.clear();
@@ -550,14 +544,6 @@ impl<'a> CandidateContext<'a> {
         } else {
             0.0
         }
-    }
-
-    /// [`CandidateContext::sts_candidate`] with the spatial part
-    /// precomputed, for the slot set `cand`.
-    #[cfg(test)]
-    pub(crate) fn sts_with_ss(&self, ss: f64, cand: &[u64], u: usize) -> f64 {
-        let ts = self.ts_cand(cand, u);
-        self.ctx.combine(ss, if ts.is_nan() { 0.0 } else { ts })
     }
 
     /// The §6.2.1 preprocessing, minus the location: for every user `u`
@@ -1122,10 +1108,10 @@ mod tests {
                     for kw in &sets {
                         let doc = cc.with_keywords(kw);
                         cc.cand_set(kw, &mut bits);
-                        assert_eq!(
-                            cc.sts_with_ss(ss, &bits, u).to_bits(),
-                            cc.sts_candidate(loc, &doc, u).to_bits()
-                        );
+                        // `sts_candidate` with the spatial part hoisted.
+                        let ts = cc.ts_cand(&bits, u);
+                        let sts = cc.ctx.combine(ss, if ts.is_nan() { 0.0 } else { ts });
+                        assert_eq!(sts.to_bits(), cc.sts_candidate(loc, &doc, u).to_bits());
                         let q = cc.qualifies(loc, &doc, u);
                         assert_eq!(cc.qualifies_with_ss(ss, &bits, u), q);
                         high += usize::from(q && cc.ucand(u).iter().any(|&(s, _)| s >= 64));
@@ -1171,7 +1157,7 @@ mod tests {
         let f = fixture();
         let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
         // KO: every candidate weight is 1, ws=2 → sum 2.
-        let sum = cc.top_ws_weight_sum(f.spec.keywords.iter().copied());
+        let sum = cc.top_ws_sum(f.spec.keywords.iter().map(|&t| cc.cw(t)));
         assert!((sum - 2.0).abs() < 1e-12);
     }
 }

@@ -65,12 +65,13 @@ pub(crate) fn ubl_ts(cc: &CandidateContext<'_>, u: usize) -> f64 {
         .filter(|&t| doc.contains(t))
         .map(|t| cc.cw(t))
         .sum();
-    let added = cc.top_ws_weight_sum(
+    let added = cc.top_ws_sum(
         cc.spec
             .keywords
             .iter()
             .copied()
-            .filter(|&t| doc.contains(t) && !ox.contains(t)),
+            .filter(|&t| doc.contains(t) && !ox.contains(t))
+            .map(|t| cc.cw(t)),
     );
     if cc.n_u[u] > 0.0 {
         ((fixed + added) / cc.n_u[u]).min(1.0)
