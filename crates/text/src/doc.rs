@@ -147,40 +147,6 @@ impl Document {
                 .chain(extra.into_iter().map(|t| (t, 1))),
         )
     }
-
-    /// In-place twin of [`Document::with_terms`]: overwrites `self` with
-    /// `base` plus the extra unit-frequency terms, reusing the entry
-    /// buffer. Produces exactly `base.with_terms(extra)`.
-    pub fn assign_with_terms(&mut self, base: &Document, extra: &[TermId]) {
-        self.entries.clear();
-        self.entries.extend(base.entries.iter().copied());
-        self.entries.extend(extra.iter().map(|&t| (t, 1)));
-        self.normalize();
-    }
-
-    /// In-place twin of [`Document::from_terms`]: overwrites `self` with a
-    /// unit-frequency keyword-set document, reusing the entry buffer.
-    pub fn assign_unit_terms(&mut self, terms: &[TermId]) {
-        self.entries.clear();
-        self.entries.extend(terms.iter().map(|&t| (t, 1)));
-        self.normalize();
-    }
-
-    /// Sorts, merges duplicates, drops zero frequencies, and recomputes
-    /// the token count — the [`Document::from_pairs`] invariant.
-    fn normalize(&mut self) {
-        self.entries.retain(|&(_, tf)| tf > 0);
-        self.entries.sort_unstable_by_key(|&(t, _)| t);
-        self.entries.dedup_by(|next, acc| {
-            if next.0 == acc.0 {
-                acc.1 += next.1;
-                true
-            } else {
-                false
-            }
-        });
-        self.len = self.entries.iter().map(|&(_, tf)| u64::from(tf)).sum();
-    }
 }
 
 /// True if the two ascending iterators share an element.
@@ -323,26 +289,6 @@ mod tests {
         assert_eq!(extended.entries(), &[(t(1), 2), (t(3), 1)]);
         // The original is untouched.
         assert_eq!(base.entries(), &[(t(1), 1)]);
-    }
-
-    #[test]
-    fn assign_with_terms_matches_with_terms() {
-        let base = Document::from_pairs([(t(1), 2), (t(4), 1)]);
-        let mut d = Document::from_terms([t(9)]);
-        d.assign_with_terms(&base, &[t(4), t(2), t(2)]);
-        assert_eq!(d, base.with_terms([t(4), t(2), t(2)]));
-        d.assign_with_terms(&base, &[]);
-        assert_eq!(d, base);
-    }
-
-    #[test]
-    fn assign_unit_terms_matches_from_terms() {
-        let mut d = Document::from_pairs([(t(1), 7)]);
-        d.assign_unit_terms(&[t(5), t(2), t(5)]);
-        assert_eq!(d, Document::from_terms([t(5), t(2), t(5)]));
-        d.assign_unit_terms(&[]);
-        assert!(d.is_empty());
-        assert_eq!(d.len(), 0);
     }
 
     #[test]
