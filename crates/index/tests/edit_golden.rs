@@ -6,19 +6,19 @@
 //! `stale_keys` list. This test replays one seeded script per tree kind ×
 //! codec × fanout — bulk build, ~300 interleaved inserts/removes
 //! (including remove-to-empty, a root split and a root collapse),
-//! `compacted()`, two `splice_reweighed` calls, `save` → `load` — and
+//! `compacted()`, `save` → `load` — and
 //! compares every exact counter, an order-sensitive hash of all stale
 //! keys, a hash of everything a BFS over the zero-copy read path decodes,
 //! and a hash of the saved file images against constants captured once.
 //! The constants only change when the on-disk behaviour changes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 use geo::Point;
 use index::{
     ChildRef, IndexedObject, IndexedUser, MiurScratch, MiurTree, NodeScratch, PostingMode,
-    PostingsScratch, SpliceReport, StTree, TreeEdit, UserRef,
+    PostingsScratch, StTree, TreeEdit, UserRef,
 };
 use splitmix::SplitMix64;
 use storage::{CodecId, IoStats};
@@ -65,18 +65,6 @@ struct Record(Vec<(String, u64)>);
 impl Record {
     fn push(&mut self, name: impl Into<String>, v: u64) {
         self.0.push((name.into(), v));
-    }
-
-    fn report(&mut self, stage: &str, r: &SpliceReport) {
-        self.push(format!("{stage}.read_ios"), r.edit.read_ios);
-        self.push(format!("{stage}.node_writes"), r.edit.node_writes);
-        self.push(format!("{stage}.payload_blocks"), r.edit.payload_blocks);
-        self.push(
-            format!("{stage}.stale_keys"),
-            r.edit.stale_keys.len() as u64,
-        );
-        self.push(format!("{stage}.spliced_records"), r.spliced_records);
-        self.push(format!("{stage}.reweighed_entries"), r.reweighed_entries);
     }
 
     fn check(&self, label: &str, want: &[u64]) {
@@ -127,17 +115,14 @@ impl EditSum {
 /// The operations the script needs from either tree.
 trait Tree: Sized {
     type Item;
-    type Reweigh;
     const SIDE_FILE: &'static str;
 
     fn build(items: &[Self::Item], fanout: usize, codec: CodecId) -> Self;
     fn item(g: &mut SplitMix64, id: u32) -> Self::Item;
     fn key(item: &Self::Item) -> (u32, Point);
-    fn reweigh(g: &mut SplitMix64) -> Self::Reweigh;
     fn insert_item(&mut self, item: &Self::Item) -> TreeEdit;
     fn remove_item(&mut self, id: u32, point: Point) -> Option<TreeEdit>;
     fn compact(&self) -> Self;
-    fn splice(&self, map: &HashMap<u32, Self::Reweigh>) -> (Self, SpliceReport);
     fn store(&self, dir: &Path);
     fn reopen(dir: &Path) -> Self;
     /// `[root, height, len, node_bytes, side_bytes, freed, footprint_io]`.
@@ -146,11 +131,26 @@ trait Tree: Sized {
     fn content_hash(&self) -> u64;
 }
 
+/// A random object document over `VOCAB` terms.
+fn weighted_doc(g: &mut SplitMix64) -> WeightedDoc {
+    let k = 1 + g.below(8);
+    let mut pairs: Vec<(TermId, f64)> = Vec::new();
+    for _ in 0..k {
+        let t = TermId(g.below(u64::from(VOCAB)) as u32);
+        // Coarse weights so distinct objects often tie on a maximum
+        // (exercises the unchanged-summary ancestor splice).
+        let w = (1 + g.below(8)) as f64 / 8.0;
+        if pairs.iter().all(|&(seen, _)| seen != t) {
+            pairs.push((t, w));
+        }
+    }
+    WeightedDoc::from_pairs(pairs)
+}
+
 struct St<const MAX_MIN: bool>(StTree);
 
 impl<const MAX_MIN: bool> Tree for St<MAX_MIN> {
     type Item = IndexedObject;
-    type Reweigh = WeightedDoc;
     const SIDE_FILE: &'static str = "invfiles.mbrs";
 
     fn build(items: &[IndexedObject], fanout: usize, codec: CodecId) -> Self {
@@ -166,27 +166,12 @@ impl<const MAX_MIN: bool> Tree for St<MAX_MIN> {
         IndexedObject {
             id,
             point: Point::new(g.range(-50.0, 50.0), g.range(-50.0, 50.0)),
-            doc: Self::reweigh(g),
+            doc: weighted_doc(g),
         }
     }
 
     fn key(item: &IndexedObject) -> (u32, Point) {
         (item.id, item.point)
-    }
-
-    fn reweigh(g: &mut SplitMix64) -> WeightedDoc {
-        let k = 1 + g.below(8);
-        let mut pairs: Vec<(TermId, f64)> = Vec::new();
-        for _ in 0..k {
-            let t = TermId(g.below(u64::from(VOCAB)) as u32);
-            // Coarse weights so distinct objects often tie on a maximum
-            // (exercises the unchanged-summary ancestor splice).
-            let w = (1 + g.below(8)) as f64 / 8.0;
-            if pairs.iter().all(|&(seen, _)| seen != t) {
-                pairs.push((t, w));
-            }
-        }
-        WeightedDoc::from_pairs(pairs)
     }
 
     fn insert_item(&mut self, item: &IndexedObject) -> TreeEdit {
@@ -199,11 +184,6 @@ impl<const MAX_MIN: bool> Tree for St<MAX_MIN> {
 
     fn compact(&self) -> Self {
         St(self.0.compacted())
-    }
-
-    fn splice(&self, map: &HashMap<u32, WeightedDoc>) -> (Self, SpliceReport) {
-        let (tree, report) = self.0.splice_reweighed(map);
-        (St(tree), report)
     }
 
     fn store(&self, dir: &Path) {
@@ -266,7 +246,6 @@ struct Miur(MiurTree);
 
 impl Tree for Miur {
     type Item = IndexedUser;
-    type Reweigh = f64;
     const SIDE_FILE: &'static str = "intuni.mbrs";
 
     fn build(items: &[IndexedUser], fanout: usize, codec: CodecId) -> Self {
@@ -284,17 +263,13 @@ impl Tree for Miur {
             id,
             point,
             doc: Document::from_terms(terms),
-            norm: Self::reweigh(g),
+            // Coarse norms: many users share a norm bracket.
+            norm: (1 + g.below(6)) as f64 / 2.0,
         }
     }
 
     fn key(item: &IndexedUser) -> (u32, Point) {
         (item.id, item.point)
-    }
-
-    fn reweigh(g: &mut SplitMix64) -> f64 {
-        // Coarse norms: many re-norms land inside an existing bracket.
-        (1 + g.below(6)) as f64 / 2.0
     }
 
     fn insert_item(&mut self, item: &IndexedUser) -> TreeEdit {
@@ -307,11 +282,6 @@ impl Tree for Miur {
 
     fn compact(&self) -> Self {
         Miur(self.0.compacted())
-    }
-
-    fn splice(&self, map: &HashMap<u32, f64>) -> (Self, SpliceReport) {
-        let (tree, report) = self.0.splice_reweighed(map);
-        (Miur(tree), report)
     }
 
     fn store(&self, dir: &Path) {
@@ -458,17 +428,6 @@ fn run<T: Tree>(label: &str, fanout: usize, codec: CodecId) -> Record {
     record_tree(&mut rec, "compacted", &compact);
 
     live.sort_unstable();
-    let map: HashMap<u32, T::Reweigh> = live
-        .iter()
-        .step_by(7)
-        .map(|&i| (T::key(&pool[i]).0, T::reweigh(&mut g)))
-        .collect();
-    let (spliced, report) = tree.splice(&map);
-    rec.report("splice", &report);
-    record_tree(&mut rec, "spliced", &spliced);
-    let (respliced, report) = spliced.splice(&HashMap::new());
-    rec.report("splice_empty", &report);
-    record_tree(&mut rec, "respliced", &respliced);
 
     // The churned tree (freed placeholders and all) round-trips.
     let dir = std::env::temp_dir().join(format!("mbrstk-golden-{}-{label}", std::process::id()));
@@ -507,26 +466,26 @@ macro_rules! golden {
 }
 
 #[rustfmt::skip]
-golden!(ir_verbatim_f4, St<false>, 4, Verbatim, [/*ir_verbatim_f4*/ 20, 3, 60, 3_069, 10_440, 0, 42, 9_272_740_184_412_039_839, 927, 1, 0, 9, 4, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 1_999_706_159_080_554_094, 1_434, 4, 84, 4_878, 17_760, 2_697, 84, 15_860_092_064_403_576_080, 41, 4, 84, 4_878, 17_760, 0, 84, 3_609_970_314_025_798_124, 36, 18, 18, 0, 48, 12, 41, 4, 84, 4_878, 17_960, 0, 84, 1_247_263_351_957_459_590, 0, 0, 0, 0, 84, 0, 41, 4, 84, 4_878, 17_960, 0, 84, 1_247_263_351_957_459_590, 4_583_602_474_657_189_169, 8_921_070_704_421_893_975, 16_155_921_926_092_773_482, 1_434, 4, 84, 4_878, 17_760, 2_697, 84, 15_860_092_064_403_576_080, 33, 5_772_712_163_567_182_574, 1_442, 4, 84, 4_878, 17_760, 2_713, 84, 12_390_636_679_268_835_796]);
+golden!(ir_verbatim_f4, St<false>, 4, Verbatim, [/*ir_verbatim_f4*/ 20, 3, 60, 3_069, 10_440, 0, 42, 9_272_740_184_412_039_839, 927, 1, 0, 9, 4, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 1_999_706_159_080_554_094, 1_434, 4, 84, 4_878, 17_760, 2_697, 84, 15_860_092_064_403_576_080, 41, 4, 84, 4_878, 17_760, 0, 84, 3_609_970_314_025_798_124, 4_583_602_474_657_189_169, 8_921_070_704_421_893_975, 16_155_921_926_092_773_482, 1_434, 4, 84, 4_878, 17_760, 2_697, 84, 15_860_092_064_403_576_080, 33, 5_772_712_163_567_182_574, 1_442, 4, 84, 4_878, 17_760, 2_713, 84, 12_390_636_679_268_835_796]);
 #[rustfmt::skip]
-golden!(ir_verbatim_f32, St<false>, 32, Verbatim, [/*ir_verbatim_f32*/ 2, 2, 60, 2_259, 5_268, 0, 6, 16_159_065_223_883_304_736, 520, 1, 0, 9, 4, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 4_847_067_076_993_943_514, 751, 2, 72, 2_781, 6_772, 1_424, 10, 4_545_903_996_458_731_561, 4, 2, 72, 2_781, 6_772, 0, 10, 1_357_621_860_491_161_328, 8, 4, 4, 0, 2, 11, 4, 2, 72, 2_781, 6_816, 0, 10, 13_100_814_408_934_465_945, 0, 0, 0, 0, 10, 0, 4, 2, 72, 2_781, 6_816, 0, 10, 13_100_814_408_934_465_945, 14_955_457_896_097_772_922, 13_543_679_848_778_415_392, 6_640_691_833_852_881_900, 751, 2, 72, 2_781, 6_772, 1_424, 10, 4_545_903_996_458_731_561, 17, 3_969_501_510_650_135_096, 755, 2, 72, 2_781, 6_812, 1_432, 10, 4_713_753_928_694_223_594]);
+golden!(ir_verbatim_f32, St<false>, 32, Verbatim, [/*ir_verbatim_f32*/ 2, 2, 60, 2_259, 5_268, 0, 6, 16_159_065_223_883_304_736, 520, 1, 0, 9, 4, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 4_847_067_076_993_943_514, 751, 2, 72, 2_781, 6_772, 1_424, 10, 4_545_903_996_458_731_561, 4, 2, 72, 2_781, 6_772, 0, 10, 1_357_621_860_491_161_328, 14_955_457_896_097_772_922, 13_543_679_848_778_415_392, 6_640_691_833_852_881_900, 751, 2, 72, 2_781, 6_772, 1_424, 10, 4_545_903_996_458_731_561, 17, 3_969_501_510_650_135_096, 755, 2, 72, 2_781, 6_812, 1_432, 10, 4_713_753_928_694_223_594]);
 #[rustfmt::skip]
-golden!(ir_columnar_f4, St<false>, 4, Columnar, [/*ir_columnar_f4*/ 20, 3, 60, 1_729, 6_438, 0, 42, 9_272_740_184_412_039_839, 927, 1, 0, 4, 1, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 1_999_706_159_080_554_094, 1_434, 4, 84, 2_974, 10_809, 2_697, 84, 15_860_092_064_403_576_080, 41, 4, 84, 2_905, 10_809, 0, 84, 3_609_970_314_025_798_124, 36, 18, 18, 0, 48, 12, 41, 4, 84, 2_905, 10_994, 0, 84, 1_247_263_351_957_459_590, 0, 0, 0, 0, 84, 0, 41, 4, 84, 2_905, 10_994, 0, 84, 1_247_263_351_957_459_590, 7_995_406_925_895_148, 8_183_585_727_113_966_474, 16_155_921_926_092_773_482, 1_434, 4, 84, 2_974, 10_809, 2_697, 84, 15_860_092_064_403_576_080, 33, 5_772_712_163_567_182_574, 1_442, 4, 84, 2_972, 10_809, 2_713, 84, 12_390_636_679_268_835_796]);
+golden!(ir_columnar_f4, St<false>, 4, Columnar, [/*ir_columnar_f4*/ 20, 3, 60, 1_729, 6_438, 0, 42, 9_272_740_184_412_039_839, 927, 1, 0, 4, 1, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 1_999_706_159_080_554_094, 1_434, 4, 84, 2_974, 10_809, 2_697, 84, 15_860_092_064_403_576_080, 41, 4, 84, 2_905, 10_809, 0, 84, 3_609_970_314_025_798_124, 7_995_406_925_895_148, 8_183_585_727_113_966_474, 16_155_921_926_092_773_482, 1_434, 4, 84, 2_974, 10_809, 2_697, 84, 15_860_092_064_403_576_080, 33, 5_772_712_163_567_182_574, 1_442, 4, 84, 2_972, 10_809, 2_713, 84, 12_390_636_679_268_835_796]);
 #[rustfmt::skip]
-golden!(ir_columnar_f32, St<false>, 32, Columnar, [/*ir_columnar_f32*/ 2, 2, 60, 1_075, 3_360, 0, 6, 16_159_065_223_883_304_736, 520, 1, 0, 4, 1, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 4_847_067_076_993_943_514, 751, 2, 72, 1_392, 4_335, 1_424, 10, 4_545_903_996_458_731_561, 4, 2, 72, 1_386, 4_335, 0, 10, 1_357_621_860_491_161_328, 8, 4, 4, 0, 2, 11, 4, 2, 72, 1_386, 4_375, 0, 10, 13_100_814_408_934_465_945, 0, 0, 0, 0, 10, 0, 4, 2, 72, 1_386, 4_375, 0, 10, 13_100_814_408_934_465_945, 4_782_395_880_270_046_526, 15_105_090_620_898_339_178, 6_640_691_833_852_881_900, 751, 2, 72, 1_392, 4_335, 1_424, 10, 4_545_903_996_458_731_561, 17, 3_969_501_510_650_135_096, 755, 2, 72, 1_392, 4_342, 1_432, 10, 4_713_753_928_694_223_594]);
+golden!(ir_columnar_f32, St<false>, 32, Columnar, [/*ir_columnar_f32*/ 2, 2, 60, 1_075, 3_360, 0, 6, 16_159_065_223_883_304_736, 520, 1, 0, 4, 1, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 4_847_067_076_993_943_514, 751, 2, 72, 1_392, 4_335, 1_424, 10, 4_545_903_996_458_731_561, 4, 2, 72, 1_386, 4_335, 0, 10, 1_357_621_860_491_161_328, 4_782_395_880_270_046_526, 15_105_090_620_898_339_178, 6_640_691_833_852_881_900, 751, 2, 72, 1_392, 4_335, 1_424, 10, 4_545_903_996_458_731_561, 17, 3_969_501_510_650_135_096, 755, 2, 72, 1_392, 4_342, 1_432, 10, 4_713_753_928_694_223_594]);
 #[rustfmt::skip]
-golden!(mir_verbatim_f4, St<true>, 4, Verbatim, [/*mir_verbatim_f4*/ 20, 3, 60, 3_069, 15_264, 0, 42, 17_261_030_135_648_117_187, 927, 1, 0, 9, 4, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 17_495_355_848_963_387_908, 1_434, 4, 84, 4_878, 25_792, 2_697, 84, 3_625_748_692_734_961_909, 41, 4, 84, 4_878, 25_792, 0, 84, 16_997_163_494_688_943_213, 36, 18, 18, 0, 48, 12, 41, 4, 84, 4_878, 26_104, 0, 84, 12_031_749_627_275_303_563, 0, 0, 0, 0, 84, 0, 41, 4, 84, 4_878, 26_104, 0, 84, 12_031_749_627_275_303_563, 4_583_602_474_657_189_169, 7_487_927_511_705_801_621, 10_163_497_325_982_042_585, 1_434, 4, 84, 4_878, 25_792, 2_697, 84, 3_625_748_692_734_961_909, 33, 11_182_694_052_485_807_442, 1_442, 4, 84, 4_878, 25_792, 2_713, 84, 13_580_800_474_607_242_777]);
+golden!(mir_verbatim_f4, St<true>, 4, Verbatim, [/*mir_verbatim_f4*/ 20, 3, 60, 3_069, 15_264, 0, 42, 17_261_030_135_648_117_187, 927, 1, 0, 9, 4, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 17_495_355_848_963_387_908, 1_434, 4, 84, 4_878, 25_792, 2_697, 84, 3_625_748_692_734_961_909, 41, 4, 84, 4_878, 25_792, 0, 84, 16_997_163_494_688_943_213, 4_583_602_474_657_189_169, 7_487_927_511_705_801_621, 10_163_497_325_982_042_585, 1_434, 4, 84, 4_878, 25_792, 2_697, 84, 3_625_748_692_734_961_909, 33, 11_182_694_052_485_807_442, 1_442, 4, 84, 4_878, 25_792, 2_713, 84, 13_580_800_474_607_242_777]);
 #[rustfmt::skip]
-golden!(mir_verbatim_f32, St<true>, 32, Verbatim, [/*mir_verbatim_f32*/ 2, 2, 60, 2_259, 8_148, 0, 6, 7_029_746_285_327_353_805, 520, 1, 0, 9, 4, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 10_624_514_663_741_277_702, 751, 2, 72, 2_781, 10_340, 1_424, 10, 11_683_928_049_873_729_712, 4, 2, 72, 2_781, 10_340, 0, 10, 7_159_530_045_271_672_625, 8, 4, 4, 0, 2, 11, 4, 2, 72, 2_781, 10_408, 0, 10, 6_386_137_958_397_776_376, 0, 0, 0, 0, 10, 0, 4, 2, 72, 2_781, 10_408, 0, 10, 6_386_137_958_397_776_376, 14_955_457_896_097_772_922, 2_129_716_828_023_357_914, 13_791_085_121_320_112_355, 751, 2, 72, 2_781, 10_340, 1_424, 10, 11_683_928_049_873_729_712, 17, 1_966_117_004_749_286_256, 755, 2, 72, 2_781, 10_396, 1_432, 10, 3_890_135_785_621_218_711]);
+golden!(mir_verbatim_f32, St<true>, 32, Verbatim, [/*mir_verbatim_f32*/ 2, 2, 60, 2_259, 8_148, 0, 6, 7_029_746_285_327_353_805, 520, 1, 0, 9, 4, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 10_624_514_663_741_277_702, 751, 2, 72, 2_781, 10_340, 1_424, 10, 11_683_928_049_873_729_712, 4, 2, 72, 2_781, 10_340, 0, 10, 7_159_530_045_271_672_625, 14_955_457_896_097_772_922, 2_129_716_828_023_357_914, 13_791_085_121_320_112_355, 751, 2, 72, 2_781, 10_340, 1_424, 10, 11_683_928_049_873_729_712, 17, 1_966_117_004_749_286_256, 755, 2, 72, 2_781, 10_396, 1_432, 10, 3_890_135_785_621_218_711]);
 #[rustfmt::skip]
-golden!(mir_columnar_f4, St<true>, 4, Columnar, [/*mir_columnar_f4*/ 20, 3, 60, 1_729, 9_628, 0, 42, 17_261_030_135_648_117_187, 927, 1, 0, 4, 1, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 17_495_355_848_963_387_908, 1_434, 4, 84, 2_974, 16_708, 2_697, 84, 3_625_748_692_734_961_909, 41, 4, 84, 2_905, 16_708, 0, 84, 16_997_163_494_688_943_213, 36, 18, 18, 0, 48, 12, 41, 4, 84, 2_905, 16_937, 0, 84, 12_031_749_627_275_303_563, 0, 0, 0, 0, 84, 0, 41, 4, 84, 2_905, 16_937, 0, 84, 12_031_749_627_275_303_563, 7_995_406_925_895_148, 11_777_040_760_410_481_045, 10_163_497_325_982_042_585, 1_434, 4, 84, 2_974, 16_708, 2_697, 84, 3_625_748_692_734_961_909, 33, 11_182_694_052_485_807_442, 1_442, 4, 84, 2_972, 16_708, 2_713, 84, 13_580_800_474_607_242_777]);
+golden!(mir_columnar_f4, St<true>, 4, Columnar, [/*mir_columnar_f4*/ 20, 3, 60, 1_729, 9_628, 0, 42, 17_261_030_135_648_117_187, 927, 1, 0, 4, 1, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 17_495_355_848_963_387_908, 1_434, 4, 84, 2_974, 16_708, 2_697, 84, 3_625_748_692_734_961_909, 41, 4, 84, 2_905, 16_708, 0, 84, 16_997_163_494_688_943_213, 7_995_406_925_895_148, 11_777_040_760_410_481_045, 10_163_497_325_982_042_585, 1_434, 4, 84, 2_974, 16_708, 2_697, 84, 3_625_748_692_734_961_909, 33, 11_182_694_052_485_807_442, 1_442, 4, 84, 2_972, 16_708, 2_713, 84, 13_580_800_474_607_242_777]);
 #[rustfmt::skip]
-golden!(mir_columnar_f32, St<true>, 32, Columnar, [/*mir_columnar_f32*/ 2, 2, 60, 1_075, 4_093, 0, 6, 7_029_746_285_327_353_805, 520, 1, 0, 4, 1, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 10_624_514_663_741_277_702, 751, 2, 72, 1_392, 5_590, 1_424, 10, 11_683_928_049_873_729_712, 4, 2, 72, 1_386, 5_590, 0, 10, 7_159_530_045_271_672_625, 8, 4, 4, 0, 2, 11, 4, 2, 72, 1_386, 5_639, 0, 10, 6_386_137_958_397_776_376, 0, 0, 0, 0, 10, 0, 4, 2, 72, 1_386, 5_639, 0, 10, 6_386_137_958_397_776_376, 4_782_395_880_270_046_526, 17_327_610_867_239_987_591, 13_791_085_121_320_112_355, 751, 2, 72, 1_392, 5_590, 1_424, 10, 11_683_928_049_873_729_712, 17, 1_966_117_004_749_286_256, 755, 2, 72, 1_392, 5_615, 1_432, 10, 3_890_135_785_621_218_711]);
+golden!(mir_columnar_f32, St<true>, 32, Columnar, [/*mir_columnar_f32*/ 2, 2, 60, 1_075, 4_093, 0, 6, 7_029_746_285_327_353_805, 520, 1, 0, 4, 1, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 10_624_514_663_741_277_702, 751, 2, 72, 1_392, 5_590, 1_424, 10, 11_683_928_049_873_729_712, 4, 2, 72, 1_386, 5_590, 0, 10, 7_159_530_045_271_672_625, 4_782_395_880_270_046_526, 17_327_610_867_239_987_591, 13_791_085_121_320_112_355, 751, 2, 72, 1_392, 5_590, 1_424, 10, 11_683_928_049_873_729_712, 17, 1_966_117_004_749_286_256, 755, 2, 72, 1_392, 5_615, 1_432, 10, 3_890_135_785_621_218_711]);
 #[rustfmt::skip]
-golden!(miur_verbatim_f4, Miur, 4, Verbatim, [/*miur_verbatim_f4*/ 20, 3, 60, 3_389, 5_352, 0, 42, 16_887_787_491_925_888_050, 855, 1, 0, 9, 0, 1_710, 1, 6_502_522_889_399_334_998, 3_005, 1_339, 1_109, 2_640, 1_263_327_836_850_628_865, 1_359, 4, 70, 4_720, 7_252, 2_640, 80, 4_507_183_033_229_168_706, 39, 4, 70, 4_720, 7_252, 0, 80, 13_849_449_370_697_956_349, 28, 14, 14, 0, 52, 10, 39, 4, 70, 4_720, 7_252, 0, 80, 3_855_235_629_504_541_612, 0, 0, 0, 0, 80, 0, 39, 4, 70, 4_720, 7_252, 0, 80, 3_855_235_629_504_541_612, 15_250_444_192_413_157_490, 18_393_051_245_799_961_378, 17_068_415_966_147_459_823, 1_359, 4, 70, 4_720, 7_252, 2_640, 80, 4_507_183_033_229_168_706, 32, 10_476_031_576_440_452_837, 1_367, 4, 70, 4_720, 7_252, 2_656, 80, 4_101_762_708_734_492_202]);
+golden!(miur_verbatim_f4, Miur, 4, Verbatim, [/*miur_verbatim_f4*/ 20, 3, 60, 3_389, 5_352, 0, 42, 16_887_787_491_925_888_050, 855, 1, 0, 9, 0, 1_710, 1, 6_502_522_889_399_334_998, 3_005, 1_339, 1_109, 2_640, 1_263_327_836_850_628_865, 1_359, 4, 70, 4_720, 7_252, 2_640, 80, 4_507_183_033_229_168_706, 39, 4, 70, 4_720, 7_252, 0, 80, 13_849_449_370_697_956_349, 15_250_444_192_413_157_490, 18_393_051_245_799_961_378, 17_068_415_966_147_459_823, 1_359, 4, 70, 4_720, 7_252, 2_640, 80, 4_507_183_033_229_168_706, 32, 10_476_031_576_440_452_837, 1_367, 4, 70, 4_720, 7_252, 2_656, 80, 4_101_762_708_734_492_202]);
 #[rustfmt::skip]
-golden!(miur_verbatim_f32, Miur, 32, Verbatim, [/*miur_verbatim_f32*/ 2, 2, 60, 2_507, 4_092, 0, 6, 12_227_968_629_466_509_518, 459, 1, 0, 9, 0, 918, 1, 395_332_566_138_495_624, 1_725, 688, 547, 1_372, 12_564_851_557_716_995_257, 690, 2, 72, 3_085, 5_064, 1_372, 10, 7_794_993_971_106_128_760, 4, 2, 72, 3_085, 5_064, 0, 10, 8_526_624_544_091_585_964, 10, 5, 5, 0, 0, 11, 4, 2, 72, 3_085, 5_064, 0, 10, 6_348_692_994_873_966_512, 0, 0, 0, 0, 10, 0, 4, 2, 72, 3_085, 5_064, 0, 10, 6_348_692_994_873_966_512, 5_017_948_374_144_181_395, 5_157_420_759_007_477_792, 17_262_571_262_229_538_231, 690, 2, 72, 3_085, 5_064, 1_372, 10, 7_794_993_971_106_128_760, 16, 16_382_177_511_513_326_685, 694, 2, 72, 3_085, 5_064, 1_380, 10, 6_538_402_342_026_428_108]);
+golden!(miur_verbatim_f32, Miur, 32, Verbatim, [/*miur_verbatim_f32*/ 2, 2, 60, 2_507, 4_092, 0, 6, 12_227_968_629_466_509_518, 459, 1, 0, 9, 0, 918, 1, 395_332_566_138_495_624, 1_725, 688, 547, 1_372, 12_564_851_557_716_995_257, 690, 2, 72, 3_085, 5_064, 1_372, 10, 7_794_993_971_106_128_760, 4, 2, 72, 3_085, 5_064, 0, 10, 8_526_624_544_091_585_964, 5_017_948_374_144_181_395, 5_157_420_759_007_477_792, 17_262_571_262_229_538_231, 690, 2, 72, 3_085, 5_064, 1_372, 10, 7_794_993_971_106_128_760, 16, 16_382_177_511_513_326_685, 694, 2, 72, 3_085, 5_064, 1_380, 10, 6_538_402_342_026_428_108]);
 #[rustfmt::skip]
-golden!(miur_columnar_f4, Miur, 4, Columnar, [/*miur_columnar_f4*/ 20, 3, 60, 1_776, 1_767, 0, 42, 16_887_787_491_925_888_050, 855, 1, 0, 5, 2, 1_710, 2, 6_502_522_889_399_334_998, 3_006, 1_339, 1_110, 2_640, 1_263_327_836_850_628_865, 1_359, 4, 70, 2_776, 2_537, 2_640, 80, 4_507_183_033_229_168_706, 39, 4, 70, 2_712, 2_537, 0, 80, 13_849_449_370_697_956_349, 28, 14, 14, 0, 52, 10, 39, 4, 70, 2_712, 2_535, 0, 80, 3_855_235_629_504_541_612, 0, 0, 0, 0, 80, 0, 39, 4, 70, 2_712, 2_535, 0, 80, 3_855_235_629_504_541_612, 10_988_303_120_741_610_754, 13_890_065_611_319_842_078, 17_068_415_966_147_459_823, 1_359, 4, 70, 2_776, 2_537, 2_640, 80, 4_507_183_033_229_168_706, 32, 10_476_031_576_440_452_837, 1_367, 4, 70, 2_775, 2_537, 2_656, 80, 4_101_762_708_734_492_202]);
+golden!(miur_columnar_f4, Miur, 4, Columnar, [/*miur_columnar_f4*/ 20, 3, 60, 1_776, 1_767, 0, 42, 16_887_787_491_925_888_050, 855, 1, 0, 5, 2, 1_710, 2, 6_502_522_889_399_334_998, 3_006, 1_339, 1_110, 2_640, 1_263_327_836_850_628_865, 1_359, 4, 70, 2_776, 2_537, 2_640, 80, 4_507_183_033_229_168_706, 39, 4, 70, 2_712, 2_537, 0, 80, 13_849_449_370_697_956_349, 10_988_303_120_741_610_754, 13_890_065_611_319_842_078, 17_068_415_966_147_459_823, 1_359, 4, 70, 2_776, 2_537, 2_640, 80, 4_507_183_033_229_168_706, 32, 10_476_031_576_440_452_837, 1_367, 4, 70, 2_775, 2_537, 2_656, 80, 4_101_762_708_734_492_202]);
 #[rustfmt::skip]
-golden!(miur_columnar_f32, Miur, 32, Columnar, [/*miur_columnar_f32*/ 2, 2, 60, 1_088, 1_218, 0, 6, 12_227_968_629_466_509_518, 459, 1, 0, 5, 2, 918, 2, 395_332_566_138_495_624, 1_726, 688, 548, 1_372, 12_564_851_557_716_995_257, 690, 2, 72, 1_391, 1_510, 1_372, 10, 7_794_993_971_106_128_760, 4, 2, 72, 1_385, 1_510, 0, 10, 8_526_624_544_091_585_964, 10, 5, 5, 0, 0, 11, 4, 2, 72, 1_385, 1_510, 0, 10, 6_348_692_994_873_966_512, 0, 0, 0, 0, 10, 0, 4, 2, 72, 1_385, 1_510, 0, 10, 6_348_692_994_873_966_512, 2_337_279_920_868_903_756, 11_325_198_550_324_188_120, 17_262_571_262_229_538_231, 690, 2, 72, 1_391, 1_510, 1_372, 10, 7_794_993_971_106_128_760, 16, 16_382_177_511_513_326_685, 694, 2, 72, 1_392, 1_510, 1_380, 10, 6_538_402_342_026_428_108]);
+golden!(miur_columnar_f32, Miur, 32, Columnar, [/*miur_columnar_f32*/ 2, 2, 60, 1_088, 1_218, 0, 6, 12_227_968_629_466_509_518, 459, 1, 0, 5, 2, 918, 2, 395_332_566_138_495_624, 1_726, 688, 548, 1_372, 12_564_851_557_716_995_257, 690, 2, 72, 1_391, 1_510, 1_372, 10, 7_794_993_971_106_128_760, 4, 2, 72, 1_385, 1_510, 0, 10, 8_526_624_544_091_585_964, 2_337_279_920_868_903_756, 11_325_198_550_324_188_120, 17_262_571_262_229_538_231, 690, 2, 72, 1_391, 1_510, 1_372, 10, 7_794_993_971_106_128_760, 16, 16_382_177_511_513_326_685, 694, 2, 72, 1_392, 1_510, 1_380, 10, 6_538_402_342_026_428_108]);
