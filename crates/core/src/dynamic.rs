@@ -37,16 +37,22 @@
 //! *exactly* equivalent to a fresh build over the surviving sets — the
 //! mutation-equivalence suite pins this bit-for-bit. For corpus-dependent
 //! models (LM, TF-IDF) the global statistics drift as the corpus churns,
-//! exactly as IDF drifts in production search engines; the two-tier
-//! refresh subsystem ([`crate::refresh`]) re-weighs them in the
-//! background — a full cold rebuild when drift is broad, an incremental
-//! ledger-driven splice ([`crate::refresh::incremental`]) when it is
-//! term-local. Soundness is never at stake: inserted weights are clamped
-//! to the frozen `wmax(t)` (see [`Engine::insert_object`]), so every
-//! pruning bound keeps dominating every indexed score and the answers
-//! stay exact *under the frozen model* — only the model itself ages
-//! (the clamp is also why the incremental drift ledger re-weighs clamped
-//! outliers even when none of their terms drifted).
+//! exactly as IDF drifts in production search engines; the refresh
+//! subsystem ([`crate::refresh`]) re-weighs them in the background with
+//! a cold rebuild. Soundness is never at stake: inserted weights are
+//! clamped to the frozen `wmax(t)` (see [`Engine::insert_object`]), so
+//! every pruning bound keeps dominating every indexed score and the
+//! answers stay exact *under the frozen model* — only the model itself
+//! ages.
+//!
+//! # Term extent
+//!
+//! Corpus statistics are dense arrays sized by the largest term id, so
+//! one inserted document naming a huge id would make the next drift scan
+//! or refresh allocate by that id's value. An insert is therefore
+//! rejected when it names an id at or past the engine's term extent plus
+//! the document's own term count: the extent grows at most by what a
+//! client sends, never by the value of one id.
 //!
 //! # Cost model
 //!
@@ -58,6 +64,7 @@
 //! [`Engine::rebuild_io_cost`] is the rebuild it is measured against.
 
 use index::{IndexedObject, IndexedUser, TreeEdit};
+use text::Document;
 
 use crate::{Engine, ObjectData, UserData};
 
@@ -137,6 +144,11 @@ impl EpochGuard {
     }
 }
 
+/// 1 + the largest term id `doc` names (0 for an empty document).
+pub(crate) fn term_end(doc: &Document) -> u64 {
+    doc.entries().last().map_or(0, |&(t, _)| u64::from(t.0) + 1)
+}
+
 impl Engine {
     /// The engine's generation counter (bumped by every mutation).
     pub fn epoch(&self) -> u64 {
@@ -151,7 +163,8 @@ impl Engine {
     /// Inserts an object into the table and both object indexes (MIR and
     /// IR), weighing its document under the frozen build-time model.
     /// Returns `None` without touching anything when the id is already in
-    /// use.
+    /// use, or when the document names a term id at or past the term
+    /// extent plus its own term count (see the module docs).
     ///
     /// Weights are clamped to the frozen per-term maxima `wmax(t)`: every
     /// pruning bound in the engine (group `TS` caps, baseline upper
@@ -161,7 +174,7 @@ impl Engine {
     /// `wmax` — but TF-IDF's `tf · idf` is unbounded in `tf`, and an
     /// unclamped outlier would make exact methods silently unsound.
     pub fn insert_object(&mut self, obj: ObjectData) -> Option<MaintenanceIo> {
-        if self.objects.iter().any(|o| o.id == obj.id) {
+        if !self.admits_terms(&obj.doc) || self.objects.iter().any(|o| o.id == obj.id) {
             return None;
         }
         let weighed = self.ctx.text.weigh(&obj.doc);
@@ -181,6 +194,7 @@ impl Engine {
         self.flush_edit(edit, &mut io);
         let edit = self.ir.insert(&indexed);
         self.flush_edit(edit, &mut io);
+        self.term_extent = self.term_extent.max(term_end(&obj.doc));
         self.objects.push(obj);
         self.finish_object_mutation();
         Some(io)
@@ -208,9 +222,10 @@ impl Engine {
 
     /// Inserts a user into the table and, when built, the MIUR-tree (with
     /// its normalizer computed under the frozen model). Returns `None`
-    /// when the id is already in use.
+    /// when the id is already in use or the document names too large a
+    /// term id (as for [`Engine::insert_object`]).
     pub fn insert_user(&mut self, user: UserData) -> Option<MaintenanceIo> {
-        if self.users.iter().any(|u| u.id == user.id) {
+        if !self.admits_terms(&user.doc) || self.users.iter().any(|u| u.id == user.id) {
             return None;
         }
         let mut io = MaintenanceIo::default();
@@ -224,6 +239,7 @@ impl Engine {
         if let Some(edit) = edit {
             self.flush_edit(edit, &mut io);
         }
+        self.term_extent = self.term_extent.max(term_end(&user.doc));
         self.users.push(user);
         self.finish_user_mutation();
         Some(io)
@@ -285,6 +301,13 @@ impl Engine {
         self.mir.footprint_io()
             + self.ir.footprint_io()
             + self.miur.as_ref().map_or(0, |m| m.footprint_io())
+    }
+
+    /// The insert-boundary rule: a document may name ids up to the term
+    /// extent plus its own term count, so each insert can extend the
+    /// vocabulary by at most the terms it carries.
+    fn admits_terms(&self, doc: &Document) -> bool {
+        term_end(doc) <= self.term_extent + doc.num_terms() as u64
     }
 
     /// Folds a tree edit into the running maintenance tally and flushes
@@ -391,6 +414,45 @@ mod tests {
         assert_eq!(eng.epoch(), before, "rejected mutations must not bump");
         assert_eq!(eng.objects.len(), 40);
         assert_eq!(eng.users.len(), 10);
+    }
+
+    /// One huge term id is rejected with nothing changed (the next drift
+    /// scan would size its statistics by that id's value); an insert that
+    /// adds exactly `num_terms` new dense ids is accepted and raises the
+    /// extent.
+    #[test]
+    fn inserts_past_the_term_extent_are_rejected() {
+        let mut eng = engine();
+        assert_eq!(eng.term_extent, 10, "build-time terms are 0..=3 and 9");
+        let counters = |e: &Engine| (e.epoch(), e.mutations_since_refresh(), e.objects.len());
+        let before = counters(&eng);
+        let at = |doc: Document| ObjectData {
+            id: 100,
+            point: Point::new(1.0, 1.0),
+            doc,
+        };
+        let huge = Document::from_terms([t(u32::MAX - 1)]);
+        assert!(eng.insert_object(at(huge.clone())).is_none());
+        assert!(eng
+            .insert_user(UserData {
+                id: 100,
+                point: Point::new(1.0, 1.0),
+                doc: huge,
+            })
+            .is_none());
+        // Two terms may reach id 11; naming 12 is one past.
+        assert!(eng
+            .insert_object(at(Document::from_terms([t(10), t(12)])))
+            .is_none());
+        assert_eq!(counters(&eng), before, "rejected inserts change nothing");
+        assert_eq!(eng.users.len(), 10);
+        assert_eq!(eng.term_extent, 10);
+
+        assert!(eng
+            .insert_object(at(Document::from_terms([t(10), t(11)])))
+            .is_some());
+        assert_eq!(eng.term_extent, 12);
+        assert!(eng.drift().terms_compared <= 12);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   the engine's [`ShardedLru`](storage::ShardedLru) page cache and
 //!   [`ThresholdCache`] counters (last-writer-wins across clones).
 //! * `serving_*` — [`crate::ServingEngine`] mutation latency, swap-wait,
-//!   CoW fallbacks, journal depth, refresh tier/duration.
+//!   CoW fallbacks, journal depth, refresh count/duration. The refresh
+//!   families keep their single `tier="full"` label (every refresh is a
+//!   cold rebuild), so their names stay stable for scrapers.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,7 +36,6 @@ use storage::IoStats;
 use crate::cache::ThresholdCache;
 use crate::pipeline::QueryStats;
 use crate::query::Method;
-use crate::refresh::RefreshTier;
 use crate::trace::{Phase, PHASE_COUNT};
 
 /// Pre-resolved handles for one [`Method`].
@@ -156,42 +157,27 @@ pub(crate) struct ServingMetrics {
     pub(crate) journal_depth: Arc<Gauge>,
     /// Journaled mutations replayed onto fresh engines, lifetime total.
     pub(crate) replayed_total: Arc<Counter>,
-    refresh_total: [Arc<Counter>; 2],
-    refresh_duration_us: [Arc<Histogram>; 2],
-}
-
-fn tier_index(tier: RefreshTier) -> usize {
-    match tier {
-        RefreshTier::Full => 0,
-        RefreshTier::Incremental => 1,
-    }
+    refresh_total: Arc<Counter>,
+    refresh_duration_us: Arc<Histogram>,
 }
 
 impl ServingMetrics {
     pub(crate) fn new(reg: &MetricsRegistry) -> ServingMetrics {
-        const TIERS: [&str; 2] = ["full", "incremental"];
         ServingMetrics {
             mutation_latency_us: reg.histogram("serving_mutation_latency_us"),
             swap_wait_us: reg.histogram("serving_swap_wait_us"),
             cow_fallbacks: reg.counter("serving_cow_fallbacks_total"),
             journal_depth: reg.gauge("serving_journal_depth"),
             replayed_total: reg.counter("serving_replayed_mutations_total"),
-            refresh_total: std::array::from_fn(|i| {
-                reg.counter(&format!("serving_refreshes_total{{tier=\"{}\"}}", TIERS[i]))
-            }),
-            refresh_duration_us: std::array::from_fn(|i| {
-                reg.histogram(&format!(
-                    "serving_refresh_duration_us{{tier=\"{}\"}}",
-                    TIERS[i]
-                ))
-            }),
+            refresh_total: reg.counter("serving_refreshes_total{tier=\"full\"}"),
+            refresh_duration_us: reg.histogram("serving_refresh_duration_us{tier=\"full\"}"),
         }
     }
 
-    /// Records one completed refresh (tier, duration, replay depth).
-    pub(crate) fn record_refresh(&self, tier: RefreshTier, elapsed: Duration, replayed: usize) {
-        self.refresh_total[tier_index(tier)].inc();
-        self.refresh_duration_us[tier_index(tier)].record_duration_us(elapsed);
+    /// Records one completed refresh (duration, replay depth).
+    pub(crate) fn record_refresh(&self, elapsed: Duration, replayed: usize) {
+        self.refresh_total.inc();
+        self.refresh_duration_us.record_duration_us(elapsed);
         self.replayed_total.add(replayed as u64);
         self.journal_depth.set(0.0);
     }

@@ -116,6 +116,11 @@ pub struct Engine {
     /// [`crate::refresh::ScorerDrift`]; user churn never moves the corpus
     /// statistics but still ages the dataspace hull).
     pub(crate) user_muts_since_refresh: u64,
+    /// 1 + the largest term id any object or user document has named
+    /// since build; never decreases. Caps the term ids an insert may name
+    /// (see [`Engine::insert_object`]), because corpus statistics are
+    /// sized by the largest id.
+    pub(crate) term_extent: u64,
     /// Always-on telemetry: per-method latency/I-O histograms plus cache
     /// hit-ratio gauges, with every handle resolved at build so the warm
     /// query path records through relaxed atomics only. Unlike the caches,
@@ -153,6 +158,7 @@ impl Clone for Engine {
             user_epoch: self.user_epoch,
             obj_muts_since_refresh: self.obj_muts_since_refresh,
             user_muts_since_refresh: self.user_muts_since_refresh,
+            term_extent: self.term_extent,
             metrics: Arc::clone(&self.metrics),
         }
     }
@@ -229,6 +235,13 @@ impl Engine {
             fanout,
             codec,
         );
+        let term_extent = objects
+            .iter()
+            .map(|o| &o.doc)
+            .chain(users.iter().map(|u| &u.doc))
+            .map(crate::dynamic::term_end)
+            .max()
+            .unwrap_or(0);
 
         Engine {
             ctx: ScoreContext::new(alpha, spatial, text),
@@ -243,6 +256,7 @@ impl Engine {
             user_epoch: 0,
             obj_muts_since_refresh: 0,
             user_muts_since_refresh: 0,
+            term_extent,
             metrics: EngineMetrics::new(),
         }
     }

@@ -34,28 +34,13 @@
 //!   strictly above every epoch the old engine ever had, no stale
 //!   threshold stamp could survive the swap even if one leaked.
 //!
-//! # Two refresh tiers
+//! # One refresh tier
 //!
-//! A refresh can run at either of two costs ([`RefreshTier`]):
-//!
-//! * **Full** — the cold rebuild above: every document re-weighed, every
-//!   index bulk-loaded from scratch, O(|O| log |O|) work and a write of
-//!   the entire index footprint.
-//! * **Incremental** ([`incremental`]) — a per-term drift ledger
-//!   identifies exactly which terms' statistics moved and which
-//!   documents/users those terms touch; only the affected root-to-leaf
-//!   paths of MIR/IR/MIUR are rewritten with recomputed aggregates, and
-//!   every untouched subtree's records are spliced verbatim into the
-//!   fresh block files at zero simulated I/O. The result is
-//!   bit-identical to a full refresh, at I/O proportional to the drifted
-//!   fraction of the corpus rather than to its size.
-//!
-//! [`ServingEngine::refresh_now`] (and therefore the background worker)
-//! picks the tier from the fraction of the vocabulary that drifted: past
-//! [`RefreshConfig::full_refresh_drift`] the corpus has churned so
-//! broadly that a cold rebuild is cheaper than path-by-path repair;
-//! below it — term-local churn — the incremental tier keeps background
-//! refresh cheap enough to run continuously on a serving box.
+//! Every refresh is the cold rebuild above. The paper's trees are
+//! bulk-built, and under LM or TF-IDF any object insert or remove moves
+//! `|C|` or `|O|` and with it the weight of every term, so re-weighing
+//! "only what drifted" re-weighs everything; a cold STR build does that
+//! faster than a path-by-path splice would.
 //!
 //! # Epoch discipline
 //!
@@ -67,15 +52,13 @@
 //! stale against any post-swap snapshot — "valid for the old epoch" is an
 //! observable, testable property (see `tests/refresh_soak.rs`).
 
-pub mod incremental;
-
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mbrstk_obs::Histogram;
-use text::WeightModel;
+use text::{CorpusStats, TermId, TextScorer, WeightModel};
 
 use crate::cache::ThresholdCache;
 use crate::cluster::{self, EngineCluster};
@@ -127,17 +110,6 @@ pub struct RefreshConfig {
     /// (a handful of mutations cannot move the statistics of a large
     /// corpus far enough to matter).
     pub drift_check_after: u64,
-    /// Drifted fraction of the vocabulary
-    /// ([`DriftLedger::drifted_fraction`](incremental::DriftLedger::drifted_fraction))
-    /// at or above which [`ServingEngine::refresh_now`] picks the full
-    /// tier: the incremental tier re-weighs every document and user that
-    /// touches a drifted term, so broad drift rewrites most paths anyway
-    /// and the cold rebuild is the cheaper one. How *far* a term drifted
-    /// does not matter, only *whether*: under LM or TF-IDF a single
-    /// object insert moves `|C|` or `|O|`, and with it every term. Set to
-    /// `0.0` to force the full tier always, or `f64::INFINITY` to always
-    /// refresh incrementally.
-    pub full_refresh_drift: f64,
 }
 
 impl Default for RefreshConfig {
@@ -146,18 +118,8 @@ impl Default for RefreshConfig {
             max_mutations: 4096,
             max_drift: 0.05,
             drift_check_after: 64,
-            full_refresh_drift: 0.35,
         }
     }
-}
-
-/// Which tier a refresh ran at (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshTier {
-    /// Cold rebuild: every document re-weighed, indexes bulk-loaded.
-    Full,
-    /// Drift-ledger splice: only affected root-to-leaf paths rewritten.
-    Incremental,
 }
 
 /// What one refresh did.
@@ -167,24 +129,14 @@ pub struct RefreshReport {
     /// replaced engine ever had).
     pub epoch: u64,
     /// Freed placeholder record slots the rebuild reclaimed across the
-    /// MIR, IR and MIUR block files (both tiers write fresh dense files).
+    /// MIR, IR and MIUR block files (a rebuild writes fresh dense files).
     pub reclaimed_records: u64,
     /// Mutations that landed while the rebuild ran and were replayed onto
     /// the fresh engine before the swap (always 0 for the in-place
     /// [`Engine::refresh`]).
     pub replayed: usize,
-    /// Which tier this refresh ran at.
-    pub tier: RefreshTier,
-    /// Object documents actually re-weighed (`|O|` for the full tier).
-    pub reweighed_docs: u64,
-    /// Users whose normalizer was recomputed (`|U|` for the full tier).
-    pub reweighed_users: u64,
-    /// Index records carried into the fresh block files verbatim at zero
-    /// simulated I/O (always 0 for the full tier).
-    pub spliced_records: u64,
-    /// Simulated I/O the refresh write path cost: the full index
-    /// footprint for the full tier, the rewritten paths' reads + writes
-    /// for the incremental tier.
+    /// Simulated I/O the refresh write path cost: every live node record
+    /// and payload of the fresh indexes.
     pub refresh_io: u64,
 }
 
@@ -204,6 +156,8 @@ struct RefreshSeed {
     page_cache: Option<(u64, usize)>,
     epoch: u64,
     user_epoch: u64,
+    term_extent: u64,
+    reclaimed_records: u64,
     /// The captured engine's telemetry, carried into the rebuilt engine
     /// by `Arc` so metrics history is continuous across the swap.
     metrics: Arc<EngineMetrics>,
@@ -226,6 +180,8 @@ impl RefreshSeed {
                 .map(|c| (c.capacity_blocks(), c.num_shards())),
             epoch: engine.epoch,
             user_epoch: engine.user_epoch,
+            term_extent: engine.term_extent,
+            reclaimed_records: engine.freed_record_slots(),
             metrics: Arc::clone(&engine.metrics),
         }
     }
@@ -234,9 +190,9 @@ impl RefreshSeed {
     /// model, α, fanout, record codec — so the result is bit-identical to
     /// [`Engine::build_with_fanout`] over the survivors; the codec is the
     /// *captured* engine's, not re-read from the environment) with the
-    /// serving configuration restored and the epoch carried strictly
-    /// forward.
-    fn build(self) -> Engine {
+    /// serving configuration restored, the epoch carried strictly forward
+    /// and the term extent kept (it never shrinks).
+    fn build(self) -> (Engine, RefreshReport) {
         let mut fresh = Engine::build_with_fanout_codec(
             self.objects,
             self.users,
@@ -259,10 +215,68 @@ impl RefreshSeed {
         // stale threshold-cache slot can validate against it.
         fresh.epoch = self.epoch + 1;
         fresh.user_epoch = self.user_epoch + 1;
+        fresh.term_extent = self.term_extent;
         // Telemetry survives the swap (the cold build made a fresh
         // registry; replace it with the captured engine's).
         fresh.metrics = self.metrics;
-        fresh
+        let report = RefreshReport {
+            epoch: fresh.epoch,
+            reclaimed_records: self.reclaimed_records,
+            replayed: 0,
+            refresh_io: fresh.rebuild_io_cost(),
+        };
+        (fresh, report)
+    }
+}
+
+/// A freshly computed scorer over the live object documents — what a
+/// refresh would install.
+fn live_scorer(engine: &Engine) -> TextScorer {
+    let stats = CorpusStats::build(engine.objects.iter().map(|o| &o.doc));
+    TextScorer::build(
+        engine.ctx.text.model(),
+        stats,
+        engine.objects.iter().map(|o| &o.doc),
+    )
+}
+
+/// Relative error of a frozen value against its live twin, in `[0, 1]`.
+fn rel_error(f: f64, l: f64) -> f64 {
+    let denom = f.max(l);
+    if denom <= 0.0 {
+        0.0
+    } else {
+        (f - l).abs() / denom
+    }
+}
+
+/// The aggregate drift metric: one pass over the vocabulary comparing the
+/// per-term maxima (every pruning bound consumes `wmax`), counting only
+/// terms with weight mass on either side. No table walk.
+fn wmax_drift(engine: &Engine, live: &TextScorer) -> ScorerDrift {
+    let frozen = &engine.ctx.text;
+    let vocab = frozen.stats().vocab_len().max(live.stats().vocab_len());
+    let (mut max_rel, mut sum, mut compared) = (0.0f64, 0.0f64, 0usize);
+    for i in 0..vocab {
+        let t = TermId(i as u32);
+        let (f_max, l_max) = (frozen.max_weight(t), live.max_weight(t));
+        if f_max.max(l_max) > 0.0 {
+            let r = rel_error(f_max, l_max);
+            max_rel = max_rel.max(r);
+            sum += r;
+            compared += 1;
+        }
+    }
+    ScorerDrift {
+        object_mutations: engine.obj_muts_since_refresh,
+        user_mutations: engine.user_muts_since_refresh,
+        max_rel_error: max_rel,
+        mean_rel_error: if compared > 0 {
+            sum / compared as f64
+        } else {
+            0.0
+        },
+        terms_compared: compared,
     }
 }
 
@@ -278,14 +292,13 @@ impl Engine {
     /// current object documents and compares per term against the frozen
     /// values (see [`ScorerDrift`]). Cheap relative to a refresh — no
     /// tree work — and charges no simulated I/O (it is bookkeeping, not a
-    /// query). The per-term breakdown lives in
-    /// [`Engine::drift_ledger`](incremental); this is its aggregate.
+    /// query).
     ///
     /// Exactly `0.0` on a freshly built or freshly refreshed engine;
     /// grows under one-sided churn; corpus-independent models
     /// (`WeightModel::KeywordOverlap`) only drift on vocabulary changes.
     pub fn drift(&self) -> ScorerDrift {
-        incremental::wmax_drift(self, &incremental::live_scorer(self))
+        wmax_drift(self, &live_scorer(self))
     }
 
     /// Freed placeholder record slots across the MIR, IR and (when built)
@@ -305,30 +318,24 @@ impl Engine {
     /// immutable snapshot; answers are bit-identical to a cold
     /// [`Engine::build_with_fanout`] over the same tables.
     pub fn refreshed(&self) -> Engine {
+        RefreshSeed::capture(self).build().0
+    }
+
+    /// [`Engine::refreshed`] with its [`RefreshReport`]. Every refresh is
+    /// the cold rebuild; this name survives only for callers that still
+    /// time it separately and goes with them.
+    pub fn refreshed_incremental(&self) -> (Engine, RefreshReport) {
         RefreshSeed::capture(self).build()
     }
 
     /// In-place [`Engine::refreshed`]: replaces this engine's scorer and
     /// indexes with the re-weighed rebuild and resets the
     /// mutations-since-refresh counters. Single-threaded convenience —
-    /// concurrent serving goes through [`ServingEngine`]. Always the
-    /// full tier; see [`Engine::refresh_incremental`] for the two-tier
-    /// alternative.
+    /// concurrent serving goes through [`ServingEngine`].
     pub fn refresh(&mut self) -> RefreshReport {
-        let reclaimed = self.freed_record_slots();
-        *self = self.refreshed();
-        RefreshReport {
-            epoch: self.epoch,
-            reclaimed_records: reclaimed,
-            replayed: 0,
-            tier: RefreshTier::Full,
-            reweighed_docs: self.objects.len() as u64,
-            reweighed_users: self.users.len() as u64,
-            spliced_records: 0,
-            // The full tier writes every live node record and payload of
-            // the fresh indexes.
-            refresh_io: self.rebuild_io_cost(),
-        }
+        let (fresh, report) = RefreshSeed::capture(self).build();
+        *self = fresh;
+        report
     }
 }
 
@@ -377,7 +384,6 @@ pub struct ServingEngine {
     refresh_gate: Mutex<()>,
     cfg: RefreshConfig,
     refreshes: AtomicU64,
-    incremental_refreshes: AtomicU64,
     /// Mutation-count bucket of the last drift scan (rate-limits the
     /// O(|O|) scan in [`ServingEngine::needs_refresh`]).
     drift_scan_bucket: AtomicU64,
@@ -432,7 +438,6 @@ impl ServingEngine {
             refresh_gate: Mutex::new(()),
             cfg,
             refreshes: AtomicU64::new(0),
-            incremental_refreshes: AtomicU64::new(0),
             drift_scan_bucket: AtomicU64::new(0),
             signal: Mutex::new(Signal::default()),
             wake: Condvar::new(),
@@ -468,12 +473,6 @@ impl ServingEngine {
     /// Completed refreshes over this serving engine's lifetime.
     pub fn refreshes(&self) -> u64 {
         self.refreshes.load(Ordering::Relaxed)
-    }
-
-    /// How many of those refreshes ran at the incremental tier (the rest
-    /// were full rebuilds).
-    pub fn incremental_refreshes(&self) -> u64 {
-        self.incremental_refreshes.load(Ordering::Relaxed)
     }
 
     /// Mutations currently journaled for replay onto an in-flight
@@ -620,16 +619,9 @@ impl ServingEngine {
     /// tables, rebuild off-lock, replay the mutations that landed during
     /// the rebuild, swap. Concurrent callers serialize; queries keep
     /// running on the old snapshot throughout and only the final swap
-    /// takes the (briefly held) write lock.
-    ///
-    /// The tier is chosen from the drifted fraction of the vocabulary (see
-    /// [`RefreshConfig::full_refresh_drift`]): broad drift certifies with
-    /// a full cold rebuild, term-local drift disseminates with the
-    /// incremental splice ([`Engine::refreshed_incremental`]). The
-    /// incremental tier rebuilds off the pinned snapshot `Arc`, so
-    /// mutations racing it take the copy-on-write fallback for its
-    /// (short) duration; the full tier clones the tables out first,
-    /// exactly as before.
+    /// takes the (briefly held) write lock. The rebuild runs on tables
+    /// cloned out of the snapshot, which is dropped first, so mutations
+    /// racing the rebuild stay on the cheap in-place path.
     pub fn refresh_now(&self) -> RefreshReport {
         let _gate = self.refresh_gate.lock().unwrap();
         let refresh_start = Instant::now();
@@ -646,50 +638,20 @@ impl ServingEngine {
         // both sides — left a window where a mutation landing right after
         // the capture could miss both the snapshot and the journal and be
         // silently dropped by the swap.
-        let (snapshot, reclaimed) = {
+        let snapshot = {
             let published = self.snap.read().unwrap();
             self.rebuilding.store(true, Ordering::SeqCst);
             self.journal.lock().unwrap().clear();
             // The journal is empty: anything it held was applied before
             // this read lock and is in the captured snapshot.
             self.metrics.journal_depth.set(0.0);
-            (Arc::clone(&published), published.freed_record_slots())
+            Arc::clone(&published)
         };
+        let seed = RefreshSeed::capture(&snapshot);
+        drop(snapshot); // release before the rebuild: mutations stay cheap
 
-        // Phase 2: the expensive rebuild — no locks held. The tier
-        // decision pays one O(|O|) drift scan unless the config forces
-        // the full tier; the incremental path reuses the same scan for
-        // its ledger.
-        let incremental = if self.cfg.full_refresh_drift <= 0.0 {
-            None
-        } else {
-            let (live, ledger) = snapshot.drift_parts();
-            (ledger.drifted_fraction() < self.cfg.full_refresh_drift).then_some((live, ledger))
-        };
-        let (mut fresh, mut report) = match incremental {
-            Some((live, ledger)) => {
-                let (fresh, mut report) = snapshot.refreshed_incremental_from(live, ledger);
-                report.reclaimed_records = reclaimed;
-                drop(snapshot);
-                (fresh, report)
-            }
-            None => {
-                let seed = RefreshSeed::capture(&snapshot);
-                drop(snapshot); // release before the rebuild: mutations stay cheap
-                let fresh = seed.build();
-                let report = RefreshReport {
-                    epoch: 0, // filled after replay
-                    reclaimed_records: reclaimed,
-                    replayed: 0,
-                    tier: RefreshTier::Full,
-                    reweighed_docs: fresh.objects.len() as u64,
-                    reweighed_users: fresh.users.len() as u64,
-                    spliced_records: 0,
-                    refresh_io: fresh.rebuild_io_cost(),
-                };
-                (fresh, report)
-            }
-        };
+        // Phase 2: the expensive rebuild — no locks held.
+        let (mut fresh, mut report) = seed.build();
 
         // Phase 3: swap. Replay what landed during the rebuild, then
         // publish. The epoch ends at `captured + 1 + replayed`, strictly
@@ -716,11 +678,8 @@ impl ServingEngine {
         drop(published);
         self.drift_scan_bucket.store(0, Ordering::Relaxed);
         self.refreshes.fetch_add(1, Ordering::Relaxed);
-        if report.tier == RefreshTier::Incremental {
-            self.incremental_refreshes.fetch_add(1, Ordering::Relaxed);
-        }
         self.metrics
-            .record_refresh(report.tier, refresh_start.elapsed(), report.replayed);
+            .record_refresh(refresh_start.elapsed(), report.replayed);
         report
     }
 
@@ -1048,7 +1007,6 @@ mod tests {
             max_mutations: 3,
             max_drift: f64::INFINITY,
             drift_check_after: 1,
-            ..RefreshConfig::default()
         };
         let serving = ServingEngine::with_config(engine(WeightModel::KeywordOverlap), cfg);
         assert!(!serving.needs_refresh());
@@ -1069,7 +1027,6 @@ mod tests {
             max_mutations: 5,
             max_drift: f64::INFINITY,
             drift_check_after: 1,
-            ..RefreshConfig::default()
         };
         let serving = ServingEngine::with_config(engine(WeightModel::lm()), cfg);
         let worker = serving.start_refresher();

@@ -39,18 +39,6 @@ pub struct ChurnConfig {
     /// (minimum 1). Values above 1 shift the collection frequency harder
     /// per mutation — drift-heavy streams use this.
     pub term_repeats: u32,
-    /// When true, object mutations are emitted as *replacement pairs*: a
-    /// removal of a live object whose keywords all lie inside the pool,
-    /// immediately followed by an insertion of a fresh object with the
-    /// same total token count, drawn from the pool. Replacement keeps
-    /// `|O|` and `|C|` exactly invariant, so under TF-IDF and LM only
-    /// the pool terms' statistics (`df`, `cf`) move — the *term-local*
-    /// drift regime the incremental refresh tier is built for. When no
-    /// pool-confined object is live (possible with a pool disjoint from
-    /// the seed corpus), the pair degrades to a random removal plus a
-    /// default-length insert: populations stay constant but drift leaks
-    /// into the removed document's terms.
-    pub replace: bool,
     /// RNG seed; equal seeds give equal streams.
     pub seed: u64,
 }
@@ -67,7 +55,6 @@ impl ChurnConfig {
             doc_terms: 3,
             term_skew: 0.0,
             term_repeats: 1,
-            replace: false,
             seed: 77,
         }
     }
@@ -85,21 +72,6 @@ impl ChurnConfig {
             doc_terms: 2,
             term_skew: 0.85,
             term_repeats: 4,
-            ..ChurnConfig::new(ops, 1.0)
-        }
-    }
-
-    /// A term-local preset: mutation-only replacement churn over the
-    /// keyword pool. Every operation removes a pool-confined live object
-    /// and inserts a same-length pool-confined replacement, so `|O|` and
-    /// `|C|` never move and only the pool terms drift — the workload
-    /// under which incremental refresh I/O is sublinear in the corpus
-    /// size (pass a pool that is a small slice of the vocabulary).
-    pub fn term_local(ops: usize) -> Self {
-        ChurnConfig {
-            user_fraction: 0.0,
-            doc_terms: 2,
-            replace: true,
             ..ChurnConfig::new(ops, 1.0)
         }
     }
@@ -130,11 +102,6 @@ pub enum ChurnOp {
 /// users draw their locations uniformly from the initial objects' bounding
 /// box and their keywords from `pool`.
 ///
-/// With [`ChurnConfig::replace`] set, each object mutation becomes a
-/// removal + insertion pair (one *operation*, two [`ChurnOp`]s) that
-/// preserves `|O|` and the total token count `|C|` exactly — see the
-/// field docs for the term-local drift rationale.
-///
 /// # Panics
 /// Panics when `objects`, `users` or `pool` is empty.
 pub fn generate_churn(
@@ -153,18 +120,6 @@ pub fn generate_churn(
     let mut live_users: Vec<u32> = users.iter().map(|u| u.id).collect();
     let mut next_object = live_objects.iter().max().unwrap() + 1;
     let mut next_user = live_users.iter().max().unwrap() + 1;
-    // Replacement mode: live objects whose keywords all lie inside the
-    // pool (with their token counts, so replacements can preserve |C|).
-    let mut eligible: Vec<(u32, u64)> = if cfg.replace {
-        objects
-            .iter()
-            .filter(|o| o.doc.terms().all(|t| pool.contains(&t)))
-            .map(|o| (o.id, o.doc.len()))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     let doc = |rng: &mut StdRng| {
         let want = cfg.doc_terms.max(1).min(pool.len());
         let mut terms: Vec<TermId> = Vec::with_capacity(want);
@@ -183,39 +138,6 @@ pub fn generate_churn(
         let tf = cfg.term_repeats.max(1);
         Document::from_pairs(terms.into_iter().map(|t| (t, tf)).collect::<Vec<_>>())
     };
-    /// A pool-confined document with exactly `len` tokens over at most
-    /// `doc_terms` distinct terms (length preservation for replacement).
-    fn doc_with_len(
-        rng: &mut StdRng,
-        pool: &[TermId],
-        doc_terms: usize,
-        skew: f64,
-        len: u64,
-    ) -> Document {
-        let want = doc_terms.max(1).min(pool.len()).min(len.max(1) as usize);
-        let mut terms: Vec<TermId> = Vec::with_capacity(want);
-        let mut guard = 0;
-        while terms.len() < want && guard < 50 * want {
-            guard += 1;
-            let t = if skew > 0.0 && rng.gen::<f64>() < skew {
-                pool[0]
-            } else {
-                pool[rng.gen_range(0..pool.len())]
-            };
-            if !terms.contains(&t) {
-                terms.push(t);
-            }
-        }
-        let n = terms.len().max(1) as u64;
-        let (base, extra) = (len / n, len % n);
-        Document::from_pairs(
-            terms
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| (t, (base + u64::from((i as u64) < extra)) as u32))
-                .collect::<Vec<_>>(),
-        )
-    }
     let point = |rng: &mut StdRng| {
         geo::Point::new(
             rng.gen_range(space.min.x..=space.max.x),
@@ -230,43 +152,6 @@ pub fn generate_churn(
             continue;
         }
         let on_users = rng.gen::<f64>() < cfg.user_fraction;
-
-        // Replacement pairs keep the object population and token count
-        // invariant; user mutations keep their regular shape.
-        if cfg.replace && !on_users {
-            let (victim, len) = if eligible.is_empty() {
-                // Degraded pair: no pool-confined object is live.
-                let pos = rng.gen_range(0..live_objects.len());
-                let id = live_objects[pos];
-                (
-                    id,
-                    (cfg.doc_terms.max(1) as u64) * u64::from(cfg.term_repeats.max(1)),
-                )
-            } else {
-                eligible[rng.gen_range(0..eligible.len())]
-            };
-            let obj_pos = live_objects
-                .iter()
-                .position(|&id| id == victim)
-                .expect("victim is live");
-            live_objects.swap_remove(obj_pos);
-            if let Some(pos) = eligible.iter().position(|&(id, _)| id == victim) {
-                eligible.swap_remove(pos);
-            }
-            out.push(ChurnOp::Mutate(Mutation::RemoveObject(victim)));
-
-            let id = next_object;
-            next_object += 1;
-            live_objects.push(id);
-            let fresh = doc_with_len(&mut rng, pool, cfg.doc_terms, cfg.term_skew, len);
-            eligible.push((id, fresh.len()));
-            out.push(ChurnOp::Mutate(Mutation::InsertObject(ObjectData {
-                id,
-                point: point(&mut rng),
-                doc: fresh,
-            })));
-            continue;
-        }
 
         // Population floor: removals flip to inserts near emptiness.
         let live = if on_users {
@@ -286,8 +171,6 @@ pub fn generate_churn(
                     doc: doc(&mut rng),
                 })
             }
-            // Unreachable in replace mode (the pair branch above handles
-            // every object mutation), so `eligible` needs no upkeep here.
             (false, false) => {
                 let pos = rng.gen_range(0..live_objects.len());
                 Mutation::RemoveObject(live_objects.swap_remove(pos))
@@ -427,72 +310,6 @@ mod tests {
         // Still deterministic and self-consistent.
         let again = generate_churn(&o, &u, &pool, &cfg);
         assert_eq!(format!("{stream:?}"), format!("{again:?}"));
-    }
-
-    /// Replacement churn: `|O|` and `|C|` are exactly invariant at every
-    /// prefix of the stream, and every inserted document is confined to
-    /// the pool — the term-local drift regime.
-    #[test]
-    fn term_local_stream_preserves_population_and_token_count() {
-        let (o, u, _) = seed_collection();
-        // Confine churn to half the vocabulary.
-        let pool: Vec<TermId> = (0..2).map(t).collect();
-        let cfg = ChurnConfig::term_local(120).with_seed(5);
-        let stream = generate_churn(&o, &u, &pool, &cfg);
-        assert_eq!(stream.len(), 240, "each op is a remove+insert pair");
-
-        let mut docs: std::collections::HashMap<u32, Document> =
-            o.iter().map(|x| (x.id, x.doc.clone())).collect();
-        let total_len = |docs: &std::collections::HashMap<u32, Document>| -> u64 {
-            docs.values().map(|d| d.len()).sum()
-        };
-        let (n0, c0) = (docs.len(), total_len(&docs));
-        for pair in stream.chunks(2) {
-            let [ChurnOp::Mutate(Mutation::RemoveObject(id)), ChurnOp::Mutate(Mutation::InsertObject(x))] =
-                pair
-            else {
-                panic!("replacement stream must alternate remove/insert");
-            };
-            let removed = docs.remove(id).expect("removal names a live id");
-            assert_eq!(x.doc.len(), removed.len(), "token count preserved");
-            assert!(
-                removed.terms().all(|term| pool.contains(&term)),
-                "victims are pool-confined"
-            );
-            assert!(
-                x.doc.terms().all(|term| pool.contains(&term)),
-                "replacements are pool-confined"
-            );
-            assert!(docs.insert(x.id, x.doc.clone()).is_none(), "fresh id");
-            assert_eq!(docs.len(), n0, "|O| invariant");
-            assert_eq!(total_len(&docs), c0, "|C| invariant");
-        }
-        // Deterministic like every other stream.
-        let again = generate_churn(&o, &u, &pool, &cfg);
-        assert_eq!(format!("{stream:?}"), format!("{again:?}"));
-    }
-
-    /// With a pool disjoint from every live document, replacement
-    /// degrades to random-victim pairs: populations stay constant, but
-    /// token counts may move (documented leak).
-    #[test]
-    fn term_local_degrades_gracefully_without_eligible_victims() {
-        let (o, u, _) = seed_collection();
-        let pool = vec![t(40), t(41)]; // unseen terms
-        let stream = generate_churn(&o, &u, &pool, &ChurnConfig::term_local(20));
-        let mut live: std::collections::HashSet<u32> = o.iter().map(|x| x.id).collect();
-        let n0 = live.len();
-        for pair in stream.chunks(2) {
-            let [ChurnOp::Mutate(Mutation::RemoveObject(id)), ChurnOp::Mutate(Mutation::InsertObject(x))] =
-                pair
-            else {
-                panic!("still pairs");
-            };
-            assert!(live.remove(id));
-            assert!(live.insert(x.id));
-            assert_eq!(live.len(), n0);
-            assert!(x.doc.terms().all(|term| pool.contains(&term)));
-        }
     }
 
     #[test]

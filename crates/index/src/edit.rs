@@ -43,76 +43,9 @@ impl TreeEdit {
     }
 }
 
-/// What a bulk re-weigh splice (`StTree::splice_reweighed` /
-/// `MiurTree::splice_reweighed`) did.
-///
-/// The splice rewrites only the root-to-leaf paths containing re-weighed
-/// entries; every untouched subtree's records are carried into the new
-/// block files *verbatim*. The cost model mirrors a disk allocator that
-/// remaps extents instead of rewriting them: verbatim records are counted
-/// in [`SpliceReport::spliced_records`] and charged **zero** simulated
-/// I/O (record ids are remapped during the copy the way a hard-link /
-/// extent-remap would, without touching payload bytes), while rewritten
-/// paths pay their reads and writes through the embedded [`TreeEdit`].
-/// This is what makes incremental refresh I/O proportional to the number
-/// of affected root-to-leaf paths rather than to the corpus size.
-#[derive(Debug, Clone, Default)]
-pub struct SpliceReport {
-    /// Maintenance I/O of the rewritten paths (reads of superseded
-    /// records, writes of their replacements).
-    pub edit: TreeEdit,
-    /// Records (node + payload) copied verbatim into the new block files.
-    pub spliced_records: u64,
-    /// Leaf entries whose payload was actually replaced.
-    pub reweighed_entries: u64,
-}
-
-impl SpliceReport {
-    /// Total simulated refresh I/O charged to this splice (verbatim
-    /// copies are free by the extent-remap model above).
-    pub fn io_total(&self) -> u64 {
-        self.edit.io_total()
-    }
-
-    /// Folds another splice's outcome into this one (one refresh splices
-    /// several trees).
-    pub fn absorb(&mut self, other: SpliceReport) {
-        self.edit.absorb(other.edit);
-        self.spliced_records += other.spliced_records;
-        self.reweighed_entries += other.reweighed_entries;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splice_report_absorb_and_total() {
-        let mut a = SpliceReport {
-            edit: TreeEdit {
-                stale_keys: vec![],
-                read_ios: 2,
-                node_writes: 1,
-                payload_blocks: 1,
-            },
-            spliced_records: 10,
-            reweighed_entries: 3,
-        };
-        a.absorb(SpliceReport {
-            edit: TreeEdit {
-                stale_keys: vec![],
-                read_ios: 1,
-                node_writes: 1,
-                payload_blocks: 2,
-            },
-            spliced_records: 4,
-            reweighed_entries: 1,
-        });
-        assert_eq!(a.io_total(), 8);
-        assert_eq!(a.spliced_records, 14);
-        assert_eq!(a.reweighed_entries, 4);
-    }
 
     #[test]
     fn absorb_sums_counters_and_concatenates_keys() {

@@ -18,10 +18,10 @@
 //! the two [`storage::BlockFile`]s (node records plus one *side* record
 //! of textual summary per node), serialization of a Sort-Tile-Recursive
 //! bulk load ([`BuildTree`]), Guttman insertion with quadratic splits,
-//! CondenseTree removal, compaction, the bulk re-weigh splice,
-//! persistence, the footprint accessors — and every maintenance-I/O
-//! charge ([`TreeEdit`], [`SpliceReport`]). A payload supplies the
-//! per-entry summary, the record codecs and a handful of hooks:
+//! CondenseTree removal, compaction, persistence, the footprint
+//! accessors — and every maintenance-I/O charge ([`TreeEdit`]). A
+//! payload supplies the per-entry summary, the record codecs and a
+//! handful of hooks:
 //!
 //! * `st/` — [`StTree`], the inverted-file payload; [`PostingMode`]
 //!   selects IR-tree or MIR-tree posting width. `st/payload.rs` holds the
@@ -47,7 +47,7 @@ mod rtree;
 mod st;
 mod tree;
 
-pub use edit::{SpliceReport, TreeEdit};
+pub use edit::TreeEdit;
 pub use miur::{IndexedUser, MiurEntryView, MiurNodeRef, MiurScratch, MiurTree, UserRef};
 pub use rtree::{BuildItem, BuildTree, DEFAULT_MAX_ENTRIES};
 pub use st::{

@@ -7,15 +7,13 @@
 //! relevance of a whole group of users at once, and skip computing top-k
 //! results for user subtrees that can never contain a BRSTkNN.
 
-use std::collections::HashMap;
-
 use geo::{Point, Rect};
 use storage::{CodecId, RecordId};
 use text::{Document, TermId};
 
 use crate::rtree::{point_items, BuildTree};
 use crate::tree::{tree_api, PagedTree};
-use crate::{SpliceReport, TreeEdit};
+use crate::TreeEdit;
 
 mod payload;
 mod read;
@@ -118,22 +116,6 @@ impl MiurTree {
     /// location.
     pub fn remove(&mut self, id: u32, point: Point) -> Option<TreeEdit> {
         self.core.remove(id, point)
-    }
-
-    /// Bulk re-norm splice — the MIUR half of the two-tier incremental
-    /// corpus refresh (see [`crate::StTree::splice_reweighed`]).
-    ///
-    /// A corpus refresh changes user *normalizers* `N(u)` (they sum the
-    /// scorer's per-term maxima) but never locations, keyword sets or
-    /// counts, so only the `norm_min`/`norm_max` brackets along
-    /// root-to-leaf paths containing a re-normed user need repair. Every
-    /// untouched subtree's records are copied verbatim into the fresh
-    /// block files and charged no simulated I/O; rewritten paths pay
-    /// their reads and writes, and ancestors whose bracket is unchanged
-    /// by the repair splice their IntUni records untouched.
-    pub fn splice_reweighed(&self, renormed: &HashMap<u32, f64>) -> (MiurTree, SpliceReport) {
-        let (core, report) = self.core.splice_reweighed(renormed);
-        (MiurTree { core }, report)
     }
 
     /// Number of indexed users.
@@ -444,122 +426,6 @@ mod tests {
         assert!(tree.footprint_io() > 0);
     }
 
-    /// The bulk re-norm splice repairs exactly the brackets along touched
-    /// paths, splices everything else verbatim (free), and matches a tree
-    /// bulk-built from users carrying the new norms.
-    #[test]
-    fn splice_reweighed_repairs_norm_brackets() {
-        let us = users();
-        let tree = MiurTree::build_with_fanout(&us, 4);
-
-        // Re-norm users 2 and 9 (norms move the brackets).
-        let renormed: std::collections::HashMap<u32, f64> =
-            [(2u32, 5.0f64), (9, 0.5)].into_iter().collect();
-        let (spliced, report) = tree.splice_reweighed(&renormed);
-        assert_eq!(report.reweighed_entries, 2);
-        assert!(report.spliced_records > 0);
-        assert!(report.io_total() > 0);
-        assert_eq!(spliced.num_users(), tree.num_users());
-        assert_eq!(spliced.height(), tree.height());
-        assert_eq!(spliced.freed_records(), 0);
-
-        let io = IoStats::new();
-        assert_eq!(gather_users(&spliced, &io), gather_users(&tree, &io));
-
-        // Every invariant holds against the re-normed user table.
-        let renormed_users: Vec<IndexedUser> = us
-            .iter()
-            .map(|u| IndexedUser {
-                norm: renormed.get(&u.id).copied().unwrap_or(u.norm),
-                ..u.clone()
-            })
-            .collect();
-        check_intuni_invariants(&spliced, &renormed_users);
-        // And the brackets are *tight*: the repaired leaf entries carry
-        // exactly the new norms.
-        walk(&spliced, &io, |node| {
-            for e in node.entries {
-                if let UserRef::User(u) = e.child {
-                    let want = renormed.get(&u).copied().unwrap_or(2.0);
-                    assert_eq!(e.norm_min, want, "user {u}");
-                    assert_eq!(e.norm_max, want, "user {u}");
-                }
-            }
-        });
-    }
-
-    /// An empty re-norm map splices every record verbatim at zero
-    /// simulated I/O, reclaiming churn placeholders on the way.
-    #[test]
-    fn splice_reweighed_empty_map_is_pure_splice() {
-        let us = users();
-        let mut tree = MiurTree::build_with_fanout(&us, 4);
-        for u in &us[..3] {
-            tree.remove(u.id, u.point).unwrap();
-        }
-        for u in &us[..3] {
-            tree.insert(u);
-        }
-        assert!(tree.freed_records() > 0);
-        let (spliced, report) = tree.splice_reweighed(&std::collections::HashMap::new());
-        assert_eq!(report.io_total(), 0);
-        assert_eq!(report.reweighed_entries, 0);
-        assert_eq!(spliced.freed_records(), 0);
-        assert_eq!(spliced.node_bytes(), tree.node_bytes());
-        assert_eq!(spliced.intuni_bytes(), tree.intuni_bytes());
-        let io = IoStats::new();
-        assert_eq!(gather_users(&spliced, &io), gather_users(&tree, &io));
-    }
-
-    /// Ancestor splice: a re-norm strictly inside an entry's existing
-    /// bracket rewrites the touched leaf but leaves the root's IntUni
-    /// record spliced verbatim (its bracket is unchanged).
-    #[test]
-    fn splice_reweighed_keeps_ancestors_when_bracket_unchanged() {
-        // Norms 1.0 / 3.0 in every leaf, so moving a norm to 2.0 stays
-        // inside each bracket.
-        let us: Vec<IndexedUser> = (0..12)
-            .map(|i| IndexedUser {
-                id: i,
-                point: Point::new(f64::from(i), f64::from(i % 4)),
-                doc: Document::from_terms([t(0)]),
-                norm: if i % 2 == 0 { 1.0 } else { 3.0 },
-            })
-            .collect();
-        let tree = MiurTree::build_with_fanout(&us, 4);
-        assert!(tree.height() >= 2);
-        // Pick a user whose re-norm to 2.0 cannot move its leaf bracket:
-        // a norm-1.0 user in a leaf that also holds *another* 1.0 and a
-        // 3.0. Derived from the built tree, so the choice is layout-proof.
-        let io = IoStats::new();
-        let mut eligible = None;
-        walk(&tree, &io, |node| {
-            let mins = node.entries.iter().filter(|e| e.norm_min == 1.0).count();
-            let maxs = node.entries.iter().filter(|e| e.norm_max == 3.0).count();
-            if node.is_leaf && mins >= 2 && maxs >= 1 {
-                let UserRef::User(u) = node
-                    .entries
-                    .iter()
-                    .find(|e| e.norm_min == 1.0)
-                    .unwrap()
-                    .child
-                else {
-                    panic!()
-                };
-                eligible = Some(u);
-            }
-        });
-        let user = eligible.expect("some leaf holds a redundant bracket witness");
-        let renormed: std::collections::HashMap<u32, f64> = [(user, 2.0f64)].into_iter().collect();
-        let (spliced, report) = tree.splice_reweighed(&renormed);
-        assert_eq!(report.reweighed_entries, 1);
-        assert_eq!(
-            report.edit.node_writes, 1,
-            "bracket unchanged above the leaf: ancestors splice"
-        );
-        assert_eq!(gather_users(&spliced, &io), gather_users(&tree, &io));
-    }
-
     #[test]
     fn save_load_keeps_fanout() {
         let us = users();
@@ -629,9 +495,9 @@ mod tests {
         }
         assert_eq!(rows(&v), rows(&c), "after churn");
         assert_eq!(c.codec(), CodecId::Columnar);
-        assert_eq!(c.compacted().codec(), CodecId::Columnar);
-        let (spliced, _) = c.splice_reweighed(&std::collections::HashMap::new());
-        assert_eq!(rows(&spliced), rows(&c), "splice under columnar");
+        let compact = c.compacted();
+        assert_eq!(compact.codec(), CodecId::Columnar);
+        assert_eq!(rows(&compact), rows(&c), "compaction under columnar");
     }
 
     /// The count/summary split: user counts live in the *node* record, so

@@ -35,7 +35,6 @@ impl Entry for MiurEntryView {
 impl Payload for Miur {
     type Entry = MiurEntryView;
     type Item = IndexedUser;
-    type Reweigh = f64;
     type Pool = ();
     const SIDE_FILE: &'static str = "intuni.mbrs";
     /// Every insert or remove moves the user count of every ancestor, so
@@ -84,11 +83,6 @@ impl Payload for Miur {
             doc: Document::from_terms(entry.uni.iter().copied()),
             norm: entry.norm_min,
         }
-    }
-
-    fn reweigh(&self, entry: &mut MiurEntryView, norm: &f64, _: &mut ()) {
-        entry.norm_min = *norm;
-        entry.norm_max = *norm;
     }
 
     /// Bounding MBR, union/intersection of the IntUni vectors, user count

@@ -14,15 +14,13 @@
 //! MIR-tree's inverted files are slightly larger, which our block
 //! accounting faithfully reflects.
 
-use std::collections::HashMap;
-
 use geo::Point;
 use storage::{CodecId, RecordId};
 use text::WeightedDoc;
 
 use crate::rtree::{point_items, BuildTree};
 use crate::tree::{tree_api, PagedTree};
-use crate::{SpliceReport, TreeEdit};
+use crate::TreeEdit;
 
 mod payload;
 mod read;
@@ -85,7 +83,7 @@ impl StTree {
 
     /// Bulk loads with an explicit node capacity and record codec. The
     /// codec is fixed at build time and travels with the tree: every
-    /// mutation, splice, and compaction re-encodes with the same codec.
+    /// mutation and compaction re-encodes with the same codec.
     pub fn build_with_fanout_codec(
         objects: &[IndexedObject],
         mode: PostingMode,
@@ -193,37 +191,6 @@ impl StTree {
     /// are freed, keeping the byte accounting live.
     pub fn remove(&mut self, id: u32, point: Point) -> Option<TreeEdit> {
         self.core.remove(id, point)
-    }
-
-    /// Bulk re-weigh splice — the tree half of the two-tier incremental
-    /// corpus refresh.
-    ///
-    /// Produces a twin of this tree over fresh, densely packed block
-    /// files in which every leaf entry named in `reweighed` carries its
-    /// new weight vector. The tree *structure* (node grouping, MBRs,
-    /// height) is preserved exactly — a refresh changes weights, never
-    /// locations — so only the inverted files along root-to-leaf paths
-    /// that contain a re-weighed object need recomputed aggregates; every
-    /// other subtree's records are copied verbatim and charged no
-    /// simulated I/O (see [`SpliceReport`] for the extent-remap cost
-    /// model). The per-mutation ancestor splice of [`StTree::insert`]
-    /// generalizes here to bulk form: once a rewritten subtree's merged
-    /// term aggregate matches its old value, its ancestors reuse their
-    /// inverted files untouched.
-    ///
-    /// Exactness: a subtree containing no re-weighed object has
-    /// bit-identical leaf weights, hence bit-identical aggregates, so the
-    /// verbatim copy *is* the recomputation. Callers are responsible for
-    /// `reweighed` covering every object whose stored weights differ from
-    /// the target scorer's (the engine-level drift ledger guarantees
-    /// this), and for the target scorer's `wmax` dominating every weight
-    /// left in place.
-    pub fn splice_reweighed(
-        &self,
-        reweighed: &HashMap<u32, WeightedDoc>,
-    ) -> (StTree, SpliceReport) {
-        let (core, report) = self.core.splice_reweighed(reweighed);
-        (StTree { core }, report)
     }
 
     /// Number of indexed objects.
@@ -787,122 +754,6 @@ mod tests {
         );
         assert_eq!(collect_objects(&reopened, &io), collect_objects(&tree, &io));
         std::fs::remove_dir_all(base).ok();
-    }
-
-    /// The bulk re-weigh splice: structure preserved, re-weighed entries
-    /// carry their new payloads, untouched subtrees are copied verbatim
-    /// and charged nothing, and the result is bit-identical to a tree
-    /// whose *every* object was re-weighed the same way.
-    #[test]
-    fn splice_reweighed_matches_full_reweigh() {
-        let (objects, _, _) = corpus();
-        let tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
-
-        // Re-weigh objects 0 and 13 (different leaves): double weights.
-        let mut reweighed: HashMap<u32, WeightedDoc> = HashMap::new();
-        let mut full: Vec<IndexedObject> = objects.clone();
-        for &id in &[0u32, 13] {
-            let doc = WeightedDoc::from_pairs(
-                objects[id as usize]
-                    .doc
-                    .entries
-                    .iter()
-                    .map(|&(t, w)| (t, w * 2.0))
-                    .collect(),
-            );
-            full[id as usize].doc = doc.clone();
-            reweighed.insert(id, doc);
-        }
-        let (spliced, report) = tree.splice_reweighed(&reweighed);
-        assert_eq!(report.reweighed_entries, 2);
-        assert!(report.spliced_records > 0, "untouched subtrees spliced");
-        assert!(report.io_total() > 0, "rewritten paths are charged");
-        assert_eq!(spliced.num_objects(), tree.num_objects());
-        assert_eq!(spliced.height(), tree.height());
-        assert_eq!(spliced.freed_records(), 0, "fresh files are dense");
-
-        // Every object is still present at its location.
-        let io = IoStats::new();
-        assert_eq!(
-            collect_objects(&spliced, &io)
-                .iter()
-                .map(|&(o, _)| o)
-                .collect::<Vec<_>>(),
-            (0..20).collect::<Vec<_>>()
-        );
-
-        // Per-node comparison against a tree with every object re-weighed
-        // through the same splice machinery (map covering all objects):
-        // aggregates must be exact for the new weights.
-        let all: HashMap<u32, WeightedDoc> = full.iter().map(|o| (o.id, o.doc.clone())).collect();
-        let (reference, _) = tree.splice_reweighed(&all);
-        let all_terms: Vec<TermId> = (0..4).map(t).collect();
-        assert_same_content(&spliced, &reference, &all_terms);
-    }
-
-    /// An empty re-weigh map splices everything: zero simulated I/O, and
-    /// the copy is payload-identical to the source.
-    #[test]
-    fn splice_reweighed_empty_map_is_pure_splice() {
-        let (objects, _, _) = corpus();
-        let mut tree = StTree::build_with_fanout(&objects[..12], PostingMode::MaxMin, 4);
-        for obj in &objects[12..] {
-            tree.insert(obj);
-        }
-        for obj in &objects[..3] {
-            tree.remove(obj.id, obj.point).unwrap();
-        }
-        assert!(tree.freed_records() > 0);
-        let (spliced, report) = tree.splice_reweighed(&HashMap::new());
-        assert_eq!(report.io_total(), 0, "verbatim splice charges nothing");
-        assert_eq!(report.reweighed_entries, 0);
-        assert_eq!(
-            report.spliced_records,
-            2 * (tree.core.nodes.live_records() as u64)
-        );
-        assert_eq!(spliced.freed_records(), 0, "placeholders reclaimed");
-        assert_eq!(spliced.node_bytes(), tree.node_bytes());
-        assert_eq!(spliced.invfile_bytes(), tree.invfile_bytes());
-        let io = IoStats::new();
-        assert_eq!(collect_objects(&spliced, &io), collect_objects(&tree, &io));
-    }
-
-    /// The bulk ancestor splice: a re-weigh that does not move the
-    /// subtree's merged aggregate (another sibling already holds every
-    /// maximum, and the minimum is poisoned by a missing term) leaves the
-    /// ancestors' inverted files spliced verbatim.
-    #[test]
-    fn splice_reweighed_keeps_ancestor_invfiles_when_summary_unchanged() {
-        // Two-leaf tree: entries 0..4 in one leaf, 4..8 in the other.
-        let docs: Vec<Document> = (0..8)
-            .map(|i| Document::from_pairs([(t(i % 2), 1 + (i % 4)), (t(3), 1)]))
-            .collect();
-        let scorer = TextScorer::from_docs(WeightModel::KeywordOverlap, &docs);
-        let objects: Vec<IndexedObject> = docs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| IndexedObject {
-                id: i as u32,
-                point: Point::new(i as f64, 0.0),
-                doc: scorer.weigh(d),
-            })
-            .collect();
-        let tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
-        assert_eq!(tree.height(), 2);
-
-        // KO weights are all 1; re-weighing object 0 to the same weights
-        // it already has cannot change any aggregate, so only its leaf is
-        // rewritten and the root's inverted file splices.
-        let mut map = HashMap::new();
-        map.insert(0u32, objects[0].doc.clone());
-        let (spliced, report) = tree.splice_reweighed(&map);
-        assert_eq!(report.reweighed_entries, 1);
-        assert_eq!(
-            report.edit.node_writes, 1,
-            "only the touched leaf is rewritten; the root splices"
-        );
-        let io = IoStats::new();
-        assert_eq!(collect_objects(&spliced, &io), collect_objects(&tree, &io));
     }
 
     #[test]

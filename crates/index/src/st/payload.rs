@@ -120,7 +120,6 @@ impl Entry for StEntry {
 impl Payload for St {
     type Entry = StEntry;
     type Item = IndexedObject;
-    type Reweigh = WeightedDoc;
     type Pool = Pool;
     const SIDE_FILE: &'static str = "invfiles.mbrs";
     /// A typical insert shifts no upper-level maxima (and minima are
@@ -169,18 +168,6 @@ impl Payload for St {
             point: entry.rect.min,
             doc: WeightedDoc::from_pairs(weights.collect()),
         }
-    }
-
-    fn reweigh(&self, entry: &mut StEntry, to: &WeightedDoc, pool: &mut Pool) {
-        // The IR-tree stores no minima; deserialized rows report 0, so
-        // recomputed rows must too for the changed-summary comparison to
-        // stay meaningful.
-        let with_min = self.mode == PostingMode::MaxMin;
-        let rows = to
-            .entries
-            .iter()
-            .map(|&(t, w)| (t, w, if with_min { w } else { 0.0 }));
-        entry.rows = pool.push(rows);
     }
 
     fn summarize(entries: &[StEntry], pool: &mut Pool) -> StEntry {

@@ -11,12 +11,12 @@
 //! [`BuildTree`], Guttman insertion (least-enlargement descent, quadratic
 //! split, walk-up, root growth), CondenseTree removal (`find_leaf`,
 //! underflow dissolve + orphan reinsertion, root collapse), the
-//! compaction / re-weigh splice walk, persistence and the footprint
+//! compaction copy walk, persistence and the footprint
 //! accessors, together with every maintenance-I/O charge they make.
 //!
 //! What differs per tree is a [`Payload`]: the entry type with its
 //! summary, the two record codecs, how a leaf entry is made from an
-//! application item and re-weighed, and how summaries aggregate upwards.
+//! application item, and how summaries aggregate upwards.
 //! The two trees also differ in *when* the side record is read and in
 //! what an unchanged summary buys; both are hooks, not branches:
 //!
@@ -42,7 +42,6 @@
 //! build writes the same nodes to several trees at once
 //! ([`PagedTree::from_build_tree`]).
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
@@ -51,7 +50,7 @@ use storage::codec::{Reader, Writer};
 use storage::{blocks_for, BlockFile, CodecId, RecordId};
 
 use crate::rtree::{quadratic_partition, BuildItem, BuildTree};
-use crate::{SpliceReport, TreeEdit};
+use crate::TreeEdit;
 
 /// What the core needs to see of a node entry.
 pub(crate) trait Entry: Clone {
@@ -86,8 +85,6 @@ pub(crate) trait Payload: Clone {
     type Entry: Entry;
     /// The application item a leaf entry indexes.
     type Item;
-    /// What [`PagedTree::splice_reweighed`] replaces per leaf entry.
-    type Reweigh;
     /// Scratch one build or edit owns and drops (see [`Op`]).
     type Pool: Default;
     /// File name of the side block file.
@@ -114,7 +111,6 @@ pub(crate) trait Payload: Clone {
     fn leaf_entry(&self, item: &Self::Item, pool: &mut Self::Pool) -> Self::Entry;
     /// Reconstructs the item of a leaf entry (orphan reinsertion).
     fn leaf_item(entry: &Self::Entry, pool: &Self::Pool) -> Self::Item;
-    fn reweigh(&self, entry: &mut Self::Entry, to: &Self::Reweigh, pool: &mut Self::Pool);
     /// The entry a parent stores for a node holding `entries` (which must
     /// be non-empty); the caller points it at the node. Aggregates the
     /// entries once: [`Payload::encode_side`] of the same entries reads
@@ -579,83 +575,31 @@ impl<P: Payload> PagedTree<P> {
         node
     }
 
-    /// Bulk re-weigh splice (see [`crate::StTree::splice_reweighed`]);
-    /// with an empty map this is pure compaction.
-    pub fn splice_reweighed(&self, reweighed: &HashMap<u32, P::Reweigh>) -> (Self, SpliceReport) {
-        let payload = self.payload.clone();
-        let mut out = Self::fresh(payload, self.codec, self.fanout, self.height, self.len);
-        let (mut report, mut op) = (SpliceReport::default(), Op::new(self.codec));
-        out.root = out
-            .splice_sub(self, self.root, reweighed, &mut report, &mut op)
-            .0;
-        report.edit = op.edit;
-        (out, report)
-    }
-
-    /// Recursive worker of [`PagedTree::splice_reweighed`]: copies or
-    /// rewrites the subtree under `rec` (of `src`) into `self`, children
-    /// first so parents can point at the remapped record ids. Returns the
-    /// new record id and, when the subtree's parent-visible summary
-    /// changed, the new parent entry (`None` lets the parent keep its side
-    /// record verbatim).
-    fn splice_sub(
-        &mut self,
-        src: &Self,
-        rec: RecordId,
-        reweighed: &HashMap<u32, P::Reweigh>,
-        report: &mut SpliceReport,
-        op: &mut Op<P>,
-    ) -> (RecordId, Option<P::Entry>) {
-        let mut node = P::read(src, rec, &mut op.pool);
-        // Entry indexes to re-weigh (leaf) / replace (inner).
-        let mut touched: Vec<usize> = Vec::new();
-        let mut changed: Vec<(usize, P::Entry)> = Vec::new();
-        if node.is_leaf {
-            touched.extend(
-                (0..node.entries.len())
-                    .filter(|&i| reweighed.contains_key(&node.entries[i].target())),
-            );
-        } else {
-            for (i, e) in node.entries.iter_mut().enumerate() {
-                let (child, summary) =
-                    self.splice_sub(src, RecordId(e.target()), reweighed, report, op);
-                e.point_at(child);
-                changed.extend(summary.map(|s| (i, s)));
-            }
-        }
-
-        let old_side = src.side.get(node.side);
-        if touched.is_empty() && changed.is_empty() {
-            // Verbatim: the side payload is copied byte-for-byte (both
-            // trees share one codec) and the node record re-emitted with
-            // remapped ids only — an extent remap, charged nothing.
-            let side = self.side.put(old_side);
-            report.spliced_records += 2;
-            let record = op.node_record(node.is_leaf, side, &node.entries);
-            return (self.nodes.put(record), None);
-        }
-
-        op.edit.read_ios += 1 + blocks_for(old_side.len());
-        let mut node = src.with_summaries(node, &mut op.pool);
-        let before = P::summarize(&node.entries, &mut op.pool);
-        for i in touched {
-            let to = &reweighed[&node.entries[i].target()];
-            self.payload.reweigh(&mut node.entries[i], to, &mut op.pool);
-            report.reweighed_entries += 1;
-        }
-        for (i, summary) in changed {
-            node.entries[i] = summary;
-        }
-        let after = self.write_node(node.is_leaf, &node.entries, None, op);
-        let moved = !P::same_summary(&before, &after, &op.pool);
-        (RecordId(after.target()), moved.then_some(after))
-    }
-
     /// Rewrites the live tree into fresh block files with densely packed
     /// record ids: structure, payloads and query behaviour are identical,
     /// but the freed placeholder slots accumulated by mutations are gone.
     pub fn compacted(&self) -> Self {
-        self.splice_reweighed(&HashMap::new()).0
+        let payload = self.payload.clone();
+        let mut out = Self::fresh(payload, self.codec, self.fanout, self.height, self.len);
+        out.root = out.copy_sub(self, self.root, &mut Op::new(self.codec));
+        out
+    }
+
+    /// Recursive worker of [`PagedTree::compacted`]: copies the subtree
+    /// under `rec` (of `src`) into `self`, children first so parents can
+    /// point at the remapped record ids. The side payload is copied
+    /// byte-for-byte (both trees share one codec) and the node record
+    /// re-emitted with remapped ids only. Returns the new record id.
+    fn copy_sub(&mut self, src: &Self, rec: RecordId, op: &mut Op<P>) -> RecordId {
+        let mut node = P::read(src, rec, &mut op.pool);
+        if !node.is_leaf {
+            for e in &mut node.entries {
+                e.point_at(self.copy_sub(src, RecordId(e.target()), op));
+            }
+        }
+        let side = self.side.put(src.side.get(node.side));
+        let record = op.node_record(node.is_leaf, side, &node.entries);
+        self.nodes.put(record)
     }
 
     /// Persists the tree to `dir` (`nodes.mbrs`, the side file,
@@ -809,7 +753,7 @@ macro_rules! tree_api {
             }
 
             /// Record codec in use. It is fixed at build time and travels
-            /// with the tree: every mutation, splice and compaction
+            /// with the tree: every mutation and compaction
             /// re-encodes with the same codec.
             #[inline]
             pub fn codec(&self) -> storage::CodecId {

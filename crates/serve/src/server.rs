@@ -474,12 +474,11 @@ impl Worker {
                 let snap = self.engine.snapshot();
                 Reply::Stats(format!(
                     "{{\"epoch\":{},\"objects\":{},\"users\":{},\"refreshes\":{},\
-                     \"incremental_refreshes\":{},\"journal_depth\":{},\"metrics\":{}}}",
+                     \"journal_depth\":{},\"metrics\":{}}}",
                     snap.epoch(),
                     snap.objects.len(),
                     snap.users.len(),
                     self.engine.refreshes(),
-                    self.engine.incremental_refreshes(),
                     self.engine.journal_depth(),
                     snap.metrics().snapshot().to_json(),
                 ))

@@ -23,7 +23,7 @@
 //!     A well-formed frame the engine would panic on (`k = 0`, no
 //!     candidate location) or over-allocate for (a huge `k`) costs one
 //!     reply, not the worker; a huge `ws` is answered; removing the last
-//!     user is a rejection.
+//!     user and inserting a document with a huge term id are rejections.
 //! (e) **Introspection** — `stats` returns the engine's counters as JSON
 //!     and `metrics` returns a Prometheus page that includes the serve
 //!     counters next to the engine's own.
@@ -577,6 +577,40 @@ fn removing_every_user_is_rejected_at_the_last_one() {
         .expect("the worker is alive");
     assert_eq!(net, serving.query(&spec, Method::UserIndexExact).0);
     assert!(client.stats_json().unwrap().contains("\"users\":1"));
+}
+
+/// An object naming a term id near `u32::MAX` used to be accepted, and the
+/// next drift scan or refresh then sized its corpus statistics by that id
+/// (a 17 GB allocation that aborted the process). A single-worker server
+/// rejects the frame, then answers `stats` and the next client.
+#[test]
+fn a_huge_term_id_is_rejected() {
+    let serving = serving_engine(43);
+    let server = bind(
+        &serving,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let huge = Mutation::InsertObject(ObjectData {
+        id: 500,
+        point: Point::new(3.0, 3.0),
+        doc: Document::from_terms([t(u32::MAX - 1)]),
+    });
+    assert!(
+        client.mutate(huge).unwrap().is_none(),
+        "a huge term id is MutateRejected"
+    );
+    assert!(client.stats_json().unwrap().contains("\"objects\":120"));
+    drop(client);
+    let spec = specs().remove(0);
+    let mut next = Client::connect(server.local_addr()).unwrap();
+    let net = next
+        .query(Method::JointGreedy, &spec)
+        .expect("the worker is alive");
+    assert_eq!(net, serving.query(&spec, Method::JointGreedy).0);
 }
 
 /// `stats` carries the serving counters as JSON; `metrics` renders the

@@ -60,28 +60,6 @@ impl WeightModel {
         self.weight(t, 1, 1, stats)
     }
 
-    /// The corpus-statistics *basis* of this model's per-term weight: the
-    /// one number through which [`CorpusStats`] enters
-    /// [`WeightModel::weight`] for term `t`.
-    ///
-    /// * TF-IDF — `idf(t, O)`: the weight is `tf · idf`, so two stats with
-    ///   equal `idf(t)` give bitwise-equal weights for every `(tf, |d|)`.
-    /// * LM — the background estimate `cf(t) / |C|`: the document part
-    ///   `(1−λ)·tf/|d|` is stats-free.
-    /// * KO — `0.0`: weights never depend on the corpus.
-    ///
-    /// The incremental corpus refresh compares this basis (frozen vs.
-    /// live) per term: a term whose basis did not move cannot change the
-    /// stored weight of *any* document, so documents touching only such
-    /// terms can be spliced verbatim instead of re-weighed.
-    pub fn corpus_basis(&self, t: TermId, stats: &CorpusStats) -> f64 {
-        match *self {
-            WeightModel::TfIdf => stats.idf(t),
-            WeightModel::LanguageModel { .. } => stats.background(t),
-            WeightModel::KeywordOverlap => 0.0,
-        }
-    }
-
     /// Short display name used by the benchmark harness ("LM", "TF", "KO").
     pub fn short_name(&self) -> &'static str {
         match self {
@@ -394,48 +372,6 @@ mod tests {
             let wd = s.weigh(d);
             assert!((s.ts_weighted(&wd, &user) - s.ts(d, &user)).abs() < 1e-12);
         }
-    }
-
-    /// `corpus_basis` is exactly the channel through which statistics
-    /// reach weights: equal basis ⇒ bitwise-equal weight for every
-    /// `(tf, |d|)`, and a moved basis moves some weight.
-    #[test]
-    fn corpus_basis_determines_weights() {
-        let frozen = CorpusStats::build(corpus().iter());
-        // A different corpus that disturbs t0/t1 (df and cf both move)
-        // but leaves t2 untouched: same |C| (8 tokens), same df/cf for t2.
-        let live_docs = [
-            Document::from_pairs([(t(0), 2), (t(1), 1)]),
-            Document::from_pairs([(t(0), 1), (t(1), 2)]),
-            Document::from_pairs([(t(0), 1), (t(2), 1)]),
-        ];
-        let live = CorpusStats::build(live_docs.iter());
-        for model in [WeightModel::TfIdf, WeightModel::lm()] {
-            // t2's basis is unchanged, so every (tf, len) weight matches.
-            assert_eq!(
-                model.corpus_basis(t(2), &frozen),
-                model.corpus_basis(t(2), &live)
-            );
-            for (tf, len) in [(1u32, 2u64), (3, 5)] {
-                assert_eq!(
-                    model.weight(t(2), tf, len, &frozen),
-                    model.weight(t(2), tf, len, &live)
-                );
-            }
-            // t0's basis moved, and so does the weight.
-            assert_ne!(
-                model.corpus_basis(t(0), &frozen),
-                model.corpus_basis(t(0), &live)
-            );
-            assert_ne!(
-                model.weight(t(0), 1, 2, &frozen),
-                model.weight(t(0), 1, 2, &live)
-            );
-        }
-        // KO never depends on the corpus.
-        let ko = WeightModel::KeywordOverlap;
-        assert_eq!(ko.corpus_basis(t(0), &frozen), 0.0);
-        assert_eq!(ko.corpus_basis(t(0), &live), 0.0);
     }
 
     #[test]

@@ -23,16 +23,16 @@
 //!     refresh re-weighs the corpus.
 //! (e) **Drift metric** — zero on a fresh build, monotone under
 //!     one-sided churn, zero again after a refresh.
-//! (f) **Two-tier soak** — rounds alternating drift-heavy object churn
-//!     with drift-free user churn make the refresher alternate full and
-//!     incremental tiers by the measured-drift threshold; every
-//!     checkpoint keeps epochs strictly monotone, drift exactly zero
-//!     post-refresh, placeholders reclaimed, and answers equivalent to a
-//!     cold rebuild.
-//! (g) **Copy-on-write fallback** — a mutation applied while a snapshot
+//! (f) **Copy-on-write fallback** — a mutation applied while a snapshot
 //!     is pinned proceeds on a private clone: the pinned snapshot's
 //!     query answers stay bit-stable for its epoch while the published
 //!     engine advances.
+//! (g) **Refresh ≡ cold build** — for every weight model (LM, TF-IDF,
+//!     KO) and for both a drift-heavy and a uniform churn stream,
+//!     `Engine::refreshed()` answers every one of the six [`Method`]s
+//!     bit-identically to a cold build over the survivors under either
+//!     codec, on cold caches and again on warm ones; a refresh keeps the
+//!     engine's codec.
 //!
 //! Scale knobs (CI uses reduced settings): `MBRSTK_SOAK_OPS` mutations
 //! per mutator thread per round (default 48), `MBRSTK_SOAK_ROUNDS`
@@ -44,7 +44,8 @@ use std::sync::mpsc;
 
 use datagen::rng::{Rng, SeedableRng, StdRng};
 use index::{NodeScratch, PostingsScratch};
-use maxbrstknn::mbrstk_core::{EngineCluster, Mutation, RefreshConfig, RefreshTier, ServingEngine};
+use maxbrstknn::datagen::{generate_churn, ChurnConfig, ChurnOp};
+use maxbrstknn::mbrstk_core::{EngineCluster, Mutation, ServingEngine};
 use maxbrstknn::prelude::*;
 use text::Document;
 
@@ -93,6 +94,19 @@ fn build(objects: Vec<ObjectData>, users: Vec<UserData>) -> Engine {
     Engine::build_with_fanout(objects, users, WeightModel::lm(), ALPHA, FANOUT).with_user_index()
 }
 
+/// [`build`] under an explicit model and codec, with both caches.
+fn build_cached(
+    objects: Vec<ObjectData>,
+    users: Vec<UserData>,
+    model: WeightModel,
+    codec: CodecId,
+) -> Engine {
+    Engine::build_with_fanout_codec(objects, users, model, ALPHA, FANOUT, codec)
+        .with_user_index()
+        .with_threshold_cache()
+        .with_page_cache(1 << 12)
+}
+
 /// Serves `engine` fused (`shards == 0`) or scattered over `shards` user
 /// slices — the racing tests take both as inputs.
 fn serve(engine: Engine, shards: usize) -> std::sync::Arc<ServingEngine> {
@@ -128,12 +142,12 @@ fn sorted_users(r: &QueryResult) -> Vec<u32> {
     ids
 }
 
-/// Like [`assert_equivalent`], but tolerant of §7 tie-breaking: the
-/// incremental refresh tier preserves the mutated trees' *shape* (a cold
-/// rebuild re-tiles them), and the MIUR pipeline breaks objective ties by
-/// expansion order, so across different shapes the §7 methods are pinned
-/// on the objective (cardinality, checked against the exact joint
-/// optimum) instead of the full payload.
+/// Like [`assert_equivalent`], but tolerant of §7 tie-breaking: a mutated
+/// engine keeps its trees' *shape* (a cold rebuild re-tiles them), and the
+/// MIUR pipeline breaks objective ties by expansion order, so across
+/// different shapes the §7 methods are pinned on the objective
+/// (cardinality, checked against the exact joint optimum) instead of the
+/// full payload.
 fn assert_equivalent_cross_shape(label: &str, refreshed: &Engine, rebuilt: &Engine) {
     for spec in specs() {
         let optimum = rebuilt.query(&spec, Method::JointExact).cardinality();
@@ -572,113 +586,7 @@ fn clamped_outlier_weight_is_restored_after_refresh() {
     assert_equivalent("reclamp", &eng, &cold);
 }
 
-/// Acceptance (f): the two-tier soak. Odd rounds churn only users
-/// (corpus statistics never move → drift 0 → the incremental tier is
-/// forced); even rounds flood term 0 through objects (drift spikes past
-/// the threshold → the full tier is forced). Every checkpoint proves the
-/// same bundle as the full-tier soak: strictly monotone epochs, zero
-/// post-refresh drift, full placeholder reclamation, cold-build
-/// equivalence — and that the chosen tier matches the measured drift.
-#[test]
-fn soak_alternates_refresh_tiers_by_drift_threshold() {
-    let ops = env_usize("MBRSTK_SOAK_OPS", 48);
-    let rounds = env_usize("MBRSTK_SOAK_ROUNDS", 2).max(1) * 2;
-
-    let mut rng = StdRng::seed_from_u64(2026);
-    let (objects, users) = seed_data(&mut rng);
-    let cfg = RefreshConfig {
-        // Flooded rounds overshoot this comfortably; user-only rounds
-        // measure exactly 0.
-        full_refresh_drift: 0.02,
-        ..RefreshConfig::default()
-    };
-    let serving = ServingEngine::with_config(
-        build(objects, users)
-            .with_threshold_cache()
-            .with_page_cache(1 << 12),
-        cfg,
-    );
-
-    let mut last_epoch = serving.epoch();
-    for round in 0..rounds {
-        let snap = serving.snapshot();
-        let fresh_base = 20_000 * (round as u32 + 1);
-        let script = if round % 2 == 0 {
-            let live: Vec<u32> = snap.objects.iter().map(|o| o.id).collect();
-            object_script(&mut rng, ops, live, fresh_base)
-        } else {
-            let live: Vec<u32> = snap.users.iter().map(|u| u.id).collect();
-            user_script(&mut rng, ops / 2, live, fresh_base)
-        };
-        drop(snap);
-
-        // Churn under concurrent snapshot observers, as in the main soak.
-        let mutating = AtomicBool::new(true);
-        std::thread::scope(|s| {
-            let (serving, mutating) = (&serving, &mutating);
-            s.spawn(move || {
-                let report = serving.apply_batch(script);
-                assert_eq!(report.rejected, 0);
-                mutating.store(false, Ordering::Relaxed);
-            });
-            s.spawn(move || {
-                let spec = &specs()[round % 2];
-                let mut last = 0u64;
-                while mutating.load(Ordering::Relaxed) {
-                    let snap = serving.snapshot();
-                    assert!(snap.epoch() >= last, "epochs ran backwards");
-                    last = snap.epoch();
-                    let e = snap.query(spec, Method::JointExact);
-                    let b = snap.query(spec, Method::Baseline);
-                    assert_eq!(e.cardinality(), b.cardinality(), "torn snapshot");
-                    std::thread::yield_now();
-                }
-            });
-        });
-
-        // Quiesced checkpoint: the tier must match the drifted fraction.
-        let pre = serving.snapshot();
-        let measured = pre.drift_ledger().drifted_fraction();
-        let expected = if measured >= serving.config().full_refresh_drift {
-            RefreshTier::Full
-        } else {
-            RefreshTier::Incremental
-        };
-        if round % 2 == 1 {
-            assert_eq!(
-                (measured, pre.drift().max_rel_error),
-                (0.0, 0.0),
-                "user churn must never move the corpus statistics"
-            );
-        }
-        drop(pre);
-
-        let report = serving.refresh_now();
-        assert_eq!(report.tier, expected, "round {round}");
-        assert_eq!(report.replayed, 0, "quiesced refresh replays nothing");
-        assert!(report.epoch > last_epoch, "epochs strictly monotone");
-        assert!(report.reclaimed_records > 0, "round {round} left slots");
-        last_epoch = report.epoch;
-
-        let snap = serving.snapshot();
-        assert_eq!(snap.epoch(), report.epoch);
-        assert_eq!(snap.drift().max_rel_error, 0.0, "zero post-refresh drift");
-        assert_eq!(snap.mutations_since_refresh(), 0);
-        assert_eq!(snap.freed_record_slots(), 0);
-        let cold = build(snap.objects.clone(), snap.users.clone());
-        assert_equivalent_cross_shape(&format!("tier round {round}"), &snap, &cold);
-    }
-
-    // Both tiers genuinely occurred, in the expected split.
-    assert_eq!(serving.refreshes(), rounds as u64);
-    assert_eq!(
-        serving.incremental_refreshes(),
-        (rounds / 2) as u64,
-        "every user-only round must refresh incrementally"
-    );
-}
-
-/// Acceptance (g): the copy-on-write fallback regression. Pin a
+/// Acceptance (f): the copy-on-write fallback regression. Pin a
 /// snapshot, mutate through the CoW clone, and prove the pinned
 /// snapshot's query results are bit-unchanged (for every method) while
 /// the published engine advances and answers like a cold build over its
@@ -944,4 +852,79 @@ fn journal_depth_gauge_drains_to_zero() {
     serving.refresh_now();
     assert_eq!(serving.journal_depth(), 0);
     assert_eq!(gauge(), 0.0, "gauge must drain with the journal");
+}
+
+/// Acceptance (g): the differential refresh harness. Refreshed ≡ cold,
+/// for all six methods, under both codecs, cold caches and warm, across
+/// drift-heavy and uniform streams and all three weight models.
+#[test]
+fn refresh_is_bit_identical_to_cold_build() {
+    let pool: Vec<TermId> = (0..=6).map(t).collect();
+    for model in [
+        WeightModel::lm(),
+        WeightModel::TfIdf,
+        WeightModel::KeywordOverlap,
+    ] {
+        for (stream_name, cfg) in [
+            ("drift-heavy", ChurnConfig::drift_heavy(120).with_seed(901)),
+            ("uniform", ChurnConfig::new(120, 1.0).with_seed(902)),
+        ] {
+            let label = format!("{} / {stream_name}", model.short_name());
+            let (objects, users) = seed_data(&mut StdRng::seed_from_u64(901));
+            let mut churned =
+                build_cached(objects.clone(), users.clone(), model, CodecId::default());
+            let report = churned.apply_batch(
+                generate_churn(&objects, &users, &pool, &cfg)
+                    .into_iter()
+                    .filter_map(|op| match op {
+                        ChurnOp::Mutate(m) => Some(m),
+                        ChurnOp::Query => None,
+                    }),
+            );
+            assert!(report.applied > 0 && report.rejected == 0, "{label}");
+            assert!(
+                churned.freed_record_slots() > 0,
+                "{label}: churn left slots"
+            );
+
+            let refreshed = churned.refreshed();
+            assert_eq!(refreshed.drift().max_rel_error, 0.0, "{label}");
+            assert_eq!(refreshed.mutations_since_refresh(), 0, "{label}");
+            assert_eq!(refreshed.freed_record_slots(), 0, "{label}");
+            let cold =
+                |codec| build_cached(churned.objects.clone(), churned.users.clone(), model, codec);
+            let engines = [
+                ("refreshed", refreshed),
+                ("cold", cold(CodecId::Verbatim)),
+                ("cold-columnar", cold(CodecId::Columnar)),
+            ];
+            for spec in specs() {
+                for m in Method::ALL {
+                    let want = engines[0].1.query(&spec, m);
+                    for (name, engine) in &engines {
+                        // Twice: the second pass runs on warm caches.
+                        for pass in ["cold", "warm"] {
+                            assert_eq!(
+                                engine.query(&spec, m),
+                                want,
+                                "{label}: {name} ({pass} caches) diverged on {m:?} k={}",
+                                spec.k
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The refresh seed captures the engine's codec (not the environment), so
+/// refreshing a Columnar engine yields a Columnar engine.
+#[test]
+fn refresh_preserves_engine_codec() {
+    let (objects, users) = seed_data(&mut StdRng::seed_from_u64(48));
+    let mut eng = build_cached(objects, users, WeightModel::lm(), CodecId::Columnar);
+    assert_eq!(eng.refreshed().codec(), CodecId::Columnar);
+    eng.refresh();
+    assert_eq!(eng.codec(), CodecId::Columnar);
 }
