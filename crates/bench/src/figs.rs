@@ -633,7 +633,7 @@ fn ablation_clustering(p: &Params) -> Table {
         ),
         (
             "text-first",
-            StTree::build_text_first(&objs, PostingMode::MaxMin, p.fanout),
+            StTree::build_text_first(&objs, PostingMode::MaxMin, p.fanout, &sc.engine.ctx.text),
         ),
     ] {
         let m = measure_topk_joint_on(&sc, &tree, p.k);

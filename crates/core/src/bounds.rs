@@ -12,16 +12,18 @@
 //! `MaxTS` sums the posting maxima over the group's union keywords;
 //! `MinTS` sums the posting minima over the group's intersection keywords
 //! (minima are 0 for terms missing anywhere below `E`, so absent terms
-//! contribute nothing, keeping the bound sound). Normalization uses the
-//! group's `n_min`/`n_max` brackets — see [`crate::UserGroup`].
+//! contribute nothing, keeping the bound sound). An entry's postings are
+//! its stored row, summed through the scorer's weight map; an object's
+//! weights are already resolved. Normalization uses the group's
+//! `n_min`/`n_max` brackets — see [`crate::UserGroup`].
 
 use geo::Point;
 use text::TermId;
 
 use crate::{ScoreContext, UserGroup};
 
-/// `UB(E, g)` for a node entry: `postings` is the entry's `(term, max,
-/// min)` row over the group's union terms.
+/// `UB(E, g)` for a node entry: `postings` is the entry's stored `(term,
+/// max, min)` row over the group's union terms.
 pub fn ub_entry(
     ctx: &ScoreContext,
     group: &UserGroup,
@@ -29,7 +31,11 @@ pub fn ub_entry(
     postings: &[(TermId, f64, f64)],
 ) -> f64 {
     let ss = ctx.spatial.min_ss(entry_rect, &group.mbr);
-    let sum_max: f64 = postings.iter().map(|&(_, mx, _)| mx).sum();
+    let weights = ctx.text.weights();
+    let sum_max: f64 = postings
+        .iter()
+        .map(|&(t, mx, _)| weights.weight(t, mx))
+        .sum();
     ctx.combine(ss, group.ts_upper(sum_max))
 }
 
@@ -42,10 +48,11 @@ pub fn lb_entry(
     postings: &[(TermId, f64, f64)],
 ) -> f64 {
     let ss = ctx.spatial.max_ss(entry_rect, &group.mbr);
+    let weights = ctx.text.weights();
     let sum_min: f64 = postings
         .iter()
         .filter(|&&(t, _, mn)| mn > 0.0 && group.d_int.contains(t))
-        .map(|&(_, _, mn)| mn)
+        .map(|&(t, _, mn)| weights.weight(t, mn))
         .sum();
     ctx.combine(ss, group.ts_lower(sum_min))
 }
@@ -84,10 +91,21 @@ mod tests {
     use super::*;
     use crate::UserData;
     use geo::{Rect, SpatialContext};
-    use text::{Document, TextScorer, WeightModel};
+    use text::{Document, TextScorer, WeightModel, WeightedDoc};
 
     fn t(i: u32) -> TermId {
         TermId(i)
+    }
+
+    /// A document's model weights: its stored halves, resolved.
+    fn weights(ctx: &ScoreContext, d: &Document) -> WeightedDoc {
+        let (stored, weights) = (ctx.text.weigh(d).entries, ctx.text.weights());
+        WeightedDoc::from_pairs(
+            stored
+                .iter()
+                .map(|&(t, x)| (t, weights.weight(t, x)))
+                .collect(),
+        )
     }
 
     /// Fixture: 4 objects, 3 users; checks the Lemma-2 property directly.
@@ -115,7 +133,7 @@ mod tests {
                 doc: Document::from_terms([t(0), t(1), t(2)]),
             },
         ];
-        let text = TextScorer::from_docs(WeightModel::lm(), &docs);
+        let text = TextScorer::build(WeightModel::lm(), &docs);
         let ctx = ScoreContext::new(0.5, SpatialContext::with_dmax(20.0), text);
         (ctx, docs, users)
     }
@@ -131,7 +149,7 @@ mod tests {
             Point::new(9.0, 1.0),
         ];
         for (d, p) in docs.iter().zip(&points) {
-            let w = ctx.text.weigh(d).entries;
+            let w = weights(&ctx, d).entries;
             let ub = ub_object(&ctx, &group, p, &w);
             let lb = lb_object(&ctx, &group, p, &w);
             assert!(lb <= ub + 1e-12);
@@ -147,21 +165,23 @@ mod tests {
     #[test]
     fn entry_bounds_dominate_object_bounds() {
         // A synthetic node entry covering two objects: its postings carry
-        // the max/min of the two docs; its rect covers both points.
+        // the max/min of the two docs' stored halves; its rect covers both
+        // points.
         let (ctx, docs, users) = fixture();
         let group = UserGroup::from_users(&users, &ctx.text);
-        let w0 = ctx.text.weigh(&docs[0]);
-        let w1 = ctx.text.weigh(&docs[1]);
+        let w0 = weights(&ctx, &docs[0]);
+        let w1 = weights(&ctx, &docs[1]);
         let p0 = Point::new(0.0, 0.0);
         let p1 = Point::new(5.0, 5.0);
         let rect = Rect::bounding([p0, p1]).unwrap();
 
-        // Build the entry's (term, max, min) row for the union terms.
+        // Build the entry's stored (term, max, min) row for the union terms.
+        let (x0, x1) = (ctx.text.weigh(&docs[0]), ctx.text.weigh(&docs[1]));
         let uni = group.uni_terms();
         let mut postings = Vec::new();
         for &term in &uni {
-            let a = w0.weight(term);
-            let b = w1.weight(term);
+            let a = x0.weight(term);
+            let b = x1.weight(term);
             let mx = a.max(b);
             let mn = if a > 0.0 && b > 0.0 { a.min(b) } else { 0.0 };
             if mx > 0.0 {

@@ -26,10 +26,13 @@
 //!
 //! Two serving-side safeguards wrap the memo:
 //!
-//! * **Epoch stamps.** Every slot records the engine epoch it was filled
-//!   under. Mutations ([`crate::dynamic`]) bump the epoch, so a lookup
-//!   that presents a newer epoch treats the slot as stale and recomputes —
-//!   the invalidation signal works even if an eager clear was missed.
+//! * **Epoch stamps.** Every slot, and the memoized super-user, records the
+//!   engine epoch it was filled under. Every mutation ([`crate::dynamic`])
+//!   bumps the epoch and clears the cache — an object mutation moves the
+//!   live statistics and with them every normalizer, so nothing here
+//!   outlives one — and a lookup that presents a newer epoch treats the
+//!   slot as stale and recomputes: the invalidation signal works even if
+//!   an eager clear was missed.
 //! * **An LRU bound on the per-`k` maps.** A serving system facing
 //!   adversarial `k` diversity must not retain a threshold set per
 //!   distinct `k` forever; each map keeps at most its configured capacity
@@ -184,9 +187,9 @@ pub struct ThresholdCache {
     joint: KeyedOnce<JointThresholds>,
     baseline: KeyedOnce<Vec<UserTopk>>,
     user_index: KeyedOnce<UserIndexSeed>,
-    /// Memoized super-user, stamped with the *user* epoch it was built
-    /// under (user mutations clear it eagerly; the stamp is the lazy
-    /// safety net, like the per-`k` slots).
+    /// Memoized super-user, stamped with the epoch it was built under
+    /// (mutations clear it eagerly; the stamp is the lazy safety net, like
+    /// the per-`k` slots).
     su: RwLock<Option<(u64, Arc<UserGroup>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -230,23 +233,14 @@ impl ThresholdCache {
     }
 
     /// Drops every cached entry, including the memoized super-user (the
-    /// counters keep running). [`crate::dynamic`] calls this on user
-    /// mutations; the epoch stamps additionally invalidate lazily even
-    /// when nothing clears eagerly.
+    /// counters keep running). [`crate::dynamic`] calls this on every
+    /// mutation; the epoch stamps additionally invalidate lazily even when
+    /// nothing clears eagerly.
     pub fn clear(&self) {
         self.joint.clear();
         self.baseline.clear();
         self.user_index.clear();
         *self.su.write().unwrap() = None;
-    }
-
-    /// Drops the object-dependent entries (all three per-`k` maps) but
-    /// keeps the memoized super-user, which depends on the user table
-    /// only. The eager half of object-mutation invalidation.
-    pub fn invalidate_objects(&self) {
-        self.joint.clear();
-        self.baseline.clear();
-        self.user_index.clear();
     }
 
     pub(crate) fn joint(
@@ -281,17 +275,17 @@ impl ThresholdCache {
 
     pub(crate) fn super_user(
         &self,
-        user_epoch: u64,
+        epoch: u64,
         compute: impl FnOnce() -> UserGroup,
     ) -> Arc<UserGroup> {
         if let Some((stamp, su)) = self.su.read().unwrap().clone() {
-            if stamp == user_epoch {
+            if stamp == epoch {
                 return su;
             }
         }
         let mut slot = self.su.write().unwrap();
         if let Some((stamp, su)) = &*slot {
-            if *stamp == user_epoch {
+            if *stamp == epoch {
                 return su.clone();
             }
         }
@@ -299,7 +293,7 @@ impl ThresholdCache {
         // (no I/O charges), so briefly serializing racers is fine and
         // guarantees a single computation.
         let su = Arc::new(compute());
-        *slot = Some((user_epoch, su.clone()));
+        *slot = Some((epoch, su.clone()));
         su
     }
 }
@@ -435,10 +429,10 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c), "cleared cell must recompute");
     }
 
-    /// The super-user memo is stamped with the user epoch: even without
-    /// an eager clear, presenting a newer generation recomputes.
+    /// The super-user memo is stamped with the epoch: even without an
+    /// eager clear, presenting a newer generation recomputes.
     #[test]
-    fn stale_user_epoch_recomputes_super_user() {
+    fn stale_epoch_recomputes_super_user() {
         let tc = ThresholdCache::new();
         let a = tc.super_user(1, dummy_group);
         let b = tc.super_user(2, dummy_group);

@@ -285,19 +285,17 @@ mod tests {
         assert_matches(&cluster, &reference, "post-churn");
         assert_eq!(cluster.epoch(), reference.epoch());
 
-        // A cluster built from the *drifted* engine (mutations since
-        // build, no refresh: a frozen scorer no cold build reproduces)
-        // slices that engine's own context, so it matches too.
-        assert!(reference.drift().max_rel_error > 0.0);
+        // A cluster built from the churned engine (mutations since build,
+        // no refresh) slices that engine's own context, so it matches too.
         let rewrapped = EngineCluster::from_engine(reference.clone(), 3);
-        assert_matches(&rewrapped, &reference, "drifted head");
+        assert_matches(&rewrapped, &reference, "churned head");
     }
 
     #[test]
     fn synchronized_refresh_restores_bit_identity() {
         let mut reference = fused_with(17);
         let mut cluster = EngineCluster::from_engine(fused_with(17), 3);
-        // One-sided churn so the LM scorer genuinely drifts.
+        // One-sided churn: the LM statistics genuinely move.
         for i in 0..10u32 {
             let m = Mutation::InsertObject(ObjectData {
                 id: 300 + i,
@@ -310,7 +308,7 @@ mod tests {
         let report = cluster.refresh_synchronized();
         assert_eq!(report.replayed, 0);
         reference.refresh();
-        assert_eq!(cluster.head().drift().max_rel_error, 0.0);
+        assert_eq!(cluster.head().mutations_since_refresh(), 0);
         assert_matches(&cluster, &reference, "post-refresh");
     }
 

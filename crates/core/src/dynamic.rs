@@ -8,10 +8,11 @@
 //! * **Mutation API** — [`Engine::insert_object`] /
 //!   [`Engine::remove_object`] / [`Engine::insert_user`] /
 //!   [`Engine::remove_user`], plus [`Engine::apply_batch`] over
-//!   [`Mutation`] streams. Object mutations maintain both disk-resident
-//!   object trees (MIR + IR) incrementally; user mutations maintain the
-//!   MIUR-tree, repairing the IntUni vectors, user counts and normalizer
-//!   brackets along the affected root-to-leaf path.
+//!   [`Mutation`] streams (an object method is a batch of one). Object
+//!   mutations maintain both disk-resident object trees (MIR + IR)
+//!   incrementally and the scorer's counters in O(|d|); user mutations
+//!   maintain the MIUR-tree, repairing the IntUni vectors, user counts and
+//!   normalizer brackets along the affected root-to-leaf path.
 //! * **Epoch versioning** — every mutation bumps the engine's generation
 //!   counter. Rust's borrow rules already guarantee snapshot consistency
 //!   (mutations take `&mut Engine`, so no query can run concurrently with
@@ -23,33 +24,32 @@
 //!   the invalidation signal even if an eager clear were ever missed.
 //! * **Invalidation wiring** — every mutation flushes the page-cache keys
 //!   of the records it rewrote (see [`index::TreeEdit`]) from the engine's
-//!   [`storage::ShardedLru`], and invalidates the
-//!   [`ThresholdCache`](crate::ThresholdCache): object mutations drop the
-//!   per-`k` maps but keep the memoized super-user (it depends on users
-//!   only); user mutations drop everything.
+//!   [`storage::ShardedLru`], and clears the
+//!   [`ThresholdCache`](crate::ThresholdCache) — every per-`k` map and the
+//!   memoized super-user, whose normalizer brackets read the live
+//!   statistics.
 //!
-//! # Frozen scoring model
+//! # Live statistics
 //!
-//! The text scorer (corpus statistics, per-term maxima) and the spatial
-//! normalization context are frozen at [`Engine::build`] time; inserted
-//! objects are weighed under that build-time model. For corpus-independent
-//! relevance (`WeightModel::KeywordOverlap`) a mutated engine is
-//! *exactly* equivalent to a fresh build over the surviving sets — the
-//! mutation-equivalence suite pins this bit-for-bit. For corpus-dependent
-//! models (LM, TF-IDF) the global statistics drift as the corpus churns,
-//! exactly as IDF drifts in production search engines; the refresh
-//! subsystem ([`crate::refresh`]) re-weighs them in the background with
-//! a cold rebuild. Soundness is never at stake: inserted weights are
-//! clamped to the frozen `wmax(t)` (see [`Engine::insert_object`]), so
-//! every pruning bound keeps dominating every indexed score and the
-//! answers stay exact *under the frozen model* — only the model itself
-//! ages.
+//! The trees store the document-only half `x` of every weight (see the
+//! `text` crate), which no other document's arrival or departure changes.
+//! An object mutation updates `df`, `cf`, `|O|` and `|C|` and the touched
+//! terms' maxima of `x` — an insert raises them, a remove reads them back
+//! from the MIR root's entry aggregates, which the tree edit just made
+//! exact. The MIUR-tree's stored `N(u)` brackets all move with the
+//! statistics, so a batch that mutated objects ends by rebuilding that
+//! tree — once per batch: no query sees a batch half applied. Weights are
+//! applied at read time, so after any mutation every answer is the one a
+//! cold [`Engine::build`] over the surviving objects and users gives, as
+//! long as the dataspace hull (the spatial normalizer, kept from the build
+//! until a refresh) is the same — the mutation-equivalence suite pins this
+//! under all three models.
 //!
 //! # Term extent
 //!
 //! Corpus statistics are dense arrays sized by the largest term id, so
-//! one inserted document naming a huge id would make the next drift scan
-//! or refresh allocate by that id's value. An insert is therefore
+//! one inserted document naming a huge id would make the statistics, and
+//! the next refresh, allocate by that id's value. An insert is therefore
 //! rejected when it names an id at or past the engine's term extent plus
 //! the document's own term count: the extent grows at most by what a
 //! client sends, never by the value of one id.
@@ -63,8 +63,9 @@
 //! `core.dynamic.maint_io_per_mutation` row records this incremental cost;
 //! [`Engine::rebuild_io_cost`] is the rebuild it is measured against.
 
-use index::{IndexedObject, IndexedUser, TreeEdit};
-use text::Document;
+use index::{IndexedObject, IndexedUser, NodeScratch, PostingsScratch, StTree, TreeEdit};
+use storage::IoStats;
+use text::{Document, TermId};
 
 use crate::{Engine, ObjectData, UserData};
 
@@ -149,6 +150,27 @@ pub(crate) fn term_end(doc: &Document) -> u64 {
     doc.entries().last().map_or(0, |&(t, _)| u64::from(t.0) + 1)
 }
 
+/// The largest stored value of each of `terms` (ascending) under `tree`:
+/// the max over the root's entry aggregates, 0 for a term no object holds.
+/// Maintenance bookkeeping, so no query I/O is charged.
+fn root_maxima(tree: &StTree, terms: &[TermId]) -> Vec<f64> {
+    let (io, mut node, mut postings) = (
+        IoStats::new(),
+        NodeScratch::default(),
+        PostingsScratch::default(),
+    );
+    let root = tree.read_node_ref(tree.root(), &io, &mut node);
+    let rows = tree.read_postings_ref(&root, terms, &io, &mut postings);
+    let mut maxima = vec![0.0f64; terms.len()];
+    for i in 0..rows.len() {
+        for &(t, max, _) in rows.entry(i) {
+            let slot = &mut maxima[terms.binary_search(&t).expect("rows hold wanted terms")];
+            *slot = slot.max(max);
+        }
+    }
+    maxima
+}
+
 impl Engine {
     /// The engine's generation counter (bumped by every mutation).
     pub fn epoch(&self) -> u64 {
@@ -160,51 +182,48 @@ impl Engine {
         EpochGuard { epoch: self.epoch }
     }
 
-    /// Inserts an object into the table and both object indexes (MIR and
-    /// IR), weighing its document under the frozen build-time model.
-    /// Returns `None` without touching anything when the id is already in
-    /// use, or when the document names a term id at or past the term
-    /// extent plus its own term count (see the module docs).
-    ///
-    /// Weights are clamped to the frozen per-term maxima `wmax(t)`: every
-    /// pruning bound in the engine (group `TS` caps, baseline upper
-    /// bounds, Lemma 3) assumes no indexed weight exceeds `wmax`. Under
-    /// LM and KeywordOverlap the clamp never fires — any document's
-    /// weight is bounded by the keyword-unit ceiling already folded into
-    /// `wmax` — but TF-IDF's `tf · idf` is unbounded in `tf`, and an
-    /// unclamped outlier would make exact methods silently unsound.
+    /// Inserts an object into the table, both object indexes (MIR and
+    /// IR) and the live statistics, and rebuilds the MIUR-tree (see the
+    /// module docs). Returns `None` without touching anything when the id
+    /// is already in use, or when the document names a term id at or past
+    /// the term extent plus its own term count.
     pub fn insert_object(&mut self, obj: ObjectData) -> Option<MaintenanceIo> {
+        self.apply(Mutation::InsertObject(obj))
+    }
+
+    /// Removes the object with `id` from the table, both object indexes
+    /// and the live statistics, and rebuilds the MIUR-tree. Returns `None`
+    /// when the id is unknown, or when it names the last object — an
+    /// engine over an empty object set is not queryable, and a client must
+    /// not be able to make it so.
+    pub fn remove_object(&mut self, id: u32) -> Option<MaintenanceIo> {
+        self.apply(Mutation::RemoveObject(id))
+    }
+
+    /// [`Engine::insert_object`] without the MIUR rebuild.
+    fn put_object(&mut self, obj: ObjectData) -> Option<MaintenanceIo> {
         if !self.admits_terms(&obj.doc) || self.objects.iter().any(|o| o.id == obj.id) {
             return None;
         }
-        let weighed = self.ctx.text.weigh(&obj.doc);
         let indexed = IndexedObject {
             id: obj.id,
             point: obj.point,
-            doc: text::WeightedDoc::from_pairs(
-                weighed
-                    .entries
-                    .iter()
-                    .map(|&(t, w)| (t, w.min(self.ctx.text.max_weight(t))))
-                    .collect(),
-            ),
+            doc: self.ctx.text.weigh(&obj.doc),
         };
         let mut io = MaintenanceIo::default();
         let edit = self.mir.insert(&indexed);
         self.flush_edit(edit, &mut io);
         let edit = self.ir.insert(&indexed);
         self.flush_edit(edit, &mut io);
+        self.ctx.text.add_doc(&obj.doc);
         self.term_extent = self.term_extent.max(term_end(&obj.doc));
         self.objects.push(obj);
-        self.finish_object_mutation();
+        self.finish_mutation();
         Some(io)
     }
 
-    /// Removes the object with `id` from the table and both object
-    /// indexes. Returns `None` when the id is unknown, or when it names
-    /// the last object — an engine over an empty object set is not
-    /// queryable, and a client must not be able to make it so.
-    pub fn remove_object(&mut self, id: u32) -> Option<MaintenanceIo> {
+    /// [`Engine::remove_object`] without the MIUR rebuild.
+    fn take_object(&mut self, id: u32) -> Option<MaintenanceIo> {
         let pos = self.objects.iter().position(|o| o.id == id)?;
         if self.objects.len() == 1 {
             return None;
@@ -215,15 +234,18 @@ impl Engine {
         self.flush_edit(edit, &mut io);
         let edit = self.ir.remove(id, point).expect("object indexed in IR");
         self.flush_edit(edit, &mut io);
-        self.objects.remove(pos);
-        self.finish_object_mutation();
+        let gone = self.objects.remove(pos);
+        let terms: Vec<TermId> = gone.doc.terms().collect();
+        let live_max = root_maxima(&self.mir, &terms);
+        self.ctx.text.remove_doc(&gone.doc, &live_max);
+        self.finish_mutation();
         Some(io)
     }
 
     /// Inserts a user into the table and, when built, the MIUR-tree (with
-    /// its normalizer computed under the frozen model). Returns `None`
-    /// when the id is already in use or the document names too large a
-    /// term id (as for [`Engine::insert_object`]).
+    /// its live normalizer). Returns `None` when the id is already in use
+    /// or the document names too large a term id (as for
+    /// [`Engine::insert_object`]).
     pub fn insert_user(&mut self, user: UserData) -> Option<MaintenanceIo> {
         if !self.admits_terms(&user.doc) || self.users.iter().any(|u| u.id == user.id) {
             return None;
@@ -241,7 +263,7 @@ impl Engine {
         }
         self.term_extent = self.term_extent.max(term_end(&user.doc));
         self.users.push(user);
-        self.finish_user_mutation();
+        self.finish_mutation();
         Some(io)
     }
 
@@ -260,34 +282,44 @@ impl Engine {
             self.flush_edit(edit, &mut io);
         }
         self.users.remove(pos);
-        self.finish_user_mutation();
+        self.finish_mutation();
         Some(io)
     }
 
-    /// Applies one mutation through the matching method above (`None`
-    /// when it is rejected).
+    /// Applies one mutation as a batch of one (`None` when it is
+    /// rejected).
     pub(crate) fn apply(&mut self, mutation: Mutation) -> Option<MaintenanceIo> {
-        match mutation {
-            Mutation::InsertObject(o) => self.insert_object(o),
-            Mutation::RemoveObject(id) => self.remove_object(id),
-            Mutation::InsertUser(u) => self.insert_user(u),
-            Mutation::RemoveUser(id) => self.remove_user(id),
-        }
+        let report = self.apply_batch([mutation]);
+        (report.applied == 1).then_some(report.io)
     }
 
     /// Applies a stream of mutations in order, aggregating what happened.
     /// Rejected mutations (duplicate insert ids, unknown remove ids) are
-    /// counted and skipped; the rest of the batch still applies.
+    /// counted and skipped; the rest of the batch still applies. When an
+    /// object mutation applied, the batch ends by rebuilding the MIUR-tree
+    /// (its I/O is in the report).
     pub fn apply_batch(&mut self, mutations: impl IntoIterator<Item = Mutation>) -> BatchReport {
         let mut report = BatchReport::default();
+        let mut stats_moved = false;
         for m in mutations {
-            match self.apply(m) {
+            let on_objects = matches!(m, Mutation::InsertObject(_) | Mutation::RemoveObject(_));
+            let applied = match m {
+                Mutation::InsertObject(o) => self.put_object(o),
+                Mutation::RemoveObject(id) => self.take_object(id),
+                Mutation::InsertUser(u) => self.insert_user(u),
+                Mutation::RemoveUser(id) => self.remove_user(id),
+            };
+            match applied {
                 Some(io) => {
                     report.applied += 1;
                     report.io += io;
+                    stats_moved |= on_objects;
                 }
                 None => report.rejected += 1,
             }
+        }
+        if stats_moved {
+            self.rebracket_users(&mut report.io);
         }
         report
     }
@@ -319,24 +351,25 @@ impl Engine {
         io.payload_blocks += edit.payload_blocks;
     }
 
-    /// Post-mutation bookkeeping for object changes: bump the epoch and
-    /// eagerly drop the object-dependent threshold-cache entries (the
-    /// memoized super-user depends on users only and survives).
-    fn finish_object_mutation(&mut self) {
-        self.epoch += 1;
-        self.obj_muts_since_refresh += 1;
-        if let Some(tc) = &self.thresholds {
-            tc.invalidate_objects();
+    /// Re-brackets every user normalizer after the statistics moved: the
+    /// MIUR-tree (when built) is bulk loaded again over the live table.
+    fn rebracket_users(&mut self, io: &mut MaintenanceIo) {
+        if self.miur.is_none() {
+            return;
+        }
+        let users = self.indexed_users();
+        let edit = self.miur.as_mut().map(|miur| miur.rebuild(&users));
+        if let Some(edit) = edit {
+            self.flush_edit(edit, io);
         }
     }
 
-    /// Post-mutation bookkeeping for user changes: bump both generation
-    /// counters and drop every threshold-cache entry including the
-    /// memoized super-user.
-    fn finish_user_mutation(&mut self) {
+    /// Post-mutation bookkeeping: bump the epoch and the refresh counter
+    /// and drop every threshold-cache entry, the memoized super-user
+    /// included.
+    fn finish_mutation(&mut self) {
         self.epoch += 1;
-        self.user_epoch += 1;
-        self.user_muts_since_refresh += 1;
+        self.muts_since_refresh += 1;
         if let Some(tc) = &self.thresholds {
             tc.clear();
         }
@@ -416,9 +449,9 @@ mod tests {
         assert_eq!(eng.users.len(), 10);
     }
 
-    /// One huge term id is rejected with nothing changed (the next drift
-    /// scan would size its statistics by that id's value); an insert that
-    /// adds exactly `num_terms` new dense ids is accepted and raises the
+    /// One huge term id is rejected with nothing changed (the statistics
+    /// would size themselves by that id's value); an insert that adds
+    /// exactly `num_terms` new dense ids is accepted and raises the
     /// extent.
     #[test]
     fn inserts_past_the_term_extent_are_rejected() {
@@ -452,7 +485,7 @@ mod tests {
             .insert_object(at(Document::from_terms([t(10), t(11)])))
             .is_some());
         assert_eq!(eng.term_extent, 12);
-        assert!(eng.drift().terms_compared <= 12);
+        assert_eq!(eng.ctx.text.stats().vocab_len(), 12);
     }
 
     #[test]
@@ -474,12 +507,21 @@ mod tests {
         assert_eq!(eng.miur.as_ref().unwrap().num_users(), 11);
     }
 
-    /// Object mutations keep the memoized super-user (users unchanged)
-    /// but drop every per-`k` slot; user mutations drop the super-user
-    /// too. Either way the next same-`k` query is a miss.
+    /// Either mutation kind drops every per-`k` slot and the memoized
+    /// super-user: the next same-`k` query is a miss, and an object
+    /// mutation moves the super-user's normalizer brackets under LM.
     #[test]
-    fn threshold_cache_is_invalidated_per_mutation_kind() {
-        let mut eng = engine().with_threshold_cache();
+    fn threshold_cache_is_invalidated_by_every_mutation() {
+        let objects = (0..40).map(|i| obj(i, (i % 8) as f64, (i / 8) as f64, i % 4));
+        let users = (0..10).map(|i| user(i, (i % 6) as f64 + 0.4, (i % 4) as f64 + 0.3, i % 4));
+        let mut eng = Engine::build_with_fanout(
+            objects.collect(),
+            users.collect(),
+            WeightModel::lm(),
+            0.5,
+            4,
+        )
+        .with_threshold_cache();
         let s = spec();
         let _ = eng.query(&s, Method::JointExact);
         let su_before = eng.super_user_shared();
@@ -487,10 +529,8 @@ mod tests {
 
         eng.insert_object(obj(100, 3.3, 1.1, 2)).unwrap();
         let su_after = eng.super_user_shared();
-        assert!(
-            std::sync::Arc::ptr_eq(&su_before, &su_after),
-            "object mutation must keep the user-only super-user memo"
-        );
+        assert!(!std::sync::Arc::ptr_eq(&su_before, &su_after));
+        assert_ne!(su_before.n_max, su_after.n_max, "|C| moved every bracket");
         let _ = eng.query(&s, Method::JointExact);
         assert!(
             eng.thresholds.as_ref().unwrap().misses() > misses_before,
@@ -504,6 +544,68 @@ mod tests {
             "user mutation must drop the super-user memo"
         );
         assert_eq!(su_fresh.count, 11);
+    }
+
+    /// After every object mutation the live scorer and the MIUR brackets
+    /// equal a cold build's, bit for bit, under every model — including a
+    /// TF-IDF insert heavier than anything the build saw, and the remove
+    /// that takes its maximum away again.
+    #[test]
+    fn object_mutations_keep_the_scorer_and_brackets_cold_exact() {
+        for model in [
+            WeightModel::TfIdf,
+            WeightModel::lm(),
+            WeightModel::KeywordOverlap,
+        ] {
+            let base = engine();
+            let mut eng = Engine::build_with_fanout(base.objects, base.users, model, 0.5, 4)
+                .with_user_index();
+            let heavy = ObjectData {
+                id: 100,
+                point: Point::new(2.5, 2.5),
+                doc: Document::from_pairs([(t(1), 7), (t(9), 1)]),
+            };
+            for step in [
+                Mutation::InsertObject(heavy),
+                Mutation::RemoveObject(5),
+                Mutation::RemoveObject(100),
+            ] {
+                eng.apply(step).unwrap();
+                let cold = Engine::build_with_fanout(
+                    eng.objects.clone(),
+                    eng.users.clone(),
+                    model,
+                    0.5,
+                    4,
+                )
+                .with_user_index();
+                for i in 0..12 {
+                    let (live, want) = (&eng.ctx.text, &cold.ctx.text);
+                    assert_eq!(
+                        live.max_weight(t(i)).to_bits(),
+                        want.max_weight(t(i)).to_bits(),
+                        "{model:?} wmax(t{i})"
+                    );
+                    let at_one = |s: &text::TextScorer| s.weights().weight(t(i), 1.0);
+                    assert_eq!(at_one(live).to_bits(), at_one(want).to_bits());
+                }
+                assert_eq!(
+                    eng.super_user().n_max.to_bits(),
+                    cold.super_user().n_max.to_bits()
+                );
+                let root = |e: &Engine| {
+                    let miur = e.miur.as_ref().unwrap();
+                    let io = storage::IoStats::new();
+                    let mut scratch = index::MiurScratch::default();
+                    let node = miur.read_node_ref(miur.root(), &io, &mut scratch);
+                    node.entries
+                        .iter()
+                        .map(|e| (e.norm_min.to_bits(), e.norm_max.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(root(&eng), root(&cold), "{model:?} MIUR brackets");
+            }
+        }
     }
 
     /// The epoch stamp alone invalidates: even bypassing the eager clear

@@ -188,7 +188,7 @@ mod tests {
             Document::from_terms([t(0), t(1)]),
             Document::from_terms([t(2)]),
         ];
-        TextScorer::from_docs(WeightModel::KeywordOverlap, &docs)
+        TextScorer::build(WeightModel::KeywordOverlap, &docs)
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use dynamic::{BatchReport, EpochGuard, MaintenanceIo, Mutation};
 pub use group::UserGroup;
 pub use pipeline::{BatchOutcome, QueryStats};
 pub use query::{Engine, Method};
-pub use refresh::{RefreshConfig, RefreshReport, RefresherHandle, ScorerDrift, ServingEngine};
+pub use refresh::{RefreshConfig, RefreshReport, RefresherHandle, ServingEngine};
 pub use score::ScoreContext;
 pub use topk::{ScoredObject, TopkOutcome, UserTopk};
 pub use trace::{Phase, PhaseBreakdown, PhaseStat};

@@ -11,15 +11,13 @@ use std::sync::Arc;
 use geo::{Rect, SpatialContext};
 use index::{IndexedObject, IndexedUser, MiurTree, PostingMode, StTree};
 use storage::{CodecId, IoStats};
-use text::{CorpusStats, TextScorer, WeightModel};
+use text::{TextScorer, WeightModel};
 
 use mbrstk_obs::MetricsRegistry;
 
 use crate::arena::QueryArena;
 use crate::cache::{JointThresholds, ThresholdCache};
 use crate::metrics::EngineMetrics;
-use crate::select::location::KeywordSelector;
-use crate::select::CandidateContext;
 use crate::topk::baseline::all_users_topk_baseline;
 use crate::topk::individual::{individual_rsk, individual_topk};
 use crate::topk::joint::joint_topk;
@@ -79,17 +77,23 @@ impl Method {
 /// A ready-to-query MaxBRSTkNN system: scorer + indexes + data.
 #[derive(Debug)]
 pub struct Engine {
-    /// Combined scoring context (α, `SS`, `TS`).
+    /// Combined scoring context (α, `SS`, `TS`). Its text scorer is live:
+    /// object mutations keep its counters and maxima exact (see
+    /// [`crate::dynamic`]); the dataspace hull behind `SS` is the build's
+    /// until a refresh.
     pub ctx: ScoreContext,
     /// The object table.
     pub objects: Vec<ObjectData>,
     /// The user table.
     pub users: Vec<UserData>,
-    /// MIR-tree over the objects (max+min postings).
+    /// MIR-tree over the objects (max+min postings of the document-only
+    /// halves [`TextScorer::weigh`] computes).
     pub mir: StTree,
     /// IR-tree over the objects (max-only postings, for the baseline).
     pub ir: StTree,
-    /// Optional MIUR-tree over the users (§7).
+    /// Optional MIUR-tree over the users (§7). Its normalizer brackets
+    /// depend on the live statistics, so a batch that mutates objects
+    /// rebuilds it.
     pub miur: Option<MiurTree>,
     /// Simulated I/O counter shared by every index access. May carry a
     /// sharded page cache ([`Engine::with_page_cache`]).
@@ -98,24 +102,16 @@ pub struct Engine {
     /// ([`Engine::with_threshold_cache`]).
     pub thresholds: Option<ThresholdCache>,
     /// Generation counter bumped by every mutation (see
-    /// [`crate::dynamic`]); threshold-cache slots are stamped with it, so
-    /// stale epochs are the invalidation signal. Crate-private: an
-    /// external write could rewind the counter and resurrect stale cache
-    /// slots — read it through [`Engine::epoch`] / [`Engine::epoch_guard`].
+    /// [`crate::dynamic`]); threshold-cache slots and the memoized
+    /// super-user are stamped with it, so stale epochs are the
+    /// invalidation signal. Crate-private: an external write could rewind
+    /// the counter and resurrect stale cache slots — read it through
+    /// [`Engine::epoch`] / [`Engine::epoch_guard`].
     pub(crate) epoch: u64,
-    /// Generation counter bumped only by *user* mutations; stamps the
-    /// memoized super-user (which depends on the user table alone), so a
-    /// missed eager clear can never serve a stale group summary.
-    pub(crate) user_epoch: u64,
-    /// Object mutations since build or the last corpus refresh — the
-    /// frozen scorer only ages with *object* churn (corpus statistics are
-    /// computed over object documents), so this is what the drift
-    /// thresholds in [`crate::refresh`] watch.
-    pub(crate) obj_muts_since_refresh: u64,
-    /// User mutations since build or the last corpus refresh (reported in
-    /// [`crate::refresh::ScorerDrift`]; user churn never moves the corpus
-    /// statistics but still ages the dataspace hull).
-    pub(crate) user_muts_since_refresh: u64,
+    /// Mutations since build or the last refresh: the freed slots and
+    /// insert-packed nodes a refresh reclaims and re-tiles, and what
+    /// [`crate::RefreshConfig::max_mutations`] watches.
+    pub(crate) muts_since_refresh: u64,
     /// 1 + the largest term id any object or user document has named
     /// since build; never decreases. Caps the term ids an insert may name
     /// (see [`Engine::insert_object`]), because corpus statistics are
@@ -155,9 +151,7 @@ impl Clone for Engine {
                 .as_ref()
                 .map(|tc| ThresholdCache::with_capacity(tc.k_capacity())),
             epoch: self.epoch,
-            user_epoch: self.user_epoch,
-            obj_muts_since_refresh: self.obj_muts_since_refresh,
-            user_muts_since_refresh: self.user_muts_since_refresh,
+            muts_since_refresh: self.muts_since_refresh,
             term_extent: self.term_extent,
             metrics: Arc::clone(&self.metrics),
         }
@@ -218,8 +212,7 @@ impl Engine {
         .expect("non-empty dataset");
         let spatial = SpatialContext::from_dataspace(&space);
 
-        let stats = CorpusStats::build(objects.iter().map(|o| &o.doc));
-        let text = TextScorer::build(model, stats, objects.iter().map(|o| &o.doc));
+        let text = TextScorer::build(model, objects.iter().map(|o| &o.doc));
 
         let indexed: Vec<IndexedObject> = objects
             .iter()
@@ -253,9 +246,7 @@ impl Engine {
             io: IoStats::new(),
             thresholds: None,
             epoch: 0,
-            user_epoch: 0,
-            obj_muts_since_refresh: 0,
-            user_muts_since_refresh: 0,
+            muts_since_refresh: 0,
             term_extent,
             metrics: EngineMetrics::new(),
         }
@@ -264,8 +255,18 @@ impl Engine {
     /// Additionally builds the MIUR-tree over the users, enabling the
     /// [`Method::UserIndexGreedy`] / [`Method::UserIndexExact`] paths.
     pub fn with_user_index(mut self) -> Self {
-        let iu: Vec<IndexedUser> = self
-            .users
+        self.miur = Some(MiurTree::build_with_fanout_codec(
+            &self.indexed_users(),
+            self.mir.fanout(),
+            self.codec(),
+        ));
+        self
+    }
+
+    /// The user table as the MIUR-tree indexes it, each user with its
+    /// live normalizer.
+    pub(crate) fn indexed_users(&self) -> Vec<IndexedUser> {
+        self.users
             .iter()
             .map(|u| IndexedUser {
                 id: u.id,
@@ -273,13 +274,7 @@ impl Engine {
                 doc: u.doc.clone(),
                 norm: self.ctx.text.normalizer(&u.doc),
             })
-            .collect();
-        self.miur = Some(MiurTree::build_with_fanout_codec(
-            &iu,
-            self.mir.fanout(),
-            self.codec(),
-        ));
-        self
+            .collect()
     }
 
     /// The record codec every index of this engine is encoded with.
@@ -349,12 +344,13 @@ impl Engine {
     }
 
     /// [`Engine::super_user`] behind the threshold cache: computed once
-    /// per user-table generation when the cache is enabled, fresh
-    /// otherwise (the memo is stamped with the user epoch, so a stale
-    /// group can never be served even without an eager clear).
+    /// per epoch when the cache is enabled, fresh otherwise. Its
+    /// normalizer brackets read the live statistics, so object mutations
+    /// move it too; the memo is stamped with the epoch, so a stale group
+    /// can never be served even without an eager clear.
     pub fn super_user_shared(&self) -> Arc<UserGroup> {
         match &self.thresholds {
-            Some(tc) => tc.super_user(self.user_epoch, || self.super_user()),
+            Some(tc) => tc.super_user(self.epoch, || self.super_user()),
             None => Arc::new(self.super_user()),
         }
     }
@@ -416,19 +412,6 @@ impl Engine {
     /// Computes every user's top-k with the §4 baseline.
     pub fn baseline_user_topk(&self, k: usize) -> Vec<UserTopk> {
         Arc::unwrap_or_clone(self.baseline_thresholds(k))
-    }
-
-    /// ℓ-MaxBRSTkNN: the `l` best ⟨location, keyword-set⟩ tuples (see
-    /// [`crate::select::topl`]). Uses the joint top-k thresholds.
-    pub fn query_top_l(
-        &self,
-        spec: &QuerySpec,
-        selector: KeywordSelector,
-        l: usize,
-    ) -> Vec<QueryResult> {
-        let jt = self.joint_thresholds(spec.k);
-        let cc = CandidateContext::new(&self.ctx, spec, &self.users, &jt.rsk);
-        crate::select::topl::select_top_l(&cc, &jt.su, jt.out.rsk_us, selector, l)
     }
 
     /// Answers a `MaxBRSTkNN` query with the chosen method.
@@ -545,19 +528,6 @@ mod tests {
         // Its reported users genuinely qualify (same invariant as greedy).
         let g = eng.query(&s, Method::JointGreedy);
         assert!(gp.cardinality() >= g.cardinality().saturating_sub(1) || gp.cardinality() > 0);
-    }
-
-    #[test]
-    fn top_l_query_descends_and_heads_match_single() {
-        let eng = engine(WeightModel::lm(), 0.5);
-        let s = spec();
-        let single = eng.query(&s, Method::JointExact);
-        let top = eng.query_top_l(&s, KeywordSelector::Exact, 3);
-        assert!(!top.is_empty());
-        assert_eq!(top[0].cardinality(), single.cardinality());
-        assert!(top
-            .windows(2)
-            .all(|w| w[0].cardinality() >= w[1].cardinality()));
     }
 
     #[test]

@@ -1,27 +1,18 @@
-//! Background corpus re-weigh with an atomic engine swap.
+//! Background rebuild with an atomic engine swap.
 //!
-//! [`crate::dynamic`] freezes the build-time scorer: inserted objects are
-//! weighed under the corpus statistics captured at [`Engine::build`] time,
-//! and their weights are clamped to the frozen per-term maxima `wmax(t)`
-//! so the pruning bounds stay sound. The price is *drift* — under LM and
-//! TF-IDF the live corpus statistics walk away from the frozen ones as
-//! the corpus churns, exactly as IDF ages in production search engines.
-//! This module bounds that drift:
+//! [`crate::dynamic`] keeps the scorer live, so a refresh changes no
+//! weight. What mutations do leave behind is structural: freed placeholder
+//! records in every block file, nodes packed by Guttman insertion instead
+//! of the paper's bulk load, and the dataspace hull (the spatial
+//! normalizer) of the build. A refresh does that one job:
 //!
-//! * **Drift tracking** — [`Engine::drift`] recomputes the live
-//!   `CorpusStats`/`wmax` with one O(|O|) scan (no tree work, no simulated
-//!   I/O) and reports the relative error against the frozen scorer as a
-//!   [`ScorerDrift`], together with the per-engine mutation counters the
-//!   refresh thresholds watch.
-//! * **Re-weigh** — [`Engine::refreshed`] rebuilds the scorer, the
+//! * **Rebuild** — [`Engine::refreshed`] rebuilds the scorer, the
 //!   dataspace hull and all three disk-resident indexes (MIR, IR, MIUR)
-//!   from the live tables into *fresh* block files, which reclaims every
-//!   freed placeholder record as a side effect (block-file compaction
-//!   falls out for free). [`Engine::refresh`] does the same in place. The
-//!   rebuilt engine re-weighs every document unclamped under the new
-//!   `wmax`, so a previously clamped TF-IDF outlier gets its true weight
-//!   back — and is bit-identical to a cold [`Engine::build`] over the
-//!   surviving tables.
+//!   from the live tables into *fresh* block files — every freed
+//!   placeholder is reclaimed, every tree re-tiled by STR, the hull
+//!   recomputed — and is bit-identical to a cold [`Engine::build`] over
+//!   the surviving tables. [`Engine::refresh`] does the same in place.
+//!   [`RefreshConfig::max_mutations`] says when.
 //! * **Atomic swap** — [`ServingEngine`] publishes the engine behind an
 //!   `Arc`: queries grab a snapshot and run lock-free on it, mutations
 //!   serialize on the writer side (falling back to a copy-on-write clone
@@ -33,14 +24,6 @@
 //!   threshold and page caches, and because the refreshed epoch is
 //!   strictly above every epoch the old engine ever had, no stale
 //!   threshold stamp could survive the swap even if one leaked.
-//!
-//! # One refresh tier
-//!
-//! Every refresh is the cold rebuild above. The paper's trees are
-//! bulk-built, and under LM or TF-IDF any object insert or remove moves
-//! `|C|` or `|O|` and with it the weight of every term, so re-weighing
-//! "only what drifted" re-weighs everything; a cold STR build does that
-//! faster than a path-by-path splice would.
 //!
 //! # Epoch discipline
 //!
@@ -58,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mbrstk_obs::Histogram;
-use text::{CorpusStats, TermId, TextScorer, WeightModel};
+use text::WeightModel;
 
 use crate::cache::ThresholdCache;
 use crate::cluster::{self, EngineCluster};
@@ -66,58 +49,19 @@ use crate::dynamic::{BatchReport, EpochGuard, MaintenanceIo, Mutation};
 use crate::metrics::{EngineMetrics, ServingMetrics};
 use crate::{Engine, Method, ObjectData, QueryResult, QuerySpec, UserData};
 
-/// How far the frozen scorer has walked away from the live corpus.
-///
-/// The per-term error compares the frozen `wmax(t)` against the `wmax` a
-/// fresh scorer over the live object documents would compute, normalized
-/// by the larger of the two (so every term's error is in `[0, 1]` and the
-/// metric is symmetric in growth and shrinkage). `wmax` folds both the
-/// corpus statistics and the per-document maxima, which makes it the one
-/// number every pruning bound in the engine actually consumes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScorerDrift {
-    /// Object mutations since build or the last refresh (the only churn
-    /// that moves corpus statistics).
-    pub object_mutations: u64,
-    /// User mutations since build or the last refresh.
-    pub user_mutations: u64,
-    /// Largest per-term relative `wmax` error, in `[0, 1]`.
-    pub max_rel_error: f64,
-    /// Mean per-term relative `wmax` error over the compared terms.
-    pub mean_rel_error: f64,
-    /// Terms with weight mass on either side that entered the comparison.
-    pub terms_compared: usize,
-}
-
-impl ScorerDrift {
-    /// Total mutations since build or the last refresh.
-    pub fn total_mutations(&self) -> u64 {
-        self.object_mutations + self.user_mutations
-    }
-}
-
-/// Thresholds steering [`ServingEngine::needs_refresh`] and the
-/// background worker ([`ServingEngine::start_refresher`]).
+/// When [`ServingEngine::needs_refresh`] and the background worker
+/// ([`ServingEngine::start_refresher`]) rebuild.
 #[derive(Debug, Clone)]
 pub struct RefreshConfig {
-    /// Refresh unconditionally once this many mutations accumulated
-    /// (objects + users; the user index and the dataspace hull age too).
+    /// Refresh once this many mutations accumulated (objects + users):
+    /// each leaves freed slots behind and insert-packed nodes in a tree.
     pub max_mutations: u64,
-    /// Refresh once [`ScorerDrift::max_rel_error`] reaches this. Set to
-    /// `f64::INFINITY` to refresh on mutation count alone.
-    pub max_drift: f64,
-    /// Don't pay the O(|O|) drift scan before this many mutations landed
-    /// (a handful of mutations cannot move the statistics of a large
-    /// corpus far enough to matter).
-    pub drift_check_after: u64,
 }
 
 impl Default for RefreshConfig {
     fn default() -> Self {
         RefreshConfig {
             max_mutations: 4096,
-            max_drift: 0.05,
-            drift_check_after: 64,
         }
     }
 }
@@ -155,7 +99,6 @@ struct RefreshSeed {
     threshold_capacity: Option<usize>,
     page_cache: Option<(u64, usize)>,
     epoch: u64,
-    user_epoch: u64,
     term_extent: u64,
     reclaimed_records: u64,
     /// The captured engine's telemetry, carried into the rebuilt engine
@@ -179,14 +122,13 @@ impl RefreshSeed {
                 .cache()
                 .map(|c| (c.capacity_blocks(), c.num_shards())),
             epoch: engine.epoch,
-            user_epoch: engine.user_epoch,
             term_extent: engine.term_extent,
             reclaimed_records: engine.freed_record_slots(),
             metrics: Arc::clone(&engine.metrics),
         }
     }
 
-    /// The actual re-weigh: a cold build over the captured tables (same
+    /// The actual rebuild: a cold build over the captured tables (same
     /// model, α, fanout, record codec — so the result is bit-identical to
     /// [`Engine::build_with_fanout`] over the survivors; the codec is the
     /// *captured* engine's, not re-read from the environment) with the
@@ -214,7 +156,6 @@ impl RefreshSeed {
         // engine ever issued is below the refreshed generation, so no
         // stale threshold-cache slot can validate against it.
         fresh.epoch = self.epoch + 1;
-        fresh.user_epoch = self.user_epoch + 1;
         fresh.term_extent = self.term_extent;
         // Telemetry survives the swap (the cold build made a fresh
         // registry; replace it with the captured engine's).
@@ -229,76 +170,11 @@ impl RefreshSeed {
     }
 }
 
-/// A freshly computed scorer over the live object documents — what a
-/// refresh would install.
-fn live_scorer(engine: &Engine) -> TextScorer {
-    let stats = CorpusStats::build(engine.objects.iter().map(|o| &o.doc));
-    TextScorer::build(
-        engine.ctx.text.model(),
-        stats,
-        engine.objects.iter().map(|o| &o.doc),
-    )
-}
-
-/// Relative error of a frozen value against its live twin, in `[0, 1]`.
-fn rel_error(f: f64, l: f64) -> f64 {
-    let denom = f.max(l);
-    if denom <= 0.0 {
-        0.0
-    } else {
-        (f - l).abs() / denom
-    }
-}
-
-/// The aggregate drift metric: one pass over the vocabulary comparing the
-/// per-term maxima (every pruning bound consumes `wmax`), counting only
-/// terms with weight mass on either side. No table walk.
-fn wmax_drift(engine: &Engine, live: &TextScorer) -> ScorerDrift {
-    let frozen = &engine.ctx.text;
-    let vocab = frozen.stats().vocab_len().max(live.stats().vocab_len());
-    let (mut max_rel, mut sum, mut compared) = (0.0f64, 0.0f64, 0usize);
-    for i in 0..vocab {
-        let t = TermId(i as u32);
-        let (f_max, l_max) = (frozen.max_weight(t), live.max_weight(t));
-        if f_max.max(l_max) > 0.0 {
-            let r = rel_error(f_max, l_max);
-            max_rel = max_rel.max(r);
-            sum += r;
-            compared += 1;
-        }
-    }
-    ScorerDrift {
-        object_mutations: engine.obj_muts_since_refresh,
-        user_mutations: engine.user_muts_since_refresh,
-        max_rel_error: max_rel,
-        mean_rel_error: if compared > 0 {
-            sum / compared as f64
-        } else {
-            0.0
-        },
-        terms_compared: compared,
-    }
-}
-
 impl Engine {
     /// Mutations absorbed since build or the last corpus refresh
     /// (objects + users).
     pub fn mutations_since_refresh(&self) -> u64 {
-        self.obj_muts_since_refresh + self.user_muts_since_refresh
-    }
-
-    /// Measures how far the frozen scorer drifted from the live corpus:
-    /// one O(|O|) scan recomputes `CorpusStats` and `wmax` over the
-    /// current object documents and compares per term against the frozen
-    /// values (see [`ScorerDrift`]). Cheap relative to a refresh — no
-    /// tree work — and charges no simulated I/O (it is bookkeeping, not a
-    /// query).
-    ///
-    /// Exactly `0.0` on a freshly built or freshly refreshed engine;
-    /// grows under one-sided churn; corpus-independent models
-    /// (`WeightModel::KeywordOverlap`) only drift on vocabulary changes.
-    pub fn drift(&self) -> ScorerDrift {
-        wmax_drift(self, &live_scorer(self))
+        self.muts_since_refresh
     }
 
     /// Freed placeholder record slots across the MIR, IR and (when built)
@@ -310,7 +186,7 @@ impl Engine {
             + self.miur.as_ref().map_or(0, |m| m.freed_records())
     }
 
-    /// A re-weighed twin of this engine: scorer, dataspace hull and all
+    /// A rebuilt twin of this engine: scorer, dataspace hull and all
     /// indexes rebuilt from the live tables into fresh block files
     /// (reclaiming freed placeholders), serving configuration (caches'
     /// shapes, user index, fanout) preserved, epochs carried strictly
@@ -329,8 +205,8 @@ impl Engine {
     }
 
     /// In-place [`Engine::refreshed`]: replaces this engine's scorer and
-    /// indexes with the re-weighed rebuild and resets the
-    /// mutations-since-refresh counters. Single-threaded convenience —
+    /// indexes with the rebuild and resets the mutations-since-refresh
+    /// counter. Single-threaded convenience —
     /// concurrent serving goes through [`ServingEngine`].
     pub fn refresh(&mut self) -> RefreshReport {
         let (fresh, report) = RefreshSeed::capture(self).build();
@@ -348,7 +224,7 @@ struct Signal {
     stop: bool,
 }
 
-/// A concurrently servable engine with background corpus refresh.
+/// A concurrently servable engine with background refresh.
 ///
 /// * **Queries** take an [`ServingEngine::snapshot`] (`Arc<Engine>`) and
 ///   run lock-free on it; the publish lock is held only for the clone.
@@ -361,7 +237,7 @@ struct Signal {
 ///   without ever mutating shared state.
 /// * **Refreshes** ([`ServingEngine::refresh_now`], or the background
 ///   worker from [`ServingEngine::start_refresher`]) capture the live
-///   tables, rebuild a re-weighed engine entirely off-lock, replay the
+///   tables, rebuild the engine entirely off-lock, replay the
 ///   mutations that landed meanwhile from an internal journal, and swap
 ///   the fresh `Arc` in. In-flight queries keep their old snapshot; the
 ///   old engine is dropped when its last snapshot is.
@@ -384,9 +260,6 @@ pub struct ServingEngine {
     refresh_gate: Mutex<()>,
     cfg: RefreshConfig,
     refreshes: AtomicU64,
-    /// Mutation-count bucket of the last drift scan (rate-limits the
-    /// O(|O|) scan in [`ServingEngine::needs_refresh`]).
-    drift_scan_bucket: AtomicU64,
     signal: Mutex<Signal>,
     wake: Condvar,
     /// Serving-layer telemetry handles, drawn from the wrapped engine's
@@ -438,7 +311,6 @@ impl ServingEngine {
             refresh_gate: Mutex::new(()),
             cfg,
             refreshes: AtomicU64::new(0),
-            drift_scan_bucket: AtomicU64::new(0),
             signal: Mutex::new(Signal::default()),
             wake: Condvar::new(),
             metrics,
@@ -586,33 +458,11 @@ impl ServingEngine {
         Arc::get_mut(published).expect("writer holds the only new reference")
     }
 
-    /// Whether the configured thresholds say it is time to re-weigh:
-    /// unconditionally past `max_mutations`, or when the measured
-    /// [`ScorerDrift`] exceeds `max_drift`. The O(|O|) drift scan is
-    /// rate-limited to once per `drift_check_after` mutations (it also
-    /// pins a snapshot for its duration, pushing concurrent mutations
-    /// into the copy-on-write fallback — another reason not to run it per
-    /// wake), so between scan points this can return `false` while the
-    /// true drift is already past the bound; the answer is advisory by a
-    /// bounded amount of churn.
+    /// Whether `max_mutations` mutations (at least one) landed since the
+    /// published engine was built or refreshed.
     pub fn needs_refresh(&self) -> bool {
-        let snap = self.snapshot();
-        let mutations = snap.mutations_since_refresh();
-        if mutations == 0 {
-            return false;
-        }
-        if mutations >= self.cfg.max_mutations {
-            return true;
-        }
-        if !self.cfg.max_drift.is_finite() || mutations < self.cfg.drift_check_after.max(1) {
-            return false;
-        }
-        let bucket = mutations / self.cfg.drift_check_after.max(1);
-        if bucket <= self.drift_scan_bucket.load(Ordering::Relaxed) {
-            return false;
-        }
-        self.drift_scan_bucket.store(bucket, Ordering::Relaxed);
-        snap.drift().max_rel_error >= self.cfg.max_drift
+        let mutations = self.snapshot().mutations_since_refresh();
+        mutations > 0 && mutations >= self.cfg.max_mutations
     }
 
     /// Runs one refresh now, on the calling thread: capture the live
@@ -676,14 +526,13 @@ impl ServingEngine {
         self.metrics.journal_depth.set(0.0);
         drop(journal);
         drop(published);
-        self.drift_scan_bucket.store(0, Ordering::Relaxed);
         self.refreshes.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .record_refresh(refresh_start.elapsed(), report.replayed);
         report
     }
 
-    /// Spawns the background re-weigh worker: it sleeps until mutations
+    /// Spawns the background refresh worker: it sleeps until mutations
     /// land, re-checks [`ServingEngine::needs_refresh`], and runs
     /// [`ServingEngine::refresh_now`] when the thresholds say so. Drop
     /// (or [`RefresherHandle::stop`]) the returned handle to stop and
@@ -722,7 +571,7 @@ impl ServingEngine {
     }
 }
 
-/// Handle to the background re-weigh worker of a [`ServingEngine`].
+/// Handle to the background refresh worker of a [`ServingEngine`].
 /// Stopping (explicitly or by drop) joins the thread; a refresh already
 /// in progress completes first.
 #[derive(Debug)]
@@ -792,37 +641,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fresh_engine_has_zero_drift() {
-        for model in [
-            WeightModel::lm(),
-            WeightModel::TfIdf,
-            WeightModel::KeywordOverlap,
-        ] {
-            let eng = engine(model);
-            let d = eng.drift();
-            assert_eq!(d.max_rel_error, 0.0, "{model:?}");
-            assert_eq!(d.mean_rel_error, 0.0, "{model:?}");
-            assert_eq!(d.total_mutations(), 0);
-            assert!(d.terms_compared > 0);
-        }
-    }
-
-    #[test]
-    fn drift_counts_mutations_per_side() {
-        let mut eng = engine(WeightModel::lm());
-        eng.insert_object(obj(100, 1.1, 1.1, 0)).unwrap();
-        eng.insert_user(user(100, 1.2, 1.2, 1)).unwrap();
-        eng.remove_object(100).unwrap();
-        let d = eng.drift();
-        assert_eq!(d.object_mutations, 2);
-        assert_eq!(d.user_mutations, 1);
-        assert_eq!(eng.mutations_since_refresh(), 3);
-    }
-
     /// In-place refresh: bit-identical to a cold build over the live
-    /// tables, drift back to zero, counters reset, placeholders gone,
-    /// epochs strictly advanced.
+    /// tables, counters reset, placeholders gone, epochs strictly
+    /// advanced.
     #[test]
     fn refresh_restores_cold_build_equivalence() {
         let mut eng = engine(WeightModel::lm())
@@ -841,7 +662,7 @@ mod tests {
             eng.remove_object(i).unwrap();
         }
         eng.insert_user(user(50, 3.0, 2.0, 2)).unwrap();
-        assert!(eng.drift().max_rel_error > 0.0, "LM must drift under churn");
+        assert_eq!(eng.mutations_since_refresh(), 25);
         assert!(eng.freed_record_slots() > 0);
         let epoch_before = eng.epoch();
 
@@ -850,7 +671,6 @@ mod tests {
         assert_eq!(report.replayed, 0);
         assert_eq!(report.epoch, eng.epoch());
         assert!(eng.epoch() > epoch_before);
-        assert_eq!(eng.drift().max_rel_error, 0.0);
         assert_eq!(eng.mutations_since_refresh(), 0);
         assert_eq!(eng.freed_record_slots(), 0);
         // Serving configuration survives the rebuild.
@@ -997,17 +817,13 @@ mod tests {
         assert!(report.epoch > before);
         assert_eq!(serving.epoch(), report.epoch);
         assert_eq!(serving.refreshes(), 1);
-        assert_eq!(serving.snapshot().drift().max_rel_error, 0.0);
+        assert_eq!(serving.snapshot().mutations_since_refresh(), 0);
         assert!(serving.journal.lock().unwrap().is_empty());
     }
 
     #[test]
     fn needs_refresh_tracks_mutation_threshold() {
-        let cfg = RefreshConfig {
-            max_mutations: 3,
-            max_drift: f64::INFINITY,
-            drift_check_after: 1,
-        };
+        let cfg = RefreshConfig { max_mutations: 3 };
         let serving = ServingEngine::with_config(engine(WeightModel::KeywordOverlap), cfg);
         assert!(!serving.needs_refresh());
         serving.apply(Mutation::InsertObject(obj(100, 1.0, 1.0, 0)));
@@ -1023,11 +839,7 @@ mod tests {
     /// crossed, and the handle joins cleanly.
     #[test]
     fn background_worker_refreshes_past_threshold() {
-        let cfg = RefreshConfig {
-            max_mutations: 5,
-            max_drift: f64::INFINITY,
-            drift_check_after: 1,
-        };
+        let cfg = RefreshConfig { max_mutations: 5 };
         let serving = ServingEngine::with_config(engine(WeightModel::lm()), cfg);
         let worker = serving.start_refresher();
         for i in 0..20 {

@@ -30,9 +30,10 @@ impl ScoreContext {
         }
     }
 
-    /// Exact `STS` between an object (point + precomputed weights,
-    /// ascending by term as [`WeightedDoc::entries`]) and a user, given the
-    /// user's normalizer `n_u` (see [`text::TextScorer::normalizer`]).
+    /// Exact `STS` between an object (point + its model weights, ascending
+    /// by term — stored halves resolved through
+    /// [`text::Weights::weight`]) and a user, given the user's
+    /// normalizer `n_u` (see [`text::TextScorer::normalizer`]).
     ///
     /// Callers that score one user against many objects should compute
     /// `n_u` once; that is why it is a parameter rather than derived here.
@@ -46,7 +47,7 @@ impl ScoreContext {
     ) -> f64 {
         let ss = self.spatial.ss_points(obj_point, &user.point);
         let ts = if n_u > 0.0 {
-            WeightedDoc::dot_terms(obj_weights, &user.doc) / n_u
+            WeightedDoc::dot_terms(obj_weights, &user.doc, |_, w| w) / n_u
         } else {
             0.0
         };
@@ -90,7 +91,7 @@ mod tests {
             Document::from_terms([t(0), t(1)]),
             Document::from_terms([t(1)]),
         ];
-        let text = TextScorer::from_docs(WeightModel::KeywordOverlap, &docs);
+        let text = TextScorer::build(WeightModel::KeywordOverlap, &docs);
         let spatial = SpatialContext::with_dmax(10.0);
         (ScoreContext::new(0.5, spatial, text), docs)
     }

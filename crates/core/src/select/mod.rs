@@ -49,7 +49,6 @@ pub mod greedy;
 pub mod location;
 #[cfg(test)]
 pub(crate) mod reference;
-pub mod topl;
 
 use std::cell::{Ref, RefCell};
 
@@ -811,7 +810,7 @@ pub(crate) mod test_fixture {
                 Document::from_terms((0..n).map(|_| t(next(VOCAB) as u32)))
             })
             .collect();
-        let text = TextScorer::from_docs(model, &docs);
+        let text = TextScorer::build(model, &docs);
         let users: Vec<UserData> = (0..n_users)
             .map(|i| {
                 let n = 1 + next(4);
@@ -861,7 +860,7 @@ pub(crate) mod test_fixture {
                 Document::from_terms((0..n).map(|_| t(next(vocab) as u32)))
             })
             .collect();
-        let text = TextScorer::from_docs(WeightModel::lm(), &docs);
+        let text = TextScorer::build(WeightModel::lm(), &docs);
         let users: Vec<UserData> = (0..n_users as u32)
             .map(|i| {
                 let n = next(4);
@@ -956,7 +955,7 @@ pub(crate) mod test_fixture {
         let docs: Vec<Document> = (0..10)
             .map(|i| Document::from_terms([t(i % 4), t(4)]))
             .collect();
-        let text = TextScorer::from_docs(WeightModel::KeywordOverlap, &docs);
+        let text = TextScorer::build(WeightModel::KeywordOverlap, &docs);
         let users: Vec<UserData> = (0..6)
             .map(|i| UserData {
                 id: i,

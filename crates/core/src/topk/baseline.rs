@@ -67,6 +67,7 @@ fn user_topk_baseline_with(
     terms.clear();
     terms.extend(user.doc.terms());
     let n_u = ctx.text.normalizer(&user.doc);
+    let resolver = ctx.text.weights();
 
     pq.clear();
     pq.push(ByKey {
@@ -90,7 +91,11 @@ fn user_topk_baseline_with(
                 let node = tree.read_node_ref(rec, io, node_scratch);
                 let postings = tree.read_postings_ref(&node, terms, io, postings_scratch);
                 for i in 0..node.len() {
-                    let sum_max: f64 = postings.entry(i).iter().map(|&(_, mx, _)| mx).sum();
+                    let sum_max: f64 = postings
+                        .entry(i)
+                        .iter()
+                        .map(|&(t, mx, _)| resolver.weight(t, mx))
+                        .sum();
                     let ts_ub = if n_u > 0.0 {
                         (sum_max / n_u).min(1.0)
                     } else {
@@ -169,7 +174,7 @@ mod tests {
         let docs: Vec<Document> = (0..35)
             .map(|i| Document::from_pairs([(t(i % 5), 1 + i % 3), (t(5), 1)]))
             .collect();
-        let text = TextScorer::from_docs(model, &docs);
+        let text = TextScorer::build(model, &docs);
         let objects = docs
             .iter()
             .enumerate()
@@ -196,11 +201,17 @@ mod tests {
     }
 
     fn brute(fix: &Fix, user: &UserData, k: usize) -> Vec<(u32, f64)> {
-        let n_u = fix.ctx.text.normalizer(&user.doc);
+        let ctx = &fix.ctx;
         let mut all: Vec<(u32, f64)> = fix
             .objects
             .iter()
-            .map(|o| (o.id, fix.ctx.sts(&o.point, &o.doc.entries, user, n_u)))
+            .map(|o| {
+                let ss = ctx.spatial.ss_points(&o.point, &user.point);
+                (
+                    o.id,
+                    ctx.combine(ss, ctx.text.ts_weighted(&o.doc, &user.doc)),
+                )
+            })
             .collect();
         all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(k);

@@ -140,7 +140,7 @@ mod tests {
         let docs: Vec<Document> = (0..40)
             .map(|i| Document::from_pairs([(t(i % 4), 1 + i % 2), (t(4), 1), (t(5 + i % 2), 2)]))
             .collect();
-        let text = TextScorer::from_docs(model, &docs);
+        let text = TextScorer::build(model, &docs);
         let objects: Vec<IndexedObject> = docs
             .iter()
             .enumerate()
@@ -169,11 +169,17 @@ mod tests {
     }
 
     fn brute(fix: &Fix, user: &UserData, k: usize) -> Vec<(u32, f64)> {
-        let n_u = fix.ctx.text.normalizer(&user.doc);
+        let ctx = &fix.ctx;
         let mut all: Vec<(u32, f64)> = fix
             .objects
             .iter()
-            .map(|o| (o.id, fix.ctx.sts(&o.point, &o.doc.entries, user, n_u)))
+            .map(|o| {
+                let ss = ctx.spatial.ss_points(&o.point, &user.point);
+                (
+                    o.id,
+                    ctx.combine(ss, ctx.text.ts_weighted(&o.doc, &user.doc)),
+                )
+            })
             .collect();
         all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(k);

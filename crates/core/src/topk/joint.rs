@@ -93,6 +93,7 @@ pub(crate) fn traverse(
     let uni = group.uni_terms();
     let mut node_scratch = NodeScratch::default();
     let mut postings_scratch = PostingsScratch::default();
+    let resolver = ctx.text.weights();
     let mut pq: BinaryHeap<(u64, Item)> = BinaryHeap::new();
     let mut nodes: Vec<(RecordId, f64)> = vec![(tree.root(), f64::INFINITY)];
     // Every object that passed its upper-bound test, in discovery order.
@@ -134,15 +135,15 @@ pub(crate) fn traverse(
                     let row = postings.entry(i);
                     match node.child(i) {
                         ChildRef::Object(id) => {
-                            // Leaf postings are exact weights. Bound on
-                            // them where they stand in the run; only a
+                            // Leaf postings resolve to exact weights. Bound
+                            // on them where they stand in the run; only a
                             // survivor keeps its extent.
                             let point = node.point(i);
                             let start = weights.len();
                             weights.extend(
                                 row.iter()
-                                    .filter(|&&(_, w, _)| w > 0.0)
-                                    .map(|&(t, w, _)| (t, w)),
+                                    .map(|&(t, x, _)| (t, resolver.weight(t, x)))
+                                    .filter(|&(_, w)| w > 0.0),
                             );
                             let ub = ub_object(ctx, group, &point, &weights[start..]);
                             if full && ub < rsk_us {
@@ -232,7 +233,7 @@ mod tests {
         let docs: Vec<Document> = (0..30)
             .map(|i| Document::from_terms([t(i % 3), t(3)]))
             .collect();
-        let text = TextScorer::from_docs(WeightModel::lm(), &docs);
+        let text = TextScorer::build(WeightModel::lm(), &docs);
         let objects: Vec<IndexedObject> = docs
             .iter()
             .enumerate()
@@ -262,11 +263,16 @@ mod tests {
         k: usize,
         ctx: &ScoreContext,
     ) -> Vec<(u32, f64)> {
-        let n_u = ctx.text.normalizer(&user.doc);
         let mut scored: Vec<(u32, f64)> = docs
             .iter()
             .zip(objects)
-            .map(|(_, o)| (o.id, ctx.sts(&o.point, &o.doc.entries, user, n_u)))
+            .map(|(_, o)| {
+                let ss = ctx.spatial.ss_points(&o.point, &user.point);
+                (
+                    o.id,
+                    ctx.combine(ss, ctx.text.ts_weighted(&o.doc, &user.doc)),
+                )
+            })
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);

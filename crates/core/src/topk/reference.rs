@@ -95,6 +95,7 @@ pub(super) fn joint_topk(
     let uni = group.uni_terms();
     let mut node_scratch = NodeScratch::default();
     let mut postings_scratch = PostingsScratch::default();
+    let resolver = ctx.text.weights();
     let mut pq: BinaryHeap<ByKey<Item>> = BinaryHeap::new();
     // LO: min-heap by LB holding the k best lower-bounded objects.
     let mut lo: BinaryHeap<Reverse<ByKey<ScoredObject>>> = BinaryHeap::new();
@@ -151,7 +152,9 @@ pub(super) fn joint_topk(
                         ChildRef::Object(oid) => {
                             let point = node.point(i);
                             let weights = WeightedDoc::from_pairs(
-                                row.iter().map(|&(t, mx, _)| (t, mx)).collect(),
+                                row.iter()
+                                    .map(|&(t, x, _)| (t, resolver.weight(t, x)))
+                                    .collect(),
                             );
                             let obj_ub = ub_object(ctx, group, &point, &weights.entries);
                             if lo.len() >= k && obj_ub < rsk_us {
@@ -232,7 +235,7 @@ mod tests {
         let docs: Vec<Document> = (0..120)
             .map(|i| Document::from_terms([t(i % 5), t(5)]))
             .collect();
-        let text = TextScorer::from_docs(model, &docs);
+        let text = TextScorer::build(model, &docs);
         let objects: Vec<IndexedObject> = docs
             .iter()
             .enumerate()

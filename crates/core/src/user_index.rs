@@ -563,7 +563,7 @@ mod tests {
         let docs: Vec<Document> = (0..50)
             .map(|i| Document::from_terms([t(i % 5), t(5)]))
             .collect();
-        let text = TextScorer::from_docs(model, &docs);
+        let text = TextScorer::build(model, &docs);
         let objects: Vec<IndexedObject> = docs
             .iter()
             .enumerate()

@@ -64,7 +64,7 @@ fn fixture() -> Fix {
             Document::from_pairs((0..n).map(|_| (rng.term(), 1 + rng.below(3) as u32)))
         })
         .collect();
-    let text = TextScorer::from_docs(WeightModel::lm(), &docs);
+    let text = TextScorer::build(WeightModel::lm(), &docs);
     let objects: Vec<IndexedObject> = docs
         .iter()
         .enumerate()

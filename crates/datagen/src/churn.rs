@@ -31,9 +31,9 @@ pub struct ChurnConfig {
     pub doc_terms: usize,
     /// Probability that each keyword draw takes the *first* pool term
     /// instead of a uniform one, in `[0, 1]`. 0 (the default) reproduces
-    /// the balanced uniform stream; values near 1 flood one term, walking
-    /// the live corpus statistics (`cf/|C|`, `df`) away from any frozen
-    /// scorer as fast as possible.
+    /// the balanced uniform stream; values near 1 flood one term, moving
+    /// the corpus statistics (`cf/|C|`, `df`) as far as possible per
+    /// mutation.
     pub term_skew: f64,
     /// Term frequency given to every keyword of an inserted document
     /// (minimum 1). Values above 1 shift the collection frequency harder
@@ -61,10 +61,9 @@ impl ChurnConfig {
 
     /// A drift-heavy preset: mutation-only, insert-dominant churn whose
     /// inserted documents flood the first pool term with repeated
-    /// occurrences. This is the adversarial workload for a frozen scorer
-    /// — `cf/|C|` and `df` move with almost every mutation — and the one
-    /// the corpus-refresh subsystem (`mbrstk_core::refresh`) exists to
-    /// absorb.
+    /// occurrences, so `cf/|C|`, `df` and one term's largest `tf` move
+    /// with almost every mutation — the stream that most tests a scorer's
+    /// live statistics.
     pub fn drift_heavy(ops: usize) -> Self {
         ChurnConfig {
             user_fraction: 0.05,
@@ -278,8 +277,7 @@ mod tests {
 
     /// The drift-heavy preset floods the first pool term: most inserted
     /// objects carry it at the configured repeated term frequency, and
-    /// the stream is insert-dominant — the adversarial shape for a
-    /// frozen scorer.
+    /// the stream is insert-dominant.
     #[test]
     fn drift_heavy_stream_floods_the_first_term() {
         let (o, u, pool) = seed_collection();

@@ -109,6 +109,15 @@ impl MiurTree {
         self.core.insert(user)
     }
 
+    /// Bulk loads `users` in place of the whole tree, with the same fanout
+    /// and codec — how every stored `N(u)` and normalizer bracket is
+    /// brought up to date at once. Charged as a write of the new tree;
+    /// every record of the old one is reported stale.
+    pub fn rebuild(&mut self, users: &[IndexedUser]) -> TreeEdit {
+        let fresh = Self::build_with_fanout_codec(users, self.fanout(), self.codec());
+        self.core.supersede(fresh.core)
+    }
+
     /// Removes a user from the tree (CondenseTree, mirroring
     /// [`crate::StTree::remove`]): underflowing nodes dissolve and their
     /// surviving users are reinserted; a root with a single inner child
@@ -498,6 +507,33 @@ mod tests {
         let compact = c.compacted();
         assert_eq!(compact.codec(), CodecId::Columnar);
         assert_eq!(rows(&compact), rows(&c), "compaction under columnar");
+    }
+
+    /// A rebuild re-brackets every norm, reports every record it replaced
+    /// stale and charges exactly what a cold build writes.
+    #[test]
+    fn rebuild_rebrackets_and_reports_the_old_tree_stale() {
+        let us = users();
+        let mut tree = MiurTree::build_with_fanout(&us[..6], 4);
+        for u in &us[6..] {
+            tree.insert(u);
+        }
+        let old_keys = tree.core.nodes.live_records() + tree.core.side.live_records();
+        let heavier: Vec<IndexedUser> = us
+            .iter()
+            .map(|u| IndexedUser {
+                norm: 3.0 + f64::from(u.id),
+                ..u.clone()
+            })
+            .collect();
+        let edit = tree.rebuild(&heavier);
+        let cold = MiurTree::build_with_fanout(&heavier, 4);
+        assert_eq!(rows(&tree), rows(&cold));
+        assert_eq!(tree.freed_records(), 0);
+        assert_eq!(edit.stale_keys.len(), old_keys);
+        assert_eq!(edit.read_ios, 0);
+        assert_eq!(edit.node_writes + edit.payload_blocks, cold.footprint_io());
+        check_intuni_invariants(&tree, &heavier);
     }
 
     /// The count/summary split: user counts live in the *node* record, so

@@ -7,6 +7,12 @@
 //! `e`. The minimum is taken over the subtree *intersection*: it is 0 when
 //! any document below `e` lacks `t` (Fig. 3 / Table 2 of the paper).
 //!
+//! What is stored is each weight's document-only half
+//! ([`text::TextScorer::weigh`]); the scorer maps it to the weight where it
+//! is read. The map is non-decreasing per term, so the stored maxima and
+//! minima are the weights' maxima and minima, and no corpus statistic is
+//! baked into a record.
+//!
 //! [`PostingMode::MaxOnly`] reproduces the original IR-tree of Cong et al.
 //! (used by the paper's baseline); [`PostingMode::MaxMin`] is the paper's
 //! MIR-tree. The only physical difference is posting width, which is why
@@ -16,7 +22,7 @@
 
 use geo::Point;
 use storage::{CodecId, RecordId};
-use text::WeightedDoc;
+use text::{TextScorer, WeightedDoc};
 
 use crate::rtree::{point_items, BuildTree};
 use crate::tree::{tree_api, PagedTree};
@@ -45,7 +51,9 @@ pub struct IndexedObject {
     pub id: u32,
     /// Location `o.l`.
     pub point: Point,
-    /// Model weights of `o.d` (see [`text::TextScorer::weigh`]).
+    /// The document-only halves of `o.d`'s weights (see
+    /// [`text::TextScorer::weigh`]); every aggregate above a leaf is a
+    /// per-term max or min of them.
     pub doc: WeightedDoc,
 }
 
@@ -120,23 +128,31 @@ impl StTree {
     /// §5.1 notes the MIR-tree "can be constructed in the same manner as
     /// the DIR-tree", i.e. with nodes grouped by textual as well as
     /// spatial criteria. This variant packs leaves primarily by each
-    /// object's dominant (highest-weight) term and only secondarily by
-    /// location, then builds the upper levels spatially (STR on leaf
-    /// centers). Leaves get coherent vocabularies — smaller per-node
-    /// inverted files and sharper `MaxTS` bounds — at the cost of looser
-    /// MBRs. The `figures -- ablation` harness quantifies the trade-off.
-    pub fn build_text_first(objects: &[IndexedObject], mode: PostingMode, fanout: usize) -> Self {
+    /// object's dominant (highest-weight under `scorer`) term and only
+    /// secondarily by location, then builds the upper levels spatially
+    /// (STR on leaf centers). Leaves get coherent vocabularies — smaller
+    /// per-node inverted files and sharper `MaxTS` bounds — at the cost of
+    /// looser MBRs. The `figures -- ablation` harness quantifies the
+    /// trade-off.
+    pub fn build_text_first(
+        objects: &[IndexedObject],
+        mode: PostingMode,
+        fanout: usize,
+        scorer: &TextScorer,
+    ) -> Self {
         assert!(!objects.is_empty(), "cannot index an empty object set");
         assert!(fanout >= 2, "fanout must be at least 2");
         let items = point_items(objects.iter().map(|o| o.point));
 
         // Order: dominant term, then x, then y.
+        let weights = scorer.weights();
         let dominant = |o: &IndexedObject| -> u32 {
             o.doc
                 .entries
                 .iter()
+                .map(|&(t, x)| (t, weights.weight(t, x)))
                 .max_by(|a, b| a.1.total_cmp(&b.1))
-                .map(|&(t, _)| t.0)
+                .map(|(t, _)| t.0)
                 .unwrap_or(u32::MAX)
         };
         let mut order: Vec<usize> = (0..objects.len()).collect();
@@ -227,7 +243,7 @@ mod tests {
         let docs: Vec<Document> = (0..20)
             .map(|i| Document::from_terms([t(i % 3), t(3)]))
             .collect();
-        let scorer = TextScorer::from_docs(WeightModel::KeywordOverlap, &docs);
+        let scorer = TextScorer::build(WeightModel::KeywordOverlap, &docs);
         let objects = docs
             .iter()
             .enumerate()
@@ -494,8 +510,8 @@ mod tests {
 
     #[test]
     fn text_first_roundtrip_and_bounds() {
-        let (objects, _, _) = corpus();
-        let tree = StTree::build_text_first(&objects, PostingMode::MaxMin, 4);
+        let (objects, scorer, _) = corpus();
+        let tree = StTree::build_text_first(&objects, PostingMode::MaxMin, 4, &scorer);
         let io = IoStats::new();
         let got = collect_objects(&tree, &io);
         assert_eq!(got.len(), 20);
@@ -510,7 +526,7 @@ mod tests {
         // Objects with rotating dominant terms: text-first leaves should
         // have fewer distinct terms per node invfile than STR leaves on
         // average (coherent vocabularies).
-        let (objects, _, _) = corpus();
+        let (objects, scorer, _) = corpus();
         let count_leaf_terms = |tree: &StTree| -> usize {
             let io = IoStats::new();
             let all_terms: Vec<TermId> = (0..4).map(t).collect();
@@ -532,7 +548,7 @@ mod tests {
             total
         };
         let str_tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
-        let txt_tree = StTree::build_text_first(&objects, PostingMode::MaxMin, 4);
+        let txt_tree = StTree::build_text_first(&objects, PostingMode::MaxMin, 4, &scorer);
         assert!(
             count_leaf_terms(&txt_tree) <= count_leaf_terms(&str_tree),
             "text-first leaves should not have broader vocabularies"

@@ -575,6 +575,35 @@ impl<P: Payload> PagedTree<P> {
         node
     }
 
+    /// Replaces this tree by `fresh`, a bulk load of the same payload. The
+    /// edit writes every record of `fresh` and makes every live record of
+    /// the replaced files stale.
+    pub fn supersede(&mut self, fresh: Self) -> TreeEdit {
+        let live = |file: &BlockFile| {
+            (0..file.len() as u32)
+                .map(RecordId)
+                .filter(|&id| !file.is_freed(id))
+                .collect::<Vec<_>>()
+        };
+        let mut stale_keys: Vec<u64> = live(&self.nodes)
+            .into_iter()
+            .map(|id| self.payload.node_key(id))
+            .collect();
+        stale_keys.extend(
+            live(&self.side)
+                .into_iter()
+                .map(|id| self.payload.side_key(id)),
+        );
+        let edit = TreeEdit {
+            stale_keys,
+            read_ios: 0,
+            node_writes: fresh.nodes.live_records() as u64,
+            payload_blocks: fresh.side.live_payload_blocks(),
+        };
+        *self = fresh;
+        edit
+    }
+
     /// Rewrites the live tree into fresh block files with densely packed
     /// record ids: structure, payloads and query behaviour are identical,
     /// but the freed placeholder slots accumulated by mutations are gone.
@@ -803,7 +832,7 @@ macro_rules! tree_api {
             /// by [`Self::insert`] / [`Self::remove`] are gone. The
             /// engine-level corpus refresh gets compaction for free by
             /// rebuilding from the live tables; `compacted` covers the
-            /// other case — reclaiming space without re-weighing anything.
+            /// other case — reclaiming space without rebuilding anything.
             pub fn compacted(&self) -> Self {
                 $tree {
                     core: self.core.compacted(),

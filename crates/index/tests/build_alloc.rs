@@ -89,7 +89,7 @@ fn nodes(tree: &StTree) -> u64 {
 fn build_and_insert_allocate_per_record_not_per_term() {
     let corpus = generate_objects(&CorpusConfig::flickr_like(OBJECTS + INSERTS));
     let docs: Vec<_> = corpus.iter().map(|o| o.doc.clone()).collect();
-    let scorer = TextScorer::from_docs(WeightModel::lm(), &docs);
+    let scorer = TextScorer::build(WeightModel::lm(), &docs);
     let objects: Vec<IndexedObject> = corpus
         .iter()
         .map(|o| IndexedObject {

@@ -46,7 +46,7 @@ fn build_indexed(data: &[(Point, Vec<TermId>)]) -> (Vec<IndexedObject>, TextScor
         .iter()
         .map(|(_, ts)| Document::from_terms(ts.iter().copied()))
         .collect();
-    let scorer = TextScorer::from_docs(WeightModel::lm(), &docs);
+    let scorer = TextScorer::build(WeightModel::lm(), &docs);
     let objs = data
         .iter()
         .zip(&docs)

@@ -580,7 +580,7 @@ fn removing_every_user_is_rejected_at_the_last_one() {
 }
 
 /// An object naming a term id near `u32::MAX` used to be accepted, and the
-/// next drift scan or refresh then sized its corpus statistics by that id
+/// corpus statistics a refresh builds were then sized by that id
 /// (a 17 GB allocation that aborted the process). A single-worker server
 /// rejects the frame, then answers `stats` and the next client.
 #[test]

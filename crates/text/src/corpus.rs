@@ -10,8 +10,8 @@ use crate::{Document, TermId};
 ///   collection;
 /// * `num_docs` — `|O|`.
 ///
-/// Statistics are computed once over the object set and shared by every
-/// scorer, index and algorithm.
+/// The counts are exact over the live object set: a serving engine adds and
+/// removes one document's counts per mutation, in O(|d|).
 #[derive(Debug, Clone, Default)]
 pub struct CorpusStats {
     num_docs: u64,
@@ -42,6 +42,18 @@ impl CorpusStats {
             }
             self.df[i] += 1;
             self.cf[i] += u64::from(tf);
+        }
+    }
+
+    /// Takes back the counts [`CorpusStats::add_doc`] added for `d`. The
+    /// vocabulary extent never shrinks: a term no document holds any more
+    /// reads as unseen.
+    pub fn remove_doc(&mut self, d: &Document) {
+        self.num_docs -= 1;
+        self.collection_len -= d.len();
+        for &(t, tf) in d.entries() {
+            self.df[t.idx()] -= 1;
+            self.cf[t.idx()] -= u64::from(tf);
         }
     }
 
@@ -124,6 +136,29 @@ mod tests {
         assert_eq!(s.cf(t(0)), 3);
         assert_eq!(s.cf(t(1)), 4);
         assert_eq!(s.cf(t(2)), 1);
+    }
+
+    /// Adding and removing a document leaves statistics every accessor
+    /// reads exactly as before, although the extent stays grown.
+    #[test]
+    fn remove_doc_takes_back_add_doc() {
+        let mut s = sample();
+        let extra = Document::from_pairs([(t(1), 2), (t(5), 1)]);
+        s.add_doc(&extra);
+        assert_eq!((s.df(t(5)), s.collection_len()), (1, 11));
+        s.remove_doc(&extra);
+        let fresh = sample();
+        assert_eq!(s.vocab_len(), 6);
+        assert_eq!(s.num_docs(), fresh.num_docs());
+        assert_eq!(s.collection_len(), fresh.collection_len());
+        for i in 0..6 {
+            assert_eq!((s.df(t(i)), s.cf(t(i))), (fresh.df(t(i)), fresh.cf(t(i))));
+            assert_eq!(s.idf(t(i)).to_bits(), fresh.idf(t(i)).to_bits());
+            assert_eq!(
+                s.background(t(i)).to_bits(),
+                fresh.background(t(i)).to_bits()
+            );
+        }
     }
 
     #[test]

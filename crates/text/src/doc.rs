@@ -167,13 +167,15 @@ fn merge_any(a: impl Iterator<Item = TermId>, b: impl Iterator<Item = TermId>) -
     false
 }
 
-/// A document with a precomputed model weight per term, ascending by term.
+/// A document with one positive value per term, ascending by term.
 ///
-/// Index leaves store these (the IR-tree leaf posting weight `w_{d,t}`), and
-/// the scorer consumes them to evaluate `TS` with a linear merge.
+/// [`crate::TextScorer::weigh`] fills it with the document-only half `x`
+/// of each weight, which is what index leaves store (the IR-tree leaf
+/// posting of `w_{d,t}`, less its corpus statistics); the scorer maps
+/// `x` back to `w` where it scores.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WeightedDoc {
-    /// `(term, weight)` pairs, strictly ascending by term, weights > 0.
+    /// `(term, value)` pairs, strictly ascending by term, values > 0.
     pub entries: Vec<(TermId, f64)>,
 }
 
@@ -189,7 +191,7 @@ impl WeightedDoc {
         WeightedDoc { entries }
     }
 
-    /// Weight of `t` (0 when absent).
+    /// Value of `t` (0 when absent).
     pub fn weight(&self, t: TermId) -> f64 {
         match self.entries.binary_search_by_key(&t, |&(t, _)| t) {
             Ok(i) => self.entries[i].1,
@@ -202,17 +204,21 @@ impl WeightedDoc {
         self.entries.len()
     }
 
-    /// True when no term has positive weight.
+    /// True when no term has a positive value.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Sum over the terms of `user` of the weights in `entries` (ascending
-    /// by term, as [`WeightedDoc::entries`]) — the numerator
-    /// `Σ_{t∈u.d} w(t, o.d)` of the uniform `TS` form. Takes the slice, not
-    /// the document, so weights stored in a shared run score without being
-    /// copied out.
-    pub fn dot_terms(entries: &[(TermId, f64)], user: &Document) -> f64 {
+    /// Sum over the terms of `user` of `weight(t, v)` for the pairs in
+    /// `entries` (ascending by term, as [`WeightedDoc::entries`]) — the
+    /// numerator `Σ_{t∈u.d} w(t, o.d)` of the uniform `TS` form. Takes the
+    /// slice, not the document, so weights stored in a shared run score
+    /// without being copied out.
+    pub fn dot_terms(
+        entries: &[(TermId, f64)],
+        user: &Document,
+        weight: impl Fn(TermId, f64) -> f64,
+    ) -> f64 {
         let (mut i, mut j, mut acc) = (0, 0, 0.0);
         let u = user.entries();
         while i < entries.len() && j < u.len() {
@@ -220,7 +226,7 @@ impl WeightedDoc {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    acc += entries[i].1;
+                    acc += weight(entries[i].0, entries[i].1);
                     i += 1;
                     j += 1;
                 }
@@ -303,7 +309,7 @@ mod tests {
     fn weighted_doc_dot_terms() {
         let w = WeightedDoc::from_pairs(vec![(t(1), 0.5), (t(3), 0.25), (t(6), 0.1)]);
         let u = Document::from_terms([t(0), t(3), t(6), t(9)]);
-        assert!((WeightedDoc::dot_terms(&w.entries, &u) - 0.35).abs() < 1e-12);
+        assert!((WeightedDoc::dot_terms(&w.entries, &u, |_, v| v) - 0.35).abs() < 1e-12);
     }
 
     #[test]

@@ -22,10 +22,18 @@
 //! natural max-normalized TF-IDF. This uniform shape is what lets the index
 //! bounds (`MaxTS`/`MinTS`, §5.3) be derived once for every measure.
 //!
+//! Every model's weight of a present term splits into a document-only half
+//! and a statistics half, `w(t, d) = a_t · x(t, d) + b_t` (TF-IDF: `x = tf`,
+//! `a_t = idf`; LM: `x = (1−λ)·tf/|d|`, `b_t = λ·cf(t)/|C|`; KO: `x = 1`).
+//! Indexes store `x`, which no insert or remove elsewhere in the corpus can
+//! change; `a_t`, `b_t` and `wmax` come from counters kept exact over the
+//! live object set, so every score is the paper's over the *current*
+//! corpus.
+//!
 //! This crate provides string interning ([`Dictionary`]), term-frequency
 //! documents ([`Document`]), corpus statistics ([`CorpusStats`]), the weight
-//! models ([`WeightModel`]), and the [`TextScorer`] that precomputes per-term
-//! maxima and evaluates `TS`.
+//! models ([`WeightModel`]), and the live [`TextScorer`] that keeps per-term
+//! maxima, maps stored halves to weights and evaluates `TS`.
 
 mod corpus;
 mod dict;
@@ -35,4 +43,4 @@ mod relevance;
 pub use corpus::CorpusStats;
 pub use dict::{Dictionary, TermId};
 pub use doc::{Document, WeightedDoc};
-pub use relevance::{TextScorer, WeightModel, DEFAULT_LM_LAMBDA};
+pub use relevance::{TextScorer, WeightModel, Weights, DEFAULT_LM_LAMBDA};

@@ -1,5 +1,7 @@
 //! The three text relevance measures of §3 behind one uniform scorer.
 
+use std::sync::OnceLock;
+
 use crate::{CorpusStats, Document, TermId, WeightedDoc};
 
 /// Default Jelinek–Mercer smoothing parameter.
@@ -34,30 +36,41 @@ impl WeightModel {
         }
     }
 
-    /// Weight of a term occurring `tf` times in a document of token length
-    /// `doc_len`. Zero when `tf == 0`.
-    pub fn weight(&self, t: TermId, tf: u32, doc_len: u64, stats: &CorpusStats) -> f64 {
+    /// The document-only half `x` of a term occurring `tf` times in a
+    /// document of token length `doc_len` (0 when `tf == 0`): `tf` under
+    /// TF-IDF, `(1−λ)·tf/|d|` under LM, 1 under KO. No corpus statistic
+    /// enters it, so an index that stores `x` never goes stale.
+    pub fn doc_part(&self, tf: u32, doc_len: u64) -> f64 {
         if tf == 0 {
             return 0.0;
         }
         match *self {
-            WeightModel::TfIdf => f64::from(tf) * stats.idf(t),
+            WeightModel::TfIdf => f64::from(tf),
             WeightModel::LanguageModel { lambda } => {
                 debug_assert!(doc_len > 0);
-                (1.0 - lambda) * f64::from(tf) / doc_len as f64 + lambda * stats.background(t)
+                (1.0 - lambda) * f64::from(tf) / doc_len as f64
             }
             WeightModel::KeywordOverlap => 1.0,
         }
     }
 
-    /// The largest weight `t` can attain in any *keyword-set* document:
-    /// a document containing `t` once with total length 1.
-    ///
-    /// Candidate objects (`ox.d ∪ W'`) are keyword sets, so their term
-    /// weights never exceed this; folding it into the per-term maximum keeps
-    /// every `TS` — including candidate scores — inside `[0, 1]`.
-    pub fn keyword_unit_weight(&self, t: TermId, stats: &CorpusStats) -> f64 {
-        self.weight(t, 1, 1, stats)
+    /// The statistics half of `w`: `w(t, d) = a·x + b` for every `x > 0`,
+    /// with `(a, b)` = `(idf(t), 0)` under TF-IDF, `(1, λ·cf(t)/|C|)` under
+    /// LM and `(1, 0)` under KO. `a ≥ 0`, so the map is non-decreasing and
+    /// commutes with the maxima and minima an index aggregates; and it
+    /// rounds exactly like the undivided formula (`x·idf`, `x + λ·bg`).
+    pub fn affine(&self, t: TermId, stats: &CorpusStats) -> (f64, f64) {
+        match *self {
+            WeightModel::TfIdf => (stats.idf(t), 0.0),
+            WeightModel::LanguageModel { lambda } => (1.0, lambda * stats.background(t)),
+            WeightModel::KeywordOverlap => (1.0, 0.0),
+        }
+    }
+
+    /// Weight of a term occurring `tf` times in a document of token length
+    /// `doc_len`. Zero when `tf == 0`.
+    pub fn weight(&self, t: TermId, tf: u32, doc_len: u64, stats: &CorpusStats) -> f64 {
+        apply(self.affine(t, stats), self.doc_part(tf, doc_len))
     }
 
     /// Short display name used by the benchmark harness ("LM", "TF", "KO").
@@ -70,6 +83,17 @@ impl WeightModel {
     }
 }
 
+/// `a·x + b` for a present term, 0 for an absent one (`x == 0`: the
+/// minimum of a subtree some document of which lacks the term).
+#[inline]
+fn apply((a, b): (f64, f64), x: f64) -> f64 {
+    if x > 0.0 {
+        a * x + b
+    } else {
+        0.0
+    }
+}
+
 /// Evaluates the normalized text relevance `TS` for one corpus and model.
 ///
 /// ```text
@@ -77,48 +101,77 @@ impl WeightModel {
 /// ```
 ///
 /// `wmax(t)` is the per-term maximum weight over all object documents *and*
-/// over any keyword-set candidate document (see
-/// [`WeightModel::keyword_unit_weight`]), which makes the normalizer the
-/// paper's `Pmax` (Eq. 4) extended to also cover the query object.
+/// over any keyword-set candidate document — a document holding `t` once
+/// with total length 1, which is how heavy a candidate keyword (`ox.d ∪
+/// W'`) can get — which makes the normalizer the paper's `Pmax` (Eq. 4)
+/// extended to also cover the query object and keeps every `TS`, candidate
+/// scores included, inside `[0, 1]`.
+///
+/// The scorer is live: [`TextScorer::add_doc`] and
+/// [`TextScorer::remove_doc`] keep its counters and per-term maxima exact
+/// over the current object set in O(|d|), and every weight is derived from
+/// them at read time. Stored weights are the document-only half `x`
+/// ([`TextScorer::weigh`]); [`TextScorer::weights`] maps them back.
 #[derive(Debug, Clone)]
 pub struct TextScorer {
     model: WeightModel,
     stats: CorpusStats,
-    wmax: Vec<f64>,
+    /// Per-term maximum of `x` over the live documents (0 for a term none
+    /// holds); as long as the statistics' extent.
+    xmax: Vec<f64>,
+    /// Every term's [`TermWeights`] under the current counters, built by
+    /// the first read after a mutation — once per epoch, so a read pays a
+    /// lookup where it would pay a division (LM) or a logarithm (TF-IDF).
+    table: OnceLock<Vec<TermWeights>>,
+}
+
+/// What reads need of one term: the affine map and `wmax(t)`.
+#[derive(Debug, Clone, Copy)]
+struct TermWeights {
+    affine: (f64, f64),
+    wmax: f64,
 }
 
 impl TextScorer {
-    /// Builds a scorer: computes corpus statistics (if not already built)
-    /// and the per-term maxima by one scan over the object documents.
-    pub fn build<'a>(
-        model: WeightModel,
-        stats: CorpusStats,
-        docs: impl IntoIterator<Item = &'a Document>,
-    ) -> Self {
-        let mut wmax = vec![0.0f64; stats.vocab_len()];
+    /// Builds a scorer over the object documents: one pass of
+    /// [`TextScorer::add_doc`].
+    pub fn build<'a>(model: WeightModel, docs: impl IntoIterator<Item = &'a Document>) -> Self {
+        let mut scorer = TextScorer {
+            model,
+            stats: CorpusStats::default(),
+            xmax: Vec::new(),
+            table: OnceLock::new(),
+        };
         for d in docs {
-            for &(t, tf) in d.entries() {
-                let w = model.weight(t, tf, d.len(), &stats);
-                let slot = &mut wmax[t.idx()];
-                if w > *slot {
-                    *slot = w;
-                }
-            }
+            scorer.add_doc(d);
         }
-        // Fold in the keyword-set ceiling so candidate docs stay bounded.
-        for (i, slot) in wmax.iter_mut().enumerate() {
-            let unit = model.keyword_unit_weight(TermId(i as u32), &stats);
-            if unit > *slot {
-                *slot = unit;
-            }
-        }
-        TextScorer { model, stats, wmax }
+        scorer
     }
 
-    /// Convenience constructor that also computes [`CorpusStats`].
-    pub fn from_docs(model: WeightModel, docs: &[Document]) -> Self {
-        let stats = CorpusStats::build(docs.iter());
-        Self::build(model, stats, docs.iter())
+    /// Adds one object document: its counts and its `x` maxima, O(|d|).
+    pub fn add_doc(&mut self, d: &Document) {
+        self.table.take();
+        self.stats.add_doc(d);
+        if self.xmax.len() < self.stats.vocab_len() {
+            self.xmax.resize(self.stats.vocab_len(), 0.0);
+        }
+        for &(t, tf) in d.entries() {
+            let slot = &mut self.xmax[t.idx()];
+            *slot = slot.max(self.model.doc_part(tf, d.len()));
+        }
+    }
+
+    /// Removes one object document added earlier. `live_max` holds, for
+    /// each term of `d` in order, the largest `x` the *remaining* documents
+    /// give it (0 when none holds it) — an index's root aggregates know it,
+    /// the scorer does not.
+    pub fn remove_doc(&mut self, d: &Document, live_max: &[f64]) {
+        debug_assert_eq!(live_max.len(), d.num_terms());
+        self.table.take();
+        self.stats.remove_doc(d);
+        for (&(t, _), &x) in d.entries().iter().zip(live_max) {
+            self.xmax[t.idx()] = x;
+        }
     }
 
     /// The weight model in use.
@@ -127,31 +180,54 @@ impl TextScorer {
         self.model
     }
 
-    /// The corpus statistics backing this scorer.
+    /// The live corpus statistics.
     #[inline]
     pub fn stats(&self) -> &CorpusStats {
         &self.stats
     }
 
-    /// Per-term maximum weight `wmax(t)`.
-    ///
-    /// For terms outside the corpus vocabulary the maximum is the
-    /// keyword-set ceiling: no object carries the term, but a candidate
-    /// document still can, so the term is not weightless.
-    #[inline]
-    pub fn max_weight(&self, t: TermId) -> f64 {
-        match self.wmax.get(t.idx()) {
-            Some(&w) => w,
-            None => self.model.keyword_unit_weight(t, &self.stats),
+    /// `t`'s [`TermWeights`] from the counters. `wmax(t)` is the heaviest
+    /// live document's weight, or the keyword-set ceiling when that is
+    /// larger — always for a term no object carries, which a candidate
+    /// document still can.
+    fn term_weights(&self, t: TermId) -> TermWeights {
+        let affine = self.model.affine(t, &self.stats);
+        let unit = apply(affine, self.model.doc_part(1, 1));
+        let top = apply(affine, self.xmax.get(t.idx()).copied().unwrap_or(0.0));
+        let wmax = if unit > top { unit } else { top };
+        TermWeights { affine, wmax }
+    }
+
+    /// The per-term table, built on first use since the last mutation.
+    fn table(&self) -> &[TermWeights] {
+        self.table.get_or_init(|| {
+            (0..self.xmax.len())
+                .map(|i| self.term_weights(TermId(i as u32)))
+                .collect()
+        })
+    }
+
+    /// The read side: stored halves to weights, through the per-term
+    /// table. Take one per traversal rather than one per posting.
+    pub fn weights(&self) -> Weights<'_> {
+        Weights {
+            scorer: self,
+            table: self.table(),
         }
     }
 
-    /// Precomputes the model weights of an object document.
+    /// Per-term maximum weight `wmax(t)` (see [`TextScorer`]).
+    pub fn max_weight(&self, t: TermId) -> f64 {
+        self.weights().lookup(t).wmax
+    }
+
+    /// The document-only halves `x` of an object document — what the
+    /// indexes store (see [`WeightModel::doc_part`]).
     pub fn weigh(&self, doc: &Document) -> WeightedDoc {
         WeightedDoc::from_pairs(
             doc.entries()
                 .iter()
-                .map(|&(t, tf)| (t, self.model.weight(t, tf, doc.len(), &self.stats)))
+                .map(|&(t, tf)| (t, self.model.doc_part(tf, doc.len())))
                 .collect(),
         )
     }
@@ -161,16 +237,19 @@ impl TextScorer {
     /// Zero when no user term appears anywhere in the corpus (such a user
     /// scores 0 against every document).
     pub fn normalizer(&self, user: &Document) -> f64 {
-        user.terms().map(|t| self.max_weight(t)).sum()
+        let weights = self.weights();
+        user.terms().map(|t| weights.lookup(t).wmax).sum()
     }
 
-    /// `TS` between a pre-weighted object document and a user keyword set.
+    /// `TS` between a weighed object document (its `x` halves) and a user
+    /// keyword set.
     pub fn ts_weighted(&self, obj: &WeightedDoc, user: &Document) -> f64 {
         let n = self.normalizer(user);
         if n == 0.0 {
             return 0.0;
         }
-        let score = WeightedDoc::dot_terms(&obj.entries, user) / n;
+        let weights = self.weights();
+        let score = WeightedDoc::dot_terms(&obj.entries, user, |t, x| weights.weight(t, x)) / n;
         debug_assert!((-1e-9..=1.0 + 1e-9).contains(&score));
         score
     }
@@ -212,6 +291,33 @@ impl TextScorer {
     }
 }
 
+/// A [`TextScorer`]'s read side for one traversal: [`Weights::weight`] is
+/// the one place a stored document-only half becomes a weight. Borrowing
+/// the per-term table keeps a posting's cost to one lookup and a
+/// multiply-add.
+#[derive(Debug, Clone, Copy)]
+pub struct Weights<'a> {
+    scorer: &'a TextScorer,
+    table: &'a [TermWeights],
+}
+
+impl Weights<'_> {
+    /// `t`'s row of the table, or computed for a term past the extent.
+    #[inline]
+    fn lookup(&self, t: TermId) -> TermWeights {
+        match self.table.get(t.idx()) {
+            Some(&tw) => tw,
+            None => self.scorer.term_weights(t),
+        }
+    }
+
+    /// `w(t, ·)` of a stored document-only half `x` (0 stays 0).
+    #[inline]
+    pub fn weight(&self, t: TermId, x: f64) -> f64 {
+        apply(self.lookup(t).affine, x)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +337,7 @@ mod tests {
     #[test]
     fn ko_matches_paper_formula() {
         let docs = corpus();
-        let s = TextScorer::from_docs(WeightModel::KeywordOverlap, &docs);
+        let s = TextScorer::build(WeightModel::KeywordOverlap, &docs);
         let user = Document::from_terms([t(0), t(1), t(3)]);
         // wmax of t3 is 1 (keyword unit), so N(u) = 3 even though t3 is
         // unseen; overlap with doc0 = {t0, t1} → 2/3.
@@ -271,7 +377,7 @@ mod tests {
             WeightModel::lm(),
             WeightModel::KeywordOverlap,
         ] {
-            let s = TextScorer::from_docs(model, &docs);
+            let s = TextScorer::build(model, &docs);
             for d in &docs {
                 let ts = s.ts(d, &user);
                 assert!(
@@ -290,11 +396,10 @@ mod tests {
             WeightModel::lm(),
             WeightModel::KeywordOverlap,
         ] {
-            let s = TextScorer::from_docs(model, &docs);
+            let s = TextScorer::build(model, &docs);
             for d in &docs {
-                let wd = s.weigh(d);
-                for &(term, w) in &wd.entries {
-                    assert!(w <= s.max_weight(term) + 1e-12);
+                for &(term, x) in &s.weigh(d).entries {
+                    assert!(s.weights().weight(term, x) <= s.max_weight(term));
                 }
             }
         }
@@ -308,7 +413,7 @@ mod tests {
             WeightModel::lm(),
             WeightModel::KeywordOverlap,
         ] {
-            let s = TextScorer::from_docs(model, &docs);
+            let s = TextScorer::build(model, &docs);
             for i in 0..3 {
                 for ref_len in 1..=5 {
                     assert!(
@@ -323,7 +428,7 @@ mod tests {
     #[test]
     fn candidate_ts_monotone_in_added_keywords() {
         let docs = corpus();
-        let s = TextScorer::from_docs(WeightModel::lm(), &docs);
+        let s = TextScorer::build(WeightModel::lm(), &docs);
         let user = Document::from_terms([t(0), t(1), t(2)]);
         let ref_len = 3;
         let c1 = Document::from_terms([t(0)]);
@@ -347,7 +452,7 @@ mod tests {
             WeightModel::lm(),
             WeightModel::KeywordOverlap,
         ] {
-            let s = TextScorer::from_docs(model, &docs);
+            let s = TextScorer::build(model, &docs);
             for d in &docs {
                 assert_eq!(s.ts(d, &user), 0.0);
             }
@@ -357,7 +462,7 @@ mod tests {
     #[test]
     fn empty_user_scores_zero() {
         let docs = corpus();
-        let s = TextScorer::from_docs(WeightModel::lm(), &docs);
+        let s = TextScorer::build(WeightModel::lm(), &docs);
         let user = Document::new();
         assert_eq!(s.ts(&docs[0], &user), 0.0);
         assert_eq!(s.normalizer(&user), 0.0);
@@ -366,12 +471,80 @@ mod tests {
     #[test]
     fn ts_weighted_equals_ts() {
         let docs = corpus();
-        let s = TextScorer::from_docs(WeightModel::lm(), &docs);
+        let s = TextScorer::build(WeightModel::lm(), &docs);
         let user = Document::from_terms([t(0), t(2)]);
         for d in &docs {
             let wd = s.weigh(d);
             assert!((s.ts_weighted(&wd, &user) - s.ts(d, &user)).abs() < 1e-12);
         }
+    }
+
+    /// The stored half and the statistics half recombine into the
+    /// undivided formulas bit for bit.
+    #[test]
+    fn doc_part_and_affine_round_like_the_formulas() {
+        let docs = corpus();
+        let stats = CorpusStats::build(docs.iter());
+        let lm = WeightModel::LanguageModel { lambda: 0.3 };
+        for (term, tf, len) in [(0, 2, 3), (1, 3, 3), (2, 1, 2), (0, 187, 187)] {
+            let (term, m) = (t(term), WeightModel::TfIdf);
+            let want = f64::from(tf) * stats.idf(term);
+            assert_eq!(m.weight(term, tf, len, &stats).to_bits(), want.to_bits());
+            let want = 0.7 * f64::from(tf) / len as f64 + 0.3 * stats.background(term);
+            assert_eq!(lm.weight(term, tf, len, &stats).to_bits(), want.to_bits());
+        }
+    }
+
+    /// A scorer maintained by `add_doc` / `remove_doc` reads exactly like
+    /// one built cold over the same documents, `wmax` included — even where
+    /// an LM document's `x` rounds one ulp above the keyword-unit ceiling
+    /// (`tf = |d| = 187`).
+    #[test]
+    fn maintained_scorer_equals_a_cold_build() {
+        let mut docs = corpus();
+        docs.push(Document::from_pairs([(t(3), 187)]));
+        let bits = |s: &TextScorer| -> Vec<u64> {
+            (0..6)
+                .flat_map(|i| [s.max_weight(t(i)), s.weights().weight(t(i), 0.5)])
+                .map(f64::to_bits)
+                .collect()
+        };
+        for model in [
+            WeightModel::TfIdf,
+            WeightModel::lm(),
+            WeightModel::KeywordOverlap,
+        ] {
+            let mut s = TextScorer::build(model, &docs[1..]);
+            s.add_doc(&docs[0]);
+            assert_eq!(
+                bits(&s),
+                bits(&TextScorer::build(model, &docs)),
+                "{model:?}"
+            );
+            for gone in [3, 0] {
+                let rest: Vec<Document> = docs.drain(gone..=gone).collect();
+                let live_max: Vec<f64> = rest[0]
+                    .terms()
+                    .map(|term| {
+                        docs.iter()
+                            .map(|d| model.doc_part(d.tf(term), d.len()))
+                            .fold(0.0, f64::max)
+                    })
+                    .collect();
+                s.remove_doc(&rest[0], &live_max);
+                assert_eq!(
+                    bits(&s),
+                    bits(&TextScorer::build(model, &docs)),
+                    "{model:?}"
+                );
+                docs.insert(gone, rest.into_iter().next().unwrap());
+                s.add_doc(&docs[gone]);
+            }
+        }
+        let lm = TextScorer::build(WeightModel::lm(), &docs);
+        let x = WeightModel::lm().doc_part(187, 187);
+        assert!(x > WeightModel::lm().doc_part(1, 1), "the ulp case is live");
+        assert!(lm.weights().weight(t(3), x) == lm.max_weight(t(3)));
     }
 
     #[test]

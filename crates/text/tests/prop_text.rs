@@ -49,7 +49,7 @@ fn ts_in_unit_interval() {
         let docs = g.corpus();
         let user = g.doc();
         for model in models() {
-            let s = TextScorer::from_docs(model, &docs);
+            let s = TextScorer::build(model, &docs);
             for d in &docs {
                 let ts = s.ts(d, &user);
                 assert!((0.0..=1.0 + 1e-9).contains(&ts), "{model:?}: {ts}");
@@ -65,10 +65,46 @@ fn wmax_dominates() {
     for _ in 0..CASES {
         let docs = g.corpus();
         for model in models() {
-            let s = TextScorer::from_docs(model, &docs);
+            let s = TextScorer::build(model, &docs);
             for d in &docs {
-                for &(t, w) in &s.weigh(d).entries {
-                    assert!(w <= s.max_weight(t) + 1e-12);
+                for &(t, x) in &s.weigh(d).entries {
+                    assert!(s.weights().weight(t, x) <= s.max_weight(t));
+                }
+            }
+        }
+    }
+}
+
+/// A scorer maintained through random adds and removes reads bit for bit
+/// like a cold build over the surviving documents.
+#[test]
+fn maintained_scorer_matches_cold_build() {
+    let mut g = Gen(18);
+    for _ in 0..CASES {
+        let mut live = g.corpus();
+        for model in models() {
+            let mut s = TextScorer::build(model, &live);
+            for _ in 0..8 {
+                if live.len() > 1 && g.below(2) == 0 {
+                    let gone = live.swap_remove(g.below(live.len() as u64) as usize);
+                    let live_max: Vec<f64> = gone
+                        .terms()
+                        .map(|t| {
+                            live.iter()
+                                .map(|d| model.doc_part(d.tf(t), d.len()))
+                                .fold(0.0, f64::max)
+                        })
+                        .collect();
+                    s.remove_doc(&gone, &live_max);
+                } else {
+                    live.push(g.doc());
+                    s.add_doc(live.last().unwrap());
+                }
+                let cold = TextScorer::build(model, &live);
+                for t in (0..13).map(TermId) {
+                    assert_eq!(s.max_weight(t).to_bits(), cold.max_weight(t).to_bits());
+                    let (w, cold_w) = (s.weights().weight(t, 0.25), cold.weights().weight(t, 0.25));
+                    assert_eq!(w.to_bits(), cold_w.to_bits());
                 }
             }
         }
@@ -83,7 +119,7 @@ fn candidate_weight_dominated() {
         let docs = g.corpus();
         let ref_len = 1 + g.below(9);
         for model in models() {
-            let s = TextScorer::from_docs(model, &docs);
+            let s = TextScorer::build(model, &docs);
             for t in 0..12u32 {
                 assert!(
                     s.candidate_weight(TermId(t), ref_len) <= s.max_weight(TermId(t)) + 1e-12,
@@ -104,7 +140,7 @@ fn candidate_ts_monotone() {
         let user = g.doc();
         let extra = g.below(12) as u32;
         for model in models() {
-            let s = TextScorer::from_docs(model, &docs);
+            let s = TextScorer::build(model, &docs);
             let base = Document::from_terms([TermId(0)]);
             let bigger = base.with_terms([TermId(extra)]);
             let ref_len = 4;
@@ -123,7 +159,7 @@ fn ts_monotone_in_overlap() {
     for _ in 0..CASES {
         let docs = g.corpus();
         let user = g.doc();
-        let s = TextScorer::from_docs(WeightModel::KeywordOverlap, &docs);
+        let s = TextScorer::build(WeightModel::KeywordOverlap, &docs);
         for d in &docs {
             let richer = d.union(&user);
             assert!(s.ts(&richer, &user) >= s.ts(d, &user) - 1e-12);

@@ -124,7 +124,7 @@ fn cluster_is_bit_identical_to_fused_for_both_codecs() {
 /// mutations) applied in lockstep to one fused reference and a cluster per
 /// slice count: every cluster accepts or rejects exactly like the fused
 /// twin, and every query op along the way answers bit-identically. A
-/// refresh mid-stream must preserve the identity on the re-weighed state.
+/// refresh mid-stream must preserve the identity on the rebuilt state.
 #[test]
 fn churn_stream_preserves_bit_identity_in_lockstep() {
     for codec in [CodecId::Verbatim, CodecId::Columnar] {

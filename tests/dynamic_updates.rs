@@ -3,10 +3,11 @@
 //! Acceptance criteria pinned here:
 //!
 //! (a) **Mutation equivalence** — after any random interleaving of
-//!     object/user inserts and deletes, all six [`Method`]s answer
-//!     bit-identically to a fresh [`Engine::build`] over the surviving
-//!     object/user sets, on a cold engine and on one serving warm through
-//!     both caches while the mutations were applied.
+//!     object/user inserts and deletes, under every weight model, the
+//!     four table-driven [`Method`]s answer bit-identically to a fresh
+//!     [`Engine::build`] over the surviving object/user sets and the two
+//!     §7 methods reach its objective, on a cold engine and on one serving
+//!     warm through both caches while the mutations were applied.
 //! (b) **No stale threshold hits** — a cached same-`k` query after a
 //!     mutation re-pays the top-k phase (simulated I/O flows again and the
 //!     cache records a miss).
@@ -14,12 +15,12 @@
 //!     10K-object engine through a churn batch costs ≥10× less simulated
 //!     I/O per mutation than a full rebuild.
 //!
-//! The equivalence fixture uses `WeightModel::KeywordOverlap` (per-term
-//! weights are corpus-independent, so the frozen build-time scorer of the
-//! mutated engine and the fresh scorer of the rebuilt engine agree
-//! exactly) and pins four corner objects/users that churn never touches
-//! (the dataspace bounding box — and with it the spatial normalizer —
-//! survives every interleaving).
+//! The mutated engine's scorer is live — exact counters and maxima over
+//! the current objects — so LM and TF-IDF, whose statistics move with
+//! every object mutation, must agree as exactly as KO. The fixture pins
+//! four corner objects/users that churn never touches: the dataspace
+//! bounding box, and with it the spatial normalizer a refresh recomputes,
+//! survives every interleaving.
 
 use datagen::rng::{Rng, SeedableRng, StdRng};
 use datagen::{generate_churn, generate_objects, generate_workload, ChurnConfig, ChurnOp};
@@ -88,16 +89,13 @@ fn build(objects: Vec<ObjectData>, users: Vec<UserData>) -> Engine {
         .with_user_index()
 }
 
-fn build_codec(objects: Vec<ObjectData>, users: Vec<UserData>, codec: CodecId) -> Engine {
-    Engine::build_with_fanout_codec(
-        objects,
-        users,
-        WeightModel::KeywordOverlap,
-        ALPHA,
-        FANOUT,
-        codec,
-    )
-    .with_user_index()
+fn build_with(
+    objects: Vec<ObjectData>,
+    users: Vec<UserData>,
+    model: WeightModel,
+    codec: CodecId,
+) -> Engine {
+    Engine::build_with_fanout_codec(objects, users, model, ALPHA, FANOUT, codec).with_user_index()
 }
 
 /// A random interleaving of ~40 mutations that only touches churnable
@@ -116,7 +114,15 @@ fn mutation_script(rng: &mut StdRng, objects: &[ObjectData], users: &[UserData])
     let (mut next_obj, mut next_user) = (1_000u32, 1_000u32);
     let inner_point =
         |rng: &mut StdRng| Point::new(rng.gen_range(0.5..8.5), rng.gen_range(0.5..6.5));
-    let doc = |rng: &mut StdRng| Document::from_terms([t(rng.gen_range(0..5) as u32), t(6)]);
+    // Inserts repeat term 0, so LM's cf/|C| and TF-IDF's df and largest
+    // tf move with the churn.
+    let doc = |rng: &mut StdRng| {
+        Document::from_pairs([
+            (t(0), 1 + rng.gen_range(0..4) as u32),
+            (t(rng.gen_range(1..5) as u32), 1),
+            (t(6), 1),
+        ])
+    };
     (0..40)
         .map(|_| match rng.gen_range(0..100) {
             0..=39 => {
@@ -187,29 +193,31 @@ fn sorted_users(r: &QueryResult) -> Vec<u32> {
     ids
 }
 
+/// The table-driven pipelines are bit-identical end to end. §7 walks the
+/// MIUR-tree, whose shape a mutated engine does not share with a cold
+/// build, and breaks objective ties by expansion order: it is held to
+/// the objective (`tests/refresh_soak.rs`'s cross-shape rule).
 fn assert_equivalent(label: &str, mutated: &Engine, rebuilt: &Engine) {
     for spec in specs() {
+        let optimum = rebuilt.query(&spec, Method::JointExact).cardinality();
         for m in Method::ALL {
             let got = mutated.query(&spec, m);
             let want = rebuilt.query(&spec, m);
+            let k = spec.k;
             match m {
-                // Table-driven pipelines: bit-identical end to end.
-                Method::Baseline
-                | Method::JointGreedy
-                | Method::JointGreedyPlus
-                | Method::JointExact => {
-                    assert_eq!(got, want, "{label}: {m:?} k={} diverged", spec.k)
-                }
-                // §7 walks the (shape-dependent) MIUR-tree; the chosen
-                // tuple and the member *set* must still match exactly.
-                Method::UserIndexGreedy | Method::UserIndexExact => {
+                Method::UserIndexGreedy => {
                     assert_eq!(
-                        (got.location, got.keywords.clone(), sorted_users(&got)),
-                        (want.location, want.keywords.clone(), sorted_users(&want)),
-                        "{label}: {m:?} k={} diverged",
-                        spec.k
+                        got.cardinality(),
+                        want.cardinality(),
+                        "{label}: {m:?} k={k}"
                     );
+                    assert!(got.cardinality() <= optimum);
                 }
+                Method::UserIndexExact => {
+                    assert_eq!(got.cardinality(), optimum, "{label}: {m:?} k={k}");
+                    assert_eq!(want.cardinality(), optimum);
+                }
+                _ => assert_eq!(got, want, "{label}: {m:?} k={k} diverged"),
             }
         }
     }
@@ -217,14 +225,25 @@ fn assert_equivalent(label: &str, mutated: &Engine, rebuilt: &Engine) {
 
 /// Acceptance (a) + the seeded equivalence property: cold and warm
 /// mutated engines match a fresh build over the survivors, for every
-/// method, across random interleavings — under both record codecs, which
-/// must also agree with *each other* bit-identically.
+/// method and weight model, across random interleavings — under both
+/// record codecs, which must also agree with *each other*
+/// bit-identically.
 #[test]
 fn mutation_equivalence_warm_and_cold() {
-    for seed in [11u64, 42, 77] {
+    let models = [
+        WeightModel::KeywordOverlap,
+        WeightModel::lm(),
+        WeightModel::TfIdf,
+    ];
+    for (seed, model) in [11u64, 42, 77]
+        .into_iter()
+        .flat_map(|s| models.map(|m| (s, m)))
+    {
         let mut rng = StdRng::seed_from_u64(seed);
         let (objects, users) = seed_data(&mut rng);
         let script = mutation_script(&mut rng, &objects, &users);
+        let seed = format!("seed {seed} {}", model.short_name());
+        let build_codec = |objects, users, codec| build_with(objects, users, model, codec);
 
         let mut rebuilt_by_codec = Vec::new();
         for codec in CodecId::ALL {
@@ -238,7 +257,7 @@ fn mutation_equivalence_warm_and_cold() {
             for chunk in script.chunks(7) {
                 let a = cold.apply_batch(chunk.to_vec());
                 let b = warm.apply_batch(chunk.to_vec());
-                assert_eq!(a.applied, b.applied, "seed {seed}: twins must agree");
+                assert_eq!(a.applied, b.applied, "{seed}: twins must agree");
                 assert_eq!(a.rejected, 0, "script only emits valid mutations");
                 // Keep the warm caches genuinely warm across mutations.
                 for spec in specs() {
@@ -256,14 +275,14 @@ fn mutation_equivalence_warm_and_cold() {
                 cold.miur.as_ref().unwrap().num_users()
             );
 
-            assert_equivalent(&format!("seed {seed} {codec:?} cold"), &cold, &rebuilt);
-            assert_equivalent(&format!("seed {seed} {codec:?} warm"), &warm, &rebuilt);
+            assert_equivalent(&format!("{seed} {codec:?} cold"), &cold, &rebuilt);
+            assert_equivalent(&format!("{seed} {codec:?} warm"), &warm, &rebuilt);
             rebuilt_by_codec.push(rebuilt);
         }
         // Cross-codec bit-identity at query level: the codecs only change
         // the bytes on disk, never an answer.
         assert_equivalent(
-            &format!("seed {seed} verbatim-vs-columnar"),
+            &format!("{seed} verbatim-vs-columnar"),
             &rebuilt_by_codec[0],
             &rebuilt_by_codec[1],
         );

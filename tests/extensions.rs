@@ -1,9 +1,8 @@
-//! Integration tests for the extensions beyond the paper: ℓ-MaxBRSTkNN,
-//! the realized-gain greedy, the warm cache, and text-first construction.
+//! Integration tests for the extensions beyond the paper: the
+//! realized-gain greedy, the warm cache, and text-first construction.
 
 use datagen::{generate_objects, generate_workload, CorpusConfig, UserGenConfig};
 use maxbrstknn::index::{IndexedObject, PostingMode, StTree};
-use maxbrstknn::mbrstk_core::select::location::KeywordSelector;
 use maxbrstknn::mbrstk_core::topk::individual::individual_topk;
 use maxbrstknn::mbrstk_core::topk::joint::joint_topk;
 use maxbrstknn::prelude::*;
@@ -31,23 +30,6 @@ fn build() -> (Engine, QuerySpec) {
         k: 5,
     };
     (engine, spec)
-}
-
-#[test]
-fn top_l_is_consistent_with_per_location_exact() {
-    let (engine, spec) = build();
-    let top = engine.query_top_l(&spec, KeywordSelector::Exact, 4);
-    assert!(!top.is_empty());
-    // Ordered, distinct locations, head = global optimum.
-    assert!(top
-        .windows(2)
-        .all(|w| w[0].cardinality() >= w[1].cardinality()));
-    let single = engine.query(&spec, Method::JointExact);
-    assert_eq!(top[0].cardinality(), single.cardinality());
-    let mut locs: Vec<usize> = top.iter().map(|r| r.location).collect();
-    locs.sort_unstable();
-    locs.dedup();
-    assert_eq!(locs.len(), top.len());
 }
 
 #[test]
@@ -114,7 +96,7 @@ fn text_first_tree_gives_identical_topk_results() {
             doc: engine.ctx.text.weigh(&o.doc),
         })
         .collect();
-    let tf_tree = StTree::build_text_first(&objs, PostingMode::MaxMin, 8);
+    let tf_tree = StTree::build_text_first(&objs, PostingMode::MaxMin, 8, &engine.ctx.text);
 
     let io = IoStats::new();
     let su = engine.super_user();

@@ -72,13 +72,15 @@ fn brute_rsk(engine: &Engine, k: usize) -> Vec<f64> {
         .users
         .iter()
         .map(|u| {
-            let n_u = engine.ctx.text.normalizer(&u.doc);
+            let ctx = &engine.ctx;
             let mut scores: Vec<f64> = engine
                 .objects
                 .iter()
                 .map(|o| {
-                    let w = engine.ctx.text.weigh(&o.doc);
-                    engine.ctx.sts(&o.point, &w.entries, u, n_u)
+                    ctx.combine(
+                        ctx.spatial.ss_points(&o.point, &u.point),
+                        ctx.text.ts(&o.doc, &u.doc),
+                    )
                 })
                 .collect();
             scores.sort_by(|a, b| b.total_cmp(a));

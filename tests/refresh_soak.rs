@@ -4,13 +4,12 @@
 //! Acceptance criteria pinned here:
 //!
 //! (a) **Soak** — mutation and query streams interleaved across threads
-//!     against a [`ServingEngine`], with a re-weigh refresh at every
-//!     checkpoint: all six [`Method`]s are then bit-identical to a cold
-//!     fresh build over the survivors (under the corpus-*dependent* LM
-//!     model — the refresh, not a frozen-scorer coincidence, restores
-//!     equivalence), `Engine::drift()` returns to exactly 0, the rebuild
-//!     reclaims every freed placeholder record, and every observer sees
-//!     strictly monotone epochs.
+//!     against a [`ServingEngine`], with a refresh at every checkpoint:
+//!     all six [`Method`]s are then bit-identical to a cold fresh build
+//!     over the survivors (under the corpus-*dependent* LM model), the
+//!     rebuild reclaims every freed placeholder record and resets the
+//!     mutation counter, and every observer sees strictly monotone
+//!     epochs.
 //! (b) **Swap safety** — queries racing the atomic swap never observe
 //!     torn state (exact methods agree on every snapshot, no panic, no
 //!     deadlock), under a seeded thread-interleaving loop.
@@ -18,16 +17,14 @@
 //!     pre-swap snapshot completes on that snapshot *after* the swap has
 //!     already been published; its results are valid for the old epoch
 //!     and its guard reports stale against the new one.
-//! (d) **Re-clamp fix** — an inserted TF-IDF outlier whose weight was
-//!     clamped to the frozen `wmax(t)` gets its true weight back after a
-//!     refresh re-weighs the corpus.
-//! (e) **Drift metric** — zero on a fresh build, monotone under
-//!     one-sided churn, zero again after a refresh.
-//! (f) **Copy-on-write fallback** — a mutation applied while a snapshot
+//! (d) **Live weights** — a TF-IDF insert heavier than anything the
+//!     build saw is answered at its true weight before any refresh: the
+//!     trees store its `tf`, the live scorer its `idf` and `wmax`.
+//! (e) **Copy-on-write fallback** — a mutation applied while a snapshot
 //!     is pinned proceeds on a private clone: the pinned snapshot's
 //!     query answers stay bit-stable for its epoch while the published
 //!     engine advances.
-//! (g) **Refresh ≡ cold build** — for every weight model (LM, TF-IDF,
+//! (f) **Refresh ≡ cold build** — for every weight model (LM, TF-IDF,
 //!     KO) and for both a drift-heavy and a uniform churn stream,
 //!     `Engine::refreshed()` answers every one of the six [`Method`]s
 //!     bit-identically to a cold build over the survivors under either
@@ -257,8 +254,8 @@ fn user_script(rng: &mut StdRng, ops: usize, mut live: Vec<u32>, fresh_base: u32
 
 /// Acceptance (a): the long seeded churn soak. Mutators and queries race
 /// across threads; each quiesced checkpoint refreshes and proves
-/// bit-identity with a cold fresh build over the survivors, zero drift,
-/// full placeholder reclamation, and strictly monotone epochs.
+/// bit-identity with a cold fresh build over the survivors, full
+/// placeholder reclamation, and strictly monotone epochs.
 #[test]
 fn soak_churn_with_periodic_refresh_checkpoints() {
     let ops = env_usize("MBRSTK_SOAK_OPS", 48);
@@ -350,11 +347,6 @@ fn soak_churn_with_periodic_refresh_checkpoints() {
 
         let snap = serving.snapshot();
         assert_eq!(snap.epoch(), report.epoch);
-        assert_eq!(
-            snap.drift().max_rel_error,
-            0.0,
-            "post-refresh drift is zero"
-        );
         assert_eq!(snap.mutations_since_refresh(), 0);
         assert_eq!(snap.freed_record_slots(), 0, "fresh block files are dense");
 
@@ -504,16 +496,13 @@ fn in_flight_queries_complete_on_their_snapshot_without_blocking_on_rebuild() {
     );
 }
 
-/// Acceptance (d), the satellite fix: PR 3 clamps inserted weights to the
-/// *frozen* `wmax(t)` (soundness of the pruning bounds demands it); a
-/// refresh re-weighs the corpus under live statistics and re-clamps
-/// against the refreshed `wmax`, so a previously clamped TF-IDF outlier
-/// gets its true weight back.
+/// Acceptance (d): no weight is frozen. 20 docs, term 0 in half of them,
+/// every tf 1, so the build's `wmax(t0)` is `ln 2`; an insert with
+/// `tf(t0) = 6` moves `idf(t0)` to `ln(21/11)` and is stored as its `tf`,
+/// so before any refresh `wmax(t0)` is its true `6·ln(21/11)` and every
+/// answer is a cold build's over the 21 objects.
 #[test]
-fn clamped_outlier_weight_is_restored_after_refresh() {
-    // 20 docs, term 0 in half of them → idf(t0) = ln 2 and the frozen
-    // wmax(t0) is exactly that (every tf is 1; the keyword-unit ceiling
-    // equals idf too).
+fn outlier_tf_insert_is_answered_at_its_true_weight() {
     let objects: Vec<ObjectData> = (0..20u32)
         .map(|i| ObjectData {
             id: i,
@@ -528,14 +517,13 @@ fn clamped_outlier_weight_is_restored_after_refresh() {
             doc: Document::from_terms([t(0), t(2)]),
         })
         .collect();
-    let mut eng = Engine::build_with_fanout(objects, users, WeightModel::TfIdf, ALPHA, FANOUT)
-        .with_user_index();
+    let build_tfidf = |objects, users| {
+        Engine::build_with_fanout(objects, users, WeightModel::TfIdf, ALPHA, FANOUT)
+            .with_user_index()
+    };
+    let mut eng = build_tfidf(objects, users);
+    assert_eq!(eng.ctx.text.max_weight(t(0)), 2.0f64.ln());
 
-    let frozen_wmax = eng.ctx.text.max_weight(t(0));
-    assert!((frozen_wmax - 2.0f64.ln()).abs() < 1e-12);
-
-    // Insert an outlier: tf(t0) = 6 would weigh 6·idf — far above the
-    // frozen wmax — so the insert-time clamp must flatten it.
     eng.insert_object(ObjectData {
         id: 500,
         point: Point::new(2.2, 2.2),
@@ -551,42 +539,25 @@ fn clamped_outlier_weight_is_restored_after_refresh() {
             .map(|&(_, mx, _)| mx)
             .fold(0.0, f64::max)
     };
+    assert_eq!(posted_max(&eng), 6.0, "the tree stores the outlier's tf");
+    let true_wmax = 6.0 * (21.0f64 / 11.0).ln();
     assert!(
-        (posted_max(&eng) - frozen_wmax).abs() < 1e-12,
-        "pre-refresh the outlier is clamped to the frozen wmax"
+        true_wmax > 2.0f64.ln(),
+        "the outlier exceeds the build's wmax"
     );
+    assert_eq!(eng.ctx.text.max_weight(t(0)), true_wmax);
+    assert_eq!(eng.mutations_since_refresh(), 1, "no refresh ran");
 
-    // Refresh: live stats now see 21 docs with df(t0) = 11, and the
-    // outlier's true weight 6·ln(21/11) is restored (and dominates the
-    // refreshed wmax, so the re-clamp never fires on it).
-    eng.refresh();
-    let live_idf = (21.0f64 / 11.0).ln();
-    let expect = 6.0 * live_idf;
-    assert!(
-        expect > frozen_wmax,
-        "the outlier genuinely exceeds the old cap"
+    let cold = build_tfidf(eng.objects.clone(), eng.users.clone());
+    assert_eq!(
+        eng.ctx.text.max_weight(t(0)).to_bits(),
+        cold.ctx.text.max_weight(t(0)).to_bits()
     );
-    let restored = posted_max(&eng);
-    assert!(
-        (restored - expect).abs() < 1e-9,
-        "post-refresh weight {restored} must equal the unclamped {expect}"
-    );
-    assert!((eng.ctx.text.max_weight(t(0)) - expect).abs() < 1e-9);
-
-    // And the refreshed engine answers exactly like a cold build over the
-    // churned corpus.
-    let cold = Engine::build_with_fanout(
-        eng.objects.clone(),
-        eng.users.clone(),
-        WeightModel::TfIdf,
-        ALPHA,
-        FANOUT,
-    )
-    .with_user_index();
-    assert_equivalent("reclamp", &eng, &cold);
+    // The insert left the MIR-tree in a shape STR would not build.
+    assert_equivalent_cross_shape("outlier", &eng, &cold);
 }
 
-/// Acceptance (f): the copy-on-write fallback regression. Pin a
+/// Acceptance (e): the copy-on-write fallback regression. Pin a
 /// snapshot, mutate through the CoW clone, and prove the pinned
 /// snapshot's query results are bit-unchanged (for every method) while
 /// the published engine advances and answers like a cold build over its
@@ -657,59 +628,6 @@ fn cow_fallback_keeps_pinned_snapshot_answers_bit_stable() {
     // Same engine lineage → same tree shapes are NOT guaranteed after
     // incremental maintenance; compare with the shape-tolerant bundle.
     assert_equivalent_cross_shape("cow published", &published, &cold);
-}
-
-/// Acceptance (e), the `ScorerDrift` property: zero on a fresh build,
-/// monotone non-decreasing under one-sided churn (a flooded term only
-/// walks further from the frozen statistics), insensitive to user
-/// mutations (corpus statistics cover object documents only), and back to
-/// exactly zero after a refresh.
-#[test]
-fn drift_is_zero_fresh_monotone_under_churn_and_zero_after_refresh() {
-    let mut rng = StdRng::seed_from_u64(11);
-    let (objects, users) = seed_data(&mut rng);
-    let mut eng = build(objects, users);
-    assert_eq!(eng.drift().max_rel_error, 0.0);
-    assert_eq!(eng.drift().total_mutations(), 0);
-
-    let mut prev = 0.0f64;
-    for step in 0..6u32 {
-        for j in 0..3u32 {
-            eng.insert_object(ObjectData {
-                id: 2_000 + step * 3 + j,
-                point: Point::new(3.0 + f64::from(j), 3.0 + f64::from(step % 4)),
-                doc: Document::from_pairs([(t(0), 4)]),
-            })
-            .unwrap();
-        }
-        let d = eng.drift();
-        assert!(
-            d.max_rel_error >= prev - 1e-12,
-            "one-sided churn must not shrink drift: {} after {prev}",
-            d.max_rel_error
-        );
-        assert_eq!(d.object_mutations, u64::from(step + 1) * 3);
-        prev = d.max_rel_error;
-    }
-    assert!(prev > 0.0, "flooding a term must register as drift");
-
-    // User churn ages the counters, not the corpus statistics.
-    eng.insert_user(UserData {
-        id: 9_000,
-        point: Point::new(1.0, 1.0),
-        doc: Document::from_terms([t(0), t(6)]),
-    })
-    .unwrap();
-    let d = eng.drift();
-    assert_eq!(d.user_mutations, 1);
-    assert!((d.max_rel_error - prev).abs() < 1e-15);
-
-    let report = eng.refresh();
-    assert!(report.reclaimed_records > 0);
-    let d = eng.drift();
-    assert_eq!(d.max_rel_error, 0.0);
-    assert_eq!(d.mean_rel_error, 0.0);
-    assert_eq!(d.total_mutations(), 0);
 }
 
 /// Regression for the rebuild-capture race: `apply` used to read the
@@ -854,7 +772,7 @@ fn journal_depth_gauge_drains_to_zero() {
     assert_eq!(gauge(), 0.0, "gauge must drain with the journal");
 }
 
-/// Acceptance (g): the differential refresh harness. Refreshed ≡ cold,
+/// Acceptance (f): the differential refresh harness. Refreshed ≡ cold,
 /// for all six methods, under both codecs, cold caches and warm, across
 /// drift-heavy and uniform streams and all three weight models.
 #[test]
@@ -888,7 +806,6 @@ fn refresh_is_bit_identical_to_cold_build() {
             );
 
             let refreshed = churned.refreshed();
-            assert_eq!(refreshed.drift().max_rel_error, 0.0, "{label}");
             assert_eq!(refreshed.mutations_since_refresh(), 0, "{label}");
             assert_eq!(refreshed.freed_record_slots(), 0, "{label}");
             let cold =
