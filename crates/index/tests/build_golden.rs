@@ -179,10 +179,10 @@ macro_rules! golden {
 }
 
 #[rustfmt::skip]
-golden!(verbatim_f4, 4, Verbatim, [161_793, 11_395_635_000_427_966_666, 1_849_932, 14_779_502_464_103_976_417, 21, 4_513_668_193_438_266_350, 161_793, 11_395_635_000_427_966_666, 1_279_380, 14_024_407_685_913_992_103, 21, 6_834_014_609_952_487_749, 12_372, 8_471_485_737_985_787_930, 14_531, 5_715_207_511_241_240_569, 20, 2_429_327_819_670_046_001, 167_517, 12_553_434_477_002_983_753, 2_017_908, 15_944_138_582_657_983_608, 21, 16_536_039_587_448_952_389, 167_517, 12_553_434_477_002_983_753, 1_399_924, 10_968_490_563_040_218_061, 21, 10_112_951_156_275_870_282, 15_044, 9_238_352_674_108_903_335, 17_448, 8_585_379_994_286_416_991, 20, 858_272_795_929_352_647]);
+golden!(verbatim_f4, 4, Verbatim, [161_793, 11_395_635_000_427_966_666, 1_849_932, 4_987_900_354_346_739_575, 21, 4_513_668_193_438_266_350, 161_793, 11_395_635_000_427_966_666, 1_279_380, 11_594_983_326_139_616_030, 21, 6_834_014_609_952_487_749, 12_372, 8_471_485_737_985_787_930, 14_531, 5_715_207_511_241_240_569, 20, 2_429_327_819_670_046_001, 167_517, 12_553_434_477_002_983_753, 2_017_908, 4_815_135_957_237_396_716, 21, 16_536_039_587_448_952_389, 167_517, 12_553_434_477_002_983_753, 1_399_924, 4_593_015_842_144_870_795, 21, 10_112_951_156_275_870_282, 15_044, 9_238_352_674_108_903_335, 17_448, 8_585_379_994_286_416_991, 20, 858_272_795_929_352_647]);
 #[rustfmt::skip]
-golden!(verbatim_f32, 32, Verbatim, [113_556, 16_140_024_800_375_563_448, 843_439, 3_820_103_105_125_682_267, 21, 3_112_143_261_615_329_970, 113_556, 16_140_024_800_375_563_448, 557_311, 15_431_314_195_435_310_834, 21, 2_317_627_673_667_487_285, 8_545, 7_824_089_271_998_671_647, 10_355, 16_345_474_683_764_875_517, 20, 2_184_797_225_607_286_598, 115_603, 15_097_393_554_322_304_463, 884_339, 11_422_980_709_076_518_872, 21, 16_510_744_322_786_648_832, 115_603, 15_097_393_554_322_304_463, 586_675, 17_964_119_990_735_105_599, 21, 4_693_884_526_950_798_359, 9_661, 16_605_048_943_961_929_084, 11_595, 8_266_883_687_375_253_513, 20, 11_714_898_758_826_257_468]);
+golden!(verbatim_f32, 32, Verbatim, [113_556, 16_140_024_800_375_563_448, 843_439, 10_948_169_297_471_188_174, 21, 3_112_143_261_615_329_970, 113_556, 16_140_024_800_375_563_448, 557_311, 8_009_360_519_583_045_910, 21, 2_317_627_673_667_487_285, 8_545, 7_824_089_271_998_671_647, 10_355, 16_345_474_683_764_875_517, 20, 2_184_797_225_607_286_598, 115_603, 15_097_393_554_322_304_463, 884_339, 3_762_864_507_402_977_743, 21, 16_510_744_322_786_648_832, 115_603, 15_097_393_554_322_304_463, 586_675, 16_910_399_054_941_662_667, 21, 4_693_884_526_950_798_359, 9_661, 16_605_048_943_961_929_084, 11_595, 8_266_883_687_375_253_513, 20, 11_714_898_758_826_257_468]);
 #[rustfmt::skip]
-golden!(columnar_f4, 4, Columnar, [94_204, 15_841_903_828_585_730_935, 1_244_198, 3_614_291_550_224_122_187, 21, 4_513_668_193_438_266_350, 94_204, 15_841_903_828_585_730_935, 789_399, 13_951_981_093_397_449_082, 21, 6_834_014_609_952_487_749, 6_563, 2_501_509_033_585_169_675, 5_556, 6_379_153_700_847_932_062, 20, 2_429_327_819_670_046_001, 99_395, 7_101_261_416_527_487_759, 1_368_890, 6_714_983_344_712_117_303, 21, 16_536_039_587_448_952_389, 99_395, 7_101_261_416_527_487_759, 861_165, 9_282_924_192_508_480_134, 21, 10_112_951_156_275_870_282, 8_998, 10_452_740_030_157_177_149, 7_624, 1_376_839_440_320_600_672, 20, 858_272_795_929_352_647]);
+golden!(columnar_f4, 4, Columnar, [94_204, 15_841_903_828_585_730_935, 1_244_198, 15_722_349_347_130_210_484, 21, 4_513_668_193_438_266_350, 94_204, 15_841_903_828_585_730_935, 789_399, 17_138_373_540_239_348_047, 21, 6_834_014_609_952_487_749, 6_563, 2_501_509_033_585_169_675, 5_556, 6_379_153_700_847_932_062, 20, 2_429_327_819_670_046_001, 99_395, 7_101_261_416_527_487_759, 1_368_890, 15_916_613_062_472_760_216, 21, 16_536_039_587_448_952_389, 99_395, 7_101_261_416_527_487_759, 861_165, 16_591_329_074_945_839_059, 21, 10_112_951_156_275_870_282, 8_998, 10_452_740_030_157_177_149, 7_624, 1_376_839_440_320_600_672, 20, 858_272_795_929_352_647]);
 #[rustfmt::skip]
-golden!(columnar_f32, 32, Columnar, [53_371, 2_547_901_146_231_156_406, 488_183, 308_162_544_620_937_813, 21, 3_112_143_261_615_329_970, 53_371, 2_547_901_146_231_156_406, 353_127, 11_359_736_740_356_207_668, 21, 2_317_627_673_667_487_285, 3_584, 9_263_075_113_051_451_271, 3_277, 4_550_148_788_890_949_323, 20, 2_184_797_225_607_286_598, 55_011, 71_534_570_249_448_174, 519_253, 8_124_673_163_827_188_792, 21, 16_510_744_322_786_648_832, 55_011, 71_534_570_249_448_174, 371_644, 10_278_459_288_975_603_258, 21, 4_693_884_526_950_798_359, 4_506, 11_306_766_546_954_987_232, 4_058, 11_886_528_768_326_117_711, 20, 11_714_898_758_826_257_468]);
+golden!(columnar_f32, 32, Columnar, [53_371, 2_547_901_146_231_156_406, 488_183, 14_262_449_600_791_895_070, 21, 3_112_143_261_615_329_970, 53_371, 2_547_901_146_231_156_406, 353_127, 14_529_966_166_122_642_874, 21, 2_317_627_673_667_487_285, 3_584, 9_263_075_113_051_451_271, 3_277, 4_550_148_788_890_949_323, 20, 2_184_797_225_607_286_598, 55_011, 71_534_570_249_448_174, 519_253, 4_561_731_083_474_627_679, 21, 16_510_744_322_786_648_832, 55_011, 71_534_570_249_448_174, 371_644, 2_321_450_853_821_168_802, 21, 4_693_884_526_950_798_359, 4_506, 11_306_766_546_954_987_232, 4_058, 11_886_528_768_326_117_711, 20, 11_714_898_758_826_257_468]);
