@@ -23,6 +23,7 @@ use text::{Document, TermId};
 
 use crate::group::UserGroup;
 use crate::select::exact::Combinations;
+use crate::select::location::{HeldEvaluation, LocationCounts};
 use crate::select::DeltaScan;
 use crate::topk::ByKey;
 use crate::trace::{Phase, PhaseBreakdown, Trace};
@@ -43,6 +44,8 @@ pub(crate) struct CcScratch {
     pub(crate) ox_bits: Vec<u64>,
     pub(crate) ids: Vec<u32>,
     pub(crate) points: Vec<Point>,
+    pub(crate) band_lo: Vec<f64>,
+    pub(crate) band_hi: Vec<f64>,
     pub(crate) rsk: Vec<f64>,
     pub(crate) n_u: Vec<f64>,
     pub(crate) ubl_ts: Vec<f64>,
@@ -133,11 +136,18 @@ pub(crate) struct SelectScratch {
     pub(crate) ql: BinaryHeap<ByKey<(usize, usize)>>,
     /// Pooled per-location candidate-user lists.
     pub(crate) lu_bufs: Vec<Vec<usize>>,
-    /// Spatial scores aligned with `lu_bufs`, slot for slot (Algorithm 3
-    /// computes them while filtering and keeps them for the evaluation).
-    pub(crate) ss_bufs: Vec<Vec<f64>>,
-    /// Spatial scores aligned with the `lu` list under evaluation.
+    /// Reachable users whose `UBL` test the spatial bands pass at every
+    /// location, and those they leave open (Algorithm 3's step 1).
+    pub(crate) always: Vec<usize>,
+    pub(crate) maybe: Vec<usize>,
+    /// Spatial scores aligned with the `lu` list under evaluation (or its
+    /// users' band low ends, for an evaluation being held).
     pub(crate) ss: Vec<f64>,
+    /// The greedy evaluation later locations of the query reuse.
+    pub(crate) held: HeldEvaluation,
+    /// How the query's locations were settled (surfaced as
+    /// `QueryStats::locations`).
+    pub(crate) locations: LocationCounts,
     /// The slot set `ox.d ∪ W'` under evaluation.
     pub(crate) cand: Vec<u64>,
     /// BRSTkNN user-id output buffer (swapped into the result on improvement).
@@ -150,6 +160,15 @@ pub(crate) struct SelectScratch {
     pub(crate) delta: DeltaScan,
     pub(crate) gr: GreedyScratch,
     pub(crate) ex: ExactScratch,
+}
+
+impl SelectScratch {
+    /// Starts a query's selection: drops the held evaluation and zeroes
+    /// the location counts.
+    pub(crate) fn begin(&mut self) {
+        self.held.release();
+        self.locations = LocationCounts::default();
+    }
 }
 
 /// One pooled element of the §7 expansion frontier — the reusable twin of
@@ -219,10 +238,8 @@ pub(crate) struct UserIndexScratch {
     /// Per-location frontier element-id lists (pooled rows).
     pub(crate) lu_lists: Vec<Vec<u32>>,
     pub(crate) ql: BinaryHeap<ByKey<usize>>,
-    /// The dequeued location's list as candidate-context user indices,
-    /// and their spatial scores there.
+    /// The dequeued location's list as candidate-context user indices.
     pub(crate) lu: Vec<usize>,
-    pub(crate) ss: Vec<f64>,
     pub(crate) node: NodeScratch,
 }
 

@@ -53,6 +53,7 @@ pub use pipeline::{BatchOutcome, QueryStats};
 pub use query::{Engine, Method};
 pub use refresh::{RefreshConfig, RefreshReport, RefresherHandle, ServingEngine};
 pub use score::ScoreContext;
+pub use select::location::LocationCounts;
 pub use topk::{ScoredObject, TopkOutcome, UserTopk};
 pub use trace::{Phase, PhaseBreakdown, PhaseStat};
 pub use user_index::UserIndexSeed;

@@ -19,6 +19,10 @@
 //!   totals (see `tests/obs_telemetry.rs`).
 //! * `engine_query_cache_hits_total{method}` / `..misses_total{method}` —
 //!   the PR 2 page-cache counters, attributed per method.
+//! * `engine_select_locations_total{method,how}` — candidate locations
+//!   the selection phase evaluated in full (`how="evaluated"`) or settled
+//!   by reusing an earlier greedy evaluation (`how="reused"`); the two sum
+//!   to the locations dequeued ([`crate::LocationCounts`]).
 //! * `page_cache_hit_ratio` / `threshold_cache_hit_ratio` — gauges over
 //!   the engine's [`ShardedLru`](storage::ShardedLru) page cache and
 //!   [`ThresholdCache`] counters (last-writer-wins across clones).
@@ -47,6 +51,8 @@ struct MethodMetrics {
     phase_io_ops: [Arc<Histogram>; PHASE_COUNT],
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
+    locations_evaluated: Arc<Counter>,
+    locations_reused: Arc<Counter>,
 }
 
 impl MethodMetrics {
@@ -56,6 +62,11 @@ impl MethodMetrics {
             reg.histogram(&format!(
                 "{family}{{method=\"{method}\",phase=\"{}\"}}",
                 Phase::ALL[i].name()
+            ))
+        };
+        let locations = |how: &str| {
+            reg.counter(&format!(
+                "engine_select_locations_total{{method=\"{method}\",how=\"{how}\"}}"
             ))
         };
         MethodMetrics {
@@ -69,6 +80,8 @@ impl MethodMetrics {
             cache_misses: reg.counter(&format!(
                 "engine_query_cache_misses_total{{method=\"{method}\"}}"
             )),
+            locations_evaluated: locations("evaluated"),
+            locations_reused: locations("reused"),
         }
     }
 
@@ -78,6 +91,8 @@ impl MethodMetrics {
         self.io_ops.record(stats.io.total());
         self.cache_hits.add(stats.io.cache_hits);
         self.cache_misses.add(stats.io.cache_misses);
+        self.locations_evaluated.add(stats.locations.evaluated);
+        self.locations_reused.add(stats.locations.reused);
         for (phase, ps) in stats.phases.iter() {
             self.phase_latency_us[phase as usize].record(ps.nanos / 1_000);
             self.phase_io_ops[phase as usize].record(ps.io.total());

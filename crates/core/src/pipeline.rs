@@ -22,7 +22,7 @@ use storage::IoSnapshot;
 
 use crate::arena::QueryArena;
 use crate::select::baseline::baseline_select_into;
-use crate::select::location::{select_candidate_into, KeywordSelector};
+use crate::select::location::{select_candidate_into, KeywordSelector, LocationCounts};
 use crate::select::CandidateContext;
 use crate::trace::{Phase, PhaseBreakdown};
 use crate::user_index::run_selection;
@@ -143,6 +143,8 @@ pub struct QueryStats {
     /// through the arena's [`crate::trace::Trace`]. The phase I/O
     /// *partitions* `io` exactly: `phases.total_io() == io`.
     pub phases: PhaseBreakdown,
+    /// How the selection phase settled the candidate locations.
+    pub locations: LocationCounts,
 }
 
 /// One query's answer plus its measured cost.
@@ -203,6 +205,7 @@ impl Engine {
             elapsed: start.elapsed(),
             io,
             phases: arena.phases(),
+            locations: arena.sel.locations,
         };
         self.metrics
             .record_query(method, &stats, &self.io, self.thresholds.as_ref());

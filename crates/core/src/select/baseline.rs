@@ -43,6 +43,7 @@ pub(crate) fn baseline_select_into(
         "MaxBRSTkNN requires at least one candidate location"
     );
     out.clear();
+    sel.begin();
 
     let SelectScratch {
         lu_bufs,

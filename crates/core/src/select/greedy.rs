@@ -85,6 +85,19 @@ pub(crate) fn build_luw_into(
     }
 }
 
+/// True when the spatial bands decide every `LUW` row of `lu`'s users
+/// (see [`CandidateContext::band_verdict`]): each row then has the same
+/// members at every candidate location.
+pub(crate) fn luw_decided(cc: &CandidateContext<'_>, lu: &[usize]) -> bool {
+    let table = cc.hw_table();
+    lu.iter().all(|&u| {
+        table
+            .rows_of(u)
+            .iter()
+            .all(|&(_, ts)| cc.band_verdict(ts, u).is_some())
+    })
+}
+
 /// Greedy maximum coverage over the `LUW_w` rows of `gr` (over `words`
 /// words each; `terms` names the keyword of each row); the picks land in
 /// `chosen`, ascending.

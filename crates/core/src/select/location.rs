@@ -8,9 +8,29 @@
 //! confirmed tuple matches the next location's potential. The `LBL`
 //! shortcut skips keyword selection entirely when the location already
 //! guarantees every listed user.
+//!
+//! # When an evaluation is reused
+//!
+//! A user's spatial band (see [`crate::select`]) decides most of its tests
+//! for every location at once. Step 1 computes a spatial score only for
+//! the `UBL` tests the band leaves open; when it leaves none, every
+//! location shares one list. In step 2, the first greedy evaluation whose
+//! `LU` users have every `LUW` row decided by their bands is kept: its
+//! rows hold the same members at every location with the same `LU` set,
+//! and the greedy cover depends only on those member sets, so its keywords
+//! `K` are every such location's keywords. A later location with that
+//! `LU` set (in any order) reuses `K`: the users that pass under `K`
+//! everywhere are one number, only the users the band leaves open are
+//! scored, and the `brstknn` ids are materialised, in the location's own
+//! `lu` order, only when it beats the best so far. One evaluation is kept
+//! per query. A location with another `LU` set, the `LBL` shortcut,
+//! GreedyPlus and Exact take the full path, which also counts before it
+//! materialises.
 
-use crate::arena::SelectScratch;
-use crate::select::{exact, greedy, CandidateContext};
+use text::TermId;
+
+use crate::arena::{GreedyScratch, SelectScratch};
+use crate::select::{bit, exact, greedy, set_bit, CandidateContext};
 use crate::topk::ByKey;
 use crate::{QueryResult, UserGroup};
 
@@ -24,6 +44,112 @@ pub enum KeywordSelector {
     GreedyPlus,
     /// §6.2.2 exact enumeration (Algorithm 4).
     Exact,
+}
+
+/// How one query's candidate locations were settled: Algorithm 3's, or
+/// the §7 pipeline's (the §4 baseline scan has no location queue and
+/// counts none). `evaluated + reused == dequeued`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LocationCounts {
+    /// Locations taken off the queue for evaluation (past the `|LU|` stop).
+    pub dequeued: u64,
+    /// Locations whose keywords were selected (or settled by the `LBL`
+    /// shortcut) and whose users were counted in full.
+    pub evaluated: u64,
+    /// Locations that reused an earlier greedy evaluation's keywords and
+    /// scored only the users their bands leave open.
+    pub reused: u64,
+}
+
+/// The greedy evaluation later locations of a query reuse (see the module
+/// docs): pooled in [`SelectScratch`], dropped at the start of each query.
+#[derive(Debug, Default)]
+pub(crate) struct HeldEvaluation {
+    live: bool,
+    /// Its `LU` set: a bitset over context user indices, and its size.
+    members: Vec<u64>,
+    len: usize,
+    /// Its keywords `K`.
+    kw: Vec<TermId>,
+    /// Per user index of the set: `TS` under `ox.d ∪ K`, NaN when the user
+    /// shares no term with it.
+    ts: Vec<f64>,
+    /// Users of the set who qualify under `K` at every location.
+    pass: usize,
+    /// The users whose verdict under `K` the bands leave open, with `TS`.
+    open: Vec<(usize, f64)>,
+}
+
+impl HeldEvaluation {
+    /// Drops the evaluation, keeping its buffers.
+    pub(crate) fn release(&mut self) {
+        self.live = false;
+    }
+
+    /// True when an evaluation is held and `lu` is its `LU` set.
+    fn matches(&self, lu: &[usize]) -> bool {
+        self.live
+            && lu.len() == self.len
+            && lu
+                .iter()
+                .all(|&u| u < self.members.len() * 64 && bit(&self.members, u))
+    }
+
+    /// Runs the greedy evaluation of `lu`, whose every `LUW` row the bands
+    /// decide, and holds it. A decided row has the members it has at the
+    /// bands' low ends, so `LUW` is built there and needs no location.
+    fn hold(
+        &mut self,
+        cc: &CandidateContext<'_>,
+        lu: &[usize],
+        lo: &mut Vec<f64>,
+        gr: &mut GreedyScratch,
+        cand: &mut Vec<u64>,
+    ) {
+        lo.clear();
+        lo.extend(lu.iter().map(|&u| cc.band_lo[u]));
+        greedy::greedy_keywords_into(cc, lu, lo, gr, &mut self.kw);
+        cc.cand_set(&self.kw, cand);
+        self.live = true;
+        self.len = lu.len();
+        self.members.clear();
+        self.members.resize(cc.num_users().div_ceil(64), 0);
+        self.ts.clear();
+        self.ts.resize(cc.num_users(), f64::NAN);
+        self.pass = 0;
+        self.open.clear();
+        for &u in lu {
+            set_bit(&mut self.members, u);
+            let ts = cc.ts_cand(cand, u);
+            self.ts[u] = ts;
+            match cc.band_verdict(ts, u) {
+                Some(true) => self.pass += 1,
+                Some(false) => {}
+                None => self.open.push((u, ts)),
+            }
+        }
+    }
+
+    /// Counts the held set at location `li` under `K`, and materialises
+    /// its BRSTkNN users into `out` only when the count beats it.
+    fn count_at(&self, cc: &CandidateContext<'_>, li: usize, lu: &[usize], out: &mut QueryResult) {
+        let loc = &cc.spec.locations[li];
+        let passes = |u: usize, ts: f64| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.rsk[u];
+        let open = self.open.iter().filter(|&&(u, ts)| passes(u, ts)).count();
+        if self.pass + open > out.brstknn.len() {
+            out.location = li;
+            out.keywords.clone_from(&self.kw);
+            out.brstknn.clear();
+            out.brstknn.extend(
+                lu.iter()
+                    .filter(|&&u| {
+                        let ts = self.ts[u];
+                        cc.band_verdict(ts, u).unwrap_or_else(|| passes(u, ts))
+                    })
+                    .map(|&u| cc.ids[u]),
+            );
+        }
+    }
 }
 
 /// Runs Algorithm 3 and returns the best ⟨location, keyword-set⟩ tuple.
@@ -48,7 +174,7 @@ pub fn select_candidate(
 }
 
 /// [`select_candidate`] into arena scratch: the winning tuple lands in
-/// `out`; queue, per-location `LU` lists, spatial-score columns, and the
+/// `out`; queue, per-location `LU` lists, the held evaluation and the
 /// keyword-selection buffers all come from `sel`.
 ///
 /// # Panics
@@ -66,48 +192,63 @@ pub(crate) fn select_candidate_into(
         "MaxBRSTkNN requires at least one candidate location"
     );
     out.clear();
+    sel.begin();
 
     // The textual halves of the group bounds don't depend on the location;
     // hoist them so the per-location checks are two float ops each.
     let su_ubl_ts = cc.ubl_group_ts(su);
     let su_lbl_ts = cc.lbl_group_ts(su);
 
-    // Step 1: per-location candidate user lists from the UBL bounds, each
-    // beside the spatial scores the filter computed (step 2 needs them
-    // again). The lists live in pooled slots; the queue carries
-    // (location, slot).
+    // Step 1: per-location candidate user lists from the UBL bounds. The
+    // bands sort the reachable users once: those whose test passes at
+    // every location (`always`) and those it leaves open (`maybe`), both
+    // ascending. Only `maybe` pays a spatial score per location; with it
+    // empty every list is `always`, held once in slot 0. The lists live
+    // in pooled slots; the queue carries (location, slot).
+    sel.always.clear();
+    sel.maybe.clear();
+    for u in (0..cc.num_users()).filter(|&u| cc.user_reachable(u)) {
+        match cc.band_verdict(cc.ubl_ts[u], u) {
+            Some(true) => sel.always.push(u),
+            Some(false) => {}
+            None => sel.maybe.push(u),
+        }
+    }
     sel.ql.clear();
     let mut slots = 0usize;
     for (li, loc) in cc.spec.locations.iter().enumerate() {
         if cc.ubl_group_with_ts(loc, su, su_ubl_ts) < rsk_us {
             continue; // no user can be a BRSTkNN here (Lemma 2/3)
         }
-        if slots == sel.lu_bufs.len() {
-            sel.lu_bufs.push(Vec::new());
-        }
-        if slots == sel.ss_bufs.len() {
-            sel.ss_bufs.push(Vec::new());
-        }
-        let (lu, ss) = (&mut sel.lu_bufs[slots], &mut sel.ss_bufs[slots]);
-        lu.clear();
-        ss.clear();
-        for u in 0..cc.num_users() {
-            if !cc.user_reachable(u) {
+        let slot = if sel.maybe.is_empty() && slots > 0 {
+            0
+        } else {
+            if slots == sel.lu_bufs.len() {
+                sel.lu_bufs.push(Vec::new());
+            }
+            let lu = &mut sel.lu_bufs[slots];
+            lu.clear();
+            // Merge the passing `maybe` users into `always`, ascending.
+            let mut rest = sel.always.as_slice();
+            for &u in &sel.maybe {
+                if cc.ubl_user_with_ss(cc.ss_at(loc, u), u) >= cc.rsk[u] {
+                    let split = rest.partition_point(|&v| v < u);
+                    lu.extend_from_slice(&rest[..split]);
+                    lu.push(u);
+                    rest = &rest[split..];
+                }
+            }
+            lu.extend_from_slice(rest);
+            if lu.is_empty() {
                 continue;
             }
-            let s = cc.ss_at(loc, u);
-            if cc.ubl_user_with_ss(s, u) >= cc.rsk[u] {
-                lu.push(u);
-                ss.push(s);
-            }
-        }
-        if !lu.is_empty() {
-            sel.ql.push(ByKey {
-                key: lu.len() as f64,
-                item: (li, slots),
-            });
             slots += 1;
-        }
+            slots - 1
+        };
+        sel.ql.push(ByKey {
+            key: sel.lu_bufs[slot].len() as f64,
+            item: (li, slot),
+        });
     }
 
     // Step 2: best-first over locations with early termination.
@@ -120,63 +261,91 @@ pub(crate) fn select_candidate_into(
         }
         // LBL shortcut: every LU user qualifies with ox.d alone.
         let shortcut = cc.lbl_group_with_ts(&cc.spec.locations[li], su, su_lbl_ts) >= rsk_us;
-        let (lu, ss) = (
-            std::mem::take(&mut sel.lu_bufs[slot]),
-            std::mem::take(&mut sel.ss_bufs[slot]),
-        );
-        evaluate_location(cc, li, &lu, &ss, shortcut, selector, sel, out);
+        let lu = std::mem::take(&mut sel.lu_bufs[slot]);
+        sel.locations.dequeued += 1;
+        evaluate_location(cc, li, &lu, shortcut, selector, sel, out);
         sel.lu_bufs[slot] = lu;
-        sel.ss_bufs[slot] = ss;
     }
 }
 
 /// Algorithm 3's work on one dequeued location, shared with the §7
-/// pipeline: `lu` indexes the context's users, `ss` holds their spatial
-/// scores at location `li`. With `shortcut` set, a location where all of
-/// `lu` already qualifies on `ox.d` alone is settled without keyword
-/// selection; otherwise `selector` picks the keywords and the realized
-/// BRSTkNN set is counted exactly. `out` is replaced on improvement.
-#[allow(clippy::too_many_arguments)]
+/// pipeline: `lu` indexes the context's users. With `shortcut` set, a
+/// location where all of `lu` already qualifies on `ox.d` alone is settled
+/// without keyword selection. Otherwise a greedy location reuses the held
+/// evaluation when `lu` is its set, or becomes it when the bands decide
+/// every `LUW` row of `lu`; any other location has `selector` pick the
+/// keywords and its realized BRSTkNN set counted exactly. The spatial
+/// scores of `lu` are computed only on that full path. `out` is replaced
+/// on improvement.
 pub(crate) fn evaluate_location(
     cc: &CandidateContext<'_>,
     li: usize,
     lu: &[usize],
-    ss: &[f64],
     shortcut: bool,
     selector: KeywordSelector,
     sel: &mut SelectScratch,
     out: &mut QueryResult,
 ) {
     let SelectScratch {
+        ss,
         cand,
-        users_out,
         kw,
         gr,
         ex,
+        held,
+        locations,
         ..
     } = sel;
-    kw.clear();
-    let mut settled = false;
+    let loc = &cc.spec.locations[li];
+    let mut filled = false;
     if shortcut && !cc.spec.ox_doc.is_empty() {
-        cc.brstknn_into(&cc.ox_bits, lu, ss, users_out);
+        cc.fill_ss(loc, lu, ss);
+        filled = true;
+        let mut count = 0;
+        cc.for_each_verdict(&cc.ox_bits, lu, ss, |_, q| count += usize::from(q));
         // The shortcut is only complete when it captures the whole list;
         // otherwise keyword selection could still add users.
-        settled = users_out.len() == lu.len();
-    }
-    if !settled {
-        match selector {
-            KeywordSelector::Greedy => greedy::greedy_keywords_into(cc, lu, ss, gr, kw),
-            KeywordSelector::GreedyPlus => greedy::greedy_plus_keywords_into(cc, lu, ss, gr, kw),
-            KeywordSelector::Exact => exact::exact_keywords_into(cc, lu, ss, ex, kw),
+        if count == lu.len() {
+            locations.evaluated += 1;
+            if count > out.brstknn.len() {
+                out.location = li;
+                out.keywords.clear();
+                out.brstknn.clear();
+                out.brstknn.extend(lu.iter().map(|&u| cc.ids[u]));
+            }
+            return;
         }
-        cc.cand_set(kw, cand);
-        cc.brstknn_into(cand, lu, ss, users_out);
     }
-    if users_out.len() > out.brstknn.len() {
+    if selector == KeywordSelector::Greedy {
+        if held.matches(lu) {
+            locations.reused += 1;
+            held.count_at(cc, li, lu, out);
+            return;
+        }
+        if !held.live && greedy::luw_decided(cc, lu) {
+            locations.evaluated += 1;
+            held.hold(cc, lu, ss, gr, cand);
+            held.count_at(cc, li, lu, out);
+            return;
+        }
+    }
+    if !filled {
+        cc.fill_ss(loc, lu, ss);
+    }
+    match selector {
+        KeywordSelector::Greedy => greedy::greedy_keywords_into(cc, lu, ss, gr, kw),
+        KeywordSelector::GreedyPlus => greedy::greedy_plus_keywords_into(cc, lu, ss, gr, kw),
+        KeywordSelector::Exact => exact::exact_keywords_into(cc, lu, ss, ex, kw),
+    }
+    cc.cand_set(kw, cand);
+    locations.evaluated += 1;
+    // Count first; materialise only a location that beats the best.
+    let mut count = 0;
+    cc.for_each_verdict(cand, lu, ss, |_, q| count += usize::from(q));
+    if count > out.brstknn.len() {
         out.location = li;
-        out.keywords.clear();
-        out.keywords.extend_from_slice(kw);
-        std::mem::swap(users_out, &mut out.brstknn);
+        out.keywords.clone_from(kw);
+        cc.brstknn_into(cand, lu, ss, &mut out.brstknn);
     }
 }
 
@@ -345,5 +514,189 @@ mod tests {
         let su = UserGroup::from_users(&f.users, &f.ctx.text);
         let got = select_candidate(&cc, &su, f64::NEG_INFINITY, KeywordSelector::Exact);
         assert!(!got.brstknn.contains(&6));
+    }
+
+    /// A held evaluation counts each location exactly — it beats a best
+    /// one user short of the reference count and leaves alone one equal to
+    /// it — and materialises the reference's BRSTkNN users in the
+    /// location's own `lu` order, whether or not the bands decide them
+    /// (here held over random, widely spread locations, so many stay
+    /// open). It matches its `LU` set in any order and nothing else.
+    #[test]
+    fn held_evaluation_counts_and_matches_exactly() {
+        use crate::select::test_fixture::random_fixture;
+        let (mut open, mut beaten, mut outsiders) = (0, 0, 0);
+        for seed in 0..16 {
+            let f = random_fixture(seed + 60, 48, 9);
+            let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
+            let n = cc.num_users();
+            let lu: Vec<usize> = (0..n).filter(|&u| cc.user_reachable(u)).collect();
+            let rev: Vec<usize> = lu.iter().rev().copied().collect();
+            let mut held = HeldEvaluation::default();
+            let (mut lo, mut gr, mut cand) = (Vec::new(), GreedyScratch::default(), Vec::new());
+            held.hold(&cc, &lu, &mut lo, &mut gr, &mut cand);
+            open += held.open.len();
+            for li in 0..f.spec.locations.len() {
+                let loc = &f.spec.locations[li];
+                for order in [&lu, &rev] {
+                    let want = cc.brstknn(loc, &cc.with_keywords(&held.kw), order);
+                    for short in [1, 0] {
+                        let Some(len) = want.len().checked_sub(short) else {
+                            continue;
+                        };
+                        let mut out = QueryResult {
+                            location: usize::MAX,
+                            keywords: Vec::new(),
+                            brstknn: vec![u32::MAX; len],
+                        };
+                        held.count_at(&cc, li, order, &mut out);
+                        if short == 1 {
+                            let beat = QueryResult {
+                                location: li,
+                                keywords: held.kw.clone(),
+                                brstknn: want.clone(),
+                            };
+                            assert_eq!(out, beat, "seed {seed}, loc {li}");
+                            beaten += 1;
+                        } else {
+                            assert_eq!(out.location, usize::MAX, "seed {seed}, loc {li}");
+                        }
+                    }
+                }
+            }
+            assert!(held.matches(&rev));
+            assert!(!held.matches(&lu[1..]));
+            let mut other = lu.clone();
+            other[0] = n + 64; // past every member word
+            assert!(!held.matches(&other));
+            if let Some(u) = (0..n).find(|u| !lu.contains(u)) {
+                other[0] = u;
+                assert!(!held.matches(&other));
+                outsiders += 1;
+            }
+        }
+        assert!(
+            open > 40 && beaten > 80 && outsiders > 4,
+            "coverage: {open} open, {beaten} beaten, {outsiders} outsiders"
+        );
+    }
+
+    /// The banded path against the reference, on locations the bands
+    /// decide (clustered), barely decide (spread) and partly decide
+    /// (mixed), each with one location outside the dataspace, under
+    /// α ∈ {0, ½, 1}, LM and TF-IDF, users with `RSk = −∞` and with
+    /// `N(u) = 0`, and all three selectors. Algorithm 3 must return the
+    /// reference's tuple exactly (`rsk_us` live and off). The §7 pipeline
+    /// visits locations in its own order, so its tuple is held to the
+    /// reference's cardinality, to the exact BRSTkNN set of the tuple it
+    /// returns, and to the reference keywords of that location's `LU`
+    /// list. On the clustered layout greedy evaluates at most one location
+    /// per run and reuses it at the rest; on a spread run with α > 0 it
+    /// never reuses (α = 0 makes every test location-free).
+    #[test]
+    fn banded_selection_matches_reference_on_three_layouts() {
+        use crate::arena::QueryArena;
+        use crate::select::reference;
+        use crate::select::test_fixture::{band_engine, Layout};
+        use crate::user_index::run_selection;
+        use text::WeightModel;
+        let (mut n_inf, mut n_zero, mut reused) = (0, 0, [0; 3]);
+        for layout in [Layout::Clustered, Layout::Spread, Layout::Mixed] {
+            for model in [WeightModel::lm(), WeightModel::TfIdf] {
+                for alpha in [0.0, 0.5, 1.0] {
+                    let (eng, spec) = band_engine(layout, model, alpha);
+                    let jt = eng.joint_thresholds(spec.k);
+                    let cc = CandidateContext::new(&eng.ctx, &spec, &eng.users, &jt.rsk);
+                    // Algorithm 3 also runs with two users stripped of their
+                    // threshold, as if fewer than k objects were in reach
+                    // (the §7 pipeline derives its own from the index).
+                    let mut rsk = jt.rsk.clone();
+                    rsk[1] = f64::NEG_INFINITY;
+                    rsk[20] = f64::NEG_INFINITY;
+                    let forced = CandidateContext::new(&eng.ctx, &spec, &eng.users, &rsk);
+                    let reachable = |u: &usize| cc.user_reachable(*u);
+                    n_inf += (0..cc.num_users())
+                        .filter(|u| reachable(u) && forced.rsk[*u] == f64::NEG_INFINITY)
+                        .count();
+                    n_zero += (0..cc.num_users())
+                        .filter(|u| reachable(u) && cc.n_u[*u] == 0.0)
+                        .count();
+                    let seed = eng.user_index_seed(spec.k);
+                    let miur = eng.miur.as_ref().expect("built with a user index");
+                    for selector in [
+                        KeywordSelector::Greedy,
+                        KeywordSelector::GreedyPlus,
+                        KeywordSelector::Exact,
+                    ] {
+                        let at = format!("{layout:?}, {model:?}, α {alpha}, {selector:?}");
+                        // Per run: reused, and evaluated past the first.
+                        let mut tally = |l: LocationCounts| {
+                            assert_eq!(l.evaluated + l.reused, l.dequeued, "{at}");
+                            let greedy = selector == KeywordSelector::Greedy;
+                            if greedy && layout == Layout::Clustered {
+                                // One evaluation; every later location reuses it.
+                                assert!(l.evaluated <= 1, "{at}: {l:?}");
+                            }
+                            if !greedy || (layout == Layout::Spread && alpha > 0.0) {
+                                assert_eq!(l.reused, 0, "{at}: {l:?}");
+                            }
+                            reused[layout as usize] += l.reused;
+                        };
+                        for rsk_us in [jt.out.rsk_us, f64::NEG_INFINITY] {
+                            let mut sel = SelectScratch::default();
+                            let mut got = QueryResult::default();
+                            select_candidate_into(
+                                &forced, &jt.su, rsk_us, selector, &mut sel, &mut got,
+                            );
+                            let want =
+                                reference::select_candidate(&forced, &jt.su, rsk_us, selector);
+                            assert_eq!(got, want, "{at}, rsk_us {rsk_us}");
+                            tally(sel.locations);
+                        }
+
+                        let mut arena = QueryArena::new();
+                        let mut got = QueryResult::default();
+                        run_selection(
+                            miur, &spec, &eng.ctx, selector, &eng.io, &seed, &mut arena, &mut got,
+                        );
+                        let want =
+                            reference::select_candidate(&cc, &jt.su, jt.out.rsk_us, selector);
+                        assert_eq!(got.cardinality(), want.cardinality(), "§7 {at}");
+                        let loc = &spec.locations[got.location];
+                        let all: Vec<usize> = (0..cc.num_users()).collect();
+                        let mut exact = cc.brstknn(loc, &cc.with_keywords(&got.keywords), &all);
+                        let mut ids = got.brstknn.clone();
+                        exact.sort_unstable();
+                        ids.sort_unstable();
+                        assert_eq!(ids, exact, "§7 {at}: the answer's users");
+                        if !got.keywords.is_empty() {
+                            let lu: Vec<usize> = all
+                                .iter()
+                                .copied()
+                                .filter(|&u| reachable(&u) && cc.ubl_user(loc, u) >= cc.rsk[u])
+                                .collect();
+                            let kw = match selector {
+                                KeywordSelector::Greedy => {
+                                    reference::greedy_keywords(&cc, got.location, &lu)
+                                }
+                                KeywordSelector::GreedyPlus => {
+                                    reference::greedy_plus_keywords(&cc, got.location, &lu)
+                                }
+                                KeywordSelector::Exact => {
+                                    reference::exact_keywords(&cc, got.location, &lu)
+                                }
+                            };
+                            assert_eq!(got.keywords, kw, "§7 {at}: the answer's keywords");
+                        }
+                        tally(arena.sel.locations);
+                    }
+                }
+            }
+        }
+        assert!(
+            n_inf > 0 && n_zero > 0,
+            "{n_inf} RSk = −∞, {n_zero} N(u) = 0"
+        );
+        assert!(reused[Layout::Clustered as usize] > 40, "reused {reused:?}");
     }
 }

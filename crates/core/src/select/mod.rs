@@ -42,6 +42,19 @@
 //! BRSTkNN count reads each user's text verdict from a per-user column
 //! kept for the last candidate set counted — the next location choosing
 //! the same keywords pays one `combine` per user.
+//!
+//! A user's spatial score moves too, but only within its *spatial band*
+//! `[lo_u, hi_u]`: `MaxSS` and `MinSS` of the user's point against the MBR
+//! of the query's candidate locations (the dual of §6.1's group bounds,
+//! which bound a user MBR against one location). `push_user` stores the
+//! band with the rest of the user. Every per-location test is
+//! `combine(ss, ts) ≥ RSk(u)`, monotone in `ss` in floating point as well
+//! (`geo`'s `point_rect_ss_bounds_bracket_every_location_exactly`), so
+//! `band_verdict` decides it for every location at once when it passes at
+//! `lo_u` or fails at `hi_u`. Algorithm 3 computes
+//! `ss` only for the `UBL` tests the band leaves open, and a location whose
+//! `LU` set and `LUW` rows are all decided reuses an earlier location's
+//! greedy keywords and scores only its undecided users (see [`location`]).
 
 pub mod baseline;
 pub mod exact;
@@ -52,7 +65,7 @@ pub(crate) mod reference;
 
 use std::cell::{Ref, RefCell};
 
-use geo::Point;
+use geo::{Point, Rect};
 use text::{Document, TermId};
 
 use crate::arena::{CcScratch, HwTable, TextMemo};
@@ -106,6 +119,12 @@ pub struct CandidateContext<'a> {
     /// besides its candidate terms).
     ids: Vec<u32>,
     points: Vec<Point>,
+    /// The MBR of the candidate locations (`None` without any).
+    loc_mbr: Option<Rect>,
+    /// Per-user spatial band: the least and the greatest `SS` any point
+    /// of `loc_mbr` can give the user.
+    band_lo: Vec<f64>,
+    band_hi: Vec<f64>,
     /// Location-independent textual part of `UBL(·, u)` per user.
     ubl_ts: Vec<f64>,
     /// Per-user candidate terms `u.d ∩ (W ∪ ox.d)` as `(slot, cw)`,
@@ -157,6 +176,8 @@ impl<'a> CandidateContext<'a> {
             mut ox_bits,
             mut ids,
             mut points,
+            mut band_lo,
+            mut band_hi,
             rsk: mut rsk_col,
             mut n_u,
             mut ubl_ts,
@@ -205,6 +226,8 @@ impl<'a> CandidateContext<'a> {
         }
         ids.clear();
         points.clear();
+        band_lo.clear();
+        band_hi.clear();
         rsk_col.clear();
         n_u.clear();
         ubl_ts.clear();
@@ -236,6 +259,9 @@ impl<'a> CandidateContext<'a> {
             ox_bits,
             ids,
             points,
+            loc_mbr: Rect::bounding(spec.locations.iter().copied()),
+            band_lo,
+            band_hi,
             ubl_ts,
             ucand_flat,
             ucand_off,
@@ -249,13 +275,23 @@ impl<'a> CandidateContext<'a> {
         cc
     }
 
-    /// Appends one user — its threshold, normalizer, candidate-term run and
-    /// `UBL` text — and returns its index. This is the only place per-user
-    /// state is derived: the constructor calls it for every user of its
-    /// slice, the §7 pipeline once per materialized MIUR leaf entry.
+    /// Appends one user — its threshold, normalizer, spatial band,
+    /// candidate-term run and `UBL` text — and returns its index. This is
+    /// the only place per-user state is derived: the constructor calls it
+    /// for every user of its slice, the §7 pipeline once per materialized
+    /// MIUR leaf entry.
     pub(crate) fn push_user(&mut self, user: &UserData, n_u: f64, rsk: f64) -> usize {
         self.ids.push(user.id);
         self.points.push(user.point);
+        let spatial = &self.ctx.spatial;
+        let (lo, hi) = self.loc_mbr.map_or((0.0, 1.0), |r| {
+            (
+                spatial.max_ss_point(&user.point, &r),
+                spatial.min_ss_point(&user.point, &r),
+            )
+        });
+        self.band_lo.push(lo);
+        self.band_hi.push(hi);
         self.rsk.push(rsk);
         self.n_u.push(n_u);
         let start = self.ucand_flat.len();
@@ -305,6 +341,8 @@ impl<'a> CandidateContext<'a> {
             ox_bits: self.ox_bits,
             ids: self.ids,
             points: self.points,
+            band_lo: self.band_lo,
+            band_hi: self.band_hi,
             rsk: self.rsk,
             n_u: self.n_u,
             ubl_ts: self.ubl_ts,
@@ -504,6 +542,30 @@ impl<'a> CandidateContext<'a> {
     #[inline]
     pub(crate) fn ubl_user_with_ss(&self, ss: f64, u: usize) -> f64 {
         self.ctx.combine(ss, self.ubl_ts[u])
+    }
+
+    /// The verdict of `combine(ss, ts) ≥ RSk(u)` at every candidate
+    /// location at once, from user `u`'s spatial band: `Some(true)` when it
+    /// passes at the band's low end, `Some(false)` when it fails at the
+    /// high end (as a NaN `ts` does), `None` when it depends on the
+    /// location.
+    #[inline]
+    pub(crate) fn band_verdict(&self, ts: f64, u: usize) -> Option<bool> {
+        let rsk = self.rsk[u];
+        if self.ctx.combine(self.band_lo[u], ts) >= rsk {
+            Some(true)
+        } else if self.ctx.combine(self.band_hi[u], ts) >= rsk {
+            None
+        } else {
+            Some(false)
+        }
+    }
+
+    /// `UBL(ℓ, u) ≥ RSk(u)`, from the band when it decides.
+    #[inline]
+    pub(crate) fn ubl_passes(&self, loc: &Point, u: usize) -> bool {
+        self.band_verdict(self.ubl_ts[u], u)
+            .unwrap_or_else(|| self.ubl_user_with_ss(self.ss_at(loc, u), u) >= self.rsk[u])
     }
 
     /// `UBL(ℓ, g)` with the textual part precomputed (hoisted across the
@@ -946,6 +1008,106 @@ pub(crate) mod test_fixture {
             f.rsk.push(rsk);
         }
         f
+    }
+
+    /// Where [`band_engine`] puts the candidate locations.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Layout {
+        /// Five locations within 1e-6 of (10, 4), one of them just outside
+        /// the dataspace: the spatial bands decide every test.
+        Clustered,
+        /// Five locations over the whole space and one beyond `dmax` of
+        /// most users: the bands decide almost nothing.
+        Spread,
+        /// Three locations near (3, 3), two farther off and one outside.
+        Mixed,
+    }
+
+    /// An engine with a user index over 80 objects and 60 users in the
+    /// dataspace [0, 10]² (two objects pin its corners, twelve users crowd
+    /// [9, 10] × [3, 5]), and a query whose locations follow `layout`. `W` holds t0..t5 and t11, a term no
+    /// object holds: its holders share nothing with any object, so their
+    /// `RSk` is −∞, and under TF-IDF a user holding t11 alone has
+    /// `N(u) = 0`. Users also hold t6..t10, outside `W`, so some are
+    /// unreachable. Under TF-IDF `ox.d = {t6}` and the `LBL` shortcut is
+    /// live; under LM `ox.d` is empty. `k = 3`, `ws = 2`.
+    pub(crate) fn band_engine(
+        layout: Layout,
+        model: WeightModel,
+        alpha: f64,
+    ) -> (crate::Engine, QuerySpec) {
+        use crate::ObjectData;
+        let mut next = stream(26);
+        let mut objects: Vec<ObjectData> = (0..80)
+            .map(|i| ObjectData {
+                id: i,
+                point: Point::new(next(1001) as f64 / 100.0, next(1001) as f64 / 100.0),
+                doc: Document::from_pairs(
+                    (0..1 + next(3)).map(|_| (t(next(11) as u32), 1 + next(3) as u32)),
+                ),
+            })
+            .collect();
+        objects[0].point = Point::new(0.0, 0.0);
+        objects[1].point = Point::new(10.0, 10.0);
+        let mut users: Vec<UserData> = (0..60)
+            .map(|i| UserData {
+                id: i,
+                point: Point::new(next(1001) as f64 / 100.0, next(1001) as f64 / 100.0),
+                doc: Document::from_terms((0..1 + next(3)).map(|_| t(next(11) as u32))),
+            })
+            .collect();
+        users[0].doc = Document::from_terms([t(11)]);
+        users[1].doc = Document::from_terms([t(11), t(2)]);
+        // A clump near the clustered locations, so that even a purely
+        // spatial score reaches some thresholds there.
+        for u in &mut users[2..14] {
+            u.point = Point::new(
+                9.0 + next(101) as f64 / 100.0,
+                3.0 + next(201) as f64 / 100.0,
+            );
+        }
+        let locations = match layout {
+            Layout::Clustered => [
+                (0.0, 0.0),
+                (1.0, -1.0),
+                (-1.0, 1.0),
+                (-1.0, -1.0),
+                (-0.5, 1.0),
+            ]
+            .map(|(dx, dy)| Point::new(10.0 + dx * 1e-6, 4.0 + dy * 1e-6))
+            .to_vec(),
+            Layout::Spread => vec![
+                Point::new(1.0, 1.5),
+                Point::new(9.0, 8.5),
+                Point::new(2.0, 9.0),
+                Point::new(8.0, 2.0),
+                Point::new(5.0, 5.0),
+                Point::new(14.0, -3.0),
+            ],
+            Layout::Mixed => vec![
+                Point::new(3.0, 3.0),
+                Point::new(3.1, 2.9),
+                Point::new(2.9, 3.2),
+                Point::new(5.5, 4.0),
+                Point::new(4.0, 6.0),
+                Point::new(10.5, 5.0),
+            ],
+        };
+        let ox_doc = if matches!(model, WeightModel::TfIdf) {
+            Document::from_terms([t(6)])
+        } else {
+            Document::new()
+        };
+        let spec = QuerySpec {
+            ox_doc,
+            locations,
+            keywords: [0, 1, 2, 3, 4, 5, 11].map(t).to_vec(),
+            ws: 2,
+            k: 3,
+        };
+        let engine =
+            crate::Engine::build_with_fanout(objects, users, model, alpha, 4).with_user_index();
+        (engine, spec)
     }
 
     /// A small, fully-deterministic selection scenario used across the

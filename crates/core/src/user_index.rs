@@ -358,8 +358,7 @@ fn keep(cc: &CandidateContext<'_>, slot: &ElemSlot, loc: &Point) -> bool {
     if slot.is_group {
         cc.ubl_group_with_ts(loc, &slot.group, slot.ubl_ts) >= slot.rsk_lb
     } else {
-        let u = slot.user;
-        cc.user_reachable(u) && cc.ubl_user_with_ss(cc.ss_at(loc, u), u) >= cc.rsk[u]
+        cc.user_reachable(slot.user) && cc.ubl_passes(loc, slot.user)
     }
 }
 
@@ -395,13 +394,13 @@ pub(crate) fn run_selection(
     // Starts without users; they are appended as leaves materialize.
     let mut cc = CandidateContext::new_reusing(ctx, spec, &[], &[], std::mem::take(&mut arena.cc));
 
+    arena.sel.begin();
     let UserIndexScratch {
         elems,
         live,
         lu_lists,
         ql,
         lu,
-        ss,
         node: node_scratch,
     } = &mut arena.ui;
 
@@ -500,8 +499,8 @@ pub(crate) fn run_selection(
         // location, the `LBL` shortcut always worth trying.
         lu.clear();
         lu.extend(lu_lists[li].iter().map(|&e| elems[e as usize].user));
-        cc.fill_ss(&spec.locations[li], lu, ss);
-        evaluate_location(&cc, li, lu, ss, true, selector, &mut arena.sel, result);
+        arena.sel.locations.dequeued += 1;
+        evaluate_location(&cc, li, lu, true, selector, &mut arena.sel, result);
     }
 
     arena.cc = cc.into_scratch();

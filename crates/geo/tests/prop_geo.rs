@@ -147,6 +147,78 @@ fn ss_bounds_bracket_true_ss() {
     }
 }
 
+/// The point-against-MBR bounds bracket every location of the MBR
+/// *exactly* — no epsilon: for `r` the bounding box of the locations `L`,
+/// `max_ss_point(p, r) ≤ ss_points(ℓ, p) ≤ min_ss_point(p, r)` for every
+/// `ℓ ∈ L`, bit for bit. Candidate selection leans on this to decide a
+/// user's `combine(ss, ts) ≥ RSk(u)` tests once for all of `L`.
+///
+/// The rounding argument: `r` is built by `min`/`max` over the
+/// locations, so each coordinate of `ℓ` lies between `r`'s on that axis
+/// with no rounding at all. IEEE subtraction is correctly rounded, hence
+/// monotone: `fl(a − c)` never decreases as `a` grows, and
+/// `fl(c − a) = −fl(a − c)` exactly. Per axis, `|fl(ℓ.x − p.x)|` is
+/// therefore at most the larger of `|fl(p.x − r.min.x)|` and
+/// `|fl(p.x − r.max.x)|` (what `max_dist_sq_point` takes) and at least
+/// `clamp_excess`'s gap (0 inside, `fl(r.min.x − p.x)` or
+/// `fl(p.x − r.max.x)` outside). Every later step — squaring a
+/// non-negative value, the sum of the two axes, `sqrt`, the division by
+/// `dmax`, `1 − d`, the clamp at 0 — is correctly rounded or exact and
+/// monotone, so the order survives to the three scores. Ties included:
+/// the clamp makes every distance beyond `dmax` score exactly 0 on all
+/// three sides.
+#[test]
+fn point_rect_ss_bounds_bracket_every_location_exactly() {
+    let mut g = Gen(11);
+    let (mut inside, mut clamped, mut tight) = (0, 0, 0);
+    for case in 0..CASES {
+        // Coordinates near 0, at unit scale, and near 1e6, where a
+        // subtraction loses most of its low bits.
+        let (base, spread) = match case % 3 {
+            0 => (0.0, 1e-3),
+            1 => (0.0, 100.0),
+            _ => (1e6, 2.0),
+        };
+        let draw = |g: &mut Gen| {
+            Point::new(
+                base + g.range(-spread, spread),
+                base + g.range(-spread, spread),
+            )
+        };
+        let locs: Vec<Point> = (0..1 + g.below(6)).map(|_| draw(&mut g)).collect();
+        let r = Rect::bounding(locs.iter().copied()).expect("at least one location");
+        // Half the users inside the box (a convex mix of two locations,
+        // pulled back onto the box), half anywhere in the window.
+        let p = if case % 2 == 0 {
+            let (a, b, f) = (locs[0], locs[locs.len() - 1], g.unit());
+            Point::new(
+                (a.x + f * (b.x - a.x)).clamp(r.min.x, r.max.x),
+                (a.y + f * (b.y - a.y)).clamp(r.min.y, r.max.y),
+            )
+        } else {
+            draw(&mut g)
+        };
+        // `dmax` from well below the window (most distances clamp) to
+        // well above it.
+        let ctx = SpatialContext::with_dmax(spread * [0.05, 0.5, 4.0][g.below(3) as usize]);
+        let (lo, hi) = (ctx.max_ss_point(&p, &r), ctx.min_ss_point(&p, &r));
+        inside += usize::from(r.contains_point(&p));
+        for l in &locs {
+            let ss = ctx.ss_points(l, &p);
+            assert!(
+                lo <= ss && ss <= hi,
+                "case {case}: {lo:e} ≤ {ss:e} ≤ {hi:e} fails for p {p:?}, ℓ {l:?}, r {r:?}"
+            );
+            clamped += usize::from(ss == 0.0);
+            tight += usize::from(lo == ss || ss == hi);
+        }
+    }
+    assert!(
+        inside > CASES / 3 && clamped > CASES / 2 && tight > CASES,
+        "coverage: {inside} inside, {clamped} clamped, {tight} tight"
+    );
+}
+
 #[test]
 fn triangle_inequality() {
     let mut g = Gen(10);

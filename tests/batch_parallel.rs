@@ -86,6 +86,7 @@ fn per_query_stats_are_populated() {
         elapsed,
         io,
         phases,
+        locations,
     } in batch.iter().map(|o| o.stats)
     {
         assert!(elapsed.as_nanos() > 0);
@@ -93,6 +94,10 @@ fn per_query_stats_are_populated() {
         // The built-in strategies stamp both phases, and their phase I/O
         // partitions the query total exactly.
         assert_eq!(phases.total_io(), io);
+        // Algorithm 3 evaluated at least one location, and exact
+        // selection reuses none.
+        assert!(locations.evaluated > 0);
+        assert_eq!(locations.reused, 0);
     }
 }
 

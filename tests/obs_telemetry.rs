@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use datagen::{generate_objects, generate_workload, CorpusConfig, UserGenConfig};
-use maxbrstknn::mbrstk_core::{Phase, ServingEngine};
+use maxbrstknn::mbrstk_core::{LocationCounts, Phase, ServingEngine};
 use maxbrstknn::prelude::*;
 use serve::{Client, Reply, Request, ServeConfig, Server};
 
@@ -59,6 +59,7 @@ struct Expected {
     io_sum: u64,
     phase_io_sum: [u64; 2],
     phase_latency_us_sum: [u64; 2],
+    locations: LocationCounts,
 }
 
 #[test]
@@ -83,6 +84,12 @@ fn registry_reconciles_exactly_with_summed_query_stats() {
             // Built-in strategies partition their I/O across the two
             // phases with nothing left over.
             assert_eq!(o.stats.phases.total_io(), o.stats.io, "{method:?}");
+            // Every dequeued location is evaluated or reused, never both.
+            let l = o.stats.locations;
+            assert_eq!(l.evaluated + l.reused, l.dequeued, "{method:?}");
+            e.locations.dequeued += l.dequeued;
+            e.locations.evaluated += l.evaluated;
+            e.locations.reused += l.reused;
         }
         expected.push((method.name(), e));
     }
@@ -134,6 +141,22 @@ fn registry_reconciles_exactly_with_summed_query_stats() {
             );
         }
         assert_eq!(phase_io_total, e.io_sum, "{name}: phases must partition io");
+
+        // The location counters are the summed per-query counts, and the
+        // two sum to the locations dequeued.
+        let located = |how: &str| {
+            snap.counter(&format!(
+                "engine_select_locations_total{{method=\"{name}\",how=\"{how}\"}}"
+            ))
+            .unwrap_or_else(|| panic!("{name}: missing {how} locations"))
+        };
+        let (evaluated, reused) = (located("evaluated"), located("reused"));
+        assert_eq!(evaluated, e.locations.evaluated, "{name}: evaluated");
+        assert_eq!(reused, e.locations.reused, "{name}: reused");
+        assert_eq!(evaluated + reused, e.locations.dequeued, "{name}: dequeued");
+        // Only greedy selection reuses an evaluation; on this workload's
+        // clustered users it does.
+        assert_eq!(reused > 0, name.ends_with("-greedy"), "{name}: {reused}");
     }
 
     // The same numbers survive both export formats.
