@@ -37,8 +37,8 @@
 //! terms' maxima of `x` — an insert raises them, a remove reads them back
 //! from the MIR root's entry aggregates, which the tree edit just made
 //! exact. The MIUR-tree's stored `N(u)` brackets all move with the
-//! statistics, so a batch that mutated objects ends by rebuilding that
-//! tree — once per batch: no query sees a batch half applied. Weights are
+//! statistics, so a batch that mutated objects ends with a rebuild of
+//! that tree — once per batch: no query sees a batch half applied. Weights are
 //! applied at read time, so after any mutation every answer is the one a
 //! cold [`Engine::build`] over the surviving objects and users gives, as
 //! long as the dataspace hull (the spatial normalizer, kept from the build
@@ -296,8 +296,8 @@ impl Engine {
     /// Applies a stream of mutations in order, aggregating what happened.
     /// Rejected mutations (duplicate insert ids, unknown remove ids) are
     /// counted and skipped; the rest of the batch still applies. When an
-    /// object mutation applied, the batch ends by rebuilding the MIUR-tree
-    /// (its I/O is in the report).
+    /// object mutation applied, the batch ends with a rebuild of the
+    /// MIUR-tree (its I/O is in the report).
     pub fn apply_batch(&mut self, mutations: impl IntoIterator<Item = Mutation>) -> BatchReport {
         let mut report = BatchReport::default();
         let mut stats_moved = false;

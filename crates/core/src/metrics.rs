@@ -27,7 +27,7 @@
 //!   the engine's [`ShardedLru`](storage::ShardedLru) page cache and
 //!   [`ThresholdCache`] counters (last-writer-wins across clones).
 //! * `serving_*` — [`crate::ServingEngine`] mutation latency, swap-wait,
-//!   CoW fallbacks, journal depth, refresh count/duration. The refresh
+//!   CoW fallbacks, replayed mutations, refresh count/duration. The refresh
 //!   families keep their single `tier="full"` label (every refresh is a
 //!   cold rebuild), so their names stay stable for scrapers.
 
@@ -168,10 +168,8 @@ pub(crate) struct ServingMetrics {
     pub(crate) swap_wait_us: Arc<Histogram>,
     /// Mutations that gave up waiting and took the copy-on-write clone.
     pub(crate) cow_fallbacks: Arc<Counter>,
-    /// Current rebuild-journal depth (drained to 0 at every swap).
-    pub(crate) journal_depth: Arc<Gauge>,
     /// Journaled mutations replayed onto fresh engines, lifetime total.
-    pub(crate) replayed_total: Arc<Counter>,
+    replayed_total: Arc<Counter>,
     refresh_total: Arc<Counter>,
     refresh_duration_us: Arc<Histogram>,
 }
@@ -182,7 +180,6 @@ impl ServingMetrics {
             mutation_latency_us: reg.histogram("serving_mutation_latency_us"),
             swap_wait_us: reg.histogram("serving_swap_wait_us"),
             cow_fallbacks: reg.counter("serving_cow_fallbacks_total"),
-            journal_depth: reg.gauge("serving_journal_depth"),
             replayed_total: reg.counter("serving_replayed_mutations_total"),
             refresh_total: reg.counter("serving_refreshes_total{tier=\"full\"}"),
             refresh_duration_us: reg.histogram("serving_refresh_duration_us{tier=\"full\"}"),
@@ -194,6 +191,5 @@ impl ServingMetrics {
         self.refresh_total.inc();
         self.refresh_duration_us.record_duration_us(elapsed);
         self.replayed_total.add(replayed as u64);
-        self.journal_depth.set(0.0);
     }
 }

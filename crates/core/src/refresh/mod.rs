@@ -15,11 +15,13 @@
 //!   [`RefreshConfig::max_mutations`] says when.
 //! * **Atomic swap** — [`ServingEngine`] publishes the engine behind an
 //!   `Arc`: queries grab a snapshot and run lock-free on it, mutations
-//!   serialize on the writer side (falling back to a copy-on-write clone
-//!   when a long-lived snapshot is still held), and a refresh rebuilds
-//!   entirely off-lock before swapping the fresh `Arc` in. In-flight
-//!   queries finish on their old snapshot without ever blocking on the
-//!   rebuild; new queries land on the refreshed engine. Caches are handed
+//!   serialize on one writer lock and edit the published engine in place
+//!   (falling back to a copy-on-write clone when a long-lived snapshot is
+//!   still held), and a refresh rebuilds holding no lock, replays the
+//!   writes that landed meanwhile onto its private engine under the writer
+//!   lock, and publishes it with one pointer store. In-flight queries
+//!   finish on their old snapshot without ever blocking on the rebuild or
+//!   its replay; new queries land on the refreshed engine. Caches are handed
 //!   off by *dropping*: the rebuilt engine carries fresh (same-shape)
 //!   threshold and page caches, and because the refreshed epoch is
 //!   strictly above every epoch the old engine ever had, no stale
@@ -228,35 +230,35 @@ struct Signal {
 ///
 /// * **Queries** take an [`ServingEngine::snapshot`] (`Arc<Engine>`) and
 ///   run lock-free on it; the publish lock is held only for the clone.
-/// * **Mutations** ([`ServingEngine::apply`]) serialize on the write side
-///   of the publish lock and maintain the engine in place. When a query
-///   (or anything else) still holds a snapshot `Arc`, the mutation waits
+/// * **Mutations** ([`ServingEngine::apply`]) serialize on the writer
+///   lock, then take the write side of the publish lock and maintain the
+///   engine in place; queries wait out that edit. When a query (or
+///   anything else) still holds a snapshot `Arc`, the mutation waits
 ///   briefly for it to drop — new snapshots are blocked, so the holder
 ///   count only shrinks — and falls back to a copy-on-write clone of the
 ///   engine for genuinely long-lived holders, guaranteeing progress
 ///   without ever mutating shared state.
 /// * **Refreshes** ([`ServingEngine::refresh_now`], or the background
-///   worker from [`ServingEngine::start_refresher`]) capture the live
-///   tables, rebuild the engine entirely off-lock, replay the
-///   mutations that landed meanwhile from an internal journal, and swap
-///   the fresh `Arc` in. In-flight queries keep their old snapshot; the
-///   old engine is dropped when its last snapshot is.
+///   worker from [`ServingEngine::start_refresher`]) open the journal and
+///   capture the live tables under the writer lock, rebuild holding no
+///   lock, then under the writer lock replay the journal onto the fresh
+///   engine and publish it with one pointer store. Queries wait for that
+///   store only; in-flight ones keep their old snapshot, and the old
+///   engine is dropped when its last snapshot is.
 ///
-/// Memory note: the journal is only fed while a rebuild is in flight and
-/// is drained at every swap, so its footprint is bounded by the mutations
-/// one rebuild overlaps — not by the refresh cadence.
+/// Every accepted mutation runs under the writer lock, so it lands either
+/// before a refresh's capture (the capture holds it) or in the open
+/// journal (the replay applies it). The journal is open only while a
+/// rebuild runs, so it holds at most the writes one rebuild overlaps.
 #[derive(Debug)]
 pub struct ServingEngine {
     /// The published snapshot.
     snap: RwLock<Arc<Engine>>,
-    /// Mutations applied while a rebuild is in flight, for replay onto
-    /// the rebuilt engine. Lock order: `snap` before `journal`.
-    journal: Mutex<Vec<Mutation>>,
-    /// True between a refresh's capture announcement and its swap —
-    /// mutations journal themselves only in that window (outside it the
-    /// next capture would contain them anyway).
-    rebuilding: std::sync::atomic::AtomicBool,
-    /// Serializes refreshers (the rebuild phase must not run twice).
+    /// The writer lock. `Some` while a refresh rebuilds: the mutations
+    /// accepted since its capture, for replay onto the rebuilt engine.
+    /// Lock order: `writer` before `snap`; queries never take it.
+    writer: Mutex<Option<Vec<Mutation>>>,
+    /// Serializes refreshers: two must not both open the journal.
     refresh_gate: Mutex<()>,
     cfg: RefreshConfig,
     refreshes: AtomicU64,
@@ -306,8 +308,7 @@ impl ServingEngine {
         let metrics = ServingMetrics::new(engine.metrics.registry());
         Arc::new(ServingEngine {
             snap: RwLock::new(Arc::new(engine)),
-            journal: Mutex::new(Vec::new()),
-            rebuilding: std::sync::atomic::AtomicBool::new(false),
+            writer: Mutex::new(None),
             refresh_gate: Mutex::new(()),
             cfg,
             refreshes: AtomicU64::new(0),
@@ -347,15 +348,6 @@ impl ServingEngine {
         self.refreshes.load(Ordering::Relaxed)
     }
 
-    /// Mutations currently journaled for replay onto an in-flight
-    /// rebuild. Zero outside a rebuild window (every swap drains the
-    /// journal); growth during a rebuild measures the write-path backlog
-    /// a swap will have to replay, which is what the network layer's
-    /// admission control watches to shed mutations under pressure.
-    pub fn journal_depth(&self) -> usize {
-        self.journal.lock().unwrap().len()
-    }
-
     /// Answers one query on the current snapshot, returning the result
     /// with the guard that certifies which generation computed it. On a
     /// cluster backend the top-k phase scatters across slices of that
@@ -376,37 +368,21 @@ impl ServingEngine {
     /// semantics); rejected mutations return `None`. Wakes the background
     /// refresher, if one is running.
     pub fn apply(&self, mutation: Mutation) -> Option<MaintenanceIo> {
-        let io = {
-            let mut published = self.snap.write().unwrap();
-            let engine = self.exclusive(&mut published);
-            // Journal only while a rebuild is in flight. The flag is read
-            // under the write lock and *set* by the refresher under the
-            // read lock of the same `RwLock` (see `refresh_now`), so the
-            // two critical sections are totally ordered: either this
-            // mutation completed before the capture acquired the read
-            // lock — the captured snapshot contains it, and any spurious
-            // journal entry is cleared under that same read lock — or this
-            // write-lock acquisition synchronizes-with the capture's
-            // read-lock release and the `SeqCst` load below is guaranteed
-            // to observe `true`, so the mutation journals itself and is
-            // replayed onto the rebuilt engine before the swap. A
-            // `Relaxed` load here (the pre-fix code) had no such
-            // guarantee: a mutation landing right after the capture could
-            // read a stale `false`, skip the journal, and be silently
-            // dropped by the swap.
-            let journal = self.rebuilding.load(Ordering::SeqCst);
-            let mutate_start = Instant::now();
-            let io = engine.apply(mutation.clone());
-            self.metrics
-                .mutation_latency_us
-                .record_duration_us(mutate_start.elapsed());
-            if io.is_some() && journal {
-                let mut j = self.journal.lock().unwrap();
-                j.push(mutation);
-                self.metrics.journal_depth.set(j.len() as f64);
-            }
-            io
-        };
+        let mut writer = self.writer.lock().unwrap();
+        // A copy only while a rebuild runs: its replay needs one.
+        let replay = writer.is_some().then(|| mutation.clone());
+        let mut published = self.snap.write().unwrap();
+        let engine = self.exclusive(&mut published);
+        let mutate_start = Instant::now();
+        let io = engine.apply(mutation);
+        self.metrics
+            .mutation_latency_us
+            .record_duration_us(mutate_start.elapsed());
+        drop(published);
+        if let (Some(journal), Some(m), true) = (writer.as_mut(), replay, io.is_some()) {
+            journal.push(m);
+        }
+        drop(writer);
         if io.is_some() {
             let mut s = self.signal.lock().unwrap();
             s.pending = true;
@@ -465,67 +441,39 @@ impl ServingEngine {
         mutations > 0 && mutations >= self.cfg.max_mutations
     }
 
-    /// Runs one refresh now, on the calling thread: capture the live
-    /// tables, rebuild off-lock, replay the mutations that landed during
-    /// the rebuild, swap. Concurrent callers serialize; queries keep
-    /// running on the old snapshot throughout and only the final swap
-    /// takes the (briefly held) write lock. The rebuild runs on tables
-    /// cloned out of the snapshot, which is dropped first, so mutations
-    /// racing the rebuild stay on the cheap in-place path.
+    /// Runs one refresh now, on the calling thread: open the journal and
+    /// capture the live tables, rebuild holding no lock, replay the
+    /// journal onto the fresh engine, publish. Concurrent callers
+    /// serialize. Writers wait out the capture and the replay; queries
+    /// keep running on the old snapshot throughout and wait only for the
+    /// final pointer store.
     pub fn refresh_now(&self) -> RefreshReport {
         let _gate = self.refresh_gate.lock().unwrap();
         let refresh_start = Instant::now();
 
-        // Phase 1: announce the rebuild and capture under one read-lock
-        // critical section. Ordering matters: mutations check the flag
-        // under the *write* lock of the same `RwLock`, so publishing the
-        // flag inside the read-locked section means every mutation either
-        // completed before the capture (and is contained in the snapshot;
-        // its journal entry, if any, is cleared here) or starts after the
-        // capture's read lock released (and is then guaranteed to observe
-        // the flag and journal itself). Setting the flag *before* taking
-        // the read lock — the pre-fix code, with `Relaxed` ordering on
-        // both sides — left a window where a mutation landing right after
-        // the capture could miss both the snapshot and the journal and be
-        // silently dropped by the swap.
-        let snapshot = {
-            let published = self.snap.read().unwrap();
-            self.rebuilding.store(true, Ordering::SeqCst);
-            self.journal.lock().unwrap().clear();
-            // The journal is empty: anything it held was applied before
-            // this read lock and is in the captured snapshot.
-            self.metrics.journal_depth.set(0.0);
-            Arc::clone(&published)
+        let seed = {
+            let mut writer = self.writer.lock().unwrap();
+            *writer = Some(Vec::new());
+            let snapshot = self.snapshot();
+            RefreshSeed::capture(&snapshot)
         };
-        let seed = RefreshSeed::capture(&snapshot);
-        drop(snapshot); // release before the rebuild: mutations stay cheap
-
-        // Phase 2: the expensive rebuild — no locks held.
         let (mut fresh, mut report) = seed.build();
 
-        // Phase 3: swap. Replay what landed during the rebuild, then
-        // publish. The epoch ends at `captured + 1 + replayed`, strictly
-        // above the live engine's `captured + replayed`.
+        // The epoch ends at `captured + 1 + replayed`, strictly above the
+        // live engine's `captured + replayed`.
+        let mut writer = self.writer.lock().unwrap();
+        let journal = writer.take().expect("the refresh gate keeps it open");
+        let replay = fresh.apply_batch(journal);
+        debug_assert_eq!(replay.rejected, 0, "journaled mutations replay cleanly");
+        report.replayed = replay.applied;
+        report.epoch = fresh.epoch();
         let swap_wait = Instant::now();
-        let mut published = self.snap.write().unwrap();
+        let retired = std::mem::replace(&mut *self.snap.write().unwrap(), Arc::new(fresh));
         self.metrics
             .swap_wait_us
             .record_duration_us(swap_wait.elapsed());
-        let mut journal = self.journal.lock().unwrap();
-        report.replayed = journal.len();
-        let replay = fresh.apply_batch(journal.drain(..));
-        debug_assert_eq!(
-            replay.rejected, 0,
-            "journaled mutations applied once and must replay cleanly"
-        );
-        report.epoch = fresh.epoch();
-        *published = Arc::new(fresh);
-        self.rebuilding.store(false, Ordering::SeqCst);
-        // Replay drained the journal: without this reset the gauge kept
-        // the last pushed depth forever, reporting a phantom backlog.
-        self.metrics.journal_depth.set(0.0);
-        drop(journal);
-        drop(published);
+        drop(writer);
+        drop(retired);
         self.refreshes.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .record_refresh(refresh_start.elapsed(), report.replayed);
@@ -733,21 +681,38 @@ mod tests {
             "unknown id is rejected"
         );
         assert!(
-            serving.journal.lock().unwrap().is_empty(),
+            serving.writer.lock().unwrap().is_none(),
             "no rebuild in flight → nothing to journal (the next capture contains it)"
         );
         assert_eq!(serving.epoch(), 1);
         assert_eq!(serving.snapshot().objects.len(), 41);
 
-        // With the rebuild window open, applied mutations journal and
-        // rejected ones still do not.
-        serving.rebuilding.store(true, Ordering::Relaxed);
+        // With the journal open, as a refresh holds it during its rebuild,
+        // accepted mutations journal and rejected ones still do not.
+        *serving.writer.lock().unwrap() = Some(Vec::new());
         assert!(serving
             .apply(Mutation::InsertObject(obj(101, 1.5, 1.0, 2)))
             .is_some());
         assert!(serving.apply(Mutation::RemoveObject(999)).is_none());
-        serving.rebuilding.store(false, Ordering::Relaxed);
-        assert_eq!(serving.journal.lock().unwrap().len(), 1);
+        let journal = serving.writer.lock().unwrap().take().unwrap();
+        assert!(matches!(journal[..], [Mutation::InsertObject(ref o)] if o.id == 101));
+    }
+
+    /// A refresh holds the writer lock through its capture and its replay;
+    /// a query on another thread completes meanwhile, because queries
+    /// never take that lock.
+    #[test]
+    fn readers_never_take_the_writer_lock() {
+        let serving = ServingEngine::new(engine(WeightModel::lm()));
+        let want = serving.snapshot().query(&spec(), Method::JointExact);
+        let _writer = serving.writer.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = Arc::clone(&serving);
+        std::thread::spawn(move || tx.send(reader.query(&spec(), Method::JointExact).0));
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a query completes while the writer lock is held");
+        assert_eq!(got, want);
     }
 
     /// Mutations racing a refresh are never lost: whatever lands during
@@ -788,7 +753,7 @@ mod tests {
         for i in 0..30u32 {
             assert!(snap.objects.iter().any(|o| o.id == 400 + i), "object {i}");
         }
-        assert!(serving.journal.lock().unwrap().is_empty());
+        assert!(serving.writer.lock().unwrap().is_none());
         // And the final state still answers like a cold rebuild.
         serving.refresh_now();
         let snap = serving.snapshot();
@@ -818,7 +783,7 @@ mod tests {
         assert_eq!(serving.epoch(), report.epoch);
         assert_eq!(serving.refreshes(), 1);
         assert_eq!(serving.snapshot().mutations_since_refresh(), 0);
-        assert!(serving.journal.lock().unwrap().is_empty());
+        assert!(serving.writer.lock().unwrap().is_none());
     }
 
     #[test]

@@ -24,7 +24,7 @@ enum Item {
 /// Reusable traversal state for the per-user searches: the priority queue,
 /// the user's term list, and the zero-copy node/postings decode scratch.
 /// Hoisted across the user loop so repeated searches reuse one set of
-/// buffers instead of rebuilding heaps per user.
+/// buffers instead of building new heaps per user.
 #[derive(Default)]
 struct BaselineTopkScratch {
     pq: BinaryHeap<ByKey<Item>>,

@@ -830,9 +830,9 @@ macro_rules! tree_api {
             /// packed record ids: structure, payloads and query behaviour
             /// are identical, but the freed placeholder slots accumulated
             /// by [`Self::insert`] / [`Self::remove`] are gone. The
-            /// engine-level corpus refresh gets compaction for free by
-            /// rebuilding from the live tables; `compacted` covers the
-            /// other case — reclaiming space without rebuilding anything.
+            /// engine-level corpus refresh gets compaction for free from
+            /// its rebuild over the live tables; `compacted` covers the
+            /// other case — reclaiming space without a rebuild.
             pub fn compacted(&self) -> Self {
                 $tree {
                     core: self.core.compacted(),

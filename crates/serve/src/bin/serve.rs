@@ -3,14 +3,14 @@
 //! ```text
 //! serve [--addr 127.0.0.1:7878] [--objects 20000] [--users 500]
 //!       [--seed 42] [--model lm|tfidf|ko] [--workers N]
-//!       [--queue-depth N] [--journal-hwm N] [--shards N]
+//!       [--queue-depth N] [--shards N]
 //! ```
 //!
 //! The corpus is the same deterministic Flickr-like stand-in the bench
 //! harness uses, so a client driving this process sees the data
 //! distribution of the paper's experiments. The engine is built with the
 //! user index (every built-in method is servable) and a background
-//! refresher absorbs journalled mutations. `--shards N` (or the
+//! refresher rebuilds it once enough mutations landed. `--shards N` (or the
 //! `MBRSTK_SHARDS` environment variable; the flag wins, and either must
 //! be a number) serves through an [`EngineCluster`]: the one engine with
 //! its per-user top-k phase fanned out over N contiguous slices of the
@@ -28,7 +28,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--objects N] [--users N] [--seed N]\n\
          \x20            [--model lm|tfidf|ko] [--workers N] [--queue-depth N]\n\
-         \x20            [--journal-hwm N] [--shards N]"
+         \x20            [--shards N]"
     );
     std::process::exit(2);
 }
@@ -53,7 +53,6 @@ fn main() {
             "--seed" => seed = parse(&val()),
             "--workers" => cfg.workers = parse(&val()),
             "--queue-depth" => cfg.queue_depth = parse(&val()),
-            "--journal-hwm" => cfg.journal_high_water = parse(&val()),
             "--shards" => shards = parse(&val()),
             "--model" => {
                 model = match val().as_str() {

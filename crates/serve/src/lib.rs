@@ -7,8 +7,8 @@
 //!   (`query` / `mutate` / `stats` / `metrics` requests and their
 //!   replies, including the explicit [`Reply::Overloaded`] shed),
 //! * [`Server`] — a thread-per-core accept/worker pool over
-//!   [`mbrstk_core::ServingEngine`] with bounded queues and write-path
-//!   backpressure keyed off the mutation journal depth,
+//!   [`mbrstk_core::ServingEngine`] with bounded queues that shed when
+//!   full,
 //! * [`Client`] / [`one_shot`] — blocking clients used by the loopback
 //!   differential tests and the open-loop load generator in the bench
 //!   crate,

@@ -87,9 +87,6 @@ pub enum Request {
 pub enum ShedReason {
     /// Every worker's pending-connection queue was at capacity.
     QueueFull,
-    /// The mutation journal passed the configured high-water mark
-    /// (write-path backpressure; reads are still served).
-    JournalBacklog,
 }
 
 /// The server's answer to one [`Request`].
@@ -368,14 +365,12 @@ fn take_result(t: &mut Take<'_>) -> Result<QueryResult, ProtocolError> {
 fn shed_to_wire(r: ShedReason) -> u8 {
     match r {
         ShedReason::QueueFull => 0,
-        ShedReason::JournalBacklog => 1,
     }
 }
 
 fn shed_from_wire(b: u8) -> Result<ShedReason, ProtocolError> {
     match b {
         0 => Ok(ShedReason::QueueFull),
-        1 => Ok(ShedReason::JournalBacklog),
         _ => err(format!("unknown shed reason {b}")),
     }
 }
@@ -660,7 +655,6 @@ mod tests {
             Reply::Stats("{\"epoch\":3}".into()),
             Reply::Metrics("# TYPE x counter\nx 1\n".into()),
             Reply::Overloaded(ShedReason::QueueFull),
-            Reply::Overloaded(ShedReason::JournalBacklog),
             Reply::Error("boom".into()),
         ];
         for r in replies {
@@ -684,6 +678,8 @@ mod tests {
         assert!(decode_request(&[0x02, 9]).is_err());
         assert!(decode_reply(&[0x00]).is_err());
         assert!(decode_reply(&[0x86, 9]).is_err());
+        // Byte 1 once meant a journal-backlog shed; no server sends it.
+        assert!(decode_reply(&[0x86, 1]).is_err());
         // Trailing garbage after a complete message.
         let mut noisy = encode_request(&Request::Stats);
         noisy.push(0);

@@ -9,10 +9,7 @@
 //! Every write to a peer (replies and shed refusals) carries
 //! [`ServeConfig::write_timeout`]: a client that stops reading gets its
 //! connection dropped at the deadline instead of pinning a worker
-//! forever. Mutations have a second gate: once the serving
-//! engine's journal passes [`ServeConfig::journal_high_water`] the write
-//! path sheds with [`ShedReason::JournalBacklog`] while reads keep
-//! flowing, which bounds how much replay debt a refresh can accumulate.
+//! forever.
 //!
 //! Request handling is deliberately boring: decode a frame, call the same
 //! [`ServingEngine`] entry points an in-process caller would use, encode
@@ -53,11 +50,6 @@ pub struct ServeConfig {
     /// Pending connections each worker will queue before the accept
     /// thread sheds with [`ShedReason::QueueFull`].
     pub queue_depth: usize,
-    /// Mutations the serving journal may hold before the write path sheds
-    /// with [`ShedReason::JournalBacklog`]. `0` freezes writes entirely
-    /// (every mutate sheds — the deterministic path the tests use);
-    /// `usize::MAX` disables the gate.
-    pub journal_high_water: usize,
     /// Largest frame body accepted from a client.
     pub max_frame_len: u32,
     /// Deadline for any single blocking write to a peer (replies and shed
@@ -74,7 +66,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             queue_depth: 64,
-            journal_high_water: 4096,
             max_frame_len: MAX_FRAME_LEN,
             write_timeout: Duration::from_secs(2),
         }
@@ -95,7 +86,6 @@ struct ServeMetrics {
     req_stats: Arc<Counter>,
     req_metrics: Arc<Counter>,
     shed_queue: Arc<Counter>,
-    shed_journal: Arc<Counter>,
     /// Queries answered with `Reply::Error` (no latency sample is
     /// recorded for them, so `req_query == lat_query.count + query_errors`
     /// always reconciles).
@@ -117,7 +107,6 @@ impl ServeMetrics {
             req_stats: reg.counter("serve_requests_total{kind=\"stats\"}"),
             req_metrics: reg.counter("serve_requests_total{kind=\"metrics\"}"),
             shed_queue: reg.counter("serve_shed_total{reason=\"queue\"}"),
-            shed_journal: reg.counter("serve_shed_total{reason=\"journal\"}"),
             query_errors: reg.counter("serve_request_errors_total{kind=\"query\"}"),
             worker_lost: reg.counter("serve_worker_lost_total"),
             lat_query: reg.histogram("serve_request_latency_us{kind=\"query\"}"),
@@ -163,7 +152,6 @@ impl Server {
                 engine: Arc::clone(&engine),
                 metrics: Arc::clone(&metrics),
                 stop: Arc::clone(&stop),
-                journal_high_water: cfg.journal_high_water,
                 max_frame_len: cfg.max_frame_len,
                 write_timeout: cfg.write_timeout,
             };
@@ -251,7 +239,7 @@ fn accept_loop(
             // server is saturated — the moment sheds must be prompt.
             let spawned = std::thread::Builder::new()
                 .name("serve-shed".into())
-                .spawn(move || shed(conn, ShedReason::QueueFull, write_timeout));
+                .spawn(move || shed(conn, write_timeout));
             // Spawn failure (fd/thread exhaustion) drops the connection:
             // the peer sees a reset instead of an explicit refusal, which
             // beats stalling the accept loop.
@@ -292,18 +280,21 @@ fn place_connection(
     conn
 }
 
-/// Refuses a connection with an explicit `Overloaded` reply. The client
-/// has usually already written its request; drain briefly before
-/// replying, then half-close, so the refusal is not lost to a TCP reset
+/// Refuses a connection with an explicit `Overloaded(QueueFull)` reply.
+/// The client has usually already written its request; drain briefly
+/// before replying, then half-close, so the refusal is not lost to a reset
 /// (closing a socket with unread inbound data discards the send buffer).
 /// The reply write carries the configured deadline — a zero-window peer
 /// must not pin the shed thread.
-fn shed(mut stream: TcpStream, reason: ShedReason, write_timeout: Duration) {
+fn shed(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(write_deadline(write_timeout));
     let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
     let mut sink = [0u8; 512];
     let _ = stream.read(&mut sink);
-    let _ = write_frame(&mut stream, &encode_reply(&Reply::Overloaded(reason)));
+    let _ = write_frame(
+        &mut stream,
+        &encode_reply(&Reply::Overloaded(ShedReason::QueueFull)),
+    );
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = stream.read(&mut sink);
@@ -313,7 +304,6 @@ struct Worker {
     engine: Arc<ServingEngine>,
     metrics: Arc<ServeMetrics>,
     stop: Arc<AtomicBool>,
-    journal_high_water: usize,
     max_frame_len: u32,
     write_timeout: Duration,
 }
@@ -457,10 +447,6 @@ impl Worker {
             }
             Request::Mutate(m) => {
                 self.metrics.req_mutate.inc();
-                if self.engine.journal_depth() >= self.journal_high_water {
-                    self.metrics.shed_journal.inc();
-                    return Reply::Overloaded(ShedReason::JournalBacklog);
-                }
                 let start = Instant::now();
                 let reply = match self.engine.apply(m) {
                     Some(io) => Reply::MutateOk(io),
@@ -474,12 +460,11 @@ impl Worker {
                 let snap = self.engine.snapshot();
                 Reply::Stats(format!(
                     "{{\"epoch\":{},\"objects\":{},\"users\":{},\"refreshes\":{},\
-                     \"journal_depth\":{},\"metrics\":{}}}",
+                     \"metrics\":{}}}",
                     snap.epoch(),
                     snap.objects.len(),
                     snap.users.len(),
                     self.engine.refreshes(),
-                    self.engine.journal_depth(),
                     snap.metrics().snapshot().to_json(),
                 ))
             }

@@ -10,12 +10,10 @@
 //! (b) **Concurrency** — query and mutate clients hammering the server
 //!     from multiple threads all complete, and the post-churn state still
 //!     answers bit-identically to the in-process engine.
-//! (c) **Deterministic sheds** — `journal_high_water = 0` makes every
-//!     mutate come back [`Reply::Overloaded`]`(JournalBacklog)` while
-//!     queries keep flowing, and a single saturated worker queue makes
-//!     the accept thread refuse with `Overloaded(QueueFull)`; a queued
-//!     connection is still served once the worker frees up. A shed is an
-//!     explicit refusal — never a wrong or partial answer.
+//! (c) **Deterministic sheds** — a single saturated worker queue makes
+//!     the accept thread refuse with [`Reply::Overloaded`]`(QueueFull)`;
+//!     a queued connection is still served once the worker frees up. A
+//!     shed is an explicit refusal — never a wrong or partial answer.
 //! (d) **Malformed input** — a bad frame gets a [`Reply::Error`] and the
 //!     connection is closed; an oversize length prefix never reaches the
 //!     allocator, and a length prefix whose body never comes costs one
@@ -190,44 +188,6 @@ fn concurrent_clients_get_consistent_answers() {
             assert_eq!(net, local, "post-churn identity for {}", method.name());
         }
     }
-}
-
-/// `journal_high_water = 0` freezes the write path: every mutate sheds
-/// with an explicit `Overloaded(JournalBacklog)` — never applied, never a
-/// wrong answer — while queries on the same connection keep working.
-#[test]
-fn journal_high_water_sheds_mutations_deterministically() {
-    let serving = serving_engine(13);
-    let server = bind(
-        &serving,
-        ServeConfig {
-            journal_high_water: 0,
-            ..ServeConfig::default()
-        },
-    );
-    let mut client = Client::connect(server.local_addr()).unwrap();
-
-    let before = serving.snapshot().objects.len();
-    for i in 0..5u32 {
-        let reply = client
-            .request(&Request::Mutate(Mutation::InsertObject(ObjectData {
-                id: 50_000 + i,
-                point: Point::new(3.0, 3.0),
-                doc: Document::from_terms([t(1), t(6)]),
-            })))
-            .unwrap();
-        assert_eq!(reply, Reply::Overloaded(ShedReason::JournalBacklog));
-    }
-    assert_eq!(
-        serving.snapshot().objects.len(),
-        before,
-        "shed mutations must not have been applied"
-    );
-    // Reads still flow on the very same connection.
-    let spec = &specs()[0];
-    let net = client.query(Method::JointGreedy, spec).unwrap();
-    let (local, _) = serving.query(spec, Method::JointGreedy);
-    assert_eq!(net, local);
 }
 
 /// One worker with a depth-1 queue: a connection being served plus one
@@ -633,7 +593,6 @@ fn stats_and_metrics_expose_the_shared_registry() {
         "\"objects\"",
         "\"users\"",
         "\"refreshes\"",
-        "\"journal_depth\"",
         "\"metrics\"",
     ] {
         assert!(stats.contains(key), "stats missing {key}: {stats}");
