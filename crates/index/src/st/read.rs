@@ -366,10 +366,44 @@ fn decode_columnar_list_into(
     }
 }
 
+/// Width in bytes of one Verbatim posting: entry index, max, and (in
+/// [`PostingMode::MaxMin`]) min.
+fn verbatim_posting_width(mode: PostingMode) -> usize {
+    match mode {
+        PostingMode::MaxOnly => 12,
+        PostingMode::MaxMin => 20,
+    }
+}
+
+/// Pushes the Verbatim list of term `t` (`len` postings from byte
+/// `offset`) into `rows`.
+fn decode_verbatim_list_into(
+    payload: &[u8],
+    mode: PostingMode,
+    t: TermId,
+    len: usize,
+    offset: usize,
+    rows: &mut [Vec<(TermId, f64, f64)>],
+) {
+    let max_base = offset + 4 * len;
+    let min_base = max_base + 8 * len;
+    for i in 0..len {
+        let idx = raw_u32(payload, offset + 4 * i) as usize;
+        let max = raw_f64(payload, max_base + 8 * i);
+        let min = if mode == PostingMode::MaxMin {
+            raw_f64(payload, min_base + 8 * i)
+        } else {
+            0.0
+        };
+        rows[idx].push((t, max, min));
+    }
+}
+
 /// Decodes the wanted term lists of a Verbatim (v2 SoA) inverted file
 /// into `scratch.rows` — fully in place: the fixed-stride directory and
 /// the per-term column blocks are addressed by offset, so nothing but the
-/// output rows is written.
+/// output rows is written. The directory walk stops at the last wanted
+/// term, as the Columnar walker's does.
 fn deserialize_postings_into(
     payload: &[u8],
     mode: PostingMode,
@@ -379,13 +413,10 @@ fn deserialize_postings_into(
 ) {
     scratch.reset_rows(num_entries);
     let n_terms = raw_u32(payload, 0) as usize;
-    let posting_width = match mode {
-        PostingMode::MaxOnly => 12,
-        PostingMode::MaxMin => 20,
-    };
+    let width = verbatim_posting_width(mode);
     let mut offset = 4 + n_terms * 8;
-    let mut w = 0usize;
-    for j in 0..n_terms {
+    let (mut w, mut j) = (0usize, 0usize);
+    while j < n_terms && w < wanted.len() {
         // Directory entry j: (term, list_len) at fixed stride 8.
         let t = TermId(raw_u32(payload, 4 + 8 * j));
         let len = raw_u32(payload, 8 + 8 * j) as usize;
@@ -394,22 +425,12 @@ fn deserialize_postings_into(
             w += 1;
         }
         if w < wanted.len() && wanted[w] == t {
-            let max_base = offset + 4 * len;
-            let min_base = max_base + 8 * len;
-            for i in 0..len {
-                let idx = raw_u32(payload, offset + 4 * i) as usize;
-                let max = raw_f64(payload, max_base + 8 * i);
-                let min = if mode == PostingMode::MaxMin {
-                    raw_f64(payload, min_base + 8 * i)
-                } else {
-                    0.0
-                };
-                scratch.rows[idx].push((t, max, min));
-            }
+            decode_verbatim_list_into(payload, mode, t, len, offset, &mut scratch.rows);
+            w += 1;
         }
-        offset += len * posting_width;
+        offset += len * width;
+        j += 1;
     }
-    debug_assert_eq!(offset, payload.len());
 }
 
 /// Columnar twin of [`deserialize_postings_into`]: decodes only the
@@ -492,6 +513,30 @@ mod tests {
     use super::*;
     use crate::tree::{Op, Payload};
 
+    /// The full Verbatim directory walk the early stop replaced, kept as
+    /// its reference: every slot is visited, and the lists end exactly at
+    /// the end of the payload.
+    fn reference_postings_verbatim_into(
+        payload: &[u8],
+        mode: PostingMode,
+        wanted: &[TermId],
+        num_entries: usize,
+        scratch: &mut PostingsScratch,
+    ) {
+        scratch.reset_rows(num_entries);
+        let n_terms = raw_u32(payload, 0) as usize;
+        let mut offset = 4 + n_terms * 8;
+        for j in 0..n_terms {
+            let t = TermId(raw_u32(payload, 4 + 8 * j));
+            let len = raw_u32(payload, 8 + 8 * j) as usize;
+            if wanted.binary_search(&t).is_ok() {
+                decode_verbatim_list_into(payload, mode, t, len, offset, &mut scratch.rows);
+            }
+            offset += len * verbatim_posting_width(mode);
+        }
+        assert_eq!(offset, payload.len());
+    }
+
     /// The full-decode directory loop the walker replaced, kept as its
     /// reference: materialise all three directory columns, then pick the
     /// wanted slots out of them.
@@ -541,8 +586,9 @@ mod tests {
 
     const ENTRIES: usize = 24;
 
-    /// The columnar inverted file of an inner node of [`ENTRIES`] entries
-    /// over a directory of exactly `n_terms` terms, and those terms.
+    /// The inverted file of an inner node of [`ENTRIES`] entries over a
+    /// directory of exactly `n_terms` terms — Columnar, then Verbatim —
+    /// and those terms.
     ///
     /// A quarter of the term gaps need a multi-byte delta; a quarter of
     /// the terms sit in every entry, so their list needs a multi-byte
@@ -552,7 +598,7 @@ mod tests {
         g: &mut SplitMix64,
         mode: PostingMode,
         n_terms: usize,
-    ) -> (Vec<u8>, Vec<TermId>) {
+    ) -> ([Vec<u8>; 2], Vec<TermId>) {
         let mut terms = Vec::with_capacity(n_terms);
         let mut next = g.below(300) as u32;
         for _ in 0..n_terms {
@@ -595,7 +641,10 @@ mod tests {
             .collect();
         St::summarize(&entries, &mut op.pool);
         st.encode_side(&entries, &mut op);
-        (op.out.into_bytes(), terms)
+        let columnar = std::mem::take(&mut op.out).into_bytes();
+        op.codec = CodecId::Verbatim;
+        st.encode_side(&entries, &mut op);
+        ([columnar, op.out.into_bytes()], terms)
     }
 
     /// The `wanted` sets the walker must agree with the reference on.
@@ -666,9 +715,14 @@ mod tests {
         let (mut walked, mut reference) = (PostingsScratch::default(), PostingsScratch::default());
         let (mut term_offsets, mut size_offsets) = ([false; 8], [false; 8]);
         let mut hits = 0usize;
+        let bits = |row: &[(TermId, f64, f64)]| {
+            row.iter()
+                .map(|&(t, max, min)| (t, max.to_bits(), min.to_bits()))
+                .collect::<Vec<_>>()
+        };
         for mode in [PostingMode::MaxOnly, PostingMode::MaxMin] {
             for n_terms in [0usize, 1, 7, 8, 9, 300, 300, 300] {
-                let (payload, terms) = seeded_invfile(&mut g, mode, n_terms);
+                let ([payload, verbatim], terms) = seeded_invfile(&mut g, mode, n_terms);
                 assert_eq!(terms.len(), n_terms);
                 multi_byte_offsets(&payload, &mut term_offsets, &mut size_offsets);
                 for wanted in wanted_sets(&mut g, &terms) {
@@ -690,12 +744,20 @@ mod tests {
                     assert_eq!(walked.touched, reference.touched, "{label}");
                     hits += walked.touched.len() - 1;
                     for (got, want) in walked.rows[..ENTRIES].iter().zip(&reference.rows) {
-                        let bits = |row: &[(TermId, f64, f64)]| {
-                            row.iter()
-                                .map(|&(t, max, min)| (t, max.to_bits(), min.to_bits()))
-                                .collect::<Vec<_>>()
-                        };
                         assert_eq!(bits(got), bits(want), "{label}");
+                    }
+                    // The Verbatim walk stops at the last wanted term; the
+                    // full walk reads the same rows.
+                    deserialize_postings_into(&verbatim, mode, &wanted, ENTRIES, &mut walked);
+                    reference_postings_verbatim_into(
+                        &verbatim,
+                        mode,
+                        &wanted,
+                        ENTRIES,
+                        &mut reference,
+                    );
+                    for (got, want) in walked.rows[..ENTRIES].iter().zip(&reference.rows) {
+                        assert_eq!(bits(got), bits(want), "Verbatim {label}");
                     }
                 }
             }
