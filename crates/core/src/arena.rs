@@ -4,9 +4,20 @@
 //! allocating fresh heaps, candidate buffers, and decode scratch for each
 //! one costs more than the arithmetic it feeds. A [`QueryArena`] owns every
 //! buffer the six query methods need, is *reset* (cleared, never freed)
-//! between queries, and is pooled per worker thread by
-//! [`crate::Engine::query_batch`]. After one query of a given shape, a
-//! warm-cache repeat allocates nothing (see `tests/alloc_free.rs`).
+//! between queries, and is owned by each worker thread of
+//! [`crate::Engine::query_batch`] and of the `serve` crate's server. After
+//! one query of a given shape, a warm-cache repeat allocates nothing (see
+//! `tests/alloc_free.rs`).
+//!
+//! An arena also carries work across queries. The location-independent
+//! *text half* of a candidate context (see [`CcScratch`]) outlives the
+//! query: it is kept while the engine state — `(instance, epoch)`, which
+//! every build, clone, refresh and mutation moves — and the query's `W`,
+//! `ox.d` and `ws` stay the same, and rebuilt when any of them changes. A
+//! worker answering queries that differ only in locations and `k`
+//! therefore derives each user's candidate-term run, `UBL` text, `HW` rows
+//! and text verdicts once. The §7 pipeline keeps its own. Answers never
+//! depend on the arena's history (`tests/arena_reuse.rs`).
 //!
 //! The arena is deliberately opaque: callers create one and thread it
 //! through [`crate::Engine::query_reusing`]; only this crate's kernels
@@ -27,15 +38,26 @@ use crate::select::location::{HeldEvaluation, LocationCounts};
 use crate::select::DeltaScan;
 use crate::topk::ByKey;
 use crate::trace::{Phase, PhaseBreakdown, Trace};
+use crate::QuerySpec;
 
-/// Reusable backing storage for one [`crate::select::CandidateContext`].
+/// Reusable backing storage for one [`crate::select::CandidateContext`],
+/// and the location-independent half of the last context built on it.
 ///
 /// The context takes the buffers by value ([`std::mem::take`] from the
 /// arena), fills them for the query at hand, and hands them back through
 /// `CandidateContext::into_scratch` when it drops — so the slot columns and
 /// the per-user columns keep their capacity across queries.
+///
+/// They keep their contents too. The *text half* — the slot view
+/// (`slot_*`, `kw_slots`, `ox_bits`), the per-user columns `ids`,
+/// `points`, `n_u`, `ubl_ts` and the `ucand` runs, the HW table and both
+/// text-verdict memos — depends only on the engine state and the query's
+/// `W`, `ox.d` and `ws`, which `key` records. A context built with the
+/// same key keeps it and rebuilds only the *location half*: the MBR of
+/// the locations, the bands `band_lo`/`band_hi`, and the `rsk` column.
 #[derive(Debug, Default)]
 pub(crate) struct CcScratch {
+    pub(crate) key: TextKey,
     pub(crate) slot_terms: Vec<TermId>,
     pub(crate) slot_w: Vec<f64>,
     pub(crate) slot_kw_off: Vec<u32>,
@@ -54,6 +76,43 @@ pub(crate) struct CcScratch {
     pub(crate) ws_buf: RefCell<Vec<f64>>,
     pub(crate) hw: RefCell<HwTable>,
     pub(crate) memo: RefCell<[TextMemo; 2]>,
+}
+
+/// What a [`CcScratch`]'s text half was derived for.
+///
+/// The engine state is `(instance, epoch)` ([`crate::Engine::state_id`]):
+/// every mutation bumps the epoch, and every build, refresh and clone
+/// draws a new instance, so a pair names one set of users and one scorer.
+/// The epoch alone would not: every build starts at 0, and a clone
+/// mutated apart from its original can reach the original's epoch.
+#[derive(Debug, Default)]
+pub(crate) struct TextKey {
+    /// `None` until a context is derived for a named engine state (a
+    /// fresh `CandidateContext::new` names none and never matches).
+    engine: Option<(u64, u64)>,
+    keywords: Vec<TermId>,
+    ox_doc: Document,
+    ws: usize,
+}
+
+impl TextKey {
+    /// True when a text half derived for `self` serves `spec` on the
+    /// engine state `engine`.
+    pub(crate) fn matches(&self, engine: Option<(u64, u64)>, spec: &QuerySpec) -> bool {
+        engine.is_some()
+            && self.engine == engine
+            && self.ws == spec.ws
+            && self.keywords == spec.keywords
+            && self.ox_doc == spec.ox_doc
+    }
+
+    /// Records that the text half is being derived for `spec` on `engine`.
+    pub(crate) fn set(&mut self, engine: Option<(u64, u64)>, spec: &QuerySpec) {
+        self.engine = engine;
+        self.keywords.clone_from(&spec.keywords);
+        self.ox_doc.clone_from(&spec.ox_doc);
+        self.ws = spec.ws;
+    }
 }
 
 /// The location-independent half of the §6.2.1 `LUW_w` membership test:
@@ -231,6 +290,11 @@ pub(crate) struct NodeScratch {
 /// Scratch for the §7 user-index pipeline.
 #[derive(Debug, Default)]
 pub(crate) struct UserIndexScratch {
+    /// The pipeline's own candidate-context scratch. Its users arrive in
+    /// expansion order, not table order, so sharing [`QueryArena`]'s
+    /// would make the two paths drop each other's text half on every
+    /// switch between them.
+    pub(crate) cc: CcScratch,
     /// Pooled frontier elements; slot `i` is live iff `i < live`. A node's
     /// children occupy consecutive slots.
     pub(crate) elems: Vec<ElemSlot>,
@@ -252,8 +316,12 @@ pub(crate) struct UserIndexScratch {
 /// shared across threads mid-query; batch serving keeps one per worker.
 #[derive(Debug, Default)]
 pub struct QueryArena {
-    /// Backing store for the query's candidate context.
+    /// Backing store for the candidate context of Algorithm 3 and the §4
+    /// baseline (the §7 pipeline keeps its own in `ui`).
     pub(crate) cc: CcScratch,
+    /// Whether the last query's candidate context kept its text half
+    /// (counted in `engine_select_context_total{how}`).
+    pub(crate) context_reused: bool,
     /// Per-user thresholds for the baseline method.
     pub(crate) rsk: Vec<f64>,
     pub(crate) sel: SelectScratch,

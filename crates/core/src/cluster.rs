@@ -46,7 +46,7 @@ use crate::topk::baseline::all_users_topk_baseline;
 use crate::topk::fan_out_users;
 use crate::topk::individual::individual_rsk;
 use crate::topk::joint::joint_topk;
-use crate::{Engine, Method, QueryResult, QuerySpec, UserData};
+use crate::{Engine, Method, QueryArena, QueryResult, QuerySpec, UserData};
 
 /// One engine answering with its per-user top-k phase scattered over N
 /// contiguous slices of its user table. See the module docs for the
@@ -109,7 +109,17 @@ impl EngineCluster {
     /// Panics when a user-index method is requested and the head was
     /// built without [`Engine::with_user_index`].
     pub fn query(&self, spec: &QuerySpec, method: Method) -> QueryResult {
-        scatter_query(&self.head, &self.scatter_latency_us, spec, method)
+        let mut out = QueryResult::default();
+        let arena = &mut QueryArena::new();
+        scatter_query(
+            &self.head,
+            &self.scatter_latency_us,
+            spec,
+            method,
+            arena,
+            &mut out,
+        );
+        out
     }
 
     /// Applies one mutation to the head, like [`Engine`]'s mutation
@@ -149,13 +159,16 @@ fn scatter<T: Send>(
 /// One scattered query: fill the head's threshold cache for `spec.k`
 /// from per-slice top-k results (joint and baseline methods; the §7
 /// user-index pipelines prune on the MIUR tree, not per user, and run on
-/// the head outright), then let the head's unmodified pipeline answer.
+/// the head outright), then let the head's unmodified pipeline answer into
+/// `out` through the caller's `arena`.
 pub(crate) fn scatter_query(
     head: &Engine,
     latency_us: &[Arc<Histogram>],
     spec: &QuerySpec,
     method: Method,
-) -> QueryResult {
+    arena: &mut QueryArena,
+    out: &mut QueryResult,
+) {
     let tc = head
         .thresholds
         .as_ref()
@@ -184,7 +197,7 @@ pub(crate) fn scatter_query(
         }
         Method::UserIndexGreedy | Method::UserIndexExact => {}
     }
-    head.query(spec, method)
+    head.query_reusing(spec, method, arena, out);
 }
 
 #[cfg(test)]

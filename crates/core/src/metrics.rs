@@ -23,6 +23,10 @@
 //!   the selection phase evaluated in full (`how="evaluated"`) or settled
 //!   by reusing an earlier greedy evaluation (`how="reused"`); the two sum
 //!   to the locations dequeued ([`crate::LocationCounts`]).
+//! * `engine_select_context_total{how}` — queries whose candidate context
+//!   derived its location-independent half (`how="built"`) or kept it from
+//!   the arena's previous query (`how="reused"`, see
+//!   [`crate::QueryArena`]); the two sum to the queries answered.
 //! * `page_cache_hit_ratio` / `threshold_cache_hit_ratio` — gauges over
 //!   the engine's [`ShardedLru`](storage::ShardedLru) page cache and
 //!   [`ThresholdCache`] counters (last-writer-wins across clones).
@@ -106,6 +110,8 @@ impl MethodMetrics {
 pub(crate) struct EngineMetrics {
     registry: Arc<MetricsRegistry>,
     methods: [MethodMetrics; 6],
+    /// `engine_select_context_total{how="built"|"reused"}`.
+    context: [Arc<Counter>; 2],
     page_hit_ratio: Arc<Gauge>,
     threshold_hit_ratio: Arc<Gauge>,
 }
@@ -114,11 +120,14 @@ impl EngineMetrics {
     pub(crate) fn new() -> Arc<EngineMetrics> {
         let registry = Arc::new(MetricsRegistry::new());
         let methods = Method::ALL.map(|m| MethodMetrics::new(&registry, m.name()));
+        let context = ["built", "reused"]
+            .map(|how| registry.counter(&format!("engine_select_context_total{{how=\"{how}\"}}")));
         let page_hit_ratio = registry.gauge("page_cache_hit_ratio");
         let threshold_hit_ratio = registry.gauge("threshold_cache_hit_ratio");
         Arc::new(EngineMetrics {
             registry,
             methods,
+            context,
             page_hit_ratio,
             threshold_hit_ratio,
         })
@@ -129,15 +138,18 @@ impl EngineMetrics {
     }
 
     /// Records one finished query (`methods` is in [`Method::ALL`] order,
-    /// which is the enum's declaration order).
+    /// which is the enum's declaration order); `context_reused` says
+    /// whether its candidate context kept the arena's text half.
     pub(crate) fn record_query(
         &self,
         method: Method,
         stats: &QueryStats,
+        context_reused: bool,
         io: &IoStats,
         thresholds: Option<&ThresholdCache>,
     ) {
         self.methods[method as usize].record(stats);
+        self.context[usize::from(context_reused)].inc();
         // Hit-ratio gauges over the engine-lifetime counters: the page
         // cache's keyed accesses (ShardedLru hits are counted by IoStats)
         // and the threshold cache's lookups. Atomic loads + one store.

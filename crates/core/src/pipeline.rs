@@ -66,8 +66,10 @@ fn baseline(engine: &Engine, spec: &QuerySpec, arena: &mut QueryArena, out: &mut
         &engine.users,
         &arena.rsk,
         std::mem::take(&mut arena.cc),
+        Some(engine.state_id()),
     );
     baseline_select_into(&cc, &mut arena.sel, out);
+    arena.context_reused = cc.text_reused();
     arena.cc = cc.into_scratch();
 }
 
@@ -87,8 +89,10 @@ fn joint(
         &engine.users,
         &jt.rsk,
         std::mem::take(&mut arena.cc),
+        Some(engine.state_id()),
     );
     select_candidate_into(&cc, &jt.su, jt.out.rsk_us, selector, &mut arena.sel, out);
+    arena.context_reused = cc.text_reused();
     arena.cc = cc.into_scratch();
 }
 
@@ -120,6 +124,7 @@ fn user_index(
         selector,
         &engine.io,
         &seed,
+        Some(engine.state_id()),
         arena,
         out,
     );
@@ -207,8 +212,13 @@ impl Engine {
             phases: arena.phases(),
             locations: arena.sel.locations,
         };
-        self.metrics
-            .record_query(method, &stats, &self.io, self.thresholds.as_ref());
+        self.metrics.record_query(
+            method,
+            &stats,
+            arena.context_reused,
+            &self.io,
+            self.thresholds.as_ref(),
+        );
         stats
     }
 

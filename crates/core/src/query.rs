@@ -6,6 +6,7 @@
 //! (like the benchmark harness) that need to time pipeline stages
 //! separately.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use geo::{Rect, SpatialContext};
@@ -108,6 +109,12 @@ pub struct Engine {
     /// the counter and resurrect stale cache slots — read it through
     /// [`Engine::epoch`] / [`Engine::epoch_guard`].
     pub(crate) epoch: u64,
+    /// Process-unique id of this engine value, drawn at build and by
+    /// every clone (a refresh is a build). With `epoch` it names the
+    /// engine state a [`QueryArena`] derived its candidate-context text
+    /// columns from: two builds both start at epoch 0, and a clone can
+    /// diverge from its original at the same epoch.
+    pub(crate) instance: u64,
     /// Mutations since build or the last refresh: the freed slots and
     /// insert-packed nodes a refresh reclaims and re-tiles, and what
     /// [`crate::RefreshConfig::max_mutations`] watches.
@@ -151,6 +158,7 @@ impl Clone for Engine {
                 .as_ref()
                 .map(|tc| ThresholdCache::with_capacity(tc.k_capacity())),
             epoch: self.epoch,
+            instance: next_instance(),
             muts_since_refresh: self.muts_since_refresh,
             term_extent: self.term_extent,
             metrics: Arc::clone(&self.metrics),
@@ -158,7 +166,21 @@ impl Clone for Engine {
     }
 }
 
+/// The next process-unique [`Engine::instance`].
+fn next_instance() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 impl Engine {
+    /// `(instance, epoch)`: names this engine's current state for the
+    /// candidate-context text columns a [`QueryArena`] keeps across
+    /// queries (see [`crate::arena`]).
+    #[inline]
+    pub(crate) fn state_id(&self) -> (u64, u64) {
+        (self.instance, self.epoch)
+    }
+
     /// Builds scorer, spatial context and both object indexes with the
     /// default node fanout.
     ///
@@ -246,6 +268,7 @@ impl Engine {
             io: IoStats::new(),
             thresholds: None,
             epoch: 0,
+            instance: next_instance(),
             muts_since_refresh: 0,
             term_extent,
             metrics: EngineMetrics::new(),

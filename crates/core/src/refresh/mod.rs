@@ -49,7 +49,7 @@ use crate::cache::ThresholdCache;
 use crate::cluster::{self, EngineCluster};
 use crate::dynamic::{BatchReport, EpochGuard, MaintenanceIo, Mutation};
 use crate::metrics::{EngineMetrics, ServingMetrics};
-use crate::{Engine, Method, ObjectData, QueryResult, QuerySpec, UserData};
+use crate::{Engine, Method, ObjectData, QueryArena, QueryResult, QuerySpec, UserData};
 
 /// When [`ServingEngine::needs_refresh`] and the background worker
 /// ([`ServingEngine::start_refresher`]) rebuild.
@@ -354,14 +354,33 @@ impl ServingEngine {
     /// same snapshot's user table, so the thresholds always match the
     /// engine they are installed into.
     pub fn query(&self, spec: &QuerySpec, method: Method) -> (QueryResult, EpochGuard) {
+        let mut out = QueryResult::default();
+        let guard = self.query_reusing(spec, method, &mut QueryArena::new(), &mut out);
+        (out, guard)
+    }
+
+    /// [`ServingEngine::query`] into caller-owned scratch, as
+    /// [`Engine::query_reusing`]: the answer lands in `out` and every
+    /// buffer comes from `arena`. A worker that keeps one arena across
+    /// requests also keeps the candidate context's location-independent
+    /// half while the snapshot and the query's `W`, `ox.d` and `ws` stay
+    /// the same (see [`QueryArena`]); answers are bit-identical to
+    /// [`ServingEngine::query`] whatever the arena's history.
+    pub fn query_reusing(
+        &self,
+        spec: &QuerySpec,
+        method: Method,
+        arena: &mut QueryArena,
+        out: &mut QueryResult,
+    ) -> EpochGuard {
         let snap = self.snapshot();
         let guard = snap.epoch_guard();
-        let result = if self.scatter_latency_us.is_empty() {
-            snap.query(spec, method)
+        if self.scatter_latency_us.is_empty() {
+            snap.query_reusing(spec, method, arena, out);
         } else {
-            cluster::scatter_query(&snap, &self.scatter_latency_us, spec, method)
-        };
-        (result, guard)
+            cluster::scatter_query(&snap, &self.scatter_latency_us, spec, method, arena, out);
+        }
+        guard
     }
 
     /// Applies one mutation (see [`Engine::insert_object`] and friends for

@@ -752,7 +752,8 @@ mod tests {
                         let mut arena = QueryArena::new();
                         let mut got = QueryResult::default();
                         run_selection(
-                            miur, &spec, &eng.ctx, selector, &eng.io, &seed, &mut arena, &mut got,
+                            miur, &spec, &eng.ctx, selector, &eng.io, &seed, None, &mut arena,
+                            &mut got,
                         );
                         let want =
                             reference::select_candidate(&cc, &jt.su, jt.out.rsk_us, selector);

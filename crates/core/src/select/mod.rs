@@ -28,6 +28,16 @@
 //! location's spatial scores aligned with them — and never see a user
 //! document or rebuild a context.
 //!
+//! Most of that outlives the query. The *text half* — the slot view below,
+//! each user's id, point, `N(u)`, candidate run and `UBL` text, the `HW`
+//! rows and the text-verdict memos — depends only on the engine state and
+//! the query's `W`, `ox.d` and `ws`. A context built on a
+//! [`crate::QueryArena`] keeps the half the arena holds when that key
+//! matches (`arena::TextKey`), and derives per query only the *location
+//! half*: the MBR of the locations, each user's spatial band and its
+//! `RSk`. `push_user` is split the same way: its text part runs only for a
+//! user the kept half does not hold at that index.
+//!
 //! Inside the kernels a keyword is a small integer. The context's *slot
 //! view* numbers the distinct terms of `W ∪ ox.d` in ascending term order
 //! and keeps per slot the candidate weight and the multiplicity in `W`;
@@ -68,7 +78,7 @@ use std::cell::{Ref, RefCell};
 use geo::{Point, Rect};
 use text::{Document, TermId};
 
-use crate::arena::{CcScratch, HwTable, TextMemo};
+use crate::arena::{CcScratch, HwTable, TextKey, TextMemo};
 use crate::{QuerySpec, ScoreContext, UserData, UserGroup};
 
 /// True when bit `i` of the bitset `bits` is set.
@@ -101,6 +111,11 @@ pub struct CandidateContext<'a> {
     pub n_u: Vec<f64>,
     /// Candidate reference length (`|ox.d| + ws`).
     pub ref_len: u64,
+    /// What the text half (the slot view, the per-user text columns, the
+    /// HW table and the memos) was derived for, and whether this context
+    /// kept it from the previous one built on the same scratch.
+    key: TextKey,
+    reused: bool,
     /// The slot view of `W ∪ ox.d`: its distinct terms ascending (a term's
     /// index here is its *slot*), each slot's candidate weight `cw(t)`, and
     /// the positions of `W` holding it, ascending:
@@ -153,21 +168,29 @@ impl<'a> CandidateContext<'a> {
         users: &'a [UserData],
         rsk: &[f64],
     ) -> Self {
-        Self::new_reusing(ctx, spec, users, rsk, CcScratch::default())
+        Self::new_reusing(ctx, spec, users, rsk, CcScratch::default(), None)
     }
 
     /// [`CandidateContext::new`] backed by pooled buffers from a
     /// [`crate::QueryArena`]; hand them back with
     /// [`CandidateContext::into_scratch`] when done.
+    ///
+    /// `engine` names the engine state `ctx` and the users come from
+    /// ([`crate::Engine::state_id`]). When it, `W`, `ox.d` and `ws` are
+    /// what the scratch's text half was derived for, that half is kept and
+    /// only the location half is rebuilt (see [`CcScratch`]); `None` keeps
+    /// nothing.
     pub(crate) fn new_reusing(
         ctx: &'a ScoreContext,
         spec: &'a QuerySpec,
         users: &'a [UserData],
         rsk: &[f64],
         scratch: CcScratch,
+        engine: Option<(u64, u64)>,
     ) -> Self {
         assert_eq!(users.len(), rsk.len(), "users and thresholds must align");
         let CcScratch {
+            mut key,
             mut slot_terms,
             mut slot_w,
             mut slot_kw_off,
@@ -188,62 +211,64 @@ impl<'a> CandidateContext<'a> {
             mut memo,
         } = scratch;
         let ref_len = spec.ref_len();
-        slot_terms.clear();
-        slot_terms.extend(spec.keywords.iter().copied().chain(spec.ox_doc.terms()));
-        slot_terms.sort_unstable();
-        slot_terms.dedup();
-        slot_w.clear();
-        slot_w.extend(
-            slot_terms
-                .iter()
-                .map(|&t| ctx.text.candidate_weight(t, ref_len)),
-        );
-        kw_slots.clear();
-        kw_slots.extend(
-            spec.keywords
-                .iter()
-                .map(|t| slot_terms.binary_search(t).expect("W is in the slot view")),
-        );
-        // W's positions grouped by slot, ascending within a slot.
-        slot_kw.clear();
-        slot_kw.extend(0..kw_slots.len() as u32);
-        slot_kw.sort_unstable_by_key(|&j| (kw_slots[j as usize], j));
-        slot_kw_off.clear();
-        slot_kw_off.resize(slot_terms.len() + 1, 0);
-        for &s in &kw_slots {
-            slot_kw_off[s + 1] += 1;
-        }
-        for s in 0..slot_terms.len() {
-            slot_kw_off[s + 1] += slot_kw_off[s];
-        }
-        ox_bits.clear();
-        ox_bits.resize(slot_terms.len().div_ceil(64), 0);
-        for t in spec.ox_doc.terms() {
-            let s = slot_terms
-                .binary_search(&t)
-                .expect("ox.d is in the slot view");
-            set_bit(&mut ox_bits, s);
-        }
-        ids.clear();
-        points.clear();
-        band_lo.clear();
-        band_hi.clear();
-        rsk_col.clear();
-        n_u.clear();
-        ubl_ts.clear();
-        ucand_flat.clear();
-        ucand_off.clear();
-        ucand_off.push(0);
-        {
+        let reused = key.matches(engine, spec);
+        if !reused {
+            key.set(engine, spec);
+            slot_terms.clear();
+            slot_terms.extend(spec.keywords.iter().copied().chain(spec.ox_doc.terms()));
+            slot_terms.sort_unstable();
+            slot_terms.dedup();
+            slot_w.clear();
+            slot_w.extend(
+                slot_terms
+                    .iter()
+                    .map(|&t| ctx.text.candidate_weight(t, ref_len)),
+            );
+            kw_slots.clear();
+            kw_slots.extend(
+                spec.keywords
+                    .iter()
+                    .map(|t| slot_terms.binary_search(t).expect("W is in the slot view")),
+            );
+            // W's positions grouped by slot, ascending within a slot.
+            slot_kw.clear();
+            slot_kw.extend(0..kw_slots.len() as u32);
+            slot_kw.sort_unstable_by_key(|&j| (kw_slots[j as usize], j));
+            slot_kw_off.clear();
+            slot_kw_off.resize(slot_terms.len() + 1, 0);
+            for &s in &kw_slots {
+                slot_kw_off[s + 1] += 1;
+            }
+            for s in 0..slot_terms.len() {
+                slot_kw_off[s + 1] += slot_kw_off[s];
+            }
+            ox_bits.clear();
+            ox_bits.resize(slot_terms.len().div_ceil(64), 0);
+            for t in spec.ox_doc.terms() {
+                let s = slot_terms
+                    .binary_search(&t)
+                    .expect("ox.d is in the slot view");
+                set_bit(&mut ox_bits, s);
+            }
+            ids.clear();
+            points.clear();
+            n_u.clear();
+            ubl_ts.clear();
+            ucand_flat.clear();
+            ucand_off.clear();
+            ucand_off.push(0);
             let hw = hw.get_mut();
             hw.off.clear();
             hw.off.push(0);
             hw.rows.clear();
+            for m in memo.get_mut() {
+                m.key.clear();
+                m.ts.clear();
+            }
         }
-        for m in memo.get_mut() {
-            m.key.clear();
-            m.ts.clear();
-        }
+        band_lo.clear();
+        band_hi.clear();
+        rsk_col.clear();
         let mut cc = CandidateContext {
             ctx,
             spec,
@@ -251,6 +276,8 @@ impl<'a> CandidateContext<'a> {
             rsk: rsk_col,
             n_u,
             ref_len,
+            key,
+            reused,
             slot_terms,
             slot_w,
             slot_kw_off,
@@ -270,29 +297,78 @@ impl<'a> CandidateContext<'a> {
             memo,
         };
         for (user, &r) in users.iter().zip(rsk) {
-            cc.push_user(user, ctx.text.normalizer(&user.doc), r);
+            cc.push_user(user, || ctx.text.normalizer(&user.doc), r);
         }
         cc
     }
 
-    /// Appends one user — its threshold, normalizer, spatial band,
-    /// candidate-term run and `UBL` text — and returns its index. This is
-    /// the only place per-user state is derived: the constructor calls it
-    /// for every user of its slice, the §7 pipeline once per materialized
-    /// MIUR leaf entry.
-    pub(crate) fn push_user(&mut self, user: &UserData, n_u: f64, rsk: f64) -> usize {
-        self.ids.push(user.id);
-        self.points.push(user.point);
-        let spatial = &self.ctx.spatial;
+    /// True when this context kept the text half of the previous context
+    /// built on its scratch (see [`CandidateContext::new_reusing`]).
+    #[inline]
+    pub(crate) fn text_reused(&self) -> bool {
+        self.reused
+    }
+
+    /// Appends one user — its threshold and spatial band, over its text
+    /// columns — and returns its index. This is the only place per-user
+    /// state is derived: the constructor calls it for every user of its
+    /// slice, the §7 pipeline once per materialized MIUR leaf entry.
+    ///
+    /// The text part ([`CandidateContext::push_text`], which asks `n_u`
+    /// for the user's normalizer) runs only when the kept text half holds
+    /// another user, or none, at this index. From that index on the kept
+    /// columns are dropped: an index names one user in each of them.
+    pub(crate) fn push_user(
+        &mut self,
+        user: &UserData,
+        n_u: impl FnOnce() -> f64,
+        rsk: f64,
+    ) -> usize {
+        let u = self.rsk.len();
+        if self.ids.get(u) != Some(&user.id) {
+            self.truncate_text(u);
+            self.push_text(user, n_u());
+        }
+        let (point, spatial) = (self.points[u], &self.ctx.spatial);
         let (lo, hi) = self.loc_mbr.map_or((0.0, 1.0), |r| {
             (
-                spatial.max_ss_point(&user.point, &r),
-                spatial.min_ss_point(&user.point, &r),
+                spatial.max_ss_point(&point, &r),
+                spatial.min_ss_point(&point, &r),
             )
         });
         self.band_lo.push(lo);
         self.band_hi.push(hi);
         self.rsk.push(rsk);
+        u
+    }
+
+    /// Drops the text columns of users `u..`, the HW rows and memoised
+    /// verdicts included.
+    fn truncate_text(&mut self, u: usize) {
+        if u >= self.ids.len() {
+            return;
+        }
+        self.ids.truncate(u);
+        self.points.truncate(u);
+        self.n_u.truncate(u);
+        self.ubl_ts.truncate(u);
+        self.ucand_flat.truncate(self.ucand_off[u] as usize);
+        self.ucand_off.truncate(u + 1);
+        let hw = self.hw.get_mut();
+        if hw.off.len() > u + 1 {
+            hw.rows.truncate(hw.off[u] as usize);
+            hw.off.truncate(u + 1);
+        }
+        for m in self.memo.get_mut() {
+            m.ts.truncate(u);
+        }
+    }
+
+    /// Appends one user's text columns: id, location, normalizer,
+    /// candidate-term run and `UBL` text.
+    fn push_text(&mut self, user: &UserData, n_u: f64) {
+        self.ids.push(user.id);
+        self.points.push(user.point);
         self.n_u.push(n_u);
         let start = self.ucand_flat.len();
         for t in user.doc.terms() {
@@ -321,18 +397,20 @@ impl<'a> CandidateContext<'a> {
             0.0
         };
         self.ubl_ts.push(ts);
-        self.n_u.len() - 1
     }
 
     /// Users held (the slice's, plus every [`CandidateContext::push_user`]).
+    /// Kept text columns may run past them; no kernel reads that far.
     #[inline]
     pub(crate) fn num_users(&self) -> usize {
-        self.n_u.len()
+        self.rsk.len()
     }
 
-    /// Returns the pooled buffers to the arena.
+    /// Returns the pooled buffers, and the text half with its key, to the
+    /// arena.
     pub(crate) fn into_scratch(self) -> CcScratch {
         CcScratch {
+            key: self.key,
             slot_terms: self.slot_terms,
             slot_w: self.slot_w,
             slot_kw_off: self.slot_kw_off,
@@ -693,7 +771,9 @@ impl<'a> CandidateContext<'a> {
             memo.key.extend_from_slice(cand);
             memo.ts.clear();
         }
-        memo.ts.resize(self.num_users(), f64::INFINITY);
+        if memo.ts.len() < self.num_users() {
+            memo.ts.resize(self.num_users(), f64::INFINITY);
+        }
         for (pos, (&u, &s)) in lu.iter().zip(ss).enumerate() {
             let ts = &mut memo.ts[u];
             if *ts == f64::INFINITY {
@@ -1203,7 +1283,7 @@ mod tests {
             grown.fill_ss(loc, &all[..half], &mut ss);
             grown.brstknn_into(&bits, &all[..half], &ss, &mut got);
             for (u, &r) in f.users.iter().zip(&f.rsk).skip(half) {
-                grown.push_user(u, f.ctx.text.normalizer(&u.doc), r);
+                grown.push_user(u, || f.ctx.text.normalizer(&u.doc), r);
             }
             grown.fill_ss(loc, &all, &mut ss);
             grown.brstknn_into(&bits, &all, &ss, &mut got);
@@ -1211,6 +1291,71 @@ mod tests {
             assert_eq!(got, want);
         }
         assert!(high > 100, "{high} verdicts on users past slot 63");
+    }
+
+    /// A context that kept its text half and then meets other users at the
+    /// kept indices — as the §7 pipeline does when its expansion order
+    /// moves — drops the half from the first differing index, `HW` rows
+    /// and memoised verdicts included: its columns, `HW` rows and counts
+    /// equal a fresh context's over the same push order.
+    #[test]
+    fn kept_text_half_matches_a_fresh_context_in_any_push_order() {
+        use super::test_fixture::wide_fixture;
+        let f = wide_fixture(3, 130, 70);
+        let n = f.users.len();
+        let forward: Vec<usize> = (0..n).collect();
+        let mut moved = forward.clone();
+        moved[n / 3..].reverse();
+        let state = Some((7, 0));
+        let mut scratch = CcScratch::default();
+        let mut cand = Vec::new();
+        let (mut ss, mut got, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        let mut kept = 0;
+        for (pass, order) in [&forward, &moved, &forward[..n / 2], &forward, &moved]
+            .into_iter()
+            .enumerate()
+        {
+            let mut cc = CandidateContext::new_reusing(&f.ctx, &f.spec, &[], &[], scratch, state);
+            let mut fresh = CandidateContext::new(&f.ctx, &f.spec, &[], &[]);
+            assert_eq!(cc.text_reused(), pass > 0);
+            for &u in order {
+                let user = &f.users[u];
+                let n_u = || f.ctx.text.normalizer(&user.doc);
+                kept += usize::from(cc.ids.get(cc.num_users()) == Some(&user.id));
+                assert_eq!(
+                    cc.push_user(user, n_u, f.rsk[u]),
+                    fresh.push_user(user, n_u, f.rsk[u])
+                );
+            }
+            let m = order.len();
+            assert_eq!(cc.ids[..m], fresh.ids[..]);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cc.ubl_ts[..m]), bits(&fresh.ubl_ts));
+            assert_eq!(bits(&cc.band_lo), bits(&fresh.band_lo));
+            for u in 0..m {
+                assert_eq!(cc.ucand(u), fresh.ucand(u), "pass {pass}, user {u}");
+            }
+            {
+                let (hw, hw_fresh) = (cc.hw_table(), fresh.hw_table());
+                for u in 0..m {
+                    assert_eq!(hw.rows_of(u), hw_fresh.rows_of(u), "pass {pass}, user {u}");
+                }
+            }
+            let all: Vec<usize> = (0..m).collect();
+            let loc = &f.spec.locations[pass % f.spec.locations.len()];
+            cc.fill_ss(loc, &all, &mut ss);
+            for kw in [&f.spec.keywords[..2], &f.spec.keywords[3..4], &[]] {
+                cc.cand_set(kw, &mut cand);
+                cc.brstknn_into(&cand, &all, &ss, &mut got);
+                fresh.brstknn_into(&cand, &all, &ss, &mut want);
+                assert_eq!(got, want, "pass {pass}, keywords {kw:?}");
+            }
+            scratch = cc.into_scratch();
+        }
+        // Each later pass keeps the prefix it shares with the one before:
+        // the unreversed third, the unreversed third, the first half, and
+        // the unreversed third.
+        assert_eq!(kept, 3 * (n / 3) + n / 2);
     }
 
     #[test]

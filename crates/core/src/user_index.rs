@@ -292,8 +292,17 @@ pub fn select_with_user_index_seeded(
     );
     let mut arena = QueryArena::new();
     let mut result = QueryResult::default();
-    let (users_scored, users_pruned) =
-        run_selection(miur, spec, ctx, selector, io, seed, &mut arena, &mut result);
+    let (users_scored, users_pruned) = run_selection(
+        miur,
+        spec,
+        ctx,
+        selector,
+        io,
+        seed,
+        None,
+        &mut arena,
+        &mut result,
+    );
     UserIndexOutcome {
         result,
         users_scored,
@@ -348,7 +357,7 @@ fn fill_slot_from_elem(slot: &mut ElemSlot, e: &Elem, cc: &mut CandidateContext<
         }
         Elem::User { data, rsk, n_u } => {
             slot.is_group = false;
-            slot.user = cc.push_user(data, *n_u, *rsk);
+            slot.user = cc.push_user(data, || *n_u, *rsk);
         }
     }
 }
@@ -381,6 +390,7 @@ pub(crate) fn run_selection(
     selector: KeywordSelector,
     io: &IoStats,
     seed: &UserIndexSeed,
+    engine: Option<(u64, u64)>,
     arena: &mut QueryArena,
     result: &mut QueryResult,
 ) -> (usize, usize) {
@@ -392,7 +402,8 @@ pub(crate) fn run_selection(
     result.clear();
 
     // Starts without users; they are appended as leaves materialize.
-    let mut cc = CandidateContext::new_reusing(ctx, spec, &[], &[], std::mem::take(&mut arena.cc));
+    let scratch = std::mem::take(&mut arena.ui.cc);
+    let mut cc = CandidateContext::new_reusing(ctx, spec, &[], &[], scratch, engine);
 
     arena.sel.begin();
     let UserIndexScratch {
@@ -402,6 +413,7 @@ pub(crate) fn run_selection(
         ql,
         lu,
         node: node_scratch,
+        ..
     } = &mut arena.ui;
 
     // Seed the element pool with the root's materialized entries: slots
@@ -470,8 +482,10 @@ pub(crate) fn run_selection(
             // list ever takes it back, so each node expands once a query.
             let kids = seed.node_elems(miur, elems[eid as usize].node, k, ctx, io, node_scratch);
             let (start, len) = push_children(elems, live, &kids, &mut cc, &mut users_scored);
-            // Replace the group in every list that holds it.
-            for (lj, list) in lu_lists.iter_mut().enumerate() {
+            // Replace the group in every list that holds it (the pool may
+            // hold a longer query's lists past this one's locations).
+            let lists = &mut lu_lists[..spec.locations.len()];
+            for (lj, list) in lists.iter_mut().enumerate() {
                 if let Some(p) = list.iter().position(|&e| e == eid) {
                     list.swap_remove(p);
                     let locj = spec.locations[lj];
@@ -503,7 +517,8 @@ pub(crate) fn run_selection(
         evaluate_location(&cc, li, lu, true, selector, &mut arena.sel, result);
     }
 
-    arena.cc = cc.into_scratch();
+    arena.context_reused = cc.text_reused();
+    arena.ui.cc = cc.into_scratch();
     (users_scored, total_users - users_scored.min(total_users))
 }
 

@@ -5,7 +5,8 @@
 //! repeat (which finishes growing every pool in the caller's
 //! [`QueryArena`]), a further repeat of the identical query must perform
 //! **zero** heap allocations — for all six methods, under both record
-//! codecs. This pins the tentpole property of the zero-copy read path:
+//! codecs — and keep the candidate context's text half the arena holds
+//! (a key hit: same engine state, `W`, `ox.d` and `ws`). This pins the tentpole property of the zero-copy read path:
 //! node and postings decode go through caller scratch, candidate contexts
 //! recycle their backing buffers, and every selection kernel writes into
 //! pooled output vectors.
@@ -176,7 +177,14 @@ fn steady_state_queries_allocate_nothing() {
             // footprint on reuse gets its last growth here.
             eng.query_reusing(&spec, m, &mut arena, &mut out);
 
-            // Warm repeat: identical query, warm caches, warm arena.
+            // Warm repeat: identical query, warm caches, warm arena — and a
+            // key hit, so its candidate context keeps the text half the
+            // arena holds. (The counter handle is resolved outside the
+            // counted region; reading it allocates nothing.)
+            let reused = eng
+                .metrics()
+                .counter("engine_select_context_total{how=\"reused\"}");
+            let hits = reused.get();
             let before = allocs();
             eng.query_reusing(&spec, m, &mut arena, &mut out);
             let delta = allocs() - before;
@@ -184,6 +192,7 @@ fn steady_state_queries_allocate_nothing() {
                 delta, 0,
                 "{m:?}/{codec:?}: warm repeat allocated {delta} times"
             );
+            assert_eq!(reused.get(), hits + 1, "{m:?}/{codec:?}: not a key hit");
 
             // The recycled buffers answer correctly: warm equals cold
             // equals a fresh-arena query on the same engine.

@@ -3,9 +3,20 @@
 //! methods and both codecs, with identical per-query I/O charges.
 //! (`alloc_free.rs` runs as a single `#[test]` so nothing perturbs its
 //! allocation counter; this claim lives beside it.)
+//!
+//! The arena keeps its candidate context's text half across queries with
+//! the same engine state, `W`, `ox.d` and `ws`. The rest of the file holds
+//! one arena across everything that must invalidate it — another engine
+//! at the same epoch, a clone mutated apart, every kind of mutation, a
+//! refresh, a new `W`, `ox.d` or `ws` — and across §7 queries interleaved
+//! with Algorithm 3 ones. Every answer must equal a fresh-arena query's,
+//! and `engine_select_context_total{how="reused"}` must say the half was
+//! kept exactly when nothing it depends on moved.
 
 use geo::Point;
-use mbrstk_core::{Engine, Method, ObjectData, QueryArena, QueryResult, QuerySpec, UserData};
+use mbrstk_core::{
+    Engine, Method, Mutation, ObjectData, QueryArena, QueryResult, QuerySpec, UserData,
+};
 use storage::CodecId;
 use text::{Document, TermId, WeightModel};
 
@@ -80,6 +91,230 @@ fn arena_reuse_is_bit_identical_with_equal_io() {
                     "{m:?}/{codec:?} spec {i}: I/O charges drifted"
                 );
             }
+        }
+    }
+}
+
+/// Queries sharing `W`, `ox.d` and `ws` — the key of the arena's text
+/// half — that differ in their locations and `k`.
+fn same_text(n: usize) -> Vec<QuerySpec> {
+    (0..n)
+        .map(|i| QuerySpec {
+            ox_doc: Document::from_terms([t(7)]),
+            locations: (0..1 + i % 3)
+                .map(|j| Point::new(((3 * j + i) % 8) as f64 + 0.5, (i % 5) as f64 + 1.0))
+                .collect(),
+            keywords: vec![t(0), t(1), t(2), t(3), t(4), t(5), t(6)],
+            ws: 2,
+            k: 2 + i % 3,
+        })
+        .collect()
+}
+
+/// Answers `spec` through `arena` and asserts the answer equals a
+/// fresh-arena query's; returns whether the arena kept its text half.
+fn answer(eng: &Engine, spec: &QuerySpec, m: Method, arena: &mut QueryArena, at: &str) -> bool {
+    let reused = || {
+        eng.metrics()
+            .counter("engine_select_context_total{how=\"reused\"}")
+            .get()
+    };
+    let before = reused();
+    let mut out = QueryResult::default();
+    eng.query_reusing(spec, m, arena, &mut out);
+    let kept = reused() > before;
+    assert_eq!(
+        out,
+        eng.query(spec, m),
+        "{m:?} {at}: the arena changed the answer"
+    );
+    kept
+}
+
+/// Two engines built from different data both sit at epoch 0; a clone
+/// starts at its original's epoch and, mutated apart, reaches the same
+/// epoch with other contents. None of them may read another's text half.
+#[test]
+fn one_arena_across_engines_and_clones_at_equal_epochs() {
+    let a = engine(CodecId::Verbatim);
+    let b = {
+        let objects: Vec<ObjectData> = (0..70)
+            .map(|i| ObjectData {
+                id: i,
+                point: Point::new((i % 7) as f64 + 0.2, (i / 7) as f64 * 0.8),
+                doc: Document::from_pairs([(t(6 - i % 7), 2 + i % 2), (t(7), 1)]),
+            })
+            .collect();
+        let users: Vec<UserData> = (0..18)
+            .map(|i| UserData {
+                id: i,
+                point: Point::new((i % 5) as f64 + 1.1, (i % 7) as f64 + 0.2),
+                doc: Document::from_terms([t((i + 3) % 7), t(7)]),
+            })
+            .collect();
+        Engine::build_with_fanout_codec(
+            objects,
+            users,
+            WeightModel::lm(),
+            0.5,
+            4,
+            CodecId::Verbatim,
+        )
+        .with_user_index()
+    };
+    assert_eq!(a.epoch(), b.epoch());
+    let specs = same_text(6);
+    for m in [
+        Method::JointGreedy,
+        Method::UserIndexGreedy,
+        Method::Baseline,
+    ] {
+        let mut arena = QueryArena::new();
+        for (i, spec) in specs.iter().enumerate() {
+            // Each switch of engine derives the text half afresh.
+            assert!(!answer(&a, spec, m, &mut arena, &format!("a, spec {i}")));
+            assert!(!answer(&b, spec, m, &mut arena, &format!("b, spec {i}")));
+        }
+        // A clone is another engine, at the same epoch.
+        let mut clone = a.clone();
+        assert_eq!(clone.epoch(), a.epoch());
+        assert!(!answer(&clone, &specs[0], m, &mut arena, "clone"));
+        assert!(answer(&clone, &specs[1], m, &mut arena, "clone again"));
+        assert!(!answer(&a, &specs[1], m, &mut arena, "a after its clone"));
+
+        // Mutated apart to one epoch: one gains an object, the other a user.
+        let mut original = a.clone();
+        assert!(original
+            .insert_object(ObjectData {
+                id: 500,
+                point: Point::new(2.5, 3.5),
+                doc: Document::from_pairs([(t(1), 3), (t(7), 1)]),
+            })
+            .is_some());
+        assert!(clone
+            .insert_user(UserData {
+                id: 500,
+                point: Point::new(2.5, 3.5),
+                doc: Document::from_terms([t(1), t(7)]),
+            })
+            .is_some());
+        assert_eq!(original.epoch(), clone.epoch());
+        for (i, spec) in specs.iter().enumerate() {
+            let at = format!("mutated apart, spec {i}");
+            assert!(!answer(&original, spec, m, &mut arena, &at));
+            assert!(!answer(&clone, spec, m, &mut arena, &at));
+        }
+    }
+}
+
+/// Every kind of mutation, and a refresh, invalidates the text half; the
+/// queries after each, same text and new locations and `k`, keep it.
+#[test]
+fn one_arena_across_mutations_and_a_refresh() {
+    let built = engine(CodecId::Verbatim);
+    let specs = same_text(3);
+    let mutations = [
+        Mutation::InsertObject(ObjectData {
+            id: 900,
+            point: Point::new(3.3, 4.4),
+            doc: Document::from_pairs([(t(2), 4), (t(7), 1)]),
+        }),
+        Mutation::RemoveObject(11),
+        Mutation::InsertUser(UserData {
+            id: 900,
+            point: Point::new(1.5, 2.5),
+            doc: Document::from_terms([t(2), t(5), t(7)]),
+        }),
+        Mutation::RemoveUser(0),
+        Mutation::RemoveUser(9),
+        Mutation::InsertObject(ObjectData {
+            id: 901,
+            point: Point::new(6.1, 0.4),
+            doc: Document::from_pairs([(t(5), 1), (t(6), 2)]),
+        }),
+    ];
+    for m in [
+        Method::JointGreedy,
+        Method::JointExact,
+        Method::UserIndexGreedy,
+    ] {
+        let mut eng = built.clone();
+        let mut arena = QueryArena::new();
+        for step in mutations.iter().map(Some).chain([None]) {
+            let at = match step {
+                Some(mutation) => {
+                    assert_eq!(eng.apply_batch([mutation.clone()]).applied, 1);
+                    format!("after {mutation:?}")
+                }
+                None => {
+                    eng.refresh();
+                    "after the refresh".to_string()
+                }
+            };
+            let kept: Vec<bool> = specs
+                .iter()
+                .map(|spec| answer(&eng, spec, m, &mut arena, &at))
+                .collect();
+            assert_eq!(kept, [false, true, true], "{m:?} {at}");
+        }
+    }
+}
+
+/// A new `W`, `ox.d` or `ws` derives the text half afresh; coming back to
+/// an earlier one does too (one half is kept), and repeating it keeps it.
+#[test]
+fn one_arena_across_changes_of_w_ox_and_ws() {
+    let eng = engine(CodecId::Verbatim);
+    let base = same_text(1).remove(0);
+    let mut variants = vec![base.clone()];
+    let mut w = base.clone();
+    w.keywords = vec![t(6), t(5), t(4), t(3), t(2), t(1), t(0)];
+    variants.push(w);
+    let mut fewer = base.clone();
+    fewer.keywords.truncate(4);
+    variants.push(fewer);
+    let mut ox = base.clone();
+    ox.ox_doc = Document::new();
+    variants.push(ox);
+    let mut ox_kw = base.clone();
+    ox_kw.ox_doc = Document::from_terms([t(2), t(7)]);
+    variants.push(ox_kw);
+    let mut ws = base.clone();
+    ws.ws = 3;
+    variants.push(ws);
+    for m in Method::ALL {
+        let mut arena = QueryArena::new();
+        for (i, spec) in variants.iter().enumerate() {
+            let at = format!("variant {i}");
+            assert!(!answer(&eng, spec, m, &mut arena, &at));
+            let mut moved = spec.clone();
+            moved.locations.reverse();
+            moved.locations.push(Point::new(7.5, 0.5));
+            moved.k += 1;
+            assert!(answer(&eng, &moved, m, &mut arena, &at), "{m:?} {at}");
+        }
+        assert!(!answer(&eng, &base, m, &mut arena, "back to the base"));
+    }
+}
+
+/// The §7 pipeline keeps its own text half, so alternating it with
+/// Algorithm 3 on one arena leaves both kept.
+#[test]
+fn one_arena_across_user_index_and_joint_queries() {
+    for codec in [CodecId::Verbatim, CodecId::Columnar] {
+        let eng = engine(codec);
+        let mut arena = QueryArena::new();
+        let methods = [
+            Method::JointGreedy,
+            Method::UserIndexGreedy,
+            Method::JointGreedyPlus,
+            Method::UserIndexExact,
+        ];
+        for (i, spec) in same_text(12).iter().enumerate() {
+            let m = methods[i % methods.len()];
+            let kept = answer(&eng, spec, m, &mut arena, &format!("{codec:?}, spec {i}"));
+            // The first query of each path derives its half.
+            assert_eq!(kept, i >= 2, "{m:?}/{codec:?} spec {i}");
         }
     }
 }

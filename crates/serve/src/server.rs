@@ -16,6 +16,14 @@
 //! the reply. That is what makes the loopback differential test
 //! meaningful — the network path can only add framing, not semantics.
 //!
+//! Each worker owns one [`QueryArena`] and one answer buffer for every
+//! request it serves ([`ServingEngine::query_reusing`]), so a warm query
+//! allocates nothing in the engine, and the candidate context's
+//! location-independent half (per-user candidate terms, `UBL` text, `HW`
+//! rows, text verdicts) outlives the request. It is rebuilt when the
+//! snapshot's engine state (a write or a refresh moves it) or the query's
+//! `W`, `ox.d` or `ws` changes; answers never depend on it.
+//!
 //! All serving metrics live in the engine's own swap-stable registry
 //! (`serve_requests_total{kind=...}`, `serve_shed_total{reason=...}`,
 //! `serve_request_errors_total{kind=...}`, `serve_worker_lost_total`,
@@ -31,7 +39,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mbrstk_core::ServingEngine;
+use mbrstk_core::{QueryArena, QueryResult, ServingEngine};
 use mbrstk_obs::{Counter, Histogram, MetricsRegistry};
 
 use crate::protocol::{
@@ -310,9 +318,12 @@ struct Worker {
 
 impl Worker {
     fn run(&self, rx: Receiver<TcpStream>) {
+        // One arena and one answer buffer for every request this worker
+        // serves, whichever connection it arrives on.
+        let mut scratch = (QueryArena::new(), QueryResult::default());
         // Drain queued connections until the accept thread hangs up.
         while let Ok(stream) = rx.recv() {
-            let _ = self.serve_connection(stream);
+            let _ = self.serve_connection(stream, &mut scratch);
             if self.stop.load(Ordering::SeqCst) {
                 // Finish nothing further; remaining queued peers get a
                 // connection reset, which shutdown tests tolerate.
@@ -323,7 +334,11 @@ impl Worker {
 
     /// Serves frames until clean EOF, a protocol error, a blown write
     /// deadline, or shutdown.
-    fn serve_connection(&self, mut stream: TcpStream) -> io::Result<()> {
+    fn serve_connection(
+        &self,
+        mut stream: TcpStream,
+        scratch: &mut (QueryArena, QueryResult),
+    ) -> io::Result<()> {
         stream.set_read_timeout(Some(IDLE_POLL))?;
         // Reply writes must complete within the deadline: a peer that
         // stops reading (zero receive window) otherwise parks this worker
@@ -336,7 +351,7 @@ impl Worker {
                 Err(e) => return Err(e),
             };
             let reply = match decode_request(&body) {
-                Ok(req) => self.handle(req),
+                Ok(req) => self.handle(req, scratch),
                 Err(e) => {
                     // The stream may be desynchronized — answer, then
                     // drop the connection.
@@ -345,7 +360,12 @@ impl Worker {
                     return Ok(());
                 }
             };
-            write_frame(&mut stream, &encode_reply(&reply))?;
+            let frame = encode_reply(&reply);
+            if let Reply::Answer(answer) = reply {
+                // Hand the answer's buffers back for the next query.
+                scratch.1 = answer;
+            }
+            write_frame(&mut stream, &frame)?;
         }
     }
 
@@ -414,7 +434,7 @@ impl Worker {
         Ok(Some(body))
     }
 
-    fn handle(&self, req: Request) -> Reply {
+    fn handle(&self, req: Request, (arena, out): &mut (QueryArena, QueryResult)) -> Reply {
         match req {
             Request::Query { method, spec } => {
                 self.metrics.req_query.inc();
@@ -441,9 +461,9 @@ impl Worker {
                     self.metrics.query_errors.inc();
                     return Reply::Error(why);
                 }
-                let (result, _guard) = self.engine.query(&spec, method);
+                self.engine.query_reusing(&spec, method, arena, out);
                 self.metrics.lat_query.record_duration_us(start.elapsed());
-                Reply::Answer(result)
+                Reply::Answer(std::mem::take(out))
             }
             Request::Mutate(m) => {
                 self.metrics.req_mutate.inc();

@@ -25,6 +25,10 @@
 //! (e) **Introspection** — `stats` returns the engine's counters as JSON
 //!     and `metrics` returns a Prometheus page that includes the serve
 //!     counters next to the engine's own.
+//! (f) **Worker arenas** — a worker keeps one query arena, and with it the
+//!     candidate context's text half, across requests: Algorithm 3 and §7
+//!     queries interleaved with every kind of write on one connection are
+//!     answered as a fresh query on the snapshot answers them.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -134,6 +138,61 @@ fn network_answers_are_bit_identical_to_in_process() {
     );
     serving.refresh_now();
     check_all(&mut client);
+}
+
+/// One worker, one connection: JointGreedy and UserIndexGreedy queries
+/// that share their text but move their locations and `k`, interleaved
+/// with object and user inserts and removes. The worker's arena keeps the
+/// text half between writes and must drop it at each; every answer equals
+/// a fresh query on the snapshot.
+#[test]
+fn interleaved_methods_and_writes_share_one_worker_arena() {
+    let serving = serving_engine(23);
+    let server = bind(
+        &serving,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let writes = [
+        Mutation::InsertObject(ObjectData {
+            id: 2_000,
+            point: Point::new(3.3, 2.2),
+            doc: Document::from_terms([t(1), t(6)]),
+        }),
+        Mutation::InsertUser(UserData {
+            id: 2_000,
+            point: Point::new(5.5, 4.4),
+            doc: Document::from_terms([t(2), t(6)]),
+        }),
+        Mutation::RemoveObject(17),
+        Mutation::RemoveUser(4),
+    ];
+    let reused = || {
+        serving
+            .snapshot()
+            .metrics()
+            .counter("engine_select_context_total{how=\"reused\"}")
+            .get()
+    };
+    let before = reused();
+    for (round, write) in writes.into_iter().enumerate() {
+        for (i, mut spec) in specs().into_iter().enumerate() {
+            spec.locations.rotate_left(i);
+            spec.locations.truncate(3 - i);
+            for method in [Method::JointGreedy, Method::UserIndexGreedy] {
+                let net = client.query(method, &spec).expect("network query");
+                let local = serving.snapshot().query(&spec, method);
+                assert_eq!(net, local, "round {round}, {}, spec {i}", method.name());
+            }
+        }
+        assert!(client.mutate(write).expect("network mutate").is_some());
+    }
+    // Per round, the first query of each method derives its half and the
+    // other two keep it.
+    assert_eq!(reused() - before, 4 * 2 * 2);
 }
 
 /// Concurrent query and mutate clients: every request completes without a
