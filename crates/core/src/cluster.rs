@@ -109,16 +109,9 @@ impl EngineCluster {
     /// Panics when a user-index method is requested and the head was
     /// built without [`Engine::with_user_index`].
     pub fn query(&self, spec: &QuerySpec, method: Method) -> QueryResult {
-        let mut out = QueryResult::default();
-        let arena = &mut QueryArena::new();
-        scatter_query(
-            &self.head,
-            &self.scatter_latency_us,
-            spec,
-            method,
-            arena,
-            &mut out,
-        );
+        let (mut arena, mut out) = (QueryArena::new(), QueryResult::default());
+        let shards = &self.scatter_latency_us;
+        scatter_query(&self.head, shards, spec, method, &mut arena, &mut out);
         out
     }
 

@@ -183,8 +183,8 @@ fn one_arena_across_engines_and_clones_at_equal_epochs() {
         assert!(!answer(&a, &specs[1], m, &mut arena, "a after its clone"));
 
         // Mutated apart to one epoch: one gains an object, the other a user.
-        let mut original = a.clone();
-        assert!(original
+        let mut twin = a.clone();
+        assert!(twin
             .insert_object(ObjectData {
                 id: 500,
                 point: Point::new(2.5, 3.5),
@@ -198,10 +198,10 @@ fn one_arena_across_engines_and_clones_at_equal_epochs() {
                 doc: Document::from_terms([t(1), t(7)]),
             })
             .is_some());
-        assert_eq!(original.epoch(), clone.epoch());
+        assert_eq!(twin.epoch(), clone.epoch());
         for (i, spec) in specs.iter().enumerate() {
             let at = format!("mutated apart, spec {i}");
-            assert!(!answer(&original, spec, m, &mut arena, &at));
+            assert!(!answer(&twin, spec, m, &mut arena, &at));
             assert!(!answer(&clone, spec, m, &mut arena, &at));
         }
     }

@@ -320,10 +320,10 @@ impl Worker {
     fn run(&self, rx: Receiver<TcpStream>) {
         // One arena and one answer buffer for every request this worker
         // serves, whichever connection it arrives on.
-        let mut scratch = (QueryArena::new(), QueryResult::default());
+        let (mut arena, mut out) = (QueryArena::new(), QueryResult::default());
         // Drain queued connections until the accept thread hangs up.
         while let Ok(stream) = rx.recv() {
-            let _ = self.serve_connection(stream, &mut scratch);
+            let _ = self.serve_connection(stream, &mut arena, &mut out);
             if self.stop.load(Ordering::SeqCst) {
                 // Finish nothing further; remaining queued peers get a
                 // connection reset, which shutdown tests tolerate.
@@ -337,7 +337,8 @@ impl Worker {
     fn serve_connection(
         &self,
         mut stream: TcpStream,
-        scratch: &mut (QueryArena, QueryResult),
+        arena: &mut QueryArena,
+        out: &mut QueryResult,
     ) -> io::Result<()> {
         stream.set_read_timeout(Some(IDLE_POLL))?;
         // Reply writes must complete within the deadline: a peer that
@@ -351,7 +352,7 @@ impl Worker {
                 Err(e) => return Err(e),
             };
             let reply = match decode_request(&body) {
-                Ok(req) => self.handle(req, scratch),
+                Ok(req) => self.handle(req, arena, out),
                 Err(e) => {
                     // The stream may be desynchronized — answer, then
                     // drop the connection.
@@ -363,7 +364,7 @@ impl Worker {
             let frame = encode_reply(&reply);
             if let Reply::Answer(answer) = reply {
                 // Hand the answer's buffers back for the next query.
-                scratch.1 = answer;
+                *out = answer;
             }
             write_frame(&mut stream, &frame)?;
         }
@@ -434,7 +435,7 @@ impl Worker {
         Ok(Some(body))
     }
 
-    fn handle(&self, req: Request, (arena, out): &mut (QueryArena, QueryResult)) -> Reply {
+    fn handle(&self, req: Request, arena: &mut QueryArena, out: &mut QueryResult) -> Reply {
         match req {
             Request::Query { method, spec } => {
                 self.metrics.req_query.inc();
