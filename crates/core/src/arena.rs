@@ -319,8 +319,8 @@ pub struct QueryArena {
     /// Backing store for the candidate context of Algorithm 3 and the §4
     /// baseline (the §7 pipeline keeps its own in `ui`).
     pub(crate) cc: CcScratch,
-    /// Whether the last query's candidate context kept its text half
-    /// (counted in `engine_select_context_total{how}`).
+    /// Whether the last query's candidate context kept all of its text
+    /// half and derived none (counted in `engine_select_context_total{how}`).
     pub(crate) context_reused: bool,
     /// Per-user thresholds for the baseline method.
     pub(crate) rsk: Vec<f64>,

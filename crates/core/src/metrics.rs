@@ -24,9 +24,11 @@
 //!   by reusing an earlier greedy evaluation (`how="reused"`); the two sum
 //!   to the locations dequeued ([`crate::LocationCounts`]).
 //! * `engine_select_context_total{how}` — queries whose candidate context
-//!   derived its location-independent half (`how="built"`) or kept it from
-//!   the arena's previous query (`how="reused"`, see
-//!   [`crate::QueryArena`]); the two sum to the queries answered.
+//!   kept the whole of its location-independent half from the arena's
+//!   previous query on the same path (`how="reused"`, see
+//!   [`crate::QueryArena`]) or derived any of it (`how="built"`: a key
+//!   miss, or a §7 query whose expansion order moved and kept only a
+//!   prefix of its users' columns); the two sum to the queries answered.
 //! * `page_cache_hit_ratio` / `threshold_cache_hit_ratio` — gauges over
 //!   the engine's [`ShardedLru`](storage::ShardedLru) page cache and
 //!   [`ThresholdCache`] counters (last-writer-wins across clones).
@@ -139,7 +141,8 @@ impl EngineMetrics {
 
     /// Records one finished query (`methods` is in [`Method::ALL`] order,
     /// which is the enum's declaration order); `context_reused` says
-    /// whether its candidate context kept the arena's text half.
+    /// whether its candidate context derived no text (it kept all of the
+    /// arena's text half).
     pub(crate) fn record_query(
         &self,
         method: Method,

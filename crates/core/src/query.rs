@@ -185,8 +185,9 @@ impl Engine {
     /// default node fanout.
     ///
     /// # Panics
-    /// Panics when `objects` or `users` is empty, or every location
-    /// coincides (no dataspace extent).
+    /// Panics when `objects` or `users` is empty, two users share an id
+    /// (an id names one user, as in [`Engine::insert_user`], which rejects
+    /// a taken one), or every location coincides (no dataspace extent).
     pub fn build(
         objects: Vec<ObjectData>,
         users: Vec<UserData>,
@@ -224,6 +225,12 @@ impl Engine {
     ) -> Self {
         assert!(!objects.is_empty(), "object set must not be empty");
         assert!(!users.is_empty(), "user set must not be empty");
+        let mut ids: Vec<u32> = users.iter().map(|u| u.id).collect();
+        ids.sort_unstable();
+        assert!(
+            ids.windows(2).all(|w| w[0] != w[1]),
+            "user ids must be unique"
+        );
 
         let space = Rect::bounding(
             objects
@@ -581,6 +588,27 @@ mod tests {
         let b = eng.query(&s, Method::Baseline);
         let e = eng.query(&s, Method::JointExact);
         assert_eq!(b.cardinality(), e.cardinality());
+    }
+
+    /// An id names one user: answers are id sets, removes go by id, and a
+    /// [`QueryArena`] matches kept per-user columns by id.
+    #[test]
+    #[should_panic(expected = "user ids must be unique")]
+    fn build_rejects_duplicate_user_ids() {
+        let objects = vec![ObjectData {
+            id: 0,
+            point: Point::new(0.0, 0.0),
+            doc: Document::from_terms([t(0)]),
+        }];
+        let users: Vec<UserData> = [(4, 1.0), (2, 2.0), (4, 3.0)]
+            .into_iter()
+            .map(|(id, x)| UserData {
+                id,
+                point: Point::new(x, x),
+                doc: Document::from_terms([t(0)]),
+            })
+            .collect();
+        Engine::build_with_fanout(objects, users, WeightModel::lm(), 0.5, 4);
     }
 
     /// Users stacked on identical locations (the generator samples user

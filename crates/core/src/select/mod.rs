@@ -36,7 +36,10 @@
 //! matches (`arena::TextKey`), and derives per query only the *location
 //! half*: the MBR of the locations, each user's spatial band and its
 //! `RSk`. `push_user` is split the same way: its text part runs only for a
-//! user the kept half does not hold at that index.
+//! user the kept half does not hold at that index (users are named by id,
+//! unique in an engine), so the §7 pipeline, which pushes users in an
+//! expansion order that moves with the locations, keeps the prefix that
+//! did not move.
 //!
 //! Inside the kernels a keyword is a small integer. The context's *slot
 //! view* numbers the distinct terms of `W ∪ ox.d` in ascending term order
@@ -113,7 +116,9 @@ pub struct CandidateContext<'a> {
     pub ref_len: u64,
     /// What the text half (the slot view, the per-user text columns, the
     /// HW table and the memos) was derived for, and whether this context
-    /// kept it from the previous one built on the same scratch.
+    /// has derived none of it: it kept the half of the previous context
+    /// built on the same scratch, and every user pushed so far found its
+    /// columns there.
     key: TextKey,
     reused: bool,
     /// The slot view of `W ∪ ox.d`: its distinct terms ascending (a term's
@@ -302,8 +307,10 @@ impl<'a> CandidateContext<'a> {
         cc
     }
 
-    /// True when this context kept the text half of the previous context
-    /// built on its scratch (see [`CandidateContext::new_reusing`]).
+    /// True when this context has derived no text: it kept the text half
+    /// of the previous context built on its scratch (see
+    /// [`CandidateContext::new_reusing`]), and no
+    /// [`CandidateContext::push_user`] has had to run its text part.
     #[inline]
     pub(crate) fn text_reused(&self) -> bool {
         self.reused
@@ -317,7 +324,8 @@ impl<'a> CandidateContext<'a> {
     /// The text part ([`CandidateContext::push_text`], which asks `n_u`
     /// for the user's normalizer) runs only when the kept text half holds
     /// another user, or none, at this index. From that index on the kept
-    /// columns are dropped: an index names one user in each of them.
+    /// columns are dropped: an index names one user in each of them. The
+    /// test compares user ids, which [`crate::Engine`] keeps unique.
     pub(crate) fn push_user(
         &mut self,
         user: &UserData,
@@ -326,6 +334,7 @@ impl<'a> CandidateContext<'a> {
     ) -> usize {
         let u = self.rsk.len();
         if self.ids.get(u) != Some(&user.id) {
+            self.reused = false;
             self.truncate_text(u);
             self.push_text(user, n_u());
         }
@@ -1297,7 +1306,9 @@ mod tests {
     /// kept indices — as the §7 pipeline does when its expansion order
     /// moves — drops the half from the first differing index, `HW` rows
     /// and memoised verdicts included: its columns, `HW` rows and counts
-    /// equal a fresh context's over the same push order.
+    /// equal a fresh context's over the same push order. It reports the
+    /// half reused only when no push derived text: a repeated order or a
+    /// prefix of the kept one.
     #[test]
     fn kept_text_half_matches_a_fresh_context_in_any_push_order() {
         use super::test_fixture::wide_fixture;
@@ -1311,10 +1322,17 @@ mod tests {
         let mut cand = Vec::new();
         let (mut ss, mut got, mut want) = (Vec::new(), Vec::new(), Vec::new());
         let mut kept = 0;
-        for (pass, order) in [&forward, &moved, &forward[..n / 2], &forward, &moved]
-            .into_iter()
-            .enumerate()
-        {
+        let passes = [
+            (&forward[..n / 2], false),
+            (&forward[..], false),
+            (&moved[..], false),
+            (&moved[..], true),
+            (&forward[..n / 2], false),
+            (&forward[..], false),
+            (&moved[..], false),
+            (&moved[..n / 2], true),
+        ];
+        for (pass, &(order, reused)) in passes.iter().enumerate() {
             let mut cc = CandidateContext::new_reusing(&f.ctx, &f.spec, &[], &[], scratch, state);
             let mut fresh = CandidateContext::new(&f.ctx, &f.spec, &[], &[]);
             assert_eq!(cc.text_reused(), pass > 0);
@@ -1327,6 +1345,7 @@ mod tests {
                     fresh.push_user(user, n_u, f.rsk[u])
                 );
             }
+            assert_eq!(cc.text_reused(), reused, "pass {pass}");
             let m = order.len();
             assert_eq!(cc.ids[..m], fresh.ids[..]);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1353,9 +1372,9 @@ mod tests {
             scratch = cc.into_scratch();
         }
         // Each later pass keeps the prefix it shares with the one before:
-        // the unreversed third, the unreversed third, the first half, and
-        // the unreversed third.
-        assert_eq!(kept, 3 * (n / 3) + n / 2);
+        // the first half, the unreversed third, everything, the unreversed
+        // third, the first half, the unreversed third, the first half.
+        assert_eq!(kept, n + 3 * (n / 3) + 3 * (n / 2));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! refresh, a new `W`, `ox.d` or `ws` — and across §7 queries interleaved
 //! with Algorithm 3 ones. Every answer must equal a fresh-arena query's,
 //! and `engine_select_context_total{how="reused"}` must say the half was
-//! kept exactly when nothing it depends on moved.
+//! kept exactly when nothing it depends on moved. (A §7 query keeps only
+//! the users whose expansion order did not move, and counts as reused
+//! only when that is all of them — certain when it repeats the previous
+//! §7 query's locations and `k`.)
 
 use geo::Point;
 use mbrstk_core::{
@@ -111,8 +114,15 @@ fn same_text(n: usize) -> Vec<QuerySpec> {
         .collect()
 }
 
+/// True for the paths that push users in table order, so that a key hit
+/// keeps every user's text columns whatever the locations.
+fn table_order(m: Method) -> bool {
+    !matches!(m, Method::UserIndexGreedy | Method::UserIndexExact)
+}
+
 /// Answers `spec` through `arena` and asserts the answer equals a
-/// fresh-arena query's; returns whether the arena kept its text half.
+/// fresh-arena query's; returns whether the arena kept all of its text
+/// half.
 fn answer(eng: &Engine, spec: &QuerySpec, m: Method, arena: &mut QueryArena, at: &str) -> bool {
     let reused = || {
         eng.metrics()
@@ -179,7 +189,7 @@ fn one_arena_across_engines_and_clones_at_equal_epochs() {
         let mut clone = a.clone();
         assert_eq!(clone.epoch(), a.epoch());
         assert!(!answer(&clone, &specs[0], m, &mut arena, "clone"));
-        assert!(answer(&clone, &specs[1], m, &mut arena, "clone again"));
+        assert!(answer(&clone, &specs[0], m, &mut arena, "clone again"));
         assert!(!answer(&a, &specs[1], m, &mut arena, "a after its clone"));
 
         // Mutated apart to one epoch: one gains an object, the other a user.
@@ -208,11 +218,13 @@ fn one_arena_across_engines_and_clones_at_equal_epochs() {
 }
 
 /// Every kind of mutation, and a refresh, invalidates the text half; the
-/// queries after each, same text and new locations and `k`, keep it.
+/// queries after each, same text and new locations and `k`, keep it (a §7
+/// query surely only when it repeats the one before).
 #[test]
 fn one_arena_across_mutations_and_a_refresh() {
     let built = engine(CodecId::Verbatim);
-    let specs = same_text(3);
+    let mut specs = same_text(3);
+    specs.push(specs[2].clone());
     let mutations = [
         Mutation::InsertObject(ObjectData {
             id: 900,
@@ -255,13 +267,16 @@ fn one_arena_across_mutations_and_a_refresh() {
                 .iter()
                 .map(|spec| answer(&eng, spec, m, &mut arena, &at))
                 .collect();
-            assert_eq!(kept, [false, true, true], "{m:?} {at}");
+            assert!(!kept[0] && kept[3], "{m:?} {at}: {kept:?}");
+            assert!(!table_order(m) || kept[1] && kept[2], "{m:?} {at}");
         }
     }
 }
 
 /// A new `W`, `ox.d` or `ws` derives the text half afresh; coming back to
-/// an earlier one does too (one half is kept), and repeating it keeps it.
+/// an earlier one does too (one half is kept), and repeating it keeps it —
+/// with new locations and `k` on the table-order paths, and on every path
+/// when nothing moves.
 #[test]
 fn one_arena_across_changes_of_w_ox_and_ws() {
     let eng = engine(CodecId::Verbatim);
@@ -291,6 +306,8 @@ fn one_arena_across_changes_of_w_ox_and_ws() {
             moved.locations.reverse();
             moved.locations.push(Point::new(7.5, 0.5));
             moved.k += 1;
+            let kept = answer(&eng, &moved, m, &mut arena, &at);
+            assert!(kept || !table_order(m), "{m:?} {at}");
             assert!(answer(&eng, &moved, m, &mut arena, &at), "{m:?} {at}");
         }
         assert!(!answer(&eng, &base, m, &mut arena, "back to the base"));
@@ -298,7 +315,9 @@ fn one_arena_across_changes_of_w_ox_and_ws() {
 }
 
 /// The §7 pipeline keeps its own text half, so alternating it with
-/// Algorithm 3 on one arena leaves both kept.
+/// Algorithm 3 on one arena leaves both kept. The Algorithm 3 queries move
+/// their locations and `k`; the §7 ones repeat theirs, so their expansion
+/// order, and with it every user's index, stays put.
 #[test]
 fn one_arena_across_user_index_and_joint_queries() {
     for codec in [CodecId::Verbatim, CodecId::Columnar] {
@@ -310,8 +329,10 @@ fn one_arena_across_user_index_and_joint_queries() {
             Method::JointGreedyPlus,
             Method::UserIndexExact,
         ];
-        for (i, spec) in same_text(12).iter().enumerate() {
+        let specs = same_text(12);
+        for (i, spec) in specs.iter().enumerate() {
             let m = methods[i % methods.len()];
+            let spec = if table_order(m) { spec } else { &specs[1] };
             let kept = answer(&eng, spec, m, &mut arena, &format!("{codec:?}, spec {i}"));
             // The first query of each path derives its half.
             assert_eq!(kept, i >= 2, "{m:?}/{codec:?} spec {i}");

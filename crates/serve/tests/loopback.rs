@@ -191,7 +191,8 @@ fn interleaved_methods_and_writes_share_one_worker_arena() {
         assert!(client.mutate(write).expect("network mutate").is_some());
     }
     // Per round, the first query of each method derives its half and the
-    // other two keep it.
+    // other two keep all of it (on this data the §7 expansion order does
+    // not move with the locations, so every user keeps its index).
     assert_eq!(reused() - before, 4 * 2 * 2);
 }
 
