@@ -206,39 +206,112 @@ impl<'a> NodeRef<'a> {
         }
     }
 
-    /// Location of leaf entry `i` (its degenerate MBR corner).
+    /// Location of leaf entry `i` (its degenerate MBR corner). Reads the
+    /// two `min` columns only.
     #[inline]
     pub fn point(&self, i: usize) -> Point {
-        self.rect(i).min
+        debug_assert!(i < self.n);
+        match self.repr {
+            NodeRepr::Verbatim(b) => Point::new(
+                raw_f64(b, 9 + 4 * self.n + 8 * i),
+                raw_f64(b, 9 + 12 * self.n + 8 * i),
+            ),
+            NodeRepr::Columns(s) => Point::new(s.min_x[i], s.min_y[i]),
+        }
     }
 }
 
-/// Reusable decode buffers for [`StTree::read_postings_ref`].
+/// Reusable decode buffers for [`StTree::read_postings_ref`]: one flat
+/// layout per node, whatever the codec.
 ///
-/// Rows are cleared, never dropped, between reads; the columns of each
-/// *wanted* columnar list decode into the column buffers, and `touched`
-/// keeps the byte extents the read is charged for. The columnar directory
-/// itself is never materialised — it is walked in place, see
-/// `deserialize_postings_columnar_into`. After one read per distinct node
-/// shape the scratch stops allocating.
+/// The wanted lists decode term-major into one set of columns, one list
+/// after another; one stable counting pass then lays the same postings out
+/// per entry (a CSR: an offset column over one run of rows), so no entry
+/// owns a buffer. `touched` keeps the byte extents a Columnar read is
+/// charged for; the Columnar directory itself is never materialised — it
+/// is walked in place, see `deserialize_postings_columnar_into`. Every
+/// buffer is cleared, never dropped, between reads, so after one read per
+/// distinct node shape the scratch stops allocating.
 #[derive(Debug, Default)]
 pub struct PostingsScratch {
-    rows: Vec<Vec<(TermId, f64, f64)>>,
+    lists: ListColumns,
+    /// Entry `i`'s postings are `rows[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    rows: Vec<(TermId, f64, f64)>,
     touched: Vec<(usize, usize)>,
+}
+
+/// The wanted lists of one inverted file, term-major: each posting's entry
+/// index, maximum and minimum, list after list in ascending term order.
+#[derive(Debug, Default)]
+struct ListColumns {
     idxs: Vec<u32>,
     maxs: Vec<f64>,
     mins: Vec<f64>,
+    /// `(term, end of its postings in the columns)` per list.
+    ends: Vec<(TermId, u32)>,
+}
+
+impl ListColumns {
+    fn clear(&mut self) {
+        self.idxs.clear();
+        self.maxs.clear();
+        self.mins.clear();
+        self.ends.clear();
+    }
+
+    /// Appends the list of term `t` — `len` postings, `r` positioned at its
+    /// block — to the columns. Both codecs store a block as the same three
+    /// columns (entry indexes, maxima, then in [`PostingMode::MaxMin`]
+    /// minima against the maxima); only their encodings differ.
+    fn push(&mut self, r: &mut Reader, codec: CodecId, t: TermId, len: usize, mode: PostingMode) {
+        let c = storage::codec(codec);
+        let start = self.maxs.len();
+        c.get_ascending_u32s(r, len, &mut self.idxs);
+        c.get_f64s(r, len, &mut self.maxs);
+        if mode == PostingMode::MaxMin {
+            c.get_f64s_vs(r, len, &self.maxs[start..], &mut self.mins);
+        } else {
+            self.mins.resize(start + len, 0.0);
+        }
+        self.ends.push((t, self.idxs.len() as u32));
+    }
 }
 
 impl PostingsScratch {
-    /// Clears and exposes the first `n` rows.
-    fn reset_rows(&mut self, n: usize) {
-        if self.rows.len() < n {
-            self.rows.resize_with(n, Vec::new);
+    /// Lays the decoded lists out per entry: counts per entry, a prefix
+    /// sum, then one scatter in column order. Lists ascend by term and the
+    /// scatter is stable, so every entry's postings ascend by term too.
+    fn lay_out(&mut self, num_entries: usize) {
+        let PostingsScratch {
+            lists,
+            offsets,
+            rows,
+            ..
+        } = self;
+        // Entry i's count lands at i + 2, so after the prefix sum
+        // `offsets[i + 1]` is where entry i starts; the scatter advances it
+        // to where entry i ends, which is where entry i + 1 starts.
+        offsets.clear();
+        offsets.resize(num_entries + 2, 0);
+        for &i in &lists.idxs {
+            offsets[i as usize + 2] += 1;
         }
-        for row in &mut self.rows[..n] {
-            row.clear();
+        for j in 2..offsets.len() {
+            offsets[j] += offsets[j - 1];
         }
+        rows.clear();
+        rows.resize(lists.idxs.len(), (TermId(0), 0.0, 0.0));
+        let mut start = 0;
+        for &(t, end) in &lists.ends {
+            for p in start..end as usize {
+                let at = &mut offsets[lists.idxs[p] as usize + 1];
+                rows[*at as usize] = (t, lists.maxs[p], lists.mins[p]);
+                *at += 1;
+            }
+            start = end as usize;
+        }
+        offsets.pop();
     }
 }
 
@@ -246,31 +319,31 @@ impl PostingsScratch {
 /// living in a [`PostingsScratch`].
 ///
 /// Row `i` lists `(term, maxw, minw)` ascending by term for entry `i`; in
-/// [`PostingMode::MaxOnly`] the minimum mirrors the maximum at the leaf
-/// level and is unavailable above it (the IR-tree stores no minima), so it
-/// is reported as 0.
+/// [`PostingMode::MaxOnly`] the tree stores no minima, so the minimum is
+/// reported as 0.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingsRef<'a> {
-    rows: &'a [Vec<(TermId, f64, f64)>],
+    offsets: &'a [u32],
+    rows: &'a [(TermId, f64, f64)],
 }
 
 impl PostingsRef<'_> {
     /// `(term, maxw, minw)` rows for entry `i`, ascending by term.
     #[inline]
     pub fn entry(&self, i: usize) -> &[(TermId, f64, f64)] {
-        &self.rows[i]
+        &self.rows[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Number of entries covered.
     #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.offsets.len() - 1
     }
 
     /// True when the node had no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 }
 
@@ -303,8 +376,10 @@ impl StTree {
     /// touch only the directory and the wanted term lists, so the charge
     /// is the number of *distinct 4 KB pages those extents overlap* — a
     /// partial-column read of a cold record. The record keeps one cache
-    /// key either way; a warm hit is free. Rows decode into `scratch`,
-    /// which is cleared, not freed, between reads.
+    /// key either way; a warm hit is free. Both codecs decode the wanted
+    /// lists into the one flat layout of `scratch` (term-major columns,
+    /// then per-entry rows; see [`PostingsScratch`]), which is cleared,
+    /// not freed, between reads.
     pub fn read_postings_ref<'a>(
         &self,
         node: &NodeRef<'_>,
@@ -330,39 +405,16 @@ impl StTree {
                 io.charge_invfile_blocks_keyed(key, storage::pages_for_ranges(&scratch.touched));
             }
         }
-        PostingsRef {
-            rows: &scratch.rows[..num_entries],
-        }
+        scratch.view()
     }
 }
 
-/// Decodes one columnar list block (positioned at its start): columns
-/// decode into the caller's reusable buffers before scattering into
-/// `per_entry` rows.
-#[allow(clippy::too_many_arguments)]
-fn decode_columnar_list_into(
-    r: &mut Reader,
-    t: TermId,
-    len: usize,
-    mode: PostingMode,
-    idxs: &mut Vec<u32>,
-    maxs: &mut Vec<f64>,
-    mins: &mut Vec<f64>,
-    per_entry: &mut [Vec<(TermId, f64, f64)>],
-) {
-    let c = storage::codec(CodecId::Columnar);
-    idxs.clear();
-    maxs.clear();
-    mins.clear();
-    c.get_ascending_u32s(r, len, idxs);
-    c.get_f64s(r, len, maxs);
-    if mode == PostingMode::MaxMin {
-        c.get_f64s_vs(r, len, maxs, mins);
-    } else {
-        mins.resize(len, 0.0);
-    }
-    for i in 0..len {
-        per_entry[idxs[i] as usize].push((t, maxs[i], mins[i]));
+impl PostingsScratch {
+    fn view(&self) -> PostingsRef<'_> {
+        PostingsRef {
+            offsets: &self.offsets,
+            rows: &self.rows,
+        }
     }
 }
 
@@ -375,35 +427,10 @@ fn verbatim_posting_width(mode: PostingMode) -> usize {
     }
 }
 
-/// Pushes the Verbatim list of term `t` (`len` postings from byte
-/// `offset`) into `rows`.
-fn decode_verbatim_list_into(
-    payload: &[u8],
-    mode: PostingMode,
-    t: TermId,
-    len: usize,
-    offset: usize,
-    rows: &mut [Vec<(TermId, f64, f64)>],
-) {
-    let max_base = offset + 4 * len;
-    let min_base = max_base + 8 * len;
-    for i in 0..len {
-        let idx = raw_u32(payload, offset + 4 * i) as usize;
-        let max = raw_f64(payload, max_base + 8 * i);
-        let min = if mode == PostingMode::MaxMin {
-            raw_f64(payload, min_base + 8 * i)
-        } else {
-            0.0
-        };
-        rows[idx].push((t, max, min));
-    }
-}
-
 /// Decodes the wanted term lists of a Verbatim (v2 SoA) inverted file
-/// into `scratch.rows` — fully in place: the fixed-stride directory and
-/// the per-term column blocks are addressed by offset, so nothing but the
-/// output rows is written. The directory walk stops at the last wanted
-/// term, as the Columnar walker's does.
+/// into `scratch`'s flat layout. The fixed-stride directory and the
+/// per-term column blocks are addressed by offset, and the directory walk
+/// stops at the last wanted term, as the Columnar walker's does.
 fn deserialize_postings_into(
     payload: &[u8],
     mode: PostingMode,
@@ -411,32 +438,48 @@ fn deserialize_postings_into(
     num_entries: usize,
     scratch: &mut PostingsScratch,
 ) {
-    scratch.reset_rows(num_entries);
+    scratch.lists.clear();
     let n_terms = raw_u32(payload, 0) as usize;
     let width = verbatim_posting_width(mode);
+    let mut r = Reader::new(payload);
     let mut offset = 4 + n_terms * 8;
-    let (mut w, mut j) = (0usize, 0usize);
-    while j < n_terms && w < wanted.len() {
-        // Directory entry j: (term, list_len) at fixed stride 8.
-        let t = TermId(raw_u32(payload, 4 + 8 * j));
-        let len = raw_u32(payload, 8 + 8 * j) as usize;
-        // Advance the wanted cursor (both sides ascend).
-        while w < wanted.len() && wanted[w] < t {
-            w += 1;
+    // `wanted[w]` is the next term to look for; a directory term below it
+    // costs one compare.
+    let mut w = 0;
+    if let Some(&first) = wanted.first() {
+        let mut next = first;
+        'walk: for entry in payload[4..offset].chunks_exact(8) {
+            // Directory entry: (term, list_len).
+            let t = TermId(u32::from_le_bytes(entry[..4].try_into().unwrap()));
+            let len = u32::from_le_bytes(entry[4..].try_into().unwrap()) as usize;
+            if t >= next {
+                // Wanted terms below `t` are absent from the file.
+                while next < t {
+                    w += 1;
+                    let Some(&after) = wanted.get(w) else {
+                        break 'walk;
+                    };
+                    next = after;
+                }
+                if next == t {
+                    r.seek(offset);
+                    scratch.lists.push(&mut r, CodecId::Verbatim, t, len, mode);
+                    w += 1;
+                    let Some(&after) = wanted.get(w) else { break };
+                    next = after;
+                }
+            }
+            offset += len * width;
         }
-        if w < wanted.len() && wanted[w] == t {
-            decode_verbatim_list_into(payload, mode, t, len, offset, &mut scratch.rows);
-            w += 1;
-        }
-        offset += len * width;
-        j += 1;
     }
+    scratch.lay_out(num_entries);
 }
 
 /// Columnar twin of [`deserialize_postings_into`]: decodes only the
-/// wanted lists into `scratch`, recording the byte extents it touched —
-/// the directory, then each wanted list — in `scratch.touched` (ascending;
-/// the caller charges partial pages from them).
+/// wanted lists into `scratch`'s flat layout, recording the byte extents
+/// it touched — the directory, then each wanted list — in
+/// `scratch.touched` (ascending; the caller charges partial pages from
+/// them).
 ///
 /// The directory is selected on as stored, never materialised. The term
 /// column is merge-walked against `wanted` (both ascend) and its decode
@@ -453,14 +496,8 @@ fn deserialize_postings_columnar_into(
     num_entries: usize,
     scratch: &mut PostingsScratch,
 ) {
-    scratch.reset_rows(num_entries);
-    let PostingsScratch {
-        rows,
-        touched,
-        idxs,
-        maxs,
-        mins,
-    } = scratch;
+    let PostingsScratch { lists, touched, .. } = &mut *scratch;
+    lists.clear();
     touched.clear();
     let mut r = Reader::new(payload);
     let n_terms = r.get_varint_u32() as usize;
@@ -494,11 +531,12 @@ fn deserialize_postings_columnar_into(
         offset += sizes.sum_varint_u32s(slot - passed) as usize;
         let end = offset + sizes.get_varint_u32() as usize;
         r.seek(offset);
-        decode_columnar_list_into(&mut r, wanted[w], len, mode, idxs, maxs, mins, rows);
+        lists.push(&mut r, CodecId::Columnar, wanted[w], len, mode);
         debug_assert_eq!(r.position(), end);
         *hit = (offset, end);
         (passed, offset) = (slot + 1, end);
     }
+    scratch.lay_out(num_entries);
 }
 
 #[cfg(test)]
@@ -513,49 +551,92 @@ mod tests {
     use super::*;
     use crate::tree::{Op, Payload};
 
+    /// One owned row per entry: the layout the flat one replaced.
+    type Rows = Vec<Vec<(TermId, f64, f64)>>;
+
+    /// Pushes the Verbatim list of term `t` (`len` postings from byte
+    /// `offset`) into `rows`, one posting at a time.
+    fn reference_verbatim_list_into(
+        payload: &[u8],
+        mode: PostingMode,
+        t: TermId,
+        len: usize,
+        offset: usize,
+        rows: &mut Rows,
+    ) {
+        let max_base = offset + 4 * len;
+        let min_base = max_base + 8 * len;
+        for i in 0..len {
+            let idx = raw_u32(payload, offset + 4 * i) as usize;
+            let max = raw_f64(payload, max_base + 8 * i);
+            let min = if mode == PostingMode::MaxMin {
+                raw_f64(payload, min_base + 8 * i)
+            } else {
+                0.0
+            };
+            rows[idx].push((t, max, min));
+        }
+    }
+
+    /// Decodes one Columnar list block (positioned at its start) and
+    /// scatters it into `rows`.
+    fn reference_columnar_list_into(
+        r: &mut Reader,
+        t: TermId,
+        len: usize,
+        mode: PostingMode,
+        rows: &mut Rows,
+    ) {
+        let c = storage::codec(CodecId::Columnar);
+        let (mut idxs, mut maxs, mut mins) = (Vec::new(), Vec::new(), Vec::new());
+        c.get_ascending_u32s(r, len, &mut idxs);
+        c.get_f64s(r, len, &mut maxs);
+        if mode == PostingMode::MaxMin {
+            c.get_f64s_vs(r, len, &maxs, &mut mins);
+        } else {
+            mins.resize(len, 0.0);
+        }
+        for i in 0..len {
+            rows[idxs[i] as usize].push((t, maxs[i], mins[i]));
+        }
+    }
+
     /// The full Verbatim directory walk the early stop replaced, kept as
-    /// its reference: every slot is visited, and the lists end exactly at
-    /// the end of the payload.
-    fn reference_postings_verbatim_into(
+    /// its reference: every slot is visited, the lists end exactly at the
+    /// end of the payload, and every posting goes straight into its entry's
+    /// own row.
+    fn reference_postings_verbatim(
         payload: &[u8],
         mode: PostingMode,
         wanted: &[TermId],
         num_entries: usize,
-        scratch: &mut PostingsScratch,
-    ) {
-        scratch.reset_rows(num_entries);
+    ) -> Rows {
+        let mut rows = vec![Vec::new(); num_entries];
         let n_terms = raw_u32(payload, 0) as usize;
         let mut offset = 4 + n_terms * 8;
         for j in 0..n_terms {
             let t = TermId(raw_u32(payload, 4 + 8 * j));
             let len = raw_u32(payload, 8 + 8 * j) as usize;
             if wanted.binary_search(&t).is_ok() {
-                decode_verbatim_list_into(payload, mode, t, len, offset, &mut scratch.rows);
+                reference_verbatim_list_into(payload, mode, t, len, offset, &mut rows);
             }
             offset += len * verbatim_posting_width(mode);
         }
         assert_eq!(offset, payload.len());
+        rows
     }
 
     /// The full-decode directory loop the walker replaced, kept as its
     /// reference: materialise all three directory columns, then pick the
-    /// wanted slots out of them.
-    fn reference_postings_columnar_into(
+    /// wanted slots out of them. Returns the per-entry rows and the
+    /// extents touched.
+    fn reference_postings_columnar(
         payload: &[u8],
         mode: PostingMode,
         wanted: &[TermId],
         num_entries: usize,
-        scratch: &mut PostingsScratch,
-    ) {
-        scratch.reset_rows(num_entries);
-        let PostingsScratch {
-            rows,
-            touched,
-            idxs,
-            maxs,
-            mins,
-        } = scratch;
-        touched.clear();
+    ) -> (Rows, Vec<(usize, usize)>) {
+        let (mut rows, mut touched) = (vec![Vec::new(); num_entries], Vec::new());
         let c = storage::codec(CodecId::Columnar);
         let mut r = Reader::new(payload);
         let n_terms = r.get_varint_u32() as usize;
@@ -576,11 +657,27 @@ mod tests {
             }
             if w < wanted.len() && wanted[w] == t {
                 r.seek(offset);
-                decode_columnar_list_into(&mut r, t, len, mode, idxs, maxs, mins, rows);
+                reference_columnar_list_into(&mut r, t, len, mode, &mut rows);
                 assert_eq!(r.position(), end);
                 touched.push((offset, end));
             }
             offset = end;
+        }
+        (rows, touched)
+    }
+
+    /// The flat layout read back per entry equals the owned rows, bit for
+    /// bit.
+    fn assert_rows(scratch: &PostingsScratch, want: &Rows, label: &str) {
+        let bits = |row: &[(TermId, f64, f64)]| {
+            row.iter()
+                .map(|&(t, max, min)| (t, max.to_bits(), min.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let got = scratch.view();
+        assert_eq!(got.len(), want.len(), "{label}");
+        for (i, row) in want.iter().enumerate() {
+            assert_eq!(bits(got.entry(i)), bits(row), "{label}, entry {i}");
         }
     }
 
@@ -712,14 +809,11 @@ mod tests {
     #[test]
     fn directory_walk_matches_full_decode_reference() {
         let mut g = SplitMix64(0xD1EC_7041);
-        let (mut walked, mut reference) = (PostingsScratch::default(), PostingsScratch::default());
+        // One scratch across every read: a layout left by a larger read
+        // must not leak into a smaller one.
+        let mut walked = PostingsScratch::default();
         let (mut term_offsets, mut size_offsets) = ([false; 8], [false; 8]);
         let mut hits = 0usize;
-        let bits = |row: &[(TermId, f64, f64)]| {
-            row.iter()
-                .map(|&(t, max, min)| (t, max.to_bits(), min.to_bits()))
-                .collect::<Vec<_>>()
-        };
         for mode in [PostingMode::MaxOnly, PostingMode::MaxMin] {
             for n_terms in [0usize, 1, 7, 8, 9, 300, 300, 300] {
                 let ([payload, verbatim], terms) = seeded_invfile(&mut g, mode, n_terms);
@@ -734,31 +828,16 @@ mod tests {
                         ENTRIES,
                         &mut walked,
                     );
-                    reference_postings_columnar_into(
-                        &payload,
-                        mode,
-                        &wanted,
-                        ENTRIES,
-                        &mut reference,
-                    );
-                    assert_eq!(walked.touched, reference.touched, "{label}");
+                    let (rows, touched) =
+                        reference_postings_columnar(&payload, mode, &wanted, ENTRIES);
+                    assert_eq!(walked.touched, touched, "{label}");
                     hits += walked.touched.len() - 1;
-                    for (got, want) in walked.rows[..ENTRIES].iter().zip(&reference.rows) {
-                        assert_eq!(bits(got), bits(want), "{label}");
-                    }
+                    assert_rows(&walked, &rows, &label);
                     // The Verbatim walk stops at the last wanted term; the
                     // full walk reads the same rows.
                     deserialize_postings_into(&verbatim, mode, &wanted, ENTRIES, &mut walked);
-                    reference_postings_verbatim_into(
-                        &verbatim,
-                        mode,
-                        &wanted,
-                        ENTRIES,
-                        &mut reference,
-                    );
-                    for (got, want) in walked.rows[..ENTRIES].iter().zip(&reference.rows) {
-                        assert_eq!(bits(got), bits(want), "Verbatim {label}");
-                    }
+                    let rows = reference_postings_verbatim(&verbatim, mode, &wanted, ENTRIES);
+                    assert_rows(&walked, &rows, &format!("Verbatim {label}"));
                 }
             }
         }

@@ -532,10 +532,12 @@ impl Codec for Verbatim {
     }
 
     fn get_ascending_u32s(&self, r: &mut Reader, n: usize, out: &mut Vec<u32>) {
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(r.get_u32());
-        }
+        // One bounds check for the column, not one per value.
+        out.extend(
+            r.take(4 * n)
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap())),
+        );
     }
 
     fn put_clustered_u32s(&self, w: &mut Writer, vals: &[u32]) {
@@ -561,10 +563,11 @@ impl Codec for Verbatim {
     }
 
     fn get_f64s(&self, r: &mut Reader, n: usize, out: &mut Vec<f64>) {
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(r.get_f64());
-        }
+        out.extend(
+            r.take(8 * n)
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().unwrap())),
+        );
     }
 
     fn put_f64s_vs(&self, w: &mut Writer, vals: &[f64], _base: &[f64]) {
