@@ -283,8 +283,10 @@ pub(crate) struct NodeScratch {
     pub(crate) miur: MiurScratch,
     /// The `k` best lower bounds `group_rsk_lb` has seen (min-heap).
     pub(crate) lbs: BinaryHeap<Reverse<ByKey<()>>>,
-    /// Per-user `RSk` refinement heap (Algorithm 2).
-    pub(crate) hu: BinaryHeap<Reverse<ByKey<u32>>>,
+    /// The refined user's best scores (Algorithm 2).
+    pub(crate) best: Vec<f64>,
+    /// The refined user's slot mask (Algorithm 2).
+    pub(crate) mask: Vec<u64>,
 }
 
 /// Scratch for the §7 user-index pipeline.

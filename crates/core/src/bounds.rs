@@ -57,16 +57,10 @@ pub fn lb_entry(
     ctx.combine(ss, group.ts_lower(sum_min))
 }
 
-/// `UB(o, g)` for a retrieved object with exact `(term, weight)` pairs,
-/// ascending by term and restricted to the query-term universe (`d_uni`).
-pub fn ub_object(
-    ctx: &ScoreContext,
-    group: &UserGroup,
-    point: &Point,
-    weights: &[(TermId, f64)],
-) -> f64 {
+/// `UB(o, g)` for a retrieved object whose exact weights over the
+/// query-term universe (`d_uni`) sum to `sum_max`.
+pub fn ub_object(ctx: &ScoreContext, group: &UserGroup, point: &Point, sum_max: f64) -> f64 {
     let ss = ctx.spatial.min_ss_point(point, &group.mbr);
-    let sum_max: f64 = weights.iter().map(|&(_, w)| w).sum();
     ctx.combine(ss, group.ts_upper(sum_max))
 }
 
@@ -150,7 +144,7 @@ mod tests {
         ];
         for (d, p) in docs.iter().zip(&points) {
             let w = weights(&ctx, d).entries;
-            let ub = ub_object(&ctx, &group, p, &w);
+            let ub = ub_object(&ctx, &group, p, w.iter().map(|&(_, w)| w).sum());
             let lb = lb_object(&ctx, &group, p, &w);
             assert!(lb <= ub + 1e-12);
             for u in &users {
@@ -192,7 +186,8 @@ mod tests {
         let ub_e = ub_entry(&ctx, &group, &rect, &postings);
         let lb_e = lb_entry(&ctx, &group, &rect, &postings);
         for (p, w) in [(p0, &w0), (p1, &w1)] {
-            assert!(ub_object(&ctx, &group, &p, &w.entries) <= ub_e + 1e-9);
+            let sum = w.entries.iter().map(|&(_, w)| w).sum();
+            assert!(ub_object(&ctx, &group, &p, sum) <= ub_e + 1e-9);
             // LB(entry) lower-bounds every contained object's true scores.
             for u in &users {
                 let n_u = ctx.text.normalizer(&u.doc);

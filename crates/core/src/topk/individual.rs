@@ -7,6 +7,14 @@
 //! descending `UB(o, us)` order, stopping as soon as the upper bound drops
 //! below the user's own threshold — objects after that point cannot enter
 //! the user's top-k.
+//!
+//! Scoring runs on slot masks, not document merges: the outcome numbers
+//! the terms of `us.dUni` in ascending order and marks each row's terms in
+//! a mask ([`TopkOutcome::masks`]); each user gets a mask over the same
+//! slots once, and a row's text score is the sum of its weights at the
+//! slots both masks set, in ascending slot order — the order a merge of
+//! the two term lists adds them in, so every `RSk(u)` keeps its bits. The
+//! merge survives as the test reference in `topk/reference.rs`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -14,69 +22,168 @@ use std::collections::BinaryHeap;
 use crate::topk::{ByKey, TopkOutcome, UserTopk};
 use crate::{ScoreContext, UserData};
 
-/// The refinement core shared by the top-k listing and the `RSk`-only path
-/// of the §7 pipeline: fills `hu` (min-heap by score, best k kept) and
-/// returns `RSk(u)`. The heap is cleared first, so a pooled heap can be
-/// reused across users without reallocating.
+/// A user's best scores so far: the `k` kept, plus at most one more
+/// between a push and the pop that follows it.
+pub(crate) trait Best {
+    fn clear(&mut self);
+    fn len(&self) -> usize;
+    fn push(&mut self, key: f64, id: u32);
+    /// Drops a smallest score.
+    fn pop_min(&mut self);
+    /// A smallest score.
+    fn min(&self) -> f64;
+}
+
+/// Scores with their object ids, for the listings: which of two tied
+/// objects stays is the heap's, as it always was.
+impl Best for BinaryHeap<Reverse<ByKey<u32>>> {
+    fn clear(&mut self) {
+        BinaryHeap::clear(self);
+    }
+
+    fn len(&self) -> usize {
+        BinaryHeap::len(self)
+    }
+
+    fn push(&mut self, key: f64, item: u32) {
+        BinaryHeap::push(self, Reverse(ByKey { key, item }));
+    }
+
+    fn pop_min(&mut self) {
+        self.pop();
+    }
+
+    fn min(&self) -> f64 {
+        self.peek().expect("a score").0.key
+    }
+}
+
+/// Scores alone, descending, for callers that read `RSk(u)` and nothing
+/// else: the k-th best of the scores seen does not depend on which of two
+/// tied objects is kept, and at `k` entries an insertion shifts a few
+/// words where a heap pushes and pops.
+impl Best for Vec<f64> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn push(&mut self, key: f64, _: u32) {
+        let at = self
+            .iter()
+            .rposition(|kept| kept.total_cmp(&key).is_ge())
+            .map_or(0, |p| p + 1);
+        self.insert(at, key);
+    }
+
+    fn pop_min(&mut self) {
+        self.pop();
+    }
+
+    fn min(&self) -> f64 {
+        *self.last().expect("a score")
+    }
+}
+
+/// The refinement kernel shared by the top-k listing, the `RSk`-only path
+/// and the §7 pipeline's user materialisation: fills `best` with the
+/// user's `k` best scores and returns `RSk(u)`. `best` and the user's slot
+/// mask are cleared first, so pooled ones can be reused across users
+/// without reallocating.
 ///
 /// # Panics
 /// Panics when `k == 0`.
-pub(crate) fn refine_user_heap(
+pub(crate) fn refine_user(
     user: &UserData,
     out: &TopkOutcome,
     k: usize,
     ctx: &ScoreContext,
-    hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
+    best: &mut impl Best,
+    mask: &mut Vec<u64>,
 ) -> f64 {
     assert!(k > 0, "k must be positive");
     let n_u = ctx.text.normalizer(&user.doc);
-    hu.clear();
+    out.slot_mask(&user.doc, mask);
+    let mask: &[u64] = mask;
+    // `ScoreContext::sts` with the merge replaced by the masked sum (a
+    // zero sum divides to the same +0 the skipped division would give).
+    let sts = |r: usize| {
+        let ss = ctx.spatial.ss_points(&out.rows[r].point, &user.point);
+        let sum = out.masked_sum(r, mask);
+        let ts = if n_u > 0.0 && sum != 0.0 {
+            sum / n_u
+        } else {
+            0.0
+        };
+        ctx.combine(ss, ts)
+    };
+    // Rows are scored a block at a time, before `best` sees any of them:
+    // the scores do not depend on each other, so they overlap in the
+    // pipeline instead of waiting on `best`'s branches. A block past the
+    // early break is wasted work, never a different answer.
+    let score = |from: usize, to: usize| {
+        let mut scores = [0.0; BLOCK];
+        for (s, r) in scores.iter_mut().zip(from..to) {
+            *s = sts(r);
+        }
+        scores
+    };
+    best.clear();
     let mut rsk = f64::NEG_INFINITY;
 
-    for obj in out.lo() {
-        let s = ctx.sts(&obj.point, obj.weights, user, n_u);
-        hu.push(Reverse(ByKey {
-            key: s,
-            item: obj.id,
-        }));
-        if hu.len() > k {
-            hu.pop();
+    for from in (0..out.lo_len).step_by(BLOCK) {
+        let to = (from + BLOCK).min(out.lo_len);
+        for (r, s) in (from..to).zip(score(from, to)) {
+            best.push(s, out.rows[r].id);
+            if best.len() > k {
+                best.pop_min();
+            }
         }
     }
-    if hu.len() == k {
-        rsk = hu.peek().unwrap().0.key;
+    if best.len() == k {
+        rsk = best.min();
     }
 
-    for obj in out.ro() {
-        if hu.len() == k && obj.ub < rsk {
-            break; // RO descends by UB: nothing further can qualify.
+    'scan: for from in (out.lo_len..out.rows.len()).step_by(BLOCK) {
+        if best.len() == k && out.rows[from].ub < rsk {
+            break;
         }
-        let s = ctx.sts(&obj.point, obj.weights, user, n_u);
-        if hu.len() < k || s >= rsk {
-            hu.push(Reverse(ByKey {
-                key: s,
-                item: obj.id,
-            }));
-            if hu.len() > k {
-                hu.pop();
+        let to = (from + BLOCK).min(out.rows.len());
+        for (r, s) in (from..to).zip(score(from, to)) {
+            let row = &out.rows[r];
+            if best.len() == k && row.ub < rsk {
+                break 'scan; // RO descends by UB: nothing further can qualify.
             }
-            if hu.len() == k {
-                rsk = hu.peek().unwrap().0.key;
+            if best.len() < k || s >= rsk {
+                best.push(s, row.id);
+                if best.len() > k {
+                    best.pop_min();
+                }
+                if best.len() == k {
+                    rsk = best.min();
+                }
             }
         }
     }
     rsk
 }
 
-/// The top-k listing of a single user, through a pooled heap.
+/// Rows scored per step of [`refine_user`].
+const BLOCK: usize = 8;
+
+/// The top-k listing of a single user, through a pooled heap and mask.
 fn individual_topk_user_with(
     user: &UserData,
     out: &TopkOutcome,
     k: usize,
     ctx: &ScoreContext,
     hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
+    mask: &mut Vec<u64>,
 ) -> UserTopk {
-    let rsk = refine_user_heap(user, out, k, ctx, hu);
+    let rsk = refine_user(user, out, k, ctx, hu, mask);
     let mut topk: Vec<(u32, f64)> = hu.drain().map(|r| (r.0.item, r.0.key)).collect();
     topk.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     UserTopk {
@@ -86,17 +193,18 @@ fn individual_topk_user_with(
     }
 }
 
-/// Algorithm 2 over all users (one pooled heap across the user loop).
+/// Algorithm 2 over all users (one pooled heap and mask across the user
+/// loop).
 pub fn individual_topk(
     users: &[UserData],
     out: &TopkOutcome,
     k: usize,
     ctx: &ScoreContext,
 ) -> Vec<UserTopk> {
-    let mut hu: BinaryHeap<Reverse<ByKey<u32>>> = BinaryHeap::new();
+    let (mut hu, mut mask) = (BinaryHeap::new(), Vec::new());
     users
         .iter()
-        .map(|u| individual_topk_user_with(u, out, k, ctx, &mut hu))
+        .map(|u| individual_topk_user_with(u, out, k, ctx, &mut hu, &mut mask))
         .collect()
 }
 
@@ -108,10 +216,10 @@ pub(crate) fn individual_rsk(
     k: usize,
     ctx: &ScoreContext,
 ) -> Vec<f64> {
-    let mut hu: BinaryHeap<Reverse<ByKey<u32>>> = BinaryHeap::new();
+    let (mut best, mut mask) = (Vec::with_capacity(k + 1), Vec::new());
     users
         .iter()
-        .map(|u| refine_user_heap(u, out, k, ctx, &mut hu))
+        .map(|u| refine_user(u, out, k, ctx, &mut best, &mut mask))
         .collect()
 }
 

@@ -18,6 +18,7 @@ use std::collections::BinaryHeap;
 
 use index::{ChildRef, NodeScratch, PostingMode, PostingsScratch, StTree};
 use storage::{IoStats, RecordId};
+use text::TermId;
 
 use crate::bounds::{lb_entry, lb_object, ub_entry, ub_object};
 use crate::topk::{Row, TopkOutcome};
@@ -96,6 +97,10 @@ pub(crate) fn traverse(
     let resolver = ctx.text.weights();
     let mut pq: BinaryHeap<(u64, Item)> = BinaryHeap::new();
     let mut nodes: Vec<(RecordId, f64)> = vec![(tree.root(), f64::INFINITY)];
+    // A leaf's upper bounds, one per entry, and the cut for the current
+    // RSk(us).
+    let mut ubs: Vec<f64> = Vec::new();
+    let mut cut = SpatialCut::NONE;
     // Every object that passed its upper-bound test, in discovery order.
     let mut rows: Vec<Row> = Vec::new();
     let mut weights = Vec::new();
@@ -130,84 +135,191 @@ pub(crate) fn traverse(
                 observe(Step::Visited(rec));
                 let node = tree.read_node_ref(rec, io, &mut node_scratch);
                 let postings = tree.read_postings_ref(&node, &uni, io, &mut postings_scratch);
+                // Neither LO nor RSk(us) moves while a node is expanded.
                 let full = lo.len() >= k;
-                for i in 0..node.len() {
-                    let row = postings.entry(i);
-                    match node.child(i) {
-                        ChildRef::Object(id) => {
-                            // Leaf postings resolve to exact weights. Bound
-                            // on them where they stand in the run; only a
-                            // survivor keeps its extent.
-                            let point = node.point(i);
-                            let start = weights.len();
-                            weights.extend(
-                                row.iter()
-                                    .map(|&(t, x, _)| (t, resolver.weight(t, x)))
-                                    .filter(|&(_, w)| w > 0.0),
-                            );
-                            let ub = ub_object(ctx, group, &point, &weights[start..]);
-                            if full && ub < rsk_us {
-                                weights.truncate(start);
-                                continue;
-                            }
-                            let lb = lb_object(ctx, group, &point, &weights[start..]);
-                            rows.push(Row {
-                                id,
-                                point,
-                                lb,
-                                ub,
-                                weights: (start as u32, (weights.len() - start) as u32),
-                            });
-                            if full && lb < rsk_us {
-                                // Popped, it would enter LO as its minimum
-                                // and leave again at once: RSk(us) only
-                                // grows.
-                                observe(Step::Bypassed);
-                                continue;
-                            }
-                            observe(Step::Queued);
-                            pq.push((ordered(lb), Item::Obj(rows.len() as u32 - 1)));
+                if !node.is_leaf() {
+                    for i in 0..node.len() {
+                        let ChildRef::Node(child) = node.child(i) else {
+                            unreachable!("inner entries point at nodes")
+                        };
+                        let (rect, row) = (node.rect(i), postings.entry(i));
+                        let child_ub = ub_entry(ctx, group, &rect, row);
+                        if full && child_ub < rsk_us {
+                            continue;
                         }
-                        ChildRef::Node(child) => {
-                            let rect = node.rect(i);
-                            let child_ub = ub_entry(ctx, group, &rect, row);
-                            if full && child_ub < rsk_us {
-                                continue;
-                            }
-                            nodes.push((child, child_ub));
-                            let child_lb = lb_entry(ctx, group, &rect, row);
-                            pq.push((ordered(child_lb), Item::Node(nodes.len() as u32 - 1)));
-                        }
+                        nodes.push((child, child_ub));
+                        let child_lb = lb_entry(ctx, group, &rect, row);
+                        pq.push((ordered(child_lb), Item::Node(nodes.len() as u32 - 1)));
                     }
+                    continue;
+                }
+                // A leaf is bounded as a column: every entry's exact weight
+                // sum, term by term in ascending order (the order the
+                // run's pairs would be summed in), then its UB. With LO
+                // full, an entry holding no union term is decided on its
+                // squared distance alone (see `SpatialCut`); it gets −∞,
+                // which fails the test below as its UB would.
+                if full && cut.rsk.to_bits() != rsk_us.to_bits() {
+                    cut = SpatialCut::new(ctx, group, rsk_us);
+                }
+                ubs.clear();
+                ubs.extend((0..node.len()).map(|i| {
+                    let point = node.point(i);
+                    let sum = postings
+                        .entry(i)
+                        .iter()
+                        .map(|&(t, x, _)| resolver.weight(t, x))
+                        .filter(|&w| w > 0.0)
+                        .fold(0.0, |sum, w| sum + w);
+                    if full && sum == 0.0 && cut.fails(group.mbr.min_dist_sq_point(&point)) {
+                        return f64::NEG_INFINITY;
+                    }
+                    ub_object(ctx, group, &point, sum)
+                }));
+                // Only a survivor gets its pairs in the run, an LB and a row.
+                for (i, &ub) in ubs.iter().enumerate() {
+                    if full && ub < rsk_us {
+                        continue;
+                    }
+                    let ChildRef::Object(id) = node.child(i) else {
+                        unreachable!("leaf entries point at objects")
+                    };
+                    let point = node.point(i);
+                    let start = weights.len();
+                    weights.extend(
+                        postings
+                            .entry(i)
+                            .iter()
+                            .map(|&(t, x, _)| (t, resolver.weight(t, x)))
+                            .filter(|&(_, w)| w > 0.0),
+                    );
+                    let lb = lb_object(ctx, group, &point, &weights[start..]);
+                    rows.push(Row {
+                        id,
+                        point,
+                        lb,
+                        ub,
+                        weights: (start as u32, (weights.len() - start) as u32),
+                    });
+                    if full && lb < rsk_us {
+                        // Popped, it would enter LO as its minimum and
+                        // leave again at once: RSk(us) only grows.
+                        observe(Step::Bypassed);
+                        continue;
+                    }
+                    observe(Step::Queued);
+                    pq.push((ordered(lb), Item::Obj(rows.len() as u32 - 1)));
                 }
             }
         }
     }
 
-    // Scan order: the LO rows to the front (ascending row index keeps each
-    // swap's target behind the rows already placed) ...
+    // Scan order: the LO rows in ascending row order ...
     let mut lo: Vec<u32> = lo.into_iter().map(|Reverse((_, row))| row).collect();
     lo.sort_unstable();
-    for (at, &row) in lo.iter().enumerate() {
-        rows.swap(at, row as usize);
-    }
-    let lo_len = lo.len();
     // ... then RO: what the final RSk(us) (still −∞ if LO never filled)
     // leaves reachable, descending by UB for Algorithm 2's early break; ids
     // settle ties, so the order does not depend on when an object was
-    // discovered.
-    let mut at = 0;
-    rows.retain(|row| {
-        at += 1;
-        at <= lo_len || row.ub >= rsk_us
-    });
-    rows[lo_len..].sort_unstable_by(|a, b| b.ub.total_cmp(&a.ub).then(a.id.cmp(&b.id)));
+    // discovered. The 16-byte keys are sorted, and the rows moved once.
+    let mut ro: Vec<(u64, u32, u32)> = Vec::new();
+    let mut in_lo = lo.iter().peekable();
+    for (i, row) in rows.iter().enumerate() {
+        if in_lo.next_if_eq(&&(i as u32)).is_none() && row.ub >= rsk_us {
+            ro.push((!ordered(row.ub), row.id, i as u32));
+        }
+    }
+    ro.sort_unstable();
+    let rows: Vec<Row> = lo
+        .iter()
+        .chain(ro.iter().map(|(_, _, i)| i))
+        .map(|&i| rows[i as usize])
+        .collect();
+    let masks = slot_masks(&rows, &weights, &uni);
     TopkOutcome {
         rows,
-        lo_len,
+        lo_len: lo.len(),
         weights,
+        slots: uni,
+        masks,
         rsk_us,
     }
+}
+
+/// Where an object holding no union term fails its upper-bound test.
+///
+/// Such an object's `UB(o, us)` is `combine(MinSS(o, us), 0)`: the square
+/// root of `d² = MinDist(o, us.mbr)²`, a division, a subtraction, a clamp
+/// at 0, two products and a sum — correctly rounded monotone operations
+/// all, so the computed bound never grows with `d²`. `UB < RSk(us)`
+/// therefore holds, bit for bit as `ub_object` computes it, exactly from
+/// one `d²` on. That `d²` is found once per value of `RSk(us)` (a
+/// traversal sees a few dozen) by bisecting the bit patterns of the
+/// non-negative floats, whose order is their values'.
+#[derive(Debug, Clone, Copy)]
+struct SpatialCut {
+    /// The `RSk(us)` the cut is for.
+    rsk: f64,
+    /// The smallest failing `d²`; `None` when none fails.
+    d2: Option<f64>,
+}
+
+impl SpatialCut {
+    /// A cut for no threshold yet: it is replaced before it is read.
+    const NONE: SpatialCut = SpatialCut {
+        rsk: f64::NAN,
+        d2: None,
+    };
+
+    fn new(ctx: &ScoreContext, group: &UserGroup, rsk: f64) -> Self {
+        // `ub_object` of a point at squared distance `d2` with no weights.
+        let fails =
+            |d2: f64| ctx.combine(ctx.spatial.proximity(d2.sqrt()), group.ts_upper(0.0)) < rsk;
+        let d2 = if !fails(f64::INFINITY) {
+            None
+        } else if fails(0.0) {
+            Some(0.0)
+        } else {
+            // Invariant: `lo` holds, `hi` fails.
+            let (mut lo, mut hi) = (0f64.to_bits(), f64::INFINITY.to_bits());
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if fails(f64::from_bits(mid)) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            Some(f64::from_bits(hi))
+        };
+        SpatialCut { rsk, d2 }
+    }
+
+    /// True when an object holding no union term at squared distance `d2`
+    /// from `us.mbr` has `UB(o, us) < RSk(us)`.
+    #[inline]
+    fn fails(&self, d2: f64) -> bool {
+        self.d2.is_some_and(|cut| d2 >= cut)
+    }
+}
+
+/// Every row's slot mask over `slots` (see [`TopkOutcome::masks`]). A
+/// row's pairs come from a read restricted to `slots`, so each of its
+/// terms has a slot; both ascend, so one forward walk finds them.
+fn slot_masks(rows: &[Row], weights: &[(TermId, f64)], slots: &[TermId]) -> Vec<u64> {
+    let words = slots.len().div_ceil(64);
+    let mut masks = vec![0u64; rows.len() * words];
+    for (r, row) in rows.iter().enumerate() {
+        let mask = &mut masks[r * words..][..words];
+        let mut s = 0;
+        for &(t, _) in &weights[row.weights.0 as usize..][..row.weights.1 as usize] {
+            while slots[s] < t {
+                s += 1;
+            }
+            debug_assert_eq!(slots[s], t, "a row term outside the slots");
+            mask[s / 64] |= 1 << (s % 64);
+        }
+    }
+    masks
 }
 
 #[cfg(test)]
@@ -360,6 +472,41 @@ mod tests {
         assert_eq!(out.lo().len(), 3);
         assert_eq!(out.ro().len(), 0);
         assert_eq!(out.rsk_us, f64::NEG_INFINITY);
+    }
+
+    /// The cut decides every term-less object as `ub_object` does — ties
+    /// with `RSk(us)` included, which must not fail — for thresholds above
+    /// every bound, below every bound and equal to the bounds of points
+    /// inside, on and around the super-user's MBR.
+    #[test]
+    fn spatial_cut_decides_as_the_upper_bound_does() {
+        let (_, _, users, ctx) = fixture();
+        let group = UserGroup::from_users(&users, &ctx.text);
+        let mut next = crate::select::test_fixture::stream(7);
+        let points: Vec<Point> = (0..400)
+            .map(|_| Point::new(next(700) as f64 / 100.0, next(600) as f64 / 100.0))
+            .chain([group.mbr.min, group.mbr.max])
+            .collect();
+        let ub = |p: &Point| ub_object(&ctx, &group, p, 0.0);
+        let mut thresholds: Vec<f64> = points.iter().take(60).map(ub).collect();
+        thresholds.extend([0.0, 1e-300, 0.2, 0.5, 2.0]);
+        let mut failing = 0;
+        for rsk in thresholds {
+            let cut = SpatialCut::new(&ctx, &group, rsk);
+            for p in &points {
+                let fails = ub(p) < rsk;
+                assert_eq!(
+                    cut.fails(group.mbr.min_dist_sq_point(p)),
+                    fails,
+                    "RSk {rsk}, point {p:?}"
+                );
+                failing += usize::from(fails);
+            }
+        }
+        assert!(
+            failing > 1_000,
+            "the thresholds must fail points: {failing}"
+        );
     }
 
     #[test]

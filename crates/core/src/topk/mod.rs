@@ -15,11 +15,15 @@
 //! nothing is built for an entry before it has survived the test that
 //! could discard it:
 //!
-//! * **Bound first.** A leaf entry's weights are appended to the
-//!   outcome's one shared run and bounded where they stand
-//!   (`bounds::ub_object` takes the slice); an entry that fails
-//!   takes its pairs off the run again. Only a survivor gets its lower
-//!   bound and a row. No allocation is made per retrieved object.
+//! * **Bound first, as a column.** A leaf's postings arrive as one flat
+//!   layout (`index::PostingsScratch`: term-major columns, then a
+//!   per-entry CSR; no entry owns a buffer). Every entry's exact weight
+//!   sum is accumulated term by term in ascending order — the order the
+//!   pairs of a materialised row would be summed in, so `UB` keeps its
+//!   bits — and the whole leaf is tested against `RSk(us)` (neither moves
+//!   while a node is expanded). Only a survivor gets its pairs copied into
+//!   the outcome's one shared run, its lower bound and a row. No
+//!   allocation is made per retrieved object.
 //! * **Who may skip the queue.** The queue holds 16-byte `(bound, index)`
 //!   pairs — nodes index a side table of `(record, upper bound)`, objects
 //!   index their row. An object that arrives while `LO` is full with
@@ -44,7 +48,17 @@
 //!   then the `RO` rows descending by upper bound: the order in which
 //!   Algorithm 2 walks them once per user and the §7 pipeline once per
 //!   subtree. Keeping rows in discovery order behind index lists was
-//!   measured and costs those walks more than the traversal saves.
+//!   measured and costs those walks more than the traversal saves. The
+//!   order is found on 16-byte `(UB, id, row)` keys and the rows are moved
+//!   once, not sorted themselves.
+//! * **Algorithm 2 on slot masks.** The terms of `us.dUni` are numbered in
+//!   ascending order (slots); each row carries a mask of `⌈|dUni| / 64⌉`
+//!   words over them, its pairs in slot order. A user's mask is built once
+//!   per refinement, and a row's text score is the sum of its weights at
+//!   the slots both masks set — one AND for the many rows that share no
+//!   term with the user — added in ascending slot order, the order a merge
+//!   of the two term lists adds them in, so every `RSk(u)` keeps its bits
+//!   (see [`individual`]; the merge is the test reference).
 
 pub mod baseline;
 pub mod individual;
@@ -53,7 +67,7 @@ pub mod joint;
 mod reference;
 
 use geo::Point;
-use text::TermId;
+use text::{Document, TermId};
 
 use crate::UserData;
 
@@ -89,7 +103,7 @@ pub(crate) struct Row {
 
 /// Result of the Algorithm-1 tree traversal: one table of `Copy` rows over
 /// one shared weight run, laid out in the order its readers scan it (see
-/// the module docs).
+/// the module docs), with a slot mask per row.
 #[derive(Debug, Clone)]
 pub struct TopkOutcome {
     /// The `LO` rows (any order), then the `RO` rows descending by
@@ -99,12 +113,59 @@ pub struct TopkOutcome {
     pub(crate) lo_len: usize,
     /// Every row's `(term, weight)` pairs, addressed by [`Row::weights`].
     pub(crate) weights: Vec<(TermId, f64)>,
+    /// The slots: `us.dUni`, ascending — the only terms a row can hold.
+    pub(crate) slots: Vec<TermId>,
+    /// Row `r`'s slot mask is the `r`-th run of `⌈|slots| / 64⌉` words:
+    /// bit `s` is set when the row's pairs hold `slots[s]`, so the row's
+    /// pair for slot `s` is its `rank(s)`-th.
+    pub(crate) masks: Vec<u64>,
     /// `RSk(us)`: the k-th best lower bound seen (−∞ when fewer than `k`
     /// objects exist).
     pub rsk_us: f64,
 }
 
 impl TopkOutcome {
+    /// Words per slot mask.
+    fn words(&self) -> usize {
+        self.slots.len().div_ceil(64)
+    }
+
+    /// Sets `mask` to the slots among `doc`'s terms (terms outside
+    /// `us.dUni` weigh nothing in any row).
+    pub(crate) fn slot_mask(&self, doc: &Document, mask: &mut Vec<u64>) {
+        mask.clear();
+        mask.resize(self.words(), 0);
+        for t in doc.terms() {
+            if let Ok(s) = self.slots.binary_search(&t) {
+                mask[s / 64] |= 1 << (s % 64);
+            }
+        }
+    }
+
+    /// `Σ w(t, o)` over the terms of row `r` whose slots are set in `mask`
+    /// (from [`TopkOutcome::slot_mask`]), added in ascending slot order —
+    /// ascending term order, the order [`text::WeightedDoc::dot_terms`]
+    /// adds a row's pairs in, so the sum has the same bits.
+    #[inline]
+    pub(crate) fn masked_sum(&self, r: usize, mask: &[u64]) -> f64 {
+        let words = mask.len();
+        let row_mask = &self.masks[r * words..(r + 1) * words];
+        let (mut acc, mut first) = (0.0, self.rows[r].weights.0);
+        for (&held, &wanted) in row_mask.iter().zip(mask) {
+            // Most rows share no term with a user: one AND and done.
+            let mut hits = held & wanted;
+            while hits != 0 {
+                let below = held & ((1 << hits.trailing_zeros()) - 1);
+                acc += self.weights[(first + below.count_ones()) as usize].1;
+                hits &= hits - 1;
+            }
+            if words > 1 {
+                first += held.count_ones(); // the next word's first pair
+            }
+        }
+        acc
+    }
+
     /// `LO`: the k objects with the best lower bounds (any order).
     pub fn lo(&self) -> impl ExactSizeIterator<Item = ScoredObject<'_>> + Clone {
         self.views(&self.rows[..self.lo_len])

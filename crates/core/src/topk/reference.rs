@@ -10,6 +10,10 @@
 //! and a stated rule for tied lower bounds — the production one, see
 //! [`Item`] — where the order used to be whatever `BinaryHeap` made of
 //! its contents, which no traversal holding other contents can reproduce.
+//!
+//! Algorithm 2's reference is here too: [`refine_by_merge`], the
+//! refinement as it ran before slot masks, scoring every object by merging
+//! its pairs with the user's terms ([`ScoreContext::sts`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,11 +21,55 @@ use std::collections::BinaryHeap;
 use geo::Point;
 use index::{ChildRef, NodeScratch, PostingMode, PostingsScratch, StTree};
 use storage::{IoStats, RecordId};
-use text::WeightedDoc;
+use text::{TermId, WeightedDoc};
 
 use crate::bounds::{lb_entry, lb_object, ub_entry, ub_object};
 use crate::topk::joint::Item as Arrival;
-use crate::{ScoreContext, UserGroup};
+use crate::{ScoreContext, UserData, UserGroup};
+
+/// `RSk(u)` and the top-k listing (descending by score, ties by id) of
+/// Algorithm 2 over `LO` (`(id, point, pairs)`) and `RO` (the same plus
+/// `UB(o, us)`, descending by it), every score a document merge.
+pub(super) fn refine_by_merge<'a>(
+    user: &UserData,
+    lo: impl Iterator<Item = (u32, Point, &'a [(TermId, f64)])>,
+    ro: impl Iterator<Item = (u32, Point, &'a [(TermId, f64)], f64)>,
+    k: usize,
+    ctx: &ScoreContext,
+) -> (f64, Vec<(u32, f64)>) {
+    use crate::topk::ByKey;
+    let n_u = ctx.text.normalizer(&user.doc);
+    let mut hu: BinaryHeap<Reverse<ByKey<u32>>> = BinaryHeap::new();
+    let mut rsk = f64::NEG_INFINITY;
+    for (id, point, weights) in lo {
+        let key = ctx.sts(&point, weights, user, n_u);
+        hu.push(Reverse(ByKey { key, item: id }));
+        if hu.len() > k {
+            hu.pop();
+        }
+    }
+    if hu.len() == k {
+        rsk = hu.peek().unwrap().0.key;
+    }
+    for (id, point, weights, ub) in ro {
+        if hu.len() == k && ub < rsk {
+            break;
+        }
+        let key = ctx.sts(&point, weights, user, n_u);
+        if hu.len() < k || key >= rsk {
+            hu.push(Reverse(ByKey { key, item: id }));
+            if hu.len() > k {
+                hu.pop();
+            }
+            if hu.len() == k {
+                rsk = hu.peek().unwrap().0.key;
+            }
+        }
+    }
+    let mut topk: Vec<(u32, f64)> = hu.into_iter().map(|r| (r.0.item, r.0.key)).collect();
+    topk.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    (rsk, topk)
+}
 
 /// A retrieved object owning its weights.
 #[derive(Debug, Clone)]
@@ -156,7 +204,8 @@ pub(super) fn joint_topk(
                                     .map(|&(t, x, _)| (t, resolver.weight(t, x)))
                                     .collect(),
                             );
-                            let obj_ub = ub_object(ctx, group, &point, &weights.entries);
+                            let sum = weights.entries.iter().map(|&(_, w)| w).sum();
+                            let obj_ub = ub_object(ctx, group, &point, sum);
                             if lo.len() >= k && obj_ub < rsk_us {
                                 continue;
                             }
@@ -351,6 +400,153 @@ mod tests {
             "coverage: {runs} runs, {bypassing} bypassed the queue, {queued_past_k} queued \
              more than k objects, {tails} reference ROs had a tail below the final RSk(us), \
              {with_int} groups shared a keyword"
+        );
+    }
+
+    /// Objects, users and the super-user for a union of exactly `uni`
+    /// terms: `uni − 2` even terms the corpus holds, and two "ghost" terms
+    /// no object holds. Objects draw even and odd terms alike (an object
+    /// of odd terms only holds no union term); users share the even terms
+    /// round-robin, so every slot — the last word's included — has a
+    /// holder, and the last two users hold a ghost term alone.
+    fn wide_fixture(
+        model: WeightModel,
+        uni: usize,
+        codec: storage::CodecId,
+        seed: u64,
+    ) -> (ScoreContext, StTree, Vec<UserData>, UserGroup) {
+        let mut next = crate::select::test_fixture::stream(seed);
+        let held = uni as u32 - 2;
+        let docs: Vec<Document> = (0..300)
+            .map(|i| {
+                let n = next(4);
+                let odd_only = i % 10 == 0;
+                Document::from_pairs((0..=n).map(|_| {
+                    let term = next(u64::from(held)) as u32 * 2 + u32::from(odd_only);
+                    (t(term), 1 + next(3) as u32)
+                }))
+            })
+            .collect();
+        let text = TextScorer::build(model, &docs);
+        let objects: Vec<IndexedObject> = docs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| IndexedObject {
+                id: i as u32,
+                point: Point::new(next(1000) as f64 / 10.0, next(1000) as f64 / 10.0),
+                doc: text.weigh(d),
+            })
+            .collect();
+        let ghosts = [t(100_000), t(100_001)];
+        let n_users = 32u32;
+        let users: Vec<UserData> = (0..n_users)
+            .map(|id| UserData {
+                id,
+                point: Point::new(
+                    40.0 + next(200) as f64 / 10.0,
+                    30.0 + next(200) as f64 / 10.0,
+                ),
+                doc: if id >= n_users - 2 {
+                    Document::from_terms([ghosts[(id % 2) as usize]])
+                } else {
+                    let extra = t(next(u64::from(held)) as u32 * 2);
+                    Document::from_terms(
+                        (id..held)
+                            .step_by(n_users as usize - 2)
+                            .map(|s| t(2 * s))
+                            .chain([extra]),
+                    )
+                },
+            })
+            .collect();
+        let space = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
+        let ctx = ScoreContext::new(0.4, SpatialContext::from_dataspace(&space), text);
+        let mir = StTree::build_with_fanout_codec(&objects, PostingMode::MaxMin, 8, codec);
+        let group = UserGroup::from_users(&users, &ctx.text);
+        assert_eq!(group.d_uni.num_terms(), uni);
+        (ctx, mir, users, group)
+    }
+
+    /// Algorithms 1 + 2 on slot masks of one, two and three words equal
+    /// the paper-literal traversal and the document-merge refinement, bit
+    /// for bit: `RSk(us)`, `LO`, every `RSk(u)` (listing and `RSk`-only
+    /// paths) and every listing — under LM, TF-IDF and KO, both codecs,
+    /// `k` from 1 past `|O|`, with users whose keywords no object holds and
+    /// objects that hold no union term.
+    #[test]
+    fn slot_masks_match_the_merge_reference_past_one_word() {
+        use crate::topk::individual::{individual_rsk, individual_topk};
+        let (mut runs, mut unmatched_users, mut bare_rows) = (0, 0, 0);
+        for model in [
+            WeightModel::lm(),
+            WeightModel::TfIdf,
+            WeightModel::KeywordOverlap,
+        ] {
+            for uni in [63, 64, 65, 130] {
+                for codec in [storage::CodecId::Verbatim, storage::CodecId::Columnar] {
+                    let (ctx, mir, users, group) = wide_fixture(model, uni, codec, uni as u64);
+                    for k in [1, 7, 40, 305] {
+                        let what = format!("{model:?} |uni|={uni} {codec:?} k={k}");
+                        let io = IoStats::new();
+                        let got = crate::topk::joint::joint_topk(&mir, &group, k, &ctx, &io);
+                        let want = joint_topk(&mir, &group, k, &ctx, &io);
+                        assert_eq!(got.rsk_us.to_bits(), want.rsk_us.to_bits(), "{what}");
+                        assert_eq!(got.words(), uni.div_ceil(64), "{what}");
+                        bare_rows += got
+                            .lo()
+                            .chain(got.ro())
+                            .filter(|o| o.weights.is_empty())
+                            .count();
+
+                        let listed = individual_topk(&users, &got, k, &ctx);
+                        let rsk = individual_rsk(&users, &got, k, &ctx);
+                        for ((u, listed), rsk) in users.iter().zip(&listed).zip(&rsk) {
+                            let (merged_rsk, merged) = refine_by_merge(
+                                u,
+                                got.lo().map(|o| (o.id, o.point, o.weights)),
+                                got.ro().map(|o| (o.id, o.point, o.weights, o.ub)),
+                                k,
+                                &ctx,
+                            );
+                            let bits = |v: &[(u32, f64)]| {
+                                v.iter()
+                                    .map(|&(id, s)| (id, s.to_bits()))
+                                    .collect::<Vec<_>>()
+                            };
+                            assert_eq!(listed.rsk.to_bits(), merged_rsk.to_bits(), "{what}");
+                            assert_eq!(rsk.to_bits(), merged_rsk.to_bits(), "{what}");
+                            assert_eq!(bits(&listed.topk), bits(&merged), "{what}");
+
+                            // Over the reference outcome: the same threshold
+                            // and scores (tied ids may differ: its RO breaks
+                            // UB ties by eviction order).
+                            let (ref_rsk, ref_topk) = refine_by_merge(
+                                u,
+                                want.lo
+                                    .iter()
+                                    .map(|o| (o.id, o.point, &o.weights.entries[..])),
+                                want.ro
+                                    .iter()
+                                    .map(|o| (o.id, o.point, &o.weights.entries[..], o.ub)),
+                                k,
+                                &ctx,
+                            );
+                            assert_eq!(ref_rsk.to_bits(), merged_rsk.to_bits(), "{what}");
+                            let scores = |v: &[(u32, f64)]| {
+                                v.iter().map(|&(_, s)| s.to_bits()).collect::<Vec<_>>()
+                            };
+                            assert_eq!(scores(&ref_topk), scores(&merged), "{what}");
+                            unmatched_users += usize::from(ctx.text.normalizer(&u.doc) == 0.0);
+                        }
+                        runs += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            runs == 96 && unmatched_users > 0 && bare_rows > 0,
+            "coverage: {runs} runs, {unmatched_users} users with N(u) = 0, {bare_rows} rows \
+             without a union term"
         );
     }
 }

@@ -23,7 +23,7 @@ use crate::arena::{ElemSlot, NodeScratch, QueryArena, UserIndexScratch};
 use crate::bounds::lb_object;
 use crate::select::location::{evaluate_location, KeywordSelector};
 use crate::select::CandidateContext;
-use crate::topk::individual::refine_user_heap;
+use crate::topk::individual::refine_user;
 use crate::topk::joint::joint_topk;
 use crate::topk::{ByKey, TopkOutcome};
 use crate::{QueryResult, QuerySpec, ScoreContext, UserData, UserGroup};
@@ -83,7 +83,8 @@ impl UserIndexSeed {
             return elems;
         }
         let view = miur.read_node_ref(node, io, &mut scratch.miur);
-        let elems = materialize_node(&view, &self.out, k, ctx, &mut scratch.lbs, &mut scratch.hu);
+        let (lbs, best, mask) = (&mut scratch.lbs, &mut scratch.best, &mut scratch.mask);
+        let elems = materialize_node(&view, &self.out, k, ctx, lbs, best, mask);
         let mut nodes = self.nodes.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(nodes.entry(node).or_insert(elems))
     }
@@ -176,16 +177,17 @@ fn group_from_root(root: &index::MiurNodeRef<'_>) -> UserGroup {
 
 /// Materializes a node view's entries: subtrees become [`Elem::Group`]s
 /// with their `RSk` lower bounds, concrete users get their exact thresholds
-/// via Algorithm 2, both through the caller's pooled heaps, so the entries
-/// returned are all it allocates. Location-independent: everything derives
-/// from `(node, out, k)`.
+/// via Algorithm 2, both through the caller's pooled heaps and mask, so
+/// the entries returned are all it allocates. Location-independent:
+/// everything derives from `(node, out, k)`.
 fn materialize_node(
     node: &index::MiurNodeRef<'_>,
     out: &TopkOutcome,
     k: usize,
     ctx: &ScoreContext,
     lbs: &mut BinaryHeap<Reverse<ByKey<()>>>,
-    hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
+    best: &mut Vec<f64>,
+    mask: &mut Vec<u64>,
 ) -> Arc<[Elem]> {
     node.entries
         .iter()
@@ -212,7 +214,7 @@ fn materialize_node(
                     doc: Document::from_terms(e.uni.iter().copied()),
                 };
                 Elem::User {
-                    rsk: refine_user_heap(&data, out, k, ctx, hu),
+                    rsk: refine_user(&data, out, k, ctx, best, mask),
                     n_u: ctx.text.normalizer(&data.doc),
                     data,
                 }
@@ -241,7 +243,8 @@ pub fn compute_user_index_seed(
     let root = miur.read_node_ref(miur.root(), io, &mut scratch.miur);
     let root_group = group_from_root(&root);
     let out = joint_topk(mir, &root_group, k, ctx, io);
-    let root_elems = materialize_node(&root, &out, k, ctx, &mut scratch.lbs, &mut scratch.hu);
+    let (lbs, best, mask) = (&mut scratch.lbs, &mut scratch.best, &mut scratch.mask);
+    let root_elems = materialize_node(&root, &out, k, ctx, lbs, best, mask);
     UserIndexSeed {
         root_group,
         out,
