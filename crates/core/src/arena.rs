@@ -36,6 +36,7 @@ use crate::group::UserGroup;
 use crate::select::exact::Combinations;
 use crate::select::location::{HeldEvaluation, LocationCounts};
 use crate::select::DeltaScan;
+use crate::topk::individual::Scores;
 use crate::topk::ByKey;
 use crate::trace::{Phase, PhaseBreakdown, Trace};
 use crate::QuerySpec;
@@ -284,7 +285,7 @@ pub(crate) struct NodeScratch {
     /// The `k` best lower bounds `group_rsk_lb` has seen (min-heap).
     pub(crate) lbs: BinaryHeap<Reverse<ByKey<()>>>,
     /// The refined user's best scores (Algorithm 2).
-    pub(crate) best: Vec<f64>,
+    pub(crate) best: Scores,
     /// The refined user's slot mask (Algorithm 2).
     pub(crate) mask: Vec<u64>,
 }

@@ -57,10 +57,11 @@ pub fn lb_entry(
     ctx.combine(ss, group.ts_lower(sum_min))
 }
 
-/// `UB(o, g)` for a retrieved object whose exact weights over the
-/// query-term universe (`d_uni`) sum to `sum_max`.
-pub fn ub_object(ctx: &ScoreContext, group: &UserGroup, point: &Point, sum_max: f64) -> f64 {
-    let ss = ctx.spatial.min_ss_point(point, &group.mbr);
+/// `UB(o, g)` for a retrieved object at squared distance `min_dist_sq`
+/// from the group's MBR (`Rect::min_dist_sq_point`) whose exact weights
+/// over the query-term universe (`d_uni`) sum to `sum_max`.
+pub fn ub_object(ctx: &ScoreContext, group: &UserGroup, min_dist_sq: f64, sum_max: f64) -> f64 {
+    let ss = ctx.spatial.proximity(min_dist_sq.sqrt());
     ctx.combine(ss, group.ts_upper(sum_max))
 }
 
@@ -144,7 +145,8 @@ mod tests {
         ];
         for (d, p) in docs.iter().zip(&points) {
             let w = weights(&ctx, d).entries;
-            let ub = ub_object(&ctx, &group, p, w.iter().map(|&(_, w)| w).sum());
+            let d2 = group.mbr.min_dist_sq_point(p);
+            let ub = ub_object(&ctx, &group, d2, w.iter().map(|&(_, w)| w).sum());
             let lb = lb_object(&ctx, &group, p, &w);
             assert!(lb <= ub + 1e-12);
             for u in &users {
@@ -187,7 +189,8 @@ mod tests {
         let lb_e = lb_entry(&ctx, &group, &rect, &postings);
         for (p, w) in [(p0, &w0), (p1, &w1)] {
             let sum = w.entries.iter().map(|&(_, w)| w).sum();
-            assert!(ub_object(&ctx, &group, &p, sum) <= ub_e + 1e-9);
+            let d2 = group.mbr.min_dist_sq_point(&p);
+            assert!(ub_object(&ctx, &group, d2, sum) <= ub_e + 1e-9);
             // LB(entry) lower-bounds every contained object's true scores.
             for u in &users {
                 let n_u = ctx.text.normalizer(&u.doc);

@@ -19,18 +19,17 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::topk::{ByKey, TopkOutcome, UserTopk};
+use crate::topk::{ordered, unordered, ByKey, TopkOutcome, UserTopk};
 use crate::{ScoreContext, UserData};
 
-/// A user's best scores so far: the `k` kept, plus at most one more
-/// between a push and the pop that follows it.
+/// A user's `k` best scores so far.
 pub(crate) trait Best {
     fn clear(&mut self);
     fn len(&self) -> usize;
-    fn push(&mut self, key: f64, id: u32);
-    /// Drops a smallest score.
-    fn pop_min(&mut self);
-    /// A smallest score.
+    /// Keeps `key` if it is among the `k` best seen: a push, then the pop
+    /// of a smallest score once there are more than `k`.
+    fn offer(&mut self, key: f64, id: u32, k: usize);
+    /// A smallest score kept.
     fn min(&self) -> f64;
 }
 
@@ -45,12 +44,11 @@ impl Best for BinaryHeap<Reverse<ByKey<u32>>> {
         BinaryHeap::len(self)
     }
 
-    fn push(&mut self, key: f64, item: u32) {
-        BinaryHeap::push(self, Reverse(ByKey { key, item }));
-    }
-
-    fn pop_min(&mut self) {
-        self.pop();
+    fn offer(&mut self, key: f64, item: u32, k: usize) {
+        self.push(Reverse(ByKey { key, item }));
+        if BinaryHeap::len(self) > k {
+            self.pop();
+        }
     }
 
     fn min(&self) -> f64 {
@@ -58,33 +56,53 @@ impl Best for BinaryHeap<Reverse<ByKey<u32>>> {
     }
 }
 
-/// Scores alone, descending, for callers that read `RSk(u)` and nothing
-/// else: the k-th best of the scores seen does not depend on which of two
-/// tied objects is kept, and at `k` entries an insertion shifts a few
-/// words where a heap pushes and pops.
-impl Best for Vec<f64> {
+/// Scores alone, for callers that read `RSk(u)` and nothing else: the
+/// k-th best of the scores seen does not depend on which of two tied
+/// objects is kept. A full set replaces its smallest score and finds the
+/// next one in a scan of `k` scores, where a heap pushes and pops.
+#[derive(Debug, Default)]
+pub(crate) struct Scores {
+    /// The scores as [`ordered`] integers, so the scan compares integers.
+    keys: Vec<u64>,
+    /// Where the smallest key is, once there are `k`.
+    min_at: usize,
+}
+
+impl Best for Scores {
     fn clear(&mut self) {
-        Vec::clear(self);
+        self.keys.clear();
     }
 
     fn len(&self) -> usize {
-        Vec::len(self)
+        self.keys.len()
     }
 
-    fn push(&mut self, key: f64, _: u32) {
-        let at = self
-            .iter()
-            .rposition(|kept| kept.total_cmp(&key).is_ge())
-            .map_or(0, |p| p + 1);
-        self.insert(at, key);
-    }
-
-    fn pop_min(&mut self) {
-        self.pop();
+    fn offer(&mut self, key: f64, _: u32, k: usize) {
+        let key = ordered(key);
+        if self.keys.len() < k {
+            self.keys.push(key);
+            if self.keys.len() < k {
+                return;
+            }
+        } else if key >= self.keys[self.min_at] {
+            // The pop would take the old smallest (or a score equal to it).
+            self.keys[self.min_at] = key;
+        } else {
+            return; // the pop would take `key` itself
+        }
+        let (mut min_at, mut min) = (0, u64::MAX);
+        for (at, &kept) in self.keys.iter().enumerate() {
+            (min_at, min) = if kept < min {
+                (at, kept)
+            } else {
+                (min_at, min)
+            };
+        }
+        self.min_at = min_at;
     }
 
     fn min(&self) -> f64 {
-        *self.last().expect("a score")
+        unordered(self.keys[self.min_at])
     }
 }
 
@@ -137,10 +155,7 @@ pub(crate) fn refine_user(
     for from in (0..out.lo_len).step_by(BLOCK) {
         let to = (from + BLOCK).min(out.lo_len);
         for (r, s) in (from..to).zip(score(from, to)) {
-            best.push(s, out.rows[r].id);
-            if best.len() > k {
-                best.pop_min();
-            }
+            best.offer(s, out.rows[r].id, k);
         }
     }
     if best.len() == k {
@@ -158,10 +173,7 @@ pub(crate) fn refine_user(
                 break 'scan; // RO descends by UB: nothing further can qualify.
             }
             if best.len() < k || s >= rsk {
-                best.push(s, row.id);
-                if best.len() > k {
-                    best.pop_min();
-                }
+                best.offer(s, row.id, k);
                 if best.len() == k {
                     rsk = best.min();
                 }
@@ -216,7 +228,7 @@ pub(crate) fn individual_rsk(
     k: usize,
     ctx: &ScoreContext,
 ) -> Vec<f64> {
-    let (mut best, mut mask) = (Vec::with_capacity(k + 1), Vec::new());
+    let (mut best, mut mask) = (Scores::default(), Vec::new());
     users
         .iter()
         .map(|u| refine_user(u, out, k, ctx, &mut best, &mut mask))

@@ -21,7 +21,7 @@ use storage::{IoStats, RecordId};
 use text::TermId;
 
 use crate::bounds::{lb_entry, lb_object, ub_entry, ub_object};
-use crate::topk::{Row, TopkOutcome};
+use crate::topk::{ordered, Row, TopkOutcome};
 use crate::{ScoreContext, UserGroup};
 
 /// Work items on the traversal queue `PQ`: indexes, so a queue slot is 16
@@ -34,15 +34,6 @@ pub(crate) enum Item {
     Node(u32),
     /// A retrieved object: this row of the table.
     Obj(u32),
-}
-
-/// A bound as an integer with the same order ([`f64::total_cmp`]'s), so
-/// that `(bound, item)` tuples order totally under the derived `Ord`: what
-/// a heap pops next then depends on what it holds, not on how it got there
-/// — which is what lets objects skip the queue without disturbing it.
-fn ordered(bound: f64) -> u64 {
-    let bits = bound.to_bits();
-    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
 /// What the traversal just did — observed by the test that holds it to
@@ -97,9 +88,8 @@ pub(crate) fn traverse(
     let resolver = ctx.text.weights();
     let mut pq: BinaryHeap<(u64, Item)> = BinaryHeap::new();
     let mut nodes: Vec<(RecordId, f64)> = vec![(tree.root(), f64::INFINITY)];
-    // A leaf's upper bounds, one per entry, and the cut for the current
-    // RSk(us).
-    let mut ubs: Vec<f64> = Vec::new();
+    // A leaf's columns, and the cut for the current RSk(us).
+    let mut leaf = LeafColumns::default();
     let mut cut = SpatialCut::NONE;
     // Every object that passed its upper-bound test, in discovery order.
     let mut rows: Vec<Row> = Vec::new();
@@ -153,34 +143,50 @@ pub(crate) fn traverse(
                     }
                     continue;
                 }
-                // A leaf is bounded as a column: every entry's exact weight
-                // sum, term by term in ascending order (the order the
-                // run's pairs would be summed in), then its UB. With LO
-                // full, an entry holding no union term is decided on its
-                // squared distance alone (see `SpatialCut`); it gets −∞,
-                // which fails the test below as its UB would.
+                // A leaf is bounded as columns. Every entry's exact weight
+                // sum is accumulated a term list at a time — each entry's
+                // terms in ascending order, the order its row's pairs would
+                // be summed in — beside its squared distance to `us.mbr`.
+                // With LO full, an entry holding no union term is decided by
+                // that distance alone (see `SpatialCut`); the others are
+                // picked, without branching, for their exact UB.
+                let n = node.len();
+                leaf.sums.clear();
+                leaf.sums.resize(n, 0.0);
+                for (t, idxs, maxs) in postings.lists() {
+                    for (&i, &x) in idxs.iter().zip(maxs) {
+                        let w = resolver.weight(t, x);
+                        if w > 0.0 {
+                            leaf.sums[i as usize] += w;
+                        }
+                    }
+                }
+                leaf.d2s.clear();
+                leaf.d2s
+                    .extend((0..n).map(|i| group.mbr.min_dist_sq_point(&node.point(i))));
                 if full && cut.rsk.to_bits() != rsk_us.to_bits() {
                     cut = SpatialCut::new(ctx, group, rsk_us);
                 }
-                ubs.clear();
-                ubs.extend((0..node.len()).map(|i| {
-                    let point = node.point(i);
-                    let sum = postings
-                        .entry(i)
-                        .iter()
-                        .map(|&(t, x, _)| resolver.weight(t, x))
-                        .filter(|&w| w > 0.0)
-                        .fold(0.0, |sum, w| sum + w);
-                    if full && sum == 0.0 && cut.fails(group.mbr.min_dist_sq_point(&point)) {
-                        return f64::NEG_INFINITY;
-                    }
-                    ub_object(ctx, group, &point, sum)
+                let cut_d2 = if full { cut.d2 } else { f64::NAN };
+                leaf.picked.clear();
+                leaf.picked.resize(n, 0);
+                let mut m = 0;
+                for (i, (&sum, &d2)) in leaf.sums.iter().zip(&leaf.d2s).enumerate() {
+                    leaf.picked[m] = i as u32;
+                    m += usize::from(!(sum == 0.0 && d2 >= cut_d2));
+                }
+                leaf.picked.truncate(m);
+                leaf.ubs.clear();
+                leaf.ubs.extend(leaf.picked.iter().map(|&i| {
+                    let i = i as usize;
+                    ub_object(ctx, group, leaf.d2s[i], leaf.sums[i])
                 }));
                 // Only a survivor gets its pairs in the run, an LB and a row.
-                for (i, &ub) in ubs.iter().enumerate() {
+                for (&i, &ub) in leaf.picked.iter().zip(&leaf.ubs) {
                     if full && ub < rsk_us {
                         continue;
                     }
+                    let i = i as usize;
                     let ChildRef::Object(id) = node.child(i) else {
                         unreachable!("leaf entries point at objects")
                     };
@@ -220,19 +226,22 @@ pub(crate) fn traverse(
     // ... then RO: what the final RSk(us) (still −∞ if LO never filled)
     // leaves reachable, descending by UB for Algorithm 2's early break; ids
     // settle ties, so the order does not depend on when an object was
-    // discovered. The 16-byte keys are sorted, and the rows moved once.
-    let mut ro: Vec<(u64, u32, u32)> = Vec::new();
+    // discovered. The 16-byte keys `(UB descending, id, row)` are sorted,
+    // as one integer each, and the rows moved once.
+    let mut ro: Vec<u128> = Vec::new();
     let mut in_lo = lo.iter().peekable();
     for (i, row) in rows.iter().enumerate() {
         if in_lo.next_if_eq(&&(i as u32)).is_none() && row.ub >= rsk_us {
-            ro.push((!ordered(row.ub), row.id, i as u32));
+            let key = (u128::from(!ordered(row.ub)) << 64) | (u128::from(row.id) << 32);
+            ro.push(key | i as u128);
         }
     }
     ro.sort_unstable();
     let rows: Vec<Row> = lo
         .iter()
-        .chain(ro.iter().map(|(_, _, i)| i))
-        .map(|&i| rows[i as usize])
+        .map(|&i| i as usize)
+        .chain(ro.iter().map(|&key| key as u32 as usize))
+        .map(|i| rows[i])
         .collect();
     let masks = slot_masks(&rows, &weights, &uni);
     TopkOutcome {
@@ -243,6 +252,18 @@ pub(crate) fn traverse(
         masks,
         rsk_us,
     }
+}
+
+/// One leaf's bounding columns, reused from leaf to leaf.
+#[derive(Debug, Default)]
+struct LeafColumns {
+    /// Per entry: the exact weight sum over `us.dUni`, and the squared
+    /// distance to `us.mbr`.
+    sums: Vec<f64>,
+    d2s: Vec<f64>,
+    /// The entries whose UB is computed, and those UBs.
+    picked: Vec<u32>,
+    ubs: Vec<f64>,
 }
 
 /// Where an object holding no union term fails its upper-bound test.
@@ -259,25 +280,23 @@ pub(crate) fn traverse(
 struct SpatialCut {
     /// The `RSk(us)` the cut is for.
     rsk: f64,
-    /// The smallest failing `d²`; `None` when none fails.
-    d2: Option<f64>,
+    /// The smallest failing `d²`; NaN when none fails (no `d² >= NaN`).
+    d2: f64,
 }
 
 impl SpatialCut {
     /// A cut for no threshold yet: it is replaced before it is read.
     const NONE: SpatialCut = SpatialCut {
         rsk: f64::NAN,
-        d2: None,
+        d2: f64::NAN,
     };
 
     fn new(ctx: &ScoreContext, group: &UserGroup, rsk: f64) -> Self {
-        // `ub_object` of a point at squared distance `d2` with no weights.
-        let fails =
-            |d2: f64| ctx.combine(ctx.spatial.proximity(d2.sqrt()), group.ts_upper(0.0)) < rsk;
+        let fails = |d2: f64| ub_object(ctx, group, d2, 0.0) < rsk;
         let d2 = if !fails(f64::INFINITY) {
-            None
+            f64::NAN
         } else if fails(0.0) {
-            Some(0.0)
+            0.0
         } else {
             // Invariant: `lo` holds, `hi` fails.
             let (mut lo, mut hi) = (0f64.to_bits(), f64::INFINITY.to_bits());
@@ -289,22 +308,22 @@ impl SpatialCut {
                     lo = mid;
                 }
             }
-            Some(f64::from_bits(hi))
+            f64::from_bits(hi)
         };
         SpatialCut { rsk, d2 }
     }
 
     /// True when an object holding no union term at squared distance `d2`
     /// from `us.mbr` has `UB(o, us) < RSk(us)`.
-    #[inline]
+    #[cfg(test)]
     fn fails(&self, d2: f64) -> bool {
-        self.d2.is_some_and(|cut| d2 >= cut)
+        d2 >= self.d2
     }
 }
 
 /// Every row's slot mask over `slots` (see [`TopkOutcome::masks`]). A
 /// row's pairs come from a read restricted to `slots`, so each of its
-/// terms has a slot; both ascend, so one forward walk finds them.
+/// terms has a slot; both ascend, so each search starts past the last.
 fn slot_masks(rows: &[Row], weights: &[(TermId, f64)], slots: &[TermId]) -> Vec<u64> {
     let words = slots.len().div_ceil(64);
     let mut masks = vec![0u64; rows.len() * words];
@@ -312,9 +331,7 @@ fn slot_masks(rows: &[Row], weights: &[(TermId, f64)], slots: &[TermId]) -> Vec<
         let mask = &mut masks[r * words..][..words];
         let mut s = 0;
         for &(t, _) in &weights[row.weights.0 as usize..][..row.weights.1 as usize] {
-            while slots[s] < t {
-                s += 1;
-            }
+            s += slots[s..].partition_point(|&slot| slot < t);
             debug_assert_eq!(slots[s], t, "a row term outside the slots");
             mask[s / 64] |= 1 << (s % 64);
         }
@@ -487,7 +504,13 @@ mod tests {
             .map(|_| Point::new(next(700) as f64 / 100.0, next(600) as f64 / 100.0))
             .chain([group.mbr.min, group.mbr.max])
             .collect();
-        let ub = |p: &Point| ub_object(&ctx, &group, p, 0.0);
+        // `ub_object` at the point's squared distance is the point's bound.
+        let ub = |p: &Point| {
+            let ub = ub_object(&ctx, &group, group.mbr.min_dist_sq_point(p), 0.0);
+            let by_point = ctx.combine(ctx.spatial.min_ss_point(p, &group.mbr), 0.0);
+            assert_eq!(ub.to_bits(), by_point.to_bits(), "{p:?}");
+            ub
+        };
         let mut thresholds: Vec<f64> = points.iter().take(60).map(ub).collect();
         thresholds.extend([0.0, 1e-300, 0.2, 0.5, 2.0]);
         let mut failing = 0;

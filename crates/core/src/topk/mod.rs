@@ -244,6 +244,21 @@ where
     })
 }
 
+/// A bound or score as an integer with the same order
+/// ([`f64::total_cmp`]'s). The traversal queue orders `(bound, item)`
+/// tuples totally under the derived `Ord` with it: what a heap pops next
+/// then depends on what it holds, not on how it got there — which is what
+/// lets objects skip the queue without disturbing it.
+pub(crate) fn ordered(key: f64) -> u64 {
+    let bits = key.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// The inverse of [`ordered`].
+pub(crate) fn unordered(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
+}
+
 /// Max-heap adapter ordering payloads by an `f64` key.
 #[derive(Debug, Clone)]
 pub(crate) struct ByKey<T> {

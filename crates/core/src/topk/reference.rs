@@ -205,7 +205,8 @@ pub(super) fn joint_topk(
                                     .collect(),
                             );
                             let sum = weights.entries.iter().map(|&(_, w)| w).sum();
-                            let obj_ub = ub_object(ctx, group, &point, sum);
+                            let d2 = group.mbr.min_dist_sq_point(&point);
+                            let obj_ub = ub_object(ctx, group, d2, sum);
                             if lo.len() >= k && obj_ub < rsk_us {
                                 continue;
                             }

@@ -23,7 +23,7 @@ use crate::arena::{ElemSlot, NodeScratch, QueryArena, UserIndexScratch};
 use crate::bounds::lb_object;
 use crate::select::location::{evaluate_location, KeywordSelector};
 use crate::select::CandidateContext;
-use crate::topk::individual::refine_user;
+use crate::topk::individual::{refine_user, Scores};
 use crate::topk::joint::joint_topk;
 use crate::topk::{ByKey, TopkOutcome};
 use crate::{QueryResult, QuerySpec, ScoreContext, UserData, UserGroup};
@@ -186,7 +186,7 @@ fn materialize_node(
     k: usize,
     ctx: &ScoreContext,
     lbs: &mut BinaryHeap<Reverse<ByKey<()>>>,
-    best: &mut Vec<f64>,
+    best: &mut Scores,
     mask: &mut Vec<u64>,
 ) -> Arc<[Elem]> {
     node.entries

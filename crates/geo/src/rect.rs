@@ -206,16 +206,12 @@ impl Rect {
     }
 }
 
-/// Distance from `v` to the interval `[lo, hi]` (0 when inside).
+/// Distance from `v` to the interval `[lo, hi]` (±0 when inside), without
+/// a branch: outside, exactly one of the two differences is positive.
+/// Callers square it, so the sign of a zero never shows.
 #[inline]
 fn clamp_excess(v: f64, lo: f64, hi: f64) -> f64 {
-    if v < lo {
-        lo - v
-    } else if v > hi {
-        v - hi
-    } else {
-        0.0
-    }
+    (lo - v).max(v - hi).max(0.0)
 }
 
 /// Gap between two 1-D intervals (0 when they overlap).

@@ -297,16 +297,23 @@ impl PostingsScratch {
         for &i in &lists.idxs {
             offsets[i as usize + 2] += 1;
         }
-        for j in 2..offsets.len() {
-            offsets[j] += offsets[j - 1];
+        let mut total = 0;
+        for slot in &mut offsets[2..] {
+            total += *slot;
+            *slot = total;
         }
         rows.clear();
         rows.resize(lists.idxs.len(), (TermId(0), 0.0, 0.0));
         let mut start = 0;
         for &(t, end) in &lists.ends {
-            for p in start..end as usize {
-                let at = &mut offsets[lists.idxs[p] as usize + 1];
-                rows[*at as usize] = (t, lists.maxs[p], lists.mins[p]);
+            let list = start..end as usize;
+            let postings = lists.idxs[list.clone()]
+                .iter()
+                .zip(&lists.maxs[list.clone()])
+                .zip(&lists.mins[list]);
+            for ((&i, &max), &min) in postings {
+                let at = &mut offsets[i as usize + 1];
+                rows[*at as usize] = (t, max, min);
                 *at += 1;
             }
             start = end as usize;
@@ -316,18 +323,36 @@ impl PostingsScratch {
 }
 
 /// Borrowed postings of one node restricted to a set of query terms,
-/// living in a [`PostingsScratch`].
+/// living in a [`PostingsScratch`], readable both ways its layout holds
+/// them: per entry ([`PostingsRef::entry`]) and per term
+/// ([`PostingsRef::lists`]).
 ///
 /// Row `i` lists `(term, maxw, minw)` ascending by term for entry `i`; in
 /// [`PostingMode::MaxOnly`] the tree stores no minima, so the minimum is
 /// reported as 0.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingsRef<'a> {
+    lists: &'a ListColumns,
     offsets: &'a [u32],
     rows: &'a [(TermId, f64, f64)],
 }
 
-impl PostingsRef<'_> {
+impl<'a> PostingsRef<'a> {
+    /// The same postings term-major: for each wanted term the file holds,
+    /// ascending, `(term, entry indexes, maxima)`, the indexes ascending.
+    /// Summing a column per entry list by list adds each entry's terms in
+    /// the order its row lists them.
+    pub fn lists(&self) -> impl Iterator<Item = (TermId, &'a [u32], &'a [f64])> {
+        let ListColumns {
+            idxs, maxs, ends, ..
+        } = self.lists;
+        let starts = std::iter::once(0).chain(ends.iter().map(|&(_, end)| end as usize));
+        ends.iter().zip(starts).map(|(&(t, end), start)| {
+            let list = start..end as usize;
+            (t, &idxs[list.clone()], &maxs[list])
+        })
+    }
+
     /// `(term, maxw, minw)` rows for entry `i`, ascending by term.
     #[inline]
     pub fn entry(&self, i: usize) -> &[(TermId, f64, f64)] {
@@ -412,6 +437,7 @@ impl StTree {
 impl PostingsScratch {
     fn view(&self) -> PostingsRef<'_> {
         PostingsRef {
+            lists: &self.lists,
             offsets: &self.offsets,
             rows: &self.rows,
         }
