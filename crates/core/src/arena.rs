@@ -36,7 +36,6 @@ use crate::group::UserGroup;
 use crate::select::exact::Combinations;
 use crate::select::location::{HeldEvaluation, LocationCounts};
 use crate::select::DeltaScan;
-use crate::topk::individual::Scores;
 use crate::topk::ByKey;
 use crate::trace::{Phase, PhaseBreakdown, Trace};
 use crate::QuerySpec;
@@ -284,8 +283,8 @@ pub(crate) struct NodeScratch {
     pub(crate) miur: MiurScratch,
     /// The `k` best lower bounds `group_rsk_lb` has seen (min-heap).
     pub(crate) lbs: BinaryHeap<Reverse<ByKey<()>>>,
-    /// The refined user's best scores (Algorithm 2).
-    pub(crate) best: Scores,
+    /// Per-user `RSk` refinement heap (Algorithm 2).
+    pub(crate) hu: BinaryHeap<Reverse<ByKey<u32>>>,
     /// The refined user's slot mask (Algorithm 2).
     pub(crate) mask: Vec<u64>,
 }

@@ -19,96 +19,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::topk::{ordered, unordered, ByKey, TopkOutcome, UserTopk};
+use crate::topk::{ByKey, TopkOutcome, UserTopk};
 use crate::{ScoreContext, UserData};
 
-/// A user's `k` best scores so far.
-pub(crate) trait Best {
-    fn clear(&mut self);
-    fn len(&self) -> usize;
-    /// Keeps `key` if it is among the `k` best seen: a push, then the pop
-    /// of a smallest score once there are more than `k`.
-    fn offer(&mut self, key: f64, id: u32, k: usize);
-    /// A smallest score kept.
-    fn min(&self) -> f64;
-}
-
-/// Scores with their object ids, for the listings: which of two tied
-/// objects stays is the heap's, as it always was.
-impl Best for BinaryHeap<Reverse<ByKey<u32>>> {
-    fn clear(&mut self) {
-        BinaryHeap::clear(self);
-    }
-
-    fn len(&self) -> usize {
-        BinaryHeap::len(self)
-    }
-
-    fn offer(&mut self, key: f64, item: u32, k: usize) {
-        self.push(Reverse(ByKey { key, item }));
-        if BinaryHeap::len(self) > k {
-            self.pop();
-        }
-    }
-
-    fn min(&self) -> f64 {
-        self.peek().expect("a score").0.key
-    }
-}
-
-/// Scores alone, for callers that read `RSk(u)` and nothing else: the
-/// k-th best of the scores seen does not depend on which of two tied
-/// objects is kept. A full set replaces its smallest score and finds the
-/// next one in a scan of `k` scores, where a heap pushes and pops.
-#[derive(Debug, Default)]
-pub(crate) struct Scores {
-    /// The scores as [`ordered`] integers, so the scan compares integers.
-    keys: Vec<u64>,
-    /// Where the smallest key is, once there are `k`.
-    min_at: usize,
-}
-
-impl Best for Scores {
-    fn clear(&mut self) {
-        self.keys.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn offer(&mut self, key: f64, _: u32, k: usize) {
-        let key = ordered(key);
-        if self.keys.len() < k {
-            self.keys.push(key);
-            if self.keys.len() < k {
-                return;
-            }
-        } else if key >= self.keys[self.min_at] {
-            // The pop would take the old smallest (or a score equal to it).
-            self.keys[self.min_at] = key;
-        } else {
-            return; // the pop would take `key` itself
-        }
-        let (mut min_at, mut min) = (0, u64::MAX);
-        for (at, &kept) in self.keys.iter().enumerate() {
-            (min_at, min) = if kept < min {
-                (at, kept)
-            } else {
-                (min_at, min)
-            };
-        }
-        self.min_at = min_at;
-    }
-
-    fn min(&self) -> f64 {
-        unordered(self.keys[self.min_at])
-    }
-}
-
 /// The refinement kernel shared by the top-k listing, the `RSk`-only path
-/// and the §7 pipeline's user materialisation: fills `best` with the
-/// user's `k` best scores and returns `RSk(u)`. `best` and the user's slot
+/// and the §7 pipeline's user materialisation: fills `hu` (min-heap by
+/// score, best k kept) and returns `RSk(u)`. The heap and the user's slot
 /// mask are cleared first, so pooled ones can be reused across users
 /// without reallocating.
 ///
@@ -119,7 +35,7 @@ pub(crate) fn refine_user(
     out: &TopkOutcome,
     k: usize,
     ctx: &ScoreContext,
-    best: &mut impl Best,
+    hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
     mask: &mut Vec<u64>,
 ) -> f64 {
     assert!(k > 0, "k must be positive");
@@ -138,9 +54,9 @@ pub(crate) fn refine_user(
         };
         ctx.combine(ss, ts)
     };
-    // Rows are scored a block at a time, before `best` sees any of them:
+    // Rows are scored a block at a time, before the heap sees any of them:
     // the scores do not depend on each other, so they overlap in the
-    // pipeline instead of waiting on `best`'s branches. A block past the
+    // pipeline instead of waiting on the heap's branches. A block past the
     // early break is wasted work, never a different answer.
     let score = |from: usize, to: usize| {
         let mut scores = [0.0; BLOCK];
@@ -149,33 +65,45 @@ pub(crate) fn refine_user(
         }
         scores
     };
-    best.clear();
+    hu.clear();
     let mut rsk = f64::NEG_INFINITY;
 
     for from in (0..out.lo_len).step_by(BLOCK) {
         let to = (from + BLOCK).min(out.lo_len);
         for (r, s) in (from..to).zip(score(from, to)) {
-            best.offer(s, out.rows[r].id, k);
+            hu.push(Reverse(ByKey {
+                key: s,
+                item: out.rows[r].id,
+            }));
+            if hu.len() > k {
+                hu.pop();
+            }
         }
     }
-    if best.len() == k {
-        rsk = best.min();
+    if hu.len() == k {
+        rsk = hu.peek().unwrap().0.key;
     }
 
     'scan: for from in (out.lo_len..out.rows.len()).step_by(BLOCK) {
-        if best.len() == k && out.rows[from].ub < rsk {
+        if hu.len() == k && out.rows[from].ub < rsk {
             break;
         }
         let to = (from + BLOCK).min(out.rows.len());
         for (r, s) in (from..to).zip(score(from, to)) {
             let row = &out.rows[r];
-            if best.len() == k && row.ub < rsk {
+            if hu.len() == k && row.ub < rsk {
                 break 'scan; // RO descends by UB: nothing further can qualify.
             }
-            if best.len() < k || s >= rsk {
-                best.offer(s, row.id, k);
-                if best.len() == k {
-                    rsk = best.min();
+            if hu.len() < k || s >= rsk {
+                hu.push(Reverse(ByKey {
+                    key: s,
+                    item: row.id,
+                }));
+                if hu.len() > k {
+                    hu.pop();
+                }
+                if hu.len() == k {
+                    rsk = hu.peek().unwrap().0.key;
                 }
             }
         }
@@ -228,10 +156,10 @@ pub(crate) fn individual_rsk(
     k: usize,
     ctx: &ScoreContext,
 ) -> Vec<f64> {
-    let (mut best, mut mask) = (Scores::default(), Vec::new());
+    let (mut hu, mut mask) = (BinaryHeap::new(), Vec::new());
     users
         .iter()
-        .map(|u| refine_user(u, out, k, ctx, &mut best, &mut mask))
+        .map(|u| refine_user(u, out, k, ctx, &mut hu, &mut mask))
         .collect()
 }
 

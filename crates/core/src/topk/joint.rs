@@ -21,7 +21,7 @@ use storage::{IoStats, RecordId};
 use text::TermId;
 
 use crate::bounds::{lb_entry, lb_object, ub_entry, ub_object};
-use crate::topk::{ordered, Row, TopkOutcome};
+use crate::topk::{Row, TopkOutcome};
 use crate::{ScoreContext, UserGroup};
 
 /// Work items on the traversal queue `PQ`: indexes, so a queue slot is 16
@@ -34,6 +34,15 @@ pub(crate) enum Item {
     Node(u32),
     /// A retrieved object: this row of the table.
     Obj(u32),
+}
+
+/// A bound as an integer with the same order ([`f64::total_cmp`]'s), so
+/// that `(bound, item)` tuples order totally under the derived `Ord`: what
+/// a heap pops next then depends on what it holds, not on how it got there
+/// — which is what lets objects skip the queue without disturbing it.
+fn ordered(bound: f64) -> u64 {
+    let bits = bound.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
 /// What the traversal just did — observed by the test that holds it to

@@ -15,15 +15,20 @@
 //! nothing is built for an entry before it has survived the test that
 //! could discard it:
 //!
-//! * **Bound first, as a column.** A leaf's postings arrive as one flat
+//! * **Bound first, as columns.** A leaf's postings arrive as one flat
 //!   layout (`index::PostingsScratch`: term-major columns, then a
 //!   per-entry CSR; no entry owns a buffer). Every entry's exact weight
-//!   sum is accumulated term by term in ascending order — the order the
-//!   pairs of a materialised row would be summed in, so `UB` keeps its
-//!   bits — and the whole leaf is tested against `RSk(us)` (neither moves
-//!   while a node is expanded). Only a survivor gets its pairs copied into
-//!   the outcome's one shared run, its lower bound and a row. No
-//!   allocation is made per retrieved object.
+//!   sum is accumulated a term list at a time — each entry's terms in
+//!   ascending order, the order the pairs of a materialised row would be
+//!   summed in, so `UB` keeps its bits — beside its squared distance to
+//!   `us.mbr`, and the whole leaf is tested against `RSk(us)` (neither
+//!   moves while a node is expanded). An entry holding no union term is
+//!   decided by its distance alone: its `UB` is a monotone function of it,
+//!   and where that falls below `RSk(us)` is found once per value of
+//!   `RSk(us)`. The rest are picked into a selection vector for their
+//!   exact `UB`. Only a survivor gets its pairs copied into the outcome's
+//!   one shared run, its lower bound and a row. No allocation is made per
+//!   retrieved object.
 //! * **Who may skip the queue.** The queue holds 16-byte `(bound, index)`
 //!   pairs — nodes index a side table of `(record, upper bound)`, objects
 //!   index their row. An object that arrives while `LO` is full with
@@ -242,21 +247,6 @@ where
             })
             .collect()
     })
-}
-
-/// A bound or score as an integer with the same order
-/// ([`f64::total_cmp`]'s). The traversal queue orders `(bound, item)`
-/// tuples totally under the derived `Ord` with it: what a heap pops next
-/// then depends on what it holds, not on how it got there — which is what
-/// lets objects skip the queue without disturbing it.
-pub(crate) fn ordered(key: f64) -> u64 {
-    let bits = key.to_bits();
-    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
-}
-
-/// The inverse of [`ordered`].
-pub(crate) fn unordered(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
 }
 
 /// Max-heap adapter ordering payloads by an `f64` key.

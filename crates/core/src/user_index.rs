@@ -23,7 +23,7 @@ use crate::arena::{ElemSlot, NodeScratch, QueryArena, UserIndexScratch};
 use crate::bounds::lb_object;
 use crate::select::location::{evaluate_location, KeywordSelector};
 use crate::select::CandidateContext;
-use crate::topk::individual::{refine_user, Scores};
+use crate::topk::individual::refine_user;
 use crate::topk::joint::joint_topk;
 use crate::topk::{ByKey, TopkOutcome};
 use crate::{QueryResult, QuerySpec, ScoreContext, UserData, UserGroup};
@@ -83,8 +83,8 @@ impl UserIndexSeed {
             return elems;
         }
         let view = miur.read_node_ref(node, io, &mut scratch.miur);
-        let (lbs, best, mask) = (&mut scratch.lbs, &mut scratch.best, &mut scratch.mask);
-        let elems = materialize_node(&view, &self.out, k, ctx, lbs, best, mask);
+        let (lbs, hu, mask) = (&mut scratch.lbs, &mut scratch.hu, &mut scratch.mask);
+        let elems = materialize_node(&view, &self.out, k, ctx, lbs, hu, mask);
         let mut nodes = self.nodes.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(nodes.entry(node).or_insert(elems))
     }
@@ -186,7 +186,7 @@ fn materialize_node(
     k: usize,
     ctx: &ScoreContext,
     lbs: &mut BinaryHeap<Reverse<ByKey<()>>>,
-    best: &mut Scores,
+    hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
     mask: &mut Vec<u64>,
 ) -> Arc<[Elem]> {
     node.entries
@@ -214,7 +214,7 @@ fn materialize_node(
                     doc: Document::from_terms(e.uni.iter().copied()),
                 };
                 Elem::User {
-                    rsk: refine_user(&data, out, k, ctx, best, mask),
+                    rsk: refine_user(&data, out, k, ctx, hu, mask),
                     n_u: ctx.text.normalizer(&data.doc),
                     data,
                 }
@@ -243,8 +243,8 @@ pub fn compute_user_index_seed(
     let root = miur.read_node_ref(miur.root(), io, &mut scratch.miur);
     let root_group = group_from_root(&root);
     let out = joint_topk(mir, &root_group, k, ctx, io);
-    let (lbs, best, mask) = (&mut scratch.lbs, &mut scratch.best, &mut scratch.mask);
-    let root_elems = materialize_node(&root, &out, k, ctx, lbs, best, mask);
+    let (lbs, hu, mask) = (&mut scratch.lbs, &mut scratch.hu, &mut scratch.mask);
+    let root_elems = materialize_node(&root, &out, k, ctx, lbs, hu, mask);
     UserIndexSeed {
         root_group,
         out,
