@@ -10,7 +10,7 @@
 //!
 //! Scoring runs on slot masks, not document merges: the outcome numbers
 //! the terms of `us.dUni` in ascending order and marks each row's terms in
-//! a mask ([`TopkOutcome::masks`]); each user gets a mask over the same
+//! a mask (`TopkOutcome::masks`); each user gets a mask over the same
 //! slots once, and a row's text score is the sum of its weights at the
 //! slots both masks set, in ascending slot order — the order a merge of
 //! the two term lists adds them in, so every `RSk(u)` keeps its bits. The
@@ -30,7 +30,7 @@ use crate::{ScoreContext, UserData};
 ///
 /// # Panics
 /// Panics when `k == 0`.
-pub(crate) fn refine_user(
+pub(crate) fn refine_user_heap(
     user: &UserData,
     out: &TopkOutcome,
     k: usize,
@@ -111,7 +111,7 @@ pub(crate) fn refine_user(
     rsk
 }
 
-/// Rows scored per step of [`refine_user`].
+/// Rows scored per step of [`refine_user_heap`].
 const BLOCK: usize = 8;
 
 /// The top-k listing of a single user, through a pooled heap and mask.
@@ -123,7 +123,7 @@ fn individual_topk_user_with(
     hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
     mask: &mut Vec<u64>,
 ) -> UserTopk {
-    let rsk = refine_user(user, out, k, ctx, hu, mask);
+    let rsk = refine_user_heap(user, out, k, ctx, hu, mask);
     let mut topk: Vec<(u32, f64)> = hu.drain().map(|r| (r.0.item, r.0.key)).collect();
     topk.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     UserTopk {
@@ -159,7 +159,7 @@ pub(crate) fn individual_rsk(
     let (mut hu, mut mask) = (BinaryHeap::new(), Vec::new());
     users
         .iter()
-        .map(|u| refine_user(u, out, k, ctx, &mut hu, &mut mask))
+        .map(|u| refine_user_heap(u, out, k, ctx, &mut hu, &mut mask))
         .collect()
 }
 

@@ -23,7 +23,7 @@ use crate::arena::{ElemSlot, NodeScratch, QueryArena, UserIndexScratch};
 use crate::bounds::lb_object;
 use crate::select::location::{evaluate_location, KeywordSelector};
 use crate::select::CandidateContext;
-use crate::topk::individual::refine_user;
+use crate::topk::individual::refine_user_heap;
 use crate::topk::joint::joint_topk;
 use crate::topk::{ByKey, TopkOutcome};
 use crate::{QueryResult, QuerySpec, ScoreContext, UserData, UserGroup};
@@ -214,7 +214,7 @@ fn materialize_node(
                     doc: Document::from_terms(e.uni.iter().copied()),
                 };
                 Elem::User {
-                    rsk: refine_user(&data, out, k, ctx, hu, mask),
+                    rsk: refine_user_heap(&data, out, k, ctx, hu, mask),
                     n_u: ctx.text.normalizer(&data.doc),
                     data,
                 }

@@ -279,6 +279,14 @@ impl ListColumns {
 }
 
 impl PostingsScratch {
+    fn view(&self) -> PostingsRef<'_> {
+        PostingsRef {
+            lists: &self.lists,
+            offsets: &self.offsets,
+            rows: &self.rows,
+        }
+    }
+
     /// Lays the decoded lists out per entry: counts per entry, a prefix
     /// sum, then one scatter in column order. Lists ascend by term and the
     /// scatter is stable, so every entry's postings ascend by term too.
@@ -431,16 +439,6 @@ impl StTree {
             }
         }
         scratch.view()
-    }
-}
-
-impl PostingsScratch {
-    fn view(&self) -> PostingsRef<'_> {
-        PostingsRef {
-            lists: &self.lists,
-            offsets: &self.offsets,
-            rows: &self.rows,
-        }
     }
 }
 
