@@ -321,13 +321,6 @@ impl SpatialCut {
         };
         SpatialCut { rsk, d2 }
     }
-
-    /// True when an object holding no union term at squared distance `d2`
-    /// from `us.mbr` has `UB(o, us) < RSk(us)`.
-    #[cfg(test)]
-    fn fails(&self, d2: f64) -> bool {
-        d2 >= self.d2
-    }
 }
 
 /// Every row's slot mask over `slots` (see [`TopkOutcome::masks`]). A
@@ -528,7 +521,7 @@ mod tests {
             for p in &points {
                 let fails = ub(p) < rsk;
                 assert_eq!(
-                    cut.fails(group.mbr.min_dist_sq_point(p)),
+                    group.mbr.min_dist_sq_point(p) >= cut.d2,
                     fails,
                     "RSk {rsk}, point {p:?}"
                 );
