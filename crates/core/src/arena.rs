@@ -38,6 +38,9 @@ use crate::select::location::{HeldEvaluation, LocationCounts};
 use crate::select::DeltaScan;
 use crate::topk::ByKey;
 use crate::trace::{Phase, PhaseBreakdown, Trace};
+#[cfg(test)]
+use crate::user_index::reference::FrontierLog;
+use crate::user_index::FrontierList;
 use crate::QuerySpec;
 
 /// Reusable backing storage for one [`crate::select::CandidateContext`],
@@ -301,12 +304,20 @@ pub(crate) struct UserIndexScratch {
     /// children occupy consecutive slots.
     pub(crate) elems: Vec<ElemSlot>,
     pub(crate) live: usize,
-    /// Per-location frontier element-id lists (pooled rows).
-    pub(crate) lu_lists: Vec<Vec<u32>>,
+    /// Per-location frontier lists (pooled rows).
+    pub(crate) lists: Vec<FrontierList>,
+    /// An expansion's children kept at every location, and each child's
+    /// keep verdict where the bands decide it.
+    pub(crate) run: FrontierList,
+    pub(crate) verdicts: Vec<Option<bool>>,
     pub(crate) ql: BinaryHeap<ByKey<usize>>,
     /// The dequeued location's list as candidate-context user indices.
     pub(crate) lu: Vec<usize>,
     pub(crate) node: NodeScratch,
+    /// What the last query's frontier did, for the tests that hold it to
+    /// the loop in `user_index/reference.rs`.
+    #[cfg(test)]
+    pub(crate) log: FrontierLog,
 }
 
 /// Reusable per-query scratch memory for every query method.

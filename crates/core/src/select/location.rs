@@ -26,6 +26,16 @@
 //! per query. A location with another `LU` set, the `LBL` shortcut,
 //! GreedyPlus and Exact take the full path, which also counts before it
 //! materialises.
+//!
+//! The evaluation remembers the list it was held for. Algorithm 3's
+//! pooled lists keep their contents for the whole query, and with no `UBL`
+//! test left open every location shares one, so a location on that list
+//! reuses the evaluation without looking at its members: every later
+//! location costs one comparison, not a membership test of every `LU`
+//! user. The §7 pipeline names its lists by class instead: lists that took
+//! only runs of children the bands decided everywhere hold the same users
+//! in the same order (`user_index::FrontierList`). Any other list goes
+//! through the set test.
 
 use text::TermId;
 
@@ -66,6 +76,8 @@ pub struct LocationCounts {
 #[derive(Debug, Default)]
 pub(crate) struct HeldEvaluation {
     live: bool,
+    /// The name of the list it was held for, when the caller gave one.
+    list: Option<usize>,
     /// Its `LU` set: a bitset over context user indices, and its size.
     members: Vec<u64>,
     len: usize,
@@ -86,6 +98,12 @@ impl HeldEvaluation {
         self.live = false;
     }
 
+    /// True when an evaluation is held for the list named `list`: a name
+    /// stands for one `lu` for the whole query.
+    fn held_for(&self, list: Option<usize>) -> bool {
+        self.live && list.is_some() && self.list == list
+    }
+
     /// True when an evaluation is held and `lu` is its `LU` set.
     fn matches(&self, lu: &[usize]) -> bool {
         self.live
@@ -96,12 +114,14 @@ impl HeldEvaluation {
     }
 
     /// Runs the greedy evaluation of `lu`, whose every `LUW` row the bands
-    /// decide, and holds it. A decided row has the members it has at the
-    /// bands' low ends, so `LUW` is built there and needs no location.
+    /// decide, and holds it for the list named `list`. A decided row has
+    /// the members it has at the bands' low ends, so `LUW` is built there
+    /// and needs no location.
     fn hold(
         &mut self,
         cc: &CandidateContext<'_>,
         lu: &[usize],
+        list: Option<usize>,
         lo: &mut Vec<f64>,
         gr: &mut GreedyScratch,
         cand: &mut Vec<u64>,
@@ -111,6 +131,7 @@ impl HeldEvaluation {
         greedy::greedy_keywords_into(cc, lu, lo, gr, &mut self.kw);
         cc.cand_set(&self.kw, cand);
         self.live = true;
+        self.list = list;
         self.len = lu.len();
         self.members.clear();
         self.members.resize(cc.num_users().div_ceil(64), 0);
@@ -263,24 +284,28 @@ pub(crate) fn select_candidate_into(
         let shortcut = cc.lbl_group_with_ts(&cc.spec.locations[li], su, su_lbl_ts) >= rsk_us;
         let lu = std::mem::take(&mut sel.lu_bufs[slot]);
         sel.locations.dequeued += 1;
-        evaluate_location(cc, li, &lu, shortcut, selector, sel, out);
+        evaluate_location(cc, li, &lu, Some(slot), shortcut, selector, sel, out);
         sel.lu_bufs[slot] = lu;
     }
 }
 
 /// Algorithm 3's work on one dequeued location, shared with the §7
-/// pipeline: `lu` indexes the context's users. With `shortcut` set, a
-/// location where all of `lu` already qualifies on `ox.d` alone is settled
-/// without keyword selection. Otherwise a greedy location reuses the held
-/// evaluation when `lu` is its set, or becomes it when the bands decide
-/// every `LUW` row of `lu`; any other location has `selector` pick the
-/// keywords and its realized BRSTkNN set counted exactly. The spatial
-/// scores of `lu` are computed only on that full path. `out` is replaced
-/// on improvement.
+/// pipeline: `lu` indexes the context's users, and `list`, when given,
+/// names it: every location given the same name in a query has the same
+/// `lu`. With `shortcut` set, a location where all of
+/// `lu` already qualifies on `ox.d` alone is settled without keyword
+/// selection. Otherwise a greedy location reuses the held evaluation when
+/// `lu` is its list or its set, or becomes it when the bands decide every
+/// `LUW` row of `lu`; any other location has `selector` pick the keywords
+/// and its realized BRSTkNN set counted exactly. The spatial scores of
+/// `lu` are computed only on that full path. `out` is replaced on
+/// improvement.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_location(
     cc: &CandidateContext<'_>,
     li: usize,
     lu: &[usize],
+    list: Option<usize>,
     shortcut: bool,
     selector: KeywordSelector,
     sel: &mut SelectScratch,
@@ -317,14 +342,14 @@ pub(crate) fn evaluate_location(
         }
     }
     if selector == KeywordSelector::Greedy {
-        if held.matches(lu) {
+        if held.held_for(list) || held.matches(lu) {
             locations.reused += 1;
             held.count_at(cc, li, lu, out);
             return;
         }
         if !held.live && greedy::luw_decided(cc, lu) {
             locations.evaluated += 1;
-            held.hold(cc, lu, ss, gr, cand);
+            held.hold(cc, lu, list, ss, gr, cand);
             held.count_at(cc, li, lu, out);
             return;
         }
@@ -352,10 +377,8 @@ pub(crate) fn evaluate_location(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::test_fixture::{fixture, stream, t};
+    use crate::select::test_fixture::{band_engine, fixture, t, Layout};
     use crate::select::CandidateContext;
-    use crate::{QuerySpec, UserData};
-    use geo::Point;
     use text::{Document, WeightModel};
 
     fn brute_force_best(cc: &CandidateContext<'_>) -> usize {
@@ -523,7 +546,8 @@ mod tests {
     /// it — and materialises the reference's BRSTkNN users in the
     /// location's own `lu` order, whether or not the bands decide them
     /// (here held over random, widely spread locations, so many stay
-    /// open). It matches its `LU` set in any order and nothing else.
+    /// open). It matches its `LU` set in any order and nothing else, and
+    /// the list it was held for by name; an unnamed list never.
     #[test]
     fn held_evaluation_counts_and_matches_exactly() {
         use crate::select::test_fixture::random_fixture;
@@ -536,7 +560,7 @@ mod tests {
             let rev: Vec<usize> = lu.iter().rev().copied().collect();
             let mut held = HeldEvaluation::default();
             let (mut lo, mut gr, mut cand) = (Vec::new(), GreedyScratch::default(), Vec::new());
-            held.hold(&cc, &lu, &mut lo, &mut gr, &mut cand);
+            held.hold(&cc, &lu, None, &mut lo, &mut gr, &mut cand);
             open += held.open.len();
             for li in 0..f.spec.locations.len() {
                 let loc = &f.spec.locations[li];
@@ -576,106 +600,54 @@ mod tests {
                 assert!(!held.matches(&other));
                 outsiders += 1;
             }
+
+            // Reuse by list identity, through `evaluate_location`: a
+            // location on the held list reuses at once, another list with
+            // the same set through the set test, another set is evaluated,
+            // and an unnamed (`None`) list never matches by identity.
+            let mut sel = SelectScratch::default();
+            let mut out = QueryResult::default();
+            sel.begin();
+            sel.held
+                .hold(&cc, &lu, Some(0), &mut lo, &mut gr, &mut cand);
+            assert!(sel.held.held_for(Some(0)) && !sel.held.held_for(Some(1)));
+            assert!(!sel.held.held_for(None));
+            let short = lu[1..].to_vec();
+            for (list, set, reuses) in [
+                (Some(0), &lu, true),
+                (Some(1), &rev, true),
+                (Some(2), &short, false),
+                (None, &rev, true),
+                (None, &short, false),
+            ] {
+                let before = sel.locations.reused;
+                sel.locations.dequeued += 1;
+                evaluate_location(
+                    &cc,
+                    0,
+                    set,
+                    list,
+                    false,
+                    KeywordSelector::Greedy,
+                    &mut sel,
+                    &mut out,
+                );
+                assert_eq!(
+                    sel.locations.reused - before,
+                    u64::from(reuses),
+                    "seed {seed}, {list:?}"
+                );
+            }
+            sel.held.hold(&cc, &lu, None, &mut lo, &mut gr, &mut cand);
+            assert!(!sel.held.held_for(None) && !sel.held.held_for(Some(0)));
+            let l = sel.locations;
+            assert_eq!((l.evaluated, l.reused), (2, 3), "seed {seed}");
+            assert_eq!(l.evaluated + l.reused, l.dequeued, "seed {seed}");
         }
         assert!(
             open > 40 && beaten > 80 && outsiders > 4,
             "coverage: {open} open, {beaten} beaten, {outsiders} outsiders"
         );
-    }
-
-    /// Where [`band_engine`] puts the candidate locations.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Layout {
-        /// Five locations within 1e-6 of (10, 4), one of them just outside
-        /// the dataspace: the spatial bands decide every test.
-        Clustered,
-        /// Five locations over the whole space and one beyond `dmax` of
-        /// most users: the bands decide almost nothing.
-        Spread,
-        /// Three locations near (3, 3), two farther off and one outside.
-        Mixed,
-    }
-
-    /// An engine with a user index over 80 objects and 60 users in the
-    /// dataspace [0, 10]² (two objects pin its corners, twelve users crowd
-    /// [9, 10] × [3, 5]), and a query whose locations follow `layout`. `W`
-    /// holds t0..t5 and t11, a term no object holds: under TF-IDF a user
-    /// holding t11 alone has `N(u) = 0`. Users also hold t6..t10, outside
-    /// `W`, so some are unreachable. Under TF-IDF `ox.d = {t6}` and the
-    /// `LBL` shortcut is live; under LM `ox.d` is empty. `k = 3`, `ws = 2`.
-    fn band_engine(layout: Layout, model: WeightModel, alpha: f64) -> (crate::Engine, QuerySpec) {
-        use crate::ObjectData;
-        let mut next = stream(26);
-        let mut objects: Vec<ObjectData> = (0..80)
-            .map(|i| ObjectData {
-                id: i,
-                point: Point::new(next(1001) as f64 / 100.0, next(1001) as f64 / 100.0),
-                doc: Document::from_pairs(
-                    (0..1 + next(3)).map(|_| (t(next(11) as u32), 1 + next(3) as u32)),
-                ),
-            })
-            .collect();
-        objects[0].point = Point::new(0.0, 0.0);
-        objects[1].point = Point::new(10.0, 10.0);
-        let mut users: Vec<UserData> = (0..60)
-            .map(|i| UserData {
-                id: i,
-                point: Point::new(next(1001) as f64 / 100.0, next(1001) as f64 / 100.0),
-                doc: Document::from_terms((0..1 + next(3)).map(|_| t(next(11) as u32))),
-            })
-            .collect();
-        users[0].doc = Document::from_terms([t(11)]);
-        users[1].doc = Document::from_terms([t(11), t(2)]);
-        // A clump near the clustered locations, so that even a purely
-        // spatial score reaches some thresholds there.
-        for u in &mut users[2..14] {
-            u.point = Point::new(
-                9.0 + next(101) as f64 / 100.0,
-                3.0 + next(201) as f64 / 100.0,
-            );
-        }
-        let locations = match layout {
-            Layout::Clustered => [
-                (0.0, 0.0),
-                (1.0, -1.0),
-                (-1.0, 1.0),
-                (-1.0, -1.0),
-                (-0.5, 1.0),
-            ]
-            .map(|(dx, dy)| Point::new(10.0 + dx * 1e-6, 4.0 + dy * 1e-6))
-            .to_vec(),
-            Layout::Spread => vec![
-                Point::new(1.0, 1.5),
-                Point::new(9.0, 8.5),
-                Point::new(2.0, 9.0),
-                Point::new(8.0, 2.0),
-                Point::new(5.0, 5.0),
-                Point::new(14.0, -3.0),
-            ],
-            Layout::Mixed => vec![
-                Point::new(3.0, 3.0),
-                Point::new(3.1, 2.9),
-                Point::new(2.9, 3.2),
-                Point::new(5.5, 4.0),
-                Point::new(4.0, 6.0),
-                Point::new(10.5, 5.0),
-            ],
-        };
-        let ox_doc = if matches!(model, WeightModel::TfIdf) {
-            Document::from_terms([t(6)])
-        } else {
-            Document::new()
-        };
-        let spec = QuerySpec {
-            ox_doc,
-            locations,
-            keywords: [0, 1, 2, 3, 4, 5, 11].map(t).to_vec(),
-            ws: 2,
-            k: 3,
-        };
-        let engine =
-            crate::Engine::build_with_fanout(objects, users, model, alpha, 4).with_user_index();
-        (engine, spec)
     }
 
     /// The banded path against the reference, on locations the bands
@@ -699,7 +671,7 @@ mod tests {
         for layout in [Layout::Clustered, Layout::Spread, Layout::Mixed] {
             for model in [WeightModel::lm(), WeightModel::TfIdf] {
                 for alpha in [0.0, 0.5, 1.0] {
-                    let (eng, spec) = band_engine(layout, model, alpha);
+                    let (eng, spec) = band_engine(layout, model, alpha, 26);
                     let jt = eng.joint_thresholds(spec.k);
                     let cc = CandidateContext::new(&eng.ctx, &spec, &eng.users, &jt.rsk);
                     // Algorithm 3 also runs with two users stripped of their

@@ -12,6 +12,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use geo::Point;
@@ -27,6 +28,9 @@ use crate::topk::individual::refine_user_heap;
 use crate::topk::joint::joint_topk;
 use crate::topk::{ByKey, TopkOutcome};
 use crate::{QueryResult, QuerySpec, ScoreContext, UserData, UserGroup};
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Outcome of the §7 pipeline: the query answer plus pruning statistics.
 #[derive(Debug, Clone)]
@@ -374,6 +378,139 @@ fn keep(cc: &CandidateContext<'_>, slot: &ElemSlot, loc: &Point) -> bool {
     }
 }
 
+/// [`keep`] at every candidate location at once, when the spatial bands
+/// decide it: a user's from its band, a subtree's from
+/// [`CandidateContext::group_verdict`].
+fn keep_everywhere(cc: &CandidateContext<'_>, slot: &ElemSlot) -> Option<bool> {
+    if slot.is_group {
+        cc.group_verdict(&slot.group, slot.ubl_ts, slot.rsk_lb)
+    } else if cc.user_reachable(slot.user) {
+        cc.ubl_verdict(slot.user)
+    } else {
+        Some(false)
+    }
+}
+
+/// One location's §7 candidate list `LU_ℓ`: frontier element ids in the
+/// order the expansion leaves them, the users they stand for, and where
+/// its groups sit. A queue pop then reads the count, and picking or
+/// replacing a group scans the list's groups, not the list.
+#[derive(Debug, Default)]
+pub(crate) struct FrontierList {
+    ids: Vec<u32>,
+    /// Users the elements of `ids` stand for.
+    count: usize,
+    /// Every group element of `ids`, with its position there.
+    groups: Vec<(u32, u32)>,
+    /// Non-empty lists of one query with equal classes hold the same
+    /// elements in the same order: every expansion they took part in gave
+    /// them one shared run (see [`spread_children`]).
+    class: usize,
+}
+
+impl FrontierList {
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.count = 0;
+        self.groups.clear();
+        self.class = 0;
+    }
+
+    /// Appends element `id`, whose slot is `e`.
+    fn push(&mut self, id: u32, e: &ElemSlot) {
+        if e.is_group {
+            self.groups.push((id, self.ids.len() as u32));
+        }
+        self.count += e.count();
+        self.ids.push(id);
+    }
+
+    /// Appends every element of `run`, in its order.
+    fn extend(&mut self, run: &FrontierList) {
+        let base = self.ids.len() as u32;
+        self.ids.extend_from_slice(&run.ids);
+        self.count += run.count;
+        self.groups
+            .extend(run.groups.iter().map(|&(id, pos)| (id, base + pos)));
+    }
+
+    /// The group a scan of the list in order picks by largest user count,
+    /// the last of equals (what `max_by_key` returns).
+    fn largest_group(&self, elems: &[ElemSlot]) -> Option<u32> {
+        self.groups
+            .iter()
+            .max_by_key(|&&(id, pos)| (elems[id as usize].count(), pos))
+            .map(|&(id, _)| id)
+    }
+
+    /// Takes group `id` out of the list as `Vec::swap_remove` does, the
+    /// last element filling its place, and returns whether the list held
+    /// it.
+    fn remove_group(&mut self, id: u32, elems: &[ElemSlot]) -> bool {
+        let Some(i) = self.groups.iter().position(|&(g, _)| g == id) else {
+            return false;
+        };
+        let (_, pos) = self.groups.swap_remove(i);
+        self.ids.swap_remove(pos as usize);
+        self.count -= elems[id as usize].count();
+        let last = self.ids.len() as u32;
+        if pos < last && elems[self.ids[pos as usize] as usize].is_group {
+            let moved = self.groups.iter_mut().find(|g| g.1 == last);
+            moved.expect("every group of the list is recorded").1 = pos;
+        }
+        true
+    }
+}
+
+/// Gives every list the children `kids` of a group it held, taken out of
+/// it by `take`, each child where it passes its `UBL` test. A child's
+/// verdict is decided once, from its band, when the bands decide it; when
+/// they decide every child, the children kept are one run, copied into
+/// each list, and the lists keep their classes. Otherwise each list tests
+/// the undecided children at its location and takes a new class, the next
+/// of `classes`. Either way a list receives the children it keeps in
+/// `kids` order, after the removal, as the per-location test in a loop
+/// would leave them.
+#[allow(clippy::too_many_arguments)]
+fn spread_children(
+    cc: &CandidateContext<'_>,
+    elems: &[ElemSlot],
+    kids: Range<u32>,
+    lists: &mut [FrontierList],
+    mut take: impl FnMut(&mut FrontierList, &Point) -> bool,
+    run: &mut FrontierList,
+    verdicts: &mut Vec<Option<bool>>,
+    classes: &mut usize,
+) {
+    run.clear();
+    verdicts.clear();
+    for c in kids.clone() {
+        let v = keep_everywhere(cc, &elems[c as usize]);
+        if v == Some(true) {
+            run.push(c, &elems[c as usize]);
+        }
+        verdicts.push(v);
+    }
+    let decided = verdicts.iter().all(Option::is_some);
+    for (list, loc) in lists.iter_mut().zip(&cc.spec.locations) {
+        if !take(list, loc) {
+            continue;
+        }
+        if decided {
+            list.extend(run);
+            continue;
+        }
+        list.class = *classes;
+        *classes += 1;
+        for (c, v) in kids.clone().zip(verdicts.iter()) {
+            let slot = &elems[c as usize];
+            if v.unwrap_or_else(|| keep(cc, slot, loc)) {
+                list.push(c, slot);
+            }
+        }
+    }
+}
+
 /// The location-dependent remainder of the §7 pipeline: per-location
 /// candidate lists, best-first subtree expansion and keyword selection.
 /// One [`CandidateContext`] serves the whole query: a user enters it once,
@@ -385,6 +522,20 @@ fn keep(cc: &CandidateContext<'_>, slot: &ElemSlot, loc: &Point) -> bool {
 /// keyword-selection scratch — comes from `arena`, so a warm arena over
 /// memoized nodes runs this allocation-free. Returns
 /// `(users_scored, users_pruned)`; the winning tuple lands in `result`.
+///
+/// The frontier costs what changes. Each list ([`FrontierList`]) keeps its
+/// user count and where its groups sit, so a queue pop reads one number
+/// and picks the largest group among the list's groups. An expansion
+/// decides each child's keep-test once, from its band, and hands the
+/// lists that held the group one shared run when the bands decide every
+/// child; only the children they leave open are tested per location.
+/// Lists keep the order a per-location scan leaves (`swap_remove` of the
+/// group, children appended in order, the last of equal groups expanded
+/// first), so `lu`, and the order of the `brstknn` ids, are those of the
+/// loop in `reference.rs`. Lists that only ever took shared runs share a
+/// class, so the evaluation of one is named by it: a later location of
+/// the class reuses the held evaluation by identity (see
+/// [`crate::select::location`]) and its users are already in `lu`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_selection(
     miur: &MiurTree,
@@ -412,12 +563,18 @@ pub(crate) fn run_selection(
     let UserIndexScratch {
         elems,
         live,
-        lu_lists,
+        lists,
+        run,
+        verdicts,
         ql,
         lu,
         node: node_scratch,
+        #[cfg(test)]
+        log,
         ..
     } = &mut arena.ui;
+    #[cfg(test)]
+    log.clear();
 
     // Seed the element pool with the root's materialized entries: slots
     // `0..root_len`.
@@ -425,38 +582,43 @@ pub(crate) fn run_selection(
     let root = seed.node_elems(miur, miur.root(), k, ctx, io, node_scratch);
     let (_, root_len) = push_children(elems, live, &root, &mut cc, &mut users_scored);
 
-    // The root's UBL text part, hoisted across the location loop.
+    // --- Per-location lists: the root's children, filtered by the UBL
+    // bounds, where the root's own UBL reaches the location. (The pool
+    // may hold a longer query's lists past this one's locations.) ---
     let root_ts = cc.ubl_group_ts(&seed.root_group);
-
-    // --- Per-location lists, filtered by the UBL bounds. ---
-    while lu_lists.len() < spec.locations.len() {
-        lu_lists.push(Vec::new());
+    while lists.len() < spec.locations.len() {
+        lists.push(FrontierList::default());
     }
+    let lists = &mut lists[..spec.locations.len()];
+    lists.iter_mut().for_each(FrontierList::clear);
+    let mut classes = 1;
+    let root_reaches = |_: &mut FrontierList, loc: &Point| {
+        cc.ubl_group_with_ts(loc, &seed.root_group, root_ts) >= rsk_us
+    };
+    let kids = 0..root_len;
+    spread_children(
+        &cc,
+        elems,
+        kids,
+        lists,
+        root_reaches,
+        run,
+        verdicts,
+        &mut classes,
+    );
     ql.clear();
-    for (li, loc) in spec.locations.iter().enumerate() {
-        let list = &mut lu_lists[li];
-        list.clear();
-        if cc.ubl_group_with_ts(loc, &seed.root_group, root_ts) >= rsk_us {
-            for id in 0..root_len {
-                if keep(&cc, &elems[id as usize], loc) {
-                    list.push(id);
-                }
-            }
-        }
-        let count: usize = list.iter().map(|&e| elems[e as usize].count()).sum();
-        if count > 0 {
+    let mut lu_class = None;
+    for (li, list) in lists.iter().enumerate() {
+        if list.count > 0 {
             ql.push(ByKey {
-                key: count as f64,
+                key: list.count as f64,
                 item: li,
             });
         }
     }
 
     while let Some(ByKey { key, item: li }) = ql.pop() {
-        let current: usize = lu_lists[li]
-            .iter()
-            .map(|&e| elems[e as usize].count())
-            .sum();
+        let current = lists[li].count;
         if current != key as usize {
             // Stale entry (a shared subtree was refined since queuing).
             if current > 0 {
@@ -471,38 +633,18 @@ pub(crate) fn run_selection(
             break;
         }
 
-        // Find the largest unexpanded group in this list, if any.
-        let group_pos = lu_lists[li]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &e)| elems[e as usize].is_group)
-            .max_by_key(|&(_, &e)| elems[e as usize].count())
-            .map(|(pos, _)| pos);
-
-        if let Some(pos) = group_pos {
-            let eid = lu_lists[li][pos];
+        if let Some(eid) = lists[li].largest_group(elems) {
             // A group slot leaves every list when it is expanded and no
             // list ever takes it back, so each node expands once a query.
-            let kids = seed.node_elems(miur, elems[eid as usize].node, k, ctx, io, node_scratch);
+            let node = elems[eid as usize].node;
+            let kids = seed.node_elems(miur, node, k, ctx, io, node_scratch);
             let (start, len) = push_children(elems, live, &kids, &mut cc, &mut users_scored);
-            // Replace the group in every list that holds it (the pool may
-            // hold a longer query's lists past this one's locations).
-            let lists = &mut lu_lists[..spec.locations.len()];
-            for (lj, list) in lists.iter_mut().enumerate() {
-                if let Some(p) = list.iter().position(|&e| e == eid) {
-                    list.swap_remove(p);
-                    let locj = spec.locations[lj];
-                    for c in start..start + len {
-                        if keep(&cc, &elems[c as usize], &locj) {
-                            list.push(c);
-                        }
-                    }
-                }
-            }
-            let count: usize = lu_lists[li]
-                .iter()
-                .map(|&e| elems[e as usize].count())
-                .sum();
+            #[cfg(test)]
+            log.expansion(&cc, node, eid, lists, elems, start..start + len);
+            let holds = |list: &mut FrontierList, _: &Point| list.remove_group(eid, elems);
+            let kids = start..start + len;
+            spread_children(&cc, elems, kids, lists, holds, run, verdicts, &mut classes);
+            let count = lists[li].count;
             if count > 0 {
                 ql.push(ByKey {
                     key: count as f64,
@@ -513,11 +655,28 @@ pub(crate) fn run_selection(
         }
 
         // All elements are concrete users: Algorithm 3's evaluation of the
-        // location, the `LBL` shortcut always worth trying.
-        lu.clear();
-        lu.extend(lu_lists[li].iter().map(|&e| elems[e as usize].user));
+        // location, the `LBL` shortcut always worth trying. A list of the
+        // class evaluated last holds the users `lu` holds.
+        let class = lists[li].class;
+        let kept = lu_class == Some(class);
+        if !kept {
+            lu.clear();
+            lu.extend(lists[li].ids.iter().map(|&e| elems[e as usize].user));
+            lu_class = Some(class);
+        }
+        #[cfg(test)]
+        log.evaluation(li, lu, kept);
         arena.sel.locations.dequeued += 1;
-        evaluate_location(&cc, li, lu, true, selector, &mut arena.sel, result);
+        evaluate_location(
+            &cc,
+            li,
+            lu,
+            Some(class),
+            true,
+            selector,
+            &mut arena.sel,
+            result,
+        );
     }
 
     arena.context_reused = cc.text_reused();

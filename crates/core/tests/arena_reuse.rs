@@ -339,3 +339,59 @@ fn one_arena_across_user_index_and_joint_queries() {
         }
     }
 }
+
+/// `n` locations spread over the engine's users, shifted by `shift`.
+fn spread_locations(n: usize, shift: f64) -> Vec<Point> {
+    (0..n)
+        .map(|j| Point::new((j % 8) as f64 + shift, ((j / 8) % 6) as f64 + 0.5))
+        .collect()
+}
+
+/// The §7 pipeline pools its per-location lists, each with its user count
+/// and where its groups sit, past a shorter query's locations. One arena
+/// alternates §7 and Algorithm 3 queries on 30, then 1–3, then 30
+/// locations again; every answer, `brstknn` order included, and every
+/// per-query I/O charge (an uncached §7 query reads each MIUR node it
+/// expands, once) equal a fresh arena's on a twin engine. The crate's
+/// `incremental_frontier_matches_the_scan` holds `users_scored` over the
+/// same shapes and asserts that queries end with groups left in their
+/// lists.
+#[test]
+fn one_arena_across_user_index_query_shapes() {
+    for codec in [CodecId::Verbatim, CodecId::Columnar] {
+        let fresh = engine(codec);
+        let reused = engine(codec);
+        let mut arena = QueryArena::new();
+        let mut out = QueryResult::default();
+        let shapes = [30, 31, 1, 2, 3, 30, 32];
+        let methods = [
+            Method::UserIndexGreedy,
+            Method::JointGreedy,
+            Method::UserIndexExact,
+            Method::JointExact,
+        ];
+        let mut nonempty = 0;
+        for (i, &n) in shapes.iter().enumerate() {
+            for (j, &m) in methods.iter().enumerate() {
+                let spec = QuerySpec {
+                    ox_doc: Document::from_terms([t(7)]),
+                    locations: spread_locations(n, 0.1 * (i + j) as f64),
+                    keywords: vec![t(0), t(1), t(2), t(3), t(4), t(5), t(6)],
+                    ws: 2,
+                    k: 2 + (i + j) % 3,
+                };
+                let before = fresh.io.snapshot();
+                let want = fresh.query(&spec, m);
+                let fresh_io = fresh.io.snapshot() - before;
+                let before = reused.io.snapshot();
+                reused.query_reusing(&spec, m, &mut arena, &mut out);
+                let reused_io = reused.io.snapshot() - before;
+                let at = format!("{m:?}/{codec:?}, {n} locations");
+                assert_eq!(out, want, "{at}: result drifted");
+                assert_eq!(reused_io, fresh_io, "{at}: I/O charges drifted");
+                nonempty += usize::from(!want.brstknn.is_empty());
+            }
+        }
+        assert!(nonempty > 20, "{codec:?}: {nonempty} non-empty answers");
+    }
+}

@@ -89,6 +89,28 @@ impl SpatialContext {
     pub fn max_ss_point(&self, p: &Point, q: &Rect) -> f64 {
         self.proximity(q.max_dist_point(p))
     }
+
+    /// Bounds `(lo, hi)` on [`SpatialContext::min_ss_point`]`(p, r)` over
+    /// every point `p` of `q`: `hi` is `MinSS(q, r)`, `lo` the least score
+    /// of `q`'s four corners. Both hold in floating point: on each axis a
+    /// point's excess over `r` is a rounded difference, monotone on either
+    /// side of `r`, so no point of `q` lies closer than `q` does or farther
+    /// than the corner with both axes' larger excesses, and the score
+    /// rounds monotonically in the distance.
+    #[inline]
+    pub fn min_ss_point_bounds(&self, q: &Rect, r: &Rect) -> (f64, f64) {
+        let corners = [
+            q.min,
+            Point::new(q.min.x, q.max.y),
+            Point::new(q.max.x, q.min.y),
+            q.max,
+        ];
+        let lo = corners
+            .iter()
+            .map(|c| self.min_ss_point(c, r))
+            .fold(f64::INFINITY, f64::min);
+        (lo, self.min_ss(q, r))
+    }
 }
 
 #[cfg(test)]

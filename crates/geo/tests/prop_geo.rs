@@ -219,6 +219,52 @@ fn point_rect_ss_bounds_bracket_every_location_exactly() {
     );
 }
 
+/// `min_ss_point_bounds(q, r)` brackets `min_ss_point(ℓ, r)` for every
+/// location `ℓ` of `q` bit for bit: the `UBL` test of a user subtree `r`
+/// is decided for every location at once from it.
+#[test]
+fn rect_ss_bounds_bracket_every_location_exactly() {
+    let mut g = Gen(12);
+    let (mut inside, mut clamped, mut tight) = (0, 0, 0);
+    for case in 0..CASES {
+        let (base, spread) = match case % 3 {
+            0 => (0.0, 1e-3),
+            1 => (0.0, 100.0),
+            _ => (1e6, 2.0),
+        };
+        let draw = |g: &mut Gen| {
+            Point::new(
+                base + g.range(-spread, spread),
+                base + g.range(-spread, spread),
+            )
+        };
+        let locs: Vec<Point> = (0..1 + g.below(6)).map(|_| draw(&mut g)).collect();
+        let q = Rect::bounding(locs.iter().copied()).expect("at least one location");
+        // A subtree box anywhere in the window; every other case a point.
+        let r = Rect::bounding([
+            draw(&mut g),
+            if case % 2 == 0 { draw(&mut g) } else { locs[0] },
+        ])
+        .expect("two corners");
+        let ctx = SpatialContext::with_dmax(spread * [0.05, 0.5, 4.0][g.below(3) as usize]);
+        let (lo, hi) = ctx.min_ss_point_bounds(&q, &r);
+        for l in &locs {
+            let ss = ctx.min_ss_point(l, &r);
+            assert!(
+                lo <= ss && ss <= hi,
+                "case {case}: {lo:e} ≤ {ss:e} ≤ {hi:e} fails for ℓ {l:?}, q {q:?}, r {r:?}"
+            );
+            inside += usize::from(r.contains_point(l));
+            clamped += usize::from(ss == 0.0);
+            tight += usize::from(lo == ss || ss == hi);
+        }
+    }
+    assert!(
+        inside > CASES / 4 && clamped > CASES / 2 && tight > CASES,
+        "coverage: {inside} inside, {clamped} clamped, {tight} tight"
+    );
+}
+
 #[test]
 fn triangle_inequality() {
     let mut g = Gen(10);
