@@ -966,107 +966,6 @@ pub(crate) mod test_fixture {
         random_fixture_with(WeightModel::lm(), seed, n_users, n_kws)
     }
 
-    /// Where [`band_engine`] puts the candidate locations.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub(crate) enum Layout {
-        /// Five locations within 1e-6 of (10, 4), one of them just outside
-        /// the dataspace: the spatial bands decide every test.
-        Clustered,
-        /// Five locations over the whole space and one beyond `dmax` of
-        /// most users: the bands decide almost nothing.
-        Spread,
-        /// Three locations near (3, 3), two farther off and one outside.
-        Mixed,
-    }
-
-    /// An engine with a user index over 80 objects and 60 users in the
-    /// dataspace [0, 10]² (two objects pin its corners, twelve users crowd
-    /// [9, 10] × [3, 5]), and a query whose locations follow `layout`. `W`
-    /// holds t0..t5 and t11, a term no object holds: under TF-IDF a user
-    /// holding t11 alone has `N(u) = 0`. Users also hold t6..t10, outside
-    /// `W`, so some are unreachable. Under TF-IDF `ox.d = {t6}` and the
-    /// `LBL` shortcut is live; under LM `ox.d` is empty. `k = 3`, `ws = 2`.
-    /// `seed` draws the objects and users.
-    pub(crate) fn band_engine(
-        layout: Layout,
-        model: WeightModel,
-        alpha: f64,
-        seed: u64,
-    ) -> (crate::Engine, QuerySpec) {
-        use crate::ObjectData;
-        let mut next = stream(seed);
-        let mut objects: Vec<ObjectData> = (0..80)
-            .map(|i| ObjectData {
-                id: i,
-                point: Point::new(next(1001) as f64 / 100.0, next(1001) as f64 / 100.0),
-                doc: Document::from_pairs(
-                    (0..1 + next(3)).map(|_| (t(next(11) as u32), 1 + next(3) as u32)),
-                ),
-            })
-            .collect();
-        objects[0].point = Point::new(0.0, 0.0);
-        objects[1].point = Point::new(10.0, 10.0);
-        let mut users: Vec<UserData> = (0..60)
-            .map(|i| UserData {
-                id: i,
-                point: Point::new(next(1001) as f64 / 100.0, next(1001) as f64 / 100.0),
-                doc: Document::from_terms((0..1 + next(3)).map(|_| t(next(11) as u32))),
-            })
-            .collect();
-        users[0].doc = Document::from_terms([t(11)]);
-        users[1].doc = Document::from_terms([t(11), t(2)]);
-        // A clump near the clustered locations, so that even a purely
-        // spatial score reaches some thresholds there.
-        for u in &mut users[2..14] {
-            u.point = Point::new(
-                9.0 + next(101) as f64 / 100.0,
-                3.0 + next(201) as f64 / 100.0,
-            );
-        }
-        let locations = match layout {
-            Layout::Clustered => [
-                (0.0, 0.0),
-                (1.0, -1.0),
-                (-1.0, 1.0),
-                (-1.0, -1.0),
-                (-0.5, 1.0),
-            ]
-            .map(|(dx, dy)| Point::new(10.0 + dx * 1e-6, 4.0 + dy * 1e-6))
-            .to_vec(),
-            Layout::Spread => vec![
-                Point::new(1.0, 1.5),
-                Point::new(9.0, 8.5),
-                Point::new(2.0, 9.0),
-                Point::new(8.0, 2.0),
-                Point::new(5.0, 5.0),
-                Point::new(14.0, -3.0),
-            ],
-            Layout::Mixed => vec![
-                Point::new(3.0, 3.0),
-                Point::new(3.1, 2.9),
-                Point::new(2.9, 3.2),
-                Point::new(5.5, 4.0),
-                Point::new(4.0, 6.0),
-                Point::new(10.5, 5.0),
-            ],
-        };
-        let ox_doc = if matches!(model, WeightModel::TfIdf) {
-            Document::from_terms([t(6)])
-        } else {
-            Document::new()
-        };
-        let spec = QuerySpec {
-            ox_doc,
-            locations,
-            keywords: [0, 1, 2, 3, 4, 5, 11].map(t).to_vec(),
-            ws: 2,
-            k: 3,
-        };
-        let engine =
-            crate::Engine::build_with_fanout(objects, users, model, alpha, 4).with_user_index();
-        (engine, spec)
-    }
-
     /// Xorshift stream: `next(m)` draws from `0..m`.
     pub(crate) fn stream(seed: u64) -> impl FnMut(u64) -> u64 {
         let mut state = seed

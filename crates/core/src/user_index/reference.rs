@@ -209,7 +209,7 @@ pub(crate) fn run_selection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::test_fixture::{band_engine, Layout};
+    use crate::select::location::tests::{band_engine, Layout};
     use crate::QueryArena;
     use geo::Point;
     use text::WeightModel;

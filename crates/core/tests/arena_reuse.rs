@@ -9,7 +9,8 @@
 //! one arena across everything that must invalidate it — another engine
 //! at the same epoch, a clone mutated apart, every kind of mutation, a
 //! refresh, a new `W`, `ox.d` or `ws` — and across §7 queries interleaved
-//! with Algorithm 3 ones. Every answer must equal a fresh-arena query's,
+//! with Algorithm 3 ones, also as their number of locations grows and
+//! shrinks. Every answer must equal a fresh-arena query's,
 //! and `engine_select_context_total{how="reused"}` must say the half was
 //! kept exactly when nothing it depends on moved. (A §7 query keeps only
 //! the users whose expansion order did not move, and counts as reused
