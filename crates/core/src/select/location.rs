@@ -292,14 +292,13 @@ pub(crate) fn select_candidate_into(
 /// Algorithm 3's work on one dequeued location, shared with the §7
 /// pipeline: `lu` indexes the context's users, and `list`, when given,
 /// names it: every location given the same name in a query has the same
-/// `lu`. With `shortcut` set, a location where all of
-/// `lu` already qualifies on `ox.d` alone is settled without keyword
-/// selection. Otherwise a greedy location reuses the held evaluation when
-/// `lu` is its list or its set, or becomes it when the bands decide every
-/// `LUW` row of `lu`; any other location has `selector` pick the keywords
-/// and its realized BRSTkNN set counted exactly. The spatial scores of
-/// `lu` are computed only on that full path. `out` is replaced on
-/// improvement.
+/// `lu`. With `shortcut` set, a location where all of `lu` already
+/// qualifies on `ox.d` alone is settled without keyword selection.
+/// Otherwise a greedy location reuses the held evaluation when `lu` is its
+/// list or its set, or becomes it when the bands decide every `LUW` row of
+/// `lu`; any other location has `selector` pick the keywords and its
+/// realized BRSTkNN set counted exactly. The spatial scores of `lu` are
+/// computed only on that full path. `out` is replaced on improvement.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_location(
     cc: &CandidateContext<'_>,

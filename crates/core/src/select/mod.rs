@@ -632,36 +632,32 @@ impl<'a> CandidateContext<'a> {
     }
 
     /// The verdict of `combine(ss, ts) ≥ RSk(u)` at every candidate
-    /// location at once, from user `u`'s spatial band: `Some(true)` when it
-    /// passes at the band's low end, `Some(false)` when it fails at the
-    /// high end (as a NaN `ts` does), `None` when it depends on the
-    /// location.
+    /// location at once, from user `u`'s spatial band.
     #[inline]
     pub(crate) fn band_verdict(&self, ts: f64, u: usize) -> Option<bool> {
-        let rsk = self.rsk[u];
-        if self.ctx.combine(self.band_lo[u], ts) >= rsk {
-            Some(true)
-        } else if self.ctx.combine(self.band_hi[u], ts) >= rsk {
-            None
-        } else {
-            Some(false)
-        }
+        self.verdict_within(self.band_lo[u], self.band_hi[u], ts, self.rsk[u])
     }
 
     /// The verdict of `UBL(ℓ, g) ≥ lb` for the user subtree `g`, whose
     /// `UBL` text half is `ts`, at every candidate location at once: its
     /// `MinSS` against a location lies within
-    /// [`geo::SpatialContext::min_ss_point_bounds`] of the locations' MBR,
-    /// and the test is decided as [`CandidateContext::band_verdict`]
-    /// decides a user's.
+    /// [`geo::SpatialContext::min_ss_point_bounds`] of the locations' MBR.
     #[inline]
     pub(crate) fn group_verdict(&self, group: &UserGroup, ts: f64, lb: f64) -> Option<bool> {
         let (lo, hi) = self.loc_mbr.map_or((0.0, 1.0), |q| {
             self.ctx.spatial.min_ss_point_bounds(&q, &group.mbr)
         });
-        if self.ctx.combine(lo, ts) >= lb {
+        self.verdict_within(lo, hi, ts, lb)
+    }
+
+    /// `combine(ss, ts) ≥ bar` for every `ss` in `[lo, hi]`: `Some(true)`
+    /// when it passes at `lo`, `Some(false)` when it fails at `hi` (as a
+    /// NaN `ts` does), `None` when it depends on `ss`.
+    #[inline]
+    fn verdict_within(&self, lo: f64, hi: f64, ts: f64, bar: f64) -> Option<bool> {
+        if self.ctx.combine(lo, ts) >= bar {
             Some(true)
-        } else if self.ctx.combine(hi, ts) >= lb {
+        } else if self.ctx.combine(hi, ts) >= bar {
             None
         } else {
             Some(false)

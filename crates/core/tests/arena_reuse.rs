@@ -10,9 +10,9 @@
 //! at the same epoch, a clone mutated apart, every kind of mutation, a
 //! refresh, a new `W`, `ox.d` or `ws` — and across §7 queries interleaved
 //! with Algorithm 3 ones, also as their number of locations grows and
-//! shrinks. Every answer must equal a fresh-arena query's,
-//! and `engine_select_context_total{how="reused"}` must say the half was
-//! kept exactly when nothing it depends on moved. (A §7 query keeps only
+//! shrinks. Every answer must equal a fresh-arena query's, and
+//! `engine_select_context_total{how="reused"}` must say the half was kept
+//! exactly when nothing it depends on moved. (A §7 query keeps only
 //! the users whose expansion order did not move, and counts as reused
 //! only when that is all of them — certain when it repeats the previous
 //! §7 query's locations and `k`.)
