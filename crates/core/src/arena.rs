@@ -15,8 +15,8 @@
 //! every build, clone, refresh and mutation moves — and the query's `W`,
 //! `ox.d` and `ws` stay the same, and rebuilt when any of them changes. A
 //! worker answering queries that differ only in locations and `k`
-//! therefore derives each user's candidate-term run, `UBL` text, `HW` rows
-//! and text verdicts once. The §7 pipeline keeps its own. Answers never
+//! therefore derives each user's candidate-term run, `UBL` text and `HW`
+//! rows once. The §7 pipeline keeps its own. Answers never
 //! depend on the arena's history (`tests/arena_reuse.rs`).
 //!
 //! The arena is deliberately opaque: callers create one and thread it
@@ -53,9 +53,9 @@ use crate::QuerySpec;
 ///
 /// They keep their contents too. The *text half* — the slot view
 /// (`slot_*`, `kw_slots`, `ox_bits`), the per-user columns `ids`,
-/// `points`, `n_u`, `ubl_ts` and the `ucand` runs, the HW table and both
-/// text-verdict memos — depends only on the engine state and the query's
-/// `W`, `ox.d` and `ws`, which `key` records. A context built with the
+/// `points`, `n_u`, `ubl_ts` and the `ucand` runs, and the HW table —
+/// depends only on the engine state and the query's `W`, `ox.d` and `ws`,
+/// which `key` records. A context built with the
 /// same key keeps it and rebuilds only the *location half*: the MBR of
 /// the locations, the bands `band_lo`/`band_hi`, and the `rsk` column.
 #[derive(Debug, Default)]
@@ -78,7 +78,6 @@ pub(crate) struct CcScratch {
     pub(crate) ucand_off: Vec<u32>,
     pub(crate) ws_buf: RefCell<Vec<f64>>,
     pub(crate) hw: RefCell<HwTable>,
-    pub(crate) memo: RefCell<[TextMemo; 2]>,
 }
 
 /// What a [`CcScratch`]'s text half was derived for.
@@ -140,17 +139,6 @@ impl HwTable {
     pub(crate) fn rows_of(&self, u: usize) -> &[(u32, f64)] {
         &self.rows[self.off[u] as usize..self.off[u + 1] as usize]
     }
-}
-
-/// The textual half of every user's BRSTkNN verdict for one candidate slot
-/// set (`CandidateContext::for_each_verdict`).
-#[derive(Debug, Default)]
-pub(crate) struct TextMemo {
-    /// The slot set the column holds.
-    pub(crate) key: Vec<u64>,
-    /// Per user index: `TS` against `key`, NaN when the user shares no
-    /// term with it, `+∞` until computed.
-    pub(crate) ts: Vec<f64>,
 }
 
 /// Scratch for the coverage/realized greedy keyword selectors.

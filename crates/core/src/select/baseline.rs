@@ -177,8 +177,10 @@ mod tests {
             let all: Vec<usize> = (0..f.users.len()).collect();
             let k = f.spec.ws.min(f.spec.keywords.len());
             let mut best = QueryResult::default();
+            let mut combos = Combinations::default();
             for (li, loc) in f.spec.locations.iter().enumerate() {
-                for ix in Combinations::new(f.spec.keywords.len(), k) {
+                combos.reset(f.spec.keywords.len(), k);
+                while let Some(ix) = combos.next_ref() {
                     let kw: Vec<_> = ix.iter().map(|&i| f.spec.keywords[i]).collect();
                     let cand = cc.with_keywords(&kw);
                     let users = cc.brstknn(loc, &cand, &all);

@@ -15,11 +15,10 @@ use text::TermId;
 use crate::arena::ExactScratch;
 use crate::select::{bit, set_bit, CandidateContext};
 
-/// Iterator over `k`-combinations of `0..n` (lexicographic index tuples).
-///
-/// Also usable as a resettable borrowing enumerator
-/// ([`Combinations::reset`] / [`Combinations::next_ref`]) so the query
-/// arenas can re-enumerate without reallocating the index tuple.
+/// Resettable enumerator of the `k`-combinations of `0..n` (lexicographic
+/// index tuples): [`Combinations::reset`], then [`Combinations::next_ref`]
+/// until `None`, so the query arenas re-enumerate without reallocating
+/// the index tuple.
 #[derive(Debug)]
 pub(crate) struct Combinations {
     n: usize,
@@ -42,17 +41,6 @@ impl Default for Combinations {
 }
 
 impl Combinations {
-    #[cfg(test)]
-    pub(crate) fn new(n: usize, k: usize) -> Self {
-        Combinations {
-            n,
-            k,
-            idx: (0..k).collect(),
-            done: k > n || k == 0,
-            started: false,
-        }
-    }
-
     /// Rewinds to the first `k`-combination of `0..n`, reusing the buffer.
     pub(crate) fn reset(&mut self, n: usize, k: usize) {
         self.n = n;
@@ -82,8 +70,7 @@ impl Combinations {
         }
     }
 
-    /// Borrowing twin of [`Iterator::next`]: yields the same sequence of
-    /// combinations without allocating per step.
+    /// The next combination, borrowed; `None` once every one was yielded.
     pub(crate) fn next_ref(&mut self) -> Option<&[usize]> {
         if self.done {
             return None;
@@ -96,19 +83,6 @@ impl Combinations {
         }
         self.started = true;
         Some(&self.idx)
-    }
-}
-
-impl Iterator for Combinations {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        let current = self.idx.clone();
-        self.advance();
-        Some(current)
     }
 }
 
@@ -231,9 +205,19 @@ mod tests {
     use crate::select::greedy::greedy_keywords;
     use crate::select::test_fixture::{fixture, t};
 
+    /// Every combination `c` yields after a reset to `(n, k)`.
+    fn enumerate(c: &mut Combinations, n: usize, k: usize) -> Vec<Vec<usize>> {
+        c.reset(n, k);
+        let mut all = Vec::new();
+        while let Some(ix) = c.next_ref() {
+            all.push(ix.to_vec());
+        }
+        all
+    }
+
     #[test]
     fn combinations_enumerate_all() {
-        let got: Vec<Vec<usize>> = Combinations::new(4, 2).collect();
+        let got = enumerate(&mut Combinations::default(), 4, 2);
         assert_eq!(
             got,
             vec![
@@ -249,28 +233,26 @@ mod tests {
 
     #[test]
     fn combinations_edge_cases() {
-        assert_eq!(Combinations::new(3, 0).count(), 0);
-        assert_eq!(Combinations::new(2, 3).count(), 0);
-        assert_eq!(Combinations::new(3, 3).count(), 1);
-        assert_eq!(Combinations::new(30, 2).count(), 435);
+        let mut c = Combinations::default();
+        assert!(c.next_ref().is_none(), "a fresh enumerator yields nothing");
+        assert_eq!(enumerate(&mut c, 3, 0).len(), 0);
+        assert_eq!(enumerate(&mut c, 2, 3).len(), 0);
+        assert_eq!(enumerate(&mut c, 3, 3), vec![vec![0, 1, 2]]);
+        assert_eq!(enumerate(&mut c, 30, 2).len(), 435);
     }
 
-    /// The borrowing enumerator must yield exactly the iterator's sequence,
-    /// including across a reset.
+    /// A reset enumerator yields the same sequence again, in lexicographic
+    /// order, whatever it enumerated before, and stays done once
+    /// exhausted.
     #[test]
-    fn next_ref_matches_iterator() {
-        for (n, k) in [(4, 2), (3, 0), (2, 3), (3, 3), (5, 1), (6, 4)] {
-            let want: Vec<Vec<usize>> = Combinations::new(n, k).collect();
-            let mut c = Combinations::default();
-            for _ in 0..2 {
-                c.reset(n, k);
-                let mut got: Vec<Vec<usize>> = Vec::new();
-                while let Some(ix) = c.next_ref() {
-                    got.push(ix.to_vec());
-                }
-                assert_eq!(got, want, "n={n} k={k}");
-                assert!(c.next_ref().is_none(), "exhausted enumerator stays done");
-            }
+    fn next_ref_restarts_on_reset() {
+        let mut c = Combinations::default();
+        for (n, k) in [(4, 2), (3, 0), (2, 3), (3, 3), (5, 1), (6, 4), (4, 2)] {
+            let want = enumerate(&mut c, n, k);
+            assert!(c.next_ref().is_none(), "n={n} k={k}: exhausted stays done");
+            assert_eq!(enumerate(&mut c, n, k), want, "n={n} k={k}");
+            assert!(want.windows(2).all(|w| w[0] < w[1]), "n={n} k={k}");
+            assert!(want.iter().all(|ix| ix.len() == k), "n={n} k={k}");
         }
     }
 

@@ -18,29 +18,26 @@
 //! `LU` users have every `LUW` row decided by their bands is kept: its
 //! rows hold the same members at every location with the same `LU` set,
 //! and the greedy cover depends only on those member sets, so its keywords
-//! `K` are every such location's keywords. A later location with that
-//! `LU` set (in any order) reuses `K`: the users that pass under `K`
-//! everywhere are one number, only the users the band leaves open are
-//! scored, and the `brstknn` ids are materialised, in the location's own
-//! `lu` order, only when it beats the best so far. One evaluation is kept
-//! per query. A location with another `LU` set, the `LBL` shortcut,
+//! `K` are every such location's keywords. One evaluation is kept per
+//! query, with the name of the list it was held for: every location given
+//! that name has the same `lu`, so a later one reuses `K` after one
+//! comparison. The users that pass under `K` everywhere are one number,
+//! only the users the band leaves open are scored, and the `brstknn` ids
+//! are materialised, in the location's own `lu` order, only when it beats
+//! the best so far. A location on another list, the `LBL` shortcut,
 //! GreedyPlus and Exact take the full path, which also counts before it
 //! materialises.
 //!
-//! The evaluation remembers the list it was held for. Algorithm 3's
-//! pooled lists keep their contents for the whole query, and with no `UBL`
-//! test left open every location shares one, so a location on that list
-//! reuses the evaluation without looking at its members: every later
-//! location costs one comparison, not a membership test of every `LU`
-//! user. The §7 pipeline names its lists by class instead: lists that took
-//! only runs of children the bands decided everywhere hold the same users
-//! in the same order (`user_index::FrontierList`). Any other list goes
-//! through the set test.
+//! Algorithm 3 names a list by its pooled slot: the slots keep their
+//! contents for the whole query, and with no `UBL` test left open every
+//! location shares one. The §7 pipeline names its lists by class: lists
+//! that took only runs of children the bands decided everywhere hold the
+//! same users in the same order (`user_index::FrontierList`).
 
 use text::TermId;
 
 use crate::arena::{GreedyScratch, SelectScratch};
-use crate::select::{bit, exact, greedy, set_bit, CandidateContext};
+use crate::select::{exact, greedy, CandidateContext};
 use crate::topk::ByKey;
 use crate::{QueryResult, UserGroup};
 
@@ -76,17 +73,14 @@ pub struct LocationCounts {
 #[derive(Debug, Default)]
 pub(crate) struct HeldEvaluation {
     live: bool,
-    /// The name of the list it was held for, when the caller gave one.
-    list: Option<usize>,
-    /// Its `LU` set: a bitset over context user indices, and its size.
-    members: Vec<u64>,
-    len: usize,
+    /// The name of the list it was held for.
+    list: usize,
     /// Its keywords `K`.
     kw: Vec<TermId>,
-    /// Per user index of the set: `TS` under `ox.d ∪ K`, NaN when the user
+    /// Per user index of the list: `TS` under `ox.d ∪ K`, NaN when the user
     /// shares no term with it.
     ts: Vec<f64>,
-    /// Users of the set who qualify under `K` at every location.
+    /// Users of the list who qualify under `K` at every location.
     pass: usize,
     /// The users whose verdict under `K` the bands leave open, with `TS`.
     open: Vec<(usize, f64)>,
@@ -100,17 +94,8 @@ impl HeldEvaluation {
 
     /// True when an evaluation is held for the list named `list`: a name
     /// stands for one `lu` for the whole query.
-    fn held_for(&self, list: Option<usize>) -> bool {
-        self.live && list.is_some() && self.list == list
-    }
-
-    /// True when an evaluation is held and `lu` is its `LU` set.
-    fn matches(&self, lu: &[usize]) -> bool {
-        self.live
-            && lu.len() == self.len
-            && lu
-                .iter()
-                .all(|&u| u < self.members.len() * 64 && bit(&self.members, u))
+    fn held_for(&self, list: usize) -> bool {
+        self.live && self.list == list
     }
 
     /// Runs the greedy evaluation of `lu`, whose every `LUW` row the bands
@@ -121,7 +106,7 @@ impl HeldEvaluation {
         &mut self,
         cc: &CandidateContext<'_>,
         lu: &[usize],
-        list: Option<usize>,
+        list: usize,
         lo: &mut Vec<f64>,
         gr: &mut GreedyScratch,
         cand: &mut Vec<u64>,
@@ -132,15 +117,11 @@ impl HeldEvaluation {
         cc.cand_set(&self.kw, cand);
         self.live = true;
         self.list = list;
-        self.len = lu.len();
-        self.members.clear();
-        self.members.resize(cc.num_users().div_ceil(64), 0);
         self.ts.clear();
         self.ts.resize(cc.num_users(), f64::NAN);
         self.pass = 0;
         self.open.clear();
         for &u in lu {
-            set_bit(&mut self.members, u);
             let ts = cc.ts_cand(cand, u);
             self.ts[u] = ts;
             match cc.band_verdict(ts, u) {
@@ -151,7 +132,7 @@ impl HeldEvaluation {
         }
     }
 
-    /// Counts the held set at location `li` under `K`, and materialises
+    /// Counts the held list at location `li` under `K`, and materialises
     /// its BRSTkNN users into `out` only when the count beats it.
     fn count_at(&self, cc: &CandidateContext<'_>, li: usize, lu: &[usize], out: &mut QueryResult) {
         let loc = &cc.spec.locations[li];
@@ -284,19 +265,19 @@ pub(crate) fn select_candidate_into(
         let shortcut = cc.lbl_group_with_ts(&cc.spec.locations[li], su, su_lbl_ts) >= rsk_us;
         let lu = std::mem::take(&mut sel.lu_bufs[slot]);
         sel.locations.dequeued += 1;
-        evaluate_location(cc, li, &lu, Some(slot), shortcut, selector, sel, out);
+        evaluate_location(cc, li, &lu, slot, shortcut, selector, sel, out);
         sel.lu_bufs[slot] = lu;
     }
 }
 
 /// Algorithm 3's work on one dequeued location, shared with the §7
-/// pipeline: `lu` indexes the context's users, and `list`, when given,
-/// names it: every location given the same name in a query has the same
-/// `lu`. With `shortcut` set, a location where all of `lu` already
-/// qualifies on `ox.d` alone is settled without keyword selection.
-/// Otherwise a greedy location reuses the held evaluation when `lu` is its
-/// list or its set, or becomes it when the bands decide every `LUW` row of
-/// `lu`; any other location has `selector` pick the keywords and its
+/// pipeline: `lu` indexes the context's users, and `list` names it: every
+/// location given the same name in a query has the same `lu`. With
+/// `shortcut` set, a location where all of `lu` already qualifies on
+/// `ox.d` alone is settled without keyword selection. Otherwise a greedy
+/// location reuses the held evaluation when `list` is the list it was held
+/// for, or becomes it when the bands decide every `LUW` row of `lu`; any
+/// other location has `selector` pick the keywords and its
 /// realized BRSTkNN set counted exactly. The spatial scores of `lu` are
 /// computed only on that full path. `out` is replaced on improvement.
 #[allow(clippy::too_many_arguments)]
@@ -304,7 +285,7 @@ pub(crate) fn evaluate_location(
     cc: &CandidateContext<'_>,
     li: usize,
     lu: &[usize],
-    list: Option<usize>,
+    list: usize,
     shortcut: bool,
     selector: KeywordSelector,
     sel: &mut SelectScratch,
@@ -341,7 +322,7 @@ pub(crate) fn evaluate_location(
         }
     }
     if selector == KeywordSelector::Greedy {
-        if held.held_for(list) || held.matches(lu) {
+        if held.held_for(list) {
             locations.reused += 1;
             held.count_at(cc, li, lu, out);
             return;
@@ -547,21 +528,31 @@ pub(crate) mod tests {
     /// it — and materialises the reference's BRSTkNN users in the
     /// location's own `lu` order, whether or not the bands decide them
     /// (here held over random, widely spread locations, so many stay
-    /// open). It matches its `LU` set in any order and nothing else, and
-    /// the list it was held for by name; an unnamed list never.
+    /// open, and over locations 1e-9 apart, where the bands decide every
+    /// `LUW` row). It is reused by the name of the list it was held for and by
+    /// no other: a second name holding the same members is evaluated in
+    /// full, and gives the reference's answer — the held one where the
+    /// bands decide every `LUW` row.
     #[test]
-    fn held_evaluation_counts_and_matches_exactly() {
+    fn held_evaluation_counts_and_reuses_by_name() {
+        use crate::select::reference;
         use crate::select::test_fixture::random_fixture;
-        let (mut open, mut beaten, mut outsiders) = (0, 0, 0);
-        for seed in 0..16 {
-            let f = random_fixture(seed + 60, 48, 9);
+        let (mut open, mut beaten, mut decided) = (0, 0, 0);
+        for seed in 0..24 {
+            let mut f = random_fixture(seed + 60, 48, 9);
+            if seed % 3 == 2 {
+                let at = f.spec.locations[0];
+                for (i, l) in f.spec.locations.iter_mut().enumerate() {
+                    *l = Point::new(at.x + i as f64 * 1e-9, at.y);
+                }
+            }
             let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
             let n = cc.num_users();
             let lu: Vec<usize> = (0..n).filter(|&u| cc.user_reachable(u)).collect();
             let rev: Vec<usize> = lu.iter().rev().copied().collect();
             let mut held = HeldEvaluation::default();
             let (mut lo, mut gr, mut cand) = (Vec::new(), GreedyScratch::default(), Vec::new());
-            held.hold(&cc, &lu, None, &mut lo, &mut gr, &mut cand);
+            held.hold(&cc, &lu, 0, &mut lo, &mut gr, &mut cand);
             open += held.open.len();
             for li in 0..f.spec.locations.len() {
                 let loc = &f.spec.locations[li];
@@ -591,63 +582,59 @@ pub(crate) mod tests {
                     }
                 }
             }
-            assert!(held.matches(&rev));
-            assert!(!held.matches(&lu[1..]));
-            let mut other = lu.clone();
-            other[0] = n + 64; // past every member word
-            assert!(!held.matches(&other));
-            if let Some(u) = (0..n).find(|u| !lu.contains(u)) {
-                other[0] = u;
-                assert!(!held.matches(&other));
-                outsiders += 1;
-            }
 
-            // Reuse by list identity, through `evaluate_location`: a
-            // location on the held list reuses at once, another list with
-            // the same set through the set test, another set is evaluated,
-            // and an unnamed (`None`) list never matches by identity.
-            let mut sel = SelectScratch::default();
-            let mut out = QueryResult::default();
-            sel.begin();
-            sel.held
-                .hold(&cc, &lu, Some(0), &mut lo, &mut gr, &mut cand);
-            assert!(sel.held.held_for(Some(0)) && !sel.held.held_for(Some(1)));
-            assert!(!sel.held.held_for(None));
+            // Through `evaluate_location`, at every location: the held
+            // list reuses at once; a second name with the same members,
+            // and a list one user shorter, are evaluated in full.
             let short = lu[1..].to_vec();
-            for (list, set, reuses) in [
-                (Some(0), &lu, true),
-                (Some(1), &rev, true),
-                (Some(2), &short, false),
-                (None, &rev, true),
-                (None, &short, false),
-            ] {
-                let before = sel.locations.reused;
-                sel.locations.dequeued += 1;
-                evaluate_location(
-                    &cc,
-                    0,
-                    set,
-                    list,
-                    false,
-                    KeywordSelector::Greedy,
-                    &mut sel,
-                    &mut out,
-                );
-                assert_eq!(
-                    sel.locations.reused - before,
-                    u64::from(reuses),
-                    "seed {seed}, {list:?}"
-                );
+            let mut sel = SelectScratch::default();
+            sel.begin();
+            sel.held.hold(&cc, &lu, 0, &mut lo, &mut gr, &mut cand);
+            assert!(sel.held.held_for(0) && !sel.held.held_for(1));
+            let luw_decided = greedy::luw_decided(&cc, &lu);
+            for li in 0..f.spec.locations.len() {
+                let mut answers = Vec::new();
+                for (list, set, reuses) in [(0, &lu, true), (1, &lu, false), (2, &short, false)] {
+                    let before = sel.locations.reused;
+                    let mut out = QueryResult::default();
+                    sel.locations.dequeued += 1;
+                    evaluate_location(
+                        &cc,
+                        li,
+                        set,
+                        list,
+                        false,
+                        KeywordSelector::Greedy,
+                        &mut sel,
+                        &mut out,
+                    );
+                    let at = format!("seed {seed}, loc {li}, list {list}");
+                    assert_eq!(sel.locations.reused - before, u64::from(reuses), "{at}");
+                    answers.push(out);
+                }
+                let kw = reference::greedy_keywords(&cc, li, &lu);
+                let users = cc.brstknn(&f.spec.locations[li], &cc.with_keywords(&kw), &lu);
+                if !users.is_empty() {
+                    let want = QueryResult {
+                        location: li,
+                        keywords: kw,
+                        brstknn: users,
+                    };
+                    assert_eq!(answers[1], want, "seed {seed}, loc {li}: full evaluation");
+                }
+                if luw_decided {
+                    assert_eq!(answers[1], answers[0], "seed {seed}, loc {li}: held answer");
+                    decided += 1;
+                }
             }
-            sel.held.hold(&cc, &lu, None, &mut lo, &mut gr, &mut cand);
-            assert!(!sel.held.held_for(None) && !sel.held.held_for(Some(0)));
             let l = sel.locations;
-            assert_eq!((l.evaluated, l.reused), (2, 3), "seed {seed}");
+            let m = f.spec.locations.len() as u64;
+            assert_eq!((l.evaluated, l.reused), (2 * m, m), "seed {seed}");
             assert_eq!(l.evaluated + l.reused, l.dequeued, "seed {seed}");
         }
         assert!(
-            open > 40 && beaten > 80 && outsiders > 4,
-            "coverage: {open} open, {beaten} beaten, {outsiders} outsiders"
+            open > 40 && beaten > 150 && decided > 20,
+            "coverage: {open} open, {beaten} beaten, {decided} decided"
         );
     }
 

@@ -29,9 +29,9 @@
 //! document or rebuild a context.
 //!
 //! Most of that outlives the query. The *text half* — the slot view below,
-//! each user's id, point, `N(u)`, candidate run and `UBL` text, the `HW`
-//! rows and the text-verdict memos — depends only on the engine state and
-//! the query's `W`, `ox.d` and `ws`. A context built on a
+//! each user's id, point, `N(u)`, candidate run and `UBL` text, and the
+//! `HW` rows — depends only on the engine state and the query's `W`,
+//! `ox.d` and `ws`. A context built on a
 //! [`crate::QueryArena`] keeps the half the arena holds when that key
 //! matches (`arena::TextKey`), and derives per query only the *location
 //! half*: the MBR of the locations, each user's spatial band and its
@@ -52,9 +52,7 @@
 //! would, and every score is bit-identical to the `Document` reference
 //! paths. Per location, `LUW_w` is a bitset over positions in `lu` (the
 //! greedy cover's gain is a popcount of `member & !covered`), and the
-//! BRSTkNN count reads each user's text verdict from a per-user column
-//! kept for the last candidate set counted — the next location choosing
-//! the same keywords pays one `combine` per user.
+//! BRSTkNN count is one such pass per `lu` user.
 //!
 //! A user's spatial score moves too, but only within its *spatial band*
 //! `[lo_u, hi_u]`: `MaxSS` and `MinSS` of the user's point against the MBR
@@ -81,7 +79,7 @@ use std::cell::{Ref, RefCell};
 use geo::{Point, Rect};
 use text::{Document, TermId};
 
-use crate::arena::{CcScratch, HwTable, TextKey, TextMemo};
+use crate::arena::{CcScratch, HwTable, TextKey};
 use crate::{QuerySpec, ScoreContext, UserData, UserGroup};
 
 /// True when bit `i` of the bitset `bits` is set.
@@ -114,8 +112,8 @@ pub struct CandidateContext<'a> {
     pub n_u: Vec<f64>,
     /// Candidate reference length (`|ox.d| + ws`).
     pub ref_len: u64,
-    /// What the text half (the slot view, the per-user text columns, the
-    /// HW table and the memos) was derived for, and whether this context
+    /// What the text half (the slot view, the per-user text columns and
+    /// the HW table) was derived for, and whether this context
     /// has derived none of it: it kept the half of the previous context
     /// built on the same scratch, and every user pushed so far found its
     /// columns there.
@@ -159,10 +157,6 @@ pub struct CandidateContext<'a> {
     /// Optimistic `TS` of `HW_{w,u}` per ⟨user, held keyword⟩; see
     /// [`CandidateContext::hw_table`].
     hw: RefCell<HwTable>,
-    /// Per-user text verdicts for `ox.d` alone (`[0]`) and for the last
-    /// other candidate set counted (`[1]`); see
-    /// [`CandidateContext::for_each_verdict`].
-    memo: RefCell<[TextMemo; 2]>,
 }
 
 impl<'a> CandidateContext<'a> {
@@ -213,7 +207,6 @@ impl<'a> CandidateContext<'a> {
             mut ucand_off,
             ws_buf,
             mut hw,
-            mut memo,
         } = scratch;
         let ref_len = spec.ref_len();
         let reused = key.matches(engine, spec);
@@ -266,10 +259,6 @@ impl<'a> CandidateContext<'a> {
             hw.off.clear();
             hw.off.push(0);
             hw.rows.clear();
-            for m in memo.get_mut() {
-                m.key.clear();
-                m.ts.clear();
-            }
         }
         band_lo.clear();
         band_hi.clear();
@@ -299,7 +288,6 @@ impl<'a> CandidateContext<'a> {
             ucand_off,
             ws_buf,
             hw,
-            memo,
         };
         for (user, &r) in users.iter().zip(rsk) {
             cc.push_user(user, || ctx.text.normalizer(&user.doc), r);
@@ -351,8 +339,7 @@ impl<'a> CandidateContext<'a> {
         u
     }
 
-    /// Drops the text columns of users `u..`, the HW rows and memoised
-    /// verdicts included.
+    /// Drops the text columns of users `u..`, the HW rows included.
     fn truncate_text(&mut self, u: usize) {
         if u >= self.ids.len() {
             return;
@@ -367,9 +354,6 @@ impl<'a> CandidateContext<'a> {
         if hw.off.len() > u + 1 {
             hw.rows.truncate(hw.off[u] as usize);
             hw.off.truncate(u + 1);
-        }
-        for m in self.memo.get_mut() {
-            m.ts.truncate(u);
         }
     }
 
@@ -437,7 +421,6 @@ impl<'a> CandidateContext<'a> {
             ucand_off: self.ucand_off,
             ws_buf: self.ws_buf,
             hw: self.hw,
-            memo: self.memo,
         }
     }
 
@@ -782,13 +765,6 @@ impl<'a> CandidateContext<'a> {
     /// Calls `f(pos, verdict)` for every position of `lu`, in order: does
     /// user `lu[pos]` qualify for the slot set `cand` at spatial score
     /// `ss[pos]`?
-    ///
-    /// The textual half of a verdict depends on `(cand, u)` alone, so it
-    /// is kept per user — one column for `ox.d` alone, one for the last
-    /// other set seen — and a location counting the same set as the one
-    /// before it pays one `combine` per user. A column is keyed by its set
-    /// and by the users it has seen: a new set starts it afresh, a user
-    /// the §7 pipeline appended since is computed on first use.
     pub(crate) fn for_each_verdict(
         &self,
         cand: &[u64],
@@ -796,22 +772,8 @@ impl<'a> CandidateContext<'a> {
         ss: &[f64],
         mut f: impl FnMut(usize, bool),
     ) {
-        let mut memos = self.memo.borrow_mut();
-        let memo = &mut memos[usize::from(cand != self.ox_bits.as_slice())];
-        if memo.key != cand {
-            memo.key.clear();
-            memo.key.extend_from_slice(cand);
-            memo.ts.clear();
-        }
-        if memo.ts.len() < self.num_users() {
-            memo.ts.resize(self.num_users(), f64::INFINITY);
-        }
         for (pos, (&u, &s)) in lu.iter().zip(ss).enumerate() {
-            let ts = &mut memo.ts[u];
-            if *ts == f64::INFINITY {
-                *ts = self.ts_cand(cand, u);
-            }
-            f(pos, self.ctx.combine(s, *ts) >= self.rsk[u]);
+            f(pos, self.qualifies_with_ss(s, cand, u));
         }
     }
 
@@ -1241,9 +1203,8 @@ mod tests {
     /// The slot-set kernels must be bit-identical to the public reference
     /// paths for every candidate document `⊆ ox.d ∪ W` — on the small
     /// fixture and with `|W ∪ ox.d|` on both sides of one and two 64-bit
-    /// words — and so must `UBL`'s text from the user's run. A count
-    /// repeated with the same set, on a sparser list, after a count with
-    /// `ox.d` alone, reads its text verdicts back from the memo.
+    /// words — and so must `UBL`'s text from the user's run, and the counts
+    /// over every user and over a sparser list.
     #[test]
     fn fast_kernels_match_reference_paths() {
         use super::test_fixture::wide_fixture;
@@ -1328,7 +1289,7 @@ mod tests {
     /// A context that kept its text half and then meets other users at the
     /// kept indices — as the §7 pipeline does when its expansion order
     /// moves — drops the half from the first differing index, `HW` rows
-    /// and memoised verdicts included: its columns, `HW` rows and counts
+    /// included: its columns, `HW` rows and counts
     /// equal a fresh context's over the same push order. It reports the
     /// half reused only when no push derived text: a repeated order or a
     /// prefix of the kept one.

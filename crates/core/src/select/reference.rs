@@ -192,7 +192,9 @@ pub(crate) fn exact_keywords(
         return wc;
     }
     let mut best: Option<(usize, Vec<TermId>)> = None;
-    for ix in Combinations::new(wc.len(), cc.spec.ws) {
+    let mut combos = Combinations::default();
+    combos.reset(wc.len(), cc.spec.ws);
+    while let Some(ix) = combos.next_ref() {
         let kw: Vec<TermId> = ix.iter().map(|&i| wc[i]).collect();
         let count = cc.brstknn(loc, &cc.with_keywords(&kw), lu).len();
         match &best {

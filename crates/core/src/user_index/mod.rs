@@ -667,16 +667,7 @@ pub(crate) fn run_selection(
         #[cfg(test)]
         log.evaluation(li, lu, kept);
         arena.sel.locations.dequeued += 1;
-        evaluate_location(
-            &cc,
-            li,
-            lu,
-            Some(class),
-            true,
-            selector,
-            &mut arena.sel,
-            result,
-        );
+        evaluate_location(&cc, li, lu, class, true, selector, &mut arena.sel, result);
     }
 
     arena.context_reused = cc.text_reused();

@@ -114,6 +114,10 @@ pub(crate) fn run_selection(
     } = &mut arena.ui;
     log.clear();
     let mut lu_lists: Vec<Vec<u32>> = vec![Vec::new(); spec.locations.len()];
+    // The contents of every list evaluated so far; a list's name is its
+    // index here. A list with no group is never touched again, so its
+    // contents stand for it for the rest of the query.
+    let mut names: Vec<Vec<usize>> = Vec::new();
 
     *live = 0;
     let root = seed.node_elems(miur, miur.root(), k, ctx, io, node_scratch);
@@ -197,8 +201,12 @@ pub(crate) fn run_selection(
         lu.clear();
         lu.extend(lu_lists[li].iter().map(|&e| elems[e as usize].user));
         log.evaluation(li, lu, false);
+        let name = names.iter().position(|n| n == lu).unwrap_or_else(|| {
+            names.push(lu.clone());
+            names.len() - 1
+        });
         arena.sel.locations.dequeued += 1;
-        evaluate_location(&cc, li, lu, None, true, selector, &mut arena.sel, result);
+        evaluate_location(&cc, li, lu, name, true, selector, &mut arena.sel, result);
     }
 
     arena.context_reused = cc.text_reused();

@@ -20,13 +20,3 @@ mod rect;
 pub use point::Point;
 pub use proximity::SpatialContext;
 pub use rect::Rect;
-
-/// Relative tolerance used when comparing floating-point scores in tests and
-/// debug assertions throughout the workspace.
-pub const EPS: f64 = 1e-9;
-
-/// Returns true when `a` and `b` are equal within [`EPS`] absolute tolerance.
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPS
-}

@@ -248,11 +248,6 @@ impl HistogramSnapshot {
         self.quantile(0.90)
     }
 
-    /// 95th percentile.
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
     /// 99th percentile.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)

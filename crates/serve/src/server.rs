@@ -20,7 +20,7 @@
 //! request it serves ([`ServingEngine::query_reusing`]), so a warm query
 //! allocates nothing in the engine, and the candidate context's
 //! location-independent half (per-user candidate terms, `UBL` text, `HW`
-//! rows, text verdicts) outlives the request. It is rebuilt when the
+//! rows) outlives the request. It is rebuilt when the
 //! snapshot's engine state (a write or a refresh moves it) or the query's
 //! `W`, `ox.d` or `ws` changes; answers never depend on it.
 //!
