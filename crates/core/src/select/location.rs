@@ -529,10 +529,10 @@ pub(crate) mod tests {
     /// location's own `lu` order, whether or not the bands decide them
     /// (here held over random, widely spread locations, so many stay
     /// open, and over locations 1e-9 apart, where the bands decide every
-    /// `LUW` row). It is reused by the name of the list it was held for and by
-    /// no other: a second name holding the same members is evaluated in
-    /// full, and gives the reference's answer — the held one where the
-    /// bands decide every `LUW` row.
+    /// `LUW` row). It is reused by the name of the list it was held for
+    /// and by no other: a second name holding the same members is
+    /// evaluated in full, and gives the reference's answer — the held one
+    /// where the bands decide every `LUW` row.
     #[test]
     fn held_evaluation_counts_and_reuses_by_name() {
         use crate::select::reference;
