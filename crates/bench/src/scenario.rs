@@ -23,7 +23,8 @@ impl Scenario {
     ///
     /// `trial` shifts the workload seed, reproducing the paper's averaging
     /// over independently generated user sets (object collection fixed).
-    /// The block-file codec is `MBRSTK_CODEC`'s, Verbatim when unset.
+    /// The block files use the default codec (Verbatim), the paper's one
+    /// record layout.
     pub fn build(p: &Params, trial: usize) -> Scenario {
         let corpus_cfg = match p.dataset {
             DatasetKind::FlickrLike => CorpusConfig::flickr_like(p.num_objects),

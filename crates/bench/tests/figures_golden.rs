@@ -3,9 +3,7 @@
 //! Recorded on the `figs.rs` that printed as it measured, before it became
 //! a table of sweeps: a constant here changes only when a figure is *meant*
 //! to change. The test reads the `figures` binary's stdout, the one surface
-//! both sides of that refactor share, and runs it under
-//! `MBRSTK_CODEC=verbatim` (`Scenario::build` takes its codec from the
-//! environment) so the Columnar CI leg reads the same constants.
+//! both sides of that refactor share.
 //!
 //! The run is seeded and single-threaded, so every cell that is not a
 //! wall-clock reading is pinned as printed: simulated I/O, approximation
@@ -270,7 +268,6 @@ fn panels(report: &str) -> Vec<Vec<Vec<&str>>> {
 fn check(name: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(["--quick", name])
-        .env("MBRSTK_CODEC", "verbatim")
         .output()
         .expect("run figures");
     assert!(out.status.success(), "figures --quick {name}: {out:?}");

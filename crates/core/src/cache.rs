@@ -35,9 +35,8 @@
 //!   an eager clear was missed.
 //! * **An LRU bound on the per-`k` maps.** A serving system facing
 //!   adversarial `k` diversity must not retain a threshold set per
-//!   distinct `k` forever; each map keeps at most its configured capacity
-//!   ([`DEFAULT_K_CAPACITY`] unless [`ThresholdCache::with_capacity`])
-//!   and evicts the least-recently-used `k`. Eviction drops the slot's
+//!   distinct `k` forever; each map keeps at most [`DEFAULT_K_CAPACITY`]
+//!   of them and evicts the least-recently-used `k`. Eviction drops the slot's
 //!   once-cell from the map only — a worker blocked on (or computing
 //!   into) that cell holds its own `Arc` and completes normally; nothing
 //!   is poisoned.
@@ -69,7 +68,7 @@ pub struct JointThresholds {
     pub rsk: Vec<f64>,
 }
 
-/// Default bound on distinct `k` values retained per map (the paper
+/// Bound on distinct `k` values retained per map (the paper
 /// sweeps `k ∈ {1, 5, 10, 20, 50}`; a serving mix rarely needs more live
 /// threshold sets than this at once).
 pub const DEFAULT_K_CAPACITY: usize = 16;
@@ -86,20 +85,18 @@ struct Slot<T> {
 /// A bounded per-`k` map of blocking once-cells: the first caller
 /// computes, every concurrent caller for the same `(k, epoch)` blocks on
 /// the cell and shares the `Arc`. Slots from older epochs are replaced on
-/// access; beyond `cap` distinct `k`s the least-recently-used slot is
+/// access; beyond [`DEFAULT_K_CAPACITY`] distinct `k`s the least-recently-used slot is
 /// dropped (waiters keep their own `Arc` to the cell and are unaffected).
 #[derive(Debug)]
 struct KeyedOnce<T> {
     map: RwLock<HashMap<usize, Slot<T>>>,
-    cap: usize,
     tick: AtomicU64,
 }
 
 impl<T> KeyedOnce<T> {
-    fn new(cap: usize) -> Self {
+    fn new() -> Self {
         KeyedOnce {
             map: RwLock::new(HashMap::new()),
-            cap: cap.max(1),
             tick: AtomicU64::new(0),
         }
     }
@@ -148,7 +145,7 @@ impl<T> KeyedOnce<T> {
                     }
                 };
                 // LRU bound: evict the coldest other `k`s past capacity.
-                while map.len() > self.cap {
+                while map.len() > DEFAULT_K_CAPACITY {
                     let victim = map
                         .iter()
                         .filter(|&(&key, _)| key != k)
@@ -196,30 +193,17 @@ pub struct ThresholdCache {
 }
 
 impl ThresholdCache {
-    /// An empty cache with the default per-`k` bound
-    /// ([`DEFAULT_K_CAPACITY`]).
+    /// An empty cache retaining at most [`DEFAULT_K_CAPACITY`] distinct
+    /// `k` values per map.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_K_CAPACITY)
-    }
-
-    /// An empty cache retaining at most `k_capacity` distinct `k` values
-    /// per map (minimum 1).
-    pub fn with_capacity(k_capacity: usize) -> Self {
         ThresholdCache {
-            joint: KeyedOnce::new(k_capacity),
-            baseline: KeyedOnce::new(k_capacity),
-            user_index: KeyedOnce::new(k_capacity),
+            joint: KeyedOnce::new(),
+            baseline: KeyedOnce::new(),
+            user_index: KeyedOnce::new(),
             su: RwLock::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// The configured bound on distinct `k` values per map (the
-    /// corpus-refresh path reads it to hand a rebuilt engine a fresh cache
-    /// of the same shape).
-    pub fn k_capacity(&self) -> usize {
-        self.joint.cap
     }
 
     /// Lookups served from the cache so far (across all three maps).
@@ -366,17 +350,19 @@ mod tests {
     /// evicted, recently used ones survive.
     #[test]
     fn k_capacity_evicts_least_recently_used() {
-        let tc = ThresholdCache::with_capacity(2);
-        tc.baseline(1, 0, Vec::new);
-        tc.baseline(2, 0, Vec::new);
+        const CAP: usize = DEFAULT_K_CAPACITY;
+        let tc = ThresholdCache::new();
+        for k in 1..=CAP {
+            tc.baseline(k, 0, Vec::new);
+        }
         tc.baseline(1, 0, Vec::new); // touch 1 → 2 is coldest
-        tc.baseline(3, 0, Vec::new); // evicts 2
-        assert_eq!(tc.misses(), 3);
+        tc.baseline(CAP + 1, 0, Vec::new); // evicts 2
+        assert_eq!(tc.misses(), CAP as u64 + 1);
         tc.baseline(1, 0, || panic!("1 was just used, must survive"));
-        tc.baseline(3, 0, || panic!("3 was just inserted, must survive"));
+        tc.baseline(CAP + 1, 0, || panic!("CAP + 1 was just inserted, must survive"));
         assert_eq!(tc.hits(), 3, "the earlier touch of 1 plus these two");
         tc.baseline(2, 0, Vec::new); // recompute after eviction
-        assert_eq!(tc.misses(), 4);
+        assert_eq!(tc.misses(), CAP as u64 + 2);
     }
 
     /// Eviction drops the once-cell from the map without poisoning anyone
@@ -384,7 +370,7 @@ mod tests {
     #[test]
     fn eviction_does_not_poison_in_flight_waiters() {
         use std::sync::mpsc;
-        let tc = Arc::new(ThresholdCache::with_capacity(1));
+        let tc = Arc::new(ThresholdCache::new());
         let (enter_tx, enter_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let tc2 = tc.clone();
@@ -396,13 +382,19 @@ mod tests {
             })
         });
         enter_rx.recv().unwrap(); // filler is inside compute for k=7
-        tc.baseline(8, 0, Vec::new); // capacity 1 → evicts the k=7 slot
+        for k in 8..8 + DEFAULT_K_CAPACITY {
+            tc.baseline(k, 0, Vec::new); // the last one evicts the k=7 slot
+        }
         release_tx.send(()).unwrap();
         let filled = filler.join().unwrap();
         assert!(filled.is_empty(), "evicted filler still completes");
         // The k=7 slot is gone from the map: next lookup recomputes.
         tc.baseline(7, 0, Vec::new);
-        assert_eq!(tc.misses(), 3, "filler, k=8, and the post-eviction refill");
+        assert_eq!(
+            tc.misses(),
+            DEFAULT_K_CAPACITY as u64 + 2,
+            "filler, k=8.., and the post-eviction refill"
+        );
     }
 
     fn dummy_group() -> UserGroup {

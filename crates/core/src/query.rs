@@ -137,10 +137,10 @@ pub struct Engine {
 /// record-for-record, and the epoch counters carry over so snapshots of
 /// the original and the clone stay comparable. The simulated I/O counter
 /// and both caches restart *cold* with the same configuration (page-cache
-/// capacity and shard layout, threshold-cache `k` bound) — cached state is
-/// engine-local by design. The metrics registry is the one exception: the
-/// clone *shares* it, so telemetry stays continuous across the serving
-/// layer's copy-on-write fallbacks. The concurrent serving layer
+/// capacity and shard layout) — cached state is engine-local by design.
+/// The metrics registry is the one exception: the clone *shares* it, so
+/// telemetry stays continuous across the serving layer's copy-on-write
+/// fallbacks. The concurrent serving layer
 /// ([`crate::refresh::ServingEngine`]) relies on this as its copy-on-write
 /// fallback when a mutation races a long-lived reader snapshot.
 impl Clone for Engine {
@@ -153,10 +153,7 @@ impl Clone for Engine {
             ir: self.ir.clone(),
             miur: self.miur.clone(),
             io: self.io.fork(),
-            thresholds: self
-                .thresholds
-                .as_ref()
-                .map(|tc| ThresholdCache::with_capacity(tc.k_capacity())),
+            thresholds: self.thresholds.as_ref().map(|_| ThresholdCache::new()),
             epoch: self.epoch,
             instance: next_instance(),
             muts_since_refresh: self.muts_since_refresh,
@@ -197,11 +194,9 @@ impl Engine {
         Self::build_with_fanout(objects, users, model, alpha, index::DEFAULT_MAX_ENTRIES)
     }
 
-    /// [`Engine::build`] with an explicit index fanout. The record codec
-    /// is resolved from the `MBRSTK_CODEC` environment variable
-    /// ([`CodecId::from_env`], default [`CodecId::Verbatim`], a panic on
-    /// a value that names no codec) — the engine is the configuration
-    /// boundary; the index crate's own constructors stay deterministic.
+    /// [`Engine::build`] with an explicit index fanout, under the default
+    /// record codec ([`CodecId::Verbatim`]), as the index crate's own
+    /// constructors use.
     pub fn build_with_fanout(
         objects: Vec<ObjectData>,
         users: Vec<UserData>,
@@ -209,12 +204,12 @@ impl Engine {
         alpha: f64,
         fanout: usize,
     ) -> Self {
-        Self::build_with_fanout_codec(objects, users, model, alpha, fanout, CodecId::from_env())
+        Self::build_with_fanout_codec(objects, users, model, alpha, fanout, CodecId::default())
     }
 
     /// [`Engine::build_with_fanout`] with an explicit record codec for
     /// every disk-resident index. The codec travels with the engine:
-    /// mutations, compactions and corpus refreshes all re-encode with it.
+    /// mutations and corpus refreshes all re-encode with it.
     pub fn build_with_fanout_codec(
         objects: Vec<ObjectData>,
         users: Vec<UserData>,

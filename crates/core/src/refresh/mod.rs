@@ -45,7 +45,6 @@ use std::time::Instant;
 use mbrstk_obs::Histogram;
 use text::WeightModel;
 
-use crate::cache::ThresholdCache;
 use crate::cluster::{self, EngineCluster};
 use crate::dynamic::{BatchReport, EpochGuard, MaintenanceIo, Mutation};
 use crate::metrics::{EngineMetrics, ServingMetrics};
@@ -98,7 +97,7 @@ struct RefreshSeed {
     fanout: usize,
     codec: storage::CodecId,
     user_index: bool,
-    threshold_capacity: Option<usize>,
+    threshold_cache: bool,
     page_cache: Option<(u64, usize)>,
     epoch: u64,
     term_extent: u64,
@@ -118,7 +117,7 @@ impl RefreshSeed {
             fanout: engine.mir.fanout(),
             codec: engine.codec(),
             user_index: engine.miur.is_some(),
-            threshold_capacity: engine.thresholds.as_ref().map(|tc| tc.k_capacity()),
+            threshold_cache: engine.thresholds.is_some(),
             page_cache: engine
                 .io
                 .cache()
@@ -132,8 +131,7 @@ impl RefreshSeed {
 
     /// The actual rebuild: a cold build over the captured tables (same
     /// model, α, fanout, record codec — so the result is bit-identical to
-    /// [`Engine::build_with_fanout`] over the survivors; the codec is the
-    /// *captured* engine's, not re-read from the environment) with the
+    /// [`Engine::build_with_fanout_codec`] over the survivors) with the
     /// serving configuration restored, the epoch carried strictly forward
     /// and the term extent kept (it never shrinks).
     fn build(self) -> (Engine, RefreshReport) {
@@ -148,8 +146,8 @@ impl RefreshSeed {
         if self.user_index {
             fresh = fresh.with_user_index();
         }
-        if let Some(cap) = self.threshold_capacity {
-            fresh.thresholds = Some(ThresholdCache::with_capacity(cap));
+        if self.threshold_cache {
+            fresh = fresh.with_threshold_cache();
         }
         if let Some((blocks, shards)) = self.page_cache {
             fresh.io = storage::IoStats::with_cache_sharded(blocks, shards);
@@ -180,8 +178,7 @@ impl Engine {
     }
 
     /// Freed placeholder record slots across the MIR, IR and (when built)
-    /// MIUR block files — what a refresh (or the trees' `compacted`
-    /// paths) would reclaim.
+    /// MIUR block files — what a refresh would reclaim.
     pub fn freed_record_slots(&self) -> u64 {
         self.mir.freed_records()
             + self.ir.freed_records()

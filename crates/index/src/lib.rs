@@ -18,7 +18,7 @@
 //! the two [`storage::BlockFile`]s (node records plus one *side* record
 //! of textual summary per node), serialization of a Sort-Tile-Recursive
 //! bulk load ([`BuildTree`]), Guttman insertion with quadratic splits,
-//! CondenseTree removal, compaction, persistence, the footprint
+//! CondenseTree removal, persistence, the footprint
 //! accessors — and every maintenance-I/O charge ([`TreeEdit`]). A
 //! payload supplies the per-entry summary, the record codecs and a
 //! handful of hooks:

@@ -212,62 +212,6 @@ mod tests {
         assert_eq!(tree.num_users(), 12);
     }
 
-    /// Compaction after churn drops every freed placeholder while keeping
-    /// users, byte footprint and summaries identical; the compacted save
-    /// reclaims the slots on disk.
-    #[test]
-    fn compacted_drops_placeholders_and_preserves_users() {
-        let us = users();
-        let mut tree = MiurTree::build_with_fanout(&us[..6], 4);
-        for u in &us[6..] {
-            tree.insert(u);
-        }
-        for u in &us[..4] {
-            tree.remove(u.id, u.point).unwrap();
-        }
-        assert!(tree.freed_records() > 0);
-
-        let compact = tree.compacted();
-        assert_eq!(compact.freed_records(), 0);
-        assert_eq!(compact.num_users(), tree.num_users());
-        assert_eq!(compact.height(), tree.height());
-        assert_eq!(compact.node_bytes(), tree.node_bytes());
-        assert_eq!(compact.intuni_bytes(), tree.intuni_bytes());
-        let io = IoStats::new();
-        assert_eq!(gather_users(&compact, &io), gather_users(&tree, &io));
-        // Root summaries (counts, IntUni, norm bracket) survive verbatim.
-        let (mut sa, mut sb) = (MiurScratch::default(), MiurScratch::default());
-        let a = tree.read_node_ref(tree.root(), &io, &mut sa);
-        let b = compact.read_node_ref(compact.root(), &io, &mut sb);
-        let summarize = |n: &MiurNodeRef<'_>| {
-            let mut rows: Vec<_> = n
-                .entries
-                .iter()
-                .map(|e| {
-                    (
-                        e.count,
-                        e.uni.clone(),
-                        e.int.clone(),
-                        e.norm_min,
-                        e.norm_max,
-                    )
-                })
-                .collect();
-            rows.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            rows
-        };
-        assert_eq!(summarize(&a), summarize(&b));
-
-        let base = std::env::temp_dir().join(format!("mbrstk-miur-compact-{}", std::process::id()));
-        tree.save(&base.join("plain")).unwrap();
-        tree.compacted().save(&base.join("compact")).unwrap();
-        let plain = MiurTree::load(&base.join("plain")).unwrap();
-        let reopened = MiurTree::load(&base.join("compact")).unwrap();
-        assert!(reopened.core.nodes.len() < plain.core.nodes.len());
-        assert_eq!(gather_users(&reopened, &io), gather_users(&tree, &io));
-        std::fs::remove_dir_all(base).ok();
-    }
-
     #[test]
     fn counts_sum_to_subtree_sizes() {
         let us = users();
@@ -504,9 +448,6 @@ mod tests {
         }
         assert_eq!(rows(&v), rows(&c), "after churn");
         assert_eq!(c.codec(), CodecId::Columnar);
-        let compact = c.compacted();
-        assert_eq!(compact.codec(), CodecId::Columnar);
-        assert_eq!(rows(&compact), rows(&c), "compaction under columnar");
     }
 
     /// A rebuild re-brackets every norm, reports every record it replaced

@@ -91,7 +91,7 @@ impl StTree {
 
     /// Bulk loads with an explicit node capacity and record codec. The
     /// codec is fixed at build time and travels with the tree: every
-    /// mutation and compaction re-encodes with the same codec.
+    /// mutation and rebuild re-encodes with the same codec.
     pub fn build_with_fanout_codec(
         objects: &[IndexedObject],
         mode: PostingMode,
@@ -723,53 +723,6 @@ mod tests {
             tree.footprint_io() < before,
             "half the objects gone, footprint must shrink"
         );
-    }
-
-    /// Compaction preserves every object, the live byte footprint and the
-    /// posting payloads, while dropping all freed placeholder slots — so a
-    /// compacted save reclaims them on disk.
-    #[test]
-    fn compacted_drops_placeholders_and_preserves_content() {
-        let (objects, _, _) = corpus();
-        let mut tree = StTree::build_with_fanout(&objects[..10], PostingMode::MaxMin, 4);
-        for obj in &objects[10..] {
-            tree.insert(obj);
-        }
-        for obj in &objects[..6] {
-            tree.remove(obj.id, obj.point).unwrap();
-        }
-        assert!(tree.freed_records() > 0, "churn leaves placeholders");
-
-        let compact = tree.compacted();
-        assert_eq!(compact.freed_records(), 0);
-        assert_eq!(compact.num_objects(), tree.num_objects());
-        assert_eq!(compact.height(), tree.height());
-        assert_eq!(compact.node_bytes(), tree.node_bytes());
-        assert_eq!(compact.invfile_bytes(), tree.invfile_bytes());
-        assert_eq!(compact.footprint_io(), tree.footprint_io());
-
-        let io = IoStats::new();
-        assert_eq!(collect_objects(&compact, &io), collect_objects(&tree, &io));
-
-        // The compacted save writes only live records; the plain save
-        // keeps one (empty) slot per freed record.
-        let base = std::env::temp_dir().join(format!("mbrstk-compact-{}", std::process::id()));
-        let plain_dir = base.join("plain");
-        let compact_dir = base.join("compact");
-        tree.save(&plain_dir).unwrap();
-        tree.compacted().save(&compact_dir).unwrap();
-        let plain = StTree::load(&plain_dir).unwrap();
-        let reopened = StTree::load(&compact_dir).unwrap();
-        assert!(
-            reopened.core.nodes.len() < plain.core.nodes.len(),
-            "compacted save must shed placeholder slots"
-        );
-        assert_eq!(
-            reopened.core.nodes.len(),
-            reopened.core.nodes.live_records()
-        );
-        assert_eq!(collect_objects(&reopened, &io), collect_objects(&tree, &io));
-        std::fs::remove_dir_all(base).ok();
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! module exactly once: bottom-up serialization of a bulk-loaded
 //! [`BuildTree`], Guttman insertion (least-enlargement descent, quadratic
 //! split, walk-up, root growth), CondenseTree removal (`find_leaf`,
-//! underflow dissolve + orphan reinsertion, root collapse), the
-//! compaction copy walk, persistence and the footprint
-//! accessors, together with every maintenance-I/O charge they make.
+//! underflow dissolve + orphan reinsertion, root collapse), persistence
+//! and the footprint accessors, together with every maintenance-I/O
+//! charge they make.
 //!
 //! What differs per tree is a [`Payload`]: the entry type with its
 //! summary, the two record codecs, how a leaf entry is made from an
@@ -604,33 +604,6 @@ impl<P: Payload> PagedTree<P> {
         edit
     }
 
-    /// Rewrites the live tree into fresh block files with densely packed
-    /// record ids: structure, payloads and query behaviour are identical,
-    /// but the freed placeholder slots accumulated by mutations are gone.
-    pub fn compacted(&self) -> Self {
-        let payload = self.payload.clone();
-        let mut out = Self::fresh(payload, self.codec, self.fanout, self.height, self.len);
-        out.root = out.copy_sub(self, self.root, &mut Op::new(self.codec));
-        out
-    }
-
-    /// Recursive worker of [`PagedTree::compacted`]: copies the subtree
-    /// under `rec` (of `src`) into `self`, children first so parents can
-    /// point at the remapped record ids. The side payload is copied
-    /// byte-for-byte (both trees share one codec) and the node record
-    /// re-emitted with remapped ids only. Returns the new record id.
-    fn copy_sub(&mut self, src: &Self, rec: RecordId, op: &mut Op<P>) -> RecordId {
-        let mut node = P::read(src, rec, &mut op.pool);
-        if !node.is_leaf {
-            for e in &mut node.entries {
-                e.point_at(self.copy_sub(src, RecordId(e.target()), op));
-            }
-        }
-        let side = self.side.put(src.side.get(node.side));
-        let record = op.node_record(node.is_leaf, side, &node.entries);
-        self.nodes.put(record)
-    }
-
     /// Persists the tree to `dir` (`nodes.mbrs`, the side file,
     /// `meta.mbrs`), creating the directory when missing.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
@@ -757,7 +730,7 @@ macro_rules! tree_api {
             /// Records freed by earlier mutations persist as empty
             /// placeholders (record ids must stay stable); a reopened tree
             /// therefore reports the same byte footprint but keeps the
-            /// placeholder slots until the next compaction or rebuild.
+            /// placeholder slots until the next rebuild.
             pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
                 self.core.save(dir)
             }
@@ -782,8 +755,8 @@ macro_rules! tree_api {
             }
 
             /// Record codec in use. It is fixed at build time and travels
-            /// with the tree: every mutation and compaction
-            /// re-encodes with the same codec.
+            /// with the tree: every mutation and rebuild re-encodes with
+            /// the same codec.
             #[inline]
             pub fn codec(&self) -> storage::CodecId {
                 self.core.codec
@@ -820,23 +793,10 @@ macro_rules! tree_api {
 
             /// Freed placeholder record slots across both block files.
             /// Mutations retire superseded records but must keep ids
-            /// stable, so the slots linger until a compacting rewrite
-            /// ([`Self::compacted`]) or a full rebuild reclaims them.
+            /// stable, so the slots linger until a full rebuild reclaims
+            /// them.
             pub fn freed_records(&self) -> u64 {
                 self.core.freed_records()
-            }
-
-            /// Rewrites the live tree into fresh block files with densely
-            /// packed record ids: structure, payloads and query behaviour
-            /// are identical, but the freed placeholder slots accumulated
-            /// by [`Self::insert`] / [`Self::remove`] are gone. The
-            /// engine-level corpus refresh gets compaction for free from
-            /// its rebuild over the live tables; `compacted` covers the
-            /// other case — reclaiming space without a rebuild.
-            pub fn compacted(&self) -> Self {
-                $tree {
-                    core: self.core.compacted(),
-                }
             }
         }
     };

@@ -6,10 +6,10 @@
 //! `stale_keys` list. This test replays one seeded script per tree kind ×
 //! codec × fanout — bulk build, ~300 interleaved inserts/removes
 //! (including remove-to-empty, a root split and a root collapse),
-//! `compacted()`, `save` → `load` — and
-//! compares every exact counter, an order-sensitive hash of all stale
-//! keys, a hash of everything a BFS over the zero-copy read path decodes,
-//! and a hash of the saved file images against constants captured once.
+//! `save` → `load` — and compares every exact counter, an order-sensitive
+//! hash of all stale keys, a hash of everything a BFS over the zero-copy
+//! read path decodes, and a hash of the saved file images against
+//! constants captured once.
 //! The constants only change when the on-disk behaviour changes.
 
 use std::collections::VecDeque;
@@ -122,7 +122,6 @@ trait Tree: Sized {
     fn key(item: &Self::Item) -> (u32, Point);
     fn insert_item(&mut self, item: &Self::Item) -> TreeEdit;
     fn remove_item(&mut self, id: u32, point: Point) -> Option<TreeEdit>;
-    fn compact(&self) -> Self;
     fn store(&self, dir: &Path);
     fn reopen(dir: &Path) -> Self;
     /// `[root, height, len, node_bytes, side_bytes, freed, footprint_io]`.
@@ -180,10 +179,6 @@ impl<const MAX_MIN: bool> Tree for St<MAX_MIN> {
 
     fn remove_item(&mut self, id: u32, point: Point) -> Option<TreeEdit> {
         self.0.remove(id, point)
-    }
-
-    fn compact(&self) -> Self {
-        St(self.0.compacted())
     }
 
     fn store(&self, dir: &Path) {
@@ -278,10 +273,6 @@ impl Tree for Miur {
 
     fn remove_item(&mut self, id: u32, point: Point) -> Option<TreeEdit> {
         self.0.remove(id, point)
-    }
-
-    fn compact(&self) -> Self {
-        Miur(self.0.compacted())
     }
 
     fn store(&self, dir: &Path) {
@@ -424,9 +415,6 @@ fn run<T: Tree>(label: &str, fanout: usize, codec: CodecId) -> Record {
     sum.record(&mut rec);
     record_tree(&mut rec, "churned", &tree);
 
-    let compact = tree.compact();
-    record_tree(&mut rec, "compacted", &compact);
-
     live.sort_unstable();
 
     // The churned tree (freed placeholders and all) round-trips.
@@ -466,26 +454,26 @@ macro_rules! golden {
 }
 
 #[rustfmt::skip]
-golden!(ir_verbatim_f4, St<false>, 4, Verbatim, [/*ir_verbatim_f4*/ 20, 3, 60, 3_069, 10_440, 0, 42, 9_272_740_184_412_039_839, 927, 1, 0, 9, 4, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 1_999_706_159_080_554_094, 1_434, 4, 84, 4_878, 17_760, 2_697, 84, 15_860_092_064_403_576_080, 41, 4, 84, 4_878, 17_760, 0, 84, 3_609_970_314_025_798_124, 4_583_602_474_657_189_169, 8_921_070_704_421_893_975, 16_155_921_926_092_773_482, 1_434, 4, 84, 4_878, 17_760, 2_697, 84, 15_860_092_064_403_576_080, 33, 5_772_712_163_567_182_574, 1_442, 4, 84, 4_878, 17_760, 2_713, 84, 12_390_636_679_268_835_796]);
+golden!(ir_verbatim_f4, St<false>, 4, Verbatim, [/*ir_verbatim_f4*/ 20, 3, 60, 3_069, 10_440, 0, 42, 9_272_740_184_412_039_839, 927, 1, 0, 9, 4, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 1_999_706_159_080_554_094, 1_434, 4, 84, 4_878, 17_760, 2_697, 84, 15_860_092_064_403_576_080, 4_583_602_474_657_189_169, 8_921_070_704_421_893_975, 16_155_921_926_092_773_482, 1_434, 4, 84, 4_878, 17_760, 2_697, 84, 15_860_092_064_403_576_080, 33, 5_772_712_163_567_182_574, 1_442, 4, 84, 4_878, 17_760, 2_713, 84, 12_390_636_679_268_835_796]);
 #[rustfmt::skip]
-golden!(ir_verbatim_f32, St<false>, 32, Verbatim, [/*ir_verbatim_f32*/ 2, 2, 60, 2_259, 5_268, 0, 6, 16_159_065_223_883_304_736, 520, 1, 0, 9, 4, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 4_847_067_076_993_943_514, 751, 2, 72, 2_781, 6_772, 1_424, 10, 4_545_903_996_458_731_561, 4, 2, 72, 2_781, 6_772, 0, 10, 1_357_621_860_491_161_328, 14_955_457_896_097_772_922, 13_543_679_848_778_415_392, 6_640_691_833_852_881_900, 751, 2, 72, 2_781, 6_772, 1_424, 10, 4_545_903_996_458_731_561, 17, 3_969_501_510_650_135_096, 755, 2, 72, 2_781, 6_812, 1_432, 10, 4_713_753_928_694_223_594]);
+golden!(ir_verbatim_f32, St<false>, 32, Verbatim, [/*ir_verbatim_f32*/ 2, 2, 60, 2_259, 5_268, 0, 6, 16_159_065_223_883_304_736, 520, 1, 0, 9, 4, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 4_847_067_076_993_943_514, 751, 2, 72, 2_781, 6_772, 1_424, 10, 4_545_903_996_458_731_561, 14_955_457_896_097_772_922, 13_543_679_848_778_415_392, 6_640_691_833_852_881_900, 751, 2, 72, 2_781, 6_772, 1_424, 10, 4_545_903_996_458_731_561, 17, 3_969_501_510_650_135_096, 755, 2, 72, 2_781, 6_812, 1_432, 10, 4_713_753_928_694_223_594]);
 #[rustfmt::skip]
-golden!(ir_columnar_f4, St<false>, 4, Columnar, [/*ir_columnar_f4*/ 20, 3, 60, 1_729, 6_438, 0, 42, 9_272_740_184_412_039_839, 927, 1, 0, 4, 1, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 1_999_706_159_080_554_094, 1_434, 4, 84, 2_974, 10_809, 2_697, 84, 15_860_092_064_403_576_080, 41, 4, 84, 2_905, 10_809, 0, 84, 3_609_970_314_025_798_124, 7_995_406_925_895_148, 8_183_585_727_113_966_474, 16_155_921_926_092_773_482, 1_434, 4, 84, 2_974, 10_809, 2_697, 84, 15_860_092_064_403_576_080, 33, 5_772_712_163_567_182_574, 1_442, 4, 84, 2_972, 10_809, 2_713, 84, 12_390_636_679_268_835_796]);
+golden!(ir_columnar_f4, St<false>, 4, Columnar, [/*ir_columnar_f4*/ 20, 3, 60, 1_729, 6_438, 0, 42, 9_272_740_184_412_039_839, 927, 1, 0, 4, 1, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 1_999_706_159_080_554_094, 1_434, 4, 84, 2_974, 10_809, 2_697, 84, 15_860_092_064_403_576_080, 7_995_406_925_895_148, 8_183_585_727_113_966_474, 16_155_921_926_092_773_482, 1_434, 4, 84, 2_974, 10_809, 2_697, 84, 15_860_092_064_403_576_080, 33, 5_772_712_163_567_182_574, 1_442, 4, 84, 2_972, 10_809, 2_713, 84, 12_390_636_679_268_835_796]);
 #[rustfmt::skip]
-golden!(ir_columnar_f32, St<false>, 32, Columnar, [/*ir_columnar_f32*/ 2, 2, 60, 1_075, 3_360, 0, 6, 16_159_065_223_883_304_736, 520, 1, 0, 4, 1, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 4_847_067_076_993_943_514, 751, 2, 72, 1_392, 4_335, 1_424, 10, 4_545_903_996_458_731_561, 4, 2, 72, 1_386, 4_335, 0, 10, 1_357_621_860_491_161_328, 4_782_395_880_270_046_526, 15_105_090_620_898_339_178, 6_640_691_833_852_881_900, 751, 2, 72, 1_392, 4_335, 1_424, 10, 4_545_903_996_458_731_561, 17, 3_969_501_510_650_135_096, 755, 2, 72, 1_392, 4_342, 1_432, 10, 4_713_753_928_694_223_594]);
+golden!(ir_columnar_f32, St<false>, 32, Columnar, [/*ir_columnar_f32*/ 2, 2, 60, 1_075, 3_360, 0, 6, 16_159_065_223_883_304_736, 520, 1, 0, 4, 1, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 4_847_067_076_993_943_514, 751, 2, 72, 1_392, 4_335, 1_424, 10, 4_545_903_996_458_731_561, 4_782_395_880_270_046_526, 15_105_090_620_898_339_178, 6_640_691_833_852_881_900, 751, 2, 72, 1_392, 4_335, 1_424, 10, 4_545_903_996_458_731_561, 17, 3_969_501_510_650_135_096, 755, 2, 72, 1_392, 4_342, 1_432, 10, 4_713_753_928_694_223_594]);
 #[rustfmt::skip]
-golden!(mir_verbatim_f4, St<true>, 4, Verbatim, [/*mir_verbatim_f4*/ 20, 3, 60, 3_069, 15_264, 0, 42, 17_261_030_135_648_117_187, 927, 1, 0, 9, 4, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 17_495_355_848_963_387_908, 1_434, 4, 84, 4_878, 25_792, 2_697, 84, 3_625_748_692_734_961_909, 41, 4, 84, 4_878, 25_792, 0, 84, 16_997_163_494_688_943_213, 4_583_602_474_657_189_169, 7_487_927_511_705_801_621, 10_163_497_325_982_042_585, 1_434, 4, 84, 4_878, 25_792, 2_697, 84, 3_625_748_692_734_961_909, 33, 11_182_694_052_485_807_442, 1_442, 4, 84, 4_878, 25_792, 2_713, 84, 13_580_800_474_607_242_777]);
+golden!(mir_verbatim_f4, St<true>, 4, Verbatim, [/*mir_verbatim_f4*/ 20, 3, 60, 3_069, 15_264, 0, 42, 17_261_030_135_648_117_187, 927, 1, 0, 9, 4, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 17_495_355_848_963_387_908, 1_434, 4, 84, 4_878, 25_792, 2_697, 84, 3_625_748_692_734_961_909, 4_583_602_474_657_189_169, 7_487_927_511_705_801_621, 10_163_497_325_982_042_585, 1_434, 4, 84, 4_878, 25_792, 2_697, 84, 3_625_748_692_734_961_909, 33, 11_182_694_052_485_807_442, 1_442, 4, 84, 4_878, 25_792, 2_713, 84, 13_580_800_474_607_242_777]);
 #[rustfmt::skip]
-golden!(mir_verbatim_f32, St<true>, 32, Verbatim, [/*mir_verbatim_f32*/ 2, 2, 60, 2_259, 8_148, 0, 6, 7_029_746_285_327_353_805, 520, 1, 0, 9, 4, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 10_624_514_663_741_277_702, 751, 2, 72, 2_781, 10_340, 1_424, 10, 11_683_928_049_873_729_712, 4, 2, 72, 2_781, 10_340, 0, 10, 7_159_530_045_271_672_625, 14_955_457_896_097_772_922, 2_129_716_828_023_357_914, 13_791_085_121_320_112_355, 751, 2, 72, 2_781, 10_340, 1_424, 10, 11_683_928_049_873_729_712, 17, 1_966_117_004_749_286_256, 755, 2, 72, 2_781, 10_396, 1_432, 10, 3_890_135_785_621_218_711]);
+golden!(mir_verbatim_f32, St<true>, 32, Verbatim, [/*mir_verbatim_f32*/ 2, 2, 60, 2_259, 8_148, 0, 6, 7_029_746_285_327_353_805, 520, 1, 0, 9, 4, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 10_624_514_663_741_277_702, 751, 2, 72, 2_781, 10_340, 1_424, 10, 11_683_928_049_873_729_712, 14_955_457_896_097_772_922, 2_129_716_828_023_357_914, 13_791_085_121_320_112_355, 751, 2, 72, 2_781, 10_340, 1_424, 10, 11_683_928_049_873_729_712, 17, 1_966_117_004_749_286_256, 755, 2, 72, 2_781, 10_396, 1_432, 10, 3_890_135_785_621_218_711]);
 #[rustfmt::skip]
-golden!(mir_columnar_f4, St<true>, 4, Columnar, [/*mir_columnar_f4*/ 20, 3, 60, 1_729, 9_628, 0, 42, 17_261_030_135_648_117_187, 927, 1, 0, 4, 1, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 17_495_355_848_963_387_908, 1_434, 4, 84, 2_974, 16_708, 2_697, 84, 3_625_748_692_734_961_909, 41, 4, 84, 2_905, 16_708, 0, 84, 16_997_163_494_688_943_213, 7_995_406_925_895_148, 11_777_040_760_410_481_045, 10_163_497_325_982_042_585, 1_434, 4, 84, 2_974, 16_708, 2_697, 84, 3_625_748_692_734_961_909, 33, 11_182_694_052_485_807_442, 1_442, 4, 84, 2_972, 16_708, 2_713, 84, 13_580_800_474_607_242_777]);
+golden!(mir_columnar_f4, St<true>, 4, Columnar, [/*mir_columnar_f4*/ 20, 3, 60, 1_729, 9_628, 0, 42, 17_261_030_135_648_117_187, 927, 1, 0, 4, 1, 1_802, 2, 4_135_767_817_646_007_198, 2_872, 1_414, 1_325, 2_697, 17_495_355_848_963_387_908, 1_434, 4, 84, 2_974, 16_708, 2_697, 84, 3_625_748_692_734_961_909, 7_995_406_925_895_148, 11_777_040_760_410_481_045, 10_163_497_325_982_042_585, 1_434, 4, 84, 2_974, 16_708, 2_697, 84, 3_625_748_692_734_961_909, 33, 11_182_694_052_485_807_442, 1_442, 4, 84, 2_972, 16_708, 2_713, 84, 13_580_800_474_607_242_777]);
 #[rustfmt::skip]
-golden!(mir_columnar_f32, St<true>, 32, Columnar, [/*mir_columnar_f32*/ 2, 2, 60, 1_075, 4_093, 0, 6, 7_029_746_285_327_353_805, 520, 1, 0, 4, 1, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 10_624_514_663_741_277_702, 751, 2, 72, 1_392, 5_590, 1_424, 10, 11_683_928_049_873_729_712, 4, 2, 72, 1_386, 5_590, 0, 10, 7_159_530_045_271_672_625, 4_782_395_880_270_046_526, 17_327_610_867_239_987_591, 13_791_085_121_320_112_355, 751, 2, 72, 1_392, 5_590, 1_424, 10, 11_683_928_049_873_729_712, 17, 1_966_117_004_749_286_256, 755, 2, 72, 1_392, 5_615, 1_432, 10, 3_890_135_785_621_218_711]);
+golden!(mir_columnar_f32, St<true>, 32, Columnar, [/*mir_columnar_f32*/ 2, 2, 60, 1_075, 4_093, 0, 6, 7_029_746_285_327_353_805, 520, 1, 0, 4, 1, 992, 2, 8_505_195_344_553_720_470, 1_653, 749, 679, 1_424, 10_624_514_663_741_277_702, 751, 2, 72, 1_392, 5_590, 1_424, 10, 11_683_928_049_873_729_712, 4_782_395_880_270_046_526, 17_327_610_867_239_987_591, 13_791_085_121_320_112_355, 751, 2, 72, 1_392, 5_590, 1_424, 10, 11_683_928_049_873_729_712, 17, 1_966_117_004_749_286_256, 755, 2, 72, 1_392, 5_615, 1_432, 10, 3_890_135_785_621_218_711]);
 #[rustfmt::skip]
-golden!(miur_verbatim_f4, Miur, 4, Verbatim, [/*miur_verbatim_f4*/ 20, 3, 60, 3_389, 5_352, 0, 42, 16_887_787_491_925_888_050, 855, 1, 0, 9, 0, 1_710, 1, 6_502_522_889_399_334_998, 3_005, 1_339, 1_109, 2_640, 1_263_327_836_850_628_865, 1_359, 4, 70, 4_720, 7_252, 2_640, 80, 4_507_183_033_229_168_706, 39, 4, 70, 4_720, 7_252, 0, 80, 13_849_449_370_697_956_349, 15_250_444_192_413_157_490, 18_393_051_245_799_961_378, 17_068_415_966_147_459_823, 1_359, 4, 70, 4_720, 7_252, 2_640, 80, 4_507_183_033_229_168_706, 32, 10_476_031_576_440_452_837, 1_367, 4, 70, 4_720, 7_252, 2_656, 80, 4_101_762_708_734_492_202]);
+golden!(miur_verbatim_f4, Miur, 4, Verbatim, [/*miur_verbatim_f4*/ 20, 3, 60, 3_389, 5_352, 0, 42, 16_887_787_491_925_888_050, 855, 1, 0, 9, 0, 1_710, 1, 6_502_522_889_399_334_998, 3_005, 1_339, 1_109, 2_640, 1_263_327_836_850_628_865, 1_359, 4, 70, 4_720, 7_252, 2_640, 80, 4_507_183_033_229_168_706, 15_250_444_192_413_157_490, 18_393_051_245_799_961_378, 17_068_415_966_147_459_823, 1_359, 4, 70, 4_720, 7_252, 2_640, 80, 4_507_183_033_229_168_706, 32, 10_476_031_576_440_452_837, 1_367, 4, 70, 4_720, 7_252, 2_656, 80, 4_101_762_708_734_492_202]);
 #[rustfmt::skip]
-golden!(miur_verbatim_f32, Miur, 32, Verbatim, [/*miur_verbatim_f32*/ 2, 2, 60, 2_507, 4_092, 0, 6, 12_227_968_629_466_509_518, 459, 1, 0, 9, 0, 918, 1, 395_332_566_138_495_624, 1_725, 688, 547, 1_372, 12_564_851_557_716_995_257, 690, 2, 72, 3_085, 5_064, 1_372, 10, 7_794_993_971_106_128_760, 4, 2, 72, 3_085, 5_064, 0, 10, 8_526_624_544_091_585_964, 5_017_948_374_144_181_395, 5_157_420_759_007_477_792, 17_262_571_262_229_538_231, 690, 2, 72, 3_085, 5_064, 1_372, 10, 7_794_993_971_106_128_760, 16, 16_382_177_511_513_326_685, 694, 2, 72, 3_085, 5_064, 1_380, 10, 6_538_402_342_026_428_108]);
+golden!(miur_verbatim_f32, Miur, 32, Verbatim, [/*miur_verbatim_f32*/ 2, 2, 60, 2_507, 4_092, 0, 6, 12_227_968_629_466_509_518, 459, 1, 0, 9, 0, 918, 1, 395_332_566_138_495_624, 1_725, 688, 547, 1_372, 12_564_851_557_716_995_257, 690, 2, 72, 3_085, 5_064, 1_372, 10, 7_794_993_971_106_128_760, 5_017_948_374_144_181_395, 5_157_420_759_007_477_792, 17_262_571_262_229_538_231, 690, 2, 72, 3_085, 5_064, 1_372, 10, 7_794_993_971_106_128_760, 16, 16_382_177_511_513_326_685, 694, 2, 72, 3_085, 5_064, 1_380, 10, 6_538_402_342_026_428_108]);
 #[rustfmt::skip]
-golden!(miur_columnar_f4, Miur, 4, Columnar, [/*miur_columnar_f4*/ 20, 3, 60, 1_776, 1_767, 0, 42, 16_887_787_491_925_888_050, 855, 1, 0, 5, 2, 1_710, 2, 6_502_522_889_399_334_998, 3_006, 1_339, 1_110, 2_640, 1_263_327_836_850_628_865, 1_359, 4, 70, 2_776, 2_537, 2_640, 80, 4_507_183_033_229_168_706, 39, 4, 70, 2_712, 2_537, 0, 80, 13_849_449_370_697_956_349, 10_988_303_120_741_610_754, 13_890_065_611_319_842_078, 17_068_415_966_147_459_823, 1_359, 4, 70, 2_776, 2_537, 2_640, 80, 4_507_183_033_229_168_706, 32, 10_476_031_576_440_452_837, 1_367, 4, 70, 2_775, 2_537, 2_656, 80, 4_101_762_708_734_492_202]);
+golden!(miur_columnar_f4, Miur, 4, Columnar, [/*miur_columnar_f4*/ 20, 3, 60, 1_776, 1_767, 0, 42, 16_887_787_491_925_888_050, 855, 1, 0, 5, 2, 1_710, 2, 6_502_522_889_399_334_998, 3_006, 1_339, 1_110, 2_640, 1_263_327_836_850_628_865, 1_359, 4, 70, 2_776, 2_537, 2_640, 80, 4_507_183_033_229_168_706, 10_988_303_120_741_610_754, 13_890_065_611_319_842_078, 17_068_415_966_147_459_823, 1_359, 4, 70, 2_776, 2_537, 2_640, 80, 4_507_183_033_229_168_706, 32, 10_476_031_576_440_452_837, 1_367, 4, 70, 2_775, 2_537, 2_656, 80, 4_101_762_708_734_492_202]);
 #[rustfmt::skip]
-golden!(miur_columnar_f32, Miur, 32, Columnar, [/*miur_columnar_f32*/ 2, 2, 60, 1_088, 1_218, 0, 6, 12_227_968_629_466_509_518, 459, 1, 0, 5, 2, 918, 2, 395_332_566_138_495_624, 1_726, 688, 548, 1_372, 12_564_851_557_716_995_257, 690, 2, 72, 1_391, 1_510, 1_372, 10, 7_794_993_971_106_128_760, 4, 2, 72, 1_385, 1_510, 0, 10, 8_526_624_544_091_585_964, 2_337_279_920_868_903_756, 11_325_198_550_324_188_120, 17_262_571_262_229_538_231, 690, 2, 72, 1_391, 1_510, 1_372, 10, 7_794_993_971_106_128_760, 16, 16_382_177_511_513_326_685, 694, 2, 72, 1_392, 1_510, 1_380, 10, 6_538_402_342_026_428_108]);
+golden!(miur_columnar_f32, Miur, 32, Columnar, [/*miur_columnar_f32*/ 2, 2, 60, 1_088, 1_218, 0, 6, 12_227_968_629_466_509_518, 459, 1, 0, 5, 2, 918, 2, 395_332_566_138_495_624, 1_726, 688, 548, 1_372, 12_564_851_557_716_995_257, 690, 2, 72, 1_391, 1_510, 1_372, 10, 7_794_993_971_106_128_760, 2_337_279_920_868_903_756, 11_325_198_550_324_188_120, 17_262_571_262_229_538_231, 690, 2, 72, 1_391, 1_510, 1_372, 10, 7_794_993_971_106_128_760, 16, 16_382_177_511_513_326_685, 694, 2, 72, 1_392, 1_510, 1_380, 10, 6_538_402_342_026_428_108]);

@@ -12,10 +12,9 @@
 //! are LEB128 varints unless noted; coordinates are `f64::to_bits`
 //! little-endian (bit-exact round trips — the differential tests compare
 //! network answers against in-process calls by `==`); documents are
-//! `(term, tf)` pair lists. Frames above the negotiated cap
-//! ([`MAX_FRAME_LEN`] by default) are rejected before allocation, and a
-//! body buffer grows only as its bytes arrive, so a hostile length prefix
-//! cannot balloon memory.
+//! `(term, tf)` pair lists. Frames above [`MAX_FRAME_LEN`] are rejected
+//! before allocation, and a body buffer grows only as its bytes arrive, so
+//! a hostile length prefix cannot balloon memory.
 //!
 //! Request opcodes: `0x01` query, `0x02` mutate, `0x03` stats (JSON),
 //! `0x04` metrics (Prometheus text). Reply opcodes mirror them at
@@ -34,7 +33,7 @@ use geo::Point;
 use mbrstk_core::{MaintenanceIo, Method, Mutation, ObjectData, QueryResult, QuerySpec, UserData};
 use text::{Document, TermId};
 
-/// Default cap on one frame's body (opcode + payload), in bytes.
+/// Cap on one frame's body (opcode + payload), in bytes.
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
 
 /// The most a frame read commits to body bytes that have not arrived: the

@@ -50,7 +50,8 @@ use crate::protocol::{
 /// an idle connection.
 const IDLE_POLL: Duration = Duration::from_millis(250);
 
-/// Knobs for [`Server::bind`].
+/// Knobs for [`Server::bind`]. The frame-size limit is not one: every
+/// frame a client sends is checked against [`MAX_FRAME_LEN`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads. `0` means one per available core.
@@ -58,8 +59,6 @@ pub struct ServeConfig {
     /// Pending connections each worker will queue before the accept
     /// thread sheds with [`ShedReason::QueueFull`].
     pub queue_depth: usize,
-    /// Largest frame body accepted from a client.
-    pub max_frame_len: u32,
     /// Deadline for any single blocking write to a peer (replies and shed
     /// refusals). A client that stops reading — a stalled or malicious
     /// zero-window peer — would otherwise pin whichever thread is writing
@@ -74,7 +73,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             queue_depth: 64,
-            max_frame_len: MAX_FRAME_LEN,
             write_timeout: Duration::from_secs(2),
         }
     }
@@ -160,7 +158,6 @@ impl Server {
                 engine: Arc::clone(&engine),
                 metrics: Arc::clone(&metrics),
                 stop: Arc::clone(&stop),
-                max_frame_len: cfg.max_frame_len,
                 write_timeout: cfg.write_timeout,
             };
             workers.push(
@@ -312,7 +309,6 @@ struct Worker {
     engine: Arc<ServingEngine>,
     metrics: Arc<ServeMetrics>,
     stop: Arc<AtomicBool>,
-    max_frame_len: u32,
     write_timeout: Duration,
 }
 
@@ -403,10 +399,10 @@ impl Worker {
             }
         }
         let len = u32::from_le_bytes(header);
-        if len == 0 || len > self.max_frame_len {
+        if len == 0 || len > MAX_FRAME_LEN {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("frame length {len} outside (0, {}]", self.max_frame_len),
+                format!("frame length {len} outside (0, {MAX_FRAME_LEN}]"),
             ));
         }
         // The header arrived, so the body is in flight; a bounded number

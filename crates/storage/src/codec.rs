@@ -422,35 +422,6 @@ impl CodecId {
         }
     }
 
-    /// Parses a codec name (as accepted by the `MBRSTK_CODEC` environment
-    /// variable), case-insensitively.
-    pub fn from_name(name: &str) -> Option<CodecId> {
-        match name.to_ascii_lowercase().as_str() {
-            "verbatim" => Some(CodecId::Verbatim),
-            "columnar" => Some(CodecId::Columnar),
-            _ => None,
-        }
-    }
-
-    /// The codec selected by the `MBRSTK_CODEC` environment variable
-    /// (`verbatim` | `columnar`); [`CodecId::Verbatim`] when it is unset.
-    ///
-    /// # Panics
-    /// Panics on any other value, naming the accepted ones: a misspelt
-    /// variable must not quietly run a Columnar test leg under Verbatim.
-    pub fn from_env() -> CodecId {
-        Self::from_env_value(std::env::var("MBRSTK_CODEC").ok().as_deref())
-    }
-
-    fn from_env_value(value: Option<&str>) -> CodecId {
-        let Some(name) = value else {
-            return CodecId::default();
-        };
-        CodecId::from_name(name).unwrap_or_else(|| {
-            panic!("MBRSTK_CODEC={name:?} is not a codec: expected `verbatim` or `columnar`")
-        })
-    }
-
     /// Lowercase display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -779,26 +750,10 @@ mod tests {
     fn codec_ids_roundtrip_and_parse() {
         for id in CodecId::ALL {
             assert_eq!(CodecId::from_u8(id.as_u8()), Some(id));
-            assert_eq!(CodecId::from_name(id.name()), Some(id));
             assert_eq!(codec(id).id(), id);
         }
         assert_eq!(CodecId::from_u8(200), None);
-        assert_eq!(CodecId::from_name("parquet"), None);
-        assert_eq!(CodecId::from_name("COLUMNAR"), Some(CodecId::Columnar));
         assert_eq!(CodecId::default(), CodecId::Verbatim);
-    }
-
-    #[test]
-    fn env_value_selects_the_codec() {
-        assert_eq!(CodecId::from_env_value(None), CodecId::Verbatim);
-        assert_eq!(CodecId::from_env_value(Some("verbatim")), CodecId::Verbatim);
-        assert_eq!(CodecId::from_env_value(Some("Columnar")), CodecId::Columnar);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected `verbatim` or `columnar`")]
-    fn misspelt_env_value_panics_naming_the_accepted_ones() {
-        CodecId::from_env_value(Some("columnr"));
     }
 
     // ---- kernel boundary tests (deterministic, seeded) -----------------

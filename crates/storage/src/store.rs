@@ -147,9 +147,8 @@ impl BlockFile {
 
     /// Number of freed record slots still occupying ids. Ids must stay
     /// stable across mutations, so freed records persist as empty
-    /// placeholders until a compacting rewrite (see the index trees'
-    /// `compacted` paths and the engine-level corpus refresh) rebuilds the
-    /// file with dense ids.
+    /// placeholders until a rebuild (the engine-level corpus refresh)
+    /// writes the file with dense ids.
     pub fn freed_records(&self) -> usize {
         self.records.len() - self.live
     }
