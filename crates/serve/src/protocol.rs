@@ -31,6 +31,7 @@ use std::io::{self, Read, Write};
 
 use geo::Point;
 use mbrstk_core::{MaintenanceIo, Method, Mutation, ObjectData, QueryResult, QuerySpec, UserData};
+use storage::codec::Reader;
 use text::{Document, TermId};
 
 /// Cap on one frame's body (opcode + payload), in bytes.
@@ -149,16 +150,15 @@ impl<'a> Take<'a> {
         Ok(b)
     }
 
+    /// A LEB128 varint, read by the strict decoder the block files use: a
+    /// truncated, overlong or overflowing one is an error.
     fn varint(&mut self) -> Result<u64, ProtocolError> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.u8()?;
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        err("varint too long")
+        let mut r = Reader::new(&self.buf[self.pos..]);
+        let v = r
+            .try_get_varint_u64()
+            .ok_or_else(|| ProtocolError("malformed varint".into()))?;
+        self.pos += r.position();
+        Ok(v)
     }
 
     fn varint_u32(&mut self) -> Result<u32, ProtocolError> {
@@ -688,6 +688,12 @@ mod tests {
         let mut hostile = vec![0x01, 0x00];
         hostile.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x01]); // varint 2^28
         assert!(decode_request(&hostile).is_err());
+        // A query whose `k` is a 10-byte varint with bits past bit 63.
+        let mut overflow = body.clone();
+        overflow.pop(); // `k`, the last field, is one byte
+        overflow.extend_from_slice(&[0xff; 9]);
+        overflow.push(0x02);
+        assert!(decode_request(&overflow).is_err());
         // Invalid utf-8 in a text reply.
         assert!(decode_reply(&[0x84, 0xff, 0xfe]).is_err());
     }
