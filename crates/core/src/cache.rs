@@ -359,7 +359,9 @@ mod tests {
         tc.baseline(CAP + 1, 0, Vec::new); // evicts 2
         assert_eq!(tc.misses(), CAP as u64 + 1);
         tc.baseline(1, 0, || panic!("1 was just used, must survive"));
-        tc.baseline(CAP + 1, 0, || panic!("CAP + 1 was just inserted, must survive"));
+        tc.baseline(CAP + 1, 0, || {
+            panic!("CAP + 1 was just inserted, must survive")
+        });
         assert_eq!(tc.hits(), 3, "the earlier touch of 1 plus these two");
         tc.baseline(2, 0, Vec::new); // recompute after eviction
         assert_eq!(tc.misses(), CAP as u64 + 2);

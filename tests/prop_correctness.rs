@@ -6,6 +6,8 @@
 //! assignments and thresholds. Instances come from the workspace's own
 //! seeded generator ([`datagen::rng`]) instead of `proptest` (the registry
 //! is unavailable in the build environment), so failures reproduce exactly.
+//! Every instance is checked under both record codecs: the oracle reads
+//! the tables, never the block files, so each codec must agree with it.
 
 use datagen::rng::{Rng, SeedableRng, StdRng};
 use maxbrstknn::prelude::*;
@@ -64,6 +66,15 @@ fn instance(rng: &mut StdRng) -> Instance {
         k: rng.gen_range(1..5usize),
         alpha: rng.gen_range(0.1..0.9),
     }
+}
+
+/// The instance's engine under each record codec, at fanout 4.
+fn engines(inst: &Instance, model: WeightModel) -> impl Iterator<Item = (CodecId, Engine)> + '_ {
+    CodecId::ALL.into_iter().map(move |codec| {
+        let (objects, users) = (inst.objects.clone(), inst.users.clone());
+        let engine = Engine::build_with_fanout_codec(objects, users, model, inst.alpha, 4, codec);
+        (codec, engine)
+    })
 }
 
 /// Brute-force per-user top-k threshold.
@@ -135,26 +146,21 @@ fn joint_topk_matches_brute_force() {
     let mut rng = StdRng::seed_from_u64(41);
     for case in 0..CASES {
         let inst = instance(&mut rng);
-        let engine = Engine::build_with_fanout(
-            inst.objects.clone(),
-            inst.users.clone(),
-            WeightModel::lm(),
-            inst.alpha,
-            4,
-        );
-        let want = brute_rsk(&engine, inst.k);
-        let (got, _) = engine.joint_user_topk(inst.k);
-        for (g, w) in got.iter().zip(&want) {
-            if w.is_finite() {
-                assert!(
-                    (g.rsk - w).abs() < 1e-9,
-                    "case {case} user {}: {} vs {}",
-                    g.user,
-                    g.rsk,
-                    w
-                );
-            } else {
-                assert!(g.rsk == f64::NEG_INFINITY, "case {case}");
+        for (codec, engine) in engines(&inst, WeightModel::lm()) {
+            let want = brute_rsk(&engine, inst.k);
+            let (got, _) = engine.joint_user_topk(inst.k);
+            for (g, w) in got.iter().zip(&want) {
+                if w.is_finite() {
+                    assert!(
+                        (g.rsk - w).abs() < 1e-9,
+                        "case {case} {codec:?} user {}: {} vs {}",
+                        g.user,
+                        g.rsk,
+                        w
+                    );
+                } else {
+                    assert!(g.rsk == f64::NEG_INFINITY, "case {case} {codec:?}");
+                }
             }
         }
     }
@@ -166,14 +172,6 @@ fn exact_query_matches_brute_force() {
     let mut rng = StdRng::seed_from_u64(42);
     for case in 0..CASES {
         let inst = instance(&mut rng);
-        let engine = Engine::build_with_fanout(
-            inst.objects.clone(),
-            inst.users.clone(),
-            WeightModel::lm(),
-            inst.alpha,
-            4,
-        )
-        .with_user_index();
         let spec = QuerySpec {
             ox_doc: Document::new(),
             locations: inst.locations.clone(),
@@ -181,20 +179,23 @@ fn exact_query_matches_brute_force() {
             ws: inst.ws,
             k: inst.k,
         };
-        let rsk = brute_rsk(&engine, inst.k);
-        let want = brute_optimum(&engine, &spec, &rsk);
-        let got = engine.query(&spec, Method::JointExact);
-        assert_eq!(
-            got.cardinality(),
-            want,
-            "case {case}: joint-exact vs brute force"
-        );
-        let got_ui = engine.query(&spec, Method::UserIndexExact);
-        assert_eq!(
-            got_ui.cardinality(),
-            want,
-            "case {case}: user-index-exact vs brute force"
-        );
+        for (codec, engine) in engines(&inst, WeightModel::lm()) {
+            let engine = engine.with_user_index();
+            let rsk = brute_rsk(&engine, inst.k);
+            let want = brute_optimum(&engine, &spec, &rsk);
+            let got = engine.query(&spec, Method::JointExact);
+            assert_eq!(
+                got.cardinality(),
+                want,
+                "case {case} {codec:?}: joint-exact vs brute force"
+            );
+            let got_ui = engine.query(&spec, Method::UserIndexExact);
+            assert_eq!(
+                got_ui.cardinality(),
+                want,
+                "case {case} {codec:?}: user-index-exact vs brute force"
+            );
+        }
     }
 }
 
@@ -204,13 +205,6 @@ fn greedy_result_is_sound() {
     let mut rng = StdRng::seed_from_u64(43);
     for case in 0..CASES {
         let inst = instance(&mut rng);
-        let engine = Engine::build_with_fanout(
-            inst.objects.clone(),
-            inst.users.clone(),
-            WeightModel::KeywordOverlap,
-            inst.alpha,
-            4,
-        );
         let spec = QuerySpec {
             ox_doc: Document::new(),
             locations: inst.locations.clone(),
@@ -218,18 +212,20 @@ fn greedy_result_is_sound() {
             ws: inst.ws,
             k: inst.k,
         };
-        let e = engine.query(&spec, Method::JointExact);
-        let g = engine.query(&spec, Method::JointGreedy);
-        assert!(g.cardinality() <= e.cardinality(), "case {case}");
-        // Every reported user genuinely qualifies.
-        let rsk = brute_rsk(&engine, inst.k);
-        let loc = spec.locations[g.location];
-        let cand = spec.ox_doc.with_terms(g.keywords.iter().copied());
-        for &uid in &g.brstknn {
-            let u = &engine.users[uid as usize];
-            let sts = engine.ctx.sts_candidate(&loc, &cand, spec.ref_len(), u);
-            assert!(sts >= rsk[uid as usize] - 1e-9, "case {case}");
-            assert!(u.doc.overlaps(&cand), "case {case}");
+        for (codec, engine) in engines(&inst, WeightModel::KeywordOverlap) {
+            let e = engine.query(&spec, Method::JointExact);
+            let g = engine.query(&spec, Method::JointGreedy);
+            assert!(g.cardinality() <= e.cardinality(), "case {case} {codec:?}");
+            // Every reported user genuinely qualifies.
+            let rsk = brute_rsk(&engine, inst.k);
+            let loc = spec.locations[g.location];
+            let cand = spec.ox_doc.with_terms(g.keywords.iter().copied());
+            for &uid in &g.brstknn {
+                let u = &engine.users[uid as usize];
+                let sts = engine.ctx.sts_candidate(&loc, &cand, spec.ref_len(), u);
+                assert!(sts >= rsk[uid as usize] - 1e-9, "case {case} {codec:?}");
+                assert!(u.doc.overlaps(&cand), "case {case} {codec:?}");
+            }
         }
     }
 }
