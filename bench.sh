@@ -2,23 +2,131 @@
 # The committed perf trajectory (ROADMAP item 1).
 #
 #   ./bench.sh PR [CHECKOUT [SEED...]]
+#   ./bench.sh PR --against REV [--workloads W,...] [--pairs N]
 #
-# Runs `benchmark all` (every workload, traced) once per seed — six fresh
-# seeds PR*100+1..PR*100+6 unless given — in CHECKOUT (default: this
-# one; a clone of the parent commit measures the parent), writes
-# BENCH_<PR>.json beside this script and prints every row that moved
-# against the newest older BENCH_*.json, i.e. whose min..max no longer
-# overlaps the old one. Nothing under benchmark/ is edited. Each metric is
-# [median, min, max] over the runs.
+# The first form runs `benchmark all` (every workload, traced) once per
+# seed — six fresh seeds PR*100+1..PR*100+6 unless given — in CHECKOUT
+# (default: this one; a clone of the parent commit measures the parent),
+# writes BENCH_<PR>.json beside this script and prints every row that
+# moved against the newest older BENCH_*.json, i.e. whose min..max no
+# longer overlaps the old one. Nothing under benchmark/ is edited. Each
+# metric is [median, min, max] over the runs.
 #
 # A traced child's last stdout line holds the per-layer rows only, so the
 # six gated rows come from its "end to end (gated)" block and the
 # environment from its `env` line. `replay_by_select_layer` splits the
 # traced replay's requests by their selection layer (`core.user_index` is
 # the §7 pipeline).
+#
+# The second form is the A/B. It extracts REV (`git archive`) under
+# target/bench-against/ and builds REV's benchmark and this checkout's,
+# each into its own target directory, both with one pinned code layout
+# (`pinned` below). Then, for N fresh seeds PR*100+11.. (default 10), it
+# runs `benchmark run --workload W --seed S` on both sides for each
+# workload (default: all of BENCHMARK.json's), alternating which side
+# runs first. It writes the `paired` block of BENCH_<PR>.json and keeps
+# the rest of the file: per workload and gated metric, both sides'
+# [median, q1, q3], the median per-pair ratio this/REV and the pairs this
+# side won by BENCHMARK.json's `better`; and both commits, the flags and
+# the seeds.
 set -euo pipefail
 here=$(cd "$(dirname "$0")" && pwd)
-pr=${1:?usage: bench.sh PR [CHECKOUT [SEED...]]}
+usage="usage: bench.sh PR [CHECKOUT [SEED...]] | bench.sh PR --against REV [--workloads W,...] [--pairs N]"
+pr=${1:?$usage}
+
+if [ "${2:-}" = --against ]; then
+  rev=${3:?$usage}
+  workloads=$(python3 -c 'import json, sys; print(",".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$here/BENCHMARK.json")
+  pairs=10
+  set -- "${@:4}"
+  while [ $# -gt 0 ]; do
+    case $1 in
+      --workloads) workloads=${2:?$usage}; shift 2 ;;
+      --pairs) pairs=${2:?$usage}; shift 2 ;;
+      *) echo "$usage" >&2; exit 2 ;;
+    esac
+  done
+  [ "$pairs" -ge 1 ] || { echo "--pairs must be at least 1" >&2; exit 2; }
+  pinned=(CARGO_PROFILE_RELEASE_CODEGEN_UNITS=1 "RUSTFLAGS=-C llvm-args=-align-all-functions=6")
+  base_sha=$(git -C "$here" rev-parse --verify "$rev^{commit}")
+  this_sha=$(git -C "$here" rev-parse HEAD)
+  git -C "$here" diff --quiet HEAD || this_sha="$this_sha+dirty"
+  scratch="$here/target/bench-against"
+  base="$scratch/${base_sha:0:12}"
+  logs="$scratch/logs-$pr"
+  if [ ! -d "$base" ]; then
+    rm -rf "$base.tmp"
+    mkdir -p "$base.tmp"
+    git -C "$here" archive "$base_sha" | tar -x -C "$base.tmp"
+    mv "$base.tmp" "$base"
+  fi
+  rm -rf "$logs"
+  mkdir -p "$logs"
+  env "${pinned[@]}" cargo build --release --quiet --manifest-path "$base/benchmark/Cargo.toml" --target-dir "$base/target"
+  env "${pinned[@]}" cargo build --release --quiet --manifest-path "$here/benchmark/Cargo.toml" --target-dir "$scratch/this"
+  declare -A exe=([base]="$base/target/release/benchmark" [this]="$scratch/this/release/benchmark")
+  seeds=()
+  for ((i = 0; i < pairs; i++)); do
+    seed=$((pr * 100 + 11 + i))
+    seeds+=("$seed")
+    order=(base this)
+    [ $((i % 2)) -eq 0 ] || order=(this base)
+    for w in ${workloads//,/ }; do
+      for side in "${order[@]}"; do
+        # A failed op exits 1; its count is recorded, not hidden.
+        "${exe[$side]}" run --workload "$w" --seed "$seed" >"$logs/$w-$seed-$side.txt" ||
+          echo "$w seed $seed ($side): failed ops" >&2
+      done
+    done
+  done
+  python3 - "$pr" "$here" "$logs" "$base_sha" "$this_sha" "$workloads" "${pinned[*]}" "${seeds[@]}" <<'PAIRED'
+import json, os, re, statistics as st, sys
+pr, here, logs, base_sha, this_sha, workloads, flags = sys.argv[1:8]
+seeds = sys.argv[8:]
+better = {m["name"]: m["better"] for m in json.load(open(f"{here}/BENCHMARK.json"))["end_to_end"]}
+
+def result(w, seed, side):
+    return json.loads(open(f"{logs}/{w}-{seed}-{side}.txt").read().strip().splitlines()[-1])
+
+def spread(vals):
+    if len(vals) < 2:
+        return vals * 3
+    q1, q2, q3 = st.quantiles(vals, n=4, method="inclusive")
+    return [q2, q1, q3]
+
+block = {"base": base_sha, "this": this_sha, "flags": flags, "seeds": [int(s) for s in seeds],
+         "order": "pair i runs REV first when i is even",
+         "format": "base, this: [median, q1, q3]; ratio: median over pairs of this/base; wins: pairs where this is better",
+         "workloads": {}}
+for w in workloads.split(","):
+    runs = [(result(w, s, "base"), result(w, s, "this")) for s in seeds]
+    rows = {}
+    for name, way in better.items():
+        b = [r[0]["metrics"][name]["value"] for r in runs]
+        t = [r[1]["metrics"][name]["value"] for r in runs]
+        wins = sum((y < x) if way == "lower" else (y > x) for x, y in zip(b, t))
+        rows[name] = {"better": way, "base": spread(b), "this": spread(t),
+                      "ratio": st.median(y / x for x, y in zip(b, t)) if all(b) else None,
+                      "wins": f"{wins}/{len(runs)}"}
+    block["workloads"][w] = {
+        "attempted": {side: sum(r[i]["attempted"] for r in runs) for i, side in enumerate(("base", "this"))},
+        "failed": {side: sum(r[i]["failed"] for r in runs) for i, side in enumerate(("base", "this"))},
+        "gated": rows}
+    print(f"{w}:")
+    for name, row in rows.items():
+        ratio = "n/a" if row["ratio"] is None else f"{100 * (row['ratio'] - 1):+.2f}%"
+        print(f"  {name:28} base {row['base'][0]:>12.6g}  this {row['this'][0]:>12.6g}  {ratio:>9}  wins {row['wins']}")
+
+path = f"{here}/BENCH_{pr}.json"
+out = json.load(open(path)) if os.path.exists(path) else {"pr": int(pr)}
+out["paired"] = block
+text = json.dumps(out, indent=1)  # one line per metric:
+open(path, "w").write(re.sub(r"\[\s+([^\[\]{}]*?)\s+\]", lambda m: "[" + re.sub(r"\s+", " ", m[1]) + "]", text) + "\n")
+print(f"wrote the paired block of {path}")
+PAIRED
+  exit
+fi
+
 checkout=$(cd "${2:-$here}" && pwd)
 seeds=("${@:3}")
 [ ${#seeds[@]} -gt 0 ] || seeds=($(seq $((pr * 100 + 1)) $((pr * 100 + 6))))

@@ -23,8 +23,7 @@ impl Scenario {
     ///
     /// `trial` shifts the workload seed, reproducing the paper's averaging
     /// over independently generated user sets (object collection fixed).
-    /// The block files use the default codec (Verbatim), the paper's one
-    /// record layout.
+    /// The block files use the paper's one record layout (Verbatim).
     pub fn build(p: &Params, trial: usize) -> Scenario {
         let corpus_cfg = match p.dataset {
             DatasetKind::FlickrLike => CorpusConfig::flickr_like(p.num_objects),

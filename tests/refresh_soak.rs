@@ -778,8 +778,8 @@ fn refresh_is_bit_identical_to_cold_build() {
     }
 }
 
-/// The refresh seed captures the engine's codec (not the environment), so
-/// refreshing a Columnar engine yields a Columnar engine.
+/// The refresh seed captures the engine's codec, so refreshing a Columnar
+/// engine yields a Columnar engine (a plain build would be Verbatim).
 #[test]
 fn refresh_preserves_engine_codec() {
     let (objects, users) = seed_data(&mut StdRng::seed_from_u64(48));
