@@ -36,10 +36,10 @@
 //! * **An LRU bound on the per-`k` maps.** A serving system facing
 //!   adversarial `k` diversity must not retain a threshold set per
 //!   distinct `k` forever; each map keeps at most [`DEFAULT_K_CAPACITY`]
-//!   of them and evicts the least-recently-used `k`. Eviction drops the slot's
-//!   once-cell from the map only — a worker blocked on (or computing
-//!   into) that cell holds its own `Arc` and completes normally; nothing
-//!   is poisoned.
+//!   of them and evicts the least-recently-used `k`. Eviction drops the
+//!   slot's once-cell from the map only — a worker blocked on (or
+//!   computing into) that cell holds its own `Arc` and completes
+//!   normally; nothing is poisoned.
 //!
 //! [`Engine::with_threshold_cache`]: crate::Engine::with_threshold_cache
 
@@ -85,8 +85,9 @@ struct Slot<T> {
 /// A bounded per-`k` map of blocking once-cells: the first caller
 /// computes, every concurrent caller for the same `(k, epoch)` blocks on
 /// the cell and shares the `Arc`. Slots from older epochs are replaced on
-/// access; beyond [`DEFAULT_K_CAPACITY`] distinct `k`s the least-recently-used slot is
-/// dropped (waiters keep their own `Arc` to the cell and are unaffected).
+/// access; beyond [`DEFAULT_K_CAPACITY`] distinct `k`s the
+/// least-recently-used slot is dropped (waiters keep their own `Arc` to
+/// the cell and are unaffected).
 #[derive(Debug)]
 struct KeyedOnce<T> {
     map: RwLock<HashMap<usize, Slot<T>>>,
@@ -359,9 +360,7 @@ mod tests {
         tc.baseline(CAP + 1, 0, Vec::new); // evicts 2
         assert_eq!(tc.misses(), CAP as u64 + 1);
         tc.baseline(1, 0, || panic!("1 was just used, must survive"));
-        tc.baseline(CAP + 1, 0, || {
-            panic!("CAP + 1 was just inserted, must survive")
-        });
+        tc.baseline(CAP + 1, 0, || panic!("just inserted, must survive"));
         assert_eq!(tc.hits(), 3, "the earlier touch of 1 plus these two");
         tc.baseline(2, 0, Vec::new); // recompute after eviction
         assert_eq!(tc.misses(), CAP as u64 + 2);

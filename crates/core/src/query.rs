@@ -140,9 +140,9 @@ pub struct Engine {
 /// capacity and shard layout) — cached state is engine-local by design.
 /// The metrics registry is the one exception: the clone *shares* it, so
 /// telemetry stays continuous across the serving layer's copy-on-write
-/// fallbacks. The concurrent serving layer
-/// ([`crate::refresh::ServingEngine`]) relies on this as its copy-on-write
-/// fallback when a mutation races a long-lived reader snapshot.
+/// fallbacks. The concurrent serving layer ([`crate::refresh::ServingEngine`])
+/// relies on this as its copy-on-write fallback when a mutation races a
+/// long-lived reader snapshot.
 impl Clone for Engine {
     fn clone(&self) -> Engine {
         Engine {
