@@ -141,7 +141,7 @@ for s in "${seeds[@]}"; do
 done
 
 python3 - "$pr" "$here" "$logs" "${seeds[@]}" <<'EOF'
-import glob, json, re, statistics as st, sys
+import glob, json, os, re, statistics as st, sys
 pr, here, logs, seeds = int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4:]
 runs = {}  # workload -> list of parsed runs
 for s in seeds:
@@ -192,12 +192,15 @@ for w, rs in runs.items():
         "per_layer": pl,
     }
 path = f"{here}/BENCH_{pr}.json"
+if os.path.exists(path) and "paired" in (kept := json.load(open(path))):
+    result["paired"] = kept["paired"]  # written by --against
 text = json.dumps(result, indent=1)  # one line per metric:
 open(path, "w").write(re.sub(r"\[\s+([^\[\]{}]*?)\s+\]", lambda m: "[" + re.sub(r"\s+", " ", m[1]) + "]", text) + "\n")
 print(f"wrote {path}")
 
 older = sorted((int(m[1]), f) for f in glob.glob(f"{here}/BENCH_*.json")
-               if (m := re.search(r"BENCH_(\d+)\.json$", f)) and int(m[1]) < pr)
+               if (m := re.search(r"BENCH_(\d+)\.json$", f)) and int(m[1]) < pr
+               and "workloads" in json.load(open(f)))
 if not older:
     sys.exit()
 prev = json.load(open(older[-1][1]))
