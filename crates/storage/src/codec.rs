@@ -193,6 +193,7 @@ impl<'a> Reader<'a> {
     /// Reads a LEB128 varint `u64`, or `None` on truncated, overlong, or
     /// overflowing input. The decoder is strict: at most 10 bytes, and the
     /// 10th byte may only contribute the single remaining bit.
+    #[inline]
     pub fn try_get_varint_u64(&mut self) -> Option<u64> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
