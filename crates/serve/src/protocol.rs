@@ -130,35 +130,33 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// Bounds-checked cursor over a received frame body.
+/// Bounds-checked cursor over a received frame body: a storage [`Reader`]
+/// whose every read is checked before it is made. Varints go through its
+/// strict decoder, so a truncated, overlong or overflowing one is an error.
 struct Take<'a> {
     buf: &'a [u8],
-    pos: usize,
+    r: Reader<'a>,
 }
 
 impl<'a> Take<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Take { buf, pos: 0 }
+        Take {
+            buf,
+            r: Reader::new(buf),
+        }
     }
 
     fn u8(&mut self) -> Result<u8, ProtocolError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| ProtocolError("truncated frame".into()))?;
-        self.pos += 1;
-        Ok(b)
+        if self.r.is_exhausted() {
+            return err("truncated frame");
+        }
+        Ok(self.r.get_u8())
     }
 
-    /// A LEB128 varint, read by the strict decoder the block files use: a
-    /// truncated, overlong or overflowing one is an error.
     fn varint(&mut self) -> Result<u64, ProtocolError> {
-        let mut r = Reader::new(&self.buf[self.pos..]);
-        let v = r
+        self.r
             .try_get_varint_u64()
-            .ok_or_else(|| ProtocolError("malformed varint".into()))?;
-        self.pos += r.position();
-        Ok(v)
+            .ok_or_else(|| ProtocolError("malformed varint".into()))
     }
 
     fn varint_u32(&mut self) -> Result<u32, ProtocolError> {
@@ -170,32 +168,30 @@ impl<'a> Take<'a> {
     /// `Vec::with_capacity`.
     fn count(&mut self) -> Result<usize, ProtocolError> {
         let n = self.varint()? as usize;
-        if n > self.buf.len() - self.pos {
+        if n > self.r.remaining() {
             return err("count exceeds frame");
         }
         Ok(n)
     }
 
     fn f64(&mut self) -> Result<f64, ProtocolError> {
-        if self.buf.len() - self.pos < 8 {
+        if self.r.remaining() < 8 {
             return err("truncated f64");
         }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(f64::from_bits(u64::from_le_bytes(raw)))
+        Ok(self.r.get_f64())
     }
 
     fn rest_utf8(&mut self) -> Result<String, ProtocolError> {
-        let s = std::str::from_utf8(&self.buf[self.pos..])
+        let rest = &self.buf[self.r.position()..];
+        let s = std::str::from_utf8(rest)
             .map_err(|_| ProtocolError("invalid utf-8 payload".into()))?
             .to_string();
-        self.pos = self.buf.len();
+        self.r.skip(rest.len());
         Ok(s)
     }
 
     fn finish(self) -> Result<(), ProtocolError> {
-        if self.pos == self.buf.len() {
+        if self.r.is_exhausted() {
             Ok(())
         } else {
             err("trailing bytes after message")

@@ -196,19 +196,19 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn try_get_varint_u64(&mut self) -> Option<u64> {
         let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
+        for shift in (0..63).step_by(7) {
             let byte = *self.buf.get(self.pos)?;
             self.pos += 1;
-            let bits = u64::from(byte & 0x7F);
-            if shift == 63 && bits > 1 {
-                return None; // overflow past 64 bits
-            }
-            v |= bits << shift;
+            v |= u64::from(byte & 0x7F) << shift;
             if byte & 0x80 == 0 {
                 return Some(v);
             }
         }
-        None // continuation bit set on the 10th byte
+        // The 10th byte holds bit 63 alone: anything above 1 overflows
+        // or continues.
+        let byte = *self.buf.get(self.pos)?;
+        self.pos += 1;
+        (byte <= 1).then(|| v | u64::from(byte) << 63)
     }
 
     /// Reads a LEB128 varint `u32`.
