@@ -34,7 +34,7 @@ use text::{Document, TermId};
 
 use crate::group::UserGroup;
 use crate::select::exact::Combinations;
-use crate::select::location::{HeldEvaluation, LocationCounts};
+use crate::select::location::{HeldEvaluation, LocationCounts, Winner};
 use crate::select::DeltaScan;
 use crate::topk::ByKey;
 use crate::trace::{Phase, PhaseBreakdown, Trace};
@@ -195,6 +195,8 @@ pub(crate) struct SelectScratch {
     pub(crate) ss: Vec<f64>,
     /// The greedy evaluation later locations of the query reuse.
     pub(crate) held: HeldEvaluation,
+    /// The best location so far, materialised once the queue drains.
+    pub(crate) best: Winner,
     /// How the query's locations were settled (surfaced as
     /// `QueryStats::locations`).
     pub(crate) locations: LocationCounts,
@@ -213,10 +215,11 @@ pub(crate) struct SelectScratch {
 }
 
 impl SelectScratch {
-    /// Starts a query's selection: drops the held evaluation and zeroes
-    /// the location counts.
+    /// Starts a query's selection: drops the held evaluation and the
+    /// winner and zeroes the location counts.
     pub(crate) fn begin(&mut self) {
         self.held.release();
+        self.best.clear();
         self.locations = LocationCounts::default();
     }
 }

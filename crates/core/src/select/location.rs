@@ -22,11 +22,19 @@
 //! query, with the name of the list it was held for: every location given
 //! that name has the same `lu`, so a later one reuses `K` after one
 //! comparison. The users that pass under `K` everywhere are one number,
-//! only the users the band leaves open are scored, and the `brstknn` ids
-//! are materialised, in the location's own `lu` order, only when it beats
-//! the best so far. A location on another list, the `LBL` shortcut,
-//! GreedyPlus and Exact take the full path, which also counts before it
-//! materialises.
+//! and only the users the band leaves open are scored. A location on
+//! another list, the `LBL` shortcut, GreedyPlus and Exact take the full
+//! path, which also only counts.
+//!
+//! # When the answer is materialised
+//!
+//! Only the best tuple is returned, so no location materialises its
+//! `brstknn` ids when it beats the best so far. It records the best as a
+//! `Winner`: its count, how it was settled and a copy of its `lu` (one
+//! memcpy, where materialising costs a verdict per user). Once the queue
+//! drains, `materialise_winner` builds the ids once, for the winner, in
+//! its `lu` order: the held evaluation's filter, all of `lu` for the
+//! shortcut, or the verdicts under `ox.d ∪ K` for the full path.
 //!
 //! Algorithm 3 names a list by its pooled slot: the slots keep their
 //! contents for the whole query, and with no `UBL` test left open every
@@ -66,6 +74,112 @@ pub struct LocationCounts {
     /// Locations that reused an earlier greedy evaluation's keywords and
     /// scored only the users their bands leave open.
     pub reused: u64,
+}
+
+/// How the best location so far was settled: what [`materialise_winner`]
+/// replays over its `lu`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Settled {
+    /// Counted by the held evaluation under its keywords.
+    #[default]
+    Held,
+    /// The `LBL` shortcut: every user of `lu` qualifies on `ox.d` alone.
+    Shortcut,
+    /// Keywords selected and every user of `lu` tested under them.
+    Full,
+}
+
+/// The best location of a query so far (see the module docs): `out` holds
+/// its location and keywords, this its count, how it was settled and a
+/// copy of its `lu`. Pooled in [`SelectScratch`].
+#[derive(Debug, Default)]
+pub(crate) struct Winner {
+    count: usize,
+    settled: Settled,
+    lu: Vec<usize>,
+    /// Materialise at every improvement, into `out`, from the `lu` under
+    /// evaluation, as the selection did before it deferred the ids: the
+    /// reference the deferred path is held to.
+    #[cfg(test)]
+    pub(crate) eager: bool,
+    /// Every count offered to [`Winner::improve`] while `eager`:
+    /// `(location, count, how it was settled)`.
+    #[cfg(test)]
+    pub(crate) log: Vec<(usize, usize, Settled)>,
+}
+
+impl Winner {
+    /// Forgets the best, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.count = 0;
+    }
+
+    /// The best count so far; 0 before any location qualified a user.
+    pub(crate) fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Makes location `li` the best when `count` beats it: its keywords
+    /// `kw` go to `out`, a copy of `lu` here. Ties keep the earlier one.
+    fn improve(
+        &mut self,
+        li: usize,
+        count: usize,
+        settled: Settled,
+        lu: &[usize],
+        kw: &[TermId],
+        out: &mut QueryResult,
+    ) -> bool {
+        #[cfg(test)]
+        if self.eager {
+            self.log.push((li, count, settled));
+        }
+        if count <= self.count {
+            return false;
+        }
+        self.count = count;
+        self.settled = settled;
+        self.lu.clear();
+        self.lu.extend_from_slice(lu);
+        out.location = li;
+        out.keywords.clear();
+        out.keywords.extend_from_slice(kw);
+        true
+    }
+}
+
+/// Materialises the winner's BRSTkNN ids into `out`, in its `lu` order,
+/// once the location queue has drained: the one answer a query returns.
+pub(crate) fn materialise_winner(
+    cc: &CandidateContext<'_>,
+    sel: &mut SelectScratch,
+    out: &mut QueryResult,
+) {
+    let SelectScratch {
+        best,
+        held,
+        ss,
+        cand,
+        ..
+    } = sel;
+    #[cfg(test)]
+    if best.eager {
+        return;
+    }
+    out.brstknn.clear();
+    if best.count == 0 {
+        return;
+    }
+    let lu = &best.lu;
+    match best.settled {
+        Settled::Held => held.materialise(cc, out.location, lu, &mut out.brstknn),
+        Settled::Shortcut => out.brstknn.extend(lu.iter().map(|&u| cc.ids[u])),
+        Settled::Full => {
+            cc.fill_ss(&cc.spec.locations[out.location], lu, ss);
+            cc.cand_set(&out.keywords, cand);
+            cc.brstknn_into(cand, lu, ss, &mut out.brstknn);
+        }
+    }
 }
 
 /// The greedy evaluation later locations of a query reuse (see the module
@@ -132,25 +246,44 @@ impl HeldEvaluation {
         }
     }
 
-    /// Counts the held list at location `li` under `K`, and materialises
-    /// its BRSTkNN users into `out` only when the count beats it.
-    fn count_at(&self, cc: &CandidateContext<'_>, li: usize, lu: &[usize], out: &mut QueryResult) {
+    /// Counts the held list at location `li` under `K`, and makes it the
+    /// best when the count beats it.
+    fn count_at(
+        &self,
+        cc: &CandidateContext<'_>,
+        li: usize,
+        lu: &[usize],
+        best: &mut Winner,
+        out: &mut QueryResult,
+    ) {
         let loc = &cc.spec.locations[li];
-        let passes = |u: usize, ts: f64| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.rsk[u];
-        let open = self.open.iter().filter(|&&(u, ts)| passes(u, ts)).count();
-        if self.pass + open > out.brstknn.len() {
-            out.location = li;
-            out.keywords.clone_from(&self.kw);
-            out.brstknn.clear();
-            out.brstknn.extend(
-                lu.iter()
-                    .filter(|&&u| {
-                        let ts = self.ts[u];
-                        cc.band_verdict(ts, u).unwrap_or_else(|| passes(u, ts))
-                    })
-                    .map(|&u| cc.ids[u]),
-            );
+        let open = self
+            .open
+            .iter()
+            .filter(|&&(u, ts)| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.rsk[u])
+            .count();
+        if best.improve(li, self.pass + open, Settled::Held, lu, &self.kw, out) {
+            #[cfg(test)]
+            if best.eager {
+                out.brstknn.clear();
+                self.materialise(cc, li, lu, &mut out.brstknn);
+            }
         }
+    }
+
+    /// Appends the ids of the users of `lu` that qualify under `K` at
+    /// location `li`, in `lu` order.
+    fn materialise(&self, cc: &CandidateContext<'_>, li: usize, lu: &[usize], ids: &mut Vec<u32>) {
+        let loc = &cc.spec.locations[li];
+        ids.extend(
+            lu.iter()
+                .filter(|&&u| {
+                    let ts = self.ts[u];
+                    cc.band_verdict(ts, u)
+                        .unwrap_or_else(|| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.rsk[u])
+                })
+                .map(|&u| cc.ids[u]),
+        );
     }
 }
 
@@ -176,8 +309,8 @@ pub fn select_candidate(
 }
 
 /// [`select_candidate`] into arena scratch: the winning tuple lands in
-/// `out`; queue, per-location `LU` lists, the held evaluation and the
-/// keyword-selection buffers all come from `sel`.
+/// `out`; queue, per-location `LU` lists, the held evaluation, the winner
+/// and the keyword-selection buffers all come from `sel`.
 ///
 /// # Panics
 /// Panics when the query has no candidate locations.
@@ -258,7 +391,7 @@ pub(crate) fn select_candidate_into(
         item: (li, slot), ..
     }) = sel.ql.pop()
     {
-        if sel.lu_bufs[slot].len() <= out.brstknn.len() && !out.brstknn.is_empty() {
+        if sel.lu_bufs[slot].len() <= sel.best.count() && sel.best.count() > 0 {
             break; // |LU| bounds the achievable count — nothing better left
         }
         // LBL shortcut: every LU user qualifies with ox.d alone.
@@ -268,6 +401,7 @@ pub(crate) fn select_candidate_into(
         evaluate_location(cc, li, &lu, slot, shortcut, selector, sel, out);
         sel.lu_bufs[slot] = lu;
     }
+    materialise_winner(cc, sel, out);
 }
 
 /// Algorithm 3's work on one dequeued location, shared with the §7
@@ -279,7 +413,9 @@ pub(crate) fn select_candidate_into(
 /// for, or becomes it when the bands decide every `LUW` row of `lu`; any
 /// other location has `selector` pick the keywords and its
 /// realized BRSTkNN set counted exactly. The spatial scores of `lu` are
-/// computed only on that full path. `out` is replaced on improvement.
+/// computed only on that full path. A location that beats the best takes
+/// its place in `sel.best` and `out`, but for the `brstknn` ids, which
+/// [`materialise_winner`] builds for the last winner.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_location(
     cc: &CandidateContext<'_>,
@@ -298,6 +434,7 @@ pub(crate) fn evaluate_location(
         gr,
         ex,
         held,
+        best,
         locations,
         ..
     } = sel;
@@ -312,11 +449,12 @@ pub(crate) fn evaluate_location(
         // otherwise keyword selection could still add users.
         if count == lu.len() {
             locations.evaluated += 1;
-            if count > out.brstknn.len() {
-                out.location = li;
-                out.keywords.clear();
-                out.brstknn.clear();
-                out.brstknn.extend(lu.iter().map(|&u| cc.ids[u]));
+            if best.improve(li, count, Settled::Shortcut, lu, &[], out) {
+                #[cfg(test)]
+                if best.eager {
+                    out.brstknn.clear();
+                    out.brstknn.extend(lu.iter().map(|&u| cc.ids[u]));
+                }
             }
             return;
         }
@@ -324,13 +462,13 @@ pub(crate) fn evaluate_location(
     if selector == KeywordSelector::Greedy {
         if held.held_for(list) {
             locations.reused += 1;
-            held.count_at(cc, li, lu, out);
+            held.count_at(cc, li, lu, best, out);
             return;
         }
         if !held.live && greedy::luw_decided(cc, lu) {
             locations.evaluated += 1;
             held.hold(cc, lu, list, ss, gr, cand);
-            held.count_at(cc, li, lu, out);
+            held.count_at(cc, li, lu, best, out);
             return;
         }
     }
@@ -344,13 +482,13 @@ pub(crate) fn evaluate_location(
     }
     cc.cand_set(kw, cand);
     locations.evaluated += 1;
-    // Count first; materialise only a location that beats the best.
     let mut count = 0;
     cc.for_each_verdict(cand, lu, ss, |_, q| count += usize::from(q));
-    if count > out.brstknn.len() {
-        out.location = li;
-        out.keywords.clone_from(kw);
-        cc.brstknn_into(cand, lu, ss, &mut out.brstknn);
+    if best.improve(li, count, Settled::Full, lu, kw, out) {
+        #[cfg(test)]
+        if best.eager {
+            cc.brstknn_into(cand, lu, ss, &mut out.brstknn);
+        }
     }
 }
 
@@ -550,34 +688,38 @@ pub(crate) mod tests {
             let n = cc.num_users();
             let lu: Vec<usize> = (0..n).filter(|&u| cc.user_reachable(u)).collect();
             let rev: Vec<usize> = lu.iter().rev().copied().collect();
-            let mut held = HeldEvaluation::default();
+            let mut sel = SelectScratch::default();
             let (mut lo, mut gr, mut cand) = (Vec::new(), GreedyScratch::default(), Vec::new());
-            held.hold(&cc, &lu, 0, &mut lo, &mut gr, &mut cand);
-            open += held.open.len();
+            sel.held.hold(&cc, &lu, 0, &mut lo, &mut gr, &mut cand);
+            open += sel.held.open.len();
             for li in 0..f.spec.locations.len() {
                 let loc = &f.spec.locations[li];
                 for order in [&lu, &rev] {
-                    let want = cc.brstknn(loc, &cc.with_keywords(&held.kw), order);
+                    let want = cc.brstknn(loc, &cc.with_keywords(&sel.held.kw), order);
                     for short in [1, 0] {
                         let Some(len) = want.len().checked_sub(short) else {
                             continue;
                         };
+                        sel.best.clear();
+                        sel.best.count = len;
                         let mut out = QueryResult {
                             location: usize::MAX,
                             keywords: Vec::new(),
-                            brstknn: vec![u32::MAX; len],
+                            brstknn: Vec::new(),
                         };
-                        held.count_at(&cc, li, order, &mut out);
+                        sel.held.count_at(&cc, li, order, &mut sel.best, &mut out);
                         if short == 1 {
+                            materialise_winner(&cc, &mut sel, &mut out);
                             let beat = QueryResult {
                                 location: li,
-                                keywords: held.kw.clone(),
+                                keywords: sel.held.kw.clone(),
                                 brstknn: want.clone(),
                             };
                             assert_eq!(out, beat, "seed {seed}, loc {li}");
                             beaten += 1;
                         } else {
                             assert_eq!(out.location, usize::MAX, "seed {seed}, loc {li}");
+                            assert_eq!(sel.best.count(), len, "seed {seed}, loc {li}");
                         }
                     }
                 }
@@ -598,6 +740,7 @@ pub(crate) mod tests {
                     let before = sel.locations.reused;
                     let mut out = QueryResult::default();
                     sel.locations.dequeued += 1;
+                    sel.best.clear();
                     evaluate_location(
                         &cc,
                         li,
@@ -608,6 +751,7 @@ pub(crate) mod tests {
                         &mut sel,
                         &mut out,
                     );
+                    materialise_winner(&cc, &mut sel, &mut out);
                     let at = format!("seed {seed}, loc {li}, list {list}");
                     assert_eq!(sel.locations.reused - before, u64::from(reuses), "{at}");
                     answers.push(out);
@@ -855,5 +999,156 @@ pub(crate) mod tests {
             "{n_inf} RSk = −∞, {n_zero} N(u) = 0"
         );
         assert!(reused[Layout::Clustered as usize] > 40, "reused {reused:?}");
+    }
+
+    /// What the eager reference saw over every run of
+    /// [`deferred_winner_matches_the_eager_reference`].
+    #[derive(Debug, Default)]
+    struct Seen {
+        /// Runs whose best improved more than once.
+        improved_twice: usize,
+        /// Locations whose count tied a non-zero best.
+        ties: usize,
+        /// Winners per settle kind: held, shortcut, full.
+        won: [usize; 3],
+    }
+
+    impl Seen {
+        fn run(&mut self, log: &[(usize, usize, Settled)]) {
+            let (mut best, mut improved, mut last) = (0, 0, None);
+            for &(_, count, settled) in log {
+                if count > best {
+                    (best, improved, last) = (count, improved + 1, Some(settled));
+                } else if count == best && count > 0 {
+                    self.ties += 1;
+                }
+            }
+            self.improved_twice += usize::from(improved > 1);
+            if let Some(settled) = last {
+                self.won[settled as usize] += 1;
+            }
+        }
+    }
+
+    /// The winner materialised once, after the queue drains, against the
+    /// reference that materialises at every improvement from the `lu`
+    /// under evaluation ([`Winner::eager`]): the same `QueryResult` and
+    /// `LocationCounts`, for all three selectors, on Algorithm 3 (random
+    /// and edge fixtures with `ox.d` kept or emptied, `rsk_us` live and
+    /// off, and the band engines) and on the §7 pipeline (the band
+    /// engines: `ox.d` empty under LM, not under TF-IDF, where the `LBL`
+    /// shortcut settles locations). One pooled scratch serves every
+    /// deferred run, so a stale winner would show. It asserts its
+    /// coverage: runs whose best improved more than once, ties, and a
+    /// winner of every settle kind.
+    #[test]
+    fn deferred_winner_matches_the_eager_reference() {
+        use crate::arena::QueryArena;
+        use crate::select::test_fixture::{edge_fixture, random_fixture, t};
+        use crate::user_index::run_selection;
+        const SELECTORS: [KeywordSelector; 3] = [
+            KeywordSelector::Greedy,
+            KeywordSelector::GreedyPlus,
+            KeywordSelector::Exact,
+        ];
+        fn alg3(
+            cc: &CandidateContext<'_>,
+            su: &UserGroup,
+            rsk_us: f64,
+            pooled: &mut SelectScratch,
+            seen: &mut Seen,
+            at: &str,
+        ) {
+            for selector in SELECTORS {
+                let mut eager = SelectScratch::default();
+                eager.best.eager = true;
+                let mut want = QueryResult::default();
+                select_candidate_into(cc, su, rsk_us, selector, &mut eager, &mut want);
+                let mut got = QueryResult::default();
+                select_candidate_into(cc, su, rsk_us, selector, pooled, &mut got);
+                let at = format!("{at}, rsk_us {rsk_us}, {selector:?}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(pooled.locations, eager.locations, "{at}");
+                seen.run(&eager.best.log);
+            }
+        }
+        let mut seen = Seen::default();
+        let mut pooled = SelectScratch::default();
+        for seed in 0..24 {
+            let mut f = if seed % 3 == 1 {
+                edge_fixture(seed + 80, 1 + seed as usize % 4)
+            } else {
+                random_fixture(seed + 80, 48, 9)
+            };
+            if seed % 3 == 2 {
+                // Every user shares `ox.d`, which holds every term: where
+                // a user may qualify, it does on `ox.d` alone.
+                f.spec.ox_doc = Document::from_terms((0..25).map(t));
+            } else if seed % 2 == 1 {
+                f.spec.ox_doc = Document::new();
+            }
+            let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
+            let su = UserGroup::from_users(&f.users, &f.ctx.text);
+            for rsk_us in [f64::NEG_INFINITY, 0.0] {
+                alg3(
+                    &cc,
+                    &su,
+                    rsk_us,
+                    &mut pooled,
+                    &mut seen,
+                    &format!("fixture {seed}"),
+                );
+            }
+        }
+        let (mut arena, mut s7) = (QueryArena::new(), Seen::default());
+        for layout in [Layout::Clustered, Layout::Spread, Layout::Mixed] {
+            for model in [WeightModel::lm(), WeightModel::TfIdf] {
+                for seed in 26..38 {
+                    let alpha = [0.5, 1.0, 0.3][seed as usize % 3];
+                    let at = format!("{layout:?}, {model:?}, α {alpha}, seed {seed}");
+                    let (eng, mut spec) = band_engine(layout, model, alpha, seed);
+                    if seed % 4 == 3 {
+                        spec.ox_doc = Document::from_terms((0..12).map(t));
+                    }
+                    let jt = eng.joint_thresholds(spec.k);
+                    let cc = CandidateContext::new(&eng.ctx, &spec, &eng.users, &jt.rsk);
+                    for rsk_us in [jt.out.rsk_us, f64::NEG_INFINITY] {
+                        alg3(&cc, &jt.su, rsk_us, &mut pooled, &mut seen, &at);
+                    }
+                    let ui_seed = eng.user_index_seed(spec.k);
+                    let miur = eng.miur.as_ref().expect("built with a user index");
+                    for selector in SELECTORS {
+                        let at = format!("§7 {at}, {selector:?}");
+                        let mut eager = QueryArena::new();
+                        eager.sel.best.eager = true;
+                        let mut runs = [QueryResult::default(), QueryResult::default()];
+                        let mut scored = [(0, 0); 2];
+                        for (i, a) in [&mut eager, &mut arena].into_iter().enumerate() {
+                            scored[i] = run_selection(
+                                miur,
+                                &spec,
+                                &eng.ctx,
+                                selector,
+                                &eng.io,
+                                &ui_seed,
+                                None,
+                                a,
+                                &mut runs[i],
+                            );
+                        }
+                        assert_eq!(runs[1], runs[0], "{at}");
+                        assert_eq!(arena.sel.locations, eager.sel.locations, "{at}");
+                        assert_eq!(scored[1], scored[0], "{at}");
+                        s7.run(&eager.sel.best.log);
+                    }
+                }
+            }
+        }
+        for (at, seen) in [("Algorithm 3", seen), ("§7", s7)] {
+            assert!(
+                seen.improved_twice >= 4 && seen.ties > 100 && seen.won.iter().all(|&n| n > 10),
+                "{at} coverage: {seen:?}"
+            );
+        }
     }
 }

@@ -22,7 +22,7 @@ use text::Document;
 
 use crate::arena::{ElemSlot, NodeScratch, QueryArena, UserIndexScratch};
 use crate::bounds::lb_object;
-use crate::select::location::{evaluate_location, KeywordSelector};
+use crate::select::location::{evaluate_location, materialise_winner, KeywordSelector};
 use crate::select::CandidateContext;
 use crate::topk::individual::refine_user_heap;
 use crate::topk::joint::joint_topk;
@@ -629,7 +629,7 @@ pub(crate) fn run_selection(
             }
             continue;
         }
-        if current <= result.brstknn.len() && !result.brstknn.is_empty() {
+        if current <= arena.sel.best.count() && arena.sel.best.count() > 0 {
             break;
         }
 
@@ -669,6 +669,7 @@ pub(crate) fn run_selection(
         arena.sel.locations.dequeued += 1;
         evaluate_location(&cc, li, lu, class, true, selector, &mut arena.sel, result);
     }
+    materialise_winner(&cc, &mut arena.sel, result);
 
     arena.context_reused = cc.text_reused();
     arena.ui.cc = cc.into_scratch();

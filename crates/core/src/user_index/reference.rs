@@ -14,7 +14,7 @@ use storage::{IoStats, RecordId};
 
 use super::{keep, keep_everywhere, push_children, FrontierList, UserIndexSeed};
 use crate::arena::{ElemSlot, QueryArena, UserIndexScratch};
-use crate::select::location::{evaluate_location, KeywordSelector};
+use crate::select::location::{evaluate_location, materialise_winner, KeywordSelector};
 use crate::select::CandidateContext;
 use crate::topk::ByKey;
 use crate::{QueryResult, QuerySpec, ScoreContext};
@@ -157,7 +157,7 @@ pub(crate) fn run_selection(
             }
             continue;
         }
-        if current <= result.brstknn.len() && !result.brstknn.is_empty() {
+        if current <= arena.sel.best.count() && arena.sel.best.count() > 0 {
             break;
         }
 
@@ -208,6 +208,7 @@ pub(crate) fn run_selection(
         arena.sel.locations.dequeued += 1;
         evaluate_location(&cc, li, lu, name, true, selector, &mut arena.sel, result);
     }
+    materialise_winner(&cc, &mut arena.sel, result);
 
     arena.context_reused = cc.text_reused();
     arena.ui.cc = cc.into_scratch();
