@@ -7,7 +7,7 @@
 //! generator uses it so every request pays the full connection cost, like
 //! an independent arriving client would.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use mbrstk_core::{MaintenanceIo, Method, Mutation, QueryResult, QuerySpec};
@@ -19,20 +19,26 @@ use crate::protocol::{
 /// One blocking connection to a serve endpoint.
 pub struct Client {
     stream: TcpStream,
+    /// Replies are read through one buffer for the connection, over a
+    /// second handle on the socket: a reply that arrived whole is one
+    /// `read`.
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
-    /// Connects (with `TCP_NODELAY` — requests are single small frames).
+    /// Connects (with `TCP_NODELAY` — a request is one small frame, sent
+    /// in one write).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(Client { stream, reader })
     }
 
     /// Sends one request and reads its reply.
     pub fn request(&mut self, req: &Request) -> io::Result<Reply> {
         write_frame(&mut self.stream, &encode_request(req))?;
-        let body = read_frame(&mut self.stream, MAX_FRAME_LEN)?.ok_or_else(|| {
+        let body = read_frame(&mut self.reader, MAX_FRAME_LEN)?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed before replying",

@@ -27,7 +27,7 @@
 //! answers with `Reply::Error` before dropping the connection (a parse
 //! failure means the stream may be desynchronized).
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use geo::Point;
 use mbrstk_core::{MaintenanceIo, Method, Mutation, ObjectData, QueryResult, QuerySpec, UserData};
@@ -470,19 +470,38 @@ pub fn decode_reply(body: &[u8]) -> Result<Reply, ProtocolError> {
 // ---------------------------------------------------------------------
 // Frame I/O.
 
-/// Writes one frame (length prefix + body) and flushes.
+/// Writes one frame (length prefix + body) and flushes. Prefix and body
+/// go out in one vectored write, so on a `TCP_NODELAY` socket a frame is
+/// one segment, not two; a short write is continued where it stopped.
+/// Nothing is copied.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     let len = u32::try_from(body.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
+    let prefix = len.to_le_bytes();
+    let mut parts = [IoSlice::new(&prefix), IoSlice::new(body)];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
 /// Reads one frame body. `Ok(None)` on clean EOF *between* frames; EOF
 /// mid-frame is an error. Frames longer than `max_len` are rejected
 /// without allocating, and the body buffer grows by at most 64 KiB ahead
-/// of the bytes received.
+/// of the bytes received. Over a socket, pass a [`std::io::BufReader`]
+/// kept for the connection: a frame that arrived whole is then one
+/// `read`, and bytes past it stay buffered for the next frame.
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
     match read_exact_or_eof(r, &mut header)? {
@@ -737,6 +756,79 @@ mod tests {
         write_frame(&mut wire, &body).unwrap();
         let got = read_frame(&mut Trickle(&wire), MAX_FRAME_LEN).unwrap();
         assert_eq!(got, Some(body));
+    }
+
+    /// Counts the write calls it takes, and takes every byte offered.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.bytes.len();
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = Counting::default();
+        let mut want = Vec::new();
+        for body in [&[0x84, 1, 2, 3][..], &[0x03], &[7; 300]] {
+            let calls = w.calls;
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(w.calls - calls, 1, "{}-byte body", body.len());
+            want.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            want.extend_from_slice(body);
+        }
+        assert_eq!(w.bytes, want);
+    }
+
+    /// Takes at most one byte per call, and is interrupted before every
+    /// other one.
+    #[derive(Default)]
+    struct OneByte {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for OneByte {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 2 == 1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.bytes.extend(buf.first());
+            Ok(buf.len().min(1))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_written_a_byte_at_a_time_arrives_whole() {
+        let body: Vec<u8> = (0..=255).collect();
+        let mut w = OneByte::default();
+        write_frame(&mut w, &body).unwrap();
+        write_frame(&mut w, &[9]).unwrap();
+        let mut want = 256u32.to_le_bytes().to_vec();
+        want.extend_from_slice(&body);
+        want.extend_from_slice(&[1, 0, 0, 0, 9]);
+        assert_eq!(w.bytes, want);
     }
 
     #[test]

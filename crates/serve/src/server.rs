@@ -15,6 +15,11 @@
 //! [`ServingEngine`] entry points an in-process caller would use, encode
 //! the reply. That is what makes the loopback differential test
 //! meaningful — the network path can only add framing, not semantics.
+//! A worker reads each connection through a read buffer kept for the
+//! connection (a frame that arrived whole is one `read`; the bytes of a
+//! frame behind it wait there) and writes each reply frame in one write
+//! ([`write_frame`]). The bytes on the wire are those of the protocol,
+//! unchanged.
 //!
 //! Each worker owns one [`QueryArena`] and one answer buffer for every
 //! request it serves ([`ServingEngine::query_reusing`]), so a warm query
@@ -31,7 +36,7 @@
 //! one `metrics` request exposes index, refresh and network counters in a
 //! single Prometheus page.
 
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -341,8 +346,12 @@ impl Worker {
         // stops reading (zero receive window) otherwise parks this worker
         // in `write_frame` forever, silently shrinking the pool.
         stream.set_write_timeout(write_deadline(self.write_timeout))?;
+        // Replies go to `stream`; requests come through one buffer for the
+        // connection, over a second handle on the same socket (its read
+        // deadline is the socket's).
+        let mut reader = BufReader::new(stream.try_clone()?);
         loop {
-            let body = match self.read_frame_interruptible(&mut stream) {
+            let body = match self.read_frame_interruptible(&mut reader) {
                 Ok(Some(body)) => body,
                 Ok(None) => return Ok(()),
                 Err(e) => return Err(e),
@@ -368,7 +377,7 @@ impl Worker {
 
     /// [`read_frame`] that tolerates read timeouts while *between* frames
     /// (checking the stop flag), but treats them as fatal mid-frame.
-    fn read_frame_interruptible(&self, stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
+    fn read_frame_interruptible(&self, stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         let mut header = [0u8; 4];
         let mut got = 0usize;
         while got < 4 {

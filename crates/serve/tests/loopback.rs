@@ -29,6 +29,9 @@
 //!     candidate context's text half, across requests: Algorithm 3 and §7
 //!     queries interleaved with every kind of write on one connection are
 //!     answered as a fresh query on the snapshot answers them.
+//! (g) **Frames behind frames** — two request frames sent in one write
+//!     get both replies, in order: a frame's bytes read ahead into the
+//!     worker's connection buffer are kept for the next frame.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -698,4 +701,36 @@ fn serve_binary_rejects_an_unparsable_shard_count() {
     let from_flag = run(None, &["--shards", "four"]);
     assert_eq!(from_env.0, Some(2));
     assert_eq!(from_env, from_flag);
+}
+
+/// Two query frames in a single `write`: the worker's first read may take
+/// both, and the second must still be answered, after the first.
+#[test]
+fn two_frames_in_one_write_get_both_replies_in_order() {
+    let serving = serving_engine(43);
+    let server = bind(&serving, ServeConfig::default());
+    let asks = [
+        (Method::JointGreedy, specs().remove(0)),
+        (Method::UserIndexExact, specs().remove(2)),
+    ];
+    let mut wire = Vec::new();
+    for (method, spec) in &asks {
+        let req = Request::Query {
+            method: *method,
+            spec: spec.clone(),
+        };
+        write_frame(&mut wire, &encode_request(&req)).unwrap();
+    }
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(&wire).unwrap();
+    for (method, spec) in &asks {
+        let body = serve::read_frame(&mut raw, serve::MAX_FRAME_LEN)
+            .unwrap()
+            .expect("a reply per frame");
+        let (local, _guard) = serving.query(spec, *method);
+        match serve::decode_reply(&body).unwrap() {
+            Reply::Answer(net) => assert_eq!(net, local, "{}", method.name()),
+            other => panic!("expected an answer, got {other:?}"),
+        }
+    }
 }
