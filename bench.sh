@@ -28,7 +28,9 @@
 # the rest of the file: per workload and gated metric, both sides'
 # [median, q1, q3], the median per-pair ratio this/REV and the pairs this
 # side won by BENCHMARK.json's `better`; and both commits, the flags and
-# the seeds.
+# the seeds. When REV is this checkout's own clean HEAD the run is an A/A
+# (the same code on both sides: the spread a claim must clear), written
+# to the `aa` block instead, which leaves `paired` alone.
 set -euo pipefail
 here=$(cd "$(dirname "$0")" && pwd)
 usage="usage: bench.sh PR [CHECKOUT [SEED...]] | bench.sh PR --against REV [--workloads W,...] [--pairs N]"
@@ -51,6 +53,8 @@ if [ "${2:-}" = --against ]; then
   base_sha=$(git -C "$here" rev-parse --verify "$rev^{commit}")
   this_sha=$(git -C "$here" rev-parse HEAD)
   git -C "$here" diff --quiet HEAD || this_sha="$this_sha+dirty"
+  blockname=paired
+  [ "$base_sha" != "$this_sha" ] || blockname=aa
   scratch="$here/target/bench-against"
   base="$scratch/${base_sha:0:12}"
   logs="$scratch/logs-$pr"
@@ -79,10 +83,10 @@ if [ "${2:-}" = --against ]; then
       done
     done
   done
-  python3 - "$pr" "$here" "$logs" "$base_sha" "$this_sha" "$workloads" "${pinned[*]}" "${seeds[@]}" <<'PAIRED'
+  python3 - "$pr" "$here" "$logs" "$base_sha" "$this_sha" "$workloads" "${pinned[*]}" "$blockname" "${seeds[@]}" <<'PAIRED'
 import json, os, re, statistics as st, sys
-pr, here, logs, base_sha, this_sha, workloads, flags = sys.argv[1:8]
-seeds = sys.argv[8:]
+pr, here, logs, base_sha, this_sha, workloads, flags, blockname = sys.argv[1:9]
+seeds = sys.argv[9:]
 better = {m["name"]: m["better"] for m in json.load(open(f"{here}/BENCHMARK.json"))["end_to_end"]}
 
 def result(w, seed, side):
@@ -119,10 +123,10 @@ for w in workloads.split(","):
 
 path = f"{here}/BENCH_{pr}.json"
 out = json.load(open(path)) if os.path.exists(path) else {"pr": int(pr)}
-out["paired"] = block
+out[blockname] = block
 text = json.dumps(out, indent=1)  # one line per metric:
 open(path, "w").write(re.sub(r"\[\s+([^\[\]{}]*?)\s+\]", lambda m: "[" + re.sub(r"\s+", " ", m[1]) + "]", text) + "\n")
-print(f"wrote the paired block of {path}")
+print(f"wrote the {blockname} block of {path}")
 PAIRED
   exit
 fi
@@ -192,8 +196,8 @@ for w, rs in runs.items():
         "per_layer": pl,
     }
 path = f"{here}/BENCH_{pr}.json"
-if os.path.exists(path) and "paired" in (kept := json.load(open(path))):
-    result["paired"] = kept["paired"]  # written by --against
+kept = json.load(open(path)) if os.path.exists(path) else {}
+result |= {k: kept[k] for k in ("paired", "aa") if k in kept}  # written by --against
 text = json.dumps(result, indent=1)  # one line per metric:
 open(path, "w").write(re.sub(r"\[\s+([^\[\]{}]*?)\s+\]", lambda m: "[" + re.sub(r"\s+", " ", m[1]) + "]", text) + "\n")
 print(f"wrote {path}")

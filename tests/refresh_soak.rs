@@ -53,6 +53,17 @@ fn t(i: u32) -> TermId {
 const FANOUT: usize = 4;
 const ALPHA: f64 = 0.5;
 
+/// Runs its closure when dropped, unwinding included: a thread that
+/// panics still releases the threads that wait on it, so the test fails
+/// instead of hanging.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)();
+    }
+}
+
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
         .ok()
@@ -290,10 +301,12 @@ fn soak_churn_with_periodic_refresh_checkpoints() {
             for script in [obj_ops.clone(), user_ops.clone()] {
                 let (serving, mutators_left, applied) = (&serving, &mutators_left, &applied);
                 s.spawn(move || {
+                    let _done = OnDrop(|| {
+                        mutators_left.fetch_sub(1, Ordering::Relaxed);
+                    });
                     let report = serving.apply_batch(script);
                     assert_eq!(report.rejected, 0, "partitioned scripts never conflict");
                     applied.fetch_add(report.applied, Ordering::Relaxed);
-                    mutators_left.fetch_sub(1, Ordering::Relaxed);
                 });
             }
             // Two query observers: every snapshot must be internally
@@ -402,6 +415,7 @@ fn queries_racing_the_swap_never_observe_torn_state() {
 
             // The interleaving driver: seeded mutation bursts with swaps
             // in between.
+            let _done = OnDrop(|| done.store(true, Ordering::Relaxed));
             let script = object_script(
                 &mut rng,
                 iters.max(24),
@@ -419,7 +433,6 @@ fn queries_racing_the_swap_never_observe_torn_state() {
                     std::thread::yield_now();
                 }
             }
-            done.store(true, Ordering::Relaxed);
         });
         assert!(serving.refreshes() > 0);
     }
@@ -683,11 +696,12 @@ fn mutations_racing_the_rebuild_are_never_lost() {
                 }));
             }
 
+            let stop_refresher = OnDrop(|| stop.store(true, Ordering::Relaxed));
             let mut ids = Vec::new();
             for h in handles {
                 ids.extend(h.join().expect("mutator"));
             }
-            stop.store(true, Ordering::Relaxed);
+            drop(stop_refresher);
             let (rebuilds, replayed) = refresher.join().expect("refresher");
             assert!(rebuilds > 0, "seed {seed}: the race never rebuilt");
             assert!(
