@@ -98,8 +98,8 @@ pub(crate) struct Winner {
     settled: Settled,
     lu: Vec<usize>,
     /// Materialise at every improvement, into `out`, from the `lu` under
-    /// evaluation, as the selection did before it deferred the ids: the
-    /// reference the deferred path is held to.
+    /// evaluation, and not after the queue drains: the reference the
+    /// deferred path is held to.
     #[cfg(test)]
     pub(crate) eager: bool,
     /// Every count offered to [`Winner::improve`] while `eager`:
