@@ -1001,6 +1001,68 @@ pub(crate) mod tests {
         assert!(reused[Layout::Clustered as usize] > 40, "reused {reused:?}");
     }
 
+    /// 400 objects and 150 users over [0, 100]², each holding a few terms
+    /// of 160 (skewed, so some are common), and eight queries: `ws` 1 and
+    /// 3, `k` 1 and 10, three locations, and either sixteen drawn keywords
+    /// (one repeated) with `ox.d` empty, or the sixteen highest of 70
+    /// drawn terms with `ox.d` the other 54 and the lowest of the sixteen.
+    fn sparse_engine(model: WeightModel, seed: u64) -> (crate::Engine, Vec<QuerySpec>) {
+        let mut next = stream(seed);
+        let mut term = || {
+            let cap = 1 + next(160);
+            t((next(cap) * 37 % 160) as u32)
+        };
+        let docs: Vec<Vec<TermId>> = (0..550)
+            .map(|i| (0..1 + i % 4).map(|_| term()).collect())
+            .collect();
+        let mut next = stream(seed + 1);
+        let mut at = || Point::new(next(10_000) as f64 / 100.0, next(10_000) as f64 / 100.0);
+        let objects: Vec<crate::ObjectData> = (0..400)
+            .map(|i| crate::ObjectData {
+                id: i,
+                point: at(),
+                doc: Document::from_terms(docs[i as usize].iter().copied()),
+            })
+            .collect();
+        let users: Vec<UserData> = (0..150)
+            .map(|i| UserData {
+                id: i,
+                point: at(),
+                doc: Document::from_terms(docs[400 + i as usize].iter().copied()),
+            })
+            .collect();
+        let mut next = stream(seed + 2);
+        let mut specs = Vec::new();
+        for ws in [1, 3] {
+            for k in [1, 10] {
+                for with_ox in [false, true] {
+                    let mut terms: Vec<u32> = (0..160).collect();
+                    for i in (1..terms.len()).rev() {
+                        terms.swap(i, next(i as u64 + 1) as usize);
+                    }
+                    terms.truncate(if with_ox { 70 } else { 16 });
+                    let mut by_id = terms.clone();
+                    by_id.sort_unstable();
+                    let cut = by_id[by_id.len() - 16];
+                    let mut keywords: Vec<TermId> =
+                        terms.iter().filter(|&&x| x >= cut).map(|&x| t(x)).collect();
+                    keywords.push(keywords[0]);
+                    let ox = if with_ox { by_id.len() - 15 } else { 0 };
+                    specs.push(QuerySpec {
+                        ox_doc: Document::from_terms(by_id[..ox].iter().map(|&x| t(x))),
+                        locations: (0..3).map(|_| at()).collect(),
+                        keywords,
+                        ws,
+                        k,
+                    });
+                }
+            }
+        }
+        let engine =
+            crate::Engine::build_with_fanout(objects, users, model, 0.5, 8).with_user_index();
+        (engine, specs)
+    }
+
     /// What the eager reference saw over every run of
     /// [`deferred_winner_matches_the_eager_reference`].
     #[derive(Debug, Default)]
@@ -1011,6 +1073,8 @@ pub(crate) mod tests {
         ties: usize,
         /// Winners per settle kind: held, shortcut, full.
         won: [usize; 3],
+        /// Algorithm 3's held winners on a list other than its first slot.
+        held_off_first: usize,
     }
 
     impl Seen {
@@ -1034,13 +1098,15 @@ pub(crate) mod tests {
     /// reference that materialises at every improvement from the `lu`
     /// under evaluation ([`Winner::eager`]): the same `QueryResult` and
     /// `LocationCounts`, for all three selectors, on Algorithm 3 (random
-    /// and edge fixtures with `ox.d` kept or emptied, `rsk_us` live and
-    /// off, and the band engines) and on the §7 pipeline (the band
-    /// engines: `ox.d` empty under LM, not under TF-IDF, where the `LBL`
-    /// shortcut settles locations). One pooled scratch serves every
+    /// and edge fixtures with `ox.d` kept, emptied or holding every term,
+    /// `rsk_us` live and off) and on Algorithm 3 and the §7 pipeline over
+    /// the band engines (`ox.d` empty under LM, not under TF-IDF, every
+    /// term on a quarter of them, where the `LBL` shortcut settles
+    /// locations) and the sparse engines. One pooled scratch serves every
     /// deferred run, so a stale winner would show. It asserts its
-    /// coverage: runs whose best improved more than once, ties, and a
-    /// winner of every settle kind.
+    /// coverage: runs whose best improved more than once, ties, a winner
+    /// of every settle kind, and a held winner on a list other than
+    /// Algorithm 3's first slot.
     #[test]
     fn deferred_winner_matches_the_eager_reference() {
         use crate::arena::QueryArena;
@@ -1070,6 +1136,12 @@ pub(crate) mod tests {
                 assert_eq!(got, want, "{at}");
                 assert_eq!(pooled.locations, eager.locations, "{at}");
                 seen.run(&eager.best.log);
+                let best = &pooled.best;
+                seen.held_off_first += usize::from(
+                    best.count > 0
+                        && best.settled == Settled::Held
+                        && pooled.lu_bufs.first() != Some(&best.lu),
+                );
             }
         }
         let mut seen = Seen::default();
@@ -1100,55 +1172,74 @@ pub(crate) mod tests {
                 );
             }
         }
-        let (mut arena, mut s7) = (QueryArena::new(), Seen::default());
+        // Algorithm 3 and the §7 pipeline on one engine and query.
+        let mut arena = QueryArena::new();
+        let mut both = |eng: &crate::Engine, spec: &QuerySpec, at: &str, s7: &mut Seen| {
+            let jt = eng.joint_thresholds(spec.k);
+            let cc = CandidateContext::new(&eng.ctx, spec, &eng.users, &jt.rsk);
+            for rsk_us in [jt.out.rsk_us, f64::NEG_INFINITY] {
+                alg3(&cc, &jt.su, rsk_us, &mut pooled, &mut seen, at);
+            }
+            let ui_seed = eng.user_index_seed(spec.k);
+            let miur = eng.miur.as_ref().expect("built with a user index");
+            for selector in SELECTORS {
+                let at = format!("§7 {at}, {selector:?}");
+                let mut eager = QueryArena::new();
+                eager.sel.best.eager = true;
+                let mut runs = [QueryResult::default(), QueryResult::default()];
+                let mut scored = [(0, 0); 2];
+                for (i, a) in [&mut eager, &mut arena].into_iter().enumerate() {
+                    scored[i] = run_selection(
+                        miur,
+                        spec,
+                        &eng.ctx,
+                        selector,
+                        &eng.io,
+                        &ui_seed,
+                        None,
+                        a,
+                        &mut runs[i],
+                    );
+                }
+                assert_eq!(runs[1], runs[0], "{at}");
+                assert_eq!(arena.sel.locations, eager.sel.locations, "{at}");
+                assert_eq!(scored[1], scored[0], "{at}");
+                s7.run(&eager.sel.best.log);
+            }
+        };
+        let mut s7 = Seen::default();
         for layout in [Layout::Clustered, Layout::Spread, Layout::Mixed] {
             for model in [WeightModel::lm(), WeightModel::TfIdf] {
                 for seed in 26..38 {
                     let alpha = [0.5, 1.0, 0.3][seed as usize % 3];
-                    let at = format!("{layout:?}, {model:?}, α {alpha}, seed {seed}");
                     let (eng, mut spec) = band_engine(layout, model, alpha, seed);
                     if seed % 4 == 3 {
                         spec.ox_doc = Document::from_terms((0..12).map(t));
                     }
-                    let jt = eng.joint_thresholds(spec.k);
-                    let cc = CandidateContext::new(&eng.ctx, &spec, &eng.users, &jt.rsk);
-                    for rsk_us in [jt.out.rsk_us, f64::NEG_INFINITY] {
-                        alg3(&cc, &jt.su, rsk_us, &mut pooled, &mut seen, &at);
-                    }
-                    let ui_seed = eng.user_index_seed(spec.k);
-                    let miur = eng.miur.as_ref().expect("built with a user index");
-                    for selector in SELECTORS {
-                        let at = format!("§7 {at}, {selector:?}");
-                        let mut eager = QueryArena::new();
-                        eager.sel.best.eager = true;
-                        let mut runs = [QueryResult::default(), QueryResult::default()];
-                        let mut scored = [(0, 0); 2];
-                        for (i, a) in [&mut eager, &mut arena].into_iter().enumerate() {
-                            scored[i] = run_selection(
-                                miur,
-                                &spec,
-                                &eng.ctx,
-                                selector,
-                                &eng.io,
-                                &ui_seed,
-                                None,
-                                a,
-                                &mut runs[i],
-                            );
-                        }
-                        assert_eq!(runs[1], runs[0], "{at}");
-                        assert_eq!(arena.sel.locations, eager.sel.locations, "{at}");
-                        assert_eq!(scored[1], scored[0], "{at}");
-                        s7.run(&eager.sel.best.log);
-                    }
+                    let at = format!("{layout:?}, {model:?}, α {alpha}, seed {seed}");
+                    both(&eng, &spec, &at, &mut s7);
                 }
             }
         }
-        for (at, seen) in [("Algorithm 3", seen), ("§7", s7)] {
+        // Sparse users over a wide space, few of them per answer: where
+        // the bands leave some `UBL` tests open, Algorithm 3 holds an
+        // evaluation for a list other than its first.
+        for model in [
+            WeightModel::lm(),
+            WeightModel::TfIdf,
+            WeightModel::KeywordOverlap,
+        ] {
+            let (eng, specs) = sparse_engine(model, 3);
+            for (i, spec) in specs.iter().enumerate() {
+                both(&eng, spec, &format!("sparse {model:?}, spec {i}"), &mut s7);
+            }
+        }
+        for (at, seen) in [("Algorithm 3", &seen), ("§7", &s7)] {
             assert!(
-                seen.improved_twice >= 4 && seen.ties > 100 && seen.won.iter().all(|&n| n > 10),
+                seen.improved_twice >= 10 && seen.ties > 100 && seen.won.iter().all(|&n| n > 10),
                 "{at} coverage: {seen:?}"
             );
         }
+        assert!(seen.held_off_first > 0, "coverage: {seen:?}");
     }
 }
