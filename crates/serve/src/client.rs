@@ -18,11 +18,10 @@ use crate::protocol::{
 
 /// One blocking connection to a serve endpoint.
 pub struct Client {
-    stream: TcpStream,
-    /// Replies are read through one buffer for the connection, over a
-    /// second handle on the socket: a reply that arrived whole is one
-    /// `read`.
-    reader: BufReader<TcpStream>,
+    /// Replies are read through one buffer for the connection (a reply
+    /// that arrived whole is one `read`); requests go straight to the
+    /// socket underneath it.
+    conn: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -31,14 +30,15 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { stream, reader })
+        Ok(Client {
+            conn: BufReader::new(stream),
+        })
     }
 
     /// Sends one request and reads its reply.
     pub fn request(&mut self, req: &Request) -> io::Result<Reply> {
-        write_frame(&mut self.stream, &encode_request(req))?;
-        let body = read_frame(&mut self.reader, MAX_FRAME_LEN)?.ok_or_else(|| {
+        write_frame(self.conn.get_mut(), &encode_request(req))?;
+        let body = read_frame(&mut self.conn, MAX_FRAME_LEN)?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed before replying",

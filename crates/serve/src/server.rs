@@ -337,7 +337,7 @@ impl Worker {
     /// deadline, or shutdown.
     fn serve_connection(
         &self,
-        mut stream: TcpStream,
+        stream: TcpStream,
         arena: &mut QueryArena,
         out: &mut QueryResult,
     ) -> io::Result<()> {
@@ -346,12 +346,11 @@ impl Worker {
         // stops reading (zero receive window) otherwise parks this worker
         // in `write_frame` forever, silently shrinking the pool.
         stream.set_write_timeout(write_deadline(self.write_timeout))?;
-        // Replies go to `stream`; requests come through one buffer for the
-        // connection, over a second handle on the same socket (its read
-        // deadline is the socket's).
-        let mut reader = BufReader::new(stream.try_clone()?);
+        // Requests come through one read buffer for the connection;
+        // replies go straight to the socket underneath it.
+        let mut conn = BufReader::new(stream);
         loop {
-            let body = match self.read_frame_interruptible(&mut reader) {
+            let body = match self.read_frame_interruptible(&mut conn) {
                 Ok(Some(body)) => body,
                 Ok(None) => return Ok(()),
                 Err(e) => return Err(e),
@@ -362,7 +361,7 @@ impl Worker {
                     // The stream may be desynchronized — answer, then
                     // drop the connection.
                     let reply = Reply::Error(e.to_string());
-                    write_frame(&mut stream, &encode_reply(&reply))?;
+                    write_frame(conn.get_mut(), &encode_reply(&reply))?;
                     return Ok(());
                 }
             };
@@ -371,7 +370,7 @@ impl Worker {
                 // Hand the answer's buffers back for the next query.
                 *out = answer;
             }
-            write_frame(&mut stream, &frame)?;
+            write_frame(conn.get_mut(), &frame)?;
         }
     }
 
