@@ -18,8 +18,7 @@
 //! A worker reads each connection through a read buffer kept for the
 //! connection (a frame that arrived whole is one `read`; the bytes of a
 //! frame behind it wait there) and writes each reply frame in one write
-//! ([`write_frame`]). The bytes on the wire are those of the protocol,
-//! unchanged.
+//! ([`write_frame`]). Neither changes a byte on the wire.
 //!
 //! Each worker owns one [`QueryArena`] and one answer buffer for every
 //! request it serves ([`ServingEngine::query_reusing`]), so a warm query
