@@ -46,8 +46,9 @@ use crate::QuerySpec;
 /// Reusable backing storage for one [`crate::select::CandidateContext`],
 /// and the location-independent half of the last context built on it.
 ///
-/// The context takes the buffers by value ([`std::mem::take`] from the
-/// arena), fills them for the query at hand, and hands them back through
+/// The context takes it by value ([`std::mem::take`] from the arena),
+/// holds it as its columns (`CandidateContext::cols`), fills it for the
+/// query at hand, and hands it back through
 /// `CandidateContext::into_scratch` when it drops — so the slot columns and
 /// the per-user columns keep their capacity across queries.
 ///
@@ -60,23 +61,49 @@ use crate::QuerySpec;
 /// the locations, the bands `band_lo`/`band_hi`, and the `rsk` column.
 #[derive(Debug, Default)]
 pub(crate) struct CcScratch {
+    /// What the text half (the slot view, the per-user text columns and
+    /// the HW table) was derived for.
     pub(crate) key: TextKey,
+    /// The slot view of `W ∪ ox.d`: its distinct terms ascending (a term's
+    /// index here is its *slot*), each slot's candidate weight `cw(t)`, and
+    /// the positions of `W` holding it, ascending:
+    /// `slot_kw[slot_kw_off[s]..slot_kw_off[s + 1]]` (as many as the
+    /// slot's multiplicity in `W`).
     pub(crate) slot_terms: Vec<TermId>,
     pub(crate) slot_w: Vec<f64>,
     pub(crate) slot_kw_off: Vec<u32>,
     pub(crate) slot_kw: Vec<u32>,
+    /// The slot of each position of `W`.
     pub(crate) kw_slots: Vec<usize>,
+    /// `ox.d` as a slot set: ⌈slots / 64⌉ words, the base of every
+    /// candidate set.
     pub(crate) ox_bits: Vec<u64>,
+    /// Per-user id and location (what the kernels need of a `UserData`
+    /// besides its candidate terms).
     pub(crate) ids: Vec<u32>,
     pub(crate) points: Vec<Point>,
+    /// Per-user spatial band: the least and the greatest `SS` any point
+    /// of the locations' MBR can give the user.
     pub(crate) band_lo: Vec<f64>,
     pub(crate) band_hi: Vec<f64>,
+    /// `RSk(u)` per user (−∞ for users with fewer than `k` relevant
+    /// objects).
     pub(crate) rsk: Vec<f64>,
+    /// Per-user text normalizer `N(u)`.
     pub(crate) n_u: Vec<f64>,
+    /// Location-independent textual part of `UBL(·, u)` per user.
     pub(crate) ubl_ts: Vec<f64>,
+    /// Per-user candidate terms `u.d ∩ (W ∪ ox.d)` as `(slot, cw)`,
+    /// flattened; user `u` owns `ucand_flat[ucand_off[u]..ucand_off[u+1]]`.
+    /// Runs ascend by slot, which is ascending term order, so a kernel
+    /// summing a run adds the weights in the order a merge of the user's
+    /// document would.
     pub(crate) ucand_flat: Vec<(usize, f64)>,
     pub(crate) ucand_off: Vec<u32>,
+    /// Scratch for `CandidateContext::top_ws_sum`.
     pub(crate) ws_buf: RefCell<Vec<f64>>,
+    /// Optimistic `TS` of `HW_{w,u}` per ⟨user, held keyword⟩; see
+    /// `CandidateContext::hw_table`.
     pub(crate) hw: RefCell<HwTable>,
 }
 
@@ -202,8 +229,6 @@ pub(crate) struct SelectScratch {
     pub(crate) locations: LocationCounts,
     /// The slot set `ox.d ∪ W'` under evaluation.
     pub(crate) cand: Vec<u64>,
-    /// BRSTkNN user-id output buffer (swapped into the result on improvement).
-    pub(crate) users_out: Vec<u32>,
     /// Chosen-keyword buffer.
     pub(crate) kw: Vec<TermId>,
     /// Keyword combination enumerator for the baseline scan.

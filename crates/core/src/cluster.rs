@@ -11,42 +11,31 @@
 //!
 //! # Bit-identity by construction
 //!
-//! The cluster never re-implements the selection pipeline. The one
-//! [`Engine`] (the **head**: all users, all objects) answers every query;
-//! the slices only compute the scattered top-k phase, and the per-user
-//! thresholds are installed into the head's [`ThresholdCache`] *before*
-//! the head runs its unmodified pipeline. Every slice scores with the
-//! head's own scorer, dataspace and trees, and the per-user kernels
-//! (`individual_rsk`, [`all_users_topk_baseline`]) process users
+//! A cluster is one [`Engine`] (the **head**: all users, all objects)
+//! whose user slices are set. There is no second query path: the head's
+//! own threshold fill ([`Engine::joint_thresholds`],
+//! [`Engine::baseline_thresholds`]) runs its per-user kernel once per
+//! slice instead of once over the table, and the head's unmodified
+//! pipeline answers. Every slice scores with the head's own scorer,
+//! dataspace and trees, and the per-user kernels (`individual_rsk`,
+//! [`crate::topk::baseline::all_users_topk_baseline`]) process users
 //! independently — so the concatenation *is* the fused result, and a
 //! scattered baseline fill charges the head's I/O counter exactly what
-//! the fused fill would.
-//!
-//! If the cache slot is evicted (or was never filled because the method
-//! bypasses the scatter), the head simply recomputes the fused phase —
-//! slower, never wrong.
+//! the fused fill would. The §7 user-index pipelines prune on the
+//! MIUR-tree, not per user, and do not scatter.
 //!
 //! # Mutations, epochs, refresh
 //!
 //! There is nothing to keep in step: mutations, epochs and refreshes are
 //! the head's ([`EngineCluster::apply`], [`EngineCluster::epoch`],
-//! [`EngineCluster::refresh_synchronized`] delegate to it), and every
-//! scatter slices whatever user table the head holds at that moment. The
-//! only cluster state is the slice count.
+//! [`EngineCluster::refresh_synchronized`] delegate to it), every fill
+//! slices whatever user table the head holds at that moment, and clones
+//! and refreshes of the head carry its slices.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use mbrstk_obs::Histogram;
-
-use crate::cache::{JointThresholds, ThresholdCache};
+use crate::cache::ThresholdCache;
 use crate::dynamic::{BatchReport, MaintenanceIo, Mutation};
 use crate::refresh::RefreshReport;
-use crate::topk::baseline::all_users_topk_baseline;
-use crate::topk::fan_out_users;
-use crate::topk::individual::individual_rsk;
-use crate::topk::joint::joint_topk;
-use crate::{Engine, Method, QueryArena, QueryResult, QuerySpec, UserData};
+use crate::{Engine, Method, QueryResult, QuerySpec};
 
 /// One engine answering with its per-user top-k phase scattered over N
 /// contiguous slices of its user table. See the module docs for the
@@ -54,19 +43,15 @@ use crate::{Engine, Method, QueryArena, QueryResult, QuerySpec, UserData};
 #[derive(Debug)]
 pub struct EngineCluster {
     pub(crate) head: Engine,
-    /// One `cluster_scatter_latency_us{shard="i"}` histogram per slice
-    /// (wall time of that slice's share of a scattered top-k phase),
-    /// registered in the head's swap-stable registry so the serving
-    /// layer's metrics export carries them. The vector's length *is* the
-    /// slice count.
-    pub(crate) scatter_latency_us: Vec<Arc<Histogram>>,
 }
 
 impl EngineCluster {
     /// Serves `head` through `nshards` user slices. O(1): nothing is
     /// copied or rebuilt — a threshold cache is attached to the head if
-    /// missing (the scatter path installs its thresholds through it) and
-    /// the per-slice histograms are registered.
+    /// missing and one `cluster_scatter_latency_us{shard="i"}` histogram
+    /// per slice (the wall time of that slice's share of a fill) is
+    /// registered in the head's swap-stable registry, so the serving
+    /// layer's metrics export carries them.
     ///
     /// # Panics
     /// Panics when `nshards == 0`.
@@ -76,18 +61,15 @@ impl EngineCluster {
             head.thresholds = Some(ThresholdCache::new());
         }
         let reg = head.metrics.registry();
-        let scatter_latency_us = (0..nshards)
+        head.slices = (0..nshards)
             .map(|i| reg.histogram(&format!("cluster_scatter_latency_us{{shard=\"{i}\"}}")))
             .collect();
-        EngineCluster {
-            head,
-            scatter_latency_us,
-        }
+        EngineCluster { head }
     }
 
     /// Number of user slices.
     pub fn shard_count(&self) -> usize {
-        self.scatter_latency_us.len()
+        self.head.slices.len()
     }
 
     /// The engine behind the cluster (answers are read from here).
@@ -100,19 +82,15 @@ impl EngineCluster {
         self.head.epoch()
     }
 
-    /// Answers one query: the per-user top-k phase scatters across the
-    /// slices (for the methods it helps), the thresholds land in the
-    /// head's cache, and the head's unmodified pipeline produces the
-    /// answer — bit-identical to a fused [`Engine::query`].
+    /// Answers one query on the head, whose top-k fill scatters across
+    /// the slices (for the methods it helps) — bit-identical to a fused
+    /// [`Engine::query`].
     ///
     /// # Panics
     /// Panics when a user-index method is requested and the head was
     /// built without [`Engine::with_user_index`].
     pub fn query(&self, spec: &QuerySpec, method: Method) -> QueryResult {
-        let (mut arena, mut out) = (QueryArena::new(), QueryResult::default());
-        let shards = &self.scatter_latency_us;
-        scatter_query(&self.head, shards, spec, method, &mut arena, &mut out);
-        out
+        self.head.query(spec, method)
     }
 
     /// Applies one mutation to the head, like [`Engine`]'s mutation
@@ -126,78 +104,20 @@ impl EngineCluster {
         self.head.apply_batch(mutations)
     }
 
-    /// [`Engine::refresh`] on the head; the next scatter slices the
-    /// refreshed engine.
+    /// [`Engine::refresh`] on the head; the refreshed head keeps the
+    /// slices.
     pub fn refresh_synchronized(&mut self) -> RefreshReport {
         self.head.refresh()
     }
 }
 
-/// Runs `kernel` over one contiguous slice of `head.users` per histogram
-/// in `latency_us`, recording each slice's wall time, and returns the
-/// per-user results in table order.
-fn scatter<T: Send>(
-    head: &Engine,
-    latency_us: &[Arc<Histogram>],
-    kernel: impl Fn(&[UserData]) -> Vec<T> + Sync,
-) -> Vec<T> {
-    fan_out_users(&head.users, latency_us.len(), |i, slice| {
-        let start = Instant::now();
-        let tks = kernel(slice);
-        latency_us[i].record_duration_us(start.elapsed());
-        tks
-    })
-}
-
-/// One scattered query: fill the head's threshold cache for `spec.k`
-/// from per-slice top-k results (joint and baseline methods; the §7
-/// user-index pipelines prune on the MIUR tree, not per user, and run on
-/// the head outright), then let the head's unmodified pipeline answer into
-/// `out` through the caller's `arena`.
-pub(crate) fn scatter_query(
-    head: &Engine,
-    latency_us: &[Arc<Histogram>],
-    spec: &QuerySpec,
-    method: Method,
-    arena: &mut QueryArena,
-    out: &mut QueryResult,
-) {
-    let tc = head
-        .thresholds
-        .as_ref()
-        .expect("a cluster head always carries a threshold cache");
-    let k = spec.k;
-    match method {
-        Method::JointGreedy | Method::JointGreedyPlus | Method::JointExact => {
-            // Mirrors Engine::joint_thresholds' compute closure, with the
-            // per-user half scattered. On a warm slot the closure never
-            // runs and no scatter happens.
-            let _ = tc.joint(k, head.epoch, || {
-                let su = head.super_user_shared();
-                let out = joint_topk(&head.mir, &su, k, &head.ctx, &head.io);
-                let rsk = scatter(head, latency_us, |slice| {
-                    individual_rsk(slice, &out, k, &head.ctx)
-                });
-                JointThresholds { su, out, rsk }
-            });
-        }
-        Method::Baseline => {
-            let _ = tc.baseline(k, head.epoch, || {
-                scatter(head, latency_us, |slice| {
-                    all_users_topk_baseline(&head.ir, slice, k, &head.ctx, &head.io)
-                })
-            });
-        }
-        Method::UserIndexGreedy | Method::UserIndexExact => {}
-    }
-    head.query_reusing(spec, method, arena, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ObjectData, UserData};
+    use crate::{ObjectData, ServingEngine, UserData};
     use geo::Point;
+    use mbrstk_obs::MetricsRegistry;
+    use std::sync::Arc;
     use text::{Document, TermId, WeightModel};
 
     fn t(i: u32) -> TermId {
@@ -334,5 +254,77 @@ mod tests {
             assert!(reference.io.total() > 0);
             assert_eq!(cluster.head().io.total(), reference.io.total(), "{pass}");
         }
+    }
+
+    /// Each slice's sample count in `reg`.
+    fn scatter_samples(reg: &MetricsRegistry, n: usize) -> Vec<u64> {
+        let snap = reg.snapshot();
+        (0..n)
+            .map(|i| {
+                let name = format!("cluster_scatter_latency_us{{shard=\"{i}\"}}");
+                snap.histogram(&name).map_or(0, |h| h.count())
+            })
+            .collect()
+    }
+
+    /// No answer can tell a scattered fill from a fused one, so this
+    /// counts samples: a cold fill records one in every slice's histogram
+    /// on the cluster and on every copy of its head — a clone, a refresh,
+    /// a serving engine's refresh and its copy-on-write fallback — and
+    /// none on a fused engine that shares the registry.
+    #[test]
+    fn every_copy_of_the_head_keeps_scattering() {
+        const N: usize = 3;
+        let fused = fused_with(17);
+        let mut cluster = EngineCluster::from_engine(fused.clone(), N);
+        let reg = cluster.head().metrics();
+        let spec = &specs()[0];
+        let one_sample_each = |what: &str, fill: &dyn Fn()| {
+            let before = scatter_samples(&reg, N);
+            fill();
+            let after = scatter_samples(&reg, N);
+            let want: Vec<u64> = before.iter().map(|c| c + 1).collect();
+            assert_eq!(after, want, "{what}");
+        };
+
+        one_sample_each("cluster, joint", &|| {
+            cluster.query(spec, Method::JointGreedy);
+        });
+        one_sample_each("cluster, baseline", &|| {
+            cluster.query(spec, Method::Baseline);
+        });
+        let copy = cluster.head().clone();
+        one_sample_each("clone", &|| {
+            copy.joint_thresholds(spec.k);
+        });
+        cluster.refresh_synchronized();
+        assert_eq!(cluster.shard_count(), N);
+        one_sample_each("refreshed cluster", &|| {
+            cluster.head().baseline_thresholds(spec.k);
+        });
+
+        let serving = ServingEngine::new_cluster(cluster);
+        assert_eq!(serving.shard_count(), N);
+        serving.refresh_now();
+        assert_eq!(serving.shard_count(), N);
+        one_sample_each("serving refresh", &|| {
+            serving.query(spec, Method::JointExact);
+        });
+        let held = serving.snapshot();
+        assert!(serving
+            .apply(Mutation::InsertUser(user(90, 2.5, 1.5, 2)))
+            .is_some());
+        assert!(!Arc::ptr_eq(&held, &serving.snapshot()), "copy-on-write");
+        drop(held);
+        assert_eq!(serving.shard_count(), N);
+        one_sample_each("copy-on-write fallback", &|| {
+            serving.query(spec, Method::JointGreedy);
+        });
+
+        let before = scatter_samples(&reg, N);
+        fused.joint_thresholds(spec.k);
+        fused.baseline_thresholds(spec.k);
+        assert_eq!(scatter_samples(&reg, N), before, "a fused engine");
+        assert_eq!(ServingEngine::new(fused).shard_count(), 0);
     }
 }

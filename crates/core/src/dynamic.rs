@@ -52,7 +52,8 @@
 //! the next refresh, allocate by that id's value. An insert is therefore
 //! rejected when it names an id at or past the engine's term extent plus
 //! the document's own term count: the extent grows at most by what a
-//! client sends, never by the value of one id.
+//! client sends, never by the value of one id. An insert whose location
+//! has a NaN or infinite coordinate is rejected as well.
 //!
 //! # Cost model
 //!
@@ -63,6 +64,7 @@
 //! `core.dynamic.maint_io_per_mutation` row records this incremental cost;
 //! [`Engine::rebuild_io_cost`] is the rebuild it is measured against.
 
+use geo::Point;
 use index::{IndexedObject, IndexedUser, NodeScratch, PostingsScratch, StTree, TreeEdit};
 use storage::IoStats;
 use text::{Document, TermId};
@@ -185,8 +187,9 @@ impl Engine {
     /// Inserts an object into the table, both object indexes (MIR and
     /// IR) and the live statistics, and rebuilds the MIUR-tree (see the
     /// module docs). Returns `None` without touching anything when the id
-    /// is already in use, or when the document names a term id at or past
-    /// the term extent plus its own term count.
+    /// is already in use, when a coordinate is not finite, or when the
+    /// document names a term id at or past the term extent plus its own
+    /// term count.
     pub fn insert_object(&mut self, obj: ObjectData) -> Option<MaintenanceIo> {
         self.apply(Mutation::InsertObject(obj))
     }
@@ -202,7 +205,7 @@ impl Engine {
 
     /// [`Engine::insert_object`] without the MIUR rebuild.
     fn put_object(&mut self, obj: ObjectData) -> Option<MaintenanceIo> {
-        if !self.admits_terms(&obj.doc) || self.objects.iter().any(|o| o.id == obj.id) {
+        if !self.admits(&obj.point, &obj.doc) || self.objects.iter().any(|o| o.id == obj.id) {
             return None;
         }
         let indexed = IndexedObject {
@@ -243,11 +246,11 @@ impl Engine {
     }
 
     /// Inserts a user into the table and, when built, the MIUR-tree (with
-    /// its live normalizer). Returns `None` when the id is already in use
-    /// or the document names too large a term id (as for
-    /// [`Engine::insert_object`]).
+    /// its live normalizer). Returns `None` when the id is already in use,
+    /// a coordinate is not finite or the document names too large a term
+    /// id (as for [`Engine::insert_object`]).
     pub fn insert_user(&mut self, user: UserData) -> Option<MaintenanceIo> {
-        if !self.admits_terms(&user.doc) || self.users.iter().any(|u| u.id == user.id) {
+        if !self.admits(&user.point, &user.doc) || self.users.iter().any(|u| u.id == user.id) {
             return None;
         }
         let mut io = MaintenanceIo::default();
@@ -335,11 +338,13 @@ impl Engine {
             + self.miur.as_ref().map_or(0, |m| m.footprint_io())
     }
 
-    /// The insert-boundary rule: a document may name ids up to the term
-    /// extent plus its own term count, so each insert can extend the
-    /// vocabulary by at most the terms it carries.
-    fn admits_terms(&self, doc: &Document) -> bool {
-        term_end(doc) <= self.term_extent + doc.num_terms() as u64
+    /// The insert-boundary rule: the location is finite (a NaN or
+    /// infinite coordinate breaks every distance, and the trees could not
+    /// find the entry again to remove it), and the document names ids up
+    /// to the term extent plus its own term count, so each insert can
+    /// extend the vocabulary by at most the terms it carries.
+    fn admits(&self, point: &Point, doc: &Document) -> bool {
+        point.is_finite() && term_end(doc) <= self.term_extent + doc.num_terms() as u64
     }
 
     /// Folds a tree edit into the running maintenance tally and flushes
@@ -380,7 +385,6 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::{Method, QuerySpec};
-    use geo::Point;
     use text::{Document, TermId, WeightModel};
 
     fn t(i: u32) -> TermId {
@@ -486,6 +490,29 @@ mod tests {
             .is_some());
         assert_eq!(eng.term_extent, 12);
         assert_eq!(eng.ctx.text.stats().vocab_len(), 12);
+    }
+
+    /// A NaN or infinite coordinate is rejected with nothing changed: the
+    /// trees could not find such an entry again to remove it, and every
+    /// later query would score against it.
+    #[test]
+    fn inserts_at_non_finite_coordinates_are_rejected() {
+        let mut eng = engine();
+        let before = (eng.epoch(), eng.mutations_since_refresh());
+        let answer = eng.query(&spec(), Method::JointGreedy);
+        for (x, y) in [
+            (f64::NAN, 1.0),
+            (1.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+        ] {
+            assert!(eng.insert_object(obj(100, x, y, 1)).is_none(), "({x}, {y})");
+            assert!(eng.insert_user(user(100, x, y, 1)).is_none(), "({x}, {y})");
+            let m = [Mutation::InsertObject(obj(101, x, y, 1))];
+            assert_eq!(eng.apply_batch(m).rejected, 1);
+        }
+        assert_eq!((eng.epoch(), eng.mutations_since_refresh()), before);
+        assert_eq!((eng.objects.len(), eng.users.len()), (40, 10));
+        assert_eq!(eng.query(&spec(), Method::JointGreedy), answer);
     }
 
     #[test]

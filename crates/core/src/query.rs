@@ -8,18 +8,20 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use geo::{Rect, SpatialContext};
 use index::{IndexedObject, IndexedUser, MiurTree, PostingMode, StTree};
 use storage::{CodecId, IoStats};
 use text::{TextScorer, WeightModel};
 
-use mbrstk_obs::MetricsRegistry;
+use mbrstk_obs::{Histogram, MetricsRegistry};
 
 use crate::arena::QueryArena;
 use crate::cache::{JointThresholds, ThresholdCache};
 use crate::metrics::EngineMetrics;
 use crate::topk::baseline::all_users_topk_baseline;
+use crate::topk::fan_out_users;
 use crate::topk::individual::{individual_rsk, individual_topk};
 use crate::topk::joint::joint_topk;
 use crate::user_index::{compute_user_index_seed, UserIndexSeed};
@@ -131,6 +133,12 @@ pub struct Engine {
     /// continuous across copy-on-write fallbacks and engine swaps. Read it
     /// through [`Engine::metrics`].
     pub(crate) metrics: Arc<EngineMetrics>,
+    /// The user slices the per-user half of the top-k phase fans out
+    /// over, one `cluster_scatter_latency_us{shard="i"}` histogram each
+    /// (see [`crate::EngineCluster`]); empty for a fused engine, whose
+    /// fill runs inline. Clones and refreshes carry it, so a copy keeps
+    /// scattering.
+    pub(crate) slices: Arc<[Arc<Histogram>]>,
 }
 
 /// A deep copy: tables and disk-resident indexes are duplicated
@@ -138,11 +146,12 @@ pub struct Engine {
 /// the original and the clone stay comparable. The simulated I/O counter
 /// and both caches restart *cold* with the same configuration (page-cache
 /// capacity and shard layout) — cached state is engine-local by design.
-/// The metrics registry is the one exception: the clone *shares* it, so
-/// telemetry stays continuous across the serving layer's copy-on-write
-/// fallbacks. The concurrent serving layer ([`crate::refresh::ServingEngine`])
-/// relies on this as its copy-on-write fallback when a mutation races a
-/// long-lived reader snapshot.
+/// The metrics registry is the one exception: the clone *shares* it (and
+/// the user slices drawn from it), so telemetry and the scatter stay
+/// continuous across the serving layer's copy-on-write fallbacks. The
+/// concurrent serving layer ([`crate::refresh::ServingEngine`]) relies on
+/// this as its copy-on-write fallback when a mutation races a long-lived
+/// reader snapshot.
 impl Clone for Engine {
     fn clone(&self) -> Engine {
         Engine {
@@ -159,6 +168,7 @@ impl Clone for Engine {
             muts_since_refresh: self.muts_since_refresh,
             term_extent: self.term_extent,
             metrics: Arc::clone(&self.metrics),
+            slices: Arc::clone(&self.slices),
         }
     }
 }
@@ -274,6 +284,7 @@ impl Engine {
             muts_since_refresh: 0,
             term_extent,
             metrics: EngineMetrics::new(),
+            slices: Arc::new([]),
         }
     }
 
@@ -389,7 +400,7 @@ impl Engine {
         let compute = || {
             let su = self.super_user_shared();
             let out = joint_topk(&self.mir, &su, k, &self.ctx, &self.io);
-            let rsk = individual_rsk(&self.users, &out, k, &self.ctx);
+            let rsk = self.per_user(|users| individual_rsk(users, &out, k, &self.ctx));
             JointThresholds { su, out, rsk }
         };
         match &self.thresholds {
@@ -401,11 +412,29 @@ impl Engine {
     /// The §4 baseline top-k phase for `k`, served from the threshold
     /// cache when one is attached and computed fresh otherwise.
     pub fn baseline_thresholds(&self, k: usize) -> Arc<Vec<UserTopk>> {
-        let compute = || all_users_topk_baseline(&self.ir, &self.users, k, &self.ctx, &self.io);
+        let compute = || {
+            self.per_user(|users| all_users_topk_baseline(&self.ir, users, k, &self.ctx, &self.io))
+        };
         match &self.thresholds {
             Some(tc) => tc.baseline(k, self.epoch, compute),
             None => Arc::new(compute()),
         }
+    }
+
+    /// Runs a per-user top-k `kernel` over the user table, in table
+    /// order: inline on a fused engine, or once per user slice on scoped
+    /// threads, recording each slice's wall time in its histogram. The
+    /// kernels treat users independently, so both give the same result.
+    fn per_user<T: Send>(&self, kernel: impl Fn(&[UserData]) -> Vec<T> + Sync) -> Vec<T> {
+        if self.slices.is_empty() {
+            return kernel(&self.users);
+        }
+        fan_out_users(&self.users, self.slices.len(), |i, slice| {
+            let start = Instant::now();
+            let out = kernel(slice);
+            self.slices[i].record_duration_us(start.elapsed());
+            out
+        })
     }
 
     /// The `k`-dependent prefix of the §7 pipeline (MIUR root as

@@ -45,7 +45,7 @@ use std::time::Instant;
 use mbrstk_obs::Histogram;
 use text::WeightModel;
 
-use crate::cluster::{self, EngineCluster};
+use crate::cluster::EngineCluster;
 use crate::dynamic::{BatchReport, EpochGuard, MaintenanceIo, Mutation};
 use crate::metrics::{EngineMetrics, ServingMetrics};
 use crate::{Engine, Method, ObjectData, QueryArena, QueryResult, QuerySpec, UserData};
@@ -105,6 +105,9 @@ struct RefreshSeed {
     /// The captured engine's telemetry, carried into the rebuilt engine
     /// by `Arc` so metrics history is continuous across the swap.
     metrics: Arc<EngineMetrics>,
+    /// The captured engine's user slices: a refreshed cluster head keeps
+    /// scattering.
+    slices: Arc<[Arc<Histogram>]>,
 }
 
 impl RefreshSeed {
@@ -126,6 +129,7 @@ impl RefreshSeed {
             term_extent: engine.term_extent,
             reclaimed_records: engine.freed_record_slots(),
             metrics: Arc::clone(&engine.metrics),
+            slices: Arc::clone(&engine.slices),
         }
     }
 
@@ -160,6 +164,7 @@ impl RefreshSeed {
         // Telemetry survives the swap (the cold build made a fresh
         // registry; replace it with the captured engine's).
         fresh.metrics = self.metrics;
+        fresh.slices = self.slices;
         let report = RefreshReport {
             epoch: fresh.epoch,
             reclaimed_records: self.reclaimed_records,
@@ -264,10 +269,6 @@ pub struct ServingEngine {
     /// Serving-layer telemetry handles, drawn from the wrapped engine's
     /// (swap-stable) registry at construction.
     metrics: ServingMetrics,
-    /// Cluster backend ([`ServingEngine::new_cluster`]): one scatter
-    /// histogram per user slice the query path fans the top-k phase of
-    /// the snapshot out over. Empty for a plain fused engine.
-    scatter_latency_us: Vec<Arc<Histogram>>,
 }
 
 impl ServingEngine {
@@ -279,29 +280,6 @@ impl ServingEngine {
 
     /// [`ServingEngine::new`] with explicit refresh thresholds.
     pub fn with_config(engine: Engine, cfg: RefreshConfig) -> Arc<Self> {
-        Self::with_config_parts(engine, Vec::new(), cfg)
-    }
-
-    /// Wraps an [`EngineCluster`] for concurrent serving: its engine
-    /// becomes the published snapshot and every query scatters its top-k
-    /// phase across contiguous slices of *that snapshot's* user table.
-    /// Mutations and refreshes are exactly the fused paths — the slices
-    /// hold no state to keep in step — so cluster answers stay
-    /// bit-identical to a fused engine across swaps.
-    pub fn new_cluster(cluster: EngineCluster) -> Arc<Self> {
-        Self::with_config_cluster(cluster, RefreshConfig::default())
-    }
-
-    /// [`ServingEngine::new_cluster`] with explicit refresh thresholds.
-    pub fn with_config_cluster(cluster: EngineCluster, cfg: RefreshConfig) -> Arc<Self> {
-        Self::with_config_parts(cluster.head, cluster.scatter_latency_us, cfg)
-    }
-
-    fn with_config_parts(
-        engine: Engine,
-        scatter_latency_us: Vec<Arc<Histogram>>,
-        cfg: RefreshConfig,
-    ) -> Arc<Self> {
         let metrics = ServingMetrics::new(engine.metrics.registry());
         Arc::new(ServingEngine {
             snap: RwLock::new(Arc::new(engine)),
@@ -312,14 +290,29 @@ impl ServingEngine {
             signal: Mutex::new(Signal::default()),
             wake: Condvar::new(),
             metrics,
-            scatter_latency_us,
         })
     }
 
-    /// Number of user slices behind this serving engine (0 when it wraps
-    /// a plain fused engine).
+    /// Wraps an [`EngineCluster`] for concurrent serving: its head becomes
+    /// the published snapshot, and every threshold fill of a snapshot
+    /// fans out over contiguous slices of *that snapshot's* user table.
+    /// Queries, mutations and refreshes are exactly the fused paths —
+    /// copy-on-write clones and refreshed engines carry the slices, which
+    /// hold no state to keep in step — so cluster answers stay
+    /// bit-identical to a fused engine across swaps.
+    pub fn new_cluster(cluster: EngineCluster) -> Arc<Self> {
+        Self::with_config_cluster(cluster, RefreshConfig::default())
+    }
+
+    /// [`ServingEngine::new_cluster`] with explicit refresh thresholds.
+    pub fn with_config_cluster(cluster: EngineCluster, cfg: RefreshConfig) -> Arc<Self> {
+        Self::with_config(cluster.head, cfg)
+    }
+
+    /// Number of user slices the published snapshot's fills fan out over
+    /// (0 when it is a plain fused engine).
     pub fn shard_count(&self) -> usize {
-        self.scatter_latency_us.len()
+        self.snapshot().slices.len()
     }
 
     /// The refresh thresholds in force.
@@ -347,9 +340,8 @@ impl ServingEngine {
 
     /// Answers one query on the current snapshot, returning the result
     /// with the guard that certifies which generation computed it. On a
-    /// cluster backend the top-k phase scatters across slices of that
-    /// same snapshot's user table, so the thresholds always match the
-    /// engine they are installed into.
+    /// cluster backend a threshold fill scatters across slices of that
+    /// same snapshot's user table.
     pub fn query(&self, spec: &QuerySpec, method: Method) -> (QueryResult, EpochGuard) {
         let mut out = QueryResult::default();
         let guard = self.query_reusing(spec, method, &mut QueryArena::new(), &mut out);
@@ -372,11 +364,7 @@ impl ServingEngine {
     ) -> EpochGuard {
         let snap = self.snapshot();
         let guard = snap.epoch_guard();
-        if self.scatter_latency_us.is_empty() {
-            snap.query_reusing(spec, method, arena, out);
-        } else {
-            cluster::scatter_query(&snap, &self.scatter_latency_us, spec, method, arena, out);
-        }
+        snap.query_reusing(spec, method, arena, out);
         guard
     }
 

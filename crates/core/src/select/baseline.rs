@@ -13,6 +13,7 @@
 //! winning tuple) are exactly those of the naive full rescan.
 
 use crate::arena::SelectScratch;
+use crate::select::location::{materialise_winner, Settled};
 use crate::select::CandidateContext;
 use crate::QueryResult;
 
@@ -49,12 +50,12 @@ pub(crate) fn baseline_select_into(
         lu_bufs,
         ss,
         cand,
-        users_out,
         kw,
         combos,
         delta,
+        best,
         ..
-    } = sel;
+    } = &mut *sel;
     if lu_bufs.is_empty() {
         lu_bufs.push(Vec::new());
     }
@@ -63,49 +64,36 @@ pub(crate) fn baseline_select_into(
     all_users.extend(0..cc.num_users());
 
     // All combinations of exactly ws keywords (or all of W when smaller —
-    // the baseline returns exactly ws keywords per the paper).
+    // the baseline returns exactly ws keywords per the paper). With none,
+    // the single (empty) combination per location.
     let k = cc.spec.ws.min(cc.spec.keywords.len());
-
-    if k == 0 {
-        // The single (empty) combination per location.
-        for (li, loc) in cc.spec.locations.iter().enumerate() {
-            cc.fill_ss(loc, all_users, ss);
-            cc.brstknn_into(&cc.ox_bits, all_users, ss, users_out);
-            if users_out.len() > out.brstknn.len() {
-                out.location = li;
-                out.keywords.clear();
-                std::mem::swap(users_out, &mut out.brstknn);
-            }
-        }
-        return;
-    }
-
     // The holder rows are location-independent; build them once.
-    delta.build(cc, &cc.kw_slots, all_users, 0..all_users.len());
-    kw.clear();
-    let mut best_count = 0usize;
-    let mut best_li = 0usize;
+    delta.build(cc, &cc.cols.kw_slots, all_users, 0..all_users.len());
     for (li, loc) in cc.spec.locations.iter().enumerate() {
         cc.fill_ss(loc, all_users, ss);
         // ⟨ℓ, ox.d⟩ verdict per user: every combination's count is this
         // baseline plus a delta over the holders of its keywords.
         delta.q0.clear();
         let mut count0 = 0usize;
-        cc.for_each_verdict(&cc.ox_bits, all_users, ss, |_, q| {
+        cc.for_each_verdict(&cc.cols.ox_bits, all_users, ss, |_, q| {
             delta.q0.push(q);
             count0 += usize::from(q);
         });
+        if k == 0 {
+            best.improve(li, count0, Settled::Full, all_users, &[], out);
+            continue;
+        }
         combos.reset(cc.spec.keywords.len(), k);
         while let Some(ix) = combos.next_ref() {
             // A combination can move at most its holders' verdicts.
-            if count0 + delta.potential(ix.iter().copied()) <= best_count {
+            if count0 + delta.potential(ix.iter().copied()) <= best.count() {
                 continue;
             }
             let touched = delta.gather(ix.iter().copied());
-            if count0 + touched <= best_count {
+            if count0 + touched <= best.count() {
                 continue;
             }
-            cc.cand_set_slots(ix.iter().map(|&i| cc.kw_slots[i]), cand);
+            cc.cand_set_slots(ix.iter().map(|&i| cc.cols.kw_slots[i]), cand);
             let mut count = count0;
             for &p in delta.touched() {
                 let p = p as usize;
@@ -116,24 +104,15 @@ pub(crate) fn baseline_select_into(
                     count -= 1;
                 }
             }
-            if count > best_count {
-                best_count = count;
-                best_li = li;
+            if count > best.count() {
                 kw.clear();
                 kw.extend(ix.iter().map(|&i| cc.spec.keywords[i]));
+                best.improve(li, count, Settled::Full, all_users, kw, out);
             }
         }
     }
-
-    // Materialize the winner once (the scan above only counted).
-    if best_count > 0 {
-        out.location = best_li;
-        out.keywords.extend_from_slice(kw);
-        cc.fill_ss(&cc.spec.locations[best_li], all_users, ss);
-        cc.cand_set(kw, cand);
-        cc.brstknn_into(cand, all_users, ss, users_out);
-        std::mem::swap(users_out, &mut out.brstknn);
-    }
+    // The scan above only counted; materialise the winner once.
+    materialise_winner(cc, sel, out);
 }
 
 #[cfg(test)]
@@ -164,37 +143,57 @@ mod tests {
 
     /// The delta-scan enumeration must reproduce the naive full rescan —
     /// winning tuple and member list — on messy random instances
-    /// (duplicate keywords, unreachable users, LM weights).
+    /// (duplicate keywords, unreachable users, LM weights), with `ws = 0`
+    /// and an empty `W` (one empty combination per location) among them.
     #[test]
     fn baseline_matches_naive_rescan_on_random_instances() {
         use crate::select::exact::Combinations;
         use crate::select::test_fixture::random_fixture;
+        let mut empty_won = 0;
         for seed in 0..4 {
-            let f = random_fixture(seed, 48, 9);
-            let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
-            let got = baseline_select(&cc);
+            for (ws, keep_w) in [(3, true), (0, true), (3, false)] {
+                let mut f = random_fixture(seed, 48, 9);
+                f.spec.ws = ws;
+                if !keep_w {
+                    f.spec.keywords.clear();
+                }
+                let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
+                let got = baseline_select(&cc);
 
-            let all: Vec<usize> = (0..f.users.len()).collect();
-            let k = f.spec.ws.min(f.spec.keywords.len());
-            let mut best = QueryResult::default();
-            let mut combos = Combinations::default();
-            for (li, loc) in f.spec.locations.iter().enumerate() {
+                let all: Vec<usize> = (0..f.users.len()).collect();
+                let k = f.spec.ws.min(f.spec.keywords.len());
+                let mut combos = Combinations::default();
                 combos.reset(f.spec.keywords.len(), k);
+                let mut every: Vec<Vec<usize>> = Vec::new();
                 while let Some(ix) = combos.next_ref() {
-                    let kw: Vec<_> = ix.iter().map(|&i| f.spec.keywords[i]).collect();
-                    let cand = cc.with_keywords(&kw);
-                    let users = cc.brstknn(loc, &cand, &all);
-                    if users.len() > best.brstknn.len() {
-                        best.location = li;
-                        best.keywords = kw;
-                        best.brstknn = users;
+                    every.push(ix.to_vec());
+                }
+                if k == 0 {
+                    every.push(Vec::new());
+                }
+                let mut best = QueryResult::default();
+                for (li, loc) in f.spec.locations.iter().enumerate() {
+                    for ix in &every {
+                        let kw: Vec<_> = ix.iter().map(|&i| f.spec.keywords[i]).collect();
+                        let cand = cc.with_keywords(&kw);
+                        let users = cc.brstknn(loc, &cand, &all);
+                        if users.len() > best.brstknn.len() {
+                            best.location = li;
+                            best.keywords = kw;
+                            best.brstknn = users;
+                        }
                     }
                 }
+                let what = format!("seed {seed} ws {ws} |W| {}", f.spec.keywords.len());
+                assert_eq!(got.location, best.location, "{what}");
+                assert_eq!(got.keywords, best.keywords, "{what}");
+                assert_eq!(got.brstknn, best.brstknn, "{what}");
+                if k == 0 && !got.brstknn.is_empty() {
+                    empty_won += 1;
+                }
             }
-            assert_eq!(got.location, best.location, "seed {seed}");
-            assert_eq!(got.keywords, best.keywords, "seed {seed}");
-            assert_eq!(got.brstknn, best.brstknn, "seed {seed}");
         }
+        assert!(empty_won > 0, "no empty-combination instance has a winner");
     }
 
     #[test]

@@ -123,20 +123,20 @@ pub(crate) fn exact_keywords_into(
     // Pruning 2: candidate keywords present in at least one LU user, as
     // ascending slots (ascending terms).
     held.clear();
-    held.resize(cc.ox_bits.len(), 0);
+    held.resize(cc.cols.ox_bits.len(), 0);
     for &u in lu {
         for &(s, _) in cc.ucand(u) {
             set_bit(held, s);
         }
     }
     wc.clear();
-    wc.extend(cc.kw_slots.iter().copied().filter(|&s| bit(held, s)));
+    wc.extend(cc.cols.kw_slots.iter().copied().filter(|&s| bit(held, s)));
     wc.sort_unstable();
     wc.dedup();
 
     // Early termination (pruning 3): only one sensible choice.
     if wc.len() <= cc.spec.ws {
-        out.extend(wc.iter().map(|&s| cc.slot_terms[s]));
+        out.extend(wc.iter().map(|&s| cc.cols.slot_terms[s]));
         return;
     }
 
@@ -144,7 +144,7 @@ pub(crate) fn exact_keywords_into(
     // qualifying with ox.d alone (textual overlap included).
     let mut certain = 0usize;
     uncertain.clear();
-    cc.for_each_verdict(&cc.ox_bits, lu, ss_lu, |pos, sure| {
+    cc.for_each_verdict(&cc.cols.ox_bits, lu, ss_lu, |pos, sure| {
         if sure {
             certain += 1;
         } else {
@@ -182,7 +182,7 @@ pub(crate) fn exact_keywords_into(
             best_count = count;
             best_set = true;
             out.clear();
-            out.extend(combo.iter().map(|&i| cc.slot_terms[wc[i]]));
+            out.extend(combo.iter().map(|&i| cc.cols.slot_terms[wc[i]]));
         }
     }
 }

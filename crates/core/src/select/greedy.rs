@@ -70,7 +70,7 @@ pub(crate) fn build_luw_into(
     gr.luw_len.resize(n, 0);
     let table = cc.hw_table();
     for (pos, (&u, &ss)) in lu.iter().zip(ss_lu).enumerate() {
-        let rsk = cc.rsk[u];
+        let rsk = cc.cols.rsk[u];
         for &(j, ts) in table.rows_of(u) {
             if cc.ctx.combine(ss, ts) >= rsk {
                 set_bit(&mut gr.luw[j as usize * words..], pos);
@@ -224,7 +224,7 @@ pub(crate) fn greedy_plus_keywords_into(
     out: &mut Vec<TermId>,
 ) {
     out.clear();
-    gr.delta.build(cc, &cc.kw_slots, lu, 0..lu.len());
+    gr.delta.build(cc, &cc.cols.kw_slots, lu, 0..lu.len());
     for _ in 0..cc.spec.ws {
         // Realized verdict per user under the current selection. On the
         // first round this is the `ox.d`-only count; afterwards it equals
@@ -249,7 +249,7 @@ pub(crate) fn greedy_plus_keywords_into(
                 continue;
             }
             gr.trial.clone_from(&gr.sel);
-            set_bit(&mut gr.trial, cc.kw_slots[j]);
+            set_bit(&mut gr.trial, cc.cols.kw_slots[j]);
             let mut count = count0;
             for &p in gr.delta.row(j) {
                 let p = p as usize;
@@ -312,7 +312,7 @@ mod tests {
                 let cand = cc.with_keywords(&[kws[i], kws[j]]);
                 for &u in &lu {
                     if cc.users[u].doc.contains(kws[i])
-                        && cc.sts_candidate(loc, &cand, u) >= cc.rsk[u]
+                        && cc.sts_candidate(loc, &cand, u) >= cc.cols.rsk[u]
                     {
                         let (_, members) = luw.iter().find(|(w, _)| *w == kws[i]).unwrap();
                         assert!(
@@ -363,7 +363,7 @@ mod tests {
                             .collect();
                         hw.push(w);
                         let cand = cc.with_keywords(&hw);
-                        if cc.sts_candidate(loc, &cand, u) >= cc.rsk[u] {
+                        if cc.sts_candidate(loc, &cand, u) >= cc.cols.rsk[u] {
                             expect.push(u);
                         }
                     }
@@ -409,7 +409,7 @@ mod tests {
                 let sparse: Vec<usize> = all.iter().copied().filter(|u| u % 3 != 1).collect();
                 let cc = check(&f, &[all, sparse], &format!("ws {ws}, seed {seed}"));
                 let n = f.users.len();
-                let zero_norm = (0..n).any(|u| cc.user_reachable(u) && cc.n_u[u] == 0.0);
+                let zero_norm = (0..n).any(|u| cc.user_reachable(u) && cc.cols.n_u[u] == 0.0);
                 assert_eq!(zero_norm, seed % 2 == 1, "TF-IDF seeds hold N(u) = 0 users");
                 assert!((0..n).any(|u| !cc.user_reachable(u)));
             }

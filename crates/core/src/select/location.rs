@@ -121,7 +121,7 @@ impl Winner {
 
     /// Makes location `li` the best when `count` beats it: its keywords
     /// `kw` go to `out`, a copy of `lu` here. Ties keep the earlier one.
-    fn improve(
+    pub(crate) fn improve(
         &mut self,
         li: usize,
         count: usize,
@@ -173,7 +173,7 @@ pub(crate) fn materialise_winner(
     let lu = &best.lu;
     match best.settled {
         Settled::Held => held.materialise(cc, out.location, lu, &mut out.brstknn),
-        Settled::Shortcut => out.brstknn.extend(lu.iter().map(|&u| cc.ids[u])),
+        Settled::Shortcut => out.brstknn.extend(lu.iter().map(|&u| cc.cols.ids[u])),
         Settled::Full => {
             cc.fill_ss(&cc.spec.locations[out.location], lu, ss);
             cc.cand_set(&out.keywords, cand);
@@ -226,7 +226,7 @@ impl HeldEvaluation {
         cand: &mut Vec<u64>,
     ) {
         lo.clear();
-        lo.extend(lu.iter().map(|&u| cc.band_lo[u]));
+        lo.extend(lu.iter().map(|&u| cc.cols.band_lo[u]));
         greedy::greedy_keywords_into(cc, lu, lo, gr, &mut self.kw);
         cc.cand_set(&self.kw, cand);
         self.live = true;
@@ -260,7 +260,7 @@ impl HeldEvaluation {
         let open = self
             .open
             .iter()
-            .filter(|&&(u, ts)| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.rsk[u])
+            .filter(|&&(u, ts)| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.cols.rsk[u])
             .count();
         if best.improve(li, self.pass + open, Settled::Held, lu, &self.kw, out) {
             #[cfg(test)]
@@ -280,9 +280,9 @@ impl HeldEvaluation {
                 .filter(|&&u| {
                     let ts = self.ts[u];
                     cc.band_verdict(ts, u)
-                        .unwrap_or_else(|| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.rsk[u])
+                        .unwrap_or_else(|| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.cols.rsk[u])
                 })
-                .map(|&u| cc.ids[u]),
+                .map(|&u| cc.cols.ids[u]),
         );
     }
 }
@@ -343,7 +343,7 @@ pub(crate) fn select_candidate_into(
     sel.always.clear();
     sel.maybe.clear();
     for u in (0..cc.num_users()).filter(|&u| cc.user_reachable(u)) {
-        match cc.band_verdict(cc.ubl_ts[u], u) {
+        match cc.band_verdict(cc.cols.ubl_ts[u], u) {
             Some(true) => sel.always.push(u),
             Some(false) => {}
             None => sel.maybe.push(u),
@@ -366,7 +366,7 @@ pub(crate) fn select_candidate_into(
             // Merge the passing `maybe` users into `always`, ascending.
             let mut rest = sel.always.as_slice();
             for &u in &sel.maybe {
-                if cc.ubl_user_with_ss(cc.ss_at(loc, u), u) >= cc.rsk[u] {
+                if cc.ubl_user_with_ss(cc.ss_at(loc, u), u) >= cc.cols.rsk[u] {
                     let split = rest.partition_point(|&v| v < u);
                     lu.extend_from_slice(&rest[..split]);
                     lu.push(u);
@@ -444,7 +444,7 @@ pub(crate) fn evaluate_location(
         cc.fill_ss(loc, lu, ss);
         filled = true;
         let mut count = 0;
-        cc.for_each_verdict(&cc.ox_bits, lu, ss, |_, q| count += usize::from(q));
+        cc.for_each_verdict(&cc.cols.ox_bits, lu, ss, |_, q| count += usize::from(q));
         // The shortcut is only complete when it captures the whole list;
         // otherwise keyword selection could still add users.
         if count == lu.len() {
@@ -453,7 +453,7 @@ pub(crate) fn evaluate_location(
                 #[cfg(test)]
                 if best.eager {
                     out.brstknn.clear();
-                    out.brstknn.extend(lu.iter().map(|&u| cc.ids[u]));
+                    out.brstknn.extend(lu.iter().map(|&u| cc.cols.ids[u]));
                 }
             }
             return;
@@ -916,10 +916,10 @@ pub(crate) mod tests {
                     let forced = CandidateContext::new(&eng.ctx, &spec, &eng.users, &rsk);
                     let reachable = |u: &usize| cc.user_reachable(*u);
                     n_inf += (0..cc.num_users())
-                        .filter(|u| reachable(u) && forced.rsk[*u] == f64::NEG_INFINITY)
+                        .filter(|u| reachable(u) && forced.cols.rsk[*u] == f64::NEG_INFINITY)
                         .count();
                     n_zero += (0..cc.num_users())
-                        .filter(|u| reachable(u) && cc.n_u[*u] == 0.0)
+                        .filter(|u| reachable(u) && cc.cols.n_u[*u] == 0.0)
                         .count();
                     let seed = eng.user_index_seed(spec.k);
                     let miur = eng.miur.as_ref().expect("built with a user index");
@@ -974,7 +974,7 @@ pub(crate) mod tests {
                             let lu: Vec<usize> = all
                                 .iter()
                                 .copied()
-                                .filter(|&u| reachable(&u) && cc.ubl_user(loc, u) >= cc.rsk[u])
+                                .filter(|&u| reachable(&u) && cc.ubl_user(loc, u) >= cc.cols.rsk[u])
                                 .collect();
                             let kw = match selector {
                                 KeywordSelector::Greedy => {

@@ -74,12 +74,12 @@ pub mod location;
 #[cfg(test)]
 pub(crate) mod reference;
 
-use std::cell::{Ref, RefCell};
+use std::cell::Ref;
 
 use geo::{Point, Rect};
 use text::{Document, TermId};
 
-use crate::arena::{CcScratch, HwTable, TextKey};
+use crate::arena::{CcScratch, HwTable};
 use crate::{QuerySpec, ScoreContext, UserData, UserGroup};
 
 /// True when bit `i` of the bitset `bits` is set.
@@ -105,58 +105,16 @@ pub struct CandidateContext<'a> {
     /// `sts_candidate`, `qualifies`, `brstknn`) read documents from. Empty
     /// in the §7 pipeline, whose users arrive one MIUR leaf at a time.
     pub users: &'a [UserData],
-    /// `RSk(u)` per user (−∞ for users with fewer than `k` relevant
-    /// objects).
-    pub rsk: Vec<f64>,
-    /// Per-user text normalizer `N(u)`.
-    pub n_u: Vec<f64>,
     /// Candidate reference length (`|ox.d| + ws`).
     pub ref_len: u64,
-    /// What the text half (the slot view, the per-user text columns and
-    /// the HW table) was derived for, and whether this context
-    /// has derived none of it: it kept the half of the previous context
-    /// built on the same scratch, and every user pushed so far found its
-    /// columns there.
-    key: TextKey,
+    /// Whether this context has derived none of its text half: it kept
+    /// the half of the previous context built on the same scratch, and
+    /// every user pushed so far found its columns there.
     reused: bool,
-    /// The slot view of `W ∪ ox.d`: its distinct terms ascending (a term's
-    /// index here is its *slot*), each slot's candidate weight `cw(t)`, and
-    /// the positions of `W` holding it, ascending:
-    /// `slot_kw[slot_kw_off[s]..slot_kw_off[s + 1]]` (as many as the
-    /// slot's multiplicity in `W`).
-    slot_terms: Vec<TermId>,
-    slot_w: Vec<f64>,
-    slot_kw_off: Vec<u32>,
-    slot_kw: Vec<u32>,
-    /// The slot of each position of `W`.
-    kw_slots: Vec<usize>,
-    /// `ox.d` as a slot set: ⌈slots / 64⌉ words, the base of every
-    /// candidate set.
-    ox_bits: Vec<u64>,
-    /// Per-user id and location (what the kernels need of a `UserData`
-    /// besides its candidate terms).
-    ids: Vec<u32>,
-    points: Vec<Point>,
     /// The MBR of the candidate locations (`None` without any).
     loc_mbr: Option<Rect>,
-    /// Per-user spatial band: the least and the greatest `SS` any point
-    /// of `loc_mbr` can give the user.
-    band_lo: Vec<f64>,
-    band_hi: Vec<f64>,
-    /// Location-independent textual part of `UBL(·, u)` per user.
-    ubl_ts: Vec<f64>,
-    /// Per-user candidate terms `u.d ∩ (W ∪ ox.d)` as `(slot, cw)`,
-    /// flattened; user `u` owns `ucand_flat[ucand_off[u]..ucand_off[u+1]]`.
-    /// Runs ascend by slot, which is ascending term order, so a kernel
-    /// summing a run adds the weights in the order a merge of the user's
-    /// document would.
-    ucand_flat: Vec<(usize, f64)>,
-    ucand_off: Vec<u32>,
-    /// Scratch for `CandidateContext::top_ws_sum`.
-    ws_buf: RefCell<Vec<f64>>,
-    /// Optimistic `TS` of `HW_{w,u}` per ⟨user, held keyword⟩; see
-    /// [`CandidateContext::hw_table`].
-    hw: RefCell<HwTable>,
+    /// The slot view and the per-user columns (see [`CcScratch`]).
+    pub(crate) cols: CcScratch,
 }
 
 impl<'a> CandidateContext<'a> {
@@ -184,33 +142,30 @@ impl<'a> CandidateContext<'a> {
         spec: &'a QuerySpec,
         users: &'a [UserData],
         rsk: &[f64],
-        scratch: CcScratch,
+        mut cols: CcScratch,
         engine: Option<(u64, u64)>,
     ) -> Self {
         assert_eq!(users.len(), rsk.len(), "users and thresholds must align");
-        let CcScratch {
-            mut key,
-            mut slot_terms,
-            mut slot_w,
-            mut slot_kw_off,
-            mut slot_kw,
-            mut kw_slots,
-            mut ox_bits,
-            mut ids,
-            mut points,
-            mut band_lo,
-            mut band_hi,
-            rsk: mut rsk_col,
-            mut n_u,
-            mut ubl_ts,
-            mut ucand_flat,
-            mut ucand_off,
-            ws_buf,
-            mut hw,
-        } = scratch;
         let ref_len = spec.ref_len();
-        let reused = key.matches(engine, spec);
+        let reused = cols.key.matches(engine, spec);
         if !reused {
+            let CcScratch {
+                key,
+                slot_terms,
+                slot_w,
+                slot_kw_off,
+                slot_kw,
+                kw_slots,
+                ox_bits,
+                ids,
+                points,
+                n_u,
+                ubl_ts,
+                ucand_flat,
+                ucand_off,
+                hw,
+                ..
+            } = &mut cols;
             key.set(engine, spec);
             slot_terms.clear();
             slot_terms.extend(spec.keywords.iter().copied().chain(spec.ox_doc.terms()));
@@ -234,7 +189,7 @@ impl<'a> CandidateContext<'a> {
             slot_kw.sort_unstable_by_key(|&j| (kw_slots[j as usize], j));
             slot_kw_off.clear();
             slot_kw_off.resize(slot_terms.len() + 1, 0);
-            for &s in &kw_slots {
+            for &s in kw_slots.iter() {
                 slot_kw_off[s + 1] += 1;
             }
             for s in 0..slot_terms.len() {
@@ -246,7 +201,7 @@ impl<'a> CandidateContext<'a> {
                 let s = slot_terms
                     .binary_search(&t)
                     .expect("ox.d is in the slot view");
-                set_bit(&mut ox_bits, s);
+                set_bit(ox_bits, s);
             }
             ids.clear();
             points.clear();
@@ -260,34 +215,17 @@ impl<'a> CandidateContext<'a> {
             hw.off.push(0);
             hw.rows.clear();
         }
-        band_lo.clear();
-        band_hi.clear();
-        rsk_col.clear();
+        cols.band_lo.clear();
+        cols.band_hi.clear();
+        cols.rsk.clear();
         let mut cc = CandidateContext {
             ctx,
             spec,
             users,
-            rsk: rsk_col,
-            n_u,
             ref_len,
-            key,
             reused,
-            slot_terms,
-            slot_w,
-            slot_kw_off,
-            slot_kw,
-            kw_slots,
-            ox_bits,
-            ids,
-            points,
             loc_mbr: Rect::bounding(spec.locations.iter().copied()),
-            band_lo,
-            band_hi,
-            ubl_ts,
-            ucand_flat,
-            ucand_off,
-            ws_buf,
-            hw,
+            cols,
         };
         for (user, &r) in users.iter().zip(rsk) {
             cc.push_user(user, || ctx.text.normalizer(&user.doc), r);
@@ -320,37 +258,38 @@ impl<'a> CandidateContext<'a> {
         n_u: impl FnOnce() -> f64,
         rsk: f64,
     ) -> usize {
-        let u = self.rsk.len();
-        if self.ids.get(u) != Some(&user.id) {
+        let u = self.cols.rsk.len();
+        if self.cols.ids.get(u) != Some(&user.id) {
             self.reused = false;
             self.truncate_text(u);
             self.push_text(user, n_u());
         }
-        let (point, spatial) = (self.points[u], &self.ctx.spatial);
+        let (point, spatial) = (self.cols.points[u], &self.ctx.spatial);
         let (lo, hi) = self.loc_mbr.map_or((0.0, 1.0), |r| {
             (
                 spatial.max_ss_point(&point, &r),
                 spatial.min_ss_point(&point, &r),
             )
         });
-        self.band_lo.push(lo);
-        self.band_hi.push(hi);
-        self.rsk.push(rsk);
+        self.cols.band_lo.push(lo);
+        self.cols.band_hi.push(hi);
+        self.cols.rsk.push(rsk);
         u
     }
 
     /// Drops the text columns of users `u..`, the HW rows included.
     fn truncate_text(&mut self, u: usize) {
-        if u >= self.ids.len() {
+        let c = &mut self.cols;
+        if u >= c.ids.len() {
             return;
         }
-        self.ids.truncate(u);
-        self.points.truncate(u);
-        self.n_u.truncate(u);
-        self.ubl_ts.truncate(u);
-        self.ucand_flat.truncate(self.ucand_off[u] as usize);
-        self.ucand_off.truncate(u + 1);
-        let hw = self.hw.get_mut();
+        c.ids.truncate(u);
+        c.points.truncate(u);
+        c.n_u.truncate(u);
+        c.ubl_ts.truncate(u);
+        c.ucand_flat.truncate(c.ucand_off[u] as usize);
+        c.ucand_off.truncate(u + 1);
+        let hw = c.hw.get_mut();
         if hw.off.len() > u + 1 {
             hw.rows.truncate(hw.off[u] as usize);
             hw.off.truncate(u + 1);
@@ -360,20 +299,20 @@ impl<'a> CandidateContext<'a> {
     /// Appends one user's text columns: id, location, normalizer,
     /// candidate-term run and `UBL` text.
     fn push_text(&mut self, user: &UserData, n_u: f64) {
-        self.ids.push(user.id);
-        self.points.push(user.point);
-        self.n_u.push(n_u);
-        let start = self.ucand_flat.len();
+        self.cols.ids.push(user.id);
+        self.cols.points.push(user.point);
+        self.cols.n_u.push(n_u);
+        let start = self.cols.ucand_flat.len();
         for t in user.doc.terms() {
-            if let Ok(s) = self.slot_terms.binary_search(&t) {
-                self.ucand_flat.push((s, self.slot_w[s]));
+            if let Ok(s) = self.cols.slot_terms.binary_search(&t) {
+                self.cols.ucand_flat.push((s, self.cols.slot_w[s]));
             }
         }
-        self.ucand_off.push(self.ucand_flat.len() as u32);
+        self.cols.ucand_off.push(self.cols.ucand_flat.len() as u32);
         // `UBL`'s text: the run's `ox.d` terms in slot order, plus Lemma
         // 3's `ws` heaviest of its other terms, each once per position it
         // holds in `W`.
-        let run = &self.ucand_flat[start..];
+        let run = &self.cols.ucand_flat[start..];
         let fixed: f64 = run
             .iter()
             .filter(|&&(s, _)| self.in_ox(s))
@@ -389,59 +328,40 @@ impl<'a> CandidateContext<'a> {
         } else {
             0.0
         };
-        self.ubl_ts.push(ts);
+        self.cols.ubl_ts.push(ts);
     }
 
     /// Users held (the slice's, plus every [`CandidateContext::push_user`]).
     /// Kept text columns may run past them; no kernel reads that far.
     #[inline]
     pub(crate) fn num_users(&self) -> usize {
-        self.rsk.len()
+        self.cols.rsk.len()
     }
 
     /// Returns the pooled buffers, and the text half with its key, to the
     /// arena.
     pub(crate) fn into_scratch(self) -> CcScratch {
-        CcScratch {
-            key: self.key,
-            slot_terms: self.slot_terms,
-            slot_w: self.slot_w,
-            slot_kw_off: self.slot_kw_off,
-            slot_kw: self.slot_kw,
-            kw_slots: self.kw_slots,
-            ox_bits: self.ox_bits,
-            ids: self.ids,
-            points: self.points,
-            band_lo: self.band_lo,
-            band_hi: self.band_hi,
-            rsk: self.rsk,
-            n_u: self.n_u,
-            ubl_ts: self.ubl_ts,
-            ucand_flat: self.ucand_flat,
-            ucand_off: self.ucand_off,
-            ws_buf: self.ws_buf,
-            hw: self.hw,
-        }
+        self.cols
     }
 
     /// Candidate weight of `t` (0 for terms outside `W ∪ ox.d`).
     #[inline]
     pub fn cw(&self, t: TermId) -> f64 {
-        self.slot_terms
-            .binary_search(&t)
-            .map_or(0.0, |s| self.slot_w[s])
+        let c = &self.cols;
+        c.slot_terms.binary_search(&t).map_or(0.0, |s| c.slot_w[s])
     }
 
     /// The positions of `W` holding the term of slot `s`, ascending.
     #[inline]
     fn kw_positions(&self, s: usize) -> &[u32] {
-        &self.slot_kw[self.slot_kw_off[s] as usize..self.slot_kw_off[s + 1] as usize]
+        let c = &self.cols;
+        &c.slot_kw[c.slot_kw_off[s] as usize..c.slot_kw_off[s + 1] as usize]
     }
 
     /// True when slot `s` holds a term of `ox.d`.
     #[inline]
     fn in_ox(&self, s: usize) -> bool {
-        bit(&self.ox_bits, s)
+        bit(&self.cols.ox_bits, s)
     }
 
     /// True when user `u` could ever find `ox` relevant: `u.d` shares a
@@ -449,13 +369,13 @@ impl<'a> CandidateContext<'a> {
     /// the user's precomputed candidate-term list is non-empty.
     #[inline]
     pub fn user_reachable(&self, u: usize) -> bool {
-        self.ucand_off[u] != self.ucand_off[u + 1]
+        self.cols.ucand_off[u] != self.cols.ucand_off[u + 1]
     }
 
     /// Sum of the `ws` largest positive candidate `weights`, added in
     /// descending order (Lemma 3's `Wh` / `Wu` construction).
     fn top_ws_sum(&self, weights: impl Iterator<Item = f64>) -> f64 {
-        let mut buf = self.ws_buf.borrow_mut();
+        let mut buf = self.cols.ws_buf.borrow_mut();
         buf.clear();
         buf.extend(weights.filter(|&w| w > 0.0));
         buf.sort_unstable_by(|a, b| b.total_cmp(a));
@@ -475,10 +395,11 @@ impl<'a> CandidateContext<'a> {
             .sum();
         // Lemma 3: at best the ws highest-weight candidates from W∩dUni.
         let added = self.top_ws_sum(
-            self.kw_slots
+            self.cols
+                .kw_slots
                 .iter()
-                .filter(|&&s| !self.in_ox(s) && group.d_uni.contains(self.slot_terms[s]))
-                .map(|&s| self.slot_w[s]),
+                .filter(|&&s| !self.in_ox(s) && group.d_uni.contains(self.cols.slot_terms[s]))
+                .map(|&s| self.cols.slot_w[s]),
         );
         group.ts_upper(fixed + added)
     }
@@ -493,7 +414,7 @@ impl<'a> CandidateContext<'a> {
     /// `UBL(ℓ, u)` (§6.1): per-user upper bound (textual part cached).
     pub fn ubl_user(&self, loc: &Point, u: usize) -> f64 {
         let ss = self.ctx.spatial.ss_points(loc, &self.users[u].point);
-        self.ctx.combine(ss, self.ubl_ts[u])
+        self.ctx.combine(ss, self.cols.ubl_ts[u])
     }
 
     /// The location-independent textual part of `LBL(·, g)`.
@@ -524,7 +445,7 @@ impl<'a> CandidateContext<'a> {
     /// Exact `STS` of `ox` placed at `loc` with text `cand`, for user `u`,
     /// at the candidate reference length.
     pub fn sts_candidate(&self, loc: &Point, cand: &Document, u: usize) -> f64 {
-        let (user, n_u) = (&self.users[u], self.n_u[u]);
+        let (user, n_u) = (&self.users[u], self.cols.n_u[u]);
         let ss = self.ctx.spatial.ss_points(loc, &user.point);
         let ts = if n_u > 0.0 {
             let sum: f64 = user
@@ -543,7 +464,7 @@ impl<'a> CandidateContext<'a> {
     /// True when user `u` is a BRSTkNN of `⟨loc, cand⟩`: textual overlap
     /// plus `STS ≥ RSk(u)`.
     pub fn qualifies(&self, loc: &Point, cand: &Document, u: usize) -> bool {
-        self.users[u].doc.overlaps(cand) && self.sts_candidate(loc, cand, u) >= self.rsk[u]
+        self.users[u].doc.overlaps(cand) && self.sts_candidate(loc, cand, u) >= self.cols.rsk[u]
     }
 
     /// The BRSTkNN user set of `⟨loc, cand⟩` restricted to `candidates`
@@ -576,7 +497,7 @@ impl<'a> CandidateContext<'a> {
     /// ascending.
     #[inline]
     pub(crate) fn ucand(&self, u: usize) -> &[(usize, f64)] {
-        &self.ucand_flat[self.ucand_off[u] as usize..self.ucand_off[u + 1] as usize]
+        &self.cols.ucand_flat[self.cols.ucand_off[u] as usize..self.cols.ucand_off[u + 1] as usize]
     }
 
     /// Fills `out` with the slot set `ox.d ∪ {slots}`.
@@ -586,7 +507,7 @@ impl<'a> CandidateContext<'a> {
         out: &mut Vec<u64>,
     ) {
         out.clear();
-        out.extend_from_slice(&self.ox_bits);
+        out.extend_from_slice(&self.cols.ox_bits);
         for s in slots {
             set_bit(out, s);
         }
@@ -597,7 +518,7 @@ impl<'a> CandidateContext<'a> {
     pub(crate) fn cand_set(&self, kw: &[TermId], out: &mut Vec<u64>) {
         self.cand_set_slots(
             kw.iter()
-                .filter_map(|t| self.slot_terms.binary_search(t).ok()),
+                .filter_map(|t| self.cols.slot_terms.binary_search(t).ok()),
             out,
         );
     }
@@ -605,20 +526,25 @@ impl<'a> CandidateContext<'a> {
     /// Spatial score of `loc` for user `u`.
     #[inline]
     pub(crate) fn ss_at(&self, loc: &Point, u: usize) -> f64 {
-        self.ctx.spatial.ss_points(loc, &self.points[u])
+        self.ctx.spatial.ss_points(loc, &self.cols.points[u])
     }
 
     /// `UBL(ℓ, u)` with the spatial part precomputed.
     #[inline]
     pub(crate) fn ubl_user_with_ss(&self, ss: f64, u: usize) -> f64 {
-        self.ctx.combine(ss, self.ubl_ts[u])
+        self.ctx.combine(ss, self.cols.ubl_ts[u])
     }
 
     /// The verdict of `combine(ss, ts) ≥ RSk(u)` at every candidate
     /// location at once, from user `u`'s spatial band.
     #[inline]
     pub(crate) fn band_verdict(&self, ts: f64, u: usize) -> Option<bool> {
-        self.verdict_within(self.band_lo[u], self.band_hi[u], ts, self.rsk[u])
+        self.verdict_within(
+            self.cols.band_lo[u],
+            self.cols.band_hi[u],
+            ts,
+            self.cols.rsk[u],
+        )
     }
 
     /// The verdict of `UBL(ℓ, g) ≥ lb` for the user subtree `g`, whose
@@ -651,14 +577,14 @@ impl<'a> CandidateContext<'a> {
     /// band decides it.
     #[inline]
     pub(crate) fn ubl_verdict(&self, u: usize) -> Option<bool> {
-        self.band_verdict(self.ubl_ts[u], u)
+        self.band_verdict(self.cols.ubl_ts[u], u)
     }
 
     /// `UBL(ℓ, u) ≥ RSk(u)`, from the band when it decides.
     #[inline]
     pub(crate) fn ubl_passes(&self, loc: &Point, u: usize) -> bool {
         self.ubl_verdict(u)
-            .unwrap_or_else(|| self.ubl_user_with_ss(self.ss_at(loc, u), u) >= self.rsk[u])
+            .unwrap_or_else(|| self.ubl_user_with_ss(self.ss_at(loc, u), u) >= self.cols.rsk[u])
     }
 
     /// `UBL(ℓ, g)` with the textual part precomputed (hoisted across the
@@ -690,7 +616,7 @@ impl<'a> CandidateContext<'a> {
                 sum += w;
             }
         }
-        let n_u = self.n_u[u];
+        let n_u = self.cols.n_u[u];
         if !any {
             f64::NAN
         } else if n_u > 0.0 {
@@ -713,8 +639,8 @@ impl<'a> CandidateContext<'a> {
     /// since the last call — a query whose locations all take the `LBL`
     /// shortcut, or that selects keywords exactly, never pays for them.
     pub(crate) fn hw_table(&self) -> Ref<'_, HwTable> {
-        if self.hw.borrow().off.len() <= self.num_users() {
-            let mut table = self.hw.borrow_mut();
+        if self.cols.hw.borrow().off.len() <= self.num_users() {
+            let mut table = self.cols.hw.borrow_mut();
             let HwTable {
                 off,
                 rows,
@@ -735,7 +661,7 @@ impl<'a> CandidateContext<'a> {
                 others.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
                 for &(_, j, w) in others.iter() {
                     bits.clear();
-                    bits.extend_from_slice(&self.ox_bits);
+                    bits.extend_from_slice(&self.cols.ox_bits);
                     let mut placed = 0;
                     for &(_, _, s) in others.iter() {
                         if placed == cap {
@@ -752,14 +678,14 @@ impl<'a> CandidateContext<'a> {
                 off.push(rows.len() as u32);
             }
         }
-        self.hw.borrow()
+        self.cols.hw.borrow()
     }
 
     /// [`CandidateContext::qualifies`] with the spatial part precomputed,
     /// for the slot set `cand`.
     #[inline]
     pub(crate) fn qualifies_with_ss(&self, ss: f64, cand: &[u64], u: usize) -> bool {
-        self.ctx.combine(ss, self.ts_cand(cand, u)) >= self.rsk[u]
+        self.ctx.combine(ss, self.ts_cand(cand, u)) >= self.cols.rsk[u]
     }
 
     /// Calls `f(pos, verdict)` for every position of `lu`, in order: does
@@ -795,7 +721,7 @@ impl<'a> CandidateContext<'a> {
         out.clear();
         self.for_each_verdict(cand, candidates, ss, |pos, q| {
             if q {
-                out.push(self.ids[candidates[pos]]);
+                out.push(self.cols.ids[candidates[pos]]);
             }
         });
     }
@@ -1260,7 +1186,7 @@ mod tests {
                         cc.fill_ss(loc, lu, &mut ss);
                         cc.brstknn_into(&bits, lu, &ss, &mut got);
                         assert_eq!(got, cc.brstknn(loc, &doc, lu));
-                        cc.brstknn_into(&cc.ox_bits, lu, &ss, &mut got);
+                        cc.brstknn_into(&cc.cols.ox_bits, lu, &ss, &mut got);
                         assert_eq!(got, cc.brstknn(loc, &cc.spec.ox_doc, lu));
                     }
                 }
@@ -1323,7 +1249,7 @@ mod tests {
             for &u in order {
                 let user = &f.users[u];
                 let n_u = || f.ctx.text.normalizer(&user.doc);
-                kept += usize::from(cc.ids.get(cc.num_users()) == Some(&user.id));
+                kept += usize::from(cc.cols.ids.get(cc.num_users()) == Some(&user.id));
                 assert_eq!(
                     cc.push_user(user, n_u, f.rsk[u]),
                     fresh.push_user(user, n_u, f.rsk[u])
@@ -1331,10 +1257,10 @@ mod tests {
             }
             assert_eq!(cc.text_reused(), reused, "pass {pass}");
             let m = order.len();
-            assert_eq!(cc.ids[..m], fresh.ids[..]);
+            assert_eq!(cc.cols.ids[..m], fresh.cols.ids[..]);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&cc.ubl_ts[..m]), bits(&fresh.ubl_ts));
-            assert_eq!(bits(&cc.band_lo), bits(&fresh.band_lo));
+            assert_eq!(bits(&cc.cols.ubl_ts[..m]), bits(&fresh.cols.ubl_ts));
+            assert_eq!(bits(&cc.cols.band_lo), bits(&fresh.cols.band_lo));
             for u in 0..m {
                 assert_eq!(cc.ucand(u), fresh.ucand(u), "pass {pass}, user {u}");
             }

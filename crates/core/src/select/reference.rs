@@ -47,7 +47,7 @@ pub(crate) fn build_luw(
                 .take(cc.spec.ws.saturating_sub(1))
                 .collect();
             hw.push(w);
-            if cc.sts_candidate(loc, &cc.with_keywords(&hw), u) >= cc.rsk[u] {
+            if cc.sts_candidate(loc, &cc.with_keywords(&hw), u) >= cc.cols.rsk[u] {
                 luw[j].1.push(u);
             }
         }
@@ -73,8 +73,8 @@ pub(crate) fn ubl_ts(cc: &CandidateContext<'_>, u: usize) -> f64 {
             .filter(|&t| doc.contains(t) && !ox.contains(t))
             .map(|t| cc.cw(t)),
     );
-    if cc.n_u[u] > 0.0 {
-        ((fixed + added) / cc.n_u[u]).min(1.0)
+    if cc.cols.n_u[u] > 0.0 {
+        ((fixed + added) / cc.cols.n_u[u]).min(1.0)
     } else {
         0.0
     }
@@ -220,7 +220,7 @@ pub(crate) fn select_candidate(
             continue;
         }
         let lu: Vec<usize> = (0..cc.users.len())
-            .filter(|&u| cc.user_reachable(u) && cc.ubl_user(loc, u) >= cc.rsk[u])
+            .filter(|&u| cc.user_reachable(u) && cc.ubl_user(loc, u) >= cc.cols.rsk[u])
             .collect();
         if !lu.is_empty() {
             ql.push(ByKey {

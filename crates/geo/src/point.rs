@@ -21,6 +21,13 @@ impl Point {
         Point { x, y }
     }
 
+    /// True when both coordinates are finite (neither NaN nor infinite):
+    /// every distance and bound in the dataspace needs it.
+    #[inline]
+    pub fn is_finite(&self) -> bool {
+        self.x.is_finite() && self.y.is_finite()
+    }
+
     /// Squared Euclidean distance to `other`.
     ///
     /// Prefer this over [`Point::dist`] in comparisons: it avoids the square

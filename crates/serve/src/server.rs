@@ -449,6 +449,8 @@ impl Worker {
                     Some("k must be positive".to_string())
                 } else if spec.locations.is_empty() {
                     Some("a query needs at least one candidate location".to_string())
+                } else if !spec.locations.iter().all(|p| p.is_finite()) {
+                    Some("candidate locations must have finite coordinates".to_string())
                 } else if method.requires_user_index() && self.engine.snapshot().miur.is_none() {
                     Some(format!(
                         "method {} requires the user index, but the served engine \

@@ -21,7 +21,8 @@
 //!     A well-formed frame the engine would panic on (`k = 0`, no
 //!     candidate location) or over-allocate for (a huge `k`) costs one
 //!     reply, not the worker; a huge `ws` is answered; removing the last
-//!     user and inserting a document with a huge term id are rejections.
+//!     user, inserting a document with a huge term id and inserting at a
+//!     NaN coordinate are rejections, and a query at one is an error.
 //! (e) **Introspection** — `stats` returns the engine's counters as JSON
 //!     and `metrics` returns a Prometheus page that includes the serve
 //!     counters next to the engine's own.
@@ -634,6 +635,65 @@ fn a_huge_term_id_is_rejected() {
         .query(Method::JointGreedy, &spec)
         .expect("the worker is alive");
     assert_eq!(net, serving.query(&spec, Method::JointGreedy).0);
+}
+
+/// A NaN coordinate off the wire used to be accepted into the trees:
+/// removing that entry later panicked under the publish lock (poisoning
+/// every later snapshot), debug builds panicked on the next query, and a
+/// query at a NaN location could name it the winner. A single-worker
+/// server rejects both inserts and refuses the query as a counted error,
+/// then answers `stats` and the next query as the in-process engine does.
+#[test]
+fn non_finite_coordinates_are_refused() {
+    let serving = serving_engine(47);
+    let server = bind(
+        &serving,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let epoch = serving.epoch();
+    let nan = Point::new(f64::NAN, 3.0);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let object = Mutation::InsertObject(ObjectData {
+        id: 500,
+        point: nan,
+        doc: Document::from_terms([t(1), t(6)]),
+    });
+    let user = Mutation::InsertUser(UserData {
+        id: 500,
+        point: nan,
+        doc: Document::from_terms([t(1), t(6)]),
+    });
+    for m in [object, user] {
+        assert!(client.mutate(m).unwrap().is_none(), "MutateRejected");
+    }
+    assert_eq!(serving.epoch(), epoch);
+
+    let good = specs().remove(1);
+    let nowhere = QuerySpec {
+        locations: vec![nan, Point::new(5.0, 3.0)],
+        ..good.clone()
+    };
+    for method in [Method::JointGreedy, Method::Baseline] {
+        let request = Request::Query {
+            method,
+            spec: nowhere.clone(),
+        };
+        match client.request(&request).unwrap() {
+            Reply::Error(msg) => assert!(msg.contains("finite"), "{msg}"),
+            other => panic!("expected Error for {}, got {other:?}", method.name()),
+        }
+    }
+    assert!(client.stats_json().unwrap().contains("\"objects\":120"));
+    for method in Method::ALL {
+        let net = client.query(method, &good).expect("the worker is alive");
+        assert_eq!(net, serving.query(&good, method).0, "{}", method.name());
+    }
+    let snap = serving.snapshot().metrics().snapshot();
+    let errors = snap.counter("serve_request_errors_total{kind=\"query\"}");
+    assert_eq!(errors, Some(2));
 }
 
 /// `stats` carries the serving counters as JSON; `metrics` renders the
