@@ -24,6 +24,8 @@
 //! per-layer trace and the regression gate — is measured by the
 //! `benchmark/` package, not here.
 
+#![forbid(unsafe_code)]
+
 pub mod figs;
 mod measure;
 mod params;

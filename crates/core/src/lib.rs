@@ -24,6 +24,7 @@
 //! the individual modules stay public because the paper evaluates them
 //! separately (and the joint top-k is of independent interest).
 
+#![forbid(unsafe_code)]
 #![deny(clippy::redundant_clone)]
 
 mod arena;

@@ -29,6 +29,29 @@
 //!   exact `UB`. Only a survivor gets its pairs copied into the outcome's
 //!   one shared run, its lower bound and a row. No allocation is made per
 //!   retrieved object.
+//! * **Wait on memory once.** A cold read stalls on the first touches of
+//!   records the traversal is about to read — the node record, the
+//!   inverted file's directory, its lists, a leaf's coordinates — so the
+//!   traversal asks for less and asks early. *Term runs:* an inner
+//!   node's postings row for entry `i`, read for the union terms, names
+//!   every union term child `i`'s subtree holds. When a child is
+//!   queued its row's terms are appended to one term vector for the
+//!   traversal, and the node side table keeps the child's `(start, len)`
+//!   into it; the root's run is `us.dUni`. A node's read asks for its run
+//!   only, so both directory walkers stop at the last union term the node
+//!   holds rather than at the last of `us.dUni`, and a node whose run is
+//!   empty is still read and charged. Simulated I/O keeps its bits: a
+//!   Verbatim read is charged its whole file, a Columnar read its
+//!   directory and the lists it decodes, and a union term outside the run
+//!   has no list in the file. *One node ahead:* after popping a node the
+//!   traversal peeks at the queue, and when the top is a node it
+//!   prefetches that node's record and inverted file
+//!   (`index::StTree::prefetch`) before reading the current one. The
+//!   peek sets the distance: the queue's top is the one node the
+//!   traversal can name before it expands the current node, and that
+//!   expansion is the work the fetch overlaps. When the expansion queues a
+//!   child above it, or the peeked node is pruned, the hint is wasted,
+//!   never wrong.
 //! * **Who may skip the queue.** The queue holds 16-byte `(bound, index)`
 //!   pairs — nodes index a side table of `(record, upper bound)`, objects
 //!   index their row. An object that arrives while `LO` is full with

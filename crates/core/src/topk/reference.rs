@@ -332,70 +332,112 @@ mod tests {
         (ctx, mir, groups)
     }
 
-    /// The production traversal reads the same records in the same order,
-    /// settles on the same `RSk(us)` and `LO`, and keeps exactly the part
-    /// of the reference `RO` the final `RSk(us)` leaves reachable — under
-    /// tied (KO, grid) and untied (LM) bounds, `k = 1`, `k ≥ |O|`, empty
-    /// and non-empty `dInt`, single-user groups and every MIUR subtree.
+    /// What one record-for-record comparison saw, for coverage asserts.
+    #[derive(Default)]
+    struct Seen {
+        runs: usize,
+        /// Runs whose traversal bypassed the queue, queued more than `k`
+        /// objects, and whose reference `RO` had a tail below the final
+        /// `RSk(us)`.
+        bypassing: usize,
+        queued_past_k: usize,
+        tails: usize,
+        /// Nodes read, and the union terms their reads asked for.
+        visits: usize,
+        run_terms: usize,
+    }
+
+    /// Holds the production traversal to the paper-literal one, record
+    /// for record: the same records read in the same order, the same
+    /// simulated I/O, the same `RSk(us)` and `LO`, and exactly the part of
+    /// the reference `RO` the final `RSk(us)` leaves reachable.
+    fn assert_matches_reference(
+        mir: &StTree,
+        group: &UserGroup,
+        k: usize,
+        ctx: &ScoreContext,
+        what: &str,
+        seen: &mut Seen,
+    ) {
+        let want_io = IoStats::new();
+        let want = joint_topk(mir, group, k, ctx, &want_io);
+
+        let (mut visited, mut queued, mut bypassed) = (Vec::new(), 0, 0);
+        let io = IoStats::new();
+        let got = traverse(mir, group, k, ctx, &io, |step| match step {
+            Step::Visited(rec, terms) => {
+                visited.push(rec);
+                seen.run_terms += terms;
+            }
+            Step::Queued => queued += 1,
+            Step::Bypassed => bypassed += 1,
+        });
+
+        assert_eq!(visited, want.visited, "{what}: visit order");
+        assert_eq!(io.snapshot(), want_io.snapshot(), "{what}: simulated I/O");
+        assert_eq!(io.snapshot().node_visits, visited.len() as u64, "{what}");
+        assert_eq!(got.rsk_us.to_bits(), want.rsk_us.to_bits(), "{what}");
+
+        let ids = |mut v: Vec<u32>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(
+            ids(got.lo().map(|o| o.id).collect()),
+            ids(want.lo.iter().map(|o| o.id).collect()),
+            "{what}: LO"
+        );
+
+        let mut reachable: Vec<&ScoredObject> =
+            want.ro.iter().filter(|o| o.ub >= want.rsk_us).collect();
+        reachable.sort_by(|a, b| b.ub.total_cmp(&a.ub).then(a.id.cmp(&b.id)));
+        assert_eq!(got.ro().len(), reachable.len(), "{what}: |RO|");
+        for (g, w) in got.ro().zip(&reachable) {
+            assert_eq!(g.id, w.id, "{what}: RO order");
+            assert_eq!(g.point, w.point, "{what}");
+            assert_eq!(g.weights, &w.weights.entries[..], "{what}");
+            assert_eq!(g.lb.to_bits(), w.lb.to_bits(), "{what}");
+            assert_eq!(g.ub.to_bits(), w.ub.to_bits(), "{what}");
+        }
+        for g in got.lo() {
+            let w = want.lo.iter().find(|o| o.id == g.id).unwrap();
+            assert_eq!(g.weights, &w.weights.entries[..], "{what}");
+            assert_eq!(g.lb.to_bits(), w.lb.to_bits(), "{what}");
+        }
+
+        seen.runs += 1;
+        seen.bypassing += usize::from(bypassed > 0);
+        seen.queued_past_k += usize::from(queued > k);
+        seen.tails += usize::from(reachable.len() < want.ro.len());
+        seen.visits += visited.len();
+    }
+
+    /// The production traversal matches the paper-literal one record for
+    /// record (see [`assert_matches_reference`]) under tied (KO, grid) and
+    /// untied (LM) bounds, `k = 1`, `k ≥ |O|`, empty and non-empty `dInt`,
+    /// single-user groups and every MIUR subtree.
     #[test]
     fn table_traversal_matches_the_paper_literal_one() {
-        let (mut runs, mut bypassing, mut queued_past_k, mut tails, mut with_int) = (0, 0, 0, 0, 0);
+        let (mut seen, mut with_int) = (Seen::default(), 0);
         for model in [WeightModel::KeywordOverlap, WeightModel::lm()] {
             for shared in [true, false] {
                 let (ctx, mir, groups) = fixture(model, shared);
                 for group in &groups {
                     for k in [1, 3, 7, 200] {
                         let what = format!("{model:?} shared={shared} k={k} group={:?}", group.mbr);
-                        let want = joint_topk(&mir, group, k, &ctx, &IoStats::new());
-
-                        let (mut visited, mut queued, mut bypassed) = (Vec::new(), 0, 0);
-                        let io = IoStats::new();
-                        let got = traverse(&mir, group, k, &ctx, &io, |step| match step {
-                            Step::Visited(rec) => visited.push(rec),
-                            Step::Queued => queued += 1,
-                            Step::Bypassed => bypassed += 1,
-                        });
-
-                        assert_eq!(visited, want.visited, "{what}: visit order");
-                        assert_eq!(io.snapshot().node_visits, visited.len() as u64, "{what}");
-                        assert_eq!(got.rsk_us.to_bits(), want.rsk_us.to_bits(), "{what}");
-
-                        let ids = |mut v: Vec<u32>| {
-                            v.sort_unstable();
-                            v
-                        };
-                        assert_eq!(
-                            ids(got.lo().map(|o| o.id).collect()),
-                            ids(want.lo.iter().map(|o| o.id).collect()),
-                            "{what}: LO"
-                        );
-
-                        let mut reachable: Vec<&ScoredObject> =
-                            want.ro.iter().filter(|o| o.ub >= want.rsk_us).collect();
-                        reachable.sort_by(|a, b| b.ub.total_cmp(&a.ub).then(a.id.cmp(&b.id)));
-                        assert_eq!(got.ro().len(), reachable.len(), "{what}: |RO|");
-                        for (g, w) in got.ro().zip(&reachable) {
-                            assert_eq!(g.id, w.id, "{what}: RO order");
-                            assert_eq!(g.point, w.point, "{what}");
-                            assert_eq!(g.weights, &w.weights.entries[..], "{what}");
-                            assert_eq!(g.lb.to_bits(), w.lb.to_bits(), "{what}");
-                            assert_eq!(g.ub.to_bits(), w.ub.to_bits(), "{what}");
-                        }
-                        for g in got.lo() {
-                            let w = want.lo.iter().find(|o| o.id == g.id).unwrap();
-                            assert_eq!(g.weights, &w.weights.entries[..], "{what}");
-                            assert_eq!(g.lb.to_bits(), w.lb.to_bits(), "{what}");
-                        }
-
-                        runs += 1;
-                        bypassing += usize::from(bypassed > 0);
-                        queued_past_k += usize::from(queued > k);
-                        tails += usize::from(reachable.len() < want.ro.len());
+                        assert_matches_reference(&mir, group, k, &ctx, &what, &mut seen);
                         with_int += usize::from(group.d_int.num_terms() > 0);
                     }
                 }
             }
         }
+        let Seen {
+            runs,
+            bypassing,
+            queued_past_k,
+            tails,
+            ..
+        } = seen;
         assert!(
             runs > 800 && bypassing > 100 && queued_past_k > 100 && tails > 100 && with_int > 100,
             "coverage: {runs} runs, {bypassing} bypassed the queue, {queued_past_k} queued \
@@ -404,9 +446,51 @@ mod tests {
         );
     }
 
+    /// A node's read asks only for the union terms its parent's row names
+    /// (the root's for all of `uni`); the records, the simulated I/O and
+    /// every row still match the reference, which reads `uni` everywhere —
+    /// at unions of one term and of one, two and three mask words, under
+    /// LM, TF-IDF and KO, both codecs, `k` from 1 past `|O|`. Most reads
+    /// ask for fewer terms than `uni` holds.
+    #[test]
+    fn term_runs_match_the_reference_at_every_union_width() {
+        let mut seen = Seen::default();
+        let mut narrowed = 0;
+        for model in [
+            WeightModel::lm(),
+            WeightModel::TfIdf,
+            WeightModel::KeywordOverlap,
+        ] {
+            for uni in [1, 63, 64, 65, 130] {
+                for codec in [storage::CodecId::Verbatim, storage::CodecId::Columnar] {
+                    let (ctx, mir, _, group) = wide_fixture(model, uni, codec, uni as u64);
+                    for k in [1, 7, 40, 305] {
+                        let what = format!("{model:?} |uni|={uni} {codec:?} k={k}");
+                        let (visits, run_terms) = (seen.visits, seen.run_terms);
+                        assert_matches_reference(&mir, &group, k, &ctx, &what, &mut seen);
+                        let (visits, run_terms) =
+                            (seen.visits - visits, seen.run_terms - run_terms);
+                        narrowed += usize::from(run_terms < visits * uni);
+                    }
+                }
+            }
+        }
+        let Seen {
+            runs,
+            visits,
+            run_terms,
+            ..
+        } = seen;
+        assert!(
+            runs == 120 && narrowed >= 96 && 2 * run_terms < visits * 64,
+            "coverage: {runs} runs, {narrowed} read fewer terms than uni, {run_terms} terms \
+             asked for over {visits} reads"
+        );
+    }
+
     /// Objects, users and the super-user for a union of exactly `uni`
     /// terms: `uni − 2` even terms the corpus holds, and two "ghost" terms
-    /// no object holds. Objects draw even and odd terms alike (an object
+    /// no object holds (no ghost below three terms). Objects draw even and odd terms alike (an object
     /// of odd terms only holds no union term); users share the even terms
     /// round-robin, so every slot — the last word's included — has a
     /// holder, and the last two users hold a ghost term alone.
@@ -417,7 +501,8 @@ mod tests {
         seed: u64,
     ) -> (ScoreContext, StTree, Vec<UserData>, UserGroup) {
         let mut next = crate::select::test_fixture::stream(seed);
-        let held = uni as u32 - 2;
+        let n_ghosts = if uni > 2 { 2 } else { 0 };
+        let held = (uni - n_ghosts) as u32;
         let docs: Vec<Document> = (0..300)
             .map(|i| {
                 let n = next(4);
@@ -447,7 +532,7 @@ mod tests {
                     40.0 + next(200) as f64 / 10.0,
                     30.0 + next(200) as f64 / 10.0,
                 ),
-                doc: if id >= n_users - 2 {
+                doc: if id >= n_users - n_ghosts as u32 {
                     Document::from_terms([ghosts[(id % 2) as usize]])
                 } else {
                     let extra = t(next(u64::from(held)) as u32 * 2);

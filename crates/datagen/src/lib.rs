@@ -15,6 +15,8 @@
 //! distribution. The pool doubles as the candidate keyword set `W`, and
 //! candidate locations are drawn uniformly from the window.
 
+#![forbid(unsafe_code)]
+
 mod churn;
 mod corpus;
 pub mod rng;

@@ -13,6 +13,8 @@
 //! All distances are Euclidean (`L2`), matching §3 of the paper. Scores are
 //! normalized into `[0, 1]`, higher meaning *more* relevant.
 
+#![forbid(unsafe_code)]
+
 mod point;
 mod proximity;
 mod rect;

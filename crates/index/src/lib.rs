@@ -37,6 +37,7 @@
 //! The trees are *disk resident*: every query-time access deserializes a
 //! record and charges the paper's simulated I/O ([`storage::IoStats`]).
 
+#![forbid(unsafe_code)]
 // The read path is meant to be zero-copy: a clone that merely appeases the
 // borrow checker belongs in a scratch buffer instead.
 #![deny(clippy::redundant_clone)]

@@ -456,7 +456,9 @@ impl<P: Payload> PagedTree<P> {
     /// Settled-ancestor repair: rewrites only the node record, with the
     /// fresh child id at `child_idx`; every rect and the whole side record
     /// stay untouched (the old side record is reused, not freed). Only
-    /// sound when the child's summary is unchanged.
+    /// sound when the child's summary is unchanged. The node record is
+    /// appended alone, so later node ids run ahead of their side ids (see
+    /// `put_node`).
     fn repoint(
         &mut self,
         mut node: Node<P::Entry>,
@@ -541,7 +543,17 @@ impl<P: Payload> PagedTree<P> {
             op.edit.payload_blocks += blocks;
         }
         op.edit.node_writes += 1;
-        self.nodes.put(op.node_record(is_leaf, side, entries))
+        let node = self.nodes.put(op.node_record(is_leaf, side, entries));
+        // Node record `i`'s side record is record `i` (`StTree::prefetch`
+        // counts on it): this is the one writer of side records, and it
+        // appends one to each file. Only a settled-ancestor repoint
+        // appends a node record alone, after which this tree's later
+        // nodes lie ahead of their side records until the next build.
+        debug_assert!(
+            node == side || P::SETTLES && node > side,
+            "node record {node:?} written with side record {side:?}"
+        );
+        node
     }
 
     /// Reads a node on the maintenance path: the query-side
@@ -708,6 +720,17 @@ impl<P: Payload> PagedTree<P> {
         total
     }
 
+    /// `(node record, side record)` of every live node, in id order.
+    #[cfg(test)]
+    pub fn side_ids(&self) -> Vec<(RecordId, RecordId)> {
+        let mut pool = P::Pool::default();
+        (0..self.nodes.len() as u32)
+            .map(RecordId)
+            .filter(|&id| !self.nodes.is_freed(id))
+            .map(|id| (id, P::read(self, id, &mut pool).side))
+            .collect()
+    }
+
     /// One I/O per live node record plus ⌈bytes / 4096⌉ per side record.
     pub fn footprint_io(&self) -> u64 {
         self.nodes.live_records() as u64 + self.side.live_payload_blocks()
@@ -740,6 +763,12 @@ macro_rules! tree_api {
             /// [`std::io::ErrorKind::InvalidData`].
             pub fn load(dir: &std::path::Path) -> std::io::Result<Self> {
                 $crate::tree::PagedTree::load(dir).map(|core| $tree { core })
+            }
+
+            /// `(node record, side record)` of every live node.
+            #[cfg(test)]
+            pub(crate) fn side_ids(&self) -> Vec<(storage::RecordId, storage::RecordId)> {
+                self.core.side_ids()
             }
 
             /// Record id of the root node.
@@ -915,6 +944,127 @@ mod tests {
             "{name}: the untouched image loads"
         );
         std::fs::remove_dir_all(base).ok();
+    }
+
+    /// `(node record, side record)` pairs.
+    type Pairs = Vec<(RecordId, RecordId)>;
+
+    /// How the two files of a tree pair up: `(node record, side record)`
+    /// of every live node as built, after edits, and after a save and
+    /// load of the edited tree (which must not move them).
+    fn side_ids_through_edits<T>(
+        build: impl Fn(CodecId) -> T,
+        edit: impl Fn(&mut T, &mut splitmix::SplitMix64),
+        side_ids: impl Fn(&T) -> Pairs,
+        save: impl Fn(&T, &Path),
+        load: impl Fn(&Path) -> T,
+        name: &str,
+    ) -> [(CodecId, Pairs, Pairs); 2] {
+        CodecId::ALL.map(|codec| {
+            let mut tree = build(codec);
+            let built = side_ids(&tree);
+            let dir = std::env::temp_dir().join(format!(
+                "mbrstk-side-ids-{name}-{codec:?}-{}",
+                std::process::id()
+            ));
+            save(&tree, &dir);
+            assert_eq!(side_ids(&load(&dir)), built, "{name} {codec:?}: loaded");
+            edit(&mut tree, &mut splitmix::SplitMix64(7));
+            let edited = side_ids(&tree);
+            save(&tree, &dir);
+            assert_eq!(
+                side_ids(&load(&dir)),
+                edited,
+                "{name} {codec:?}: edited, loaded"
+            );
+            std::fs::remove_dir_all(dir).ok();
+            (codec, built, edited)
+        })
+    }
+
+    /// Node record `i`'s side record is record `i` — what
+    /// `StTree::prefetch` counts on — in every tree a build wrote (MIR, IR
+    /// and MIUR, both codecs, reopened from a save too) and in an edited
+    /// MIUR tree. An MIR or IR edit's settled-ancestor repoint appends a
+    /// node record alone, so in an edited tree a node may lie ahead of its
+    /// side record, never behind it.
+    #[test]
+    fn node_records_share_their_side_record_ids() {
+        let point = |g: &mut splitmix::SplitMix64| {
+            let mut c = || (g.next_u64() % 1_000) as f64 / 10.0;
+            Point::new(c(), c())
+        };
+        let object = |g: &mut splitmix::SplitMix64, id: u32| IndexedObject {
+            id,
+            point: point(g),
+            doc: WeightedDoc::from_pairs(vec![
+                (TermId((g.next_u64() % 8) as u32), 0.5),
+                (TermId(8 + (g.next_u64() % 8) as u32), 1.0),
+            ]),
+        };
+        let user = |g: &mut splitmix::SplitMix64, id: u32| IndexedUser {
+            id,
+            point: point(g),
+            doc: Document::from_terms([TermId((g.next_u64() % 8) as u32)]),
+            norm: 1.0,
+        };
+        let mut g = splitmix::SplitMix64(3);
+        let objects: Vec<IndexedObject> = (0..300).map(|id| object(&mut g, id)).collect();
+        let users: Vec<IndexedUser> = (0..300).map(|id| user(&mut g, id)).collect();
+        let (mut diverged, mut pairs) = (0, 0);
+        for mode in [PostingMode::MaxMin, PostingMode::MaxOnly] {
+            let runs = side_ids_through_edits(
+                |codec| StTree::build_with_fanout_codec(&objects, mode, 4, codec),
+                |tree, g| {
+                    for id in 300..400 {
+                        tree.insert(&object(g, id));
+                    }
+                    for o in &objects[..100] {
+                        tree.remove(o.id, o.point).expect("indexed");
+                    }
+                },
+                StTree::side_ids,
+                |tree, dir| tree.save(dir).unwrap(),
+                |dir| StTree::load(dir).unwrap(),
+                &format!("{mode:?}"),
+            );
+            for (codec, built, edited) in runs {
+                assert!(
+                    built.iter().all(|(n, s)| n == s),
+                    "{mode:?} {codec:?}: built"
+                );
+                assert!(
+                    edited.iter().all(|(n, s)| n >= s),
+                    "{mode:?} {codec:?}: edited"
+                );
+                diverged += edited.iter().filter(|(n, s)| n != s).count();
+                pairs += built.len() + edited.len();
+            }
+        }
+        let runs = side_ids_through_edits(
+            |codec| MiurTree::build_with_fanout_codec(&users, 4, codec),
+            |tree, g| {
+                for id in 300..400 {
+                    tree.insert(&user(g, id));
+                }
+                for u in &users[..100] {
+                    tree.remove(u.id, u.point).expect("indexed");
+                }
+            },
+            MiurTree::side_ids,
+            |tree, dir| tree.save(dir).unwrap(),
+            |dir| MiurTree::load(dir).unwrap(),
+            "miur",
+        );
+        for (codec, built, edited) in runs {
+            assert!(built.iter().all(|(n, s)| n == s), "MIUR {codec:?}: built");
+            assert!(edited.iter().all(|(n, s)| n == s), "MIUR {codec:?}: edited");
+            pairs += built.len() + edited.len();
+        }
+        assert!(
+            pairs > 1_000 && diverged > 0,
+            "coverage: {pairs} nodes, {diverged} edited MIR/IR nodes ahead of their side record"
+        );
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! println!("{}", snap.render_prometheus());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(clippy::redundant_clone)]
 

@@ -23,6 +23,8 @@
 //! [`QuerySpec`]: mbrstk_core::QuerySpec
 //! [`QueryResult`]: mbrstk_core::QueryResult
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;

@@ -11,6 +11,8 @@
 //! unlike external PRNG crates — is guaranteed stable forever, so seeded
 //! datasets and test cases reproduce byte-for-byte across toolchains.
 
+#![forbid(unsafe_code)]
+
 /// Maps a raw 64-bit draw onto `0..n` (Lemire multiply-shift bounded
 /// draw; bias is < 2⁻⁶⁴ per draw, far below anything the statistical
 /// tests observe).

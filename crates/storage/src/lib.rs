@@ -21,6 +21,10 @@
 //! page cache ([`ShardedLru`]) so concurrent batch workers can probe it
 //! without serializing on a single lock.
 
+// The one `unsafe` block of the workspace is the CPU hint in
+// `BlockFile::prefetch`, allowed there alone.
+#![deny(unsafe_code)]
+
 mod cache;
 pub mod codec;
 mod file;

@@ -35,6 +35,8 @@
 //! models ([`WeightModel`]), and the live [`TextScorer`] that keeps per-term
 //! maxima, maps stored halves to weights and evaluates `TS`.
 
+#![forbid(unsafe_code)]
+
 mod corpus;
 mod dict;
 mod doc;

@@ -54,6 +54,8 @@
 //! | [`obs`](mbrstk_obs) | metrics registry, mergeable histograms, JSON / Prometheus export |
 //! | [`datagen`] | Flickr-like / Yelp-like generators, §8 user protocol |
 
+#![forbid(unsafe_code)]
+
 pub use datagen;
 pub use geo;
 pub use index;
