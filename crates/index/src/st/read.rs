@@ -385,7 +385,7 @@ impl<'a> PostingsRef<'a> {
 /// its inverted file. Measured once on the benchmark's cold traversal
 /// against this length: 512 B ran 3.5% slower under Verbatim (2% faster
 /// under Columnar, whose records are smaller), 1–2 KB about 2% slower,
-/// 4 KB 4% slower.
+/// 4 KB about 5% slower.
 const PREFETCH_BYTES: usize = 768;
 
 impl StTree {
