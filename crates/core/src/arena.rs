@@ -279,6 +279,7 @@ impl ElemSlot {
                 n_min: 0.0,
                 n_max: 0.0,
                 count: 0,
+                max_terms: usize::MAX,
             },
             rsk_lb: 0.0,
             ubl_ts: 0.0,

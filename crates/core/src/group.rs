@@ -11,6 +11,10 @@
 //! correct even when users weigh their keyword sets differently (the
 //! paper's generated users all share one normalizer, in which case
 //! `n_min = n_max` and the bounds coincide with Eq. 4's `Pmax`).
+//!
+//! A group over concrete users also knows `max_terms`, the most keywords
+//! any member holds: no member's text score adds more weights than that,
+//! which caps the traversal's text bound (see `bounds.rs`).
 
 use geo::Rect;
 use text::{Document, TermId, TextScorer};
@@ -32,6 +36,9 @@ pub struct UserGroup {
     pub n_max: f64,
     /// Number of users summarized.
     pub count: usize,
+    /// The most keywords any member holds (`m`); `usize::MAX` when
+    /// unknown, which leaves the upper bounds uncapped.
+    pub max_terms: usize,
 }
 
 impl UserGroup {
@@ -58,10 +65,12 @@ impl UserGroup {
 
         let mut n_min = f64::INFINITY;
         let mut n_max: f64 = 0.0;
+        let mut max_terms = 0;
         for u in users {
             let n = scorer.normalizer(&u.doc);
             n_min = n_min.min(n);
             n_max = n_max.max(n);
+            max_terms = max_terms.max(u.doc.num_terms());
         }
 
         UserGroup {
@@ -71,37 +80,14 @@ impl UserGroup {
             n_min,
             n_max,
             count: users.len(),
-        }
-    }
-
-    /// Builds a group from an MIUR-tree node entry's summary: MBR, union,
-    /// intersection and user count. Normalizer extremes are bounded from
-    /// the keyword vectors: `N(u) ≥ Σ_{t∈int} wmax(t)` (every member has at
-    /// least the shared keywords) and `N(u) ≤ Σ_{t∈uni} wmax(t)`.
-    pub fn from_summary(
-        mbr: Rect,
-        uni: &[TermId],
-        int: &[TermId],
-        count: usize,
-        scorer: &TextScorer,
-    ) -> Self {
-        let n_min = int.iter().map(|&t| scorer.max_weight(t)).sum();
-        let n_max = uni.iter().map(|&t| scorer.max_weight(t)).sum();
-        UserGroup {
-            mbr,
-            d_uni: Document::from_terms(uni.iter().copied()),
-            d_int: Document::from_terms(int.iter().copied()),
-            n_min,
-            n_max,
-            count,
+            max_terms,
         }
     }
 
     /// Builds a group from an MIUR node entry carrying exact normalizer
     /// brackets (stored at index-build time; see
-    /// [`index::IndexedUser::norm`]). Tighter than
-    /// [`UserGroup::from_summary`], whose `n_min` collapses to 0 for
-    /// groups with an empty keyword intersection.
+    /// [`index::IndexedUser::norm`]). An entry does not record how many
+    /// keywords its users hold, so the group's `max_terms` is unbounded.
     pub fn from_node_entry(
         mbr: Rect,
         uni: &[TermId],
@@ -117,6 +103,7 @@ impl UserGroup {
             n_min,
             n_max,
             count,
+            max_terms: usize::MAX,
         }
     }
 
@@ -213,18 +200,6 @@ mod tests {
             assert!(su.n_min <= n + 1e-12);
             assert!(su.n_max >= n - 1e-12);
         }
-    }
-
-    #[test]
-    fn summary_bounds_are_looser_or_equal() {
-        let sc = scorer();
-        let us = users();
-        let exact = UserGroup::from_users(&us, &sc);
-        let uni: Vec<TermId> = exact.d_uni.terms().collect();
-        let int: Vec<TermId> = exact.d_int.terms().collect();
-        let summary = UserGroup::from_summary(exact.mbr, &uni, &int, 3, &sc);
-        assert!(summary.n_min <= exact.n_min + 1e-12);
-        assert!(summary.n_max >= exact.n_max - 1e-12);
     }
 
     #[test]

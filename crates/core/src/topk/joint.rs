@@ -202,7 +202,7 @@ pub(crate) fn traverse(
                 leaf.ubs.clear();
                 leaf.ubs.extend(leaf.picked.iter().map(|&i| {
                     let i = i as usize;
-                    ub_object(ctx, group, leaf.d2s[i], leaf.sums[i])
+                    ub_object(ctx, group, leaf.d2s[i], leaf.sums[i], postings.entry(i))
                 }));
                 // Only a survivor gets its pairs in the run, an LB and a row.
                 for (&i, &ub) in leaf.picked.iter().zip(&leaf.ubs) {
@@ -315,7 +315,7 @@ impl SpatialCut {
     };
 
     fn new(ctx: &ScoreContext, group: &UserGroup, rsk: f64) -> Self {
-        let fails = |d2: f64| ub_object(ctx, group, d2, 0.0) < rsk;
+        let fails = |d2: f64| ub_object(ctx, group, d2, 0.0, &[]) < rsk;
         let d2 = if !fails(f64::INFINITY) {
             f64::NAN
         } else if fails(0.0) {
@@ -485,13 +485,21 @@ mod tests {
     fn every_node_read_at_most_once() {
         let (_, objects, users, ctx) = fixture();
         let tree = StTree::build_with_fanout(&objects, PostingMode::MaxMin, 4);
-        let io = IoStats::new();
         let group = UserGroup::from_users(&users, &ctx.text);
-        joint_topk(&tree, &group, 3, &ctx, &io);
-        // The tree has ~30/4 leaves + inner nodes; visiting each once means
-        // node visits can never exceed the node count.
-        let total_nodes = 8 + 2 + 1 + 1; // generous upper bound for 30 items, fanout 4
-        assert!(io.snapshot().node_visits <= total_nodes + 3);
+        for k in [1, 3, 30] {
+            let io = IoStats::new();
+            let mut visited = Vec::new();
+            traverse(&tree, &group, k, &ctx, &io, |step| {
+                if let Step::Visited(rec, _) = step {
+                    visited.push(rec);
+                }
+            });
+            assert_eq!(visited.len() as u64, io.snapshot().node_visits, "k={k}");
+            let mut distinct = visited.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), visited.len(), "k={k}: a node read twice");
+        }
     }
 
     #[test]
@@ -522,7 +530,7 @@ mod tests {
             .collect();
         // `ub_object` at the point's squared distance is the point's bound.
         let ub = |p: &Point| {
-            let ub = ub_object(&ctx, &group, group.mbr.min_dist_sq_point(p), 0.0);
+            let ub = ub_object(&ctx, &group, group.mbr.min_dist_sq_point(p), 0.0, &[]);
             let by_point = ctx.combine(ctx.spatial.min_ss_point(p, &group.mbr), 0.0);
             assert_eq!(ub.to_bits(), by_point.to_bits(), "{p:?}");
             ub

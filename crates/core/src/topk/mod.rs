@@ -29,6 +29,23 @@
 //!   exact `UB`. Only a survivor gets its pairs copied into the outcome's
 //!   one shared run, its lower bound and a row. No allocation is made per
 //!   retrieved object.
+//! * **Bound by what one user can score.** No user holds more than `m`
+//!   keywords ([`crate::UserGroup::max_terms`]), so no user's text score
+//!   adds more than `m` weights: an entry or object whose row holds more
+//!   than `m` union terms is bounded by `min(Σ row, Σ of its m heaviest)`
+//!   over `n_min` (Lemma 2's sum charges every union term the subtree
+//!   holds, though no single user can score them together). On the
+//!   benchmark's super-user (`m = 3`, 19 union terms) an inner entry holds
+//!   5.7 of them on average, and the cap cuts a cold traversal's reads by
+//!   a fifth with no answer bit changed. The bound holds in floating point,
+//!   not only in exact arithmetic: a user adds its weights in term order,
+//!   the cap in heaviest-first order, and the heaviest-first sum is
+//!   inflated by `1 + 4·m·ε` to cover both roundings (argued in
+//!   `bounds.rs`). A row of at most `m` terms is bounded as before,
+//!   operation for operation, and so is every row under an unbounded `m`:
+//!   §7's MIUR groups and the figure harness's paper-path super-user.
+//!   The leaf pass reads a row's length from the postings' CSR, so only
+//!   an entry holding more than `m` terms selects its heaviest weights.
 //! * **Wait on memory once.** A cold read stalls on the first touches of
 //!   records the traversal is about to read — the node record, the
 //!   inverted file's directory, its lists, a leaf's coordinates — so the

@@ -206,7 +206,7 @@ pub(super) fn joint_topk(
                             );
                             let sum = weights.entries.iter().map(|&(_, w)| w).sum();
                             let d2 = group.mbr.min_dist_sq_point(&point);
-                            let obj_ub = ub_object(ctx, group, d2, sum);
+                            let obj_ub = ub_object(ctx, group, d2, sum, row);
                             if lo.len() >= k && obj_ub < rsk_us {
                                 continue;
                             }
@@ -485,6 +485,83 @@ mod tests {
             runs == 120 && narrowed >= 96 && 2 * run_terms < visits * 64,
             "coverage: {runs} runs, {narrowed} read fewer terms than uni, {run_terms} terms \
              asked for over {visits} reads"
+        );
+    }
+
+    /// The keyword cap, where it bites: groups of users holding `m` ∈
+    /// {1, 2, 3} keywords each, together spanning the wide fixture's
+    /// union, under LM, TF-IDF and KO and both codecs. The traversal
+    /// matches the reference record for record; it bounds retrieved
+    /// objects lower than under the uncapped group (Lemma 2 as the paper
+    /// states it); and every member's `RSk(u)` and top-k scores are the
+    /// uncapped group's, bit for bit.
+    #[test]
+    fn capped_groups_match_the_reference_and_the_uncapped_answers() {
+        use crate::topk::individual::individual_topk;
+        let (mut seen, mut capped_rows, mut lowered) = (Seen::default(), 0, 0);
+        for model in [
+            WeightModel::lm(),
+            WeightModel::TfIdf,
+            WeightModel::KeywordOverlap,
+        ] {
+            for codec in storage::CodecId::ALL {
+                // The terms objects hold: the ghosts would leave `n_min` 0.
+                let (ctx, mir, users, group) = wide_fixture(model, 65, codec, 9);
+                let held = &group.uni_terms()[..63];
+                for m in 1..=3 {
+                    let members: Vec<UserData> = (0..held.len())
+                        .map(|i| UserData {
+                            id: i as u32,
+                            point: users[i % users.len()].point,
+                            doc: Document::from_terms((i..i + m).map(|j| held[j % held.len()])),
+                        })
+                        .collect();
+                    let capped = UserGroup::from_users(&members, &ctx.text);
+                    assert_eq!(
+                        (capped.max_terms, capped.d_uni.num_terms()),
+                        (m, held.len())
+                    );
+                    let open = UserGroup {
+                        max_terms: usize::MAX,
+                        ..capped.clone()
+                    };
+                    for k in [1, 7, 40] {
+                        let what = format!("{model:?} {codec:?} m={m} k={k}");
+                        assert_matches_reference(&mir, &capped, k, &ctx, &what, &mut seen);
+                        let io = IoStats::new();
+                        let got = crate::topk::joint::joint_topk(&mir, &capped, k, &ctx, &io);
+                        let want = crate::topk::joint::joint_topk(&mir, &open, k, &ctx, &io);
+                        capped_rows += got
+                            .lo()
+                            .chain(got.ro())
+                            .filter(|o| o.weights.len() > m)
+                            .count();
+                        let open_ub: std::collections::HashMap<u32, f64> =
+                            want.lo().chain(want.ro()).map(|o| (o.id, o.ub)).collect();
+                        lowered += got
+                            .lo()
+                            .chain(got.ro())
+                            .filter(|o| open_ub.get(&o.id).is_some_and(|&ub| o.ub < ub))
+                            .count();
+                        let answers = |out| {
+                            individual_topk(&members, out, k, &ctx)
+                                .iter()
+                                .map(|t| {
+                                    let scores = t.topk.iter().map(|&(_, s)| s.to_bits());
+                                    (t.rsk.to_bits(), scores.collect::<Vec<_>>())
+                                })
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(answers(&got), answers(&want), "{what}");
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.runs == 54 && capped_rows > 1_000 && lowered > 1_000,
+            "coverage: {} runs, {capped_rows} retrieved rows above the cap, {lowered} \
+             bounded lower than uncapped",
+            seen.runs
         );
     }
 
