@@ -2,8 +2,9 @@
 //! paper's per-query algorithms.
 //!
 //! Every [`Method`](crate::Method) starts by computing per-user `RSk`
-//! thresholds (the top-k phase: `joint_topk` + `individual_topk`, or the
-//! §4 baseline, or the §7 root traversal). Those
+//! thresholds (the top-k phase: the joint traversal with Algorithm 2
+//! fused in at one checkpoint, or the §4 baseline, or the §7 root
+//! traversal). Those
 //! thresholds depend only on the engine and `k` — not on the query's
 //! candidate locations or keywords — yet a naive server recomputes them
 //! for every query. [`ThresholdCache`] memoizes them per `k` so a batch of
@@ -53,7 +54,8 @@ use crate::UserGroup;
 
 /// The joint top-k phase output shared by the §5+§6 methods: the
 /// super-user, the Algorithm-1 traversal outcome and every user's
-/// Algorithm-2 threshold. The per-user listings are not kept: the
+/// Algorithm-2 threshold, computed together (see the `topk` module docs'
+/// *One exact checkpoint*). The per-user listings are not kept: the
 /// pipeline reads `RSk(u)` alone, and
 /// [`Engine::joint_user_topk`](crate::Engine::joint_user_topk) rebuilds
 /// them from `out` on demand.
@@ -62,7 +64,9 @@ pub struct JointThresholds {
     /// The super-user the traversal ran for (carried so consumers don't
     /// recompute the O(users) group summary).
     pub su: Arc<UserGroup>,
-    /// `LO`, `RO` and `RSk(us)` from the Algorithm-1 traversal.
+    /// `LO`, `RO` and the traversal's final threshold: `RO` is cut, and
+    /// `rsk_us` reports, at `max(RSk(us), T)` — `T` the lowest `RSk(u)`
+    /// seen at the checkpoint — which every `RSk(u)` is at or above.
     pub out: TopkOutcome,
     /// `RSk(u)` per user (Algorithm 2), in user-table order.
     pub rsk: Vec<f64>,

@@ -14,12 +14,14 @@
 //! A cluster is one [`Engine`] (the **head**: all users, all objects)
 //! whose user slices are set. There is no second query path: the head's
 //! own threshold fill ([`Engine::joint_thresholds`],
-//! [`Engine::baseline_thresholds`]) runs its per-user kernel once per
+//! [`Engine::baseline_thresholds`]) runs its per-user kernels once per
 //! slice instead of once over the table, and the head's unmodified
 //! pipeline answers. Every slice scores with the head's own scorer,
-//! dataspace and trees, and the per-user kernels (`individual_rsk`,
-//! [`crate::topk::baseline::all_users_topk_baseline`]) process users
-//! independently — so the concatenation *is* the fused result, and a
+//! dataspace and trees, and the per-user kernels (the joint fill's
+//! checkpoint and continuation, whose threshold is the minimum over every
+//! slice's users; [`crate::topk::baseline::all_users_topk_baseline`])
+//! process users independently — so the concatenation *is* the fused
+//! result, and a
 //! scattered baseline fill charges the head's I/O counter exactly what
 //! the fused fill would. The §7 user-index pipelines prune on the
 //! MIUR-tree, not per user, and do not scatter.

@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use geo::{Rect, SpatialContext};
 use index::{IndexedObject, IndexedUser, MiurTree, PostingMode, StTree};
@@ -22,8 +22,7 @@ use crate::cache::{JointThresholds, ThresholdCache};
 use crate::metrics::EngineMetrics;
 use crate::topk::baseline::all_users_topk_baseline;
 use crate::topk::fan_out_users;
-use crate::topk::individual::{individual_rsk, individual_topk};
-use crate::topk::joint::joint_topk;
+use crate::topk::individual::{individual_topk, joint_rsk};
 use crate::user_index::{compute_user_index_seed, UserIndexSeed};
 use crate::{ObjectData, QueryResult, QuerySpec, ScoreContext, UserData, UserGroup, UserTopk};
 
@@ -391,16 +390,19 @@ impl Engine {
         }
     }
 
-    /// The joint top-k phase (Algorithms 1+2) for `k`, served from the
-    /// threshold cache when one is attached (only the filling query
-    /// charges simulated I/O) and computed fresh otherwise. The result
-    /// carries the super-user it ran for, so consumers need no second
-    /// `O(users)` group computation.
+    /// The joint top-k phase (Algorithms 1+2, fused at one checkpoint) for
+    /// `k`, served from the threshold cache when one is attached (only the
+    /// filling query charges simulated I/O) and computed fresh otherwise.
+    /// The result carries the super-user it ran for, so consumers need no
+    /// second `O(users)` group computation.
     pub fn joint_thresholds(&self, k: usize) -> Arc<JointThresholds> {
         let compute = || {
             let su = self.super_user_shared();
-            let out = joint_topk(&self.mir, &su, k, &self.ctx, &self.io);
-            let rsk = self.per_user(|users| individual_rsk(users, &out, k, &self.ctx));
+            let spent = self.slice_clocks();
+            let (out, rsk) = joint_rsk(&self.mir, &su, k, &self.ctx, &self.io, |kernel| {
+                self.scatter(&spent, kernel)
+            });
+            self.record_slices(&spent);
             JointThresholds { su, out, rsk }
         };
         match &self.thresholds {
@@ -413,7 +415,12 @@ impl Engine {
     /// cache when one is attached and computed fresh otherwise.
     pub fn baseline_thresholds(&self, k: usize) -> Arc<Vec<UserTopk>> {
         let compute = || {
-            self.per_user(|users| all_users_topk_baseline(&self.ir, users, k, &self.ctx, &self.io))
+            let spent = self.slice_clocks();
+            let tks = self.scatter(&spent, |_, users| {
+                all_users_topk_baseline(&self.ir, users, k, &self.ctx, &self.io)
+            });
+            self.record_slices(&spent);
+            tks
         };
         match &self.thresholds {
             Some(tc) => tc.baseline(k, self.epoch, compute),
@@ -421,20 +428,38 @@ impl Engine {
         }
     }
 
-    /// Runs a per-user top-k `kernel` over the user table, in table
+    /// Runs a per-user top-k `kernel` — `kernel(first, users)`, `first`
+    /// the table index of `users[0]` — over the user table, in table
     /// order: inline on a fused engine, or once per user slice on scoped
-    /// threads, recording each slice's wall time in its histogram. The
+    /// threads, adding each slice's wall time to its clock in `spent`. The
     /// kernels treat users independently, so both give the same result.
-    fn per_user<T: Send>(&self, kernel: impl Fn(&[UserData]) -> Vec<T> + Sync) -> Vec<T> {
+    fn scatter<T: Send>(
+        &self,
+        spent: &[AtomicU64],
+        kernel: impl Fn(usize, &[UserData]) -> Vec<T> + Sync,
+    ) -> Vec<T> {
         if self.slices.is_empty() {
-            return kernel(&self.users);
+            return kernel(0, &self.users);
         }
-        fan_out_users(&self.users, self.slices.len(), |i, slice| {
+        fan_out_users(&self.users, self.slices.len(), |i, first, slice| {
             let start = Instant::now();
-            let out = kernel(slice);
-            self.slices[i].record_duration_us(start.elapsed());
+            let out = kernel(first, slice);
+            spent[i].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             out
         })
+    }
+
+    /// One zeroed wall-time clock per user slice, for [`Engine::scatter`].
+    fn slice_clocks(&self) -> Vec<AtomicU64> {
+        self.slices.iter().map(|_| AtomicU64::new(0)).collect()
+    }
+
+    /// Records each slice's time of one top-k phase — every scatter it
+    /// ran — as one sample in the slice's histogram.
+    fn record_slices(&self, spent: &[AtomicU64]) {
+        for (hist, ns) in self.slices.iter().zip(spent) {
+            hist.record_duration_us(Duration::from_nanos(ns.load(Ordering::Relaxed)));
+        }
     }
 
     /// The `k`-dependent prefix of the §7 pipeline (MIUR root as
@@ -566,7 +591,7 @@ mod tests {
         let base = eng.baseline_user_topk(3);
         for (j, b) in joint.iter().zip(&base) {
             assert_eq!(j.user, b.user);
-            assert!((j.rsk - b.rsk).abs() < 1e-9, "user {}", j.user);
+            assert_eq!(j.rsk.to_bits(), b.rsk.to_bits(), "user {}", j.user);
         }
     }
 

@@ -235,13 +235,14 @@ mod tests {
                         let want = brute(&fix, u, k);
                         assert_eq!(got.topk.len(), k);
                         for ((_, gs), (_, ws)) in got.topk.iter().zip(&want) {
-                            assert!(
-                                (gs - ws).abs() < 1e-9,
+                            assert_eq!(
+                                gs.to_bits(),
+                                ws.to_bits(),
                                 "{model:?} {mode:?} k={k} user {}",
                                 u.id
                             );
                         }
-                        assert!((got.rsk - want[k - 1].1).abs() < 1e-9);
+                        assert_eq!(got.rsk.to_bits(), want[k - 1].1.to_bits());
                     }
                 }
             }

@@ -18,15 +18,193 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
-use crate::topk::{ByKey, TopkOutcome, UserTopk};
-use crate::{ScoreContext, UserData};
+use index::StTree;
+use storage::IoStats;
 
-/// The refinement kernel shared by the top-k listing, the `RSk`-only path
-/// and the §7 pipeline's user materialisation: fills `hu` (min-heap by
-/// score, best k kept) and returns `RSk(u)`. The heap and the user's slot
-/// mask are cleared first, so pooled ones can be reused across users
-/// without reallocating.
+use crate::topk::joint::{traverse, Checkpoint, Traversal};
+use crate::topk::{ByKey, Table, TopkOutcome, UserTopk};
+use crate::{ScoreContext, UserData, UserGroup};
+
+/// The `k` best scores a refinement keeps (by [`f64::total_cmp`]).
+pub(crate) trait Kept {
+    /// The k-th best score kept: −∞ while fewer than `k` are.
+    fn kth(&self, k: usize) -> f64;
+    /// Offers object `id`'s `score`; the lowest of `k + 1` is dropped.
+    fn offer(&mut self, k: usize, score: f64, id: u32);
+}
+
+/// Algorithm 2's heap, for the listings.
+impl Kept for BinaryHeap<Reverse<ByKey<u32>>> {
+    fn kth(&self, k: usize) -> f64 {
+        match self.peek() {
+            Some(kth) if self.len() == k => kth.0.key,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    fn offer(&mut self, k: usize, score: f64, id: u32) {
+        self.push(Reverse(ByKey {
+            key: score,
+            item: id,
+        }));
+        if self.len() > k {
+            self.pop();
+        }
+    }
+}
+
+/// Scores alone, as a min-heap of exactly `k` slots that starts all −∞ —
+/// one user's run of a flat block. A −∞ slot is a score not yet kept: it
+/// is the minimum until `k` real scores push it out, so [`Kept::kth`]
+/// reads the same as the heap's.
+impl Kept for [f64] {
+    fn kth(&self, _: usize) -> f64 {
+        self[0]
+    }
+
+    fn offer(&mut self, _: usize, score: f64, _: u32) {
+        if score.total_cmp(&self[0]).is_le() {
+            return;
+        }
+        // Replace the minimum and sift it down.
+        let (n, mut i) = (self.len(), 0);
+        self[0] = score;
+        loop {
+            let (l, r) = (2 * i + 1, 2 * i + 2);
+            let mut min = i;
+            if l < n && self[l].total_cmp(&self[min]).is_lt() {
+                min = l;
+            }
+            if r < n && self[r].total_cmp(&self[min]).is_lt() {
+                min = r;
+            }
+            if min == i {
+                return;
+            }
+            self.swap(i, min);
+            i = min;
+        }
+    }
+}
+
+/// Row indexes into a [`Table`], in the order a refinement scans them.
+pub(crate) trait Order {
+    fn rows(&self) -> usize;
+    fn row(&self, i: usize) -> usize;
+}
+
+impl Order for Range<usize> {
+    fn rows(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn row(&self, i: usize) -> usize {
+        self.start + i
+    }
+}
+
+impl Order for &[u32] {
+    fn rows(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn row(&self, i: usize) -> usize {
+        self[i] as usize
+    }
+}
+
+/// The refinement kernel: scores `user` against the rows of `first` in
+/// full, then against those of `rest` — descending by `UB(o, us)` — up to
+/// the first whose upper bound is below the k-th kept score, offering each
+/// score to `kept`, whose k-th score it returns. `kept` may already hold
+/// scores; a row must not be offered twice. `mask` is scratch.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn refine(
+    table: Table<'_>,
+    user: &UserData,
+    k: usize,
+    ctx: &ScoreContext,
+    kept: &mut (impl Kept + ?Sized),
+    mask: &mut Vec<u64>,
+    first: impl Order,
+    rest: impl Order,
+) -> f64 {
+    let n_u = ctx.text.normalizer(&user.doc);
+    table.slot_mask(&user.doc, mask);
+    let mask: &[u64] = mask;
+    // `ScoreContext::sts` with the merge replaced by the masked sum (a
+    // zero sum divides to the same +0 the skipped division would give).
+    let sts = |r: usize| {
+        let ss = ctx.spatial.ss_points(&table.rows[r].point, &user.point);
+        let sum = table.masked_sum(r, mask);
+        let ts = if n_u > 0.0 && sum != 0.0 {
+            sum / n_u
+        } else {
+            0.0
+        };
+        ctx.combine(ss, ts)
+    };
+    // Rows are scored a block at a time, before the heap sees any of them:
+    // the scores do not depend on each other, so they overlap in the
+    // pipeline instead of waiting on the heap's branches.
+    fn score(
+        sts: impl Fn(usize) -> f64,
+        order: &impl Order,
+        from: usize,
+        to: usize,
+    ) -> [f64; BLOCK] {
+        let mut scores = [0.0; BLOCK];
+        for (s, i) in scores.iter_mut().zip(from..to) {
+            *s = sts(order.row(i));
+        }
+        scores
+    }
+
+    for from in (0..first.rows()).step_by(BLOCK) {
+        let to = (from + BLOCK).min(first.rows());
+        for (i, s) in (from..to).zip(score(sts, &first, from, to)) {
+            kept.offer(k, s, table.rows[first.row(i)].id);
+        }
+    }
+    let mut rsk = kept.kth(k);
+
+    let mut from = 0;
+    'scan: while from < rest.rows() {
+        // A block ends before the first row whose upper bound is below the
+        // k-th score: `rest` descends by UB and the k-th score only grows,
+        // so nothing from there on can qualify.
+        let end = (from + BLOCK).min(rest.rows());
+        let to = (from..end)
+            .find(|&i| table.rows[rest.row(i)].ub < rsk)
+            .unwrap_or(end);
+        for (i, s) in (from..to).zip(score(sts, &rest, from, to)) {
+            let row = &table.rows[rest.row(i)];
+            if row.ub < rsk {
+                break 'scan; // the k-th score grew past it inside the block
+            }
+            if s >= rsk {
+                kept.offer(k, s, row.id);
+                rsk = kept.kth(k);
+            }
+        }
+        if to < end {
+            break;
+        }
+        from = to;
+    }
+    rsk
+}
+
+/// Rows scored per step of [`refine`].
+const BLOCK: usize = 8;
+
+/// Algorithm 2 for one user over a finished outcome — `LO` in full, then
+/// `RO` — shared by the top-k listing and the §7 pipeline's user
+/// materialisation: fills `hu` (min-heap by score, best k kept) and
+/// returns `RSk(u)`. The heap and the user's slot mask are cleared first,
+/// so pooled ones can be reused across users without reallocating.
 ///
 /// # Panics
 /// Panics when `k == 0`.
@@ -39,80 +217,10 @@ pub(crate) fn refine_user_heap(
     mask: &mut Vec<u64>,
 ) -> f64 {
     assert!(k > 0, "k must be positive");
-    let n_u = ctx.text.normalizer(&user.doc);
-    out.slot_mask(&user.doc, mask);
-    let mask: &[u64] = mask;
-    // `ScoreContext::sts` with the merge replaced by the masked sum (a
-    // zero sum divides to the same +0 the skipped division would give).
-    let sts = |r: usize| {
-        let ss = ctx.spatial.ss_points(&out.rows[r].point, &user.point);
-        let sum = out.masked_sum(r, mask);
-        let ts = if n_u > 0.0 && sum != 0.0 {
-            sum / n_u
-        } else {
-            0.0
-        };
-        ctx.combine(ss, ts)
-    };
-    // Rows are scored a block at a time, before the heap sees any of them:
-    // the scores do not depend on each other, so they overlap in the
-    // pipeline instead of waiting on the heap's branches. A block past the
-    // early break is wasted work, never a different answer.
-    let score = |from: usize, to: usize| {
-        let mut scores = [0.0; BLOCK];
-        for (s, r) in scores.iter_mut().zip(from..to) {
-            *s = sts(r);
-        }
-        scores
-    };
     hu.clear();
-    let mut rsk = f64::NEG_INFINITY;
-
-    for from in (0..out.lo_len).step_by(BLOCK) {
-        let to = (from + BLOCK).min(out.lo_len);
-        for (r, s) in (from..to).zip(score(from, to)) {
-            hu.push(Reverse(ByKey {
-                key: s,
-                item: out.rows[r].id,
-            }));
-            if hu.len() > k {
-                hu.pop();
-            }
-        }
-    }
-    if hu.len() == k {
-        rsk = hu.peek().unwrap().0.key;
-    }
-
-    'scan: for from in (out.lo_len..out.rows.len()).step_by(BLOCK) {
-        if hu.len() == k && out.rows[from].ub < rsk {
-            break;
-        }
-        let to = (from + BLOCK).min(out.rows.len());
-        for (r, s) in (from..to).zip(score(from, to)) {
-            let row = &out.rows[r];
-            if hu.len() == k && row.ub < rsk {
-                break 'scan; // RO descends by UB: nothing further can qualify.
-            }
-            if hu.len() < k || s >= rsk {
-                hu.push(Reverse(ByKey {
-                    key: s,
-                    item: row.id,
-                }));
-                if hu.len() > k {
-                    hu.pop();
-                }
-                if hu.len() == k {
-                    rsk = hu.peek().unwrap().0.key;
-                }
-            }
-        }
-    }
-    rsk
+    let (lo, rows) = (out.lo_len, out.rows.len());
+    refine(out.table(), user, k, ctx, hu, mask, 0..lo, lo..rows)
 }
-
-/// Rows scored per step of [`refine_user_heap`].
-const BLOCK: usize = 8;
 
 /// The top-k listing of a single user, through a pooled heap and mask.
 fn individual_topk_user_with(
@@ -148,26 +256,126 @@ pub fn individual_topk(
         .collect()
 }
 
-/// `RSk(u)` of every user, in order — Algorithm 2 without the listings,
-/// which is all the selection phase reads of it.
-pub(crate) fn individual_rsk(
-    users: &[UserData],
-    out: &TopkOutcome,
+/// A per-user kernel `f(first, users)` — `first` the table index of
+/// `users[0]` — returning one value per user or, at the checkpoint, `k`.
+pub(crate) type PerUser<'a> = dyn Fn(usize, &[UserData]) -> Vec<f64> + Sync + 'a;
+
+/// Algorithms 1 and 2 fused at one checkpoint (see the module docs' *One
+/// exact checkpoint*): the traversal of [`crate::topk::joint::joint_topk`]
+/// for `group`, and every user's `RSk(u)` — the same bits as
+/// [`individual_topk`] gives over `joint_topk`'s outcome. `scatter` runs a
+/// per-user kernel over the whole user table, in table order (inline, or
+/// fanned out over slices), and concatenates what it returns.
+///
+/// The outcome's `RO` is cut at the traversal's final threshold, which
+/// may be above `RSk(us)`; every user's top-k still lies in `LO ∪ RO`, so
+/// [`individual_topk`] lists from it with the same scores.
+///
+/// # Panics
+/// Panics when `k == 0` or when `tree` lacks minima.
+pub(crate) fn joint_rsk(
+    tree: &StTree,
+    group: &UserGroup,
     k: usize,
     ctx: &ScoreContext,
-) -> Vec<f64> {
-    let (mut hu, mut mask) = (BinaryHeap::new(), Vec::new());
-    users
-        .iter()
-        .map(|u| refine_user_heap(u, out, k, ctx, &mut hu, &mut mask))
-        .collect()
+    io: &IoStats,
+    scatter: impl Fn(&PerUser<'_>) -> Vec<f64>,
+) -> (TopkOutcome, Vec<f64>) {
+    joint_rsk_at(tree, group, k, ctx, io, checkpoint_visit(tree), scatter)
+}
+
+/// Where [`joint_rsk`] takes its checkpoint: after this many node reads,
+/// a share of the leaves a packed tree of `tree`'s objects has (within a
+/// few percent of its node count at the fanouts used). Tuned; the sweep
+/// is in the module docs.
+fn checkpoint_visit(tree: &StTree) -> usize {
+    tree.num_objects().div_ceil(tree.fanout()) * CHECKPOINT_SHARE.0 / CHECKPOINT_SHARE.1
+}
+
+/// The checkpoint's position as a fraction of the leaf count.
+const CHECKPOINT_SHARE: (usize, usize) = (7, 25);
+
+/// [`joint_rsk`] with the checkpoint after `at` node reads (never, when
+/// the traversal reads no more).
+pub(crate) fn joint_rsk_at(
+    tree: &StTree,
+    group: &UserGroup,
+    k: usize,
+    ctx: &ScoreContext,
+    io: &IoStats,
+    at: usize,
+    scatter: impl Fn(&PerUser<'_>) -> Vec<f64>,
+) -> (TopkOutcome, Vec<f64>) {
+    assert!(k > 0, "k must be positive");
+    // Every user's k best scores at the checkpoint: one flat block, `k`
+    // per user in table order.
+    let mut kept: Vec<f64> = Vec::new();
+    let mut lift = |table: Table<'_>, first: &[u32], rest: &[u32]| {
+        kept = scatter(&|_, users| {
+            let mut block = vec![f64::NEG_INFINITY; users.len() * k];
+            let mut mask = Vec::new();
+            for (user, heap) in users.iter().zip(block.chunks_exact_mut(k)) {
+                refine(table, user, k, ctx, heap, &mut mask, first, rest);
+            }
+            block
+        });
+        // T: the lowest k-th score kept (a heap's minimum is its root).
+        kept.chunks_exact(k)
+            .map(|heap| heap[0])
+            .min_by(f64::total_cmp)
+            .unwrap_or(f64::NEG_INFINITY)
+    };
+    let Traversal { out, fresh } = traverse(
+        tree,
+        group,
+        k,
+        ctx,
+        io,
+        Some(Checkpoint {
+            at,
+            lift: &mut lift,
+        }),
+        |_| {},
+    );
+    // Each user continues its own heap over the rows retrieved after the
+    // checkpoint — Algorithm 2 over all of them when none was taken.
+    let rsk = scatter(&|first, users| {
+        let (mut heap, mut mask) = (vec![f64::NEG_INFINITY; k], Vec::new());
+        let (lo, rows) = (out.lo_len, out.rows.len());
+        (first..)
+            .zip(users)
+            .map(|(u, user)| {
+                let table = out.table();
+                match &fresh {
+                    None => {
+                        heap.fill(f64::NEG_INFINITY);
+                        refine(
+                            table,
+                            user,
+                            k,
+                            ctx,
+                            &mut heap[..],
+                            &mut mask,
+                            0..lo,
+                            lo..rows,
+                        )
+                    }
+                    Some((fresh, lo)) => {
+                        heap.copy_from_slice(&kept[u * k..][..k]);
+                        let (first, rest) = fresh.split_at(*lo);
+                        refine(table, user, k, ctx, &mut heap[..], &mut mask, first, rest)
+                    }
+                }
+            })
+            .collect()
+    });
+    (out, rsk)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topk::joint::joint_topk;
-    use crate::UserGroup;
     use geo::{Point, Rect, SpatialContext};
     use index::{IndexedObject, PostingMode, StTree};
     use storage::IoStats;
@@ -253,15 +461,16 @@ mod tests {
                         let want = brute(&fix, u, k);
                         let got_scores: Vec<f64> = res.topk.iter().map(|&(_, s)| s).collect();
                         let want_scores: Vec<f64> = want.iter().map(|&(_, s)| s).collect();
-                        for (g, w) in got_scores.iter().zip(&want_scores) {
-                            assert!(
-                                (g - w).abs() < 1e-9,
-                                "{model:?} α={alpha} k={k} user {}: scores {got_scores:?} vs {want_scores:?}",
-                                u.id
-                            );
-                        }
-                        assert!(
-                            (res.rsk - want.last().unwrap().1).abs() < 1e-9,
+                        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&got_scores),
+                            bits(&want_scores),
+                            "{model:?} α={alpha} k={k} user {}: scores {got_scores:?} vs {want_scores:?}",
+                            u.id
+                        );
+                        assert_eq!(
+                            res.rsk.to_bits(),
+                            want.last().unwrap().1.to_bits(),
                             "RSk mismatch for user {}",
                             u.id
                         );
@@ -283,23 +492,50 @@ mod tests {
         }
     }
 
+    /// The fused entry's `RSk(u)` — with the checkpoint after every node
+    /// count, and never — equals Algorithm 2's listings over the paper's
+    /// traversal, bit for bit, with the users in one run and in slices;
+    /// and the listings over the fused outcome keep their scores.
     #[test]
     fn rsk_only_refinement_equals_the_listings() {
         let fix = fixture(WeightModel::lm(), 0.5);
-        let io = IoStats::new();
         let group = UserGroup::from_users(&fix.users, &fix.ctx.text);
+        let (users, ctx) = (&fix.users, &fix.ctx);
+        let scores = |tks: &[UserTopk]| -> Vec<(u64, Vec<u64>)> {
+            tks.iter()
+                .map(|t| {
+                    (
+                        t.rsk.to_bits(),
+                        t.topk.iter().map(|s| s.1.to_bits()).collect(),
+                    )
+                })
+                .collect()
+        };
+        let mut lifted = 0;
         for k in [1, 4, 50] {
-            let out = joint_topk(&fix.tree, &group, k, &fix.ctx, &io);
-            let listed: Vec<u64> = individual_topk(&fix.users, &out, k, &fix.ctx)
-                .iter()
-                .map(|t| t.rsk.to_bits())
-                .collect();
-            let rsk: Vec<u64> = individual_rsk(&fix.users, &out, k, &fix.ctx)
-                .iter()
-                .map(|r| r.to_bits())
-                .collect();
-            assert_eq!(rsk, listed, "k={k}");
+            let io = IoStats::new();
+            let out = joint_topk(&fix.tree, &group, k, ctx, &io);
+            let (visits, paper_ro) = (io.snapshot().node_visits as usize, out.ro().len());
+            let listed = individual_topk(users, &out, k, ctx);
+            let want: Vec<u64> = listed.iter().map(|t| t.rsk.to_bits()).collect();
+            for at in 0..=visits {
+                for sliced in [false, true] {
+                    let (out, rsk) = joint_rsk_at(&fix.tree, &group, k, ctx, &io, at, |f| {
+                        if !sliced {
+                            return f(0, users);
+                        }
+                        let (a, b) = users.split_at(2);
+                        [f(0, a), f(2, b)].concat()
+                    });
+                    let got: Vec<u64> = rsk.iter().map(|r| r.to_bits()).collect();
+                    assert_eq!(got, want, "k={k} checkpoint at {at} sliced={sliced}");
+                    let relisted = individual_topk(users, &out, k, ctx);
+                    assert_eq!(scores(&relisted), scores(&listed), "k={k} at {at}");
+                    lifted += usize::from(out.ro().len() < paper_ro);
+                }
+            }
         }
+        assert!(lifted > 0, "no checkpoint cut RO");
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! as its upper bound w.r.t. `us` falls below `RSk(us)` — by Lemma 2 no
 //! user's top-k can then involve anything below it. Every node and
 //! inverted file is read at most once, which is the source of the joint
-//! method's I/O savings over the per-user baseline.
+//! method's I/O savings over the per-user baseline. The engine's fill
+//! runs it with one checkpoint that lifts the threshold to the lowest
+//! `RSk(u)` seen so far (`Checkpoint`; the module docs' *One exact
+//! checkpoint*).
 //!
 //! How the traversal bounds first and materialises survivors only is in
 //! the [module docs](crate::topk); the paper-literal form it is tested
@@ -21,7 +24,7 @@ use storage::{IoStats, RecordId};
 use text::TermId;
 
 use crate::bounds::{lb_entry, lb_object, ub_entry, ub_object};
-use crate::topk::{Row, TopkOutcome};
+use crate::topk::{Row, Table, TopkOutcome};
 use crate::{ScoreContext, UserGroup};
 
 /// Work items on the traversal queue `PQ`: indexes, so a queue slot is 16
@@ -73,18 +76,44 @@ pub fn joint_topk(
     ctx: &ScoreContext,
     io: &IoStats,
 ) -> TopkOutcome {
-    traverse(tree, group, k, ctx, io, |_| {})
+    traverse(tree, group, k, ctx, io, None, |_| {}).out
 }
 
-/// [`joint_topk`] reporting each [`Step`] to `observe`.
+/// Where the traversal may lift its pruning threshold above `RSk(us)`
+/// (see the module docs' *One exact checkpoint*): before the node read
+/// that follows the `at`-th, `lift` is handed the rows retrieved so far —
+/// `first` the current `LO` rows, `rest` the others the threshold leaves,
+/// descending by `UB(o, us)` — and returns a threshold `T` that no user's
+/// `RSk(u)` is below. From then on the traversal prunes at
+/// `max(RSk(us), T)`.
+pub(crate) struct Checkpoint<'a> {
+    pub at: usize,
+    pub lift: &'a mut Lift<'a>,
+}
+
+/// A [`Checkpoint`]'s `lift(rows, first, rest) -> T`.
+pub(crate) type Lift<'a> = dyn FnMut(Table<'_>, &[u32], &[u32]) -> f64 + 'a;
+
+/// What [`traverse`] returns.
+pub(crate) struct Traversal {
+    pub out: TopkOutcome,
+    /// With a checkpoint taken: the rows retrieved after it, as indexes
+    /// into `out`'s rows in scan order, and how many of them lead (the
+    /// `LO` ones).
+    pub fresh: Option<(Vec<u32>, usize)>,
+}
+
+/// [`joint_topk`] with an optional [`Checkpoint`], reporting each
+/// [`Step`] to `observe`.
 pub(crate) fn traverse(
     tree: &StTree,
     group: &UserGroup,
     k: usize,
     ctx: &ScoreContext,
     io: &IoStats,
+    mut checkpoint: Option<Checkpoint<'_>>,
     mut observe: impl FnMut(Step),
-) -> TopkOutcome {
+) -> Traversal {
     assert!(k > 0, "k must be positive");
     assert_eq!(
         tree.mode(),
@@ -103,7 +132,7 @@ pub(crate) fn traverse(
     let mut terms: Vec<TermId> = uni.clone();
     let mut nodes: Vec<(RecordId, f64, (u32, u32))> =
         vec![(tree.root(), f64::INFINITY, (0, uni.len() as u32))];
-    // A leaf's columns, and the cut for the current RSk(us).
+    // A leaf's columns, and the cut for the current threshold.
     let mut leaf = LeafColumns::default();
     let mut cut = SpatialCut::NONE;
     // Every object that passed its upper-bound test, in discovery order.
@@ -112,14 +141,19 @@ pub(crate) fn traverse(
     // LO: min-heap by LB over the rows of the k best lower-bounded objects.
     let mut lo: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
     let mut rsk_us = f64::NEG_INFINITY;
+    // The checkpoint's T, and the pruning threshold max(RSk(us), T): −∞
+    // until LO fills or a checkpoint lifts it.
+    let (mut lifted, mut thr) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    // Node reads so far, and the rows retrieved before the checkpoint.
+    let (mut visits, mut before) = (0, None);
 
     pq.push((ordered(f64::INFINITY), Item::Node(0)));
 
     while let Some((key, item)) = pq.pop() {
         match item {
             Item::Obj(row) => {
-                if lo.len() >= k && rows[row as usize].ub < rsk_us {
-                    continue; // pruned (RSk grew since this object was queued)
+                if rows[row as usize].ub < thr {
+                    continue; // pruned (the threshold grew since it was queued)
                 }
                 lo.push(Reverse((key, row)));
                 if lo.len() > k {
@@ -128,15 +162,25 @@ pub(crate) fn traverse(
                 if lo.len() == k {
                     let Reverse((_, kth)) = lo.peek().expect("k > 0");
                     rsk_us = rows[*kth as usize].lb;
+                    thr = rsk_us.max(lifted);
                 }
                 // Whatever is not in LO at the end is an RO candidate;
-                // the final RSk(us) decides below.
+                // the final threshold decides below.
             }
             Item::Node(n) => {
                 let (rec, ub, (start, len)) = nodes[n as usize];
-                if lo.len() >= k && ub < rsk_us {
-                    continue; // pruned (RSk grew since this node was queued)
+                if ub < thr {
+                    continue; // pruned (the threshold grew since it was queued)
                 }
+                if let Some(cp) = checkpoint.take_if(|cp| cp.at == visits) {
+                    lifted = lift(cp, &rows, &weights, &uni, &lo, thr);
+                    thr = rsk_us.max(lifted);
+                    before = Some(rows.len());
+                    if ub < thr {
+                        continue;
+                    }
+                }
+                visits += 1;
                 // Start loading the node likely to be read next while this
                 // one is read and expanded.
                 if let Some(&(_, Item::Node(next))) = pq.peek() {
@@ -146,7 +190,8 @@ pub(crate) fn traverse(
                 let node = tree.read_node_ref(rec, io, &mut node_scratch);
                 let run = &terms[start as usize..][..len as usize];
                 let postings = tree.read_postings_ref(&node, run, io, &mut postings_scratch);
-                // Neither LO nor RSk(us) moves while a node is expanded.
+                // Neither LO nor the threshold moves while a node is
+                // expanded.
                 let full = lo.len() >= k;
                 if !node.is_leaf() {
                     for i in 0..node.len() {
@@ -155,7 +200,7 @@ pub(crate) fn traverse(
                         };
                         let (rect, row) = (node.rect(i), postings.entry(i));
                         let child_ub = ub_entry(ctx, group, &rect, row);
-                        if full && child_ub < rsk_us {
+                        if child_ub < thr {
                             continue;
                         }
                         let start = terms.len() as u32;
@@ -170,7 +215,7 @@ pub(crate) fn traverse(
                 // sum is accumulated a term list at a time — each entry's
                 // terms in ascending order, the order its row's pairs would
                 // be summed in — beside its squared distance to `us.mbr`.
-                // With LO full, an entry holding no union term is decided by
+                // With a threshold set, an entry holding no union term is decided by
                 // that distance alone (see `SpatialCut`); the others are
                 // picked, without branching, for their exact UB.
                 let n = node.len();
@@ -187,10 +232,11 @@ pub(crate) fn traverse(
                 leaf.d2s.clear();
                 leaf.d2s
                     .extend((0..n).map(|i| group.mbr.min_dist_sq_point(&node.point(i))));
-                if full && cut.rsk.to_bits() != rsk_us.to_bits() {
-                    cut = SpatialCut::new(ctx, group, rsk_us);
+                let cutting = thr > f64::NEG_INFINITY;
+                if cutting && cut.rsk.to_bits() != thr.to_bits() {
+                    cut = SpatialCut::new(ctx, group, thr);
                 }
-                let cut_d2 = if full { cut.d2 } else { f64::NAN };
+                let cut_d2 = if cutting { cut.d2 } else { f64::NAN };
                 leaf.picked.clear();
                 leaf.picked.resize(n, 0);
                 let mut m = 0;
@@ -206,7 +252,7 @@ pub(crate) fn traverse(
                 }));
                 // Only a survivor gets its pairs in the run, an LB and a row.
                 for (&i, &ub) in leaf.picked.iter().zip(&leaf.ubs) {
-                    if full && ub < rsk_us {
+                    if ub < thr {
                         continue;
                     }
                     let i = i as usize;
@@ -243,38 +289,82 @@ pub(crate) fn traverse(
         }
     }
 
-    // Scan order: the LO rows in ascending row order ...
-    let mut lo: Vec<u32> = lo.into_iter().map(|Reverse((_, row))| row).collect();
-    lo.sort_unstable();
-    // ... then RO: what the final RSk(us) (still −∞ if LO never filled)
-    // leaves reachable, descending by UB for Algorithm 2's early break; ids
-    // settle ties, so the order does not depend on when an object was
-    // discovered. The 16-byte keys `(UB descending, id, row)` are sorted,
-    // as one integer each, and the rows moved once.
-    let mut ro: Vec<u128> = Vec::new();
-    let mut in_lo = lo.iter().peekable();
-    for (i, row) in rows.iter().enumerate() {
-        if in_lo.next_if_eq(&&(i as u32)).is_none() && row.ub >= rsk_us {
-            let key = (u128::from(!ordered(row.ub)) << 64) | (u128::from(row.id) << 32);
-            ro.push(key | i as u128);
-        }
-    }
-    ro.sort_unstable();
-    let rows: Vec<Row> = lo
+    // Scan order: the LO rows in ascending row order, then RO: what the
+    // final threshold (still −∞ if LO never filled and no checkpoint lifted
+    // it) leaves reachable, descending by UB for Algorithm 2's early break.
+    let lo = lo_rows(&lo);
+    let order: Vec<u32> = lo
         .iter()
-        .map(|&i| i as usize)
-        .chain(ro.iter().map(|&key| key as u32 as usize))
-        .map(|i| rows[i])
+        .copied()
+        .chain(descending(&rows, &lo, thr))
         .collect();
+    let fresh = before.map(|before| {
+        let fresh: Vec<u32> = (0..)
+            .zip(&order)
+            .filter(|&(_, &i)| i as usize >= before)
+            .map(|(at, _)| at)
+            .collect();
+        let lo_fresh = fresh.partition_point(|&at| (at as usize) < lo.len());
+        (fresh, lo_fresh)
+    });
+    let rows: Vec<Row> = order.iter().map(|&i| rows[i as usize]).collect();
     let masks = slot_masks(&rows, &weights, &uni);
-    TopkOutcome {
+    Traversal {
+        out: TopkOutcome {
+            rows,
+            lo_len: lo.len(),
+            weights,
+            slots: uni,
+            masks,
+            rsk_us: thr,
+        },
+        fresh,
+    }
+}
+
+/// Runs a checkpoint over the rows retrieved so far and returns its `T`.
+fn lift(
+    cp: Checkpoint<'_>,
+    rows: &[Row],
+    weights: &[(TermId, f64)],
+    uni: &[TermId],
+    lo: &BinaryHeap<Reverse<(u64, u32)>>,
+    thr: f64,
+) -> f64 {
+    let lo = lo_rows(lo);
+    let rest: Vec<u32> = descending(rows, &lo, thr).collect();
+    let masks = slot_masks(rows, weights, uni);
+    let table = Table {
         rows,
-        lo_len: lo.len(),
         weights,
         slots: uni,
-        masks,
-        rsk_us,
+        masks: &masks,
+    };
+    (cp.lift)(table, &lo, &rest)
+}
+
+/// The rows of `LO`, ascending.
+fn lo_rows(lo: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<u32> {
+    let mut lo: Vec<u32> = lo.iter().map(|&Reverse((_, row))| row).collect();
+    lo.sort_unstable();
+    lo
+}
+
+/// The rows outside `lo` (ascending) whose upper bound reaches `thr`,
+/// descending by it; ids settle ties, so the order does not depend on
+/// when an object was discovered. The 16-byte keys `(UB descending, id,
+/// row)` are sorted as one integer each.
+fn descending(rows: &[Row], lo: &[u32], thr: f64) -> impl Iterator<Item = u32> {
+    let mut keys: Vec<u128> = Vec::new();
+    let mut in_lo = lo.iter().peekable();
+    for (i, row) in rows.iter().enumerate() {
+        if in_lo.next_if_eq(&&(i as u32)).is_none() && row.ub >= thr {
+            let key = (u128::from(!ordered(row.ub)) << 64) | (u128::from(row.id) << 32);
+            keys.push(key | i as u128);
+        }
     }
+    keys.sort_unstable();
+    keys.into_iter().map(|key| key as u32)
 }
 
 /// One leaf's bounding columns, reused from leaf to leaf.
@@ -294,14 +384,14 @@ struct LeafColumns {
 /// Such an object's `UB(o, us)` is `combine(MinSS(o, us), 0)`: the square
 /// root of `d² = MinDist(o, us.mbr)²`, a division, a subtraction, a clamp
 /// at 0, two products and a sum — correctly rounded monotone operations
-/// all, so the computed bound never grows with `d²`. `UB < RSk(us)`
-/// therefore holds, bit for bit as `ub_object` computes it, exactly from
-/// one `d²` on. That `d²` is found once per value of `RSk(us)` (a
-/// traversal sees a few dozen) by bisecting the bit patterns of the
-/// non-negative floats, whose order is their values'.
+/// all, so the computed bound never grows with `d²`. `UB` below the
+/// pruning threshold therefore holds, bit for bit as `ub_object` computes
+/// it, exactly from one `d²` on. That `d²` is found once per value of the
+/// threshold (a traversal sees a few dozen) by bisecting the bit patterns
+/// of the non-negative floats, whose order is their values'.
 #[derive(Debug, Clone, Copy)]
 struct SpatialCut {
-    /// The `RSk(us)` the cut is for.
+    /// The threshold the cut is for.
     rsk: f64,
     /// The smallest failing `d²`; NaN when none fails (no `d² >= NaN`).
     d2: f64,
@@ -459,7 +549,7 @@ mod tests {
             let ref_topk = brute_topk(&docs, &objects, u, k, &ctx);
             let rsk_u = ref_topk.last().unwrap().1;
             assert!(
-                out.rsk_us <= rsk_u + 1e-9,
+                out.rsk_us <= rsk_u,
                 "RSk(us)={} exceeds RSk(u{})={}",
                 out.rsk_us,
                 u.id,
@@ -489,7 +579,7 @@ mod tests {
         for k in [1, 3, 30] {
             let io = IoStats::new();
             let mut visited = Vec::new();
-            traverse(&tree, &group, k, &ctx, &io, |step| {
+            traverse(&tree, &group, k, &ctx, &io, None, |step| {
                 if let Step::Visited(rec, _) = step {
                     visited.push(rec);
                 }

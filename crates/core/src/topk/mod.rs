@@ -88,7 +88,76 @@
 //!   `LO` in full first, so their running k-th value is at least the final
 //!   `RSk(us)` — every `STS(o, u)` and every sub-group `LB` is at least
 //!   `LB(o, us)` — and both stop at the first `RO` object whose upper
-//!   bound is below that value.
+//!   bound is below that value. After a checkpoint (below) the cut is at
+//!   the final `max(RSk(us), T)`, which no user's `RSk(u)` is below.
+//! * **One exact checkpoint.** `RSk(us)` is a lower bound on every
+//!   user's `RSk(u)`, and a loose one: on the benchmark at k = 10 a cold
+//!   traversal ends at `RSk(us)` = 0.4786 while the lowest `RSk(u)` is
+//!   0.5312. The engine's top-k fill (`individual::joint_rsk`) runs
+//!   Algorithm 2 in two parts around one checkpoint inside the traversal,
+//!   which then prunes at the lowest `RSk(u)` seen so far:
+//!   - *At the checkpoint* every user starts its own heap — a run of `k`
+//!     slots in one flat block, all −∞ — and scores the rows retrieved so
+//!     far with Algorithm 2's kernel: the current `LO` rows in full, then
+//!     the others descending by `UB(o, us)` up to its early break. `T` is
+//!     the lowest of the users' k-th kept scores. From then on nodes,
+//!     objects and the leaf's `SpatialCut` are pruned at
+//!     `max(RSk(us), T)` instead of `RSk(us)`.
+//!   - *After the traversal* each user continues its own heap over only
+//!     the rows retrieved after the checkpoint, in scan order, with the
+//!     same early break. That continuation is Algorithm 2: no row is
+//!     scored twice.
+//!   - *Soundness.* A kept k-th score is the k-th best score of k real
+//!     objects, so `T ≤ RSk(u)` for every user `u`. Pruning is a strict
+//!     `UB < T`, and every bound is `≥ STS` bit for bit (the cap's margin
+//!     above included), so a pruned object scores strictly below every
+//!     `RSk(u)`: it can enter no top-k, move no `RSk(u)`, and tie with no
+//!     user's k-th score, so the listings keep their scores bit for bit.
+//!     Each user's final k-th score is the k-th best of the scores it saw,
+//!     and every object it did not see — pruned, or past an early break
+//!     at a threshold no higher than its `RSk(u)` — scores strictly below
+//!     that, so `RSk(u)` has the bits Algorithm 2 gives over the paper's
+//!     traversal. A pruned object never enters `LO`, so `RSk(us)` may come
+//!     out lower than the paper's; the outcome reports `max(RSk(us), T)`
+//!     as its `rsk_us`, a lower bound on every `RSk(u)` all the same, to
+//!     the location prune (the §8 answers in `select_golden.rs` are the
+//!     same under either).
+//!   - *The trigger* is a position tied to the index: after `7/25` of the
+//!     leaves a packed tree of the MIR-tree's objects has (875 node
+//!     reads on the benchmark's 100,000 objects at fanout 32, whose tree
+//!     has 3,241 nodes; a cold traversal reads 2,016 of them without a
+//!     checkpoint and 1,316 with it at k = 10). It is tuned, not derived. A sweep on the benchmark's `serve_cold` engine, every
+//!     `RSk(u)` bit-equal to Algorithm 2's at every position (simulated
+//!     I/O per cold fill, k = 5 / 10 / 20; Columnar at k = 10;
+//!     `(user, row)` pairs scored against Algorithm 2's at k = 10):
+//!
+//!     | checkpoint after | k = 5 | k = 10 | k = 20 | Columnar | pairs |
+//!     |---|---|---|---|---|---|
+//!     | none (the paper) | 10,099 | 10,108 | 10,117 | 4,991 | 1.00× |
+//!     | 500 reads | 10,096 | 10,105 | 10,117 | 4,989 | 2.69× |
+//!     | 600 | 7,711 | 8,112 | 8,619 | 3,780 | 1.35× |
+//!     | 700 | 7,353 | 7,573 | 7,839 | 3,485 | 1.16× |
+//!     | 800 | 7,221 | 7,450 | 7,573 | 3,403 | 1.00× |
+//!     | **875** | 7,221 | 7,450 | 7,573 | 3,403 | 1.00× |
+//!     | 1,000 | 7,272 | 7,489 | 7,600 | 3,429 | 1.00× |
+//!     | 1,300 | 7,814 | 7,998 | 8,085 | 3,759 | 1.00× |
+//!
+//!     Too early is a trap, not only a waste: retrieved rows grow slowly
+//!     between reads 400 and 550 while `RSk(us)` stays flat, then a second
+//!     wave doubles them by read 900; a checkpoint inside the plateau sees
+//!     users' heaps full of objects that are not their real top-k, lifts
+//!     `T` barely above `RSk(us)` and scores two to three times the pairs.
+//!     The online signals tried before this design (ROADMAP item 16) — a
+//!     falling rate of survivors per read, `RSk(us)` flat for a window of
+//!     reads, the stable minimum of a sampled subset of users — all fired
+//!     inside that plateau, so the trigger stays an open question there.
+//!     A later checkpoint costs reads and no pairs: at 875 the
+//!     continuation scores a few dozen rows per user. Periodic
+//!     checkpoints, and a throw-away checkpoint followed by Algorithm 2 in
+//!     full, were measured there too: both score more pairs and run
+//!     slower than one checkpoint whose heaps carry over. Tests force the
+//!     checkpoint after every read count (`individual::joint_rsk_at`);
+//!     answers never depend on where it falls.
 //! * **Rows lie in scan order.** [`TopkOutcome`] stores the `LO` rows,
 //!   then the `RO` rows descending by upper bound: the order in which
 //!   Algorithm 2 walks them once per user and the §7 pipeline once per
@@ -103,7 +172,10 @@
 //!   the slots both masks set — one AND for the many rows that share no
 //!   term with the user — added in ascending slot order, the order a merge
 //!   of the two term lists adds them in, so every `RSk(u)` keeps its bits
-//!   (see [`individual`]; the merge is the test reference).
+//!   (see [`individual`]; the merge is the test reference). Rows are scored
+//!   a block of eight at a time, and a block ends before the first row
+//!   whose upper bound is below the user's k-th score, so no row past the
+//!   early break is scored.
 
 pub mod baseline;
 pub mod individual;
@@ -165,13 +237,66 @@ pub struct TopkOutcome {
     /// pair for slot `s` is its `rank(s)`-th.
     pub(crate) masks: Vec<u64>,
     /// `RSk(us)`: the k-th best lower bound seen (−∞ when fewer than `k`
-    /// objects exist).
+    /// objects exist) — or, after a checkpoint, the final
+    /// `max(RSk(us), T)` the traversal pruned at (see the module docs).
+    /// Below every user's `RSk(u)` either way.
     pub rsk_us: f64,
 }
 
 impl TopkOutcome {
+    /// The rows as Algorithm 2 reads them.
+    pub(crate) fn table(&self) -> Table<'_> {
+        Table {
+            rows: &self.rows,
+            weights: &self.weights,
+            slots: &self.slots,
+            masks: &self.masks,
+        }
+    }
+
+    /// `LO`: the k objects with the best lower bounds (any order).
+    pub fn lo(&self) -> impl ExactSizeIterator<Item = ScoredObject<'_>> + Clone {
+        self.views(&self.rows[..self.lo_len])
+    }
+
+    /// `RO`: the other retrieved objects that may still reach some user's
+    /// top-k (`UB(o, us) ≥` [`TopkOutcome::rsk_us`]), descending by
+    /// `UB(o, us)` — the order Algorithm 2's early break requires.
+    pub fn ro(&self) -> impl ExactSizeIterator<Item = ScoredObject<'_>> + Clone {
+        self.views(&self.rows[self.lo_len..])
+    }
+
+    fn views<'a>(
+        &'a self,
+        rows: &'a [Row],
+    ) -> impl ExactSizeIterator<Item = ScoredObject<'a>> + Clone {
+        rows.iter().map(|r| ScoredObject {
+            id: r.id,
+            point: r.point,
+            weights: &self.weights[r.weights.0 as usize..][..r.weights.1 as usize],
+            lb: r.lb,
+            ub: r.ub,
+        })
+    }
+}
+
+/// Retrieved rows with their slot masks, borrowed: a finished
+/// [`TopkOutcome`]'s, or those a traversal has retrieved so far (in
+/// discovery order) at its checkpoint.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Table<'a> {
+    pub rows: &'a [Row],
+    pub weights: &'a [(TermId, f64)],
+    /// `us.dUni`, ascending.
+    pub slots: &'a [TermId],
+    /// One run of [`Table::words`] words per row (see
+    /// [`TopkOutcome::masks`]).
+    pub masks: &'a [u64],
+}
+
+impl Table<'_> {
     /// Words per slot mask.
-    fn words(&self) -> usize {
+    pub(crate) fn words(&self) -> usize {
         self.slots.len().div_ceil(64)
     }
 
@@ -188,7 +313,7 @@ impl TopkOutcome {
     }
 
     /// `Σ w(t, o)` over the terms of row `r` whose slots are set in `mask`
-    /// (from [`TopkOutcome::slot_mask`]), added in ascending slot order —
+    /// (from [`Table::slot_mask`]), added in ascending slot order —
     /// ascending term order, the order [`text::WeightedDoc::dot_terms`]
     /// adds a row's pairs in, so the sum has the same bits.
     #[inline]
@@ -210,31 +335,6 @@ impl TopkOutcome {
         }
         acc
     }
-
-    /// `LO`: the k objects with the best lower bounds (any order).
-    pub fn lo(&self) -> impl ExactSizeIterator<Item = ScoredObject<'_>> + Clone {
-        self.views(&self.rows[..self.lo_len])
-    }
-
-    /// `RO`: the other retrieved objects that may still reach some user's
-    /// top-k (`UB(o, us) ≥ RSk(us)`), descending by `UB(o, us)` — the order
-    /// Algorithm 2's early break requires.
-    pub fn ro(&self) -> impl ExactSizeIterator<Item = ScoredObject<'_>> + Clone {
-        self.views(&self.rows[self.lo_len..])
-    }
-
-    fn views<'a>(
-        &'a self,
-        rows: &'a [Row],
-    ) -> impl ExactSizeIterator<Item = ScoredObject<'a>> + Clone {
-        rows.iter().map(|r| ScoredObject {
-            id: r.id,
-            point: r.point,
-            weights: &self.weights[r.weights.0 as usize..][..r.weights.1 as usize],
-            lb: r.lb,
-            ub: r.ub,
-        })
-    }
 }
 
 /// One user's top-k result.
@@ -250,12 +350,13 @@ pub struct UserTopk {
 }
 
 /// Runs a per-user top-k kernel over `parts` contiguous slices of `users`
-/// — `f(i, slice_i)` — and concatenates the results in user order. The
+/// — `f(i, start_i, slice_i)`, `start_i` the index of the slice's first
+/// user — and concatenates the results in user order. The
 /// slices are dealt in contiguous runs to at most one scoped thread per
 /// core (a single run stays on the caller), so a slice's wall time never
 /// includes waiting for a core behind its siblings. The kernels
 /// (Algorithm 2, the §4 baseline) treat users independently, so the
-/// result equals `f(0, users)`. A worker's panic resumes on the caller
+/// result equals `f(0, 0, users)`. A worker's panic resumes on the caller
 /// with its own payload.
 ///
 /// # Panics
@@ -263,7 +364,7 @@ pub struct UserTopk {
 pub(crate) fn fan_out_users<T, F>(users: &[UserData], parts: usize, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, &[UserData]) -> Vec<T> + Sync,
+    F: Fn(usize, usize, &[UserData]) -> Vec<T> + Sync,
 {
     assert!(parts > 0, "fan-out needs at least one slice");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -271,7 +372,10 @@ where
     let n = users.len();
     let run = &|w: usize| -> Vec<T> {
         (w * parts / workers..(w + 1) * parts / workers)
-            .flat_map(|i| f(i, &users[i * n / parts..(i + 1) * n / parts]))
+            .flat_map(|i| {
+                let start = i * n / parts;
+                f(i, start, &users[start..(i + 1) * n / parts])
+            })
             .collect()
     };
     if workers == 1 {
@@ -349,7 +453,7 @@ mod tests {
                 doc: text::Document::new(),
             })
             .collect();
-        fan_out_users(&users, 2, |i, _| {
+        fan_out_users(&users, 2, |i, _, _| {
             assert!(i != 1, "slice 1 failed");
             Vec::<f64>::new()
         });

@@ -364,14 +364,15 @@ mod tests {
 
         let (mut visited, mut queued, mut bypassed) = (Vec::new(), 0, 0);
         let io = IoStats::new();
-        let got = traverse(mir, group, k, ctx, &io, |step| match step {
+        let got = traverse(mir, group, k, ctx, &io, None, |step| match step {
             Step::Visited(rec, terms) => {
                 visited.push(rec);
                 seen.run_terms += terms;
             }
             Step::Queued => queued += 1,
             Step::Bypassed => bypassed += 1,
-        });
+        })
+        .out;
 
         assert_eq!(visited, want.visited, "{what}: visit order");
         assert_eq!(io.snapshot(), want_io.snapshot(), "{what}: simulated I/O");
@@ -565,6 +566,147 @@ mod tests {
         );
     }
 
+    /// The fused entry against the paper-literal traversal plus the
+    /// document-merge refinement. With no checkpoint taken its outcome is
+    /// the reference's record for record — `RSk(us)`, `LO`, the reachable
+    /// `RO` and the simulated I/O. With the checkpoint forced after every
+    /// node count, every `RSk(u)` and every listing score over its outcome
+    /// is the reference's, bit for bit, and it never reads more — under
+    /// LM, TF-IDF and KO and both codecs, on a fixture where checkpoints
+    /// save node reads.
+    #[test]
+    fn forced_checkpoints_match_the_reference_at_every_visit() {
+        use crate::topk::individual::{individual_topk, joint_rsk_at};
+        let (mut runs, mut lifted, mut saved) = (0, 0, 0);
+        for model in [
+            WeightModel::lm(),
+            WeightModel::TfIdf,
+            WeightModel::KeywordOverlap,
+        ] {
+            for codec in storage::CodecId::ALL {
+                let (ctx, mir, users, group) = clustered_fixture(model, codec);
+                // The codec moves only the I/O: one k on Columnar.
+                let ks = if codec == storage::CodecId::Columnar {
+                    &[5][..]
+                } else {
+                    &[1, 5, 20]
+                };
+                for &k in ks {
+                    let want_io = IoStats::new();
+                    let want = joint_topk(&mir, &group, k, &ctx, &want_io);
+                    let want_io = want_io.snapshot();
+                    let merged: Vec<(u64, Vec<u64>)> = users
+                        .iter()
+                        .map(|u| {
+                            let (rsk, topk) = refine_by_merge(
+                                u,
+                                want.lo
+                                    .iter()
+                                    .map(|o| (o.id, o.point, &o.weights.entries[..])),
+                                want.ro
+                                    .iter()
+                                    .map(|o| (o.id, o.point, &o.weights.entries[..], o.ub)),
+                                k,
+                                &ctx,
+                            );
+                            (rsk.to_bits(), topk.iter().map(|s| s.1.to_bits()).collect())
+                        })
+                        .collect();
+                    for at in (0..=want.visited.len()).chain([usize::MAX]) {
+                        let what = format!("{model:?} {codec:?} k={k} checkpoint at {at}");
+                        let io = IoStats::new();
+                        let (got, rsk) =
+                            joint_rsk_at(&mir, &group, k, &ctx, &io, at, |f| f(0, &users));
+                        let listed = individual_topk(&users, &got, k, &ctx);
+                        for ((want, rsk), listed) in merged.iter().zip(&rsk).zip(&listed) {
+                            assert_eq!(rsk.to_bits(), want.0, "{what}");
+                            let scores: Vec<u64> =
+                                listed.topk.iter().map(|s| s.1.to_bits()).collect();
+                            assert_eq!((listed.rsk.to_bits(), scores), *want, "{what}");
+                        }
+                        let io = io.snapshot();
+                        assert!(io.node_visits <= want_io.node_visits, "{what}");
+                        if at < want.visited.len() {
+                            runs += 1;
+                            lifted += usize::from(got.ro().len() < want.ro.len());
+                            saved += usize::from(io.node_visits < want_io.node_visits);
+                            continue;
+                        }
+                        // No checkpoint taken: the paper's outcome.
+                        assert_eq!(io, want_io, "{what}: simulated I/O");
+                        assert_eq!(got.rsk_us.to_bits(), want.rsk_us.to_bits(), "{what}");
+                        let sorted = |mut ids: Vec<u32>| {
+                            ids.sort_unstable();
+                            ids
+                        };
+                        assert_eq!(
+                            sorted(got.lo().map(|o| o.id).collect()),
+                            sorted(want.lo.iter().map(|o| o.id).collect()),
+                            "{what}: LO"
+                        );
+                        let mut reachable: Vec<&ScoredObject> =
+                            want.ro.iter().filter(|o| o.ub >= want.rsk_us).collect();
+                        reachable.sort_by(|a, b| b.ub.total_cmp(&a.ub).then(a.id.cmp(&b.id)));
+                        let row = |id, lb: f64, ub: f64| (id, lb.to_bits(), ub.to_bits());
+                        assert!(
+                            got.ro()
+                                .map(|o| row(o.id, o.lb, o.ub))
+                                .eq(reachable.iter().map(|o| row(o.id, o.lb, o.ub))),
+                            "{what}: RO"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            runs > 1_000 && lifted > runs / 2 && saved > runs / 2,
+            "coverage: {runs} checkpoints, {lifted} cut RO, {saved} read fewer nodes"
+        );
+    }
+
+    /// 400 objects of one to three of 30 terms over a 100×100 space, and
+    /// 24 users of one or two of the first 8 terms clustered in a 10×10
+    /// square at its centre: the traversal prunes, and a checkpoint lifts
+    /// its threshold enough to prune more.
+    fn clustered_fixture(
+        model: WeightModel,
+        codec: storage::CodecId,
+    ) -> (ScoreContext, StTree, Vec<UserData>, UserGroup) {
+        let mut next = crate::select::test_fixture::stream(610);
+        let docs: Vec<Document> = (0..400)
+            .map(|_| {
+                Document::from_pairs(
+                    (0..=next(2)).map(|_| (t(next(30) as u32), 1 + next(3) as u32)),
+                )
+            })
+            .collect();
+        let text = TextScorer::build(model, &docs);
+        let objects: Vec<IndexedObject> = docs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| IndexedObject {
+                id: i as u32,
+                point: Point::new(next(1000) as f64 / 10.0, next(1000) as f64 / 10.0),
+                doc: text.weigh(d),
+            })
+            .collect();
+        let users: Vec<UserData> = (0..24)
+            .map(|id| UserData {
+                id,
+                point: Point::new(
+                    45.0 + next(100) as f64 / 10.0,
+                    45.0 + next(100) as f64 / 10.0,
+                ),
+                doc: Document::from_terms((0..=next(1)).map(|_| t(next(8) as u32))),
+            })
+            .collect();
+        let space = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
+        let ctx = ScoreContext::new(0.5, SpatialContext::from_dataspace(&space), text);
+        let mir = StTree::build_with_fanout_codec(&objects, PostingMode::MaxMin, 4, codec);
+        let group = UserGroup::from_users(&users, &ctx.text);
+        (ctx, mir, users, group)
+    }
+
     /// Objects, users and the super-user for a union of exactly `uni`
     /// terms: `uni − 2` even terms the corpus holds, and two "ghost" terms
     /// no object holds (no ghost below three terms). Objects draw even and odd terms alike (an object
@@ -632,13 +774,13 @@ mod tests {
 
     /// Algorithms 1 + 2 on slot masks of one, two and three words equal
     /// the paper-literal traversal and the document-merge refinement, bit
-    /// for bit: `RSk(us)`, `LO`, every `RSk(u)` (listing and `RSk`-only
+    /// for bit: `RSk(us)`, `LO`, every `RSk(u)` (listing and fused
     /// paths) and every listing — under LM, TF-IDF and KO, both codecs,
     /// `k` from 1 past `|O|`, with users whose keywords no object holds and
     /// objects that hold no union term.
     #[test]
     fn slot_masks_match_the_merge_reference_past_one_word() {
-        use crate::topk::individual::{individual_rsk, individual_topk};
+        use crate::topk::individual::{individual_topk, joint_rsk};
         let (mut runs, mut unmatched_users, mut bare_rows) = (0, 0, 0);
         for model in [
             WeightModel::lm(),
@@ -654,7 +796,7 @@ mod tests {
                         let got = crate::topk::joint::joint_topk(&mir, &group, k, &ctx, &io);
                         let want = joint_topk(&mir, &group, k, &ctx, &io);
                         assert_eq!(got.rsk_us.to_bits(), want.rsk_us.to_bits(), "{what}");
-                        assert_eq!(got.words(), uni.div_ceil(64), "{what}");
+                        assert_eq!(got.table().words(), uni.div_ceil(64), "{what}");
                         bare_rows += got
                             .lo()
                             .chain(got.ro())
@@ -662,7 +804,7 @@ mod tests {
                             .count();
 
                         let listed = individual_topk(&users, &got, k, &ctx);
-                        let rsk = individual_rsk(&users, &got, k, &ctx);
+                        let (_, rsk) = joint_rsk(&mir, &group, k, &ctx, &io, |f| f(0, &users));
                         for ((u, listed), rsk) in users.iter().zip(&listed).zip(&rsk) {
                             let (merged_rsk, merged) = refine_by_merge(
                                 u,

@@ -30,7 +30,8 @@
 //!
 //! All serving metrics live in the engine's own swap-stable registry
 //! (`serve_requests_total{kind=...}`, `serve_shed_total{reason=...}`,
-//! `serve_request_errors_total{kind=...}`, `serve_worker_lost_total`,
+//! `serve_request_errors_total{kind=...}`, `serve_panics_total`,
+//! `serve_worker_lost_total`,
 //! `serve_request_latency_us{kind=...}`, `serve_connections_total`), so
 //! one `metrics` request exposes index, refresh and network counters in a
 //! single Prometheus page.
@@ -100,6 +101,9 @@ struct ServeMetrics {
     /// recorded for them, so `req_query == lat_query.count + query_errors`
     /// always reconciles).
     query_errors: Arc<Counter>,
+    /// Queries whose engine call panicked (each also counts in
+    /// `query_errors`: it was answered with `Reply::Error`).
+    panics: Arc<Counter>,
     /// Times the accept round-robin found a worker's queue hung up — the
     /// worker thread died. Distinct from `shed_queue` (full queues are
     /// overload; a dead worker is a server bug worth its own alarm).
@@ -118,6 +122,7 @@ impl ServeMetrics {
             req_metrics: reg.counter("serve_requests_total{kind=\"metrics\"}"),
             shed_queue: reg.counter("serve_shed_total{reason=\"queue\"}"),
             query_errors: reg.counter("serve_request_errors_total{kind=\"query\"}"),
+            panics: reg.counter("serve_panics_total"),
             worker_lost: reg.counter("serve_worker_lost_total"),
             lat_query: reg.histogram("serve_request_latency_us{kind=\"query\"}"),
             lat_mutate: reg.histogram("serve_request_latency_us{kind=\"mutate\"}"),
@@ -443,8 +448,8 @@ impl Worker {
             Request::Query { method, spec } => {
                 self.metrics.req_query.inc();
                 let start = Instant::now();
-                // What the engine would panic on is refused here: a panic
-                // under this call ends the worker thread for good.
+                // What the engine would panic on is refused here; a panic
+                // that gets past these checks costs one error reply.
                 let refused = if spec.k == 0 {
                     Some("k must be positive".to_string())
                 } else if spec.locations.is_empty() {
@@ -467,9 +472,9 @@ impl Worker {
                     self.metrics.query_errors.inc();
                     return Reply::Error(why);
                 }
-                self.engine.query_reusing(&spec, method, arena, out);
-                self.metrics.lat_query.record_duration_us(start.elapsed());
-                Reply::Answer(std::mem::take(out))
+                contain(&self.metrics, arena, out, start, |arena, out| {
+                    self.engine.query_reusing(&spec, method, arena, out);
+                })
             }
             Request::Mutate(m) => {
                 self.metrics.req_mutate.inc();
@@ -502,10 +507,72 @@ impl Worker {
     }
 }
 
+/// Runs one query's engine call, `query`, into the worker's `arena` and
+/// answer buffer `out`. A panic under it costs this request a
+/// [`Reply::Error`], counted on `serve_panics_total` and as a query error,
+/// instead of the worker thread: the arena and the buffer, which the
+/// panic may have left half-written, are replaced with fresh ones. A
+/// query holds no lock a panic could poison (writes do, so they are not
+/// run through here).
+fn contain(
+    metrics: &ServeMetrics,
+    arena: &mut QueryArena,
+    out: &mut QueryResult,
+    start: Instant,
+    query: impl FnOnce(&mut QueryArena, &mut QueryResult),
+) -> Reply {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| query(arena, out))) {
+        Ok(()) => {
+            metrics.lat_query.record_duration_us(start.elapsed());
+            Reply::Answer(std::mem::take(out))
+        }
+        Err(panic) => {
+            (*arena, *out) = (QueryArena::new(), QueryResult::default());
+            metrics.panics.inc();
+            metrics.query_errors.inc();
+            let why = (panic.downcast_ref::<&str>().copied())
+                .or(panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            Reply::Error(format!("the query panicked: {why}"))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::TcpListener;
+
+    /// A panicking query is one error reply: counted as a panic and a
+    /// query error, with no latency sample, and the next query through the
+    /// same arena and buffer is answered.
+    #[test]
+    fn a_panicking_query_costs_one_error_reply() {
+        let reg = MetricsRegistry::new();
+        let metrics = ServeMetrics::new(&reg);
+        let (mut arena, mut out) = (QueryArena::new(), QueryResult::default());
+        let reply = contain(&metrics, &mut arena, &mut out, Instant::now(), |_, out| {
+            out.location = 7;
+            panic!("a bug under the engine");
+        });
+        assert!(
+            matches!(&reply, Reply::Error(why) if why.contains("a bug under the engine")),
+            "{reply:?}"
+        );
+        assert_eq!((metrics.panics.get(), metrics.query_errors.get()), (1, 1));
+        assert_eq!(metrics.lat_query.count(), 0);
+        assert_eq!(out.location, 0, "the half-written buffer is replaced");
+
+        let reply = contain(&metrics, &mut arena, &mut out, Instant::now(), |_, out| {
+            out.location = 3;
+        });
+        assert!(
+            matches!(&reply, Reply::Answer(a) if a.location == 3),
+            "{reply:?}"
+        );
+        assert_eq!((metrics.panics.get(), metrics.query_errors.get()), (1, 1));
+        assert_eq!(metrics.lat_query.count(), 1);
+    }
 
     /// A connected loopback stream pair's server half — `place_connection`
     /// wants real `TcpStream`s, not mocks.

@@ -229,3 +229,69 @@ fn greedy_result_is_sound() {
         }
     }
 }
+
+/// The engine's fused top-k fill (Algorithm 1 with Algorithm 2 run in two
+/// parts around one checkpoint) equals the paper's Algorithms 1 + 2 bit
+/// for bit: every `RSk(u)`, and every listing score of
+/// `Engine::joint_user_topk` against `individual_topk` over `joint_topk`'s
+/// outcome — under LM, TF-IDF and KO, both codecs, `k = 1..=30`, on a
+/// fused engine and on one whose users are split in three slices.
+#[test]
+fn fused_thresholds_match_joint_plus_algorithm_2() {
+    use maxbrstknn::mbrstk_core::topk::{individual::individual_topk, joint::joint_topk};
+    use maxbrstknn::mbrstk_core::{EngineCluster, UserTopk};
+    use maxbrstknn::storage::IoStats;
+    let bits = |tks: &[UserTopk]| -> Vec<(u64, Vec<u64>)> {
+        tks.iter()
+            .map(|t| {
+                (
+                    t.rsk.to_bits(),
+                    t.topk.iter().map(|s| s.1.to_bits()).collect(),
+                )
+            })
+            .collect()
+    };
+    let mut rng = StdRng::seed_from_u64(16);
+    let (mut fills, mut lifted) = (0, 0);
+    for case in 0..6 {
+        let model = [
+            WeightModel::lm(),
+            WeightModel::TfIdf,
+            WeightModel::KeywordOverlap,
+        ][case % 3];
+        let mut inst = instance(&mut rng);
+        // Enough objects for the checkpoint to fall inside the traversal,
+        // and users near the middle, so that it prunes.
+        inst.objects = (0..rng.gen_range(200..400usize))
+            .map(|id| ObjectData {
+                id: id as u32,
+                point: point(&mut rng),
+                doc: doc(&mut rng, 12),
+            })
+            .collect();
+        for u in &mut inst.users {
+            u.point = Point::new(u.point.x / 4.0 + 8.0, u.point.y / 4.0 + 8.0);
+        }
+        for (codec, engine) in engines(&inst, model) {
+            let su = engine.super_user();
+            let cluster = EngineCluster::from_engine(engine.clone(), 3);
+            for k in 1..=30 {
+                let paper = joint_topk(&engine.mir, &su, k, &engine.ctx, &IoStats::new());
+                let want = bits(&individual_topk(&engine.users, &paper, k, &engine.ctx));
+                for (eng, sliced) in [(&engine, false), (cluster.head(), true)] {
+                    let what = format!("case {case} {model:?} {codec:?} k={k} sliced={sliced}");
+                    let jt = eng.joint_thresholds(k);
+                    let rsk: Vec<u64> = jt.rsk.iter().map(|r| r.to_bits()).collect();
+                    assert!(rsk.iter().eq(want.iter().map(|w| &w.0)), "{what}");
+                    assert_eq!(bits(&eng.joint_user_topk(k).0), want, "{what}");
+                    fills += 1;
+                    lifted += usize::from(jt.out.rsk_us > paper.rsk_us);
+                }
+            }
+        }
+    }
+    assert!(
+        lifted > fills / 2,
+        "coverage: {lifted} of {fills} fills lifted the threshold"
+    );
+}
