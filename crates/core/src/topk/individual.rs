@@ -8,6 +8,13 @@
 //! below the user's own threshold — objects after that point cannot enter
 //! the user's top-k.
 //!
+//! [`individual_topk`] runs it after [`crate::topk::joint::joint_topk`],
+//! as the paper does. The engine's fill, `joint_rsk`, runs it in two
+//! parts around one checkpoint inside the traversal — the rows retrieved
+//! by then, and after the traversal the rows retrieved since — and
+//! prunes the rest of the traversal at the lowest `RSk(u)` seen at the
+//! checkpoint (the `topk` module docs' *One exact checkpoint*).
+//!
 //! Scoring runs on slot masks, not document merges: the outcome numbers
 //! the terms of `us.dUni` in ascending order and marks each row's terms in
 //! a mask (`TopkOutcome::masks`); each user gets a mask over the same

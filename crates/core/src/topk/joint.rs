@@ -215,9 +215,9 @@ pub(crate) fn traverse(
                 // sum is accumulated a term list at a time — each entry's
                 // terms in ascending order, the order its row's pairs would
                 // be summed in — beside its squared distance to `us.mbr`.
-                // With a threshold set, an entry holding no union term is decided by
-                // that distance alone (see `SpatialCut`); the others are
-                // picked, without branching, for their exact UB.
+                // With a threshold set, an entry holding no union term is
+                // decided by that distance alone (see `SpatialCut`); the
+                // others are picked, without branching, for their exact UB.
                 let n = node.len();
                 leaf.sums.clear();
                 leaf.sums.resize(n, 0.0);

@@ -253,7 +253,7 @@ fn fused_thresholds_match_joint_plus_algorithm_2() {
     };
     let mut rng = StdRng::seed_from_u64(16);
     let (mut fills, mut lifted) = (0, 0);
-    for case in 0..6 {
+    for case in 0..3 {
         let model = [
             WeightModel::lm(),
             WeightModel::TfIdf,
