@@ -315,7 +315,7 @@ pub(crate) fn joint_rsk_at(
 ) -> (TopkOutcome, Vec<f64>) {
     assert!(k > 0, "k must be positive");
     // Every user's k best scores at the checkpoint: one flat block, `k`
-    // per user in table order.
+    // per user in table order (`k` is at most the rows retrieved by then).
     let mut kept: Vec<f64> = Vec::new();
     let mut lift = |table: Table<'_>, first: &[u32], rest: &[u32]| {
         kept = scatter(&|_, users| {
@@ -345,9 +345,16 @@ pub(crate) fn joint_rsk_at(
         |_| {},
     );
     // Each user continues its own heap over the rows retrieved after the
-    // checkpoint — Algorithm 2 over all of them when none was taken.
+    // checkpoint — Algorithm 2 over all of them when none was taken. A
+    // heap never needs more slots than there are rows to score, plus one
+    // to stay −∞: so no `k` allocates more than the rows (a checkpoint is
+    // taken only once `k` rows are retrieved).
     let rsk = scatter(&|first, users| {
-        let (mut heap, mut mask) = (vec![f64::NEG_INFINITY; k], Vec::new());
+        let slots = match fresh {
+            Some(_) => k,
+            None => k.min(out.rows.len() + 1),
+        };
+        let (mut heap, mut mask) = (vec![f64::NEG_INFINITY; slots], Vec::new());
         let (lo, rows) = (out.lo_len, out.rows.len());
         (first..)
             .zip(users)
@@ -543,6 +550,27 @@ mod tests {
             }
         }
         assert!(lifted > 0, "no checkpoint cut RO");
+    }
+
+    /// A `k` far above the objects fills no heap and allocates by the rows,
+    /// not by `k`, with the checkpoint after every node count: every
+    /// `RSk(u)` is −∞, as the listings say.
+    #[test]
+    fn a_huge_k_allocates_by_the_rows() {
+        let fix = fixture(WeightModel::lm(), 0.5);
+        let group = UserGroup::from_users(&fix.users, &fix.ctx.text);
+        let k = 1 << 40;
+        let io = IoStats::new();
+        let out = joint_topk(&fix.tree, &group, k, &fix.ctx, &io);
+        assert!(individual_topk(&fix.users, &out, k, &fix.ctx)
+            .iter()
+            .all(|t| t.rsk == f64::NEG_INFINITY && t.topk.len() == fix.objects.len()));
+        for at in 0..=io.snapshot().node_visits as usize {
+            let (_, rsk) = joint_rsk_at(&fix.tree, &group, k, &fix.ctx, &io, at, |f| {
+                f(0, &fix.users)
+            });
+            assert!(rsk.iter().all(|&r| r == f64::NEG_INFINITY), "at {at}");
+        }
     }
 
     #[test]

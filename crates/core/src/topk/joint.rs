@@ -81,7 +81,8 @@ pub fn joint_topk(
 
 /// Where the traversal may lift its pruning threshold above `RSk(us)`
 /// (see the module docs' *One exact checkpoint*): before the node read
-/// that follows the `at`-th, `lift` is handed the rows retrieved so far —
+/// that follows the `at`-th — when at least `k` rows have been retrieved
+/// by then, else never — `lift` is handed the rows retrieved so far —
 /// `first` the current `LO` rows, `rest` the others the threshold leaves,
 /// descending by `UB(o, us)` — and returns a threshold `T` that no user's
 /// `RSk(u)` is below. From then on the traversal prunes at
@@ -172,8 +173,11 @@ pub(crate) fn traverse(
                 if ub < thr {
                     continue; // pruned (the threshold grew since it was queued)
                 }
-                if let Some(cp) = checkpoint.take_if(|cp| cp.at == visits) {
-                    lifted = lift(cp, &rows, &weights, &uni, &lo, thr);
+                // With fewer than k rows retrieved no user's heap can fill
+                // (T would be −∞): the checkpoint is not taken.
+                let due = |cp: &mut Checkpoint<'_>| cp.at == visits && rows.len() >= k;
+                if let Some(cp) = checkpoint.take_if(due) {
+                    lifted = run_checkpoint(cp, &rows, &weights, &uni, &lo, thr);
                     thr = rsk_us.max(lifted);
                     before = Some(rows.len());
                     if ub < thr {
@@ -323,7 +327,7 @@ pub(crate) fn traverse(
 }
 
 /// Runs a checkpoint over the rows retrieved so far and returns its `T`.
-fn lift(
+fn run_checkpoint(
     cp: Checkpoint<'_>,
     rows: &[Row],
     weights: &[(TermId, f64)],

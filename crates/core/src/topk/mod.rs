@@ -107,6 +107,11 @@
 //!     the rows retrieved after the checkpoint, in scan order, with the
 //!     same early break. That continuation is Algorithm 2: no row is
 //!     scored twice.
+//!   - *Memory.* The block holds `k` scores per user, and the checkpoint
+//!     is taken only once `k` rows have been retrieved (before that no
+//!     heap can fill, so `T` would be −∞); without a checkpoint a heap
+//!     has at most one slot more than the outcome's rows. So no `k`, even
+//!     one far above the objects, allocates more than users × rows.
 //!   - *Soundness.* A kept k-th score is the k-th best score of k real
 //!     objects, so `T ≤ RSk(u)` for every user `u`. Pruning is a strict
 //!     `UB < T`, and every bound is `≥ STS` bit for bit (the cap's margin
