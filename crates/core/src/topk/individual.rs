@@ -300,7 +300,7 @@ fn checkpoint_visit(tree: &StTree) -> usize {
 }
 
 /// The checkpoint's position as a fraction of the leaf count.
-const CHECKPOINT_SHARE: (usize, usize) = (7, 25);
+const CHECKPOINT_SHARE: (usize, usize) = (9, 25);
 
 /// [`joint_rsk`] with the checkpoint after `at` node reads (never, when
 /// the traversal reads no more).
@@ -317,12 +317,12 @@ pub(crate) fn joint_rsk_at(
     // Every user's k best scores at the checkpoint: one flat block, `k`
     // per user in table order (`k` is at most the rows retrieved by then).
     let mut kept: Vec<f64> = Vec::new();
-    let mut lift = |table: Table<'_>, first: &[u32], rest: &[u32]| {
+    let mut lift = |table: Table<'_>, lo: usize| {
         kept = scatter(&|_, users| {
             let mut block = vec![f64::NEG_INFINITY; users.len() * k];
-            let mut mask = Vec::new();
+            let (mut mask, rows) = (Vec::new(), table.rows.len());
             for (user, heap) in users.iter().zip(block.chunks_exact_mut(k)) {
-                refine(table, user, k, ctx, heap, &mut mask, first, rest);
+                refine(table, user, k, ctx, heap, &mut mask, 0..lo, lo..rows);
             }
             block
         });

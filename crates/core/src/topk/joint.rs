@@ -82,18 +82,18 @@ pub fn joint_topk(
 /// Where the traversal may lift its pruning threshold above `RSk(us)`
 /// (see the module docs' *One exact checkpoint*): before the node read
 /// that follows the `at`-th — when at least `k` rows have been retrieved
-/// by then, else never — `lift` is handed the rows retrieved so far —
-/// `first` the current `LO` rows, `rest` the others the threshold leaves,
-/// descending by `UB(o, us)` — and returns a threshold `T` that no user's
-/// `RSk(u)` is below. From then on the traversal prunes at
-/// `max(RSk(us), T)`.
+/// by then, else never — `lift(table, lo_len)` is handed the rows
+/// retrieved so far, laid out in scan order as an outcome's are (the
+/// current `LO` rows, then the others the threshold leaves, descending by
+/// `UB(o, us)`), and returns a threshold `T` that no user's `RSk(u)` is
+/// below. From then on the traversal prunes at `max(RSk(us), T)`.
 pub(crate) struct Checkpoint<'a> {
     pub at: usize,
     pub lift: &'a mut Lift<'a>,
 }
 
-/// A [`Checkpoint`]'s `lift(rows, first, rest) -> T`.
-pub(crate) type Lift<'a> = dyn FnMut(Table<'_>, &[u32], &[u32]) -> f64 + 'a;
+/// A [`Checkpoint`]'s `lift(table, lo_len) -> T`.
+pub(crate) type Lift<'a> = dyn FnMut(Table<'_>, usize) -> f64 + 'a;
 
 /// What [`traverse`] returns.
 pub(crate) struct Traversal {
@@ -335,16 +335,21 @@ fn run_checkpoint(
     lo: &BinaryHeap<Reverse<(u64, u32)>>,
     thr: f64,
 ) -> f64 {
+    // Scanned through an index list, rows in discovery order cost every
+    // user a cache miss per row: copy them into scan order first.
     let lo = lo_rows(lo);
-    let rest: Vec<u32> = descending(rows, &lo, thr).collect();
-    let masks = slot_masks(rows, weights, uni);
+    let rows: Vec<Row> = (lo.iter().copied())
+        .chain(descending(rows, &lo, thr))
+        .map(|i| rows[i as usize])
+        .collect();
+    let masks = slot_masks(&rows, weights, uni);
     let table = Table {
-        rows,
+        rows: &rows,
         weights,
         slots: uni,
         masks: &masks,
     };
-    (cp.lift)(table, &lo, &rest)
+    (cp.lift)(table, lo.len())
 }
 
 /// The rows of `LO`, ascending.

@@ -127,13 +127,19 @@
 //!     as its `rsk_us`, a lower bound on every `RSk(u)` all the same, to
 //!     the location prune (the §8 answers in `select_golden.rs` are the
 //!     same under either).
-//!   - *The trigger* is a position tied to the index: after `7/25` of the
-//!     leaves a packed tree of the MIR-tree's objects has (875 node
+//!   - *The checkpoint's rows lie in scan order too* (below): its rows
+//!     are copied into `LO`-then-`UB` order before the users scan them,
+//!     as the outcome's are; scanning them in discovery order through an
+//!     index list cost every user a cache miss per row.
+//!   - *The trigger* is a position tied to the index: after `9/25` of the
+//!     leaves a packed tree of the MIR-tree's objects has (1,125 node
 //!     reads on the benchmark's 100,000 objects at fanout 32, whose tree
 //!     has 3,241 nodes; a cold traversal reads 2,016 of them without a
-//!     checkpoint and 1,316 with it at k = 10). It is tuned, not derived. A sweep on the benchmark's `serve_cold` engine, every
-//!     `RSk(u)` bit-equal to Algorithm 2's at every position (simulated
-//!     I/O per cold fill, k = 5 / 10 / 20; Columnar at k = 10;
+//!     checkpoint and 1,373 with it at k = 10). It is tuned, not derived,
+//!     and no online signal has been found that lands in the basin (ROADMAP
+//!     item 16). A sweep on the benchmark's `serve_cold` engine, every
+//!     `RSk(u)` bit-equal to Algorithm 2's at every position (simulated I/O
+//!     per cold fill at k = 5 / 10 / 20, Columnar at k = 10, and the
 //!     `(user, row)` pairs scored against Algorithm 2's at k = 10):
 //!
 //!     | checkpoint after | k = 5 | k = 10 | k = 20 | Columnar | pairs |
@@ -142,27 +148,47 @@
 //!     | 500 reads | 10,096 | 10,105 | 10,117 | 4,989 | 2.69× |
 //!     | 600 | 7,711 | 8,112 | 8,619 | 3,780 | 1.35× |
 //!     | 700 | 7,353 | 7,573 | 7,839 | 3,485 | 1.16× |
-//!     | 800 | 7,221 | 7,450 | 7,573 | 3,403 | 1.00× |
-//!     | **875** | 7,221 | 7,450 | 7,573 | 3,403 | 1.00× |
+//!     | 875 (`7/25`) | 7,221 | 7,450 | 7,573 | 3,403 | 1.00× |
 //!     | 1,000 | 7,272 | 7,489 | 7,600 | 3,429 | 1.00× |
+//!     | **1,125 (`9/25`)** | 7,428 | 7,621 | 7,714 | 3,517 | 1.00× |
 //!     | 1,300 | 7,814 | 7,998 | 8,085 | 3,759 | 1.00× |
+//!     | 1,500 | 8,510 | 8,618 | 8,678 | 4,133 | 1.00× |
 //!
 //!     Too early is a trap, not only a waste: retrieved rows grow slowly
 //!     between reads 400 and 550 while `RSk(us)` stays flat, then a second
 //!     wave doubles them by read 900; a checkpoint inside the plateau sees
 //!     users' heaps full of objects that are not their real top-k, lifts
 //!     `T` barely above `RSk(us)` and scores two to three times the pairs.
-//!     The online signals tried before this design (ROADMAP item 16) — a
-//!     falling rate of survivors per read, `RSk(us)` flat for a window of
-//!     reads, the stable minimum of a sampled subset of users — all fired
-//!     inside that plateau, so the trigger stays an open question there.
-//!     A later checkpoint costs reads and no pairs: at 875 the
-//!     continuation scores a few dozen rows per user. Periodic
-//!     checkpoints, and a throw-away checkpoint followed by Algorithm 2 in
-//!     full, were measured there too: both score more pairs and run
-//!     slower than one checkpoint whose heaps carry over. Tests force the
-//!     checkpoint after every read count (`individual::joint_rsk_at`);
-//!     answers never depend on where it falls.
+//!     Where the trap lies depends on the corpus, which is why the share
+//!     is `9/25` and not this corpus's best, `7/25`. On the same generator
+//!     at other sizes (1,000 users, k = 10, Verbatim; I/O and pairs at
+//!     `7/25` and `9/25`, and the fill's time at `9/25` against no
+//!     checkpoint, in process, 30 alternating pairs):
+//!
+//!     | objects | none | `7/25` | `9/25` | time at `9/25` |
+//!     |---|---|---|---|---|
+//!     | 10,000 | 1,134 | 790 (1.00×) | 790 (1.00×) | ×0.99 |
+//!     | 30,000 | 3,485 | 2,630 (1.40×) | 2,326 (1.00×) | ×0.98 |
+//!     | 50,000 | 4,877 | 3,556 (1.00×) | 3,724 (1.00×) | ×0.94 |
+//!     | 70,000 | 5,653 | 4,491 (1.43×) | 4,616 (1.00×) | ×0.97 |
+//!     | 100,000 | 10,108 | 7,450 (1.00×) | 7,621 (1.00×) | ×0.87 |
+//!     | 150,000 | 15,142 | 11,748 (1.07×) | 11,946 (1.06×) | ×0.88 |
+//!     | 200,000 | 10,611 | never taken | never taken | — |
+//!
+//!     At `7/25` the fill ran ×1.29 on 30,000 objects and ×1.22 on 70,000.
+//!     At 200,000 objects the traversal reads only 1,604 nodes, fewer than
+//!     either share asks for, so no checkpoint is taken (a checkpoint after
+//!     300 reads would save 36% of the I/O there). The online signals tried
+//!     before this design (ROADMAP item 16) — a falling rate of survivors
+//!     per read, `RSk(us)` flat for a window of reads, the stable minimum of
+//!     a sampled subset of users — all fired inside the plateau. A later
+//!     checkpoint costs reads and no pairs: at 1,125 the continuation scans
+//!     a few dozen rows per user. Periodic checkpoints, and a throw-away
+//!     checkpoint followed by Algorithm 2 in full, were measured there too:
+//!     both score more pairs and run slower than one checkpoint whose heaps
+//!     carry over. Tests force the checkpoint after every read count
+//!     (`individual::joint_rsk_at`); answers never depend on where it
+//!     falls.
 //! * **Rows lie in scan order.** [`TopkOutcome`] stores the `LO` rows,
 //!   then the `RO` rows descending by upper bound: the order in which
 //!   Algorithm 2 walks them once per user and the §7 pipeline once per
