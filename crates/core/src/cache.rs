@@ -3,18 +3,25 @@
 //!
 //! Every [`Method`](crate::Method) starts by computing per-user `RSk`
 //! thresholds (the top-k phase: the joint traversal with Algorithm 2
-//! fused in at one checkpoint, or the §4 baseline, or the §7 root
-//! traversal). Those
+//! fused in at one checkpoint, or the §4 baseline, or the §7 seed over a
+//! joint traversal's outcome). Those
 //! thresholds depend only on the engine and `k` — not on the query's
 //! candidate locations or keywords — yet a naive server recomputes them
 //! for every query. [`ThresholdCache`] memoizes them per `k` so a batch of
 //! same-`k` queries pays the top-k phase (and its simulated I/O) exactly
-//! once. The §7 slot, a [`UserIndexSeed`], also keeps every MIUR node a
-//! query has materialized (its subtrees' `RSk` lower bounds, its users'
-//! exact `RSk(u)`): the §7 pipeline computes `RSk(u)` per user only when a
-//! location's expansion reaches the user's leaf, so the slot fills node by
-//! node, and a node is read and materialized once per `(k, epoch)` — a
-//! query whose expansions are all memoized charges no I/O.
+//! once.
+//!
+//! **The §7 slot borrows the joint slot.** A [`UserIndexSeed`] runs no
+//! traversal of its own here: it reads the MIUR root and materializes it
+//! over the joint slot's outcome of the same `(k, epoch)` — the same
+//! `Arc`, filling the joint slot first if it is empty — so the §5/§6 and
+//! §7 methods pay one top-k traversal per `(k, epoch)` between them (the
+//! soundness argument is on [`UserIndexSeed`]). The seed also keeps every
+//! MIUR node a query has materialized (its subtrees' `RSk` lower bounds,
+//! its users' exact `RSk(u)`): the §7 pipeline computes `RSk(u)` per user
+//! only when a location's expansion reaches the user's leaf, so the slot
+//! fills node by node, and a node is read and materialized once per `(k,
+//! epoch)` — a query whose expansions are all memoized charges no I/O.
 //!
 //! The cache is opt-in ([`Engine::with_threshold_cache`]) because it
 //! changes what the paper's *cold* experiments measure: with it enabled,
@@ -66,8 +73,9 @@ pub struct JointThresholds {
     pub su: Arc<UserGroup>,
     /// `LO`, `RO` and the traversal's final threshold: `RO` is cut, and
     /// `rsk_us` reports, at `max(RSk(us), T)` — `T` the lowest `RSk(u)`
-    /// seen at the checkpoint — which every `RSk(u)` is at or above.
-    pub out: TopkOutcome,
+    /// seen at the checkpoint — which every `RSk(u)` is at or above. Shared
+    /// with the §7 seed of the same `(k, epoch)` (see [`UserIndexSeed`]).
+    pub out: Arc<TopkOutcome>,
     /// `RSk(u)` per user (Algorithm 2), in user-table order.
     pub rsk: Vec<f64>,
 }
@@ -211,12 +219,15 @@ impl ThresholdCache {
         }
     }
 
-    /// Lookups served from the cache so far (across all three maps).
+    /// Lookups served from the cache so far (across all three maps). A
+    /// §7 seed's fill looks the joint slot up like a query does, and that
+    /// lookup counts: every slot computed is one miss.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to compute (across all three maps).
+    /// Lookups that had to compute (across all three maps; a §7 fill that
+    /// also fills the joint slot counts two).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }

@@ -97,9 +97,9 @@ fn joint(
 }
 
 /// §7: MIUR-tree user-index pipeline with `selector`. The `k`-dependent
-/// prefix (root super-user + joint MIR traversal) comes from the threshold
-/// cache when one is attached; only the location-dependent MIUR expansion
-/// runs per query.
+/// prefix (root super-user + a joint MIR traversal's outcome) comes from
+/// the threshold cache when one is attached, over the joint slot's
+/// outcome; only the location-dependent MIUR expansion runs per query.
 fn user_index(
     engine: &Engine,
     selector: KeywordSelector,

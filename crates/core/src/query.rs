@@ -403,7 +403,11 @@ impl Engine {
                 self.scatter(&spent, kernel)
             });
             self.record_slices(&spent);
-            JointThresholds { su, out, rsk }
+            JointThresholds {
+                su,
+                out: Arc::new(out),
+                rsk,
+            }
         };
         match &self.thresholds {
             Some(tc) => tc.joint(k, self.epoch, compute),
@@ -463,8 +467,13 @@ impl Engine {
     }
 
     /// The `k`-dependent prefix of the §7 pipeline (MIUR root as
-    /// super-user + joint MIR traversal), served from the threshold cache
-    /// when one is attached and computed fresh otherwise.
+    /// super-user, a joint MIR traversal's outcome and the materialized
+    /// root). With a threshold cache attached it is memoized per `(k,
+    /// epoch)` and runs no traversal of its own: it shares
+    /// [`Engine::joint_thresholds`]`(k)`'s outcome, filling that slot first
+    /// if it is empty, so the §7 and the joint methods pay one fill between
+    /// them (soundness: [`UserIndexSeed`]). Without a cache it is the
+    /// paper's [`compute_user_index_seed`], computed fresh.
     ///
     /// # Panics
     /// Panics when [`Engine::with_user_index`] was not called.
@@ -473,10 +482,15 @@ impl Engine {
             .miur
             .as_ref()
             .expect("call with_user_index() before querying with a user-index method");
-        let compute = || compute_user_index_seed(miur, &self.mir, k, &self.ctx, &self.io);
         match &self.thresholds {
-            Some(tc) => tc.user_index(k, self.epoch, compute),
-            None => Arc::new(compute()),
+            Some(tc) => tc.user_index(k, self.epoch, || {
+                UserIndexSeed::over(miur, k, &self.ctx, &self.io, |_| {
+                    Arc::clone(&self.joint_thresholds(k).out)
+                })
+            }),
+            None => Arc::new(compute_user_index_seed(
+                miur, &self.mir, k, &self.ctx, &self.io,
+            )),
         }
     }
 

@@ -90,6 +90,13 @@
 //!   `LB(o, us)` — and both stop at the first `RO` object whose upper
 //!   bound is below that value. After a checkpoint (below) the cut is at
 //!   the final `max(RSk(us), T)`, which no user's `RSk(u)` is below.
+//!   *Readers of `RO`:* on an engine with a threshold cache the §7 seed
+//!   reads this cut outcome too, the joint slot's own (see
+//!   [`crate::UserIndexSeed`]). Its users' `RSk(u)` keep their bits, as
+//!   Algorithm 2's do. A subtree's group bound then sees only the rows
+//!   at or above the cut: the k-th best lower bound of fewer objects, so
+//!   still a lower bound, and possibly a looser one (every `LB` it misses
+//!   is below `T`).
 //! * **One exact checkpoint.** `RSk(us)` is a lower bound on every
 //!   user's `RSk(u)`, and a loose one: on the benchmark at k = 10 a cold
 //!   traversal ends at `RSk(us)` = 0.4786 while the lowest `RSk(u)` is

@@ -447,24 +447,47 @@ mod tests {
         );
     }
 
+    /// Nodes `mir` holds (a walk on a throwaway counter).
+    fn node_count(mir: &StTree) -> usize {
+        let (io, mut scratch, mut stack) =
+            (IoStats::new(), NodeScratch::default(), vec![mir.root()]);
+        let mut count = 0;
+        while let Some(id) = stack.pop() {
+            let node = mir.read_node_ref(id, &io, &mut scratch);
+            stack.extend((0..node.len()).filter_map(|i| match node.child(i) {
+                ChildRef::Node(c) => Some(c),
+                ChildRef::Object(_) => None,
+            }));
+            count += 1;
+        }
+        count
+    }
+
     /// A node's read asks only for the union terms its parent's row names
     /// (the root's for all of `uni`); the records, the simulated I/O and
     /// every row still match the reference, which reads `uni` everywhere —
-    /// at unions of one term and of one, two and three mask words, under
-    /// LM, TF-IDF and KO, both codecs, `k` from 1 past `|O|`. Most reads
-    /// ask for fewer terms than `uni` holds.
+    /// at unions of one term and of one, two and three mask words (the
+    /// wide fixture, which reads every node), and on the clustered
+    /// fixture, whose traversal prunes nodes, under LM, TF-IDF and KO,
+    /// both codecs, `k` from 1 past `|O|`. Most reads ask for fewer terms
+    /// than `uni` holds.
     #[test]
     fn term_runs_match_the_reference_at_every_union_width() {
         let mut seen = Seen::default();
-        let mut narrowed = 0;
+        let (mut narrowed, mut pruned) = (0, 0);
         for model in [
             WeightModel::lm(),
             WeightModel::TfIdf,
             WeightModel::KeywordOverlap,
         ] {
-            for uni in [1, 63, 64, 65, 130] {
+            for uni in [0, 1, 63, 64, 65, 130] {
                 for codec in [storage::CodecId::Verbatim, storage::CodecId::Columnar] {
-                    let (ctx, mir, _, group) = wide_fixture(model, uni, codec, uni as u64);
+                    // Width 0 stands for the clustered fixture.
+                    let (ctx, mir, _, group) = match uni {
+                        0 => clustered_fixture(model, codec),
+                        _ => wide_fixture(model, uni, codec, uni as u64),
+                    };
+                    let (uni, nodes) = (group.d_uni.num_terms(), node_count(&mir));
                     for k in [1, 7, 40, 305] {
                         let what = format!("{model:?} |uni|={uni} {codec:?} k={k}");
                         let (visits, run_terms) = (seen.visits, seen.run_terms);
@@ -472,6 +495,7 @@ mod tests {
                         let (visits, run_terms) =
                             (seen.visits - visits, seen.run_terms - run_terms);
                         narrowed += usize::from(run_terms < visits * uni);
+                        pruned += usize::from(visits < nodes);
                     }
                 }
             }
@@ -483,85 +507,97 @@ mod tests {
             ..
         } = seen;
         assert!(
-            runs == 120 && narrowed >= 96 && 2 * run_terms < visits * 64,
+            runs == 144 && narrowed >= 96 && 2 * run_terms < visits * 64 && pruned >= 18,
             "coverage: {runs} runs, {narrowed} read fewer terms than uni, {run_terms} terms \
-             asked for over {visits} reads"
+             asked for over {visits} reads, {pruned} read fewer nodes than the tree holds"
         );
     }
 
     /// The keyword cap, where it bites: groups of users holding `m` ∈
-    /// {1, 2, 3} keywords each, together spanning the wide fixture's
-    /// union, under LM, TF-IDF and KO and both codecs. The traversal
-    /// matches the reference record for record; it bounds retrieved
-    /// objects lower than under the uncapped group (Lemma 2 as the paper
-    /// states it); and every member's `RSk(u)` and top-k scores are the
-    /// uncapped group's, bit for bit.
+    /// {1, 2, 3} keywords each, together spanning a fixture's union (the
+    /// wide fixture's, which reads every node, and the clustered one's,
+    /// whose traversal prunes nodes), under LM, TF-IDF and KO and both
+    /// codecs. The traversal matches the reference record for record; it
+    /// bounds retrieved objects lower than under the uncapped group (Lemma
+    /// 2 as the paper states it); and every member's `RSk(u)` and top-k
+    /// scores are the uncapped group's, bit for bit.
     #[test]
     fn capped_groups_match_the_reference_and_the_uncapped_answers() {
         use crate::topk::individual::individual_topk;
-        let (mut seen, mut capped_rows, mut lowered) = (Seen::default(), 0, 0);
+        let (mut seen, mut capped_rows, mut lowered, mut pruned) = (Seen::default(), 0, 0, 0);
         for model in [
             WeightModel::lm(),
             WeightModel::TfIdf,
             WeightModel::KeywordOverlap,
         ] {
             for codec in storage::CodecId::ALL {
-                // The terms objects hold: the ghosts would leave `n_min` 0.
-                let (ctx, mir, users, group) = wide_fixture(model, 65, codec, 9);
-                let held = &group.uni_terms()[..63];
-                for m in 1..=3 {
-                    let members: Vec<UserData> = (0..held.len())
-                        .map(|i| UserData {
-                            id: i as u32,
-                            point: users[i % users.len()].point,
-                            doc: Document::from_terms((i..i + m).map(|j| held[j % held.len()])),
-                        })
-                        .collect();
-                    let capped = UserGroup::from_users(&members, &ctx.text);
-                    assert_eq!(
-                        (capped.max_terms, capped.d_uni.num_terms()),
-                        (m, held.len())
-                    );
-                    let open = UserGroup {
-                        max_terms: usize::MAX,
-                        ..capped.clone()
+                for clustered in [false, true] {
+                    let (ctx, mir, users, group) = if clustered {
+                        clustered_fixture(model, codec)
+                    } else {
+                        wide_fixture(model, 65, codec, 9)
                     };
-                    for k in [1, 7, 40] {
-                        let what = format!("{model:?} {codec:?} m={m} k={k}");
-                        assert_matches_reference(&mir, &capped, k, &ctx, &what, &mut seen);
-                        let io = IoStats::new();
-                        let got = crate::topk::joint::joint_topk(&mir, &capped, k, &ctx, &io);
-                        let want = crate::topk::joint::joint_topk(&mir, &open, k, &ctx, &io);
-                        capped_rows += got
-                            .lo()
-                            .chain(got.ro())
-                            .filter(|o| o.weights.len() > m)
-                            .count();
-                        let open_ub: std::collections::HashMap<u32, f64> =
-                            want.lo().chain(want.ro()).map(|o| (o.id, o.ub)).collect();
-                        lowered += got
-                            .lo()
-                            .chain(got.ro())
-                            .filter(|o| open_ub.get(&o.id).is_some_and(|&ub| o.ub < ub))
-                            .count();
-                        let answers = |out| {
-                            individual_topk(&members, out, k, &ctx)
-                                .iter()
-                                .map(|t| {
-                                    let scores = t.topk.iter().map(|&(_, s)| s.to_bits());
-                                    (t.rsk.to_bits(), scores.collect::<Vec<_>>())
-                                })
-                                .collect::<Vec<_>>()
+                    // The terms objects hold: the wide fixture's ghosts
+                    // would leave `n_min` 0.
+                    let uni = group.uni_terms();
+                    let held = if clustered { &uni[..] } else { &uni[..63] };
+                    let nodes = node_count(&mir);
+                    for m in 1..=3 {
+                        let members: Vec<UserData> = (0..held.len())
+                            .map(|i| UserData {
+                                id: i as u32,
+                                point: users[i % users.len()].point,
+                                doc: Document::from_terms((i..i + m).map(|j| held[j % held.len()])),
+                            })
+                            .collect();
+                        let capped = UserGroup::from_users(&members, &ctx.text);
+                        assert_eq!(
+                            (capped.max_terms, capped.d_uni.num_terms()),
+                            (m, held.len())
+                        );
+                        let open = UserGroup {
+                            max_terms: usize::MAX,
+                            ..capped.clone()
                         };
-                        assert_eq!(answers(&got), answers(&want), "{what}");
+                        for k in [1, 7, 40] {
+                            let what = format!("{model:?} {codec:?} {clustered} m={m} k={k}");
+                            let visits = seen.visits;
+                            assert_matches_reference(&mir, &capped, k, &ctx, &what, &mut seen);
+                            pruned += usize::from(seen.visits - visits < nodes);
+                            let io = IoStats::new();
+                            let got = crate::topk::joint::joint_topk(&mir, &capped, k, &ctx, &io);
+                            let want = crate::topk::joint::joint_topk(&mir, &open, k, &ctx, &io);
+                            capped_rows += got
+                                .lo()
+                                .chain(got.ro())
+                                .filter(|o| o.weights.len() > m)
+                                .count();
+                            let open_ub: std::collections::HashMap<u32, f64> =
+                                want.lo().chain(want.ro()).map(|o| (o.id, o.ub)).collect();
+                            lowered += got
+                                .lo()
+                                .chain(got.ro())
+                                .filter(|o| open_ub.get(&o.id).is_some_and(|&ub| o.ub < ub))
+                                .count();
+                            let answers = |out| {
+                                individual_topk(&members, out, k, &ctx)
+                                    .iter()
+                                    .map(|t| {
+                                        let scores = t.topk.iter().map(|&(_, s)| s.to_bits());
+                                        (t.rsk.to_bits(), scores.collect::<Vec<_>>())
+                                    })
+                                    .collect::<Vec<_>>()
+                            };
+                            assert_eq!(answers(&got), answers(&want), "{what}");
+                        }
                     }
                 }
             }
         }
         assert!(
-            seen.runs == 54 && capped_rows > 1_000 && lowered > 1_000,
+            seen.runs == 108 && capped_rows > 1_000 && lowered > 1_000 && pruned >= 27,
             "coverage: {} runs, {capped_rows} retrieved rows above the cap, {lowered} \
-             bounded lower than uncapped",
+             bounded lower than uncapped, {pruned} read fewer nodes than the tree holds",
             seen.runs
         );
     }

@@ -45,15 +45,38 @@ pub struct UserIndexOutcome {
 }
 
 /// The `k`-dependent, location-independent part of the §7 pipeline: the
-/// MIUR root treated as super-user, the joint object traversal run for
-/// it, and every MIUR node materialized so far. Memoized per `(k, epoch)`
-/// by [`crate::ThresholdCache`]; built by [`compute_user_index_seed`].
+/// MIUR root treated as super-user, a joint object traversal's outcome,
+/// and every MIUR node materialized so far. Memoized per `(k, epoch)` by
+/// [`crate::ThresholdCache`].
+///
+/// `out` comes from one of two traversals, and every reader is exact over
+/// either:
+/// - *the paper's* ([`compute_user_index_seed`]: Algorithm 1 for
+///   `root_group`, uncapped, no checkpoint), which the uncached engine,
+///   the figure harness and the standalone [`select_with_user_index`]
+///   run;
+/// - *the engine's joint slot* ([`crate::Engine::user_index_seed`] with a
+///   threshold cache attached): the seed shares the
+///   [`crate::JointThresholds`] outcome of the same `(k, epoch)` and runs
+///   no traversal of its own. That outcome was traversed for the user
+///   table's super-user with the capped bound, which holds for every MIUR
+///   subgroup (each member holds at most `m` keywords), and the MIUR users
+///   are the table's users. Its `RO` is cut at `rsk_us = max(RSk(us), T)`,
+///   at or below every `RSk(u)`. So a leaf user's `RSk(u)` from
+///   `refine_user_heap` is exact, as every user's top-k lies in
+///   `LO ∪ RO`; a subtree's `group_rsk_lb` is the k-th best lower bound of
+///   a subset of the objects, at or below the k-th best over all of them,
+///   so still a lower bound, if possibly a looser one than over the
+///   paper's rows (which can only mean more expansions); and the root's
+///   reach and the location prune compare against `rsk_us`, which no
+///   `RSk(u)` is below.
 #[derive(Debug)]
 pub struct UserIndexSeed {
     /// Super-user summary of the whole MIUR root.
     pub root_group: UserGroup,
-    /// Joint traversal outcome for `root_group`.
-    pub out: TopkOutcome,
+    /// The joint traversal outcome the seed materializes over (see the
+    /// type's docs for which one).
+    pub out: Arc<TopkOutcome>,
     /// Materialized MIUR nodes by record (subtree groups with `RSk` lower
     /// bounds, concrete users with exact thresholds) — everything an
     /// expansion derives from `(node, out, k)`. The root is materialized
@@ -64,6 +87,29 @@ pub struct UserIndexSeed {
 }
 
 impl UserIndexSeed {
+    /// Reads the MIUR root (charging its I/O), summarizes it as
+    /// `root_group`, takes the joint outcome `out(&root_group)` and
+    /// materializes the root over it.
+    pub(crate) fn over(
+        miur: &MiurTree,
+        k: usize,
+        ctx: &ScoreContext,
+        io: &IoStats,
+        out: impl FnOnce(&UserGroup) -> Arc<TopkOutcome>,
+    ) -> Self {
+        let mut scratch = NodeScratch::default();
+        let root = miur.read_node_ref(miur.root(), io, &mut scratch.miur);
+        let root_group = group_from_root(&root);
+        let out = out(&root_group);
+        let (lbs, hu, mask) = (&mut scratch.lbs, &mut scratch.hu, &mut scratch.mask);
+        let root_elems = materialize_node(&root, &out, k, ctx, lbs, hu, mask);
+        UserIndexSeed {
+            root_group,
+            out,
+            nodes: RwLock::new(HashMap::from([(miur.root(), root_elems)])),
+        }
+    }
+
     /// `node`'s materialized entries: from the memo, or read (charging its
     /// I/O) and materialized on the node's first expansion under this seed.
     /// Racing first expansions materialize the same entries; one is kept.
@@ -228,9 +274,11 @@ fn materialize_node(
 }
 
 /// Computes the `(engine, k)`-dependent part of the §7 pipeline — the
-/// MIUR root as super-user, the joint object traversal for it, and the
-/// materialized root — which [`crate::ThresholdCache`] memoizes across
-/// queries, together with every node later expansions materialize.
+/// MIUR root as super-user, the paper's joint object traversal for it
+/// (uncapped, no checkpoint), and the materialized root — which
+/// [`crate::ThresholdCache`] memoizes across queries, together with every
+/// node later expansions materialize. A cached engine's seed shares its
+/// joint slot's outcome instead (see [`UserIndexSeed`]).
 pub fn compute_user_index_seed(
     miur: &MiurTree,
     mir: &StTree,
@@ -243,17 +291,9 @@ pub fn compute_user_index_seed(
         PostingMode::MaxMin,
         "object index must be a MIR-tree"
     );
-    let mut scratch = NodeScratch::default();
-    let root = miur.read_node_ref(miur.root(), io, &mut scratch.miur);
-    let root_group = group_from_root(&root);
-    let out = joint_topk(mir, &root_group, k, ctx, io);
-    let (lbs, hu, mask) = (&mut scratch.lbs, &mut scratch.hu, &mut scratch.mask);
-    let root_elems = materialize_node(&root, &out, k, ctx, lbs, hu, mask);
-    UserIndexSeed {
-        root_group,
-        out,
-        nodes: RwLock::new(HashMap::from([(miur.root(), root_elems)])),
-    }
+    UserIndexSeed::over(miur, k, ctx, io, |root_group| {
+        Arc::new(joint_topk(mir, root_group, k, ctx, io))
+    })
 }
 
 /// Runs the §7 pipeline.
@@ -939,6 +979,91 @@ mod tests {
                 "{selector:?}: seeded {warm_io} vs cold {}",
                 io_cold.total()
             );
+        }
+    }
+
+    /// The least `RSk(u)` of the users below `node`, asserting on the way
+    /// that every subtree carries the `k`-th bound over `seed.out`, at or
+    /// below its members' least `RSk(u)`, and every user `want[id]`, bit
+    /// for bit.
+    fn check_below(
+        seed: &UserIndexSeed,
+        miur: &MiurTree,
+        node: RecordId,
+        k: usize,
+        ctx: &ScoreContext,
+        want: &HashMap<u32, f64>,
+        users: &mut usize,
+    ) -> f64 {
+        let (io, mut scratch) = (IoStats::new(), NodeScratch::default());
+        let elems = seed.node_elems(miur, node, k, ctx, &io, &mut scratch);
+        let mut least = f64::INFINITY;
+        for e in elems.iter() {
+            let below = match e {
+                Elem::Group {
+                    node,
+                    group,
+                    rsk_lb,
+                } => {
+                    let bound = group_rsk_lb(&seed.out, group, k, ctx, &mut BinaryHeap::new());
+                    assert_eq!(rsk_lb.to_bits(), bound.to_bits(), "k={k}");
+                    let below = check_below(seed, miur, *node, k, ctx, want, users);
+                    assert!(*rsk_lb <= below, "k={k}: subtree bound {rsk_lb} > {below}");
+                    below
+                }
+                Elem::User { data, rsk, .. } => {
+                    assert_eq!(rsk.to_bits(), want[&data.id].to_bits(), "k={k}");
+                    *users += 1;
+                    *rsk
+                }
+            };
+            least = least.min(below);
+        }
+        least
+    }
+
+    /// A cached engine's seed borrows its joint slot: it holds the slot's
+    /// own outcome, every MIUR leaf user materializes with the slot's
+    /// `RSk(u)` bit for bit, and every subtree with its `k`-th bound over
+    /// that outcome, at or below its members' `RSk(u)` — the root's
+    /// children, materialized with the seed, as much as any node's —
+    /// under KO, LM and TF-IDF, `k` from 1 to the object count.
+    #[test]
+    fn a_borrowed_seed_carries_the_joint_slot_thresholds() {
+        for model in [
+            WeightModel::KeywordOverlap,
+            WeightModel::lm(),
+            WeightModel::TfIdf,
+        ] {
+            let f = fixture_with(model, 40);
+            let objects = (0..50)
+                .map(|i| crate::ObjectData {
+                    id: i,
+                    point: Point::new((i % 10) as f64, (i / 10) as f64),
+                    doc: Document::from_pairs([(t(i % 5), 1 + i % 3), (t(5), 1)]),
+                })
+                .collect();
+            let eng = crate::Engine::build_with_fanout(objects, f.users, model, 0.5, 4)
+                .with_user_index()
+                .with_threshold_cache();
+            let miur = eng.miur.as_ref().unwrap();
+            for k in [1, 3, 7, 50] {
+                let jt = eng.joint_thresholds(k);
+                let seed = eng.user_index_seed(k);
+                let want = eng.users.iter().map(|u| u.id).zip(jt.rsk.iter().copied());
+                let mut users = 0;
+                check_below(
+                    &seed,
+                    miur,
+                    miur.root(),
+                    k,
+                    &eng.ctx,
+                    &want.collect(),
+                    &mut users,
+                );
+                assert_eq!(users, eng.users.len(), "{model:?} k={k}");
+                assert!(Arc::ptr_eq(&jt.out, &seed.out), "{model:?} k={k}: a copy");
+            }
         }
     }
 

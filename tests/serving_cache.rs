@@ -2,11 +2,13 @@
 //! cache eliminates repeat top-k simulated I/O without changing any
 //! answer, alone or combined with the sharded page cache.
 
+use datagen::rng::{Rng, SeedableRng, StdRng};
 use datagen::{generate_objects, generate_workload, CorpusConfig, UserGenConfig};
 use maxbrstknn::mbrstk_core::select::location::KeywordSelector;
 use maxbrstknn::mbrstk_core::user_index::{
     compute_user_index_seed, select_with_user_index, select_with_user_index_seeded,
 };
+use maxbrstknn::mbrstk_core::{BatchOutcome, EngineCluster, Mutation, Phase};
 use maxbrstknn::prelude::*;
 use maxbrstknn::storage::IoStats;
 
@@ -385,4 +387,220 @@ fn batched_same_k_queries_pay_topk_once() {
     // And the per-query deltas still sum to the engine total.
     let summed: u64 = outcomes.iter().map(|o| o.stats.io.total()).sum();
     assert_eq!(summed, cached_total);
+}
+
+/// An uncached engine over `objects` flickr-like objects and `users`
+/// users (fanout 4, `model`, `codec`), three specs of growing location
+/// windows at `k` = 1, 3 and 10, and 20 more users returned for
+/// inserting.
+fn model_workload(
+    model: WeightModel,
+    codec: CodecId,
+    objects: usize,
+    users: usize,
+) -> (Engine, Vec<QuerySpec>, Vec<UserData>) {
+    let objects = generate_objects(&CorpusConfig::flickr_like(objects));
+    let wl = generate_workload(
+        &objects,
+        &UserGenConfig {
+            num_users: users + 20,
+            area: 8.0,
+            uw: 10,
+            ul: 3,
+            num_locations: 16,
+            seed: 7,
+        },
+    );
+    let (users, spare) = wl.users.split_at(users);
+    let engine = Engine::build_with_fanout_codec(objects, users.to_vec(), model, 0.5, 4, codec)
+        .with_user_index();
+    let locs = &wl.candidate_locations;
+    let specs = [(0, 1), (1, 3), (2, 10)]
+        .into_iter()
+        .map(|(w, k)| QuerySpec {
+            ox_doc: Document::new(),
+            locations: (0..2 + w).map(|i| locs[(5 * w + i) % locs.len()]).collect(),
+            keywords: wl.candidate_keywords.clone(),
+            ws: 2,
+            k,
+        })
+        .collect();
+    (engine, specs, spare.to_vec())
+}
+
+fn models() -> [WeightModel; 3] {
+    [
+        WeightModel::KeywordOverlap,
+        WeightModel::TfIdf,
+        WeightModel::lm(),
+    ]
+}
+
+/// One query on one thread, with its measured cost.
+fn run(engine: &Engine, spec: &QuerySpec, method: Method) -> BatchOutcome {
+    let mut out = engine.query_batch_threads(std::slice::from_ref(spec), method, 1);
+    out.pop().unwrap()
+}
+
+/// The I/O of reading the MIUR root once.
+fn root_read_io(engine: &Engine) -> u64 {
+    let miur = engine.miur.as_ref().unwrap();
+    let io = IoStats::new();
+    let _ = miur.read_node_ref(miur.root(), &io, &mut Default::default());
+    io.total()
+}
+
+/// One top-k traversal per `(k, epoch)`: on a cached engine the §7 seed
+/// borrows the joint slot. Under LM, TF-IDF and KO, both codecs, on a
+/// fused engine and on one split in three user slices, for every spec:
+/// - a §7 query after a joint query at the same `k` charges, in its top-k
+///   phase, only the MIUR root read (no object-tree I/O), and in all
+///   exactly what the §7-first order charges minus the joint fill — so
+///   everything it reads besides the shared fill is MIUR nodes;
+/// - a joint query after a §7 fill charges nothing;
+/// - every answer equals an uncached engine's bit for bit (location,
+///   keywords, `brstknn` in order);
+/// - a §7 fill makes one joint-slot lookup, and the cache counts it: a
+///   §7-first pair misses twice (seed, joint) and hits once (the joint
+///   query), a joint-first pair misses twice and hits once (the seed's
+///   lookup).
+#[test]
+fn user_index_seed_borrows_the_joint_slot() {
+    let mut checked = 0;
+    for model in models() {
+        for codec in CodecId::ALL {
+            let (uncached, specs, _) = model_workload(model, codec, 400, 380);
+            let want: Vec<_> = specs
+                .iter()
+                .map(|s| {
+                    let ui = uncached.query(s, Method::UserIndexGreedy);
+                    (ui, uncached.query(s, Method::JointGreedy))
+                })
+                .collect();
+            let fused = uncached.clone().with_threshold_cache();
+            let cluster = EngineCluster::from_engine(uncached.clone(), 3);
+            for (engine, sliced) in [(&fused, false), (cluster.head(), true)] {
+                let root_io = root_read_io(engine);
+                let tc = engine.thresholds.as_ref().unwrap();
+                for (i, spec) in specs.iter().enumerate() {
+                    let what = format!("{model:?} {codec:?} sliced={sliced} spec {i}");
+                    let (want_ui, want_joint) = &want[i];
+                    let ui = Method::UserIndexGreedy;
+                    {
+                        let counts = || (tc.hits(), tc.misses());
+                        tc.clear();
+                        let before = counts();
+                        let joint = run(engine, spec, Method::JointGreedy);
+                        let after_joint = run(engine, spec, ui);
+                        let after = counts();
+                        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 2), "{what}");
+
+                        tc.clear();
+                        let first = run(engine, spec, ui);
+                        let joint_after = run(engine, spec, Method::JointGreedy);
+                        let before = after;
+                        let after = counts();
+                        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 2), "{what}");
+
+                        let topk = after_joint.stats.phases.get(Phase::TopK).io;
+                        assert_eq!(topk.total(), root_io, "{what}: {ui:?} top-k phase");
+                        assert_eq!(
+                            after_joint.stats.io.total() + joint.stats.io.total(),
+                            first.stats.io.total(),
+                            "{what}: {ui:?} reads besides the joint fill"
+                        );
+                        assert!(joint.stats.io.total() > 0, "{what}");
+                        assert_eq!(joint_after.stats.io.total(), 0, "{what}: joint after §7");
+
+                        assert_eq!(&after_joint.result, want_ui, "{what}: §7 after joint");
+                        assert_eq!(&first.result, want_ui, "{what}: §7 first");
+                        assert_eq!(&joint.result, want_joint, "{what}");
+                        assert_eq!(&joint_after.result, want_joint, "{what}");
+                        checked += usize::from(want_ui.brstknn.len() > 1);
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 24, "coverage: {checked} non-trivial §7 answers");
+}
+
+/// `group_from_root`'s summary and the user table's super-user, field for
+/// field (`max_terms` aside: an MIUR entry does not record it).
+fn same_group(a: &UserGroup, b: &UserGroup) -> bool {
+    let bits = |g: &UserGroup| (g.n_min.to_bits(), g.n_max.to_bits(), g.count);
+    a.mbr == b.mbr && a.d_uni == b.d_uni && a.d_int == b.d_int && bits(a) == bits(b)
+}
+
+/// The edge case of a borrowed seed: user writes edit the MIUR-tree in
+/// place, so its root's summary could drift from the user table's
+/// super-user the joint slot was traversed for. A seeded churn of user
+/// inserts and removes and object inserts and removes (LM, TF-IDF and
+/// KO; Verbatim and Columnar) runs on a cached engine and an uncached
+/// twin. After every write the cached engine's §7 answers — its seed
+/// borrows the joint slot — equal the twin's bit for bit and a cold
+/// build's objective (a cold build's MIUR-tree has another shape, which
+/// may break objective ties in another order); the states where the
+/// root's summary and `Engine::super_user` differ, and where the answer
+/// differs from a cold build's bit for bit, are counted and printed.
+#[test]
+fn borrowed_seed_answers_hold_across_user_and_object_churn() {
+    let (mut writes, mut diverged, mut cold_ties) = ([0; 4], 0, 0);
+    for (case, model) in models().into_iter().enumerate() {
+        let codec = CodecId::ALL[case % 2];
+        let (mut twin, specs, spare) = model_workload(model, codec, 150, 120);
+        let mut cached = twin.clone().with_threshold_cache();
+        let mut rng = StdRng::seed_from_u64(17 + case as u64);
+        let (mut spare, mut next_object) = (spare.into_iter(), 1_000_000);
+        for step in 0..16 {
+            let what = format!("{model:?} {codec:?} write {step}");
+            let kind = rng.gen_range(0..4);
+            let mutation = match kind {
+                0 => Mutation::InsertUser(spare.next().unwrap()),
+                1 => Mutation::RemoveUser(twin.users[rng.gen_range(0..twin.users.len())].id),
+                // A new object on a donor's point (inside the build's
+                // hull) with another donor's document.
+                2 => {
+                    let n = twin.objects.len();
+                    let (at, doc) = (&twin.objects[rng.gen_range(0..n)], rng.gen_range(0..n));
+                    next_object += 1;
+                    Mutation::InsertObject(ObjectData {
+                        id: next_object,
+                        point: at.point,
+                        doc: twin.objects[doc].doc.clone(),
+                    })
+                }
+                _ => Mutation::RemoveObject(twin.objects[rng.gen_range(0..twin.objects.len())].id),
+            };
+            assert!(twin.apply_batch([mutation.clone()]).applied == 1, "{what}");
+            assert!(cached.apply_batch([mutation]).applied == 1, "{what}");
+            writes[kind] += 1;
+            let cold = Engine::build_with_fanout_codec(
+                twin.objects.clone(),
+                twin.users.clone(),
+                model,
+                0.5,
+                4,
+                codec,
+            )
+            .with_user_index();
+            let mut differs = false;
+            for spec in &specs {
+                let got = cached.query(spec, Method::UserIndexGreedy);
+                assert_eq!(got, twin.query(spec, Method::UserIndexGreedy), "{what}");
+                let want = cold.query(spec, Method::UserIndexGreedy);
+                assert_eq!(got.cardinality(), want.cardinality(), "{what}: cold build");
+                cold_ties += usize::from(got != want);
+                let seed = cached.user_index_seed(spec.k);
+                differs |= !same_group(&seed.root_group, &cached.super_user());
+            }
+            diverged += usize::from(differs);
+        }
+    }
+    println!(
+        "writes (user insert, user remove, object insert, object remove) {writes:?}: \
+         {diverged} of 48 states' MIUR root differs from the super-user, {cold_ties} of 144 \
+         answers differ from a cold build's bit for bit"
+    );
+    assert!(writes.iter().all(|&w| w >= 4), "coverage: {writes:?}");
 }
