@@ -282,14 +282,15 @@ impl Payload for St {
 //   f64 column vs min.x: n × max.x (degenerate leaf rects → 1 byte in all)
 //   f64 column vs min.y: n × max.y
 //
-// Columnar inverted-file record — directory plus a skip table of encoded
-// list sizes (varint lists have no fixed stride, so partial reads need
-// explicit extents). The list blocks are encoded first, into one pooled
-// buffer, so the skip table can be written ahead of them:
-//   varint n_terms
-//   ascending column: n_terms term ids
-//   n_terms × varint list_len
-//   n_terms × varint list_bytes        (the skip table)
+// Columnar inverted-file record — a directory of one varint triple per
+// term, carrying each list's encoded size (varint lists have no fixed
+// stride, so partial reads need explicit extents), then the lists. The
+// list blocks are encoded first, into one pooled buffer, so the sizes can
+// be written ahead of them, and the directory's byte length is summed
+// from its varints' lengths before anything is written:
+//   varint dir_bytes                   (the byte length of the triples)
+//   n_terms × { varint term delta, varint list_len, varint list_bytes }
+//                                      (the first delta is from term 0)
 //   per-term list blocks, ascending by term:
 //     ascending column: list_len entry indexes
 //     f64 column: list_len maxima (XOR previous)
@@ -375,17 +376,38 @@ fn serialize_invfile(mode: PostingMode, codec: CodecId, pool: &mut Pool, w: &mut
                 }
                 sizes.push((blocks.len() - start) as u32);
             }
-            w.put_varint_u32(sizes.len() as u32);
-            c.put_ascending_u32s(w, column(ids, lists().map(|list| list[0].term().0)));
-            for list in lists() {
-                w.put_varint_u32(list.len() as u32);
-            }
-            for &size in sizes.iter() {
-                w.put_varint_u32(size);
-            }
+            let triples = || {
+                let mut prev = 0;
+                lists().zip(sizes.iter()).flat_map(move |(list, &size)| {
+                    let term = list[0].term().0;
+                    let delta = term - std::mem::replace(&mut prev, term);
+                    [delta, list.len() as u32, size]
+                })
+            };
+            let dir_bytes: usize = triples().map(varint_len).sum();
+            w.put_varint_u32(dir_bytes as u32);
+            triples().for_each(|v| w.put_varint_u32(v));
             w.put_bytes(blocks.as_bytes());
         }
     }
+}
+
+/// Bytes of `v` as a LEB128 varint.
+fn varint_len(v: u32) -> usize {
+    (32 - v.leading_zeros() as usize).max(1).div_ceil(7)
+}
+
+/// Opens a Columnar inverted file: a reader over its directory's triples
+/// alone, and the byte offset of its first list block.
+///
+/// # Panics
+/// Panics when the stored directory length runs past the record.
+pub(super) fn columnar_directory(payload: &[u8]) -> (Reader<'_>, usize) {
+    let mut r = Reader::new(payload);
+    let dir_bytes = r.get_varint_u32() as usize;
+    let start = r.position();
+    r.skip(dir_bytes);
+    (Reader::new(&payload[start..r.position()]), r.position())
 }
 
 /// Decodes a whole inverted file into `pool.runs`, term by term (the
@@ -393,7 +415,7 @@ fn serialize_invfile(mode: PostingMode, codec: CodecId, pool: &mut Pool, w: &mut
 /// `read.rs`).
 fn deserialize_runs(tree: &PagedTree<St>, side: RecordId, pool: &mut Pool) {
     let runs = &mut pool.runs;
-    let ([terms, idxs], [maxs, mins, _]) = (&mut pool.u32s, &mut pool.f64s);
+    let ([idxs, _], [maxs, mins, _]) = (&mut pool.u32s, &mut pool.f64s);
     runs.clear();
     let payload = tree.side.get(side);
     let mut r = Reader::new(payload);
@@ -421,13 +443,13 @@ fn deserialize_runs(tree: &PagedTree<St>, side: RecordId, pool: &mut Pool) {
         }
         CodecId::Columnar => {
             let c = storage::codec(CodecId::Columnar);
-            let n_terms = r.get_varint_u32() as usize;
-            terms.clear();
-            c.get_ascending_u32s(&mut r, n_terms, terms);
-            let mut lens = Reader::new(&payload[r.position()..]);
-            r.skip_varints(2 * n_terms);
-            for &term in terms.iter() {
-                let len = lens.get_varint_u32() as usize;
+            let (mut dir, dir_end) = columnar_directory(payload);
+            r.seek(dir_end);
+            let mut term = 0;
+            while !dir.is_exhausted() {
+                term += dir.get_varint_u32();
+                let len = dir.get_varint_u32() as usize;
+                dir.get_varint_u32(); // the list's size: every list is read
                 idxs.clear();
                 maxs.clear();
                 mins.clear();

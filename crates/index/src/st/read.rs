@@ -529,14 +529,12 @@ fn deserialize_postings_into(
 /// `scratch.touched` (ascending; the caller charges partial pages from
 /// them).
 ///
-/// The directory is selected on as stored, never materialised. The term
-/// column is merge-walked against `wanted` (both ascend) and its decode
-/// stops once `wanted` is exhausted. The other two columns are delimited
-/// by skipping them, then passed over in lock step from hit to hit — list
-/// lengths skipped, list sizes summed into the byte offset of the next
-/// hit — and a value is decoded at a hit alone. `touched` doubles as the
-/// work list: a hit is pushed as `(directory slot, index into wanted)`
-/// and overwritten with its list's extent once that is known.
+/// The directory is selected on as stored, never materialised: one cursor
+/// walks its `(term delta, list length, list size)` triples, merged
+/// against `wanted` (both ascend), and stops after the last wanted term.
+/// The list sizes it passes sum into a running byte offset, so a hit
+/// seeks straight to its list block. The directory's end comes from its
+/// stored length, so the walk never reads the triples it does not need.
 fn deserialize_postings_columnar_into(
     payload: &[u8],
     mode: PostingMode,
@@ -547,43 +545,28 @@ fn deserialize_postings_columnar_into(
     let PostingsScratch { lists, touched, .. } = &mut *scratch;
     lists.clear();
     touched.clear();
+    let (mut dir, dir_end) = super::payload::columnar_directory(payload);
+    touched.push((0, dir_end));
     let mut r = Reader::new(payload);
-    let n_terms = r.get_varint_u32() as usize;
-    touched.push((0, 0)); // the directory; its end is patched in below
-    let (mut t, mut w, mut slot) = (0u32, 0usize, 0usize);
-    while slot < n_terms && w < wanted.len() {
-        t += r.get_varint_u32();
+    // The list of the next triple starts at byte `offset`.
+    let (mut t, mut w, mut offset) = (0u32, 0usize, dir_end);
+    while w < wanted.len() && !dir.is_exhausted() {
+        t += dir.get_varint_u32();
+        let len = dir.get_varint_u32() as usize;
+        let end = offset + dir.get_varint_u32() as usize;
         while w < wanted.len() && wanted[w].0 < t {
             w += 1;
         }
         if w < wanted.len() && wanted[w].0 == t {
-            touched.push((slot, w));
+            r.seek(offset);
+            lists.push(&mut r, CodecId::Columnar, wanted[w], len, mode);
+            debug_assert_eq!(r.position(), end);
+            touched.push((offset, end));
             w += 1;
         }
-        slot += 1;
+        offset = end;
     }
-    r.skip_varints(n_terms - slot);
-    let mut lens = Reader::new(&payload[r.position()..]);
-    r.skip_varints(n_terms);
-    let mut sizes = Reader::new(&payload[r.position()..]);
-    r.skip_varints(n_terms);
-    let dir_end = r.position();
-    touched[0] = (0, dir_end);
-    // `passed` directory slots lie behind the two column cursors; their
-    // lists end at byte `offset`.
-    let (mut passed, mut offset) = (0usize, dir_end);
-    for hit in &mut touched[1..] {
-        let (slot, w) = *hit;
-        lens.skip_varints(slot - passed);
-        let len = lens.get_varint_u32() as usize;
-        offset += sizes.sum_varint_u32s(slot - passed) as usize;
-        let end = offset + sizes.get_varint_u32() as usize;
-        r.seek(offset);
-        lists.push(&mut r, CodecId::Columnar, wanted[w], len, mode);
-        debug_assert_eq!(r.position(), end);
-        *hit = (offset, end);
-        (passed, offset) = (slot + 1, end);
-    }
+    r.seek(offset); // every list the walk passed ends inside the record
     scratch.lay_out(num_entries);
 }
 
@@ -592,6 +575,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use splitmix::SplitMix64;
+    use storage::codec::Writer;
     use text::WeightedDoc;
 
     use super::super::payload::St;
@@ -674,9 +658,25 @@ mod tests {
         rows
     }
 
+    /// A Columnar directory decoded whole: `(term, list length, list
+    /// size)` per slot, and the byte offset of the first list block.
+    fn columnar_triples(payload: &[u8]) -> (Vec<(TermId, usize, usize)>, usize) {
+        let mut r = Reader::new(payload);
+        let dir_bytes = r.get_varint_u32() as usize;
+        let dir_end = r.position() + dir_bytes;
+        let (mut triples, mut t) = (Vec::new(), 0);
+        while r.position() < dir_end {
+            t += r.get_varint_u32();
+            let len = r.get_varint_u32() as usize;
+            triples.push((TermId(t), len, r.get_varint_u32() as usize));
+        }
+        assert_eq!(r.position(), dir_end, "the triples fill the directory");
+        (triples, dir_end)
+    }
+
     /// The full-decode directory loop the walker replaced, kept as its
-    /// reference: materialise all three directory columns, then pick the
-    /// wanted slots out of them. Returns the per-entry rows and the
+    /// reference: materialise every triple of the directory, then pick
+    /// the wanted slots out of them. Returns the per-entry rows and the
     /// extents touched.
     fn reference_postings_columnar(
         payload: &[u8],
@@ -685,25 +685,13 @@ mod tests {
         num_entries: usize,
     ) -> (Rows, Vec<(usize, usize)>) {
         let (mut rows, mut touched) = (vec![Vec::new(); num_entries], Vec::new());
-        let c = storage::codec(CodecId::Columnar);
-        let mut r = Reader::new(payload);
-        let n_terms = r.get_varint_u32() as usize;
-        let mut term_ids = Vec::new();
-        c.get_ascending_u32s(&mut r, n_terms, &mut term_ids);
-        let lens: Vec<u32> = (0..n_terms).map(|_| r.get_varint_u32()).collect();
-        let sizes: Vec<u32> = (0..n_terms).map(|_| r.get_varint_u32()).collect();
-        let dir_end = r.position();
+        let (triples, dir_end) = columnar_triples(payload);
         touched.push((0, dir_end));
+        let mut r = Reader::new(payload);
         let mut offset = dir_end;
-        let mut w = 0usize;
-        for j in 0..n_terms {
-            let t = TermId(term_ids[j]);
-            let len = lens[j] as usize;
-            let end = offset + sizes[j] as usize;
-            while w < wanted.len() && wanted[w] < t {
-                w += 1;
-            }
-            if w < wanted.len() && wanted[w] == t {
+        for (t, len, size) in triples {
+            let end = offset + size;
+            if wanted.binary_search(&t).is_ok() {
                 r.seek(offset);
                 reference_columnar_list_into(&mut r, t, len, mode, &mut rows);
                 assert_eq!(r.position(), end);
@@ -711,6 +699,7 @@ mod tests {
             }
             offset = end;
         }
+        assert_eq!(offset, payload.len());
         (rows, touched)
     }
 
@@ -840,13 +829,13 @@ mod tests {
         sets
     }
 
-    /// Marks `offset mod 8` of every multi-byte varint of the term-delta
-    /// and list-size columns of a columnar directory.
+    /// Marks `offset mod 8` of every multi-byte varint among the term
+    /// deltas and among the list sizes of a Columnar directory.
     fn multi_byte_offsets(payload: &[u8], terms: &mut [bool; 8], sizes: &mut [bool; 8]) {
         let mut r = Reader::new(payload);
-        let n_terms = r.get_varint_u32() as usize;
-        for seen in [terms, &mut [false; 8], sizes] {
-            for _ in 0..n_terms {
+        let dir_end = r.get_varint_u32() as usize + r.position();
+        while r.position() < dir_end {
+            for seen in [&mut *terms, &mut [false; 8], &mut *sizes] {
                 let at = r.position();
                 r.get_varint_u32();
                 seen[at % 8] |= r.position() > at + 1;
@@ -892,5 +881,87 @@ mod tests {
         assert!(hits > 1_000, "the wanted sets must hit lists: {hits}");
         assert_eq!(term_offsets, [true; 8], "multi-byte term deltas");
         assert_eq!(size_offsets, [true; 8], "multi-byte list sizes");
+    }
+
+    /// The directory bytes of `triples`, as the encoder lays them out.
+    fn directory_bytes(triples: &[(TermId, usize, usize)]) -> Vec<u8> {
+        let (mut w, mut prev) = (Writer::new(), 0);
+        for &(t, len, size) in triples {
+            for v in [t.0 - prev, len as u32, size as u32] {
+                w.put_varint_u32(v);
+            }
+            prev = t.0;
+        }
+        w.into_bytes()
+    }
+
+    /// The message of the panic a walk over `record` for `wanted` raises,
+    /// or `None` when it returns.
+    fn walk_panic(record: &[u8], mode: PostingMode, wanted: &[TermId]) -> Option<String> {
+        let err = std::panic::catch_unwind(|| {
+            let mut scratch = PostingsScratch::default();
+            deserialize_postings_columnar_into(record, mode, wanted, ENTRIES, &mut scratch);
+        })
+        .err()?;
+        Some(match err.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(err) => err.downcast_ref::<&str>().map_or("", |m| m).to_string(),
+        })
+    }
+
+    /// A damaged Columnar inverted file panics in the reader's own bounds
+    /// checks: a directory length past the record, a triple cut
+    /// mid-varint by the stored length (the walk does not read on into
+    /// the list blocks), a list size past the record. The walks here never
+    /// hit the damaged slot, so nothing of it is decoded as a list.
+    #[test]
+    fn damaged_columnar_invfiles_panic_in_the_reader() {
+        let mut g = SplitMix64(0x0DA3_A6ED);
+        for mode in [PostingMode::MaxOnly, PostingMode::MaxMin] {
+            let ([payload, _], terms) = seeded_invfile(&mut g, mode, 300);
+            let (triples, dir_end) = columnar_triples(&payload);
+            let blocks = &payload[dir_end..];
+            // The record of `triples` over the same blocks, its directory
+            // length stored as `stored(true length)`.
+            let relay = |triples: &[(TermId, usize, usize)], stored: &dyn Fn(usize) -> usize| {
+                let dir = directory_bytes(triples);
+                let mut w = Writer::new();
+                w.put_varint_u32(stored(dir.len()) as u32);
+                w.put_bytes(&dir);
+                w.put_bytes(blocks);
+                w.into_bytes()
+            };
+            assert_eq!(relay(&triples, &|n| n), payload, "the re-layout is exact");
+            let past = TermId(terms[299].0 + 1_000);
+            let expect = |record: &[u8], wanted: &[TermId], msg: &str| {
+                let got = walk_panic(record, mode, wanted);
+                assert!(
+                    got.as_deref().is_some_and(|m| m.contains(msg)),
+                    "{mode:?}, wanted {wanted:?}: want a panic with {msg:?}, got {got:?}"
+                );
+            };
+
+            let long = relay(&triples, &|n| n + blocks.len() + 1);
+            for wanted in [&[][..], &[terms[0]], &[past]] {
+                expect(&long, wanted, "skip past end of record");
+            }
+
+            // The stored length ends the directory one byte into the
+            // first multi-byte list size.
+            let slot = triples.iter().position(|&(_, _, size)| size > 127).unwrap();
+            let size_bytes = directory_bytes(&[(TermId(0), 0, triples[slot].2)]).len() - 2;
+            let cut = directory_bytes(&triples[..=slot]).len() - size_bytes + 1;
+            let cut_mid = relay(&triples, &|_| cut);
+            for wanted in [&[triples[slot].0][..], &[past]] {
+                expect(&cut_mid, wanted, "corrupt varint u32");
+            }
+
+            let mut far = triples.clone();
+            far[0].2 = payload.len();
+            let far = relay(&far, &|n| n);
+            for wanted in [&[terms[1]][..], &[past]] {
+                expect(&far, wanted, "seek past end of record");
+            }
+        }
     }
 }

@@ -58,14 +58,14 @@ fn inner_multi_byte_varints(dir: &Path) -> (bool, bool) {
             continue; // a leaf
         }
         let invfile = storage::RecordId(node.get_varint_u32());
+        // The directory: its byte length, then one (term delta, list
+        // length, list size) triple per term.
         let mut r = Reader::new(invfiles.get(invfile));
-        let n_terms = r.get_varint_u32() as usize;
-        for column in 0..3 {
-            for _ in 0..n_terms {
-                let wide = r.get_varint_u32() > 127;
-                delta |= column == 0 && wide;
-                size |= column == 2 && wide;
-            }
+        let dir_end = r.get_varint_u32() as usize + r.position();
+        while r.position() < dir_end {
+            delta |= r.get_varint_u32() > 127;
+            r.get_varint_u32();
+            size |= r.get_varint_u32() > 127;
         }
     }
     (delta, size)

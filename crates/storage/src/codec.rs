@@ -9,11 +9,10 @@
 //!
 //! * [`Writer`] / [`Reader`] — raw little-endian buffer access, plus the
 //!   compression kernels (LEB128 varints, zigzag, bit-packing, fixed-width
-//!   XOR'd floats) that the columnar layouts are built from. A reader can
-//!   also pass over a varint column without materialising it
-//!   ([`Reader::skip_varints`], [`Reader::sum_varint_u32s`]): a query that
-//!   wants a few rows of a directory selects on the stored column and
-//!   decodes the survivors only,
+//!   XOR'd floats) that the columnar layouts are built from. Every read
+//!   is bounds-checked against the buffer the reader was given: a damaged
+//!   record may decode to garbage or panic, but never reads past that
+//!   buffer's end,
 //! * [`Codec`] — the pluggable column-primitive layer. A [`BlockFile`]
 //!   carries a [`CodecId`] stamped into its persistent header; the index
 //!   crate asks [`codec`] for the matching implementation and routes every
@@ -236,57 +235,6 @@ impl<'a> Reader<'a> {
         Some(u64::from_le_bytes(bytes.try_into().unwrap()))
     }
 
-    /// Advances past `n` LEB128 varints without decoding them.
-    ///
-    /// A varint ends at its one byte with the high bit clear, so a `u64`
-    /// word of the record holds as many varint ends as it has such bytes
-    /// — at most eight. While at least eight varints are still to go a
-    /// whole word is passed at once (it cannot overshoot the last one);
-    /// the rest, and the tail of the record, go a byte at a time.
-    ///
-    /// # Panics
-    /// Panics when the record ends before the `n`th varint does.
-    pub fn skip_varints(&mut self, mut n: usize) {
-        while n >= 8 {
-            let Some(word) = self.peek_word() else { break };
-            n -= 8 - (word & VARINT_CONT).count_ones() as usize;
-            self.pos += 8;
-        }
-        while n > 0 {
-            n -= usize::from(self.get_u8() < 0x80);
-        }
-    }
-
-    /// Reads `n` LEB128 `u32` varints and returns their sum.
-    ///
-    /// The one-byte varints at the head of the word at the cursor are
-    /// their own values, so they are added as bytes — up to eight per
-    /// step; a multi-byte value, and the tail of the record, decode
-    /// through [`Reader::get_varint_u32`].
-    ///
-    /// # Panics
-    /// Panics on truncated or malformed input, like
-    /// [`Reader::get_varint_u32`].
-    pub fn sum_varint_u32s(&mut self, mut n: usize) -> u64 {
-        let mut sum = 0u64;
-        while n > 0 {
-            if let Some(word) = self.peek_word() {
-                // Index of the first continuation byte (8 when none).
-                let one_byte = ((word & VARINT_CONT).trailing_zeros() / 8) as usize;
-                let k = one_byte.min(n);
-                if k > 0 {
-                    sum += byte_sum(word & (u64::MAX >> (64 - 8 * k)));
-                    self.pos += k;
-                    n -= k;
-                    continue;
-                }
-            }
-            sum += u64::from(self.get_varint_u32());
-            n -= 1;
-        }
-        sum
-    }
-
     /// Twin of [`Writer::put_xor_residues`]: XORs the next `slots.len()`
     /// residues into the bit patterns of `slots`, in order. A residue
     /// whose eight-byte word lies inside the record decodes with one
@@ -359,20 +307,6 @@ impl<'a> Reader<'a> {
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
-}
-
-/// The high bit of every byte of a word — set on the continuation bytes
-/// of a LEB128 varint, clear on the byte that ends one.
-const VARINT_CONT: u64 = 0x8080_8080_8080_8080;
-
-/// Sum of the eight bytes of `word`.
-#[inline]
-fn byte_sum(word: u64) -> u64 {
-    const EVEN: u64 = 0x00FF_00FF_00FF_00FF;
-    // Four 16-bit lanes of byte pairs, then the lanes summed into the top
-    // one (8 × 255 fits a lane, so nothing carries across).
-    let pairs = (word & EVEN) + ((word >> 8) & EVEN);
-    pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48
 }
 
 /// Zigzag-encodes a signed delta so small magnitudes of either sign get
@@ -1084,71 +1018,6 @@ mod tests {
             Columnar.get_f64s_vs(&mut Reader::new(&bytes), 2, &[0.0; 2], &mut out);
         });
         assert!(res.is_err(), "width 9 must be rejected");
-    }
-
-    /// A varint column of `n` values drawn so that multi-byte values land
-    /// at every offset of a word, after `lead` bytes of padding (which
-    /// shifts the whole column through every alignment).
-    fn varint_column(mix: &mut Mix, n: usize, lead: usize, multi_byte_every: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_bytes(&vec![0x80; lead]);
-        for _ in 0..n {
-            let raw = mix.next();
-            let v = if raw % multi_byte_every == 0 {
-                (raw >> 32) as u32 >> (raw % 29)
-            } else {
-                (raw >> 32) as u32 % 128
-            };
-            w.put_varint_u32(v);
-        }
-        w.into_bytes()
-    }
-
-    #[test]
-    fn varint_skip_and_sum_match_naive_loops_at_every_alignment() {
-        let mut mix = Mix(0x5EED);
-        // `u64::MAX`: one-byte values only; 1: every value from all of u32.
-        for multi_byte_every in [u64::MAX, 5, 2, 1] {
-            for n in [0usize, 1, 2, 7, 8, 9, 16, 17, 100] {
-                for lead in 0..9usize {
-                    let bytes = varint_column(&mut mix, n, lead, multi_byte_every);
-                    // Every split point: records shorter than a word, and
-                    // a take that stops mid-word or at the record's end.
-                    for take in 0..=n {
-                        let mut naive = Reader::new(&bytes);
-                        naive.skip(lead);
-                        let want_sum: u64 =
-                            (0..take).map(|_| u64::from(naive.get_varint_u32())).sum();
-
-                        let mut r = Reader::new(&bytes);
-                        r.skip(lead);
-                        r.skip_varints(take);
-                        assert_eq!(r.position(), naive.position(), "skip {take} of {n}");
-
-                        let mut r = Reader::new(&bytes);
-                        r.skip(lead);
-                        assert_eq!(r.sum_varint_u32s(take), want_sum, "sum {take} of {n}");
-                        assert_eq!(r.position(), naive.position(), "sum {take} of {n}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn varint_skip_and_sum_reject_truncated_columns() {
-        let mut mix = Mix(3);
-        for multi_byte_every in [u64::MAX, 3] {
-            let bytes = varint_column(&mut mix, 20, 0, multi_byte_every);
-            for cut in 0..bytes.len() {
-                let truncated = &bytes[..cut];
-                let skipped = std::panic::catch_unwind(|| Reader::new(truncated).skip_varints(20));
-                assert!(skipped.is_err(), "skip over cut {cut}");
-                let summed =
-                    std::panic::catch_unwind(|| Reader::new(truncated).sum_varint_u32s(20));
-                assert!(summed.is_err(), "sum over cut {cut}");
-            }
-        }
     }
 
     #[test]

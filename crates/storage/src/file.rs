@@ -33,6 +33,12 @@
 //! [`Codec::put_f64s`](crate::Codec::put_f64s)). The container is again
 //! unchanged and Verbatim payloads are byte-identical to version 3, but a
 //! version-3 Columnar payload would decode to garbage, so both are fenced.
+//!
+//! Version 5 marks the Columnar inverted file's new directory: one run of
+//! interleaved `(term delta, list length, list size)` varint triples led by
+//! its own byte length, where version 4 led with a term count and stored
+//! the three as separate columns. Verbatim payloads and every other
+//! Columnar record are byte-identical to version 4.
 
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
@@ -41,7 +47,7 @@ use crate::codec::CodecId;
 use crate::{BlockFile, RecordId};
 
 const MAGIC: &[u8; 4] = b"MBRS";
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// Writes a [`BlockFile`] to `path`, overwriting any previous content.
 pub fn save_blockfile(bf: &BlockFile, path: &Path) -> io::Result<()> {
@@ -171,22 +177,23 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// A file written before the Columnar float columns changed must not
-    /// load: its records would decode to a wrong tree, or panic mid-query.
+    /// A file written before the Columnar inverted-file directory changed
+    /// must not load: its records would decode to a wrong tree, or panic
+    /// mid-query.
     #[test]
     fn previous_version_rejected_as_invalid_data() {
         let mut bf = BlockFile::with_codec(CodecId::Columnar);
         bf.put(b"payload");
-        let path = tmp("v3.bin");
+        let path = tmp("v4.bin");
         save_blockfile(&bf, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes[4..8], VERSION.to_le_bytes());
-        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
         let err = load_blockfile(&path).unwrap_err();
         std::fs::remove_file(path).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("version 3"), "{err}");
+        assert!(err.to_string().contains("version 4"), "{err}");
     }
 
     /// The regression this version of the format fixes: freed slots used
