@@ -179,10 +179,10 @@ macro_rules! golden {
 }
 
 #[rustfmt::skip]
-golden!(verbatim_f4, 4, Verbatim, [161_793, 11_395_635_000_427_966_666, 1_849_932, 4_987_900_354_346_739_575, 21, 4_513_668_193_438_266_350, 161_793, 11_395_635_000_427_966_666, 1_279_380, 11_594_983_326_139_616_030, 21, 6_834_014_609_952_487_749, 12_372, 8_471_485_737_985_787_930, 14_531, 5_715_207_511_241_240_569, 20, 2_429_327_819_670_046_001, 167_517, 12_553_434_477_002_983_753, 2_017_908, 4_815_135_957_237_396_716, 21, 16_536_039_587_448_952_389, 167_517, 12_553_434_477_002_983_753, 1_399_924, 4_593_015_842_144_870_795, 21, 10_112_951_156_275_870_282, 15_044, 9_238_352_674_108_903_335, 17_448, 8_585_379_994_286_416_991, 20, 858_272_795_929_352_647]);
+golden!(verbatim_f4, 4, Verbatim, [161_793, 962_656_532_627_495_629, 1_849_932, 7_869_496_931_778_534_570, 21, 4_513_668_193_438_266_350, 161_793, 962_656_532_627_495_629, 1_279_380, 17_020_074_426_266_237_819, 21, 6_834_014_609_952_487_749, 12_372, 8_083_223_744_801_474_579, 14_531, 4_836_551_222_782_401_862, 20, 2_429_327_819_670_046_001, 167_517, 10_248_568_664_194_281_794, 2_017_908, 8_841_862_398_522_834_673, 21, 16_536_039_587_448_952_389, 167_517, 10_248_568_664_194_281_794, 1_399_924, 2_783_093_125_016_639_950, 21, 10_112_951_156_275_870_282, 15_044, 17_336_533_484_284_881_522, 17_448, 4_222_786_112_673_491_034, 20, 858_272_795_929_352_647]);
 #[rustfmt::skip]
-golden!(verbatim_f32, 32, Verbatim, [113_556, 16_140_024_800_375_563_448, 843_439, 10_948_169_297_471_188_174, 21, 3_112_143_261_615_329_970, 113_556, 16_140_024_800_375_563_448, 557_311, 8_009_360_519_583_045_910, 21, 2_317_627_673_667_487_285, 8_545, 7_824_089_271_998_671_647, 10_355, 16_345_474_683_764_875_517, 20, 2_184_797_225_607_286_598, 115_603, 15_097_393_554_322_304_463, 884_339, 3_762_864_507_402_977_743, 21, 16_510_744_322_786_648_832, 115_603, 15_097_393_554_322_304_463, 586_675, 16_910_399_054_941_662_667, 21, 4_693_884_526_950_798_359, 9_661, 16_605_048_943_961_929_084, 11_595, 8_266_883_687_375_253_513, 20, 11_714_898_758_826_257_468]);
+golden!(verbatim_f32, 32, Verbatim, [113_556, 9_715_761_093_105_266_149, 843_439, 5_175_902_427_664_753_301, 21, 3_112_143_261_615_329_970, 113_556, 9_715_761_093_105_266_149, 557_311, 9_418_336_292_471_534_193, 21, 2_317_627_673_667_487_285, 8_545, 8_768_969_644_901_638_248, 10_355, 8_812_500_295_286_527_706, 20, 2_184_797_225_607_286_598, 115_603, 16_056_946_138_471_913_336, 884_339, 12_498_431_977_093_992_896, 21, 16_510_744_322_786_648_832, 115_603, 16_056_946_138_471_913_336, 586_675, 7_906_437_337_884_371_512, 21, 4_693_884_526_950_798_359, 9_661, 10_781_773_610_059_507_079, 11_595, 9_283_852_075_621_001_974, 20, 11_714_898_758_826_257_468]);
 #[rustfmt::skip]
-golden!(columnar_f4, 4, Columnar, [94_204, 15_841_903_828_585_730_935, 1_244_198, 15_722_349_347_130_210_484, 21, 4_513_668_193_438_266_350, 94_204, 15_841_903_828_585_730_935, 789_399, 17_138_373_540_239_348_047, 21, 6_834_014_609_952_487_749, 6_563, 2_501_509_033_585_169_675, 5_556, 6_379_153_700_847_932_062, 20, 2_429_327_819_670_046_001, 99_395, 7_101_261_416_527_487_759, 1_368_890, 15_916_613_062_472_760_216, 21, 16_536_039_587_448_952_389, 99_395, 7_101_261_416_527_487_759, 861_165, 16_591_329_074_945_839_059, 21, 10_112_951_156_275_870_282, 8_998, 10_452_740_030_157_177_149, 7_624, 1_376_839_440_320_600_672, 20, 858_272_795_929_352_647]);
+golden!(columnar_f4, 4, Columnar, [94_204, 16_295_599_257_496_863_678, 1_244_387, 780_705_120_404_228_589, 21, 4_513_668_193_438_266_350, 94_204, 16_295_599_257_496_863_678, 789_588, 12_091_198_625_833_565_106, 21, 6_834_014_609_952_487_749, 6_563, 9_855_430_717_008_075_532, 5_556, 10_139_131_186_949_491_583, 20, 2_429_327_819_670_046_001, 99_395, 18_167_565_080_427_319_588, 1_369_096, 17_254_932_908_344_494_968, 21, 16_536_039_587_448_952_389, 99_395, 18_167_565_080_427_319_588, 861_371, 4_000_015_005_206_837_841, 21, 10_112_951_156_275_870_282, 8_998, 7_670_284_318_498_322_008, 7_624, 16_287_190_354_063_320_689, 20, 858_272_795_929_352_647]);
 #[rustfmt::skip]
-golden!(columnar_f32, 32, Columnar, [53_371, 2_547_901_146_231_156_406, 488_183, 14_262_449_600_791_895_070, 21, 3_112_143_261_615_329_970, 53_371, 2_547_901_146_231_156_406, 353_127, 14_529_966_166_122_642_874, 21, 2_317_627_673_667_487_285, 3_584, 9_263_075_113_051_451_271, 3_277, 4_550_148_788_890_949_323, 20, 2_184_797_225_607_286_598, 55_011, 71_534_570_249_448_174, 519_253, 4_561_731_083_474_627_679, 21, 16_510_744_322_786_648_832, 55_011, 71_534_570_249_448_174, 371_644, 2_321_450_853_821_168_802, 21, 4_693_884_526_950_798_359, 4_506, 11_306_766_546_954_987_232, 4_058, 11_886_528_768_326_117_711, 20, 11_714_898_758_826_257_468]);
+golden!(columnar_f32, 32, Columnar, [53_371, 11_241_691_722_622_317_725, 488_246, 13_158_038_464_664_904_459, 21, 3_112_143_261_615_329_970, 53_371, 11_241_691_722_622_317_725, 353_190, 11_522_708_771_367_880_342, 21, 2_317_627_673_667_487_285, 3_584, 8_806_118_746_717_549_870, 3_277, 4_456_338_255_481_592_072, 20, 2_184_797_225_607_286_598, 55_011, 1_816_712_392_710_121_929, 519_337, 6_746_247_363_531_600_832, 21, 16_510_744_322_786_648_832, 55_011, 1_816_712_392_710_121_929, 371_728, 6_094_683_616_408_360_616, 21, 4_693_884_526_950_798_359, 4_506, 9_223_970_486_556_535_749, 4_058, 2_709_305_043_985_250_658, 20, 11_714_898_758_826_257_468]);
