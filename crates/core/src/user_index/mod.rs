@@ -9,6 +9,45 @@
 //! upper bound never justifies expansion are *pruned*: their top-k objects
 //! (and `RSk(u)`) are never computed. The fraction of such users is the
 //! paper's "Users pruned (%)" metric (Fig. 15b).
+//!
+//! # Where §7 pays
+//!
+//! §7 prunes only when few candidate locations face widely spread users;
+//! where it prunes nothing it costs more than the joint pipeline. The
+//! break-even below was measured over a 100,000-object Flickr-like corpus
+//! (LM weights, `k = 10`, greedy keyword selection): `users pruned` from
+//! [`select_with_user_index_seeded`], and warm per-query times of a cached
+//! engine, in process on 2 vCPUs, median of 21 alternating pairs. `area`
+//! is the user generator's spread, `locations` the size of `L`. Both
+//! methods' answers had equal cardinality in every row.
+//!
+//! | users | area | locations | users pruned | warm JointGreedy | warm UserIndexGreedy |
+//! |---|---|---|---|---|---|
+//! | 1,000 | 5 | 25 | 0 | 0.34 ms | 0.51 ms |
+//! | 1,000 | 20 | 25 | 0 | 1.94 | 1.96 |
+//! | 1,000 | 80 | 25 | 0 | 0.75 | 0.88 |
+//! | 8,000 | 5 | 25 | 0 | 3.23 | 6.14 |
+//! | 8,000 | 20 | 25 | 0 | 15.14 | 15.49 |
+//! | 8,000 | 80 | 25 | 0 | 6.11 | 7.66 |
+//! | 1,000 | 80 | 1 | 520 | 0.21 | 0.15 |
+//! | 8,000 | 80 | 5 | 180 | 3.42 | 4.69 |
+//! | 8,000 | 80 | 1 | 1,564 | 2.37 | 2.80 |
+//! | 8,000 | 320 | 1 | 8,000 (empty answer) | 1.43 | 0.03 |
+//!
+//! The benchmark's §7 requests are the first row: 1,000 users over the
+//! paper's area of 5, half of a 50-location pool.
+//!
+//! To rebuild the table, use a scratch package outside the repository
+//! (its own `[workspace]` table, path dependencies on a checkout's
+//! `benchmark` package and `crates/{core,datagen}`). Per row it generates
+//! the users with `datagen::generate_workload`, whose `UserGenConfig`
+//! takes `num_users` and `area` directly, over the objects of
+//! `gen::Data::generate(Scale::FULL)`. It builds the engine with the
+//! threshold cache and the user index, and reads `users_pruned` from
+//! [`select_with_user_index_seeded`] over [`crate::Engine::user_index_seed`].
+//! Then it warms both methods and alternates warm `Engine::query_reusing`
+//! calls of `JointGreedy` and `UserIndexGreedy`, flipping the order each
+//! pair; the host drifts, so only in-process pairs compare.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};

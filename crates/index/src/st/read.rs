@@ -684,20 +684,17 @@ mod tests {
         wanted: &[TermId],
         num_entries: usize,
     ) -> (Rows, Vec<(usize, usize)>) {
-        let (mut rows, mut touched) = (vec![Vec::new(); num_entries], Vec::new());
         let (triples, dir_end) = columnar_triples(payload);
-        touched.push((0, dir_end));
-        let mut r = Reader::new(payload);
-        let mut offset = dir_end;
+        let (mut rows, mut touched) = (vec![Vec::new(); num_entries], vec![(0, dir_end)]);
+        let (mut r, mut offset) = (Reader::new(payload), dir_end);
         for (t, len, size) in triples {
-            let end = offset + size;
             if wanted.binary_search(&t).is_ok() {
                 r.seek(offset);
                 reference_columnar_list_into(&mut r, t, len, mode, &mut rows);
-                assert_eq!(r.position(), end);
-                touched.push((offset, end));
+                assert_eq!(r.position(), offset + size);
+                touched.push((offset, offset + size));
             }
-            offset = end;
+            offset += size;
         }
         assert_eq!(offset, payload.len());
         (rows, touched)

@@ -2,7 +2,7 @@
 # Runs the source mutants listed in mutants.txt, each in a temporary copy
 # of the working tree, and reports each as KILLED, SURVIVED or TIMEOUT.
 #
-#   ./mutants.sh [LIST] [FILTER]
+#   ./mutants.sh [--check] [LIST] [FILTER]
 #
 # LIST defaults to mutants.txt beside this script; FILTER, when given,
 # keeps only the mutants whose line contains it. The copy holds the
@@ -11,12 +11,23 @@
 # mutant pays a cold build). Each test run is bounded by MUTANT_TIMEOUT
 # seconds (default 900). Uses bash, git, cargo and coreutils only.
 # A mutant that no longer builds is reported UNBUILDABLE, and one whose
-# original line is gone, STALE: both need the list mended.
+# original line is gone or matches more than one line, STALE: both need
+# the list mended.
+#
+# --check applies every listed mutant to the copy and builds nothing:
+# each is reported APPLIES or STALE, in seconds, so an edit to a mutated
+# line fails at once instead of in a later full run.
 #
 # Exit status: 0 when every mutant met its expectation (killed, or
-# survived where the list marks it `equivalent`), 1 otherwise.
+# survived where the list marks it `equivalent`; under --check, applied),
+# 1 otherwise.
 set -u
 
+check=
+if [ "${1:-}" = --check ]; then
+    check=1
+    shift
+fi
 root=$(cd "$(dirname "$0")" && pwd)
 list=${1:-$root/mutants.txt}
 filter=${2:-}
@@ -65,8 +76,11 @@ while IFS= read -r entry || [ -n "$entry" ]; do
     fi
     IFS=$tab read -r file original replacement test <<<"$entry"
     cp "$root/$file" "$work/$file"
+    [ -z "$check" ] || expect=APPLIES
     if ! why=$(apply "$work/$file" "$original" "$replacement"); then
         verdict="STALE ($why)"
+    elif [ -n "$check" ]; then
+        verdict=APPLIES
     else
         (cd "$work" && timeout "$limit" cargo test -q $test >"$work/log" 2>&1)
         case $? in
