@@ -285,9 +285,9 @@ impl Payload for St {
 // Columnar inverted-file record — a directory of one varint triple per
 // term, carrying each list's encoded size (varint lists have no fixed
 // stride, so partial reads need explicit extents), then the lists. The
-// list blocks are encoded first, into one pooled buffer, so the sizes can
-// be written ahead of them, and the directory's byte length is summed
-// from its varints' lengths before anything is written:
+// list blocks and the triples are built first, into pooled buffers, so
+// the sizes can be written ahead of the blocks and the directory's byte
+// length, summed from its varints' lengths, ahead of the triples:
 //   varint dir_bytes                   (the byte length of the triples)
 //   n_terms × { varint term delta, varint list_len, varint list_bytes }
 //                                      (the first delta is from term 0)
@@ -341,7 +341,7 @@ fn serialize_node(
 /// Writes the inverted file of the runs in `pool`.
 fn serialize_invfile(mode: PostingMode, codec: CodecId, pool: &mut Pool, w: &mut Writer) {
     let (runs, blocks) = (&pool.runs, &mut pool.blocks);
-    let ([ids, sizes], [maxs, mins, _]) = (&mut pool.u32s, &mut pool.f64s);
+    let ([ids, dir], [maxs, mins, _]) = (&mut pool.u32s, &mut pool.f64s);
     let lists = || runs.chunk_by(|a, b| a.term() == b.term());
     let with_min = mode == PostingMode::MaxMin;
     match codec {
@@ -366,7 +366,8 @@ fn serialize_invfile(mode: PostingMode, codec: CodecId, pool: &mut Pool, w: &mut
         CodecId::Columnar => {
             let c = storage::codec(codec);
             blocks.clear();
-            sizes.clear();
+            dir.clear();
+            let mut prev = 0;
             for list in lists() {
                 let start = blocks.len();
                 c.put_ascending_u32s(blocks, column(ids, list.iter().map(|p| p.entry)));
@@ -374,19 +375,15 @@ fn serialize_invfile(mode: PostingMode, codec: CodecId, pool: &mut Pool, w: &mut
                 if with_min {
                     c.put_f64s_vs(blocks, column(mins, list.iter().map(|p| p.row.2)), maxs);
                 }
-                sizes.push((blocks.len() - start) as u32);
+                let (term, size) = (list[0].term().0, blocks.len() - start);
+                dir.extend([term - prev, list.len() as u32, size as u32]);
+                prev = term;
             }
-            let triples = || {
-                let mut prev = 0;
-                lists().zip(sizes.iter()).flat_map(move |(list, &size)| {
-                    let term = list[0].term().0;
-                    let delta = term - std::mem::replace(&mut prev, term);
-                    [delta, list.len() as u32, size]
-                })
-            };
-            let dir_bytes: usize = triples().map(varint_len).sum();
+            let dir_bytes: usize = dir.iter().map(|&v| varint_len(v)).sum();
             w.put_varint_u32(dir_bytes as u32);
-            triples().for_each(|v| w.put_varint_u32(v));
+            for &v in dir.iter() {
+                w.put_varint_u32(v);
+            }
             w.put_bytes(blocks.as_bytes());
         }
     }

@@ -182,11 +182,27 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a LEB128 varint `u32`, or `None` on truncated, overlong, or
-    /// overflowing input.
+    /// overflowing input. The decoder is strict: at most 5 bytes, and the
+    /// 5th byte may only contribute the 4 remaining bits. Its own loop,
+    /// not the `u64` decoder's, because the Columnar directory walk and
+    /// list decode spend most of their time here: the fixed shifts unroll
+    /// to a branch per byte.
     #[inline]
     pub fn try_get_varint_u32(&mut self) -> Option<u32> {
-        let v = self.try_get_varint_u64()?;
-        u32::try_from(v).ok()
+        let mut v = 0u32;
+        for shift in [0, 7, 14, 21] {
+            let byte = *self.buf.get(self.pos)?;
+            self.pos += 1;
+            v |= u32::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        // The 5th byte holds bits 28..32 alone: anything above 0x0F
+        // overflows or continues.
+        let byte = *self.buf.get(self.pos)?;
+        self.pos += 1;
+        (byte <= 0x0F).then(|| v | u32::from(byte) << 28)
     }
 
     /// Reads a LEB128 varint `u64`, or `None` on truncated, overlong, or
@@ -765,6 +781,11 @@ mod tests {
         w.put_varint_u64(u64::from(u32::MAX) + 1);
         let bytes = w.into_bytes();
         assert_eq!(Reader::new(&bytes).try_get_varint_u32(), None);
+        // So is a u32 spelled in more than 5 bytes, which the u64
+        // decoder still reads.
+        let padded = [0x81u8, 0x80, 0x80, 0x80, 0x80, 0x00];
+        assert_eq!(Reader::new(&padded).try_get_varint_u64(), Some(1));
+        assert_eq!(Reader::new(&padded).try_get_varint_u32(), None);
     }
 
     #[test]
