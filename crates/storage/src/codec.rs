@@ -183,10 +183,9 @@ impl<'a> Reader<'a> {
 
     /// Reads a LEB128 varint `u32`, or `None` on truncated, overlong, or
     /// overflowing input. The decoder is strict: at most 5 bytes, and the
-    /// 5th byte may only contribute the 4 remaining bits. Its own loop,
-    /// not the `u64` decoder's, because the Columnar directory walk and
-    /// list decode spend most of their time here: the fixed shifts unroll
-    /// to a branch per byte.
+    /// 5th byte may only contribute the 4 remaining bits. It has its own
+    /// loop rather than the `u64` decoder's and a conversion, because the
+    /// Columnar directory walk and list decode call it for every value.
     #[inline]
     pub fn try_get_varint_u32(&mut self) -> Option<u32> {
         let mut v = 0u32;
