@@ -535,6 +535,12 @@ fn deserialize_postings_into(
 /// The list sizes it passes sum into a running byte offset, so a hit
 /// seeks straight to its list block. The directory's end comes from its
 /// stored length, so the walk never reads the triples it does not need.
+///
+/// Kept out of line: inlined into [`StTree::read_postings_ref`] it moved
+/// the code of the Verbatim branch beside it, and the Verbatim cold
+/// workload lost 1.5–4.5% of its queries per second in paired benchmark
+/// runs on 2 vCPUs.
+#[inline(never)]
 fn deserialize_postings_columnar_into(
     payload: &[u8],
     mode: PostingMode,
