@@ -36,6 +36,7 @@ use crate::group::UserGroup;
 use crate::select::exact::Combinations;
 use crate::select::location::{HeldEvaluation, LocationCounts, Winner};
 use crate::select::DeltaScan;
+use crate::topk::individual::UserColumns;
 use crate::topk::ByKey;
 use crate::trace::{Phase, PhaseBreakdown, Trace};
 #[cfg(test)]
@@ -303,10 +304,9 @@ pub(crate) struct NodeScratch {
     pub(crate) miur: MiurScratch,
     /// The `k` best lower bounds `group_rsk_lb` has seen (min-heap).
     pub(crate) lbs: BinaryHeap<Reverse<ByKey<()>>>,
-    /// Per-user `RSk` refinement heap (Algorithm 2).
-    pub(crate) hu: BinaryHeap<Reverse<ByKey<u32>>>,
-    /// The refined user's slot mask (Algorithm 2).
-    pub(crate) mask: Vec<u64>,
+    /// Algorithm 2's columns over a node's users, and their kept scores.
+    pub(crate) cols: UserColumns,
+    pub(crate) block: Vec<f64>,
 }
 
 /// Scratch for the §7 user-index pipeline.

@@ -15,252 +15,355 @@
 //! prunes the rest of the traversal at the lowest `RSk(u)` seen at the
 //! checkpoint (the `topk` module docs' *One exact checkpoint*).
 //!
-//! Scoring runs on slot masks, not document merges: the outcome numbers
-//! the terms of `us.dUni` in ascending order and marks each row's terms in
-//! a mask (`TopkOutcome::masks`); each user gets a mask over the same
-//! slots once, and a row's text score is the sum of its weights at the
-//! slots both masks set, in ascending slot order — the order a merge of
-//! the two term lists adds them in, so every `RSk(u)` keeps its bits. The
-//! merge survives as the test reference in `topk/reference.rs`.
+//! One kernel, `refine`, serves every caller, and it scans the rows
+//! once for all users: the users are its columns (`x`, `y`, `N(u)`, a
+//! slot mask, the k-th kept score) and the rows its outer loop, in scan
+//! order. At an `RO` row it first drops, by swap-remove, every user whose
+//! k-th score the row's `UB(o, us)` is below — that user's early break —
+//! and it stops at the row where the last user breaks. It then scores the
+//! users still scanning, a column at a time, with the operations of
+//! [`ScoreContext::sts`] in their order: the text score is the sum of the
+//! row's weights at the slots (the terms of `us.dUni`, numbered
+//! ascending) the user holds, added in ascending slot order from `+0.0` —
+//! the order a merge of the two term lists adds them in — so every
+//! `RSk(u)` keeps its bits. A row's slots are found when the kernel
+//! reaches the row, once for all users. The merge survives as the test
+//! reference in `topk/reference.rs`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 
 use index::StTree;
 use storage::IoStats;
 
-use crate::topk::joint::{traverse, Checkpoint, Traversal};
+use crate::topk::joint::{key_row, traverse, Checkpoint, Traversal};
 use crate::topk::{ByKey, Table, TopkOutcome, UserTopk};
 use crate::{ScoreContext, UserData, UserGroup};
 
-/// The `k` best scores a refinement keeps (by [`f64::total_cmp`]).
+/// Every user's `k` best scores (by [`f64::total_cmp`]), addressed by the
+/// user's index in a [`refine`] call.
 pub(crate) trait Kept {
-    /// The k-th best score kept: −∞ while fewer than `k` are.
-    fn kth(&self, k: usize) -> f64;
-    /// Offers object `id`'s `score`; the lowest of `k + 1` is dropped.
-    fn offer(&mut self, k: usize, score: f64, id: u32);
+    /// User `u`'s k-th best score kept: −∞ while fewer than `k` are.
+    fn kth(&self, u: usize) -> f64;
+    /// Offers object `id`'s `score` to user `u`; the lowest of `k + 1` is
+    /// dropped.
+    fn offer(&mut self, u: usize, score: f64, id: u32);
 }
 
-/// Algorithm 2's heap, for the listings.
-impl Kept for BinaryHeap<Reverse<ByKey<u32>>> {
-    fn kth(&self, k: usize) -> f64 {
-        match self.peek() {
-            Some(kth) if self.len() == k => kth.0.key,
-            _ => f64::NEG_INFINITY,
-        }
+/// Algorithm 2's heaps, one per user, for the listings.
+pub(crate) struct Heaps<'a> {
+    pub k: usize,
+    pub heaps: &'a mut [BinaryHeap<Reverse<ByKey<u32>>>],
+}
+
+impl Kept for Heaps<'_> {
+    fn kth(&self, u: usize) -> f64 {
+        kth_of(&self.heaps[u], self.k)
     }
 
-    fn offer(&mut self, k: usize, score: f64, id: u32) {
-        self.push(Reverse(ByKey {
+    fn offer(&mut self, u: usize, score: f64, id: u32) {
+        let heap = &mut self.heaps[u];
+        heap.push(Reverse(ByKey {
             key: score,
             item: id,
         }));
-        if self.len() > k {
-            self.pop();
+        if heap.len() > self.k {
+            heap.pop();
         }
     }
 }
 
-/// Scores alone, as a min-heap of exactly `k` slots that starts all −∞ —
-/// one user's run of a flat block. A −∞ slot is a score not yet kept: it
-/// is the minimum until `k` real scores push it out, so [`Kept::kth`]
-/// reads the same as the heap's.
-impl Kept for [f64] {
-    fn kth(&self, _: usize) -> f64 {
-        self[0]
+/// A heap's k-th best score: −∞ while it holds fewer than `k`.
+fn kth_of(heap: &BinaryHeap<Reverse<ByKey<u32>>>, k: usize) -> f64 {
+    match heap.peek() {
+        Some(kth) if heap.len() == k => kth.0.key,
+        _ => f64::NEG_INFINITY,
+    }
+}
+
+/// Scores alone: one flat block, user `u`'s run the `u`-th of `width`
+/// slots, each run sorted ascending and starting all −∞. A −∞ slot is a
+/// score not yet kept: it is the minimum until `width` real scores push it
+/// out, so with `width = k` [`Kept::kth`] — the run's first slot — reads
+/// the same as a heap's. A run of `width = min(k, rows + 1)` slots keeps
+/// one −∞ slot whenever fewer than `k` rows are scored, which no `k`
+/// above the rows can tell apart. The runs compare scores as floats: a
+/// score is never NaN and never `-0.0` (a sum from `+0.0` of products of
+/// non-negative factors), and on such values `<` orders as
+/// [`f64::total_cmp`] does.
+pub(crate) struct Slots<'a> {
+    pub width: usize,
+    pub block: &'a mut [f64],
+}
+
+impl Kept for Slots<'_> {
+    #[inline]
+    fn kth(&self, u: usize) -> f64 {
+        self.block[u * self.width]
     }
 
-    fn offer(&mut self, _: usize, score: f64, _: u32) {
-        if score.total_cmp(&self[0]).is_le() {
+    #[inline]
+    fn offer(&mut self, u: usize, score: f64, _: u32) {
+        let run = &mut self.block[u * self.width..][..self.width];
+        if score <= run[0] {
             return;
         }
-        // Replace the minimum and sift it down.
-        let (n, mut i) = (self.len(), 0);
-        self[0] = score;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut min = i;
-            if l < n && self[l].total_cmp(&self[min]).is_lt() {
-                min = l;
+        // Drop the minimum: shift the scores below `score` down one slot.
+        // A score that enters mostly lands near the bottom of the run.
+        let mut i = 0;
+        while i + 1 < run.len() && run[i + 1] < score {
+            run[i] = run[i + 1];
+            i += 1;
+        }
+        run[i] = score;
+    }
+}
+
+/// [`refine`]'s users as columns, entry `i` one user still scanning; kept
+/// by a caller to reuse its buffers across calls.
+#[derive(Debug, Default)]
+pub(crate) struct UserColumns {
+    /// The user's index in the call: its run in [`Kept`].
+    user: Vec<u32>,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    /// `N(u)`.
+    n_u: Vec<f64>,
+    /// The k-th kept score.
+    kth: Vec<f64>,
+    /// Slot masks, word-major: word `w` of entry `i` at `w * stride + i`.
+    masks: Vec<u64>,
+    stride: usize,
+    /// The current row's `SS`, then its score, and its text sum.
+    score: Vec<f64>,
+    sum: Vec<f64>,
+    /// The entries whose score is offered.
+    hits: Vec<u32>,
+}
+
+impl UserColumns {
+    /// Loads `users` (the first `live` entries, in order) and returns
+    /// `live`.
+    fn load(
+        &mut self,
+        table: Table<'_>,
+        users: &[UserData],
+        ctx: &ScoreContext,
+        kept: &impl Kept,
+    ) -> usize {
+        let n = users.len();
+        self.user.clear();
+        self.user.extend(0..n as u32);
+        self.x.clear();
+        self.x.extend(users.iter().map(|u| u.point.x));
+        self.y.clear();
+        self.y.extend(users.iter().map(|u| u.point.y));
+        self.n_u.clear();
+        self.n_u
+            .extend(users.iter().map(|u| ctx.text.normalizer(&u.doc)));
+        self.kth.clear();
+        self.kth.extend((0..n).map(|u| kept.kth(u)));
+        self.stride = n;
+        self.masks.clear();
+        self.masks.resize(table.words() * n, 0);
+        for (i, user) in users.iter().enumerate() {
+            // Terms outside `us.dUni` weigh nothing in any row.
+            for s in user
+                .doc
+                .terms()
+                .filter_map(|t| table.slots.binary_search(&t).ok())
+            {
+                self.masks[s / 64 * n + i] |= 1 << (s % 64);
             }
-            if r < n && self[r].total_cmp(&self[min]).is_lt() {
-                min = r;
+        }
+        self.score.clear();
+        self.score.resize(n, 0.0);
+        self.sum.clear();
+        self.sum.resize(n, 0.0);
+        self.hits.clear();
+        self.hits.resize(n, 0);
+        n
+    }
+
+    /// Drops, by swap-remove, every entry whose k-th score `ub` is below
+    /// — its early break — and returns how many are left.
+    fn drop_below(&mut self, ub: f64, mut live: usize) -> usize {
+        // Most rows break no one: count first, a pass without branches.
+        let breaking = self.kth[..live]
+            .iter()
+            .fold(0, |n, &kth| n + usize::from(ub < kth));
+        if breaking == 0 {
+            return live;
+        }
+        let mut i = 0;
+        while i < live {
+            if ub >= self.kth[i] {
+                i += 1;
+                continue;
             }
-            if min == i {
-                return;
+            // Swap-remove: the last entry takes its place.
+            live -= 1;
+            self.user[i] = self.user[live];
+            self.x[i] = self.x[live];
+            self.y[i] = self.y[live];
+            self.n_u[i] = self.n_u[live];
+            self.kth[i] = self.kth[live];
+            for word in self.masks.chunks_exact_mut(self.stride) {
+                word[i] = word[live];
             }
-            self.swap(i, min);
-            i = min;
+        }
+        live
+    }
+
+    /// Scores row `r` for the first `live` entries into `score`:
+    /// [`ScoreContext::sts`]'s operations in its order, with the merge
+    /// replaced by a sum over the slots the user holds (a zero sum
+    /// divides to the same `+0` the skipped division gives).
+    fn score(&mut self, table: Table<'_>, r: usize, live: usize, ctx: &ScoreContext) {
+        let row = &table.rows[r];
+        let (px, py) = (row.point.x, row.point.y);
+        let score = &mut self.score[..live];
+        for ((ss, &x), &y) in score.iter_mut().zip(&self.x[..live]).zip(&self.y[..live]) {
+            let (dx, dy) = (px - x, py - y);
+            *ss = ctx.spatial.proximity((dx * dx + dy * dy).sqrt());
+        }
+        let sum = &mut self.sum[..live];
+        sum.fill(0.0);
+        // The row's pairs ascend by term, and so do the slots: each slot
+        // search starts past the last.
+        let mut s = 0;
+        for &(t, w) in &table.weights[row.weights.0 as usize..][..row.weights.1 as usize] {
+            s += table.slots[s..].partition_point(|&slot| slot < t);
+            debug_assert_eq!(table.slots[s], t, "a row term outside the slots");
+            let (held, bit) = (&self.masks[s / 64 * self.stride..][..live], s % 64);
+            for (acc, &mask) in sum.iter_mut().zip(held) {
+                // `w` where the user holds the slot, else `+0.0`: a sum
+                // from `+0.0` of positive weights is never `-0.0`, so
+                // adding `+0.0` leaves its bits.
+                *acc += f64::from_bits(w.to_bits() & ((mask >> bit) & 1).wrapping_neg());
+            }
+        }
+        for ((ss, &sum), &n_u) in score.iter_mut().zip(&*sum).zip(&self.n_u[..live]) {
+            let ts = if n_u > 0.0 && sum != 0.0 {
+                sum / n_u
+            } else {
+                0.0
+            };
+            *ss = ctx.combine(*ss, ts);
+        }
+    }
+
+    /// Offers row `r`'s scores of the first `live` entries to `kept`:
+    /// every one when `all`, else those that reach the entry's k-th score.
+    /// The entries to offer are picked first, without branching: about one
+    /// score in five is offered, in no order a branch could predict.
+    fn offer(&mut self, id: u32, live: usize, all: bool, kept: &mut impl Kept) {
+        let mut m = 0;
+        for (i, (&score, &kth)) in self.score[..live].iter().zip(&self.kth).enumerate() {
+            self.hits[m] = i as u32;
+            m += usize::from(all || score >= kth);
+        }
+        for &i in &self.hits[..m] {
+            let (i, u) = (i as usize, self.user[i as usize] as usize);
+            kept.offer(u, self.score[i], id);
+            self.kth[i] = kept.kth(u);
         }
     }
 }
 
-/// Row indexes into a [`Table`], in the order a refinement scans them.
-pub(crate) trait Order {
-    fn rows(&self) -> usize;
-    fn row(&self, i: usize) -> usize;
-}
-
-impl Order for Range<usize> {
-    fn rows(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn row(&self, i: usize) -> usize {
-        self.start + i
-    }
-}
-
-impl Order for &[u32] {
-    fn rows(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn row(&self, i: usize) -> usize {
-        self[i] as usize
-    }
-}
-
-/// The refinement kernel: scores `user` against the rows of `first` in
-/// full, then against those of `rest` — descending by `UB(o, us)` — up to
-/// the first whose upper bound is below the k-th kept score, offering each
-/// score to `kept`, whose k-th score it returns. `kept` may already hold
-/// scores; a row must not be offered twice. `mask` is scratch.
-#[allow(clippy::too_many_arguments)]
+/// The refinement kernel: scores every user of `users` against the rows
+/// of `first` in full, then against those of `rest` — descending by
+/// `UB(o, us)` — each user up to the first row whose upper bound is below
+/// its k-th kept score, offering each score to `kept` (user `u`'s run is
+/// `users[u]`'s). `kept` may already hold scores; a row must not be
+/// offered twice. The rows are the outer loop, read once for all users,
+/// and the scan stops where the last user breaks. `cols` is scratch.
 pub(crate) fn refine(
     table: Table<'_>,
-    user: &UserData,
-    k: usize,
+    first: impl IntoIterator<Item = usize>,
+    rest: impl IntoIterator<Item = usize>,
+    users: &[UserData],
     ctx: &ScoreContext,
-    kept: &mut (impl Kept + ?Sized),
-    mask: &mut Vec<u64>,
-    first: impl Order,
-    rest: impl Order,
-) -> f64 {
-    let n_u = ctx.text.normalizer(&user.doc);
-    table.slot_mask(&user.doc, mask);
-    let mask: &[u64] = mask;
-    // `ScoreContext::sts` with the merge replaced by the masked sum (a
-    // zero sum divides to the same +0 the skipped division would give).
-    let sts = |r: usize| {
-        let ss = ctx.spatial.ss_points(&table.rows[r].point, &user.point);
-        let sum = table.masked_sum(r, mask);
-        let ts = if n_u > 0.0 && sum != 0.0 {
-            sum / n_u
-        } else {
-            0.0
-        };
-        ctx.combine(ss, ts)
-    };
-    // Rows are scored a block at a time, before the heap sees any of them:
-    // the scores do not depend on each other, so they overlap in the
-    // pipeline instead of waiting on the heap's branches.
-    fn score(
-        sts: impl Fn(usize) -> f64,
-        order: &impl Order,
-        from: usize,
-        to: usize,
-    ) -> [f64; BLOCK] {
-        let mut scores = [0.0; BLOCK];
-        for (s, i) in scores.iter_mut().zip(from..to) {
-            *s = sts(order.row(i));
-        }
-        scores
+    kept: &mut impl Kept,
+    cols: &mut UserColumns,
+) {
+    let mut live = cols.load(table, users, ctx, kept);
+    if live == 0 {
+        return;
     }
-
-    for from in (0..first.rows()).step_by(BLOCK) {
-        let to = (from + BLOCK).min(first.rows());
-        for (i, s) in (from..to).zip(score(sts, &first, from, to)) {
-            kept.offer(k, s, table.rows[first.row(i)].id);
-        }
+    for r in first {
+        cols.score(table, r, live, ctx);
+        cols.offer(table.rows[r].id, live, true, kept);
     }
-    let mut rsk = kept.kth(k);
-
-    let mut from = 0;
-    'scan: while from < rest.rows() {
-        // A block ends before the first row whose upper bound is below the
-        // k-th score: `rest` descends by UB and the k-th score only grows,
-        // so nothing from there on can qualify.
-        let end = (from + BLOCK).min(rest.rows());
-        let to = (from..end)
-            .find(|&i| table.rows[rest.row(i)].ub < rsk)
-            .unwrap_or(end);
-        for (i, s) in (from..to).zip(score(sts, &rest, from, to)) {
-            let row = &table.rows[rest.row(i)];
-            if row.ub < rsk {
-                break 'scan; // the k-th score grew past it inside the block
-            }
-            if s >= rsk {
-                kept.offer(k, s, row.id);
-                rsk = kept.kth(k);
-            }
+    for r in rest {
+        // `rest` descends by UB and a k-th score only grows, so a user
+        // dropped here could qualify for no later row.
+        live = cols.drop_below(table.rows[r].ub, live);
+        if live == 0 {
+            return;
         }
-        if to < end {
-            break;
-        }
-        from = to;
-    }
-    rsk
-}
-
-/// Rows scored per step of [`refine`].
-const BLOCK: usize = 8;
-
-/// Algorithm 2 for one user over a finished outcome — `LO` in full, then
-/// `RO` — shared by the top-k listing and the §7 pipeline's user
-/// materialisation: fills `hu` (min-heap by score, best k kept) and
-/// returns `RSk(u)`. The heap and the user's slot mask are cleared first,
-/// so pooled ones can be reused across users without reallocating.
-///
-/// # Panics
-/// Panics when `k == 0`.
-pub(crate) fn refine_user_heap(
-    user: &UserData,
-    out: &TopkOutcome,
-    k: usize,
-    ctx: &ScoreContext,
-    hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
-    mask: &mut Vec<u64>,
-) -> f64 {
-    assert!(k > 0, "k must be positive");
-    hu.clear();
-    let (lo, rows) = (out.lo_len, out.rows.len());
-    refine(out.table(), user, k, ctx, hu, mask, 0..lo, lo..rows)
-}
-
-/// The top-k listing of a single user, through a pooled heap and mask.
-fn individual_topk_user_with(
-    user: &UserData,
-    out: &TopkOutcome,
-    k: usize,
-    ctx: &ScoreContext,
-    hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
-    mask: &mut Vec<u64>,
-) -> UserTopk {
-    let rsk = refine_user_heap(user, out, k, ctx, hu, mask);
-    let mut topk: Vec<(u32, f64)> = hu.drain().map(|r| (r.0.item, r.0.key)).collect();
-    topk.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    UserTopk {
-        user: user.id,
-        topk,
-        rsk,
+        cols.score(table, r, live, ctx);
+        cols.offer(table.rows[r].id, live, false, kept);
     }
 }
 
-/// Algorithm 2 over all users (one pooled heap and mask across the user
-/// loop).
+/// Algorithm 2 over all users and a finished outcome — `LO` in full, then
+/// `RO` — with one heap per user: the top-k listings.
 pub fn individual_topk(
     users: &[UserData],
     out: &TopkOutcome,
     k: usize,
     ctx: &ScoreContext,
 ) -> Vec<UserTopk> {
-    let (mut hu, mut mask) = (BinaryHeap::new(), Vec::new());
+    assert!(k > 0, "k must be positive");
+    let mut heaps = vec![BinaryHeap::new(); users.len()];
+    let (lo, rows) = (out.lo_len, out.rows.len());
+    let mut kept = Heaps {
+        k,
+        heaps: &mut heaps,
+    };
+    let cols = &mut UserColumns::default();
+    refine(out.table(), 0..lo, lo..rows, users, ctx, &mut kept, cols);
     users
         .iter()
-        .map(|u| individual_topk_user_with(u, out, k, ctx, &mut hu, &mut mask))
+        .zip(heaps)
+        .map(|(user, heap)| {
+            let rsk = kth_of(&heap, k);
+            let mut topk: Vec<(u32, f64)> = heap.into_iter().map(|r| (r.0.item, r.0.key)).collect();
+            topk.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            UserTopk {
+                user: user.id,
+                topk,
+                rsk,
+            }
+        })
         .collect()
+}
+
+/// `RSk(u)` of every user of `users` over a finished outcome, through the
+/// caller's pooled columns and block: the §7 pipeline's user
+/// materialisation, and the fill's when it takes no checkpoint.
+///
+/// # Panics
+/// Panics when `k == 0`.
+pub(crate) fn refine_rsk<'a>(
+    users: &[UserData],
+    out: &TopkOutcome,
+    k: usize,
+    ctx: &ScoreContext,
+    cols: &mut UserColumns,
+    block: &'a mut Vec<f64>,
+) -> impl Iterator<Item = f64> + 'a {
+    assert!(k > 0, "k must be positive");
+    // No run needs more slots than there are rows to score, plus one to
+    // stay −∞: so no `k` allocates more than the rows.
+    let (lo, rows) = (out.lo_len, out.rows.len());
+    let width = k.min(rows + 1);
+    block.clear();
+    block.resize(users.len() * width, f64::NEG_INFINITY);
+    let mut kept = Slots { width, block };
+    refine(out.table(), 0..lo, lo..rows, users, ctx, &mut kept, cols);
+    block.iter().step_by(width).copied()
 }
 
 /// A per-user kernel `f(first, users)` — `first` the table index of
@@ -317,18 +420,31 @@ pub(crate) fn joint_rsk_at(
     // Every user's k best scores at the checkpoint: one flat block, `k`
     // per user in table order (`k` is at most the rows retrieved by then).
     let mut kept: Vec<f64> = Vec::new();
-    let mut lift = |table: Table<'_>, lo: usize| {
+    let mut lift = |table: Table<'_>, lo: &[u32], rest: &[u128]| {
         kept = scatter(&|_, users| {
             let mut block = vec![f64::NEG_INFINITY; users.len() * k];
-            let (mut mask, rows) = (Vec::new(), table.rows.len());
-            for (user, heap) in users.iter().zip(block.chunks_exact_mut(k)) {
-                refine(table, user, k, ctx, heap, &mut mask, 0..lo, lo..rows);
-            }
+            let (first, rest) = (
+                lo.iter().map(|&r| r as usize),
+                rest.iter().map(|&key| key_row(key)),
+            );
+            let slots = &mut Slots {
+                width: k,
+                block: &mut block,
+            };
+            refine(
+                table,
+                first,
+                rest,
+                users,
+                ctx,
+                slots,
+                &mut UserColumns::default(),
+            );
             block
         });
-        // T: the lowest k-th score kept (a heap's minimum is its root).
+        // T: the lowest k-th score kept (a run's first slot).
         kept.chunks_exact(k)
-            .map(|heap| heap[0])
+            .map(|run| run[0])
             .min_by(f64::total_cmp)
             .unwrap_or(f64::NEG_INFINITY)
     };
@@ -344,44 +460,33 @@ pub(crate) fn joint_rsk_at(
         }),
         |_| {},
     );
-    // Each user continues its own heap over the rows retrieved after the
-    // checkpoint — Algorithm 2 over all of them when none was taken. A
-    // heap never needs more slots than there are rows to score, plus one
-    // to stay −∞: so no `k` allocates more than the rows (a checkpoint is
-    // taken only once `k` rows are retrieved).
-    let rsk = scatter(&|first, users| {
-        let slots = match fresh {
-            Some(_) => k,
-            None => k.min(out.rows.len() + 1),
+    // Each user continues its own run over the rows retrieved after the
+    // checkpoint — Algorithm 2 over all of them when none was taken. No
+    // `k` allocates more than the rows: a checkpoint is taken only once
+    // `k` rows are retrieved, and `refine_rsk` sizes its runs by the rows.
+    let rsk = scatter(&|start, users| {
+        let cols = &mut UserColumns::default();
+        let Some((fresh, lo)) = &fresh else {
+            return refine_rsk(users, &out, k, ctx, cols, &mut Vec::new()).collect();
         };
-        let (mut heap, mut mask) = (vec![f64::NEG_INFINITY; slots], Vec::new());
-        let (lo, rows) = (out.lo_len, out.rows.len());
-        (first..)
-            .zip(users)
-            .map(|(u, user)| {
-                let table = out.table();
-                match &fresh {
-                    None => {
-                        heap.fill(f64::NEG_INFINITY);
-                        refine(
-                            table,
-                            user,
-                            k,
-                            ctx,
-                            &mut heap[..],
-                            &mut mask,
-                            0..lo,
-                            lo..rows,
-                        )
-                    }
-                    Some((fresh, lo)) => {
-                        heap.copy_from_slice(&kept[u * k..][..k]);
-                        let (first, rest) = fresh.split_at(*lo);
-                        refine(table, user, k, ctx, &mut heap[..], &mut mask, first, rest)
-                    }
-                }
-            })
-            .collect()
+        let mut block = kept[start * k..][..users.len() * k].to_vec();
+        let slots = &mut Slots {
+            width: k,
+            block: &mut block,
+        };
+        let (first, rest) = fresh.split_at(*lo);
+        let (first, rest) = (first.iter(), rest.iter());
+        let rows = |&r: &u32| r as usize;
+        refine(
+            out.table(),
+            first.map(rows),
+            rest.map(rows),
+            users,
+            ctx,
+            slots,
+            cols,
+        );
+        block.iter().step_by(k).copied().collect()
     });
     (out, rsk)
 }

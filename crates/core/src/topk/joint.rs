@@ -82,18 +82,19 @@ pub fn joint_topk(
 /// Where the traversal may lift its pruning threshold above `RSk(us)`
 /// (see the module docs' *One exact checkpoint*): before the node read
 /// that follows the `at`-th — when at least `k` rows have been retrieved
-/// by then, else never — `lift(table, lo_len)` is handed the rows
-/// retrieved so far, laid out in scan order as an outcome's are (the
-/// current `LO` rows, then the others the threshold leaves, descending by
-/// `UB(o, us)`), and returns a threshold `T` that no user's `RSk(u)` is
-/// below. From then on the traversal prunes at `max(RSk(us), T)`.
+/// by then, else never — `lift(table, lo, rest)` is handed the rows
+/// retrieved so far, in place (discovery order), with their scan order: the
+/// current `LO` rows, ascending, and the keys of the others the threshold
+/// leaves, sorted descending by `UB(o, us)` ([`key_row`] names a key's
+/// row). It returns a threshold `T` that no user's `RSk(u)` is below. From
+/// then on the traversal prunes at `max(RSk(us), T)`.
 pub(crate) struct Checkpoint<'a> {
     pub at: usize,
     pub lift: &'a mut Lift<'a>,
 }
 
-/// A [`Checkpoint`]'s `lift(table, lo_len) -> T`.
-pub(crate) type Lift<'a> = dyn FnMut(Table<'_>, usize) -> f64 + 'a;
+/// A [`Checkpoint`]'s `lift(table, lo, rest) -> T`.
+pub(crate) type Lift<'a> = dyn FnMut(Table<'_>, &[u32], &[u128]) -> f64 + 'a;
 
 /// What [`traverse`] returns.
 pub(crate) struct Traversal {
@@ -297,10 +298,9 @@ pub(crate) fn traverse(
     // final threshold (still −∞ if LO never filled and no checkpoint lifted
     // it) leaves reachable, descending by UB for Algorithm 2's early break.
     let lo = lo_rows(&lo);
-    let order: Vec<u32> = lo
-        .iter()
-        .copied()
-        .chain(descending(&rows, &lo, thr))
+    let rest = descending(&rows, &lo, thr);
+    let order: Vec<u32> = (lo.iter().copied())
+        .chain(rest.into_iter().map(|key| key_row(key) as u32))
         .collect();
     let fresh = before.map(|before| {
         let fresh: Vec<u32> = (0..)
@@ -312,21 +312,20 @@ pub(crate) fn traverse(
         (fresh, lo_fresh)
     });
     let rows: Vec<Row> = order.iter().map(|&i| rows[i as usize]).collect();
-    let masks = slot_masks(&rows, &weights, &uni);
     Traversal {
         out: TopkOutcome {
             rows,
             lo_len: lo.len(),
             weights,
             slots: uni,
-            masks,
             rsk_us: thr,
         },
         fresh,
     }
 }
 
-/// Runs a checkpoint over the rows retrieved so far and returns its `T`.
+/// Runs a checkpoint over the rows retrieved so far, in place, and returns
+/// its `T`.
 fn run_checkpoint(
     cp: Checkpoint<'_>,
     rows: &[Row],
@@ -335,21 +334,14 @@ fn run_checkpoint(
     lo: &BinaryHeap<Reverse<(u64, u32)>>,
     thr: f64,
 ) -> f64 {
-    // Scanned through an index list, rows in discovery order cost every
-    // user a cache miss per row: copy them into scan order first.
     let lo = lo_rows(lo);
-    let rows: Vec<Row> = (lo.iter().copied())
-        .chain(descending(rows, &lo, thr))
-        .map(|i| rows[i as usize])
-        .collect();
-    let masks = slot_masks(&rows, weights, uni);
+    let rest = descending(rows, &lo, thr);
     let table = Table {
-        rows: &rows,
+        rows,
         weights,
         slots: uni,
-        masks: &masks,
     };
-    (cp.lift)(table, lo.len())
+    (cp.lift)(table, &lo, &rest)
 }
 
 /// The rows of `LO`, ascending.
@@ -359,11 +351,11 @@ fn lo_rows(lo: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<u32> {
     lo
 }
 
-/// The rows outside `lo` (ascending) whose upper bound reaches `thr`,
-/// descending by it; ids settle ties, so the order does not depend on
-/// when an object was discovered. The 16-byte keys `(UB descending, id,
-/// row)` are sorted as one integer each.
-fn descending(rows: &[Row], lo: &[u32], thr: f64) -> impl Iterator<Item = u32> {
+/// The keys of the rows outside `lo` (ascending) whose upper bound reaches
+/// `thr`, sorted descending by it; ids settle ties, so the order does not
+/// depend on when an object was discovered. A 16-byte key `(UB
+/// descending, id, row)` sorts as one integer; [`key_row`] reads its row.
+fn descending(rows: &[Row], lo: &[u32], thr: f64) -> Vec<u128> {
     let mut keys: Vec<u128> = Vec::new();
     let mut in_lo = lo.iter().peekable();
     for (i, row) in rows.iter().enumerate() {
@@ -373,7 +365,12 @@ fn descending(rows: &[Row], lo: &[u32], thr: f64) -> impl Iterator<Item = u32> {
         }
     }
     keys.sort_unstable();
-    keys.into_iter().map(|key| key as u32)
+    keys
+}
+
+/// The row a key of [`descending`] stands for.
+pub(crate) fn key_row(key: u128) -> usize {
+    key as u32 as usize
 }
 
 /// One leaf's bounding columns, reused from leaf to leaf.
@@ -434,24 +431,6 @@ impl SpatialCut {
         };
         SpatialCut { rsk, d2 }
     }
-}
-
-/// Every row's slot mask over `slots` (see [`TopkOutcome::masks`]). A
-/// row's pairs come from a read restricted to `slots`, so each of its
-/// terms has a slot; both ascend, so each search starts past the last.
-fn slot_masks(rows: &[Row], weights: &[(TermId, f64)], slots: &[TermId]) -> Vec<u64> {
-    let words = slots.len().div_ceil(64);
-    let mut masks = vec![0u64; rows.len() * words];
-    for (r, row) in rows.iter().enumerate() {
-        let mask = &mut masks[r * words..][..words];
-        let mut s = 0;
-        for &(t, _) in &weights[row.weights.0 as usize..][..row.weights.1 as usize] {
-            s += slots[s..].partition_point(|&slot| slot < t);
-            debug_assert_eq!(slots[s], t, "a row term outside the slots");
-            mask[s / 64] |= 1 << (s % 64);
-        }
-    }
-    masks
 }
 
 #[cfg(test)]

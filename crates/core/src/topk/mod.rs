@@ -104,10 +104,11 @@
 //!   Algorithm 2 in two parts around one checkpoint inside the traversal,
 //!   which then prunes at the lowest `RSk(u)` seen so far:
 //!   - *At the checkpoint* every user starts its own heap — a run of `k`
-//!     slots in one flat block, all −∞ — and scores the rows retrieved so
-//!     far with Algorithm 2's kernel: the current `LO` rows in full, then
-//!     the others descending by `UB(o, us)` up to its early break. `T` is
-//!     the lowest of the users' k-th kept scores. From then on nodes,
+//!     slots in one flat block, all −∞ — and Algorithm 2's kernel scores
+//!     the rows retrieved so far for all users at once: the current `LO`
+//!     rows in full, then the others descending by `UB(o, us)`, each user
+//!     up to its early break. `T` is the lowest of the users' k-th kept
+//!     scores. From then on nodes,
 //!     objects and the leaf's `SpatialCut` are pruned at
 //!     `max(RSk(us), T)` instead of `RSk(us)`.
 //!   - *After the traversal* each user continues its own heap over only
@@ -134,10 +135,14 @@
 //!     as its `rsk_us`, a lower bound on every `RSk(u)` all the same, to
 //!     the location prune (the §8 answers in `select_golden.rs` are the
 //!     same under either).
-//!   - *The checkpoint's rows lie in scan order too* (below): its rows
-//!     are copied into `LO`-then-`UB` order before the users scan them,
-//!     as the outcome's are; scanning them in discovery order through an
-//!     index list cost every user a cache miss per row.
+//!   - *The checkpoint's rows stay where they are.* The traversal
+//!     hands the kernel its rows in place, in discovery order, with the
+//!     `LO` row indexes and the sorted 16-byte keys of the rest (the
+//!     order below); the kernel reads each row once, for all users, and
+//!     stops at the row where the last user breaks. On the benchmark at
+//!     k = 10 that is row 2,788 of the checkpoint's 9,628: a copy of the
+//!     rows into scan order, or a slot mask per row, would be made for
+//!     rows no user reads.
 //!   - *The trigger* is a position tied to the index: after `9/25` of the
 //!     leaves a packed tree of the MIR-tree's objects has (1,125 node
 //!     reads on the benchmark's 100,000 objects at fanout 32, whose tree
@@ -198,22 +203,26 @@
 //!     falls.
 //! * **Rows lie in scan order.** [`TopkOutcome`] stores the `LO` rows,
 //!   then the `RO` rows descending by upper bound: the order in which
-//!   Algorithm 2 walks them once per user and the §7 pipeline once per
-//!   subtree. Keeping rows in discovery order behind index lists was
-//!   measured and costs those walks more than the traversal saves. The
-//!   order is found on 16-byte `(UB, id, row)` keys and the rows are moved
-//!   once, not sorted themselves.
-//! * **Algorithm 2 on slot masks.** The terms of `us.dUni` are numbered in
-//!   ascending order (slots); each row carries a mask of `⌈|dUni| / 64⌉`
-//!   words over them, its pairs in slot order. A user's mask is built once
-//!   per refinement, and a row's text score is the sum of its weights at
-//!   the slots both masks set — one AND for the many rows that share no
-//!   term with the user — added in ascending slot order, the order a merge
-//!   of the two term lists adds them in, so every `RSk(u)` keeps its bits
-//!   (see [`individual`]; the merge is the test reference). Rows are scored
-//!   a block of eight at a time, and a block ends before the first row
-//!   whose upper bound is below the user's k-th score, so no row past the
-//!   early break is scored.
+//!   Algorithm 2 walks them for all users at once and the §7 pipeline once
+//!   per subtree. The order is found on 16-byte `(UB, id, row)` keys and
+//!   the rows are moved once, not sorted themselves.
+//! * **Algorithm 2 as one column kernel** (`individual::refine`). The
+//!   users are the columns — `x`, `y`, `N(u)`, a slot mask over the terms
+//!   of `us.dUni` numbered in ascending order, the k-th kept score — and
+//!   the rows the outer loop, so each row is read once for every user
+//!   instead of once per user. At an `RO` row the kernel first drops, by
+//!   swap-remove, each user whose k-th score the row's upper bound is
+//!   below (its early break), then scores the users left a column at a
+//!   time: `SS`, then the text sum — the row's weights at the slots the
+//!   user holds, added in ascending slot order from `+0.0`, the order a
+//!   merge of the two term lists adds them in — then `TS` and `STS`, each
+//!   the operations of `ScoreContext::sts` in its order. So every `RSk(u)`
+//!   keeps its bits (see [`individual`]; the merge is the test reference),
+//!   and the loops over users are plain arithmetic on columns, which the
+//!   compiler vectorises two lanes wide without reassociating anything.
+//!   Every caller runs it: the checkpoint's lift and the continuation
+//!   (score-only runs in one flat block), the §7 leaf users (a node's users
+//!   at once) and the listings (one heap per user).
 
 pub mod baseline;
 pub mod individual;
@@ -222,7 +231,7 @@ pub mod joint;
 mod reference;
 
 use geo::Point;
-use text::{Document, TermId};
+use text::TermId;
 
 use crate::UserData;
 
@@ -258,11 +267,11 @@ pub(crate) struct Row {
 
 /// Result of the Algorithm-1 tree traversal: one table of `Copy` rows over
 /// one shared weight run, laid out in the order its readers scan it (see
-/// the module docs), with a slot mask per row.
+/// the module docs).
 #[derive(Debug, Clone)]
 pub struct TopkOutcome {
-    /// The `LO` rows (any order), then the `RO` rows descending by
-    /// `UB(o, us)`.
+    /// The `LO` rows (ascending by discovery), then the `RO` rows
+    /// descending by `UB(o, us)`.
     pub(crate) rows: Vec<Row>,
     /// Number of leading `LO` rows.
     pub(crate) lo_len: usize,
@@ -270,10 +279,6 @@ pub struct TopkOutcome {
     pub(crate) weights: Vec<(TermId, f64)>,
     /// The slots: `us.dUni`, ascending — the only terms a row can hold.
     pub(crate) slots: Vec<TermId>,
-    /// Row `r`'s slot mask is the `r`-th run of `⌈|slots| / 64⌉` words:
-    /// bit `s` is set when the row's pairs hold `slots[s]`, so the row's
-    /// pair for slot `s` is its `rank(s)`-th.
-    pub(crate) masks: Vec<u64>,
     /// `RSk(us)`: the k-th best lower bound seen (−∞ when fewer than `k`
     /// objects exist) — or, after a checkpoint, the final
     /// `max(RSk(us), T)` the traversal pruned at (see the module docs).
@@ -288,7 +293,6 @@ impl TopkOutcome {
             rows: &self.rows,
             weights: &self.weights,
             slots: &self.slots,
-            masks: &self.masks,
         }
     }
 
@@ -318,60 +322,22 @@ impl TopkOutcome {
     }
 }
 
-/// Retrieved rows with their slot masks, borrowed: a finished
-/// [`TopkOutcome`]'s, or those a traversal has retrieved so far (in
-/// discovery order) at its checkpoint.
+/// Retrieved rows over their shared weight run, borrowed in place: a
+/// finished [`TopkOutcome`]'s (in scan order), or those a traversal has
+/// retrieved so far (in discovery order) at its checkpoint.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Table<'a> {
     pub rows: &'a [Row],
     pub weights: &'a [(TermId, f64)],
-    /// `us.dUni`, ascending.
+    /// `us.dUni`, ascending: a row's pair for term `slots[s]` is at slot
+    /// `s`.
     pub slots: &'a [TermId],
-    /// One run of [`Table::words`] words per row (see
-    /// [`TopkOutcome::masks`]).
-    pub masks: &'a [u64],
 }
 
 impl Table<'_> {
-    /// Words per slot mask.
+    /// Words per slot mask over [`Table::slots`].
     pub(crate) fn words(&self) -> usize {
         self.slots.len().div_ceil(64)
-    }
-
-    /// Sets `mask` to the slots among `doc`'s terms (terms outside
-    /// `us.dUni` weigh nothing in any row).
-    pub(crate) fn slot_mask(&self, doc: &Document, mask: &mut Vec<u64>) {
-        mask.clear();
-        mask.resize(self.words(), 0);
-        for t in doc.terms() {
-            if let Ok(s) = self.slots.binary_search(&t) {
-                mask[s / 64] |= 1 << (s % 64);
-            }
-        }
-    }
-
-    /// `Σ w(t, o)` over the terms of row `r` whose slots are set in `mask`
-    /// (from [`Table::slot_mask`]), added in ascending slot order —
-    /// ascending term order, the order [`text::WeightedDoc::dot_terms`]
-    /// adds a row's pairs in, so the sum has the same bits.
-    #[inline]
-    pub(crate) fn masked_sum(&self, r: usize, mask: &[u64]) -> f64 {
-        let words = mask.len();
-        let row_mask = &self.masks[r * words..(r + 1) * words];
-        let (mut acc, mut first) = (0.0, self.rows[r].weights.0);
-        for (&held, &wanted) in row_mask.iter().zip(mask) {
-            // Most rows share no term with a user: one AND and done.
-            let mut hits = held & wanted;
-            while hits != 0 {
-                let below = held & ((1 << hits.trailing_zeros()) - 1);
-                acc += self.weights[(first + below.count_ones()) as usize].1;
-                hits &= hits - 1;
-            }
-            if words > 1 {
-                first += held.count_ones(); // the next word's first pair
-            }
-        }
-        acc
     }
 }
 

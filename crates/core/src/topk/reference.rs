@@ -890,4 +890,108 @@ mod tests {
              without a union term"
         );
     }
+
+    /// The fused entry with its checkpoint forced at several positions, on
+    /// slot masks of one, two and three words, over one user slice and
+    /// over two: every `RSk(u)` — the checkpoint's lift and the
+    /// continuation both run the column kernel — and every listing over
+    /// its outcome equal the document-merge refinement over the
+    /// paper-literal traversal, bit for bit, under LM, TF-IDF and KO, with
+    /// users whose keywords no object holds. Asserts that checkpoints were
+    /// taken past one word and that some user scanned rows after every
+    /// other user had broken.
+    #[test]
+    fn forced_checkpoints_match_the_merge_reference_past_one_word() {
+        use crate::topk::individual::{individual_topk, joint_rsk_at};
+        use std::cell::Cell;
+        let (mut taken, mut wide, mut alone, mut unmatched_users) = (0, 0, 0, 0);
+        for model in [
+            WeightModel::lm(),
+            WeightModel::TfIdf,
+            WeightModel::KeywordOverlap,
+        ] {
+            for uni in [63, 64, 65, 130] {
+                // The codec moves only the I/O.
+                let codec = storage::CodecId::Verbatim;
+                let (ctx, mir, users, group) = wide_fixture(model, uni, codec, uni as u64);
+                unmatched_users += users
+                    .iter()
+                    .filter(|u| ctx.text.normalizer(&u.doc) == 0.0)
+                    .count();
+                for k in [1, 7, 40] {
+                    let want = joint_topk(&mir, &group, k, &ctx, &IoStats::new());
+                    let merged: Vec<(u64, Vec<u64>)> = users
+                        .iter()
+                        .map(|u| {
+                            let (rsk, topk) = refine_by_merge(
+                                u,
+                                want.lo
+                                    .iter()
+                                    .map(|o| (o.id, o.point, &o.weights.entries[..])),
+                                want.ro
+                                    .iter()
+                                    .map(|o| (o.id, o.point, &o.weights.entries[..], o.ub)),
+                                k,
+                                &ctx,
+                            );
+                            (rsk.to_bits(), topk.iter().map(|s| s.1.to_bits()).collect())
+                        })
+                        .collect();
+                    let visits = want.visited.len();
+                    for at in [
+                        0,
+                        visits / 8,
+                        visits / 4,
+                        visits / 2,
+                        3 * visits / 4,
+                        visits - 1,
+                    ] {
+                        for sliced in [false, true] {
+                            let what = format!("{model:?} |uni|={uni} k={k} at {at} {sliced}");
+                            // A checkpoint taken scatters twice: the lift and
+                            // the continuation.
+                            let scatters = Cell::new(0);
+                            let (got, rsk) =
+                                joint_rsk_at(&mir, &group, k, &ctx, &IoStats::new(), at, |f| {
+                                    scatters.set(scatters.get() + 1);
+                                    if !sliced {
+                                        return f(0, &users);
+                                    }
+                                    let (a, b) = users.split_at(users.len() / 3);
+                                    [f(0, a), f(a.len(), b)].concat()
+                                });
+                            let listed = individual_topk(&users, &got, k, &ctx);
+                            for ((want, rsk), listed) in merged.iter().zip(&rsk).zip(&listed) {
+                                assert_eq!(rsk.to_bits(), want.0, "{what}");
+                                let scores: Vec<u64> =
+                                    listed.topk.iter().map(|s| s.1.to_bits()).collect();
+                                assert_eq!((listed.rsk.to_bits(), scores), *want, "{what}");
+                            }
+                            if scatters.get() == 2 {
+                                taken += 1;
+                                wide += usize::from(got.table().words() > 1);
+                            }
+                            // A user breaks at the first RO row whose upper
+                            // bound is below its final RSk(u): one that
+                            // breaks strictly last scanned alone.
+                            let mut breaks: Vec<usize> = rsk
+                                .iter()
+                                .map(|&r| got.ro().position(|o| o.ub < r).unwrap_or(got.ro().len()))
+                                .collect();
+                            breaks.sort_unstable();
+                            alone += usize::from(
+                                breaks.len() > 1
+                                    && breaks[breaks.len() - 2] < breaks[breaks.len() - 1],
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            taken >= 300 && wide >= 150 && alone >= 100 && unmatched_users > 0,
+            "coverage: {taken} checkpoints taken, {wide} of them past one word, {alone} \
+             outcomes where one user scanned alone, {unmatched_users} users with N(u) = 0"
+        );
+    }
 }

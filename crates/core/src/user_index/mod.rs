@@ -63,7 +63,7 @@ use crate::arena::{ElemSlot, NodeScratch, QueryArena, UserIndexScratch};
 use crate::bounds::lb_object;
 use crate::select::location::{evaluate_location, materialise_winner, KeywordSelector};
 use crate::select::CandidateContext;
-use crate::topk::individual::refine_user_heap;
+use crate::topk::individual::{refine_rsk, UserColumns};
 use crate::topk::joint::joint_topk;
 use crate::topk::{ByKey, TopkOutcome};
 use crate::{QueryResult, QuerySpec, ScoreContext, UserData, UserGroup};
@@ -102,7 +102,7 @@ pub struct UserIndexOutcome {
 ///   subgroup (each member holds at most `m` keywords), and the MIUR users
 ///   are the table's users. Its `RO` is cut at `rsk_us = max(RSk(us), T)`,
 ///   at or below every `RSk(u)`. So a leaf user's `RSk(u)` from
-///   `refine_user_heap` is exact, as every user's top-k lies in
+///   `refine_rsk` is exact, as every user's top-k lies in
 ///   `LO ∪ RO`; a subtree's `group_rsk_lb` is the k-th best lower bound of
 ///   a subset of the objects, at or below the k-th best over all of them,
 ///   so still a lower bound, if possibly a looser one than over the
@@ -140,8 +140,8 @@ impl UserIndexSeed {
         let root = miur.read_node_ref(miur.root(), io, &mut scratch.miur);
         let root_group = group_from_root(&root);
         let out = out(&root_group);
-        let (lbs, hu, mask) = (&mut scratch.lbs, &mut scratch.hu, &mut scratch.mask);
-        let root_elems = materialize_node(&root, &out, k, ctx, lbs, hu, mask);
+        let (lbs, cols, block) = (&mut scratch.lbs, &mut scratch.cols, &mut scratch.block);
+        let root_elems = materialize_node(&root, &out, k, ctx, lbs, cols, block);
         UserIndexSeed {
             root_group,
             out,
@@ -172,8 +172,8 @@ impl UserIndexSeed {
             return elems;
         }
         let view = miur.read_node_ref(node, io, &mut scratch.miur);
-        let (lbs, hu, mask) = (&mut scratch.lbs, &mut scratch.hu, &mut scratch.mask);
-        let elems = materialize_node(&view, &self.out, k, ctx, lbs, hu, mask);
+        let (lbs, cols, block) = (&mut scratch.lbs, &mut scratch.cols, &mut scratch.block);
+        let elems = materialize_node(&view, &self.out, k, ctx, lbs, cols, block);
         let mut nodes = self.nodes.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(nodes.entry(node).or_insert(elems))
     }
@@ -266,8 +266,9 @@ fn group_from_root(root: &index::MiurNodeRef<'_>) -> UserGroup {
 
 /// Materializes a node view's entries: subtrees become [`Elem::Group`]s
 /// with their `RSk` lower bounds, concrete users get their exact thresholds
-/// via Algorithm 2, both through the caller's pooled heaps and mask, so
-/// the entries returned are all it allocates. Location-independent:
+/// via Algorithm 2, the node's users refined together, all through the
+/// caller's pooled scratch, so the entries returned (and the one list of
+/// the node's users) are all it allocates. Location-independent:
 /// everything derives from `(node, out, k)`.
 fn materialize_node(
     node: &index::MiurNodeRef<'_>,
@@ -275,9 +276,23 @@ fn materialize_node(
     k: usize,
     ctx: &ScoreContext,
     lbs: &mut BinaryHeap<Reverse<ByKey<()>>>,
-    hu: &mut BinaryHeap<Reverse<ByKey<u32>>>,
-    mask: &mut Vec<u64>,
+    cols: &mut UserColumns,
+    block: &mut Vec<f64>,
 ) -> Arc<[Elem]> {
+    let users: Vec<UserData> = node
+        .entries
+        .iter()
+        .filter_map(|e| match e.child {
+            UserRef::Node(_) => None,
+            UserRef::User(uid) => Some(UserData {
+                id: uid,
+                point: e.rect.min,
+                doc: Document::from_terms(e.uni.iter().copied()),
+            }),
+        })
+        .collect();
+    let rsk = refine_rsk(&users, out, k, ctx, cols, block);
+    let mut users = users.into_iter().zip(rsk);
     node.entries
         .iter()
         .map(|e| match e.child {
@@ -296,14 +311,10 @@ fn materialize_node(
                     group,
                 }
             }
-            UserRef::User(uid) => {
-                let data = UserData {
-                    id: uid,
-                    point: e.rect.min,
-                    doc: Document::from_terms(e.uni.iter().copied()),
-                };
+            UserRef::User(_) => {
+                let (data, rsk) = users.next().expect("one refined user per user entry");
                 Elem::User {
-                    rsk: refine_user_heap(&data, out, k, ctx, hu, mask),
+                    rsk,
                     n_u: ctx.text.normalizer(&data.doc),
                     data,
                 }
