@@ -109,7 +109,6 @@ impl Kept for Slots<'_> {
             return;
         }
         // Drop the minimum: shift the scores below `score` down one slot.
-        // A score that enters mostly lands near the bottom of the run.
         let mut i = 0;
         while i + 1 < run.len() && run[i + 1] < score {
             run[i] = run[i + 1];
@@ -131,9 +130,9 @@ pub(crate) struct UserColumns {
     n_u: Vec<f64>,
     /// The k-th kept score.
     kth: Vec<f64>,
-    /// Slot masks, word-major: word `w` of entry `i` at `w * stride + i`.
+    /// Slot masks, word-major: word `w` of entry `i` at `w * n + i`, `n`
+    /// the users loaded.
     masks: Vec<u64>,
-    stride: usize,
     /// The current row's `SS`, then its score, and its text sum.
     score: Vec<f64>,
     sum: Vec<f64>,
@@ -151,37 +150,33 @@ impl UserColumns {
         ctx: &ScoreContext,
         kept: &impl Kept,
     ) -> usize {
+        fn refill<T>(column: &mut Vec<T>, values: impl Iterator<Item = T>) {
+            column.clear();
+            column.extend(values);
+        }
         let n = users.len();
-        self.user.clear();
-        self.user.extend(0..n as u32);
-        self.x.clear();
-        self.x.extend(users.iter().map(|u| u.point.x));
-        self.y.clear();
-        self.y.extend(users.iter().map(|u| u.point.y));
-        self.n_u.clear();
-        self.n_u
-            .extend(users.iter().map(|u| ctx.text.normalizer(&u.doc)));
-        self.kth.clear();
-        self.kth.extend((0..n).map(|u| kept.kth(u)));
-        self.stride = n;
-        self.masks.clear();
-        self.masks.resize(table.words() * n, 0);
+        refill(&mut self.user, 0..n as u32);
+        refill(&mut self.x, users.iter().map(|u| u.point.x));
+        refill(&mut self.y, users.iter().map(|u| u.point.y));
+        refill(
+            &mut self.n_u,
+            users.iter().map(|u| ctx.text.normalizer(&u.doc)),
+        );
+        refill(&mut self.kth, (0..n).map(|u| kept.kth(u)));
+        refill(&mut self.masks, std::iter::repeat_n(0, table.words() * n));
         for (i, user) in users.iter().enumerate() {
             // Terms outside `us.dUni` weigh nothing in any row.
-            for s in user
+            let slots = user
                 .doc
                 .terms()
-                .filter_map(|t| table.slots.binary_search(&t).ok())
-            {
+                .filter_map(|t| table.slots.binary_search(&t).ok());
+            for s in slots {
                 self.masks[s / 64 * n + i] |= 1 << (s % 64);
             }
         }
-        self.score.clear();
-        self.score.resize(n, 0.0);
-        self.sum.clear();
-        self.sum.resize(n, 0.0);
-        self.hits.clear();
-        self.hits.resize(n, 0);
+        refill(&mut self.score, std::iter::repeat_n(0.0, n));
+        refill(&mut self.sum, std::iter::repeat_n(0.0, n));
+        refill(&mut self.hits, std::iter::repeat_n(0, n));
         n
     }
 
@@ -208,7 +203,7 @@ impl UserColumns {
             self.y[i] = self.y[live];
             self.n_u[i] = self.n_u[live];
             self.kth[i] = self.kth[live];
-            for word in self.masks.chunks_exact_mut(self.stride) {
+            for word in self.masks.chunks_exact_mut(self.x.len()) {
                 word[i] = word[live];
             }
         }
@@ -235,7 +230,7 @@ impl UserColumns {
         for &(t, w) in &table.weights[row.weights.0 as usize..][..row.weights.1 as usize] {
             s += table.slots[s..].partition_point(|&slot| slot < t);
             debug_assert_eq!(table.slots[s], t, "a row term outside the slots");
-            let (held, bit) = (&self.masks[s / 64 * self.stride..][..live], s % 64);
+            let (held, bit) = (&self.masks[s / 64 * self.x.len()..][..live], s % 64);
             for (acc, &mask) in sum.iter_mut().zip(held) {
                 // `w` where the user holds the slot, else `+0.0`: a sum
                 // from `+0.0` of positive weights is never `-0.0`, so

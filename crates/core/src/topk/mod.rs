@@ -140,9 +140,9 @@
 //!     `LO` row indexes and the sorted 16-byte keys of the rest (the
 //!     order below); the kernel reads each row once, for all users, and
 //!     stops at the row where the last user breaks. On the benchmark at
-//!     k = 10 that is row 2,788 of the checkpoint's 9,628: a copy of the
-//!     rows into scan order, or a slot mask per row, would be made for
-//!     rows no user reads.
+//!     k = 10 that is row 1,405 of the checkpoint's 9,628 (of 15,900
+//!     retrieved by then): a copy of the rows into scan order, or a slot
+//!     mask per row, would be made mostly for rows no user reads.
 //!   - *The trigger* is a position tied to the index: after `9/25` of the
 //!     leaves a packed tree of the MIR-tree's objects has (1,125 node
 //!     reads on the benchmark's 100,000 objects at fanout 32, whose tree
