@@ -36,7 +36,7 @@ use std::collections::BinaryHeap;
 use index::StTree;
 use storage::IoStats;
 
-use crate::topk::joint::{key_row, traverse, Checkpoint, Traversal};
+use crate::topk::joint::{traverse, Checkpoint, ScanOrder, Traversal};
 use crate::topk::{ByKey, Table, TopkOutcome, UserTopk};
 use crate::{ScoreContext, UserData, UserGroup};
 
@@ -418,10 +418,7 @@ pub(crate) fn joint_rsk_at(
     let mut lift = |table: Table<'_>, lo: &[u32], rest: &[u128]| {
         kept = scatter(&|_, users| {
             let mut block = vec![f64::NEG_INFINITY; users.len() * k];
-            let (first, rest) = (
-                lo.iter().map(|&r| r as usize),
-                rest.iter().map(|&key| key_row(key)),
-            );
+            let (first, rest) = (lo.iter().map(|&r| r as usize), ScanOrder::new(rest));
             let slots = &mut Slots {
                 width: k,
                 block: &mut block,

@@ -83,11 +83,11 @@ pub fn joint_topk(
 /// (see the module docs' *One exact checkpoint*): before the node read
 /// that follows the `at`-th — when at least `k` rows have been retrieved
 /// by then, else never — `lift(table, lo, rest)` is handed the rows
-/// retrieved so far, in place (discovery order), with their scan order: the
-/// current `LO` rows, ascending, and the keys of the others the threshold
-/// leaves, sorted descending by `UB(o, us)` ([`key_row`] names a key's
-/// row). It returns a threshold `T` that no user's `RSk(u)` is below. From
-/// then on the traversal prunes at `max(RSk(us), T)`.
+/// retrieved so far, in place (discovery order), with their scan order:
+/// the current `LO` rows, ascending, and the keys of the others the
+/// threshold leaves, unsorted ([`ScanOrder`] reads them descending by
+/// `UB(o, us)`). It returns a threshold `T` that no user's `RSk(u)` is
+/// below. From then on the traversal prunes at `max(RSk(us), T)`.
 pub(crate) struct Checkpoint<'a> {
     pub at: usize,
     pub lift: &'a mut Lift<'a>,
@@ -298,7 +298,8 @@ pub(crate) fn traverse(
     // final threshold (still −∞ if LO never filled and no checkpoint lifted
     // it) leaves reachable, descending by UB for Algorithm 2's early break.
     let lo = lo_rows(&lo);
-    let rest = descending(&rows, &lo, thr);
+    let mut rest = rest_keys(&rows, &lo, thr);
+    rest.sort_unstable();
     let order: Vec<u32> = (lo.iter().copied())
         .chain(rest.into_iter().map(|key| key_row(key) as u32))
         .collect();
@@ -335,7 +336,7 @@ fn run_checkpoint(
     thr: f64,
 ) -> f64 {
     let lo = lo_rows(lo);
-    let rest = descending(rows, &lo, thr);
+    let rest = rest_keys(rows, &lo, thr);
     let table = Table {
         rows,
         weights,
@@ -352,10 +353,10 @@ fn lo_rows(lo: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<u32> {
 }
 
 /// The keys of the rows outside `lo` (ascending) whose upper bound reaches
-/// `thr`, sorted descending by it; ids settle ties, so the order does not
-/// depend on when an object was discovered. A 16-byte key `(UB
-/// descending, id, row)` sorts as one integer; [`key_row`] reads its row.
-fn descending(rows: &[Row], lo: &[u32], thr: f64) -> Vec<u128> {
+/// `thr`, unsorted. A 16-byte key `(UB descending, id, row)` sorts as one
+/// integer into scan order: descending by upper bound, ids settling ties,
+/// so the order does not depend on when an object was discovered.
+fn rest_keys(rows: &[Row], lo: &[u32], thr: f64) -> Vec<u128> {
     let mut keys: Vec<u128> = Vec::new();
     let mut in_lo = lo.iter().peekable();
     for (i, row) in rows.iter().enumerate() {
@@ -364,13 +365,56 @@ fn descending(rows: &[Row], lo: &[u32], thr: f64) -> Vec<u128> {
             keys.push(key | i as u128);
         }
     }
-    keys.sort_unstable();
     keys
 }
 
-/// The row a key of [`descending`] stands for.
-pub(crate) fn key_row(key: u128) -> usize {
+/// The row a key of [`rest_keys`] stands for.
+fn key_row(key: u128) -> usize {
     key as u32 as usize
+}
+
+/// The rows of [`rest_keys`]' keys in scan order, sorted as they are read:
+/// a chunk at a time, each chunk the smallest keys left (picked by
+/// selection, then sorted), the chunks doubling from [`ScanOrder::CHUNK`].
+/// A scan that stops early — Algorithm 2's, where the last user breaks —
+/// sorts about what it reads: at the benchmark's checkpoint 2,048 of 9,628
+/// keys for the 1,395 it reads.
+pub(crate) struct ScanOrder {
+    keys: Vec<u128>,
+    next: usize,
+    sorted: usize,
+}
+
+impl ScanOrder {
+    const CHUNK: usize = 1024;
+
+    /// A scan over a copy of `keys`.
+    pub(crate) fn new(keys: &[u128]) -> Self {
+        ScanOrder {
+            keys: keys.to_vec(),
+            next: 0,
+            sorted: 0,
+        }
+    }
+}
+
+impl Iterator for ScanOrder {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.next == self.sorted {
+            let left = &mut self.keys[self.sorted..];
+            let chunk = self.sorted.max(Self::CHUNK).min(left.len());
+            if chunk < left.len() {
+                left.select_nth_unstable(chunk);
+            }
+            left[..chunk].sort_unstable();
+            self.sorted += chunk;
+        }
+        let key = *self.keys.get(self.next)?;
+        self.next += 1;
+        Some(key_row(key))
+    }
 }
 
 /// One leaf's bounding columns, reused from leaf to leaf.
@@ -500,6 +544,36 @@ mod tests {
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);
         scored
+    }
+
+    /// A scan order read in full is the sorted keys' rows, at sizes below,
+    /// at and past every chunk boundary, with tied upper bounds (ids and
+    /// rows settle them); read in part, it sorts no more than the next
+    /// chunk boundary past what was read.
+    #[test]
+    fn scan_order_reads_the_keys_sorted_a_chunk_at_a_time() {
+        let mut next = crate::select::test_fixture::stream(48);
+        for n in [0, 1, 1023, 1024, 1025, 2048, 5000] {
+            let keys: Vec<u128> = (0..n)
+                .map(|row| {
+                    let ub = next(50) as f64 / 7.0;
+                    (u128::from(!ordered(ub)) << 64) | (u128::from(next(20) as u32) << 32) | row
+                })
+                .collect();
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            let want: Vec<usize> = sorted.iter().map(|&key| key_row(key)).collect();
+            assert_eq!(ScanOrder::new(&keys).collect::<Vec<_>>(), want, "n = {n}");
+            let mut part = ScanOrder::new(&keys);
+            let read: Vec<usize> = part.by_ref().take(n as usize / 3).collect();
+            assert_eq!(read, want[..n as usize / 3], "n = {n}");
+            let bound = (n as usize / 3).next_power_of_two().max(ScanOrder::CHUNK);
+            assert!(
+                part.sorted <= bound.min(n as usize),
+                "n = {n}: {}",
+                part.sorted
+            );
+        }
     }
 
     #[test]

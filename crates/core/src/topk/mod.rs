@@ -137,12 +137,17 @@
 //!     same under either).
 //!   - *The checkpoint's rows stay where they are.* The traversal
 //!     hands the kernel its rows in place, in discovery order, with the
-//!     `LO` row indexes and the sorted 16-byte keys of the rest (the
-//!     order below); the kernel reads each row once, for all users, and
-//!     stops at the row where the last user breaks. On the benchmark at
-//!     k = 10 that is row 1,405 of the checkpoint's 9,628 (of 15,900
-//!     retrieved by then): a copy of the rows into scan order, or a slot
-//!     mask per row, would be made mostly for rows no user reads.
+//!     `LO` row indexes and the 16-byte keys of the rest (the order
+//!     below); the kernel reads each row once, for all users, and stops
+//!     at the row where the last user breaks. On the benchmark at k = 10
+//!     that is row 1,405 of the checkpoint's 9,628 (of 15,900 retrieved
+//!     by then): a copy of the rows into scan order, or a slot mask per
+//!     row, would be made mostly for rows no user reads. For the same
+//!     reason the keys are sorted as they are read (`joint::ScanOrder`: a
+//!     chunk of the smallest keys left at a time, picked by selection,
+//!     the sorted prefix doubling from 1,024), 2,048 of them there; each
+//!     user slice sorts its own copy. Sorting all of them measured ×1.03
+//!     the fill time.
 //!   - *The trigger* is a position tied to the index: after `9/25` of the
 //!     leaves a packed tree of the MIR-tree's objects has (1,125 node
 //!     reads on the benchmark's 100,000 objects at fanout 32, whose tree
