@@ -42,7 +42,7 @@ use crate::{ScoreContext, UserData, UserGroup};
 
 /// Every user's `k` best scores (by [`f64::total_cmp`]), addressed by the
 /// user's index in a [`refine`] call.
-pub(crate) trait Kept {
+trait Kept {
     /// User `u`'s k-th best score kept: −∞ while fewer than `k` are.
     fn kth(&self, u: usize) -> f64;
     /// Offers object `id`'s `score` to user `u`; the lowest of `k + 1` is
@@ -51,9 +51,9 @@ pub(crate) trait Kept {
 }
 
 /// Algorithm 2's heaps, one per user, for the listings.
-pub(crate) struct Heaps<'a> {
-    pub k: usize,
-    pub heaps: &'a mut [BinaryHeap<Reverse<ByKey<u32>>>],
+struct Heaps<'a> {
+    k: usize,
+    heaps: &'a mut [BinaryHeap<Reverse<ByKey<u32>>>],
 }
 
 impl Kept for Heaps<'_> {
@@ -91,9 +91,9 @@ fn kth_of(heap: &BinaryHeap<Reverse<ByKey<u32>>>, k: usize) -> f64 {
 /// score is never NaN and never `-0.0` (a sum from `+0.0` of products of
 /// non-negative factors), and on such values `<` orders as
 /// [`f64::total_cmp`] does.
-pub(crate) struct Slots<'a> {
-    pub width: usize,
-    pub block: &'a mut [f64],
+struct Slots<'a> {
+    width: usize,
+    block: &'a mut [f64],
 }
 
 impl Kept for Slots<'_> {
@@ -273,7 +273,7 @@ impl UserColumns {
 /// `users[u]`'s). `kept` may already hold scores; a row must not be
 /// offered twice. The rows are the outer loop, read once for all users,
 /// and the scan stops where the last user breaks. `cols` is scratch.
-pub(crate) fn refine(
+fn refine(
     table: Table<'_>,
     first: impl IntoIterator<Item = usize>,
     rest: impl IntoIterator<Item = usize>,
