@@ -391,14 +391,19 @@ pub(crate) fn joint_rsk(
 
 /// Where [`joint_rsk`] takes its checkpoint: after this many node reads,
 /// a share of the leaves a packed tree of `tree`'s objects has (within a
-/// few percent of its node count at the fanouts used). Tuned; the sweep
-/// is in the module docs.
+/// few percent of its node count at the fanouts used), and no fewer than
+/// [`CHECKPOINT_MIN_READS`]. Tuned; the sweep is in the module docs.
 fn checkpoint_visit(tree: &StTree) -> usize {
-    tree.num_objects().div_ceil(tree.fanout()) * CHECKPOINT_SHARE.0 / CHECKPOINT_SHARE.1
+    let leaves = tree.num_objects().div_ceil(tree.fanout());
+    (leaves * CHECKPOINT_SHARE.0 / CHECKPOINT_SHARE.1).max(CHECKPOINT_MIN_READS)
 }
 
 /// The checkpoint's position as a fraction of the leaf count.
-const CHECKPOINT_SHARE: (usize, usize) = (9, 25);
+const CHECKPOINT_SHARE: (usize, usize) = (3, 25);
+
+/// The fewest node reads before the checkpoint: the share alone fires too
+/// early on a small tree (37 reads on 10,000 objects at fanout 32).
+const CHECKPOINT_MIN_READS: usize = 96;
 
 /// [`joint_rsk`] with the checkpoint after `at` node reads (never, when
 /// the traversal reads no more).

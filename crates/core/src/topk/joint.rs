@@ -9,8 +9,11 @@
 //! inverted file is read at most once, which is the source of the joint
 //! method's I/O savings over the per-user baseline. The engine's fill
 //! runs it with one checkpoint that lifts the threshold to the lowest
-//! `RSk(u)` seen so far (`Checkpoint`; the module docs' *One exact
-//! checkpoint*).
+//! `RSk(u)` seen so far (`Checkpoint`), and then reads best first by
+//! *upper* bound: nodes are queued by `UB(e, us)`, and each retrieved
+//! object goes straight into `LO` instead of onto the queue, so the users'
+//! real top-k are retrieved before the checkpoint (the module docs' *One
+//! exact checkpoint*).
 //!
 //! How the traversal bounds first and materialises survivors only is in
 //! the [module docs](crate::topk); the paper-literal form it is tested
@@ -28,8 +31,9 @@ use crate::topk::{Row, Table, TopkOutcome};
 use crate::{ScoreContext, UserGroup};
 
 /// Work items on the traversal queue `PQ`: indexes, so a queue slot is 16
-/// bytes whatever it stands for. The derived order settles tied lower
-/// bounds (an object before a node, the later arrival first).
+/// bytes whatever it stands for. The derived order settles tied bounds (an
+/// object before a node, the later arrival first). Only the paper's
+/// traversal queues objects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Item {
     /// An unexpanded node: its `(record, parent-derived upper bound)` is
@@ -87,7 +91,9 @@ pub fn joint_topk(
 /// the current `LO` rows, ascending, and the keys of the others the
 /// threshold leaves, unsorted ([`ScanOrder`] reads them descending by
 /// `UB(o, us)`). It returns a threshold `T` that no user's `RSk(u)` is
-/// below. From then on the traversal prunes at `max(RSk(us), T)`.
+/// below. From then on the traversal prunes at `max(RSk(us), T)`. A
+/// traversal given a checkpoint reads by upper bound, whether or not it
+/// comes to take it.
 pub(crate) struct Checkpoint<'a> {
     pub at: usize,
     pub lift: &'a mut Lift<'a>,
@@ -105,8 +111,8 @@ pub(crate) struct Traversal {
     pub fresh: Option<(Vec<u32>, usize)>,
 }
 
-/// [`joint_topk`] with an optional [`Checkpoint`], reporting each
-/// [`Step`] to `observe`.
+/// [`joint_topk`] — or, given a [`Checkpoint`], the fill's traversal —
+/// reporting each [`Step`] to `observe`.
 pub(crate) fn traverse(
     tree: &StTree,
     group: &UserGroup,
@@ -148,24 +154,31 @@ pub(crate) fn traverse(
     let (mut lifted, mut thr) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     // Node reads so far, and the rows retrieved before the checkpoint.
     let (mut visits, mut before) = (0, None);
+    // The fill (a checkpoint given) queues nodes by upper bound and keeps
+    // objects off the queue; the paper's traversal queues both by lower
+    // bound (the module docs' *One exact checkpoint*).
+    let by_ub = checkpoint.is_some();
 
     pq.push((ordered(f64::INFINITY), Item::Node(0)));
 
-    while let Some((key, item)) = pq.pop() {
+    loop {
+        // RSk(us) is LO's k-th best lower bound once LO holds k rows. LO
+        // moves between pops only — when the paper's traversal pops an
+        // object, or when the fill expands a leaf — so neither RSk(us) nor
+        // the threshold moves while a node is expanded.
+        if let Some(lb) = kth_lb(&lo, k, &rows) {
+            rsk_us = lb;
+            thr = rsk_us.max(lifted);
+        }
+        let Some((key, item)) = pq.pop() else {
+            break;
+        };
         match item {
             Item::Obj(row) => {
                 if rows[row as usize].ub < thr {
                     continue; // pruned (the threshold grew since it was queued)
                 }
-                lo.push(Reverse((key, row)));
-                if lo.len() > k {
-                    lo.pop();
-                }
-                if lo.len() == k {
-                    let Reverse((_, kth)) = lo.peek().expect("k > 0");
-                    rsk_us = rows[*kth as usize].lb;
-                    thr = rsk_us.max(lifted);
-                }
+                keep(&mut lo, k, key, row);
                 // Whatever is not in LO at the end is an RO candidate;
                 // the final threshold decides below.
             }
@@ -195,8 +208,6 @@ pub(crate) fn traverse(
                 let node = tree.read_node_ref(rec, io, &mut node_scratch);
                 let run = &terms[start as usize..][..len as usize];
                 let postings = tree.read_postings_ref(&node, run, io, &mut postings_scratch);
-                // Neither LO nor the threshold moves while a node is
-                // expanded.
                 let full = lo.len() >= k;
                 if !node.is_leaf() {
                     for i in 0..node.len() {
@@ -211,8 +222,12 @@ pub(crate) fn traverse(
                         let start = terms.len() as u32;
                         terms.extend(row.iter().map(|&(t, _, _)| t));
                         nodes.push((child, child_ub, (start, row.len() as u32)));
-                        let child_lb = lb_entry(ctx, group, &rect, row);
-                        pq.push((ordered(child_lb), Item::Node(nodes.len() as u32 - 1)));
+                        let key = if by_ub {
+                            child_ub
+                        } else {
+                            lb_entry(ctx, group, &rect, row)
+                        };
+                        pq.push((ordered(key), Item::Node(nodes.len() as u32 - 1)));
                     }
                     continue;
                 }
@@ -281,6 +296,11 @@ pub(crate) fn traverse(
                         ub,
                         weights: (start as u32, (weights.len() - start) as u32),
                     });
+                    let row = rows.len() as u32 - 1;
+                    if by_ub {
+                        keep(&mut lo, k, ordered(lb), row);
+                        continue;
+                    }
                     if full && lb < rsk_us {
                         // Popped, it would enter LO as its minimum and
                         // leave again at once: RSk(us) only grows.
@@ -288,7 +308,7 @@ pub(crate) fn traverse(
                         continue;
                     }
                     observe(Step::Queued);
-                    pq.push((ordered(lb), Item::Obj(rows.len() as u32 - 1)));
+                    pq.push((ordered(lb), Item::Obj(row)));
                 }
             }
         }
@@ -343,6 +363,22 @@ fn run_checkpoint(
         slots: uni,
     };
     (cp.lift)(table, &lo, &rest)
+}
+
+/// Puts row `row` into `LO` under `key`, its ordered lower bound, and
+/// drops `LO`'s minimum past `k` rows.
+fn keep(lo: &mut BinaryHeap<Reverse<(u64, u32)>>, k: usize, key: u64, row: u32) {
+    if lo.len() < k {
+        lo.push(Reverse((key, row)));
+    } else if let Some(mut min) = lo.peek_mut().filter(|min| (key, row) > min.0) {
+        *min = Reverse((key, row));
+    }
+}
+
+/// `RSk(us)`, the k-th best lower bound in `LO`, once `LO` holds `k` rows.
+fn kth_lb(lo: &BinaryHeap<Reverse<(u64, u32)>>, k: usize, rows: &[Row]) -> Option<f64> {
+    let Reverse((_, kth)) = lo.peek().filter(|_| lo.len() == k)?;
+    Some(rows[*kth as usize].lb)
 }
 
 /// The rows of `LO`, ascending.

@@ -69,17 +69,19 @@
 //!   expansion is the work the fetch overlaps. When the expansion queues a
 //!   child above it, or the peeked node is pruned, the hint is wasted,
 //!   never wrong.
-//! * **Who may skip the queue.** The queue holds 16-byte `(bound, index)`
-//!   pairs — nodes index a side table of `(record, upper bound)`, objects
-//!   index their row. An object that arrives while `LO` is full with
-//!   `LB < RSk(us)` never enters it: `RSk(us)` only grows, so popping the
-//!   object later would push it into `LO` as the new minimum and evict it
-//!   at once, leaving `LO`, `RSk(us)` and everything queued as they were.
-//!   That argument needs the queue's order to be independent of what else
-//!   is queued, so ties between equal bounds are settled by the item, not
-//!   left to the heap's internals. `topk/reference.rs` keeps the
-//!   everything-through-the-queue traversal under `#[cfg(test)]`, and a
-//!   test holds this one to it record for record.
+//! * **Who may skip the queue (the paper's traversal).** The queue holds
+//!   16-byte `(bound, index)` pairs — nodes index a side table of
+//!   `(record, upper bound)`, objects index their row. In the paper's
+//!   traversal (no checkpoint given) an object that arrives while `LO` is
+//!   full with `LB < RSk(us)` never enters it: `RSk(us)` only grows, so
+//!   popping the object later would push it into `LO` as the new minimum
+//!   and evict it at once, leaving `LO`, `RSk(us)` and everything queued
+//!   as they were. That argument needs the queue's order to be independent
+//!   of what else is queued, so ties between equal bounds are settled by
+//!   the item, not left to the heap's internals. `topk/reference.rs` keeps
+//!   the everything-through-the-queue traversal under `#[cfg(test)]`, and a
+//!   test holds this one to it record for record. The engine's fill queues
+//!   no object at all (*One exact checkpoint*, below).
 //! * **`RO` by the final threshold.** Every survivor not in `LO` at the end
 //!   is an `RO` candidate, and `RO` keeps those with
 //!   `UB(o, us) ≥ RSk(us)` for the *final* `RSk(us)` — fewer than a filter
@@ -103,6 +105,27 @@
 //!   0.5312. The engine's top-k fill (`individual::joint_rsk`) runs
 //!   Algorithm 2 in two parts around one checkpoint inside the traversal,
 //!   which then prunes at the lowest `RSk(u)` seen so far:
+//!   - *Best first by upper bound.* Given a checkpoint, the traversal
+//!     queues each node by `UB(e, us)` instead of the paper's `LB(e, us)`,
+//!     and puts each retrieved object straight into `LO` — the heap of the
+//!     k best `(LB, row)` — never onto the queue. `RSk(us)` and the
+//!     threshold are refreshed between pops, so neither moves while a node
+//!     is expanded. The paper's order exists to raise `RSk(us)` early, but
+//!     on the benchmark's super-user (1,000 users, `dInt` empty) that bound
+//!     is spatial only and never passes α = 0.5: read by lower bound, the
+//!     nodes before a checkpoint hold term-less objects near the users,
+//!     which `T` later discards. Read by upper bound, the nodes holding
+//!     heavy union terms near the users come first, the users' runs fill
+//!     with their real top-k, and by the checkpoint `T` has its final bits.
+//!     The rest of the traversal prunes at it, so a cold fill reads what a
+//!     traversal pruned from the root at the final `T` reads: 6,465 I/Os
+//!     on the benchmark at k = 10, against the paper's 10,108. Objects stay
+//!     off the queue because they must: keyed by upper bound with objects
+//!     still queued by lower bound, the fill read the same but ran ×1.046
+//!     the time, its queue full of term-less objects nobody pops before the
+//!     end. The paper's path (`joint_topk`, and so the figure harness, an
+//!     uncached engine's §7 seed and the benchmark's layer rows) keeps its
+//!     order and its object queue, record for record.
 //!   - *At the checkpoint* every user starts its own heap — a run of `k`
 //!     slots in one flat block, all −∞ — and Algorithm 2's kernel scores
 //!     the rows retrieved so far for all users at once: the current `LO`
@@ -130,82 +153,94 @@
 //!     and every object it did not see — pruned, or past an early break
 //!     at a threshold no higher than its `RSk(u)` — scores strictly below
 //!     that, so `RSk(u)` has the bits Algorithm 2 gives over the paper's
-//!     traversal. A pruned object never enters `LO`, so `RSk(us)` may come
-//!     out lower than the paper's; the outcome reports `max(RSk(us), T)`
-//!     as its `rsk_us`, a lower bound on every `RSk(u)` all the same, to
-//!     the location prune (the §8 answers in `select_golden.rs` are the
-//!     same under either).
+//!     traversal. `LO` is the k best lower bounds among all retrieved
+//!     rows, so `RSk(us)` is the k-th best `LB` of k real objects: at or
+//!     below every `RSk(u)` still. A pruned object never enters `LO`, so
+//!     `RSk(us)` may come out lower than the paper's; the outcome reports
+//!     `max(RSk(us), T)` as its `rsk_us`, a lower bound on every `RSk(u)`
+//!     all the same, to the location prune (the §8 answers in
+//!     `select_golden.rs` are the same under either). An `LO` row may have
+//!     a `UB` below the final threshold (it was retrieved before the
+//!     checkpoint lifted it). Algorithm 2 and §7's group bound score `LO`
+//!     in full; such a row scores below every `RSk(u)`, so it moves no
+//!     `RSk(u)`, no listing and no group bound. With no checkpoint taken,
+//!     `LO` holds the k best lower bounds of the whole tree in either
+//!     order, so the outcome is the paper's — `RSk(us)`, `LO` and the
+//!     reachable `RO` — read at the floor of that `RSk(us)`.
 //!   - *The checkpoint's rows stay where they are.* The traversal
 //!     hands the kernel its rows in place, in discovery order, with the
 //!     `LO` row indexes and the 16-byte keys of the rest (the order
 //!     below); the kernel reads each row once, for all users, and stops
 //!     at the row where the last user breaks. On the benchmark at k = 10
-//!     that is row 1,405 of the checkpoint's 9,628 (of 15,900 retrieved
-//!     by then): a copy of the rows into scan order, or a slot mask per
-//!     row, would be made mostly for rows no user reads. For the same
-//!     reason the keys are sorted as they are read (`joint::ScanOrder`: a
-//!     chunk of the smallest keys left at a time, picked by selection,
+//!     that is row 1,354 of the checkpoint's 7,590 keys (of 7,602 rows
+//!     retrieved by then): a copy of the rows into scan order, or a slot
+//!     mask per row, would be made mostly for rows no user reads. For the
+//!     same reason the keys are sorted as they are read (`joint::ScanOrder`:
+//!     a chunk of the smallest keys left at a time, picked by selection,
 //!     the sorted prefix doubling from 1,024), 2,048 of them there; each
 //!     user slice sorts its own copy. Sorting all of them measured ×1.03
-//!     the fill time.
-//!   - *The trigger* is a position tied to the index: after `9/25` of the
-//!     leaves a packed tree of the MIR-tree's objects has (1,125 node
-//!     reads on the benchmark's 100,000 objects at fanout 32, whose tree
-//!     has 3,241 nodes; a cold traversal reads 2,016 of them without a
-//!     checkpoint and 1,373 with it at k = 10). It is tuned, not derived,
-//!     and no online signal has been found that lands in the basin (ROADMAP
-//!     item 16). A sweep on the benchmark's `serve_cold` engine, every
-//!     `RSk(u)` bit-equal to Algorithm 2's at every position (simulated I/O
-//!     per cold fill at k = 5 / 10 / 20, Columnar at k = 10, and the
-//!     `(user, row)` pairs scored against Algorithm 2's at k = 10):
+//!     the fill time (with the checkpoint after `9/25` of the leaves, which
+//!     retrieved 15,900 rows and kept 9,628 keys).
+//!   - *The trigger* is a position tied to the index: after `3/25` of the
+//!     leaves a packed tree of the MIR-tree's objects has, and after no
+//!     fewer than 96 node reads (375 reads on the benchmark's 100,000
+//!     objects at fanout 32, whose tree has 3,241 nodes; a cold traversal
+//!     reads 997 of them at k = 10, the paper's 2,016). It is tuned, not
+//!     derived (ROADMAP item 16). A sweep on the benchmark's `serve_cold`
+//!     engine, every `RSk(u)` bit-equal to Algorithm 2's over the paper's
+//!     traversal at every position (simulated I/O per cold fill at k = 5 /
+//!     10 / 20, Columnar at k = 10, and the `(user, row)` pairs scored
+//!     against Algorithm 2's at k = 10):
 //!
 //!     | checkpoint after | k = 5 | k = 10 | k = 20 | Columnar | pairs |
 //!     |---|---|---|---|---|---|
-//!     | none (the paper) | 10,099 | 10,108 | 10,117 | 4,991 | 1.00× |
-//!     | 500 reads | 10,096 | 10,105 | 10,117 | 4,989 | 2.69× |
-//!     | 600 | 7,711 | 8,112 | 8,619 | 3,780 | 1.35× |
-//!     | 700 | 7,353 | 7,573 | 7,839 | 3,485 | 1.16× |
-//!     | 875 (`7/25`) | 7,221 | 7,450 | 7,573 | 3,403 | 1.00× |
-//!     | 1,000 | 7,272 | 7,489 | 7,600 | 3,429 | 1.00× |
-//!     | **1,125 (`9/25`)** | 7,428 | 7,621 | 7,714 | 3,517 | 1.00× |
-//!     | 1,300 | 7,814 | 7,998 | 8,085 | 3,759 | 1.00× |
-//!     | 1,500 | 8,510 | 8,618 | 8,678 | 4,133 | 1.00× |
+//!     | the paper's traversal | 10,099 | 10,108 | 10,117 | 4,991 | 1.00× |
+//!     | none (upper-bound order) | 10,072 | 10,084 | 10,093 | 4,975 | 1.00× |
+//!     | 48 reads | 6,356 | 7,053 | 8,067 | 3,100 | 1.23× |
+//!     | 96 | 6,271 | 6,510 | 7,089 | 2,785 | 1.10× |
+//!     | 150 | 6,194 | 6,465 | 6,723 | 2,755 | 1.04× |
+//!     | 200 | 6,194 | 6,465 | 6,642 | 2,755 | 1.00× |
+//!     | **375 (`3/25`)** | 6,194 | 6,465 | 6,642 | 2,755 | 1.00× |
+//!     | 875 (`7/25`) | 6,194 | 6,465 | 6,642 | 2,755 | 1.00× |
+//!     | 1,125 (`9/25`, the lower-bound order's trigger) | 6,962 | 6,962 | 6,962 | 3,048 | 1.00× |
 //!
-//!     Too early is a trap, not only a waste: retrieved rows grow slowly
-//!     between reads 400 and 550 while `RSk(us)` stays flat, then a second
-//!     wave doubles them by read 900; a checkpoint inside the plateau sees
-//!     users' heaps full of objects that are not their real top-k, lifts
-//!     `T` barely above `RSk(us)` and scores two to three times the pairs.
-//!     Where the trap lies depends on the corpus, which is why the share
-//!     is `9/25` and not this corpus's best, `7/25`. On the same generator
-//!     at other sizes (1,000 users, k = 10, Verbatim; I/O and pairs at
-//!     `7/25` and `9/25`, and the fill's time at `9/25` against no
-//!     checkpoint, in process, 30 alternating pairs):
+//!     From 200 reads to 875 every `k` reads the floor: `T` is final, and
+//!     the traversal pruned from the root at it reads 941 / 997 / 1,056
+//!     nodes. A checkpoint later than that is read up to, pruning only at
+//!     `RSk(us)` until then: at 1,125 every `k` reads 1,125 nodes. Before
+//!     200 the users' runs are not full of their real top-k yet: `T` lands
+//!     a little low and the pairs grow. Without a checkpoint upper-bound
+//!     order gains little, since `RSk(us)` stays spatial. On the same generator at other
+//!     sizes (1,000 users, k = 10, Verbatim; I/O of the lower-bound order
+//!     with its `9/25` trigger, of this order at the trigger, the sweep's
+//!     best over 14 read counts from 24 to 1,000 and six shares from `2/25`
+//!     to `9/25`, and the pairs at the trigger against Algorithm 2's):
 //!
-//!     | objects | none | `7/25` | `9/25` | time at `9/25` |
-//!     |---|---|---|---|---|
-//!     | 10,000 | 1,134 | 790 (1.00×) | 790 (1.00×) | ×0.99 |
-//!     | 30,000 | 3,485 | 2,630 (1.40×) | 2,326 (1.00×) | ×0.98 |
-//!     | 50,000 | 4,877 | 3,556 (1.00×) | 3,724 (1.00×) | ×0.94 |
-//!     | 70,000 | 5,653 | 4,491 (1.43×) | 4,616 (1.00×) | ×0.97 |
-//!     | 100,000 | 10,108 | 7,450 (1.00×) | 7,621 (1.00×) | ×0.87 |
-//!     | 150,000 | 15,142 | 11,748 (1.07×) | 11,946 (1.06×) | ×0.88 |
-//!     | 200,000 | 10,611 | never taken | never taken | — |
+//!     | objects | the paper | lower bound, `9/25` | upper bound, trigger | best | pairs |
+//!     |---|---|---|---|---|---|
+//!     | 10,000 | 1,134 | 790 | 790 (96 reads) | 790 | 1.00× |
+//!     | 20,000 | 2,398 | 1,788 | 1,785 (96) | 1,785 | 1.01× |
+//!     | 30,000 | 3,485 | 2,326 | 2,317 (112) | 2,317 | 1.01× |
+//!     | 50,000 | 4,877 | 3,724 | 3,475 (187) | 3,475 | 1.00× |
+//!     | 70,000 | 5,653 | 4,616 | 3,842 (262) | 3,842 | 1.00× |
+//!     | 100,000 | 10,108 | 7,621 | 6,465 (375) | 6,465 | 1.00× |
+//!     | 150,000 | 15,142 | 11,946 | 10,226 (562) | 10,226 | 1.00× |
+//!     | 200,000 | 10,611 | 10,611 (never taken) | 6,780 (750) | 6,780 | 1.00× |
 //!
-//!     At `7/25` the fill ran ×1.29 on 30,000 objects and ×1.22 on 70,000.
-//!     At 200,000 objects the traversal reads only 1,604 nodes, fewer than
-//!     either share asks for, so no checkpoint is taken (a checkpoint after
-//!     300 reads would save 36% of the I/O there). The online signals tried
-//!     before this design (ROADMAP item 16) — a falling rate of survivors
-//!     per read, `RSk(us)` flat for a window of reads, the stable minimum of
-//!     a sampled subset of users — all fired inside the plateau. A later
-//!     checkpoint costs reads and no pairs: at 1,125 the continuation scans
-//!     a few dozen rows per user. Periodic checkpoints, and a throw-away
-//!     checkpoint followed by Algorithm 2 in full, were measured there too:
-//!     both score more pairs and run slower than one checkpoint whose heaps
-//!     carry over. Tests force the checkpoint after every read count
-//!     (`individual::joint_rsk_at`); answers never depend on where it
-//!     falls.
+//!     The share alone fires too early on a small tree: `3/25` of 313
+//!     leaves is 37 reads, and 10,000 objects then read 814 (793 and 868
+//!     at k = 5 and 20, against 734 and 817), scoring 1.08× the pairs;
+//!     hence the 96 reads. At 200,000 objects the lower-bound order's
+//!     traversal reads 1,604 nodes, fewer than `9/25` asks for, and never
+//!     took its checkpoint; this one fires after 750 reads and saves 36% of
+//!     the I/O. The online signals tried for the lower-bound order (ROADMAP
+//!     item 16) — a falling rate of survivors per read, `RSk(us)` flat for a
+//!     window of reads, the stable minimum of a sampled subset of users —
+//!     all fired too early. Periodic checkpoints, and a throw-away
+//!     checkpoint followed by Algorithm 2 in full, scored more pairs and ran
+//!     slower than one checkpoint whose heaps carry over. Tests force the
+//!     checkpoint after every read count (`individual::joint_rsk_at`);
+//!     answers never depend on where it falls.
 //! * **Rows lie in scan order.** [`TopkOutcome`] stores the `LO` rows,
 //!   then the `RO` rows descending by upper bound: the order in which
 //!   Algorithm 2 walks them for all users at once and the §7 pipeline once
