@@ -607,11 +607,11 @@ mod tests {
     /// the reference's record for record — `RSk(us)`, `LO` and the
     /// reachable `RO` — and its simulated I/O is that of a traversal
     /// pruned from the root at that `RSk(us)`, which upper-bound order
-    /// reaches (the paper's order may read more). With the checkpoint forced after every
-    /// node count, every `RSk(u)` and every listing score over its outcome
-    /// is the reference's, bit for bit, and it never reads more — under
-    /// LM, TF-IDF and KO and both codecs, on a fixture where checkpoints
-    /// save node reads.
+    /// reaches (the paper's order may read more). With the checkpoint
+    /// forced after every node count, every `RSk(u)` and every listing
+    /// score over its outcome is the reference's, bit for bit, and it never
+    /// reads more — under LM, TF-IDF and KO and both codecs, on a fixture
+    /// where checkpoints save node reads.
     #[test]
     fn forced_checkpoints_match_the_reference_at_every_visit() {
         use crate::topk::individual::{individual_topk, joint_rsk_at};
