@@ -120,10 +120,12 @@
 //!     The rest of the traversal prunes at it, so a cold fill reads what a
 //!     traversal pruned from the root at the final `T` reads: 6,465 I/Os
 //!     on the benchmark at k = 10, against the paper's 10,108. Objects stay
-//!     off the queue because they must: keyed by upper bound with objects
-//!     still queued by lower bound, the fill read the same but ran ×1.046
-//!     the time, its queue full of term-less objects nobody pops before the
-//!     end. The paper's path (`joint_topk`, and so the figure harness, an
+//!     off the queue because they must: with nodes keyed by upper bound and
+//!     objects still queued by lower bound, the fill reads the same, but
+//!     its queue fills with term-less objects nobody pops before the end;
+//!     in process this fill took ×0.795 of that one's time (29 of 30
+//!     alternating pairs) and ×0.824 of the lower-bound order's (29 of 30).
+//!     The paper's path (`joint_topk`, and so the figure harness, an
 //!     uncached engine's §7 seed and the benchmark's layer rows) keeps its
 //!     order and its object queue, record for record.
 //!   - *At the checkpoint* every user starts its own heap — a run of `k`

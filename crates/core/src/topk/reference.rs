@@ -720,7 +720,10 @@ mod tests {
         while let Some(id) = stack.pop() {
             let node = mir.read_node_ref(id, &io, &mut ns);
             let postings = mir.read_postings_ref(&node, &uni, &io, &mut ps);
-            for i in (0..node.len()).filter(|_| !node.is_leaf()) {
+            if node.is_leaf() {
+                continue;
+            }
+            for i in 0..node.len() {
                 let ChildRef::Node(child) = node.child(i) else {
                     unreachable!("inner entries point at nodes")
                 };
