@@ -102,19 +102,22 @@ impl Kept for Slots<'_> {
         self.block[u * self.width]
     }
 
+    /// Drops the minimum and inserts `score`, in closed form: slot `i`
+    /// takes `max(r[i], min(r[i + 1], s))`, the last slot `max(r[last],
+    /// s)`. No branch depends on where `score` lands, and a score at or
+    /// below the minimum leaves the run as it is. The run keeps the same
+    /// sorted multiset a shift of the lower scores gives, so each slot
+    /// the same bits: equal scores are bit-equal (see the type's docs).
     #[inline]
     fn offer(&mut self, u: usize, score: f64, _: u32) {
         let run = &mut self.block[u * self.width..][..self.width];
-        if score <= run[0] {
-            return;
+        for i in 1..run.len() {
+            // Slot `i` is read before it is written.
+            let up = if run[i] < score { run[i] } else { score };
+            run[i - 1] = if run[i - 1] < up { up } else { run[i - 1] };
         }
-        // Drop the minimum: shift the scores below `score` down one slot.
-        let mut i = 0;
-        while i + 1 < run.len() && run[i + 1] < score {
-            run[i] = run[i + 1];
-            i += 1;
-        }
-        run[i] = score;
+        let last = &mut run[self.width - 1];
+        *last = if *last < score { score } else { *last };
     }
 }
 
@@ -673,6 +676,55 @@ mod tests {
             });
             assert!(rsk.iter().all(|&r| r == f64::NEG_INFINITY), "at {at}");
         }
+    }
+
+    /// The shift loop the closed form replaced, kept as its reference:
+    /// a score above the minimum shifts the scores below it down one slot
+    /// and takes the slot they leave.
+    fn shift_offer(run: &mut [f64], score: f64) {
+        if score <= run[0] {
+            return;
+        }
+        let mut i = 0;
+        while i + 1 < run.len() && run[i + 1] < score {
+            run[i] = run[i + 1];
+            i += 1;
+        }
+        run[i] = score;
+    }
+
+    /// `Slots::offer` leaves every run bit-equal to the shift loop, after
+    /// every offer, at widths 1–24: three runs per block, each starting all
+    /// −∞, fed seeded scores from a pool small enough to tie often (`+0.0`
+    /// among them), some streams shorter than the run so −∞ slots stay.
+    #[test]
+    fn closed_form_offers_match_the_shift_loop() {
+        let mut next = crate::select::test_fixture::stream(0x5107_5EED);
+        let (mut ties, mut kept_neg_inf) = (0, 0);
+        for width in 1..=24 {
+            for _ in 0..8 {
+                let mut block = vec![f64::NEG_INFINITY; 3 * width];
+                let mut want = block.clone();
+                let offers = next(3 * width as u64 + 1) as usize;
+                for _ in 0..offers {
+                    let u = next(3) as usize;
+                    let score = next(12) as f64 / 8.0;
+                    let run = &want[u * width..][..width];
+                    ties += usize::from(run.contains(&score));
+                    Slots {
+                        width,
+                        block: &mut block,
+                    }
+                    .offer(u, score, 0);
+                    shift_offer(&mut want[u * width..][..width], score);
+                    let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&block), bits(&want), "width {width}, offer {score}");
+                }
+                kept_neg_inf += usize::from(block.contains(&f64::NEG_INFINITY));
+            }
+        }
+        assert!(ties > 1_000, "the streams must tie: {ties}");
+        assert!(kept_neg_inf > 50, "some runs must keep −∞: {kept_neg_inf}");
     }
 
     #[test]

@@ -229,7 +229,9 @@ impl<'a> NodeRef<'a> {
 /// per entry (a CSR: an offset column over one run of rows), so no entry
 /// owns a buffer. `touched` keeps the byte extents a Columnar read is
 /// charged for; the Columnar directory itself is never materialised — it
-/// is walked in place, see `deserialize_postings_columnar_into`. Every
+/// is walked in place, see `deserialize_postings_columnar_into`. `found`
+/// keeps the lists a Verbatim walk found, so that every one is prefetched
+/// before any is decoded (`deserialize_postings_into`). Every
 /// buffer is cleared, never dropped, between reads, so after one read per
 /// distinct node shape the scratch stops allocating.
 #[derive(Debug, Default)]
@@ -239,6 +241,9 @@ pub struct PostingsScratch {
     offsets: Vec<u32>,
     rows: Vec<(TermId, f64, f64)>,
     touched: Vec<(usize, usize)>,
+    /// `(term, byte offset, length)` of each wanted list a Verbatim
+    /// directory walk found, decoded after the walk.
+    found: Vec<(TermId, usize, usize)>,
 }
 
 /// The wanted lists of one inverted file, term-major: each posting's entry
@@ -382,10 +387,14 @@ impl<'a> PostingsRef<'a> {
 
 /// How much of each record [`StTree::prefetch`] asks for: most of a
 /// Verbatim node record of fanout 32, and the directory and first lists of
-/// its inverted file. Measured once on the benchmark's cold traversal
-/// against this length: 512 B ran 3.5% slower under Verbatim (2% faster
-/// under Columnar, whose records are smaller), 1–2 KB about 2% slower,
-/// 4 KB about 5% slower.
+/// its inverted file (a Verbatim read prefetches every wanted list again
+/// once its walk finds it). Re-measured with that list prefetch in place:
+/// `Engine::query` over the 64 cold benchmark keys, 30 alternating pairs
+/// in one process on 2 vCPUs, each length built first once and second
+/// once. Against 512 B this length took ×0.955 (21/30) and ×0.979 (20/30)
+/// of the time under Verbatim, ×0.973 and ×1.004 under Columnar; against
+/// 1 KB ×0.971 (18/30) and ×0.984 (20/30), Columnar ×0.978 and ×0.985.
+/// Before the list prefetch, 1–2 KB ran about 2% slower and 4 KB about 5%.
 const PREFETCH_BYTES: usize = 768;
 
 impl StTree {
@@ -476,9 +485,16 @@ fn verbatim_posting_width(mode: PostingMode) -> usize {
 }
 
 /// Decodes the wanted term lists of a Verbatim (v2 SoA) inverted file
-/// into `scratch`'s flat layout. The fixed-stride directory and the
-/// per-term column blocks are addressed by offset, and the directory walk
-/// stops at the last wanted term, as the Columnar walker's does.
+/// into `scratch`'s flat layout, in two passes.
+///
+/// Pass 1 walks the fixed-stride directory and stops at the last wanted
+/// term, as the Columnar walker does. It records each wanted list it finds
+/// as `(term, offset, length)` in `scratch.found` and asks the CPU for
+/// the list's block at once ([`storage::prefetch`], clamped to the
+/// record). Pass 2 then decodes the recorded lists through the reader,
+/// whose bounds checks catch a damaged directory. Decoding a list as soon
+/// as it was found made every list wait on memory in turn; now the loads
+/// of all of them overlap the rest of the walk.
 fn deserialize_postings_into(
     payload: &[u8],
     mode: PostingMode,
@@ -486,13 +502,16 @@ fn deserialize_postings_into(
     num_entries: usize,
     scratch: &mut PostingsScratch,
 ) {
-    scratch.lists.clear();
+    let PostingsScratch { lists, found, .. } = &mut *scratch;
+    lists.clear();
+    found.clear();
     let n_terms = raw_u32(payload, 0) as usize;
     let width = verbatim_posting_width(mode);
     let mut r = Reader::new(payload);
     let mut offset = 4 + n_terms * 8;
-    // `wanted[w]` is the next term to look for; a directory term below it
-    // costs one compare.
+    r.seek(offset); // the directory ends inside the record
+                    // `wanted[w]` is the next term to look for; a directory term below it
+                    // costs one compare.
     let mut w = 0;
     if let Some(&first) = wanted.first() {
         let mut next = first;
@@ -510,8 +529,8 @@ fn deserialize_postings_into(
                     next = after;
                 }
                 if next == t {
-                    r.seek(offset);
-                    scratch.lists.push(&mut r, CodecId::Verbatim, t, len, mode);
+                    storage::prefetch(payload, offset..offset + len * width);
+                    found.push((t, offset, len));
                     w += 1;
                     let Some(&after) = wanted.get(w) else { break };
                     next = after;
@@ -519,6 +538,10 @@ fn deserialize_postings_into(
             }
             offset += len * width;
         }
+    }
+    for &(t, offset, len) in &*found {
+        r.seek(offset);
+        lists.push(&mut r, CodecId::Verbatim, t, len, mode);
     }
     scratch.lay_out(num_entries);
 }
@@ -800,7 +823,16 @@ mod tests {
             sorted(held.clone()),                           // the directory itself
             terms.first().copied().into_iter().collect(),   // first slot only
             terms.last().copied().into_iter().collect(),    // last slot only
-            vec![TermId(last + 1_000)],                     // past the directory
+            // The first and the last slot.
+            sorted(
+                terms
+                    .first()
+                    .into_iter()
+                    .chain(terms.last())
+                    .copied()
+                    .collect(),
+            ),
+            vec![TermId(last + 1_000)], // past the directory
             // Ends before the last directory term, hits and misses mixed.
             sorted(
                 held.union(&misses)
@@ -898,12 +930,21 @@ mod tests {
         w.into_bytes()
     }
 
-    /// The message of the panic a walk over `record` for `wanted` raises,
+    /// One of the two walkers: `deserialize_postings_into` or
+    /// `deserialize_postings_columnar_into`.
+    type Walk = fn(&[u8], PostingMode, &[TermId], usize, &mut PostingsScratch);
+
+    /// The message of the panic `walk` over `record` for `wanted` raises,
     /// or `None` when it returns.
-    fn walk_panic(record: &[u8], mode: PostingMode, wanted: &[TermId]) -> Option<String> {
+    fn walk_panic(
+        walk: Walk,
+        record: &[u8],
+        mode: PostingMode,
+        wanted: &[TermId],
+    ) -> Option<String> {
         let err = std::panic::catch_unwind(|| {
             let mut scratch = PostingsScratch::default();
-            deserialize_postings_columnar_into(record, mode, wanted, ENTRIES, &mut scratch);
+            walk(record, mode, wanted, ENTRIES, &mut scratch);
         })
         .err()?;
         Some(match err.downcast::<String>() {
@@ -937,7 +978,7 @@ mod tests {
             assert_eq!(relay(&triples, &|n| n), payload, "the re-layout is exact");
             let past = TermId(terms[299].0 + 1_000);
             let expect = |record: &[u8], wanted: &[TermId], msg: &str| {
-                let got = walk_panic(record, mode, wanted);
+                let got = walk_panic(deserialize_postings_columnar_into, record, mode, wanted);
                 assert!(
                     got.as_deref().is_some_and(|m| m.contains(msg)),
                     "{mode:?}, wanted {wanted:?}: want a panic with {msg:?}, got {got:?}"
@@ -964,6 +1005,57 @@ mod tests {
             let far = relay(&far, &|n| n);
             for wanted in [&[terms[1]][..], &[past]] {
                 expect(&far, wanted, "seek past end of record");
+            }
+        }
+    }
+
+    /// A damaged Verbatim inverted file panics in the reader's own bounds
+    /// checks, never in the walk's prefetch, which takes its ranges from
+    /// the same untrusted directory and clamps them to the record: a list
+    /// length past the record (decoding that list reads past the end;
+    /// seeking to a later one lands past it), and a directory count past
+    /// the record (the directory's end is sought first, whatever is
+    /// wanted).
+    #[test]
+    fn damaged_verbatim_invfiles_panic_in_the_reader() {
+        let mut g = SplitMix64(0x0DA3_7E8B);
+        for mode in [PostingMode::MaxOnly, PostingMode::MaxMin] {
+            let ([_, payload], terms) = seeded_invfile(&mut g, mode, 300);
+            let past = TermId(terms[299].0 + 1_000);
+            let expect = |record: &[u8], wanted: &[TermId], msg: &str| {
+                let got = walk_panic(deserialize_postings_into, record, mode, wanted);
+                assert!(
+                    got.as_deref().is_some_and(|m| m.contains(msg)),
+                    "{mode:?}, wanted {wanted:?}: want a panic with {msg:?}, got {got:?}"
+                );
+            };
+            // The record with directory word `at` (a u32) replaced by `v`.
+            let with_word = |at: usize, v: u32| {
+                let mut record = payload.clone();
+                record[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                record
+            };
+
+            for len in [payload.len() as u32, u32::MAX] {
+                let long = with_word(8 + 8 * 150, len);
+                expect(&long, &[terms[150]], "read past end of record");
+                expect(&long, &[terms[150], terms[151]], "read past end of record");
+                expect(&long, &[terms[151]], "seek past end of record");
+                expect(&long, &[terms[0], terms[299]], "seek past end of record");
+                // A walk that stops before the damaged slot reads nothing of it.
+                assert_eq!(
+                    walk_panic(deserialize_postings_into, &long, mode, &[terms[149]]),
+                    None
+                );
+            }
+
+            // The smallest count whose directory runs past the record.
+            let first_past = (payload.len() as u32 - 4) / 8 + 1;
+            for count in [first_past, u32::MAX] {
+                let many = with_word(0, count);
+                for wanted in [&[][..], &[terms[0]], &[past]] {
+                    expect(&many, wanted, "seek past end of record");
+                }
             }
         }
     }

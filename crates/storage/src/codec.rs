@@ -152,7 +152,10 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> &'a [u8] {
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = self
+            .buf
+            .get(self.pos..self.pos + n)
+            .expect("read past end of record");
         self.pos += n;
         s
     }
@@ -689,7 +692,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "read past end of record")]
     fn reading_past_end_panics() {
         let bytes = [1u8, 2];
         let mut r = Reader::new(&bytes);

@@ -22,7 +22,9 @@
 //! without serializing on a single lock.
 
 // The one `unsafe` block of the workspace is the CPU hint in
-// `BlockFile::prefetch`, allowed there alone.
+// `store::prefetch` (a byte range of a record, clamped to it), allowed
+// there alone; `BlockFile::prefetch` and the index's posting-list
+// prefetch both call it.
 #![deny(unsafe_code)]
 
 mod cache;
@@ -37,7 +39,7 @@ pub use codec::{codec, Codec, CodecId};
 pub use file::{load_blockfile, save_blockfile};
 pub use io::{IoSnapshot, IoStats};
 pub use sharded::{ShardedLru, DEFAULT_SHARDS, MIN_SHARD_BLOCKS};
-pub use store::{BlockFile, RecordId};
+pub use store::{prefetch, BlockFile, RecordId};
 
 /// Disk page size in bytes (§8: "the page size was fixed at 4 kB").
 pub const PAGE_SIZE: usize = 4096;

@@ -1,5 +1,7 @@
 //! Append-only simulated disk file.
 
+use std::ops::Range;
+
 use crate::codec::CodecId;
 
 /// Identifier of a record inside a [`BlockFile`].
@@ -11,6 +13,28 @@ impl RecordId {
     pub(crate) fn idx(self) -> usize {
         self.0 as usize
     }
+}
+
+/// Asks the CPU to start loading `bytes[range]` into cache, one request
+/// per 64-byte line, so that a read of those bytes soon after waits on
+/// memory less. Only a hint: it reads no value, and the range is clamped
+/// to `bytes`, so any range is safe (one past the end asks for nothing).
+/// Does nothing off x86-64.
+#[inline]
+#[allow(unsafe_code)]
+pub fn prefetch(bytes: &[u8], range: Range<usize>) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let end = range.end.min(bytes.len());
+        for line in bytes[range.start.min(end)..end].chunks(64) {
+            // SAFETY: `line` lies in the live allocation `bytes` borrows,
+            // and a prefetch never faults and reads nothing back.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (bytes, range);
 }
 
 /// An append-only record store standing in for one on-disk file.
@@ -119,24 +143,15 @@ impl BlockFile {
     }
 
     /// Asks the CPU to start loading the first `bytes` bytes of record
-    /// `id` into cache, so that a read of it soon after waits less. Only a
-    /// hint: it reads no value, charges no simulated I/O, leaves the page
-    /// cache alone, and does nothing for an unknown or freed id (a freed
-    /// record holds no bytes) or off x86-64.
+    /// `id` into cache, so that a read of it soon after waits less: a
+    /// [`prefetch`] of the record's head. It charges no simulated I/O,
+    /// leaves the page cache alone, and does nothing for an unknown or
+    /// freed id (a freed record holds no bytes).
     #[inline]
-    #[allow(unsafe_code)]
     pub fn prefetch(&self, id: RecordId, bytes: usize) {
-        #[cfg(target_arch = "x86_64")]
         if let Some(record) = self.records.get(id.idx()) {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            for line in record[..bytes.min(record.len())].chunks(64) {
-                // SAFETY: `line` lies in a live allocation of this file,
-                // and a prefetch never faults and reads nothing back.
-                unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) };
-            }
+            prefetch(record, 0..bytes);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = (id, bytes);
     }
 
     /// Raw payload access that tolerates freed records (persistence only —
@@ -275,7 +290,9 @@ mod tests {
     }
 
     /// A prefetch of any id, live, freed or unknown, and of any length is
-    /// a no-op for the program: nothing panics, nothing changes.
+    /// a no-op for the program: nothing panics, nothing changes. So is
+    /// one of any byte range: empty, inside one line, over several lines,
+    /// reversed, or starting or ending past the bytes.
     #[test]
     fn prefetch_is_a_hint_for_any_id() {
         let mut f = BlockFile::new();
@@ -290,6 +307,15 @@ mod tests {
         }
         assert_eq!(f.get(a), &[7u8; 300]);
         assert_eq!((f.bytes(), f.live_records(), f.len()), (300, 2, 3));
+        let record = f.get(a);
+        let ends = [0, 1, 5, 63, 64, 65, 200, 299, 300, 301, usize::MAX];
+        for start in ends {
+            for end in ends {
+                prefetch(record, start..end);
+                prefetch(&[], start..end);
+            }
+        }
+        assert_eq!(f.get(a), &[7u8; 300]);
     }
 
     #[test]
