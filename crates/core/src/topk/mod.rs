@@ -268,11 +268,11 @@
 //!   plain compares, which drops the minimum and inserts `s` and leaves
 //!   the run alone when `s` is at or below it. The shift loop this
 //!   replaced exited after a count that depends on the score, so the
-//!   branch predictor missed about once per offer (the offers took 16.2%
-//!   of a cold fill's samples, 8.9% after). The bits hold because the
-//!   run ends as the same sorted multiset and equal scores are bit-equal:
-//!   no score is NaN or `-0.0` (`individual::Slots`; the shift loop is
-//!   the test reference).
+//!   branch predictor missed about once per offer (the offers took 16.8%
+//!   of a cold `serve_cold` query's samples, 9.9% after). The bits hold
+//!   because the run ends as the same sorted multiset and equal scores
+//!   are bit-equal: no score is NaN or `-0.0` (`individual::Slots`; the
+//!   shift loop is the test reference).
 //!   Every caller runs it: the checkpoint's lift and the continuation
 //!   (score-only runs in one flat block), the §7 leaf users (a node's users
 //!   at once) and the listings (one heap per user).

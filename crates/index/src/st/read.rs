@@ -509,9 +509,10 @@ fn deserialize_postings_into(
     let width = verbatim_posting_width(mode);
     let mut r = Reader::new(payload);
     let mut offset = 4 + n_terms * 8;
-    r.seek(offset); // the directory ends inside the record
-                    // `wanted[w]` is the next term to look for; a directory term below it
-                    // costs one compare.
+    // The directory ends inside the record, or the reader panics here.
+    r.seek(offset);
+    // `wanted[w]` is the next term to look for; a directory term below it
+    // costs one compare.
     let mut w = 0;
     if let Some(&first) = wanted.first() {
         let mut next = first;
@@ -824,14 +825,7 @@ mod tests {
             terms.first().copied().into_iter().collect(),   // first slot only
             terms.last().copied().into_iter().collect(),    // last slot only
             // The first and the last slot.
-            sorted(
-                terms
-                    .first()
-                    .into_iter()
-                    .chain(terms.last())
-                    .copied()
-                    .collect(),
-            ),
+            sorted(terms.iter().take(1).chain(terms.last()).copied().collect()),
             vec![TermId(last + 1_000)], // past the directory
             // Ends before the last directory term, hits and misses mixed.
             sorted(

@@ -18,8 +18,8 @@ impl RecordId {
 /// Asks the CPU to start loading `bytes[range]` into cache, one request
 /// per 64-byte line, so that a read of those bytes soon after waits on
 /// memory less. Only a hint: it reads no value, and the range is clamped
-/// to `bytes`, so any range is safe (one past the end asks for nothing).
-/// Does nothing off x86-64.
+/// to `bytes`, so any range is safe and the part of it past the end asks
+/// for nothing. Does nothing off x86-64.
 #[inline]
 #[allow(unsafe_code)]
 pub fn prefetch(bytes: &[u8], range: Range<usize>) {
