@@ -218,10 +218,10 @@ pub(crate) struct SelectScratch {
     /// location, and those they leave open (Algorithm 3's step 1).
     pub(crate) always: Vec<usize>,
     pub(crate) maybe: Vec<usize>,
-    /// Spatial scores aligned with the `lu` list under evaluation (or its
-    /// users' band low ends, for an evaluation being held).
+    /// Spatial scores aligned with the `lu` list under evaluation.
     pub(crate) ss: Vec<f64>,
-    /// The greedy evaluation later locations of the query reuse.
+    /// The greedy evaluation later locations of the query reuse, with its
+    /// per-position verdicts.
     pub(crate) held: HeldEvaluation,
     /// The best location so far, materialised once the queue drains.
     pub(crate) best: Winner,

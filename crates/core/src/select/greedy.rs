@@ -63,11 +63,7 @@ pub(crate) fn build_luw_into(
     gr: &mut GreedyScratch,
 ) {
     let words = lu.len().div_ceil(64);
-    let n = cc.spec.keywords.len();
-    gr.luw.clear();
-    gr.luw.resize(n * words, 0);
-    gr.luw_len.clear();
-    gr.luw_len.resize(n, 0);
+    clear_rows(cc, words, gr);
     let table = cc.hw_table();
     for (pos, (&u, &ss)) in lu.iter().zip(ss_lu).enumerate() {
         let rsk = cc.cols.rsk[u];
@@ -77,25 +73,55 @@ pub(crate) fn build_luw_into(
             }
         }
     }
-    for (j, len) in gr.luw_len.iter_mut().enumerate() {
-        *len = gr.luw[j * words..(j + 1) * words]
-            .iter()
-            .map(|m| m.count_ones())
-            .sum();
-    }
+    count_rows(gr, cc.spec.keywords.len(), words);
 }
 
-/// True when the spatial bands decide every `LUW` row of `lu`'s users
-/// (see [`CandidateContext::band_verdict`]): each row then has the same
-/// members at every candidate location.
-pub(crate) fn luw_decided(cc: &CandidateContext<'_>, lu: &[usize]) -> bool {
-    let table = cc.hw_table();
-    lu.iter().all(|&u| {
-        table
-            .rows_of(u)
+/// Clears `gr.luw` to one empty row of `words` words per keyword position.
+fn clear_rows(cc: &CandidateContext<'_>, words: usize, gr: &mut GreedyScratch) {
+    gr.luw.clear();
+    gr.luw.resize(cc.spec.keywords.len() * words, 0);
+}
+
+/// Sets `gr.luw_len` to the members of each of the `n` `LUW` rows.
+fn count_rows(gr: &mut GreedyScratch, n: usize, words: usize) {
+    gr.luw_len.clear();
+    gr.luw_len.extend((0..n).map(|j| {
+        gr.luw[j * words..(j + 1) * words]
             .iter()
-            .all(|&(_, ts)| cc.band_verdict(ts, u).is_some())
-    })
+            .map(|m| m.count_ones())
+            .sum::<u32>()
+    }));
+}
+
+/// [`build_luw_into`] for every candidate location at once, in one pass
+/// that also decides each row (see [`CandidateContext::band_verdict`]):
+/// a row whose test passes at its user's band low end passes at every
+/// location and is set, one that fails at the high end fails everywhere
+/// and stays clear. Returns false at the first row the band leaves open
+/// (its members move with the location; `gr.luw` is then partial), true
+/// when every row is decided: `gr` then holds what `build_luw_into` builds
+/// at any candidate location.
+pub(crate) fn build_decided_luw_into(
+    cc: &CandidateContext<'_>,
+    lu: &[usize],
+    gr: &mut GreedyScratch,
+) -> bool {
+    let words = lu.len().div_ceil(64);
+    clear_rows(cc, words, gr);
+    let table = cc.hw_table();
+    let c = &cc.cols;
+    for (pos, &u) in lu.iter().enumerate() {
+        let (lo, hi, rsk) = (c.band_lo[u], c.band_hi[u], c.rsk[u]);
+        for &(j, ts) in table.rows_of(u) {
+            if cc.ctx.combine(lo, ts) >= rsk {
+                set_bit(&mut gr.luw[j as usize * words..], pos);
+            } else if cc.ctx.combine(hi, ts) >= rsk {
+                return false;
+            }
+        }
+    }
+    count_rows(gr, cc.spec.keywords.len(), words);
+    true
 }
 
 /// Greedy maximum coverage over the `LUW_w` rows of `gr` (over `words`
@@ -185,6 +211,29 @@ pub(crate) fn greedy_keywords_into(
         cc.spec.ws,
         out,
     );
+}
+
+/// The greedy keywords of `lu` at every candidate location at once, into
+/// `out`, when its bands decide every `LUW` row
+/// ([`build_decided_luw_into`]); false, with `out` untouched, when they
+/// leave one open.
+pub(crate) fn decided_keywords_into(
+    cc: &CandidateContext<'_>,
+    lu: &[usize],
+    gr: &mut GreedyScratch,
+    out: &mut Vec<TermId>,
+) -> bool {
+    if !build_decided_luw_into(cc, lu, gr) {
+        return false;
+    }
+    cover_into(
+        gr,
+        &cc.spec.keywords,
+        lu.len().div_ceil(64),
+        cc.spec.ws,
+        out,
+    );
+    true
 }
 
 /// Greedy on the *realized* objective (extension beyond the paper).

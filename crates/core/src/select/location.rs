@@ -18,13 +18,17 @@
 //! `LU` users have every `LUW` row decided by their bands is kept: its
 //! rows hold the same members at every location with the same `LU` set,
 //! and the greedy cover depends only on those member sets, so its keywords
-//! `K` are every such location's keywords. One evaluation is kept per
-//! query, with the name of the list it was held for: every location given
-//! that name has the same `lu`, so a later one reuses `K` after one
-//! comparison. The users that pass under `K` everywhere are one number,
-//! and only the users the band leaves open are scored. A location on
-//! another list, the `LBL` shortcut, GreedyPlus and Exact take the full
-//! path, which also only counts.
+//! `K` are every such location's keywords. One pass over the `HW` rows
+//! both decides them and builds `LUW` at the bands' low ends; it gives up
+//! at the first open row, and that location takes the full path. One
+//! evaluation is kept per query, with the name of the list it was held
+//! for: every location given that name has the same `lu`, so a later one
+//! reuses `K` after one comparison. The evaluation keeps each `lu`
+//! position's verdict under `K` (passes everywhere, fails everywhere,
+//! open): the users that pass everywhere are one number, and only the
+//! open ones are scored, per location and when the winner is
+//! materialised. A location on another list, the `LBL` shortcut,
+//! GreedyPlus and Exact take the full path, which also only counts.
 //!
 //! # When the answer is materialised
 //!
@@ -33,7 +37,7 @@
 //! `Winner`: its count, how it was settled and a copy of its `lu` (one
 //! memcpy, where materialising costs a verdict per user). Once the queue
 //! drains, `materialise_winner` builds the ids once, for the winner, in
-//! its `lu` order: the held evaluation's filter, all of `lu` for the
+//! its `lu` order: the held evaluation's kept verdicts, all of `lu` for the
 //! shortcut, or the verdicts under `ox.d ∪ K` for the full path.
 //!
 //! Algorithm 3 names a list by its pooled slot: the slots keep their
@@ -42,6 +46,7 @@
 //! that took only runs of children the bands decided everywhere hold the
 //! same users in the same order (`user_index::FrontierList`).
 
+use geo::Point;
 use text::TermId;
 
 use crate::arena::{GreedyScratch, SelectScratch};
@@ -191,12 +196,14 @@ pub(crate) struct HeldEvaluation {
     list: usize,
     /// Its keywords `K`.
     kw: Vec<TermId>,
-    /// Per user index of the list: `TS` under `ox.d ∪ K`, NaN when the user
-    /// shares no term with it.
-    ts: Vec<f64>,
+    /// Per position of the held `lu`: the verdict under `K` at every
+    /// location, or `None` where the bands leave it open. Every list of
+    /// that name holds the same users in the same order.
+    verdicts: Vec<Option<bool>>,
     /// Users of the list who qualify under `K` at every location.
     pass: usize,
-    /// The users whose verdict under `K` the bands leave open, with `TS`.
+    /// The users whose verdict under `K` the bands leave open, with `TS`,
+    /// in `lu` order.
     open: Vec<(usize, f64)>,
 }
 
@@ -212,37 +219,52 @@ impl HeldEvaluation {
         self.live && self.list == list
     }
 
-    /// Runs the greedy evaluation of `lu`, whose every `LUW` row the bands
-    /// decide, and holds it for the list named `list`. A decided row has
-    /// the members it has at the bands' low ends, so `LUW` is built there
-    /// and needs no location.
+    /// Runs the greedy evaluation of `lu` and holds it for the list named
+    /// `list` when the bands decide every `LUW` row of `lu`: a decided row
+    /// has the same members at every location, so one pass over the rows
+    /// decides and builds `LUW` without a location
+    /// ([`greedy::decided_keywords_into`]). Returns false, holding nothing,
+    /// at the first row the bands leave open.
     fn hold(
         &mut self,
         cc: &CandidateContext<'_>,
         lu: &[usize],
         list: usize,
-        lo: &mut Vec<f64>,
         gr: &mut GreedyScratch,
         cand: &mut Vec<u64>,
+    ) -> bool {
+        if !greedy::decided_keywords_into(cc, lu, gr, &mut self.kw) {
+            return false;
+        }
+        self.keep_verdicts(cc, lu, list, cand);
+        true
+    }
+
+    /// Holds the keywords in `self.kw` for `lu`, named `list`: records each
+    /// position's verdict under `K`, counts the users that pass everywhere
+    /// and keeps the open ones with their `TS`.
+    fn keep_verdicts(
+        &mut self,
+        cc: &CandidateContext<'_>,
+        lu: &[usize],
+        list: usize,
+        cand: &mut Vec<u64>,
     ) {
-        lo.clear();
-        lo.extend(lu.iter().map(|&u| cc.cols.band_lo[u]));
-        greedy::greedy_keywords_into(cc, lu, lo, gr, &mut self.kw);
         cc.cand_set(&self.kw, cand);
         self.live = true;
         self.list = list;
-        self.ts.clear();
-        self.ts.resize(cc.num_users(), f64::NAN);
+        self.verdicts.clear();
         self.pass = 0;
         self.open.clear();
         for &u in lu {
             let ts = cc.ts_cand(cand, u);
-            self.ts[u] = ts;
-            match cc.band_verdict(ts, u) {
+            let verdict = cc.band_verdict(ts, u);
+            match verdict {
                 Some(true) => self.pass += 1,
                 Some(false) => {}
                 None => self.open.push((u, ts)),
             }
+            self.verdicts.push(verdict);
         }
     }
 
@@ -260,7 +282,7 @@ impl HeldEvaluation {
         let open = self
             .open
             .iter()
-            .filter(|&&(u, ts)| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.cols.rsk[u])
+            .filter(|&&(u, ts)| open_passes(cc, loc, u, ts))
             .count();
         if best.improve(li, self.pass + open, Settled::Held, lu, &self.kw, out) {
             #[cfg(test)]
@@ -271,20 +293,28 @@ impl HeldEvaluation {
         }
     }
 
-    /// Appends the ids of the users of `lu` that qualify under `K` at
-    /// location `li`, in `lu` order.
+    /// Appends the ids of the users of `lu`, a list of the held name, that
+    /// qualify under `K` at location `li`, in `lu` order: the kept verdicts
+    /// decide all but the open users, which alone are scored.
     fn materialise(&self, cc: &CandidateContext<'_>, li: usize, lu: &[usize], ids: &mut Vec<u32>) {
+        debug_assert_eq!(lu.len(), self.verdicts.len(), "a list of the held name");
         let loc = &cc.spec.locations[li];
-        ids.extend(
-            lu.iter()
-                .filter(|&&u| {
-                    let ts = self.ts[u];
-                    cc.band_verdict(ts, u)
-                        .unwrap_or_else(|| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.cols.rsk[u])
-                })
-                .map(|&u| cc.cols.ids[u]),
-        );
+        let mut open = self.open.iter();
+        let scored = |&(u, ts): &(usize, f64)| open_passes(cc, loc, u, ts);
+        for (&u, &verdict) in lu.iter().zip(&self.verdicts) {
+            let passes = verdict.unwrap_or_else(|| open.next().is_some_and(scored));
+            if passes {
+                ids.push(cc.cols.ids[u]);
+            }
+        }
     }
+}
+
+/// True when user `u`, whose `TS` under the held keywords is `ts`,
+/// qualifies at `loc`.
+#[inline]
+fn open_passes(cc: &CandidateContext<'_>, loc: &Point, u: usize, ts: f64) -> bool {
+    cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.cols.rsk[u]
 }
 
 /// Runs Algorithm 3 and returns the best ⟨location, keyword-set⟩ tuple.
@@ -465,9 +495,8 @@ pub(crate) fn evaluate_location(
             held.count_at(cc, li, lu, best, out);
             return;
         }
-        if !held.live && greedy::luw_decided(cc, lu) {
+        if !held.live && held.hold(cc, lu, list, gr, cand) {
             locations.evaluated += 1;
-            held.hold(cc, lu, list, ss, gr, cand);
             held.count_at(cc, li, lu, best, out);
             return;
         }
@@ -667,7 +696,10 @@ pub(crate) mod tests {
     /// location's own `lu` order, whether or not the bands decide them
     /// (here held over random, widely spread locations, so many stay
     /// open, and over locations 1e-9 apart, where the bands decide every
-    /// `LUW` row). It is reused by the name of the list it was held for
+    /// `LUW` row; where they leave a row open, `hold` declines, as the
+    /// reference `luw_decided` does, and the test keeps the verdicts of
+    /// the keywords the rows give at the bands' low ends). It is reused by
+    /// the name of the list it was held for
     /// and by no other: a second name holding the same members is
     /// evaluated in full, and gives the reference's answer — the held one
     /// where the bands decide every `LUW` row.
@@ -688,13 +720,29 @@ pub(crate) mod tests {
             let n = cc.num_users();
             let lu: Vec<usize> = (0..n).filter(|&u| cc.user_reachable(u)).collect();
             let rev: Vec<usize> = lu.iter().rev().copied().collect();
-            let mut sel = SelectScratch::default();
-            let (mut lo, mut gr, mut cand) = (Vec::new(), GreedyScratch::default(), Vec::new());
-            sel.held.hold(&cc, &lu, 0, &mut lo, &mut gr, &mut cand);
-            open += sel.held.open.len();
-            for li in 0..f.spec.locations.len() {
-                let loc = &f.spec.locations[li];
-                for order in [&lu, &rev] {
+            let (mut gr, mut cand) = (GreedyScratch::default(), Vec::new());
+            // Held where the bands decide every `LUW` row; elsewhere with
+            // the keywords its rows give at the bands' low ends, so that
+            // many users stay open under them. Verdicts are kept by
+            // position, so each order is held on its own.
+            let mut hold = |sel: &mut SelectScratch, order: &[usize]| {
+                let decided = sel.held.hold(&cc, order, 0, &mut gr, &mut cand);
+                assert_eq!(decided, reference::luw_decided(&cc, order), "seed {seed}");
+                if !decided {
+                    let lo: Vec<f64> = order.iter().map(|&u| cc.cols.band_lo[u]).collect();
+                    greedy::greedy_keywords_into(&cc, order, &lo, &mut gr, &mut sel.held.kw);
+                    sel.held.keep_verdicts(&cc, order, 0, &mut cand);
+                }
+                decided
+            };
+            for order in [&lu, &rev] {
+                let mut sel = SelectScratch::default();
+                hold(&mut sel, order);
+                if order == &lu {
+                    open += sel.held.open.len();
+                }
+                for li in 0..f.spec.locations.len() {
+                    let loc = &f.spec.locations[li];
                     let want = cc.brstknn(loc, &cc.with_keywords(&sel.held.kw), order);
                     for short in [1, 0] {
                         let Some(len) = want.len().checked_sub(short) else {
@@ -731,9 +779,8 @@ pub(crate) mod tests {
             let short = lu[1..].to_vec();
             let mut sel = SelectScratch::default();
             sel.begin();
-            sel.held.hold(&cc, &lu, 0, &mut lo, &mut gr, &mut cand);
+            let luw_decided = hold(&mut sel, &lu);
             assert!(sel.held.held_for(0) && !sel.held.held_for(1));
-            let luw_decided = greedy::luw_decided(&cc, &lu);
             for li in 0..f.spec.locations.len() {
                 let mut answers = Vec::new();
                 for (list, set, reuses) in [(0, &lu, true), (1, &lu, false), (2, &short, false)] {
@@ -779,6 +826,93 @@ pub(crate) mod tests {
         assert!(
             open > 40 && beaten > 150 && decided > 20,
             "coverage: {open} open, {beaten} beaten, {decided} decided"
+        );
+    }
+
+    /// The one-pass hold against its references: `reference::luw_decided`
+    /// and `build_luw_into` at the bands' low ends, which the full path
+    /// keeps. Over random fixtures, a third of them with locations 1e-9
+    /// apart, and over every reachable user and a sparser list, the
+    /// one-pass build returns the reference's decided flag and, when
+    /// decided, its `LUW` rows, which are also every location's rows, and
+    /// the keywords `K` the cover picks from them. Held with `K` (or, where
+    /// a row is open, with the keywords of the rows at the low ends), the
+    /// kept verdicts materialise at every location the ids, in `lu` order,
+    /// that re-deriving each user's band verdict gives
+    /// (`reference::held_ids`), which are the exact BRSTkNN users.
+    #[test]
+    fn one_pass_hold_and_kept_verdicts_match_the_reference() {
+        use crate::select::reference;
+        use crate::select::test_fixture::random_fixture;
+        let (mut decided, mut undecided, mut open_fails, mut open_passes) = (0, 0, 0, 0);
+        for seed in 0..24 {
+            let mut f = random_fixture(seed + 60, 48, 9);
+            if seed % 3 == 2 {
+                let at = f.spec.locations[0];
+                for (i, l) in f.spec.locations.iter_mut().enumerate() {
+                    *l = Point::new(at.x + i as f64 * 1e-9, at.y);
+                }
+            }
+            let cc = CandidateContext::new(&f.ctx, &f.spec, &f.users, &f.rsk);
+            let all: Vec<usize> = (0..cc.num_users())
+                .filter(|&u| cc.user_reachable(u))
+                .collect();
+            let sparse: Vec<usize> = all.iter().copied().filter(|u| u % 3 != 1).collect();
+            for lu in [&all, &sparse] {
+                let at = format!("seed {seed}, |lu| {}", lu.len());
+                let (mut one, mut two) = (GreedyScratch::default(), GreedyScratch::default());
+                let lo: Vec<f64> = lu.iter().map(|&u| cc.cols.band_lo[u]).collect();
+                let is_decided = greedy::build_decided_luw_into(&cc, lu, &mut one);
+                assert_eq!(is_decided, reference::luw_decided(&cc, lu), "{at}");
+                let mut want_kw = Vec::new();
+                greedy::greedy_keywords_into(&cc, lu, &lo, &mut two, &mut want_kw);
+                let mut held = HeldEvaluation::default();
+                let mut cand = Vec::new();
+                if is_decided {
+                    decided += 1;
+                    assert_eq!(one.luw, two.luw, "{at}");
+                    assert_eq!(one.luw_len, two.luw_len, "{at}");
+                    for li in 0..f.spec.locations.len() {
+                        let mut ss = Vec::new();
+                        cc.fill_ss(&f.spec.locations[li], lu, &mut ss);
+                        greedy::build_luw_into(&cc, lu, &ss, &mut two);
+                        assert_eq!(one.luw, two.luw, "{at}, loc {li}");
+                    }
+                    assert!(held.hold(&cc, lu, 7, &mut one, &mut cand), "{at}");
+                    assert_eq!(held.kw, want_kw, "{at}");
+                } else {
+                    undecided += 1;
+                    assert!(!held.hold(&cc, lu, 7, &mut one, &mut cand), "{at}");
+                    assert!(!held.held_for(7), "{at}");
+                    held.kw.clone_from(&want_kw);
+                    held.keep_verdicts(&cc, lu, 7, &mut cand);
+                }
+                assert!(held.held_for(7) && held.verdicts.len() == lu.len(), "{at}");
+                for li in 0..f.spec.locations.len() {
+                    let loc = &f.spec.locations[li];
+                    let mut got = Vec::new();
+                    held.materialise(&cc, li, lu, &mut got);
+                    let want = reference::held_ids(&cc, li, lu, &held.kw);
+                    assert_eq!(got, want, "{at}, loc {li}");
+                    assert_eq!(
+                        want,
+                        cc.brstknn(loc, &cc.with_keywords(&held.kw), lu),
+                        "{at}, loc {li}"
+                    );
+                    for &(u, ts) in &held.open {
+                        if super::open_passes(&cc, loc, u, ts) {
+                            open_passes += 1;
+                        } else {
+                            open_fails += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            decided > 10 && undecided > 10 && open_fails > 40 && open_passes > 40,
+            "coverage: {decided} decided, {undecided} not, open verdicts {open_passes} passing \
+             and {open_fails} failing"
         );
     }
 

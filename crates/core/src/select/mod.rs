@@ -35,11 +35,13 @@
 //! [`crate::QueryArena`] keeps the half the arena holds when that key
 //! matches (`arena::TextKey`), and derives per query only the *location
 //! half*: the MBR of the locations, each user's spatial band and its
-//! `RSk`. `push_user` is split the same way: its text part runs only for a
-//! user the kept half does not hold at that index (users are named by id,
-//! unique in an engine), so the §7 pipeline, which pushes users in an
-//! expansion order that moves with the locations, keeps the prefix that
-//! did not move.
+//! `RSk`. The constructor first settles every user's text columns (a
+//! user's text is derived only when the kept half does not hold it at
+//! that index; users are named by id, unique in an engine), then fills the
+//! bands in one pass over the users' points. `push_user`, the §7
+//! pipeline's way in, takes the same two steps for one user, so the
+//! pipeline, which pushes users in an expansion order that moves with the
+//! locations, keeps the prefix that did not move.
 //!
 //! Inside the kernels a keyword is a small integer. The context's *slot
 //! view* numbers the distinct terms of `W ∪ ox.d` in ascending term order
@@ -57,8 +59,8 @@
 //! A user's spatial score moves too, but only within its *spatial band*
 //! `[lo_u, hi_u]`: `MaxSS` and `MinSS` of the user's point against the MBR
 //! of the query's candidate locations (the dual of §6.1's group bounds,
-//! which bound a user MBR against one location). `push_user` stores the
-//! band with the rest of the user. Every per-location test is
+//! which bound a user MBR against one location), a column beside the
+//! user's others. Every per-location test is
 //! `combine(ss, ts) ≥ RSk(u)`, monotone in `ss` in floating point as well
 //! (`geo`'s `point_rect_ss_bounds_bracket_every_location_exactly`), so
 //! `band_verdict` decides it for every location at once when it passes at
@@ -227,9 +229,13 @@ impl<'a> CandidateContext<'a> {
             loc_mbr: Rect::bounding(spec.locations.iter().copied()),
             cols,
         };
-        for (user, &r) in users.iter().zip(rsk) {
-            cc.push_user(user, || ctx.text.normalizer(&user.doc), r);
+        // The text columns first, kept or rebuilt per user; then the
+        // location half in one pass over them.
+        for (u, user) in users.iter().enumerate() {
+            cc.settle_text(u, user, || ctx.text.normalizer(&user.doc));
         }
+        cc.push_bands(users.len());
+        cc.cols.rsk.extend_from_slice(rsk);
         cc
     }
 
@@ -243,15 +249,9 @@ impl<'a> CandidateContext<'a> {
     }
 
     /// Appends one user — its threshold and spatial band, over its text
-    /// columns — and returns its index. This is the only place per-user
-    /// state is derived: the constructor calls it for every user of its
-    /// slice, the §7 pipeline once per materialized MIUR leaf entry.
-    ///
-    /// The text part ([`CandidateContext::push_text`], which asks `n_u`
-    /// for the user's normalizer) runs only when the kept text half holds
-    /// another user, or none, at this index. From that index on the kept
-    /// columns are dropped: an index names one user in each of them. The
-    /// test compares user ids, which [`crate::Engine`] keeps unique.
+    /// columns — and returns its index: the §7 pipeline's way in, once
+    /// per materialized MIUR leaf entry. It derives what the constructor
+    /// derives for each user of its slice, through the same two steps.
     pub(crate) fn push_user(
         &mut self,
         user: &UserData,
@@ -259,22 +259,42 @@ impl<'a> CandidateContext<'a> {
         rsk: f64,
     ) -> usize {
         let u = self.cols.rsk.len();
+        self.settle_text(u, user, n_u);
+        self.push_bands(u + 1);
+        self.cols.rsk.push(rsk);
+        u
+    }
+
+    /// Makes `user` the text columns' user at index `u`. The text part
+    /// ([`CandidateContext::push_text`], which asks `n_u` for the user's
+    /// normalizer) runs only when the kept text half holds another user,
+    /// or none, at this index. From that index on the kept columns are
+    /// dropped: an index names one user in each of them. The test compares
+    /// user ids, which [`crate::Engine`] keeps unique.
+    fn settle_text(&mut self, u: usize, user: &UserData, n_u: impl FnOnce() -> f64) {
         if self.cols.ids.get(u) != Some(&user.id) {
             self.reused = false;
             self.truncate_text(u);
             self.push_text(user, n_u());
         }
-        let (point, spatial) = (self.cols.points[u], &self.ctx.spatial);
-        let (lo, hi) = self.loc_mbr.map_or((0.0, 1.0), |r| {
-            (
-                spatial.max_ss_point(&point, &r),
-                spatial.min_ss_point(&point, &r),
-            )
-        });
-        self.cols.band_lo.push(lo);
-        self.cols.band_hi.push(hi);
-        self.cols.rsk.push(rsk);
-        u
+    }
+
+    /// Appends the spatial bands of the users from the first without one
+    /// up to `end`, whose text columns are settled, in one pass over their
+    /// points: `MaxSS` and `MinSS` against the locations' MBR, or `[0, 1]`
+    /// without locations.
+    fn push_bands(&mut self, end: usize) {
+        let c = &mut self.cols;
+        let start = c.band_lo.len();
+        c.band_lo.resize(end, 0.0);
+        c.band_hi.resize(end, 1.0);
+        let Some(r) = self.loc_mbr else { return };
+        let spatial = &self.ctx.spatial;
+        let bands = c.band_lo[start..].iter_mut().zip(&mut c.band_hi[start..]);
+        for ((lo, hi), p) in bands.zip(&c.points[start..end]) {
+            *lo = spatial.max_ss_point(p, &r);
+            *hi = spatial.min_ss_point(p, &r);
+        }
     }
 
     /// Drops the text columns of users `u..`, the HW rows included.
@@ -1285,6 +1305,59 @@ mod tests {
         // the first half, the unreversed third, everything, the unreversed
         // third, the first half, the unreversed third, the first half.
         assert_eq!(kept, n + 3 * (n / 3) + 3 * (n / 2));
+    }
+
+    /// The bands the constructor fills in one pass are bit-equal to each
+    /// user's band derived alone (`reference::band`), and to those
+    /// `push_user` appends one user at a time, as the §7 pipeline does:
+    /// on fresh and kept text halves, with the locations moved between two
+    /// contexts on one scratch, and without locations.
+    #[test]
+    fn one_pass_bands_match_the_per_user_reference() {
+        use super::test_fixture::{random_fixture, wide_fixture};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut fixtures: Vec<_> = (0..6)
+            .map(|seed| random_fixture(seed + 90, 48, 9))
+            .collect();
+        fixtures.push(wide_fixture(3, 130, 70));
+        let mut seen = 0;
+        for (i, f) in fixtures.iter().enumerate() {
+            let mut scratch = CcScratch::default();
+            let mut specs = vec![f.spec.clone(), f.spec.clone(), f.spec.clone()];
+            specs[1].locations.iter_mut().for_each(|l| l.x *= 0.5);
+            specs[2].locations.clear();
+            for spec in &specs {
+                let at = format!("fixture {i}, {} locations", spec.locations.len());
+                let cc = CandidateContext::new_reusing(
+                    &f.ctx,
+                    spec,
+                    &f.users,
+                    &f.rsk,
+                    scratch,
+                    Some((1, 0)),
+                );
+                let mut pushed = CandidateContext::new(&f.ctx, spec, &[], &[]);
+                for (u, &r) in f.users.iter().zip(&f.rsk) {
+                    pushed.push_user(u, || f.ctx.text.normalizer(&u.doc), r);
+                }
+                let n = f.users.len();
+                assert_eq!(
+                    (cc.cols.band_lo.len(), cc.cols.band_hi.len()),
+                    (n, n),
+                    "{at}"
+                );
+                let (lo, hi): (Vec<f64>, Vec<f64>) =
+                    (0..n).map(|u| reference::band(&cc, u)).unzip();
+                assert_eq!(bits(&cc.cols.band_lo), bits(&lo), "{at}");
+                assert_eq!(bits(&cc.cols.band_hi), bits(&hi), "{at}");
+                assert_eq!(bits(&pushed.cols.band_lo), bits(&lo), "{at}");
+                assert_eq!(bits(&pushed.cols.band_hi), bits(&hi), "{at}");
+                assert_eq!(bits(&cc.cols.rsk), bits(&f.rsk), "{at}");
+                seen += lo.iter().zip(&hi).filter(|(l, h)| l < h).count();
+                scratch = cc.into_scratch();
+            }
+        }
+        assert!(seen > 500, "{seen} bands of positive width");
     }
 
     #[test]

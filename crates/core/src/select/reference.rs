@@ -55,6 +55,54 @@ pub(crate) fn build_luw(
     luw
 }
 
+/// True when the spatial bands decide every `LUW` row of `lu`'s users: a
+/// second pass over the rows `greedy::build_decided_luw_into` decides
+/// while it builds them.
+pub(crate) fn luw_decided(cc: &CandidateContext<'_>, lu: &[usize]) -> bool {
+    let table = cc.hw_table();
+    lu.iter().all(|&u| {
+        table
+            .rows_of(u)
+            .iter()
+            .all(|&(_, ts)| cc.band_verdict(ts, u).is_some())
+    })
+}
+
+/// The ids of the users of `lu` that qualify under `ox.d ∪ kw` at
+/// location `li`, in `lu` order, each user's band verdict derived anew
+/// and only the open ones scored: the held evaluation's materialisation
+/// before it kept its verdicts.
+pub(crate) fn held_ids(
+    cc: &CandidateContext<'_>,
+    li: usize,
+    lu: &[usize],
+    kw: &[TermId],
+) -> Vec<u32> {
+    let loc = &cc.spec.locations[li];
+    let mut cand = Vec::new();
+    cc.cand_set(kw, &mut cand);
+    lu.iter()
+        .filter(|&&u| {
+            let ts = cc.ts_cand(&cand, u);
+            cc.band_verdict(ts, u)
+                .unwrap_or_else(|| cc.ctx.combine(cc.ss_at(loc, u), ts) >= cc.cols.rsk[u])
+        })
+        .map(|&u| cc.cols.ids[u])
+        .collect()
+}
+
+/// User `u`'s spatial band, derived alone: `MaxSS` and `MinSS` of its
+/// point against the locations' MBR, `[0, 1]` without locations.
+pub(crate) fn band(cc: &CandidateContext<'_>, u: usize) -> (f64, f64) {
+    let (point, spatial) = (cc.cols.points[u], &cc.ctx.spatial);
+    cc.loc_mbr.map_or((0.0, 1.0), |r| {
+        (
+            spatial.max_ss_point(&point, &r),
+            spatial.min_ss_point(&point, &r),
+        )
+    })
+}
+
 /// The location-independent text of `UBL(·, u)` from the user's document:
 /// the weights of `ox.d`'s terms `u` holds, plus the `ws` heaviest of the
 /// keywords of `W` it holds outside `ox.d`, once per position in `W`.

@@ -12,7 +12,11 @@
 //! are LEB128 varints unless noted; coordinates are `f64::to_bits`
 //! little-endian (bit-exact round trips — the differential tests compare
 //! network answers against in-process calls by `==`); documents are
-//! `(term, tf)` pair lists. Frames above [`MAX_FRAME_LEN`] are rejected
+//! `(term, tf)` pair lists. An answer's user ids are the exception: after
+//! their varint count comes one width byte, 1, 2 or 4 (the least that
+//! holds the largest id; 1 for no ids), then the ids as one little-endian
+//! column of that width. A decoder rejects any other width, and a column
+//! that would run past the frame, before it allocates. Frames above [`MAX_FRAME_LEN`] are rejected
 //! before allocation, and a body buffer grows only as its bytes arrive, so
 //! a hostile length prefix cannot balloon memory.
 //!
@@ -174,6 +178,13 @@ impl<'a> Take<'a> {
         Ok(n)
     }
 
+    /// The next `n` bytes, which the caller has checked remain.
+    fn bytes(&mut self, n: usize) -> &'a [u8] {
+        let at = self.r.position();
+        self.r.skip(n);
+        &self.buf[at..at + n]
+    }
+
     fn f64(&mut self) -> Result<f64, ProtocolError> {
         if self.r.remaining() < 8 {
             return err("truncated f64");
@@ -326,15 +337,46 @@ fn take_mutation(t: &mut Take<'_>) -> Result<Mutation, ProtocolError> {
     })
 }
 
+/// The least byte width, 1, 2 or 4, that holds every id up to `max`.
+fn id_width(max: u32) -> usize {
+    if max < 1 << 8 {
+        1
+    } else if max < 1 << 16 {
+        2
+    } else {
+        4
+    }
+}
+
+/// The most bytes [`put_result`] writes for `r`: varints of at most 10
+/// bytes (a `u32` takes at most 5), the width byte and a 4-byte column.
+fn result_len_bound(r: &QueryResult) -> usize {
+    10 + 5 * (1 + r.keywords.len()) + 5 + 1 + 4 * r.brstknn.len()
+}
+
 fn put_result(out: &mut Vec<u8>, r: &QueryResult) {
     put_varint(out, r.location as u64);
     put_varint(out, r.keywords.len() as u64);
     for &k in &r.keywords {
         put_varint(out, u64::from(k.0));
     }
-    put_varint(out, r.brstknn.len() as u64);
-    for &u in &r.brstknn {
-        put_varint(out, u64::from(u));
+    let ids = &r.brstknn;
+    put_varint(out, ids.len() as u64);
+    let width = id_width(ids.iter().copied().max().unwrap_or(0));
+    out.push(width as u8);
+    let at = out.len();
+    out.resize(at + width * ids.len(), 0);
+    let column = &mut out[at..];
+    match width {
+        1 => column.iter_mut().zip(ids).for_each(|(b, &u)| *b = u as u8),
+        2 => column
+            .chunks_exact_mut(2)
+            .zip(ids)
+            .for_each(|(c, &u)| c.copy_from_slice(&(u as u16).to_le_bytes())),
+        _ => column
+            .chunks_exact_mut(4)
+            .zip(ids)
+            .for_each(|(c, &u)| c.copy_from_slice(&u.to_le_bytes())),
     }
 }
 
@@ -345,11 +387,26 @@ fn take_result(t: &mut Take<'_>) -> Result<QueryResult, ProtocolError> {
     for _ in 0..n {
         keywords.push(TermId(t.varint_u32()?));
     }
-    let n = t.count()?;
-    let mut brstknn = Vec::with_capacity(n);
-    for _ in 0..n {
-        brstknn.push(t.varint_u32()?);
+    let n = t.varint()?;
+    let width = usize::from(t.u8()?);
+    if !matches!(width, 1 | 2 | 4) {
+        return err(format!("id width {width} is not 1, 2 or 4"));
     }
+    if n > (t.r.remaining() / width) as u64 {
+        return err("id column exceeds frame");
+    }
+    let column = t.bytes(n as usize * width);
+    let brstknn = match width {
+        1 => column.iter().map(|&b| u32::from(b)).collect(),
+        2 => column
+            .chunks_exact(2)
+            .map(|c| u32::from(u16::from_le_bytes([c[0], c[1]])))
+            .collect(),
+        _ => column
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect(),
+    };
     Ok(QueryResult {
         location,
         keywords,
@@ -413,7 +470,10 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtocolError> {
 
 /// Encodes a reply into a frame body.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    let mut out = Vec::with_capacity(match reply {
+        Reply::Answer(r) => 1 + result_len_bound(r),
+        _ => 64,
+    });
     match reply {
         Reply::Answer(r) => {
             out.push(0x81);
@@ -654,6 +714,30 @@ mod tests {
 
     #[test]
     fn replies_round_trip() {
+        // Answers at every id-width boundary: no ids, then a largest id
+        // of 255 / 256 / 65,535 / 65,536 / u32::MAX, whose column is 1,
+        // 1, 2, 2, 4 and 4 bytes wide.
+        let answer = |brstknn: Vec<u32>| {
+            Reply::Answer(QueryResult {
+                location: 3,
+                keywords: vec![TermId(2), TermId(5)],
+                brstknn,
+            })
+        };
+        for (ids, width) in [
+            (vec![], 1),
+            (vec![7, 255, 0], 1),
+            (vec![256, 1, 255], 2),
+            (vec![65_535, 0], 2),
+            (vec![3, 65_536, 65_535], 4),
+            (vec![u32::MAX, 0, 1 << 31], 4),
+        ] {
+            let (n, reply) = (ids.len(), answer(ids));
+            let body = encode_reply(&reply);
+            // The column ends the frame, after its width byte.
+            assert_eq!(body[body.len() - n * width - 1], width as u8, "{reply:?}");
+            assert_eq!(decode_reply(&body).unwrap(), reply);
+        }
         let replies = [
             Reply::Answer(QueryResult {
                 location: 3,
@@ -711,6 +795,31 @@ mod tests {
         assert!(decode_request(&overflow).is_err());
         // Invalid utf-8 in a text reply.
         assert!(decode_reply(&[0x84, 0xff, 0xfe]).is_err());
+        // An answer: location 3, keyword 5, two ids 1 and 2 at width 2.
+        let answer = [0x81, 3, 1, 5, 2, 2, 1, 0, 2, 0];
+        assert!(decode_reply(&answer).is_ok());
+        // An id width of 0, 3 or 8.
+        for width in [0, 3, 8] {
+            let mut bad = answer;
+            bad[5] = width;
+            assert!(decode_reply(&bad).is_err(), "width {width}");
+        }
+        // An id column running past the frame: two ids at width 4 need 8
+        // bytes, four remain.
+        let mut past = answer;
+        past[5] = 4;
+        assert!(decode_reply(&past).is_err());
+        // An id count past the frame, with the width byte, and a count so
+        // large that `count × width` overflows.
+        assert!(decode_reply(&[0x81, 3, 1, 5, 5, 2, 1, 0, 2, 0]).is_err());
+        let mut huge = vec![0x81, 3, 1, 5];
+        huge.extend_from_slice(&[0xff; 9]);
+        huge.extend_from_slice(&[0x01, 4, 0, 0, 0, 0]);
+        assert!(decode_reply(&huge).is_err());
+        // Every truncation of a valid answer.
+        for cut in 0..answer.len() {
+            assert!(decode_reply(&answer[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
