@@ -63,7 +63,8 @@ pub(crate) fn build_luw_into(
     gr: &mut GreedyScratch,
 ) {
     let words = lu.len().div_ceil(64);
-    clear_rows(cc, words, gr);
+    gr.luw.clear();
+    gr.luw.resize(cc.spec.keywords.len() * words, 0);
     let table = cc.hw_table();
     for (pos, (&u, &ss)) in lu.iter().zip(ss_lu).enumerate() {
         let rsk = cc.cols.rsk[u];
@@ -74,12 +75,6 @@ pub(crate) fn build_luw_into(
         }
     }
     count_rows(gr, cc.spec.keywords.len(), words);
-}
-
-/// Clears `gr.luw` to one empty row of `words` words per keyword position.
-fn clear_rows(cc: &CandidateContext<'_>, words: usize, gr: &mut GreedyScratch) {
-    gr.luw.clear();
-    gr.luw.resize(cc.spec.keywords.len() * words, 0);
 }
 
 /// Sets `gr.luw_len` to the members of each of the `n` `LUW` rows.
@@ -107,7 +102,8 @@ pub(crate) fn build_decided_luw_into(
     gr: &mut GreedyScratch,
 ) -> bool {
     let words = lu.len().div_ceil(64);
-    clear_rows(cc, words, gr);
+    gr.luw.clear();
+    gr.luw.resize(cc.spec.keywords.len() * words, 0);
     let table = cc.hw_table();
     let c = &cc.cols;
     for (pos, &u) in lu.iter().enumerate() {

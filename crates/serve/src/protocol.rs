@@ -16,9 +16,10 @@
 //! their varint count comes one width byte, 1, 2 or 4 (the least that
 //! holds the largest id; 1 for no ids), then the ids as one little-endian
 //! column of that width. A decoder rejects any other width, and a column
-//! that would run past the frame, before it allocates. Frames above [`MAX_FRAME_LEN`] are rejected
-//! before allocation, and a body buffer grows only as its bytes arrive, so
-//! a hostile length prefix cannot balloon memory.
+//! that would run past the frame, before it allocates. Frames above
+//! [`MAX_FRAME_LEN`] are rejected before allocation, and a body buffer
+//! grows only as its bytes arrive, so a hostile length prefix cannot
+//! balloon memory.
 //!
 //! Request opcodes: `0x01` query, `0x02` mutate, `0x03` stats (JSON),
 //! `0x04` metrics (Prometheus text). Reply opcodes mirror them at
